@@ -1,11 +1,10 @@
-# Developer entry points. `make check` is the full pre-merge gate: vet,
-# unit tests, the race detector over the parallel optimizer and the
-# fault-injection/recovery paths, and a doubled race run of the matrix
-# kernel pool and the CP interpreter (the multi-threaded runtime).
+# Developer entry points. `make check` is the full pre-merge gate: vet, the
+# race detector over every package, and a doubled race run of the packages
+# that share state between goroutines.
 
 GO ?= go
 
-.PHONY: build test vet race race-kernels race-workload race-chaos race-server race-opt race-elastic race-minibatch check bench verify-corpus cover
+.PHONY: build test vet race race2 check bench verify-corpus cover
 
 build:
 	$(GO) build ./...
@@ -19,54 +18,18 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# The kernel pool and interpreter get a second, repeated race pass: pool
-# scheduling is timing-sensitive, so -count=2 re-runs every test against a
-# warm pool (the first run always starts the workers lazily).
-race-kernels:
-	$(GO) test -race -count=2 ./internal/matrix ./internal/rt
+# The concurrent packages get a second, repeated race pass: -count=2 re-runs
+# every test against warm state (the kernel pool starts its workers lazily,
+# the plan cache and memo store start empty), and scheduling-sensitive races
+# get a second draw. These are the packages with goroutines of their own:
+# the kernel pool and scratch arena (matrix), the CP interpreter (rt), the
+# parallel optimizer, sharded cache and shared memos (opt), the service's
+# fan-out/join (workload), the daemon's sessions and sequencer (server), and
+# the ResourceManager every one of them allocates from (yarn).
+race2:
+	$(GO) test -race -count=2 ./internal/matrix ./internal/rt ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 
-# The multi-tenant workload service under the race detector, doubled:
-# overlapping tenants, node failures, plan-cache churn, and the service's
-# fan-out/join paths at Workers=4.
-race-workload:
-	$(GO) test -race -count=2 ./internal/workload
-
-# The chaos layer under the race detector, doubled: correlated group
-# failures, flaps, straggler nodes, failure storms, checkpoint/restart with
-# retry budgets, and the circuit-breaker admission guard.
-race-chaos:
-	$(GO) test -race -count=2 -run 'Chaos|Breaker|Recovery|Checkpoint' ./internal/workload ./internal/bench
-
-# The network daemon under the race detector, doubled: wire protocol
-# framing, the sequencer's live/replay equivalence, concurrent sessions,
-# limiter sheds, and the 10k-request load-generator smoke against a live
-# server (plus the daemon record/replay CLI cycle).
-race-server:
-	$(GO) test -race -count=2 ./internal/server
-	$(GO) test -race -run 'Daemon' ./cmd/elastic-serve
-
-# The malleability machinery under the race detector, doubled: grow/shrink
-# equivalence across the verify configs, the policy engine's determinism and
-# golden reports, elasticity interleaved with chaos storms and breaker
-# sheds, group allocation atomicity, and the policy sweep's dominance check.
-race-elastic:
-	$(GO) test -race -count=2 -run 'Elastic|Policy|GrowShrink|Resize|AllocateGroup|FreeChunks|WidthClamped|RequeueClamps' ./internal/workload ./internal/yarn ./internal/opt ./internal/bench
-
-# The admission hot path under the race detector, doubled: the sharded
-# plan cache's lock stripes, concurrent OptimizeMemo replays on a shared
-# memo, and the matrix scratch arena's pools.
-race-opt:
-	$(GO) test -race -count=2 ./internal/opt ./internal/matrix
-
-# The iterative mini-batch machinery under the race detector, doubled:
-# epoch detection and epoch-window memo reuse, mid-epoch shrink
-# equivalence and WastedWork accounting, the fuzzer's loop corpus, the
-# mini-batch trace's worker-count determinism, and the policy sweep's
-# straggler/correlated-failure dominance check.
-race-minibatch:
-	$(GO) test -race -count=2 -run 'Epoch|Minibatch|DetectEpochs|FuzzLoop' ./internal/workload ./internal/opt ./internal/verify ./internal/bench
-
-check: vet race race-kernels race-workload race-chaos race-server race-opt race-elastic race-minibatch
+check: vet race race2
 
 # Differential plan verification: the paper corpus plus a fixed-seed fuzz
 # stream plus the loop corpus (forced for/parfor over batch slices), each

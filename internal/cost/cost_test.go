@@ -252,6 +252,56 @@ func TestVarStateClone(t *testing.T) {
 	}
 }
 
+// TestVarStateCloneKeepsAliases: two names bound by Alias share one storage
+// entry, and Clone must keep them sharing it. A per-name copy turns them
+// into two residents that inMem counts twice and that the LRU scan picks
+// between in map order.
+func TestVarStateCloneKeepsAliases(t *testing.T) {
+	s := NewVarState(0)
+	s.PutInMemory("$A", 100)
+	s.Alias("$B", "$A", 100)
+	c := s.Clone()
+	c.PutOnHDFS("$A", 100) // rebinds $A only; $B keeps the shared entry
+	if !s.InMemory("$A") || !s.InMemory("$B") {
+		t.Error("clone mutation leaked into original")
+	}
+	c = s.Clone()
+	if got := c.ExportBytes("$A", 100); got != 100 {
+		t.Fatalf("export through $A = %v, want 100", got)
+	}
+	if got := c.ExportBytes("$B", 100); got != 0 {
+		t.Errorf("export through alias $B = %v after exporting $A, want 0 (one shared entry)", got)
+	}
+	if got := s.ExportBytes("$B", 100); got != 100 {
+		t.Errorf("original lost its dirty state to the clone: export = %v, want 100", got)
+	}
+	// Evicting the shared entry evicts it under both names.
+	p := NewVarState(150)
+	p.PutInMemory("$A", 100)
+	p.Alias("$B", "$A", 100)
+	pc := p.Clone()
+	pc.PutInMemory("$C", 100)
+	if pc.Evictions != 1 || pc.InMemory("$A") || pc.InMemory("$B") {
+		t.Errorf("clone split the aliased resident: evictions %d, A resident %v, B resident %v",
+			pc.Evictions, pc.InMemory("$A"), pc.InMemory("$B"))
+	}
+}
+
+// TestProgramCostAliasInBranchDeterministic: GLM on the XL dense 100-column
+// scenario at the optimizer's own choice (largest CP heap, smallest MR heap)
+// aliases a variable that its if-branches then evict around; with per-name
+// clones the same plan cost 46685.2 s or 46845.2 s from call to call.
+func TestProgramCostAliasInBranchDeterministic(t *testing.T) {
+	cc := conf.DefaultCluster()
+	plan := planFor(t, scripts.GLM(), 1e9, 100, 1.0, conf.NewResources(cc.MaxHeap(), cc.MinHeap(), 64))
+	first := NewEstimator(cc).ProgramCost(plan)
+	for i := 1; i < 60; i++ {
+		if got := NewEstimator(cc).ProgramCost(plan); got != first {
+			t.Fatalf("call %d costs %.1f s, call 0 cost %.1f s", i, got, first)
+		}
+	}
+}
+
 func TestVarStatePeakAndMaxVar(t *testing.T) {
 	s := NewVarState(1000)
 	s.PutInMemory("$A", 600)

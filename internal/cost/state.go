@@ -59,14 +59,23 @@ func NewVarState(budget conf.Bytes) *VarState {
 }
 
 // Clone copies the state (used to evaluate conditional branches
-// independently).
+// independently). Names that Alias bound to one storage entry stay bound to
+// one entry in the copy: copying per name would split them into two
+// residents with equal stamps, which inMem counts twice and between which
+// the LRU victim scan chooses in map order.
 func (s *VarState) Clone() *VarState {
 	c := &VarState{vars: make(map[string]*varInfo, len(s.vars)),
 		budget: s.budget, inMem: s.inMem, clock: s.clock, evictIO: s.evictIO,
 		Evictions: s.Evictions, Restores: s.Restores, Peak: s.Peak, MaxVar: s.MaxVar}
+	copies := make(map[*varInfo]*varInfo, len(s.vars))
 	for k, v := range s.vars {
-		cp := *v
-		c.vars[k] = &cp
+		cp, ok := copies[v]
+		if !ok {
+			dup := *v
+			cp = &dup
+			copies[v] = cp
+		}
+		c.vars[k] = cp
 	}
 	return c
 }

@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestBreakerLifecycle walks the full state machine: closed → open on the
 // failure threshold → half-open after the cooldown → closed after enough
@@ -117,10 +120,10 @@ func TestRecoveryBackoff(t *testing.T) {
 	}
 }
 
-// TestCheckpointFrac: block-boundary flooring, monotonicity against the
-// previous checkpoint, and the naive policy's hard zero.
-func TestCheckpointFrac(t *testing.T) {
-	ck := RecoveryPolicy{Kind: RecoveryCheckpoint}
+// TestSnap: the one boundary snap — block-boundary flooring, monotonicity
+// against the previous checkpoint, the naive policy's hard zero, and the
+// WastedWork booked for the partial work beyond the boundary.
+func TestSnap(t *testing.T) {
 	cases := []struct {
 		done, prev float64
 		blocks     int
@@ -130,16 +133,40 @@ func TestCheckpointFrac(t *testing.T) {
 		{0.37, 0.35, 10, 0.35}, // never regress below the previous checkpoint
 		{0.99, 0, 4, 0.75},
 		{1.0, 0, 4, 1.0},
-		{0.5, 0, 0, 0},  // degenerate block count clamps to 1 block
-		{1.5, 0, 10, 1}, // overshoot clamps to 1
+		{0.5, 0, 0, 0},            // degenerate block count clamps to 1 block
+		{1.5, 0, 10, 1},           // overshoot clamps to 1
+		{0.3 - 1e-12, 0, 10, 0.3}, // interpolation rounding just short of a boundary
 	}
 	for _, c := range cases {
-		if got := ck.checkpointFrac(c.done, c.prev, c.blocks); got != c.want {
-			t.Errorf("checkpointFrac(%g, %g, %d) = %g, want %g", c.done, c.prev, c.blocks, got, c.want)
+		if got := boundaryFloor(c.done, c.prev, c.blocks); got != c.want {
+			t.Errorf("boundaryFloor(%g, %g, %d) = %g, want %g", c.done, c.prev, c.blocks, got, c.want)
 		}
 	}
-	nv := RecoveryPolicy{Kind: RecoveryNaive}
-	if got := nv.checkpointFrac(0.9, 0.5, 10); got != 0 {
-		t.Errorf("naive checkpointFrac = %g, want 0", got)
+
+	// A job 90% through its window on top of a 0.5 checkpoint is 0.95 done.
+	mid := func() (*Service, *job) {
+		return &Service{now: 0.9}, &job{ckpt: 0.5, blocks: 10, finish: 1, total: 200}
+	}
+	s, j := mid()
+	ck, wasted := s.snap(j, true)
+	if ck != 0.9 || math.Abs(wasted-0.05*200) > 1e-9 {
+		t.Errorf("checkpoint snap = %g, wasted %g; want 0.9, 10", ck, wasted)
+	}
+	if j.result.WastedWork != wasted || s.rep.WastedWork != wasted {
+		t.Errorf("wasted work booked as tenant %g / report %g, want %g both",
+			j.result.WastedWork, s.rep.WastedWork, wasted)
+	}
+	if j.ckpt != 0.5 {
+		t.Errorf("snap moved the job's checkpoint to %g; the caller installs it", j.ckpt)
+	}
+	s, j = mid()
+	if ck, wasted := s.snap(j, false); ck != 0 || math.Abs(wasted-0.95*200) > 1e-9 {
+		t.Errorf("naive snap = %g, wasted %g; want 0, 190", ck, wasted)
+	}
+	// On a boundary nothing is wasted.
+	s, j = mid()
+	s.now = 0.8
+	if ck, wasted := s.snap(j, true); ck != 0.9 || wasted != 0 {
+		t.Errorf("snap on a boundary = %g, wasted %g; want 0.9, 0", ck, wasted)
 	}
 }

@@ -53,7 +53,7 @@ func TestChaosRetryBudgetExhausted(t *testing.T) {
 		{Node: 0, At: 4, RestoreAfter: 0.5},
 		{Node: 0, At: 7, RestoreAfter: 0.5},
 	}}
-	rep, err := Run(oneNodeCluster(), linregDSJob(), o)
+	rep, err := runChecked(t, oneNodeCluster(), linregDSJob(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestChaosCheckpointBeatsNaive(t *testing.T) {
 		o := DefaultOptions()
 		o.Recovery = fastRetry(kind, 5)
 		o.Chaos = chaos
-		rep, err := Run(oneNodeCluster(), linregDSJob(), o)
+		rep, err := runChecked(t, oneNodeCluster(), linregDSJob(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func breakerOptions(shed bool) Options {
 // arriving mid-outage with the typed error, then half-opens on schedule
 // and serves the post-cooldown arrivals.
 func TestChaosBreakerSheds(t *testing.T) {
-	rep, err := Run(breakerCluster(), breakerJobs(), breakerOptions(true))
+	rep, err := runChecked(t, breakerCluster(), breakerJobs(), breakerOptions(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestChaosBreakerSheds(t *testing.T) {
 // mid-outage arrivals to the degraded-fallback plan instead of rejecting
 // them — everyone is still served.
 func TestChaosBreakerDegrades(t *testing.T) {
-	rep, err := Run(breakerCluster(), breakerJobs(), breakerOptions(false))
+	rep, err := runChecked(t, breakerCluster(), breakerJobs(), breakerOptions(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestChaosSlowNodeSpeculation(t *testing.T) {
 		o := DefaultOptions()
 		o.Chaos = chaos
 		o.TaskPolicy = pol
-		rep, err := Run(oneNodeCluster(), linregDSJob(), o)
+		rep, err := runChecked(t, oneNodeCluster(), linregDSJob(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,13 +278,13 @@ func TestChaosSlowNodeSpeculation(t *testing.T) {
 // and lands on the identical configuration — the cache stays correct under
 // oscillating capacity because cluster geometry is part of the key.
 func TestChaosFlapCacheReuse(t *testing.T) {
-	base, err := Run(oneNodeCluster(), linregDSJob(), DefaultOptions())
+	base, err := runChecked(t, oneNodeCluster(), linregDSJob(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := DefaultOptions()
 	o.Chaos = fault.ChaosPlan{Flaps: []fault.Flap{{Node: 0, At: 20, RestoreAfter: 0.5}}}
-	rep, err := Run(oneNodeCluster(), linregDSJob(), o)
+	rep, err := runChecked(t, oneNodeCluster(), linregDSJob(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestChaosCheckpointEquivalence(t *testing.T) {
 				cc.MaxAlloc = ma
 			}
 			o := DefaultOptions()
-			smooth, err := Run(cc, jobs, o)
+			smooth, err := runChecked(t, cc, jobs, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +351,7 @@ func TestChaosCheckpointEquivalence(t *testing.T) {
 			o.Chaos = fault.ChaosPlan{Groups: []fault.GroupFailure{
 				{Nodes: []int{0, 1}, At: st.Finished / 2, RestoreAfter: 0.5},
 			}}
-			bumpy, err := Run(cc, jobs, o)
+			bumpy, err := runChecked(t, cc, jobs, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,7 +405,7 @@ func runChaosDemo(t *testing.T, workers int) (reportJSON, trace []byte) {
 	tr := obs.New(true)
 	cc, jobs, o := chaosDemo(workers)
 	o.Trace = tr
-	rep, err := Run(cc, jobs, o)
+	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestChaosWorkerInvariance(t *testing.T) {
 // exercises every chaos path (otherwise the byte-identity above is vacuous).
 func TestChaosKitchenSinkActivity(t *testing.T) {
 	cc, jobs, o := chaosDemo(1)
-	rep, err := Run(cc, jobs, o)
+	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
 	}

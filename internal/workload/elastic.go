@@ -1,17 +1,16 @@
 // Malleable jobs and the scheduling policies that drive them.
 //
 // A job's ElasticSpec declares how many containers it can usefully hold
-// (min/desired/max, resized in Step increments). The policy engine decides
-// at every simulated-time event — admission, departure, failure, restore,
-// and the optional periodic tick — which running jobs to grow into freed
-// capacity and which to shrink, either voluntarily (a job trades width for
-// queue priority at admission) or structurally (running jobs give up
-// containers so the queue head can enter). Width changes take effect at
-// block boundaries, the checkpoint granularity: partial-block progress
-// since the last boundary is re-done, exactly like a checkpoint restart.
-// Every applied change re-optimizes the job's plan through the shared
-// cache + OptimizeMemo path under a width-clamped cluster view, so the
-// plan always matches the current allocation.
+// (min/desired/max, resized in Step increments). A policy is a value: pure
+// functions from a read-only snapshot of one job to its admission width and
+// to the width it should hold while running. After every event batch's
+// admission, reconcile books the difference between desired and allocated
+// widths at the job's next resize point — a block boundary, an epoch
+// boundary for epoch-job grows, any instant for epoch-job shrinks — and
+// applyResize delivers it through the same plan / snap / start mechanisms
+// admission and failure recovery use (lifecycle.go), so the plan always
+// matches the current allocation and partial progress past the last
+// boundary is re-done, exactly like a checkpoint restart.
 package workload
 
 import (
@@ -156,6 +155,71 @@ func (o ElasticOptions) speedup(w int) float64 {
 	return 1 + o.Alpha*float64(w-1)
 }
 
+// tenantView is the read-only snapshot of one job that a policy decides
+// from. Policies see nothing else, so a decision is a pure function of it.
+type tenantView struct {
+	spec  ElasticSpec
+	width int // containers held; 0 for a job at admission
+	// capW is how many containers of the job's size the live cluster could
+	// hold in total if it were empty.
+	capW    int
+	active  int     // tenants running or queued
+	blocked bool    // the admission queue is non-empty
+	rem     float64 // remaining work in width-1 seconds
+}
+
+// policy is a scheduling policy as a value, built once by newPolicy: two
+// admission switches and two pure functions of a tenantView. The zero value
+// is FIFO.
+type policy struct {
+	// stepDown lets an admission narrow below its target width to enter a
+	// full cluster rather than wait for the full target.
+	stepDown bool
+	// bypass lets a job that cannot be admitted right now be skipped over
+	// instead of blocking the queue tail.
+	bypass bool
+	// admitCap bounds the admission width beyond the spec's own bounds
+	// (nil: no further bound).
+	admitCap func(v tenantView) int
+	// desired is the width the policy wants a running job to hold and the
+	// priority of moving it one step there (higher first); nil: running
+	// jobs are never resized.
+	desired func(v tenantView) (width int, score float64)
+}
+
+// newPolicy builds the policy table entry — the only place the Policy
+// option is read.
+func newPolicy(p Policy, e ElasticOptions) policy {
+	switch p {
+	case PolicyFair:
+		// The fair share is the capacity in containers of the job's size
+		// divided by the active tenants, within the spec bounds. Jobs
+		// furthest from their share move first.
+		share := func(v tenantView) int {
+			return min(max(v.capW/max(v.active, 1), v.spec.MinContainers), v.spec.MaxContainers)
+		}
+		return policy{stepDown: true, admitCap: share,
+			desired: func(v tenantView) (int, float64) {
+				f := share(v)
+				return f, math.Abs(float64(f - v.width))
+			}}
+	case PolicyRegret:
+		// Queue delay is pure regret: while the queue is blocked every
+		// job's desired width is its minimum and the one losing the fewest
+		// seconds gives up a step; once it drains every job wants its
+		// maximum and the one saving the most seconds per step grows first.
+		return policy{stepDown: true, bypass: true,
+			desired: func(v tenantView) (int, float64) {
+				d, to := v.spec.MaxContainers, v.width+v.spec.Step
+				if v.blocked {
+					d, to = v.spec.MinContainers, max(v.width-v.spec.Step, 1)
+				}
+				return d, v.rem/e.speedup(v.width) - v.rem/e.speedup(to)
+			}}
+	}
+	return policy{}
+}
+
 // capacityWidth returns how many containers of the given size the live
 // cluster could hold in total if it were empty — the width ceiling any
 // admission may target. Requeued failure victims are clamped to this, so a
@@ -165,299 +229,131 @@ func (s *Service) capacityWidth(cs conf.Bytes) int {
 	if cs <= 0 {
 		return 0
 	}
-	if cs < s.cc.MinAlloc {
-		cs = s.cc.MinAlloc
-	}
-	return int(s.cc.MemPerNode/cs) * s.rm.LiveNodes()
+	return int(s.cc.MemPerNode/max(cs, s.cc.MinAlloc)) * s.live.Nodes
 }
 
-// targetWidth picks the admission width for a queued job whose per-container
-// size is cs: the policy target clamped to the spec bounds and to what the
-// live cluster could ever hold.
-func (s *Service) targetWidth(j *job, cs conf.Bytes) int {
-	e := j.espec
-	w := e.DesiredContainers
-	if cap := s.capacityWidth(cs); w > cap {
-		// The cluster shrank below the desired width: ask for what can
-		// actually exist. Never below the spec minimum — if even that does
-		// not fit, allocation fails and the job waits like any other.
-		w = cap
-	}
-	if w < e.MinContainers {
-		w = e.MinContainers
-	}
-	if s.opts.Policy == PolicyFair {
-		active := s.running + len(s.queue)
-		if active < 1 {
-			active = 1
-		}
-		fair := s.capacityWidth(cs) / active
-		if fair < e.MinContainers {
-			fair = e.MinContainers
-		}
-		if w > fair {
-			w = fair
-		}
+// admitWidth picks the admission width for a queued job whose per-container
+// size is cs: the desired width clamped to what the live cluster could ever
+// hold — never below the spec minimum; if even that does not fit,
+// allocation fails and the job waits like any other — and to the policy's
+// admission cap.
+func (s *Service) admitWidth(j *job, cs conf.Bytes) int {
+	v := tenantView{spec: j.espec, capW: s.capacityWidth(cs), active: s.running + len(s.queue)}
+	w := max(min(j.espec.DesiredContainers, v.capW), j.espec.MinContainers)
+	if s.pol.admitCap != nil {
+		w = min(w, s.pol.admitCap(v))
 	}
 	return w
 }
 
-// stepDownAllowed reports whether the policy lets an admission voluntarily
-// narrow below its target width to enter a full cluster. FIFO never does —
-// it waits for the full target, the pre-elasticity behavior.
-func (s *Service) stepDownAllowed() bool { return s.opts.Policy != PolicyFIFO }
-
-// bypassAllowed reports whether a job that cannot be admitted right now may
-// be skipped over instead of blocking the queue tail.
-func (s *Service) bypassAllowed() bool { return s.opts.Policy == PolicyRegret }
-
-// elasticPass runs the policy engine after every event batch: structural
-// shrink while the queue is blocked, opportunistic growth once it drains.
-// Freed capacity always reaches queued tenants before any running job
-// widens.
-func (s *Service) elasticPass() {
-	if s.opts.Policy == PolicyFIFO {
+// reconcile runs the policy engine after every settle's admission: for each
+// malleable running job without a booked change it asks the policy for the
+// desired width and books allocated != desired, one step at a time, through
+// scheduleResize. While the queue is blocked only shrinks are booked, one
+// victim per pass — capacity frees, admission retries, and the next blocked
+// pass shrinks further if needed; once it drains, grows are booked in score
+// order as long as the free memory not yet promised to an earlier grow
+// covers them.
+func (s *Service) reconcile() {
+	if s.pol.desired == nil {
 		return
 	}
-	if len(s.queue) > 0 {
-		s.planShrink()
-		return
+	type want struct {
+		j      *job
+		target int
+		score  float64
 	}
-	s.planGrow()
-}
-
-// resizeCand is one running job eligible for a width change.
-type resizeCand struct {
-	j     *job
-	score float64
-}
-
-// growCandidates returns the running jobs that could widen by one step,
-// with the policy's growth priority as score (higher grows first).
-func (s *Service) growCandidates() []resizeCand {
-	var out []resizeCand
+	blocked := len(s.queue) > 0
+	dir := +1
+	if blocked {
+		dir = -1
+	}
+	var wants []want
 	for _, j := range s.jobs {
 		if j.state != jsRunning || j.pendingW != 0 || j.espec.rigid() {
 			continue
 		}
 		w := len(j.conts)
-		if w >= j.espec.MaxContainers {
+		d, score := s.pol.desired(tenantView{
+			spec: j.espec, width: w, capW: s.capacityWidth(j.conts[0].Mem),
+			active: s.running + len(s.queue), blocked: blocked,
+			rem: max((1-s.progressAt(j))*j.total, 0),
+		})
+		if (d-w)*dir <= 0 {
 			continue
 		}
-		if _, ok := s.resizePoint(j, +1); !ok {
+		if _, ok := s.resizePoint(j, dir); !ok {
 			continue
 		}
-		switch s.opts.Policy {
-		case PolicyFair:
-			fair := s.fairShare(j)
-			if w >= fair {
-				continue
-			}
-			out = append(out, resizeCand{j: j, score: float64(fair - w)})
-		default: // PolicyRegret: marginal seconds saved by one more step
-			out = append(out, resizeCand{j: j, score: s.marginalGain(j, +1)})
+		// A grow stops at the desired width; a shrink gives up a whole step
+		// even past it, down to the spec minimum.
+		target := min(w+j.espec.Step, d)
+		if blocked {
+			target = max(w-j.espec.Step, j.espec.MinContainers)
 		}
+		wants = append(wants, want{j, target, score})
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].score != out[b].score {
-			return out[a].score > out[b].score
-		}
-		return out[a].j.idx < out[b].j.idx
-	})
-	return out
-}
-
-// fairShare is the fair-share width target for one running job: total
-// capacity in containers of its size, divided by the active tenants.
-func (s *Service) fairShare(j *job) int {
-	active := s.running + len(s.queue)
-	if active < 1 {
-		active = 1
+	sort.SliceStable(wants, func(a, b int) bool { return wants[a].score > wants[b].score })
+	if blocked && len(wants) > 1 {
+		wants = wants[:1]
 	}
-	fair := s.capacityWidth(j.conts[0].Mem) / active
-	if fair < j.espec.MinContainers {
-		fair = j.espec.MinContainers
-	}
-	if fair > j.espec.MaxContainers {
-		fair = j.espec.MaxContainers
-	}
-	return fair
-}
-
-// marginalGain estimates the remaining-time change of one width step
-// (dir = +1 grow, -1 shrink): remaining work divided by the speedups.
-// Positive values are seconds saved (grow) or seconds lost (shrink).
-func (s *Service) marginalGain(j *job, dir int) float64 {
-	w := len(j.conts)
-	target := w + dir*j.espec.Step
-	if target < 1 {
-		target = 1
-	}
-	rem := (1 - s.progressAt(j)) * j.total
-	if rem < 0 {
-		rem = 0
-	}
-	g := rem/s.opts.Elastic.speedup(w) - rem/s.opts.Elastic.speedup(target)
-	if dir < 0 {
-		g = -g
-	}
-	return g
-}
-
-// planGrow schedules opportunistic growth while the queue is empty: each
-// candidate widens by one step at its next block boundary, as long as the
-// free capacity not yet promised to an earlier candidate covers it.
-func (s *Service) planGrow() {
-	cands := s.growCandidates()
-	if len(cands) == 0 {
-		return
-	}
-	budget := float64(s.rm.AvailableMem())
-	for _, c := range cands {
-		j := c.j
-		w := len(j.conts)
-		target := w + j.espec.Step
-		if target > j.espec.MaxContainers {
-			target = j.espec.MaxContainers
-		}
-		if s.opts.Policy == PolicyFair {
-			if fair := s.fairShare(j); target > fair {
-				target = fair
-			}
-		}
-		if target <= w {
-			continue
-		}
-		need := float64(target-w) * float64(j.conts[0].Mem)
-		if need > budget {
-			continue
-		}
-		if s.scheduleResize(j, target) {
+	budget := s.rm.AvailableMem()
+	for _, wt := range wants {
+		need := conf.Bytes(wt.target-len(wt.j.conts)) * wt.j.conts[0].Mem
+		if need <= budget && s.scheduleResize(wt.j, wt.target) {
 			budget -= need
 		}
 	}
 }
 
-// planShrink schedules one structural shrink while the queue is blocked:
-// the policy's victim gives up one width step at its next block boundary,
-// and the freed containers reach the queue at the resize event. One victim
-// per pass — capacity frees, admission retries, and the next blocked pass
-// shrinks further if needed.
-func (s *Service) planShrink() {
-	var best *job
-	var bestScore float64
-	for _, j := range s.jobs {
-		if j.state != jsRunning || j.pendingW != 0 || j.espec.rigid() {
-			continue
-		}
-		w := len(j.conts)
-		if w <= j.espec.MinContainers {
-			continue
-		}
-		if s.opts.Policy == PolicyFair && w <= s.fairShare(j) {
-			continue // fair-share only takes from over-share jobs
-		}
-		if _, ok := s.resizePoint(j, -1); !ok {
-			continue
-		}
-		var score float64
-		if s.opts.Policy == PolicyFair {
-			score = float64(w - s.fairShare(j)) // widest over share first
-		} else {
-			score = -s.marginalGain(j, -1) // least seconds lost first
-		}
-		if best == nil || score > bestScore {
-			best, bestScore = j, score
-		}
-	}
-	if best == nil {
-		return
-	}
-	target := len(best.conts) - best.espec.Step
-	if target < best.espec.MinContainers {
-		target = best.espec.MinContainers
-	}
-	s.scheduleResize(best, target)
-}
-
-// nextBoundary returns the simulated time of the job's next width-change
-// eligibility point: the end of its current admission/resize charge (no new
-// work has run yet), or the next block boundary of its progress schedule.
-// ok is false when the next boundary is completion itself.
-func (s *Service) nextBoundary(j *job) (float64, bool) {
-	return s.boundaryAfter(j, float64(j.blocks))
-}
-
-// boundaryAfter is the shared boundary clock: the next multiple of 1/bf of
-// total progress that the job has not yet passed, mapped onto simulated
-// time via the linear progress schedule.
-func (s *Service) boundaryAfter(j *job, bf float64) (float64, bool) {
-	if bf < 1 || j.ckpt >= 1 {
-		return 0, false
-	}
-	if s.now <= j.execStart {
-		// Inside the charge window: progress is still pinned to the last
-		// boundary, so the width can change as soon as execution starts.
-		return j.execStart, true
-	}
-	p := s.progressAt(j)
-	b := math.Ceil(p*bf-1e-9) / bf
-	if b >= 1-1e-12 {
-		return 0, false
-	}
-	t := j.execStart + (b-j.ckpt)/(1-j.ckpt)*(j.finish-j.execStart)
-	if t < s.now {
-		t = s.now
-	}
-	return t, true
-}
-
 // resizePoint returns when a width change in the given direction (+1 grow,
-// -1 shrink) may take effect. Epoch-structured jobs (detected from the
-// compiled program's for-loop trip counts) treat epoch boundaries as
-// first-class elasticity points: grows wait for the next epoch boundary,
-// where the plan re-optimizes anyway and no in-flight batch exists, while
-// shrinks fire immediately mid-epoch and snap progress back to the last
-// completed batch (the partial batch is re-done and accounted as
-// WastedWork). Jobs without epoch structure keep the block-boundary
-// behavior.
+// -1 shrink) may take effect: the next boundary of the job's progress
+// schedule it has not yet passed. Block-structured jobs change width at
+// block boundaries either way. Epoch-structured jobs grow at epoch
+// boundaries, where no batch is in flight, and shrink at any instant,
+// snapping progress back to the last completed batch (the partial batch is
+// re-done and accounted as WastedWork). Inside a charge window progress is
+// still pinned to the last boundary, so the width can change as soon as
+// execution starts. ok is false when the next boundary is completion.
 func (s *Service) resizePoint(j *job, dir int) (float64, bool) {
-	if j.epochs < 1 {
-		return s.nextBoundary(j)
+	per := float64(j.blocks) // boundaries per job; 0 = any instant
+	if j.epochs > 0 {
+		per = float64(j.epochs)
+		if dir < 0 {
+			per = 0
+		}
 	}
-	if dir > 0 {
-		// Grow between epochs: j.blocks = epochs*batches, so every
-		// epochs-th block boundary is an epoch boundary.
-		return s.boundaryAfter(j, float64(j.epochs))
-	}
-	// Shrink mid-epoch: effective as soon as execution is under way.
 	if j.ckpt >= 1 {
 		return 0, false
 	}
 	if s.now <= j.execStart {
 		return j.execStart, true
 	}
-	if s.progressAt(j) >= 1-1e-12 {
+	b := s.progressAt(j)
+	if per > 0 {
+		b = math.Ceil(b*per-snapEps) / per
+	}
+	if b >= 1-1e-12 {
 		return 0, false
 	}
-	return s.now, true
+	if per == 0 {
+		return s.now, true
+	}
+	t := j.execStart + (b-j.ckpt)/(1-j.ckpt)*(j.finish-j.execStart)
+	return math.Max(t, s.now), true
 }
 
 // scheduleResize books a width change for a running job at its next
-// eligibility point (block boundary, epoch boundary for epoch-job grows,
-// or immediately for epoch-job shrinks). The pending target keeps the
-// planner from double-promising the same capacity; the event's generation
-// check drops the plan if anything reschedules the job first.
+// resizePoint. The pending target keeps reconcile from double-promising the
+// same capacity; the event's generation check drops the booking if anything
+// reschedules the job first.
 func (s *Service) scheduleResize(j *job, target int) bool {
-	if target == len(j.conts) {
-		return false
-	}
 	dir := +1
 	if target < len(j.conts) {
 		dir = -1
 	}
 	at, ok := s.resizePoint(j, dir)
-	if !ok {
+	if !ok || target == len(j.conts) {
 		return false
 	}
 	j.pendingW = target
@@ -465,25 +361,23 @@ func (s *Service) scheduleResize(j *job, target int) bool {
 	return true
 }
 
-// applyResize delivers a scheduled width change: re-clamp the target to
-// what the cluster can grant right now, claim or release containers, snap
-// progress down to the last completed block boundary, and re-optimize the
-// plan under the new allocation through the shared cache + OptimizeMemo
-// path (§5 — the plan always matches the current allocation). The job is
-// re-simulated under the re-optimized configuration, so its outputs remain
-// exactly the plan-invariant results every fixed-width run produces.
+// applyResize delivers a booked width change: claim or release containers,
+// re-plan under the new allocation through the shared cache + memo path
+// (§5 — the plan always matches the current allocation; the view is clamped
+// to the granted container size), re-simulate, snap progress down to the
+// last completed boundary, and start the new plan. The job is re-simulated
+// under the re-optimized configuration, so its outputs remain exactly the
+// plan-invariant results every fixed-width run produces.
 func (s *Service) applyResize(ev event) {
 	j := s.jobs[ev.job]
-	if j.state != jsRunning || ev.gen != j.gen || j.pendingW == 0 {
+	if j.state != jsRunning || ev.gen != j.gen {
 		return
 	}
-	target := j.pendingW
+	target, w, cs := j.pendingW, len(j.conts), j.conts[0].Mem
 	j.pendingW = 0
-	w := len(j.conts)
-	if target == w || target < 1 {
+	if target < 1 || target == w {
 		return
 	}
-	cs := j.conts[0].Mem
 	if target > w {
 		got, err := s.rm.AllocateGroup(target-w, cs)
 		if err != nil {
@@ -494,63 +388,21 @@ func (s *Service) applyResize(ev event) {
 		}
 		j.conts = append(j.conts, got...)
 	} else {
-		for _, c := range j.conts[target:] {
-			if err := s.rm.Release(c.ID); err != nil {
-				s.tr.Complete(obs.LayerWorkload, "workload.release-error", s.now, 0,
-					obs.A("tenant", j.result.Tenant), obs.A("err", err.Error()))
-			}
-		}
+		s.release(j, j.conts[target:])
 		j.conts = j.conts[:target]
 	}
-	newW := len(j.conts)
 
 	c, err := s.compileJob(j)
 	if err == nil {
-		res, cost, _ := s.optimizeUnder(c, opt.WidthClamped(s.live, cs), s.optOpts())
-		sr := s.simulate(c, res)
-		if sr.err != nil {
-			err = sr.err
-		} else {
-			// Width changes commit at block boundaries: partial progress
-			// since the last boundary is re-done, like a checkpoint restart.
-			// Epoch jobs snap at batch granularity (j.blocks =
-			// epochs*batches); a mid-epoch shrink loses the in-flight
-			// partial batch, which is real re-done work and accounted as
-			// WastedWork (grows land on epoch boundaries, losing nothing).
-			done := s.progressAt(j)
-			ck := math.Floor(done*float64(j.blocks)+1e-9) / float64(j.blocks)
-			if ck < j.ckpt {
-				ck = j.ckpt
-			}
-			if ck > 1 {
-				ck = 1
-			}
-			if j.epochs > 0 && done-ck > 1e-9 {
-				wasted := (done - ck) * j.total
-				j.result.WastedWork += wasted
-				s.rep.WastedWork += wasted
+		r := &planReq{j: j, c: c, view: opt.WidthClamped(s.live, cs)}
+		s.plan(r)
+		sr := s.simulate(c, r.res)
+		if err = sr.err; err == nil {
+			var wasted float64
+			if j.ckpt, wasted = s.snap(j, true); wasted > 0 {
 				s.tr.Metrics().Add("workload.resize_wasted", 1)
 			}
-			j.res, j.cost = res, cost
-			if j.epochs > 0 {
-				j.blocks = j.epochs * j.batches
-			} else {
-				j.blocks = c.hp.NumLeaf
-			}
-			if j.blocks < 1 {
-				j.blocks = 1
-			}
-			j.total = sr.simSeconds
-			j.ckpt = ck
-			exec := sr.simSeconds * (1 - ck) / s.opts.Elastic.speedup(newW) * j.slow
-			j.gen++
-			j.execStart = s.now + s.opts.Elastic.ResizeCharge
-			j.finish = j.execStart + exec
-			s.push(event{at: j.finish, kind: evDepart, job: j.idx, gen: j.gen})
-			j.result.Outputs = sr.outputs
-			j.result.Prints = sr.prints
-			j.result.OutputHash = outputHash(sr.paths, sr.outputs, sr.dims, sr.prints)
-			j.result.Config = j.res.String()
+			s.start(r, sr, s.opts.Elastic.ResizeCharge)
 		}
 	}
 	if err != nil {
@@ -560,11 +412,9 @@ func (s *Service) applyResize(ev event) {
 		s.tr.Complete(obs.LayerWorkload, "workload.resize-error", s.now, 0,
 			obs.A("tenant", j.result.Tenant), obs.A("err", err.Error()))
 	}
-	j.result.Width = newW
-	if newW < j.result.MinWidth {
-		j.result.MinWidth = newW
-	}
-	if newW > w {
+	j.result.Width = target
+	j.result.MinWidth = min(j.result.MinWidth, target)
+	if target > w {
 		j.result.Grows++
 		s.rep.Grows++
 		s.tr.Metrics().Add("workload.grows", 1)
@@ -575,7 +425,7 @@ func (s *Service) applyResize(ev event) {
 	}
 	s.brk.recordChurn(s.now)
 	s.tr.Complete(obs.LayerWorkload, "workload.resize", s.now, s.opts.Elastic.ResizeCharge,
-		obs.A("tenant", j.result.Tenant), obs.A("from", w), obs.A("to", newW),
+		obs.A("tenant", j.result.Tenant), obs.A("from", w), obs.A("to", target),
 		obs.A("config", j.res.String()))
 	s.tr.Metrics().Add("workload.resizes", 1)
 }

@@ -69,7 +69,7 @@ func TestGrowShrinkEquivalence(t *testing.T) {
 				}
 				cc.MaxAlloc = ma
 			}
-			smooth, err := Run(cc, rigid, DefaultOptions())
+			smooth, err := runChecked(t, cc, rigid, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestGrowShrinkEquivalence(t *testing.T) {
 			})
 			s.ScheduleChaos()
 			j := s.jobs[0]
-			for j.state != jsRunning && s.Step() {
+			for j.state != jsRunning && stepChecked(t, s) {
 			}
 			if j.state != jsRunning {
 				t.Fatal("job never started")
@@ -101,7 +101,7 @@ func TestGrowShrinkEquivalence(t *testing.T) {
 			if !s.scheduleResize(j, 2) {
 				t.Fatal("could not schedule the grow")
 			}
-			for j.result.Grows == 0 && s.Step() {
+			for j.result.Grows == 0 && stepChecked(t, s) {
 			}
 			if j.result.Grows != 1 || len(j.conts) != 2 {
 				t.Fatalf("grow did not apply: grows %d width %d", j.result.Grows, len(j.conts))
@@ -112,7 +112,7 @@ func TestGrowShrinkEquivalence(t *testing.T) {
 				// width-2 work survives, partial-block work is re-done.
 				mid := j.execStart + 0.5*(j.finish-j.execStart)
 				s.push(event{at: mid, kind: evTick})
-				for s.now < mid && j.state == jsRunning && s.Step() {
+				for s.now < mid && j.state == jsRunning && stepChecked(t, s) {
 				}
 			}
 			// Single-block programs have no interior boundary; the charge
@@ -121,7 +121,7 @@ func TestGrowShrinkEquivalence(t *testing.T) {
 				t.Fatalf("could not schedule the shrink at %.2f (state %v, finish %.2f, blocks %d)",
 					s.now, j.state, j.finish, j.blocks)
 			}
-			for s.Step() {
+			for stepChecked(t, s) {
 			}
 			rep := s.Finalize()
 			bt := rep.Tenants[0]
@@ -164,7 +164,7 @@ func elasticScenario(pol Policy, workers int) (conf.Cluster, []JobSpec, Options)
 func runPolicy(t *testing.T, pol Policy, workers int) []byte {
 	t.Helper()
 	cc, jobs, o := elasticScenario(pol, workers)
-	rep, err := Run(cc, jobs, o)
+	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestPolicyGoldenReports(t *testing.T) {
 	var sums []policySummary
 	for _, pol := range []Policy{PolicyFIFO, PolicyFair, PolicyRegret} {
 		cc, jobs, o := elasticScenario(pol, 1)
-		rep, err := Run(cc, jobs, o)
+		rep, err := runChecked(t, cc, jobs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestRequeueClampsWidthToShrunkenCluster(t *testing.T) {
 	// container of the width-4 job (one per node), so the job requeues
 	// against a cluster that can now hold only two containers.
 	o.NodeFailures = []fault.NodeFailure{{Node: 2, At: 8}, {Node: 3, At: 8}}
-	rep, err := Run(cc, jobs, o)
+	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestEpochShrinkEquivalence(t *testing.T) {
 				}
 				cc.MaxAlloc = ma
 			}
-			smooth, err := Run(cc, rigid, DefaultOptions())
+			smooth, err := runChecked(t, cc, rigid, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestEpochShrinkEquivalence(t *testing.T) {
 			})
 			s.ScheduleChaos()
 			j := s.jobs[0]
-			for j.state != jsRunning && s.Step() {
+			for j.state != jsRunning && stepChecked(t, s) {
 			}
 			if j.state != jsRunning {
 				t.Fatal("job never started")
@@ -94,7 +94,7 @@ func TestEpochShrinkEquivalence(t *testing.T) {
 			if !s.scheduleResize(j, 2) {
 				t.Fatal("could not schedule the grow")
 			}
-			for j.result.Grows == 0 && s.Step() {
+			for j.result.Grows == 0 && stepChecked(t, s) {
 			}
 			if j.result.Grows != 1 || len(j.conts) != 2 {
 				t.Fatalf("grow did not apply: grows %d width %d", j.result.Grows, len(j.conts))
@@ -103,7 +103,7 @@ func TestEpochShrinkEquivalence(t *testing.T) {
 			// remaining span never lands on a multiple of 1/9 of progress.
 			mid := j.execStart + 0.37*(j.finish-j.execStart)
 			s.push(event{at: mid, kind: evTick})
-			for s.now < mid && j.state == jsRunning && s.Step() {
+			for s.now < mid && j.state == jsRunning && stepChecked(t, s) {
 			}
 			if j.state != jsRunning {
 				t.Fatalf("job left the running state before the mid-epoch point")
@@ -126,7 +126,7 @@ func TestEpochShrinkEquivalence(t *testing.T) {
 			if !s.scheduleResize(j, 1) {
 				t.Fatalf("could not schedule the mid-epoch shrink at %.2f", s.now)
 			}
-			for s.Step() {
+			for stepChecked(t, s) {
 			}
 			rep := s.Finalize()
 			bt := rep.Tenants[0]
@@ -170,7 +170,7 @@ func TestEpochShrinkWastedWork(t *testing.T) {
 	})
 	s.ScheduleChaos()
 	j := s.jobs[0]
-	for j.state != jsRunning && s.Step() {
+	for j.state != jsRunning && stepChecked(t, s) {
 	}
 	if j.state != jsRunning {
 		t.Fatal("job never started")
@@ -185,7 +185,7 @@ func TestEpochShrinkWastedWork(t *testing.T) {
 	// batch boundaries 3/9 and 4/9.
 	mid := j.execStart + 0.4*(j.finish-j.execStart)
 	s.push(event{at: mid, kind: evTick})
-	for s.now < mid && j.state == jsRunning && s.Step() {
+	for s.now < mid && j.state == jsRunning && stepChecked(t, s) {
 	}
 	done := s.progressAt(j)
 	total := j.total
@@ -197,7 +197,7 @@ func TestEpochShrinkWastedWork(t *testing.T) {
 	if !s.scheduleResize(j, 1) {
 		t.Fatal("could not schedule the shrink")
 	}
-	for j.result.Shrinks == 0 && s.Step() {
+	for j.result.Shrinks == 0 && stepChecked(t, s) {
 	}
 	if j.result.Shrinks != 1 || len(j.conts) != 1 {
 		t.Fatalf("shrink did not apply: shrinks %d width %d", j.result.Shrinks, len(j.conts))
@@ -212,7 +212,7 @@ func TestEpochShrinkWastedWork(t *testing.T) {
 	if math.Abs(s.rep.WastedWork-wantWaste) > 1e-9 {
 		t.Errorf("report wasted work %.9f, want %.9f", s.rep.WastedWork, wantWaste)
 	}
-	for s.Step() {
+	for stepChecked(t, s) {
 	}
 	rep := s.Finalize()
 	if !rep.Tenants[0].Served {
@@ -244,7 +244,7 @@ func TestEpochDetectionScope(t *testing.T) {
 		})
 		s.ScheduleChaos()
 		j := s.jobs[0]
-		for j.state != jsRunning && s.Step() {
+		for j.state != jsRunning && stepChecked(t, s) {
 		}
 		if j.state != jsRunning {
 			t.Fatalf("%s never started", c.name)
@@ -252,7 +252,7 @@ func TestEpochDetectionScope(t *testing.T) {
 		if j.epochs != c.wantEpochs {
 			t.Errorf("%s: epochs = %d, want %d", c.name, j.epochs, c.wantEpochs)
 		}
-		for s.Step() {
+		for stepChecked(t, s) {
 		}
 	}
 }
@@ -283,7 +283,7 @@ func minibatchDetScenario(pol Policy, workers int) (conf.Cluster, []JobSpec, Opt
 func TestMinibatchDeterminism(t *testing.T) {
 	run := func(pol Policy, workers int) []byte {
 		cc, jobs, o := minibatchDetScenario(pol, workers)
-		rep, err := Run(cc, jobs, o)
+		rep, err := runChecked(t, cc, jobs, o)
 		if err != nil {
 			t.Fatal(err)
 		}

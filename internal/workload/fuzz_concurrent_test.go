@@ -174,7 +174,7 @@ func TestFuzzElasticChaos(t *testing.T) {
 	}}
 
 	before := runtime.NumGoroutine()
-	rep, err := Run(cc, jobs, o)
+	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFuzzConcurrentWithFailures(t *testing.T) {
 	o := DefaultOptions()
 	o.Workers = 4
 	o.NodeFailures = []fault.NodeFailure{{Node: 0, At: 2.5}}
-	rep, err := Run(cc, jobs, o)
+	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
 	}

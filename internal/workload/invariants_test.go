@@ -1,0 +1,132 @@
+package workload
+
+import (
+	"math"
+	"testing"
+
+	"elasticml/internal/conf"
+)
+
+// checkInvariants asserts the service's structural invariants; the chaos,
+// elasticity, and fuzz tests call it after every Step. It reads service
+// state only.
+func checkInvariants(t *testing.T, s *Service) {
+	t.Helper()
+
+	// Container conservation: per node, what the jobs hold plus what the RM
+	// has free is the node's memory (a failed node reports 0 free and must
+	// host nothing), and the RM knows exactly the containers jobs hold.
+	held := make([]conf.Bytes, s.cc.Nodes)
+	containers, running := 0, 0
+	inQueue := map[int]int{}
+	for _, q := range s.queue {
+		inQueue[q]++
+	}
+	var wasted float64
+	for _, j := range s.jobs {
+		name := j.result.Tenant
+		for _, c := range j.conts {
+			held[c.Node] += c.Mem
+		}
+		containers += len(j.conts)
+
+		// Each job is in exactly one place: the queue, the cluster, a
+		// backoff wait, a terminal state, or not yet arrived.
+		if n := inQueue[j.idx]; (j.state == jsQueued) != (n == 1) || n > 1 {
+			t.Errorf("t=%.3f %s: state %v but %d queue entries", s.now, name, j.state, n)
+		}
+		if j.state != jsRunning {
+			if len(j.conts) != 0 || j.pendingW != 0 {
+				t.Errorf("t=%.3f %s: state %v holds %d containers, pending width %d",
+					s.now, name, j.state, len(j.conts), j.pendingW)
+			}
+		} else {
+			running++
+			e := j.espec
+			if w := len(j.conts); w < e.MinContainers || w > e.MaxContainers {
+				t.Errorf("t=%.3f %s: width %d outside [%d, %d]", s.now, name, w, e.MinContainers, e.MaxContainers)
+			}
+			if p := j.pendingW; p != 0 && (p < e.MinContainers || p > e.MaxContainers) {
+				t.Errorf("t=%.3f %s: pending width %d outside [%d, %d]", s.now, name, p, e.MinContainers, e.MaxContainers)
+			}
+			if j.finish < s.now {
+				t.Errorf("t=%.3f %s: running past its finish %.3f", s.now, name, j.finish)
+			}
+		}
+
+		if !(j.result.WastedWork >= 0) {
+			t.Errorf("t=%.3f %s: wasted work %g", s.now, name, j.result.WastedWork)
+		}
+		wasted += j.result.WastedWork
+	}
+	if live := s.rm.LiveNodes(); s.live.Nodes != live {
+		t.Errorf("t=%.3f: cluster view has %d live nodes, RM has %d", s.now, s.live.Nodes, live)
+	}
+	if running != s.running {
+		t.Errorf("t=%.3f: %d jobs running, counter says %d", s.now, running, s.running)
+	}
+	if got := s.rm.AllocatedCount(); got != containers {
+		t.Errorf("t=%.3f: RM has %d containers allocated, jobs hold %d", s.now, got, containers)
+	}
+	for node, h := range held {
+		free, err := s.rm.FreeOnNode(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h+free != s.cc.MemPerNode && !(h == 0 && free == 0) {
+			t.Errorf("t=%.3f node %d: jobs hold %v, RM has %v free of %v", s.now, node, h, free, s.cc.MemPerNode)
+		}
+	}
+	if math.Abs(wasted-s.rep.WastedWork) > 1e-9*math.Max(1, s.rep.WastedWork) {
+		t.Errorf("t=%.3f: tenants wasted %.9f in total, report says %.9f", s.now, wasted, s.rep.WastedWork)
+	}
+
+	// Time is monotone: the clock sits on the frontier, nothing is
+	// scheduled in the past, and the event heap is a heap.
+	if s.now != s.lastT {
+		t.Errorf("clock %.6f behind the frontier %.6f", s.now, s.lastT)
+	}
+	for i, ev := range s.evs {
+		if ev.at < s.now {
+			t.Errorf("t=%.3f: event %d (kind %d) scheduled in the past at %.6f", s.now, i, ev.kind, ev.at)
+		}
+		if parent := (i - 1) / 2; i > 0 && s.evs.Less(i, parent) {
+			t.Errorf("t=%.3f: event heap order broken at %d", s.now, i)
+		}
+	}
+}
+
+// stepChecked is Step followed by checkInvariants.
+func stepChecked(t *testing.T, s *Service) bool {
+	t.Helper()
+	more := s.Step()
+	checkInvariants(t, s)
+	return more
+}
+
+// runChecked is Run with checkInvariants after every Step and after
+// Finalize.
+func runChecked(t *testing.T, cc conf.Cluster, jobs []JobSpec, o Options) (*Report, error) {
+	t.Helper()
+	s, err := New(cc, o)
+	if err != nil {
+		return nil, err
+	}
+	if err := validate(jobs, cc.Nodes, s.opts.NodeFailures, s.opts.Chaos); err != nil {
+		return nil, err
+	}
+	for _, spec := range jobs {
+		s.submit(spec)
+	}
+	s.ScheduleChaos()
+	for stepChecked(t, s) {
+	}
+	rep := s.Finalize()
+	checkInvariants(t, s)
+	for _, j := range s.jobs {
+		if !j.state.terminal() {
+			t.Errorf("%s left in state %v after Finalize", j.result.Tenant, j.state)
+		}
+	}
+	return rep, nil
+}

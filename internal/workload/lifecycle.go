@@ -1,0 +1,639 @@
+package workload
+
+// The job-lifecycle mechanisms. Each exists once: every path that changes
+// what a job runs, where, or until when goes through plan (cache + memo),
+// start (install a simulated plan), reschedule (the departure event), snap
+// (boundary progress), stop / terminate (leaving the cluster, leaving the
+// service), and settle (the decisions taken after any cluster change).
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"sync"
+
+	"elasticml/internal/conf"
+	"elasticml/internal/datagen"
+	"elasticml/internal/dml"
+	"elasticml/internal/hdfs"
+	"elasticml/internal/hop"
+	"elasticml/internal/lop"
+	"elasticml/internal/matrix"
+	"elasticml/internal/obs"
+	"elasticml/internal/opt"
+	"elasticml/internal/rt"
+	"elasticml/internal/yarn"
+)
+
+// settle is the one decision sequence after a cluster change, shared by the
+// event loop and Cancel. §5-style re-optimization comes first: a departure,
+// node failure, or capacity restore re-evaluates the running jobs against
+// the new cluster state before freed capacity is handed to the queue.
+// Admission comes before the policy engine, so freed capacity reaches
+// queued tenants before any running job widens into it.
+func (s *Service) settle(trig trigger) {
+	if trig != trigNone {
+		s.reoptimize(trig)
+	}
+	s.admit()
+	s.reconcile()
+}
+
+// reschedule gives a running job a new execution window and is the only
+// place a departure is scheduled: the generation bump drops the previous
+// departure and any booked resize, which was planned against the old
+// schedule.
+func (s *Service) reschedule(j *job, execStart, finish float64) {
+	j.gen++
+	j.pendingW = 0
+	j.execStart, j.finish = execStart, finish
+	s.push(event{at: finish, kind: evDepart, job: j.idx, gen: j.gen})
+}
+
+// stop takes a job out of the event schedule and, if it is running, off
+// the cluster: its departure, booked resize, or retry goes stale and its
+// containers return to the pool. The caller decides what state follows.
+func (s *Service) stop(j *job) {
+	j.gen++
+	j.pendingW = 0
+	if j.state == jsRunning {
+		s.release(j, j.conts)
+		j.conts = nil
+		s.running--
+	}
+}
+
+// terminate moves a job into a terminal state — the only place one is
+// assigned — with the state's result flags, report counter, trace span
+// (tenant first, then the caller's args), and the DrainFinished entry.
+func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
+	j.state = st
+	r := &j.result
+	if err != nil {
+		r.Err = err
+		r.Error = err.Error()
+	}
+	s.finished = append(s.finished, j.idx)
+	span, counter := "", ""
+	switch st {
+	case jsDone:
+		r.Served = true
+		r.Finished = s.now
+		r.Latency = s.now - r.Arrival
+		r.Config = j.res.String()
+		s.tr.Complete(obs.LayerWorkload, "tenant.run", r.Admitted, s.now-r.Admitted,
+			obs.A("tenant", r.Tenant), obs.A("program", r.Program),
+			obs.A("config", r.Config), obs.A("reopts", r.Reopts))
+		s.tr.Metrics().Add("workload.departures", 1)
+		s.tr.Metrics().Observe("workload.latency", r.Latency)
+	case jsFailed:
+		span = "tenant.error"
+		args = append(args, obs.A("err", r.Error))
+	case jsFailedPerm:
+		r.FailedPermanently = true
+		s.rep.FailedPermanently++
+		span, counter = "workload.failed-permanently", "workload.failed_permanently"
+	case jsShed:
+		r.Shed = true
+		s.rep.Shed++
+		span, counter = "workload.shed", "workload.shed"
+	case jsCanceled:
+		r.Canceled = true
+		s.rep.Canceled++
+		span, counter = "workload.cancel", "workload.canceled"
+	}
+	if span != "" {
+		s.tr.Complete(obs.LayerWorkload, span, s.now, 0,
+			append([]obs.Arg{obs.A("tenant", r.Tenant)}, args...)...)
+	}
+	if counter != "" {
+		s.tr.Metrics().Add(counter, 1)
+	}
+}
+
+// progressAt maps simulated time onto the job's completed-work fraction:
+// linear interpolation between the execution (re)start and the scheduled
+// finish, on top of the last checkpoint. Re-optimization charges and
+// slow-node stretches move the finish time, so the mapping follows the
+// job's actual schedule.
+func (s *Service) progressAt(j *job) float64 {
+	if s.now <= j.execStart || j.finish <= j.execStart || j.total <= 0 {
+		return j.ckpt // inside a charge window: no new progress
+	}
+	frac := j.ckpt + (1-j.ckpt)*(s.now-j.execStart)/(j.finish-j.execStart)
+	return math.Min(math.Max(frac, j.ckpt), 1)
+}
+
+// snapEps absorbs the rounding of the progress interpolation: a job that
+// sits on a boundary up to this much short of it has completed it, and
+// work past a boundary by no more than this much is not work.
+const snapEps = 1e-9
+
+// boundaryFloor floors a completed-work fraction to the last of blocks
+// equal boundaries, never regressing below the previous checkpoint.
+func boundaryFloor(done, prev float64, blocks int) float64 {
+	bf := float64(max(blocks, 1))
+	return math.Min(math.Max(math.Floor(done*bf+snapEps)/bf, prev), 1)
+}
+
+// snap is the one boundary snap, used when a job is interrupted (container
+// loss) and when its width changes: progress commits at the last completed
+// boundary — or not at all when keep is false, the naive restart — and the
+// partial work beyond it is re-done later, so it is booked as WastedWork
+// here and nowhere else. The caller installs the returned checkpoint.
+func (s *Service) snap(j *job, keep bool) (ckpt, wasted float64) {
+	done := s.progressAt(j)
+	if keep {
+		ckpt = boundaryFloor(done, j.ckpt, j.blocks)
+	}
+	if done-ckpt > snapEps {
+		wasted = (done - ckpt) * j.total
+		j.result.WastedWork += wasted
+		s.rep.WastedWork += wasted
+	}
+	return ckpt, wasted
+}
+
+// start installs a freshly simulated plan on a job that holds its
+// containers and schedules its departure — the one place that happens.
+// Admission is a start from width 0 charged the optimization (or cache hit)
+// plus any state restore; a resize keeps the container size and is charged
+// ResizeCharge. Boundary bookkeeping feeds the progress model: epoch-
+// structured programs use batch granularity instead of leaf blocks, making
+// every batch boundary an elasticity point. The remaining work divides by
+// the (sub-linear) width speedup — width 1 is exactly the rigid schedule —
+// and stretches by the AM node's speculation-capped slowdown.
+func (s *Service) start(p *planReq, sr simResult, charge float64) {
+	j := p.j
+	j.res, j.cost = p.res, p.cost
+	j.epochs, j.batches, j.blocks = 0, 0, p.c.hp.NumLeaf
+	if ep, ok := opt.DetectEpochs(p.c.hp); ok {
+		j.epochs, j.batches, j.blocks = ep.Epochs, ep.Batches, ep.Boundaries()
+	}
+	j.blocks = max(j.blocks, 1)
+	j.total = sr.simSeconds
+	exec := sr.simSeconds * (1 - j.ckpt) / s.opts.Elastic.speedup(len(j.conts)) * j.slow
+	s.reschedule(j, s.now+charge, s.now+charge+exec)
+	j.result.Outputs = sr.outputs
+	j.result.Prints = sr.prints
+	j.result.OutputHash = outputHash(sr.paths, sr.outputs, sr.dims, sr.prints)
+	j.result.Config = j.res.String()
+}
+
+// optOpts returns the optimizer options shared by every optimization the
+// service performs. They are part of the cache key, so they must be
+// identical for key-equal lookups to be semantically equal.
+func (s *Service) optOpts() opt.Options {
+	o := opt.DefaultOptions()
+	o.Points = s.opts.Points
+	o.Workers = s.opts.Workers
+	return o
+}
+
+// planReq is one optimization problem — a job's compiled program under a
+// cluster view — and, after plan, its answer.
+type planReq struct {
+	j    *job
+	c    *compiled
+	view conf.Cluster
+	res  conf.Resources
+	cost float64
+	hit  bool
+}
+
+// plan resolves optimization problems through the shared plan cache and
+// the per-program re-costing memos — the only path to the optimizer. The
+// cache lookups (and, on a miss, the memo fetch: the memo key excludes the
+// cluster, so searches for one program under shifting views share a cost
+// table) run sequentially in request order, only the misses fan out to the
+// worker pool, and the inserts run sequentially again, so cache counters,
+// LRU order, and memo-store order are identical at any worker count.
+func (s *Service) plan(reqs ...*planReq) {
+	opts := s.optOpts()
+	keys := make([]string, len(reqs))
+	memos := make([]*opt.Memo, len(reqs))
+	for i, r := range reqs {
+		keys[i] = opt.CacheKey(r.c.source, r.c.params, r.c.inputs, r.view, opts)
+		if r.res, r.cost, r.hit = s.cache.Lookup(keys[i]); !r.hit {
+			memos[i] = s.memos.Get(opt.MemoKey(r.c.source, r.c.params, r.c.inputs, opts))
+		}
+	}
+	s.fanOut(len(reqs), func(i int) {
+		if r := reqs[i]; !r.hit {
+			o := &opt.Optimizer{CC: r.view, Opts: opts}
+			out := o.OptimizeMemo(r.c.hp, memos[i])
+			r.res, r.cost = out.Res, out.Cost
+		}
+	})
+	for i, r := range reqs {
+		if !r.hit {
+			s.cache.Insert(keys[i], r.res, r.cost)
+		}
+	}
+}
+
+// placement is place's verdict on the queue head.
+type placement int
+
+const (
+	placed      placement = iota // holds its containers; simulate and start its plan
+	dropped                      // reached a terminal state (shed, error)
+	noRoom                       // does not fit right now; the policy may bypass it
+	clusterFull                  // no node has even a minimum allocation free
+)
+
+// admit drains the admission queue as far as capacity allows. Under FIFO
+// and fair-share the head of the queue blocks the tail; a bypass policy
+// skips jobs it cannot place and re-queues them in order. The round's
+// admissions are simulated in parallel and started in admission order, so
+// the schedule is worker-count independent.
+func (s *Service) admit() {
+	var adm []*planReq
+	var skipped []int
+	for len(s.queue) > 0 {
+		head := s.queue[0]
+		a, p := s.place(s.jobs[head])
+		if p == clusterFull || p == noRoom && !s.pol.bypass {
+			break
+		}
+		s.queue = s.queue[1:]
+		switch p {
+		case placed:
+			adm = append(adm, a)
+		case noRoom:
+			skipped = append(skipped, head)
+		}
+	}
+	if len(skipped) > 0 {
+		s.queue = append(skipped, s.queue...)
+	}
+
+	sims := make([]simResult, len(adm))
+	s.fanOut(len(adm), func(i int) {
+		sims[i] = s.simulate(adm[i].c, adm[i].res)
+	})
+	for i, a := range adm {
+		j := a.j
+		if err := sims[i].err; err != nil {
+			s.stop(j)
+			s.terminate(j, jsFailed, err)
+			continue
+		}
+		charge := s.opts.OptCharge
+		if j.result.CacheHit {
+			charge = s.opts.HitCharge
+		}
+		if j.requeued {
+			// State restore: from the last checkpoint (cheap) or from
+			// scratch (the naive full re-load, paper §4.1).
+			if s.opts.Recovery.Kind == RecoveryCheckpoint {
+				charge += s.opts.Recovery.CheckpointCharge
+			} else {
+				charge += s.opts.RequeueCharge
+			}
+			j.requeued = false
+		}
+		s.start(a, sims[i], charge)
+		s.tr.Complete(obs.LayerWorkload, "tenant.queue", j.result.Arrival, j.result.QueueDelay,
+			obs.A("tenant", j.result.Tenant))
+		s.tr.Metrics().Add("workload.admissions", 1)
+		if j.result.CacheHit {
+			s.tr.Metrics().Add("workload.admission_cache_hits", 1)
+		}
+		if j.result.Degraded {
+			s.tr.Metrics().Add("workload.degraded_admissions", 1)
+		}
+	}
+}
+
+// place tries to put the queue head on the cluster. The job is planned
+// under the *unclamped* live cluster first (the stable cache key shared
+// across cluster load states); only if that configuration's container does
+// not fit the largest free chunk is it re-planned under a clamped cluster
+// (degraded admission). The circuit breaker gates every attempt: while
+// open, first-time admissions are shed or forced onto a fallback plan
+// clamped to half the free slice, so a recovering cluster is not
+// immediately re-packed to the brim. The width is the policy's admission
+// width; a step-down policy narrows it toward MinContainers when the full
+// width does not fit — a voluntary shrink trading width for queue priority.
+func (s *Service) place(j *job) (*planReq, placement) {
+	gate := s.brk.gate(s.now)
+	if gate == gateShed && j.result.Requeues == 0 {
+		// Failure victims retrying under their budget are never shed:
+		// they already hold service state worth finishing.
+		s.terminate(j, jsShed, fmt.Errorf("%w: %s arrived during an open breaker", ErrAdmissionShed, j.result.Tenant))
+		return nil, dropped
+	}
+	chunk := s.rm.MaxFreeChunk()
+	if chunk < s.cc.MinAlloc {
+		return nil, clusterFull
+	}
+	c, err := s.compileJob(j)
+	if err != nil {
+		s.terminate(j, jsFailed, err)
+		return nil, dropped
+	}
+	a := &planReq{j: j, c: c, view: s.live}
+	s.plan(a)
+	degraded := false
+	// clamp re-plans with the allocation ceiling lowered and adopts the
+	// result if its container fits the free chunk.
+	clamp := func(maxAlloc conf.Bytes) bool {
+		r := &planReq{j: j, c: c, view: s.live}
+		r.view.MaxAlloc = maxAlloc
+		s.plan(r)
+		if s.cc.ContainerSize(r.res.CP) > chunk {
+			return false
+		}
+		a.res, a.cost, a.hit = r.res, r.cost, a.hit && r.hit
+		degraded = true
+		return true
+	}
+	breakerDegraded := gate == gateDegrade && clamp(max(chunk/2, s.cc.MinAlloc))
+	if s.cc.ContainerSize(a.res.CP) > chunk && !clamp(chunk) {
+		return nil, noRoom // not even the clamped optimum fits right now
+	}
+
+	cs := s.cc.ContainerSize(a.res.CP)
+	want := s.admitWidth(j, cs)
+	w := want
+	conts, err := s.rm.AllocateGroup(w, cs)
+	for errors.Is(err, yarn.ErrNoCapacity) && s.pol.stepDown && w > j.espec.MinContainers {
+		w = max(w-j.espec.Step, j.espec.MinContainers)
+		conts, err = s.rm.AllocateGroup(w, cs)
+	}
+	if errors.Is(err, yarn.ErrOverMaxAllocation) {
+		// The chosen plan can never be granted on this cluster — a
+		// permanent, typed condition, not a transient shortage.
+		s.terminate(j, jsFailed, err)
+		return nil, dropped
+	}
+	if err != nil {
+		return nil, noRoom // ErrNoCapacity: retry at the next event
+	}
+
+	j.state = jsRunning
+	j.conts = conts
+	j.slow = s.slowdown(s.rm.NodeSpeed(conts[0].Node))
+	r := &j.result
+	r.Width = w
+	if r.MinWidth == 0 || w < r.MinWidth {
+		r.MinWidth = w
+	}
+	if w < want {
+		r.Narrowed = true
+		s.rep.VoluntaryShrinks++
+		s.tr.Metrics().Add("workload.voluntary_shrinks", 1)
+	}
+	r.Admitted = s.now
+	if r.Requeues == 0 {
+		// Admission latency is the wait for the FIRST admission;
+		// failure-driven re-admissions extend Latency, not QueueDelay.
+		r.QueueDelay = s.now - r.Arrival
+	}
+	r.CacheHit, r.Degraded = a.hit, degraded
+	if breakerDegraded {
+		r.BreakerDegraded = true
+		s.rep.BreakerDegraded++
+		s.tr.Metrics().Add("workload.breaker_degraded", 1)
+	}
+	s.brk.admitted(s.now)
+	s.running++
+	s.rep.MaxConcurrent = max(s.rep.MaxConcurrent, s.running)
+	return a, placed
+}
+
+// reoptimize re-evaluates every running job against the current cluster
+// state (paper §5: re-optimization on cluster change) in one plan batch.
+func (s *Service) reoptimize(trig trigger) {
+	if s.running == 0 || s.live.Nodes == 0 {
+		return
+	}
+	var reqs []*planReq
+	for _, j := range s.jobs {
+		if j.state != jsRunning {
+			continue
+		}
+		s.rep.ReoptChecks++
+		c, err := s.compileJob(j)
+		if err != nil {
+			continue
+		}
+		view := s.live
+		if len(j.conts) > 1 {
+			// A multi-container job keeps its granted container size: the
+			// search runs under a width-clamped view, so the chosen plan
+			// always fits the containers it already holds.
+			view = opt.WidthClamped(s.live, j.conts[0].Mem)
+		}
+		reqs = append(reqs, &planReq{j: j, c: c, view: view})
+	}
+	s.plan(reqs...)
+	for _, r := range reqs {
+		s.applyReopt(r.j, r.res, r.cost, trig)
+	}
+	s.tr.Metrics().Add("workload.reopt_passes", 1)
+}
+
+// applyReopt installs a changed configuration on a running job: swap the
+// AM container if the size changed, charge the re-optimization overhead,
+// and rescale the remaining execution time by the cost ratio.
+func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trig trigger) {
+	if resEqual(res, j.res) || !s.refit(j, s.cc.ContainerSize(res.CP)) {
+		return
+	}
+	rem := max(j.finish-s.now, 0)
+	if j.cost > 0 && cost > 0 {
+		rem *= cost / j.cost
+	}
+	oldRes := j.res
+	j.res, j.cost = res, cost
+	s.reschedule(j, j.execStart, s.now+s.opts.ReoptCharge+rem)
+	j.result.Reopts++
+	s.rep.ReoptChanges++
+	s.brk.recordChurn(s.now)
+	switch trig {
+	case trigFailure:
+		s.rep.FailureReopts++
+	case trigRestore:
+		s.rep.RestoreReopts++
+	default:
+		s.rep.DepartureReopts++
+	}
+	s.tr.Complete(obs.LayerWorkload, "workload.reopt", s.now, s.opts.ReoptCharge,
+		obs.A("tenant", j.result.Tenant), obs.A("trigger", trig.String()),
+		obs.A("from", oldRes.String()), obs.A("to", res.String()))
+	s.tr.Metrics().Add("workload.reopt_changes", 1)
+}
+
+// refit makes a running job's allocation hold containers of size need and
+// reports whether it does. Multi-container jobs were planned under a
+// width-clamped view, so the new plan fits the containers they hold and the
+// allocation never changes; a single-container job swaps its AM container.
+func (s *Service) refit(j *job, need conf.Bytes) bool {
+	am := j.conts[0]
+	if len(j.conts) > 1 || need == am.Mem {
+		return need <= am.Mem // defensive: never outgrow the granted containers
+	}
+	// The job's own container is released first, so its memory counts
+	// toward the free slice it may grow into.
+	freeSame, _ := s.rm.FreeOnNode(am.Node)
+	if need > am.Mem+freeSame && need > s.rm.MaxFreeChunk() {
+		return false // no room to grow — keep the current configuration
+	}
+	if err := s.rm.Release(am.ID); err != nil {
+		return false
+	}
+	cont, err := s.rm.Allocate(need)
+	if err == nil {
+		j.conts[0] = cont
+		return true
+	}
+	// Defensive: reclaim the slot just freed and keep the old configuration.
+	if cont, err = s.rm.Allocate(am.Mem); err == nil {
+		j.conts[0] = cont
+		return false
+	}
+	// Cannot even re-take the old slot (impossible in the sequential loop):
+	// route the job through the recovery policy like any other container
+	// loss, but skip the backoff — the container was lost to bookkeeping,
+	// not a node, so the job rejoins the queue now.
+	j.conts = nil
+	s.failRunning(j, "reopt")
+	if j.state == jsBackoff {
+		j.state = jsQueued
+		s.queue = append([]int{j.idx}, s.queue...)
+	}
+	return false
+}
+
+// resEqual compares two resource configurations field-wise.
+func resEqual(a, b conf.Resources) bool {
+	if a.CP != b.CP || a.CPCores != b.CPCores || len(a.MR) != len(b.MR) {
+		return false
+	}
+	for i := range a.MR {
+		if a.MR[i] != b.MR[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// compileJob compiles a job from source on a fresh file system and
+// collects the input metadata the cache key covers.
+func (s *Service) compileJob(j *job) (c *compiled, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			c, err = nil, fmt.Errorf("panic: %v", rec)
+		}
+	}()
+	c = &compiled{fs: hdfs.New()}
+	if j.spec.Source != "" {
+		c.mode = rt.ModeValue
+		c.source = j.spec.Source
+		c.params = j.spec.Params
+		if j.spec.Setup != nil {
+			j.spec.Setup(c.fs)
+		}
+	} else {
+		c.mode = rt.ModeSim
+		c.source = j.spec.Script.Source
+		c.params = j.spec.Script.Params
+		datagen.Describe(c.fs, j.spec.Scenario)
+	}
+	prog, err := dml.Parse(c.source)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	c.comp = hop.NewCompiler(c.fs, c.params)
+	c.hp, err = c.comp.Compile(prog, c.source)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	for _, name := range c.fs.List() {
+		f, statErr := c.fs.Stat(name)
+		if statErr != nil {
+			continue
+		}
+		c.inputs = append(c.inputs, opt.InputMeta{
+			Path: name, Rows: f.Rows, Cols: f.Cols, NNZ: f.NNZ,
+			Format: f.Format.String(),
+		})
+	}
+	return c, nil
+}
+
+// simulate executes one compiled job under its configuration on the
+// runtime, returning the simulated duration and (for value-mode jobs) the
+// written outputs and print stream. It runs on pool workers: it touches no
+// service state besides read-only fields, and emits no trace events.
+func (s *Service) simulate(c *compiled, res conf.Resources) (r simResult) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.err = fmt.Errorf("panic: %v", rec)
+		}
+	}()
+	plan := lop.Select(c.hp, s.live, res)
+	ip := rt.New(c.mode, c.fs, s.live, res)
+	ip.Compiler = c.comp
+	ip.SimTableCols = s.opts.SimTableCols
+	var out bytes.Buffer
+	ip.Out = &out
+	if err := ip.Run(plan); err != nil {
+		r.err = err
+		return r
+	}
+	r.simSeconds = ip.SimTime
+	r.prints = out.String()
+	r.outputs = map[string]*matrix.Matrix{}
+	r.dims = map[string][3]int64{}
+	for _, name := range c.fs.List() {
+		if !strings.HasPrefix(name, "/out") {
+			continue
+		}
+		f, err := c.fs.Stat(name)
+		if err != nil {
+			continue
+		}
+		r.paths = append(r.paths, name)
+		r.dims[name] = [3]int64{f.Rows, f.Cols, f.NNZ}
+		if f.Data != nil {
+			r.outputs[name] = f.Data
+		}
+	}
+	sort.Strings(r.paths)
+	return r
+}
+
+// fanOut runs fn(0..n-1) on up to Options.Workers goroutines and joins.
+// Callers must apply results in index order afterwards; fn must not touch
+// shared mutable state. Workers <= 1 runs inline.
+func (s *Service) fanOut(n int, fn func(int)) {
+	w := min(s.opts.Workers, n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	idx := make(chan int)
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+}

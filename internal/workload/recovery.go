@@ -135,23 +135,3 @@ func (p RecoveryPolicy) backoffDelay(k int) float64 {
 	}
 	return d
 }
-
-// checkpointFrac maps an interrupted job's completed-work fraction onto the
-// recovery policy: the last completed block boundary for checkpoint/restart
-// (never regressing below the previous checkpoint), zero for naive restart.
-func (p RecoveryPolicy) checkpointFrac(done, prev float64, blocks int) float64 {
-	if p.Kind == RecoveryNaive {
-		return 0
-	}
-	if blocks < 1 {
-		blocks = 1
-	}
-	ck := math.Floor(done*float64(blocks)) / float64(blocks)
-	if ck < prev {
-		ck = prev
-	}
-	if ck > 1 {
-		ck = 1
-	}
-	return ck
-}

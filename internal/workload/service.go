@@ -1,21 +1,14 @@
 package workload
 
 import (
-	"bytes"
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/datagen"
-	"elasticml/internal/dml"
 	"elasticml/internal/fault"
 	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
-	"elasticml/internal/lop"
 	"elasticml/internal/matrix"
 	"elasticml/internal/mr"
 	"elasticml/internal/obs"
@@ -46,8 +39,8 @@ type event struct {
 	at    float64
 	kind  evKind
 	seq   int // insertion order, the final tie-break
-	job   int // arrive/depart/retry
-	gen   int // depart/retry: job generation this event was scheduled for
+	job   int // arrive/depart/resize/retry
+	gen   int // depart/resize/retry: job generation this event was scheduled for
 	chaos int // chaos: index into Service.chaos
 }
 
@@ -73,13 +66,14 @@ func (h *eventHeap) Pop() interface{} {
 	return ev
 }
 
-// jobState is a tenant job's lifecycle position.
+// jobState is a tenant job's lifecycle position. The live states come
+// first, so terminal() is one comparison.
 type jobState int
 
 const (
 	jsPending    jobState = iota // submitted, arrival event not yet fired
 	jsQueued                     // arrived, waiting for admission
-	jsRunning                    // holds an AM container until its departure
+	jsRunning                    // holds its containers until its departure
 	jsBackoff                    // failure victim waiting out its retry backoff
 	jsDone                       // served to completion
 	jsFailed                     // compile or execution error — never served
@@ -89,31 +83,33 @@ const (
 	jsCanceled                   // terminated on client request
 )
 
+var jobStateNames = [...]string{"pending", "queued", "running", "backoff", "done",
+	"failed", "failed-permanently", "shed", "unserved", "canceled"}
+
 func (st jobState) String() string {
-	switch st {
-	case jsPending:
-		return "pending"
-	case jsQueued:
-		return "queued"
-	case jsRunning:
-		return "running"
-	case jsBackoff:
-		return "backoff"
-	case jsDone:
-		return "done"
-	case jsFailed:
-		return "failed"
-	case jsFailedPerm:
-		return "failed-permanently"
-	case jsShed:
-		return "shed"
-	case jsUnserved:
-		return "unserved"
-	case jsCanceled:
-		return "canceled"
+	if st < 0 || int(st) >= len(jobStateNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return jobStateNames[st]
 }
+
+// terminal reports whether the state is final.
+func (st jobState) terminal() bool { return st >= jsDone }
+
+// trigger names what changed the cluster in an event batch; the strongest
+// one labels the §5 re-optimization pass that follows.
+type trigger int
+
+const (
+	trigNone trigger = iota
+	trigDeparture
+	trigRestore
+	trigFailure
+)
+
+var triggerNames = [...]string{"", "departure", "restore", "failure"}
+
+func (t trigger) String() string { return triggerNames[t] }
 
 // job is the service-side state of one tenant submission.
 type job struct {
@@ -133,8 +129,8 @@ type job struct {
 	// rescheduled out from under it.
 	pendingW int
 
-	// gen invalidates stale departure/retry events after re-optimization,
-	// failure, or slow-node stretching rescheduled the job.
+	// gen invalidates stale departure/resize/retry events after anything
+	// rescheduled the job or took it off the cluster.
 	gen    int
 	finish float64
 	// execStart is when execution (re)started after admission charges; the
@@ -142,10 +138,10 @@ type job struct {
 	execStart float64
 	// total is the job's full uninterrupted simulated execution time.
 	total float64
-	// ckpt is the completed-work fraction snapshotted at the last block
-	// boundary; a restart resumes from here (always 0 under naive restart).
+	// ckpt is the completed-work fraction snapshotted at the last boundary;
+	// a restart resumes from here (always 0 under naive restart).
 	ckpt float64
-	// blocks is the checkpoint granularity: the program's leaf-block count,
+	// blocks is the boundary granularity: the program's leaf-block count,
 	// or epochs*batches for epoch-structured iterative programs.
 	blocks int
 	// epochs/batches describe the program's epoch structure when the
@@ -158,7 +154,7 @@ type job struct {
 	retries int
 	// requeued marks the next admission as a post-failure re-admission.
 	requeued bool
-	// slow is the effective slowdown of the job's current node (1 = full
+	// slow is the effective slowdown of the AM container's node (1 = full
 	// speed), after the speculation cap.
 	slow float64
 
@@ -166,9 +162,10 @@ type job struct {
 }
 
 // compiled is one job's freshly compiled program plus everything the cache
-// key derives from. Each admission and re-optimization check compiles from
-// source: compiled plans are mutated by dynamic recompilation at runtime,
-// so only optimization outcomes are shared, never plan structures.
+// key derives from. Each admission, resize, and re-optimization check
+// compiles from source: compiled plans are mutated by dynamic recompilation
+// at runtime, so only optimization outcomes are shared, never plan
+// structures.
 type compiled struct {
 	fs     *hdfs.FS
 	comp   *hop.Compiler
@@ -194,6 +191,7 @@ type simResult struct {
 type Service struct {
 	cc    conf.Cluster
 	opts  Options
+	pol   policy
 	rm    *yarn.ResourceManager
 	live  conf.Cluster // cc with Nodes shrunk to the live node count
 	cache opt.PlanCache
@@ -206,7 +204,7 @@ type Service struct {
 	evs   eventHeap
 	seq   int
 	chaos []fault.NodeEvent // expanded chaos schedule, indexed by event.chaos
-	// chaosScheduled guards scheduleChaos against double expansion when a
+	// chaosScheduled guards ScheduleChaos against double expansion when a
 	// live frontend schedules chaos at construction.
 	chaosScheduled bool
 	// finished accumulates job indices that reached a terminal state since
@@ -233,6 +231,7 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 	s := &Service{
 		cc:   cc,
 		opts: o,
+		pol:  newPolicy(o.Policy, o.Elastic),
 		rm:   yarn.NewResourceManager(cc),
 		live: cc,
 		tr:   o.Trace,
@@ -316,10 +315,11 @@ func (s *Service) Submit(spec JobSpec) (int, error) {
 	return s.submit(spec), nil
 }
 
-// scheduleChaos expands and enqueues the chaos schedule: the legacy
+// ScheduleChaos expands and enqueues the chaos schedule — the legacy
 // single-node failures merged with the expanded chaos plan, both pure
-// functions of the options. Run calls it after the batch submits; a live
-// frontend calls it once at construction, before any submission.
+// functions of the options — plus the first elasticity tick. Run calls it
+// after the batch submits; a live frontend calls it once at construction,
+// before any submission. Later calls are no-ops.
 func (s *Service) ScheduleChaos() {
 	if s.chaosScheduled {
 		return
@@ -339,34 +339,33 @@ func (s *Service) ScheduleChaos() {
 	}
 }
 
-// Step processes the next event-time batch — chaos, departures, retries,
-// arrivals, the §5 re-optimization pass, and queue admission — and reports
-// whether any events remain. The event loop is the only mutator of service
-// state, so the per-step outcome is a pure function of the submission and
-// step history.
+// Step processes the next event-time batch and reports whether any events
+// remain. The batch's events only mutate cluster and job state (nodes,
+// containers, the queue); every decision that follows from the change —
+// the §5 re-optimization pass, queue admission, policy resizes — is taken
+// once, by settle. The event loop is the only mutator of service state, so
+// the per-step outcome is a pure function of the submission and step
+// history.
 func (s *Service) Step() bool {
 	if len(s.evs) == 0 {
 		return false
 	}
 	batch := s.popBatch()
 	s.advanceTo(batch[0].at)
-	failed, restored, departed, ticked := false, false, false, false
+	trig, ticked := trigNone, false
 	var retryJoins []int
 	for _, ev := range batch {
 		switch ev.kind {
 		case evChaos:
-			f, r := s.applyChaos(ev)
-			failed = failed || f
-			restored = restored || r
+			trig = max(trig, s.applyChaos(ev))
 		case evDepart:
-			if s.applyDepart(ev) {
-				departed = true
-			}
+			trig = max(trig, s.applyDepart(ev))
 		case evResize:
 			s.applyResize(ev)
 		case evRetry:
-			if idx, ok := s.applyRetry(ev); ok {
-				retryJoins = append(retryJoins, idx)
+			if j := s.jobs[ev.job]; j.state == jsBackoff && ev.gen == j.gen {
+				j.state = jsQueued
+				retryJoins = append(retryJoins, j.idx)
 			}
 		case evArrive:
 			s.applyArrive(ev)
@@ -379,23 +378,10 @@ func (s *Service) Step() bool {
 	if len(retryJoins) > 0 {
 		s.queue = append(retryJoins, s.queue...)
 	}
-	// §5-style elastic re-optimization: every departure, node failure,
-	// and capacity restore re-evaluates the running jobs against the
-	// new cluster state before freed capacity is handed to the queue.
-	if failed {
-		s.reoptimize("failure")
-	} else if restored {
-		s.reoptimize("restore")
-	} else if departed {
-		s.reoptimize("departure")
-	}
-	s.tryAdmit()
-	// The policy engine runs after admission, so freed capacity reaches
-	// queued tenants before any running job widens into it.
-	s.elasticPass()
+	s.settle(trig)
 	if ticked && s.opts.Elastic.Tick > 0 {
 		for _, j := range s.jobs {
-			if j.state == jsPending || j.state == jsQueued || j.state == jsRunning || j.state == jsBackoff {
+			if !j.state.terminal() {
 				s.push(event{at: s.now + s.opts.Elastic.Tick, kind: evTick})
 				break
 			}
@@ -411,9 +397,8 @@ func (s *Service) Finalize() *Report {
 	// admitted (the shrunken cluster has no chunk for the FIFO head and no
 	// further departures, failures, or restores will change that).
 	for _, j := range s.jobs {
-		if j.state == jsQueued || j.state == jsPending || j.state == jsBackoff {
-			j.state = jsUnserved
-			s.markTerminal(j)
+		if !j.state.terminal() && j.state != jsRunning {
+			s.terminate(j, jsUnserved, nil)
 		}
 	}
 
@@ -458,11 +443,6 @@ func (s *Service) State(idx int) (string, bool) {
 	return s.jobs[idx].state.String(), true
 }
 
-// markTerminal queues a terminal-state transition for DrainFinished.
-func (s *Service) markTerminal(j *job) {
-	s.finished = append(s.finished, j.idx)
-}
-
 // DrainFinished returns the indices of jobs that reached a terminal state
 // since the last call, in transition order — the live frontend's per-step
 // result stream.
@@ -474,59 +454,40 @@ func (s *Service) DrainFinished() []int {
 
 // Cancel terminates a job on client request. Queued, backoff, and pending
 // jobs are removed from the admission machinery; a running job releases its
-// container, which immediately re-opens admission for the queue (like any
+// containers, which immediately re-opens admission for the queue (like any
 // departure, the freed capacity triggers a re-optimization pass). Returns
 // false if the job is unknown or already terminal.
 func (s *Service) Cancel(idx int) bool {
-	if idx < 0 || idx >= len(s.jobs) {
+	if idx < 0 || idx >= len(s.jobs) || s.jobs[idx].state.terminal() {
 		return false
 	}
 	j := s.jobs[idx]
-	wasRunning := false
-	switch j.state {
-	case jsPending, jsQueued, jsBackoff:
-		for k, q := range s.queue {
-			if q == idx {
-				s.queue = append(s.queue[:k], s.queue[k+1:]...)
-				break
-			}
+	trig := trigNone
+	if j.state == jsRunning {
+		trig = trigDeparture
+	}
+	for k, q := range s.queue {
+		if q == idx {
+			s.queue = append(s.queue[:k], s.queue[k+1:]...)
+			break
 		}
-	case jsRunning:
-		wasRunning = true
-		s.releaseAll(j)
-		s.running--
-	default:
-		return false // already terminal
 	}
-	j.gen++ // invalidate any scheduled departure, resize, or retry event
-	j.pendingW = 0
-	j.state = jsCanceled
-	j.result.Canceled = true
-	j.result.Err = fmt.Errorf("%w: %s", ErrCanceled, j.result.Tenant)
-	j.result.Error = j.result.Err.Error()
-	s.rep.Canceled++
-	s.markTerminal(j)
-	s.tr.Complete(obs.LayerWorkload, "workload.cancel", s.now, 0,
-		obs.A("tenant", j.result.Tenant))
-	s.tr.Metrics().Add("workload.canceled", 1)
-	if wasRunning {
-		s.reoptimize("departure")
-	}
-	s.tryAdmit()
-	s.elasticPass()
+	s.stop(j)
+	s.terminate(j, jsCanceled, fmt.Errorf("%w: %s", ErrCanceled, j.result.Tenant))
+	s.settle(trig)
 	return true
 }
 
-// releaseAll returns every container a job still holds. Containers that
-// died with their node are already unknown to the RM and are skipped.
-func (s *Service) releaseAll(j *job) {
-	for _, c := range j.conts {
+// release returns containers a job holds to the pool. Containers that died
+// with their node are already unknown to the RM and are skipped; any other
+// refusal is a bookkeeping bug and surfaces in the trace.
+func (s *Service) release(j *job, conts []yarn.Container) {
+	for _, c := range conts {
 		if err := s.rm.Release(c.ID); err != nil && !errors.Is(err, yarn.ErrUnknownContainer) {
 			s.tr.Complete(obs.LayerWorkload, "workload.release-error", s.now, 0,
 				obs.A("tenant", j.result.Tenant), obs.A("err", err.Error()))
 		}
 	}
-	j.conts = nil
 }
 
 // push enqueues an event with the next insertion sequence number.
@@ -537,7 +498,7 @@ func (s *Service) push(ev event) {
 }
 
 // popBatch pops every event sharing the earliest timestamp, in kind/seq
-// order: chaos, then departures, then retries, then arrivals.
+// order: chaos, departures, resizes, retries, arrivals, then the tick.
 func (s *Service) popBatch() []event {
 	first := heap.Pop(&s.evs).(event)
 	batch := []event{first}
@@ -561,37 +522,40 @@ func (s *Service) advanceTo(t float64) {
 	s.now = t
 }
 
-// applyChaos delivers one expanded chaos event. It reports whether the
-// event removed capacity (failure) or returned it (restore).
-func (s *Service) applyChaos(ev event) (failed, restored bool) {
+// applyChaos delivers one expanded chaos event and reports whether it
+// removed capacity (failure) or returned it (restore).
+func (s *Service) applyChaos(ev event) trigger {
 	ne := s.chaos[ev.chaos]
 	switch ne.Kind {
 	case fault.NodeDown:
-		return s.applyNodesDown(ne), false
+		if s.applyNodesDown(ne) {
+			return trigFailure
+		}
 	case fault.NodeUp:
+		trig := trigNone
 		for _, node := range ne.Nodes {
 			if err := s.rm.RestoreNode(node); err != nil {
 				continue // node was never down (overlapping chaos); skip
 			}
-			restored = true
+			trig = trigRestore
 			s.rep.NodeRestores++
 			s.tr.Complete(obs.LayerWorkload, "workload.node-restore", s.now, 0,
 				obs.A("node", node), obs.A("cause", ne.Cause))
 			s.tr.Metrics().Add("workload.node_restores", 1)
 		}
 		s.live.Nodes = s.rm.LiveNodes()
-		return false, restored
+		return trig
 	case fault.NodeSlow:
 		s.applyNodeSpeed(ne.Nodes[0], ne.Factor, ne.Cause)
 	case fault.NodeFast:
 		s.applyNodeSpeed(ne.Nodes[0], 1, ne.Cause)
 	}
-	return false, false
+	return trigNone
 }
 
 // applyNodesDown processes a (possibly correlated) node-group loss: the
-// cluster view shrinks atomically, and every running job whose AM container
-// lived on a lost node goes through the recovery policy.
+// cluster view shrinks atomically, and every running job that held a
+// container on a lost node goes through the recovery policy.
 func (s *Service) applyNodesDown(ne fault.NodeEvent) bool {
 	before := s.rm.LiveNodes()
 	lost, err := s.rm.FailNodes(ne.Nodes)
@@ -622,17 +586,13 @@ func (s *Service) applyNodesDown(ne fault.NodeEvent) bool {
 		if j.state != jsRunning {
 			continue
 		}
-		hit := false
 		for _, c := range j.conts {
 			if lostIDs[c.ID] {
-				hit = true
+				// Any lost container kills the job's current attempt;
+				// survivors on live nodes are returned by the recovery path.
+				s.failRunning(j, ne.Cause)
 				break
 			}
-		}
-		if hit {
-			// Any lost container kills the job's current attempt; survivors
-			// on live nodes are returned inside the recovery path.
-			s.failRunning(j, ne.Cause)
 		}
 	}
 	return true
@@ -643,12 +603,7 @@ func (s *Service) applyNodesDown(ne fault.NodeEvent) bool {
 // retry budget, and either schedule a backoff-delayed re-admission or fail
 // the job permanently with a typed error.
 func (s *Service) failRunning(j *job, cause string) {
-	done := s.progressAt(j)
-	ck := s.opts.Recovery.checkpointFrac(done, j.ckpt, j.blocks)
-	wasted := (done - ck) * j.total
-	if wasted < 0 {
-		wasted = 0
-	}
+	ck, _ := s.snap(j, s.opts.Recovery.Kind == RecoveryCheckpoint)
 	if ck > j.ckpt && !s.opts.Recovery.StrictBudget {
 		// The job advanced at least one block since its last loss: the
 		// retry budget guards against futile churn, not progress, so the
@@ -656,32 +611,16 @@ func (s *Service) failRunning(j *job, cause string) {
 		j.retries = 0
 	}
 	j.ckpt = ck
-	j.result.WastedWork += wasted
-	s.rep.WastedWork += wasted
-
-	j.gen++ // invalidate the scheduled departure and any booked resize
-	j.pendingW = 0
-	s.releaseAll(j) // survivors on live nodes go back to the pool
-	j.slow = 1
+	s.stop(j) // survivors on live nodes go back to the pool
 	j.requeued = true
 	j.retries++
 	j.result.Requeues++
 	s.rep.Requeues++
-	s.running--
 
 	if j.retries > s.opts.Recovery.MaxRetries {
-		j.state = jsFailedPerm
-		j.result.FailedPermanently = true
-		j.result.Err = &RetryExhaustedError{
+		s.terminate(j, jsFailedPerm, &RetryExhaustedError{
 			Tenant: j.result.Tenant, Retries: j.retries, Budget: s.opts.Recovery.MaxRetries,
-		}
-		j.result.Error = j.result.Err.Error()
-		s.rep.FailedPermanently++
-		s.markTerminal(j)
-		s.tr.Complete(obs.LayerWorkload, "workload.failed-permanently", s.now, 0,
-			obs.A("tenant", j.result.Tenant), obs.A("retries", j.retries),
-			obs.A("cause", cause))
-		s.tr.Metrics().Add("workload.failed_permanently", 1)
+		}, obs.A("retries", j.retries), obs.A("cause", cause))
 		return
 	}
 	j.state = jsBackoff
@@ -694,37 +633,22 @@ func (s *Service) failRunning(j *job, cause string) {
 	s.tr.Metrics().Add("workload.requeues", 1)
 }
 
-// progressAt maps simulated time onto the job's completed-work fraction:
-// linear interpolation between the execution (re)start and the scheduled
-// finish, on top of the last checkpoint. Re-optimization charges and
-// slow-node stretches move the finish time, so the mapping follows the
-// job's actual schedule.
-func (s *Service) progressAt(j *job) float64 {
-	if s.now <= j.execStart || j.finish <= j.execStart || j.total <= 0 {
-		return j.ckpt // failed during restore charge: no new progress
-	}
-	frac := j.ckpt + (1-j.ckpt)*(s.now-j.execStart)/(j.finish-j.execStart)
-	if frac < j.ckpt {
-		frac = j.ckpt
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
+// slowdown maps a node's raw speed factor onto the effective slowdown of a
+// job coordinated from it, which the MR speculation model caps — straggler
+// nodes and straggler tasks degrade through the same arithmetic.
+func (s *Service) slowdown(factor float64) float64 {
+	eff, _ := mr.EffectiveSlowdown(factor, s.opts.TaskPolicy)
+	return eff
 }
 
 // applyNodeSpeed delivers a slow-node episode (factor > 1) or its end
 // (factor == 1): resident running jobs stretch or recover by the effective
-// slowdown, which the MR speculation model caps — straggler nodes and
-// straggler tasks degrade through the same arithmetic.
+// slowdown.
 func (s *Service) applyNodeSpeed(node int, factor float64, cause string) {
 	if err := s.rm.SetNodeSpeed(node, factor); err != nil {
 		return // node out of range: validated upfront; defensive
 	}
-	eff := 1.0
-	if factor > 1 {
-		eff, _ = mr.EffectiveSlowdown(factor, s.opts.TaskPolicy)
-	}
+	eff := s.slowdown(factor)
 	s.rep.SlowNodeEvents++
 	s.tr.Complete(obs.LayerWorkload, "workload.node-speed", s.now, 0,
 		obs.A("node", node), obs.A("factor", factor), obs.A("effective", eff),
@@ -736,58 +660,26 @@ func (s *Service) applyNodeSpeed(node int, factor float64, cause string) {
 		if j.state != jsRunning || j.conts[0].Node != node || j.slow == eff {
 			continue
 		}
-		rem := j.finish - s.now
-		if rem < 0 {
-			rem = 0
-		}
+		rem := max(j.finish-s.now, 0)
 		rem *= eff / j.slow
 		j.slow = eff
-		j.gen++
-		j.pendingW = 0 // the booked resize (if any) went stale with the gen
-		j.finish = s.now + rem
-		s.push(event{at: j.finish, kind: evDepart, job: j.idx, gen: j.gen})
+		s.reschedule(j, j.execStart, s.now+rem)
 		j.result.SlowEpisodes++
 	}
 }
 
 // applyDepart finalizes a finished tenant. Stale events — the job was
-// rescheduled by a re-optimization, killed by a node failure, or stretched
-// by a slow-node episode since this event was pushed — are skipped via the
-// generation check.
-func (s *Service) applyDepart(ev event) bool {
+// rescheduled by a re-optimization, a resize, or a slow-node episode, or
+// taken off the cluster by a failure, since this event was pushed — are
+// skipped via the generation check.
+func (s *Service) applyDepart(ev event) trigger {
 	j := s.jobs[ev.job]
 	if j.state != jsRunning || ev.gen != j.gen {
-		return false
+		return trigNone
 	}
-	// ErrUnknownContainer inside releaseAll would mean a container died
-	// with a node between events (impossible given the generation check);
-	// real bookkeeping bugs surface in the trace.
-	s.releaseAll(j)
-	j.state = jsDone
-	j.result.Served = true
-	j.result.Finished = s.now
-	j.result.Latency = s.now - j.result.Arrival
-	j.result.Config = j.res.String()
-	s.running--
-	s.markTerminal(j)
-	s.tr.Complete(obs.LayerWorkload, "tenant.run", j.result.Admitted, s.now-j.result.Admitted,
-		obs.A("tenant", j.result.Tenant), obs.A("program", j.result.Program),
-		obs.A("config", j.result.Config), obs.A("reopts", j.result.Reopts))
-	s.tr.Metrics().Add("workload.departures", 1)
-	s.tr.Metrics().Observe("workload.latency", j.result.Latency)
-	return true
-}
-
-// applyRetry moves a backoff-expired failure victim back toward the
-// admission queue; the caller collects the indices and prepends them in
-// scheduling order.
-func (s *Service) applyRetry(ev event) (int, bool) {
-	j := s.jobs[ev.job]
-	if j.state != jsBackoff || ev.gen != j.gen {
-		return 0, false
-	}
-	j.state = jsQueued
-	return j.idx, true
+	s.stop(j)
+	s.terminate(j, jsDone, nil)
+	return trigDeparture
 }
 
 // applyArrive moves a submitted job into the admission queue. A job
@@ -800,575 +692,4 @@ func (s *Service) applyArrive(ev event) {
 	j.state = jsQueued
 	s.queue = append(s.queue, ev.job)
 	s.tr.Metrics().Add("workload.arrivals", 1)
-}
-
-// optOpts returns the optimizer options shared by every optimization the
-// service performs. They are part of the cache key, so they must be
-// identical for key-equal lookups to be semantically equal.
-func (s *Service) optOpts() opt.Options {
-	o := opt.DefaultOptions()
-	o.Points = s.opts.Points
-	o.Workers = s.opts.Workers
-	return o
-}
-
-// compileJob compiles a job from source on a fresh file system and
-// collects the input metadata the cache key covers.
-func (s *Service) compileJob(j *job) (c *compiled, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			c, err = nil, fmt.Errorf("panic: %v", rec)
-		}
-	}()
-	c = &compiled{fs: hdfs.New()}
-	if j.spec.Source != "" {
-		c.mode = rt.ModeValue
-		c.source = j.spec.Source
-		c.params = j.spec.Params
-		if j.spec.Setup != nil {
-			j.spec.Setup(c.fs)
-		}
-	} else {
-		c.mode = rt.ModeSim
-		c.source = j.spec.Script.Source
-		c.params = j.spec.Script.Params
-		datagen.Describe(c.fs, j.spec.Scenario)
-	}
-	prog, err := dml.Parse(c.source)
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	c.comp = hop.NewCompiler(c.fs, c.params)
-	c.hp, err = c.comp.Compile(prog, c.source)
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	for _, name := range c.fs.List() {
-		f, statErr := c.fs.Stat(name)
-		if statErr != nil {
-			continue
-		}
-		c.inputs = append(c.inputs, opt.InputMeta{
-			Path: name, Rows: f.Rows, Cols: f.Cols, NNZ: f.NNZ,
-			Format: f.Format.String(),
-		})
-	}
-	return c, nil
-}
-
-// memoFor returns the re-costing memo for a compiled job's optimization
-// problem (nil when memoization is disabled). The memo key excludes the
-// cluster, so successive searches for the same program under shifting
-// cluster states — degraded-admission clamps, departures, failures —
-// share one cost table.
-func (s *Service) memoFor(c *compiled, opts opt.Options) *opt.Memo {
-	return s.memos.Get(opt.MemoKey(c.source, c.params, c.inputs, opts))
-}
-
-// optimizeUnder runs the cache-aware resource optimization of one compiled
-// job under the given cluster view. Cache misses run through the job's
-// re-costing memo, so a clamped re-optimization right after the unclamped
-// one replays most of its evaluations instead of re-enumerating the grid.
-func (s *Service) optimizeUnder(c *compiled, cc conf.Cluster, opts opt.Options) (conf.Resources, float64, bool) {
-	key := opt.CacheKey(c.source, c.params, c.inputs, cc, opts)
-	if res, cost, ok := s.cache.Lookup(key); ok {
-		return res, cost, true
-	}
-	o := &opt.Optimizer{CC: cc, Opts: opts}
-	r := o.OptimizeMemo(c.hp, s.memoFor(c, opts))
-	s.cache.Insert(key, r.Res, r.Cost)
-	return r.Res, r.Cost, false
-}
-
-// shedJob rejects the queue head on behalf of the open circuit breaker.
-func (s *Service) shedJob(j *job) {
-	j.state = jsShed
-	j.result.Shed = true
-	j.result.Err = fmt.Errorf("%w: %s arrived during an open breaker", ErrAdmissionShed, j.result.Tenant)
-	j.result.Error = j.result.Err.Error()
-	s.rep.Shed++
-	s.markTerminal(j)
-	s.tr.Complete(obs.LayerWorkload, "workload.shed", s.now, 0,
-		obs.A("tenant", j.result.Tenant))
-	s.tr.Metrics().Add("workload.shed", 1)
-}
-
-// tryAdmit drains the FIFO admission queue as far as capacity allows.
-// Admission is two-phase: the job is first optimized under the *unclamped*
-// live cluster (the stable cache key shared across cluster load states);
-// only if that configuration's AM container does not fit the largest free
-// chunk is it re-optimized under a clamped cluster (degraded admission).
-// The circuit breaker gates every attempt: while open, first-time
-// admissions are shed or forced onto the degraded-fallback plan.
-//
-// The admission width is the policy's target clamped to the spec bounds
-// and to what the live cluster could ever hold (so requeued failure
-// victims never wait forever for a width the shrunken cluster cannot
-// grant). Under fair-share and regret the job steps its width down toward
-// MinContainers when the full target does not fit — a voluntary shrink
-// trading width for queue priority. Under FIFO and fair-share the head of
-// the queue blocks the tail; the regret policy bypasses jobs it cannot
-// place and re-queues them in order.
-func (s *Service) tryAdmit() {
-	type admission struct {
-		j *job
-		c *compiled
-	}
-	var adm []admission
-	var skipped []int // bypassed entries, re-prepended in order below
-	for len(s.queue) > 0 {
-		j := s.jobs[s.queue[0]]
-		gate := s.brk.gate(s.now)
-		if gate == gateShed && j.result.Requeues == 0 {
-			// Failure victims retrying under their budget are never shed:
-			// they already hold service state worth finishing.
-			s.queue = s.queue[1:]
-			s.shedJob(j)
-			continue
-		}
-		chunk := s.rm.MaxFreeChunk()
-		if chunk < s.cc.MinAlloc {
-			break
-		}
-		c, err := s.compileJob(j)
-		if err != nil {
-			s.queue = s.queue[1:]
-			j.state = jsFailed
-			j.result.Err = err
-			j.result.Error = err.Error()
-			s.markTerminal(j)
-			s.tr.Complete(obs.LayerWorkload, "tenant.error", s.now, 0,
-				obs.A("tenant", j.result.Tenant), obs.A("err", err.Error()))
-			continue
-		}
-		opts := s.optOpts()
-		res, cost, hit := s.optimizeUnder(c, s.live, opts)
-		degraded := false
-		breakerDegraded := false
-		if gate == gateDegrade {
-			// Degraded-fallback plan: clamp the optimization to half the
-			// free slice so a recovering cluster is not immediately
-			// re-packed to the brim.
-			fallback := chunk / 2
-			if fallback < s.cc.MinAlloc {
-				fallback = s.cc.MinAlloc
-			}
-			clamped := s.live
-			clamped.MaxAlloc = fallback
-			res2, cost2, hit2 := s.optimizeUnder(c, clamped, opts)
-			if s.cc.ContainerSize(res2.CP) <= chunk {
-				res, cost = res2, cost2
-				hit = hit && hit2
-				degraded = true
-				breakerDegraded = true
-			}
-		}
-		if s.cc.ContainerSize(res.CP) > chunk {
-			clamped := s.live
-			clamped.MaxAlloc = chunk
-			res2, cost2, hit2 := s.optimizeUnder(c, clamped, opts)
-			if s.cc.ContainerSize(res2.CP) > chunk {
-				if s.bypassAllowed() {
-					skipped = append(skipped, s.queue[0])
-					s.queue = s.queue[1:]
-					continue
-				}
-				break // not even the clamped optimum fits right now
-			}
-			res, cost = res2, cost2
-			hit = hit && hit2
-			degraded = true
-		}
-		cs := s.cc.ContainerSize(res.CP)
-		w := s.targetWidth(j, cs)
-		tgt := w
-		conts, err := s.rm.AllocateGroup(w, cs)
-		for err != nil && errors.Is(err, yarn.ErrNoCapacity) &&
-			s.stepDownAllowed() && w > j.espec.MinContainers {
-			// Voluntary shrink: narrow toward the spec minimum rather than
-			// wait for the full target width.
-			w -= j.espec.Step
-			if w < j.espec.MinContainers {
-				w = j.espec.MinContainers
-			}
-			conts, err = s.rm.AllocateGroup(w, cs)
-		}
-		if err != nil {
-			if errors.Is(err, yarn.ErrOverMaxAllocation) {
-				// The chosen plan can never be granted on this cluster —
-				// a permanent, typed condition, not a transient shortage.
-				s.queue = s.queue[1:]
-				j.state = jsFailed
-				j.result.Err = err
-				j.result.Error = err.Error()
-				s.markTerminal(j)
-				s.tr.Complete(obs.LayerWorkload, "tenant.error", s.now, 0,
-					obs.A("tenant", j.result.Tenant), obs.A("err", err.Error()))
-				continue
-			}
-			if s.bypassAllowed() {
-				skipped = append(skipped, s.queue[0])
-				s.queue = s.queue[1:]
-				continue
-			}
-			break // ErrNoCapacity: retry at the next event
-		}
-		s.queue = s.queue[1:]
-		j.state = jsRunning
-		j.conts = conts
-		j.res, j.cost = res, cost
-		j.result.Width = w
-		if j.result.MinWidth == 0 || w < j.result.MinWidth {
-			j.result.MinWidth = w
-		}
-		if w < tgt {
-			j.result.Narrowed = true
-			s.rep.VoluntaryShrinks++
-			s.tr.Metrics().Add("workload.voluntary_shrinks", 1)
-		}
-		j.result.Admitted = s.now
-		if j.result.Requeues == 0 {
-			// Admission latency is the wait for the FIRST admission;
-			// failure-driven re-admissions extend Latency, not QueueDelay.
-			j.result.QueueDelay = s.now - j.result.Arrival
-		}
-		j.result.CacheHit = hit
-		j.result.Degraded = degraded
-		if breakerDegraded {
-			j.result.BreakerDegraded = true
-			s.rep.BreakerDegraded++
-			s.tr.Metrics().Add("workload.breaker_degraded", 1)
-		}
-		s.brk.admitted(s.now)
-		s.running++
-		if s.running > s.rep.MaxConcurrent {
-			s.rep.MaxConcurrent = s.running
-		}
-		adm = append(adm, admission{j: j, c: c})
-	}
-	if len(skipped) > 0 {
-		s.queue = append(skipped, s.queue...)
-	}
-	if len(adm) == 0 {
-		return
-	}
-
-	// Simulate this round's admissions in parallel; results are applied in
-	// admission order below, so the schedule is worker-count independent.
-	sims := make([]simResult, len(adm))
-	s.fanOut(len(adm), func(i int) {
-		sims[i] = s.simulate(adm[i].c, adm[i].j.res)
-	})
-	for i, a := range adm {
-		j := a.j
-		sr := sims[i]
-		if sr.err != nil {
-			s.releaseAll(j)
-			j.state = jsFailed
-			j.result.Err = sr.err
-			j.result.Error = sr.err.Error()
-			s.running--
-			s.markTerminal(j)
-			s.tr.Complete(obs.LayerWorkload, "tenant.error", s.now, 0,
-				obs.A("tenant", j.result.Tenant), obs.A("err", sr.err.Error()))
-			continue
-		}
-		charge := s.opts.OptCharge
-		if j.result.CacheHit {
-			charge = s.opts.HitCharge
-		}
-		if j.requeued {
-			// State restore: from the last checkpoint (cheap) or from
-			// scratch (the naive full re-load, paper §4.1).
-			if s.opts.Recovery.Kind == RecoveryCheckpoint {
-				charge += s.opts.Recovery.CheckpointCharge
-			} else {
-				charge += s.opts.RequeueCharge
-			}
-			j.requeued = false
-		}
-		// Checkpoint bookkeeping: block count and full execution time feed
-		// the progress model; a slowed node stretches the remaining work by
-		// the speculation-capped factor. Epoch-structured programs checkpoint
-		// at batch granularity instead of leaf-block granularity, making
-		// every batch boundary an elasticity point.
-		if ep, ok := opt.DetectEpochs(a.c.hp); ok {
-			j.epochs, j.batches = ep.Epochs, ep.Batches
-			j.blocks = ep.Boundaries()
-		} else {
-			j.epochs, j.batches = 0, 0
-			j.blocks = a.c.hp.NumLeaf
-		}
-		if j.blocks < 1 {
-			j.blocks = 1
-		}
-		j.total = sr.simSeconds
-		// A wider job divides its remaining work by the (sub-linear) width
-		// speedup; width 1 is exactly the rigid schedule.
-		exec := sr.simSeconds * (1 - j.ckpt) / s.opts.Elastic.speedup(len(j.conts))
-		if speed := s.rm.NodeSpeed(j.conts[0].Node); speed > 1 {
-			eff, _ := mr.EffectiveSlowdown(speed, s.opts.TaskPolicy)
-			exec *= eff
-			j.slow = eff
-		} else {
-			j.slow = 1
-		}
-		j.gen++
-		j.execStart = s.now + charge
-		j.finish = j.execStart + exec
-		s.push(event{at: j.finish, kind: evDepart, job: j.idx, gen: j.gen})
-		j.result.Outputs = sr.outputs
-		j.result.Prints = sr.prints
-		j.result.OutputHash = outputHash(sr.paths, sr.outputs, sr.dims, sr.prints)
-		j.result.Config = j.res.String()
-		s.tr.Complete(obs.LayerWorkload, "tenant.queue", j.result.Arrival, j.result.QueueDelay,
-			obs.A("tenant", j.result.Tenant))
-		s.tr.Metrics().Add("workload.admissions", 1)
-		if j.result.CacheHit {
-			s.tr.Metrics().Add("workload.admission_cache_hits", 1)
-		}
-		if j.result.Degraded {
-			s.tr.Metrics().Add("workload.degraded_admissions", 1)
-		}
-	}
-}
-
-// simulate executes one compiled job under its configuration on the
-// runtime, returning the simulated duration and (for value-mode jobs) the
-// written outputs and print stream. It runs on pool workers: it touches no
-// service state besides read-only fields, and emits no trace events.
-func (s *Service) simulate(c *compiled, res conf.Resources) (r simResult) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.err = fmt.Errorf("panic: %v", rec)
-		}
-	}()
-	plan := lop.Select(c.hp, s.live, res)
-	ip := rt.New(c.mode, c.fs, s.live, res)
-	ip.Compiler = c.comp
-	ip.SimTableCols = s.opts.SimTableCols
-	var out bytes.Buffer
-	ip.Out = &out
-	if err := ip.Run(plan); err != nil {
-		r.err = err
-		return r
-	}
-	r.simSeconds = ip.SimTime
-	r.prints = out.String()
-	r.outputs = map[string]*matrix.Matrix{}
-	r.dims = map[string][3]int64{}
-	for _, name := range c.fs.List() {
-		if !strings.HasPrefix(name, "/out") {
-			continue
-		}
-		f, err := c.fs.Stat(name)
-		if err != nil {
-			continue
-		}
-		r.paths = append(r.paths, name)
-		r.dims[name] = [3]int64{f.Rows, f.Cols, f.NNZ}
-		if f.Data != nil {
-			r.outputs[name] = f.Data
-		}
-	}
-	sort.Strings(r.paths)
-	return r
-}
-
-// reoptimize re-evaluates every running job against the current cluster
-// state (paper §5: re-optimization on cluster change). The cache pre-pass
-// and post-pass run sequentially in job order so cache counters and LRU
-// order are identical at any worker count; only cache misses fan out.
-func (s *Service) reoptimize(trigger string) {
-	var running []*job
-	for _, j := range s.jobs {
-		if j.state == jsRunning {
-			running = append(running, j)
-		}
-	}
-	if len(running) == 0 || s.live.Nodes == 0 {
-		return
-	}
-	opts := s.optOpts()
-	type cand struct {
-		j    *job
-		cc   conf.Cluster
-		comp *compiled
-		key  string
-		memo *opt.Memo
-		res  conf.Resources
-		cost float64
-		hit  bool
-		err  error
-	}
-	cands := make([]*cand, len(running))
-	for i, j := range running {
-		c := &cand{j: j, cc: s.live}
-		if len(j.conts) > 1 {
-			// A multi-container job keeps its granted container size: the
-			// re-optimization searches under a width-clamped view, so the
-			// chosen plan always fits the containers it already holds.
-			c.cc = opt.WidthClamped(s.live, j.conts[0].Mem)
-		}
-		c.comp, c.err = s.compileJob(j)
-		if c.err == nil {
-			c.key = opt.CacheKey(c.comp.source, c.comp.params, c.comp.inputs, c.cc, opts)
-			if res, cost, ok := s.cache.Lookup(c.key); ok {
-				c.res, c.cost, c.hit = res, cost, true
-			} else {
-				// Memos are fetched here, in job order, so the memo store's
-				// LRU sequence is independent of the fan-out interleaving.
-				c.memo = s.memoFor(c.comp, opts)
-			}
-		}
-		s.rep.ReoptChecks++
-		cands[i] = c
-	}
-	s.fanOut(len(cands), func(i int) {
-		c := cands[i]
-		if c.err != nil || c.hit {
-			return
-		}
-		o := &opt.Optimizer{CC: c.cc, Opts: opts}
-		r := o.OptimizeMemo(c.comp.hp, c.memo)
-		c.res, c.cost = r.Res, r.Cost
-	})
-	for _, c := range cands {
-		if c.err == nil && !c.hit {
-			s.cache.Insert(c.key, c.res, c.cost)
-		}
-	}
-	for _, c := range cands {
-		if c.err != nil {
-			continue
-		}
-		s.applyReopt(c.j, c.res, c.cost, trigger)
-	}
-	s.tr.Metrics().Add("workload.reopt_passes", 1)
-}
-
-// applyReopt installs a changed configuration on a running job: swap the
-// AM container if the size changed, charge the re-optimization overhead,
-// and rescale the remaining execution time by the cost ratio.
-func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trigger string) {
-	if resEqual(res, j.res) {
-		return
-	}
-	need := s.cc.ContainerSize(res.CP)
-	if len(j.conts) > 1 {
-		// Multi-container jobs were optimized under a width-clamped view,
-		// so the new plan fits the containers they already hold; only the
-		// configuration and schedule change, never the allocation.
-		if need > j.conts[0].Mem {
-			return // defensive: never outgrow the granted containers
-		}
-	} else if need != j.conts[0].Mem {
-		// The job's own container is released first, so its memory counts
-		// toward the free slice it may grow into.
-		freeSame, _ := s.rm.FreeOnNode(j.conts[0].Node)
-		if need > j.conts[0].Mem+freeSame && need > s.rm.MaxFreeChunk() {
-			return // no room to grow — keep the current configuration
-		}
-		oldMem := j.conts[0].Mem
-		if err := s.rm.Release(j.conts[0].ID); err != nil {
-			return
-		}
-		cont, err := s.rm.Allocate(need)
-		if err != nil {
-			// Defensive: reclaim the slot just freed and keep the old
-			// configuration.
-			cont, err = s.rm.Allocate(oldMem)
-			if err != nil {
-				// Cannot even re-take the old slot (impossible in the
-				// sequential loop); route the job through the recovery
-				// policy like any other container loss.
-				j.conts = nil
-				s.failRunning(j, "reopt")
-				if j.state == jsBackoff {
-					// Skip the backoff — the container was lost to
-					// bookkeeping, not a node: rejoin the queue now.
-					j.state = jsQueued
-					s.queue = append([]int{j.idx}, s.queue...)
-				}
-				return
-			}
-			j.conts[0] = cont
-			return
-		}
-		j.conts[0] = cont
-	}
-	oldRes := j.res
-	rem := j.finish - s.now
-	if rem < 0 {
-		rem = 0
-	}
-	if j.cost > 0 && cost > 0 {
-		rem *= cost / j.cost
-	}
-	j.res = res
-	j.cost = cost
-	j.gen++
-	j.pendingW = 0 // the booked resize (if any) went stale with the gen
-	j.finish = s.now + s.opts.ReoptCharge + rem
-	s.push(event{at: j.finish, kind: evDepart, job: j.idx, gen: j.gen})
-	j.result.Reopts++
-	s.rep.ReoptChanges++
-	s.brk.recordChurn(s.now)
-	switch trigger {
-	case "failure":
-		s.rep.FailureReopts++
-	case "restore":
-		s.rep.RestoreReopts++
-	default:
-		s.rep.DepartureReopts++
-	}
-	s.tr.Complete(obs.LayerWorkload, "workload.reopt", s.now, s.opts.ReoptCharge,
-		obs.A("tenant", j.result.Tenant), obs.A("trigger", trigger),
-		obs.A("from", oldRes.String()), obs.A("to", res.String()))
-	s.tr.Metrics().Add("workload.reopt_changes", 1)
-}
-
-// resEqual compares two resource configurations field-wise.
-func resEqual(a, b conf.Resources) bool {
-	if a.CP != b.CP || a.CPCores != b.CPCores || len(a.MR) != len(b.MR) {
-		return false
-	}
-	for i := range a.MR {
-		if a.MR[i] != b.MR[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fanOut runs fn(0..n-1) on up to Options.Workers goroutines and joins.
-// Callers must apply results in index order afterwards; fn must not touch
-// shared mutable state. Workers <= 1 runs inline.
-func (s *Service) fanOut(n int, fn func(int)) {
-	w := s.opts.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }

@@ -2,32 +2,46 @@
 // resource optimizer (§3), runtime re-optimization on cluster change (§5),
 // the simulated YARN ResourceManager, and the deterministic observability
 // subsystem — into a multi-tenant elastic job service: N DML programs with
-// staggered arrival times contend for one simulated cluster.
+// staggered arrival times contend for one simulated cluster, hold one or
+// more containers each, and are re-planned whenever what they hold or what
+// the cluster offers changes.
 //
 // The service is a discrete-event simulation driven entirely by simulated
 // time, so a workload is a pure function of its inputs: the same job list,
 // cluster, and options produce byte-identical reports at any service
 // worker count (the worker pool only fans out computations whose results
-// are applied back in a fixed order). Per tenant it performs:
+// are applied back in a fixed order).
 //
-//  1. Admission: FIFO by arrival time. The head-of-queue job is optimized
-//     against the live cluster; if the chosen AM container does not fit
-//     the currently free slice, the job is re-optimized under a cluster
-//     whose maximum allocation is clamped to the largest free chunk
-//     (degraded admission), and queues if even that is infeasible.
-//  2. Execution: the admitted program runs on the execution simulator
-//     under its configuration; its simulated duration holds the AM
-//     container until the departure event.
-//  3. Elastic re-optimization: every tenant departure and node failure
-//     re-evaluates the running jobs. A job whose clamped (degraded)
-//     configuration is no longer optimal grows into the freed capacity; a
-//     node failure shrinks the cluster view and can shrink configurations
-//     or force re-admission of jobs whose AM container died.
+// The event loop (service.go) delivers arrivals, departures, booked
+// resizes, retries, chaos, and ticks; these only mutate cluster and job
+// state. Every decision is then taken by settle, once per event batch, in
+// a fixed order: the §5 re-optimization pass over the running jobs, queue
+// admission, and the scheduling policy's reconcile of desired against
+// allocated widths. The mechanisms those decisions use each exist once
+// (lifecycle.go, elastic.go):
 //
-// A shared plan cache (opt.Cache) memoizes grid searches across tenants:
-// repeated programs over the same inputs under the same cluster view skip
-// compile-time optimization entirely, with hit results byte-identical to a
-// fresh search.
+//   - plan: plan cache lookup, re-costing memo, optimizer, cache insert —
+//     for one job under the live cluster view, a free-chunk-clamped view
+//     (degraded admission) or a width-clamped view (resize, §5 pass).
+//   - start: install a simulated plan on a job that holds its containers.
+//     Admission is a start from width 0; a resize is a start at the new
+//     width.
+//   - reschedule: schedule a job's departure, invalidating the previous
+//     one; stop is the same invalidation for a job that leaves the cluster.
+//   - snap: commit progress at the last completed block or batch boundary
+//     and book the partial work beyond it as WastedWork — on container
+//     loss and on width change alike.
+//   - terminate: enter a terminal state (done, failed, shed, canceled, …).
+//   - reconcile: ask the policy value (FIFO, fair-share, regret — built
+//     once in New) what width each running job should hold and book the
+//     difference at the job's next resize point.
+//
+// A shared plan cache (opt.PlanCache) memoizes grid searches across
+// tenants: repeated programs over the same inputs under the same cluster
+// view skip compile-time optimization entirely, with hit results
+// byte-identical to a fresh search. Chaos (fault.ChaosPlan), the recovery
+// policy (checkpoint or naive restart, retry budget, backoff) and the
+// admission circuit breaker are layered on the same loop.
 package workload
 
 import (

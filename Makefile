@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race2 check bench verify-corpus cover
+.PHONY: build test vet race race2 check bench figures verify-corpus cover
 
 build:
 	$(GO) build ./...
@@ -42,5 +42,11 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-bench:
+# The paper's tables and figures plus the simulated-time sweeps.
+figures:
 	$(GO) run ./cmd/elastic-bench -quick -exp all
+
+# The repo's benchmark (BENCHMARK.json): four workloads over the decision
+# path, end-to-end and per-layer metrics. See benchmark/README.md.
+bench:
+	$(GO) run ./benchmark

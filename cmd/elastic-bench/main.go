@@ -19,7 +19,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment id (fig1, table1, table2, fig7..fig15, fig18, table3, table5, table6, ablations, failures, workload, chaos, admission, kernels, elastic, minibatch) or 'all'")
+		exp   = flag.String("exp", "all", "experiment id (fig1, table1, table2, fig7..fig15, fig18, table3, table5, table6, ablations, failures, workload, chaos, elastic, minibatch) or 'all'")
 		quick = flag.Bool("quick", false, "reduced grid resolution and scenario coverage")
 		list  = flag.Bool("list", false, "list experiment ids")
 	)

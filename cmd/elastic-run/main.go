@@ -142,11 +142,11 @@ func main() {
 		fatal(err)
 	}
 
-	cp, err := parseBytes(*cpFlag)
+	cp, err := conf.ParseBytes(*cpFlag)
 	if err != nil {
 		fatal(err)
 	}
-	mrH, err := parseBytes(*mrFlag)
+	mrH, err := conf.ParseBytes(*mrFlag)
 	if err != nil {
 		fatal(err)
 	}
@@ -372,27 +372,6 @@ func writeTrace(tr *obs.Tracer, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// parseBytes accepts sizes like "512MB", "4.4GB".
-func parseBytes(s string) (conf.Bytes, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := conf.Bytes(1)
-	switch {
-	case strings.HasSuffix(s, "TB"):
-		mult, s = conf.TB, s[:len(s)-2]
-	case strings.HasSuffix(s, "GB"):
-		mult, s = conf.GB, s[:len(s)-2]
-	case strings.HasSuffix(s, "MB"):
-		mult, s = conf.MB, s[:len(s)-2]
-	case strings.HasSuffix(s, "KB"):
-		mult, s = conf.KB, s[:len(s)-2]
-	}
-	var v float64
-	if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return conf.Bytes(v * float64(mult)), nil
 }
 
 func fatal(err error) {

@@ -8,6 +8,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,48 +18,53 @@ import (
 	"syscall"
 	"time"
 
-	"elasticml/internal/conf"
 	"elasticml/internal/obs"
 	"elasticml/internal/server"
 	"elasticml/internal/workload"
 )
 
-// daemonConfig carries the daemon-mode flags.
-type daemonConfig struct {
-	listen       string
-	httpAddr     string
-	maxSessions  int
-	idleTimeout  time.Duration
-	rateLimit    float64
-	maxInflight  int
-	record       string
-	gap          float64
-	jsonOut      string
-	drainTimeout time.Duration
+// daemonSection is the run description's "daemon" object: the server's own
+// configuration plus the two values that belong to the process around it.
+type daemonSection struct {
+	server.ServerConfig
+	// Gap is the simulated seconds between assigned arrivals (0 = default).
+	Gap float64 `json:"gap"`
+	// DrainTimeout bounds the wait for inflight jobs on shutdown.
+	DrainTimeout server.Duration `json:"drain_timeout"`
+}
+
+func parseDaemonSection(raw json.RawMessage) (daemonSection, error) {
+	d := daemonSection{DrainTimeout: server.Duration(30 * time.Second)}
+	if len(raw) == 0 {
+		return d, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
+		return d, fmt.Errorf("scenario: daemon section: %w", err)
+	}
+	return d, nil
 }
 
 // runDaemon serves until SIGTERM/SIGINT, then drains and reports.
-func runDaemon(cc conf.Cluster, o workload.Options, dc daemonConfig) error {
+func runDaemon(spec *workload.RunSpec) error {
+	dc, err := parseDaemonSection(spec.Daemon)
+	if err != nil {
+		return err
+	}
 	tr := obs.New(false)
-	o.Trace = tr
-	seq, err := server.NewSequencer(cc, o, dc.gap)
+	spec.Trace = tr
+	seq, err := server.NewSequencer(spec.Cluster, spec.Options, dc.Gap)
 	if err != nil {
 		return err
 	}
-	srv := server.NewServer(seq, server.ServerConfig{
-		MaxSessions: dc.maxSessions,
-		IdleTimeout: dc.idleTimeout,
-		Limiter: server.LimiterPolicy{
-			BytesPerSec: dc.rateLimit,
-			MaxInflight: dc.maxInflight,
-		},
-	}, tr.Metrics())
-	ln, err := net.Listen("tcp", dc.listen)
+	srv := server.NewServer(seq, dc.ServerConfig, tr.Metrics())
+	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
 	}
-	if dc.httpAddr != "" {
-		hln, err := net.Listen("tcp", dc.httpAddr)
+	if *httpAddr != "" {
+		hln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			return err
 		}
@@ -78,39 +85,19 @@ func runDaemon(cc conf.Cluster, o workload.Options, dc daemonConfig) error {
 			return err
 		}
 	}
-	rep := srv.Shutdown(dc.drainTimeout)
+	rep := srv.Shutdown(time.Duration(dc.DrainTimeout))
 
-	out := &obs.ErrWriter{W: os.Stdout}
-	if err := rep.WriteTable(out); err != nil {
+	if err := printReport(rep, nil); err != nil {
 		return err
 	}
-	if dc.jsonOut != "" {
-		if dc.jsonOut == "-" {
-			if err := rep.WriteJSON(out); err != nil {
-				return err
-			}
-		} else if err := writeReport(rep, dc.jsonOut); err != nil {
-			return err
-		}
+	if *record != "" {
+		return writeFile(*record, srv.Log().WriteJSON)
 	}
-	if dc.record != "" {
-		f, err := os.Create(dc.record)
-		if err != nil {
-			return err
-		}
-		if err := srv.Log().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return out.Err()
+	return nil
 }
 
 // runReplay reproduces a recorded daemon run offline.
-func runReplay(path, jsonOut string) error {
+func runReplay(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -124,18 +111,5 @@ func runReplay(path, jsonOut string) error {
 	if err != nil {
 		return err
 	}
-	out := &obs.ErrWriter{W: os.Stdout}
-	if err := rep.WriteTable(out); err != nil {
-		return err
-	}
-	if jsonOut != "" {
-		if jsonOut == "-" {
-			if err := rep.WriteJSON(out); err != nil {
-				return err
-			}
-		} else if err := writeReport(rep, jsonOut); err != nil {
-			return err
-		}
-	}
-	return out.Err()
+	return printReport(rep, nil)
 }

@@ -5,283 +5,175 @@
 // admission report and can emit a machine-readable JSON report and a
 // Chrome trace.
 //
-// The simulation is deterministic: the same flags produce byte-identical
-// reports and traces at any -workers value, which CI uses as the workload
-// determinism gate.
+// A run is described by one JSON document (workload.RunSpec; see
+// scenarios/): the cluster, the service options — policy, chaos plan,
+// recovery, breaker, elastic tick, ... — and either an explicit job list
+// or a seeded generator. The flags are deployment paths and addresses plus
+// the few values CI varies over one file. The simulation is deterministic:
+// the same file produces byte-identical reports and traces at any -workers
+// value, which CI uses as the workload determinism gate.
 //
 // Usage:
 //
 //	elastic-serve                                   # 16-tenant demo workload
-//	elastic-serve -tenants 24 -seed 7 -mean-gap 2 -workers 4
-//	elastic-serve -node-fail 1@25 -json report.json -trace trace.json
-//	elastic-serve -scenario workload.json -nodes 4 -node-mem 8GB
-//	elastic-serve -nodes 4 -chaos-group 2+3@30:40 -chaos-storm 55:5:30:6 \
-//	    -recovery checkpoint -max-retries 5 -breaker shed
-//	elastic-serve -burst -tenants 12 -policy fair -elastic-tick 5
+//	elastic-serve -tenants 24 -seed 7 -workers 4
+//	elastic-serve -scenario scenarios/demo_nodefail.json -json report.json -trace trace.json
+//	elastic-serve -scenario scenarios/burst.json -policy fair
+//	elastic-serve -scenario scenarios/chaos_mix.json
 //
 // With -listen it instead runs as a long-lived network daemon speaking the
-// binary wire protocol (see internal/server); SIGTERM drains gracefully
-// and prints the final report. -record / -replay reproduce a live run
-// byte-identically offline:
+// binary wire protocol (see internal/server), configured by the same file
+// and its "daemon" section; SIGTERM drains gracefully and prints the final
+// report. -record / -replay reproduce a live run byte-identically offline:
 //
-//	elastic-serve -listen :7071 -http :7072 -record ops.json -json live.json
+//	elastic-serve -scenario scenarios/daemon.json -listen :7071 -http :7072 -record ops.json -json live.json
 //	elastic-serve -replay ops.json -json replayed.json
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
-	"time"
 
-	"elasticml/internal/conf"
-	"elasticml/internal/fault"
 	"elasticml/internal/obs"
 	"elasticml/internal/workload"
 )
 
+var (
+	scen    = flag.String("scenario", "", "run description JSON: cluster, options, jobs or generate, daemon (default: the 16-tenant demo)")
+	policy  = flag.String("policy", "", "override the run's scheduling policy: fifo, fair, or regret")
+	workers = flag.Int("workers", 0, "override the run's computation fan-out; any value yields byte-identical reports")
+	tenants = flag.Int("tenants", 0, "override the generator's tenant count")
+	seed    = flag.Int64("seed", 0, "override the generator's seed")
+
+	jsonOut  = flag.String("json", "", "write the JSON report to this file ('-' for stdout)")
+	traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file")
+	metrics  = flag.Bool("metrics", false, "print the workload metrics registry")
+
+	listen   = flag.String("listen", "", "run as a network daemon on this TCP address (e.g. :7071)")
+	httpAddr = flag.String("http", "", "metrics/pprof HTTP sidecar address (daemon mode)")
+	record   = flag.String("record", "", "write the op log JSON here on shutdown (daemon mode)")
+	replay   = flag.String("replay", "", "replay a recorded op log and print its report (no network)")
+)
+
 func main() {
-	var (
-		tenants = flag.Int("tenants", 16, "tenant count for the seeded workload generator")
-		seed    = flag.Int64("seed", 42, "workload generator seed")
-		meanGap = flag.Float64("mean-gap", 3, "mean tenant inter-arrival gap in simulated seconds")
-		scen    = flag.String("scenario", "", "JSON workload file (overrides the generator)")
-
-		workers = flag.Int("workers", 1, "service computation fan-out; any value yields byte-identical reports")
-		cache   = flag.Int("cache", 0, "shared plan cache capacity (0 = default 64, negative disables)")
-		shards  = flag.Int("cache-shards", 0, "plan cache lock stripes (0 = default 16, 1 = single-lock)")
-		noMemo  = flag.Bool("no-reopt-memo", false, "disable the incremental re-costing memo (ablation; results are identical either way)")
-		points  = flag.Int("points", 7, "optimizer grid resolution per tenant")
-
-		policy  = flag.String("policy", "fifo", "scheduling policy: fifo, fair, or regret")
-		tick    = flag.Float64("elastic-tick", 0, "periodic grow/shrink evaluation interval in simulated seconds (0 = event-driven only)")
-		burst   = flag.Bool("burst", false, "use the skewed-burst malleable workload generator instead of the uniform one")
-
-		nodes    = flag.Int("nodes", 2, "cluster worker nodes")
-		nodeMem  = flag.String("node-mem", "2GB", "memory per node (e.g. 8GB)")
-		nodeFail = flag.String("node-fail", "", "injected node failures, e.g. 1@25,0@60 (node@seconds)")
-
-		jsonOut  = flag.String("json", "", "write the JSON report to this file ('-' for stdout)")
-		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file")
-		metrics  = flag.Bool("metrics", false, "print the workload metrics registry")
-
-		listen      = flag.String("listen", "", "run as a network daemon on this TCP address (e.g. :7071)")
-		httpAddr    = flag.String("http", "", "metrics/pprof HTTP sidecar address (daemon mode)")
-		maxSessions = flag.Int("max-sessions", 16, "fixed session-pool size (daemon mode)")
-		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "close sessions idle this long (daemon mode)")
-		rateLimit   = flag.Float64("rate-limit", 0, "token-bucket byte-rate admission limit in bytes/sec (daemon mode, 0 = off)")
-		maxInflight = flag.Int("max-inflight", 0, "cap on concurrently live jobs (daemon mode, 0 = off)")
-		record      = flag.String("record", "", "write the op log JSON here on shutdown (daemon mode)")
-		replay      = flag.String("replay", "", "replay a recorded op log and print its report (no network)")
-		gap         = flag.Float64("gap", 0, "simulated seconds between assigned arrivals (daemon mode, 0 = default)")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max wait for inflight jobs on shutdown (daemon mode)")
-
-		cf chaosFlags
-	)
-	flag.StringVar(&cf.groups, "chaos-group", "", "correlated group losses, e.g. 2+3@40:15 (nodes@seconds:restore-after)")
-	flag.StringVar(&cf.flaps, "chaos-flap", "", "transient node flaps, e.g. 1@70:5 (node@seconds:restore-after)")
-	flag.StringVar(&cf.slow, "chaos-slow", "", "straggler episodes, e.g. 0@25x3:30 (node@seconds x factor:duration)")
-	flag.StringVar(&cf.storm, "chaos-storm", "", "failure storm, e.g. 55:5:30:6 (start:mean-gap:failures:recover)")
-	flag.Int64Var(&cf.seed, "chaos-seed", 0, "seed for the failure storm's victim and gap draws")
-	flag.StringVar(&cf.recovery, "recovery", "checkpoint", "recovery policy: checkpoint or naive")
-	flag.IntVar(&cf.maxRetries, "max-retries", 0, "per-job retry budget (0 = default 3)")
-	flag.StringVar(&cf.breaker, "breaker", "off", "circuit-breaker admission guard: off, degrade, or shed")
-	flag.BoolVar(&cf.noSpeculation, "no-speculation", false, "disable straggler speculation (uncapped slow-node stretch)")
 	flag.Parse()
-	out := &obs.ErrWriter{W: os.Stdout}
-
-	if *replay != "" {
-		if err := runReplay(*replay, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	cc := conf.DefaultCluster()
-	cc.Nodes = *nodes
-	mem, err := parseBytes(*nodeMem)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "elastic-serve: bad -node-mem: %v\n", err)
-		os.Exit(2)
-	}
-	cc.MemPerNode = mem
-	if cc.MaxAlloc > mem {
-		cc.MaxAlloc = mem
-	}
-
-	var jobs []workload.JobSpec
-	var scenChaos *fault.ChaosPlan
-	if *listen != "" {
-		// Daemon mode: jobs arrive over the wire, not from a scenario.
-	} else if *scen != "" {
-		f, err := os.Open(*scen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-			os.Exit(2)
-		}
-		jobs, scenChaos, err = workload.LoadScenarioFile(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-			os.Exit(2)
-		}
-	} else {
-		if *tenants < 1 {
-			fmt.Fprintln(os.Stderr, "elastic-serve: -tenants must be positive")
-			os.Exit(2)
-		}
-		if *burst {
-			jobs = workload.GenerateSkewedBurst(*seed, *tenants)
-		} else {
-			jobs = workload.Generate(*seed, *tenants, *meanGap)
-		}
-	}
-
-	o := workload.DefaultOptions()
-	pol, err := workload.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-		os.Exit(2)
-	}
-	o.Policy = pol
-	o.Elastic.Tick = *tick
-	o.Workers = *workers
-	o.CacheEntries = *cache
-	o.CacheShards = *shards
-	o.DisableReoptMemo = *noMemo
-	o.Points = *points
-	if *nodeFail != "" {
-		for _, part := range strings.Split(*nodeFail, ",") {
-			var node int
-			var at float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d@%g", &node, &at); err != nil {
-				fmt.Fprintf(os.Stderr, "elastic-serve: bad -node-fail entry %q (want node@seconds)\n", part)
-				os.Exit(2)
-			}
-			o.NodeFailures = append(o.NodeFailures, fault.NodeFailure{Node: node, At: at})
-		}
-	}
-	if err := applyChaosFlags(&o, cf); err != nil {
-		fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-		os.Exit(2)
-	}
-	if scenChaos != nil {
-		// Chaos embedded in the scenario file applies unless the command
-		// line sets an explicit chaos regime of its own.
-		if o.Chaos.Enabled() {
-			fmt.Fprintln(os.Stderr, "elastic-serve: scenario file embeds a chaos plan; drop the -chaos-* flags or the file's chaos section")
-			os.Exit(2)
-		}
-		o.Chaos = *scenChaos
-	}
-	if *listen != "" {
-		err := runDaemon(cc, o, daemonConfig{
-			listen:       *listen,
-			httpAddr:     *httpAddr,
-			maxSessions:  *maxSessions,
-			idleTimeout:  *idleTimeout,
-			rateLimit:    *rateLimit,
-			maxInflight:  *maxInflight,
-			record:       *record,
-			gap:          *gap,
-			jsonOut:      *jsonOut,
-			drainTimeout: *drainWait,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var tr *obs.Tracer
-	if *traceOut != "" || *metrics {
-		tr = obs.New(*traceOut != "")
-		o.Trace = tr
-	}
-
-	rep, err := workload.Run(cc, jobs, o)
-	if err != nil {
+	if err := serve(); err != nil {
 		fmt.Fprintln(os.Stderr, "elastic-serve:", err)
 		os.Exit(1)
 	}
+}
 
-	if err := rep.WriteTable(out); err == nil {
-		if *metrics {
-			fmt.Fprintln(out)
-			tr.Metrics().WriteText(out)
+func serve() error {
+	if *replay != "" {
+		return runReplay(*replay)
+	}
+	spec, err := loadSpec(*scen)
+	if err != nil {
+		return err
+	}
+	// Only the flags actually given override the file.
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if given["policy"] {
+		if spec.Policy, err = workload.ParsePolicy(*policy); err != nil {
+			return err
 		}
 	}
-	if *jsonOut != "" {
-		if *jsonOut == "-" {
-			err = rep.WriteJSON(out)
-		} else {
-			err = writeReport(rep, *jsonOut)
+	if given["workers"] {
+		spec.Workers = *workers
+	}
+	if given["tenants"] || given["seed"] {
+		if spec.Generate == nil {
+			return fmt.Errorf("-tenants and -seed override the generate section, which %s does not have", *scen)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-			os.Exit(1)
+		if given["tenants"] {
+			spec.Generate.Tenants = *tenants
 		}
+		if given["seed"] {
+			spec.Generate.Seed = *seed
+		}
+	}
+	if *listen != "" {
+		return runDaemon(spec)
+	}
+	return runBatch(spec)
+}
+
+// loadSpec reads the -scenario file, or returns the demo run without one.
+func loadSpec(path string) (*workload.RunSpec, error) {
+	if path == "" {
+		return workload.DefaultRunSpec(), nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return workload.LoadRunSpec(f)
+}
+
+// runBatch simulates the run's jobs to completion and prints the report.
+func runBatch(spec *workload.RunSpec) error {
+	jobs, err := spec.JobSpecs()
+	if err != nil {
+		return err
+	}
+	var met *obs.Metrics
+	if *traceOut != "" || *metrics {
+		spec.Trace = obs.New(*traceOut != "")
+		if *metrics {
+			met = spec.Trace.Metrics()
+		}
+	}
+	rep, err := workload.Run(spec.Cluster, jobs, spec.Options)
+	if err != nil {
+		return err
+	}
+	if err := printReport(rep, met); err != nil {
+		return err
 	}
 	if *traceOut != "" {
-		if err := writeTrace(tr, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-			os.Exit(1)
+		return writeFile(*traceOut, spec.Trace.WriteChromeTrace)
+	}
+	return nil
+}
+
+// printReport prints the report table, the metrics registry when given
+// one, and the -json report (to its file, or to stdout for "-").
+func printReport(rep *workload.Report, met *obs.Metrics) error {
+	out := &obs.ErrWriter{W: os.Stdout}
+	if err := rep.WriteTable(out); err != nil {
+		return err
+	}
+	if met != nil {
+		fmt.Fprintln(out)
+		met.WriteText(out)
+	}
+	switch *jsonOut {
+	case "":
+	case "-":
+		if err := rep.WriteJSON(out); err != nil {
+			return err
+		}
+	default:
+		if err := writeFile(*jsonOut, rep.WriteJSON); err != nil {
+			return err
 		}
 	}
-	if err := out.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "elastic-serve:", err)
-		os.Exit(1)
-	}
+	return out.Err()
 }
 
-// writeReport writes the JSON report to a file.
-func writeReport(rep *workload.Report, path string) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rep.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// writeTrace writes the Chrome trace file.
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// parseBytes accepts sizes like "512MB", "4.4GB".
-func parseBytes(s string) (conf.Bytes, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := conf.Bytes(1)
-	switch {
-	case strings.HasSuffix(s, "TB"):
-		mult, s = conf.TB, s[:len(s)-2]
-	case strings.HasSuffix(s, "GB"):
-		mult, s = conf.GB, s[:len(s)-2]
-	case strings.HasSuffix(s, "MB"):
-		mult, s = conf.MB, s[:len(s)-2]
-	case strings.HasSuffix(s, "KB"):
-		mult, s = conf.KB, s[:len(s)-2]
-	case strings.HasSuffix(s, "B"):
-		s = s[:len(s)-1]
-	}
-	var v float64
-	if _, err := fmt.Sscanf(s, "%g", &v); err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return conf.Bytes(v * float64(mult)), nil
 }

@@ -15,9 +15,9 @@ import (
 	"elasticml/internal/server"
 )
 
-// Smoke tests for the workload service entry point: flag validation, the
-// JSON report shape, scenario files, and the CLI-level determinism the CI
-// gate relies on.
+// Smoke tests for the workload service entry point: run-description
+// validation, the JSON report shape, scenario files, and the CLI-level
+// determinism the CI gate relies on.
 
 var (
 	binPath string
@@ -57,8 +57,24 @@ func run(t *testing.T, args ...string) (string, string, int) {
 	return out.String(), errOut.String(), code
 }
 
+// scenario writes a run description under t.TempDir() and returns its path.
+func scenario(t *testing.T, src string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// nodeFailScenario is the demo workload losing node 1 at t=25s.
+const nodeFailScenario = `{
+	"node_failures": [{"node": 1, "at": 25}],
+	"generate": {"tenants": 10, "seed": 42, "mean_gap": 3}
+}`
+
 func TestDemoWorkload(t *testing.T) {
-	out, errOut, code := run(t, "-tenants", "8", "-node-fail", "1@25")
+	out, errOut, code := run(t, "-scenario", scenario(t, nodeFailScenario), "-tenants", "8")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
@@ -111,10 +127,11 @@ func TestJSONReportShape(t *testing.T) {
 func TestDeterministicReports(t *testing.T) {
 	a := filepath.Join(tmpDir, "a.json")
 	b := filepath.Join(tmpDir, "b.json")
-	if _, errOut, code := run(t, "-tenants", "10", "-node-fail", "1@25", "-workers", "1", "-json", a); code != 0 {
+	scen := scenario(t, nodeFailScenario)
+	if _, errOut, code := run(t, "-scenario", scen, "-workers", "1", "-json", a); code != 0 {
 		t.Fatalf("run a: exit %d: %s", code, errOut)
 	}
-	if _, errOut, code := run(t, "-tenants", "10", "-node-fail", "1@25", "-workers", "4", "-json", b); code != 0 {
+	if _, errOut, code := run(t, "-scenario", scen, "-workers", "4", "-json", b); code != 0 {
 		t.Fatalf("run b: exit %d: %s", code, errOut)
 	}
 	ab, err := os.ReadFile(a)
@@ -134,14 +151,10 @@ func TestDeterministicReports(t *testing.T) {
 }
 
 func TestScenarioFile(t *testing.T) {
-	scen := filepath.Join(tmpDir, "scen.json")
-	src := `{"jobs":[
+	scen := scenario(t, `{"jobs":[
 		{"tenant":"a","script":"LinregDS","size":"XS","arrival":0},
 		{"tenant":"b","script":"LinregDS","size":"XS","arrival":1}
-	]}`
-	if err := os.WriteFile(scen, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	]}`)
 	out, errOut, code := run(t, "-scenario", scen)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
@@ -151,17 +164,45 @@ func TestScenarioFile(t *testing.T) {
 	}
 }
 
-func TestBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-tenants", "0"},
-		{"-node-mem", "wat"},
-		{"-node-fail", "zap"},
-		{"-scenario", filepath.Join(tmpDir, "missing.json")},
-		{"-node-fail", "9@5"}, // node out of range for the 2-node default
+// TestBadInput: bad flag values and malformed run descriptions exit
+// non-zero with one "elastic-serve:" line — no panic, no usage dump.
+func TestBadInput(t *testing.T) {
+	gen := `"generate": {"tenants": 4, "seed": 42, "mean_gap": 3}`
+	cases := map[string][]string{
+		"zero tenants":     {"-tenants", "0"},
+		"unknown policy":   {"-policy", "lottery"},
+		"missing file":     {"-scenario", filepath.Join(tmpDir, "missing.json")},
+		"tenants vs jobs":  {"-tenants", "3", "-scenario", scenario(t, `{"jobs": [{"script": "GLM"}]}`)},
+		"truncated":        {"-scenario", scenario(t, `{"jobs": [{`)},
+		"unknown field":    {"-scenario", scenario(t, `{"chaos_flap": "1@45:6", `+gen+`}`)},
+		"unknown in chaos": {"-scenario", scenario(t, `{"chaos": {"flap": []}, `+gen+`}`)},
+		"no jobs":          {"-scenario", scenario(t, `{"policy": "fair"}`)},
+		"jobs + generate":  {"-scenario", scenario(t, `{"jobs": [{"script": "GLM"}], `+gen+`}`)},
+		"generate kind":    {"-scenario", scenario(t, `{"generate": {"kind": "zap", "tenants": 4}}`)},
+		"file policy":      {"-scenario", scenario(t, `{"policy": "sometimes", `+gen+`}`)},
+		"recovery kind":    {"-scenario", scenario(t, `{"recovery": {"kind": "hope"}, `+gen+`}`)},
+		"negative retries": {"-scenario", scenario(t, `{"recovery": {"max_retries": -2}, `+gen+`}`)},
+		"bad size":         {"-scenario", scenario(t, `{"cluster": {"mem_per_node": "wat"}, `+gen+`}`)},
+		"size type":        {"-scenario", scenario(t, `{"cluster": {"mem_per_node": true}, `+gen+`}`)},
+		// Node 9 does not exist on the 2-node default cluster.
+		"fail node range": {"-scenario", scenario(t, `{"node_failures": [{"node": 9, "at": 5}], `+gen+`}`)},
+		"flap node range": {"-scenario", scenario(t, `{"chaos": {"flaps": [{"node": 9, "at": 45, "restore_after": 6}]}, `+gen+`}`)},
+		"flap no restore": {"-scenario", scenario(t, `{"chaos": {"flaps": [{"node": 1, "at": 45}]}, `+gen+`}`)},
+		"negative time":   {"-scenario", scenario(t, `{"chaos": {"groups": [{"nodes": [0], "at": -5}]}, `+gen+`}`)},
+		"slow factor < 1": {"-scenario", scenario(t, `{"chaos": {"slow_nodes": [{"node": 0, "at": 15, "factor": 0.5}]}, `+gen+`}`)},
+		"storm no gap":    {"-scenario", scenario(t, `{"chaos": {"storm": {"start": 55, "failures": 3}}, `+gen+`}`)},
 	}
-	for _, args := range cases {
-		if _, _, code := run(t, args...); code == 0 {
-			t.Errorf("%v: want non-zero exit", args)
+	for name, args := range cases {
+		out, errOut, code := run(t, args...)
+		if code == 0 {
+			t.Errorf("%s: want non-zero exit", name)
+		}
+		if out != "" {
+			t.Errorf("%s: unexpected stdout: %q", name, out)
+		}
+		lines := strings.Split(strings.TrimRight(errOut, "\n"), "\n")
+		if len(lines) != 1 || !strings.HasPrefix(lines[0], "elastic-serve:") {
+			t.Errorf("%s: want one 'elastic-serve:' stderr line, got %q", name, errOut)
 		}
 	}
 }
@@ -180,20 +221,12 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
-// chaosArgs is the canonical chaos invocation shared by the CLI tests and
-// mirrored by the CI chaos-determinism gate.
+// chaosScenario is the canonical chaos run shared by the CLI tests; it is
+// scenarios/chaos_mix.json, which the CI chaos-determinism gate runs.
+const chaosScenario = "../../scenarios/chaos_mix.json"
+
 func chaosArgs(workers, jsonPath, tracePath string) []string {
-	args := []string{
-		"-tenants", "12", "-nodes", "4",
-		"-chaos-group", "2+3@30:40",
-		"-chaos-flap", "1@45:6",
-		"-chaos-slow", "0@15x3:25",
-		"-chaos-storm", "55:5:12:6",
-		"-chaos-seed", "42",
-		"-recovery", "checkpoint", "-max-retries", "5",
-		"-breaker", "degrade",
-		"-workers", workers,
-	}
+	args := []string{"-scenario", chaosScenario, "-workers", workers}
 	if jsonPath != "" {
 		args = append(args, "-json", jsonPath)
 	}
@@ -203,9 +236,9 @@ func chaosArgs(workers, jsonPath, tracePath string) []string {
 	return args
 }
 
-// TestChaosFlagsRun exercises every chaos regime plus the recovery and
+// TestChaosScenarioRun exercises every chaos regime plus the recovery and
 // breaker policies through the CLI and checks the chaos summary line.
-func TestChaosFlagsRun(t *testing.T) {
+func TestChaosScenarioRun(t *testing.T) {
 	out, errOut, code := run(t, chaosArgs("1", "", "")...)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
@@ -269,7 +302,15 @@ func TestDaemonRecordReplay(t *testing.T) {
 	livePath := filepath.Join(tmpDir, "daemon-live.json")
 	replayPath := filepath.Join(tmpDir, "daemon-replay.json")
 
-	cmd := exec.Command(binPath, "-listen", addr, "-record", opsPath, "-json", livePath, "-workers", "2")
+	// A non-zero tick and a non-default policy: both must reach the op log
+	// for the replay to match. The daemon section sets every tuning value.
+	scen := scenario(t, `{
+		"policy": "regret",
+		"elastic": {"tick": 5},
+		"daemon": {"max_sessions": 8, "idle_timeout": "30s", "gap": 0.02, "drain_timeout": "20s",
+		           "limiter": {"bytes_per_sec": 5e7, "max_inflight": 512}}
+	}`)
+	cmd := exec.Command(binPath, "-scenario", scen, "-listen", addr, "-record", opsPath, "-json", livePath, "-workers", "2")
 	var serveErr strings.Builder
 	cmd.Stderr = &serveErr
 	if err := cmd.Start(); err != nil {
@@ -329,6 +370,8 @@ func TestDaemonBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-replay", filepath.Join(tmpDir, "missing-ops.json")},
 		{"-listen", "256.256.256.256:1"},
+		{"-listen", "127.0.0.1:0", "-scenario", scenario(t, `{"daemon": {"idle_timeout": 120}}`)},
+		{"-listen", "127.0.0.1:0", "-scenario", scenario(t, `{"daemon": {"rate_limit": 1}}`)},
 	}
 	for _, args := range cases {
 		_, errOut, code := run(t, args...)
@@ -341,58 +384,15 @@ func TestDaemonBadFlags(t *testing.T) {
 	}
 }
 
-// TestScenarioErrorsOneLine pins the error contract for missing and
-// malformed -scenario files: exit non-zero with exactly one stderr line,
-// no panic, no flag usage dump.
-func TestScenarioErrorsOneLine(t *testing.T) {
-	bad := filepath.Join(tmpDir, "malformed.json")
-	if err := os.WriteFile(bad, []byte(`{"jobs": [{`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, scen := range []string{filepath.Join(tmpDir, "nope.json"), bad} {
-		out, errOut, code := run(t, "-scenario", scen)
-		if code == 0 {
-			t.Errorf("%s: want non-zero exit", scen)
-		}
-		if out != "" {
-			t.Errorf("%s: unexpected stdout: %q", scen, out)
-		}
-		lines := strings.Split(strings.TrimRight(errOut, "\n"), "\n")
-		if len(lines) != 1 || !strings.HasPrefix(lines[0], "elastic-serve:") {
-			t.Errorf("%s: want one 'elastic-serve:' stderr line, got %q", scen, errOut)
-		}
-		if strings.Contains(errOut, "panic") || strings.Contains(errOut, "Usage") {
-			t.Errorf("%s: noisy failure output:\n%s", scen, errOut)
-		}
-	}
-}
-
 // TestNaiveRecoveryRuns checks the alternate policy spellings parse and run.
 func TestNaiveRecoveryRuns(t *testing.T) {
-	_, errOut, code := run(t, "-tenants", "4", "-recovery", "naive", "-breaker", "shed", "-no-speculation")
-	if code != 0 {
+	scen := scenario(t, `{
+		"recovery": {"kind": "naive"},
+		"breaker": {"enabled": true, "shed": true},
+		"task_policy": {"speculative": false},
+		"generate": {"tenants": 4, "seed": 42, "mean_gap": 3}
+	}`)
+	if _, errOut, code := run(t, "-scenario", scen); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
-	}
-}
-
-// TestBadChaosFlags rejects malformed chaos grammars and unknown policies.
-func TestBadChaosFlags(t *testing.T) {
-	cases := [][]string{
-		{"-chaos-group", "zap"},
-		{"-chaos-group", "1+x@5:1"},
-		{"-chaos-flap", "1@45"},        // flap needs restore > 0
-		{"-chaos-flap", "9@45:6"},      // node out of range (2-node default)
-		{"-chaos-slow", "0@15"},        // missing factor
-		{"-chaos-slow", "0@15x0.5:10"}, // factor < 1 rejected by validation
-		{"-chaos-storm", "55:5"},
-		{"-chaos-storm", "a:b:c"},
-		{"-recovery", "hope"},
-		{"-max-retries", "-2"},
-		{"-breaker", "sometimes"},
-	}
-	for _, args := range cases {
-		if _, _, code := run(t, args...); code == 0 {
-			t.Errorf("%v: want non-zero exit", args)
-		}
 	}
 }

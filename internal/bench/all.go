@@ -32,8 +32,6 @@ func (r *Runner) Experiments() []struct {
 		{"failures", r.FailureSweep},
 		{"workload", r.Workload},
 		{"chaos", r.Chaos},
-		{"admission", r.Admission},
-		{"kernels", r.Kernels},
 		{"elastic", r.Elastic},
 		{"minibatch", r.Minibatch},
 	}

@@ -3,7 +3,12 @@
 // resource optimizer (paper §2.3).
 package conf
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Bytes is a memory size in bytes. All memory budgets, container requests
 // and data sizes in the system are expressed in Bytes.
@@ -52,3 +57,45 @@ func BytesOfGB(gb float64) Bytes { return Bytes(gb * float64(GB)) }
 
 // BytesOfMB builds a Bytes value from a fractional number of megabytes.
 func BytesOfMB(mb float64) Bytes { return Bytes(mb * float64(MB)) }
+
+// ParseBytes parses a positive size such as "512MB", "4.4GB" or "1024B";
+// a bare number is a byte count. Units are binary and case-insensitive.
+func ParseBytes(s string) (Bytes, error) {
+	num := strings.TrimSpace(strings.ToUpper(s))
+	mult := Bytes(1)
+	switch {
+	case strings.HasSuffix(num, "TB"):
+		mult, num = TB, num[:len(num)-2]
+	case strings.HasSuffix(num, "GB"):
+		mult, num = GB, num[:len(num)-2]
+	case strings.HasSuffix(num, "MB"):
+		mult, num = MB, num[:len(num)-2]
+	case strings.HasSuffix(num, "KB"):
+		mult, num = KB, num[:len(num)-2]
+	case strings.HasSuffix(num, "B"):
+		num = num[:len(num)-1]
+	}
+	v, err := strconv.ParseFloat(num, 64)
+	if err != nil || v <= 0 || v*float64(mult) >= 1<<63 {
+		return 0, fmt.Errorf("conf: bad size %q (want e.g. 512MB, 4.4GB)", s)
+	}
+	return Bytes(v * float64(mult)), nil
+}
+
+// UnmarshalJSON accepts a byte count (what Bytes marshals to) or a quoted
+// size as ParseBytes reads it, so hand-written files can say "1GB".
+func (b *Bytes) UnmarshalJSON(data []byte) error {
+	if len(data) > 0 && data[0] == '"' {
+		var s string
+		if err := json.Unmarshal(data, &s); err != nil {
+			return err
+		}
+		v, err := ParseBytes(s)
+		if err != nil {
+			return err
+		}
+		*b = v
+		return nil
+	}
+	return json.Unmarshal(data, (*int64)(b))
+}

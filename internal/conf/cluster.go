@@ -7,26 +7,26 @@ import "fmt"
 // resources, allocation constraints and HDFS parameters.
 type Cluster struct {
 	// Nodes is the number of worker nodes (NodeManagers).
-	Nodes int
+	Nodes int `json:"nodes"`
 	// CoresPerNode is the number of physical cores per worker node.
-	CoresPerNode int
+	CoresPerNode int `json:"cores_per_node"`
 	// MemPerNode is the NodeManager resource capacity per worker node.
-	MemPerNode Bytes
+	MemPerNode Bytes `json:"mem_per_node"`
 	// MinAlloc is YARN's minimum container allocation (scheduler constraint).
-	MinAlloc Bytes
+	MinAlloc Bytes `json:"min_alloc"`
 	// MaxAlloc is YARN's maximum container allocation (scheduler constraint).
-	MaxAlloc Bytes
+	MaxAlloc Bytes `json:"max_alloc"`
 	// HDFSBlockSize is the DFS block size, which determines input splits.
-	HDFSBlockSize Bytes
+	HDFSBlockSize Bytes `json:"hdfs_block_size"`
 	// Reducers is the default number of reduce tasks for MR jobs.
-	Reducers int
+	Reducers int `json:"reducers"`
 	// ContainerOverhead is the factor by which a container request exceeds
 	// the requested max heap size (to account for JVM overheads). The paper
 	// requests memory of 1.5x the max heap size.
-	ContainerOverhead float64
+	ContainerOverhead float64 `json:"container_overhead"`
 	// CPBudgetRatio is the fraction of the max heap usable as the control
 	// program's operation memory budget (the paper uses 70%).
-	CPBudgetRatio float64
+	CPBudgetRatio float64 `json:"cp_budget_ratio"`
 }
 
 // DefaultCluster returns the paper's experimental cluster (§5.1): 6 worker

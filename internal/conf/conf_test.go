@@ -1,6 +1,7 @@
 package conf
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,37 @@ func TestBytesString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("Bytes(%d).String() = %q, want %q", int64(c.in), got, c.want)
+		}
+	}
+}
+
+// TestBytesParse: ParseBytes inverts String on the sizes String can spell
+// exactly, and a Bytes field reads from JSON as a size string or a count.
+func TestBytesParse(t *testing.T) {
+	for _, b := range []Bytes{512 * MB, 2 * GB, 1536 * MB, 100, 3 * KB, 2 * TB} {
+		if got, err := ParseBytes(b.String()); err != nil || got != b {
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d", b.String(), got, err, b)
+		}
+	}
+	if got, err := ParseBytes(" 1gb "); err != nil || got != GB {
+		t.Errorf("ParseBytes is not case- and space-insensitive: %d, %v", got, err)
+	}
+	for _, bad := range []string{"", "wat", "GB", "-1GB", "0", "2XB", "1e30GB"} {
+		if got, err := ParseBytes(bad); err == nil {
+			t.Errorf("ParseBytes(%q) = %d, want error", bad, got)
+		}
+	}
+
+	var c Cluster
+	if err := json.Unmarshal([]byte(`{"mem_per_node": "1.5GB", "min_alloc": 512}`), &c); err != nil {
+		t.Fatal(err)
+	}
+	if c.MemPerNode != 1536*MB || c.MinAlloc != 512 {
+		t.Errorf("decoded %d / %d", c.MemPerNode, c.MinAlloc)
+	}
+	for _, bad := range []string{`{"mem_per_node": "wat"}`, `{"mem_per_node": true}`, `{"mem_per_node": 1.5}`} {
+		if err := json.Unmarshal([]byte(bad), &c); err == nil {
+			t.Errorf("%s: want error", bad)
 		}
 	}
 }

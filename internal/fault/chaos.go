@@ -64,27 +64,27 @@ type NodeEvent struct {
 // group after that many seconds (a transient rack switch outage);
 // RestoreAfter == 0 is a permanent loss.
 type GroupFailure struct {
-	Nodes        []int
-	At           float64
-	RestoreAfter float64
+	Nodes        []int   `json:"nodes"`
+	At           float64 `json:"at"`
+	RestoreAfter float64 `json:"restore_after,omitempty"`
 }
 
 // Flap is a transient single-node failure: the node fails at At and
 // re-registers with full (empty) capacity at At+RestoreAfter.
 type Flap struct {
-	Node         int
-	At           float64
-	RestoreAfter float64
+	Node         int     `json:"node"`
+	At           float64 `json:"at"`
+	RestoreAfter float64 `json:"restore_after"`
 }
 
 // SlowNode is a straggler node: from At on, everything resident on the node
 // runs Factor times slower. Duration > 0 bounds the episode; Duration == 0
 // slows the node for the rest of the run.
 type SlowNode struct {
-	Node     int
-	At       float64
-	Factor   float64
-	Duration float64
+	Node     int     `json:"node"`
+	At       float64 `json:"at"`
+	Factor   float64 `json:"factor"`
+	Duration float64 `json:"duration,omitempty"`
 }
 
 // Storm is a failure storm: Failures node losses starting at Start with
@@ -93,25 +93,25 @@ type SlowNode struct {
 // transient (the victim returns after Recover seconds), which is the
 // capacity-oscillation regime elastic recovery is designed for.
 type Storm struct {
-	Start    float64
-	MeanGap  float64
-	Failures int
-	Recover  float64
+	Start    float64 `json:"start"`
+	MeanGap  float64 `json:"mean_gap"`
+	Failures int     `json:"failures"`
+	Recover  float64 `json:"recover,omitempty"`
 }
 
 // ChaosPlan declares the correlated chaos injected into one workload run.
 // The zero value injects nothing.
 type ChaosPlan struct {
 	// Seed drives the storm's victim and inter-arrival draws.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Groups lists rack-scoped correlated failures.
-	Groups []GroupFailure
+	Groups []GroupFailure `json:"groups,omitempty"`
 	// Flaps lists transient single-node failures.
-	Flaps []Flap
+	Flaps []Flap `json:"flaps,omitempty"`
 	// SlowNodes lists straggler-node episodes.
-	SlowNodes []SlowNode
+	SlowNodes []SlowNode `json:"slow_nodes,omitempty"`
 	// Storm, when non-nil, adds a seeded failure storm.
-	Storm *Storm
+	Storm *Storm `json:"storm,omitempty"`
 }
 
 // Enabled reports whether the plan injects any chaos at all.

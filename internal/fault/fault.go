@@ -22,9 +22,9 @@ import (
 // NodeFailure schedules the loss of one worker node at a simulated time.
 type NodeFailure struct {
 	// Node is the failing node's index.
-	Node int
+	Node int `json:"node"`
 	// At is the simulated time of the failure in seconds.
-	At float64
+	At float64 `json:"at"`
 }
 
 // Plan declares the faults to inject into one simulated run. The zero

@@ -20,13 +20,13 @@ type TaskPolicy struct {
 	// MaxAttempts bounds the attempts per task; 1 disables retry (the
 	// first injected failure aborts the job), values < 1 select the
 	// default of 4.
-	MaxAttempts int
+	MaxAttempts int `json:"max_attempts"`
 	// Speculative launches backup attempts for stragglers, capping their
 	// effective slowdown at SpeculativeCap.
-	Speculative bool
+	Speculative bool `json:"speculative"`
 	// SpeculativeCap is the residual slowdown of a speculated straggler
 	// (default 1.5: the backup still re-runs part of the work).
-	SpeculativeCap float64
+	SpeculativeCap float64 `json:"speculative_cap"`
 }
 
 // DefaultTaskPolicy matches Hadoop's defaults: 4 attempts per task,

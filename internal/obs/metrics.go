@@ -97,12 +97,14 @@ func (m *Metrics) Hist(name string) Histogram {
 	return Histogram{}
 }
 
-// histBuckets are the upper bounds (seconds) of the histogram's
-// exponential buckets; the final implicit bucket is +Inf.
+// histBuckets are the upper bounds of the histogram's exponential buckets,
+// in whatever unit the metric's name states (simulated seconds for the rt.*
+// and workload.* histograms, wall-clock milliseconds for the server's); the
+// final implicit bucket is +Inf.
 var histBuckets = []float64{0.001, 0.01, 0.1, 1, 10, 100, 1000}
 
 // Histogram aggregates observations into count/sum/min/max plus fixed
-// exponential buckets suited to simulated-seconds durations.
+// exponential buckets.
 type Histogram struct {
 	Count    int64
 	Sum      float64

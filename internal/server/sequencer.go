@@ -22,8 +22,6 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/datagen"
-	"elasticml/internal/fault"
-	"elasticml/internal/mr"
 	"elasticml/internal/scripts"
 	"elasticml/internal/workload"
 )
@@ -112,54 +110,18 @@ type Op struct {
 	Spec    *JobSpecWire `json:"spec,omitempty"`
 }
 
-// OptionsWire is the serializable subset of workload.Options recorded in a
-// RecordLog (everything except the tracer).
-type OptionsWire struct {
-	Workers       int                  `json:"workers,omitempty"`
-	CacheEntries  int                  `json:"cache_entries,omitempty"`
-	Points        int                  `json:"points,omitempty"`
-	OptCharge     float64              `json:"opt_charge,omitempty"`
-	HitCharge     float64              `json:"hit_charge,omitempty"`
-	ReoptCharge   float64              `json:"reopt_charge,omitempty"`
-	RequeueCharge float64              `json:"requeue_charge,omitempty"`
-	NodeFailures  []fault.NodeFailure  `json:"node_failures,omitempty"`
-	Chaos         fault.ChaosPlan      `json:"chaos,omitempty"`
-	Recovery      workload.RecoveryPolicy `json:"recovery,omitempty"`
-	Breaker       workload.BreakerPolicy  `json:"breaker,omitempty"`
-	TaskPolicy    mr.TaskPolicy        `json:"task_policy,omitempty"`
-	SimTableCols  int64                `json:"sim_table_cols,omitempty"`
-}
-
-func optionsToWire(o workload.Options) OptionsWire {
-	return OptionsWire{
-		Workers: o.Workers, CacheEntries: o.CacheEntries, Points: o.Points,
-		OptCharge: o.OptCharge, HitCharge: o.HitCharge,
-		ReoptCharge: o.ReoptCharge, RequeueCharge: o.RequeueCharge,
-		NodeFailures: o.NodeFailures, Chaos: o.Chaos,
-		Recovery: o.Recovery, Breaker: o.Breaker,
-		TaskPolicy: o.TaskPolicy, SimTableCols: o.SimTableCols,
-	}
-}
-
-func (w OptionsWire) toOptions() workload.Options {
-	return workload.Options{
-		Workers: w.Workers, CacheEntries: w.CacheEntries, Points: w.Points,
-		OptCharge: w.OptCharge, HitCharge: w.HitCharge,
-		ReoptCharge: w.ReoptCharge, RequeueCharge: w.RequeueCharge,
-		NodeFailures: w.NodeFailures, Chaos: w.Chaos,
-		Recovery: w.Recovery, Breaker: w.Breaker,
-		TaskPolicy: w.TaskPolicy, SimTableCols: w.SimTableCols,
-	}
-}
-
 // RecordLog is a complete, self-contained recording of one live run: the
 // cluster, the service options, the arrival gap, and the operation
-// history. Replay() turns it back into the identical report.
+// history. Replay() turns it back into the identical report. Cluster and
+// Options are the service's own types in their own JSON encoding — the one
+// a run description (workload.RunSpec) is written in — so every option
+// that shapes the run is in the log; the tracer is not an option and is
+// cleared.
 type RecordLog struct {
-	Cluster conf.Cluster `json:"cluster"`
-	Options OptionsWire  `json:"options"`
-	Gap     float64      `json:"gap"`
-	Ops     []Op         `json:"ops"`
+	Cluster conf.Cluster     `json:"cluster"`
+	Options workload.Options `json:"options"`
+	Gap     float64          `json:"gap"`
+	Ops     []Op             `json:"ops"`
 }
 
 // WriteJSON marshals the log with stable formatting.
@@ -232,6 +194,8 @@ func NewSequencer(cc conf.Cluster, o workload.Options, gap float64) (*Sequencer,
 		return nil, err
 	}
 	svc.ScheduleChaos()
+	// A replay of the in-memory log must not write into the live tracer.
+	o.Trace = nil
 	s := &Sequencer{
 		svc:         svc,
 		gap:         gap,
@@ -241,7 +205,7 @@ func NewSequencer(cc conf.Cluster, o workload.Options, gap float64) (*Sequencer,
 		subs:        map[int]func(int, workload.TenantResult){},
 		log: RecordLog{
 			Cluster: cc,
-			Options: optionsToWire(o),
+			Options: o,
 			Gap:     gap,
 		},
 	}
@@ -413,7 +377,7 @@ func (s *Sequencer) Log() *RecordLog {
 // Replay reproduces a recorded run: same cluster, options, arrival times,
 // and op/step interleaving — byte-identical report by construction.
 func Replay(l *RecordLog) (*workload.Report, error) {
-	svc, err := workload.New(l.Cluster, l.Options.toOptions())
+	svc, err := workload.New(l.Cluster, l.Options)
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,13 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/obs"
 	"elasticml/internal/workload"
 )
 
@@ -28,10 +29,31 @@ func reportJSON(t *testing.T, rep *workload.Report) []byte {
 
 // TestSequencerReplayIdentical: a live run with concurrent submitters and
 // a cancellation replays to a byte-identical report from the recorded op
-// log alone — the server-determinism property the CI gate checks.
+// log alone — the server-determinism property the CI gate checks. The tick
+// rows pin that the log carries the policy and the elastic options: tick
+// events consume steps, so a replay that does not schedule them diverges.
 func TestSequencerReplayIdentical(t *testing.T) {
-	o := workload.DefaultOptions()
-	o.Workers = 2
+	for _, c := range []struct {
+		policy workload.Policy
+		tick   float64
+	}{
+		{workload.PolicyFIFO, 0},
+		{workload.PolicyFIFO, 5},
+		{workload.PolicyFair, 5},
+		{workload.PolicyRegret, 5},
+	} {
+		t.Run(fmt.Sprintf("%v-tick%g", c.policy, c.tick), func(t *testing.T) {
+			o := workload.DefaultOptions()
+			o.Workers = 2
+			o.Policy = c.policy
+			o.Elastic.Tick = c.tick
+			o.Trace = obs.New(false)
+			testReplayIdentical(t, o)
+		})
+	}
+}
+
+func testReplayIdentical(t *testing.T, o workload.Options) {
 	seq, err := NewSequencer(testCluster(), o, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +104,9 @@ func TestSequencerReplayIdentical(t *testing.T) {
 		t.Fatalf("delivered %d results, want 24", n)
 	}
 
+	if log.Options.Trace != nil {
+		t.Fatal("recorded options keep the live tracer")
+	}
 	replayed, err := Replay(log)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -248,25 +273,55 @@ func TestServiceCancelStates(t *testing.T) {
 	}
 }
 
-// TestOptionsWireRoundTrip: the recorded options survive JSON and rebuild
-// equal workload options.
-func TestOptionsWireRoundTrip(t *testing.T) {
-	o := workload.DefaultOptions()
-	o.Workers = 4
-	o.CacheEntries = 32
-	o.Breaker = workload.DefaultBreakerPolicy()
-	o.Breaker.Enabled = true
-	w := optionsToWire(o)
-	b, err := json.Marshal(w)
+// fillNonZero sets every exported field v reaches that JSON carries (no
+// `json:"-"` tag) to a non-zero value, allocating pointers and one element
+// per slice. Integers become 1, a valid value of the named enums too.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() && f.Tag.Get("json") != "-" {
+				fillNonZero(t, v.Field(i))
+			}
+		}
+	case reflect.Ptr:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonZero(t, v.Elem())
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillNonZero(t, v.Index(0))
+	case reflect.Int, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Float64:
+		v.SetFloat(1.5)
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("fillNonZero: unhandled kind %v (%v)", v.Kind(), v.Type())
+	}
+}
+
+// TestRecordLogRoundTrip: every option and cluster field the JSON form
+// carries survives WriteJSON → ReadRecordLog. The fields are enumerated by
+// reflection, so one added to workload.Options (or to anything it contains)
+// is covered the day it is added.
+func TestRecordLogRoundTrip(t *testing.T) {
+	var log RecordLog
+	fillNonZero(t, reflect.ValueOf(&log.Options).Elem())
+	fillNonZero(t, reflect.ValueOf(&log.Cluster).Elem())
+	if log.Options.Policy == 0 || log.Options.Elastic.Tick == 0 || log.Options.Chaos.Storm == nil {
+		t.Fatalf("fillNonZero left fields zero: %+v", log.Options)
+	}
+	var buf bytes.Buffer
+	if err := log.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	written := buf.String()
+	back, err := ReadRecordLog(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w2 OptionsWire
-	if err := json.Unmarshal(b, &w2); err != nil {
-		t.Fatal(err)
-	}
-	o2 := w2.toOptions()
-	if o2.Workers != 4 || o2.CacheEntries != 32 || !o2.Breaker.Enabled {
-		t.Fatalf("options lost in round trip: %+v", o2)
+	if !reflect.DeepEqual(&log, back) {
+		t.Fatalf("record log changed in the round trip:\nwrote %+v\nread  %+v\njson:\n%s", log, *back, written)
 	}
 }

@@ -21,21 +21,32 @@ import (
 	"elasticml/internal/workload"
 )
 
+// Duration is a wall-clock time.Duration that reads from JSON as a Go
+// duration string ("2m", "30s"), the spelling a hand-written file uses.
+type Duration time.Duration
+
+func (d *Duration) UnmarshalText(b []byte) error {
+	v, err := time.ParseDuration(string(b))
+	*d = Duration(v)
+	return err
+}
+
 // ServerConfig tunes the daemon. Zero values pick the documented defaults.
+// The JSON form is the "daemon" section of a run description.
 type ServerConfig struct {
 	// MaxSessions is the fixed session-pool size (default 16). A
 	// connection beyond the pool is answered with CodeOverloaded and
 	// closed after the reply is written.
-	MaxSessions int
+	MaxSessions int `json:"max_sessions"`
 	// IdleTimeout closes sessions with no inbound frame for this long
 	// (default 2 minutes).
-	IdleTimeout time.Duration
+	IdleTimeout Duration `json:"idle_timeout"`
 	// MaxFrame bounds inbound and outbound frames (default DefaultMaxFrame).
-	MaxFrame uint32
+	MaxFrame uint32 `json:"max_frame"`
 	// Limiter configures the byte-rate and inflight-jobs guards.
-	Limiter LimiterPolicy
+	Limiter LimiterPolicy `json:"limiter"`
 	// Name is the server identity advertised in HelloAck.
-	Name string
+	Name string `json:"name"`
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -43,7 +54,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 		c.MaxSessions = 16
 	}
 	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
+		c.IdleTimeout = Duration(2 * time.Minute)
 	}
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
@@ -200,7 +211,7 @@ func (ss *session) run() {
 	cr := &countingReader{r: ss.conn}
 
 	// Handshake: the first frame must be a compatible Hello.
-	ss.conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	ss.conn.SetReadDeadline(time.Now().Add(time.Duration(s.cfg.IdleTimeout)))
 	first, err := ReadFrame(cr, s.cfg.MaxFrame)
 	if err != nil {
 		ss.replyReadError(err)
@@ -223,7 +234,7 @@ func (ss *session) run() {
 	s.met.Add("server.handshake.ok", 1)
 
 	for {
-		ss.conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		ss.conn.SetReadDeadline(time.Now().Add(time.Duration(s.cfg.IdleTimeout)))
 		before := cr.n
 		m, err := ReadFrame(cr, s.cfg.MaxFrame)
 		if err != nil {
@@ -246,7 +257,7 @@ func (ss *session) run() {
 		if !ss.dispatch(m) {
 			return
 		}
-		s.met.Observe("server.request.ms", float64(time.Since(start).Milliseconds()))
+		s.met.Observe("server.request.ms", float64(time.Since(start))/float64(time.Millisecond))
 	}
 }
 
@@ -322,7 +333,7 @@ func (ss *session) submit(m *SubmitJob) bool {
 	job, arrival, err := s.seq.Submit(spec, func(idx int, res workload.TenantResult) {
 		s.lim.ReleaseJob()
 		s.met.Add("server.jobs.completed", 1)
-		s.met.Observe("server.job.wall_ms", float64(time.Since(submitted).Milliseconds()))
+		s.met.Observe("server.job.wall_ms", float64(time.Since(submitted))/float64(time.Millisecond))
 		s.met.SetGauge("server.jobs.inflight", float64(s.lim.Inflight()))
 		ss.write(resultFrame(idx, res))
 	})

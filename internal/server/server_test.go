@@ -79,6 +79,12 @@ func TestServerEndToEnd(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatal("live and replayed reports differ")
 	}
+
+	// Most of the 10k requests are loopback pings far below a millisecond;
+	// the latency histogram must resolve them, not round them to 0.
+	if h := srv.met.Hist("server.request.ms"); h.Count < 10000 || h.Min <= 0 || h.Min >= 1 {
+		t.Fatalf("server.request.ms does not resolve sub-millisecond requests: %+v", h)
+	}
 }
 
 // slowJobSource is a self-contained value-mode program whose dense
@@ -314,7 +320,7 @@ func TestServerGarbageHandshake(t *testing.T) {
 // TestServerIdleTimeout: an idle session is closed once the timeout
 // elapses, and the slot returns to the pool.
 func TestServerIdleTimeout(t *testing.T) {
-	srv, addr := startServer(t, ServerConfig{MaxSessions: 1, IdleTimeout: 50 * time.Millisecond})
+	srv, addr := startServer(t, ServerConfig{MaxSessions: 1, IdleTimeout: Duration(50 * time.Millisecond)})
 	defer srv.Shutdown(5 * time.Second)
 
 	cl, err := Dial(addr)

@@ -13,26 +13,26 @@ package workload
 // (Enabled == false) disables it.
 type BreakerPolicy struct {
 	// Enabled turns the breaker on.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Window is the sliding window in simulated seconds over which failure
 	// and churn events are counted (default 30).
-	Window float64
+	Window float64 `json:"window"`
 	// FailureThreshold opens the breaker when this many node/container
 	// failures land inside the window (default 3).
-	FailureThreshold int
+	FailureThreshold int `json:"failure_threshold"`
 	// ChurnThreshold opens the breaker when this many mid-run
 	// re-optimization changes land inside the window (default 10).
-	ChurnThreshold int
+	ChurnThreshold int `json:"churn_threshold"`
 	// Cooldown is the simulated seconds the breaker stays open before
 	// half-opening (default 20).
-	Cooldown float64
+	Cooldown float64 `json:"cooldown"`
 	// HalfOpenProbes is the number of successful admissions in half-open
 	// state needed to close the breaker again (default 2).
-	HalfOpenProbes int
+	HalfOpenProbes int `json:"half_open_probes"`
 	// Shed rejects new first-time admissions outright while open; the
 	// default (false) downgrades them to the degraded-fallback plan
 	// instead. Failure victims retrying under their budget are never shed.
-	Shed bool
+	Shed bool `json:"shed"`
 }
 
 // DefaultBreakerPolicy returns the standard breaker configuration

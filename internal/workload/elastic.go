@@ -94,7 +94,7 @@ const (
 	PolicyRegret
 )
 
-// String returns the flag spelling of the policy.
+// String returns the name of the policy.
 func (p Policy) String() string {
 	switch p {
 	case PolicyFair:
@@ -105,7 +105,7 @@ func (p Policy) String() string {
 	return "fifo"
 }
 
-// ParsePolicy parses a -policy flag value.
+// ParsePolicy parses a policy name.
 func ParsePolicy(s string) (Policy, error) {
 	switch s {
 	case "", "fifo":
@@ -118,22 +118,31 @@ func ParsePolicy(s string) (Policy, error) {
 	return PolicyFIFO, fmt.Errorf("workload: unknown policy %q (want fifo, fair, or regret)", s)
 }
 
+// MarshalText and UnmarshalText make the policy's name its encoding, in run
+// descriptions and the op log alike.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Policy) UnmarshalText(b []byte) (err error) {
+	*p, err = ParsePolicy(string(b))
+	return err
+}
+
 // ElasticOptions tune the malleability machinery.
 type ElasticOptions struct {
 	// Alpha is the marginal speedup of each container beyond the first: a
 	// w-wide job runs speedup(w) = 1 + Alpha*(w-1) times faster than at
 	// width 1. Sub-linear (Alpha < 1) by default, so width has diminishing
 	// returns and the policies face a real tradeoff. Default 0.7.
-	Alpha float64
+	Alpha float64 `json:"alpha"`
 	// Tick, when positive, fires a periodic elasticity decision event every
 	// Tick simulated seconds while jobs remain active, so grow/shrink
 	// decisions are not tied solely to arrivals, departures, and failures.
 	// 0 disables the tick (the default, and the pre-elasticity behavior).
-	Tick float64
+	Tick float64 `json:"tick"`
 	// ResizeCharge is the simulated seconds charged to a job at every
 	// applied width change — the §5 re-optimization plus container
 	// negotiation overhead. Default 1 (like ReoptCharge).
-	ResizeCharge float64
+	ResizeCharge float64 `json:"resize_charge"`
 }
 
 // normalized fills zero-valued fields with defaults.

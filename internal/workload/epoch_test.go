@@ -354,16 +354,24 @@ func TestMinibatchScenarioFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs, chaos, err := LoadScenarioFile(f)
+		spec, err := LoadRunSpec(f)
 		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := spec.JobSpecs()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(jobs) != c.jobs {
 			t.Errorf("%s: %d jobs, want %d", c.path, len(jobs), c.jobs)
 		}
-		if chaos == nil {
+		chaos := spec.Chaos
+		if !chaos.Enabled() {
 			t.Fatalf("%s: no embedded chaos plan", c.path)
+		}
+		if spec.Cluster.Nodes != c.nodes {
+			t.Errorf("%s: cluster of %d nodes, want %d", c.path, spec.Cluster.Nodes, c.nodes)
 		}
 		if err := chaos.Validate(c.nodes); err != nil {
 			t.Errorf("%s: chaos plan invalid for %d nodes: %v", c.path, c.nodes, err)

@@ -1,14 +1,11 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 
 	"elasticml/internal/datagen"
-	"elasticml/internal/fault"
 	"elasticml/internal/scripts"
 )
 
@@ -109,16 +106,9 @@ func GenerateMinibatch(seed int64, n int) []JobSpec {
 		for k := 0; k < burst && len(jobs) < n; k++ {
 			i := len(jobs)
 			spec := progs[r.Intn(len(progs))]
-			params := make(map[string]interface{}, len(spec.Params))
-			for pk, pv := range spec.Params {
-				params[pk] = pv
-			}
-			params["epochs"] = float64(4 + r.Intn(3))
-			params["batches"] = float64(3 + r.Intn(3))
-			spec.Params = params
 			jobs = append(jobs, JobSpec{
 				Tenant:   fmt.Sprintf("tenant-%02d", i),
-				Script:   spec,
+				Script:   withEpochs(spec, 4+r.Intn(3), 3+r.Intn(3)),
 				Scenario: scens[r.Intn(len(scens))],
 				Arrival:  arrival + float64(k)*0.25,
 				Elastic: ElasticSpec{
@@ -132,162 +122,4 @@ func GenerateMinibatch(seed int64, n int) []JobSpec {
 		arrival += math.Round(gap*1000) / 1000
 	}
 	return jobs
-}
-
-// scenarioFile is the on-disk workload description accepted by
-// LoadScenario (and the elastic-serve -scenario flag).
-type scenarioFile struct {
-	Jobs []scenarioJob `json:"jobs"`
-	// Chaos optionally embeds a correlated-failure regime in the scenario
-	// itself, so straggler-node and correlated-failure scenarios are
-	// self-contained files rather than flag recipes.
-	Chaos *scenarioChaos `json:"chaos,omitempty"`
-}
-
-type scenarioJob struct {
-	Tenant   string  `json:"tenant"`
-	Script   string  `json:"script"`
-	Size     string  `json:"size"`
-	Cols     int64   `json:"cols"`
-	Sparsity float64 `json:"sparsity"`
-	Arrival  float64 `json:"arrival"`
-	// Optional malleability bounds; all zero means a rigid one-container
-	// job (see ElasticSpec).
-	MinContainers     int `json:"min_containers,omitempty"`
-	DesiredContainers int `json:"desired_containers,omitempty"`
-	MaxContainers     int `json:"max_containers,omitempty"`
-	WidthStep         int `json:"width_step,omitempty"`
-	// Optional epoch-structure overrides for the iterative mini-batch
-	// scripts: they replace the script's $epochs / $batches parameters.
-	Epochs  int `json:"epochs,omitempty"`
-	Batches int `json:"batches,omitempty"`
-}
-
-// scenarioChaos mirrors fault.ChaosPlan with stable JSON field names.
-type scenarioChaos struct {
-	Seed   int64 `json:"seed,omitempty"`
-	Groups []struct {
-		Nodes        []int   `json:"nodes"`
-		At           float64 `json:"at"`
-		RestoreAfter float64 `json:"restore_after,omitempty"`
-	} `json:"groups,omitempty"`
-	Flaps []struct {
-		Node         int     `json:"node"`
-		At           float64 `json:"at"`
-		RestoreAfter float64 `json:"restore_after"`
-	} `json:"flaps,omitempty"`
-	SlowNodes []struct {
-		Node     int     `json:"node"`
-		At       float64 `json:"at"`
-		Factor   float64 `json:"factor"`
-		Duration float64 `json:"duration,omitempty"`
-	} `json:"slow_nodes,omitempty"`
-	Storm *struct {
-		Start    float64 `json:"start"`
-		MeanGap  float64 `json:"mean_gap"`
-		Failures int     `json:"failures"`
-		Recover  float64 `json:"recover,omitempty"`
-	} `json:"storm,omitempty"`
-}
-
-// plan converts the JSON shape into the fault package's ChaosPlan.
-func (c *scenarioChaos) plan() *fault.ChaosPlan {
-	if c == nil {
-		return nil
-	}
-	p := &fault.ChaosPlan{Seed: c.Seed}
-	for _, g := range c.Groups {
-		p.Groups = append(p.Groups, fault.GroupFailure{Nodes: g.Nodes, At: g.At, RestoreAfter: g.RestoreAfter})
-	}
-	for _, f := range c.Flaps {
-		p.Flaps = append(p.Flaps, fault.Flap{Node: f.Node, At: f.At, RestoreAfter: f.RestoreAfter})
-	}
-	for _, sn := range c.SlowNodes {
-		p.SlowNodes = append(p.SlowNodes, fault.SlowNode{Node: sn.Node, At: sn.At, Factor: sn.Factor, Duration: sn.Duration})
-	}
-	if c.Storm != nil {
-		p.Storm = &fault.Storm{Start: c.Storm.Start, MeanGap: c.Storm.MeanGap,
-			Failures: c.Storm.Failures, Recover: c.Storm.Recover}
-	}
-	return p
-}
-
-// LoadScenario parses a JSON workload description: a list of jobs naming
-// an evaluation script (LinregDS, LinregCG, L2SVM, MLogreg, GLM, or the
-// mini-batch family MinibatchLR, MinibatchLinreg, MLP2), a data scenario
-// (size/cols/sparsity, defaults S/1000/dense), and an arrival time in
-// simulated seconds. Any embedded chaos section is ignored; use
-// LoadScenarioFile to receive it.
-func LoadScenario(rd io.Reader) ([]JobSpec, error) {
-	jobs, _, err := LoadScenarioFile(rd)
-	return jobs, err
-}
-
-// LoadScenarioFile parses a JSON workload description including its
-// optional embedded chaos plan (nil when the file declares none).
-func LoadScenarioFile(rd io.Reader) ([]JobSpec, *fault.ChaosPlan, error) {
-	var f scenarioFile
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return nil, nil, fmt.Errorf("workload: scenario: %w", err)
-	}
-	if len(f.Jobs) == 0 {
-		return nil, nil, fmt.Errorf("workload: scenario: no jobs")
-	}
-	jobs := make([]JobSpec, len(f.Jobs))
-	for i, sj := range f.Jobs {
-		spec, ok := scripts.ByName(sj.Script)
-		if !ok {
-			return nil, nil, fmt.Errorf("workload: scenario job %d: unknown script %q", i, sj.Script)
-		}
-		if sj.Epochs < 0 || sj.Batches < 0 {
-			return nil, nil, fmt.Errorf("workload: scenario job %d: negative epochs/batches", i)
-		}
-		if sj.Epochs > 0 || sj.Batches > 0 {
-			// Override the script's epoch structure without mutating the
-			// shared default parameter map.
-			params := make(map[string]interface{}, len(spec.Params))
-			for k, v := range spec.Params {
-				params[k] = v
-			}
-			if sj.Epochs > 0 {
-				params["epochs"] = float64(sj.Epochs)
-			}
-			if sj.Batches > 0 {
-				params["batches"] = float64(sj.Batches)
-			}
-			spec.Params = params
-		}
-		size := sj.Size
-		if size == "" {
-			size = "S"
-		}
-		cols := sj.Cols
-		if cols == 0 {
-			cols = 1000
-		}
-		sparsity := sj.Sparsity
-		if sparsity == 0 {
-			sparsity = 1.0
-		}
-		sc, err := datagen.Parse(size, cols, sparsity)
-		if err != nil {
-			return nil, nil, fmt.Errorf("workload: scenario job %d: %w", i, err)
-		}
-		tenant := sj.Tenant
-		if tenant == "" {
-			tenant = fmt.Sprintf("tenant-%02d", i)
-		}
-		jobs[i] = JobSpec{
-			Tenant: tenant, Script: spec, Scenario: sc, Arrival: sj.Arrival,
-			Elastic: ElasticSpec{
-				MinContainers:     sj.MinContainers,
-				DesiredContainers: sj.DesiredContainers,
-				MaxContainers:     sj.MaxContainers,
-				Step:              sj.WidthStep,
-			},
-		}
-	}
-	return jobs, f.Chaos.plan(), nil
 }

@@ -60,13 +60,27 @@ func (k RecoveryKind) String() string {
 	return "checkpoint"
 }
 
+func (k RecoveryKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *RecoveryKind) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "", "checkpoint":
+		*k = RecoveryCheckpoint
+	case "naive":
+		*k = RecoveryNaive
+	default:
+		return fmt.Errorf("workload: unknown recovery kind %q (want checkpoint or naive)", b)
+	}
+	return nil
+}
+
 // RecoveryPolicy governs how the service handles jobs whose AM container
 // died with a node. The zero value normalizes to checkpoint/restart with a
 // budget of 3 retries and 2s/x2/30s exponential backoff in simulated time.
 type RecoveryPolicy struct {
 	// Kind selects checkpoint/restart (default) or naive from-scratch
 	// restart.
-	Kind RecoveryKind
+	Kind RecoveryKind `json:"kind"`
 	// MaxRetries bounds consecutive failed restarts per job; once exhausted
 	// the job fails permanently with ErrRetryBudgetExhausted (default 3).
 	// A restart that advanced the checkpoint resets the count — the job is
@@ -74,21 +88,21 @@ type RecoveryPolicy struct {
 	// against long jobs in long storms. Naive restarts never advance, so
 	// their budget depletes monotonically. Set StrictBudget to count every
 	// restart regardless of progress.
-	MaxRetries int
+	MaxRetries int `json:"max_retries"`
 	// StrictBudget counts every container loss against MaxRetries even
 	// when the job advanced its checkpoint since the previous failure.
-	StrictBudget bool
+	StrictBudget bool `json:"strict_budget"`
 	// Backoff is the simulated seconds a victim waits before its first
 	// re-admission attempt (default 2).
-	Backoff float64
+	Backoff float64 `json:"backoff"`
 	// BackoffMultiplier grows the wait per retry (default 2).
-	BackoffMultiplier float64
+	BackoffMultiplier float64 `json:"backoff_multiplier"`
 	// MaxBackoff caps a single wait (default 30).
-	MaxBackoff float64
+	MaxBackoff float64 `json:"max_backoff"`
 	// CheckpointCharge is the simulated seconds charged to restore state
 	// from the last checkpoint on re-admission (default 1). Naive restarts
 	// charge Options.RequeueCharge instead.
-	CheckpointCharge float64
+	CheckpointCharge float64 `json:"checkpoint_charge"`
 }
 
 // DefaultRecoveryPolicy returns the service's standard recovery behaviour.

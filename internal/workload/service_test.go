@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,7 +257,7 @@ func TestLoadScenario(t *testing.T) {
 		{"tenant":"acme","script":"LinregDS","size":"XS","cols":100,"sparsity":0.01,"arrival":3.5},
 		{"script":"L2SVM"}
 	]}`
-	jobs, err := LoadScenario(strings.NewReader(src))
+	jobs, err := loadJobs(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +281,66 @@ func TestLoadScenario(t *testing.T) {
 		"bad size":       `{"jobs":[{"script":"GLM","size":"XXL"}]}`,
 		"unknown field":  `{"jobs":[{"script":"GLM","nope":1}]}`,
 	} {
-		if _, err := LoadScenario(strings.NewReader(bad)); err == nil {
+		if _, err := loadJobs(bad); err == nil {
 			t.Errorf("%s: want error, got nil", name)
 		}
+	}
+}
+
+// loadJobs parses a run description and resolves its job list.
+func loadJobs(src string) ([]JobSpec, error) {
+	spec, err := LoadRunSpec(strings.NewReader(src))
+	if err != nil {
+		return nil, err
+	}
+	return spec.JobSpecs()
+}
+
+// TestRunSpecDefaultsAndOverrides: a run description is decoded over the
+// demo cluster and the service defaults — what a file leaves out keeps its
+// default, nested sections merge field by field — and the generate section
+// selects the seeded generators.
+func TestRunSpecDefaultsAndOverrides(t *testing.T) {
+	spec, err := LoadRunSpec(strings.NewReader(`{
+		"cluster": {"nodes": 4, "mem_per_node": "1GB"},
+		"policy": "regret", "workers": 3, "cache_entries": 32, "points": 5,
+		"elastic": {"tick": 5},
+		"recovery": {"kind": "naive", "max_retries": 5},
+		"task_policy": {"speculative": false},
+		"node_failures": [{"node": 1, "at": 25}],
+		"generate": {"kind": "burst", "tenants": 12, "seed": 42}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultRunSpec()
+	want.Cluster.Nodes, want.Cluster.MemPerNode, want.Cluster.MaxAlloc = 4, conf.GB, conf.GB
+	want.Policy, want.Workers, want.Elastic.Tick = PolicyRegret, 3, 5
+	want.CacheEntries, want.Points = 32, 5
+	want.Recovery.Kind, want.Recovery.MaxRetries = RecoveryNaive, 5
+	want.TaskPolicy.Speculative = false
+	want.NodeFailures = []fault.NodeFailure{{Node: 1, At: 25}}
+	want.Generate = &GenerateSpec{Kind: "burst", Tenants: 12, Seed: 42}
+	if !reflect.DeepEqual(spec, want) {
+		t.Errorf("decoded spec:\n got %+v\nwant %+v", spec, want)
+	}
+	if d := DefaultRunSpec(); !d.TaskPolicy.Speculative || d.Cluster.MaxAlloc != d.Cluster.MemPerNode {
+		t.Errorf("demo defaults: %+v", d)
+	}
+
+	jobs, err := spec.JobSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(jobs, GenerateSkewedBurst(42, 12)) {
+		t.Error("generate kind burst does not select GenerateSkewedBurst")
+	}
+	spec.Generate = &GenerateSpec{Kind: "minibatch", Tenants: 6, Seed: 7}
+	if jobs, _ = spec.JobSpecs(); !reflect.DeepEqual(jobs, GenerateMinibatch(7, 6)) {
+		t.Error("generate kind minibatch does not select GenerateMinibatch")
+	}
+	spec.Generate = &GenerateSpec{Tenants: 6, Seed: 7, MeanGap: 2}
+	if jobs, _ = spec.JobSpecs(); !reflect.DeepEqual(jobs, Generate(7, 6, 2)) {
+		t.Error("generate without a kind does not select Generate")
 	}
 }

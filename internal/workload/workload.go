@@ -95,76 +95,76 @@ type Options struct {
 	// re-optimization checks and simulations) and is forwarded to the
 	// resource optimizer's task-parallel enumeration. 1 (or 0) is
 	// sequential; any value yields byte-identical reports.
-	Workers int
+	Workers int `json:"workers"`
 	// CacheEntries is the shared plan cache capacity (0 = default 64,
 	// negative disables caching).
-	CacheEntries int
+	CacheEntries int `json:"cache_entries"`
 	// CacheShards selects the plan cache's lock striping: 0 uses the
 	// default sharded cache (16 stripes keyed by the digest's first byte),
 	// 1 the legacy single-lock cache, and any other positive value that
 	// many stripes. Reports are byte-identical across values whenever the
 	// live working set fits one shard's capacity (each shard holds up to
 	// CacheEntries entries).
-	CacheShards int
+	CacheShards int `json:"-"`
 	// DisableReoptMemo turns off the per-program re-costing memo that makes
 	// repeated grid searches incremental: admission retries and §5
 	// re-optimization after departures, failures, and restores normally
 	// replay still-valid cost evaluations from earlier searches instead of
 	// re-enumerating every grid point. The memo never changes results —
 	// disabling it only costs time (ablation and benchmarking knob).
-	DisableReoptMemo bool
+	DisableReoptMemo bool `json:"-"`
 	// Points is the optimizer's base grid resolution (0 = 7; the service
 	// favours responsiveness over exhaustive grids).
-	Points int
+	Points int `json:"points"`
 	// OptCharge is the simulated seconds charged for a cold optimization
 	// at admission (default 5s, the order of Table 3's optimization
 	// times). Plan-cache hits charge HitCharge instead (default 0.05s),
 	// so caching shows up directly in tenant latency.
-	OptCharge float64
+	OptCharge float64 `json:"opt_charge"`
 	// HitCharge is the simulated seconds charged on a plan-cache hit.
-	HitCharge float64
+	HitCharge float64 `json:"hit_charge"`
 	// ReoptCharge is the simulated seconds charged to a running job when a
 	// service-level re-optimization actually changes its configuration
 	// (checks that keep the configuration are free — they are cache hits).
-	ReoptCharge float64
+	ReoptCharge float64 `json:"reopt_charge"`
 	// RequeueCharge is the simulated seconds charged when a naive restart
 	// re-admits a failure victim from scratch (full state restore, paper
 	// §4.1). Checkpoint restarts charge Recovery.CheckpointCharge instead.
-	RequeueCharge float64
+	RequeueCharge float64 `json:"requeue_charge"`
 	// NodeFailures injects permanent single-node losses at fixed simulated
 	// times (the pre-chaos interface; merged into the chaos schedule).
-	NodeFailures []fault.NodeFailure
+	NodeFailures []fault.NodeFailure `json:"node_failures,omitempty"`
 	// Chaos injects correlated failure regimes: rack-scoped group
 	// failures, transient flaps, straggler nodes, and seeded failure
 	// storms. All expansion is deterministic.
-	Chaos fault.ChaosPlan
+	Chaos fault.ChaosPlan `json:"chaos"`
 	// Recovery governs checkpoint/restart, the per-job retry budget, and
 	// backoff for failure victims. The zero value normalizes to
 	// checkpoint/restart with 3 retries.
-	Recovery RecoveryPolicy
+	Recovery RecoveryPolicy `json:"recovery"`
 	// Breaker configures the circuit-breaker admission guard (zero value:
 	// disabled).
-	Breaker BreakerPolicy
+	Breaker BreakerPolicy `json:"breaker"`
 	// Policy selects the scheduling policy that decides admission widths and
 	// mid-run grow/shrink of malleable jobs. The zero value is PolicyFIFO:
 	// desired-width admission, head-of-queue blocking, no resizes — exactly
 	// the pre-elasticity behavior.
-	Policy Policy
+	Policy Policy `json:"policy"`
 	// Elastic tunes the malleability machinery: the width speedup model, the
 	// periodic decision tick, and the per-resize charge.
-	Elastic ElasticOptions
+	Elastic ElasticOptions `json:"elastic"`
 	// TaskPolicy governs straggler speculation: a slowed node's effective
 	// slowdown is capped by speculative backups exactly like a straggling
 	// task's. The zero value normalizes to Hadoop-like defaults.
-	TaskPolicy mr.TaskPolicy
+	TaskPolicy mr.TaskPolicy `json:"task_policy"`
 	// SimTableCols is the label cardinality for table() in sim mode.
-	SimTableCols int64
+	SimTableCols int64 `json:"sim_table_cols"`
 	// Trace, when non-nil, receives workload-layer spans (tenant queue and
 	// run spans, re-optimization and failure events) stamped with the
 	// service's simulated clock, plus workload.* metrics. All events are
 	// emitted by the event loop, never by pool workers, so traces are
 	// deterministic at any worker count.
-	Trace *obs.Tracer
+	Trace *obs.Tracer `json:"-"`
 }
 
 // DefaultOptions returns the service defaults.

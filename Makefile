@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race2 check bench figures verify-corpus cover
+.PHONY: build test vet race race2 check bench bench-compare figures verify-corpus cover
 
 build:
 	$(GO) build ./...
@@ -50,3 +50,13 @@ figures:
 # path, end-to-end and per-layer metrics. See benchmark/README.md.
 bench:
 	$(GO) run ./benchmark
+
+# Paired runs of the benchmark, a reference commit against the working tree:
+# `make bench-compare REF=<commit> [PAIRS=10] [WORKLOAD=all] [SEED=2]`.
+# Prints medians, quartiles, pairs won and ratios per workload and
+# end-to-end metric; fails on a regression beyond a BENCHMARK.json bound.
+PAIRS ?= 10
+WORKLOAD ?= all
+SEED ?= 2
+bench-compare:
+	$(GO) run ./tools/benchcompare -ref "$(REF)" -pairs $(PAIRS) -workload $(WORKLOAD) -seed $(SEED)

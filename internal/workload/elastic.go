@@ -401,11 +401,11 @@ func (s *Service) applyResize(ev event) {
 		j.conts = j.conts[:target]
 	}
 
-	c, err := s.compileJob(j)
+	r := &planReq{j: j, view: opt.WidthClamped(s.live, cs)}
+	s.plan(r)
+	err := s.program(r)
 	if err == nil {
-		r := &planReq{j: j, c: c, view: opt.WidthClamped(s.live, cs)}
-		s.plan(r)
-		sr := s.simulate(c, r.res)
+		sr := s.simulate(r)
 		if err = sr.err; err == nil {
 			var wasted float64
 			if j.ckpt, wasted = s.snap(j, true); wasted > 0 {

@@ -2,14 +2,17 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/opt"
 )
 
 // checkInvariants asserts the service's structural invariants; the chaos,
 // elasticity, and fuzz tests call it after every Step. It reads service
-// state only.
+// state only (the shadow compiles below are discounted from the
+// workload.compiles counter again).
 func checkInvariants(t *testing.T, s *Service) {
 	t.Helper()
 
@@ -52,6 +55,34 @@ func checkInvariants(t *testing.T, s *Service) {
 			if j.finish < s.now {
 				t.Errorf("t=%.3f %s: running past its finish %.3f", s.now, name, j.finish)
 			}
+		}
+
+		// Shadow check: a retained identity — what plan keys a cache lookup
+		// on instead of recompiling — is what a compile from source would
+		// yield right now, and its memoized key is the key of the view it
+		// was derived under. Terminal jobs retain nothing.
+		switch {
+		case j.state.terminal():
+			if j.id != nil {
+				t.Errorf("t=%.3f %s: state %v still holds its identity", s.now, name, j.state)
+			}
+		case j.id != nil:
+			fresh, _, err := s.compileJob(j)
+			s.tr.Metrics().Add("workload.compiles", -1)
+			if err != nil {
+				t.Errorf("t=%.3f %s: shadow compile: %v", s.now, name, err)
+				break
+			}
+			id := j.id
+			if id.mode != fresh.mode || id.source != fresh.source ||
+				!reflect.DeepEqual(id.params, fresh.params) || !reflect.DeepEqual(id.inputs, fresh.inputs) {
+				t.Errorf("t=%.3f %s: retained identity differs from a fresh compile", s.now, name)
+			}
+			if want := opt.CacheKey(fresh.source, fresh.params, fresh.inputs, id.view, s.optOpts()); id.key != "" && id.key != want {
+				t.Errorf("t=%.3f %s: memoized key %s, want %s under %+v", s.now, name, id.key, want, id.view)
+			}
+		case j.state == jsRunning:
+			t.Errorf("t=%.3f %s: running without an identity", s.now, name)
 		}
 
 		if !(j.result.WastedWork >= 0) {

@@ -71,6 +71,7 @@ func (s *Service) stop(j *job) {
 // (tenant first, then the caller's args), and the DrainFinished entry.
 func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
 	j.state = st
+	j.id = nil // s.jobs keeps finished jobs; their identity is garbage
 	r := &j.result
 	if err != nil {
 		r.Err = err
@@ -193,8 +194,9 @@ func (s *Service) optOpts() opt.Options {
 	return o
 }
 
-// planReq is one optimization problem — a job's compiled program under a
-// cluster view — and, after plan, its answer.
+// planReq is one optimization problem — a job's identity under a cluster
+// view — and, after plan, its answer. c is the job's program if the caller
+// or a cache miss already built one; whoever simulates next consumes it.
 type planReq struct {
 	j    *job
 	c    *compiled
@@ -202,34 +204,40 @@ type planReq struct {
 	res  conf.Resources
 	cost float64
 	hit  bool
+	err  error // a miss whose program failed to compile: no answer
 }
 
 // plan resolves optimization problems through the shared plan cache and
-// the per-program re-costing memos — the only path to the optimizer. The
-// cache lookups (and, on a miss, the memo fetch: the memo key excludes the
-// cluster, so searches for one program under shifting views share a cost
-// table) run sequentially in request order, only the misses fan out to the
-// worker pool, and the inserts run sequentially again, so cache counters,
-// LRU order, and memo-store order are identical at any worker count.
+// the per-program re-costing memos — the only path to the optimizer. A hit
+// needs only the job's identity; a miss needs a program for the optimizer
+// and compiles one unless the request brought it. The cache lookups (and,
+// on a miss, the memo fetch — the memo key excludes the cluster, so searches
+// for one program under shifting views share a cost table — and the
+// compile) run sequentially in request order, only the searches fan out to
+// the worker pool, and the inserts run sequentially again, so cache
+// counters, LRU order, and memo-store order are identical at any worker
+// count.
 func (s *Service) plan(reqs ...*planReq) {
 	opts := s.optOpts()
 	keys := make([]string, len(reqs))
 	memos := make([]*opt.Memo, len(reqs))
 	for i, r := range reqs {
-		keys[i] = opt.CacheKey(r.c.source, r.c.params, r.c.inputs, r.view, opts)
+		id := r.j.id
+		keys[i] = id.cacheKey(r.view, opts)
 		if r.res, r.cost, r.hit = s.cache.Lookup(keys[i]); !r.hit {
-			memos[i] = s.memos.Get(opt.MemoKey(r.c.source, r.c.params, r.c.inputs, opts))
+			memos[i] = s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
+			s.program(r) // a failure stays in r.err: the request gets no answer
 		}
 	}
 	s.fanOut(len(reqs), func(i int) {
-		if r := reqs[i]; !r.hit {
+		if r := reqs[i]; !r.hit && r.err == nil {
 			o := &opt.Optimizer{CC: r.view, Opts: opts}
 			out := o.OptimizeMemo(r.c.hp, memos[i])
 			r.res, r.cost = out.Res, out.Cost
 		}
 	})
 	for i, r := range reqs {
-		if !r.hit {
+		if !r.hit && r.err == nil {
 			s.cache.Insert(keys[i], r.res, r.cost)
 		}
 	}
@@ -272,8 +280,13 @@ func (s *Service) admit() {
 	}
 
 	sims := make([]simResult, len(adm))
+	for i, a := range adm {
+		sims[i].err = s.program(a) // not on a worker: Setup is tenant code
+	}
 	s.fanOut(len(adm), func(i int) {
-		sims[i] = s.simulate(adm[i].c, adm[i].res)
+		if sims[i].err == nil {
+			sims[i] = s.simulate(adm[i])
+		}
 	})
 	for i, a := range adm {
 		j := a.j
@@ -331,29 +344,40 @@ func (s *Service) place(j *job) (*planReq, placement) {
 	if chunk < s.cc.MinAlloc {
 		return nil, clusterFull
 	}
-	c, err := s.compileJob(j)
-	if err != nil {
-		s.terminate(j, jsFailed, err)
-		return nil, dropped
+	a := &planReq{j: j, view: s.live}
+	if j.id == nil {
+		// The first attempt compiles to learn the job's identity; every
+		// later one plans from it, and a head that stays blocked on cache
+		// hits costs no compile at all.
+		var err error
+		if j.id, a.c, err = s.compileJob(j); err != nil {
+			s.terminate(j, jsFailed, err)
+			return nil, dropped
+		}
 	}
-	a := &planReq{j: j, c: c, view: s.live}
 	s.plan(a)
 	degraded := false
 	// clamp re-plans with the allocation ceiling lowered and adopts the
 	// result if its container fits the free chunk.
 	clamp := func(maxAlloc conf.Bytes) bool {
-		r := &planReq{j: j, c: c, view: s.live}
+		r := &planReq{j: j, c: a.c, view: s.live}
 		r.view.MaxAlloc = maxAlloc
 		s.plan(r)
-		if s.cc.ContainerSize(r.res.CP) > chunk {
+		a.c, a.err = r.c, r.err
+		if a.err != nil || s.cc.ContainerSize(r.res.CP) > chunk {
 			return false
 		}
 		a.res, a.cost, a.hit = r.res, r.cost, a.hit && r.hit
 		degraded = true
 		return true
 	}
-	breakerDegraded := gate == gateDegrade && clamp(max(chunk/2, s.cc.MinAlloc))
-	if s.cc.ContainerSize(a.res.CP) > chunk && !clamp(chunk) {
+	breakerDegraded := a.err == nil && gate == gateDegrade && clamp(max(chunk/2, s.cc.MinAlloc))
+	fits := a.err == nil && (s.cc.ContainerSize(a.res.CP) <= chunk || clamp(chunk))
+	switch {
+	case a.err != nil: // a miss after the first attempt could not recompile
+		s.terminate(j, jsFailed, a.err)
+		return nil, dropped
+	case !fits:
 		return nil, noRoom // not even the clamped optimum fits right now
 	}
 
@@ -418,10 +442,6 @@ func (s *Service) reoptimize(trig trigger) {
 			continue
 		}
 		s.rep.ReoptChecks++
-		c, err := s.compileJob(j)
-		if err != nil {
-			continue
-		}
 		view := s.live
 		if len(j.conts) > 1 {
 			// A multi-container job keeps its granted container size: the
@@ -429,11 +449,13 @@ func (s *Service) reoptimize(trig trigger) {
 			// always fits the containers it already holds.
 			view = opt.WidthClamped(s.live, j.conts[0].Mem)
 		}
-		reqs = append(reqs, &planReq{j: j, c: c, view: view})
+		reqs = append(reqs, &planReq{j: j, view: view})
 	}
 	s.plan(reqs...)
 	for _, r := range reqs {
-		s.applyReopt(r.j, r.res, r.cost, trig)
+		if r.err == nil {
+			s.applyReopt(r.j, r.res, r.cost, trig)
+		}
 	}
 	s.tr.Metrics().Add("workload.reopt_passes", 1)
 }
@@ -523,62 +545,71 @@ func resEqual(a, b conf.Resources) bool {
 	return true
 }
 
+// program makes sure a request carries a compiled program — the one its
+// caller or an earlier cache miss built, else a fresh one — and reports
+// why it does not.
+func (s *Service) program(p *planReq) error {
+	if p.c == nil && p.err == nil {
+		_, p.c, p.err = s.compileJob(p.j)
+	}
+	return p.err
+}
+
 // compileJob compiles a job from source on a fresh file system and
-// collects the input metadata the cache key covers.
-func (s *Service) compileJob(j *job) (c *compiled, err error) {
+// collects the identity — the input metadata among it — that the cache key
+// covers. It reads nothing but the job's spec.
+func (s *Service) compileJob(j *job) (id *identity, c *compiled, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			c, err = nil, fmt.Errorf("panic: %v", rec)
+			id, c, err = nil, nil, fmt.Errorf("panic: %v", rec)
 		}
 	}()
+	s.tr.Metrics().Add("workload.compiles", 1)
 	c = &compiled{fs: hdfs.New()}
 	if j.spec.Source != "" {
-		c.mode = rt.ModeValue
-		c.source = j.spec.Source
-		c.params = j.spec.Params
+		id = &identity{mode: rt.ModeValue, source: j.spec.Source, params: j.spec.Params}
 		if j.spec.Setup != nil {
 			j.spec.Setup(c.fs)
 		}
 	} else {
-		c.mode = rt.ModeSim
-		c.source = j.spec.Script.Source
-		c.params = j.spec.Script.Params
+		id = &identity{mode: rt.ModeSim, source: j.spec.Script.Source, params: j.spec.Script.Params}
 		datagen.Describe(c.fs, j.spec.Scenario)
 	}
-	prog, err := dml.Parse(c.source)
+	prog, err := dml.Parse(id.source)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
-	c.comp = hop.NewCompiler(c.fs, c.params)
-	c.hp, err = c.comp.Compile(prog, c.source)
+	c.comp = hop.NewCompiler(c.fs, id.params)
+	c.hp, err = c.comp.Compile(prog, id.source)
 	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
+		return nil, nil, fmt.Errorf("compile: %w", err)
 	}
 	for _, name := range c.fs.List() {
 		f, statErr := c.fs.Stat(name)
 		if statErr != nil {
 			continue
 		}
-		c.inputs = append(c.inputs, opt.InputMeta{
+		id.inputs = append(id.inputs, opt.InputMeta{
 			Path: name, Rows: f.Rows, Cols: f.Cols, NNZ: f.NNZ,
 			Format: f.Format.String(),
 		})
 	}
-	return c, nil
+	return id, c, nil
 }
 
-// simulate executes one compiled job under its configuration on the
+// simulate executes a planned job's program under its configuration on the
 // runtime, returning the simulated duration and (for value-mode jobs) the
 // written outputs and print stream. It runs on pool workers: it touches no
 // service state besides read-only fields, and emits no trace events.
-func (s *Service) simulate(c *compiled, res conf.Resources) (r simResult) {
+func (s *Service) simulate(p *planReq) (r simResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.err = fmt.Errorf("panic: %v", rec)
 		}
 	}()
+	c, res := p.c, p.res
 	plan := lop.Select(c.hp, s.live, res)
-	ip := rt.New(c.mode, c.fs, s.live, res)
+	ip := rt.New(p.j.id.mode, c.fs, s.live, res)
 	ip.Compiler = c.comp
 	ip.SimTableCols = s.opts.SimTableCols
 	var out bytes.Buffer

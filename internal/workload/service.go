@@ -157,23 +157,48 @@ type job struct {
 	// slow is the effective slowdown of the AM container's node (1 = full
 	// speed), after the speculation cap.
 	slow float64
+	// id is the job's problem identity, held from its first placement
+	// attempt until terminate; everything retained per job hangs off it.
+	id *identity
 
 	result TenantResult
 }
 
-// compiled is one job's freshly compiled program plus everything the cache
-// key derives from. Each admission, resize, and re-optimization check
-// compiles from source: compiled plans are mutated by dynamic recompilation
-// at runtime, so only optimization outcomes are shared, never plan
-// structures.
-type compiled struct {
-	fs     *hdfs.FS
-	comp   *hop.Compiler
-	hp     *hop.Program
+// identity is a job's optimization problem: everything the plan-cache key
+// and the memo key derive from besides the cluster view. It is taken from
+// the job's first compile and, because a JobSpec is immutable, holds until
+// the job terminates. A §5 re-optimization check and a blocked queue head
+// need only this — a cache hit never touches a program.
+type identity struct {
 	mode   rt.Mode
 	source string
 	params map[string]interface{}
 	inputs []opt.InputMeta
+
+	// key is the cache key under view, the one view the job was last keyed
+	// under: a running job is re-checked under the same view until the
+	// cluster changes, so one entry saves re-hashing the source per check.
+	view conf.Cluster
+	key  string
+}
+
+// cacheKey returns the identity's plan-cache key under a cluster view.
+func (id *identity) cacheKey(view conf.Cluster, opts opt.Options) string {
+	if id.key == "" || id.view != view {
+		id.view, id.key = view, opt.CacheKey(id.source, id.params, id.inputs, view, opts)
+	}
+	return id.key
+}
+
+// compiled is one job's freshly compiled program. A program is built only
+// where one is consumed: by the optimizer on a plan-cache miss, and by the
+// runtime before every simulate. It is never kept across calls, because
+// dynamic recompilation mutates it at runtime — only optimization outcomes
+// are shared, never plan structures.
+type compiled struct {
+	fs   *hdfs.FS
+	comp *hop.Compiler
+	hp   *hop.Program
 }
 
 // simResult is one job's simulated execution outcome.

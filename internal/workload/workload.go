@@ -22,7 +22,9 @@
 //
 //   - plan: plan cache lookup, re-costing memo, optimizer, cache insert —
 //     for one job under the live cluster view, a free-chunk-clamped view
-//     (degraded admission) or a width-clamped view (resize, §5 pass).
+//     (degraded admission) or a width-clamped view (resize, §5 pass). It
+//     keys on the job's retained identity (source, params, input
+//     metadata); a program is compiled only for a miss and for simulate.
 //   - start: install a simulated plan on a job that holds its containers.
 //     Admission is a start from width 0; a resize is a start at the new
 //     width.

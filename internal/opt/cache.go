@@ -22,13 +22,15 @@ import (
 // Correctness contract: a cache hit must be indistinguishable from a fresh
 // compile-and-optimize. The cache therefore stores only the *outcome* of
 // the search — the resource vector R*_P and its costed estimate — never
-// compiled plan structures (HOP/LOP DAGs are mutated by dynamic
-// recompilation and runtime back-patching, so sharing them across tenants
-// would leak state). Callers recompile from source and re-select the plan
-// under the cached vector, which is cheap and byte-identical to the cold
-// path by construction; the cache key must capture every input the grid
-// search depends on (CacheKey below), so a stale or mismatched entry is
-// impossible as long as keys are built from the same components.
+// compiled plan structures (a run advances the compiler's ID counter and
+// writes into the file system the program was compiled over, so sharing
+// them across tenants would leak state). Callers recompile from source and
+// re-select the plan under the cached vector, which is byte-identical to
+// the cold path by construction — or, where running the plan is itself a
+// pure function of what the key covers, keep the result of having done so
+// on the entry (Outcome / Attach). The cache key must capture every input
+// the grid search depends on (CacheKey below), so a stale or mismatched
+// entry is impossible as long as keys are built from the same components.
 
 // InputMeta identifies one input matrix of a program for cache keying:
 // its dimensions and sparsity are compile-time metadata that change memory
@@ -238,15 +240,23 @@ func (s CacheStats) HitRate() float64 {
 type PlanCache interface {
 	Lookup(key string) (conf.Resources, float64, bool)
 	Insert(key string, res conf.Resources, cost float64)
+	// Outcome and Attach read and set an opaque value derived from an
+	// existing entry's configuration (the workload service keeps the plan's
+	// simulated run there). They are no lookups — counters and recency stay
+	// untouched — and Insert on the key or eviction drops the value with
+	// the entry, so one LRU governs both.
+	Outcome(key string) (interface{}, bool)
+	Attach(key string, outcome interface{})
 	Len() int
 	Stats() CacheStats
 }
 
 // cacheItem is one LRU entry.
 type cacheItem struct {
-	key  string
-	res  conf.Resources
-	cost float64
+	key     string
+	res     conf.Resources
+	cost    float64
+	outcome interface{}
 }
 
 // Cache is a bounded LRU plan cache, safe for concurrent use. Entries are
@@ -304,6 +314,7 @@ func (c *Cache) Insert(key string, res conf.Resources, cost float64) {
 		it := el.Value.(*cacheItem)
 		it.res = res.Clone()
 		it.cost = cost
+		it.outcome = nil
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -313,6 +324,33 @@ func (c *Cache) Insert(key string, res conf.Resources, cost float64) {
 		delete(c.index, back.Value.(*cacheItem).key)
 		c.lru.Remove(back)
 		c.stats.Evictions++
+	}
+}
+
+// Outcome returns what Attach last set on the key's entry.
+func (c *Cache) Outcome(key string) (interface{}, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.index[key]; ok {
+		o := el.Value.(*cacheItem).outcome
+		return o, o != nil
+	}
+	return nil, false
+}
+
+// Attach sets the outcome on the key's entry; without an entry it is a
+// no-op.
+func (c *Cache) Attach(key string, outcome interface{}) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.index[key]; ok {
+		el.Value.(*cacheItem).outcome = outcome
 	}
 }
 

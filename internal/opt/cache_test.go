@@ -176,6 +176,49 @@ func TestCacheLRU(t *testing.T) {
 	}
 }
 
+// TestCacheOutcomeLivesWithItsEntry: a value attached to an entry is neither
+// a lookup nor a use — counters and recency do not move — and it goes when
+// the entry is re-inserted or evicted. Without an entry there is nothing to
+// attach to; a nil cache keeps nothing.
+func TestCacheOutcomeLivesWithItsEntry(t *testing.T) {
+	r := conf.NewResources(conf.GB, 512*conf.MB, 2)
+	for name, c := range map[string]PlanCache{"single": NewCache(2), "sharded": NewSharded(2, 1)} {
+		c.Insert("a", r, 1)
+		c.Insert("b", r, 2)
+		before := c.Stats()
+		if _, ok := c.Outcome("a"); ok {
+			t.Errorf("%s: a fresh entry carries an outcome", name)
+		}
+		c.Attach("a", "run of a")
+		c.Attach("nowhere", "lost")
+		if o, ok := c.Outcome("a"); !ok || o != "run of a" {
+			t.Errorf("%s: outcome of a = %v, %v", name, o, ok)
+		}
+		if _, ok := c.Outcome("nowhere"); ok || c.Len() != 2 {
+			t.Errorf("%s: attaching created an entry", name)
+		}
+		if st := c.Stats(); st != before {
+			t.Errorf("%s: attach and read moved the counters %+v → %+v", name, before, st)
+		}
+		// a is still the least recently used entry: c evicts it, run and all.
+		c.Insert("c", r, 3)
+		if _, ok := c.Outcome("a"); ok {
+			t.Errorf("%s: an evicted entry kept its outcome", name)
+		}
+		c.Attach("b", "run of b")
+		c.Insert("b", r, 2) // a new plan for the key: the old plan's run goes
+		if _, ok := c.Outcome("b"); ok {
+			t.Errorf("%s: a re-inserted entry kept its outcome", name)
+		}
+	}
+	for name, c := range map[string]PlanCache{"nil single": (*Cache)(nil), "nil sharded": (*ShardedCache)(nil)} {
+		c.Attach("a", "run of a")
+		if _, ok := c.Outcome("a"); ok {
+			t.Errorf("%s cache kept an outcome", name)
+		}
+	}
+}
+
 // TestCacheCloneIsolation: mutating a returned or inserted Resources value
 // must not corrupt the cached copy.
 func TestCacheCloneIsolation(t *testing.T) {

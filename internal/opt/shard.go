@@ -86,6 +86,22 @@ func (c *ShardedCache) Insert(key string, res conf.Resources, cost float64) {
 	c.shardFor(key).Insert(key, res, cost)
 }
 
+// Outcome returns what Attach last set on the key's entry in its shard.
+func (c *ShardedCache) Outcome(key string) (interface{}, bool) {
+	if c == nil {
+		return nil, false
+	}
+	return c.shardFor(key).Outcome(key)
+}
+
+// Attach sets the outcome on the key's entry in its shard.
+func (c *ShardedCache) Attach(key string, outcome interface{}) {
+	if c == nil {
+		return
+	}
+	c.shardFor(key).Attach(key, outcome)
+}
+
 // Len returns the number of live entries across all shards.
 func (c *ShardedCache) Len() int {
 	if c == nil {

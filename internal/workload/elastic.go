@@ -278,7 +278,7 @@ func (s *Service) reconcile() {
 		dir = -1
 	}
 	var wants []want
-	for _, j := range s.jobs {
+	for _, j := range s.resident() {
 		if j.state != jsRunning || j.pendingW != 0 || j.espec.rigid() {
 			continue
 		}
@@ -373,10 +373,11 @@ func (s *Service) scheduleResize(j *job, target int) bool {
 // applyResize delivers a booked width change: claim or release containers,
 // re-plan under the new allocation through the shared cache + memo path
 // (§5 — the plan always matches the current allocation; the view is clamped
-// to the granted container size), re-simulate, snap progress down to the
-// last completed boundary, and start the new plan. The job is re-simulated
-// under the re-optimized configuration, so its outputs remain exactly the
-// plan-invariant results every fixed-width run produces.
+// to the granted container size), run it, snap progress down to the last
+// completed boundary, and start the new plan. The job is re-simulated under
+// the re-optimized configuration — or starts from the run already kept on
+// that plan's cache entry — so its outputs remain exactly the plan-invariant
+// results every fixed-width run produces.
 func (s *Service) applyResize(ev event) {
 	j := s.jobs[ev.job]
 	if j.state != jsRunning || ev.gen != j.gen {
@@ -403,23 +404,18 @@ func (s *Service) applyResize(ev event) {
 
 	r := &planReq{j: j, view: opt.WidthClamped(s.live, cs)}
 	s.plan(r)
-	err := s.program(r)
-	if err == nil {
-		sr := s.simulate(r)
-		if err = sr.err; err == nil {
-			var wasted float64
-			if j.ckpt, wasted = s.snap(j, true); wasted > 0 {
-				s.tr.Metrics().Add("workload.resize_wasted", 1)
-			}
-			s.start(r, sr, s.opts.Elastic.ResizeCharge)
+	if sr := s.run(r)[0]; sr.err == nil {
+		var wasted float64
+		if j.ckpt, wasted = s.snap(j, true); wasted > 0 {
+			s.tr.Metrics().Add("workload.resize_wasted", 1)
 		}
-	}
-	if err != nil {
+		s.start(r, sr, s.opts.Elastic.ResizeCharge)
+	} else {
 		// The program compiled and ran at admission; a failure here is a
 		// bookkeeping bug, not a tenant error — surface it and keep the old
 		// schedule (the old depart event is still valid: gen unchanged).
 		s.tr.Complete(obs.LayerWorkload, "workload.resize-error", s.now, 0,
-			obs.A("tenant", j.result.Tenant), obs.A("err", err.Error()))
+			obs.A("tenant", j.result.Tenant), obs.A("err", sr.err.Error()))
 	}
 	j.result.Width = target
 	j.result.MinWidth = min(j.result.MinWidth, target)

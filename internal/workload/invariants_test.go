@@ -7,12 +7,14 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/opt"
+	"elasticml/internal/rt"
 )
 
 // checkInvariants asserts the service's structural invariants; the chaos,
 // elasticity, and fuzz tests call it after every Step. It reads service
 // state only (the shadow compiles below are discounted from the
-// workload.compiles counter again).
+// workload.compiles counter again, and the shadow simulations bypass run, so
+// workload.sim_runs never sees them).
 func checkInvariants(t *testing.T, s *Service) {
 	t.Helper()
 
@@ -58,28 +60,51 @@ func checkInvariants(t *testing.T, s *Service) {
 		}
 
 		// Shadow check: a retained identity — what plan keys a cache lookup
-		// on instead of recompiling — is what a compile from source would
-		// yield right now, and its memoized key is the key of the view it
-		// was derived under. Terminal jobs retain nothing.
+		// on — is what the job's spec yields right now, and its memoized key
+		// is the key of the view it was derived under. Terminal jobs retain
+		// nothing.
 		switch {
 		case j.state.terminal():
 			if j.id != nil {
 				t.Errorf("t=%.3f %s: state %v still holds its identity", s.now, name, j.state)
 			}
 		case j.id != nil:
-			fresh, _, err := s.compileJob(j)
-			s.tr.Metrics().Add("workload.compiles", -1)
+			fresh, fs, err := s.identify(j)
 			if err != nil {
-				t.Errorf("t=%.3f %s: shadow compile: %v", s.now, name, err)
+				t.Errorf("t=%.3f %s: shadow identify: %v", s.now, name, err)
 				break
 			}
 			id := j.id
 			if id.mode != fresh.mode || id.source != fresh.source ||
 				!reflect.DeepEqual(id.params, fresh.params) || !reflect.DeepEqual(id.inputs, fresh.inputs) {
-				t.Errorf("t=%.3f %s: retained identity differs from a fresh compile", s.now, name)
+				t.Errorf("t=%.3f %s: retained identity differs from a fresh one", s.now, name)
 			}
 			if want := opt.CacheKey(fresh.source, fresh.params, fresh.inputs, id.view, s.optOpts()); id.key != "" && id.key != want {
 				t.Errorf("t=%.3f %s: memoized key %s, want %s under %+v", s.now, name, id.key, want, id.view)
+			}
+			// A plan started from an outcome kept on a plan-cache entry runs
+			// exactly what compiling and simulating it now, under the node
+			// count and configuration it was started with, yields.
+			if id.reused != nil && j.state == jsRunning {
+				if id.mode != rt.ModeSim {
+					t.Errorf("t=%.3f %s: a value-mode job did not run", s.now, name)
+				}
+				c, err := s.compile(fresh, fs)
+				s.tr.Metrics().Add("workload.compiles", -1)
+				if err != nil {
+					t.Errorf("t=%.3f %s: shadow compile: %v", s.now, name, err)
+					break
+				}
+				live := s.live
+				s.live.Nodes = id.simNodes
+				sr := s.simulate(&planReq{j: j, c: c, res: id.simRes})
+				s.live = live
+				if sr.err != nil {
+					t.Errorf("t=%.3f %s: shadow simulate: %v", s.now, name, sr.err)
+				} else if *sr.outcome != *id.reused || len(sr.outputs) != 0 {
+					t.Errorf("t=%.3f %s: started from the kept outcome %+v, a fresh run under %d nodes and %s yields %+v",
+						s.now, name, *id.reused, id.simNodes, id.simRes.String(), *sr.outcome)
+				}
 			}
 		case j.state == jsRunning:
 			t.Errorf("t=%.3f %s: running without an identity", s.now, name)

@@ -158,29 +158,30 @@ func (s *Service) snap(j *job, keep bool) (ckpt, wasted float64) {
 	return ckpt, wasted
 }
 
-// start installs a freshly simulated plan on a job that holds its
-// containers and schedules its departure — the one place that happens.
-// Admission is a start from width 0 charged the optimization (or cache hit)
-// plus any state restore; a resize keeps the container size and is charged
-// ResizeCharge. Boundary bookkeeping feeds the progress model: epoch-
-// structured programs use batch granularity instead of leaf blocks, making
-// every batch boundary an elasticity point. The remaining work divides by
-// the (sub-linear) width speedup — width 1 is exactly the rigid schedule —
-// and stretches by the AM node's speculation-capped slowdown.
+// start installs a plan and its simulated run (fresh, or off the plan-cache
+// entry — it needs no program) on a job that holds its containers and
+// schedules its departure — the one place that happens. Admission is a start
+// from width 0 charged the optimization (or cache hit) plus any state
+// restore; a resize keeps the container size and is charged ResizeCharge.
+// Boundary bookkeeping feeds the progress model: epoch-structured programs
+// use batch granularity instead of leaf blocks, making every batch boundary
+// an elasticity point. The remaining work divides by the (sub-linear) width
+// speedup — width 1 is exactly the rigid schedule — and stretches by the AM
+// node's speculation-capped slowdown.
 func (s *Service) start(p *planReq, sr simResult, charge float64) {
 	j := p.j
 	j.res, j.cost = p.res, p.cost
-	j.epochs, j.batches, j.blocks = 0, 0, p.c.hp.NumLeaf
-	if ep, ok := opt.DetectEpochs(p.c.hp); ok {
-		j.epochs, j.batches, j.blocks = ep.Epochs, ep.Batches, ep.Boundaries()
-	}
-	j.blocks = max(j.blocks, 1)
+	j.epochs, j.batches, j.blocks = sr.epochs, sr.batches, sr.blocks
 	j.total = sr.simSeconds
+	j.id.reused = nil
+	if sr.reused {
+		j.id.reused, j.id.simNodes, j.id.simRes = sr.outcome, s.live.Nodes, p.res
+	}
 	exec := sr.simSeconds * (1 - j.ckpt) / s.opts.Elastic.speedup(len(j.conts)) * j.slow
 	s.reschedule(j, s.now+charge, s.now+charge+exec)
 	j.result.Outputs = sr.outputs
 	j.result.Prints = sr.prints
-	j.result.OutputHash = outputHash(sr.paths, sr.outputs, sr.dims, sr.prints)
+	j.result.OutputHash = sr.hash
 	j.result.Config = j.res.String()
 }
 
@@ -195,12 +196,22 @@ func (s *Service) optOpts() opt.Options {
 }
 
 // planReq is one optimization problem — a job's identity under a cluster
-// view — and, after plan, its answer. c is the job's program if the caller
-// or a cache miss already built one; whoever simulates next consumes it.
+// view — and, after plan, its answer. fs holds the job's staged inputs if
+// this admission already ran identify, and c its program if a cache miss
+// already built one; whoever compiles or simulates next consumes them, so
+// an admission stages inputs once and compiles at most once.
+//
+// key is the plan-cache key the answer came from. Every view plan sees is
+// the live view with only MaxAlloc lowered, and the cluster's own MaxAlloc
+// is constant, so the key fixes the identity, the live view and, through
+// the entry, the configuration — the whole input of simulate. That is why
+// run may keep a simulated outcome on the entry under this key.
 type planReq struct {
 	j    *job
+	fs   *hdfs.FS
 	c    *compiled
 	view conf.Cluster
+	key  string
 	res  conf.Resources
 	cost float64
 	hit  bool
@@ -211,22 +222,21 @@ type planReq struct {
 // the per-program re-costing memos — the only path to the optimizer. A hit
 // needs only the job's identity; a miss needs a program for the optimizer
 // and compiles one unless the request brought it. The cache lookups (and,
-// on a miss, the memo fetch — the memo key excludes the cluster, so searches
-// for one program under shifting views share a cost table — and the
-// compile) run sequentially in request order, only the searches fan out to
+// on a miss, the compile and the memo fetch — the memo key excludes the
+// cluster, so searches for one program under shifting views share a cost
+// table) run sequentially in request order, only the searches fan out to
 // the worker pool, and the inserts run sequentially again, so cache
 // counters, LRU order, and memo-store order are identical at any worker
-// count.
+// count. A source that does not compile gets no answer (r.err) and no memo:
+// fetching one inserts it and may evict a live program's.
 func (s *Service) plan(reqs ...*planReq) {
 	opts := s.optOpts()
-	keys := make([]string, len(reqs))
 	memos := make([]*opt.Memo, len(reqs))
 	for i, r := range reqs {
 		id := r.j.id
-		keys[i] = id.cacheKey(r.view, opts)
-		if r.res, r.cost, r.hit = s.cache.Lookup(keys[i]); !r.hit {
+		r.key = id.cacheKey(r.view, opts)
+		if r.res, r.cost, r.hit = s.cache.Lookup(r.key); !r.hit && s.program(r) == nil {
 			memos[i] = s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
-			s.program(r) // a failure stays in r.err: the request gets no answer
 		}
 	}
 	s.fanOut(len(reqs), func(i int) {
@@ -236,11 +246,44 @@ func (s *Service) plan(reqs ...*planReq) {
 			r.res, r.cost = out.Res, out.Cost
 		}
 	})
-	for i, r := range reqs {
+	for _, r := range reqs {
 		if !r.hit && r.err == nil {
-			s.cache.Insert(keys[i], r.res, r.cost)
+			s.cache.Insert(r.key, r.res, r.cost)
 		}
 	}
+}
+
+// run yields the simulated run of each planned request. A sim-mode request
+// whose plan-cache entry carries the outcome takes it from there; any other
+// gets a program and is simulated, and a sim-mode outcome is then attached
+// to the entry the plan came from, if it is still there. Value-mode jobs
+// run real matrices staged by their own Setup, so they always execute. The
+// entry reads (and the compiles — Setup is tenant code) run in request
+// order before the simulations fan out and the attaches after them, like
+// plan's lookups and inserts: same-key requests of one batch all simulate,
+// and nothing depends on the worker count.
+func (s *Service) run(reqs ...*planReq) []simResult {
+	sims := make([]simResult, len(reqs))
+	for i, p := range reqs {
+		sim := p.err == nil && p.j.id.mode == rt.ModeSim
+		if o, ok := s.cache.Outcome(p.key); ok && sim {
+			sims[i] = simResult{outcome: o.(*outcome), reused: true}
+			s.tr.Metrics().Add("workload.sim_reuses", 1)
+		} else if sims[i].err = s.program(p); sims[i].err == nil {
+			s.tr.Metrics().Add("workload.sim_runs", 1)
+		}
+	}
+	s.fanOut(len(reqs), func(i int) {
+		if !sims[i].reused && sims[i].err == nil {
+			sims[i] = s.simulate(reqs[i])
+		}
+	})
+	for i, p := range reqs {
+		if !sims[i].reused && sims[i].err == nil && p.j.id.mode == rt.ModeSim {
+			s.cache.Attach(p.key, sims[i].outcome)
+		}
+	}
+	return sims
 }
 
 // placement is place's verdict on the queue head.
@@ -256,8 +299,9 @@ const (
 // admit drains the admission queue as far as capacity allows. Under FIFO
 // and fair-share the head of the queue blocks the tail; a bypass policy
 // skips jobs it cannot place and re-queues them in order. The round's
-// admissions are simulated in parallel and started in admission order, so
-// the schedule is worker-count independent.
+// admissions are run (simulated in parallel, or taken off their plan-cache
+// entries) and started in admission order, so the schedule is worker-count
+// independent.
 func (s *Service) admit() {
 	var adm []*planReq
 	var skipped []int
@@ -279,15 +323,7 @@ func (s *Service) admit() {
 		s.queue = append(skipped, s.queue...)
 	}
 
-	sims := make([]simResult, len(adm))
-	for i, a := range adm {
-		sims[i].err = s.program(a) // not on a worker: Setup is tenant code
-	}
-	s.fanOut(len(adm), func(i int) {
-		if sims[i].err == nil {
-			sims[i] = s.simulate(adm[i])
-		}
-	})
+	sims := s.run(adm...)
 	for i, a := range adm {
 		j := a.j
 		if err := sims[i].err; err != nil {
@@ -346,11 +382,11 @@ func (s *Service) place(j *job) (*planReq, placement) {
 	}
 	a := &planReq{j: j, view: s.live}
 	if j.id == nil {
-		// The first attempt compiles to learn the job's identity; every
-		// later one plans from it, and a head that stays blocked on cache
-		// hits costs no compile at all.
+		// The first attempt stages the job's inputs to learn its identity;
+		// every later one plans from it. Neither compiles: a program that
+		// does not compile fails at its first cache miss, below.
 		var err error
-		if j.id, a.c, err = s.compileJob(j); err != nil {
+		if j.id, a.fs, err = s.identify(j); err != nil {
 			s.terminate(j, jsFailed, err)
 			return nil, dropped
 		}
@@ -360,21 +396,21 @@ func (s *Service) place(j *job) (*planReq, placement) {
 	// clamp re-plans with the allocation ceiling lowered and adopts the
 	// result if its container fits the free chunk.
 	clamp := func(maxAlloc conf.Bytes) bool {
-		r := &planReq{j: j, c: a.c, view: s.live}
+		r := &planReq{j: j, fs: a.fs, c: a.c, view: s.live}
 		r.view.MaxAlloc = maxAlloc
 		s.plan(r)
-		a.c, a.err = r.c, r.err
+		a.fs, a.c, a.err = r.fs, r.c, r.err
 		if a.err != nil || s.cc.ContainerSize(r.res.CP) > chunk {
 			return false
 		}
-		a.res, a.cost, a.hit = r.res, r.cost, a.hit && r.hit
+		a.key, a.res, a.cost, a.hit = r.key, r.res, r.cost, a.hit && r.hit
 		degraded = true
 		return true
 	}
 	breakerDegraded := a.err == nil && gate == gateDegrade && clamp(max(chunk/2, s.cc.MinAlloc))
 	fits := a.err == nil && (s.cc.ContainerSize(a.res.CP) <= chunk || clamp(chunk))
 	switch {
-	case a.err != nil: // a miss after the first attempt could not recompile
+	case a.err != nil: // a miss whose program does not compile
 		s.terminate(j, jsFailed, a.err)
 		return nil, dropped
 	case !fits:
@@ -437,7 +473,7 @@ func (s *Service) reoptimize(trig trigger) {
 		return
 	}
 	var reqs []*planReq
-	for _, j := range s.jobs {
+	for _, j := range s.resident() {
 		if j.state != jsRunning {
 			continue
 		}
@@ -545,47 +581,47 @@ func resEqual(a, b conf.Resources) bool {
 	return true
 }
 
-// program makes sure a request carries a compiled program — the one its
-// caller or an earlier cache miss built, else a fresh one — and reports
-// why it does not.
+// program makes sure a request carries a compiled program — the one an
+// earlier cache miss built, else a fresh one over the inputs this admission
+// staged, staging them if it has not — and reports why it does not.
 func (s *Service) program(p *planReq) error {
 	if p.c == nil && p.err == nil {
-		_, p.c, p.err = s.compileJob(p.j)
+		if p.fs == nil {
+			_, p.fs, p.err = s.identify(p.j)
+		}
+		if p.err == nil {
+			p.c, p.err = s.compile(p.j.id, p.fs)
+		}
 	}
 	return p.err
 }
 
-// compileJob compiles a job from source on a fresh file system and
-// collects the identity — the input metadata among it — that the cache key
-// covers. It reads nothing but the job's spec.
-func (s *Service) compileJob(j *job) (id *identity, c *compiled, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			id, c, err = nil, nil, fmt.Errorf("panic: %v", rec)
-		}
-	}()
-	s.tr.Metrics().Add("workload.compiles", 1)
-	c = &compiled{fs: hdfs.New()}
+// recovered, deferred, turns a panic into the function's error: Setup is
+// tenant code, and no source may take the service down.
+func recovered(err *error) {
+	if rec := recover(); rec != nil {
+		*err = fmt.Errorf("panic: %v", rec)
+	}
+}
+
+// identify stages a job's inputs on a fresh file system and reads off the
+// identity — the input metadata among it — that the cache key covers. It
+// reads nothing but the job's spec and compiles nothing: the compiler never
+// writes the file system, so the listing is what it would be after one.
+func (s *Service) identify(j *job) (id *identity, fs *hdfs.FS, err error) {
+	defer recovered(&err)
+	fs = hdfs.New()
 	if j.spec.Source != "" {
 		id = &identity{mode: rt.ModeValue, source: j.spec.Source, params: j.spec.Params}
 		if j.spec.Setup != nil {
-			j.spec.Setup(c.fs)
+			j.spec.Setup(fs)
 		}
 	} else {
 		id = &identity{mode: rt.ModeSim, source: j.spec.Script.Source, params: j.spec.Script.Params}
-		datagen.Describe(c.fs, j.spec.Scenario)
+		datagen.Describe(fs, j.spec.Scenario)
 	}
-	prog, err := dml.Parse(id.source)
-	if err != nil {
-		return nil, nil, fmt.Errorf("parse: %w", err)
-	}
-	c.comp = hop.NewCompiler(c.fs, id.params)
-	c.hp, err = c.comp.Compile(prog, id.source)
-	if err != nil {
-		return nil, nil, fmt.Errorf("compile: %w", err)
-	}
-	for _, name := range c.fs.List() {
-		f, statErr := c.fs.Stat(name)
+	for _, name := range fs.List() {
+		f, statErr := fs.Stat(name)
 		if statErr != nil {
 			continue
 		}
@@ -594,19 +630,30 @@ func (s *Service) compileJob(j *job) (id *identity, c *compiled, err error) {
 			Format: f.Format.String(),
 		})
 	}
-	return id, c, nil
+	return id, fs, nil
+}
+
+// compile builds an identity's program from source over its staged inputs.
+func (s *Service) compile(id *identity, fs *hdfs.FS) (c *compiled, err error) {
+	defer recovered(&err)
+	s.tr.Metrics().Add("workload.compiles", 1)
+	prog, err := dml.Parse(id.source)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	c = &compiled{fs: fs, comp: hop.NewCompiler(fs, id.params)}
+	if c.hp, err = c.comp.Compile(prog, id.source); err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	return c, nil
 }
 
 // simulate executes a planned job's program under its configuration on the
-// runtime, returning the simulated duration and (for value-mode jobs) the
-// written outputs and print stream. It runs on pool workers: it touches no
-// service state besides read-only fields, and emits no trace events.
+// runtime and folds the run into an outcome (plus, for value-mode jobs, the
+// written matrices). It runs on pool workers: it touches no service state
+// besides read-only fields, and emits no trace events.
 func (s *Service) simulate(p *planReq) (r simResult) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.err = fmt.Errorf("panic: %v", rec)
-		}
-	}()
+	defer recovered(&r.err)
 	c, res := p.c, p.res
 	plan := lop.Select(c.hp, s.live, res)
 	ip := rt.New(p.j.id.mode, c.fs, s.live, res)
@@ -618,10 +665,13 @@ func (s *Service) simulate(p *planReq) (r simResult) {
 		r.err = err
 		return r
 	}
-	r.simSeconds = ip.SimTime
-	r.prints = out.String()
-	r.outputs = map[string]*matrix.Matrix{}
-	r.dims = map[string][3]int64{}
+	o := &outcome{simSeconds: ip.SimTime, prints: out.String(), blocks: c.hp.NumLeaf}
+	if ep, ok := opt.DetectEpochs(c.hp); ok {
+		o.epochs, o.batches, o.blocks = ep.Epochs, ep.Batches, ep.Boundaries()
+	}
+	o.blocks = max(o.blocks, 1)
+	var paths []string
+	dims := map[string][3]int64{}
 	for _, name := range c.fs.List() {
 		if !strings.HasPrefix(name, "/out") {
 			continue
@@ -630,13 +680,18 @@ func (s *Service) simulate(p *planReq) (r simResult) {
 		if err != nil {
 			continue
 		}
-		r.paths = append(r.paths, name)
-		r.dims[name] = [3]int64{f.Rows, f.Cols, f.NNZ}
+		paths = append(paths, name)
+		dims[name] = [3]int64{f.Rows, f.Cols, f.NNZ}
 		if f.Data != nil {
+			if r.outputs == nil {
+				r.outputs = map[string]*matrix.Matrix{}
+			}
 			r.outputs[name] = f.Data
 		}
 	}
-	sort.Strings(r.paths)
+	sort.Strings(paths)
+	o.hash = outputHash(paths, r.outputs, dims, o.prints)
+	r.outcome = o
 	return r
 }
 

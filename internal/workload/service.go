@@ -165,10 +165,11 @@ type job struct {
 }
 
 // identity is a job's optimization problem: everything the plan-cache key
-// and the memo key derive from besides the cluster view. It is taken from
-// the job's first compile and, because a JobSpec is immutable, holds until
-// the job terminates. A §5 re-optimization check and a blocked queue head
-// need only this — a cache hit never touches a program.
+// and the memo key derive from besides the cluster view. identify reads it
+// off the job's spec and staged inputs — no compile — and, because a JobSpec
+// is immutable, it holds until the job terminates. A §5 re-optimization
+// check, a blocked queue head and a job whose plan and simulated run are
+// both on a plan-cache entry need only this — none of them touches a program.
 type identity struct {
 	mode   rt.Mode
 	source string
@@ -180,6 +181,14 @@ type identity struct {
 	// cluster changes, so one entry saves re-hashing the source per check.
 	view conf.Cluster
 	key  string
+
+	// reused is the outcome the job's current plan was started from if it
+	// came off a plan-cache entry (else nil), with what the simulate it
+	// replaced would have been given: the live node count and the
+	// configuration. The continuous invariants re-run it from these.
+	reused   *outcome
+	simNodes int
+	simRes   conf.Resources
 }
 
 // cacheKey returns the identity's plan-cache key under a cluster view.
@@ -190,25 +199,42 @@ func (id *identity) cacheKey(view conf.Cluster, opts opt.Options) string {
 	return id.key
 }
 
-// compiled is one job's freshly compiled program. A program is built only
-// where one is consumed: by the optimizer on a plan-cache miss, and by the
-// runtime before every simulate. It is never kept across calls, because
-// dynamic recompilation mutates it at runtime — only optimization outcomes
-// are shared, never plan structures.
+// compiled is one job's freshly compiled program over its staged inputs. A
+// program is built only where one is consumed — by the optimizer on a
+// plan-cache miss, by the runtime when a simulate really has to run — and
+// dropped with that call chain. What a run mutates is measured
+// (TestSimulateLeavesProgramUntouched): hp stays bit-identical through
+// lop.Select and Interp.Run (dynamic recompilation builds new blocks), comp's
+// ID counter advances by the hops recompiled, and fs gains the /out files.
+// Those two are all that keeps a program from being retained and shared.
 type compiled struct {
 	fs   *hdfs.FS
 	comp *hop.Compiler
 	hp   *hop.Program
 }
 
-// simResult is one job's simulated execution outcome.
+// outcome is what the service keeps of one simulated run: the duration, the
+// print stream, the folded fingerprint of everything written, and the
+// program's boundary structure (opt.DetectEpochs, else its leaf blocks).
+// simulate is a pure function of (identity, live view, configuration,
+// SimTableCols), all fixed by the key of the plan that chose the
+// configuration (see planReq.key), so a sim-mode outcome is kept on that
+// plan-cache entry and the next job planned from it starts without a
+// program. One is retained per entry: compact, map-free, immutable.
+type outcome struct {
+	simSeconds              float64
+	prints                  string
+	hash                    string // TenantResult.OutputHash
+	epochs, batches, blocks int
+}
+
+// simResult is one job's simulated execution: the outcome, plus, for
+// value-mode jobs, the matrices written.
 type simResult struct {
-	simSeconds float64
-	paths      []string
-	outputs    map[string]*matrix.Matrix
-	dims       map[string][3]int64
-	prints     string
-	err        error
+	*outcome
+	reused  bool // off the plan-cache entry: nothing was executed
+	outputs map[string]*matrix.Matrix
+	err     error
 }
 
 // Service is the multi-tenant elastic job service. Create with New, drive
@@ -224,11 +250,15 @@ type Service struct {
 	tr    *obs.Tracer
 	brk   *breaker
 
-	jobs  []*job
-	queue []int // FIFO of job indices awaiting admission
-	evs   eventHeap
-	seq   int
-	chaos []fault.NodeEvent // expanded chaos schedule, indexed by event.chaos
+	jobs []*job
+	// oldest indexes the oldest job not yet terminal; the passes over live
+	// jobs start there (resident), so an old service does not pay per
+	// settle for every job it ever finished.
+	oldest int
+	queue  []int // FIFO of job indices awaiting admission
+	evs    eventHeap
+	seq    int
+	chaos  []fault.NodeEvent // expanded chaos schedule, indexed by event.chaos
 	// chaosScheduled guards ScheduleChaos against double expansion when a
 	// live frontend schedules chaos at construction.
 	chaosScheduled bool
@@ -404,15 +434,20 @@ func (s *Service) Step() bool {
 		s.queue = append(retryJoins, s.queue...)
 	}
 	s.settle(trig)
-	if ticked && s.opts.Elastic.Tick > 0 {
-		for _, j := range s.jobs {
-			if !j.state.terminal() {
-				s.push(event{at: s.now + s.opts.Elastic.Tick, kind: evTick})
-				break
-			}
-		}
+	if ticked && s.opts.Elastic.Tick > 0 && len(s.resident()) > 0 {
+		s.push(event{at: s.now + s.opts.Elastic.Tick, kind: evTick})
 	}
 	return true
+}
+
+// resident returns, in submission order, every job that is not in a
+// terminal state (and the terminal ones submitted after the oldest of
+// them): terminal states are final, so the watermark only advances.
+func (s *Service) resident() []*job {
+	for s.oldest < len(s.jobs) && s.jobs[s.oldest].state.terminal() {
+		s.oldest++
+	}
+	return s.jobs[s.oldest:]
 }
 
 // Finalize marks every job the drained event queue can no longer serve and
@@ -607,7 +642,7 @@ func (s *Service) applyNodesDown(ne fault.NodeEvent) bool {
 	for _, c := range lost {
 		lostIDs[c.ID] = true
 	}
-	for _, j := range s.jobs {
+	for _, j := range s.resident() {
 		if j.state != jsRunning {
 			continue
 		}
@@ -679,7 +714,7 @@ func (s *Service) applyNodeSpeed(node int, factor float64, cause string) {
 		obs.A("node", node), obs.A("factor", factor), obs.A("effective", eff),
 		obs.A("cause", cause))
 	s.tr.Metrics().Add("workload.slow_node_events", 1)
-	for _, j := range s.jobs {
+	for _, j := range s.resident() {
 		// The AM container's node sets the job's effective speed — the
 		// progress schedule follows the coordinating process.
 		if j.state != jsRunning || j.conts[0].Node != node || j.slow == eff {

@@ -24,10 +24,15 @@
 //     for one job under the live cluster view, a free-chunk-clamped view
 //     (degraded admission) or a width-clamped view (resize, §5 pass). It
 //     keys on the job's retained identity (source, params, input
-//     metadata); a program is compiled only for a miss and for simulate.
-//   - start: install a simulated plan on a job that holds its containers.
-//     Admission is a start from width 0; a resize is a start at the new
-//     width.
+//     metadata), which identify reads off the spec and the staged inputs
+//     without compiling; a program is compiled only for a miss.
+//   - run: the simulated run of a planned job — taken off the plan-cache
+//     entry the plan came from when a sim-mode job planned from it was
+//     simulated before, else compiled, simulated and (sim mode) kept
+//     there. Value-mode jobs execute real matrices and always run.
+//   - start: install a plan and its run on a job that holds its
+//     containers. Admission is a start from width 0; a resize is a start
+//     at the new width.
 //   - reschedule: schedule a job's departure, invalidating the previous
 //     one; stop is the same invalidation for a job that leaves the cluster.
 //   - snap: commit progress at the last completed block or batch boundary
@@ -38,10 +43,12 @@
 //     once in New) what width each running job should hold and book the
 //     difference at the job's next resize point.
 //
-// A shared plan cache (opt.PlanCache) memoizes grid searches across
-// tenants: repeated programs over the same inputs under the same cluster
-// view skip compile-time optimization entirely, with hit results
-// byte-identical to a fresh search. Chaos (fault.ChaosPlan), the recovery
+// A shared plan cache (opt.PlanCache) memoizes grid searches — and, on the
+// same entries, the simulated runs of the plans they chose — across
+// tenants: a repeated program over the same inputs under the same cluster
+// view skips the compile, the optimization and the simulation, with results
+// byte-identical to doing all three (the continuous invariants re-derive
+// every kept run). Chaos (fault.ChaosPlan), the recovery
 // policy (checkpoint or naive restart, retry budget, backoff) and the
 // admission circuit breaker are layered on the same loop.
 package workload

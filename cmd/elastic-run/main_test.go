@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -102,20 +103,46 @@ func TestExplainPrintsPlan(t *testing.T) {
 	}
 }
 
+// TestJSONSummaryDeterministic: identical invocations print the same summary
+// except for the one wall-clock field. The second input is the trace
+// determinism gate — optimization, runtime adaptation, a node loss and task
+// failures, all on the simulated clock — and also writes byte-identical
+// Chrome traces.
 func TestJSONSummaryDeterministic(t *testing.T) {
-	decode := func() map[string]interface{} {
-		out, errOut, code := run(t, "-program", "LinregCG", "-size", "XS", "-json")
-		if code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, errOut)
-		}
-		var m map[string]interface{}
-		if err := json.Unmarshal([]byte(out), &m); err != nil {
-			t.Fatalf("bad JSON: %v", err)
-		}
-		delete(m, "opt_wall_seconds") // the only wall-clock field
-		return m
+	inputs := []struct {
+		traced bool
+		args   []string
+	}{
+		{false, []string{"-program", "LinregCG", "-size", "XS"}},
+		{true, []string{"-program", "MLogreg", "-size", "M", "-optimize", "-adapt",
+			"-node-fail", "0@100", "-task-fail", "0.03"}},
 	}
-	if a, b := decode(), decode(); !reflect.DeepEqual(a, b) {
-		t.Errorf("summaries differ across identical runs:\n%v\nvs\n%v", a, b)
+	for _, in := range inputs {
+		decode := func() (map[string]interface{}, []byte) {
+			args := append(in.args, "-json")
+			tr := filepath.Join(t.TempDir(), "trace.json")
+			if in.traced {
+				args = append(args, "-trace", tr)
+			}
+			out, errOut, code := run(t, args...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d, stderr: %s", in.args, code, errOut)
+			}
+			var m map[string]interface{}
+			if err := json.Unmarshal([]byte(out), &m); err != nil {
+				t.Fatalf("%v: bad JSON: %v", in.args, err)
+			}
+			delete(m, "opt_wall_seconds") // the only wall-clock field
+			trace, _ := os.ReadFile(tr)
+			return m, trace
+		}
+		a, ta := decode()
+		b, tb := decode()
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: summaries differ across identical runs:\n%v\nvs\n%v", in.args, a, b)
+		}
+		if in.traced && (len(ta) == 0 || !bytes.Equal(ta, tb)) {
+			t.Errorf("%v: traces empty or different across identical runs", in.args)
+		}
 	}
 }

@@ -9,9 +9,10 @@
 // scenarios/): the cluster, the service options — policy, chaos plan,
 // recovery, breaker, elastic tick, ... — and either an explicit job list
 // or a seeded generator. The flags are deployment paths and addresses plus
-// the few values CI varies over one file. The simulation is deterministic:
-// the same file produces byte-identical reports and traces at any -workers
-// value, which CI uses as the workload determinism gate.
+// the few values the gates and sweeps vary over one file. The simulation is
+// deterministic: the same file produces byte-identical reports and traces
+// at any -workers value, which this package's tests check for every file
+// committed under scenarios/.
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io/fs"
 	"net"
 	"os"
 	"os/exec"
@@ -13,11 +14,13 @@ import (
 	"time"
 
 	"elasticml/internal/server"
+	"elasticml/internal/workload"
+	"elasticml/scenarios"
 )
 
 // Smoke tests for the workload service entry point: run-description
-// validation, the JSON report shape, scenario files, and the CLI-level
-// determinism the CI gate relies on.
+// validation, the JSON report shape, and the determinism gate over every
+// committed run description.
 
 var (
 	binPath string
@@ -65,6 +68,17 @@ func scenario(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// committed copies one run description out of the scenarios package — where
+// elastic-bench's sweeps read them too — to a file the binary can open.
+func committed(t *testing.T, name string) string {
+	t.Helper()
+	data, err := fs.ReadFile(scenarios.FS, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scenario(t, string(data))
 }
 
 // nodeFailScenario is the demo workload losing node 1 at t=25s.
@@ -122,31 +136,76 @@ func TestJSONReportShape(t *testing.T) {
 	}
 }
 
-// TestDeterministicReports mirrors the CI gate: two identical invocations
-// (at different worker counts) write byte-identical report files.
+// TestDeterministicReports is the determinism gate: every run description
+// committed under scenarios/ decodes strictly (its daemon section too), and
+// every one that carries jobs writes a byte-identical report, Chrome trace
+// and -metrics stdout at -workers 1 and 4, under each scheduling policy.
 func TestDeterministicReports(t *testing.T) {
-	a := filepath.Join(tmpDir, "a.json")
-	b := filepath.Join(tmpDir, "b.json")
-	scen := scenario(t, nodeFailScenario)
-	if _, errOut, code := run(t, "-scenario", scen, "-workers", "1", "-json", a); code != 0 {
-		t.Fatalf("run a: exit %d: %s", code, errOut)
-	}
-	if _, errOut, code := run(t, "-scenario", scen, "-workers", "4", "-json", b); code != 0 {
-		t.Fatalf("run b: exit %d: %s", code, errOut)
-	}
-	ab, err := os.ReadFile(a)
+	var runnable []string
+	err := fs.WalkDir(scenarios.FS, ".", func(name string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(name) != ".json" {
+			return err
+		}
+		f, err := scenarios.FS.Open(name)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		spec, err := workload.LoadRunSpec(f)
+		if err != nil {
+			t.Errorf("scenarios/%s: %v", name, err)
+			return nil
+		}
+		if _, err := parseDaemonSection(spec.Daemon); err != nil {
+			t.Errorf("scenarios/%s: %v", name, err)
+		}
+		if spec.Generate != nil || len(spec.Jobs) > 0 {
+			runnable = append(runnable, name)
+		} else if len(spec.Daemon) == 0 {
+			t.Errorf("scenarios/%s: neither jobs nor a daemon section", name)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
+	if len(runnable) < 5 {
+		t.Fatalf("only %d job-carrying run descriptions found under scenarios/: %v", len(runnable), runnable)
 	}
-	if !bytes.Equal(ab, bb) {
-		t.Error("reports differ between -workers 1 and -workers 4")
-	}
-	if len(ab) == 0 {
-		t.Error("empty report file")
+	for _, name := range runnable {
+		scen := committed(t, name)
+		for _, pol := range []string{"fifo", "fair", "regret"} {
+			t.Run(name+"/"+pol, func(t *testing.T) {
+				// outputs runs the file and returns report, trace and stdout.
+				outputs := func(workers string) [3][]byte {
+					dir := t.TempDir()
+					js, tr := filepath.Join(dir, "report.json"), filepath.Join(dir, "trace.json")
+					out, errOut, code := run(t, "-scenario", scen, "-policy", pol, "-workers", workers,
+						"-json", js, "-trace", tr, "-metrics")
+					if code != 0 {
+						t.Fatalf("-workers %s: exit %d: %s", workers, code, errOut)
+					}
+					report, err := os.ReadFile(js)
+					if err != nil {
+						t.Fatal(err)
+					}
+					trace, err := os.ReadFile(tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return [3][]byte{report, trace, []byte(out)}
+				}
+				a, b := outputs("1"), outputs("4")
+				for i, what := range []string{"report", "trace", "-metrics stdout"} {
+					if len(a[i]) == 0 {
+						t.Errorf("empty %s", what)
+					}
+					if !bytes.Equal(a[i], b[i]) {
+						t.Errorf("%s differs between -workers 1 and -workers 4", what)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -221,62 +280,16 @@ func TestTraceOutput(t *testing.T) {
 	}
 }
 
-// chaosScenario is the canonical chaos run shared by the CLI tests; it is
-// scenarios/chaos_mix.json, which the CI chaos-determinism gate runs.
-const chaosScenario = "../../scenarios/chaos_mix.json"
-
-func chaosArgs(workers, jsonPath, tracePath string) []string {
-	args := []string{"-scenario", chaosScenario, "-workers", workers}
-	if jsonPath != "" {
-		args = append(args, "-json", jsonPath)
-	}
-	if tracePath != "" {
-		args = append(args, "-trace", tracePath)
-	}
-	return args
-}
-
 // TestChaosScenarioRun exercises every chaos regime plus the recovery and
 // breaker policies through the CLI and checks the chaos summary line.
 func TestChaosScenarioRun(t *testing.T) {
-	out, errOut, code := run(t, chaosArgs("1", "", "")...)
+	out, errOut, code := run(t, "-scenario", committed(t, "chaos_mix.json"))
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
 	for _, want := range []string{"chaos:", "node restores", "wasted work", "breaker:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("chaos run missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestChaosDeterministicReports mirrors the CI chaos gate: the full chaos
-// stack produces byte-identical reports and traces at any -workers value.
-func TestChaosDeterministicReports(t *testing.T) {
-	ja := filepath.Join(tmpDir, "chaos-a.json")
-	jb := filepath.Join(tmpDir, "chaos-b.json")
-	ta := filepath.Join(tmpDir, "chaos-a-trace.json")
-	tb := filepath.Join(tmpDir, "chaos-b-trace.json")
-	if _, errOut, code := run(t, chaosArgs("1", ja, ta)...); code != 0 {
-		t.Fatalf("run a: exit %d: %s", code, errOut)
-	}
-	if _, errOut, code := run(t, chaosArgs("4", jb, tb)...); code != 0 {
-		t.Fatalf("run b: exit %d: %s", code, errOut)
-	}
-	for _, pair := range [][2]string{{ja, jb}, {ta, tb}} {
-		ab, err := os.ReadFile(pair[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := os.ReadFile(pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ab) == 0 {
-			t.Errorf("%s empty", pair[0])
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Errorf("%s and %s differ between -workers 1 and -workers 4", pair[0], pair[1])
 		}
 	}
 }
@@ -293,7 +306,7 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// TestDaemonRecordReplay mirrors the CI server-determinism gate: a live
+// TestDaemonRecordReplay is the CI server-determinism gate in-process: a live
 // daemon run under seeded load, drained with SIGTERM, replays from its
 // recorded op log to a byte-identical JSON report.
 func TestDaemonRecordReplay(t *testing.T) {
@@ -302,15 +315,10 @@ func TestDaemonRecordReplay(t *testing.T) {
 	livePath := filepath.Join(tmpDir, "daemon-live.json")
 	replayPath := filepath.Join(tmpDir, "daemon-replay.json")
 
-	// A non-zero tick and a non-default policy: both must reach the op log
-	// for the replay to match. The daemon section sets every tuning value.
-	scen := scenario(t, `{
-		"policy": "regret",
-		"elastic": {"tick": 5},
-		"daemon": {"max_sessions": 8, "idle_timeout": "30s", "gap": 0.02, "drain_timeout": "20s",
-		           "limiter": {"bytes_per_sec": 5e7, "max_inflight": 512}}
-	}`)
-	cmd := exec.Command(binPath, "-scenario", scen, "-listen", addr, "-record", opsPath, "-json", livePath, "-workers", "2")
+	// The committed daemon description: a non-zero tick and a non-default
+	// policy, which must both reach the op log for the replay to match.
+	cmd := exec.Command(binPath, "-scenario", committed(t, "daemon.json"), "-listen", addr,
+		"-record", opsPath, "-json", livePath)
 	var serveErr strings.Builder
 	cmd.Stderr = &serveErr
 	if err := cmd.Start(); err != nil {

@@ -30,10 +30,10 @@ func (r *Runner) Experiments() []struct {
 		{"table6", r.Table6},
 		{"ablations", r.Ablations},
 		{"failures", r.FailureSweep},
-		{"workload", r.Workload},
-		{"chaos", r.Chaos},
-		{"elastic", r.Elastic},
-		{"minibatch", r.Minibatch},
+		{"workload", experiment(r, workloadSweep)},
+		{"chaos", experiment(r, chaosSweep)},
+		{"elastic", experiment(r, elasticSweep)},
+		{"minibatch", experiment(r, minibatchSweep)},
 	}
 }
 

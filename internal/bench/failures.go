@@ -84,6 +84,12 @@ func (r *Runner) taskFailureSweep() error {
 				Policy:    mr.DefaultTaskPolicy(),
 				OptCharge: optCharge,
 			})
+			if errors.Is(err, mr.ErrTaskFailed) {
+				// A task can exhaust even the default four attempts at a
+				// high enough rate; the run is lost, the sweep goes on.
+				r.printf("  %5.2f %14s %11s\n", rate, bllCol, "ABORT")
+				continue
+			}
 			if err != nil {
 				return err
 			}

@@ -3,7 +3,6 @@ package workload
 import (
 	"bytes"
 	"math"
-	"os"
 	"reflect"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"elasticml/internal/fault"
 	"elasticml/internal/scripts"
 	"elasticml/internal/verify"
+	"elasticml/scenarios"
 )
 
 // minibatchCorpusProgram fetches a mini-batch program from the verify
@@ -346,11 +346,11 @@ func TestMinibatchScenarioFiles(t *testing.T) {
 		jobs  int
 		nodes int
 	}{
-		{"../../scenarios/minibatch_straggler.json", 10, 2},
-		{"../../scenarios/minibatch_corrfail.json", 8, 4},
+		{"minibatch_straggler.json", 10, 2},
+		{"minibatch_corrfail.json", 8, 4},
 	}
 	for _, c := range cases {
-		f, err := os.Open(c.path)
+		f, err := scenarios.FS.Open(c.path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 # Developer entry points. `make check` is the full pre-merge gate: vet, the
-# race detector over every package, and a doubled race run of the packages
-# that share state between goroutines.
+# race detector over every package, a doubled race run of the packages that
+# share state between goroutines, and a short run of each native fuzz target.
 
 GO ?= go
 
-.PHONY: build test vet race race2 check bench bench-compare figures verify-corpus cover
+.PHONY: build test vet race race2 fuzz check bench bench-compare figures verify-corpus cover
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,12 @@ race:
 race2:
 	$(GO) test -race -count=2 ./internal/matrix ./internal/rt ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 
-check: vet race race2
+# Each native fuzz target, for a fixed short time. A finding lands in the
+# package's testdata/fuzz/ as a regression input for plain `go test`.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server
+
+check: vet race race2 fuzz
 
 # Differential plan verification: the paper corpus plus a fixed-seed fuzz
 # stream plus the loop corpus (forced for/parfor over batch slices), each

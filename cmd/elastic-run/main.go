@@ -53,7 +53,6 @@ func main() {
 		optimize = flag.Bool("optimize", false, "run initial resource optimization")
 		doAdapt  = flag.Bool("adapt", false, "enable runtime resource adaptation")
 		dop      = flag.Int("dop", 1, "CP degree of parallelism: cores used by matrix kernels and parfor (1 = the paper's single-threaded CP)")
-		arena    = flag.Bool("arena", false, "pool matrix buffers in the scratch arena (results are identical either way)")
 		classes  = flag.Int64("classes", 20, "label cardinality (table() output width)")
 		verbose  = flag.Bool("v", false, "stream program print() output")
 		explain  = flag.Bool("explain", false, "print the runtime plan before executing")
@@ -99,7 +98,6 @@ func main() {
 	// Matrix worker-pool counters (kernels, chunks, stolen) land in the
 	// same registry as the runtime counters.
 	matrix.SetMetrics(tr.Metrics())
-	matrix.EnableArena(*arena)
 	datagen.Describe(fs, s)
 
 	fplan := fault.Plan{

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 
-	"elasticml/internal/matrix"
 	"elasticml/internal/obs"
 	"elasticml/internal/verify"
 )
@@ -44,10 +43,8 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "print the report as JSON")
 		verbose  = flag.Bool("v", false, "print per-program progress")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file of all runs")
-		arena    = flag.Bool("arena", false, "pool matrix buffers in the scratch arena (verified outputs must stay bit-identical)")
 	)
 	flag.Parse()
-	matrix.EnableArena(*arena)
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
 		flag.Usage()

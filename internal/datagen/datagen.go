@@ -54,7 +54,7 @@ func Parse(size string, cols int64, sparsity float64) (Scenario, error) {
 	if cols < 1 || cols > cells {
 		return Scenario{}, fmt.Errorf("datagen: column count %d out of range for scenario %s", cols, size)
 	}
-	if sparsity <= 0 || sparsity > 1 {
+	if !(sparsity > 0 && sparsity <= 1) { // NaN fails both comparisons
 		return Scenario{}, fmt.Errorf("datagen: sparsity %g outside (0,1]", sparsity)
 	}
 	return Scenario{Size: size, Cells: cells, Cols: cols, Sparsity: sparsity}, nil

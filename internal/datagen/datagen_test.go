@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -47,6 +48,8 @@ func TestParseErrors(t *testing.T) {
 		{"XS", 1000, 0},     // zero sparsity
 		{"XS", 1000, -0.5},  // negative sparsity
 		{"XS", 1000, 1.001}, // sparsity above 1
+		{"XS", 1000, math.NaN()},
+		{"XS", 1000, math.Inf(1)},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.size, c.cols, c.sparsity); err == nil {

@@ -3,25 +3,16 @@ package matrix
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // The scratch arena recycles dense float64 buffers through size-classed
-// sync.Pools so hot kernels stop allocating (and re-faulting) a fresh
-// rows*cols slice per invocation. Buffers are zeroed on checkout, so a
-// pooled NewDense is indistinguishable from a fresh allocation and results
-// stay byte-identical with the arena on or off, at any parallelism.
-//
-// Two tiers:
-//
-//   - Internal scratch (getFloats/putFloats) is always pooled: the buffers
-//     never escape the kernel that borrowed them (MulChainMVV's dot vector,
-//     mulSS's dense accumulator), so recycling is unconditionally safe.
-//   - Output buffers flow through the arena only when EnableArena(true) was
-//     called: NewDense then draws from the pools, and callers that know a
-//     matrix is dead (benchmark loops, interpreter temporaries) return its
-//     storage with Recycle. Using a matrix after recycling it is a
-//     use-after-free bug on the caller, which is why this tier is opt-in.
+// sync.Pools so hot kernels stop allocating (and re-faulting) a fresh slice
+// per invocation. It serves internal scratch only: buffers that never escape
+// the kernel that borrowed them (MulChainMVV's dot vector; mulSS returns its
+// dead dense accumulator when its capacity is a class size), so recycling is
+// unconditionally safe. Buffers are zeroed on checkout, so results stay
+// byte-identical at any parallelism. Matrices that are returned to a caller
+// are plain allocations (NewDense).
 
 const (
 	// arenaMinBits/arenaMaxBits bound the pooled size classes: buffers of
@@ -31,14 +22,7 @@ const (
 	arenaMaxBits = 24
 )
 
-var (
-	arenaOn    atomic.Bool
-	arenaPools [arenaMaxBits + 1]sync.Pool
-
-	statArenaGets     atomic.Int64 // pooled checkouts (hit or miss)
-	statArenaHits     atomic.Int64 // checkouts served from a pool
-	statArenaRecycles atomic.Int64 // buffers returned
-)
+var arenaPools [arenaMaxBits + 1]sync.Pool
 
 // arenaBuf boxes a pooled slice. The boxes themselves cycle through
 // bufHeaderPool so a steady-state get/put pair performs zero allocations —
@@ -46,20 +30,6 @@ var (
 type arenaBuf struct{ s []float64 }
 
 var bufHeaderPool = sync.Pool{New: func() interface{} { return new(arenaBuf) }}
-
-// EnableArena switches output-buffer pooling on or off. Internal scratch is
-// always pooled; this gates only NewDense drawing from the arena and Recycle
-// accepting buffers. Results are independent of this setting.
-func EnableArena(on bool) { arenaOn.Store(on) }
-
-// ArenaEnabled reports whether output-buffer pooling is on.
-func ArenaEnabled() bool { return arenaOn.Load() }
-
-// ArenaStats returns cumulative arena counters: checkouts, checkouts served
-// from a pool, and buffers returned.
-func ArenaStats() (gets, hits, recycles int64) {
-	return statArenaGets.Load(), statArenaHits.Load(), statArenaRecycles.Load()
-}
 
 // arenaClass returns the size-class index for n floats, or -1 when n is
 // outside the pooled range.
@@ -84,13 +54,11 @@ func getFloats(n int) []float64 {
 	if c < 0 {
 		return make([]float64, n)
 	}
-	statArenaGets.Add(1)
 	if v := arenaPools[c].Get(); v != nil {
 		ab := v.(*arenaBuf)
 		s := ab.s[:n]
 		ab.s = nil
 		bufHeaderPool.Put(ab)
-		statArenaHits.Add(1)
 		clear(s)
 		return s
 	}
@@ -111,18 +79,4 @@ func putFloats(s []float64) {
 	ab := bufHeaderPool.Get().(*arenaBuf)
 	ab.s = s[:0]
 	arenaPools[b].Put(ab)
-	statArenaRecycles.Add(1)
-}
-
-// Recycle returns a dense matrix's storage to the arena. The caller asserts
-// the matrix (and any alias of its data) is dead; using it afterwards reads
-// another kernel's buffer. No-op when the arena is disabled, for sparse
-// matrices, and for nil.
-func Recycle(m *Matrix) {
-	if m == nil || m.sp != nil || m.dense == nil || !arenaOn.Load() {
-		return
-	}
-	putFloats(m.dense)
-	m.dense = nil
-	m.rows, m.cols = 0, 0
 }

@@ -1,126 +1,75 @@
 package matrix
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
-// withArena enables output-buffer pooling for one test and restores the
-// previous state afterwards.
-func withArena(t *testing.T, on bool) {
-	t.Helper()
-	prev := ArenaEnabled()
-	EnableArena(on)
-	t.Cleanup(func() { EnableArena(prev) })
+// dirtyScratch cycles a buffer full of junk through the size class that
+// serves n floats, so the next checkout draws recycled storage.
+func dirtyScratch(n int) {
+	s := getFloats(n)
+	for i := range s {
+		s[i] = 7
+	}
+	putFloats(s)
 }
 
-// TestArenaByteIdentical: the determinism contract extends to the arena —
-// recycled (and re-zeroed) buffers at any parallelism produce exactly the
-// bits of a fresh allocation at parallelism 1.
+// TestArenaByteIdentical: the determinism contract extends to the scratch
+// arena — a kernel that borrows recycled (and re-zeroed) scratch at any
+// parallelism produces exactly the bits of parallelism 1 on fresh scratch.
 func TestArenaByteIdentical(t *testing.T) {
-	a := dn(97, 83, 1)
-	b := dn(83, 61, 2)
 	x := dn(120, 17, 3)
+	xs := sprnd(120, 17, 5)
 	v := dn(17, 1, 4)
-	want := runAt(1, func() *Matrix { return Mul(a, b) })
-	wantT := runAt(1, func() *Matrix { return TSMM(x) })
-	wantC := runAt(1, func() *Matrix { return MulChainMVV(x, v, nil) })
-
-	withArena(t, true)
+	want := runAt(1, func() *Matrix { return MulChainMVV(x, v, nil) })
+	wantS := runAt(1, func() *Matrix { return MulChainMVV(xs, v, nil) })
 	for _, workers := range []int{1, 4} {
-		// Cycle buffers through the pools first so later iterations draw
-		// dirty recycled storage rather than fresh zeroed allocations.
 		for warm := 0; warm < 3; warm++ {
-			Recycle(runAt(workers, func() *Matrix { return Mul(a, b) }))
-			Recycle(runAt(workers, func() *Matrix { return TSMM(x) }))
-			Recycle(runAt(workers, func() *Matrix { return MulChainMVV(x, v, nil) }))
+			dirtyScratch(x.rows)
+			sameBits(t, "mmchain dense", runAt(workers, func() *Matrix { return MulChainMVV(x, v, nil) }), want)
+			dirtyScratch(x.rows)
+			sameBits(t, "mmchain sparse", runAt(workers, func() *Matrix { return MulChainMVV(xs, v, nil) }), wantS)
 		}
-		sameBits(t, "mulDD arena", runAt(workers, func() *Matrix { return Mul(a, b) }), want)
-		sameBits(t, "tsmm arena", runAt(workers, func() *Matrix { return TSMM(x) }), wantT)
-		sameBits(t, "mmchain arena", runAt(workers, func() *Matrix { return MulChainMVV(x, v, nil) }), wantC)
 	}
 }
 
-// TestArenaRecycledBuffersZeroed: NewDense must hand out all-zero storage
-// even when it comes from a recycled buffer full of old values.
+// TestArenaRecycledBuffersZeroed: getFloats must hand out all-zero storage
+// even when it comes from a recycled buffer full of old values. A sync.Pool
+// may drop a buffer, so the loop also checks that recycling happens at all.
 func TestArenaRecycledBuffersZeroed(t *testing.T) {
-	withArena(t, true)
-	m := NewDense(30, 30)
-	for i := 0; i < 30; i++ {
-		for j := 0; j < 30; j++ {
-			m.Set(i, j, 7)
+	recycled := 0
+	for try := 0; try < 100; try++ {
+		old := getFloats(900)
+		for i := range old {
+			old[i] = 7
+		}
+		putFloats(old)
+		fresh := getFloats(900)
+		if &fresh[0] == &old[0] {
+			recycled++
+		}
+		for i, v := range fresh {
+			if v != 0 {
+				t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
+			}
 		}
 	}
-	Recycle(m)
-	fresh := NewDense(30, 30)
-	for i, v := range fresh.dense {
-		if v != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
-		}
+	if recycled == 0 {
+		t.Error("no buffer came back from the pool in 100 tries")
 	}
 }
 
-// TestArenaRecycleSafety: recycle must ignore nil, sparse, and disabled
-// cases, and recycling must invalidate the matrix so reuse fails fast.
+// TestArenaRecycleSafety: putFloats must ignore what did not come from the
+// arena — nil, a capacity that is no class size, a class below the pooled
+// range — so getFloats only ever hands out class-sized storage.
 func TestArenaRecycleSafety(t *testing.T) {
-	Recycle(nil)
-	s := NewSparse(4, 4)
-	Recycle(s)
-	if s.rows != 4 {
-		t.Error("sparse matrix mutated by Recycle")
-	}
-	withArena(t, false)
-	m := NewDense(4, 4)
-	Recycle(m)
-	if m.dense == nil {
-		t.Error("Recycle stole a buffer while disabled")
-	}
-	withArena(t, true)
-	m = NewDense(4, 4)
-	Recycle(m)
-	if m.dense != nil || m.rows != 0 {
-		t.Error("Recycle left the matrix alive")
-	}
-
-	gets, hits, recycles := ArenaStats()
-	if gets < 0 || hits > gets || recycles < 0 {
-		t.Errorf("inconsistent arena stats: gets=%d hits=%d recycles=%d", gets, hits, recycles)
-	}
-}
-
-// TestArenaReducesAllocs: a steady-state multiply loop that recycles its
-// output must allocate less — fewer mallocs and far fewer bytes — than the
-// same loop without the arena.
-func TestArenaReducesAllocs(t *testing.T) {
-	a := dn(64, 64, 5)
-	b := dn(64, 64, 6)
-	withWorkers(t, 1)
-
-	allocBytes := func(f func()) uint64 {
-		var m1, m2 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m1)
-		for i := 0; i < 50; i++ {
-			f()
+	putFloats(nil)
+	putFloats(make([]float64, 100)) // capacity 100: not a power of two
+	putFloats(make([]float64, 32))  // a power of two below the smallest class
+	for _, n := range []int{32, 100} {
+		for try := 0; try < 20; try++ {
+			if s := getFloats(n); cap(s) != 1<<arenaClass(n) {
+				t.Fatalf("getFloats(%d) handed out a buffer of capacity %d", n, cap(s))
+			}
 		}
-		runtime.ReadMemStats(&m2)
-		return m2.TotalAlloc - m1.TotalAlloc
-	}
-
-	withArena(t, false)
-	coldAllocs := testing.AllocsPerRun(50, func() { _ = Mul(a, b) })
-	coldBytes := allocBytes(func() { _ = Mul(a, b) })
-
-	withArena(t, true)
-	Recycle(Mul(a, b)) // prime the pool
-	warmAllocs := testing.AllocsPerRun(50, func() { Recycle(Mul(a, b)) })
-	warmBytes := allocBytes(func() { Recycle(Mul(a, b)) })
-
-	if warmAllocs >= coldAllocs {
-		t.Errorf("arena did not reduce allocations: %v allocs/op with arena vs %v without", warmAllocs, coldAllocs)
-	}
-	if warmBytes >= coldBytes/2 {
-		t.Errorf("arena did not reduce bytes: %d with arena vs %d without", warmBytes, coldBytes)
 	}
 }
 

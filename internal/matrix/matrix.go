@@ -39,14 +39,9 @@ type Matrix struct {
 	sp         *csr      // non-nil when format==SparseCSR
 }
 
-// NewDense returns a zero-initialized dense rows x cols matrix. With the
-// arena enabled (EnableArena) the storage may come from a recycled buffer;
-// either way it is fully zeroed.
+// NewDense returns a zero-initialized dense rows x cols matrix.
 func NewDense(rows, cols int) *Matrix {
 	checkDims(rows, cols)
-	if arenaOn.Load() {
-		return &Matrix{rows: rows, cols: cols, dense: getFloats(rows * cols)}
-	}
 	return &Matrix{rows: rows, cols: cols, dense: make([]float64, rows*cols)}
 }
 

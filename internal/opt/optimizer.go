@@ -200,7 +200,7 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 				psp = o.Trace.Begin(obs.LayerOptimize, "opt.cp-point",
 					obs.A("cp", rc.String()), obs.A("cores", cores))
 			}
-			res, cand := o.evalCP(hp, rc, cores, srm, est, &stats, prunedForever, nil, mv)
+			res, cand := o.evalCP(hp, rc, cores, srm, est, &stats, prunedForever, mv)
 			psp.End(obs.A("cost", round6(cand)))
 			best = better(best, &Result{Res: res, Cost: cand})
 			if currentCP > 0 && rc == currentCP && (bestLocal == nil || cand < bestLocal.Cost) {
@@ -236,13 +236,11 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 // evalCP evaluates one CP grid point: baseline compilation at minimal MR
 // resources, pruning, per-block MR enumeration with memoization, and a
 // final whole-program costing under the memoized vector (Algorithm 1,
-// lines 5-17). blockHook, when non-nil, runs the per-block enumeration
-// through the parallel task queue. mv, when non-nil, first attempts a full
-// replay of the point from the re-costing memo and otherwise records every
-// fresh evaluation into it.
+// lines 5-17). mv, when non-nil, first attempts a full replay of the point
+// from the re-costing memo and otherwise records every fresh evaluation
+// into it.
 func (o *Optimizer) evalCP(hp *hop.Program, rc conf.Bytes, cores int, srm []conf.Bytes,
-	est *cost.Estimator, stats *Stats, prunedForever []bool,
-	blockHook func(tasks []blockTask) []memoEntry, mv *memoView) (conf.Resources, float64) {
+	est *cost.Estimator, stats *Stats, prunedForever []bool, mv *memoView) (conf.Resources, float64) {
 
 	n := hp.NumLeaf
 	minH := o.CC.MinHeap()
@@ -285,25 +283,16 @@ func (o *Optimizer) evalCP(hp *hop.Program, rc conf.Bytes, cores int, srm []conf
 		stats.RemainingBlocks = remaining
 	}
 
-	if blockHook != nil {
-		results := blockHook(tasks)
-		for k, t := range tasks {
-			if results[k].cost < memo[t.idx].cost {
-				memo[t.idx] = results[k]
-			}
+	for _, t := range tasks {
+		var bsp *obs.Span
+		if o.Trace.SpansEnabled() {
+			bsp = o.Trace.Begin(obs.LayerOptimize, "opt.enum-block",
+				obs.A("block", t.idx), obs.A("cp", t.rc.String()), obs.A("mr_points", len(srm)))
 		}
-	} else {
-		for _, t := range tasks {
-			var bsp *obs.Span
-			if o.Trace.SpansEnabled() {
-				bsp = o.Trace.Begin(obs.LayerOptimize, "opt.enum-block",
-					obs.A("block", t.idx), obs.A("cp", t.rc.String()), obs.A("mr_points", len(srm)))
-			}
-			entry := o.enumBlock(t, srm, est, stats, mv)
-			bsp.End(obs.A("best_mr", entry.ri.String()), obs.A("cost", round6(entry.cost)))
-			if entry.cost < memo[t.idx].cost {
-				memo[t.idx] = entry
-			}
+		entry := o.enumBlock(t, srm, est, stats, mv)
+		bsp.End(obs.A("best_mr", entry.ri.String()), obs.A("cost", round6(entry.cost)))
+		if entry.cost < memo[t.idx].cost {
+			memo[t.idx] = entry
 		}
 	}
 

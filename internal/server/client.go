@@ -54,29 +54,24 @@ func Dial(addr string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("handshake: %w", err)
 	}
-	switch reply := reply.(type) {
-	case *HelloAck:
-		if reply.Version != ProtoVersion {
-			conn.Close()
-			return nil, fmt.Errorf("%w: server acked version %d", ErrVersionMismatch, reply.Version)
-		}
-		conn.SetDeadline(time.Time{})
-		c := &Client{
-			conn:     conn,
-			maxFrame: reply.MaxFrame,
-			pending:  map[uint64]chan Message{},
-			results:  map[uint32]chan *JobResult{},
-			orphans:  map[uint32]*JobResult{},
-		}
-		go c.readLoop()
-		return c, nil
-	case *ErrorFrame:
-		conn.Close()
-		return nil, reply.Err()
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("handshake: unexpected %s frame", reply.Type())
+	ack, err := as[*HelloAck](reply)
+	if err == nil && ack.Version != ProtoVersion {
+		err = fmt.Errorf("%w: server acked version %d", ErrVersionMismatch, ack.Version)
 	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	conn.SetDeadline(time.Time{})
+	c := &Client{
+		conn:     conn,
+		maxFrame: ack.MaxFrame,
+		pending:  map[uint64]chan Message{},
+		results:  map[uint32]chan *JobResult{},
+		orphans:  map[uint32]*JobResult{},
+	}
+	go c.readLoop()
+	return c, nil
 }
 
 // readLoop routes inbound frames until the connection dies.
@@ -167,12 +162,36 @@ func (c *Client) rpc(build func(reqID uint64) Message) (Message, error) {
 	return m, nil
 }
 
+// as types a reply frame: the R the request expects, or the typed error an
+// ErrorFrame carries.
+func as[R Message](m Message) (R, error) {
+	var none R
+	switch m := m.(type) {
+	case R:
+		return m, nil
+	case *ErrorFrame:
+		return none, m.Err()
+	default:
+		return none, fmt.Errorf("client: unexpected %s frame, want %s", m.Type(), none.Type())
+	}
+}
+
+// call is one RPC: send the request build makes, wait, type the reply.
+func call[R Message](c *Client, build func(reqID uint64) Message) (R, error) {
+	m, err := c.rpc(build)
+	if err != nil {
+		var none R
+		return none, err
+	}
+	return as[R](m)
+}
+
 // Submit sends one job. On acceptance it returns the assigned job id, its
 // simulated arrival time, and a one-shot channel delivering the terminal
 // JobResult (closed instead if the connection dies first). Limiter sheds
 // come back as ErrOverloaded; a draining server as a plain error.
 func (c *Client) Submit(spec JobSpecWire) (uint32, float64, <-chan *JobResult, error) {
-	m, err := c.rpc(func(id uint64) Message {
+	m, err := call[*JobAccepted](c, func(id uint64) Message {
 		return &SubmitJob{
 			ReqID: id, Tenant: spec.Tenant, Script: spec.Script, Size: spec.Size,
 			Cols: spec.Cols, Sparsity: spec.Sparsity, Source: spec.Source,
@@ -182,91 +201,49 @@ func (c *Client) Submit(spec JobSpecWire) (uint32, float64, <-chan *JobResult, e
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	switch m := m.(type) {
-	case *JobAccepted:
-		ch := make(chan *JobResult, 1)
-		c.mu.Lock()
-		switch {
-		case c.orphans[m.Job] != nil:
-			ch <- c.orphans[m.Job]
-			delete(c.orphans, m.Job)
-		case c.readErr != nil:
-			close(ch)
-		default:
-			c.results[m.Job] = ch
-		}
-		c.mu.Unlock()
-		return m.Job, m.Arrival, ch, nil
-	case *ErrorFrame:
-		return 0, 0, nil, m.Err()
+	ch := make(chan *JobResult, 1)
+	c.mu.Lock()
+	switch {
+	case c.orphans[m.Job] != nil:
+		ch <- c.orphans[m.Job]
+		delete(c.orphans, m.Job)
+	case c.readErr != nil:
+		close(ch)
 	default:
-		return 0, 0, nil, fmt.Errorf("submit: unexpected %s frame", m.Type())
+		c.results[m.Job] = ch
 	}
+	c.mu.Unlock()
+	return m.Job, m.Arrival, ch, nil
 }
 
 // Status asks for a job's live state.
 func (c *Client) Status(job uint32) (*JobStatusAck, error) {
-	m, err := c.rpc(func(id uint64) Message { return &JobStatus{ReqID: id, Job: job} })
-	if err != nil {
-		return nil, err
-	}
-	switch m := m.(type) {
-	case *JobStatusAck:
-		return m, nil
-	case *ErrorFrame:
-		return nil, m.Err()
-	default:
-		return nil, fmt.Errorf("status: unexpected %s frame", m.Type())
-	}
+	return call[*JobStatusAck](c, func(id uint64) Message { return &JobStatus{ReqID: id, Job: job} })
 }
 
 // Cancel requests a job cancellation; ok reports whether it landed before
 // the job turned terminal.
 func (c *Client) Cancel(job uint32) (bool, error) {
-	m, err := c.rpc(func(id uint64) Message { return &CancelJob{ReqID: id, Job: job} })
+	m, err := call[*CancelAck](c, func(id uint64) Message { return &CancelJob{ReqID: id, Job: job} })
 	if err != nil {
 		return false, err
 	}
-	switch m := m.(type) {
-	case *CancelAck:
-		return m.OK, nil
-	case *ErrorFrame:
-		return false, m.Err()
-	default:
-		return false, fmt.Errorf("cancel: unexpected %s frame", m.Type())
-	}
+	return m.OK, nil
 }
 
 // Metrics fetches a live metrics snapshot.
 func (c *Client) Metrics() (obs.MetricsSnapshot, error) {
-	m, err := c.rpc(func(id uint64) Message { return &MetricsRequest{ReqID: id} })
+	m, err := call[*MetricsFrame](c, func(id uint64) Message { return &MetricsRequest{ReqID: id} })
 	if err != nil {
 		return obs.MetricsSnapshot{}, err
 	}
-	switch m := m.(type) {
-	case *MetricsFrame:
-		return m.Snapshot, nil
-	case *ErrorFrame:
-		return obs.MetricsSnapshot{}, m.Err()
-	default:
-		return obs.MetricsSnapshot{}, fmt.Errorf("metrics: unexpected %s frame", m.Type())
-	}
+	return m.Snapshot, nil
 }
 
 // Ping round-trips a no-op frame.
 func (c *Client) Ping() error {
-	m, err := c.rpc(func(id uint64) Message { return &Ping{ReqID: id} })
-	if err != nil {
-		return err
-	}
-	switch m := m.(type) {
-	case *Pong:
-		return nil
-	case *ErrorFrame:
-		return m.Err()
-	default:
-		return fmt.Errorf("ping: unexpected %s frame", m.Type())
-	}
+	_, err := call[*Pong](c, func(id uint64) Message { return &Ping{ReqID: id} })
+	return err
 }
 
 // Close tears the session down; outstanding waiters fail.

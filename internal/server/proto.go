@@ -69,36 +69,33 @@ const (
 	typeMax // one past the last valid type
 )
 
+// msgTypes is the one table of message types: the name a type prints as and
+// the constructor of its zero message. A type is valid iff it has a row.
+var msgTypes = [typeMax]struct {
+	name string
+	new  func() Message
+}{
+	TypeHello:           {"Hello", func() Message { return new(Hello) }},
+	TypeHelloAck:        {"HelloAck", func() Message { return new(HelloAck) }},
+	TypeSubmitJob:       {"SubmitJob", func() Message { return new(SubmitJob) }},
+	TypeJobAccepted:     {"JobAccepted", func() Message { return new(JobAccepted) }},
+	TypeJobStatus:       {"JobStatus", func() Message { return new(JobStatus) }},
+	TypeJobStatusAck:    {"JobStatusAck", func() Message { return new(JobStatusAck) }},
+	TypeJobResult:       {"JobResult", func() Message { return new(JobResult) }},
+	TypeCancelJob:       {"CancelJob", func() Message { return new(CancelJob) }},
+	TypeCancelAck:       {"CancelAck", func() Message { return new(CancelAck) }},
+	TypeMetricsRequest:  {"MetricsRequest", func() Message { return new(MetricsRequest) }},
+	TypeMetricsSnapshot: {"MetricsSnapshot", func() Message { return new(MetricsFrame) }},
+	TypePing:            {"Ping", func() Message { return new(Ping) }},
+	TypePong:            {"Pong", func() Message { return new(Pong) }},
+	TypeError:           {"Error", func() Message { return new(ErrorFrame) }},
+}
+
+func (t MsgType) valid() bool { return t < typeMax && msgTypes[t].new != nil }
+
 func (t MsgType) String() string {
-	switch t {
-	case TypeHello:
-		return "Hello"
-	case TypeHelloAck:
-		return "HelloAck"
-	case TypeSubmitJob:
-		return "SubmitJob"
-	case TypeJobAccepted:
-		return "JobAccepted"
-	case TypeJobStatus:
-		return "JobStatus"
-	case TypeJobStatusAck:
-		return "JobStatusAck"
-	case TypeJobResult:
-		return "JobResult"
-	case TypeCancelJob:
-		return "CancelJob"
-	case TypeCancelAck:
-		return "CancelAck"
-	case TypeMetricsRequest:
-		return "MetricsRequest"
-	case TypeMetricsSnapshot:
-		return "MetricsSnapshot"
-	case TypePing:
-		return "Ping"
-	case TypePong:
-		return "Pong"
-	case TypeError:
-		return "Error"
+	if t.valid() {
+		return msgTypes[t].name
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
@@ -133,11 +130,13 @@ func (c ErrCode) String() string {
 	return fmt.Sprintf("code(%d)", uint16(c))
 }
 
-// Message is one decoded protocol message.
+// Message is one decoded protocol message. wire visits the payload's fields
+// in wire order on a codec, which appends them (EncodeFrame) or reads them
+// (ReadFrame): a field is declared in the struct and named once in wire, so
+// the two directions cannot disagree.
 type Message interface {
 	Type() MsgType
-	encode(*encoder)
-	decode(*decoder)
+	wire(*codec)
 }
 
 // Hello opens a session (client → server).
@@ -313,417 +312,263 @@ func (m *Ping) Type() MsgType           { return TypePing }
 func (m *Pong) Type() MsgType           { return TypePong }
 func (m *ErrorFrame) Type() MsgType     { return TypeError }
 
-// newMessage allocates the zero message for a frame type.
-func newMessage(t MsgType) (Message, bool) {
-	switch t {
-	case TypeHello:
-		return &Hello{}, true
-	case TypeHelloAck:
-		return &HelloAck{}, true
-	case TypeSubmitJob:
-		return &SubmitJob{}, true
-	case TypeJobAccepted:
-		return &JobAccepted{}, true
-	case TypeJobStatus:
-		return &JobStatus{}, true
-	case TypeJobStatusAck:
-		return &JobStatusAck{}, true
-	case TypeJobResult:
-		return &JobResult{}, true
-	case TypeCancelJob:
-		return &CancelJob{}, true
-	case TypeCancelAck:
-		return &CancelAck{}, true
-	case TypeMetricsRequest:
-		return &MetricsRequest{}, true
-	case TypeMetricsSnapshot:
-		return &MetricsFrame{}, true
-	case TypePing:
-		return &Ping{}, true
-	case TypePong:
-		return &Pong{}, true
-	case TypeError:
-		return &ErrorFrame{}, true
-	}
-	return nil, false
-}
+// --- codec --------------------------------------------------------------
 
-// --- encoder / decoder -------------------------------------------------
-
-type encoder struct{ b []byte }
-
-func (e *encoder) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *encoder) u16(v uint16) { e.b = binary.BigEndian.AppendUint16(e.b, v) }
-func (e *encoder) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *encoder) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// decoder reads payload fields, latching the first error; every getter is
-// safe to call after a failure and returns the zero value.
-type decoder struct {
+// codec walks a payload in one direction: encoding, every field method
+// appends *v to b; decoding, it reads *v from b at off. A decode latches its
+// first error, after which every field method is a no-op that leaves *v
+// alone.
+type codec struct {
+	dec bool
 	b   []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrMalformed
+// fail latches ErrMalformed on a decode. An encode refuses nothing: what it
+// is handed came from this program, not from the wire.
+func (c *codec) fail() {
+	if c.dec && c.err == nil {
+		c.err = ErrMalformed
 	}
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail()
+// take returns the next n payload bytes of a decode, or nil past the end.
+func (c *codec) take(n int) []byte {
+	if c.err != nil || n < 0 || n > len(c.b)-c.off {
+		c.fail()
 		return nil
 	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
+	s := c.b[c.off : c.off+n]
+	c.off += n
 	return s
 }
 
-func (d *decoder) u8() uint8 {
-	s := d.take(1)
-	if s == nil {
-		return 0
+func (c *codec) u8(v *uint8) {
+	if !c.dec {
+		c.b = append(c.b, *v)
+	} else if s := c.take(1); s != nil {
+		*v = s[0]
 	}
-	return s[0]
-}
-func (d *decoder) u16() uint16 {
-	s := d.take(2)
-	if s == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(s)
-}
-func (d *decoder) u32() uint32 {
-	s := d.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(s)
-}
-func (d *decoder) u64() uint64 {
-	s := d.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(s)
-}
-func (d *decoder) i64() int64    { return int64(d.u64()) }
-func (d *decoder) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *decoder) boolean() bool { return d.u8() != 0 }
-func (d *decoder) str() string {
-	n := d.u32()
-	if d.err != nil || uint64(n) > uint64(len(d.b)-d.off) {
-		d.fail()
-		return ""
-	}
-	return string(d.take(int(n)))
 }
 
-// done rejects trailing garbage after a fully decoded payload.
-func (d *decoder) done() error {
-	if d.err != nil {
-		return d.err
+func (c *codec) u16(v *uint16) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint16(c.b, *v)
+	} else if s := c.take(2); s != nil {
+		*v = binary.BigEndian.Uint16(s)
 	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.b)-d.off)
+}
+
+func (c *codec) u32(v *uint32) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint32(c.b, *v)
+	} else if s := c.take(4); s != nil {
+		*v = binary.BigEndian.Uint32(s)
 	}
-	return nil
+}
+
+func (c *codec) u64(v *uint64) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint64(c.b, *v)
+	} else if s := c.take(8); s != nil {
+		*v = binary.BigEndian.Uint64(s)
+	}
+}
+
+func (c *codec) i64(v *int64) {
+	u := uint64(*v)
+	if c.u64(&u); c.dec {
+		*v = int64(u)
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	u := math.Float64bits(*v)
+	if c.u64(&u); c.dec {
+		*v = math.Float64frombits(u)
+	}
+}
+
+func (c *codec) boolean(v *bool) {
+	var u uint8
+	if *v {
+		u = 1
+	}
+	if c.u8(&u); c.dec {
+		*v = u != 0
+	}
+}
+
+func (c *codec) str(v *string) {
+	n := uint32(len(*v))
+	if c.u32(&n); !c.dec {
+		c.b = append(c.b, *v...)
+	} else if s := c.take(int(n)); s != nil {
+		*v = string(s)
+	}
+}
+
+// list walks a u32-count-prefixed slice. Every element occupies at least one
+// byte, so a decode refuses a count above the bytes left before it allocates;
+// a zero count leaves the slice nil.
+func list[T any](c *codec, s *[]T, elem func(*T, *codec)) {
+	n := uint32(len(*s))
+	if c.u32(&n); c.dec {
+		if c.err != nil || uint64(n) > uint64(len(c.b)-c.off) {
+			c.fail()
+			return
+		}
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+	for i := 0; i < int(n) && c.err == nil; i++ {
+		elem(&(*s)[i], c)
+	}
 }
 
 // --- per-message payloads ----------------------------------------------
 
-func (m *Hello) encode(e *encoder) {
-	e.u16(m.Version)
-	e.str(m.Client)
-}
-func (m *Hello) decode(d *decoder) {
-	m.Version = d.u16()
-	m.Client = d.str()
+func (m *Hello) wire(c *codec) {
+	c.u16(&m.Version)
+	c.str(&m.Client)
 }
 
-func (m *HelloAck) encode(e *encoder) {
-	e.u16(m.Version)
-	e.str(m.Server)
-	e.u32(m.MaxFrame)
-}
-func (m *HelloAck) decode(d *decoder) {
-	m.Version = d.u16()
-	m.Server = d.str()
-	m.MaxFrame = d.u32()
+func (m *HelloAck) wire(c *codec) {
+	c.u16(&m.Version)
+	c.str(&m.Server)
+	c.u32(&m.MaxFrame)
 }
 
-func (m *SubmitJob) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.str(m.Tenant)
-	e.str(m.Script)
-	e.str(m.Size)
-	e.i64(m.Cols)
-	e.f64(m.Sparsity)
-	e.str(m.Source)
-	e.u32(uint32(len(m.Params)))
-	for _, p := range m.Params {
-		e.str(p.Key)
-		e.u8(uint8(p.Kind))
-		switch p.Kind {
-		case ParamFloat:
-			e.f64(p.F)
-		case ParamInt:
-			e.i64(p.I)
-		case ParamString:
-			e.str(p.S)
-		case ParamBool:
-			e.boolean(p.B)
+func (m *SubmitJob) wire(c *codec) {
+	c.u64(&m.ReqID)
+	c.str(&m.Tenant)
+	c.str(&m.Script)
+	c.str(&m.Size)
+	c.i64(&m.Cols)
+	c.f64(&m.Sparsity)
+	c.str(&m.Source)
+	list(c, &m.Params, (*Param).wire)
+}
+
+func (p *Param) wire(c *codec) {
+	c.str(&p.Key)
+	c.u8((*uint8)(&p.Kind))
+	switch p.Kind {
+	case ParamFloat:
+		c.f64(&p.F)
+	case ParamInt:
+		c.i64(&p.I)
+	case ParamString:
+		c.str(&p.S)
+	case ParamBool:
+		c.boolean(&p.B)
+	default:
+		c.fail()
+	}
+}
+
+func (m *JobAccepted) wire(c *codec) {
+	c.u64(&m.ReqID)
+	c.u32(&m.Job)
+	c.f64(&m.Arrival)
+}
+
+func (m *JobStatus) wire(c *codec) {
+	c.u64(&m.ReqID)
+	c.u32(&m.Job)
+}
+
+func (m *JobStatusAck) wire(c *codec) {
+	c.u64(&m.ReqID)
+	c.u32(&m.Job)
+	c.str(&m.State)
+	c.str(&m.Tenant)
+	c.f64(&m.Arrival)
+	c.f64(&m.Admitted)
+	c.f64(&m.Finished)
+}
+
+func (m *JobResult) wire(c *codec) {
+	c.u32(&m.Job)
+	c.str(&m.Tenant)
+	c.str(&m.Program)
+	c.str(&m.Config)
+	c.u8((*uint8)(&m.Flags))
+	c.f64(&m.Arrival)
+	c.f64(&m.Admitted)
+	c.f64(&m.Finished)
+	c.f64(&m.QueueDelay)
+	c.f64(&m.Latency)
+	c.f64(&m.WastedWork)
+	c.u32(&m.Reopts)
+	c.u32(&m.Requeues)
+	c.str(&m.OutputHash)
+	c.str(&m.Error)
+}
+
+func (m *CancelJob) wire(c *codec) {
+	c.u64(&m.ReqID)
+	c.u32(&m.Job)
+}
+
+func (m *CancelAck) wire(c *codec) {
+	c.u64(&m.ReqID)
+	c.u32(&m.Job)
+	c.boolean(&m.OK)
+}
+
+func (m *MetricsRequest) wire(c *codec) { c.u64(&m.ReqID) }
+
+func (m *MetricsFrame) wire(c *codec) {
+	c.u64(&m.ReqID)
+	list(c, &m.Snapshot.Counters, func(p *obs.CounterPoint, c *codec) {
+		c.str(&p.Name)
+		c.i64(&p.Value)
+	})
+	list(c, &m.Snapshot.Gauges, func(p *obs.GaugePoint, c *codec) {
+		c.str(&p.Name)
+		c.f64(&p.Value)
+	})
+	list(c, &m.Snapshot.Hists, func(p *obs.HistPoint, c *codec) {
+		c.str(&p.Name)
+		c.i64(&p.Hist.Count)
+		c.f64(&p.Hist.Sum)
+		c.f64(&p.Hist.Min)
+		c.f64(&p.Hist.Max)
+		nb := uint8(len(p.Hist.Buckets))
+		if c.u8(&nb); int(nb) != len(p.Hist.Buckets) {
+			c.fail()
 		}
-	}
-}
-func (m *SubmitJob) decode(d *decoder) {
-	m.ReqID = d.u64()
-	m.Tenant = d.str()
-	m.Script = d.str()
-	m.Size = d.str()
-	m.Cols = d.i64()
-	m.Sparsity = d.f64()
-	m.Source = d.str()
-	n := d.u32()
-	if d.err != nil || uint64(n) > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	if n > 0 {
-		m.Params = make([]Param, 0, n)
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		var p Param
-		p.Key = d.str()
-		p.Kind = ParamKind(d.u8())
-		switch p.Kind {
-		case ParamFloat:
-			p.F = d.f64()
-		case ParamInt:
-			p.I = d.i64()
-		case ParamString:
-			p.S = d.str()
-		case ParamBool:
-			p.B = d.boolean()
-		default:
-			d.fail()
+		for k := range p.Hist.Buckets {
+			c.i64(&p.Hist.Buckets[k])
 		}
-		m.Params = append(m.Params, p)
-	}
+	})
 }
 
-func (m *JobAccepted) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.u32(m.Job)
-	e.f64(m.Arrival)
-}
-func (m *JobAccepted) decode(d *decoder) {
-	m.ReqID = d.u64()
-	m.Job = d.u32()
-	m.Arrival = d.f64()
-}
+func (m *Ping) wire(c *codec) { c.u64(&m.ReqID) }
+func (m *Pong) wire(c *codec) { c.u64(&m.ReqID) }
 
-func (m *JobStatus) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.u32(m.Job)
-}
-func (m *JobStatus) decode(d *decoder) {
-	m.ReqID = d.u64()
-	m.Job = d.u32()
-}
-
-func (m *JobStatusAck) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.u32(m.Job)
-	e.str(m.State)
-	e.str(m.Tenant)
-	e.f64(m.Arrival)
-	e.f64(m.Admitted)
-	e.f64(m.Finished)
-}
-func (m *JobStatusAck) decode(d *decoder) {
-	m.ReqID = d.u64()
-	m.Job = d.u32()
-	m.State = d.str()
-	m.Tenant = d.str()
-	m.Arrival = d.f64()
-	m.Admitted = d.f64()
-	m.Finished = d.f64()
-}
-
-func (m *JobResult) encode(e *encoder) {
-	e.u32(m.Job)
-	e.str(m.Tenant)
-	e.str(m.Program)
-	e.str(m.Config)
-	e.u8(uint8(m.Flags))
-	e.f64(m.Arrival)
-	e.f64(m.Admitted)
-	e.f64(m.Finished)
-	e.f64(m.QueueDelay)
-	e.f64(m.Latency)
-	e.f64(m.WastedWork)
-	e.u32(m.Reopts)
-	e.u32(m.Requeues)
-	e.str(m.OutputHash)
-	e.str(m.Error)
-}
-func (m *JobResult) decode(d *decoder) {
-	m.Job = d.u32()
-	m.Tenant = d.str()
-	m.Program = d.str()
-	m.Config = d.str()
-	m.Flags = ResultFlags(d.u8())
-	m.Arrival = d.f64()
-	m.Admitted = d.f64()
-	m.Finished = d.f64()
-	m.QueueDelay = d.f64()
-	m.Latency = d.f64()
-	m.WastedWork = d.f64()
-	m.Reopts = d.u32()
-	m.Requeues = d.u32()
-	m.OutputHash = d.str()
-	m.Error = d.str()
-}
-
-func (m *CancelJob) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.u32(m.Job)
-}
-func (m *CancelJob) decode(d *decoder) {
-	m.ReqID = d.u64()
-	m.Job = d.u32()
-}
-
-func (m *CancelAck) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.u32(m.Job)
-	e.boolean(m.OK)
-}
-func (m *CancelAck) decode(d *decoder) {
-	m.ReqID = d.u64()
-	m.Job = d.u32()
-	m.OK = d.boolean()
-}
-
-func (m *MetricsRequest) encode(e *encoder) { e.u64(m.ReqID) }
-func (m *MetricsRequest) decode(d *decoder) { m.ReqID = d.u64() }
-
-func (m *MetricsFrame) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.u32(uint32(len(m.Snapshot.Counters)))
-	for _, c := range m.Snapshot.Counters {
-		e.str(c.Name)
-		e.i64(c.Value)
-	}
-	e.u32(uint32(len(m.Snapshot.Gauges)))
-	for _, g := range m.Snapshot.Gauges {
-		e.str(g.Name)
-		e.f64(g.Value)
-	}
-	e.u32(uint32(len(m.Snapshot.Hists)))
-	for _, hp := range m.Snapshot.Hists {
-		e.str(hp.Name)
-		e.i64(hp.Hist.Count)
-		e.f64(hp.Hist.Sum)
-		e.f64(hp.Hist.Min)
-		e.f64(hp.Hist.Max)
-		e.u8(uint8(len(hp.Hist.Buckets)))
-		for _, b := range hp.Hist.Buckets {
-			e.i64(b)
-		}
-	}
-}
-func (m *MetricsFrame) decode(d *decoder) {
-	m.ReqID = d.u64()
-	nc := d.u32()
-	if d.err != nil || uint64(nc) > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	for i := uint32(0); i < nc && d.err == nil; i++ {
-		m.Snapshot.Counters = append(m.Snapshot.Counters,
-			obs.CounterPoint{Name: d.str(), Value: d.i64()})
-	}
-	ng := d.u32()
-	if d.err != nil || uint64(ng) > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	for i := uint32(0); i < ng && d.err == nil; i++ {
-		m.Snapshot.Gauges = append(m.Snapshot.Gauges,
-			obs.GaugePoint{Name: d.str(), Value: d.f64()})
-	}
-	nh := d.u32()
-	if d.err != nil || uint64(nh) > uint64(len(d.b)-d.off) {
-		d.fail()
-		return
-	}
-	for i := uint32(0); i < nh && d.err == nil; i++ {
-		var hp obs.HistPoint
-		hp.Name = d.str()
-		hp.Hist.Count = d.i64()
-		hp.Hist.Sum = d.f64()
-		hp.Hist.Min = d.f64()
-		hp.Hist.Max = d.f64()
-		nb := int(d.u8())
-		if nb != len(hp.Hist.Buckets) {
-			d.fail()
-			return
-		}
-		for k := 0; k < nb && d.err == nil; k++ {
-			hp.Hist.Buckets[k] = d.i64()
-		}
-		m.Snapshot.Hists = append(m.Snapshot.Hists, hp)
-	}
-}
-
-func (m *Ping) encode(e *encoder) { e.u64(m.ReqID) }
-func (m *Ping) decode(d *decoder) { m.ReqID = d.u64() }
-func (m *Pong) encode(e *encoder) { e.u64(m.ReqID) }
-func (m *Pong) decode(d *decoder) { m.ReqID = d.u64() }
-
-func (m *ErrorFrame) encode(e *encoder) {
-	e.u64(m.ReqID)
-	e.u16(uint16(m.Code))
-	e.str(m.Msg)
-}
-func (m *ErrorFrame) decode(d *decoder) {
-	m.ReqID = d.u64()
-	m.Code = ErrCode(d.u16())
-	m.Msg = d.str()
+func (m *ErrorFrame) wire(c *codec) {
+	c.u64(&m.ReqID)
+	c.u16((*uint16)(&m.Code))
+	c.str(&m.Msg)
 }
 
 // --- frame I/O ----------------------------------------------------------
 
 // EncodeFrame serializes a message into a complete frame (header included).
 func EncodeFrame(m Message, maxFrame uint32) ([]byte, error) {
-	e := &encoder{b: make([]byte, 5, 64)}
-	e.b[4] = byte(m.Type())
-	m.encode(e)
-	length := uint32(len(e.b) - 4)
+	c := codec{b: make([]byte, 5, 64)}
+	c.b[4] = byte(m.Type())
+	m.wire(&c)
+	length := uint32(len(c.b) - 4)
 	if maxFrame > 0 && length > maxFrame {
 		return nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, length, maxFrame)
 	}
-	binary.BigEndian.PutUint32(e.b[:4], length)
-	return e.b, nil
+	binary.BigEndian.PutUint32(c.b[:4], length)
+	return c.b, nil
 }
 
 // WriteFrame encodes and writes one frame.
@@ -762,14 +607,17 @@ func ReadFrame(r io.Reader, maxFrame uint32) (Message, error) {
 		return nil, ErrTruncatedFrame
 	}
 	t := MsgType(body[0])
-	m, ok := newMessage(t)
-	if !ok {
+	if !t.valid() {
 		return nil, fmt.Errorf("%w: type %d", ErrUnknownMessage, uint8(t))
 	}
-	d := &decoder{b: body[1:]}
-	m.decode(d)
-	if err := d.done(); err != nil {
-		return nil, fmt.Errorf("%s: %w", t, err)
+	m := msgTypes[t].new()
+	c := codec{dec: true, b: body[1:]}
+	m.wire(&c)
+	if c.err == nil && c.off != len(c.b) {
+		c.err = fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(c.b)-c.off)
+	}
+	if c.err != nil {
+		return nil, fmt.Errorf("%s: %w", t, c.err)
 	}
 	return m, nil
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"elasticml/internal/obs"
@@ -190,6 +191,12 @@ func TestFrameOversized(t *testing.T) {
 	}
 }
 
+// frameOf puts a header on a hand-built payload.
+func frameOf(t MsgType, payload []byte) []byte {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+len(payload)))
+	return append(append(frame, byte(t)), payload...)
+}
+
 // TestFrameGarbage: zero-length frames, unknown types, short payloads, and
 // trailing garbage are all typed malformed-frame errors.
 func TestFrameGarbage(t *testing.T) {
@@ -215,16 +222,51 @@ func TestFrameGarbage(t *testing.T) {
 		t.Fatalf("trailing bytes: want ErrMalformed, got %v", err)
 	}
 
-	// A string length that overruns the frame.
-	e := &encoder{}
-	e.u64(1)              // ReqID of an ErrorFrame
-	e.u16(1)              // code
-	e.u32(1 << 30)        // declared string length far past the payload
-	e.b = append(e.b, 'x')
-	frame := append([]byte{0, 0, 0, 0, byte(TypeError)}, e.b...)
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	// A string length that overruns the frame: an ErrorFrame with ReqID 1,
+	// code 1 and a declared Msg length of 1<<30 over a one-byte payload.
+	frame := []byte{0, 0, 0, 16, byte(TypeError),
+		0, 0, 0, 0, 0, 0, 0, 1, // ReqID
+		0, 1, // Code
+		0x40, 0, 0, 0, // len(Msg)
+		'x'}
 	if _, err := ReadFrame(bytes.NewReader(frame), 0); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("overrun string: want ErrMalformed, got %v", err)
+	}
+
+	// A SubmitJob whose parameter count exceeds the bytes left is refused
+	// before the slice is allocated (1<<20 Params would be 64 MB).
+	submit := make([]byte, 44) // ReqID, three empty strings, Cols, Sparsity, empty Source, count
+	binary.BigEndian.PutUint32(submit[40:], 1<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(frameOf(TypeSubmitJob, submit)), 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrMalformed) {
+		t.Fatalf("overrun count: want ErrMalformed, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("overrun count: decoder allocated %d bytes before refusing", got)
+	}
+
+	// One parameter with an empty key and a kind no ParamKind names.
+	binary.BigEndian.PutUint32(submit[40:], 1)
+	badKind := append(submit[:44:44], 0, 0, 0, 0, 9)
+	if _, err := ReadFrame(bytes.NewReader(frameOf(TypeSubmitJob, badKind)), 0); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("unknown param kind: want ErrMalformed, got %v", err)
+	}
+
+	// A histogram that declares 7 buckets and carries 8: without the
+	// bucket-count check the payload would decode with nothing left over.
+	var h obs.HistPoint
+	metrics := make([]byte, 8+4+4+4+4+8+8+8+8+1+8*len(h.Hist.Buckets))
+	metrics[19] = 1 // one histogram after zero counters and zero gauges
+	metrics[56] = uint8(len(h.Hist.Buckets) - 1)
+	if _, err := ReadFrame(bytes.NewReader(frameOf(TypeMetricsSnapshot, metrics)), 0); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("histogram bucket count: want ErrMalformed, got %v", err)
+	}
+	metrics[56]++
+	if _, err := ReadFrame(bytes.NewReader(frameOf(TypeMetricsSnapshot, metrics)), 0); err != nil {
+		t.Fatalf("histogram with the right bucket count: %v", err)
 	}
 
 	// Seeded random garbage bodies with plausible headers must never panic

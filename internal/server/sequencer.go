@@ -18,11 +18,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/datagen"
-	"elasticml/internal/scripts"
 	"elasticml/internal/workload"
 )
 
@@ -47,55 +46,43 @@ type JobSpecWire struct {
 
 // toJobSpec converts the wire form into a service JobSpec. The conversion
 // is deterministic: live submission and replay build identical specs.
+// Non-finite numbers are refused here (and by datagen.Parse): they would run,
+// but the op log that records them is JSON, which has no NaN or Inf.
 func (w JobSpecWire) toJobSpec(arrival float64) (workload.JobSpec, error) {
-	spec := workload.JobSpec{Tenant: w.Tenant, Arrival: arrival}
-	if w.Script == "" {
-		if w.Source == "" {
-			return spec, fmt.Errorf("job %q: neither script nor source", w.Tenant)
-		}
-		spec.Source = w.Source
-		if len(w.Params) > 0 {
-			params := make(map[string]interface{}, len(w.Params))
-			for _, p := range w.Params {
-				switch p.Kind {
-				case ParamFloat:
-					params[p.Key] = p.F
-				case ParamInt:
-					params[p.Key] = p.I
-				case ParamString:
-					params[p.Key] = p.S
-				case ParamBool:
-					params[p.Key] = p.B
-				default:
-					return spec, fmt.Errorf("job %q: bad param kind %d", w.Tenant, p.Kind)
-				}
-			}
-			spec.Params = params
+	if w.Script != "" {
+		spec, err := workload.ScenarioJob{
+			Tenant: w.Tenant, Script: w.Script, Size: w.Size, Cols: w.Cols,
+			Sparsity: w.Sparsity, Arrival: arrival,
+		}.Resolve()
+		if err != nil {
+			return spec, fmt.Errorf("job %q: %w", w.Tenant, err)
 		}
 		return spec, nil
 	}
-	sc, ok := scripts.ByName(w.Script)
-	if !ok {
-		return spec, fmt.Errorf("job %q: unknown script %q", w.Tenant, w.Script)
+	spec := workload.JobSpec{Tenant: w.Tenant, Arrival: arrival, Source: w.Source}
+	if w.Source == "" {
+		return spec, fmt.Errorf("job %q: neither script nor source", w.Tenant)
 	}
-	spec.Script = sc
-	size := w.Size
-	if size == "" {
-		size = "S"
+	if len(w.Params) > 0 {
+		spec.Params = make(map[string]interface{}, len(w.Params))
 	}
-	cols := w.Cols
-	if cols == 0 {
-		cols = 1000
+	for _, p := range w.Params {
+		switch p.Kind {
+		case ParamFloat:
+			if math.IsNaN(p.F) || math.IsInf(p.F, 0) {
+				return spec, fmt.Errorf("job %q: param %q is not finite", w.Tenant, p.Key)
+			}
+			spec.Params[p.Key] = p.F
+		case ParamInt:
+			spec.Params[p.Key] = p.I
+		case ParamString:
+			spec.Params[p.Key] = p.S
+		case ParamBool:
+			spec.Params[p.Key] = p.B
+		default:
+			return spec, fmt.Errorf("job %q: bad param kind %d", w.Tenant, p.Kind)
+		}
 	}
-	sparsity := w.Sparsity
-	if sparsity == 0 {
-		sparsity = 1.0
-	}
-	scen, err := datagen.Parse(size, cols, sparsity)
-	if err != nil {
-		return spec, fmt.Errorf("job %q: %w", w.Tenant, err)
-	}
-	spec.Scenario = scen
 	return spec, nil
 }
 

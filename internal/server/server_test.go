@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -404,5 +406,56 @@ func TestServerStatusCancelMetrics(t *testing.T) {
 	rep := srv.Shutdown(5 * time.Second)
 	if rep == nil || len(rep.Tenants) != 1 {
 		t.Fatalf("report: %+v", rep)
+	}
+}
+
+// TestServerNonFiniteInput: a NaN sparsity or a ±Inf float parameter would
+// run, but the op log is JSON and could never be written again. Each is a
+// CodeBadRequest on a session that stays open, and the daemon's log still
+// writes and replays to the live report.
+func TestServerNonFiniteInput(t *testing.T) {
+	srv, addr := startServer(t, ServerConfig{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	source := func(v float64) JobSpecWire {
+		return JobSpecWire{Tenant: "inf", Source: "print($x)", Params: []Param{{Key: "x", Kind: ParamFloat, F: v}}}
+	}
+	for _, bad := range []JobSpecWire{
+		{Tenant: "nan", Script: "LinregDS", Size: "XS", Cols: 100, Sparsity: math.NaN()},
+		{Tenant: "nan", Script: "LinregDS", Sparsity: math.Inf(1)},
+		source(math.Inf(1)), source(math.Inf(-1)), source(math.NaN()),
+	} {
+		_, _, _, err := c.Submit(bad)
+		if err == nil || !strings.Contains(err.Error(), CodeBadRequest.String()) {
+			t.Errorf("%+v: want a %s error, got %v", bad, CodeBadRequest, err)
+		}
+	}
+	_, _, done, err := c.Submit(JobSpecWire{Tenant: "good", Script: "LinregDS", Size: "XS", Cols: 100})
+	if err != nil {
+		t.Fatalf("session did not survive the rejections: %v", err)
+	}
+	if res := <-done; res == nil || res.Flags&FlagServed == 0 {
+		t.Fatalf("good job not served: %+v", res)
+	}
+
+	live := srv.Shutdown(5 * time.Second)
+	var log bytes.Buffer
+	if err := srv.Log().WriteJSON(&log); err != nil {
+		t.Fatalf("op log unwritable: %v", err)
+	}
+	recorded, err := ReadRecordLog(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := Replay(recorded)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if a, b := reportJSON(t, live), reportJSON(t, replayed); len(live.Tenants) != 1 || string(a) != string(b) {
+		t.Fatalf("live and replayed reports differ, or %d tenants != 1", len(live.Tenants))
 	}
 }

@@ -147,44 +147,51 @@ func (s *RunSpec) JobSpecs() ([]JobSpec, error) {
 	}
 	jobs := make([]JobSpec, len(s.Jobs))
 	for i, sj := range s.Jobs {
-		spec, ok := scripts.ByName(sj.Script)
-		if !ok {
-			return nil, fmt.Errorf("workload: scenario job %d: unknown script %q", i, sj.Script)
+		if sj.Tenant == "" {
+			sj.Tenant = fmt.Sprintf("tenant-%02d", i)
 		}
-		if sj.Epochs < 0 || sj.Batches < 0 {
-			return nil, fmt.Errorf("workload: scenario job %d: negative epochs/batches", i)
-		}
-		size := sj.Size
-		if size == "" {
-			size = "S"
-		}
-		cols := sj.Cols
-		if cols == 0 {
-			cols = 1000
-		}
-		sparsity := sj.Sparsity
-		if sparsity == 0 {
-			sparsity = 1.0
-		}
-		sc, err := datagen.Parse(size, cols, sparsity)
-		if err != nil {
+		var err error
+		if jobs[i], err = sj.Resolve(); err != nil {
 			return nil, fmt.Errorf("workload: scenario job %d: %w", i, err)
-		}
-		tenant := sj.Tenant
-		if tenant == "" {
-			tenant = fmt.Sprintf("tenant-%02d", i)
-		}
-		jobs[i] = JobSpec{
-			Tenant: tenant, Script: withEpochs(spec, sj.Epochs, sj.Batches), Scenario: sc, Arrival: sj.Arrival,
-			Elastic: ElasticSpec{
-				MinContainers:     sj.MinContainers,
-				DesiredContainers: sj.DesiredContainers,
-				MaxContainers:     sj.MaxContainers,
-				Step:              sj.WidthStep,
-			},
 		}
 	}
 	return jobs, nil
+}
+
+// Resolve turns a script-mode job description into a submission: the script
+// looked up in the registry, the data scenario with its S / 1000 / dense
+// defaults filled in and validated. It is the one resolver a run
+// description's jobs and the daemon's SubmitJob frames share.
+func (sj ScenarioJob) Resolve() (JobSpec, error) {
+	spec, ok := scripts.ByName(sj.Script)
+	if !ok {
+		return JobSpec{}, fmt.Errorf("unknown script %q", sj.Script)
+	}
+	if sj.Epochs < 0 || sj.Batches < 0 {
+		return JobSpec{}, fmt.Errorf("negative epochs/batches")
+	}
+	if sj.Size == "" {
+		sj.Size = "S"
+	}
+	if sj.Cols == 0 {
+		sj.Cols = 1000
+	}
+	if sj.Sparsity == 0 {
+		sj.Sparsity = 1.0
+	}
+	sc, err := datagen.Parse(sj.Size, sj.Cols, sj.Sparsity)
+	if err != nil {
+		return JobSpec{}, err
+	}
+	return JobSpec{
+		Tenant: sj.Tenant, Script: withEpochs(spec, sj.Epochs, sj.Batches), Scenario: sc, Arrival: sj.Arrival,
+		Elastic: ElasticSpec{
+			MinContainers:     sj.MinContainers,
+			DesiredContainers: sj.DesiredContainers,
+			MaxContainers:     sj.MaxContainers,
+			Step:              sj.WidthStep,
+		},
+	}, nil
 }
 
 // withEpochs returns spec with its $epochs / $batches parameters replaced

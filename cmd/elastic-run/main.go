@@ -245,8 +245,8 @@ func main() {
 		fmt.Fprintf(out, "execution:  %d instructions, %d MR jobs, %d recompilations, %d migrations\n",
 			ip.Stats.Instructions, ip.Stats.MRJobs, ip.Stats.Recompiles, ip.Stats.Migrations)
 		if ad != nil && ad.Stats.Reoptimizations > 0 {
-			fmt.Fprintf(out, "adaptation: %d re-optimizations (%d after node loss), %d migrations (%.1f s)\n",
-				ad.Stats.Reoptimizations, ad.Stats.ContainerLossReopts, ad.Stats.Migrations, ad.Stats.MigrationTime)
+			fmt.Fprintf(out, "adaptation: %d re-optimizations (%d reused, %d after node loss), %d migrations (%.1f s)\n",
+				ad.Stats.Reoptimizations, ad.Stats.ReoptReuses, ad.Stats.ContainerLossReopts, ad.Stats.Migrations, ad.Stats.MigrationTime)
 		}
 		if inj != nil {
 			fmt.Fprintf(out, "recovery:   %d node failures, %d task retries, %d stragglers (%d speculated), %d HDFS retries, %.1f s re-executed\n",
@@ -293,12 +293,7 @@ type runSummary struct {
 		Migrations   int `json:"migrations"`
 	} `json:"execution"`
 
-	Adaptation *struct {
-		Reoptimizations     int     `json:"reoptimizations"`
-		ContainerLossReopts int     `json:"container_loss_reopts"`
-		Migrations          int     `json:"migrations"`
-		MigrationSeconds    float64 `json:"migration_seconds"`
-	} `json:"adaptation,omitempty"`
+	Adaptation *adaptationSummary `json:"adaptation,omitempty"`
 
 	Recovery *struct {
 		NodeFailures    int     `json:"node_failures"`
@@ -310,6 +305,14 @@ type runSummary struct {
 	} `json:"recovery,omitempty"`
 
 	Metrics map[string]interface{} `json:"metrics,omitempty"`
+}
+
+type adaptationSummary struct {
+	Reoptimizations     int     `json:"reoptimizations"`
+	ReoptReuses         int     `json:"reopt_reuses"`
+	ContainerLossReopts int     `json:"container_loss_reopts"`
+	Migrations          int     `json:"migrations"`
+	MigrationSeconds    float64 `json:"migration_seconds"`
 }
 
 func writeJSONSummary(out *obs.ErrWriter, program, scenario string, start conf.Resources,
@@ -327,13 +330,8 @@ func writeJSONSummary(out *obs.ErrWriter, program, scenario string, start conf.R
 	sum.Execution.Recompiles = ip.Stats.Recompiles
 	sum.Execution.Migrations = ip.Stats.Migrations
 	if ad != nil {
-		a := &struct {
-			Reoptimizations     int     `json:"reoptimizations"`
-			ContainerLossReopts int     `json:"container_loss_reopts"`
-			Migrations          int     `json:"migrations"`
-			MigrationSeconds    float64 `json:"migration_seconds"`
-		}{ad.Stats.Reoptimizations, ad.Stats.ContainerLossReopts, ad.Stats.Migrations, ad.Stats.MigrationTime}
-		sum.Adaptation = a
+		sum.Adaptation = &adaptationSummary{ad.Stats.Reoptimizations, ad.Stats.ReoptReuses,
+			ad.Stats.ContainerLossReopts, ad.Stats.Migrations, ad.Stats.MigrationTime}
 	}
 	if inj != nil {
 		r := &struct {

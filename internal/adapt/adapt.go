@@ -8,6 +8,9 @@
 package adapt
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"time"
 
 	"elasticml/internal/conf"
@@ -24,6 +27,9 @@ import (
 type Stats struct {
 	// Reoptimizations counts resource re-optimization runs.
 	Reoptimizations int
+	// ReoptReuses counts the re-optimizations answered by the kept last
+	// search instead of a fresh one (included in Reoptimizations).
+	ReoptReuses int
 	// ContainerLossReopts counts re-optimizations triggered by node
 	// failures (graceful degradation to a smaller cluster).
 	ContainerLossReopts int
@@ -70,6 +76,7 @@ type Adapter struct {
 
 	Stats Stats
 	chain []yarn.Container
+	last  search // answers consults while its inputs repeat
 }
 
 // New returns an adapter with the paper's defaults.
@@ -104,11 +111,14 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	if ctx.CC.Nodes > 0 {
 		cc = ctx.CC
 	}
-	o := &opt.Optimizer{CC: cc, Opts: opts, Trace: a.Trace}
-	global, local := o.OptimizeWithCurrent(scopeProg, ctx.Res.CP)
+	global, local, reused := a.reoptimize(scopeProg, ctx.Res.CP, cc, opts)
 	a.Stats.Reoptimizations++
 	m := a.Trace.Metrics()
 	m.Add("adapt.reoptimizations", 1)
+	if reused {
+		a.Stats.ReoptReuses++
+		m.Add("adapt.reopt_reuses", 1)
+	}
 	if ctx.Trigger == rt.TriggerContainerLoss {
 		a.Stats.ContainerLossReopts++
 		m.Add("adapt.container_loss_reopts", 1)
@@ -132,42 +142,42 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	// free ("adjusting the memory configuration of stateless jobs or
 	// reducing the CP AM memory are trivial").
 	needsMigration := global.Res.CP > ctx.Res.CP
-	if needsMigration && benefit > migCost*a.MinBenefit {
+	// Unless migrating or shrinking, continue in the current container with
+	// the locally optimal configuration (always update MR resources).
+	decision, res := "keep-local", local.Res
+	switch {
+	case needsMigration && benefit > migCost*a.MinBenefit:
+		decision, res = "migrate", global.Res
 		dec.Migrate = true
 		dec.ExtraTime += migCost
-		dec.NewRes = mapScopeResources(ctx, scopeProg, global.Res)
 		a.Stats.Migrations++
 		a.Stats.MigrationTime += migCost
 		m.Add("adapt.migrations", 1)
-		a.migrateContainer(dec.NewRes.CP)
-		a.traceDecision(ctx, dec, scopeProg.NumLeaf, global, local, migCost, benefit, "migrate")
-		return dec
-	}
-	// Otherwise continue in the current container with the locally optimal
-	// configuration (always update MR resources).
-	if !needsMigration && global.Res.CP != ctx.Res.CP {
+		a.migrateContainer(res.CP)
+	case !needsMigration && global.Res.CP != ctx.Res.CP:
 		// CP shrink (or equal): adopt the global optimum without cost.
-		dec.NewRes = mapScopeResources(ctx, scopeProg, global.Res)
-		a.traceDecision(ctx, dec, scopeProg.NumLeaf, global, local, migCost, benefit, "adopt-global")
-		return dec
+		decision, res = "adopt-global", global.Res
 	}
-	dec.NewRes = mapScopeResources(ctx, scopeProg, local.Res)
-	a.traceDecision(ctx, dec, scopeProg.NumLeaf, global, local, migCost, benefit, "keep-local")
+	dec.NewRes = mapScopeResources(ctx, scopeProg, res)
+	a.traceDecision(ctx, dec, scopeProg.NumLeaf, global, local, migCost, benefit, decision, reused)
 	return dec
 }
 
 // traceDecision emits the adapt-layer span for one re-optimization. The span
 // starts at the current simulated time and lasts the charged extra time — the
 // interpreter advances its clock by the same amount right after Adapt
-// returns, so the span covers exactly the adaptation stall.
+// returns, so the span covers exactly the adaptation stall. A reused
+// re-optimization ran no search, so no opt.grid-search span or opt.*
+// counter precedes its span.
 func (a *Adapter) traceDecision(ctx *rt.AdaptContext, dec *rt.AdaptDecision, scopeLeaves int,
-	global, local *opt.Result, migCost, benefit float64, decision string) {
+	global, local *opt.Result, migCost, benefit float64, decision string, reused bool) {
 	if !a.Trace.SpansEnabled() {
 		return
 	}
 	a.Trace.CompleteNow(obs.LayerAdapt, "adapt.reoptimize", dec.ExtraTime,
 		obs.A("trigger", ctx.Trigger.String()),
 		obs.A("decision", decision),
+		obs.A("reused", reused),
 		obs.A("scope_leaves", scopeLeaves),
 		obs.A("global_cost", global.Cost),
 		obs.A("local_cost", local.Cost),
@@ -176,6 +186,32 @@ func (a *Adapter) traceDecision(ctx *rt.AdaptContext, dec *rt.AdaptDecision, sco
 		obs.A("dirty_bytes", int64(ctx.DirtyBytes)),
 		obs.A("old_cp", ctx.Res.CP.String()),
 		obs.A("new_cp", dec.NewRes.CP.String()))
+}
+
+// search is one re-optimization: what it was asked and what it answered.
+type search struct {
+	prog          []byte // hop.AppendKey of the rebuilt scope program
+	cp            conf.Bytes
+	cc            conf.Cluster
+	opts          opt.Options
+	global, local *opt.Result
+}
+
+// reoptimize runs OptimizeWithCurrent, or answers from the last search when
+// that was asked exactly the same: the rebuilt scope program, the current
+// CP, the cluster view and the options determine the result. A
+// time-budgeted search depends on the wall clock and is never reused.
+func (a *Adapter) reoptimize(prog *hop.Program, cp conf.Bytes, cc conf.Cluster, opts opt.Options) (global, local *opt.Result, reused bool) {
+	key := hop.AppendKey(nil, prog)
+	l := &a.last
+	if opts.TimeBudget == 0 && cp == l.cp && cc == l.cc && bytes.Equal(key, l.prog) && reflect.DeepEqual(opts, l.opts) {
+		return l.global, l.local, true
+	}
+	o := &opt.Optimizer{CC: cc, Opts: opts, Trace: a.Trace}
+	global, local = o.OptimizeWithCurrent(prog, cp)
+	opts.CPCoreCandidates = slices.Clone(opts.CPCoreCandidates) // the kept key must not alias a.Opt
+	*l = search{prog: key, cp: cp, cc: cc, opts: opts, global: global, local: local}
+	return global, local, false
 }
 
 // migrateContainer performs the AM process chaining against the RM when

@@ -23,7 +23,9 @@ race:
 # the plan cache and memo store start empty), and scheduling-sensitive races
 # get a second draw. These are the packages with goroutines of their own:
 # the kernel pool and scratch arena (matrix), the CP interpreter (rt), the
-# parallel optimizer, sharded cache and shared memos (opt), the service's
+# parallel optimizer's worker pool, whose workers fill the result slots of
+# points the master prepared, plus the sharded cache and shared memos (opt,
+# whose path-equivalence test runs the paper grid at 4 workers), the service's
 # fan-out/join (workload), the daemon's sessions and sequencer (server), and
 # the ResourceManager every one of them allocates from (yarn).
 race2:

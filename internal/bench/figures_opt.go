@@ -222,19 +222,14 @@ func (r *Runner) Figure18() error {
 	r.printf("Figure 18(a): GLM dense1000 %s, Equi m=45 — optimization time\n", size)
 	r.printf("  %-8s %12s\n", "#Threads", "Opt time")
 	threads := []int{1, 2, 4, 8, 16}
-	var serialTime time.Duration
 	for _, w := range threads {
 		o := opt.New(r.CC)
 		o.Opts.GridCP, o.Opts.GridMR = opt.GridEqui, opt.GridEqui
 		o.Opts.Points = 45
 		o.Opts.Workers = w
 		res := o.Optimize(hp)
-		if w == 1 {
-			serialTime = res.Stats.OptTime
-		}
 		r.printf("  %-8d %12v\n", w, res.Stats.OptTime.Round(time.Millisecond))
 	}
-	_ = serialTime
 
 	r.printf("Figure 18(b): GLM dense1000, Hybrid — serial vs parallel per scenario\n")
 	r.printf("  %-9s %12s %12s\n", "Scenario", "Serial", "Parallel(8)")

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/hop"
 )
 
 // The shared plan cache memoizes optimization outcomes across tenants of a
@@ -362,25 +361,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
-}
-
-// OptimizeCached solves the resource allocation problem through the
-// cache: a hit returns the memoized configuration and cost without
-// touching the grid; a miss runs the full search and memoizes the
-// outcome. The caller is responsible for deriving the key with CacheKey
-// from the same program, cluster, and options it passes here. A nil cache
-// degenerates to Optimize.
-func (o *Optimizer) OptimizeCached(hp *hop.Program, c PlanCache, key string) (*Result, bool) {
-	if c != nil {
-		if res, cost, ok := c.Lookup(key); ok {
-			return &Result{Res: res, Cost: cost}, true
-		}
-	}
-	r := o.Optimize(hp)
-	if r != nil && c != nil {
-		c.Insert(key, r.Res, r.Cost)
-	}
-	return r, false
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -5,10 +5,6 @@ import (
 	"time"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/datagen"
-	"elasticml/internal/dml"
-	"elasticml/internal/hdfs"
-	"elasticml/internal/hop"
 	"elasticml/internal/scripts"
 )
 
@@ -56,7 +52,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	mut("cluster load", func() { opts.ClusterLoad = 0.5 })
 
 	// Result-neutral knobs: parallel enumeration returns the same result
-	// (TestParallelMatchesSerial) and the time budget only bounds effort.
+	// (TestSearchPathsMatchFresh) and the time budget only bounds effort.
 	opts.Workers = 8
 	if CacheKey(src, params, inputs, cc, opts) != base {
 		t.Error("worker count changed the key")
@@ -257,49 +253,24 @@ func TestCacheNilAndDefaults(t *testing.T) {
 	}
 }
 
-// TestOptimizeCachedHitEqualsCold: a cache hit returns exactly the cold
-// optimization outcome for a real program.
-func TestOptimizeCachedHitEqualsCold(t *testing.T) {
-	fs := hdfs.New()
-	datagen.Describe(fs, datagen.New("XS", 1000, 1.0))
-	spec := scripts.LinregDS()
-	prog, err := dml.Parse(spec.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := hop.NewCompiler(fs, spec.Params)
-	hp, err := comp.Compile(prog, spec.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := conf.DefaultCluster()
-	o := New(cc)
+// TestCacheHitEqualsCold: composed as the workload service composes it —
+// a lookup, a search on a miss, an insert — a cache hit returns exactly the
+// cold optimization outcome for a real program.
+func TestCacheHitEqualsCold(t *testing.T) {
+	hp := compileTestProgram(t, scripts.LinregDS())
+	o := New(conf.DefaultCluster())
 	o.Opts.Points = 5
 
-	cold := o.Optimize(hp)
 	cache := NewCache(4)
-	key := "some-key"
-	miss, hit := o.OptimizeCached(hp, cache, key)
-	if hit {
-		t.Fatal("first call must miss")
+	const key = "some-key"
+	if _, _, hit := cache.Lookup(key); hit {
+		t.Fatal("empty cache hit")
 	}
-	if miss.Cost != cold.Cost || miss.Res.String() != cold.Res.String() {
-		t.Fatalf("miss result differs from plain Optimize: %v/%v vs %v/%v",
-			miss.Res, miss.Cost, cold.Res, cold.Cost)
-	}
-	got, hit := o.OptimizeCached(hp, cache, key)
+	cold := o.Optimize(hp)
+	cache.Insert(key, cold.Res, cold.Cost)
+	res, c, hit := cache.Lookup(key)
 	if !hit {
-		t.Fatal("second call must hit")
+		t.Fatal("lookup after insert must hit")
 	}
-	if got.Cost != cold.Cost {
-		t.Errorf("hit cost %v != cold cost %v", got.Cost, cold.Cost)
-	}
-	if got.Res.CP != cold.Res.CP || got.Res.CPCores != cold.Res.CPCores || len(got.Res.MR) != len(cold.Res.MR) {
-		t.Fatalf("hit res %v != cold res %v", got.Res, cold.Res)
-	}
-	for i := range got.Res.MR {
-		if got.Res.MR[i] != cold.Res.MR[i] {
-			t.Errorf("hit MR[%d] %v != cold %v", i, got.Res.MR[i], cold.Res.MR[i])
-		}
-	}
+	sameResult(t, "cache hit", &Result{Res: res, Cost: c}, cold)
 }

@@ -180,43 +180,15 @@ func newMemoView(m *Memo, cc conf.Cluster) *memoView {
 	return &memoView{m: m, cc: cc, ccID: id}
 }
 
-// blockCost looks up a valid per-block enumeration cost.
-func (v *memoView) blockCost(cores int, rc, ri conf.Bytes, block int) (float64, bool) {
-	if v == nil {
-		return 0, false
-	}
-	v.m.mu.Lock()
-	defer v.m.mu.Unlock()
-	e, ok := v.m.blocks[memoBlockKey{cores: cores, rc: rc, ri: ri, block: block}]
-	if ok && compatible(v.m.ccs[e.cc], v.cc, e.mr, rc, ri) {
-		v.m.hits++
-		return e.cost, true
-	}
-	v.m.misses++
-	return 0, false
-}
-
-// recordBlock stores a per-block enumeration cost.
-func (v *memoView) recordBlock(cores int, rc, ri conf.Bytes, block int, cost float64, mr bool) {
-	if v == nil {
-		return
-	}
-	v.m.mu.Lock()
-	defer v.m.mu.Unlock()
-	v.m.flushIfFull()
-	v.m.blocks[memoBlockKey{cores: cores, rc: rc, ri: ri, block: block}] =
-		memoBlockVal{cost: cost, mr: mr, cc: v.ccID}
-}
-
-// baseline looks up a valid baseline entry (cost + pruning verdict).
-func (v *memoView) baseline(cores int, rc, minH conf.Bytes, block int) (memoBlockVal, bool) {
+// block looks up a valid block cost, a baseline or an enumeration entry.
+func (v *memoView) block(k memoBlockKey) (memoBlockVal, bool) {
 	if v == nil {
 		return memoBlockVal{}, false
 	}
 	v.m.mu.Lock()
 	defer v.m.mu.Unlock()
-	e, ok := v.m.blocks[memoBlockKey{cores: cores, rc: rc, ri: minH, block: block, baseline: true}]
-	if ok && compatible(v.m.ccs[e.cc], v.cc, e.mr, rc, minH) {
+	e, ok := v.m.blocks[k]
+	if ok && compatible(v.m.ccs[e.cc], v.cc, e.mr, k.rc, k.ri) {
 		v.m.hits++
 		return e, true
 	}
@@ -224,45 +196,47 @@ func (v *memoView) baseline(cores int, rc, minH conf.Bytes, block int) (memoBloc
 	return memoBlockVal{}, false
 }
 
-// recordBaseline stores a baseline entry.
-func (v *memoView) recordBaseline(cores int, rc, minH conf.Bytes, block int, cost float64, mr, pruned bool) {
+// recordBlock stores a block cost computed under the view's cluster.
+func (v *memoView) recordBlock(k memoBlockKey, e memoBlockVal) {
 	if v == nil {
 		return
 	}
 	v.m.mu.Lock()
 	defer v.m.mu.Unlock()
 	v.m.flushIfFull()
-	v.m.blocks[memoBlockKey{cores: cores, rc: rc, ri: minH, block: block, baseline: true}] =
-		memoBlockVal{cost: cost, mr: mr, pruned: pruned, cc: v.ccID}
+	e.cc = v.ccID
+	v.m.blocks[k] = e
 }
 
-// progCost looks up a valid whole-program costing. MR-bearing programs
-// depend on the container size of every heap in the vector, so they are
+// prog looks up a valid whole-program costing. MR-bearing programs depend
+// on the container size of every heap in the vector, so they are
 // conservatively reused only under an identical cluster.
-func (v *memoView) progCost(cores int, rc conf.Bytes, vec string) (float64, bool) {
+func (v *memoView) prog(k memoProgKey) (memoProgVal, bool) {
 	if v == nil {
-		return 0, false
+		return memoProgVal{}, false
 	}
 	v.m.mu.Lock()
 	defer v.m.mu.Unlock()
-	e, ok := v.m.progs[memoProgKey{cores: cores, rc: rc, vec: vec}]
+	e, ok := v.m.progs[k]
 	if ok && (v.m.ccs[e.cc] == v.cc || (!e.mr && compatible(v.m.ccs[e.cc], v.cc, false))) {
 		v.m.hits++
-		return e.cost, true
+		return e, true
 	}
 	v.m.misses++
-	return 0, false
+	return memoProgVal{}, false
 }
 
-// recordProg stores a whole-program costing.
-func (v *memoView) recordProg(cores int, rc conf.Bytes, vec string, cost float64, mr bool) {
+// recordProg stores a whole-program costing computed under the view's
+// cluster.
+func (v *memoView) recordProg(k memoProgKey, e memoProgVal) {
 	if v == nil {
 		return
 	}
 	v.m.mu.Lock()
 	defer v.m.mu.Unlock()
 	v.m.flushIfFull()
-	v.m.progs[memoProgKey{cores: cores, rc: rc, vec: vec}] = memoProgVal{cost: cost, mr: mr, cc: v.ccID}
+	e.cc = v.ccID
+	v.m.progs[k] = e
 }
 
 // flushIfFull empties the entry tables when the overflow cap is reached.

@@ -265,7 +265,7 @@ func TestMemoFlushOnClusterOverflow(t *testing.T) {
 		c := cc
 		c.Nodes = 2 + i
 		v := newMemoView(m, c)
-		v.recordBlock(1, conf.GB, conf.GB, 0, float64(i), true)
+		v.recordBlock(memoBlockKey{cores: 1, rc: conf.GB, ri: conf.GB}, memoBlockVal{cost: float64(i), mr: true})
 	}
 	m.mu.Lock()
 	nccs := len(m.ccs)
@@ -277,7 +277,7 @@ func TestMemoFlushOnClusterOverflow(t *testing.T) {
 	c := cc
 	c.Nodes = 2 + maxMemoCCs + 3
 	v := newMemoView(m, c)
-	if cost, ok := v.blockCost(1, conf.GB, conf.GB, 0); !ok || cost != float64(maxMemoCCs+3) {
-		t.Errorf("post-flush lookup: ok=%v cost=%v", ok, cost)
+	if e, ok := v.block(memoBlockKey{cores: 1, rc: conf.GB, ri: conf.GB}); !ok || e.cost != float64(maxMemoCCs+3) {
+		t.Errorf("post-flush lookup: ok=%v cost=%v", ok, e.cost)
 	}
 }

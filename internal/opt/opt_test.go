@@ -191,24 +191,6 @@ func TestPruningPreservesResult(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	cc := conf.DefaultCluster()
-	hp := compileHP(t, scripts.MLogreg(), 1_000_000, 100, 1.0)
-	serial := New(cc)
-	serial.Opts.Points = 7
-	a := serial.Optimize(hp)
-	par := New(cc)
-	par.Opts.Points = 7
-	par.Opts.Workers = 4
-	b := par.Optimize(hp)
-	if math.Abs(a.Cost-b.Cost) > 1e-9*math.Max(a.Cost, 1) {
-		t.Errorf("parallel result differs: %.6f vs %.6f", a.Cost, b.Cost)
-	}
-	if a.Res.CP != b.Res.CP {
-		t.Errorf("parallel CP differs: %v vs %v", a.Res.CP, b.Res.CP)
-	}
-}
-
 func TestOptimizeWithCurrent(t *testing.T) {
 	cc := conf.DefaultCluster()
 	hp := compileHP(t, scripts.LinregCG(), 1_000_000, 1000, 1.0)

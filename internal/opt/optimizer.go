@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"elasticml/internal/conf"
@@ -75,11 +76,11 @@ type Stats struct {
 	// proven MR-independent at a smaller CP size (monotonic dependency
 	// elimination across grid points).
 	MemoHits int
-	// ReuseHits counts cost evaluations answered by the re-costing memo
-	// (OptimizeMemo) instead of a fresh compile-and-cost.
+	// ReuseHits counts block enumeration evaluations answered by the
+	// re-costing memo (OptimizeMemo) instead of a fresh compile-and-cost.
 	ReuseHits int
-	// ReplayedPoints counts CP grid points fully replayed from the
-	// re-costing memo — no baseline compilation, no enumeration.
+	// ReplayedPoints counts CP grid points answered by the re-costing memo
+	// in full — not one compilation or costing.
 	ReplayedPoints int
 }
 
@@ -165,11 +166,27 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		coreCands = []int{1}
 	}
 
-	var best, bestLocal *Result
-
 	deadline := time.Time{}
 	if o.Opts.TimeBudget > 0 {
 		deadline = start.Add(o.Opts.TimeBudget)
+	}
+
+	// The task-parallel search (Appendix C) hands the block enumerations to
+	// a worker pool; the memo path is sequential.
+	var pool *enumPool
+	if o.Opts.Workers > 1 && mv == nil {
+		pool = o.startPool(o.Opts.Workers, srm, deadline)
+	}
+	est := o.newEstimator()
+	var best, bestLocal *Result
+	var pending []*cpPoint
+	take := func(p *cpPoint) float64 {
+		res, c := o.finish(hp, p, est, &stats, mv)
+		best = better(best, &Result{Res: res, Cost: c})
+		if currentCP > 0 && p.rc == currentCP && (bestLocal == nil || c < bestLocal.Cost) {
+			bestLocal = &Result{Res: res, Cost: c}
+		}
+		return c
 	}
 
 	for _, cores := range coreCands {
@@ -178,37 +195,56 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		// The property holds per core count (memory inflation shifts the
 		// thresholds).
 		prunedForever := make([]bool, hp.NumLeaf)
-		if o.Opts.Workers > 1 && mv == nil {
-			b, bl := o.optimizeParallel(hp, src, srm, currentCP, cores, &stats, prunedForever, deadline)
-			if b != nil {
-				best = better(best, b)
-			}
-			if bl != nil && bestLocal == nil {
-				bestLocal = bl
-			}
-			continue
-		}
-		est := o.newEstimator()
 		for _, rc := range src {
 			// At least one configuration is always evaluated, even when
 			// the time budget is already exhausted.
-			if best != nil && !deadline.IsZero() && time.Now().After(deadline) {
+			if (best != nil || len(pending) > 0) && !deadline.IsZero() && time.Now().After(deadline) {
 				break
+			}
+			if pool != nil {
+				p := o.begin(hp, rc, cores, est, &stats, prunedForever, mv)
+				pool.submit(p)
+				pending = append(pending, p)
+				continue
 			}
 			var psp *obs.Span
 			if o.Trace.SpansEnabled() {
 				psp = o.Trace.Begin(obs.LayerOptimize, "opt.cp-point",
 					obs.A("cp", rc.String()), obs.A("cores", cores))
 			}
-			res, cand := o.evalCP(hp, rc, cores, srm, est, &stats, prunedForever, mv)
-			psp.End(obs.A("cost", round6(cand)))
-			best = better(best, &Result{Res: res, Cost: cand})
-			if currentCP > 0 && rc == currentCP && (bestLocal == nil || cand < bestLocal.Cost) {
-				bestLocal = &Result{Res: res, Cost: cand}
+			costed := est.Invocations
+			p := o.begin(hp, rc, cores, est, &stats, prunedForever, mv)
+			for k, t := range p.tasks {
+				var bsp *obs.Span
+				if o.Trace.SpansEnabled() {
+					bsp = o.Trace.Begin(obs.LayerOptimize, "opt.enum-block",
+						obs.A("block", t.idx), obs.A("cp", rc.String()), obs.A("mr_points", len(srm)))
+				}
+				p.outs[k] = o.enumBlock(t, srm, est, &stats, mv)
+				if bsp != nil {
+					bsp.End(obs.A("best_mr", p.outs[k].ri.String()), obs.A("cost", round6(p.outs[k].cost)))
+				}
+			}
+			c := take(p)
+			// Every compilation is costed, so a point that never invoked
+			// the cost model was replayed from the memo in full.
+			if est.Invocations == costed {
+				stats.ReplayedPoints++
+			}
+			if psp != nil {
+				psp.End(obs.A("cost", round6(c)))
 			}
 		}
-		stats.Costings += est.Invocations
 	}
+	if pool != nil {
+		close(pool.tasks)
+		for _, p := range pending {
+			p.wg.Wait()
+			take(p)
+		}
+		pool.wait(&stats)
+	}
+	stats.Costings += est.Invocations
 	stats.OptTime = time.Since(start)
 	if best != nil {
 		osp.End(obs.A("best_cp", best.Res.CP.String()), obs.A("best_cost", round6(best.Cost)))
@@ -233,188 +269,17 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 	return best, bestLocal
 }
 
-// evalCP evaluates one CP grid point: baseline compilation at minimal MR
-// resources, pruning, per-block MR enumeration with memoization, and a
-// final whole-program costing under the memoized vector (Algorithm 1,
-// lines 5-17). mv, when non-nil, first attempts a full replay of the point
-// from the re-costing memo and otherwise records every fresh evaluation
-// into it.
-func (o *Optimizer) evalCP(hp *hop.Program, rc conf.Bytes, cores int, srm []conf.Bytes,
-	est *cost.Estimator, stats *Stats, prunedForever []bool, mv *memoView) (conf.Resources, float64) {
-
-	n := hp.NumLeaf
-	minH := o.CC.MinHeap()
-	if res, c, ok := o.replayCP(hp, rc, cores, srm, minH, est, stats, prunedForever, mv); ok {
-		return res, c
-	}
-	baseline := lop.Select(hp, o.CC, withCores(conf.NewResources(rc, minH, n), cores))
-	stats.BlockCompilations += countBlocks(baseline)
-
-	memo := make([]memoEntry, n)
-	leaves := baseline.LeafBlocks()
-	var tasks []blockTask
-	remaining := 0
-	for i, lb := range leaves {
-		bc := est.BlockCost(lb, withCores(conf.NewResources(rc, minH, 1), cores))
-		memo[i] = memoEntry{ri: minH, cost: bc}
-		skip := false
-		if !o.Opts.DisablePruning {
-			if prunedForever[i] {
-				stats.MemoHits++
-				skip = true
-			} else if pruneBlock(lb) {
-				stats.PrunedBlocks++
-				if lop.NumMRJobs([]*lop.Block{lb}) == 0 {
-					prunedForever[i] = true
-				}
-				skip = true
-			}
-		}
-		if mv != nil {
-			mv.recordBaseline(cores, rc, minH, i, bc, lop.NumMRJobs([]*lop.Block{lb}) > 0, skip)
-		}
-		if skip {
-			continue
-		}
-		remaining++
-		tasks = append(tasks, blockTask{idx: i, hb: lb.HopBlock, rc: rc, cores: cores})
-	}
-	if remaining > stats.RemainingBlocks {
-		stats.RemainingBlocks = remaining
-	}
-
-	for _, t := range tasks {
-		var bsp *obs.Span
-		if o.Trace.SpansEnabled() {
-			bsp = o.Trace.Begin(obs.LayerOptimize, "opt.enum-block",
-				obs.A("block", t.idx), obs.A("cp", t.rc.String()), obs.A("mr_points", len(srm)))
-		}
-		entry := o.enumBlock(t, srm, est, stats, mv)
-		bsp.End(obs.A("best_mr", entry.ri.String()), obs.A("cost", round6(entry.cost)))
-		if entry.cost < memo[t.idx].cost {
-			memo[t.idx] = entry
-		}
-	}
-
-	// Whole-program compilation under the memoized vector, taking the
-	// control structure (loops, branches) into account.
-	resVec := conf.Resources{CP: rc, MR: make([]conf.Bytes, n), CPCores: cores}
-	for i := range memo {
-		resVec.MR[i] = memo[i].ri
-	}
-	full := lop.Select(hp, o.CC, resVec)
-	stats.BlockCompilations += countBlocks(full)
-	pc := est.ProgramCost(full)
-	if mv != nil {
-		mv.recordProg(cores, rc, vecString(resVec.MR), pc, lop.NumMRJobs(full.Blocks) > 0)
-	}
-	return resVec, pc
-}
-
-// replayCP re-derives one CP grid point entirely from the re-costing memo:
-// every baseline cost, pruning verdict, and enumeration cost the fresh path
-// would compute must be present and valid under the current cluster, or the
-// replay is abandoned (the fresh path then fills the gaps). A successful
-// replay skips the baseline compilation and the whole per-block enumeration
-// and mirrors the fresh path's memo/pruning bookkeeping, so subsequent
-// points see the same prunedForever state either way.
-func (o *Optimizer) replayCP(hp *hop.Program, rc conf.Bytes, cores int, srm []conf.Bytes,
-	minH conf.Bytes, est *cost.Estimator, stats *Stats, prunedForever []bool,
-	mv *memoView) (conf.Resources, float64, bool) {
-
-	if mv == nil {
-		return conf.Resources{}, 0, false
-	}
-	n := hp.NumLeaf
-	memo := make([]memoEntry, n)
-	remaining := 0
-	// Stats mirrored only after the whole point proves replayable.
-	memoHits, prunedBlocks := 0, 0
-	var newlyForever []int
-	for i := 0; i < n; i++ {
-		bv, ok := mv.baseline(cores, rc, minH, i)
-		if !ok {
-			return conf.Resources{}, 0, false
-		}
-		memo[i] = memoEntry{ri: minH, cost: bv.cost}
-		if !o.Opts.DisablePruning {
-			if prunedForever[i] {
-				memoHits++
-				continue
-			}
-			if bv.pruned {
-				prunedBlocks++
-				if !bv.mr {
-					newlyForever = append(newlyForever, i)
-				}
-				continue
-			}
-		}
-		best := memoEntry{cost: -1}
-		for _, ri := range srm {
-			c, ok := mv.blockCost(cores, rc, ri, i)
-			if !ok {
-				return conf.Resources{}, 0, false
-			}
-			if best.cost < 0 || c < best.cost {
-				best = memoEntry{ri: ri, cost: c}
-			}
-		}
-		remaining++
-		if best.cost < memo[i].cost {
-			memo[i] = best
-		}
-	}
-
-	resVec := conf.Resources{CP: rc, MR: make([]conf.Bytes, n), CPCores: cores}
-	for i := range memo {
-		resVec.MR[i] = memo[i].ri
-	}
-	vec := vecString(resVec.MR)
-	pc, ok := mv.progCost(cores, rc, vec)
-	if !ok {
-		// The block table replayed but the final costing did not (an
-		// MR-bearing vector under a changed cluster): one compile + costing
-		// still beats re-enumerating the whole point.
-		full := lop.Select(hp, o.CC, resVec)
-		stats.BlockCompilations += countBlocks(full)
-		pc = est.ProgramCost(full)
-		mv.recordProg(cores, rc, vec, pc, lop.NumMRJobs(full.Blocks) > 0)
-	}
-
-	stats.MemoHits += memoHits
-	stats.PrunedBlocks += prunedBlocks
-	for _, i := range newlyForever {
-		prunedForever[i] = true
-	}
-	if remaining > stats.RemainingBlocks {
-		stats.RemainingBlocks = remaining
-	}
-	stats.ReplayedPoints++
-	return resVec, pc, true
-}
-
-// enumBlock evaluates the second dimension for one block under fixed rc.
-// Individual (rc, ri) evaluations answered by the re-costing memo skip the
-// per-point compile-and-cost; fresh evaluations are recorded.
-func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator, stats *Stats, mv *memoView) memoEntry {
-	best := memoEntry{cost: -1}
-	for _, ri := range srm {
-		c, ok := mv.blockCost(t.cores, t.rc, ri, t.idx)
-		if ok {
-			stats.ReuseHits++
-		} else {
-			res := withCores(conf.NewResources(t.rc, ri, 1), t.cores)
-			lb := lop.SelectBlock(t.hb, o.CC, res)
-			stats.BlockCompilations++
-			c = est.BlockCost(lb, res)
-			mv.recordBlock(t.cores, t.rc, ri, t.idx, c, lop.NumMRJobs([]*lop.Block{lb}) > 0)
-		}
-		if best.cost < 0 || c < best.cost {
-			best = memoEntry{ri: ri, cost: c}
-		}
-	}
-	return best
+// cpPoint is one CP grid point under evaluation (Algorithm 1, lines 5-17):
+// begin fills the baseline entries and the enumeration tasks, enumBlock
+// answers each task into outs, and finish merges the answers and costs
+// the whole program.
+type cpPoint struct {
+	rc    conf.Bytes
+	cores int
+	memo  []memoEntry // per block; the baseline entry until finish
+	tasks []blockTask
+	outs  []memoEntry // per task
+	wg    sync.WaitGroup
 }
 
 type blockTask struct {
@@ -424,8 +289,118 @@ type blockTask struct {
 	cores int
 }
 
-func withCores(r conf.Resources, cores int) conf.Resources {
-	return r.WithCores(cores)
+// begin prepares one CP grid point: every block's baseline entry at the
+// minimal MR heap, the pruning verdicts, and one enumeration task per
+// block left. The baseline entries come from the memo when every block's
+// entry is valid there; otherwise one baseline compilation computes them
+// and they are recorded.
+func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.Estimator,
+	stats *Stats, prunedForever []bool, mv *memoView) *cpPoint {
+
+	n := hp.NumLeaf
+	minH := o.CC.MinHeap()
+	key := func(i int) memoBlockKey {
+		return memoBlockKey{cores: cores, rc: rc, ri: minH, block: i, baseline: true}
+	}
+	base := make([]memoBlockVal, n)
+	replayed := mv != nil
+	for i := 0; replayed && i < n; i++ {
+		base[i], replayed = mv.block(key(i))
+	}
+	var hbs []*hop.Block
+	if replayed {
+		hbs = hp.LeafBlocks()
+	} else {
+		baseline := lop.Select(hp, o.CC, conf.NewResources(rc, minH, n).WithCores(cores))
+		stats.BlockCompilations += countBlocks(baseline)
+		for i, lb := range baseline.LeafBlocks() {
+			base[i] = memoBlockVal{cost: est.BlockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores)),
+				mr: lop.NumMRJobs([]*lop.Block{lb}) > 0, pruned: pruneBlock(lb)}
+			hbs = append(hbs, lb.HopBlock)
+		}
+	}
+
+	p := &cpPoint{rc: rc, cores: cores, memo: make([]memoEntry, n)}
+	for i, b := range base {
+		p.memo[i] = memoEntry{ri: minH, cost: b.cost}
+		// A recorded verdict is the skip decision, so it replays as one.
+		skip := false
+		if !o.Opts.DisablePruning {
+			if prunedForever[i] {
+				stats.MemoHits++
+				skip = true
+			} else if b.pruned {
+				stats.PrunedBlocks++
+				if !b.mr {
+					prunedForever[i] = true
+				}
+				skip = true
+			}
+		}
+		if !replayed {
+			mv.recordBlock(key(i), memoBlockVal{cost: b.cost, mr: b.mr, pruned: skip})
+		}
+		if !skip {
+			p.tasks = append(p.tasks, blockTask{idx: i, hb: hbs[i], rc: rc, cores: cores})
+		}
+	}
+	if len(p.tasks) > stats.RemainingBlocks {
+		stats.RemainingBlocks = len(p.tasks)
+	}
+	p.outs = make([]memoEntry, len(p.tasks))
+	return p
+}
+
+// enumBlock evaluates the second dimension for one block under fixed rc.
+// Individual (rc, ri) evaluations answered by the re-costing memo skip the
+// per-point compile-and-cost; fresh evaluations are recorded.
+func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator, stats *Stats, mv *memoView) memoEntry {
+	best := memoEntry{cost: -1}
+	for _, ri := range srm {
+		key := memoBlockKey{cores: t.cores, rc: t.rc, ri: ri, block: t.idx}
+		e, ok := mv.block(key)
+		if ok {
+			stats.ReuseHits++
+		} else {
+			res := conf.NewResources(t.rc, ri, 1).WithCores(t.cores)
+			lb := lop.SelectBlock(t.hb, o.CC, res)
+			stats.BlockCompilations++
+			e = memoBlockVal{cost: est.BlockCost(lb, res), mr: lop.NumMRJobs([]*lop.Block{lb}) > 0}
+			mv.recordBlock(key, e)
+		}
+		if best.cost < 0 || e.cost < best.cost {
+			best = memoEntry{ri: ri, cost: e.cost}
+		}
+	}
+	return best
+}
+
+// finish completes a CP grid point: each block keeps its cheaper entry,
+// baseline or enumerated, and the whole program is costed once under the
+// resulting vector, taking the control structure (loops, branches) into
+// account — from the memo when the costing is valid there.
+func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, est *cost.Estimator, stats *Stats, mv *memoView) (conf.Resources, float64) {
+	for k, t := range p.tasks {
+		if p.outs[k].cost < p.memo[t.idx].cost {
+			p.memo[t.idx] = p.outs[k]
+		}
+	}
+	res := conf.Resources{CP: p.rc, MR: make([]conf.Bytes, len(p.memo)), CPCores: p.cores}
+	for i := range p.memo {
+		res.MR[i] = p.memo[i].ri
+	}
+	var key memoProgKey
+	if mv != nil {
+		key = memoProgKey{cores: p.cores, rc: p.rc, vec: vecString(res.MR)}
+	}
+	e, ok := mv.prog(key)
+	if !ok {
+		full := lop.Select(hp, o.CC, res)
+		stats.BlockCompilations += countBlocks(full)
+		e = memoProgVal{cost: est.ProgramCost(full), mr: lop.NumMRJobs(full.Blocks) > 0}
+		mv.recordProg(key, e)
+	}
+	return res, e.cost
 }
 
 // better keeps the candidate with strictly lower cost; ties keep the

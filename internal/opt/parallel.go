@@ -6,136 +6,73 @@ import (
 	"time"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/hop"
-	"elasticml/internal/lop"
 )
 
-// optimizeParallel is the task-parallel optimizer of Appendix C: a master
-// enumerates CP grid points, performs baseline compilation and pruning,
-// and dispatches per-block MR enumeration tasks to a shared worker pool.
-// The master pipelines: it proceeds to the next CP point while workers
-// drain earlier tasks, and aggregates program costs once a CP point's
-// tasks complete. The semi-independent-problems property (§3.2) makes the
-// tasks embarrassingly parallel with lock-free result slots.
-func (o *Optimizer) optimizeParallel(hp *hop.Program, src, srm []conf.Bytes, currentCP conf.Bytes,
-	cores int, stats *Stats, prunedForever []bool, deadline time.Time) (*Result, *Result) {
+// The task-parallel optimizer of Appendix C differs from the sequential
+// search only in who runs enumBlock: the master prepares and finishes the
+// CP grid points, and a pool of workers, each with its own estimator,
+// enumerates the blocks. The master pipelines: it prepares the next point
+// while workers drain earlier ones, and finishes each point once its tasks
+// complete. The semi-independent-problems property (§3.2) makes the tasks
+// embarrassingly parallel with lock-free result slots.
 
-	type task struct {
-		bt  blockTask
-		out *memoEntry
-		wg  *sync.WaitGroup
-	}
-	workers := o.Opts.Workers
-	tasksCh := make(chan task, 4*workers)
-	workerComps := make([]int, workers)
-	workerCosts := make([]int, workers)
-	var wgWorkers sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wgWorkers.Add(1)
-		go func(w int) {
-			defer wgWorkers.Done()
+// enumPool is the worker pool. effort holds each worker's compilations and
+// costings.
+type enumPool struct {
+	tasks  chan enumTask
+	wg     sync.WaitGroup
+	effort []Stats
+}
+
+// enumTask is one block of a prepared point: it writes p.outs[k].
+type enumTask struct {
+	p *cpPoint
+	k int
+}
+
+// startPool starts the workers; they exit once the master closes tasks and
+// the queue drains, and wait waits for them. A few queued tasks per worker
+// let the master run ahead into the next point instead of handing over
+// each task as a worker frees up.
+func (o *Optimizer) startPool(workers int, srm []conf.Bytes, deadline time.Time) *enumPool {
+	pl := &enumPool{tasks: make(chan enumTask, 4*workers), effort: make([]Stats, workers)}
+	pl.wg.Add(workers)
+	for w := range pl.effort {
+		go func(local *Stats) {
+			defer pl.wg.Done()
 			est := o.newEstimator()
-			local := Stats{}
-			// Flush effort counters via defer so work done before the
-			// deadline fired is never dropped from the reported stats.
-			defer func() {
-				workerComps[w] = local.BlockCompilations
-				workerCosts[w] = est.Invocations
-			}()
-			for tk := range tasksCh {
+			for tk := range pl.tasks {
 				if !deadline.IsZero() && time.Now().After(deadline) {
 					// Budget exhausted mid-point: skip the enumeration
-					// (the master keeps the block's baseline memo entry)
-					// but keep draining the queue so every pendingCP's
-					// WaitGroup resolves and no goroutine leaks.
-					*tk.out = memoEntry{cost: math.Inf(1)}
-					tk.wg.Done()
-					continue
+					// (finish keeps the block's baseline entry) but keep
+					// draining the queue so every point's WaitGroup
+					// resolves and no goroutine leaks.
+					tk.p.outs[tk.k] = memoEntry{cost: math.Inf(1)}
+				} else {
+					tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, est, local, nil)
 				}
-				*tk.out = o.enumBlock(tk.bt, srm, est, &local, nil)
-				tk.wg.Done()
+				tk.p.wg.Done()
 			}
-		}(w)
+			local.Costings = est.Invocations
+		}(&pl.effort[w])
 	}
+	return pl
+}
 
-	// pendingCP is one in-flight CP grid point awaiting its block results.
-	type pendingCP struct {
-		rc    conf.Bytes
-		memo  []memoEntry
-		tasks []blockTask
-		outs  []memoEntry
-		wg    *sync.WaitGroup
+// submit hands a prepared point's enumeration tasks to the workers.
+func (pl *enumPool) submit(p *cpPoint) {
+	p.wg.Add(len(p.tasks))
+	for k := range p.tasks {
+		pl.tasks <- enumTask{p: p, k: k}
 	}
+}
 
-	est := o.newEstimator() // master estimator
-	var pendings []*pendingCP
-	n := hp.NumLeaf
-	minH := o.CC.MinHeap()
-	for _, rc := range src {
-		if len(pendings) > 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			break
-		}
-		p := &pendingCP{rc: rc, memo: make([]memoEntry, n)}
-		baseline := lop.Select(hp, o.CC, withCores(conf.NewResources(rc, minH, n), cores))
-		stats.BlockCompilations += countBlocks(baseline)
-		leaves := baseline.LeafBlocks()
-		remaining := 0
-		for i, lb := range leaves {
-			p.memo[i] = memoEntry{ri: minH, cost: est.BlockCost(lb, withCores(conf.NewResources(rc, minH, 1), cores))}
-			if !o.Opts.DisablePruning {
-				if prunedForever[i] {
-					stats.MemoHits++
-					continue
-				}
-				if pruneBlock(lb) {
-					stats.PrunedBlocks++
-					if lop.NumMRJobs([]*lop.Block{lb}) == 0 {
-						prunedForever[i] = true
-					}
-					continue
-				}
-			}
-			remaining++
-			p.tasks = append(p.tasks, blockTask{idx: i, hb: lb.HopBlock, rc: rc, cores: cores})
-		}
-		if remaining > stats.RemainingBlocks {
-			stats.RemainingBlocks = remaining
-		}
-		p.outs = make([]memoEntry, len(p.tasks))
-		p.wg = &sync.WaitGroup{}
-		p.wg.Add(len(p.tasks))
-		for k := range p.tasks {
-			tasksCh <- task{bt: p.tasks[k], out: &p.outs[k], wg: p.wg}
-		}
-		pendings = append(pendings, p)
+// wait returns once every worker has exited, which they do after the
+// master closes tasks and the queue drains, and adds their effort to stats.
+func (pl *enumPool) wait(stats *Stats) {
+	pl.wg.Wait()
+	for _, e := range pl.effort {
+		stats.BlockCompilations += e.BlockCompilations
+		stats.Costings += e.Costings
 	}
-	close(tasksCh)
-
-	var best, bestLocal *Result
-	for _, p := range pendings {
-		p.wg.Wait()
-		for k, t := range p.tasks {
-			if p.outs[k].cost < p.memo[t.idx].cost {
-				p.memo[t.idx] = p.outs[k]
-			}
-		}
-		resVec := conf.Resources{CP: p.rc, MR: make([]conf.Bytes, n), CPCores: cores}
-		for i := range p.memo {
-			resVec.MR[i] = p.memo[i].ri
-		}
-		full := lop.Select(hp, o.CC, resVec)
-		stats.BlockCompilations += countBlocks(full)
-		c := est.ProgramCost(full)
-		best = better(best, &Result{Res: resVec, Cost: c})
-		if currentCP > 0 && p.rc == currentCP {
-			bestLocal = &Result{Res: resVec, Cost: c}
-		}
-	}
-	wgWorkers.Wait()
-	stats.Costings += est.Invocations
-	for w := 0; w < workers; w++ {
-		stats.BlockCompilations += workerComps[w]
-		stats.Costings += workerCosts[w]
-	}
-	return best, bestLocal
 }

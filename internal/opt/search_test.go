@@ -1,0 +1,242 @@
+package opt
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+
+	"elasticml/internal/conf"
+	"elasticml/internal/datagen"
+	"elasticml/internal/dml"
+	"elasticml/internal/hdfs"
+	"elasticml/internal/hop"
+	"elasticml/internal/scripts"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/grid.golden")
+
+const goldenGrid = "testdata/grid.golden"
+
+// gridProblem is one program of the paper's evaluation grid.
+type gridProblem struct {
+	name string
+	hp   *hop.Program
+}
+
+// compileScenario compiles spec against the scenario's input metadata.
+func compileScenario(t testing.TB, spec scripts.Spec, scen datagen.Scenario) *hop.Program {
+	t.Helper()
+	fs := hdfs.New()
+	datagen.Describe(fs, scen)
+	prog, err := dml.Parse(spec.Source)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
+	if err != nil {
+		t.Fatalf("%s %s: %v", spec.Name, scen, err)
+	}
+	return hp
+}
+
+// paperGrid compiles the paper's evaluation grid: every corpus script at
+// every size and shape (5 x 5 x 4 = 100 problems).
+func paperGrid(t testing.TB) []gridProblem {
+	t.Helper()
+	var out []gridProblem
+	for _, spec := range scripts.All() {
+		for _, size := range datagen.Sizes {
+			for _, sh := range datagen.Shapes() {
+				scen := datagen.New(size, sh.Cols, sh.Sparsity)
+				out = append(out, gridProblem{fmt.Sprintf("%s %s %s", spec.Name, size, scen.ShapeName()),
+					compileScenario(t, spec, scen)})
+			}
+		}
+	}
+	return out
+}
+
+// gridLine renders a search result and its effort counters, everything but
+// the wall time, as one golden line.
+func gridLine(name string, r *Result) string {
+	mr := make([]string, len(r.Res.MR))
+	for i, v := range r.Res.MR {
+		mr[i] = strconv.FormatInt(int64(v), 10)
+	}
+	s := r.Stats
+	return fmt.Sprintf("%s: cp=%d cores=%d mr=[%s] cost=%s compilations=%d costings=%d cp_points=%d mr_points=%d blocks=%d remaining=%d pruned=%d memo_hits=%d",
+		name, r.Res.CP, r.Res.CPCores, strings.Join(mr, " "), strconv.FormatFloat(r.Cost, 'g', -1, 64),
+		s.BlockCompilations, s.Costings, s.CPPoints, s.MRPoints, s.TotalBlocks, s.RemainingBlocks, s.PrunedBlocks, s.MemoHits)
+}
+
+// TestGridGolden pins the fresh sequential search on the whole paper grid:
+// the chosen configuration, its cost to the last bit, and the effort
+// counters. Regenerate with -update only when a decision is meant to move,
+// and read the diff.
+func TestGridGolden(t *testing.T) {
+	var b strings.Builder
+	for _, p := range paperGrid(t) {
+		b.WriteString(gridLine(p.name, New(conf.DefaultCluster()).Optimize(p.hp)))
+		b.WriteByte('\n')
+	}
+	if *update {
+		if err := os.WriteFile(goldenGrid, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d lines, golden has %d", len(got), len(wantLines))
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("line %d:\n got %s\nwant %s", i+1, got[i], wantLines[i])
+		}
+	}
+}
+
+// effort is a result's counters without the wall time.
+func effort(r *Result) Stats {
+	s := r.Stats
+	s.OptTime = 0
+	return s
+}
+
+// TestSearchPathsMatchFresh: every way of running the grid search — the
+// task-parallel search, the local optimum under a fixed current CP, and
+// the memo path cold, warm and under changed cluster views — returns
+// bit for bit what a fresh sequential search under the same view returns,
+// on all 100 problems of the paper grid.
+func TestSearchPathsMatchFresh(t *testing.T) {
+	grid := paperGrid(t)
+	cc := conf.DefaultCluster()
+	fresh := make([]*Result, len(grid))
+	for i, p := range grid {
+		fresh[i] = New(cc).Optimize(p.hp)
+	}
+	with := func(cc conf.Cluster, workers int, cores []int) *Optimizer {
+		o := New(cc)
+		o.Opts.Workers, o.Opts.CPCoreCandidates = workers, cores
+		return o
+	}
+
+	// The rows share the compiled programs: searches only read them.
+	t.Run("workers4", func(t *testing.T) {
+		t.Parallel()
+		for i, p := range grid {
+			got := with(cc, 4, nil).Optimize(p.hp)
+			sameResult(t, p.name, got, fresh[i])
+			if effort(got) != effort(fresh[i]) {
+				t.Errorf("%s: effort %+v, want %+v", p.name, effort(got), effort(fresh[i]))
+			}
+		}
+	})
+
+	for name, cores := range map[string][]int{"current": nil, "current-cores124": {1, 2, 4}} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, p := range grid {
+				wantG, wantL := with(cc, 1, cores).OptimizeWithCurrent(p.hp, 2*conf.GB)
+				gotG, gotL := with(cc, 4, cores).OptimizeWithCurrent(p.hp, 2*conf.GB)
+				sameResult(t, p.name+" global", gotG, wantG)
+				sameResult(t, p.name+" local", gotL, wantL)
+			}
+		})
+	}
+
+	t.Run("memo", func(t *testing.T) {
+		t.Parallel()
+		views := []struct {
+			name string
+			cc   conf.Cluster
+		}{
+			{"width-clamped 4GB", WidthClamped(cc, 4*conf.GB)},
+			{"one node fewer", func() conf.Cluster { c := cc; c.Nodes--; return c }()},
+			{"MaxAlloc halved", func() conf.Cluster { c := cc; c.MaxAlloc /= 2; return c }()},
+		}
+		for i, p := range grid {
+			m := NewMemo()
+			sameResult(t, p.name+" cold", New(cc).OptimizeMemo(p.hp, m), fresh[i])
+			warm := New(cc).OptimizeMemo(p.hp, m)
+			sameResult(t, p.name+" warm", warm, fresh[i])
+			if warm.Stats.ReplayedPoints != warm.Stats.CPPoints {
+				t.Errorf("%s warm: replayed %d of %d points", p.name, warm.Stats.ReplayedPoints, warm.Stats.CPPoints)
+			}
+			for _, v := range views {
+				sameResult(t, p.name+" "+v.name, New(v.cc).OptimizeMemo(p.hp, m), New(v.cc).Optimize(p.hp))
+			}
+		}
+	})
+}
+
+// TestParallelLocalKeepsCheapestCore: with several CP core counts, the
+// task-parallel OptimizeWithCurrent keeps the cheapest configuration at
+// the current CP over all core counts, as the sequential search does —
+// not the first core count's.
+func TestParallelLocalKeepsCheapestCore(t *testing.T) {
+	hp := compileTestProgram(t, scripts.LinregDS())
+	var locals [2]*Result
+	for i, workers := range []int{1, 4} {
+		o := New(conf.DefaultCluster())
+		o.Opts.Workers, o.Opts.CPCoreCandidates = workers, []int{1, 2, 4}
+		_, locals[i] = o.OptimizeWithCurrent(hp, 2*conf.GB)
+	}
+	sameResult(t, "parallel local", locals[1], locals[0])
+	if locals[0].Res.CPCores == 1 {
+		t.Errorf("serial local keeps 1 core at %v; the case no longer tells first from cheapest", locals[0].Cost)
+	}
+}
+
+// BenchmarkGridSearch is one grid search for GLM L dense1000: fresh, with
+// four workers, and through a memo warmed under the full cluster and the
+// width-clamped view it is searched under. It fails unless every search's
+// effort equals the fresh one's, or, through the warm memo, unless every
+// point replays.
+func BenchmarkGridSearch(b *testing.B) {
+	hp := compileScenario(b, scripts.GLM(), datagen.New("L", 1000, 1.0))
+	cc := conf.DefaultCluster()
+	fresh := effort(New(cc).Optimize(hp))
+	par := New(cc)
+	par.Opts.Workers = 4
+	clamped := New(WidthClamped(cc, 4*conf.GB))
+	memo := NewMemo()
+	New(cc).OptimizeMemo(hp, memo)
+	clamped.OptimizeMemo(hp, memo)
+
+	for _, row := range []struct {
+		name   string
+		search func() *Result
+	}{
+		{"fresh", func() *Result { return New(cc).Optimize(hp) }},
+		{"parallel4", func() *Result { return par.Optimize(hp) }},
+		{"memo-warm", func() *Result { return clamped.OptimizeMemo(hp, memo) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			var costings, compilations, replayed int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := effort(row.search())
+				if row.name == "memo-warm" && s.ReplayedPoints != s.CPPoints {
+					b.Fatalf("warm memo search replayed %d of %d points", s.ReplayedPoints, s.CPPoints)
+				} else if row.name != "memo-warm" && s != fresh {
+					b.Fatalf("effort %+v, fresh %+v", s, fresh)
+				}
+				costings += s.Costings
+				compilations += s.BlockCompilations
+				replayed += s.ReplayedPoints
+			}
+			perOp := func(n int) float64 { return float64(n) / float64(b.N) }
+			b.ReportMetric(perOp(costings), "costings/op")
+			b.ReportMetric(perOp(compilations), "block_compilations/op")
+			b.ReportMetric(perOp(replayed), "replayed_points/op")
+		})
+	}
+}

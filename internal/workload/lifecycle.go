@@ -191,7 +191,6 @@ func (s *Service) start(p *planReq, sr simResult, charge float64) {
 func (s *Service) optOpts() opt.Options {
 	o := opt.DefaultOptions()
 	o.Points = s.opts.Points
-	o.Workers = s.opts.Workers
 	return o
 }
 

@@ -149,22 +149,13 @@ func (e *Estimator) block(b *lop.Block, res conf.Resources, state *VarState, cpC
 // generic charges the instruction sequence of a generic block.
 func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState, cpCores int) float64 {
 	evict0 := state.evictIO
-	uses := BlockUses(b)
-	inJob := map[int64]*lop.MRJob{}
-	for _, in := range b.Instrs {
-		if in.Kind == lop.InstrMR {
-			for _, op := range in.Job.Ops {
-				inJob[op.Hop.ID] = in.Job
-			}
-		}
-	}
 	var t float64
 	for _, in := range b.Instrs {
 		var dt float64
 		if in.Kind == lop.InstrCP {
-			dt = e.CPInstrTime(in.Hop, state, inJob, cpCores)
+			dt = e.CPInstrTime(in.Hop, state, b.JobOf, cpCores)
 		} else {
-			dt = e.MRJobTime(in.Job, b, res, state, uses, inJob)
+			dt = e.MRJobTime(in.Job, b, res, state)
 		}
 		if e.Hook != nil {
 			e.Hook(in.Label(), dt)
@@ -182,14 +173,14 @@ func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState, c
 // CPInstrTime charges one in-memory operation: read IO for inputs not yet
 // CP-resident, single-threaded compute, and write IO for persistent writes.
 // It is exported for reuse by the execution simulator, which interleaves
-// charging with actual interpretation.
-func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, inJob map[int64]*lop.MRJob, cores int) float64 {
+// charging with actual interpretation. jobOf is the block's lop.Block.JobOf.
+func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob, cores int) float64 {
 	// Transient writes are logical bindings: no IO, no compute. Reads stay
 	// lazy — the first operation that actually consumes the data pays.
 	if h.Kind == hop.KindTWrite {
 		src := h.Inputs[0]
 		if src.DataType == hop.Matrix {
-			if inJob[src.ID] != nil {
+			if jobOf[src.Pos] != nil {
 				state.PutOnHDFS("$"+h.Name, trackedSize(src))
 			} else if key, ok := keyOf(src); ok {
 				state.Alias("$"+h.Name, key, trackedSize(src))
@@ -207,7 +198,7 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, inJob map[int64]*lo
 		}
 		key, tracked := keyOf(inp)
 		if !tracked {
-			if inJob[inp.ID] != nil {
+			if jobOf[inp.Pos] != nil {
 				key = jobOutKey(inp)
 			} else {
 				continue // CP intermediate, already in memory
@@ -225,7 +216,7 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, inJob map[int64]*lo
 	t += e.PM.ComputeTime(Flops(h), cores)
 	if h.Kind == hop.KindWrite {
 		src := h.Inputs[0]
-		if src.DataType == hop.Matrix && inJob[src.ID] == nil {
+		if src.DataType == hop.Matrix && jobOf[src.Pos] == nil {
 			// Values already HDFS-resident are renamed, not rewritten.
 			key, tracked := keyOf(src)
 			if !tracked || state.InMemory(key) {
@@ -237,9 +228,8 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, inJob map[int64]*lo
 }
 
 // MRJobTime assembles the job specification and charges the MR phase model.
-func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources,
-	state *VarState, uses map[int64][]*hop.Hop, inJob map[int64]*lop.MRJob) float64 {
-	spec, taskHeap := e.MRJobSpec(job, b, res, state, uses, inJob)
+func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) float64 {
+	spec, taskHeap := e.MRJobSpec(job, b, res, state)
 	bd := mr.EstimateTime(e.PM, e.effectiveCluster(), spec, taskHeap, res.CP)
 	return bd.Total()
 }
@@ -250,8 +240,7 @@ func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources,
 // is exported so the execution simulator can route the same specification
 // through the fault-aware task-attempt model (mr.EstimateTimeUnderFaults)
 // instead of the plain phase model.
-func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources,
-	state *VarState, uses map[int64][]*hop.Hop, inJob map[int64]*lop.MRJob) (mr.JobSpec, conf.Bytes) {
+func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, conf.Bytes) {
 	spec := mr.JobSpec{Name: job.Name(), NumReducers: 0}
 	taskHeap := res.MRFor(b.Index)
 
@@ -260,7 +249,7 @@ func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources,
 	for _, si := range job.ScanInputs {
 		key, tracked := keyOf(si)
 		if !tracked {
-			if inJob[si.ID] != nil && inJob[si.ID] != job {
+			if p := b.JobOf[si.Pos]; p != nil && p != job {
 				key = jobOutKey(si)
 			} else {
 				continue
@@ -293,7 +282,7 @@ func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources,
 			spec.MapFlops += f
 		}
 		// Outputs consumed outside this job are materialized on HDFS.
-		if consumedOutside(op.Hop, job, uses, inJob) {
+		if consumedOutside(op.Hop, job, b) {
 			out := trackedSize(op.Hop)
 			if op.Shuffles {
 				spec.ReduceOutput += out
@@ -333,31 +322,15 @@ func splitsOf(size, blockSize conf.Bytes) int {
 	return n
 }
 
-// BlockUses maps each hop to its consumers within the block DAG.
-func BlockUses(b *lop.Block) map[int64][]*hop.Hop {
-	uses := map[int64][]*hop.Hop{}
-	if b.HopBlock == nil {
-		return uses
-	}
-	hop.WalkDAG(b.HopBlock.Roots, func(h *hop.Hop) {
-		for _, in := range h.Inputs {
-			if in != nil {
-				uses[in.ID] = append(uses[in.ID], h)
-			}
-		}
-	})
-	return uses
-}
-
 // consumedOutside reports whether a job-internal hop's output is needed by
 // instructions outside the job (CP consumers, other jobs, or roots).
-func consumedOutside(h *hop.Hop, job *lop.MRJob, uses map[int64][]*hop.Hop, inJob map[int64]*lop.MRJob) bool {
-	consumers := uses[h.ID]
+func consumedOutside(h *hop.Hop, job *lop.MRJob, b *lop.Block) bool {
+	consumers := b.HopBlock.Users[h.Pos]
 	if len(consumers) == 0 {
 		return true // DAG root output
 	}
 	for _, c := range consumers {
-		if inJob[c.ID] != job {
+		if b.JobOf[c.Pos] != job {
 			return true
 		}
 	}

@@ -57,7 +57,7 @@ func (c *Compiler) id() int64 {
 // Compile builds the HOP program for a parsed script: user functions are
 // inlined, statement blocks constructed, DAGs built with size propagation,
 // constant folding, CSE, algebraic rewrites and branch removal applied, and
-// leaf blocks indexed for the resource vector.
+// leaf blocks indexed for the resource vector and linearized.
 func (c *Compiler) Compile(prog *dml.Program, source string) (*Program, error) {
 	sp := c.Trace.Begin(obs.LayerCompile, "hop.compile")
 	c.funcs = prog.Funcs
@@ -79,17 +79,7 @@ func (c *Compiler) Compile(prog *dml.Program, source string) (*Program, error) {
 	pruneDeadWrites(blocks)
 	fuseTransposeMM(blocks)
 	rw.End()
-	p := &Program{Blocks: blocks, Source: source, Params: c.Params}
-	idx := 0
-	WalkBlocks(p.Blocks, func(b *Block) {
-		if b.Kind == dml.GenericBlock {
-			b.Index = idx
-			idx++
-		} else {
-			b.Index = -1
-		}
-	})
-	p.NumLeaf = idx
+	p := c.program(blocks, source)
 	sp.End(obs.A("leaf_blocks", p.NumLeaf))
 	c.Trace.Metrics().Add("compile.programs", 1)
 	return p, nil
@@ -113,6 +103,7 @@ func (c *Compiler) RecompileGeneric(b *Block, meta SymTab) (*Block, error) {
 	}
 	nb.Index = b.Index
 	fuseDAG(nb.Roots)
+	nb.linearize()
 	sp.End()
 	c.Trace.Metrics().Add("compile.recompiles", 1)
 	return nb, nil
@@ -189,18 +180,22 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 	}
 	pruneDeadWrites(rebuilt)
 	fuseTransposeMM(rebuilt)
-	p := &Program{Blocks: rebuilt, Params: c.Params}
-	idx := 0
-	WalkBlocks(p.Blocks, func(b *Block) {
+	return c.program(rebuilt, ""), nil
+}
+
+// program finishes a block tree whose rewrites are done: it indexes the
+// leaf blocks for the resource vector and linearizes each one's DAG.
+func (c *Compiler) program(blocks []*Block, source string) *Program {
+	p := &Program{Blocks: blocks, Source: source, Params: c.Params}
+	WalkBlocks(blocks, func(b *Block) {
+		b.Index = -1
 		if b.Kind == dml.GenericBlock {
-			b.Index = idx
-			idx++
-		} else {
-			b.Index = -1
+			b.Index = p.NumLeaf
+			p.NumLeaf++
+			b.linearize()
 		}
 	})
-	p.NumLeaf = idx
-	return p, nil
+	return p
 }
 
 func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {

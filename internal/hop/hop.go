@@ -161,6 +161,9 @@ type Hop struct {
 	// OpMem is the operation memory estimate: inputs + output +
 	// intermediates, the quantity compared against the CP budget.
 	OpMem conf.Bytes
+	// Pos is the hop's index in its generic block's Order: the dense
+	// index of every per-hop table lop and cost keep.
+	Pos int
 }
 
 // DimsKnown reports whether both output dimensions are known.
@@ -215,6 +218,12 @@ type Block struct {
 	// Roots of the generic block's DAG (twrite/write/print roots) in
 	// statement order.
 	Roots []*Hop
+	// Order lists a generic block's hops in WalkDAG(Roots) order, inputs
+	// before consumers; Users[i] lists the consumers of Order[i], once per
+	// input slot that reads it. Both are derived from Roots when the block
+	// is built and never change afterwards (see linearize).
+	Order []*Hop
+	Users [][]*Hop
 	// Pred is the predicate DAG root for if/while blocks.
 	Pred *Hop
 	// For header.
@@ -283,6 +292,26 @@ func WalkDAG(roots []*Hop, fn func(*Hop)) {
 	}
 	for _, r := range roots {
 		rec(r)
+	}
+}
+
+// linearize records the block's Order, each hop's Pos and the Users table.
+// It runs once the block's topology is final, after the dead-write and
+// transpose-mm rewrites; later changes (UpdateFromRuntime) rewrite sizes
+// only, so the tables stay valid and are safe to share between goroutines.
+func (b *Block) linearize() {
+	b.Order = nil
+	WalkDAG(b.Roots, func(h *Hop) {
+		h.Pos = len(b.Order)
+		b.Order = append(b.Order, h)
+	})
+	b.Users = make([][]*Hop, len(b.Order))
+	for _, h := range b.Order {
+		for _, in := range h.Inputs {
+			if in != nil {
+				b.Users[in.Pos] = append(b.Users[in.Pos], h)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package hop
 
 import (
 	"math"
+	"slices"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/matrix"
@@ -454,15 +455,13 @@ func estimateMem(h *Hop) {
 	}
 	h.OutMem = matrix.EstimateSize(h.Rows, h.Cols, h.Sparsity())
 	mem := h.OutMem
-	seen := map[int64]bool{}
-	for _, i := range h.Inputs {
+	for k, i := range h.Inputs {
 		if i != nil && i.DataType == Matrix {
 			if !i.DimsKnown() {
 				h.OpMem = infMem
 				return
 			}
-			if !seen[i.ID] {
-				seen[i.ID] = true
+			if !slices.Contains(h.Inputs[:k], i) {
 				mem += i.OutMem
 			}
 		}

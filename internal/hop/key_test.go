@@ -11,7 +11,10 @@ import (
 // keyExcluded are the fields AppendKey leaves out, each with the reason
 // leaving it out cannot change what lop, cost or opt compute.
 var keyExcluded = map[string]string{
-	"Hop.ID":         "identity only: lop and cost key their maps by it, and any unique numbering selects and costs alike",
+	"Hop.ID":         "identity only: names CSE entries, interpreter value caches and cost's job-output keys, and any unique numbering selects and costs alike",
+	"Hop.Pos":        "derived from Roots when the block is built: the hop's index in Block.Order",
+	"Block.Order":    "derived from Roots when the block is built: the hops in WalkDAG order",
+	"Block.Users":    "derived from Roots when the block is built: each hop's consumers",
 	"Block.Stmts":    "not read by non-test code in lop/cost/opt: recompilation input",
 	"Block.Src":      "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",

@@ -1,6 +1,7 @@
 package lop
 
 import (
+	"strings"
 	"testing"
 
 	"elasticml/internal/conf"
@@ -298,4 +299,18 @@ func TestJobNamesReadable(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestUnlinearizedBlockPanics: a generic block built outside the compiler
+// has roots but no Order; selection names the bug instead of selecting an
+// empty plan.
+func TestUnlinearizedBlockPanics(t *testing.T) {
+	hb := &hop.Block{Kind: dml.GenericBlock, FirstLine: 3, LastLine: 4,
+		Roots: []*hop.Hop{{Kind: hop.KindPrint, DataType: hop.Scalar}}}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "no linearized order") {
+			t.Errorf("recovered %q, want the unlinearized-block panic", r)
+		}
+	}()
+	SelectBlock(hb, conf.DefaultCluster(), conf.NewResources(512*conf.MB, 512*conf.MB, 1))
 }

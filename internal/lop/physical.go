@@ -1,6 +1,8 @@
 package lop
 
 import (
+	"slices"
+
 	"elasticml/internal/conf"
 	"elasticml/internal/hop"
 )
@@ -9,7 +11,7 @@ import (
 // deciding broadcasts against the MR task budget (paper Appendix B:
 // map-side operators require one input to fit in the mapper memory,
 // similar to broadcast joins).
-func (s *selector) physical(h *hop.Hop, mrBudget conf.Bytes, chains map[int64]chainInfo) *MROp {
+func (s *selector) physical(h *hop.Hop, mrBudget conf.Bytes, ci chainInfo) *MROp {
 	op := &MROp{Hop: h}
 	fits := func(x *hop.Hop) bool {
 		return x != nil && x.DataType == hop.Matrix &&
@@ -18,7 +20,7 @@ func (s *selector) physical(h *hop.Hop, mrBudget conf.Bytes, chains map[int64]ch
 
 	switch h.Kind {
 	case hop.KindMatMul:
-		if ci, ok := chains[h.ID]; ok {
+		if ci.v != nil { // chain head
 			op.Phys = PhysMapMMChain
 			op.Broadcast = append(op.Broadcast, ci.v)
 			if ci.w != nil {
@@ -154,7 +156,7 @@ func sizeOf(h *hop.Hop) conf.Bytes {
 // the combined broadcast memory must fit the MR task budget, at most one
 // shuffle phase is allowed, and an operator may consume a shuffling
 // operator's output only across a job boundary.
-func (s *selector) canMerge(job *MRJob, op *MROp, inJob map[int64]*MRJob, mrBudget conf.Bytes) bool {
+func (s *selector) canMerge(job *MRJob, op *MROp, jobOf []*MRJob, mrBudget conf.Bytes) bool {
 	if op.Shuffles && job.Shuffles() {
 		return false
 	}
@@ -163,7 +165,7 @@ func (s *selector) canMerge(job *MRJob, op *MROp, inJob map[int64]*MRJob, mrBudg
 		if in == nil {
 			continue
 		}
-		if inJob[in.ID] == job {
+		if jobOf[in.Pos] == job {
 			for _, jo := range job.Ops {
 				if jo.Hop == in && jo.Shuffles {
 					return false
@@ -184,27 +186,12 @@ func (s *selector) canMerge(job *MRJob, op *MROp, inJob map[int64]*MRJob, mrBudg
 }
 
 // addToJob places the operator into the job, updating scan inputs and the
-// producer map.
-func (s *selector) addToJob(job *MRJob, op *MROp, inJob map[int64]*MRJob) {
+// producer table.
+func (s *selector) addToJob(job *MRJob, op *MROp, jobOf []*MRJob) {
 	job.Ops = append(job.Ops, op)
-	inJob[op.Hop.ID] = job
-	bcast := map[int64]bool{}
-	for _, b := range op.Broadcast {
-		bcast[b.ID] = true
-	}
-	scan := scanInputsOf(op)
-	for _, in := range scan {
-		if bcast[in.ID] || inJob[in.ID] == job {
-			continue
-		}
-		dup := false
-		for _, existing := range job.ScanInputs {
-			if existing.ID == in.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	jobOf[op.Hop.Pos] = job
+	for _, in := range scanInputsOf(op) {
+		if jobOf[in.Pos] != job && !slices.Contains(op.Broadcast, in) && !slices.Contains(job.ScanInputs, in) {
 			job.ScanInputs = append(job.ScanInputs, in)
 		}
 	}

@@ -164,6 +164,9 @@ type Block struct {
 	Index int
 	// Instrs is the execution sequence of a generic block.
 	Instrs []Instr
+	// JobOf maps a generic block's hops, by hop.Hop.Pos, to the MR job
+	// producing them; nil for hops computed in CP or not executed.
+	JobOf []*MRJob
 	// Pred holds the predicate evaluation instructions of if/while blocks
 	// (always CP: predicates are scalar DAGs).
 	Pred *hop.Hop

@@ -1,6 +1,8 @@
 package lop
 
 import (
+	"fmt"
+
 	"elasticml/internal/conf"
 	"elasticml/internal/dml"
 	"elasticml/internal/hop"
@@ -102,18 +104,19 @@ func (s *selector) parforDOP(hb *hop.Block) int {
 	return k
 }
 
-// generic runs operator selection and piggybacking over one block DAG.
+// generic runs operator selection and piggybacking over one block DAG,
+// scanning the order the compiler linearized.
 func (s *selector) generic(hb *hop.Block) *Block {
+	if hb.Order == nil && len(hb.Roots) > 0 {
+		panic(fmt.Sprintf("lop: generic block at lines %d-%d has roots but no linearized order; "+
+			"blocks must come from hop.Compiler's Compile, RebuildScope or RecompileGeneric", hb.FirstLine, hb.LastLine))
+	}
 	b := &Block{Kind: dml.GenericBlock, Index: hb.Index, HopBlock: hb,
-		Recompile: hb.Recompile}
+		Recompile: hb.Recompile, JobOf: make([]*MRJob, len(hb.Order))}
 	mrBudget := s.cc.OpBudget(s.res.MRFor(hb.Index))
-
-	order := topoOrder(hb.Roots)
-	uses := useCounts(order)
-	fused, chains := s.detectChains(order, uses, mrBudget)
+	chains := s.detectChains(hb, mrBudget)
 
 	var openJob *MRJob
-	inJob := map[int64]*MRJob{} // hop ID -> producing job
 	closeJob := func() {
 		if openJob != nil {
 			b.Instrs = append(b.Instrs, Instr{Kind: InstrMR, Job: openJob})
@@ -121,8 +124,8 @@ func (s *selector) generic(hb *hop.Block) *Block {
 		}
 	}
 
-	for _, h := range order {
-		if fused[h.ID] {
+	for _, h := range hb.Order {
+		if chains[h.Pos].inner {
 			continue // consumed by a MapMMChain
 		}
 		if !executes(h) {
@@ -132,18 +135,18 @@ func (s *selector) generic(hb *hop.Block) *Block {
 		if s.runsInCP(h) {
 			// A CP instruction consuming an open job's output forces the
 			// job to be emitted first.
-			if openJob != nil && consumesFromJob(h, inJob, openJob) {
+			if openJob != nil && consumesFromJob(h, b.JobOf, openJob) {
 				closeJob()
 			}
 			b.Instrs = append(b.Instrs, Instr{Kind: InstrCP, Hop: h})
 			continue
 		}
-		op := s.physical(h, mrBudget, chains)
-		if openJob == nil || !s.canMerge(openJob, op, inJob, mrBudget) {
+		op := s.physical(h, mrBudget, chains[h.Pos])
+		if openJob == nil || !s.canMerge(openJob, op, b.JobOf, mrBudget) {
 			closeJob()
 			openJob = &MRJob{}
 		}
-		s.addToJob(openJob, op, inJob)
+		s.addToJob(openJob, op, b.JobOf)
 	}
 	closeJob()
 	return b
@@ -184,48 +187,30 @@ func hasMatrixInput(h *hop.Hop) bool {
 	return false
 }
 
-func consumesFromJob(h *hop.Hop, inJob map[int64]*MRJob, job *MRJob) bool {
+func consumesFromJob(h *hop.Hop, jobOf []*MRJob, job *MRJob) bool {
 	for _, in := range h.Inputs {
-		if in != nil && inJob[in.ID] == job {
+		if in != nil && jobOf[in.Pos] == job {
 			return true
 		}
 	}
 	return false
 }
 
-// topoOrder returns all hops reachable from roots, inputs before consumers.
-func topoOrder(roots []*hop.Hop) []*hop.Hop {
-	var order []*hop.Hop
-	hop.WalkDAG(roots, func(h *hop.Hop) { order = append(order, h) })
-	return order
-}
-
-func useCounts(order []*hop.Hop) map[int64]int {
-	uses := make(map[int64]int)
-	for _, h := range order {
-		for _, in := range h.Inputs {
-			if in != nil {
-				uses[in.ID]++
-			}
-		}
-	}
-	return uses
-}
-
-// chainInfo describes a fused MapMMChain: scan input X, broadcast vector v
-// and optional weight vector w.
+// chainInfo is one hop's part in a fused MapMMChain: on the chain head
+// (which scans X, its first input), the broadcast vector v and optional
+// weight vector w; on a hop the chain absorbs, inner.
 type chainInfo struct {
-	x, v, w *hop.Hop
+	v, w  *hop.Hop
+	inner bool
 }
 
 // detectChains marks the inner hops of t(X) %*% (X %*% v) and
 // t(X) %*% (w * (X %*% v)) patterns that will fuse into a single
 // MapMMChain operator (paper Table 4), and records per chain head the
-// fused operands.
-func (s *selector) detectChains(order []*hop.Hop, uses map[int64]int, mrBudget conf.Bytes) (map[int64]bool, map[int64]chainInfo) {
-	fused := make(map[int64]bool)
-	chains := make(map[int64]chainInfo)
-	for _, h := range order {
+// fused operands. The result is indexed by Pos.
+func (s *selector) detectChains(hb *hop.Block, mrBudget conf.Bytes) []chainInfo {
+	chains := make([]chainInfo, len(hb.Order))
+	for _, h := range hb.Order {
 		if h.Kind != hop.KindMatMul || !h.TransA || s.runsInCP(h) {
 			continue
 		}
@@ -254,17 +239,17 @@ func (s *selector) detectChains(order []*hop.Hop, uses map[int64]int, mrBudget c
 			continue
 		}
 		// Intermediates must be exclusively consumed by the chain.
-		if uses[inner.ID] != 1 {
+		if len(hb.Users[inner.Pos]) != 1 {
 			continue
 		}
-		if w != nil && uses[right.ID] != 1 {
+		if w != nil && len(hb.Users[right.Pos]) != 1 {
 			continue
 		}
-		fused[inner.ID] = true
+		chains[inner.Pos].inner = true
 		if w != nil {
-			fused[right.ID] = true
+			chains[right.Pos].inner = true
 		}
-		chains[h.ID] = chainInfo{x: x, v: v, w: w}
+		chains[h.Pos].v, chains[h.Pos].w = v, w
 	}
-	return fused, chains
+	return chains
 }

@@ -129,16 +129,16 @@ func MemoryEstimates(hp *hop.Program, cc conf.Cluster) []conf.Bytes {
 	seen := map[conf.Bytes]bool{}
 	var ests []conf.Bytes
 	hop.WalkBlocks(hp.Blocks, func(b *hop.Block) {
-		hop.WalkDAG(b.Roots, func(h *hop.Hop) {
+		for _, h := range b.Order {
 			if h.DataType != hop.Matrix || hop.InfiniteMem(h.OpMem) || h.OpMem <= 0 {
-				return
+				continue
 			}
 			heap := conf.Bytes(float64(h.OpMem) / cc.CPBudgetRatio)
 			if !seen[heap] {
 				seen[heap] = true
 				ests = append(ests, heap)
 			}
-		})
+		}
 	})
 	sort.Slice(ests, func(i, j int) bool { return ests[i] < ests[j] })
 	return ests

@@ -9,10 +9,12 @@ import (
 	"testing"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/cost"
 	"elasticml/internal/datagen"
 	"elasticml/internal/dml"
 	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
+	"elasticml/internal/lop"
 	"elasticml/internal/scripts"
 )
 
@@ -192,6 +194,29 @@ func TestParallelLocalKeepsCheapestCore(t *testing.T) {
 	sameResult(t, "parallel local", locals[1], locals[0])
 	if locals[0].Res.CPCores == 1 {
 		t.Errorf("serial local keeps 1 core at %v; the case no longer tells first from cheapest", locals[0].Cost)
+	}
+}
+
+// TestWhatIfAllocs gates the allocations of one what-if evaluation, a block
+// compilation plus its costing, on GLM L dense1000's largest block at the
+// minimal heaps, so that a per-call map or DAG walk cannot come back
+// unnoticed. The limit is the 47 measured once the compiler linearized
+// every block, plus 10 %; rebuilding the per-call maps took 102.
+func TestWhatIfAllocs(t *testing.T) {
+	hp := compileScenario(t, scripts.GLM(), datagen.New("L", 1000, 1.0))
+	var largest *hop.Block
+	for _, b := range hp.LeafBlocks() {
+		if largest == nil || len(b.Order) > len(largest.Order) {
+			largest = b
+		}
+	}
+	cc := conf.DefaultCluster()
+	res := conf.NewResources(cc.MinHeap(), cc.MinHeap(), 1)
+	est := cost.NewEstimator(cc)
+	allocs := testing.AllocsPerRun(10, func() { est.BlockCost(lop.SelectBlock(largest, cc, res), res) })
+	const limit = 51
+	if allocs > limit {
+		t.Errorf("one block compilation and costing of %d hops allocates %v times, limit %d", len(largest.Order), allocs, limit)
 	}
 }
 

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 
 	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
@@ -74,12 +75,10 @@ func (e *env) observeMem(h *hop.Hop, v *Value) {
 		out = v.Mat
 	}
 	var ins []*matrix.Matrix
-	seen := map[int64]bool{}
-	for _, in := range h.Inputs {
-		if in == nil || in.DataType != hop.Matrix || seen[in.ID] {
+	for i, in := range h.Inputs {
+		if in == nil || in.DataType != hop.Matrix || slices.Contains(h.Inputs[:i], in) {
 			continue
 		}
-		seen[in.ID] = true
 		if iv, ok := e.cache[in.ID]; ok && iv != nil && iv.Matrix && iv.Mat != nil {
 			ins = append(ins, iv.Mat)
 		}

@@ -514,24 +514,15 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 	}
 	// Resolve remaining unknown dimensions from the computed values so the
 	// performance model charges actual sizes, not worst-case infinities.
-	hop.WalkDAG(b.HopBlock.Roots, func(h *hop.Hop) {
+	for _, h := range b.HopBlock.Order {
 		if h.DataType != hop.Matrix || h.DimsKnown() {
-			return
+			continue
 		}
 		if v, ok := env.cache[h.ID]; ok && v != nil && v.Matrix {
 			hop.UpdateFromRuntime(h, v.Rows, v.Cols, v.NNZ)
 		}
-	})
-
-	inJob := map[int64]*lop.MRJob{}
-	for _, in := range b.Instrs {
-		if in.Kind == lop.InstrMR {
-			for _, op := range in.Job.Ops {
-				inJob[op.Hop.ID] = in.Job
-			}
-		}
 	}
-	uses := cost.BlockUses(b)
+
 	evict0 := ip.State.EvictionIO()
 	traced := ip.Trace.SpansEnabled()
 	m := ip.Trace.Metrics()
@@ -539,7 +530,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 		ip.Stats.Instructions++
 		start := ip.SimTime
 		if in.Kind == lop.InstrCP {
-			dt := ip.Est.CPInstrTime(in.Hop, ip.State, inJob, ip.cpCores())
+			dt := ip.Est.CPInstrTime(in.Hop, ip.State, b.JobOf, ip.cpCores())
 			ip.SimTime += dt
 			if traced {
 				ip.Trace.Complete(obs.LayerRuntime, in.Label(), start, dt)
@@ -548,7 +539,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 		} else {
 			ip.Stats.MRJobs++
 			if ip.Faults != nil && ip.Faults.TaskFaultsEnabled() {
-				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State, uses, inJob)
+				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State)
 				bd, rep, err := mr.EstimateTimeUnderFaultsTraced(ip.Est.PM, ip.Est.EffectiveCluster(),
 					spec, taskHeap, ip.Res.CP, ip.Faults, ip.Policy, ip.Trace, start)
 				if err != nil {
@@ -568,7 +559,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 				}
 				m.Observe("rt.mr_job_seconds", bd.Total())
 			} else if traced || m != nil {
-				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State, uses, inJob)
+				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State)
 				bd := mr.EstimateTime(ip.Est.PM, ip.Est.EffectiveCluster(), spec, taskHeap, ip.Res.CP)
 				ip.SimTime += bd.Total()
 				if traced {
@@ -578,7 +569,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 				}
 				m.Observe("rt.mr_job_seconds", bd.Total())
 			} else {
-				ip.SimTime += ip.Est.MRJobTime(in.Job, b, ip.Res, ip.State, uses, inJob)
+				ip.SimTime += ip.Est.MRJobTime(in.Job, b, ip.Res, ip.State)
 			}
 		}
 	}

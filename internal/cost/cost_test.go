@@ -187,41 +187,44 @@ write(beta, "/out/b");
 	}
 }
 
+// vk is the state key of the variable name.
+func vk(name string) Key { return Key{Kind: KeyVar, Name: name} }
+
 func TestVarStateTransitions(t *testing.T) {
 	s := NewVarState(0)
 	// First use reads from HDFS; second is cached.
-	if got := s.EnsureInMemory("$X", 1000); got != 1000 {
+	if got := s.EnsureInMemory(vk("X"), 1000); got != 1000 {
 		t.Errorf("first read = %v, want 1000", got)
 	}
-	if got := s.EnsureInMemory("$X", 1000); got != 0 {
+	if got := s.EnsureInMemory(vk("X"), 1000); got != 0 {
 		t.Errorf("cached read = %v, want 0", got)
 	}
 	// CP-produced values are dirty and must be exported once.
-	s.PutInMemory("$Y", 500)
-	if got := s.ExportBytes("$Y", 500); got != 500 {
+	s.PutInMemory(vk("Y"), 500)
+	if got := s.ExportBytes(vk("Y"), 500); got != 500 {
 		t.Errorf("export = %v, want 500", got)
 	}
-	if got := s.ExportBytes("$Y", 500); got != 0 {
+	if got := s.ExportBytes(vk("Y"), 500); got != 0 {
 		t.Errorf("re-export = %v, want 0", got)
 	}
 	// MR-produced values live on HDFS.
-	s.PutOnHDFS("$Z", 700)
-	if s.InMemory("$Z") {
+	s.PutOnHDFS(vk("Z"), 700)
+	if s.InMemory(vk("Z")) {
 		t.Error("Z should be on HDFS")
 	}
-	if got := s.ExportBytes("$Z", 700); got != 0 {
+	if got := s.ExportBytes(vk("Z"), 700); got != 0 {
 		t.Errorf("HDFS-resident export = %v, want 0", got)
 	}
 }
 
 func TestVarStateEviction(t *testing.T) {
 	s := NewVarState(1000)
-	s.PutInMemory("$A", 600)
-	s.PutInMemory("$B", 600) // exceeds 1000: A (LRU, dirty) evicted
-	if s.InMemory("$A") {
+	s.PutInMemory(vk("A"), 600)
+	s.PutInMemory(vk("B"), 600) // exceeds 1000: A (LRU, dirty) evicted
+	if s.InMemory(vk("A")) {
 		t.Error("A should have been evicted")
 	}
-	if !s.InMemory("$B") {
+	if !s.InMemory(vk("B")) {
 		t.Error("B should be resident")
 	}
 	if s.EvictionIO() != 600 {
@@ -229,25 +232,25 @@ func TestVarStateEviction(t *testing.T) {
 	}
 	// Clean pages evict silently.
 	s2 := NewVarState(1000)
-	s2.EnsureInMemory("$A", 600) // clean (from HDFS)
-	s2.PutInMemory("$B", 600)
+	s2.EnsureInMemory(vk("A"), 600) // clean (from HDFS)
+	s2.PutInMemory(vk("B"), 600)
 	if s2.EvictionIO() != 0 {
 		t.Errorf("clean eviction IO = %v, want 0", s2.EvictionIO())
 	}
 	// A single oversized variable stays pinned.
 	s3 := NewVarState(100)
-	s3.PutInMemory("$big", 500)
-	if !s3.InMemory("$big") {
+	s3.PutInMemory(vk("big"), 500)
+	if !s3.InMemory(vk("big")) {
 		t.Error("oversized single variable should stay pinned")
 	}
 }
 
 func TestVarStateClone(t *testing.T) {
 	s := NewVarState(0)
-	s.PutInMemory("$A", 100)
+	s.PutInMemory(vk("A"), 100)
 	c := s.Clone()
-	c.PutOnHDFS("$A", 100)
-	if !s.InMemory("$A") {
+	c.PutOnHDFS(vk("A"), 100)
+	if !s.InMemory(vk("A")) {
 		t.Error("clone mutation leaked into original")
 	}
 }
@@ -258,32 +261,32 @@ func TestVarStateClone(t *testing.T) {
 // between in map order.
 func TestVarStateCloneKeepsAliases(t *testing.T) {
 	s := NewVarState(0)
-	s.PutInMemory("$A", 100)
-	s.Alias("$B", "$A", 100)
+	s.PutInMemory(vk("A"), 100)
+	s.Alias(vk("B"), vk("A"), 100)
 	c := s.Clone()
-	c.PutOnHDFS("$A", 100) // rebinds $A only; $B keeps the shared entry
-	if !s.InMemory("$A") || !s.InMemory("$B") {
+	c.PutOnHDFS(vk("A"), 100) // rebinds A only; B keeps the shared entry
+	if !s.InMemory(vk("A")) || !s.InMemory(vk("B")) {
 		t.Error("clone mutation leaked into original")
 	}
 	c = s.Clone()
-	if got := c.ExportBytes("$A", 100); got != 100 {
-		t.Fatalf("export through $A = %v, want 100", got)
+	if got := c.ExportBytes(vk("A"), 100); got != 100 {
+		t.Fatalf("export through A = %v, want 100", got)
 	}
-	if got := c.ExportBytes("$B", 100); got != 0 {
-		t.Errorf("export through alias $B = %v after exporting $A, want 0 (one shared entry)", got)
+	if got := c.ExportBytes(vk("B"), 100); got != 0 {
+		t.Errorf("export through alias B = %v after exporting A, want 0 (one shared entry)", got)
 	}
-	if got := s.ExportBytes("$B", 100); got != 100 {
+	if got := s.ExportBytes(vk("B"), 100); got != 100 {
 		t.Errorf("original lost its dirty state to the clone: export = %v, want 100", got)
 	}
 	// Evicting the shared entry evicts it under both names.
 	p := NewVarState(150)
-	p.PutInMemory("$A", 100)
-	p.Alias("$B", "$A", 100)
+	p.PutInMemory(vk("A"), 100)
+	p.Alias(vk("B"), vk("A"), 100)
 	pc := p.Clone()
-	pc.PutInMemory("$C", 100)
-	if pc.Evictions != 1 || pc.InMemory("$A") || pc.InMemory("$B") {
+	pc.PutInMemory(vk("C"), 100)
+	if pc.Evictions != 1 || pc.InMemory(vk("A")) || pc.InMemory(vk("B")) {
 		t.Errorf("clone split the aliased resident: evictions %d, A resident %v, B resident %v",
-			pc.Evictions, pc.InMemory("$A"), pc.InMemory("$B"))
+			pc.Evictions, pc.InMemory(vk("A")), pc.InMemory(vk("B")))
 	}
 }
 
@@ -304,8 +307,8 @@ func TestProgramCostAliasInBranchDeterministic(t *testing.T) {
 
 func TestVarStatePeakAndMaxVar(t *testing.T) {
 	s := NewVarState(1000)
-	s.PutInMemory("$A", 600)
-	s.PutInMemory("$B", 600) // evicts A; steady-state residency 600
+	s.PutInMemory(vk("A"), 600)
+	s.PutInMemory(vk("B"), 600) // evicts A; steady-state residency 600
 	if s.Peak != 600 {
 		t.Errorf("peak = %v, want 600 (post-eviction steady state)", s.Peak)
 	}
@@ -315,7 +318,7 @@ func TestVarStatePeakAndMaxVar(t *testing.T) {
 	// An oversized variable pins: the peak may exceed the budget, but only
 	// up to the largest single admitted variable (the capacity invariant
 	// the verification harness checks).
-	s.PutInMemory("$big", 2500)
+	s.PutInMemory(vk("big"), 2500)
 	if s.Peak != 2500 {
 		t.Errorf("peak = %v, want 2500 (pinned oversize variable)", s.Peak)
 	}

@@ -1,8 +1,6 @@
 package cost
 
 import (
-	"fmt"
-
 	"elasticml/internal/conf"
 	"elasticml/internal/dml"
 	"elasticml/internal/hop"
@@ -38,6 +36,11 @@ type Estimator struct {
 	// predicted side of the predicted-vs-simulated per-operator cost
 	// table. Left nil on the optimizer's hot path.
 	Hook func(label string, seconds float64)
+
+	// state is the variable state ProgramCost and BlockCost reset and
+	// reuse, so that a costing allocates no table of its own. Like
+	// Invocations, it confines an Estimator to one goroutine at a time.
+	state VarState
 }
 
 // EffectiveCluster returns the cluster configuration with the node count
@@ -88,10 +91,13 @@ func (e *Estimator) BlockCost(b *lop.Block, res conf.Resources) float64 {
 }
 
 func (e *Estimator) newState(res conf.Resources) *VarState {
-	if e.EvictionWeight <= 0 {
-		return NewVarState(0)
+	var budget conf.Bytes
+	if e.EvictionWeight > 0 {
+		budget = e.CC.OpBudget(res.CP)
 	}
-	return NewVarState(e.CC.OpBudget(res.CP))
+	s := &e.state
+	*s = VarState{binds: s.binds[:0], entries: s.entries[:0], budget: budget}
+	return s
 }
 
 func (e *Estimator) blocks(blocks []*lop.Block, res conf.Resources, state *VarState, cpCores int) float64 {
@@ -110,7 +116,9 @@ func (e *Estimator) block(b *lop.Block, res conf.Resources, state *VarState, cpC
 		// Weighted sum of branch aggregates.
 		thenState := state.Clone()
 		tThen := e.blocks(b.Then, res, thenState, cpCores)
-		tElse := e.blocks(b.Else, res, state.Clone(), cpCores)
+		// The else branch scans the original state in place: it is
+		// replaced by the then-branch state below.
+		tElse := e.blocks(b.Else, res, state, cpCores)
 		// Continue with the then-branch state (conservative single path).
 		*state = *thenState
 		return 0.5*tThen + 0.5*tElse
@@ -180,13 +188,14 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 	if h.Kind == hop.KindTWrite {
 		src := h.Inputs[0]
 		if src.DataType == hop.Matrix {
+			dst := Key{Kind: KeyVar, Name: h.Name}
 			if jobOf[src.Pos] != nil {
-				state.PutOnHDFS("$"+h.Name, trackedSize(src))
+				state.PutOnHDFS(dst, trackedSize(src))
 			} else if key, ok := keyOf(src); ok {
-				state.Alias("$"+h.Name, key, trackedSize(src))
+				state.Alias(dst, key, trackedSize(src))
 			} else {
 				// CP-computed intermediate: dirty in-memory value.
-				state.PutInMemory("$"+h.Name, trackedSize(src))
+				state.PutInMemory(dst, trackedSize(src))
 			}
 		}
 		return 0
@@ -229,7 +238,7 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 
 // MRJobTime assembles the job specification and charges the MR phase model.
 func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) float64 {
-	spec, taskHeap := e.MRJobSpec(job, b, res, state)
+	spec, taskHeap := e.jobSpec(job, b, res, state)
 	bd := mr.EstimateTime(e.PM, e.effectiveCluster(), spec, taskHeap, res.CP)
 	return bd.Total()
 }
@@ -241,7 +250,15 @@ func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, 
 // through the fault-aware task-attempt model (mr.EstimateTimeUnderFaults)
 // instead of the plain phase model.
 func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, conf.Bytes) {
-	spec := mr.JobSpec{Name: job.Name(), NumReducers: 0}
+	spec, taskHeap := e.jobSpec(job, b, res, state)
+	spec.Name = job.Name()
+	return spec, taskHeap
+}
+
+// jobSpec is MRJobSpec without the job name, which only the fault model
+// reads.
+func (e *Estimator) jobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, conf.Bytes) {
+	var spec mr.JobSpec
 	taskHeap := res.MRFor(b.Index)
 
 	// Scanned inputs: export dirty CP variables, then stream from HDFS.
@@ -298,7 +315,7 @@ func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, 
 	return spec, taskHeap
 }
 
-func jobOutKey(h *hop.Hop) string { return fmt.Sprintf("#%d", h.ID) }
+func jobOutKey(h *hop.Hop) Key { return Key{Kind: KeyJob, ID: h.ID} }
 
 // trackedSize returns the size used for state tracking and IO charging:
 // unknown (worst-case infinite) estimates are clamped to a nominal size so

@@ -2,6 +2,7 @@ package lop
 
 import (
 	"fmt"
+	"math"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/dml"
@@ -24,7 +25,37 @@ func Select(p *hop.Program, cc conf.Cluster, res conf.Resources) *Plan {
 
 // SelectBlock recompiles a single generic block (dynamic recompilation).
 func SelectBlock(b *hop.Block, cc conf.Cluster, res conf.Resources) *Block {
+	lb, _ := newSelector(cc, res).generic(b)
+	return lb
+}
+
+// SelectBlockSpan is SelectBlock that also returns the span of MR task
+// budgets under which selection produces the same plan: every comparison
+// selection made against the block's budget resolves the same way for any
+// budget in it. Resources differing only in the block's MR heap, with an
+// MR budget inside the span, select this very plan.
+func SelectBlockSpan(b *hop.Block, cc conf.Cluster, res conf.Resources) (*Block, Span) {
 	return newSelector(cc, res).generic(b)
+}
+
+// Span is the half-open interval [Lo, Hi) of MR task budgets.
+type Span struct{ Lo, Hi conf.Bytes }
+
+// Contains reports whether the budget lies in the span.
+func (sp Span) Contains(budget conf.Bytes) bool { return sp.Lo <= budget && budget < sp.Hi }
+
+// budgetFits is selection's only access to a block's MR task budget: the
+// test x <= budget, which narrows *span to the budgets under which every
+// test made so far resolves the same way.
+func budgetFits(budget conf.Bytes, span *Span) func(x conf.Bytes) bool {
+	return func(x conf.Bytes) bool {
+		if x <= budget {
+			span.Lo = max(span.Lo, x)
+			return true
+		}
+		span.Hi = min(span.Hi, x)
+		return false
+	}
 }
 
 func newSelector(cc conf.Cluster, res conf.Resources) *selector {
@@ -67,7 +98,8 @@ func (s *selector) blocks(hbs []*hop.Block) []*Block {
 func (s *selector) block(hb *hop.Block) *Block {
 	switch hb.Kind {
 	case dml.GenericBlock:
-		return s.generic(hb)
+		b, _ := s.generic(hb)
+		return b
 	default:
 		b := &Block{Kind: hb.Kind, Index: -1, Pred: hb.Pred, Var: hb.Var,
 			From: hb.From, To: hb.To, HopBlock: hb, KnownIters: hb.KnownIters,
@@ -105,16 +137,18 @@ func (s *selector) parforDOP(hb *hop.Block) int {
 }
 
 // generic runs operator selection and piggybacking over one block DAG,
-// scanning the order the compiler linearized.
-func (s *selector) generic(hb *hop.Block) *Block {
+// scanning the order the compiler linearized, and returns the span of MR
+// budgets that select the same plan.
+func (s *selector) generic(hb *hop.Block) (*Block, Span) {
 	if hb.Order == nil && len(hb.Roots) > 0 {
 		panic(fmt.Sprintf("lop: generic block at lines %d-%d has roots but no linearized order; "+
 			"blocks must come from hop.Compiler's Compile, RebuildScope or RecompileGeneric", hb.FirstLine, hb.LastLine))
 	}
 	b := &Block{Kind: dml.GenericBlock, Index: hb.Index, HopBlock: hb,
 		Recompile: hb.Recompile, JobOf: make([]*MRJob, len(hb.Order))}
-	mrBudget := s.cc.OpBudget(s.res.MRFor(hb.Index))
-	chains := s.detectChains(hb, mrBudget)
+	span := Span{Lo: 0, Hi: math.MaxInt64}
+	fits := budgetFits(s.cc.OpBudget(s.res.MRFor(hb.Index)), &span)
+	chains := s.detectChains(hb, fits)
 
 	var openJob *MRJob
 	closeJob := func() {
@@ -141,15 +175,15 @@ func (s *selector) generic(hb *hop.Block) *Block {
 			b.Instrs = append(b.Instrs, Instr{Kind: InstrCP, Hop: h})
 			continue
 		}
-		op := s.physical(h, mrBudget, chains[h.Pos])
-		if openJob == nil || !s.canMerge(openJob, op, b.JobOf, mrBudget) {
+		op := s.physical(h, fits, chains[h.Pos])
+		if openJob == nil || !s.canMerge(openJob, op, b.JobOf, fits) {
 			closeJob()
 			openJob = &MRJob{}
 		}
 		s.addToJob(openJob, op, b.JobOf)
 	}
 	closeJob()
-	return b
+	return b, span
 }
 
 // executes reports whether a hop corresponds to a runtime instruction.
@@ -208,7 +242,7 @@ type chainInfo struct {
 // t(X) %*% (w * (X %*% v)) patterns that will fuse into a single
 // MapMMChain operator (paper Table 4), and records per chain head the
 // fused operands. The result is indexed by Pos.
-func (s *selector) detectChains(hb *hop.Block, mrBudget conf.Bytes) []chainInfo {
+func (s *selector) detectChains(hb *hop.Block, fits func(conf.Bytes) bool) []chainInfo {
 	chains := make([]chainInfo, len(hb.Order))
 	for _, h := range hb.Order {
 		if h.Kind != hop.KindMatMul || !h.TransA || s.runsInCP(h) {
@@ -235,7 +269,7 @@ func (s *selector) detectChains(hb *hop.Block, mrBudget conf.Bytes) []chainInfo 
 		if w != nil {
 			bcast += w.OutMem
 		}
-		if hop.InfiniteMem(bcast) || bcast > mrBudget {
+		if hop.InfiniteMem(bcast) || !fits(bcast) {
 			continue
 		}
 		// Intermediates must be exclusively consumed by the chain.

@@ -56,7 +56,8 @@ func DefaultOptions() Options {
 
 // Stats reports the optimization effort (Table 3 columns).
 type Stats struct {
-	// BlockCompilations counts per-block plan generations.
+	// BlockCompilations counts per-block plan generations: the operator
+	// selections that ran, not the MR grid points that reused a plan.
 	BlockCompilations int
 	// Costings counts cost-model invocations (costing the entire program
 	// counts as one).
@@ -353,9 +354,15 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.E
 
 // enumBlock evaluates the second dimension for one block under fixed rc.
 // Individual (rc, ri) evaluations answered by the re-costing memo skip the
-// per-point compile-and-cost; fresh evaluations are recorded.
+// per-point compile-and-cost; fresh evaluations are recorded. A plan is
+// selected again only when ri's MR budget leaves the span of budgets that
+// select the last plan; srm ascends, so adjacent points share a plan until
+// a broadcast or packing threshold is crossed. Every fresh point is costed.
 func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator, stats *Stats, mv *memoView) memoEntry {
 	best := memoEntry{cost: -1}
+	var lb *lop.Block
+	var span lop.Span
+	var mr bool
 	for _, ri := range srm {
 		key := memoBlockKey{cores: t.cores, rc: t.rc, ri: ri, block: t.idx}
 		e, ok := mv.block(key)
@@ -363,9 +370,12 @@ func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator
 			stats.ReuseHits++
 		} else {
 			res := conf.NewResources(t.rc, ri, 1).WithCores(t.cores)
-			lb := lop.SelectBlock(t.hb, o.CC, res)
-			stats.BlockCompilations++
-			e = memoBlockVal{cost: est.BlockCost(lb, res), mr: lop.NumMRJobs([]*lop.Block{lb}) > 0}
+			if lb == nil || !span.Contains(o.CC.OpBudget(ri)) {
+				lb, span = lop.SelectBlockSpan(t.hb, o.CC, res)
+				mr = lop.NumMRJobs([]*lop.Block{lb}) > 0
+				stats.BlockCompilations++
+			}
+			e = memoBlockVal{cost: est.BlockCost(lb, res), mr: mr}
 			mv.recordBlock(key, e)
 		}
 		if best.cost < 0 || e.cost < best.cost {

@@ -199,9 +199,10 @@ func TestParallelLocalKeepsCheapestCore(t *testing.T) {
 
 // TestWhatIfAllocs gates the allocations of one what-if evaluation, a block
 // compilation plus its costing, on GLM L dense1000's largest block at the
-// minimal heaps, so that a per-call map or DAG walk cannot come back
-// unnoticed. The limit is the 47 measured once the compiler linearized
-// every block, plus 10 %; rebuilding the per-call maps took 102.
+// minimal heaps, so that a per-call map, DAG walk or key string cannot come
+// back unnoticed. The limit is the 16 measured once the variable state
+// became slice-backed and reused by the estimator, plus 10 %; string keys
+// in a fresh map took 47, and rebuilding the per-call maps 102.
 func TestWhatIfAllocs(t *testing.T) {
 	hp := compileScenario(t, scripts.GLM(), datagen.New("L", 1000, 1.0))
 	var largest *hop.Block
@@ -214,9 +215,25 @@ func TestWhatIfAllocs(t *testing.T) {
 	res := conf.NewResources(cc.MinHeap(), cc.MinHeap(), 1)
 	est := cost.NewEstimator(cc)
 	allocs := testing.AllocsPerRun(10, func() { est.BlockCost(lop.SelectBlock(largest, cc, res), res) })
-	const limit = 51
+	const limit = 17
 	if allocs > limit {
 		t.Errorf("one block compilation and costing of %d hops allocates %v times, limit %d", len(largest.Order), allocs, limit)
+	}
+}
+
+// TestProgramCostAllocs gates the allocations of costing GLM L dense1000's
+// selected plan, whose if blocks each clone the variable state. The limit
+// is the 20 measured with slice-backed state, plus 10 %; per-branch map
+// clones took 527.
+func TestProgramCostAllocs(t *testing.T) {
+	hp := compileScenario(t, scripts.GLM(), datagen.New("L", 1000, 1.0))
+	cc := conf.DefaultCluster()
+	plan := lop.Select(hp, cc, New(cc).Optimize(hp).Res)
+	est := cost.NewEstimator(cc)
+	allocs := testing.AllocsPerRun(10, func() { est.ProgramCost(plan) })
+	const limit = 22
+	if allocs > limit {
+		t.Errorf("costing the selected plan allocates %v times, limit %d", allocs, limit)
 	}
 }
 

@@ -5,10 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"elasticml/internal/datagen"
 	"elasticml/internal/dml"
-	"elasticml/internal/hdfs"
-	"elasticml/internal/scripts"
 )
 
 // TestLinearizedBlocks: on the paper grid, every generic block the compiler
@@ -16,41 +13,24 @@ import (
 // the §4 adapter rebuilds) and by RecompileGeneric — carries the Order, Pos
 // and Users a fresh walk of its roots computes.
 func TestLinearizedBlocks(t *testing.T) {
-	for _, spec := range scripts.All() {
-		prog, err := dml.Parse(spec.Source)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		for _, size := range datagen.Sizes {
-			for _, sh := range datagen.Shapes() {
-				scen := datagen.New(size, sh.Cols, sh.Sparsity)
-				name := fmt.Sprintf("%s %s %s", spec.Name, size, scen.ShapeName())
-				fs := hdfs.New()
-				datagen.Describe(fs, scen)
-				c := NewCompiler(fs, spec.Params)
-				hp, err := c.Compile(prog, spec.Source)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				checkLinearized(t, name, hp.Blocks)
-				meta := writtenMeta(hp)
-				for i := range hp.Blocks {
-					scope, err := c.RebuildScope(hp.Blocks[i:], meta)
-					if err != nil {
-						t.Fatalf("%s scope %d: %v", name, i, err)
-					}
-					checkLinearized(t, fmt.Sprintf("%s scope %d", name, i), scope.Blocks)
-				}
-				for _, b := range hp.LeafBlocks() {
-					nb, err := c.RecompileGeneric(b, meta)
-					if err != nil {
-						t.Fatalf("%s recompile block %d: %v", name, b.Index, err)
-					}
-					checkLinearized(t, fmt.Sprintf("%s recompiled block %d", name, b.Index), []*Block{nb})
-				}
+	forEachProblem(t, func(name string, c *Compiler, hp *Program) {
+		checkLinearized(t, name, hp.Blocks)
+		meta := writtenMeta(hp)
+		for i := range hp.Blocks {
+			scope, err := c.RebuildScope(hp.Blocks[i:], meta)
+			if err != nil {
+				t.Fatalf("%s scope %d: %v", name, i, err)
 			}
+			checkLinearized(t, fmt.Sprintf("%s scope %d", name, i), scope.Blocks)
 		}
-	}
+		for _, b := range hp.LeafBlocks() {
+			nb, err := c.RecompileGeneric(b, meta)
+			if err != nil {
+				t.Fatalf("%s recompile block %d: %v", name, b.Index, err)
+			}
+			checkLinearized(t, fmt.Sprintf("%s recompiled block %d", name, b.Index), []*Block{nb})
+		}
+	})
 }
 
 // writtenMeta is the metadata of every variable p's generic blocks write,

@@ -215,17 +215,19 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 		}
 		return c.buildBlocks(sb.Else, meta)
 	}
+	// The then-branch builds on a copy, the else-branch in place. After an
+	// error meta is half-built, but no caller reads it then: Compile starts
+	// from an empty table, RebuildScope and RecompileGeneric from a copy.
 	thenMeta := meta.Clone()
-	elseMeta := meta.Clone()
 	thenB, err := c.buildBlocks(sb.Then, thenMeta)
 	if err != nil {
 		return nil, err
 	}
-	elseB, err := c.buildBlocks(sb.Else, elseMeta)
+	elseB, err := c.buildBlocks(sb.Else, meta)
 	if err != nil {
 		return nil, err
 	}
-	mergeMeta(meta, thenMeta, elseMeta)
+	mergeMeta(meta, thenMeta)
 	b := &Block{Kind: dml.IfBlockKind, Index: -1, Pred: pred, PredExpr: sb.Pred,
 		Then: thenB, Else: elseB, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil
@@ -249,7 +251,6 @@ func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 	if err != nil {
 		return nil, err
 	}
-	weaken(meta, meta) // no-op shape; meta already weakened pre-body
 	b := &Block{Kind: dml.WhileBlockKind, Index: -1, Pred: pred, PredExpr: sb.Pred,
 		Body: body, KnownIters: Unknown, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil
@@ -290,30 +291,24 @@ func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, erro
 	return []*Block{b}, nil
 }
 
-// mergeMeta merges the symbol tables of two conditional branches into dst:
-// agreeing facts survive, disagreeing facts are weakened to unknown.
-func mergeMeta(dst SymTab, a, b SymTab) {
-	names := make(map[string]bool)
-	for k := range a {
-		names[k] = true
+// mergeMeta merges the then-branch's symbol table into the else-branch's
+// table els: agreeing facts survive, disagreeing facts are weakened to
+// unknown, and a variable only one branch defines is kept fully weakened
+// (its existence is conditional).
+func mergeMeta(els, then SymTab) {
+	for k, vb := range els {
+		if _, ok := then[k]; !ok {
+			els[k] = weakened(vb, vb.unknownLike())
+		}
 	}
-	for k := range b {
-		names[k] = true
-	}
-	for k := range names {
-		va, okA := a[k]
-		vb, okB := b[k]
+	for k, va := range then {
+		vb, ok := els[k]
 		switch {
-		case okA && okB && va == vb:
-			dst[k] = va
-		case okA && okB:
-			dst[k] = weakened(va, vb)
-		case okA:
-			// Defined in one branch only: existence is conditional; keep a
-			// fully weakened entry.
-			dst[k] = weakened(va, va.unknownLike())
+		case ok && va == vb:
+		case ok:
+			els[k] = weakened(va, vb)
 		default:
-			dst[k] = weakened(vb, vb.unknownLike())
+			els[k] = weakened(va, va.unknownLike())
 		}
 	}
 }

@@ -220,12 +220,7 @@ func (c *Compiler) readHop(ctx *dagCtx, path string) (*Hop, error) {
 	h := &Hop{ID: c.id(), Kind: KindRead, Name: path, DataType: Matrix,
 		Rows: f.Rows, Cols: f.Cols, NNZ: f.NNZ}
 	estimateMem(h)
-	key := cseKey(h)
-	if prev, ok := ctx.cse[key]; ok {
-		return prev, nil
-	}
-	ctx.cse[key] = h
-	return h, nil
+	return ctx.dedup(h), nil
 }
 
 // agg constructs a full aggregate producing a scalar.

@@ -2,7 +2,7 @@ package hop
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"elasticml/internal/dml"
 )
@@ -15,15 +15,21 @@ type dagCtx struct {
 	order  []string
 	treads map[string]*Hop
 	cse    map[string]*Hop
+	// key is the scratch buffer dedup builds CSE keys in; keyBuf backs it
+	// until a key outgrows it.
+	key    []byte
+	keyBuf [64]byte
 }
 
 func (c *Compiler) newCtx(meta SymTab) *dagCtx {
-	return &dagCtx{
+	ctx := &dagCtx{
 		meta:   meta,
 		locals: make(map[string]*Hop),
 		treads: make(map[string]*Hop),
 		cse:    make(map[string]*Hop),
 	}
+	ctx.key = ctx.keyBuf[:0]
+	return ctx
 }
 
 // buildGeneric compiles a run of straight-line statements into one generic
@@ -107,50 +113,57 @@ func (c *Compiler) seal(ctx *dagCtx, h *Hop) *Hop {
 	if h.DataType == Scalar && h.KnownVal && h.Kind != KindLit {
 		return c.lit(ctx, h.Value)
 	}
-	key := cseKey(h)
-	if prev, ok := ctx.cse[key]; ok {
+	return ctx.dedup(h)
+}
+
+// dedup returns the hop this DAG already built with h's CSE key, or
+// records h under it. The key is kind, operator, name, a literal's value,
+// and the inputs' IDs; looking it up allocates nothing, inserting it one
+// string.
+func (ctx *dagCtx) dedup(h *Hop) *Hop {
+	ctx.key = appendCSEKey(ctx.key[:0], h)
+	if prev, ok := ctx.cse[string(ctx.key)]; ok {
 		return prev
 	}
-	ctx.cse[key] = h
+	ctx.cse[string(ctx.key)] = h
 	return h
 }
 
-func cseKey(h *Hop) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d|%s|%s", h.Kind, h.Op, h.Name)
+// appendCSEKey appends h's CSE key to dst: "kind|op|name", then
+// "|value|quoted string" for a literal, then "|inputID" or "|_" per input.
+func appendCSEKey(dst []byte, h *Hop) []byte {
+	dst = strconv.AppendInt(dst, int64(h.Kind), 10)
+	dst = append(dst, '|')
+	dst = append(dst, h.Op...)
+	dst = append(dst, '|')
+	dst = append(dst, h.Name...)
 	if h.Kind == KindLit {
-		fmt.Fprintf(&sb, "|%v|%q", h.Value, h.StrValue)
+		dst = append(dst, '|')
+		dst = strconv.AppendFloat(dst, h.Value, 'g', -1, 64)
+		dst = append(dst, '|')
+		dst = strconv.AppendQuote(dst, h.StrValue)
 	}
 	for _, in := range h.Inputs {
 		if in == nil {
-			sb.WriteString("|_")
+			dst = append(dst, "|_"...)
 		} else {
-			fmt.Fprintf(&sb, "|%d", in.ID)
+			dst = append(dst, '|')
+			dst = strconv.AppendInt(dst, in.ID, 10)
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 func (c *Compiler) lit(ctx *dagCtx, v float64) *Hop {
 	h := &Hop{ID: c.id(), Kind: KindLit, DataType: Scalar, Value: v}
 	finalize(h)
-	key := cseKey(h)
-	if prev, ok := ctx.cse[key]; ok {
-		return prev
-	}
-	ctx.cse[key] = h
-	return h
+	return ctx.dedup(h)
 }
 
 func (c *Compiler) strLit(ctx *dagCtx, s string) *Hop {
 	h := &Hop{ID: c.id(), Kind: KindLit, DataType: String, StrValue: s}
 	finalize(h)
-	key := cseKey(h)
-	if prev, ok := ctx.cse[key]; ok {
-		return prev
-	}
-	ctx.cse[key] = h
-	return h
+	return ctx.dedup(h)
 }
 
 // expr compiles an expression to a hop.

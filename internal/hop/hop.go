@@ -12,6 +12,7 @@ package hop
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/dml"
@@ -164,6 +165,8 @@ type Hop struct {
 	// Pos is the hop's index in its generic block's Order: the dense
 	// index of every per-hop table lop and cost keep.
 	Pos int
+	// mark is the number of the last WalkDAG that visited the hop.
+	mark uint64
 }
 
 // DimsKnown reports whether both output dimensions are known.
@@ -275,24 +278,31 @@ func (p *Program) LeafBlocks() []*Block {
 	return out
 }
 
+// walks numbers the DAG walks, so that a hop's mark tells whether the
+// current walk has visited it.
+var walks atomic.Uint64
+
 // WalkDAG visits every hop reachable from the given roots exactly once in
-// post-order (inputs before consumers).
+// post-order (inputs before consumers). It marks the hops it visits
+// instead of keeping a set, so no two goroutines may walk hops they share
+// at the same time: every walk is over a DAG its caller's goroutine built,
+// inside the compiler's own build or on a program it has just returned.
 func WalkDAG(roots []*Hop, fn func(*Hop)) {
-	seen := make(map[int64]bool)
-	var rec func(h *Hop)
-	rec = func(h *Hop) {
-		if h == nil || seen[h.ID] {
-			return
-		}
-		seen[h.ID] = true
-		for _, in := range h.Inputs {
-			rec(in)
-		}
-		fn(h)
-	}
+	walk := walks.Add(1)
 	for _, r := range roots {
-		rec(r)
+		visit(r, walk, fn)
 	}
+}
+
+func visit(h *Hop, walk uint64, fn func(*Hop)) {
+	if h == nil || h.mark == walk {
+		return
+	}
+	h.mark = walk
+	for _, in := range h.Inputs {
+		visit(in, walk, fn)
+	}
+	fn(h)
 }
 
 // linearize records the block's Order, each hop's Pos and the Users table.
@@ -305,7 +315,22 @@ func (b *Block) linearize() {
 		h.Pos = len(b.Order)
 		b.Order = append(b.Order, h)
 	})
+	// Users[i] is a window of one backing array, sized by a first count.
+	counts := make([]int, len(b.Order))
+	total := 0
+	for _, h := range b.Order {
+		for _, in := range h.Inputs {
+			if in != nil {
+				counts[in.Pos]++
+				total++
+			}
+		}
+	}
+	users := make([]*Hop, total)
 	b.Users = make([][]*Hop, len(b.Order))
+	for i, n := range counts {
+		b.Users[i], users = users[:0:n], users[n:]
+	}
 	for _, h := range b.Order {
 		for _, in := range h.Inputs {
 			if in != nil {

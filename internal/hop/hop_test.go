@@ -353,7 +353,12 @@ N = matrix(0, rows=3, cols=3);
 if (s > 1) {
   N = matrix(1, rows=3, cols=3);
 }
-r = sum(M) + sum(N);
+if (s > 2) {
+  P = matrix(0, rows=4, cols=4);
+} else {
+  Q = matrix(0, rows=6, cols=6);
+}
+r = sum(M) + sum(N) + sum(P) + sum(Q);
 print(r);
 `
 	prog, err := dml.Parse(src)
@@ -365,24 +370,28 @@ print(r);
 	if err != nil {
 		t.Fatal(err)
 	}
-	// After the conditional, M has unknown dims but N keeps 3x3.
+	// After the conditional, M has unknown dims but N keeps 3x3; P and Q,
+	// each defined in one branch only, have unknown dims.
 	var lastBlock *Block
 	WalkBlocks(hp.Blocks, func(b *Block) {
 		if b.Kind == dml.GenericBlock {
 			lastBlock = b
 		}
 	})
-	var m, n *Hop
+	treads := map[string]*Hop{}
 	WalkDAG(lastBlock.Roots, func(h *Hop) {
-		if h.Kind == KindTRead && h.Name == "M" {
-			m = h
-		}
-		if h.Kind == KindTRead && h.Name == "N" {
-			n = h
+		if h.Kind == KindTRead {
+			treads[h.Name] = h
 		}
 	})
-	if m == nil || n == nil {
+	m, n, pq := treads["M"], treads["N"], []*Hop{treads["P"], treads["Q"]}
+	if m == nil || n == nil || pq[0] == nil || pq[1] == nil {
 		t.Fatal("missing treads")
+	}
+	for _, h := range pq {
+		if h.Rows != Unknown || h.Cols != Unknown {
+			t.Errorf("%s dims = %dx%d, want unknown when one branch defines it", h.Name, h.Rows, h.Cols)
+		}
 	}
 	if m.Rows != Unknown {
 		t.Errorf("M rows = %d, want unknown after divergent branches", m.Rows)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"elasticml/internal/scripts"
 )
@@ -13,6 +14,7 @@ import (
 var keyExcluded = map[string]string{
 	"Hop.ID":         "identity only: names CSE entries, interpreter value caches and cost's job-output keys, and any unique numbering selects and costs alike",
 	"Hop.Pos":        "derived from Roots when the block is built: the hop's index in Block.Order",
+	"Hop.mark":       "walk bookkeeping: the number of the last WalkDAG that visited the hop",
 	"Block.Order":    "derived from Roots when the block is built: the hops in WalkDAG order",
 	"Block.Users":    "derived from Roots when the block is built: each hop's consumers",
 	"Block.Stmts":    "not read by non-test code in lop/cost/opt: recompilation input",
@@ -43,11 +45,17 @@ func keyTargets(p *Program, typ reflect.Type) []reflect.Value {
 	return out
 }
 
-// perturb changes v in place and reports whether it could.
+// perturb changes v in place and reports whether it could. An unexported
+// field is changed through its address.
 func perturb(t *testing.T, name string, v reflect.Value) bool {
+	if !v.CanSet() {
+		v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+	}
 	switch v.Kind() {
 	case reflect.Int, reflect.Int64:
 		v.SetInt(v.Int() + 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
 	case reflect.Float64:
 		v.SetFloat(v.Float() + 1)
 	case reflect.Bool:

@@ -8,7 +8,8 @@ import "elasticml/internal/dml"
 // inhibit fusion rewrites such as MapMMChain (a dead intermediate would
 // appear to require materialization).
 func pruneDeadWrites(blocks []*Block) {
-	analyze(blocks, stringSet{}, true)
+	a := liveness{reads: make(map[*Block][]string)}
+	a.blocks(blocks, stringSet{}, true)
 }
 
 type stringSet map[string]bool
@@ -27,29 +28,23 @@ func (s stringSet) addAll(o stringSet) {
 	}
 }
 
-func (s stringSet) equal(o stringSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
+// liveness is one analysis. reads caches the variables each block's own
+// DAGs read — a generic block's roots, a control block's header — since
+// the loop fixpoint passes over every block several times.
+type liveness struct {
+	reads map[*Block][]string
 }
 
-// analyze processes blocks backward, returning the live-in set; when mark
-// is true, dead transient writes are pruned from generic blocks.
-func analyze(blocks []*Block, liveOut stringSet, mark bool) stringSet {
-	live := liveOut.clone()
-	for i := len(blocks) - 1; i >= 0; i-- {
-		live = analyzeBlock(blocks[i], live, mark)
+// blocks processes bs backward, turning live from the live-out set into
+// the live-in set; when mark is true, dead transient writes are pruned
+// from generic blocks.
+func (a *liveness) blocks(bs []*Block, live stringSet, mark bool) {
+	for i := len(bs) - 1; i >= 0; i-- {
+		a.block(bs[i], live, mark)
 	}
-	return live
 }
 
-func analyzeBlock(b *Block, liveOut stringSet, mark bool) stringSet {
+func (a *liveness) block(b *Block, live stringSet, mark bool) {
 	switch b.Kind {
 	case dml.GenericBlock:
 		if mark {
@@ -60,78 +55,66 @@ func analyzeBlock(b *Block, liveOut stringSet, mark bool) stringSet {
 				// they cost nothing and dynamic recompilation from source
 				// needs the full scalar variable table (constant folding
 				// removes their reads from the DAG).
-				if r.Kind == KindTWrite && r.DataType == Matrix && !liveOut[r.Name] {
+				if r.Kind == KindTWrite && r.DataType == Matrix && !live[r.Name] {
 					continue
 				}
 				kept = append(kept, r)
 			}
+			if len(kept) < len(b.Roots) {
+				// Reads are collected from the surviving roots only.
+				delete(a.reads, b)
+				b.Recompile = HasUnknownDims(kept)
+			}
 			b.Roots = kept
-			b.Recompile = HasUnknownDims(b.Roots)
 		}
-		live := liveOut.clone()
 		for _, r := range b.Roots {
 			if r.Kind == KindTWrite {
 				delete(live, r.Name)
 			}
 		}
-		// All roots' reads are live-in (including reads feeding the dead
-		// stores we keep no longer — they were pruned above, so reads are
-		// collected from the surviving roots only).
-		live.addAll(dagReads(b.Roots))
-		return live
+		a.addReads(live, b)
 
 	case dml.IfBlockKind:
-		thenLive := analyze(b.Then, liveOut, mark)
-		elseLive := analyze(b.Else, liveOut, mark)
-		live := thenLive
+		elseLive := live.clone()
+		a.blocks(b.Then, live, mark)
+		a.blocks(b.Else, elseLive, mark)
 		live.addAll(elseLive)
-		live.addAll(dagReads([]*Hop{b.Pred}))
-		return live
+		a.addReads(live, b)
 
 	default: // while / for
 		// Fixpoint: variables read by any later iteration are live at the
 		// loop back-edge. Iterate without marking until stable, then mark.
-		live := liveOut.clone()
-		live.addAll(headerReads(b))
+		a.addReads(live, b)
 		for {
-			bodyLive := analyze(b.Body, live, false)
-			next := live.clone()
-			next.addAll(bodyLive)
-			if next.equal(live) {
+			bodyLive := live.clone()
+			a.blocks(b.Body, bodyLive, false)
+			n := len(live)
+			live.addAll(bodyLive)
+			if len(live) == n {
 				break
 			}
-			live = next
 		}
 		if mark {
-			analyze(b.Body, live, true)
+			a.blocks(b.Body, live.clone(), true)
 		}
 		if b.Var != "" {
 			delete(live, b.Var)
 		}
-		return live
 	}
 }
 
-func headerReads(b *Block) stringSet {
-	var roots []*Hop
-	if b.Pred != nil {
-		roots = append(roots, b.Pred)
+// addReads adds to live the variables b's own DAGs read.
+func (a *liveness) addReads(live stringSet, b *Block) {
+	reads, ok := a.reads[b]
+	if !ok {
+		WalkDAG(blockRoots(b), func(h *Hop) {
+			if h.Kind == KindTRead {
+				reads = append(reads, h.Name)
+			}
+		})
+		a.reads[b] = reads
 	}
-	if b.From != nil {
-		roots = append(roots, b.From)
+	for _, name := range reads {
+		live[name] = true
 	}
-	if b.To != nil {
-		roots = append(roots, b.To)
-	}
-	return dagReads(roots)
-}
-
-func dagReads(roots []*Hop) stringSet {
-	reads := stringSet{}
-	WalkDAG(roots, func(h *Hop) {
-		if h.Kind == KindTRead {
-			reads[h.Name] = true
-		}
-	})
-	return reads
 }

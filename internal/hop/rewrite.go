@@ -1,5 +1,7 @@
 package hop
 
+import "elasticml/internal/dml"
+
 // fuseTransposeMM applies the transpose-mm rewrite to every block DAG:
 // a matrix multiplication whose left operand is a transpose consumed only
 // by this multiplication is rewired to read the untransposed input with
@@ -7,73 +9,48 @@ package hop
 // (paper Table 4: "Avoid large transpose by transpose-mm rewrite").
 // It must run after dead-write pruning so that fan-out counts are accurate.
 func fuseTransposeMM(blocks []*Block) {
-	WalkBlocks(blocks, func(b *Block) {
-		roots := blockRoots(b)
-		if len(roots) > 0 {
-			fuseDAG(roots)
-		}
-	})
+	WalkBlocks(blocks, func(b *Block) { fuseDAG(blockRoots(b)) })
 }
 
+// blockRoots returns the roots of b's own DAGs: a generic block's roots,
+// or a control block's header (entries may be nil).
 func blockRoots(b *Block) []*Hop {
-	roots := append([]*Hop{}, b.Roots...)
-	if b.Pred != nil {
-		roots = append(roots, b.Pred)
+	if b.Kind == dml.GenericBlock {
+		return b.Roots
 	}
-	if b.From != nil {
-		roots = append(roots, b.From)
-	}
-	if b.To != nil {
-		roots = append(roots, b.To)
-	}
-	return roots
+	return []*Hop{b.Pred, b.From, b.To}
 }
 
 // fuseDAG rewires eligible matmuls reachable from roots. A transpose is
-// fused away when every one of its consumers is a matrix multiplication
-// using it as the left operand — then no consumer needs the materialized
-// transpose and the reorg node dies.
+// fused away when every one of its uses is the left operand of a matrix
+// multiplication — then no consumer needs the materialized transpose and
+// the reorg node dies. Any other use (including the right matmul slot)
+// blocks fusion.
 func fuseDAG(roots []*Hop) {
-	var order []*Hop
-	WalkDAG(roots, func(h *Hop) { order = append(order, h) })
-	consumers := map[int64][]*Hop{}
-	for _, h := range order {
-		for _, in := range h.Inputs {
+	// uses counts each hop's input-slot uses and left those as a left
+	// matmul operand, by walk position (Pos; linearize renumbers the final
+	// DAG).
+	var uses, left []int32
+	WalkDAG(roots, func(h *Hop) {
+		h.Pos = len(uses)
+		uses, left = append(uses, 0), append(left, 0)
+		for i, in := range h.Inputs {
 			if in != nil {
-				consumers[in.ID] = append(consumers[in.ID], h)
-			}
-		}
-	}
-	for _, h := range order {
-		if h.Kind != KindReorg || h.Op != "t" {
-			continue
-		}
-		fusable := len(consumers[h.ID]) > 0
-		for _, c := range consumers[h.ID] {
-			uses := 0
-			if c.Kind == KindMatMul && !c.TransA && c.Inputs[0] == h {
-				uses++
-			}
-			// The transpose must appear only as left matmul operands; any
-			// other use (including the right matmul slot) blocks fusion.
-			total := 0
-			for _, in := range c.Inputs {
-				if in == h {
-					total++
+				uses[in.Pos]++
+				if i == 0 && h.Kind == KindMatMul && !h.TransA {
+					left[in.Pos]++
 				}
 			}
-			if total != uses {
-				fusable = false
-				break
-			}
 		}
-		if !fusable {
-			continue
+	})
+	WalkDAG(roots, func(h *Hop) {
+		if h.Kind != KindMatMul || h.TransA {
+			return
 		}
-		for _, c := range consumers[h.ID] {
-			c.TransA = true
-			c.Inputs[0] = h.Inputs[0]
-			estimateMem(c)
+		if t := h.Inputs[0]; t.Kind == KindReorg && t.Op == "t" && uses[t.Pos] == left[t.Pos] {
+			h.TransA = true
+			h.Inputs[0] = t.Inputs[0]
+			estimateMem(h)
 		}
-	}
+	})
 }

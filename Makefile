@@ -24,10 +24,12 @@ race:
 # get a second draw. These are the packages with goroutines of their own:
 # the kernel pool and scratch arena (matrix), the CP interpreter (rt), the
 # parallel optimizer's worker pool, whose workers fill the result slots of
-# points the master prepared, plus the sharded cache and shared memos (opt,
-# whose path-equivalence test runs the paper grid at 4 workers), the service's
-# fan-out/join (workload), the daemon's sessions and sequencer (server), and
-# the ResourceManager every one of them allocates from (yarn).
+# points the master prepared and each select through a private lop.Table
+# while the master selects through its own, plus the sharded cache and
+# shared memos (opt, whose path-equivalence test runs the paper grid at 4
+# workers), the service's fan-out/join (workload), the daemon's sessions
+# and sequencer (server), and the ResourceManager every one of them
+# allocates from (yarn).
 race2:
 	$(GO) test -race -count=2 ./internal/matrix ./internal/rt ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 

@@ -88,15 +88,16 @@ func (c *Compiler) Compile(prog *dml.Program, source string) (*Program, error) {
 // RecompileGeneric rebuilds a generic block's DAG against updated variable
 // metadata — the dynamic recompilation hook (paper §2.1/§4): at runtime,
 // exact sizes of intermediates are known and propagated through the DAG
-// before runtime plan regeneration.
+// before runtime plan regeneration. It takes ownership of meta: the build
+// updates the table in place, so a caller that reads meta afterwards, or
+// passes it again, hands over a Clone.
 func (c *Compiler) RecompileGeneric(b *Block, meta SymTab) (*Block, error) {
 	var sp *obs.Span
 	if c.Trace.SpansEnabled() {
 		sp = c.Trace.Begin(obs.LayerCompile, "hop.recompile",
 			obs.A("block", b.Index), obs.A("lines", fmt.Sprintf("%d-%d", b.FirstLine, b.LastLine)))
 	}
-	metaCopy := meta.Clone()
-	nb, err := c.buildGeneric(b.Stmts, metaCopy, b.FirstLine, b.LastLine)
+	nb, err := c.buildGeneric(b.Stmts, meta, b.FirstLine, b.LastLine)
 	if err != nil {
 		sp.End(obs.A("error", err.Error()))
 		return nil, err
@@ -217,7 +218,8 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 	}
 	// The then-branch builds on a copy, the else-branch in place. After an
 	// error meta is half-built, but no caller reads it then: Compile starts
-	// from an empty table, RebuildScope and RecompileGeneric from a copy.
+	// from an empty table, RebuildScope from a copy, and RecompileGeneric
+	// owns the table its caller hands over.
 	thenMeta := meta.Clone()
 	thenB, err := c.buildBlocks(sb.Then, thenMeta)
 	if err != nil {

@@ -505,7 +505,7 @@ print(sum(G));
 		"X": {IsMatrix: true, Rows: 1000, Cols: 10, NNZ: 10000},
 		"y": {IsMatrix: true, Rows: 1000, Cols: 1, NNZ: 1000},
 	}
-	nb, err := comp.RecompileGeneric(target, meta)
+	nb, err := comp.RecompileGeneric(target, meta.Clone())
 	if err != nil {
 		t.Fatalf("RecompileGeneric: %v", err)
 	}

@@ -11,11 +11,11 @@ import (
 // deciding broadcasts against the MR task budget (paper Appendix B:
 // map-side operators require one input to fit in the mapper memory,
 // similar to broadcast joins).
-func (s *selector) physical(h *hop.Hop, mrFits func(conf.Bytes) bool, ci chainInfo) *MROp {
+func (s *selector) physical(h *hop.Hop, mr *budget, ci chainInfo) *MROp {
 	op := &MROp{Hop: h}
 	fits := func(x *hop.Hop) bool {
 		return x != nil && x.DataType == hop.Matrix &&
-			!hop.InfiniteMem(x.OutMem) && mrFits(x.OutMem)
+			!hop.InfiniteMem(x.OutMem) && mr.fits(x.OutMem)
 	}
 
 	switch h.Kind {
@@ -156,7 +156,7 @@ func sizeOf(h *hop.Hop) conf.Bytes {
 // the combined broadcast memory must fit the MR task budget, at most one
 // shuffle phase is allowed, and an operator may consume a shuffling
 // operator's output only across a job boundary.
-func (s *selector) canMerge(job *MRJob, op *MROp, jobOf []*MRJob, fits func(conf.Bytes) bool) bool {
+func (s *selector) canMerge(job *MRJob, op *MROp, jobOf []*MRJob, mr *budget) bool {
 	if op.Shuffles && job.Shuffles() {
 		return false
 	}
@@ -182,7 +182,7 @@ func (s *selector) canMerge(job *MRJob, op *MROp, jobOf []*MRJob, fits func(conf
 	for _, b := range op.Broadcast {
 		bcast += b.OutMem
 	}
-	return fits(bcast)
+	return mr.fits(bcast)
 }
 
 // addToJob places the operator into the job, updating scan inputs and the

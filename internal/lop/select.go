@@ -17,15 +17,12 @@ import (
 // fits the MR task budget; MR operators are packed into a minimal number of
 // jobs under the same budget.
 func Select(p *hop.Program, cc conf.Cluster, res conf.Resources) *Plan {
-	s := newSelector(cc, res)
-	plan := &Plan{Resources: res.Clone(), HopProgram: p}
-	plan.Blocks = s.blocks(p.Blocks)
-	return plan
+	return newSelector(cc, res, nil).program(p)
 }
 
 // SelectBlock recompiles a single generic block (dynamic recompilation).
 func SelectBlock(b *hop.Block, cc conf.Cluster, res conf.Resources) *Block {
-	lb, _ := newSelector(cc, res).generic(b)
+	lb, _ := newSelector(cc, res, nil).generic(b)
 	return lb
 }
 
@@ -35,38 +32,58 @@ func SelectBlock(b *hop.Block, cc conf.Cluster, res conf.Resources) *Block {
 // budget in it. Resources differing only in the block's MR heap, with an
 // MR budget inside the span, select this very plan.
 func SelectBlockSpan(b *hop.Block, cc conf.Cluster, res conf.Resources) (*Block, Span) {
-	return newSelector(cc, res).generic(b)
+	lb, reg := newSelector(cc, res, nil).generic(b)
+	return lb, reg.MR
 }
 
-// Span is the half-open interval [Lo, Hi) of MR task budgets.
+// Span is the half-open interval [Lo, Hi) of CP or MR budgets.
 type Span struct{ Lo, Hi conf.Bytes }
 
 // Contains reports whether the budget lies in the span.
 func (sp Span) Contains(budget conf.Bytes) bool { return sp.Lo <= budget && budget < sp.Hi }
 
-// budgetFits is selection's only access to a block's MR task budget: the
-// test x <= budget, which narrows *span to the budgets under which every
-// test made so far resolves the same way.
-func budgetFits(budget conf.Bytes, span *Span) func(x conf.Bytes) bool {
-	return func(x conf.Bytes) bool {
-		if x <= budget {
-			span.Lo = max(span.Lo, x)
-			return true
-		}
-		span.Hi = min(span.Hi, x)
-		return false
-	}
+// Region is the set of budgets under which selection produces the same
+// plan for a block: its CP operation budget in CP and its MR task budget
+// in MR. Every comparison selection makes is against one of the two, so
+// any pair of budgets in the two spans selects the same plan.
+type Region struct{ CP, MR Span }
+
+// budget is one budget selection compares against. fits is selection's
+// only access to it: the test x <= b, which narrows span to the budgets
+// under which every test made so far resolves the same way.
+type budget struct {
+	b    conf.Bytes
+	span Span
 }
 
-func newSelector(cc conf.Cluster, res conf.Resources) *selector {
-	return &selector{cc: cc, res: res, cpBudget: cc.OpBudget(res.CP), cores: res.Cores()}
+func (bu *budget) fits(x conf.Bytes) bool {
+	if x <= bu.b {
+		bu.span.Lo = max(bu.span.Lo, x)
+		return true
+	}
+	bu.span.Hi = min(bu.span.Hi, x)
+	return false
+}
+
+// everywhere is the span before any comparison.
+var everywhere = Span{Lo: 0, Hi: math.MaxInt64}
+
+func newSelector(cc conf.Cluster, res conf.Resources, tab *Table) *selector {
+	return &selector{cc: cc, res: res, cp: budget{b: cc.OpBudget(res.CP)}, cores: res.Cores(), tab: tab}
 }
 
 type selector struct {
-	cc       conf.Cluster
-	res      conf.Resources
-	cpBudget conf.Bytes
-	cores    int
+	cc  conf.Cluster
+	res conf.Resources
+	// cp is the CP operation budget of the block being selected; a parfor
+	// body sees it divided by the worker count.
+	cp    budget
+	cores int
+	tab   *Table
+}
+
+func (s *selector) program(p *hop.Program) *Plan {
+	return &Plan{Resources: s.res.Clone(), HopProgram: p, Blocks: s.blocks(p.Blocks)}
 }
 
 // MultiThreadMemFactor is the per-extra-core inflation of operation memory
@@ -112,10 +129,10 @@ func (s *selector) block(hb *hop.Block) *Block {
 			// proportionally smaller per-worker CP budget ([6]: "the
 			// degree of parallelism affects the number of intermediates").
 			k := s.parforDOP(hb)
-			saved := s.cpBudget
-			s.cpBudget = conf.Bytes(float64(saved) / float64(k))
+			saved := s.cp.b
+			s.cp.b = conf.Bytes(float64(saved) / float64(k))
 			b.Body = s.blocks(hb.Body)
-			s.cpBudget = saved
+			s.cp.b = saved
 		} else {
 			b.Body = s.blocks(hb.Body)
 		}
@@ -137,18 +154,22 @@ func (s *selector) parforDOP(hb *hop.Block) int {
 }
 
 // generic runs operator selection and piggybacking over one block DAG,
-// scanning the order the compiler linearized, and returns the span of MR
-// budgets that select the same plan.
-func (s *selector) generic(hb *hop.Block) (*Block, Span) {
+// scanning the order the compiler linearized, and returns the region of
+// budgets that select the same plan. With a table, a plan already selected
+// for a region holding the block's budgets is returned instead.
+func (s *selector) generic(hb *hop.Block) (*Block, Region) {
 	if hb.Order == nil && len(hb.Roots) > 0 {
 		panic(fmt.Sprintf("lop: generic block at lines %d-%d has roots but no linearized order; "+
 			"blocks must come from hop.Compiler's Compile, RebuildScope or RecompileGeneric", hb.FirstLine, hb.LastLine))
 	}
+	mr := budget{b: s.cc.OpBudget(s.res.MRFor(hb.Index)), span: everywhere}
+	if b, reg, ok := s.tab.lookup(hb, s.cores, s.cp.b, mr.b); ok {
+		return b, reg
+	}
+	s.cp.span = everywhere
 	b := &Block{Kind: dml.GenericBlock, Index: hb.Index, HopBlock: hb,
 		Recompile: hb.Recompile, JobOf: make([]*MRJob, len(hb.Order))}
-	span := Span{Lo: 0, Hi: math.MaxInt64}
-	fits := budgetFits(s.cc.OpBudget(s.res.MRFor(hb.Index)), &span)
-	chains := s.detectChains(hb, fits)
+	chains := s.detectChains(hb, &mr)
 
 	var openJob *MRJob
 	closeJob := func() {
@@ -175,15 +196,17 @@ func (s *selector) generic(hb *hop.Block) (*Block, Span) {
 			b.Instrs = append(b.Instrs, Instr{Kind: InstrCP, Hop: h})
 			continue
 		}
-		op := s.physical(h, fits, chains[h.Pos])
-		if openJob == nil || !s.canMerge(openJob, op, b.JobOf, fits) {
+		op := s.physical(h, &mr, chains[h.Pos])
+		if openJob == nil || !s.canMerge(openJob, op, b.JobOf, &mr) {
 			closeJob()
 			openJob = &MRJob{}
 		}
 		s.addToJob(openJob, op, b.JobOf)
 	}
 	closeJob()
-	return b, span
+	reg := Region{CP: s.cp.span, MR: mr.span}
+	s.tab.insert(hb, s.cores, reg, b)
+	return b, reg
 }
 
 // executes reports whether a hop corresponds to a runtime instruction.
@@ -197,7 +220,8 @@ func executes(h *hop.Hop) bool {
 
 // runsInCP applies the execution-type heuristic: in-memory CP operations
 // are assumed cheaper than their distributed counterparts, so an operation
-// runs in CP whenever its memory estimate fits the CP budget.
+// runs in CP whenever its memory estimate fits the CP budget. The budget
+// test is recorded in the CP span.
 func (s *selector) runsInCP(h *hop.Hop) bool {
 	switch h.Kind {
 	case hop.KindTWrite, hop.KindPrint, hop.KindStop, hop.KindWrite:
@@ -209,7 +233,7 @@ func (s *selector) runsInCP(h *hop.Hop) bool {
 	if h.IsScalar() && !hasMatrixInput(h) {
 		return true
 	}
-	return !hop.InfiniteMem(h.OpMem) && s.effectiveOpMem(h.OpMem) <= s.cpBudget
+	return !hop.InfiniteMem(h.OpMem) && s.cp.fits(s.effectiveOpMem(h.OpMem))
 }
 
 func hasMatrixInput(h *hop.Hop) bool {
@@ -242,7 +266,7 @@ type chainInfo struct {
 // t(X) %*% (w * (X %*% v)) patterns that will fuse into a single
 // MapMMChain operator (paper Table 4), and records per chain head the
 // fused operands. The result is indexed by Pos.
-func (s *selector) detectChains(hb *hop.Block, fits func(conf.Bytes) bool) []chainInfo {
+func (s *selector) detectChains(hb *hop.Block, mr *budget) []chainInfo {
 	chains := make([]chainInfo, len(hb.Order))
 	for _, h := range hb.Order {
 		if h.Kind != hop.KindMatMul || !h.TransA || s.runsInCP(h) {
@@ -269,7 +293,7 @@ func (s *selector) detectChains(hb *hop.Block, fits func(conf.Bytes) bool) []cha
 		if w != nil {
 			bcast += w.OutMem
 		}
-		if hop.InfiniteMem(bcast) || !fits(bcast) {
+		if hop.InfiniteMem(bcast) || !mr.fits(bcast) {
 			continue
 		}
 		// Intermediates must be exclusively consumed by the chain.

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -67,6 +68,56 @@ func TestCacheKeySensitivity(t *testing.T) {
 	inputs[0], inputs[1] = inputs[1], inputs[0]
 	if CacheKey(src, params, inputs, cc, opts) != base {
 		t.Error("input order changed the key")
+	}
+}
+
+// cacheKeyExcluded lists the conf.Cluster and Options fields CacheKey
+// deliberately leaves out, each with its reason.
+var cacheKeyExcluded = map[string]string{
+	"Options.Workers":    "the task-parallel search is bit-identical to the sequential one (TestSearchPathsMatchFresh)",
+	"Options.TimeBudget": "the service never sets one; a budget would make outcomes wall-clock dependent",
+}
+
+// TestCacheKeyCoversFields perturbs every field of conf.Cluster and
+// Options. A covered field must change CacheKey and an excluded one must
+// not, so a field added to either struct fails here until it is classified.
+func TestCacheKeyCoversFields(t *testing.T) {
+	src, params, inputs, cc, opts := testKeyInputs()
+	base := CacheKey(src, params, inputs, cc, opts)
+	seen := map[string]bool{}
+	for _, target := range []reflect.Value{reflect.ValueOf(&cc).Elem(), reflect.ValueOf(&opts).Elem()} {
+		typ := target.Type()
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Name() + "." + typ.Field(i).Name
+			seen[name] = true
+			f := target.Field(i)
+			saved := reflect.New(f.Type()).Elem()
+			saved.Set(f)
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 1)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Slice:
+				f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+			default:
+				t.Fatalf("%s has kind %s: teach this test to change it, then cover it in CacheKey or list it in cacheKeyExcluded", name, f.Kind())
+			}
+			changed := CacheKey(src, params, inputs, cc, opts) != base
+			f.Set(saved)
+			if _, excluded := cacheKeyExcluded[name]; excluded && changed {
+				t.Errorf("%s is listed as excluded but changes the key", name)
+			} else if !excluded && !changed {
+				t.Errorf("%s: changing it leaves the key unchanged; cover it in CacheKey or list it in cacheKeyExcluded with a reason", name)
+			}
+		}
+	}
+	for name := range cacheKeyExcluded {
+		if !seen[name] {
+			t.Errorf("cacheKeyExcluded names %s, which is not a field", name)
+		}
 	}
 }
 

@@ -56,8 +56,11 @@ func DefaultOptions() Options {
 
 // Stats reports the optimization effort (Table 3 columns).
 type Stats struct {
-	// BlockCompilations counts per-block plan generations: the operator
-	// selections that ran, not the MR grid points that reused a plan.
+	// BlockCompilations counts the block plans Algorithm 1 asks for: every
+	// block of each baseline and whole-program plan, and each MR span a
+	// block enumeration enters (MR grid points inside the last plan's span
+	// reuse it). The search's selection table answers most of them without
+	// running selection.
 	BlockCompilations int
 	// Costings counts cost-model invocations (costing the entire program
 	// counts as one).
@@ -179,10 +182,13 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		pool = o.startPool(o.Opts.Workers, srm, deadline)
 	}
 	est := o.newEstimator()
+	// One selection table serves every plan the search asks for; each pool
+	// worker has its own.
+	tab := lop.NewTable(o.CC)
 	var best, bestLocal *Result
 	var pending []*cpPoint
 	take := func(p *cpPoint) float64 {
-		res, c := o.finish(hp, p, est, &stats, mv)
+		res, c := o.finish(hp, p, est, tab, &stats, mv)
 		best = better(best, &Result{Res: res, Cost: c})
 		if currentCP > 0 && p.rc == currentCP && (bestLocal == nil || c < bestLocal.Cost) {
 			bestLocal = &Result{Res: res, Cost: c}
@@ -203,7 +209,7 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 				break
 			}
 			if pool != nil {
-				p := o.begin(hp, rc, cores, est, &stats, prunedForever, mv)
+				p := o.begin(hp, rc, cores, est, tab, &stats, prunedForever, mv)
 				pool.submit(p)
 				pending = append(pending, p)
 				continue
@@ -214,14 +220,14 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 					obs.A("cp", rc.String()), obs.A("cores", cores))
 			}
 			costed := est.Invocations
-			p := o.begin(hp, rc, cores, est, &stats, prunedForever, mv)
+			p := o.begin(hp, rc, cores, est, tab, &stats, prunedForever, mv)
 			for k, t := range p.tasks {
 				var bsp *obs.Span
 				if o.Trace.SpansEnabled() {
 					bsp = o.Trace.Begin(obs.LayerOptimize, "opt.enum-block",
 						obs.A("block", t.idx), obs.A("cp", rc.String()), obs.A("mr_points", len(srm)))
 				}
-				p.outs[k] = o.enumBlock(t, srm, est, &stats, mv)
+				p.outs[k] = o.enumBlock(t, srm, est, tab, &stats, mv)
 				if bsp != nil {
 					bsp.End(obs.A("best_mr", p.outs[k].ri.String()), obs.A("cost", round6(p.outs[k].cost)))
 				}
@@ -296,7 +302,7 @@ type blockTask struct {
 // entry is valid there; otherwise one baseline compilation computes them
 // and they are recorded.
 func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.Estimator,
-	stats *Stats, prunedForever []bool, mv *memoView) *cpPoint {
+	tab *lop.Table, stats *Stats, prunedForever []bool, mv *memoView) *cpPoint {
 
 	n := hp.NumLeaf
 	minH := o.CC.MinHeap()
@@ -312,7 +318,7 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.E
 	if replayed {
 		hbs = hp.LeafBlocks()
 	} else {
-		baseline := lop.Select(hp, o.CC, conf.NewResources(rc, minH, n).WithCores(cores))
+		baseline := tab.Select(hp, conf.NewResources(rc, minH, n).WithCores(cores))
 		stats.BlockCompilations += countBlocks(baseline)
 		for i, lb := range baseline.LeafBlocks() {
 			base[i] = memoBlockVal{cost: est.BlockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores)),
@@ -355,13 +361,15 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.E
 // enumBlock evaluates the second dimension for one block under fixed rc.
 // Individual (rc, ri) evaluations answered by the re-costing memo skip the
 // per-point compile-and-cost; fresh evaluations are recorded. A plan is
-// selected again only when ri's MR budget leaves the span of budgets that
+// asked for again only when ri's MR budget leaves the span of budgets that
 // select the last plan; srm ascends, so adjacent points share a plan until
-// a broadcast or packing threshold is crossed. Every fresh point is costed.
-func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator, stats *Stats, mv *memoView) memoEntry {
+// a broadcast or packing threshold is crossed. The table answers the ask
+// when an earlier CP point selected the block for the same region. Every
+// fresh point is costed.
+func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator, tab *lop.Table, stats *Stats, mv *memoView) memoEntry {
 	best := memoEntry{cost: -1}
 	var lb *lop.Block
-	var span lop.Span
+	var reg lop.Region
 	var mr bool
 	for _, ri := range srm {
 		key := memoBlockKey{cores: t.cores, rc: t.rc, ri: ri, block: t.idx}
@@ -370,8 +378,8 @@ func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator
 			stats.ReuseHits++
 		} else {
 			res := conf.NewResources(t.rc, ri, 1).WithCores(t.cores)
-			if lb == nil || !span.Contains(o.CC.OpBudget(ri)) {
-				lb, span = lop.SelectBlockSpan(t.hb, o.CC, res)
+			if lb == nil || !reg.MR.Contains(o.CC.OpBudget(ri)) {
+				lb, reg = tab.SelectBlock(t.hb, res)
 				mr = lop.NumMRJobs([]*lop.Block{lb}) > 0
 				stats.BlockCompilations++
 			}
@@ -389,7 +397,7 @@ func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator
 // baseline or enumerated, and the whole program is costed once under the
 // resulting vector, taking the control structure (loops, branches) into
 // account — from the memo when the costing is valid there.
-func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, est *cost.Estimator, stats *Stats, mv *memoView) (conf.Resources, float64) {
+func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, est *cost.Estimator, tab *lop.Table, stats *Stats, mv *memoView) (conf.Resources, float64) {
 	for k, t := range p.tasks {
 		if p.outs[k].cost < p.memo[t.idx].cost {
 			p.memo[t.idx] = p.outs[k]
@@ -405,7 +413,7 @@ func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, est *cost.Estimator, sta
 	}
 	e, ok := mv.prog(key)
 	if !ok {
-		full := lop.Select(hp, o.CC, res)
+		full := tab.Select(hp, res)
 		stats.BlockCompilations += countBlocks(full)
 		e = memoProgVal{cost: est.ProgramCost(full), mr: lop.NumMRJobs(full.Blocks) > 0}
 		mv.recordProg(key, e)

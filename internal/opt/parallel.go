@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/lop"
 )
 
 // The task-parallel optimizer of Appendix C differs from the sequential
 // search only in who runs enumBlock: the master prepares and finishes the
-// CP grid points, and a pool of workers, each with its own estimator,
-// enumerates the blocks. The master pipelines: it prepares the next point
+// CP grid points, and a pool of workers, each with its own estimator and
+// selection table, enumerates the blocks. The master pipelines: it prepares the next point
 // while workers drain earlier ones, and finishes each point once its tasks
 // complete. The semi-independent-problems property (§3.2) makes the tasks
 // embarrassingly parallel with lock-free result slots.
@@ -40,7 +41,7 @@ func (o *Optimizer) startPool(workers int, srm []conf.Bytes, deadline time.Time)
 	for w := range pl.effort {
 		go func(local *Stats) {
 			defer pl.wg.Done()
-			est := o.newEstimator()
+			est, tab := o.newEstimator(), lop.NewTable(o.CC)
 			for tk := range pl.tasks {
 				if !deadline.IsZero() && time.Now().After(deadline) {
 					// Budget exhausted mid-point: skip the enumeration
@@ -49,7 +50,7 @@ func (o *Optimizer) startPool(workers int, srm []conf.Bytes, deadline time.Time)
 					// resolves and no goroutine leaks.
 					tk.p.outs[tk.k] = memoEntry{cost: math.Inf(1)}
 				} else {
-					tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, est, local, nil)
+					tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, est, tab, local, nil)
 				}
 				tk.p.wg.Done()
 			}

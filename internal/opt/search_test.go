@@ -237,6 +237,22 @@ func TestProgramCostAllocs(t *testing.T) {
 	}
 }
 
+// TestGridSearchAllocs gates the allocations of one fresh grid search for
+// GLM L dense1000, the BenchmarkGridSearch problem, so that selecting each
+// block again at every CP grid point cannot come back unnoticed. The limit
+// is the 1,427 measured once begin, enumBlock and finish shared one
+// selection table per search, plus 10 %; selecting every baseline and
+// whole-program plan afresh took 4,590.
+func TestGridSearchAllocs(t *testing.T) {
+	hp := compileScenario(t, scripts.GLM(), datagen.New("L", 1000, 1.0))
+	cc := conf.DefaultCluster()
+	allocs := testing.AllocsPerRun(5, func() { New(cc).Optimize(hp) })
+	const limit = 1570
+	if allocs > limit {
+		t.Errorf("one grid search allocates %v times, limit %d", allocs, limit)
+	}
+}
+
 // BenchmarkGridSearch is one grid search for GLM L dense1000: fresh, with
 // four workers, and through a memo warmed under the full cluster and the
 // width-clamped view it is searched under. It fails unless every search's

@@ -1,10 +1,12 @@
 package opt
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/hop"
 	"elasticml/internal/lop"
 )
 
@@ -71,5 +73,95 @@ func TestSelectRangeExact(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no plan was compared")
+	}
+}
+
+// TestSelectTableExact: a plan served from a lop.Table equals a fresh
+// selection, and the CP span it was recorded with is exact. For every leaf
+// block of the paper grid, one table is first warmed by every CP x MR grid
+// point at cores 1 and 4; then at every point the plan it serves must
+// render as lop.SelectBlock's, its region must hold the point's budgets,
+// and fresh selections at both ends of each recorded CP and MR span must
+// render the same plan. The searches answer begin, enumBlock and finish
+// from such a table, so a CP budget comparison that selection makes
+// without recording it fails here.
+func TestSelectTableExact(t *testing.T) {
+	cc := conf.DefaultCluster()
+	opts := DefaultOptions()
+	render := func(lb *lop.Block) string { return lop.Explain(&lop.Plan{Blocks: []*lop.Block{lb}}) }
+	// heapFor is the smallest heap whose operation budget is at least b.
+	heapFor := func(b conf.Bytes) conf.Bytes {
+		return conf.Bytes(sort.Search(int(2*cc.MaxHeap()), func(h int) bool { return cc.OpBudget(conf.Bytes(h)) >= b }))
+	}
+	top := cc.OpBudget(2 * cc.MaxHeap())
+	// ends lists the heaps at both ends of a span that lie inside it.
+	ends := func(sp lop.Span) []conf.Bytes {
+		hs := []conf.Bytes{heapFor(sp.Lo)}
+		if sp.Hi <= top {
+			hs = append(hs, heapFor(sp.Hi)-1)
+		}
+		var in []conf.Bytes
+		for _, h := range hs {
+			if sp.Contains(cc.OpBudget(h)) {
+				in = append(in, h)
+			}
+		}
+		return in
+	}
+	checked, endsChecked := 0, 0
+	for _, p := range paperGrid(t) {
+		src := EnumGridPoints(p.hp, cc, opts.GridCP, opts.Points)
+		srm := EnumGridPoints(p.hp, cc, opts.GridMR, opts.Points)
+		res := func(rc, ri conf.Bytes, cores int) conf.Resources {
+			return conf.NewResources(rc, ri, 1).WithCores(cores)
+		}
+		each := func(fn func(hb *hop.Block, rc, ri conf.Bytes, cores int)) {
+			for _, cores := range []int{1, 4} {
+				for _, rc := range src {
+					for _, ri := range srm {
+						for _, hb := range p.hp.LeafBlocks() {
+							fn(hb, rc, ri, cores)
+						}
+					}
+				}
+			}
+		}
+		tab := lop.NewTable(cc)
+		each(func(hb *hop.Block, rc, ri conf.Bytes, cores int) { tab.SelectBlock(hb, res(rc, ri, cores)) })
+		served := map[*lop.Block]string{}
+		each(func(hb *hop.Block, rc, ri conf.Bytes, cores int) {
+			at := func() string {
+				return fmt.Sprintf("%s block %d cores %d cp %v mr %v", p.name, hb.Index, cores, rc, ri)
+			}
+			lb, reg := tab.SelectBlock(hb, res(rc, ri, cores))
+			if !reg.CP.Contains(cc.OpBudget(rc)) || !reg.MR.Contains(cc.OpBudget(ri)) {
+				t.Fatalf("%s: region %+v misses the budgets", at(), reg)
+			}
+			want, seen := served[lb]
+			if !seen {
+				want = render(lb)
+				served[lb] = want
+				sameAt := func(axis string, h conf.Bytes, got *lop.Block) {
+					if render(got) != want {
+						t.Fatalf("%s: the plan differs at %s heap %v, an end of its recorded span:\n%s\nvs\n%s",
+							at(), axis, h, want, render(got))
+					}
+					endsChecked++
+				}
+				for _, h := range ends(reg.CP) {
+					sameAt("cp", h, lop.SelectBlock(hb, cc, res(h, ri, cores)))
+				}
+				for _, h := range ends(reg.MR) {
+					sameAt("mr", h, lop.SelectBlock(hb, cc, res(rc, h, cores)))
+				}
+			}
+			if got := render(lop.SelectBlock(hb, cc, res(rc, ri, cores))); got != want {
+				t.Fatalf("%s: the table serves\n%s\nfresh selection gives\n%s", at(), want, got)
+			}
+			checked++
+		})
+	}
+	if checked == 0 || endsChecked == 0 {
+		t.Fatalf("compared %d points and %d span ends", checked, endsChecked)
 	}
 }

@@ -1,16 +1,20 @@
-# Developer entry points. `make check` is the full pre-merge gate: vet, the
-# race detector over every package, a doubled race run of the packages that
+# Developer entry points. `make check` is the full pre-merge gate: gofmt,
+# vet, the race detector over every package, a doubled race run of the packages that
 # share state between goroutines, and a short run of each native fuzz target.
 
 GO ?= go
 
-.PHONY: build test vet race race2 fuzz check bench bench-compare figures verify-corpus cover
+.PHONY: build test fmt vet race race2 fuzz check bench bench-compare figures verify-corpus cover
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Fails when gofmt would rewrite any file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -22,7 +26,7 @@ race:
 # every test against warm state (the kernel pool starts its workers lazily,
 # the plan cache and memo store start empty), and scheduling-sensitive races
 # get a second draw. These are the packages with goroutines of their own:
-# the kernel pool and scratch arena (matrix), the CP interpreter (rt), the
+# the kernel pool (matrix), the CP interpreter (rt), the
 # parallel optimizer's worker pool, whose workers fill the result slots of
 # points the master prepared and each select through a private lop.Table
 # while the master selects through its own, plus the sharded cache and
@@ -38,7 +42,7 @@ race2:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server
 
-check: vet race race2 fuzz
+check: fmt vet race race2 fuzz
 
 # Differential plan verification: the paper corpus plus a fixed-seed fuzz
 # stream plus the loop corpus (forced for/parfor over batch slices), each

@@ -20,9 +20,17 @@ type captureAdapter struct {
 
 func (c *captureAdapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	if c.ctx == nil {
-		c.ctx = ctx
+		c.ctx = replay(ctx)
 	}
 	return c.inner.Adapt(ctx)
+}
+
+// replay copies a context for one more consult. Adapt hands ctx.Meta to
+// RebuildScope, which owns it, so every consult gets its own table.
+func replay(ctx *rt.AdaptContext) *rt.AdaptContext {
+	c := *ctx
+	c.Meta = ctx.Meta.Clone()
+	return &c
 }
 
 func TestContainerLossReoptimizesAndCompletes(t *testing.T) {
@@ -89,12 +97,12 @@ func TestMigrationDeclinedWhenCostExceedsBenefit(t *testing.T) {
 	ctx, cc := adaptedContext(t)
 	// A petabyte of dirty state makes C_M astronomically larger than any
 	// achievable ΔC: the adapter must keep the current container.
-	declined := *ctx
+	declined := replay(ctx)
 	declined.DirtyBytes = conf.Bytes(1) << 50
 	ad := New(cc)
 	ad.Opt.Points = 7
 	ad.OptCharge = 0
-	dec := ad.Adapt(&declined)
+	dec := ad.Adapt(declined)
 	if dec == nil {
 		t.Fatal("re-optimization itself should still succeed")
 	}
@@ -110,12 +118,12 @@ func TestZeroDirtyVariablesMigrationCost(t *testing.T) {
 	ctx, cc := adaptedContext(t)
 	// With no dirty variables the only migration cost is the container
 	// allocation latency (the checkpoint export is empty).
-	clean := *ctx
+	clean := replay(ctx)
 	clean.DirtyBytes = 0
 	ad := New(cc)
 	ad.Opt.Points = 7
 	ad.OptCharge = 0
-	dec := ad.Adapt(&clean)
+	dec := ad.Adapt(clean)
 	if dec == nil {
 		t.Fatal("no decision")
 	}

@@ -213,8 +213,8 @@ func TestReusedConsultTrace(t *testing.T) {
 	ad.Opt.Points = 7
 	ad.OptCharge = 0
 	ad.Trace = tr
-	ad.Adapt(ctx)
-	ad.Adapt(ctx)
+	ad.Adapt(replay(ctx))
+	ad.Adapt(replay(ctx))
 	m := tr.Metrics()
 	if got := tr.SpanTotals(obs.LayerAdapt)["adapt.reoptimize"].Count; got != 2 {
 		t.Errorf("%d adapt.reoptimize spans, want 2", got)
@@ -275,11 +275,11 @@ func TestReoptReuseRefused(t *testing.T) {
 		if row.before != nil {
 			row.before(ad)
 		}
-		second := *first
+		second := replay(first)
 		if row.change != nil {
-			row.change(&second)
+			row.change(second)
 		}
-		if ad.Adapt(first) == nil || ad.Adapt(&second) == nil {
+		if ad.Adapt(replay(first)) == nil || ad.Adapt(second) == nil {
 			t.Fatalf("%s: no decision", row.name)
 		}
 		if got := ad.Stats.ReoptReuses == 1; got != row.reused || ad.Stats.Reoptimizations != 2 {

@@ -115,40 +115,6 @@ func (c Cluster) ScheduledTasksPerNode(taskHeap Bytes) int {
 	return slots
 }
 
-// TaskSlotsPerNode returns the number of *effectively parallel* task
-// containers of the given heap size per node: scheduled slots capped at
-// the physical core count.
-func (c Cluster) TaskSlotsPerNode(taskHeap Bytes) int {
-	slots := c.ScheduledTasksPerNode(taskHeap)
-	if slots > c.CoresPerNode {
-		slots = c.CoresPerNode
-	}
-	return slots
-}
-
-// TaskSlots returns the cluster-wide number of concurrent task containers of
-// the given heap size, after reserving the control program's container on
-// one node. The reservation mirrors YARN packing one AM plus tasks.
-func (c Cluster) TaskSlots(taskHeap, cpHeap Bytes) int {
-	perNode := c.TaskSlotsPerNode(taskHeap)
-	total := perNode * c.Nodes
-	// The CP AM consumes capacity on one node; subtract the task slots its
-	// container displaces there.
-	cpContainer := c.ContainerSize(cpHeap)
-	taskContainer := c.ContainerSize(taskHeap)
-	if taskContainer > 0 {
-		displaced := int((cpContainer + taskContainer - 1) / taskContainer)
-		if displaced > perNode {
-			displaced = perNode
-		}
-		total -= displaced
-	}
-	if total < 1 {
-		total = 1
-	}
-	return total
-}
-
 // TotalMem returns the aggregate worker memory of the cluster.
 func (c Cluster) TotalMem() Bytes { return Bytes(c.Nodes) * c.MemPerNode }
 

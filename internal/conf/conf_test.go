@@ -128,26 +128,14 @@ func TestContainerSizeClamped(t *testing.T) {
 func TestTaskSlotsMatchPaperArithmetic(t *testing.T) {
 	cc := DefaultCluster()
 	// The paper: 4.4GB tasks allow 12 per node (12*4.4GB*1.5 ~= 80GB).
-	slots := cc.TaskSlotsPerNode(BytesOfGB(4.4))
+	slots := cc.ScheduledTasksPerNode(BytesOfGB(4.4))
 	if slots != 12 {
-		t.Errorf("TaskSlotsPerNode(4.4GB) = %d, want 12", slots)
+		t.Errorf("ScheduledTasksPerNode(4.4GB) = %d, want 12", slots)
 	}
 	// 8GB CP heap: app parallelism arithmetic 6*floor(80/(1.5*8)) = 36 used
 	// in the throughput experiment maps to container sizing here.
 	if n := int(cc.MemPerNode / cc.ContainerSize(8*GB)); n != 6 {
 		t.Errorf("8GB CP containers per node = %d, want 6", n)
-	}
-}
-
-func TestTaskSlotsReservesCP(t *testing.T) {
-	cc := DefaultCluster()
-	with := cc.TaskSlots(4*GB, 53*GB)
-	without := cc.TaskSlotsPerNode(4*GB) * cc.Nodes
-	if with >= without {
-		t.Errorf("TaskSlots with large CP (%d) should be < raw slots (%d)", with, without)
-	}
-	if with < 1 {
-		t.Errorf("TaskSlots should be at least 1, got %d", with)
 	}
 }
 
@@ -199,7 +187,7 @@ func TestTaskSlotsMonotone(t *testing.T) {
 			h1, h2 = h2, h1
 		}
 		// Larger task heaps can never yield more slots.
-		return cc.TaskSlotsPerNode(h2) <= cc.TaskSlotsPerNode(h1)
+		return cc.ScheduledTasksPerNode(h2) <= cc.ScheduledTasksPerNode(h1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -87,8 +87,7 @@ type FS struct {
 	files map[string]*File
 
 	// IO accounting for tests and experiment reports.
-	bytesRead    conf.Bytes
-	bytesWritten conf.Bytes
+	bytesRead conf.Bytes
 
 	// readFault, when set, is sampled before each Read; a true draw fails
 	// the read with ErrTransientRead (fault injection hook).
@@ -145,7 +144,6 @@ func (fs *FS) put(f *File) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.files[f.Name] = f
-	fs.bytesWritten += f.SizeOnDisk()
 	m := fs.trace.Metrics()
 	m.Add("hdfs.writes", 1)
 	m.Add("hdfs.bytes_written", int64(f.SizeOnDisk()))
@@ -254,11 +252,4 @@ func (fs *FS) BytesRead() conf.Bytes {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	return fs.bytesRead
-}
-
-// BytesWritten returns the cumulative bytes written through Put*.
-func (fs *FS) BytesWritten() conf.Bytes {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.bytesWritten
 }

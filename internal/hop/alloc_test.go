@@ -42,7 +42,7 @@ func (cc *coldCompile) run(tb testing.TB) {
 	if err != nil {
 		tb.Fatalf("%s: %v", cc.spec.Name, err)
 	}
-	if _, err := cc.c.RebuildScope(hp.Blocks, cc.meta); err != nil {
+	if _, err := cc.c.RebuildScope(hp.Blocks, cc.meta.Clone()); err != nil {
 		tb.Fatalf("%s rebuild: %v", cc.spec.Name, err)
 	}
 }

@@ -158,7 +158,9 @@ func (c *Compiler) buildBlock(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 // RebuildScope recompiles the statement blocks underlying the given hop
 // blocks against runtime metadata, returning a standalone program for
 // re-optimization (paper §4.2). Since the scope extends to the end of the
-// call context, dead stores at scope end are prunable.
+// call context, dead stores at scope end are prunable. Like
+// RecompileGeneric it takes ownership of meta: a caller that reads meta
+// afterwards, or passes it again, hands over a Clone.
 func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) {
 	var sp *obs.Span
 	if c.Trace.SpansEnabled() {
@@ -175,7 +177,7 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 			srcs = append(srcs, b.Src)
 		}
 	}
-	rebuilt, err := c.buildBlocks(srcs, meta.Clone())
+	rebuilt, err := c.buildBlocks(srcs, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +289,7 @@ func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, erro
 		return nil, err
 	}
 	b := &Block{Kind: dml.ForBlockKind, Index: -1, Var: sb.Var,
-		From: from, To: to, FromExpr: sb.From, ToExpr: sb.To,
+		From: from, To: to,
 		Body: body, KnownIters: iters, Parallel: sb.Parallel,
 		FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil

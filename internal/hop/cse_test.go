@@ -49,7 +49,7 @@ func TestCSEKeyMatchesFmt(t *testing.T) {
 		check(hp.Blocks)
 		meta := writtenMeta(hp)
 		for i := range hp.Blocks {
-			scope, err := c.RebuildScope(hp.Blocks[i:], meta)
+			scope, err := c.RebuildScope(hp.Blocks[i:], meta.Clone())
 			if err != nil {
 				t.Fatalf("%s scope %d: %v", name, i, err)
 			}

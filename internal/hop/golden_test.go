@@ -65,7 +65,7 @@ func TestCompileGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%s: compile=%s id=%d scopes=", name, keyHash(hp), c.nextID)
 		meta := writtenMeta(hp)
 		for i := range hp.Blocks {
-			scope, err := c.RebuildScope(hp.Blocks[i:], meta)
+			scope, err := c.RebuildScope(hp.Blocks[i:], meta.Clone())
 			if err != nil {
 				t.Fatalf("%s scope %d: %v", name, i, err)
 			}

@@ -241,9 +241,9 @@ type Block struct {
 	// subtrees to be recompiled against runtime metadata (re-optimization
 	// scope rebuilding, paper §4.2).
 	Src *dml.StatementBlock
-	// PredExpr / loop header expressions for recompilation of predicates.
-	PredExpr         dml.Expr
-	FromExpr, ToExpr dml.Expr
+	// PredExpr is the if/while predicate's source expression, rendered by
+	// EXPLAIN.
+	PredExpr dml.Expr
 	// Recompile marks blocks whose DAG contains unknown dimensions and is
 	// therefore subject to dynamic recompilation.
 	Recompile bool

@@ -20,8 +20,6 @@ var keyExcluded = map[string]string{
 	"Block.Stmts":    "not read by non-test code in lop/cost/opt: recompilation input",
 	"Block.Src":      "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
-	"Block.FromExpr": "not read by non-test code in lop/cost/opt: recompilation input",
-	"Block.ToExpr":   "not read by non-test code in lop/cost/opt: recompilation input",
 	"Program.Source": "not read by non-test code in lop/cost/opt: kept for migration recompiles",
 	"Program.Params": "not read by non-test code in lop/cost/opt: kept for migration recompiles",
 }
@@ -144,7 +142,7 @@ func TestKeyIgnoresHopIDs(t *testing.T) {
 	c := NewCompiler(fs, spec.Params)
 	hp := compileSpec(t, spec, fs)
 	meta := SymTab{"X": {IsMatrix: true, Rows: 1_000_000, Cols: 100, NNZ: 100_000_000}}
-	a, err := c.RebuildScope(hp.Blocks, meta)
+	a, err := c.RebuildScope(hp.Blocks, meta.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

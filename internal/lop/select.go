@@ -26,16 +26,6 @@ func SelectBlock(b *hop.Block, cc conf.Cluster, res conf.Resources) *Block {
 	return lb
 }
 
-// SelectBlockSpan is SelectBlock that also returns the span of MR task
-// budgets under which selection produces the same plan: every comparison
-// selection made against the block's budget resolves the same way for any
-// budget in it. Resources differing only in the block's MR heap, with an
-// MR budget inside the span, select this very plan.
-func SelectBlockSpan(b *hop.Block, cc conf.Cluster, res conf.Resources) (*Block, Span) {
-	lb, reg := newSelector(cc, res, nil).generic(b)
-	return lb, reg.MR
-}
-
 // Span is the half-open interval [Lo, Hi) of CP or MR budgets.
 type Span struct{ Lo, Hi conf.Bytes }
 

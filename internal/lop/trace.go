@@ -12,9 +12,8 @@ import (
 // SelectTraced is Select plus trace instrumentation: an enclosing
 // "lop.select" span with per-generic-block child spans carrying the
 // operator-selection and piggybacking outcome (instruction counts, MR jobs,
-// packed operators). It is used on the one-shot compile path of the
-// commands; the optimizer's enumeration loop calls the plain Select to keep
-// its hot path free of instrumentation.
+// packed operators). It is used on the one-shot compile path of
+// elastic-run; the optimizer selects through an uninstrumented lop.Table.
 func SelectTraced(p *hop.Program, cc conf.Cluster, res conf.Resources, tr *obs.Tracer) *Plan {
 	if !tr.SpansEnabled() {
 		return Select(p, cc, res)

@@ -154,31 +154,3 @@ func TestCBindSliceInverseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Property: MulChain equals the unfused composition on random inputs,
-// including sparse and weighted variants.
-func TestMulChainEquivalenceProperty(t *testing.T) {
-	f := func(seed int64, n8, m8 uint8, sparse, weighted bool) bool {
-		n, m := int(n8%25)+2, int(m8%8)+1
-		sp := 1.0
-		if sparse {
-			sp = 0.3
-		}
-		x := Random(n, m, sp, -1, 1, seed)
-		v := Random(m, 1, 1.0, -1, 1, seed+1)
-		var w *Matrix
-		if weighted {
-			w = Random(n, 1, 1.0, 0, 1, seed+2)
-		}
-		got := MulChainMVV(x, v, w)
-		inner := Mul(x, v)
-		if w != nil {
-			inner = EW(MulEW, w, inner)
-		}
-		want := Mul(Transpose(x), inner).ToDense()
-		return Equal(got, want, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

@@ -337,9 +337,3 @@ func Unary(op UnaryOp, a *Matrix) *Matrix {
 	})
 	return out.Compact()
 }
-
-// PPred computes the predicate matrix ppred(a, s, op): cell-wise comparison
-// against a scalar producing a 0/1 matrix (DML builtin).
-func PPred(a *Matrix, s float64, op BinaryOp) *Matrix {
-	return EWScalarRight(op, a, s)
-}

@@ -99,25 +99,6 @@ func TestTSMMMatchesExplicit(t *testing.T) {
 	}
 }
 
-func TestMulChainMVV(t *testing.T) {
-	x := Random(13, 4, 1.0, -1, 1, 7)
-	v := Random(4, 1, 1.0, -1, 1, 8)
-	w := Random(13, 1, 1.0, 0, 1, 9)
-	want := Mul(Transpose(x), Mul(x, v))
-	if got := MulChainMVV(x, v, nil); !Equal(got, want.ToDense(), 1e-10) {
-		t.Error("unweighted MMChain mismatch")
-	}
-	want = Mul(Transpose(x), EW(MulEW, w, Mul(x, v)))
-	if got := MulChainMVV(x, v, w); !Equal(got, want.ToDense(), 1e-10) {
-		t.Error("weighted MMChain mismatch")
-	}
-	xs := x.ToSparse()
-	want = Mul(Transpose(xs), Mul(xs, v)).ToDense()
-	if got := MulChainMVV(xs, v, nil); !Equal(got, want, 1e-10) {
-		t.Error("sparse MMChain mismatch")
-	}
-}
-
 func TestEWBroadcast(t *testing.T) {
 	a := denseOf(2, 2, 1, 2, 3, 4)
 	col := denseOf(2, 1, 10, 20)
@@ -136,10 +117,10 @@ func TestEWBroadcast(t *testing.T) {
 
 func TestEWComparisonOps(t *testing.T) {
 	a := denseOf(1, 4, -1, 0, 1, 2)
-	if got := PPred(a, 0, Greater); !Equal(got.ToDense(), denseOf(1, 4, 0, 0, 1, 1), 0) {
+	if got := EWScalarRight(Greater, a, 0); !Equal(got.ToDense(), denseOf(1, 4, 0, 0, 1, 1), 0) {
 		t.Errorf("ppred >: %v", got)
 	}
-	if got := PPred(a, 0, LessEq); !Equal(got.ToDense(), denseOf(1, 4, 1, 1, 0, 0), 0) {
+	if got := EWScalarRight(LessEq, a, 0); !Equal(got.ToDense(), denseOf(1, 4, 1, 1, 0, 0), 0) {
 		t.Errorf("ppred <=: %v", got)
 	}
 }

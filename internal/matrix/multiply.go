@@ -127,12 +127,7 @@ func mulSS(a, b *Matrix) *Matrix {
 			})
 		}
 	})
-	out := c.Compact()
-	if out != c {
-		// Compact copied into a CSR; the dense accumulator is dead scratch.
-		putFloats(c.dense)
-	}
-	return out
+	return c.Compact()
 }
 
 // TSMM computes the transpose-self matrix multiply t(x) %*% x, a dedicated
@@ -186,73 +181,4 @@ func TSMM(x *Matrix) *Matrix {
 		}
 	})
 	return c
-}
-
-// MulChainMVV computes t(X) %*% (X %*% v) without materializing the large
-// intermediate, corresponding to SystemML's MapMMChain physical operator.
-// If w is non-nil it computes t(X) %*% (w * (X %*% v)) (the weighted chain
-// pattern of logistic-regression gradients). Parallel execution runs two
-// passes: per-row dot products (row-partitioned), then the output
-// accumulation partitioned by output index, scanning rows in ascending
-// order — both passes reproduce the sequential accumulation order exactly.
-func MulChainMVV(x, v, w *Matrix) *Matrix {
-	if x.cols != v.rows || v.cols != 1 {
-		panic(fmt.Sprintf("matrix: mmchain dimension mismatch %dx%d vs %dx%d", x.rows, x.cols, v.rows, v.cols))
-	}
-	k := x.cols
-	out := NewDense(k, 1)
-	dots := getFloats(x.rows) // scratch: never escapes, returned below
-	defer putFloats(dots)
-	if x.sp != nil {
-		parRange(x.rows, mulRowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				var dot float64
-				x.sp.eachRow(i, func(j int, xv float64) { dot += xv * v.dense[j] })
-				if w != nil {
-					dot *= w.At(i, 0)
-				}
-				dots[i] = dot
-			}
-		})
-		parRange(k, chunkGrain(k, 16), func(lo, hi int) {
-			for i := 0; i < x.rows; i++ {
-				dot := dots[i]
-				if dot == 0 {
-					continue
-				}
-				x.sp.eachRow(i, func(j int, xv float64) {
-					if j >= lo && j < hi {
-						out.dense[j] += xv * dot
-					}
-				})
-			}
-		})
-		return out
-	}
-	parRange(x.rows, mulRowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi := x.dense[i*k : (i+1)*k]
-			var dot float64
-			for j := 0; j < k; j++ {
-				dot += xi[j] * v.dense[j]
-			}
-			if w != nil {
-				dot *= w.At(i, 0)
-			}
-			dots[i] = dot
-		}
-	})
-	parRange(k, chunkGrain(k, 16), func(lo, hi int) {
-		for i := 0; i < x.rows; i++ {
-			dot := dots[i]
-			if dot == 0 {
-				continue
-			}
-			xi := x.dense[i*k : (i+1)*k]
-			for j := lo; j < hi; j++ {
-				out.dense[j] += xi[j] * dot
-			}
-		}
-	})
-	return out
 }

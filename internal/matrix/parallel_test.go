@@ -128,13 +128,10 @@ func parallelKernelCases() map[string]func() *Matrix {
 	cases["ew_bcast_col"] = func() *Matrix { return EW(MulEW, dn(23, 11, 17), dn(23, 1, 18)) }
 	cases["ew_bcast_scalar"] = func() *Matrix { return EW(Add, sprnd(23, 11, 19), Filled(1, 1, 0.5)) }
 
-	// TSMM and MMChain, dense and sparse, with and without weights.
+	// TSMM, dense and sparse.
 	cases["tsmm_dense"] = func() *Matrix { return TSMM(dn(37, 11, 20)) }
 	cases["tsmm_sparse"] = func() *Matrix { return TSMM(sprnd(37, 11, 21)) }
 	cases["tsmm_col1"] = func() *Matrix { return TSMM(dn(37, 1, 22)) }
-	cases["mmchain_dense"] = func() *Matrix { return MulChainMVV(dn(37, 11, 23), dn(11, 1, 24), nil) }
-	cases["mmchain_sparse"] = func() *Matrix { return MulChainMVV(sprnd(37, 11, 25), dn(11, 1, 26), nil) }
-	cases["mmchain_weighted"] = func() *Matrix { return MulChainMVV(dn(37, 11, 27), dn(11, 1, 28), dn(37, 1, 29)) }
 	return cases
 }
 
@@ -234,6 +231,35 @@ func TestParRangePanicPropagates(t *testing.T) {
 		}
 	})
 	t.Fatal("unreachable")
+}
+
+// TestParRangePanicChunkAccounting pins the executed-chunk fix: a panic
+// abandons the remaining chunks, and the pool counters must report only the
+// chunks that actually ran, not the planned count.
+func TestParRangePanicChunkAccounting(t *testing.T) {
+	withWorkers(t, 4)
+	const n = 256
+	_, before, _ := PoolStats()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panic not propagated")
+			}
+		}()
+		parRange(n, 1, func(lo, hi int) {
+			if lo == n/2 {
+				panic("boom")
+			}
+		})
+	}()
+	_, after, _ := PoolStats()
+	executed := after - before
+	if executed >= n {
+		t.Errorf("counted %d chunks, but the panic abandoned the range (planned %d)", executed, n)
+	}
+	if executed < 0 {
+		t.Errorf("negative chunk delta %d", executed)
+	}
 }
 
 func TestPoolStatsAndMetrics(t *testing.T) {

@@ -10,13 +10,13 @@ import (
 	"elasticml/internal/lop"
 )
 
-// TestSelectRangeExact: the span lop.SelectBlockSpan returns holds the MR
-// budget the block was selected under, and every budget in it selects the
-// same plan — checked at every other MR grid point inside the span and at
-// both its ends — for every leaf block of the paper grid at the smallest
-// and a middle CP grid point. enumBlock reuses a plan across its span, so
-// a budget comparison that selection makes without recording it fails
-// here.
+// TestSelectRangeExact: the MR span of the region a fresh lop.Table's
+// SelectBlock returns holds the MR budget the block was selected under,
+// and every budget in it selects the same plan — checked at every other MR
+// grid point inside the span and at both its ends — for every leaf block
+// of the paper grid at the smallest and a middle CP grid point. enumBlock
+// reuses a plan across its span, so a budget comparison that selection
+// makes without recording it fails here.
 func TestSelectRangeExact(t *testing.T) {
 	cc := conf.DefaultCluster()
 	opts := DefaultOptions()
@@ -36,9 +36,8 @@ func TestSelectRangeExact(t *testing.T) {
 				plans := make([]string, len(srm))
 				spans := make([]lop.Span, len(srm))
 				for i, ri := range srm {
-					var lb *lop.Block
-					lb, spans[i] = lop.SelectBlockSpan(hb, cc, res(ri))
-					plans[i] = render(lb)
+					lb, reg := lop.NewTable(cc).SelectBlock(hb, res(ri))
+					plans[i], spans[i] = render(lb), reg.MR
 				}
 				for i, ri := range srm {
 					span := spans[i]

@@ -70,7 +70,9 @@ type AdaptContext struct {
 	Enclosing []*lop.Block
 	// Res is the current resource configuration.
 	Res conf.Resources
-	// Meta is the runtime variable metadata (sizes now known).
+	// Meta is the runtime variable metadata (sizes now known), a fresh
+	// snapshot per consult: the adapter hands it to RebuildScope, which
+	// takes ownership of it.
 	Meta hop.SymTab
 	// DirtyBytes is the size of dirty live variables (migration IO).
 	DirtyBytes conf.Bytes
@@ -261,7 +263,7 @@ func (ip *Interp) execBlock(b *lop.Block) error {
 	case dml.GenericBlock:
 		return ip.execGeneric(b)
 	case dml.IfBlockKind:
-		pv, err := ip.evalPredicate(b.Pred, b.HopBlock.PredExpr)
+		pv, err := ip.evalPredicate(b.Pred)
 		if err != nil {
 			return err
 		}
@@ -295,7 +297,7 @@ func (ip *Interp) execWhile(b *lop.Block) error {
 			// unknown-iteration loops.
 			return nil
 		}
-		pv, err := ip.evalPredicate(b.Pred, b.HopBlock.PredExpr)
+		pv, err := ip.evalPredicate(b.Pred)
 		if err != nil {
 			return err
 		}
@@ -316,11 +318,11 @@ func (ip *Interp) execWhile(b *lop.Block) error {
 }
 
 func (ip *Interp) execFor(b *lop.Block) error {
-	fromV, err := ip.evalPredicate(b.From, b.HopBlock.FromExpr)
+	fromV, err := ip.evalPredicate(b.From)
 	if err != nil {
 		return err
 	}
-	toV, err := ip.evalPredicate(b.To, b.HopBlock.ToExpr)
+	toV, err := ip.evalPredicate(b.To)
 	if err != nil {
 		return err
 	}
@@ -360,9 +362,7 @@ func (ip *Interp) execFor(b *lop.Block) error {
 }
 
 // evalPredicate evaluates a scalar header DAG against the live variables.
-// When the hop is stale (recompilation changed metadata), the expression is
-// rebuilt from source; predicates are tiny so this is cheap.
-func (ip *Interp) evalPredicate(pred *hop.Hop, expr dml.Expr) (*Value, error) {
+func (ip *Interp) evalPredicate(pred *hop.Hop) (*Value, error) {
 	if pred == nil {
 		return ScalarValue(1), nil
 	}

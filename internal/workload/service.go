@@ -482,9 +482,6 @@ func (s *Service) Finalize() *Report {
 // submissions must arrive at or after it.
 func (s *Service) Frontier() float64 { return s.lastT }
 
-// JobCount returns how many jobs have been submitted.
-func (s *Service) JobCount() int { return len(s.jobs) }
-
 // Result returns a copy of one job's current result; ok is false for an
 // out-of-range index.
 func (s *Service) Result(idx int) (TenantResult, bool) {

@@ -100,10 +100,11 @@ func (j JobSpec) name() string {
 
 // Options configure the service.
 type Options struct {
-	// Workers bounds the service's computation fan-out (parallel
-	// re-optimization checks and simulations) and is forwarded to the
-	// resource optimizer's task-parallel enumeration. 1 (or 0) is
-	// sequential; any value yields byte-identical reports.
+	// Workers bounds the service's computation fan-out: the grid
+	// searches and simulations of one batch of requests (a §5
+	// re-optimization check, for one) run on up to Workers goroutines,
+	// each search itself sequential. 1 (or 0) is sequential; any value
+	// yields byte-identical reports.
 	Workers int `json:"workers"`
 	// CacheEntries is the shared plan cache capacity (0 = default 64,
 	// negative disables caching).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/obs"
 )
 
 func chaosCluster(nodes int) conf.Cluster {
@@ -16,8 +17,8 @@ func chaosCluster(nodes int) conf.Cluster {
 }
 
 // TestFailNodesGroup: a correlated group loss removes every member's
-// capacity atomically, kills resident containers, and delivers one
-// NodeFailed event per lost node in ascending node order.
+// capacity atomically, kills resident containers, and counts one
+// yarn.node_failures per lost node.
 func TestFailNodesGroup(t *testing.T) {
 	rm := NewResourceManager(chaosCluster(4))
 	var conts []Container
@@ -28,8 +29,8 @@ func TestFailNodesGroup(t *testing.T) {
 		}
 		conts = append(conts, c)
 	}
-	var events []FailureEvent
-	rm.Subscribe(func(ev FailureEvent) { events = append(events, ev) })
+	tr := obs.New(false)
+	rm.SetTracer(tr)
 
 	lost, err := rm.FailNodes([]int{2, 1})
 	if err != nil {
@@ -41,8 +42,8 @@ func TestFailNodesGroup(t *testing.T) {
 	if rm.LiveNodes() != 2 {
 		t.Errorf("want 2 live nodes, got %d", rm.LiveNodes())
 	}
-	if len(events) != 2 || events[0].Kind != NodeFailed || events[1].Kind != NodeFailed {
-		t.Fatalf("want 2 NodeFailed events, got %+v", events)
+	if got := tr.Metrics().Counter("yarn.node_failures"); got != 2 {
+		t.Fatalf("yarn.node_failures = %d, want 2", got)
 	}
 	for _, c := range lost {
 		if err := rm.Release(c.ID); !errors.Is(err, ErrUnknownContainer) {
@@ -65,7 +66,7 @@ func TestFailNodesGroup(t *testing.T) {
 // any node is touched.
 func TestFailNodesSkipsDownAndRejectsUnknown(t *testing.T) {
 	rm := NewResourceManager(chaosCluster(3))
-	if _, err := rm.FailNode(0); err != nil {
+	if _, err := rm.FailNodes([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	lost, err := rm.FailNodes([]int{0, 1})
@@ -86,12 +87,13 @@ func TestFailNodesSkipsDownAndRejectsUnknown(t *testing.T) {
 	}
 }
 
-// TestNodeSpeed: slow-node episodes are bookkept per node, notify
-// subscribers with the factor, and reset when the node restores.
+// TestNodeSpeed: slow-node episodes are bookkept per node, and each change
+// of a node's factor counts one yarn.node_slow_events.
 func TestNodeSpeed(t *testing.T) {
 	rm := NewResourceManager(chaosCluster(2))
-	var events []FailureEvent
-	rm.Subscribe(func(ev FailureEvent) { events = append(events, ev) })
+	tr := obs.New(false)
+	rm.SetTracer(tr)
+	slowEvents := func() int64 { return tr.Metrics().Counter("yarn.node_slow_events") }
 
 	if err := rm.SetNodeSpeed(1, 3.5); err != nil {
 		t.Fatal(err)
@@ -102,16 +104,16 @@ func TestNodeSpeed(t *testing.T) {
 	if got := rm.NodeSpeed(0); got != 1 {
 		t.Errorf("untouched node speed %g, want 1", got)
 	}
-	if len(events) != 1 || events[0].Kind != NodeSlowed || events[0].Factor != 3.5 {
-		t.Fatalf("want one NodeSlowed{Factor:3.5}, got %+v", events)
+	if got := slowEvents(); got != 1 {
+		t.Fatalf("yarn.node_slow_events = %d, want 1", got)
 	}
 
-	// Idempotent set does not re-notify.
+	// A repeated set counts nothing.
 	if err := rm.SetNodeSpeed(1, 3.5); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("idempotent set notified: %+v", events)
+	if got := slowEvents(); got != 1 {
+		t.Fatalf("yarn.node_slow_events = %d after a repeated set, want 1", got)
 	}
 
 	if err := rm.SetNodeSpeed(1, 1); err != nil {
@@ -120,8 +122,8 @@ func TestNodeSpeed(t *testing.T) {
 	if got := rm.NodeSpeed(1); got != 1 {
 		t.Errorf("recovered node speed %g, want 1", got)
 	}
-	if len(events) != 2 || events[1].Kind != NodeRecovered {
-		t.Fatalf("want NodeRecovered, got %+v", events)
+	if got := slowEvents(); got != 2 {
+		t.Fatalf("yarn.node_slow_events = %d after recovery, want 2", got)
 	}
 
 	if err := rm.SetNodeSpeed(0, 0.5); err == nil {
@@ -139,7 +141,7 @@ func TestRestoreResetsSpeed(t *testing.T) {
 	if err := rm.SetNodeSpeed(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rm.FailNode(0); err != nil {
+	if _, err := rm.FailNodes([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rm.RestoreNode(0); err != nil {

@@ -7,13 +7,14 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/fault"
+	"elasticml/internal/obs"
 )
 
 func TestFailNodeReleasesContainersAndNotifies(t *testing.T) {
 	cc := conf.DefaultCluster()
 	rm := NewResourceManager(cc)
-	var events []FailureEvent
-	rm.Subscribe(func(ev FailureEvent) { events = append(events, ev) })
+	tr := obs.New(false)
+	rm.SetTracer(tr)
 
 	// Pin two containers per node by worst-fit spreading.
 	var held []Container
@@ -26,9 +27,10 @@ func TestFailNodeReleasesContainersAndNotifies(t *testing.T) {
 	}
 	total := rm.AvailableMem()
 
-	lost, err := rm.FailNode(held[0].Node)
+	node := held[0].Node
+	lost, err := rm.FailNodes([]int{node})
 	if err != nil {
-		t.Fatalf("FailNode: %v", err)
+		t.Fatalf("FailNodes: %v", err)
 	}
 	if len(lost) != 2 {
 		t.Errorf("lost %d containers, want 2", len(lost))
@@ -42,28 +44,36 @@ func TestFailNodeReleasesContainersAndNotifies(t *testing.T) {
 	if rm.AvailableMem() != want {
 		t.Errorf("available = %v, want %v", rm.AvailableMem(), want)
 	}
-	if len(events) != 1 || events[0].Kind != NodeFailed || len(events[0].Lost) != 2 {
-		t.Errorf("events = %+v", events)
+	m := tr.Metrics()
+	if got := m.Counter("yarn.node_failures"); got != 1 {
+		t.Errorf("yarn.node_failures = %d, want 1", got)
 	}
 	// Lost containers are unknown to the RM now.
 	if err := rm.Release(lost[0].ID); !errors.Is(err, ErrUnknownContainer) {
 		t.Errorf("release of lost container: %v", err)
 	}
-	// Double failure is rejected; restore brings capacity back.
-	if _, err := rm.FailNode(events[0].Node); err == nil {
-		t.Error("double FailNode should fail")
+	// A second failure of the down node is a no-op; restore brings
+	// capacity back.
+	if again, err := rm.FailNodes([]int{node}); err != nil || len(again) != 0 {
+		t.Errorf("failing a down node: lost %d, err %v", len(again), err)
 	}
-	if err := rm.RestoreNode(events[0].Node); err != nil {
+	if got := m.Counter("yarn.node_failures"); got != 1 {
+		t.Errorf("yarn.node_failures = %d after failing a down node, want 1", got)
+	}
+	if err := rm.RestoreNode(node); err != nil {
 		t.Fatalf("RestoreNode: %v", err)
 	}
 	if rm.LiveNodes() != cc.Nodes {
 		t.Errorf("live nodes after restore = %d", rm.LiveNodes())
 	}
-	if len(events) != 2 || events[1].Kind != NodeRestored {
-		t.Errorf("restore event missing: %+v", events)
+	if got := m.Counter("yarn.node_restores"); got != 1 {
+		t.Errorf("yarn.node_restores = %d, want 1", got)
 	}
-	if _, err := rm.FailNode(99); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("FailNode(99): %v", err)
+	if err := rm.RestoreNode(node); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("restore of a live node: %v", err)
+	}
+	if _, err := rm.FailNodes([]int{99}); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("FailNodes(99): %v", err)
 	}
 }
 
@@ -71,7 +81,7 @@ func TestAllocateSkipsFailedNodes(t *testing.T) {
 	cc := conf.DefaultCluster()
 	cc.Nodes = 2
 	rm := NewResourceManager(cc)
-	if _, err := rm.FailNode(0); err != nil {
+	if _, err := rm.FailNodes([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1; i++ {
@@ -88,84 +98,11 @@ func TestAllocateSkipsFailedNodes(t *testing.T) {
 	}
 }
 
-func TestKillContainer(t *testing.T) {
-	rm := NewResourceManager(conf.DefaultCluster())
-	var killed int
-	rm.Subscribe(func(ev FailureEvent) {
-		if ev.Kind == ContainerKilled {
-			killed++
-		}
-	})
-	c, err := rm.Allocate(4 * conf.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avail := rm.AvailableMem()
-	if err := rm.KillContainer(c.ID); err != nil {
-		t.Fatal(err)
-	}
-	if rm.AvailableMem() != avail+4*conf.GB {
-		t.Error("kill should return the node's memory")
-	}
-	if killed != 1 {
-		t.Errorf("kill events = %d", killed)
-	}
-	if err := rm.KillContainer(c.ID); !errors.Is(err, ErrUnknownContainer) {
-		t.Errorf("double kill: %v", err)
-	}
-}
-
-func TestAllocateWithRetryBacksOffThenTimesOut(t *testing.T) {
-	cc := conf.DefaultCluster()
-	cc.Nodes = 1
-	rm := NewResourceManager(cc)
-	if _, err := rm.Allocate(80 * conf.GB); err != nil {
-		t.Fatal(err)
-	}
-	pol := RetryPolicy{MaxAttempts: 4, Backoff: 1, Multiplier: 2, MaxBackoff: 30}
-	_, waited, err := rm.AllocateWithRetry(conf.GB, pol)
-	if !errors.Is(err, ErrAllocateTimeout) || !errors.Is(err, ErrNoCapacity) {
-		t.Errorf("want timeout wrapping no-capacity, got %v", err)
-	}
-	// 3 waits: 1 + 2 + 4 simulated seconds.
-	if waited != 7 {
-		t.Errorf("waited %.1fs, want 7s", waited)
-	}
-	// Over-max requests fail fast without burning retries.
-	_, waited, err = rm.AllocateWithRetry(500*conf.GB, pol)
-	if !errors.Is(err, ErrOverMaxAllocation) || waited != 0 {
-		t.Errorf("over-max via retry: err=%v waited=%.1f", err, waited)
-	}
-}
-
-func TestAllocateWithRetrySucceedsAfterRelease(t *testing.T) {
-	cc := conf.DefaultCluster()
-	cc.Nodes = 1
-	rm := NewResourceManager(cc)
-	blocker, err := rm.Allocate(80 * conf.GB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c, _, err := rm.AllocateWithRetry(conf.GB, RetryPolicy{MaxAttempts: 1 << 20})
-		if err != nil {
-			t.Errorf("retry alloc: %v", err)
-			return
-		}
-		_ = rm.Release(c.ID)
-	}()
-	_ = rm.Release(blocker.ID)
-	<-done
-}
-
 // TestConcurrentFailureAndAllocation hammers the RM with concurrent
 // allocates, releases, node failures and restores (run with -race).
 func TestConcurrentFailureAndAllocation(t *testing.T) {
 	cc := conf.DefaultCluster()
 	rm := NewResourceManager(cc)
-	rm.Subscribe(func(FailureEvent) {})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -183,7 +120,7 @@ func TestConcurrentFailureAndAllocation(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			node := i % cc.Nodes
-			if _, err := rm.FailNode(node); err == nil {
+			if _, err := rm.FailNodes([]int{node}); err == nil {
 				_ = rm.RestoreNode(node)
 			}
 		}

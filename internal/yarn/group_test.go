@@ -95,7 +95,7 @@ func TestAllocateGroupOfOneMatchesAllocate(t *testing.T) {
 // and capacity lost to failures triggers the atomic rollback.
 func TestAllocateGroupSkipsFailedNodes(t *testing.T) {
 	rm := NewResourceManager(groupCluster())
-	if _, err := rm.FailNode(1); err != nil {
+	if _, err := rm.FailNodes([]int{1}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := rm.AllocateGroup(2, 512*conf.MB)
@@ -109,38 +109,5 @@ func TestAllocateGroupSkipsFailedNodes(t *testing.T) {
 	}
 	if _, err := rm.AllocateGroup(1, 512*conf.MB); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("node 0 is full: got %v, want ErrNoCapacity", err)
-	}
-}
-
-// TestFreeChunks: the grow planner's budget is the per-node sum of whole
-// containers that still fit, tracking allocations, failures, and restores.
-func TestFreeChunks(t *testing.T) {
-	rm := NewResourceManager(groupCluster())
-	if got := rm.FreeChunks(512 * conf.MB); got != 4 {
-		t.Fatalf("empty cluster: %d chunks, want 4", got)
-	}
-	if got := rm.FreeChunks(1 * conf.KB); got != 4 {
-		t.Errorf("tiny request must floor to MinAlloc: %d chunks, want 4", got)
-	}
-	c, err := rm.Allocate(768 * conf.MB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 256MB left on c's node (no chunk), 1GB on the other (two chunks).
-	if got := rm.FreeChunks(512 * conf.MB); got != 2 {
-		t.Errorf("after alloc: %d chunks, want 2", got)
-	}
-	other := 1 - c.Node
-	if _, err := rm.FailNode(other); err != nil {
-		t.Fatal(err)
-	}
-	if got := rm.FreeChunks(512 * conf.MB); got != 0 {
-		t.Errorf("after failure: %d chunks, want 0", got)
-	}
-	if err := rm.RestoreNode(other); err != nil {
-		t.Fatal(err)
-	}
-	if got := rm.FreeChunks(512 * conf.MB); got != 2 {
-		t.Errorf("after restore: %d chunks, want 2", got)
 	}
 }

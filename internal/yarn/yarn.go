@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -31,8 +30,6 @@ var (
 	ErrUnknownContainer = errors.New("yarn: unknown container")
 	// ErrNoCapacity means no live node can currently satisfy the request.
 	ErrNoCapacity = errors.New("yarn: no node with sufficient capacity")
-	// ErrAllocateTimeout means AllocateWithRetry exhausted its attempts.
-	ErrAllocateTimeout = errors.New("yarn: allocation retries exhausted")
 	// ErrUnknownNode rejects operations on node indices outside the
 	// cluster.
 	ErrUnknownNode = errors.New("yarn: unknown node")
@@ -48,38 +45,6 @@ type Container struct {
 	Mem  conf.Bytes
 }
 
-// EventKind classifies failure events the RM reports to applications.
-type EventKind int
-
-// Failure event kinds.
-const (
-	// NodeFailed: a NodeManager was lost; its containers died with it.
-	NodeFailed EventKind = iota
-	// NodeRestored: a failed NodeManager re-registered with full capacity.
-	NodeRestored
-	// ContainerKilled: a single container was killed (preemption, fault
-	// injection) while its node stayed alive.
-	ContainerKilled
-	// NodeSlowed: a NodeManager turned into a straggler — everything
-	// resident on it runs Factor times slower until a NodeRecovered event.
-	NodeSlowed
-	// NodeRecovered: a slowed NodeManager runs at full speed again.
-	NodeRecovered
-)
-
-// FailureEvent is delivered to subscribed applications when the cluster
-// loses (or regains) resources — the signal that drives container-loss
-// re-optimization in the adaptation layer.
-type FailureEvent struct {
-	Kind EventKind
-	// Node is the affected node index.
-	Node int
-	// Lost lists the containers that died with the event.
-	Lost []Container
-	// Factor is the execution slowdown of a NodeSlowed event (>= 1).
-	Factor float64
-}
-
 // ResourceManager is the per-cluster daemon that schedules resource
 // requests against NodeManager capacities. It is safe for concurrent use.
 type ResourceManager struct {
@@ -90,23 +55,16 @@ type ResourceManager struct {
 	speed     []float64 // execution slowdown per node (1 = full speed)
 	nextID    ContainerID
 	allocated map[ContainerID]Container
-	listeners []func(FailureEvent)
 	trace     *obs.Tracer
 }
 
-// SetTracer attaches an observability tracer: allocations, releases, kills
-// and node failures/restores are recorded as cluster-layer instant events
-// plus yarn.* counters. A nil tracer detaches.
+// SetTracer attaches an observability tracer: allocations, releases, node
+// failures/restores and slow-node episodes are recorded as cluster-layer
+// instant events plus yarn.* counters. A nil tracer detaches.
 func (rm *ResourceManager) SetTracer(tr *obs.Tracer) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	rm.trace = tr
-}
-
-func (rm *ResourceManager) tracer() *obs.Tracer {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return rm.trace
 }
 
 // NewResourceManager returns an RM for the given cluster configuration.
@@ -130,23 +88,6 @@ func NewResourceManager(cc conf.Cluster) *ResourceManager {
 // obtains from the RM in step 1, paper §2.4).
 func (rm *ResourceManager) Cluster() conf.Cluster { return rm.cc }
 
-// Subscribe registers a failure-event listener. Listeners run
-// synchronously, outside the RM lock, in subscription order.
-func (rm *ResourceManager) Subscribe(fn func(FailureEvent)) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	rm.listeners = append(rm.listeners, fn)
-}
-
-func (rm *ResourceManager) notify(ev FailureEvent) {
-	rm.mu.Lock()
-	listeners := append([]func(FailureEvent){}, rm.listeners...)
-	rm.mu.Unlock()
-	for _, fn := range listeners {
-		fn(ev)
-	}
-}
-
 // Allocate grants a container of the requested memory on the live node
 // with the most free memory (worst-fit keeps large allocations feasible).
 // Requests below the minimum allocation are rounded up, matching YARN's
@@ -154,41 +95,16 @@ func (rm *ResourceManager) notify(ev FailureEvent) {
 // ErrOverMaxAllocation, and a momentarily full cluster yields
 // ErrNoCapacity.
 func (rm *ResourceManager) Allocate(mem conf.Bytes) (Container, error) {
-	if mem > rm.cc.MaxAlloc {
-		return Container{}, fmt.Errorf("%w: %v exceeds max allocation %v (largest grantable container)",
-			ErrOverMaxAllocation, mem, rm.cc.MaxAlloc)
+	cs, err := rm.AllocateGroup(1, mem)
+	if err != nil {
+		return Container{}, err
 	}
-	req := mem
-	if req < rm.cc.MinAlloc {
-		req = rm.cc.MinAlloc
-	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	best := -1
-	for i, free := range rm.freeMem {
-		if rm.failed[i] {
-			continue
-		}
-		if free >= req && (best < 0 || free > rm.freeMem[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Container{}, fmt.Errorf("%w: need %v, max free %v", ErrNoCapacity, req, rm.maxFreeLocked())
-	}
-	rm.freeMem[best] -= req
-	rm.nextID++
-	c := Container{ID: rm.nextID, Node: best, Mem: req}
-	rm.allocated[c.ID] = c
-	rm.trace.Instant(obs.LayerCluster, "container.alloc",
-		obs.A("id", int64(c.ID)), obs.A("node", c.Node), obs.A("mem", c.Mem.String()))
-	rm.trace.Metrics().Add("yarn.allocations", 1)
-	return c, nil
+	return cs[0], nil
 }
 
 // AllocateGroup grants n containers of the requested memory atomically:
-// either every container is placed (worst-fit, one at a time, so a group
-// of one behaves exactly like Allocate) or none is and the cluster state —
+// either every container is placed (worst-fit, one at a time, by the rule
+// Allocate documents) or none is and the cluster state —
 // including the container ID sequence — is left untouched. The malleable
 // workload service uses it to claim a job's full width in one step, so a
 // partially granted width can never leak containers.
@@ -241,99 +157,6 @@ func (rm *ResourceManager) AllocateGroup(n int, mem conf.Bytes) ([]Container, er
 	return granted, nil
 }
 
-// FreeChunks returns how many containers of the given size the live nodes
-// could grant right now: sum over live nodes of floor(free / mem). The
-// grow planner budgets opportunistic width increases against it.
-func (rm *ResourceManager) FreeChunks(mem conf.Bytes) int {
-	if mem < rm.cc.MinAlloc {
-		mem = rm.cc.MinAlloc
-	}
-	if mem <= 0 {
-		return 0
-	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	n := 0
-	for i, free := range rm.freeMem {
-		if rm.failed[i] {
-			continue
-		}
-		n += int(free / mem)
-	}
-	return n
-}
-
-// RetryPolicy configures AllocateWithRetry: exponential backoff between
-// attempts in *simulated* seconds (the caller charges the returned wait
-// into its simulated clock).
-type RetryPolicy struct {
-	// MaxAttempts bounds the allocation attempts (default 5).
-	MaxAttempts int
-	// Backoff is the wait after the first failed attempt (default 1s).
-	Backoff float64
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
-	// MaxBackoff caps a single wait (default 30s).
-	MaxBackoff float64
-}
-
-// DefaultRetryPolicy returns the standard AM allocation retry behaviour.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 5, Backoff: 1, Multiplier: 2, MaxBackoff: 30}
-}
-
-func (p RetryPolicy) normalized() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = d.Backoff
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = d.Multiplier
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	return p
-}
-
-// AllocateWithRetry attempts an allocation under the retry policy,
-// backing off between attempts instead of failing permanently on a
-// momentarily full cluster. It returns the granted container and the
-// simulated seconds spent waiting. Permanent errors (over-max requests)
-// are returned immediately; exhausted retries yield an error wrapping
-// both ErrAllocateTimeout and the last allocation failure.
-func (rm *ResourceManager) AllocateWithRetry(mem conf.Bytes, pol RetryPolicy) (Container, float64, error) {
-	pol = pol.normalized()
-	var waited float64
-	backoff := pol.Backoff
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		c, err := rm.Allocate(mem)
-		if err == nil {
-			return c, waited, nil
-		}
-		if errors.Is(err, ErrOverMaxAllocation) {
-			return Container{}, waited, err
-		}
-		lastErr = err
-		if attempt >= pol.MaxAttempts {
-			return Container{}, waited, fmt.Errorf("%w after %d attempts (%.1fs simulated wait): %w",
-				ErrAllocateTimeout, attempt, waited, lastErr)
-		}
-		waited += backoff
-		backoff *= pol.Multiplier
-		if backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
-		// Yield so concurrently releasing goroutines can free capacity
-		// (the backoff itself is simulated, not wall-clock).
-		runtime.Gosched()
-	}
-}
-
 func (rm *ResourceManager) maxFreeLocked() conf.Bytes {
 	var m conf.Bytes
 	for i, f := range rm.freeMem {
@@ -366,63 +189,31 @@ func (rm *ResourceManager) Release(id ContainerID) error {
 	return nil
 }
 
-// FailNode marks a NodeManager as lost: its capacity disappears, every
-// container on it dies, and subscribed applications receive a NodeFailed
-// event listing the lost containers. Released IDs become unknown to the
-// RM (a later Release returns ErrUnknownContainer, as after a real NM
-// expiry).
-func (rm *ResourceManager) FailNode(node int) ([]Container, error) {
-	rm.mu.Lock()
-	if node < 0 || node >= len(rm.freeMem) {
-		rm.mu.Unlock()
-		return nil, fmt.Errorf("%w: node %d of %d", ErrUnknownNode, node, len(rm.freeMem))
-	}
-	if rm.failed[node] {
-		rm.mu.Unlock()
-		return nil, fmt.Errorf("%w: node %d already failed", ErrUnknownNode, node)
-	}
-	rm.failed[node] = true
-	rm.freeMem[node] = 0
-	var lost []Container
-	for id, c := range rm.allocated {
-		if c.Node == node {
-			lost = append(lost, c)
-			delete(rm.allocated, id)
-		}
-	}
-	rm.mu.Unlock()
-	if tr := rm.tracer(); tr != nil {
-		tr.Instant(obs.LayerCluster, "node.manager-fail",
-			obs.A("node", node), obs.A("lost_containers", len(lost)))
-		tr.Metrics().Add("yarn.node_failures", 1)
-	}
-	rm.notify(FailureEvent{Kind: NodeFailed, Node: node, Lost: lost})
-	return lost, nil
-}
-
 // FailNodes fails a group of NodeManagers atomically — the correlated
-// rack-loss primitive of the chaos layer. Capacity of every group member
-// disappears in one step before any listener observes the event, so no
-// subscriber can race an allocation onto a doomed sibling. Already-failed
-// group members are skipped (a storm may target a down node); out-of-range
-// indices yield ErrUnknownNode without failing anything. Listeners receive
-// one NodeFailed event per lost node, in ascending node order.
+// rack-loss primitive of the chaos layer: capacity of every group member
+// disappears in one step, and every container on a lost node dies with it
+// (a later Release of its ID returns ErrUnknownContainer, as after a real
+// NM expiry). Already-failed group members are skipped (a storm may target
+// a down node); out-of-range indices yield ErrUnknownNode without failing
+// anything. The lost containers are returned in ascending node order, by
+// ID within a node.
 func (rm *ResourceManager) FailNodes(nodes []int) ([]Container, error) {
 	rm.mu.Lock()
+	defer rm.mu.Unlock()
 	for _, node := range nodes {
 		if node < 0 || node >= len(rm.freeMem) {
-			rm.mu.Unlock()
 			return nil, fmt.Errorf("%w: node %d of %d", ErrUnknownNode, node, len(rm.freeMem))
 		}
 	}
 	var allLost []Container
-	var events []FailureEvent
+	failed := 0
 	for _, node := range nodes {
 		if rm.failed[node] {
 			continue
 		}
 		rm.failed[node] = true
 		rm.freeMem[node] = 0
+		failed++
 		var lost []Container
 		for id, c := range rm.allocated {
 			if c.Node == node {
@@ -432,53 +223,39 @@ func (rm *ResourceManager) FailNodes(nodes []int) ([]Container, error) {
 		}
 		sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
 		allLost = append(allLost, lost...)
-		events = append(events, FailureEvent{Kind: NodeFailed, Node: node, Lost: lost})
 	}
-	rm.mu.Unlock()
-	if len(events) == 0 {
+	if failed == 0 {
 		return nil, nil
 	}
-	if tr := rm.tracer(); tr != nil {
-		tr.Instant(obs.LayerCluster, "node.group-fail",
-			obs.A("nodes", len(events)), obs.A("lost_containers", len(allLost)))
-		tr.Metrics().Add("yarn.node_failures", int64(len(events)))
-	}
-	for _, ev := range events {
-		rm.notify(ev)
-	}
+	rm.trace.Instant(obs.LayerCluster, "node.group-fail",
+		obs.A("nodes", failed), obs.A("lost_containers", len(allLost)))
+	rm.trace.Metrics().Add("yarn.node_failures", int64(failed))
 	return allLost, nil
 }
 
 // SetNodeSpeed marks a live NodeManager as a straggler (factor > 1) or
-// restores it to full speed (factor == 1), notifying subscribers with a
-// NodeSlowed / NodeRecovered event. The RM only bookkeeps the factor — the
-// discrete-event schedulers consuming it decide how resident work slows.
+// restores it to full speed (factor == 1). The RM only bookkeeps the
+// factor — the discrete-event schedulers consuming it decide how resident
+// work slows.
 func (rm *ResourceManager) SetNodeSpeed(node int, factor float64) error {
 	if factor < 1 {
 		return fmt.Errorf("yarn: node speed factor %g < 1", factor)
 	}
 	rm.mu.Lock()
+	defer rm.mu.Unlock()
 	if node < 0 || node >= len(rm.speed) {
-		rm.mu.Unlock()
 		return fmt.Errorf("%w: node %d of %d", ErrUnknownNode, node, len(rm.speed))
 	}
-	prev := rm.speed[node]
-	rm.speed[node] = factor
-	rm.mu.Unlock()
-	if prev == factor {
+	if rm.speed[node] == factor {
 		return nil
 	}
-	kind := NodeSlowed
+	rm.speed[node] = factor
 	name := "node.slowed"
 	if factor == 1 {
-		kind = NodeRecovered
 		name = "node.recovered"
 	}
-	if tr := rm.tracer(); tr != nil {
-		tr.Instant(obs.LayerCluster, name, obs.A("node", node), obs.A("factor", factor))
-		tr.Metrics().Add("yarn.node_slow_events", 1)
-	}
-	rm.notify(FailureEvent{Kind: kind, Node: node, Factor: factor})
+	rm.trace.Instant(obs.LayerCluster, name, obs.A("node", node), obs.A("factor", factor))
+	rm.trace.Metrics().Add("yarn.node_slow_events", 1)
 	return nil
 }
 
@@ -495,46 +272,18 @@ func (rm *ResourceManager) NodeSpeed(node int) float64 {
 // RestoreNode re-registers a failed NodeManager with full, empty capacity.
 func (rm *ResourceManager) RestoreNode(node int) error {
 	rm.mu.Lock()
+	defer rm.mu.Unlock()
 	if node < 0 || node >= len(rm.freeMem) {
-		rm.mu.Unlock()
 		return fmt.Errorf("%w: node %d of %d", ErrUnknownNode, node, len(rm.freeMem))
 	}
 	if !rm.failed[node] {
-		rm.mu.Unlock()
 		return fmt.Errorf("%w: node %d is not failed", ErrUnknownNode, node)
 	}
 	rm.failed[node] = false
 	rm.freeMem[node] = rm.cc.MemPerNode
 	rm.speed[node] = 1 // a re-registered NM starts at full speed
-	rm.mu.Unlock()
-	if tr := rm.tracer(); tr != nil {
-		tr.Instant(obs.LayerCluster, "node.manager-restore", obs.A("node", node))
-		tr.Metrics().Add("yarn.node_restores", 1)
-	}
-	rm.notify(FailureEvent{Kind: NodeRestored, Node: node})
-	return nil
-}
-
-// KillContainer kills one running container in place (its node survives),
-// notifying subscribers with a ContainerKilled event.
-func (rm *ResourceManager) KillContainer(id ContainerID) error {
-	rm.mu.Lock()
-	c, ok := rm.allocated[id]
-	if !ok {
-		rm.mu.Unlock()
-		return fmt.Errorf("%w: kill of container %d", ErrUnknownContainer, id)
-	}
-	delete(rm.allocated, id)
-	if !rm.failed[c.Node] {
-		rm.freeMem[c.Node] += c.Mem
-	}
-	rm.mu.Unlock()
-	if tr := rm.tracer(); tr != nil {
-		tr.Instant(obs.LayerCluster, "container.kill",
-			obs.A("id", int64(id)), obs.A("node", c.Node))
-		tr.Metrics().Add("yarn.container_kills", 1)
-	}
-	rm.notify(FailureEvent{Kind: ContainerKilled, Node: c.Node, Lost: []Container{c}})
+	rm.trace.Instant(obs.LayerCluster, "node.manager-restore", obs.A("node", node))
+	rm.trace.Metrics().Add("yarn.node_restores", 1)
 	return nil
 }
 

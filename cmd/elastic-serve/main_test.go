@@ -83,7 +83,7 @@ func committed(t *testing.T, name string) string {
 
 // nodeFailScenario is the demo workload losing node 1 at t=25s.
 const nodeFailScenario = `{
-	"node_failures": [{"node": 1, "at": 25}],
+	"chaos": {"groups": [{"nodes": [1], "at": 25}]},
 	"generate": {"tenants": 10, "seed": 42, "mean_gap": 3}
 }`
 
@@ -223,36 +223,91 @@ func TestScenarioFile(t *testing.T) {
 	}
 }
 
+// TestReadmeRunDescription decodes the annotated run description in the
+// repository README — with its // comments stripped — as strictly as
+// -scenario does, so a documented key cannot drift from the decoder.
+func TestReadmeRunDescription(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(readme), "```jsonc\n")
+	if !ok {
+		t.Fatal("README has no jsonc run-description block")
+	}
+	block, _, _ = strings.Cut(block, "```")
+	var doc strings.Builder
+	for _, line := range strings.Split(block, "\n") {
+		doc.WriteString(stripLineComment(line))
+		doc.WriteByte('\n')
+	}
+	spec, err := workload.LoadRunSpec(strings.NewReader(doc.String()))
+	if err != nil {
+		t.Fatalf("README run description: %v", err)
+	}
+	if _, err := parseDaemonSection(spec.Daemon); err != nil {
+		t.Errorf("README daemon section: %v", err)
+	}
+	if err := spec.Chaos.Validate(spec.Cluster.Nodes); err != nil {
+		t.Errorf("README chaos plan: %v", err)
+	}
+	for i, sj := range spec.Jobs {
+		if _, err := sj.Resolve(); err != nil {
+			t.Errorf("README job %d: %v", i, err)
+		}
+	}
+}
+
+// stripLineComment drops a // comment that starts outside a JSON string.
+func stripLineComment(line string) string {
+	inString := false
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case !inString && c == '/' && strings.HasPrefix(line[i:], "//"):
+			return line[:i]
+		}
+	}
+	return line
+}
+
 // TestBadInput: bad flag values and malformed run descriptions exit
-// non-zero with one "elastic-serve:" line — no panic, no usage dump.
+// non-zero with one "elastic-serve:" line that names the fault — no panic,
+// no usage dump.
 func TestBadInput(t *testing.T) {
 	gen := `"generate": {"tenants": 4, "seed": 42, "mean_gap": 3}`
-	cases := map[string][]string{
-		"zero tenants":     {"-tenants", "0"},
-		"unknown policy":   {"-policy", "lottery"},
-		"missing file":     {"-scenario", filepath.Join(tmpDir, "missing.json")},
-		"tenants vs jobs":  {"-tenants", "3", "-scenario", scenario(t, `{"jobs": [{"script": "GLM"}]}`)},
-		"truncated":        {"-scenario", scenario(t, `{"jobs": [{`)},
-		"unknown field":    {"-scenario", scenario(t, `{"chaos_flap": "1@45:6", `+gen+`}`)},
-		"unknown in chaos": {"-scenario", scenario(t, `{"chaos": {"flap": []}, `+gen+`}`)},
-		"no jobs":          {"-scenario", scenario(t, `{"policy": "fair"}`)},
-		"jobs + generate":  {"-scenario", scenario(t, `{"jobs": [{"script": "GLM"}], `+gen+`}`)},
-		"generate kind":    {"-scenario", scenario(t, `{"generate": {"kind": "zap", "tenants": 4}}`)},
-		"file policy":      {"-scenario", scenario(t, `{"policy": "sometimes", `+gen+`}`)},
-		"recovery kind":    {"-scenario", scenario(t, `{"recovery": {"kind": "hope"}, `+gen+`}`)},
-		"negative retries": {"-scenario", scenario(t, `{"recovery": {"max_retries": -2}, `+gen+`}`)},
-		"bad size":         {"-scenario", scenario(t, `{"cluster": {"mem_per_node": "wat"}, `+gen+`}`)},
-		"size type":        {"-scenario", scenario(t, `{"cluster": {"mem_per_node": true}, `+gen+`}`)},
+	cases := map[string]struct {
+		args []string
+		want string // the substring the error line must contain
+	}{
+		"zero tenants":     {[]string{"-tenants", "0"}, "generate.tenants must be positive"},
+		"unknown policy":   {[]string{"-policy", "lottery"}, `unknown policy "lottery"`},
+		"missing file":     {[]string{"-scenario", filepath.Join(tmpDir, "missing.json")}, "no such file"},
+		"tenants vs jobs":  {[]string{"-tenants", "3", "-scenario", scenario(t, `{"jobs": [{"script": "GLM"}]}`)}, "override the generate section"},
+		"truncated":        {[]string{"-scenario", scenario(t, `{"jobs": [{`)}, "unexpected EOF"},
+		"unknown field":    {[]string{"-scenario", scenario(t, `{"chaos_flap": "1@45:6", `+gen+`}`)}, `unknown field "chaos_flap"`},
+		"unknown in chaos": {[]string{"-scenario", scenario(t, `{"chaos": {"flap": []}, `+gen+`}`)}, `unknown field "flap"`},
+		"no jobs":          {[]string{"-scenario", scenario(t, `{"policy": "fair"}`)}, "no jobs"},
+		"jobs + generate":  {[]string{"-scenario", scenario(t, `{"jobs": [{"script": "GLM"}], `+gen+`}`)}, "both jobs and generate"},
+		"generate kind":    {[]string{"-scenario", scenario(t, `{"generate": {"kind": "zap", "tenants": 4}}`)}, `unknown generate.kind "zap"`},
+		"file policy":      {[]string{"-scenario", scenario(t, `{"policy": "sometimes", `+gen+`}`)}, `unknown policy "sometimes"`},
+		"recovery kind":    {[]string{"-scenario", scenario(t, `{"recovery": {"kind": "hope"}, `+gen+`}`)}, `unknown recovery kind "hope"`},
+		"negative retries": {[]string{"-scenario", scenario(t, `{"recovery": {"max_retries": -2}, `+gen+`}`)}, "negative recovery.max_retries"},
+		"bad size":         {[]string{"-scenario", scenario(t, `{"cluster": {"mem_per_node": "wat"}, `+gen+`}`)}, `bad size "wat"`},
+		"size type":        {[]string{"-scenario", scenario(t, `{"cluster": {"mem_per_node": true}, `+gen+`}`)}, "cannot unmarshal bool"},
 		// Node 9 does not exist on the 2-node default cluster.
-		"fail node range": {"-scenario", scenario(t, `{"node_failures": [{"node": 9, "at": 5}], `+gen+`}`)},
-		"flap node range": {"-scenario", scenario(t, `{"chaos": {"flaps": [{"node": 9, "at": 45, "restore_after": 6}]}, `+gen+`}`)},
-		"flap no restore": {"-scenario", scenario(t, `{"chaos": {"flaps": [{"node": 1, "at": 45}]}, `+gen+`}`)},
-		"negative time":   {"-scenario", scenario(t, `{"chaos": {"groups": [{"nodes": [0], "at": -5}]}, `+gen+`}`)},
-		"slow factor < 1": {"-scenario", scenario(t, `{"chaos": {"slow_nodes": [{"node": 0, "at": 15, "factor": 0.5}]}, `+gen+`}`)},
-		"storm no gap":    {"-scenario", scenario(t, `{"chaos": {"storm": {"start": 55, "failures": 3}}, `+gen+`}`)},
+		"fail node range": {[]string{"-scenario", scenario(t, `{"chaos": {"groups": [{"nodes": [9], "at": 5}]}, `+gen+`}`)}, "group failure targets node 9 of 2"},
+		"flap node range": {[]string{"-scenario", scenario(t, `{"chaos": {"flaps": [{"node": 9, "at": 45, "restore_after": 6}]}, `+gen+`}`)}, "flap targets node 9 of 2"},
+		"flap no restore": {[]string{"-scenario", scenario(t, `{"chaos": {"flaps": [{"node": 1, "at": 45}]}, `+gen+`}`)}, "must restore after > 0s"},
+		"negative time":   {[]string{"-scenario", scenario(t, `{"chaos": {"groups": [{"nodes": [0], "at": -5}]}, `+gen+`}`)}, "negative time"},
+		"slow factor < 1": {[]string{"-scenario", scenario(t, `{"chaos": {"slow_nodes": [{"node": 0, "at": 15, "factor": 0.5}]}, `+gen+`}`)}, "factor 0.5 < 1"},
+		"storm no gap":    {[]string{"-scenario", scenario(t, `{"chaos": {"storm": {"start": 55, "failures": 3}}, `+gen+`}`)}, "storm mean gap 0"},
 	}
-	for name, args := range cases {
-		out, errOut, code := run(t, args...)
+	for name, c := range cases {
+		out, errOut, code := run(t, c.args...)
 		if code == 0 {
 			t.Errorf("%s: want non-zero exit", name)
 		}
@@ -262,6 +317,8 @@ func TestBadInput(t *testing.T) {
 		lines := strings.Split(strings.TrimRight(errOut, "\n"), "\n")
 		if len(lines) != 1 || !strings.HasPrefix(lines[0], "elastic-serve:") {
 			t.Errorf("%s: want one 'elastic-serve:' stderr line, got %q", name, errOut)
+		} else if !strings.Contains(lines[0], c.want) {
+			t.Errorf("%s: error line %q does not contain %q", name, lines[0], c.want)
 		}
 	}
 }

@@ -164,7 +164,7 @@ type WorkloadRow struct {
 
 // The workload sweep's two switches: no plan cache, and node 1 lost at 25 s.
 func cacheOff(s *workload.RunSpec)  { s.CacheEntries = -1 }
-func loseNode1(s *workload.RunSpec) { s.NodeFailures = []fault.NodeFailure{{Node: 1, At: 25}} }
+func loseNode1(s *workload.RunSpec) { s.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{1}, At: 25}} }
 
 // workloadSweep: tenant latency, queueing delay, plan-cache hit rate and
 // utilization on a deliberately tight cluster (admission contention is the
@@ -188,7 +188,7 @@ var workloadSweep = sweep[WorkloadRow]{
 		row := WorkloadRow{
 			Tenants:      spec.Generate.Tenants,
 			CacheEntries: spec.CacheEntries,
-			NodeFailure:  len(spec.NodeFailures) > 0,
+			NodeFailure:  len(spec.Chaos.Groups) > 0,
 			P50Latency:   rep.P50Latency,
 			P95Latency:   rep.P95Latency,
 			MeanQueue:    rep.MeanQueueDelay,
@@ -204,8 +204,8 @@ var workloadSweep = sweep[WorkloadRow]{
 			cacheLabel = "off"
 		}
 		if row.NodeFailure {
-			nf := spec.NodeFailures[0]
-			failLabel = fmt.Sprintf("%d@%gs", nf.Node, nf.At)
+			g := spec.Chaos.Groups[0]
+			failLabel = fmt.Sprintf("%d@%gs", g.Nodes[0], g.At)
 		}
 		return row, fmt.Sprintf("%8d %7s %9s %9.1f %9.1f %10.1f %9.1f %7.0f%% %6.0f%% %7d %7d",
 			row.Tenants, cacheLabel, failLabel, row.P50Latency, row.P95Latency, row.MeanQueue,

@@ -14,58 +14,27 @@ package workload
 type BreakerPolicy struct {
 	// Enabled turns the breaker on.
 	Enabled bool `json:"enabled"`
-	// Window is the sliding window in simulated seconds over which failure
-	// and churn events are counted (default 30).
-	Window float64 `json:"window"`
-	// FailureThreshold opens the breaker when this many node/container
-	// failures land inside the window (default 3).
-	FailureThreshold int `json:"failure_threshold"`
-	// ChurnThreshold opens the breaker when this many mid-run
-	// re-optimization changes land inside the window (default 10).
-	ChurnThreshold int `json:"churn_threshold"`
-	// Cooldown is the simulated seconds the breaker stays open before
-	// half-opening (default 20).
-	Cooldown float64 `json:"cooldown"`
-	// HalfOpenProbes is the number of successful admissions in half-open
-	// state needed to close the breaker again (default 2).
-	HalfOpenProbes int `json:"half_open_probes"`
 	// Shed rejects new first-time admissions outright while open; the
 	// default (false) downgrades them to the degraded-fallback plan
 	// instead. Failure victims retrying under their budget are never shed.
 	Shed bool `json:"shed"`
 }
 
-// DefaultBreakerPolicy returns the standard breaker configuration
-// (disabled; set Enabled to use it).
-func DefaultBreakerPolicy() BreakerPolicy {
-	return BreakerPolicy{
-		Window:           30,
-		FailureThreshold: 3,
-		ChurnThreshold:   10,
-		Cooldown:         20,
-		HalfOpenProbes:   2,
-	}
-}
-
-func (p BreakerPolicy) normalized() BreakerPolicy {
-	d := DefaultBreakerPolicy()
-	if p.Window <= 0 {
-		p.Window = d.Window
-	}
-	if p.FailureThreshold <= 0 {
-		p.FailureThreshold = d.FailureThreshold
-	}
-	if p.ChurnThreshold <= 0 {
-		p.ChurnThreshold = d.ChurnThreshold
-	}
-	if p.Cooldown <= 0 {
-		p.Cooldown = d.Cooldown
-	}
-	if p.HalfOpenProbes <= 0 {
-		p.HalfOpenProbes = d.HalfOpenProbes
-	}
-	return p
-}
+// The breaker's thresholds, in simulated seconds and event counts.
+const (
+	// breakerWindow is the sliding window over which failure and churn
+	// events are counted.
+	breakerWindow float64 = 30
+	// failureThreshold node/container failures, or churnThreshold mid-run
+	// re-optimization changes, inside the window open the breaker.
+	failureThreshold = 3
+	churnThreshold   = 10
+	// breakerCooldown is how long the breaker stays open before
+	// half-opening.
+	breakerCooldown float64 = 20
+	// halfOpenProbes successful admissions in half-open state close it.
+	halfOpenProbes = 2
+)
 
 // breakerState is the classic three-state machine.
 type breakerState int
@@ -98,7 +67,7 @@ const (
 // breaker is the service-side state machine. A nil breaker admits
 // everything (all methods are nil-safe).
 type breaker struct {
-	pol      BreakerPolicy
+	shed     bool
 	state    breakerState
 	failures []float64 // simulated times of recent failure events
 	churn    []float64 // simulated times of recent reopt changes
@@ -111,12 +80,12 @@ func newBreaker(pol BreakerPolicy) *breaker {
 	if !pol.Enabled {
 		return nil
 	}
-	return &breaker{pol: pol.normalized()}
+	return &breaker{shed: pol.Shed}
 }
 
 // prune drops window-expired events.
 func (b *breaker) prune(now float64) {
-	cut := now - b.pol.Window
+	cut := now - breakerWindow
 	for len(b.failures) > 0 && b.failures[0] < cut {
 		b.failures = b.failures[1:]
 	}
@@ -127,7 +96,7 @@ func (b *breaker) prune(now float64) {
 
 // advance applies the time-based open → half-open transition.
 func (b *breaker) advance(now float64) {
-	if b.state == bkOpen && now >= b.openedAt+b.pol.Cooldown {
+	if b.state == bkOpen && now >= b.openedAt+breakerCooldown {
 		b.state = bkHalfOpen
 		b.probes = 0
 	}
@@ -138,7 +107,7 @@ func (b *breaker) trip(now float64) {
 	if b.state == bkOpen {
 		return
 	}
-	if len(b.failures) >= b.pol.FailureThreshold || len(b.churn) >= b.pol.ChurnThreshold {
+	if len(b.failures) >= failureThreshold || len(b.churn) >= churnThreshold {
 		b.state = bkOpen
 		b.openedAt = now
 		b.trips++
@@ -182,7 +151,7 @@ func (b *breaker) gate(now float64) admissionGate {
 	if b.state != bkOpen {
 		return gateAdmit
 	}
-	if b.pol.Shed {
+	if b.shed {
 		return gateShed
 	}
 	return gateDegrade
@@ -195,7 +164,7 @@ func (b *breaker) admitted(now float64) {
 		return
 	}
 	b.probes++
-	if b.probes >= b.pol.HalfOpenProbes {
+	if b.probes >= halfOpenProbes {
 		b.state = bkClosed
 		b.failures = b.failures[:0]
 		b.churn = b.churn[:0]

@@ -9,36 +9,35 @@ import (
 // failure threshold → half-open after the cooldown → closed after enough
 // probe successes, with the sliding window dropping stale events.
 func TestBreakerLifecycle(t *testing.T) {
-	pol := BreakerPolicy{Enabled: true, Window: 10, FailureThreshold: 2,
-		ChurnThreshold: 3, Cooldown: 5, HalfOpenProbes: 2}
-	b := newBreaker(pol)
+	b := newBreaker(BreakerPolicy{Enabled: true})
 
 	if g := b.gate(0); g != gateAdmit {
 		t.Fatalf("fresh breaker gate = %v, want admit", g)
 	}
 	b.recordFailure(1)
-	if b.state != bkClosed {
-		t.Fatalf("one failure should not trip (threshold 2), state %v", b.state)
-	}
 	b.recordFailure(2)
-	if b.state != bkOpen || b.trips != 1 {
-		t.Fatalf("two failures in window should trip: state %v trips %d", b.state, b.trips)
+	if b.state != bkClosed {
+		t.Fatalf("two failures should not trip (threshold 3), state %v", b.state)
 	}
-	if g := b.gate(3); g != gateDegrade {
+	b.recordFailure(3)
+	if b.state != bkOpen || b.trips != 1 {
+		t.Fatalf("three failures in window should trip: state %v trips %d", b.state, b.trips)
+	}
+	if g := b.gate(4); g != gateDegrade {
 		t.Errorf("open breaker (Shed=false) gate = %v, want degrade", g)
 	}
-	// Cooldown expires at openedAt+5 = 7.
-	if g := b.gate(6.9); g != gateDegrade {
+	// Cooldown expires at openedAt+20 = 23.
+	if g := b.gate(22.9); g != gateDegrade {
 		t.Errorf("gate before cooldown = %v, want degrade", g)
 	}
-	if g := b.gate(7); g != gateAdmit || b.state != bkHalfOpen {
+	if g := b.gate(23); g != gateAdmit || b.state != bkHalfOpen {
 		t.Fatalf("cooldown should half-open: gate %v state %v", g, b.state)
 	}
-	b.admitted(7)
+	b.admitted(23)
 	if b.state != bkHalfOpen {
 		t.Fatalf("one probe of two should stay half-open, state %v", b.state)
 	}
-	b.admitted(8)
+	b.admitted(24)
 	if b.state != bkClosed {
 		t.Fatalf("two probes should close, state %v", b.state)
 	}
@@ -50,20 +49,20 @@ func TestBreakerLifecycle(t *testing.T) {
 // TestBreakerHalfOpenFailureReopens: a failure while half-open re-opens
 // immediately and counts as a fresh trip.
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	pol := BreakerPolicy{Enabled: true, Window: 10, FailureThreshold: 1,
-		ChurnThreshold: 100, Cooldown: 5, HalfOpenProbes: 2}
-	b := newBreaker(pol)
-	b.recordFailure(0)
-	if b.state != bkOpen {
-		t.Fatal("threshold 1 should trip on the first failure")
+	b := newBreaker(BreakerPolicy{Enabled: true})
+	for _, at := range []float64{0, 1, 2} {
+		b.recordFailure(at)
 	}
-	b.gate(5) // half-opens
+	if b.state != bkOpen {
+		t.Fatal("threshold 3 should trip on the third failure")
+	}
+	b.gate(22) // half-opens
 	if b.state != bkHalfOpen {
 		t.Fatalf("state %v, want half-open", b.state)
 	}
-	b.recordFailure(6)
-	if b.state != bkOpen || b.openedAt != 6 || b.trips != 2 {
-		t.Errorf("half-open failure should re-open at 6: state %v openedAt %g trips %d",
+	b.recordFailure(23)
+	if b.state != bkOpen || b.openedAt != 23 || b.trips != 2 {
+		t.Errorf("half-open failure should re-open at 23: state %v openedAt %g trips %d",
 			b.state, b.openedAt, b.trips)
 	}
 }
@@ -71,19 +70,21 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 // TestBreakerChurnTrips: re-optimization churn alone opens the breaker,
 // and window expiry forgets old churn.
 func TestBreakerChurnTrips(t *testing.T) {
-	pol := BreakerPolicy{Enabled: true, Window: 10, FailureThreshold: 100,
-		ChurnThreshold: 2, Cooldown: 5, HalfOpenProbes: 1, Shed: true}
-	b := newBreaker(pol)
-	b.recordChurn(0)
-	b.recordChurn(20) // the t=0 event left the window
+	b := newBreaker(BreakerPolicy{Enabled: true, Shed: true})
+	for i := 0; i < 9; i++ {
+		b.recordChurn(0)
+	}
+	b.recordChurn(31) // the t=0 events left the window
 	if b.state != bkClosed {
 		t.Fatalf("stale churn should not count, state %v", b.state)
 	}
-	b.recordChurn(21)
-	if b.state != bkOpen {
-		t.Fatal("two churn events in window should trip")
+	for at := 32.0; at <= 40; at++ {
+		b.recordChurn(at)
 	}
-	if g := b.gate(22); g != gateShed {
+	if b.state != bkOpen {
+		t.Fatal("ten churn events in window should trip")
+	}
+	if g := b.gate(41); g != gateShed {
 		t.Errorf("open breaker (Shed=true) gate = %v, want shed", g)
 	}
 }
@@ -108,14 +109,13 @@ func TestBreakerNilSafe(t *testing.T) {
 
 // TestRecoveryBackoff: exponential growth in simulated time, capped.
 func TestRecoveryBackoff(t *testing.T) {
-	p := DefaultRecoveryPolicy() // 2s, x2, cap 30
-	want := []float64{2, 4, 8, 16, 30, 30}
+	want := []float64{2, 4, 8, 16, 30, 30} // 2s, x2, cap 30
 	for i, w := range want {
-		if got := p.backoffDelay(i + 1); got != w {
+		if got := backoffDelay(i + 1); got != w {
 			t.Errorf("backoffDelay(%d) = %g, want %g", i+1, got, w)
 		}
 	}
-	if got := p.backoffDelay(0); got != 2 {
+	if got := backoffDelay(0); got != 2 {
 		t.Errorf("backoffDelay(0) = %g, want clamp to first retry", got)
 	}
 }

@@ -31,27 +31,19 @@ func linregDSJob() []JobSpec {
 	}}
 }
 
-// fastRetry is a recovery policy with trivial backoff so chaos tests
-// control timing through flap placement alone.
-func fastRetry(kind RecoveryKind, budget int) RecoveryPolicy {
-	return RecoveryPolicy{
-		Kind: kind, MaxRetries: budget,
-		Backoff: 1, BackoffMultiplier: 1, MaxBackoff: 1,
-		CheckpointCharge: 1,
-	}
-}
-
 // TestChaosRetryBudgetExhausted: flaps arriving faster than the job can
 // restart burn the retry budget; the tenant fails permanently with the
 // typed terminal error (errors.Is against the sentinel, errors.As for the
 // per-tenant detail).
 func TestChaosRetryBudgetExhausted(t *testing.T) {
 	o := DefaultOptions()
-	o.Recovery = fastRetry(RecoveryNaive, 2)
+	o.Recovery = RecoveryPolicy{Kind: RecoveryNaive, MaxRetries: 2}
+	// The backoff waits 2 s after the first loss and 4 s after the second,
+	// so each flap lands on the restarted job.
 	o.Chaos = fault.ChaosPlan{Flaps: []fault.Flap{
 		{Node: 0, At: 1, RestoreAfter: 0.5},
 		{Node: 0, At: 4, RestoreAfter: 0.5},
-		{Node: 0, At: 7, RestoreAfter: 0.5},
+		{Node: 0, At: 9, RestoreAfter: 0.5},
 	}}
 	rep, err := runChecked(t, oneNodeCluster(), linregDSJob(), o)
 	if err != nil {
@@ -100,7 +92,7 @@ func TestChaosCheckpointBeatsNaive(t *testing.T) {
 	}}
 	run := func(kind RecoveryKind) *Report {
 		o := DefaultOptions()
-		o.Recovery = fastRetry(kind, 5)
+		o.Recovery = RecoveryPolicy{Kind: kind, MaxRetries: 5}
 		o.Chaos = chaos
 		rep, err := runChecked(t, oneNodeCluster(), linregDSJob(), o)
 		if err != nil {
@@ -161,15 +153,12 @@ func breakerJobs() []JobSpec {
 
 func breakerOptions(shed bool) Options {
 	o := DefaultOptions()
-	// Group loss of nodes {2,3} at t=10 records two failures inside the
-	// window — the breaker opens at 10 and half-opens at 30.
+	// Group loss of nodes {1,2,3} at t=10 records three failures inside
+	// the window — the breaker opens at 10 and half-opens at 30.
 	o.Chaos = fault.ChaosPlan{Groups: []fault.GroupFailure{
-		{Nodes: []int{2, 3}, At: 10, RestoreAfter: 5},
+		{Nodes: []int{1, 2, 3}, At: 10, RestoreAfter: 5},
 	}}
-	o.Breaker = BreakerPolicy{
-		Enabled: true, Window: 30, FailureThreshold: 2,
-		ChurnThreshold: 100, Cooldown: 20, HalfOpenProbes: 1, Shed: shed,
-	}
+	o.Breaker = BreakerPolicy{Enabled: true, Shed: shed}
 	return o
 }
 
@@ -384,8 +373,7 @@ func chaosDemo(workers int) (conf.Cluster, []JobSpec, Options) {
 	o := DefaultOptions()
 	o.Workers = workers
 	o.TaskPolicy = mr.DefaultTaskPolicy()
-	o.Breaker = BreakerPolicy{Enabled: true, Window: 30, FailureThreshold: 3,
-		ChurnThreshold: 10, Cooldown: 20, HalfOpenProbes: 2}
+	o.Breaker = BreakerPolicy{Enabled: true}
 	o.Chaos = fault.ChaosPlan{
 		Seed:   42,
 		Groups: []fault.GroupFailure{{Nodes: []int{2, 3}, At: 40, RestoreAfter: 15}},

@@ -211,12 +211,12 @@ func TestBlockedHeadCompilesOnce(t *testing.T) {
 // sameRun reports whether two served jobs ran the same thing: the plan, the
 // width, everything written and printed, and the time on the cluster once
 // the admission charges (a cold optimization or a hit) are taken off.
-func sameRun(a, b TenantResult, o Options) bool {
+func sameRun(a, b TenantResult) bool {
 	exec := func(tn TenantResult) float64 {
 		if tn.CacheHit {
-			return tn.Latency - o.HitCharge
+			return tn.Latency - hitCharge
 		}
-		return tn.Latency - o.OptCharge
+		return tn.Latency - optCharge
 	}
 	return a.Served && b.Served && a.Config == b.Config && a.Width == b.Width &&
 		a.OutputHash == b.OutputHash && a.Prints == b.Prints && math.Abs(exec(a)-exec(b)) < 1e-9
@@ -256,7 +256,7 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 	o.CacheEntries = -1
 	plain := run("repeats-no-cache", repeats(), o, counters{compiles: n, simRuns: n})
 	for i := range cached {
-		if !sameRun(cached[i], plain[i], o) || cached[i].CacheHit != (i > 0) || plain[i].CacheHit {
+		if !sameRun(cached[i], plain[i]) || cached[i].CacheHit != (i > 0) || plain[i].CacheHit {
 			t.Errorf("a kept run differs from a fresh one:\n%+v\n%+v", cached[i], plain[i])
 		}
 	}
@@ -272,7 +272,7 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 	evicted := run("evicted", []JobSpec{
 		fixedWidthJob("A", "S", 0, 1), fixedWidthJob("A'", "S", 500, 1), fixedWidthJob("B", "XS", 500, 1),
 	}, o, counters{compiles: 4, simRuns: 3})
-	if a, a2 := evicted[0], evicted[1]; !sameRun(a, a2, o) || !sameRun(a2, cached[1], o) || a.CacheHit || !a2.CacheHit {
+	if a, a2 := evicted[0], evicted[1]; !sameRun(a, a2) || !sameRun(a2, cached[1]) || a.CacheHit || !a2.CacheHit {
 		t.Errorf("a job whose entry was evicted under it ran differently:\n%+v\n%+v", a, a2)
 	}
 

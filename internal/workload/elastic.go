@@ -129,39 +129,31 @@ func (p *Policy) UnmarshalText(b []byte) (err error) {
 
 // ElasticOptions tune the malleability machinery.
 type ElasticOptions struct {
-	// Alpha is the marginal speedup of each container beyond the first: a
-	// w-wide job runs speedup(w) = 1 + Alpha*(w-1) times faster than at
-	// width 1. Sub-linear (Alpha < 1) by default, so width has diminishing
-	// returns and the policies face a real tradeoff. Default 0.7.
-	Alpha float64 `json:"alpha"`
 	// Tick, when positive, fires a periodic elasticity decision event every
 	// Tick simulated seconds while jobs remain active, so grow/shrink
 	// decisions are not tied solely to arrivals, departures, and failures.
 	// 0 disables the tick (the default, and the pre-elasticity behavior).
 	Tick float64 `json:"tick"`
-	// ResizeCharge is the simulated seconds charged to a job at every
-	// applied width change — the §5 re-optimization plus container
-	// negotiation overhead. Default 1 (like ReoptCharge).
-	ResizeCharge float64 `json:"resize_charge"`
 }
 
-// normalized fills zero-valued fields with defaults.
-func (o ElasticOptions) normalized() ElasticOptions {
-	if o.Alpha <= 0 {
-		o.Alpha = 0.7
-	}
-	if o.ResizeCharge <= 0 {
-		o.ResizeCharge = 1
-	}
-	return o
-}
+const (
+	// alpha is the marginal speedup of each container beyond the first: a
+	// w-wide job runs speedup(w) = 1 + alpha*(w-1) times faster than at
+	// width 1. Sub-linear, so width has diminishing returns and the
+	// policies face a real tradeoff.
+	alpha float64 = 0.7
+	// resizeCharge is the simulated seconds charged to a job at every
+	// applied width change — the §5 re-optimization plus container
+	// negotiation overhead (like reoptCharge).
+	resizeCharge float64 = 1
+)
 
 // speedup maps a width onto its execution speedup over width 1.
-func (o ElasticOptions) speedup(w int) float64 {
+func speedup(w int) float64 {
 	if w <= 1 {
 		return 1
 	}
-	return 1 + o.Alpha*float64(w-1)
+	return 1 + alpha*float64(w-1)
 }
 
 // tenantView is the read-only snapshot of one job that a policy decides
@@ -198,7 +190,7 @@ type policy struct {
 
 // newPolicy builds the policy table entry — the only place the Policy
 // option is read.
-func newPolicy(p Policy, e ElasticOptions) policy {
+func newPolicy(p Policy) policy {
 	switch p {
 	case PolicyFair:
 		// The fair share is the capacity in containers of the job's size
@@ -223,7 +215,7 @@ func newPolicy(p Policy, e ElasticOptions) policy {
 				if v.blocked {
 					d, to = v.spec.MinContainers, max(v.width-v.spec.Step, 1)
 				}
-				return d, v.rem/e.speedup(v.width) - v.rem/e.speedup(to)
+				return d, v.rem/speedup(v.width) - v.rem/speedup(to)
 			}}
 	}
 	return policy{}
@@ -409,7 +401,7 @@ func (s *Service) applyResize(ev event) {
 		if j.ckpt, wasted = s.snap(j, true); wasted > 0 {
 			s.tr.Metrics().Add("workload.resize_wasted", 1)
 		}
-		s.start(r, sr, s.opts.Elastic.ResizeCharge)
+		s.start(r, sr, resizeCharge)
 	} else {
 		// The program compiled and ran at admission; a failure here is a
 		// bookkeeping bug, not a tenant error — surface it and keep the old
@@ -429,7 +421,7 @@ func (s *Service) applyResize(ev event) {
 		s.tr.Metrics().Add("workload.shrinks", 1)
 	}
 	s.brk.recordChurn(s.now)
-	s.tr.Complete(obs.LayerWorkload, "workload.resize", s.now, s.opts.Elastic.ResizeCharge,
+	s.tr.Complete(obs.LayerWorkload, "workload.resize", s.now, resizeCharge,
 		obs.A("tenant", j.result.Tenant), obs.A("from", w), obs.A("to", target),
 		obs.A("config", j.res.String()))
 	s.tr.Metrics().Add("workload.resizes", 1)

@@ -282,11 +282,11 @@ func TestRequeueClampsWidthToShrunkenCluster(t *testing.T) {
 		Elastic: ElasticSpec{MinContainers: 1, DesiredContainers: 4, MaxContainers: 4},
 	}}
 	o := DefaultOptions()
-	o.Recovery = fastRetry(RecoveryCheckpoint, 5)
+	o.Recovery = RecoveryPolicy{Kind: RecoveryCheckpoint, MaxRetries: 5}
 	// Two nodes die for good mid-run: one of them necessarily holds a
 	// container of the width-4 job (one per node), so the job requeues
 	// against a cluster that can now hold only two containers.
-	o.NodeFailures = []fault.NodeFailure{{Node: 2, At: 8}, {Node: 3, At: 8}}
+	o.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{2, 3}, At: 8}}
 	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)

@@ -166,8 +166,7 @@ func TestFuzzElasticChaos(t *testing.T) {
 	o.Workers = 4
 	o.Policy = PolicyRegret
 	o.Elastic.Tick = 1
-	o.Breaker = BreakerPolicy{Enabled: true, Window: 30, FailureThreshold: 3,
-		ChurnThreshold: 50, Cooldown: 10, HalfOpenProbes: 2}
+	o.Breaker = BreakerPolicy{Enabled: true}
 	o.Chaos = fault.ChaosPlan{Flaps: []fault.Flap{
 		{Node: 1, At: 3, RestoreAfter: 0.5},
 		{Node: 0, At: 9, RestoreAfter: 0.5},
@@ -233,7 +232,7 @@ func TestFuzzConcurrentWithFailures(t *testing.T) {
 	jobs := fuzzJobs(k)
 	o := DefaultOptions()
 	o.Workers = 4
-	o.NodeFailures = []fault.NodeFailure{{Node: 0, At: 2.5}}
+	o.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{0}, At: 2.5}}
 	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)

@@ -168,7 +168,7 @@ func runChecked(t *testing.T, cc conf.Cluster, jobs []JobSpec, o Options) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	if err := validate(jobs, cc.Nodes, s.opts.NodeFailures, s.opts.Chaos); err != nil {
+	if err := validate(jobs, cc.Nodes, s.opts.Chaos); err != nil {
 		return nil, err
 	}
 	for _, spec := range jobs {

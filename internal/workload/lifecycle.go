@@ -162,7 +162,7 @@ func (s *Service) snap(j *job, keep bool) (ckpt, wasted float64) {
 // entry — it needs no program) on a job that holds its containers and
 // schedules its departure — the one place that happens. Admission is a start
 // from width 0 charged the optimization (or cache hit) plus any state
-// restore; a resize keeps the container size and is charged ResizeCharge.
+// restore; a resize keeps the container size and is charged resizeCharge.
 // Boundary bookkeeping feeds the progress model: epoch-structured programs
 // use batch granularity instead of leaf blocks, making every batch boundary
 // an elasticity point. The remaining work divides by the (sub-linear) width
@@ -177,7 +177,7 @@ func (s *Service) start(p *planReq, sr simResult, charge float64) {
 	if sr.reused {
 		j.id.reused, j.id.simNodes, j.id.simRes = sr.outcome, s.live.Nodes, p.res
 	}
-	exec := sr.simSeconds * (1 - j.ckpt) / s.opts.Elastic.speedup(len(j.conts)) * j.slow
+	exec := sr.simSeconds * (1 - j.ckpt) / speedup(len(j.conts)) * j.slow
 	s.reschedule(j, s.now+charge, s.now+charge+exec)
 	j.result.Outputs = sr.outputs
 	j.result.Prints = sr.prints
@@ -190,7 +190,7 @@ func (s *Service) start(p *planReq, sr simResult, charge float64) {
 // identical for key-equal lookups to be semantically equal.
 func (s *Service) optOpts() opt.Options {
 	o := opt.DefaultOptions()
-	o.Points = s.opts.Points
+	o.Points = gridPoints
 	return o
 }
 
@@ -330,17 +330,17 @@ func (s *Service) admit() {
 			s.terminate(j, jsFailed, err)
 			continue
 		}
-		charge := s.opts.OptCharge
+		charge := optCharge
 		if j.result.CacheHit {
-			charge = s.opts.HitCharge
+			charge = hitCharge
 		}
 		if j.requeued {
 			// State restore: from the last checkpoint (cheap) or from
 			// scratch (the naive full re-load, paper §4.1).
 			if s.opts.Recovery.Kind == RecoveryCheckpoint {
-				charge += s.opts.Recovery.CheckpointCharge
+				charge += checkpointCharge
 			} else {
-				charge += s.opts.RequeueCharge
+				charge += requeueCharge
 			}
 			j.requeued = false
 		}
@@ -508,7 +508,7 @@ func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trig trig
 	}
 	oldRes := j.res
 	j.res, j.cost = res, cost
-	s.reschedule(j, j.execStart, s.now+s.opts.ReoptCharge+rem)
+	s.reschedule(j, j.execStart, s.now+reoptCharge+rem)
 	j.result.Reopts++
 	s.rep.ReoptChanges++
 	s.brk.recordChurn(s.now)
@@ -520,7 +520,7 @@ func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trig trig
 	default:
 		s.rep.DepartureReopts++
 	}
-	s.tr.Complete(obs.LayerWorkload, "workload.reopt", s.now, s.opts.ReoptCharge,
+	s.tr.Complete(obs.LayerWorkload, "workload.reopt", s.now, reoptCharge,
 		obs.A("tenant", j.result.Tenant), obs.A("trigger", trig.String()),
 		obs.A("from", oldRes.String()), obs.A("to", res.String()))
 	s.tr.Metrics().Add("workload.reopt_changes", 1)
@@ -657,7 +657,7 @@ func (s *Service) simulate(p *planReq) (r simResult) {
 	plan := lop.Select(c.hp, s.live, res)
 	ip := rt.New(p.j.id.mode, c.fs, s.live, res)
 	ip.Compiler = c.comp
-	ip.SimTableCols = s.opts.SimTableCols
+	ip.SimTableCols = simTableCols
 	var out bytes.Buffer
 	ip.Out = &out
 	if err := ip.Run(plan); err != nil {

@@ -19,7 +19,7 @@ func TestStressOverlapChurn(t *testing.T) {
 	o.Workers = 4
 	o.CacheEntries = 3 // far below the distinct-key count: heavy eviction
 	o.CacheShards = 1  // single-lock cache: sharding would loosen the global bound
-	o.NodeFailures = []fault.NodeFailure{{Node: 3, At: 10}, {Node: 0, At: 40}}
+	o.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{3}, At: 10}, {Nodes: []int{0}, At: 40}}
 	rep, err := Run(cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,8 @@ func (k *RecoveryKind) UnmarshalText(b []byte) error {
 
 // RecoveryPolicy governs how the service handles jobs whose AM container
 // died with a node. The zero value normalizes to checkpoint/restart with a
-// budget of 3 retries and 2s/x2/30s exponential backoff in simulated time.
+// budget of 3 retries. Every retry waits out an exponential backoff in
+// simulated time (see backoffDelay).
 type RecoveryPolicy struct {
 	// Kind selects checkpoint/restart (default) or naive from-scratch
 	// restart.
@@ -86,66 +87,32 @@ type RecoveryPolicy struct {
 	// A restart that advanced the checkpoint resets the count — the job is
 	// making progress, so the budget guards against futile churn, not
 	// against long jobs in long storms. Naive restarts never advance, so
-	// their budget depletes monotonically. Set StrictBudget to count every
-	// restart regardless of progress.
+	// their budget depletes monotonically.
 	MaxRetries int `json:"max_retries"`
-	// StrictBudget counts every container loss against MaxRetries even
-	// when the job advanced its checkpoint since the previous failure.
-	StrictBudget bool `json:"strict_budget"`
-	// Backoff is the simulated seconds a victim waits before its first
-	// re-admission attempt (default 2).
-	Backoff float64 `json:"backoff"`
-	// BackoffMultiplier grows the wait per retry (default 2).
-	BackoffMultiplier float64 `json:"backoff_multiplier"`
-	// MaxBackoff caps a single wait (default 30).
-	MaxBackoff float64 `json:"max_backoff"`
-	// CheckpointCharge is the simulated seconds charged to restore state
-	// from the last checkpoint on re-admission (default 1). Naive restarts
-	// charge Options.RequeueCharge instead.
-	CheckpointCharge float64 `json:"checkpoint_charge"`
-}
-
-// DefaultRecoveryPolicy returns the service's standard recovery behaviour.
-func DefaultRecoveryPolicy() RecoveryPolicy {
-	return RecoveryPolicy{
-		Kind:              RecoveryCheckpoint,
-		MaxRetries:        3,
-		Backoff:           2,
-		BackoffMultiplier: 2,
-		MaxBackoff:        30,
-		CheckpointCharge:  1,
-	}
 }
 
 func (p RecoveryPolicy) normalized() RecoveryPolicy {
-	d := DefaultRecoveryPolicy()
 	if p.MaxRetries <= 0 {
-		p.MaxRetries = d.MaxRetries
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = d.Backoff
-	}
-	if p.BackoffMultiplier < 1 {
-		p.BackoffMultiplier = d.BackoffMultiplier
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	if p.CheckpointCharge <= 0 {
-		p.CheckpointCharge = d.CheckpointCharge
+		p.MaxRetries = 3
 	}
 	return p
 }
 
+// The retry backoff: a victim waits backoffBase simulated seconds before
+// its first re-admission attempt, backoffMultiplier times longer before
+// each further one, and never more than maxBackoff.
+const (
+	backoffBase       float64 = 2
+	backoffMultiplier float64 = 2
+	maxBackoff        float64 = 30
+)
+
 // backoffDelay returns the simulated wait before re-admission attempt k
-// (k = 1 for the first retry): Backoff * Multiplier^(k-1), capped.
-func (p RecoveryPolicy) backoffDelay(k int) float64 {
+// (k = 1 for the first retry): backoffBase * backoffMultiplier^(k-1),
+// capped at maxBackoff.
+func backoffDelay(k int) float64 {
 	if k < 1 {
 		k = 1
 	}
-	d := p.Backoff * math.Pow(p.BackoffMultiplier, float64(k-1))
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(backoffBase*math.Pow(backoffMultiplier, float64(k-1)), maxBackoff)
 }

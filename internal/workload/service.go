@@ -216,8 +216,8 @@ type compiled struct {
 // outcome is what the service keeps of one simulated run: the duration, the
 // print stream, the folded fingerprint of everything written, and the
 // program's boundary structure (opt.DetectEpochs, else its leaf blocks).
-// simulate is a pure function of (identity, live view, configuration,
-// SimTableCols), all fixed by the key of the plan that chose the
+// simulate is a pure function of (identity, live view, configuration),
+// all fixed by the key of the plan that chose the
 // configuration (see planReq.key), so a sim-mode outcome is kept on that
 // plan-cache entry and the next job planned from it starts without a
 // program. One is retained per entry: compact, map-free, immutable.
@@ -286,7 +286,7 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 	s := &Service{
 		cc:   cc,
 		opts: o,
-		pol:  newPolicy(o.Policy, o.Elastic),
+		pol:  newPolicy(o.Policy),
 		rm:   yarn.NewResourceManager(cc),
 		live: cc,
 		tr:   o.Trace,
@@ -319,7 +319,7 @@ func Run(cc conf.Cluster, jobs []JobSpec, o Options) (*Report, error) {
 
 // Run executes one workload batch.
 func (s *Service) Run(specs []JobSpec) (*Report, error) {
-	if err := validate(specs, s.cc.Nodes, s.opts.NodeFailures, s.opts.Chaos); err != nil {
+	if err := validate(specs, s.cc.Nodes, s.opts.Chaos); err != nil {
 		return nil, err
 	}
 	for _, spec := range specs {
@@ -370,9 +370,8 @@ func (s *Service) Submit(spec JobSpec) (int, error) {
 	return s.submit(spec), nil
 }
 
-// ScheduleChaos expands and enqueues the chaos schedule — the legacy
-// single-node failures merged with the expanded chaos plan, both pure
-// functions of the options — plus the first elasticity tick. Run calls it
+// ScheduleChaos expands and enqueues the chaos schedule — a pure function
+// of the options — plus the first elasticity tick. Run calls it
 // after the batch submits; a live frontend calls it once at construction,
 // before any submission. Later calls are no-ops.
 func (s *Service) ScheduleChaos() {
@@ -380,12 +379,7 @@ func (s *Service) ScheduleChaos() {
 		return
 	}
 	s.chaosScheduled = true
-	for _, nf := range s.opts.NodeFailures {
-		s.chaos = append(s.chaos, fault.NodeEvent{
-			Kind: fault.NodeDown, At: nf.At, Nodes: []int{nf.Node}, Cause: "fail",
-		})
-	}
-	s.chaos = append(s.chaos, s.opts.Chaos.Events(s.cc.Nodes)...)
+	s.chaos = s.opts.Chaos.Events(s.cc.Nodes)
 	for i, ne := range s.chaos {
 		s.push(event{at: ne.At, kind: evChaos, chaos: i})
 	}
@@ -661,7 +655,7 @@ func (s *Service) applyNodesDown(ne fault.NodeEvent) bool {
 // the job permanently with a typed error.
 func (s *Service) failRunning(j *job, cause string) {
 	ck, _ := s.snap(j, s.opts.Recovery.Kind == RecoveryCheckpoint)
-	if ck > j.ckpt && !s.opts.Recovery.StrictBudget {
+	if ck > j.ckpt {
 		// The job advanced at least one block since its last loss: the
 		// retry budget guards against futile churn, not progress, so the
 		// consecutive-failure count starts over.
@@ -681,7 +675,7 @@ func (s *Service) failRunning(j *job, cause string) {
 		return
 	}
 	j.state = jsBackoff
-	delay := s.opts.Recovery.backoffDelay(j.retries)
+	delay := backoffDelay(j.retries)
 	s.push(event{at: s.now + delay, kind: evRetry, job: j.idx, gen: j.gen})
 	s.tr.Complete(obs.LayerWorkload, "workload.requeue", s.now, 0,
 		obs.A("tenant", j.result.Tenant), obs.A("cause", cause),

@@ -30,7 +30,7 @@ func demoJobs() []JobSpec {
 // demoOptions adds one node failure mid-workload.
 func demoOptions() Options {
 	o := DefaultOptions()
-	o.NodeFailures = []fault.NodeFailure{{Node: 1, At: 25}}
+	o.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{1}, At: 25}}
 	return o
 }
 
@@ -178,7 +178,7 @@ func TestClusterDeathLeavesUnserved(t *testing.T) {
 		{Tenant: "b", Script: scripts.LinregCG(), Scenario: datagen.New("XS", 1000, 1.0), Arrival: 100},
 	}
 	o := DefaultOptions()
-	o.NodeFailures = []fault.NodeFailure{{Node: 0, At: 1}}
+	o.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{0}, At: 1}}
 	rep, err := Run(cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
@@ -208,9 +208,8 @@ func TestValidation(t *testing.T) {
 		{"empty", nil, DefaultOptions()},
 		{"negative arrival", []JobSpec{{Script: scripts.L2SVM(), Scenario: datagen.New("XS", 1000, 1.0), Arrival: -1}}, DefaultOptions()},
 		{"no program", []JobSpec{{Tenant: "x"}}, DefaultOptions()},
-		{"failure out of range", []JobSpec{ok}, Options{NodeFailures: []fault.NodeFailure{{Node: 9, At: 1}}}},
-		{"failure negative time", []JobSpec{ok}, Options{NodeFailures: []fault.NodeFailure{{Node: 0, At: -1}}}},
-		{"duplicate failure", []JobSpec{ok}, Options{NodeFailures: []fault.NodeFailure{{Node: 0, At: 1}, {Node: 0, At: 2}}}},
+		{"failure out of range", []JobSpec{ok}, Options{Chaos: fault.ChaosPlan{Groups: []fault.GroupFailure{{Nodes: []int{9}, At: 1}}}}},
+		{"failure negative time", []JobSpec{ok}, Options{Chaos: fault.ChaosPlan{Groups: []fault.GroupFailure{{Nodes: []int{0}, At: -1}}}}},
 	}
 	for _, c := range cases {
 		if _, err := Run(cc, c.jobs, c.o); err == nil {
@@ -303,11 +302,11 @@ func loadJobs(src string) ([]JobSpec, error) {
 func TestRunSpecDefaultsAndOverrides(t *testing.T) {
 	spec, err := LoadRunSpec(strings.NewReader(`{
 		"cluster": {"nodes": 4, "mem_per_node": "1GB"},
-		"policy": "regret", "workers": 3, "cache_entries": 32, "points": 5,
+		"policy": "regret", "workers": 3, "cache_entries": 32,
 		"elastic": {"tick": 5},
 		"recovery": {"kind": "naive", "max_retries": 5},
 		"task_policy": {"speculative": false},
-		"node_failures": [{"node": 1, "at": 25}],
+		"chaos": {"groups": [{"nodes": [1], "at": 25}]},
 		"generate": {"kind": "burst", "tenants": 12, "seed": 42}
 	}`))
 	if err != nil {
@@ -316,10 +315,10 @@ func TestRunSpecDefaultsAndOverrides(t *testing.T) {
 	want := DefaultRunSpec()
 	want.Cluster.Nodes, want.Cluster.MemPerNode, want.Cluster.MaxAlloc = 4, conf.GB, conf.GB
 	want.Policy, want.Workers, want.Elastic.Tick = PolicyRegret, 3, 5
-	want.CacheEntries, want.Points = 32, 5
+	want.CacheEntries = 32
 	want.Recovery.Kind, want.Recovery.MaxRetries = RecoveryNaive, 5
 	want.TaskPolicy.Speculative = false
-	want.NodeFailures = []fault.NodeFailure{{Node: 1, At: 25}}
+	want.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{1}, At: 25}}
 	want.Generate = &GenerateSpec{Kind: "burst", Tenants: 12, Seed: 42}
 	if !reflect.DeepEqual(spec, want) {
 		t.Errorf("decoded spec:\n got %+v\nwant %+v", spec, want)

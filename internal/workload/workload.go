@@ -98,6 +98,31 @@ func (j JobSpec) name() string {
 	return j.Script.Name
 }
 
+// The service's fixed charges and model constants, in simulated seconds
+// unless noted. They are properties of the paper's model, not settings a
+// run varies.
+const (
+	// gridPoints is the optimizer's base grid resolution (the service
+	// favours responsiveness over exhaustive grids).
+	gridPoints = 7
+	// optCharge is charged for a cold optimization at admission, the order
+	// of Table 3's optimization times; a plan-cache hit charges hitCharge
+	// instead, so caching shows up directly in tenant latency.
+	optCharge float64 = 5
+	hitCharge float64 = 0.05
+	// reoptCharge is charged to a running job when a service-level
+	// re-optimization actually changes its configuration (checks that keep
+	// the configuration are free — they are cache hits).
+	reoptCharge float64 = 1
+	// requeueCharge is charged when a naive restart re-admits a failure
+	// victim from scratch (full state restore, paper §4.1); a checkpoint
+	// restart charges checkpointCharge to restore from its last checkpoint.
+	requeueCharge    float64 = 2
+	checkpointCharge float64 = 1
+	// simTableCols is the label cardinality for table() in sim mode.
+	simTableCols = 2
+)
+
 // Options configure the service.
 type Options struct {
 	// Workers bounds the service's computation fan-out: the grid
@@ -106,8 +131,10 @@ type Options struct {
 	// each search itself sequential. 1 (or 0) is sequential; any value
 	// yields byte-identical reports.
 	Workers int `json:"workers"`
-	// CacheEntries is the shared plan cache capacity (0 = default 64,
-	// negative disables caching).
+	// CacheEntries bounds the shared plan cache (negative disables
+	// caching). It is a per-shard capacity: the default sharded cache
+	// holds up to CacheEntries entries in each of its 16 stripes, so 0
+	// (64 per shard) allows up to 1,024 entries in all.
 	CacheEntries int `json:"cache_entries"`
 	// CacheShards selects the plan cache's lock striping: 0 uses the
 	// default sharded cache (16 stripes keyed by the digest's first byte),
@@ -123,34 +150,14 @@ type Options struct {
 	// re-enumerating every grid point. The memo never changes results —
 	// disabling it only costs time (ablation and benchmarking knob).
 	DisableReoptMemo bool `json:"-"`
-	// Points is the optimizer's base grid resolution (0 = 7; the service
-	// favours responsiveness over exhaustive grids).
-	Points int `json:"points"`
-	// OptCharge is the simulated seconds charged for a cold optimization
-	// at admission (default 5s, the order of Table 3's optimization
-	// times). Plan-cache hits charge HitCharge instead (default 0.05s),
-	// so caching shows up directly in tenant latency.
-	OptCharge float64 `json:"opt_charge"`
-	// HitCharge is the simulated seconds charged on a plan-cache hit.
-	HitCharge float64 `json:"hit_charge"`
-	// ReoptCharge is the simulated seconds charged to a running job when a
-	// service-level re-optimization actually changes its configuration
-	// (checks that keep the configuration are free — they are cache hits).
-	ReoptCharge float64 `json:"reopt_charge"`
-	// RequeueCharge is the simulated seconds charged when a naive restart
-	// re-admits a failure victim from scratch (full state restore, paper
-	// §4.1). Checkpoint restarts charge Recovery.CheckpointCharge instead.
-	RequeueCharge float64 `json:"requeue_charge"`
-	// NodeFailures injects permanent single-node losses at fixed simulated
-	// times (the pre-chaos interface; merged into the chaos schedule).
-	NodeFailures []fault.NodeFailure `json:"node_failures,omitempty"`
-	// Chaos injects correlated failure regimes: rack-scoped group
-	// failures, transient flaps, straggler nodes, and seeded failure
-	// storms. All expansion is deterministic.
+	// Chaos injects node failures and correlated failure regimes:
+	// rack-scoped group failures (a permanent single-node loss is a
+	// one-node group), transient flaps, straggler nodes, and seeded
+	// failure storms. All expansion is deterministic.
 	Chaos fault.ChaosPlan `json:"chaos"`
-	// Recovery governs checkpoint/restart, the per-job retry budget, and
-	// backoff for failure victims. The zero value normalizes to
-	// checkpoint/restart with 3 retries.
+	// Recovery governs checkpoint/restart and the per-job retry budget for
+	// failure victims. The zero value normalizes to checkpoint/restart
+	// with 3 retries.
 	Recovery RecoveryPolicy `json:"recovery"`
 	// Breaker configures the circuit-breaker admission guard (zero value:
 	// disabled).
@@ -160,15 +167,12 @@ type Options struct {
 	// desired-width admission, head-of-queue blocking, no resizes — exactly
 	// the pre-elasticity behavior.
 	Policy Policy `json:"policy"`
-	// Elastic tunes the malleability machinery: the width speedup model, the
-	// periodic decision tick, and the per-resize charge.
+	// Elastic tunes the malleability machinery: the periodic decision tick.
 	Elastic ElasticOptions `json:"elastic"`
 	// TaskPolicy governs straggler speculation: a slowed node's effective
 	// slowdown is capped by speculative backups exactly like a straggling
 	// task's. The zero value normalizes to Hadoop-like defaults.
 	TaskPolicy mr.TaskPolicy `json:"task_policy"`
-	// SimTableCols is the label cardinality for table() in sim mode.
-	SimTableCols int64 `json:"sim_table_cols"`
 	// Trace, when non-nil, receives workload-layer spans (tenant queue and
 	// run spans, re-optimization and failure events) stamped with the
 	// service's simulated clock, plus workload.* metrics. All events are
@@ -179,56 +183,24 @@ type Options struct {
 
 // DefaultOptions returns the service defaults.
 func DefaultOptions() Options {
-	return Options{
-		Workers:       1,
-		Points:        7,
-		OptCharge:     5,
-		HitCharge:     0.05,
-		ReoptCharge:   1,
-		RequeueCharge: 2,
-		SimTableCols:  2,
-	}
+	return Options{Workers: 1}
 }
 
 // normalized fills zero-valued fields with defaults.
 func (o Options) normalized() Options {
-	d := DefaultOptions()
 	if o.Workers < 1 {
-		o.Workers = d.Workers
-	}
-	if o.Points <= 0 {
-		o.Points = d.Points
-	}
-	if o.OptCharge <= 0 {
-		o.OptCharge = d.OptCharge
-	}
-	if o.HitCharge <= 0 {
-		o.HitCharge = d.HitCharge
-	}
-	if o.ReoptCharge <= 0 {
-		o.ReoptCharge = d.ReoptCharge
-	}
-	if o.RequeueCharge <= 0 {
-		o.RequeueCharge = d.RequeueCharge
-	}
-	if o.SimTableCols <= 0 {
-		o.SimTableCols = d.SimTableCols
+		o.Workers = 1
 	}
 	o.Recovery = o.Recovery.normalized()
 	o.TaskPolicy = o.TaskPolicy.Normalized()
-	o.Elastic = o.Elastic.normalized()
 	return o
 }
 
 // validate rejects degenerate job lists before the event loop starts.
-func validate(jobs []JobSpec, nodes int, failures []fault.NodeFailure, chaos fault.ChaosPlan) error {
+func validate(jobs []JobSpec, nodes int, chaos fault.ChaosPlan) error {
 	if err := chaos.Validate(nodes); err != nil {
 		return err
 	}
-	return validateJobs(jobs, nodes, failures)
-}
-
-func validateJobs(jobs []JobSpec, nodes int, failures []fault.NodeFailure) error {
 	if len(jobs) == 0 {
 		return fmt.Errorf("workload: empty job list")
 	}
@@ -242,19 +214,6 @@ func validateJobs(jobs []JobSpec, nodes int, failures []fault.NodeFailure) error
 		if err := j.Elastic.validate(); err != nil {
 			return fmt.Errorf("workload: job %d (%s): %w", i, j.Tenant, err)
 		}
-	}
-	seen := map[int]bool{}
-	for _, nf := range failures {
-		if nf.Node < 0 || nf.Node >= nodes {
-			return fmt.Errorf("workload: node failure targets node %d of %d", nf.Node, nodes)
-		}
-		if nf.At < 0 {
-			return fmt.Errorf("workload: node failure at negative time %g", nf.At)
-		}
-		if seen[nf.Node] {
-			return fmt.Errorf("workload: node %d fails twice", nf.Node)
-		}
-		seen[nf.Node] = true
 	}
 	return nil
 }

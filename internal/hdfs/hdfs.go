@@ -8,6 +8,7 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -116,6 +117,16 @@ func (fs *FS) tracer() *obs.Tracer {
 // New returns an empty file system.
 func New() *FS {
 	return &FS{files: make(map[string]*File)}
+}
+
+// Clone returns a copy-on-write view of the file system: the same files,
+// read-fault hook, tracer and read count under a name table of its own, so
+// what one side writes or deletes the other never sees. Sharing the files
+// is safe because a write replaces a *File and never edits one in place.
+func (fs *FS) Clone() *FS {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	return &FS{files: maps.Clone(fs.files), bytesRead: fs.bytesRead, readFault: fs.readFault, trace: fs.trace}
 }
 
 // PutMatrix stores a real matrix under the given name in binary format.

@@ -49,6 +49,16 @@ func NewCompiler(fs *hdfs.FS, params map[string]interface{}) *Compiler {
 	return &Compiler{FS: fs, Params: params}
 }
 
+// Fork returns a compiler for one run of a program c built, over the
+// run's own file system: it continues from c's ID counter without
+// advancing it and shares the function table, which no build writes. So a
+// run recompiles exactly as it would on c, and c stays as it was.
+func (c *Compiler) Fork(fs *hdfs.FS) *Compiler {
+	f := *c
+	f.FS = fs
+	return &f
+}
+
 func (c *Compiler) id() int64 {
 	c.nextID++
 	return c.nextID

@@ -8,6 +8,7 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/datagen"
+	"elasticml/internal/fault"
 	"elasticml/internal/hdfs"
 	"elasticml/internal/obs"
 	"elasticml/internal/opt"
@@ -16,10 +17,14 @@ import (
 )
 
 // A program is compiled only where one is consumed — by the optimizer on a
-// plan-cache miss and by the runtime when a simulate really has to run — and
-// a sim-mode job whose plan-cache entry already carries its simulated run
-// starts from that. These tests pin the workload.compiles, workload.sim_runs
-// and workload.sim_reuses counters to those rules.
+// plan-cache miss and by the runtime when a simulate really has to run —
+// and at most once per job, which keeps it for every later consumer. A
+// sim-mode job whose live view and configuration are those of its current
+// run starts from that run, and one whose plan-cache entry already carries
+// its simulated run starts from that. These tests pin the
+// workload.compiles, workload.sim_runs and workload.sim_reuses counters to
+// those rules: one compile per job, one simulate per distinct (live view,
+// configuration).
 
 // fixedWidthJob is a LinregDS scenario job that runs at exactly width w.
 func fixedWidthJob(tenant, size string, at float64, w int) JobSpec {
@@ -33,6 +38,15 @@ func fixedWidthJob(tenant, size string, at float64, w int) JobSpec {
 // counters reads the three deterministic work counters off a service's
 // metrics registry.
 type counters struct{ compiles, simRuns, simReuses int64 }
+
+// reusedFrom is the outcome a job's current run was started from without
+// a simulate — off a plan-cache entry or the job's own last run — or nil.
+func (r simResult) reusedFrom() *outcome {
+	if r.reused {
+		return r.outcome
+	}
+	return nil
+}
 
 func readCounters(o Options) counters {
 	m := o.Trace.Metrics().Counter
@@ -49,9 +63,9 @@ func readCounters(o Options) counters {
 // finds the run on it (they arrive in later settles, after the attach), and
 // a check that hits needs the job's identity only: 1 compile, 1 simulate, 5
 // reuses. With the cache disabled (the reference path) every lookup misses
-// and a miss needs a program for the optimizer, which the admission's
-// simulate then consumes: one compile per admission and per check, 6 + 15,
-// and six simulates.
+// and a miss needs a program for the optimizer: each job compiles at its
+// admission, its simulate and every check reuse that program, so 6
+// compiles, and six simulates.
 func TestReoptCheckDoesNotCompile(t *testing.T) {
 	const n = 6
 	for _, cacheEntries := range []int{0, -1} {
@@ -72,7 +86,7 @@ func TestReoptCheckDoesNotCompile(t *testing.T) {
 		}
 		want := counters{compiles: 1, simRuns: 1, simReuses: n - 1}
 		if cacheEntries < 0 {
-			want = counters{compiles: int64(n + rep.ReoptChecks), simRuns: n}
+			want = counters{compiles: n, simRuns: n}
 		}
 		if got := readCounters(o); got != want {
 			t.Errorf("cache %d: %+v for %d jobs and %d re-optimization checks, want %+v",
@@ -84,8 +98,9 @@ func TestReoptCheckDoesNotCompile(t *testing.T) {
 // TestBlockedHeadCompilesOnce: a queued job that place cannot fit is tried
 // again at every settle. Identifying it stages its inputs and compiles
 // nothing, and while its live and clamped keys hit, the attempts cost no
-// compile either — so a blocked head compiles exactly once per cluster view
-// the cache has never seen it under, however long it waits. The head is a
+// compile either — so a blocked head compiles once if the cache has never
+// seen it under some cluster view, else never, however long it waits and
+// however many such views it meets: the job keeps its program. The head is a
 // width-`nodes` job that needs a container on every node while a blocker
 // holds most of node 0; elasticity ticks supply the settles.
 //
@@ -94,8 +109,9 @@ func TestReoptCheckDoesNotCompile(t *testing.T) {
 // program, same inputs, same view — and the blocker's run has been on that
 // entry since t=0: the head starts from it, 0 compiles in total. In the
 // chunk-moves row the head is admitted degraded, under a clamped view that
-// is new at that very attempt: the miss compiles for the search and the same
-// program goes on to simulate, so the admission adds nothing to the miss.
+// is new at that very attempt: the miss searches with the program the head
+// compiled at its first miss, which then goes on to simulate, so the
+// admission compiles nothing.
 //
 // Every other job compiles exactly once, on its first attempt: the blocker
 // and the first tail on a miss; the later tails of the chunk-moves row are
@@ -124,7 +140,7 @@ func TestBlockedHeadCompilesOnce(t *testing.T) {
 		// leaves, the chunk grows to 1.5 GB (second), and that clamped
 		// optimum fits twice.
 		{name: "regret-chunk-moves", policy: PolicyRegret, nodes: 2, tails: 3, misses: 2, bypassed: true, degraded: true},
-		// No cache: every attempt misses, so every attempt compiles.
+		// No cache: every attempt misses, and the first compiles.
 		{name: "fifo-no-cache", policy: PolicyFIFO, nodes: 3, tails: 1, cacheEntries: -1},
 	}
 	plans := map[string]string{}
@@ -175,7 +191,7 @@ func TestBlockedHeadCompilesOnce(t *testing.T) {
 		if head.result.Degraded != row.degraded {
 			t.Errorf("%s: head admitted degraded = %v, want %v", row.name, head.result.Degraded, row.degraded)
 		}
-		if reused := head.id.reused != nil; reused != (row.cacheEntries >= 0 && !row.degraded) {
+		if reused := head.id.run.reusedFrom() != nil; reused != (row.cacheEntries >= 0 && !row.degraded) {
 			t.Errorf("%s: head started from a kept run = %v", row.name, reused)
 		}
 		others := int64(0)
@@ -184,11 +200,11 @@ func TestBlockedHeadCompilesOnce(t *testing.T) {
 				others++
 			}
 		}
-		want := row.misses
+		want := min(row.misses, 1)
 		if row.cacheEntries < 0 {
-			// First attempt, k retries, and the attempt that fits (whose
-			// program goes on to simulate), plus every §5 check so far.
-			want = int64(k) + 2 + int64(s.rep.ReoptChecks)
+			// The first attempt compiles; the k retries, the attempt that
+			// fits, its simulate and every §5 check so far reuse that.
+			want = 1
 		}
 		if got := readCounters(o).compiles - others; got != want {
 			t.Errorf("%s: head took %d compiles over %d blocked settles, want %d", row.name, got, k, want)
@@ -265,21 +281,21 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 	// alone, then A again and a different job B in one settle. place(A')
 	// hits A's entry; place(B) misses and its insert evicts that entry; the
 	// round's run then finds no entry for A', so A' compiles and simulates
-	// like the first A (and its attach finds no entry either). The fourth
-	// compile is the §5 check of A' when B departs: its entry is still gone.
+	// like the first A (and its attach finds no entry either). The §5
+	// check of A' when B departs misses too (its entry is still gone), but
+	// A' has its program by then: three compiles, one per job.
 	o = DefaultOptions()
 	o.CacheEntries, o.CacheShards = 1, 1
 	evicted := run("evicted", []JobSpec{
 		fixedWidthJob("A", "S", 0, 1), fixedWidthJob("A'", "S", 500, 1), fixedWidthJob("B", "XS", 500, 1),
-	}, o, counters{compiles: 4, simRuns: 3})
+	}, o, counters{compiles: 3, simRuns: 3})
 	if a, a2 := evicted[0], evicted[1]; !sameRun(a, a2) || !sameRun(a2, cached[1]) || a.CacheHit || !a2.CacheHit {
 		t.Errorf("a job whose entry was evicted under it ran differently:\n%+v\n%+v", a, a2)
 	}
 
 	// A value-mode job runs real matrices its own Setup stages: it always
-	// executes, and an admission stages its inputs once — identify's file
-	// system rides on the request to the compile and the simulate — as the
-	// one compile per admission did before identity was split from it.
+	// executes, and it stages its inputs once — identify's file system hangs
+	// off the job's identity, which its compile and every run share.
 	prog := verify.Corpus()[0]
 	setups := 0
 	var values []JobSpec
@@ -303,10 +319,34 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 	if got, want := readCounters(o), (counters{compiles: n, simRuns: n}); got != want || setups != n {
 		t.Errorf("value mode: %+v and %d Setup calls for %d admissions, want %+v and %d", got, setups, n, want, n)
 	}
+	hash := s.jobs[0].result.OutputHash
 	for _, tn := range s.Finalize().Tenants {
-		if !tn.Served || len(tn.Outputs) == 0 || tn.OutputHash != s.jobs[0].result.OutputHash {
+		if !tn.Served || len(tn.Outputs) == 0 || tn.OutputHash != hash {
 			t.Errorf("value mode: %s served=%v with %d outputs, hash %s", tn.Tenant, tn.Served, len(tn.Outputs), tn.OutputHash)
 		}
+	}
+
+	// A failure victim keeps its identity through the requeue: its node
+	// flaps during its first run, and the re-admission runs it again on the
+	// inputs and the program of the first — one Setup, one compile, two
+	// simulates.
+	setups = 0
+	o = DefaultOptions()
+	o.Chaos.Flaps = []fault.Flap{{Node: 0, At: 1, RestoreAfter: 1}}
+	o.Trace = obs.New(false)
+	if s, err = New(conf.DefaultCluster(), o); err != nil {
+		t.Fatal(err)
+	}
+	s.submit(values[0])
+	s.ScheduleChaos()
+	for s.Step() {
+	}
+	tn := s.Finalize().Tenants[0]
+	if got, want := readCounters(o), (counters{compiles: 1, simRuns: 2}); got != want || setups != 1 || tn.Requeues != 1 {
+		t.Errorf("requeued value job: %+v and %d Setup calls over %d requeues, want %+v and 1 over 1", got, setups, tn.Requeues, want)
+	}
+	if !tn.Served || tn.OutputHash != hash {
+		t.Errorf("requeued value job: served=%v, hash %s, want %s", tn.Served, tn.OutputHash, hash)
 	}
 }
 
@@ -369,10 +409,10 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 	clamped.MaxAlloc = 1536 * conf.MB
 	before := until("xs running", func() bool { return s.jobs[1].state == jsRunning })
 	c = until("deg0 running", func() bool { return deg0.state == jsRunning })
-	if !deg0.result.Degraded || deg0.id.reused != nil || deg0.res.String() == liveRes ||
+	if !deg0.result.Degraded || deg0.id.run.reusedFrom() != nil || deg0.res.String() == liveRes ||
 		c.compiles != before.compiles+1 || c.simRuns != before.simRuns+1 || c.simReuses != before.simReuses {
 		t.Fatalf("deg0: degraded=%v reused=%v %s (live %s), counters %+v → %+v",
-			deg0.result.Degraded, deg0.id.reused != nil, deg0.res.String(), liveRes, before, c)
+			deg0.result.Degraded, deg0.id.run.reusedFrom() != nil, deg0.res.String(), liveRes, before, c)
 	}
 	degRun := kept(deg0, clamped)
 	if degRun == nil || degRun == liveRun || *degRun == *liveRun {
@@ -382,10 +422,10 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 	// it starts from the clamped key's run.
 	before = c
 	c = until("deg1 running", func() bool { return deg1.state == jsRunning })
-	if !deg1.result.Degraded || deg1.id.reused != degRun || deg1.total != deg0.total || deg1.res.String() != deg0.res.String() ||
+	if !deg1.result.Degraded || deg1.id.run.reusedFrom() != degRun || deg1.total != deg0.total || deg1.res.String() != deg0.res.String() ||
 		c != (counters{before.compiles, before.simRuns, before.simReuses + 1}) {
 		t.Fatalf("deg1: degraded=%v from the clamped key's run=%v, counters %+v → %+v",
-			deg1.result.Degraded, deg1.id.reused == degRun, before, c)
+			deg1.result.Degraded, deg1.id.run.reusedFrom() == degRun, before, c)
 	}
 
 	// A resize re-plans under the width-clamped view. grow0 is admitted from
@@ -393,22 +433,22 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 	// a miss, simulated. grow1's admission and grow both cost a lookup, the
 	// grow from the width-clamped key's run.
 	c = until("grow0 running", func() bool { return grow0.state == jsRunning })
-	if grow0.id.reused != liveRun {
+	if grow0.id.run.reusedFrom() != liveRun {
 		t.Fatalf("grow0 was not admitted from the live key's run")
 	}
 	before = c
 	c = until("grow0 grown", func() bool { return grow0.result.Grows == 1 })
 	wide := opt.WidthClamped(s.live, grow0.conts[0].Mem)
 	wideRun := kept(grow0, wide)
-	if grow0.id.reused != nil || wideRun == nil || wideRun == liveRun || wide == s.live ||
+	if grow0.id.run.reusedFrom() != nil || wideRun == nil || wideRun == liveRun || wide == s.live ||
 		c != (counters{before.compiles + 1, before.simRuns + 1, before.simReuses}) {
 		t.Fatalf("grow0's grow: reused=%v, run on the width-clamped key %v, counters %+v → %+v",
-			grow0.id.reused != nil, wideRun, before, c)
+			grow0.id.run.reusedFrom() != nil, wideRun, before, c)
 	}
 	before = c
 	c = until("grow1 grown", func() bool { return grow1.result.Grows == 1 })
-	if grow1.id.reused != wideRun || c != (counters{before.compiles, before.simRuns, before.simReuses + 2}) {
-		t.Fatalf("grow1: grown from the width-clamped key's run=%v, counters %+v → %+v", grow1.id.reused == wideRun, before, c)
+	if grow1.id.run.reusedFrom() != wideRun || c != (counters{before.compiles, before.simRuns, before.simReuses + 2}) {
+		t.Fatalf("grow1: grown from the width-clamped key's run=%v, counters %+v → %+v", grow1.id.run.reusedFrom() == wideRun, before, c)
 	}
 	for stepChecked(t, s) {
 	}
@@ -416,6 +456,81 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 		if !tn.Served {
 			t.Errorf("%s not served: %+v", tn.Tenant, tn)
 		}
+	}
+}
+
+// TestResizeKeepsItsRun: a resize re-plans under the width-clamped view, a
+// key the job has never been planned under, but the job keeps its program
+// and its current run. A malleable mini-batch job alone on four nodes grows
+// one container a second; its grows keep the admission's configuration.
+//
+//   - The first grow misses and searches with the program the admission
+//     compiled, lands on the same configuration under the same live view,
+//     and starts from the job's own run: no compile, no simulate. That run
+//     is attached to the width-clamped key's entry on the way.
+//   - Node 3, which the job does not hold yet, flaps. The second grow
+//     happens while it is down: the live view moved, so it simulates once.
+//   - The third grow, after the restore, is back on the first grow's key,
+//     whose entry carries the run: again nothing to compile or simulate.
+func TestResizeKeepsItsRun(t *testing.T) {
+	cc := conf.DefaultCluster()
+	cc.Nodes, cc.MemPerNode, cc.MaxAlloc = 4, conf.GB, conf.GB
+	o := DefaultOptions()
+	o.Policy = PolicyRegret
+	o.Elastic.Tick = 1
+	o.Chaos.Flaps = []fault.Flap{{Node: 3, At: 5.5, RestoreAfter: 1}}
+	o.Trace = obs.New(false)
+	s, err := New(cc, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := s.jobs[s.submit(JobSpec{
+		Tenant: "mb", Script: scripts.MinibatchLR(), Scenario: datagen.New("XS", 1000, 1.0),
+		Elastic: ElasticSpec{MinContainers: 1, DesiredContainers: 1, MaxContainers: 4},
+	})]
+	s.ScheduleChaos()
+	grown := func(n int) counters {
+		t.Helper()
+		for j.result.Grows < n {
+			if !stepChecked(t, s) {
+				t.Fatalf("never saw grow %d", n)
+			}
+		}
+		return readCounters(o)
+	}
+
+	for j.state != jsRunning {
+		stepChecked(t, s)
+	}
+	c := readCounters(o)
+	admitted, res, full := j.id.run.outcome, j.res.String(), s.live
+	if c != (counters{compiles: 1, simRuns: 1}) {
+		t.Fatalf("admission: %+v", c)
+	}
+
+	before, c := c, grown(1)
+	wide := opt.WidthClamped(full, j.conts[0].Mem)
+	entry, _ := s.cache.Outcome(opt.CacheKey(j.id.source, j.id.params, j.id.inputs, wide, s.optOpts()))
+	if c != (counters{before.compiles, before.simRuns, before.simReuses + 1}) || j.res.String() != res ||
+		j.id.run.reusedFrom() != admitted || entry != admitted || wide == full {
+		t.Fatalf("grow 1: %s (was %s), counters %+v → %+v, from its own run %v, attached %v",
+			j.res.String(), res, before, c, j.id.run.reusedFrom() == admitted, entry == admitted)
+	}
+
+	before, c = c, grown(2)
+	if s.live.Nodes != 3 || c.compiles != before.compiles || c.simRuns != before.simRuns+1 || j.id.run.reused {
+		t.Fatalf("grow 2 under %d live nodes: counters %+v → %+v, reused %v", s.live.Nodes, before, c, j.id.run.reused)
+	}
+
+	before, c = c, grown(3)
+	if s.live != full || c != (counters{before.compiles, before.simRuns, before.simReuses + 1}) || j.id.run.reusedFrom() != admitted {
+		t.Fatalf("grow 3 under %d live nodes: counters %+v → %+v, from the entry's run %v",
+			s.live.Nodes, before, c, j.id.run.reusedFrom() == admitted)
+	}
+	for stepChecked(t, s) {
+	}
+	if tn := s.Finalize().Tenants[0]; !tn.Served || tn.Requeues != 0 || tn.Grows != 3 {
+		t.Errorf("want served after three grows, no requeue: %+v", tn)
 	}
 }
 
@@ -613,4 +728,42 @@ func BenchmarkRepeatJob(b *testing.B) {
 	}
 	b.ReportMetric(float64(got.compiles-warm.compiles)/float64(b.N), "compiles/op")
 	b.ReportMetric(float64(got.simRuns-warm.simRuns)/float64(b.N), "sim_runs/op")
+}
+
+// BenchmarkChurnTrace times one whole malleable trace — 24 mini-batch jobs
+// from GenerateMinibatch on a contended 2-node × 1 GB cluster under the
+// regret policy, with a straggler episode and a node flap — where resizes,
+// requeues and §5 passes re-plan running jobs all the time. It fails
+// unless every job compiles at most once.
+func BenchmarkChurnTrace(b *testing.B) {
+	cc := conf.DefaultCluster()
+	cc.Nodes, cc.MemPerNode, cc.MaxAlloc = 2, conf.GB, conf.GB
+	jobs := GenerateMinibatch(1, 24)
+	o := DefaultOptions()
+	o.Policy = PolicyRegret
+	o.Elastic.Tick = 5
+	o.Chaos = fault.ChaosPlan{
+		SlowNodes: []fault.SlowNode{{Node: 0, At: 20, Factor: 3, Duration: 40}},
+		Flaps:     []fault.Flap{{Node: 1, At: 70, RestoreAfter: 20}},
+	}
+	o.Trace = obs.New(false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Run(cc, jobs, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Grows == 0 || rep.Requeues == 0 || rep.Unserved != 0 {
+			b.Fatalf("not a churning trace: %d grows, %d requeues, %d unserved", rep.Grows, rep.Requeues, rep.Unserved)
+		}
+	}
+	b.StopTimer()
+	c := readCounters(o)
+	perOp := float64(c.compiles) / float64(b.N)
+	b.ReportMetric(perOp, "compiles/op")
+	b.ReportMetric(float64(c.simRuns)/float64(b.N), "sim_runs/op")
+	if perOp > float64(len(jobs)) {
+		b.Fatalf("%.1f compiles per trace of %d jobs", perOp, len(jobs))
+	}
 }

@@ -367,9 +367,10 @@ func (s *Service) scheduleResize(j *job, target int) bool {
 // (§5 — the plan always matches the current allocation; the view is clamped
 // to the granted container size), run it, snap progress down to the last
 // completed boundary, and start the new plan. The job is re-simulated under
-// the re-optimized configuration — or starts from the run already kept on
-// that plan's cache entry — so its outputs remain exactly the plan-invariant
-// results every fixed-width run produces.
+// the re-optimized configuration — or starts from its own current run if
+// the live view and configuration did not move, or from the run kept on
+// that plan's cache entry — so its outputs remain exactly the
+// plan-invariant results every fixed-width run produces.
 func (s *Service) applyResize(ev event) {
 	j := s.jobs[ev.job]
 	if j.state != jsRunning || ev.gen != j.gen {

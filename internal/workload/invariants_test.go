@@ -69,7 +69,7 @@ func checkInvariants(t *testing.T, s *Service) {
 				t.Errorf("t=%.3f %s: state %v still holds its identity", s.now, name, j.state)
 			}
 		case j.id != nil:
-			fresh, fs, err := s.identify(j)
+			fresh, err := s.identify(j)
 			if err != nil {
 				t.Errorf("t=%.3f %s: shadow identify: %v", s.now, name, err)
 				break
@@ -82,28 +82,30 @@ func checkInvariants(t *testing.T, s *Service) {
 			if want := opt.CacheKey(fresh.source, fresh.params, fresh.inputs, id.view, s.optOpts()); id.key != "" && id.key != want {
 				t.Errorf("t=%.3f %s: memoized key %s, want %s under %+v", s.now, name, id.key, want, id.view)
 			}
-			// A plan started from an outcome kept on a plan-cache entry runs
-			// exactly what compiling and simulating it now, under the node
-			// count and configuration it was started with, yields.
-			if id.reused != nil && j.state == jsRunning {
+			// A plan started from a kept outcome — a plan-cache entry's or
+			// the job's own last run — runs exactly what compiling and
+			// simulating it now, under the live view and configuration it
+			// was started with, yields.
+			if k := id.run; k.reused && j.state == jsRunning {
 				if id.mode != rt.ModeSim {
 					t.Errorf("t=%.3f %s: a value-mode job did not run", s.now, name)
 				}
-				c, err := s.compile(fresh, fs)
+				c, err := s.compile(fresh)
 				s.tr.Metrics().Add("workload.compiles", -1)
 				if err != nil {
 					t.Errorf("t=%.3f %s: shadow compile: %v", s.now, name, err)
 					break
 				}
+				fresh.prog = c
 				live := s.live
-				s.live.Nodes = id.simNodes
-				sr := s.simulate(&planReq{j: j, c: c, res: id.simRes})
+				s.live = k.live
+				sr := s.simulate(fresh, k.res)
 				s.live = live
 				if sr.err != nil {
 					t.Errorf("t=%.3f %s: shadow simulate: %v", s.now, name, sr.err)
-				} else if *sr.outcome != *id.reused || len(sr.outputs) != 0 {
+				} else if *sr.outcome != *k.outcome || len(sr.outputs) != 0 {
 					t.Errorf("t=%.3f %s: started from the kept outcome %+v, a fresh run under %d nodes and %s yields %+v",
-						s.now, name, *id.reused, id.simNodes, id.simRes.String(), *sr.outcome)
+						s.now, name, *k.outcome, k.live.Nodes, k.res.String(), *sr.outcome)
 				}
 			}
 		case j.state == jsRunning:

@@ -158,11 +158,12 @@ func (s *Service) snap(j *job, keep bool) (ckpt, wasted float64) {
 	return ckpt, wasted
 }
 
-// start installs a plan and its simulated run (fresh, or off the plan-cache
-// entry — it needs no program) on a job that holds its containers and
-// schedules its departure — the one place that happens. Admission is a start
-// from width 0 charged the optimization (or cache hit) plus any state
-// restore; a resize keeps the container size and is charged resizeCharge.
+// start installs a plan and its simulated run (fresh, or kept — it needs no
+// program) on a job that holds its containers, makes that run the job's
+// current one and schedules its departure — the one place that happens.
+// Admission is a start from width 0 charged the optimization (or cache hit)
+// plus any state restore; a resize keeps the container size and is charged
+// resizeCharge.
 // Boundary bookkeeping feeds the progress model: epoch-structured programs
 // use batch granularity instead of leaf blocks, making every batch boundary
 // an elasticity point. The remaining work divides by the (sub-linear) width
@@ -173,10 +174,8 @@ func (s *Service) start(p *planReq, sr simResult, charge float64) {
 	j.res, j.cost = p.res, p.cost
 	j.epochs, j.batches, j.blocks = sr.epochs, sr.batches, sr.blocks
 	j.total = sr.simSeconds
-	j.id.reused = nil
-	if sr.reused {
-		j.id.reused, j.id.simNodes, j.id.simRes = sr.outcome, s.live.Nodes, p.res
-	}
+	j.id.run = sr
+	j.id.run.live, j.id.run.res = s.live, p.res
 	exec := sr.simSeconds * (1 - j.ckpt) / speedup(len(j.conts)) * j.slow
 	s.reschedule(j, s.now+charge, s.now+charge+exec)
 	j.result.Outputs = sr.outputs
@@ -195,10 +194,7 @@ func (s *Service) optOpts() opt.Options {
 }
 
 // planReq is one optimization problem — a job's identity under a cluster
-// view — and, after plan, its answer. fs holds the job's staged inputs if
-// this admission already ran identify, and c its program if a cache miss
-// already built one; whoever compiles or simulates next consumes them, so
-// an admission stages inputs once and compiles at most once.
+// view — and, after plan, its answer.
 //
 // key is the plan-cache key the answer came from. Every view plan sees is
 // the live view with only MaxAlloc lowered, and the cluster's own MaxAlloc
@@ -207,8 +203,6 @@ func (s *Service) optOpts() opt.Options {
 // run may keep a simulated outcome on the entry under this key.
 type planReq struct {
 	j    *job
-	fs   *hdfs.FS
-	c    *compiled
 	view conf.Cluster
 	key  string
 	res  conf.Resources
@@ -219,8 +213,8 @@ type planReq struct {
 
 // plan resolves optimization problems through the shared plan cache and
 // the per-program re-costing memos — the only path to the optimizer. A hit
-// needs only the job's identity; a miss needs a program for the optimizer
-// and compiles one unless the request brought it. The cache lookups (and,
+// needs only the job's identity; a miss needs the job's program for the
+// optimizer and compiles it if the job has none yet. The cache lookups (and,
 // on a miss, the compile and the memo fetch — the memo key excludes the
 // cluster, so searches for one program under shifting views share a cost
 // table) run sequentially in request order, only the searches fan out to
@@ -234,14 +228,16 @@ func (s *Service) plan(reqs ...*planReq) {
 	for i, r := range reqs {
 		id := r.j.id
 		r.key = id.cacheKey(r.view, opts)
-		if r.res, r.cost, r.hit = s.cache.Lookup(r.key); !r.hit && s.program(r) == nil {
-			memos[i] = s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
+		if r.res, r.cost, r.hit = s.cache.Lookup(r.key); !r.hit {
+			if r.err = s.program(r.j); r.err == nil {
+				memos[i] = s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
+			}
 		}
 	}
 	s.fanOut(len(reqs), func(i int) {
 		if r := reqs[i]; !r.hit && r.err == nil {
 			o := &opt.Optimizer{CC: r.view, Opts: opts}
-			out := o.OptimizeMemo(r.c.hp, memos[i])
+			out := o.OptimizeMemo(r.j.id.prog.hp, memos[i])
 			r.res, r.cost = out.Res, out.Cost
 		}
 	})
@@ -253,32 +249,36 @@ func (s *Service) plan(reqs ...*planReq) {
 }
 
 // run yields the simulated run of each planned request. A sim-mode request
-// whose plan-cache entry carries the outcome takes it from there; any other
-// gets a program and is simulated, and a sim-mode outcome is then attached
-// to the entry the plan came from, if it is still there. Value-mode jobs
-// run real matrices staged by their own Setup, so they always execute. The
-// entry reads (and the compiles — Setup is tenant code) run in request
-// order before the simulations fan out and the attaches after them, like
-// plan's lookups and inserts: same-key requests of one batch all simulate,
-// and nothing depends on the worker count.
+// starts from its job's current run if that ran under this live view and
+// configuration, else from its plan-cache entry's; any other is simulated
+// on the job's program. Either way a sim-mode outcome is then attached to
+// the entry, if it is still there. Value-mode jobs run real matrices staged
+// by their own Setup, so they always execute. The reads (and the compiles)
+// run in request order before the simulations fan out and the attaches
+// after them, like plan's lookups and inserts: same-key requests of one
+// batch all simulate, and nothing depends on the worker count.
 func (s *Service) run(reqs ...*planReq) []simResult {
 	sims := make([]simResult, len(reqs))
 	for i, p := range reqs {
-		sim := p.err == nil && p.j.id.mode == rt.ModeSim
-		if o, ok := s.cache.Outcome(p.key); ok && sim {
+		id := p.j.id
+		o, kept := s.cache.Outcome(p.key)
+		if k := id.run; k.outcome != nil && k.live == s.live && resEqual(k.res, p.res) {
+			o, kept = k.outcome, true
+		}
+		if kept && id.mode == rt.ModeSim {
 			sims[i] = simResult{outcome: o.(*outcome), reused: true}
 			s.tr.Metrics().Add("workload.sim_reuses", 1)
-		} else if sims[i].err = s.program(p); sims[i].err == nil {
+		} else if sims[i].err = s.program(p.j); sims[i].err == nil {
 			s.tr.Metrics().Add("workload.sim_runs", 1)
 		}
 	}
 	s.fanOut(len(reqs), func(i int) {
 		if !sims[i].reused && sims[i].err == nil {
-			sims[i] = s.simulate(reqs[i])
+			sims[i] = s.simulate(reqs[i].j.id, reqs[i].res)
 		}
 	})
 	for i, p := range reqs {
-		if !sims[i].reused && sims[i].err == nil && p.j.id.mode == rt.ModeSim {
+		if sims[i].err == nil && p.j.id.mode == rt.ModeSim {
 			s.cache.Attach(p.key, sims[i].outcome)
 		}
 	}
@@ -385,7 +385,7 @@ func (s *Service) place(j *job) (*planReq, placement) {
 		// every later one plans from it. Neither compiles: a program that
 		// does not compile fails at its first cache miss, below.
 		var err error
-		if j.id, a.fs, err = s.identify(j); err != nil {
+		if j.id, err = s.identify(j); err != nil {
 			s.terminate(j, jsFailed, err)
 			return nil, dropped
 		}
@@ -395,10 +395,10 @@ func (s *Service) place(j *job) (*planReq, placement) {
 	// clamp re-plans with the allocation ceiling lowered and adopts the
 	// result if its container fits the free chunk.
 	clamp := func(maxAlloc conf.Bytes) bool {
-		r := &planReq{j: j, fs: a.fs, c: a.c, view: s.live}
+		r := &planReq{j: j, view: s.live}
 		r.view.MaxAlloc = maxAlloc
 		s.plan(r)
-		a.fs, a.c, a.err = r.fs, r.c, r.err
+		a.err = r.err
 		if a.err != nil || s.cc.ContainerSize(r.res.CP) > chunk {
 			return false
 		}
@@ -580,19 +580,13 @@ func resEqual(a, b conf.Resources) bool {
 	return true
 }
 
-// program makes sure a request carries a compiled program — the one an
-// earlier cache miss built, else a fresh one over the inputs this admission
-// staged, staging them if it has not — and reports why it does not.
-func (s *Service) program(p *planReq) error {
-	if p.c == nil && p.err == nil {
-		if p.fs == nil {
-			_, p.fs, p.err = s.identify(p.j)
-		}
-		if p.err == nil {
-			p.c, p.err = s.compile(p.j.id, p.fs)
-		}
+// program makes sure the job has its compiled program, compiling it over
+// the staged inputs the first time one is consumed, and reports why not.
+func (s *Service) program(j *job) (err error) {
+	if j.id.prog == nil {
+		j.id.prog, err = s.compile(j.id)
 	}
-	return p.err
+	return err
 }
 
 // recovered, deferred, turns a panic into the function's error: Setup is
@@ -607,16 +601,17 @@ func recovered(err *error) {
 // identity — the input metadata among it — that the cache key covers. It
 // reads nothing but the job's spec and compiles nothing: the compiler never
 // writes the file system, so the listing is what it would be after one.
-func (s *Service) identify(j *job) (id *identity, fs *hdfs.FS, err error) {
+// It is the one place a value-mode job's Setup runs, once per job.
+func (s *Service) identify(j *job) (id *identity, err error) {
 	defer recovered(&err)
-	fs = hdfs.New()
+	fs := hdfs.New()
 	if j.spec.Source != "" {
-		id = &identity{mode: rt.ModeValue, source: j.spec.Source, params: j.spec.Params}
+		id = &identity{mode: rt.ModeValue, source: j.spec.Source, params: j.spec.Params, fs: fs}
 		if j.spec.Setup != nil {
 			j.spec.Setup(fs)
 		}
 	} else {
-		id = &identity{mode: rt.ModeSim, source: j.spec.Script.Source, params: j.spec.Script.Params}
+		id = &identity{mode: rt.ModeSim, source: j.spec.Script.Source, params: j.spec.Script.Params, fs: fs}
 		datagen.Describe(fs, j.spec.Scenario)
 	}
 	for _, name := range fs.List() {
@@ -629,34 +624,38 @@ func (s *Service) identify(j *job) (id *identity, fs *hdfs.FS, err error) {
 			Format: f.Format.String(),
 		})
 	}
-	return id, fs, nil
+	return id, nil
 }
 
-// compile builds an identity's program from source over its staged inputs.
-func (s *Service) compile(id *identity, fs *hdfs.FS) (c *compiled, err error) {
+// compile builds an identity's program from source over its staged inputs;
+// a failed or panicking build yields no program.
+func (s *Service) compile(id *identity) (c *compiled, err error) {
 	defer recovered(&err)
 	s.tr.Metrics().Add("workload.compiles", 1)
 	prog, err := dml.Parse(id.source)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	c = &compiled{fs: fs, comp: hop.NewCompiler(fs, id.params)}
-	if c.hp, err = c.comp.Compile(prog, id.source); err != nil {
+	comp := hop.NewCompiler(id.fs, id.params)
+	hp, err := comp.Compile(prog, id.source)
+	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	return c, nil
+	return &compiled{comp: comp, hp: hp}, nil
 }
 
-// simulate executes a planned job's program under its configuration on the
+// simulate executes an identity's program under a configuration on the
 // runtime and folds the run into an outcome (plus, for value-mode jobs, the
-// written matrices). It runs on pool workers: it touches no service state
-// besides read-only fields, and emits no trace events.
-func (s *Service) simulate(p *planReq) (r simResult) {
+// written matrices). The run gets its own view of the staged file system
+// and a fork of the compiler, so the program stays as it was. It runs on
+// pool workers: it touches no service state besides read-only fields, and
+// emits no trace events.
+func (s *Service) simulate(id *identity, res conf.Resources) (r simResult) {
 	defer recovered(&r.err)
-	c, res := p.c, p.res
+	c, fs := id.prog, id.fs.Clone()
 	plan := lop.Select(c.hp, s.live, res)
-	ip := rt.New(p.j.id.mode, c.fs, s.live, res)
-	ip.Compiler = c.comp
+	ip := rt.New(id.mode, fs, s.live, res)
+	ip.Compiler = c.comp.Fork(fs)
 	ip.SimTableCols = simTableCols
 	var out bytes.Buffer
 	ip.Out = &out
@@ -671,11 +670,11 @@ func (s *Service) simulate(p *planReq) (r simResult) {
 	o.blocks = max(o.blocks, 1)
 	var paths []string
 	dims := map[string][3]int64{}
-	for _, name := range c.fs.List() {
+	for _, name := range fs.List() {
 		if !strings.HasPrefix(name, "/out") {
 			continue
 		}
-		f, err := c.fs.Stat(name)
+		f, err := fs.Stat(name)
 		if err != nil {
 			continue
 		}

@@ -176,19 +176,20 @@ type identity struct {
 	params map[string]interface{}
 	inputs []opt.InputMeta
 
+	// fs holds the inputs identify staged, and prog the program the job's
+	// first consumer of one compiled over them (see program).
+	fs   *hdfs.FS
+	prog *compiled
+
 	// key is the cache key under view, the one view the job was last keyed
 	// under: a running job is re-checked under the same view until the
 	// cluster changes, so one entry saves re-hashing the source per check.
 	view conf.Cluster
 	key  string
 
-	// reused is the outcome the job's current plan was started from if it
-	// came off a plan-cache entry (else nil), with what the simulate it
-	// replaced would have been given: the live node count and the
-	// configuration. The continuous invariants re-run it from these.
-	reused   *outcome
-	simNodes int
-	simRes   conf.Resources
+	// run is the job's current run, with the live view and configuration
+	// start installed it under: a re-plan that keeps both starts from it.
+	run simResult
 }
 
 // cacheKey returns the identity's plan-cache key under a cluster view.
@@ -199,16 +200,13 @@ func (id *identity) cacheKey(view conf.Cluster, opts opt.Options) string {
 	return id.key
 }
 
-// compiled is one job's freshly compiled program over its staged inputs. A
-// program is built only where one is consumed — by the optimizer on a
-// plan-cache miss, by the runtime when a simulate really has to run — and
-// dropped with that call chain. What a run mutates is measured
-// (TestSimulateLeavesProgramUntouched): hp stays bit-identical through
-// lop.Select and Interp.Run (dynamic recompilation builds new blocks), comp's
-// ID counter advances by the hops recompiled, and fs gains the /out files.
-// Those two are all that keeps a program from being retained and shared.
+// compiled is one job's program over its staged inputs, built once and
+// never changed by a run (TestSimulateLeavesProgramUntouched): hp stays
+// bit-identical through lop.Select and Interp.Run, because dynamic
+// recompilation builds new blocks on a fork of comp that keeps its own ID
+// counter, and the run writes its /out files to its own view of the file
+// system. So any number of runs, on any goroutines, may share one.
 type compiled struct {
-	fs   *hdfs.FS
 	comp *hop.Compiler
 	hp   *hop.Program
 }
@@ -217,10 +215,10 @@ type compiled struct {
 // print stream, the folded fingerprint of everything written, and the
 // program's boundary structure (opt.DetectEpochs, else its leaf blocks).
 // simulate is a pure function of (identity, live view, configuration),
-// all fixed by the key of the plan that chose the
-// configuration (see planReq.key), so a sim-mode outcome is kept on that
-// plan-cache entry and the next job planned from it starts without a
-// program. One is retained per entry: compact, map-free, immutable.
+// all fixed by the key of the plan that chose the configuration (see
+// planReq.key), so a sim-mode outcome is kept on that plan-cache entry,
+// and on the job as its current run, and the next plan of the same inputs
+// starts from it without a program. Compact, map-free, immutable.
 type outcome struct {
 	simSeconds              float64
 	prints                  string
@@ -229,12 +227,14 @@ type outcome struct {
 }
 
 // simResult is one job's simulated execution: the outcome, plus, for
-// value-mode jobs, the matrices written.
+// value-mode jobs, the matrices written, and what start ran it under.
 type simResult struct {
 	*outcome
-	reused  bool // off the plan-cache entry: nothing was executed
+	reused  bool // off a plan-cache entry or the job's own run: nothing was executed
 	outputs map[string]*matrix.Matrix
 	err     error
+	live    conf.Cluster
+	res     conf.Resources
 }
 
 // Service is the multi-tenant elastic job service. Create with New, drive

@@ -23,11 +23,11 @@ race:
 	$(GO) test -race ./...
 
 # The concurrent packages get a second, repeated race pass: -count=2 re-runs
-# every test against warm state (the kernel pool starts its workers lazily,
-# the plan cache and memo store start empty), and scheduling-sensitive races
-# get a second draw. These are the packages with goroutines of their own:
-# the kernel pool (matrix), the CP interpreter (rt), the
-# parallel optimizer's worker pool, whose workers fill the result slots of
+# every test against warm state (the plan cache and memo store start
+# empty), and scheduling-sensitive races get a second draw. These are the
+# packages whose state goroutines share: the CP interpreter (rt), which
+# the service runs on its fan-out goroutines, the parallel optimizer's
+# worker pool, whose workers fill the result slots of
 # points the master prepared and each select through a private lop.Table
 # while the master selects through its own, plus the sharded cache and
 # shared memos (opt, whose path-equivalence test runs the paper grid at 4
@@ -35,7 +35,7 @@ race:
 # and sequencer (server), and the ResourceManager every one of them
 # allocates from (yarn).
 race2:
-	$(GO) test -race -count=2 ./internal/matrix ./internal/rt ./internal/opt ./internal/workload ./internal/server ./internal/yarn
+	$(GO) test -race -count=2 ./internal/rt ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 
 # Each native fuzz target, for a fixed short time. A finding lands in the
 # package's testdata/fuzz/ as a regression input for plain `go test`.

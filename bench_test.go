@@ -43,15 +43,9 @@ func BenchmarkTable5(b *testing.B)    { benchExperiment(b, "table5") }
 func BenchmarkTable6(b *testing.B)    { benchExperiment(b, "table6") }
 func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
 
-// benchMulAt times a 1000x1000 dense matrix multiply under a fixed kernel
-// worker count. Comparing Workers1 against WorkersN on multi-core hardware
-// shows the CP pool's speedup (the §6 multi-threaded CP extension); results
-// are byte-identical across worker counts by construction.
-func benchMulAt(b *testing.B, workers int) {
-	b.Helper()
-	prev := matrix.Parallelism()
-	matrix.SetParallelism(workers)
-	defer matrix.SetParallelism(prev)
+// BenchmarkDenseMul times a 1000x1000 dense matrix multiply, the number on
+// the CP runtime's cache-blocked dense kernel.
+func BenchmarkDenseMul(b *testing.B) {
 	x := matrix.Random(1000, 1000, 1.0, -1, 1, 7)
 	y := matrix.Random(1000, 1000, 1.0, -1, 1, 8)
 	b.SetBytes(2 * 1000 * 1000 * 8)
@@ -60,7 +54,3 @@ func benchMulAt(b *testing.B, workers int) {
 		_ = matrix.Mul(x, y)
 	}
 }
-
-func BenchmarkDenseMulWorkers1(b *testing.B) { benchMulAt(b, 1) }
-func BenchmarkDenseMulWorkers2(b *testing.B) { benchMulAt(b, 2) }
-func BenchmarkDenseMulWorkers4(b *testing.B) { benchMulAt(b, 4) }

@@ -64,6 +64,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "elastic-opt:", err)
 		os.Exit(2)
 	}
+	if !(*load >= 0 && *load < 1) {
+		fmt.Fprintf(os.Stderr, "elastic-opt: -load %g outside [0, 1)\n", *load)
+		os.Exit(2)
+	}
 
 	var tr *obs.Tracer
 	if *traceOut != "" || *metrics || *jsonOut {

@@ -85,6 +85,8 @@ func TestBadFlagsExitCode(t *testing.T) {
 		{"-program", "Bogus"},
 		{"-program", "LinregDS", "-size", "XXL"},
 		{"-program", "LinregDS", "-size", "XS", "-grid", "nope"},
+		{"-program", "LinregDS", "-size", "XS", "-load", "1.5"},
+		{"-program", "LinregDS", "-size", "XS", "-load", "-0.1"},
 		{"-not-a-flag"},
 	}
 	for _, args := range cases {

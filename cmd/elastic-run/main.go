@@ -28,7 +28,6 @@ import (
 	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
 	"elasticml/internal/lop"
-	"elasticml/internal/matrix"
 	"elasticml/internal/mr"
 	"elasticml/internal/obs"
 	"elasticml/internal/opt"
@@ -52,7 +51,7 @@ func main() {
 		mrFlag   = flag.String("mr", "2GB", "MR task max heap")
 		optimize = flag.Bool("optimize", false, "run initial resource optimization")
 		doAdapt  = flag.Bool("adapt", false, "enable runtime resource adaptation")
-		dop      = flag.Int("dop", 1, "CP degree of parallelism: cores used by matrix kernels and parfor (1 = the paper's single-threaded CP)")
+		dop      = flag.Int("dop", 1, "CP cores: the cost model divides CP compute by them and parfor runs up to this many workers (1 = the paper's single-threaded CP)")
 		classes  = flag.Int64("classes", 20, "label cardinality (table() output width)")
 		verbose  = flag.Bool("v", false, "stream program print() output")
 		explain  = flag.Bool("explain", false, "print the runtime plan before executing")
@@ -95,9 +94,6 @@ func main() {
 
 	fs := hdfs.New()
 	fs.SetTracer(tr)
-	// Matrix worker-pool counters (kernels, chunks, stolen) land in the
-	// same registry as the runtime counters.
-	matrix.SetMetrics(tr.Metrics())
 	datagen.Describe(fs, s)
 
 	fplan := fault.Plan{

@@ -305,6 +305,8 @@ func TestBadInput(t *testing.T) {
 		"negative time":   {[]string{"-scenario", scenario(t, `{"chaos": {"groups": [{"nodes": [0], "at": -5}]}, `+gen+`}`)}, "negative time"},
 		"slow factor < 1": {[]string{"-scenario", scenario(t, `{"chaos": {"slow_nodes": [{"node": 0, "at": 15, "factor": 0.5}]}, `+gen+`}`)}, "factor 0.5 < 1"},
 		"storm no gap":    {[]string{"-scenario", scenario(t, `{"chaos": {"storm": {"start": 55, "failures": 3}}, `+gen+`}`)}, "storm mean gap 0"},
+		"tiny tick":       {[]string{"-scenario", scenario(t, `{"elastic": {"tick": 1e-12}, `+gen+`}`)}, "elastic.tick must be 0 (off) or at least 1"},
+		"negative tick":   {[]string{"-scenario", scenario(t, `{"elastic": {"tick": -5}, `+gen+`}`)}, "got -5"},
 	}
 	for name, c := range cases {
 		out, errOut, code := run(t, c.args...)

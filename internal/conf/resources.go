@@ -49,9 +49,10 @@ func (r Resources) Cores() int {
 }
 
 // WithCores returns a copy of the vector with the CP core count set (the
-// MR slice is shared; values below 1 select the single-threaded CP). This
-// is the degree-of-parallelism knob threaded from the cmd flags through
-// the optimizer's core enumeration into the runtime's kernel pool.
+// MR slice is shared; values below 1 select the single-threaded CP). The
+// count is threaded from the cmd flags through the optimizer's core
+// enumeration into the cost model, which divides CP compute by it, and the
+// parfor plan, which runs up to that many workers.
 func (r Resources) WithCores(cores int) Resources {
 	r.CPCores = cores
 	return r

@@ -96,53 +96,37 @@ func Agg(op AggOp, a *Matrix) float64 {
 	panic(fmt.Sprintf("matrix: unknown aggregate %d", op))
 }
 
-// aggRowGrain is the rows-per-chunk grain for row-partitioned aggregates.
-const aggRowGrain = 64
-
-// RowSums returns the rows x 1 vector of per-row sums. Rows are partitioned
-// across the worker pool; each row's sum is accumulated in the sequential
-// order, so results are byte-identical for any parallelism.
+// RowSums returns the rows x 1 vector of per-row sums.
 func RowSums(a *Matrix) *Matrix {
 	out := NewDense(a.rows, 1)
 	if a.sp != nil {
-		parRange(a.rows, aggRowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				a.sp.eachRow(i, func(_ int, v float64) { out.dense[i] += v })
-			}
-		})
+		for i := 0; i < a.rows; i++ {
+			a.sp.eachRow(i, func(_ int, v float64) { out.dense[i] += v })
+		}
 		return out
 	}
-	parRange(a.rows, aggRowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			for j := 0; j < a.cols; j++ {
-				s += a.dense[i*a.cols+j]
-			}
-			out.dense[i] = s
+	for i := 0; i < a.rows; i++ {
+		var s float64
+		for _, v := range a.dense[i*a.cols : (i+1)*a.cols] {
+			s += v
 		}
-	})
+		out.dense[i] = s
+	}
 	return out
 }
 
-// ColSums returns the 1 x cols vector of per-column sums. The dense path is
-// partitioned by column range: every worker scans rows in ascending order,
-// so each column accumulates in the sequential order. The sparse path stays
-// sequential — a column partition would rescan all stored non-zeros per
-// chunk for an O(nnz) memory-bound pass.
+// ColSums returns the 1 x cols vector of per-column sums.
 func ColSums(a *Matrix) *Matrix {
 	out := NewDense(1, a.cols)
 	if a.sp != nil {
 		a.sp.each(func(_, j int, v float64) { out.dense[j] += v })
 		return out
 	}
-	parRange(a.cols, chunkGrain(a.cols, 64), func(clo, chi int) {
-		for i := 0; i < a.rows; i++ {
-			ri := a.dense[i*a.cols:]
-			for j := clo; j < chi; j++ {
-				out.dense[j] += ri[j]
-			}
+	for i := 0; i < a.rows; i++ {
+		for j, v := range a.dense[i*a.cols : (i+1)*a.cols] {
+			out.dense[j] += v
 		}
-	})
+	}
 	return out
 }
 
@@ -150,17 +134,15 @@ func ColSums(a *Matrix) *Matrix {
 func RowMaxs(a *Matrix) *Matrix {
 	out := NewDense(a.rows, 1)
 	d := a.ToDense()
-	parRange(a.rows, aggRowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			best := math.Inf(-1)
-			for j := 0; j < a.cols; j++ {
-				if v := d.dense[i*a.cols+j]; v > best {
-					best = v
-				}
+	for i := 0; i < a.rows; i++ {
+		best := math.Inf(-1)
+		for _, v := range d.dense[i*a.cols : (i+1)*a.cols] {
+			if v > best {
+				best = v
 			}
-			out.dense[i] = best
 		}
-	})
+		out.dense[i] = best
+	}
 	return out
 }
 

@@ -1,10 +1,131 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// dn builds a fully dense random operand; sprnd builds a forced-CSR sparse
+// one.
+func dn(r, c int, seed int64) *Matrix {
+	if r == 0 || c == 0 {
+		return NewDense(r, c)
+	}
+	return Random(r, c, 1.0, -1, 1, seed).ToDense()
+}
+
+func sprnd(r, c int, seed int64) *Matrix {
+	if r == 0 || c == 0 {
+		return NewSparse(r, c)
+	}
+	return Random(r, c, 0.2, -1, 1, seed).ToSparse()
+}
+
+// kernelCase is one kernel result and the naive per-cell oracle it must
+// equal exactly. Every kernel accumulates a cell in the oracle's order
+// (ascending inner index; skipped zero terms add only a signed zero, which
+// leaves a sum unchanged), so no case needs a tolerance.
+type kernelCase struct {
+	name       string
+	got        *Matrix
+	rows, cols int
+	want       func(i, j int) float64
+}
+
+func checkKernels(t *testing.T, cases []kernelCase) {
+	t.Helper()
+	for _, c := range cases {
+		if c.got.Rows() != c.rows || c.got.Cols() != c.cols {
+			t.Errorf("%s: dims %dx%d, want %dx%d", c.name, c.got.Rows(), c.got.Cols(), c.rows, c.cols)
+			continue
+		}
+		for i := 0; i < c.rows; i++ {
+			for j := 0; j < c.cols; j++ {
+				if got, want := c.got.At(i, j), c.want(i, j); got != want {
+					t.Errorf("%s[%d,%d] = %v, want %v", c.name, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// mulCases runs Mul's four density dispatches over an m x k by k x n
+// product.
+func mulCases(m, k, n int) []kernelCase {
+	var cases []kernelCase
+	for _, f := range []struct {
+		tag  string
+		a, b *Matrix
+	}{
+		{"dd", dn(m, k, 1), dn(k, n, 2)},
+		{"sd", sprnd(m, k, 3), dn(k, n, 4)},
+		{"ds", dn(m, k, 5), sprnd(k, n, 6)},
+		{"ss", sprnd(m, k, 7), sprnd(k, n, 8)},
+	} {
+		a, b := f.a, f.b
+		cases = append(cases, kernelCase{fmt.Sprintf("mul_%s_%dx%dx%d", f.tag, m, k, n), Mul(a, b), m, n, func(i, j int) float64 {
+			var s float64
+			for p := 0; p < k; p++ {
+				s += a.At(i, p) * b.At(p, j)
+			}
+			return s
+		}})
+	}
+	return cases
+}
+
+// operandCases runs every single-operand kernel on a: the row and column
+// aggregates, unary ops (sparse-safe and not), scalar ops on either side
+// and an equal-shape EW.
+func operandCases(tag string, a *Matrix) []kernelCase {
+	r, c := a.Rows(), a.Cols()
+	cell := func(name string, got *Matrix, f func(v float64) float64) kernelCase {
+		return kernelCase{name + "_" + tag, got, r, c, func(i, j int) float64 { return f(a.At(i, j)) }}
+	}
+	return []kernelCase{
+		{"rowsums_" + tag, RowSums(a), r, 1, func(i, _ int) float64 {
+			var s float64
+			for j := 0; j < c; j++ {
+				s += a.At(i, j)
+			}
+			return s
+		}},
+		{"colsums_" + tag, ColSums(a), 1, c, func(_, j int) float64 {
+			var s float64
+			for i := 0; i < r; i++ {
+				s += a.At(i, j)
+			}
+			return s
+		}},
+		{"rowmaxs_" + tag, RowMaxs(a), r, 1, func(i, _ int) float64 {
+			best := math.Inf(-1)
+			for j := 0; j < c; j++ {
+				best = math.Max(best, a.At(i, j))
+			}
+			return best
+		}},
+		cell("unary_sqrt", Unary(Sqrt, Unary(Abs, a)), func(v float64) float64 { return math.Sqrt(math.Abs(v)) }),
+		cell("unary_exp", Unary(Exp, a), math.Exp),
+		cell("ewsr_mul", EWScalarRight(MulEW, a, 1.75), func(v float64) float64 { return v * 1.75 }),
+		cell("ewsr_add", EWScalarRight(Add, a, -0.5), func(v float64) float64 { return v + -0.5 }),
+		cell("ewsl_div", EWScalarLeft(Div, 2, EWScalarRight(Add, a, 3)), func(v float64) float64 { return 2 / (v + 3) }),
+		cell("ew_add", EW(Add, a, EWScalarRight(MulEW, a.ToDense(), 0.25)), func(v float64) float64 { return v + v*0.25 }),
+	}
+}
+
+// tsmmCase checks TSMM(x) against t(x) %*% x summed over ascending rows.
+func tsmmCase(name string, x *Matrix) kernelCase {
+	k := x.Cols()
+	return kernelCase{name, TSMM(x), k, k, func(r, c int) float64 {
+		var s float64
+		for i := 0; i < x.Rows(); i++ {
+			s += x.At(i, r) * x.At(i, c)
+		}
+		return s
+	}}
+}
 
 func TestDegenerateShapes(t *testing.T) {
 	// 1x1 matrices flow through every kernel.
@@ -37,6 +158,17 @@ func TestDegenerateShapes(t *testing.T) {
 	if got := TSMM(v).At(0, 0); got != 14 {
 		t.Errorf("vector TSMM = %v", got)
 	}
+	// Every kernel on empty, 1-row and 1-col operands, and Mul's four
+	// dispatches with a degenerate outer or inner dimension.
+	var cases []kernelCase
+	for _, d := range [][3]int{{1, 17, 21}, {33, 17, 1}, {7, 1, 5}, {0, 4, 3}, {4, 3, 0}} {
+		cases = append(cases, mulCases(d[0], d[1], d[2])...)
+	}
+	cases = append(cases, operandCases("empty", NewDense(0, 0))...)
+	cases = append(cases, operandCases("row1", dn(1, 13, 13))...)
+	cases = append(cases, operandCases("col1", sprnd(29, 1, 14))...)
+	cases = append(cases, tsmmCase("tsmm_col1", dn(37, 1, 22)))
+	checkKernels(t, cases)
 }
 
 func TestNegativeDimsPanic(t *testing.T) {

@@ -107,32 +107,24 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// ewFlatGrain is the cells-per-chunk grain for flat elementwise maps.
-const ewFlatGrain = 4096
-
 // EW computes the elementwise operation c = a op b with R-style broadcast:
 // operands must have equal dimensions, or one may be a column vector
 // matching the other's rows, or a row vector matching its columns, or 1x1.
-// Both paths are pure per-cell maps, partitioned across the worker pool.
 func EW(op BinaryOp, a, b *Matrix) *Matrix {
 	rows, cols := broadcastDims(a, b)
 	out := NewDense(rows, cols)
 	// Fast path: equal-dim dense-dense.
 	if a.sp == nil && b.sp == nil && a.rows == b.rows && a.cols == b.cols && a.rows == rows {
-		parRange(len(out.dense), ewFlatGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.dense[i] = op.Apply(a.dense[i], b.dense[i])
-			}
-		})
+		for i, av := range a.dense {
+			out.dense[i] = op.Apply(av, b.dense[i])
+		}
 		return out.Compact()
 	}
-	parRange(rows, chunkGrain(rows, 64), func(rlo, rhi int) {
-		for i := rlo; i < rhi; i++ {
-			for j := 0; j < cols; j++ {
-				out.dense[i*cols+j] = op.Apply(bcAt(a, i, j), bcAt(b, i, j))
-			}
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			out.dense[i*cols+j] = op.Apply(bcAt(a, i, j), bcAt(b, i, j))
 		}
-	})
+	}
 	return out.Compact()
 }
 
@@ -142,58 +134,34 @@ func EWScalarRight(op BinaryOp, a *Matrix, s float64) *Matrix {
 	// and others only when the identity holds for this s.
 	if a.sp != nil && op == MulEW {
 		out := &Matrix{rows: a.rows, cols: a.cols, sp: a.sp.clone()}
-		parRange(len(out.sp.vals), ewFlatGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.sp.vals[i] *= s
-			}
-		})
+		for i := range out.sp.vals {
+			out.sp.vals[i] *= s
+		}
 		return out
 	}
-	out := NewDense(a.rows, a.cols)
-	if a.sp != nil {
-		z := op.Apply(0, s)
-		parRange(len(out.dense), ewFlatGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.dense[i] = z
-			}
-		})
-		parRange(a.rows, chunkGrain(a.rows, 64), func(rlo, rhi int) {
-			for i := rlo; i < rhi; i++ {
-				a.sp.eachRow(i, func(j int, v float64) { out.dense[i*a.cols+j] = op.Apply(v, s) })
-			}
-		})
-		return out.Compact()
-	}
-	parRange(len(a.dense), ewFlatGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.dense[i] = op.Apply(a.dense[i], s)
-		}
-	})
-	return out.Compact()
+	return ewScalar(a, func(v float64) float64 { return op.Apply(v, s) })
 }
 
 // EWScalarLeft computes s op a for scalar s.
 func EWScalarLeft(op BinaryOp, s float64, a *Matrix) *Matrix {
+	return ewScalar(a, func(v float64) float64 { return op.Apply(s, v) })
+}
+
+// ewScalar maps f over every cell of a into a dense result; a sparse
+// operand's implicit zeros all take f(0).
+func ewScalar(a *Matrix, f func(float64) float64) *Matrix {
 	out := NewDense(a.rows, a.cols)
 	if a.sp != nil {
-		z := op.Apply(s, 0)
-		parRange(len(out.dense), ewFlatGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.dense[i] = z
-			}
-		})
-		parRange(a.rows, chunkGrain(a.rows, 64), func(rlo, rhi int) {
-			for i := rlo; i < rhi; i++ {
-				a.sp.eachRow(i, func(j int, v float64) { out.dense[i*a.cols+j] = op.Apply(s, v) })
-			}
-		})
+		z := f(0)
+		for i := range out.dense {
+			out.dense[i] = z
+		}
+		a.sp.each(func(i, j int, v float64) { out.dense[i*a.cols+j] = f(v) })
 		return out.Compact()
 	}
-	parRange(len(a.dense), ewFlatGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.dense[i] = op.Apply(s, a.dense[i])
-		}
-	})
+	for i, v := range a.dense {
+		out.dense[i] = f(v)
+	}
 	return out.Compact()
 }
 
@@ -321,19 +289,15 @@ func (op UnaryOp) sparseSafe() bool {
 func Unary(op UnaryOp, a *Matrix) *Matrix {
 	if a.sp != nil && op.sparseSafe() {
 		out := &Matrix{rows: a.rows, cols: a.cols, sp: a.sp.clone()}
-		parRange(len(out.sp.vals), ewFlatGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.sp.vals[i] = op.Apply(out.sp.vals[i])
-			}
-		})
+		for i, v := range out.sp.vals {
+			out.sp.vals[i] = op.Apply(v)
+		}
 		return out
 	}
 	d := a.ToDense()
 	out := NewDense(a.rows, a.cols)
-	parRange(len(d.dense), ewFlatGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.dense[i] = op.Apply(d.dense[i])
-		}
-	})
+	for i, v := range d.dense {
+		out.dense[i] = op.Apply(v)
+	}
 	return out.Compact()
 }

@@ -454,4 +454,20 @@ func TestFormatAgreementProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+
+	// Every kernel on a dense and a sparse operand, Mul's four dispatches,
+	// EW's row, column and 1x1 broadcasts, and TSMM in both formats, each
+	// against its naive per-cell oracle.
+	cases := mulCases(33, 17, 21)
+	cases = append(cases, operandCases("dense", dn(29, 13, 11))...)
+	cases = append(cases, operandCases("sparse", sprnd(29, 13, 12))...)
+	a, row, col, sp := dn(23, 11, 15), dn(1, 11, 16), dn(23, 1, 18), sprnd(23, 11, 19)
+	cases = append(cases,
+		kernelCase{"ew_bcast_row", EW(Sub, a, row), 23, 11, func(i, j int) float64 { return a.At(i, j) - row.At(0, j) }},
+		kernelCase{"ew_bcast_col", EW(MulEW, a, col), 23, 11, func(i, j int) float64 { return a.At(i, j) * col.At(i, 0) }},
+		kernelCase{"ew_bcast_scalar", EW(Add, sp, Filled(1, 1, 0.5)), 23, 11, func(i, j int) float64 { return sp.At(i, j) + 0.5 }},
+		tsmmCase("tsmm_dense", dn(37, 11, 20)),
+		tsmmCase("tsmm_sparse", sprnd(37, 11, 21)),
+	)
+	checkKernels(t, cases)
 }

@@ -463,8 +463,8 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) {
 	ip.resChanged = true
 }
 
-// cpCores returns the per-operation CP parallelism: inside parfor bodies
-// each worker is single threaded.
+// cpCores returns the CP core count an operation is costed at: inside
+// parfor bodies each worker is single threaded.
 func (ip *Interp) cpCores() int {
 	if ip.parforDepth > 0 {
 		return 1
@@ -499,11 +499,6 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 	if b.HopBlock == nil {
 		return nil
 	}
-	// Value-mode kernels execute on the shared matrix worker pool with the
-	// block's CP degree of parallelism (1 inside parfor bodies, matching
-	// the cost model's single-threaded-worker contract). Kernel results
-	// are byte-identical for any setting; only wall-clock time changes.
-	matrix.SetParallelism(ip.cpCores())
 	// Evaluate roots first: transient writes bind variables, persistent
 	// writes hit the DFS, prints stream to Out, stop aborts.
 	env := newEnv(ip)

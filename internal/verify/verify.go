@@ -39,7 +39,7 @@ type Config struct {
 	CP conf.Bytes
 	// MR is the uniform MR task max heap.
 	MR conf.Bytes
-	// Cores is the CP degree of parallelism (0 = 1).
+	// Cores is the CP core count (0 = 1).
 	Cores int
 	// HDFSBlock overrides the cluster DFS block size when non-zero.
 	HDFSBlock conf.Bytes
@@ -53,9 +53,9 @@ type Config struct {
 
 // DefaultConfigs returns the standard differential matrix: a large all-CP
 // baseline, two budgets straddling the CP↔MR operator flip points for the
-// small harness inputs, a multi-threaded small-block configuration, a
-// fault-injected run (node loss plus transient task/read failures), and an
-// optimizer-chosen configuration.
+// small harness inputs, a 4-core small-block configuration (4 parfor
+// workers and 32 MB DFS blocks), a fault-injected run (node loss plus
+// transient task/read failures), and an optimizer-chosen configuration.
 func DefaultConfigs() []Config {
 	return []Config{
 		{Name: "cp-2g", CP: 2 * conf.GB, MR: 512 * conf.MB, Cores: 1},

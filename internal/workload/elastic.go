@@ -14,6 +14,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -132,8 +133,27 @@ type ElasticOptions struct {
 	// Tick, when positive, fires a periodic elasticity decision event every
 	// Tick simulated seconds while jobs remain active, so grow/shrink
 	// decisions are not tied solely to arrivals, departures, and failures.
-	// 0 disables the tick (the default, and the pre-elasticity behavior).
+	// 0 disables the tick (the default, and the pre-elasticity behavior);
+	// any other value must be at least minTick.
 	Tick float64 `json:"tick"`
+}
+
+// minTick is the shortest periodic tick New accepts, in simulated seconds.
+// Each tick is one more event while any job is resident, so a tick far
+// below every job's run time makes a run spin through millions of no-op
+// steps and stalls a batch run or the sequencer every daemon tenant
+// shares.
+const minTick = 1
+
+// ErrBadTick reports an elastic tick that is negative or positive but
+// below minTick.
+var ErrBadTick = errors.New("workload: elastic.tick must be 0 (off) or at least 1 simulated second")
+
+func (e ElasticOptions) validate() error {
+	if e.Tick != 0 && !(e.Tick >= minTick) {
+		return fmt.Errorf("%w, got %g", ErrBadTick, e.Tick)
+	}
+	return nil
 }
 
 const (

@@ -3,10 +3,14 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/fault"
@@ -34,6 +38,37 @@ func TestElasticSpecNormalize(t *testing.T) {
 	}
 	if err := (ElasticSpec{MinContainers: -1}).validate(); err == nil {
 		t.Error("negative field must not validate")
+	}
+}
+
+// TestNewRejectsBadTick: a run description whose elastic tick is negative
+// or below one simulated second fails New with ErrBadTick at once, instead
+// of spinning through tick events; 0 (off) and ticks of a second or more
+// are accepted.
+func TestNewRejectsBadTick(t *testing.T) {
+	for _, tick := range []float64{1e-12, 0.5, -5} {
+		start := time.Now()
+		spec, err := LoadRunSpec(strings.NewReader(fmt.Sprintf(`{"elastic": {"tick": %g}, "generate": {"tenants": 2, "seed": 1}}`, tick)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := spec.JobSpecs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(spec.Cluster, jobs, spec.Options); !errors.Is(err, ErrBadTick) {
+			t.Errorf("tick %g: err = %v, want ErrBadTick", tick, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("tick %g: rejected after %v, want under a second", tick, d)
+		}
+	}
+	for _, tick := range []float64{0, minTick, 5} {
+		o := DefaultOptions()
+		o.Elastic.Tick = tick
+		if _, err := New(conf.DefaultCluster(), o); err != nil {
+			t.Errorf("tick %g: %v", tick, err)
+		}
 	}
 }
 

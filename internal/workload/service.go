@@ -282,6 +282,9 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
+	if err := o.Elastic.validate(); err != nil {
+		return nil, err
+	}
 	o = o.normalized()
 	s := &Service{
 		cc:   cc,

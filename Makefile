@@ -25,22 +25,25 @@ race:
 # The concurrent packages get a second, repeated race pass: -count=2 re-runs
 # every test against warm state (the plan cache and memo store start
 # empty), and scheduling-sensitive races get a second draw. These are the
-# packages whose state goroutines share: the CP interpreter (rt), which
-# the service runs on its fan-out goroutines, the parallel optimizer's
-# worker pool, whose workers fill the result slots of
-# points the master prepared and each select through a private lop.Table
-# while the master selects through its own, plus the sharded cache and
-# shared memos (opt, whose path-equivalence test runs the paper grid at 4
-# workers), the service's fan-out/join (workload), the daemon's sessions
-# and sequencer (server), and the ResourceManager every one of them
-# allocates from (yarn).
+# packages whose state goroutines share: the parallel optimizer's worker
+# pool, whose workers fill the result slots of points the master prepared
+# and each select through a private lop.Table while the master selects
+# through its own, plus the sharded cache and shared memos (opt, whose
+# path-equivalence test runs the paper grid at 4 workers), the service's
+# fan-out/join, whose workers run CP interpreters over one shared program
+# (workload), the daemon's sessions, which prepare jobs while the
+# sequencer steps the service (server), and the ResourceManager every one
+# of them allocates from (yarn).
 race2:
-	$(GO) test -race -count=2 ./internal/rt ./internal/opt ./internal/workload ./internal/server ./internal/yarn
+	$(GO) test -race -count=2 ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 
 # Each native fuzz target, for a fixed short time. A finding lands in the
 # package's testdata/fuzz/ as a regression input for plain `go test`.
+# FuzzPrepare's inputs are whole scripts, which the fuzzer would otherwise
+# spend most of the 10 s minimizing, so its minimization is capped.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server
+	$(GO) test -run xxx -fuzz FuzzPrepare -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
 
 check: fmt vet race race2 fuzz
 

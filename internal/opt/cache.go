@@ -238,6 +238,10 @@ func (s CacheStats) HitRate() float64 {
 // workload service represents "caching disabled".
 type PlanCache interface {
 	Lookup(key string) (conf.Resources, float64, bool)
+	// Has reports whether the key has an entry. It is no lookup: counters
+	// and recency stay untouched, so a caller off the goroutine that owns
+	// the cache's order may ask it.
+	Has(key string) bool
 	Insert(key string, res conf.Resources, cost float64)
 	// Outcome and Attach read and set an opaque value derived from an
 	// existing entry's configuration (the workload service keeps the plan's
@@ -298,6 +302,18 @@ func (c *Cache) Lookup(key string) (conf.Resources, float64, bool) {
 	c.lru.MoveToFront(el)
 	it := el.Value.(*cacheItem)
 	return it.res.Clone(), it.cost, true
+}
+
+// Has reports whether the key has an entry, touching no counter and no
+// recency.
+func (c *Cache) Has(key string) bool {
+	if c == nil {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.index[key]
+	return ok
 }
 
 // Insert stores (or refreshes) the outcome for the key, evicting the least

@@ -266,6 +266,36 @@ func TestCacheOutcomeLivesWithItsEntry(t *testing.T) {
 	}
 }
 
+// TestCacheHasTouchesNothing: Has answers whether a key has an entry and
+// is no lookup — hit, miss and insert counters stay put and the LRU order
+// does not move, so asking it off the goroutine that owns the cache cannot
+// change what that goroutine's lookups and evictions do. A typed-nil cache
+// has nothing.
+func TestCacheHasTouchesNothing(t *testing.T) {
+	r := conf.NewResources(conf.GB, 512*conf.MB, 2)
+	for name, c := range map[string]PlanCache{"single": NewCache(2), "sharded": NewSharded(2, 1)} {
+		c.Insert("a", r, 1)
+		c.Insert("b", r, 2)
+		before := c.Stats()
+		if !c.Has("b") || !c.Has("a") || c.Has("x") {
+			t.Errorf("%s: Has b/a/x = %v/%v/%v", name, c.Has("b"), c.Has("a"), c.Has("x"))
+		}
+		if st := c.Stats(); st != before {
+			t.Errorf("%s: Has moved the counters %+v → %+v", name, before, st)
+		}
+		// a is still the least recently used entry: a Has that refreshed it
+		// (it was asked last) would make c evict b instead.
+		c.Insert("c", r, 3)
+		if c.Has("a") || !c.Has("b") {
+			t.Errorf("%s: Has refreshed recency: a kept %v, b kept %v", name, c.Has("a"), c.Has("b"))
+		}
+	}
+	var c *Cache
+	if c.Has("a") || c.Stats() != (CacheStats{}) {
+		t.Error("nil cache has an entry")
+	}
+}
+
 // TestCacheCloneIsolation: mutating a returned or inserted Resources value
 // must not corrupt the cached copy.
 func TestCacheCloneIsolation(t *testing.T) {

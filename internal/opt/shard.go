@@ -78,6 +78,14 @@ func (c *ShardedCache) Lookup(key string) (conf.Resources, float64, bool) {
 	return c.shardFor(key).Lookup(key)
 }
 
+// Has reports whether the key's shard has an entry for it.
+func (c *ShardedCache) Has(key string) bool {
+	if c == nil {
+		return false
+	}
+	return c.shardFor(key).Has(key)
+}
+
 // Insert stores (or refreshes) the outcome for the key in its shard.
 func (c *ShardedCache) Insert(key string, res conf.Resources, cost float64) {
 	if c == nil {

@@ -12,6 +12,15 @@
 // step counts — reproduces byte-identical reports and traces. Assigned
 // arrivals never precede the simulation frontier, so the event loop never
 // travels backwards.
+//
+// A submission's expensive, history-free part — identify, the plan-cache
+// key, and on a miss the compile and a cold search — is prepared on the
+// submitting session's goroutine (Submit) before the op is sent. The op
+// log records only the wire spec, so a replay plans on the sequencer
+// instead; the prepared search is committed only when the sequencer's own
+// lookup misses under the very key it was computed for, which fixes the
+// program, the cluster view and the options, so both arrive at the same
+// decision.
 package server
 
 import (
@@ -135,6 +144,7 @@ func ReadRecordLog(r io.Reader) (*RecordLog, error) {
 type seqOp struct {
 	kind     string // "submit" | "cancel" | "status"
 	spec     JobSpecWire
+	prepared workload.JobSpec // submit: spec converted and prepared by Submit
 	job      int
 	onResult func(int, workload.TenantResult)
 	reply    chan seqReply
@@ -230,7 +240,8 @@ func (s *Sequencer) run() {
 	}
 }
 
-// apply executes one op against the service.
+// apply executes one op against the service; a submit only stamps the
+// arrival on the spec Submit prepared.
 func (s *Sequencer) apply(op seqOp) {
 	switch op.kind {
 	case "submit":
@@ -238,11 +249,8 @@ func (s *Sequencer) apply(op seqOp) {
 		if min := s.lastArrival + s.gap; min > at {
 			at = min
 		}
-		spec, err := op.spec.toJobSpec(at)
-		if err != nil {
-			op.reply <- seqReply{err: err}
-			return
-		}
+		spec := op.prepared
+		spec.Arrival = at
 		idx, err := s.svc.Submit(spec)
 		if err != nil {
 			op.reply <- seqReply{err: err}
@@ -307,11 +315,20 @@ func (s *Sequencer) send(op seqOp) (seqReply, error) {
 }
 
 // Submit sequences one submission and returns the assigned job id and
-// simulated arrival time. onResult (optional) fires exactly once from the
-// sequencer goroutine — with the job id and terminal result — when the
-// job reaches a terminal state, possibly before Submit itself returns.
+// simulated arrival time. The spec is converted and prepared
+// (workload.Service.Prepare: identify, and on a plan-cache miss compile and
+// a cold search) on the caller's goroutine, so sessions do that work in
+// parallel with each other and with the sequencer, which only commits it
+// in order. onResult (optional) fires exactly once from the sequencer
+// goroutine — with the job id and terminal result — when the job reaches a
+// terminal state, possibly before Submit itself returns.
 func (s *Sequencer) Submit(spec JobSpecWire, onResult func(int, workload.TenantResult)) (int, float64, error) {
-	rep, err := s.send(seqOp{kind: "submit", spec: spec, onResult: onResult, reply: make(chan seqReply, 1)})
+	job, err := spec.toJobSpec(0)
+	if err != nil {
+		return 0, 0, err
+	}
+	rep, err := s.send(seqOp{kind: "submit", spec: spec, prepared: s.svc.Prepare(job),
+		onResult: onResult, reply: make(chan seqReply, 1)})
 	if err != nil {
 		return 0, 0, err
 	}

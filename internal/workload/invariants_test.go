@@ -69,7 +69,7 @@ func checkInvariants(t *testing.T, s *Service) {
 				t.Errorf("t=%.3f %s: state %v still holds its identity", s.now, name, j.state)
 			}
 		case j.id != nil:
-			fresh, err := s.identify(j)
+			fresh, err := identify(j.spec)
 			if err != nil {
 				t.Errorf("t=%.3f %s: shadow identify: %v", s.now, name, err)
 				break

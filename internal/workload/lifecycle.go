@@ -71,7 +71,8 @@ func (s *Service) stop(j *job) {
 // (tenant first, then the caller's args), and the DrainFinished entry.
 func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
 	j.state = st
-	j.id = nil // s.jobs keeps finished jobs; their identity is garbage
+	// s.jobs keeps finished jobs; their identity, prepared or taken, is garbage.
+	j.id, j.spec.prep = nil, nil
 	r := &j.result
 	if err != nil {
 		r.Err = err
@@ -208,16 +209,21 @@ type planReq struct {
 	res  conf.Resources
 	cost float64
 	hit  bool
-	err  error // a miss whose program failed to compile: no answer
+	// prepared marks a miss answered by Prepare's search: nothing to run.
+	prepared bool
+	err      error // a miss whose program failed to compile: no answer
 }
 
 // plan resolves optimization problems through the shared plan cache and
 // the per-program re-costing memos — the only path to the optimizer. A hit
-// needs only the job's identity; a miss needs the job's program for the
-// optimizer and compiles it if the job has none yet. The cache lookups (and,
-// on a miss, the compile and the memo fetch — the memo key excludes the
-// cluster, so searches for one program under shifting views share a cost
-// table) run sequentially in request order, only the searches fan out to
+// needs only the job's identity; a miss under the key Prepare searched
+// takes Prepare's answer (the key fixes the program, the view and the
+// options, so it is what the search below would return); any other miss
+// needs the job's program for the optimizer and compiles it if the job has
+// none yet. The cache lookups (and, on a miss, the compile and the memo
+// fetch — the memo key excludes the cluster, so searches for one program
+// under shifting views share a cost table) run sequentially in request
+// order, only the searches fan out to
 // the worker pool, and the inserts run sequentially again, so cache
 // counters, LRU order, and memo-store order are identical at any worker
 // count. A source that does not compile gets no answer (r.err) and no memo:
@@ -228,14 +234,25 @@ func (s *Service) plan(reqs ...*planReq) {
 	for i, r := range reqs {
 		id := r.j.id
 		r.key = id.cacheKey(r.view, opts)
-		if r.res, r.cost, r.hit = s.cache.Lookup(r.key); !r.hit {
-			if r.err = s.program(r.j); r.err == nil {
-				memos[i] = s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
-			}
+		prep := id.prep
+		id.prep = nil // the job's first plan consumes it, whatever it finds
+		if r.res, r.cost, r.hit = s.cache.Lookup(r.key); r.hit {
+			continue
+		}
+		if prep != nil && prep.key == r.key {
+			r.res, r.cost, r.prepared = prep.res, prep.cost, true
+			s.tr.Metrics().Add("workload.prep_used", 1)
+			continue
+		}
+		if prep != nil {
+			s.tr.Metrics().Add("workload.prep_stale", 1)
+		}
+		if r.err = s.program(r.j); r.err == nil {
+			memos[i] = s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
 		}
 	}
 	s.fanOut(len(reqs), func(i int) {
-		if r := reqs[i]; !r.hit && r.err == nil {
+		if r := reqs[i]; !r.hit && !r.prepared && r.err == nil {
 			o := &opt.Optimizer{CC: r.view, Opts: opts}
 			out := o.OptimizeMemo(r.j.id.prog.hp, memos[i])
 			r.res, r.cost = out.Res, out.Cost
@@ -380,12 +397,16 @@ func (s *Service) place(j *job) (*planReq, placement) {
 		return nil, clusterFull
 	}
 	a := &planReq{j: j, view: s.live}
-	if j.id == nil {
+	if j.id == nil && j.spec.prep != nil {
+		// Prepare identified the job off the sequencer (and, on a miss,
+		// compiled and searched it): the first attempt takes that over.
+		j.id, j.spec.prep = j.spec.prep, nil
+	} else if j.id == nil {
 		// The first attempt stages the job's inputs to learn its identity;
 		// every later one plans from it. Neither compiles: a program that
 		// does not compile fails at its first cache miss, below.
 		var err error
-		if j.id, err = s.identify(j); err != nil {
+		if j.id, err = identify(j.spec); err != nil {
 			s.terminate(j, jsFailed, err)
 			return nil, dropped
 		}
@@ -589,11 +610,14 @@ func (s *Service) program(j *job) (err error) {
 	return err
 }
 
+// errPanic marks an error recovered from a panic.
+var errPanic = errors.New("panic")
+
 // recovered, deferred, turns a panic into the function's error: Setup is
 // tenant code, and no source may take the service down.
 func recovered(err *error) {
 	if rec := recover(); rec != nil {
-		*err = fmt.Errorf("panic: %v", rec)
+		*err = fmt.Errorf("%w: %v", errPanic, rec)
 	}
 }
 
@@ -601,18 +625,19 @@ func recovered(err *error) {
 // identity — the input metadata among it — that the cache key covers. It
 // reads nothing but the job's spec and compiles nothing: the compiler never
 // writes the file system, so the listing is what it would be after one.
-// It is the one place a value-mode job's Setup runs, once per job.
-func (s *Service) identify(j *job) (id *identity, err error) {
+// It is the one place a value-mode job's Setup runs, once per job (in
+// Prepare or at the job's first placement).
+func identify(spec JobSpec) (id *identity, err error) {
 	defer recovered(&err)
 	fs := hdfs.New()
-	if j.spec.Source != "" {
-		id = &identity{mode: rt.ModeValue, source: j.spec.Source, params: j.spec.Params, fs: fs}
-		if j.spec.Setup != nil {
-			j.spec.Setup(fs)
+	if spec.Source != "" {
+		id = &identity{mode: rt.ModeValue, source: spec.Source, params: spec.Params, fs: fs}
+		if spec.Setup != nil {
+			spec.Setup(fs)
 		}
 	} else {
-		id = &identity{mode: rt.ModeSim, source: j.spec.Script.Source, params: j.spec.Script.Params, fs: fs}
-		datagen.Describe(fs, j.spec.Scenario)
+		id = &identity{mode: rt.ModeSim, source: spec.Script.Source, params: spec.Script.Params, fs: fs}
+		datagen.Describe(fs, spec.Scenario)
 	}
 	for _, name := range fs.List() {
 		f, statErr := fs.Stat(name)

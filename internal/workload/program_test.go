@@ -145,7 +145,7 @@ func corpusJobs(t *testing.T) (*Service, []*planReq) {
 	var reqs []*planReq
 	for _, spec := range specs {
 		j := s.jobs[s.submit(spec)]
-		if j.id, err = s.identify(j); err != nil {
+		if j.id, err = identify(j.spec); err != nil {
 			t.Fatalf("%s: %v", spec.Tenant, err)
 		}
 		staged := inputListing(j.id.fs)

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/fault"
@@ -190,6 +191,17 @@ type identity struct {
 	// run is the job's current run, with the live view and configuration
 	// start installed it under: a re-plan that keeps both starts from it.
 	run simResult
+
+	// prep is the search Prepare ran on a cache miss, until the job's
+	// first plan consumes it.
+	prep *answer
+}
+
+// answer is one cold search's result for one plan-cache key.
+type answer struct {
+	key  string
+	res  conf.Resources
+	cost float64
 }
 
 // cacheKey returns the identity's plan-cache key under a cluster view.
@@ -238,13 +250,17 @@ type simResult struct {
 }
 
 // Service is the multi-tenant elastic job service. Create with New, drive
-// with Run; a Service is single-use.
+// with Run (or Submit and Step); a Service is single-use, and one goroutine
+// drives it. Prepare is the one method other goroutines may call meanwhile.
 type Service struct {
-	cc    conf.Cluster
-	opts  Options
-	pol   policy
-	rm    *yarn.ResourceManager
-	live  conf.Cluster // cc with Nodes shrunk to the live node count
+	cc   conf.Cluster
+	opts Options
+	pol  policy
+	rm   *yarn.ResourceManager
+	live conf.Cluster // cc with Nodes shrunk to the live node count
+	// view publishes a copy of live to Prepare, which runs off the
+	// goroutine that steps the service; setLive stores it.
+	view  atomic.Pointer[conf.Cluster]
 	cache opt.PlanCache
 	memos *opt.MemoStore
 	tr    *obs.Tracer
@@ -295,6 +311,7 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 		tr:   o.Trace,
 		brk:  newBreaker(o.Breaker),
 	}
+	s.setLive(cc.Nodes)
 	switch {
 	case o.CacheEntries < 0:
 		s.cache = (*opt.Cache)(nil) // caching disabled: typed-nil no-op sink
@@ -371,6 +388,50 @@ func (s *Service) Submit(spec JobSpec) (int, error) {
 		return 0, fmt.Errorf("workload: submit %q: arrival %g before frontier %g", spec.Tenant, spec.Arrival, s.lastT)
 	}
 	return s.submit(spec), nil
+}
+
+// Prepare does the part of a submission that reads no job and no event:
+// it identifies the spec, keys it under the published live view and, if
+// the plan cache has no entry for that key, compiles the program and runs a
+// cold search. It returns the spec carrying the result, for Submit. Prepare
+// is safe to call from any goroutine while another steps the service —
+// it asks the cache only Has, which moves no counter and no recency, so the
+// service's own lookups, inserts and reports are what they would be
+// without it. A spec Prepare could not finish (a failed identify or
+// compile, a panic at any stage) comes back as it went in: the job is
+// identified and planned on the goroutine that steps the service, as an
+// unprepared one is, and fails there the same way.
+func (s *Service) Prepare(spec JobSpec) JobSpec {
+	if id, err := s.prepare(spec); err == nil {
+		spec.prep = id
+	}
+	return spec
+}
+
+// prepare is Prepare's work, and why it could not finish.
+func (s *Service) prepare(spec JobSpec) (id *identity, err error) {
+	defer recovered(&err)
+	if id, err = identify(spec); err != nil {
+		return nil, err
+	}
+	opts := s.optOpts()
+	key := id.cacheKey(*s.view.Load(), opts)
+	if s.cache.Has(key) {
+		return id, nil
+	}
+	if id.prog, err = s.compile(id); err != nil {
+		return nil, err
+	}
+	out := (&opt.Optimizer{CC: id.view, Opts: opts}).Optimize(id.prog.hp)
+	id.prep = &answer{key: key, res: out.Res, cost: out.Cost}
+	return id, nil
+}
+
+// setLive sets the live node count and publishes the view for Prepare.
+func (s *Service) setLive(nodes int) {
+	s.live.Nodes = nodes
+	v := s.live
+	s.view.Store(&v)
 }
 
 // ScheduleChaos expands and enqueues the chaos schedule — a pure function
@@ -597,7 +658,7 @@ func (s *Service) applyChaos(ev event) trigger {
 				obs.A("node", node), obs.A("cause", ne.Cause))
 			s.tr.Metrics().Add("workload.node_restores", 1)
 		}
-		s.live.Nodes = s.rm.LiveNodes()
+		s.setLive(s.rm.LiveNodes())
 		return trig
 	case fault.NodeSlow:
 		s.applyNodeSpeed(ne.Nodes[0], ne.Factor, ne.Cause)
@@ -620,7 +681,7 @@ func (s *Service) applyNodesDown(ne fault.NodeEvent) bool {
 	if downed == 0 {
 		return false // every group member was already down
 	}
-	s.live.Nodes = s.rm.LiveNodes()
+	s.setLive(s.rm.LiveNodes())
 	s.rep.NodeFailures += downed
 	s.tr.Complete(obs.LayerWorkload, "workload.node-fail", s.now, 0,
 		obs.A("nodes", downed), obs.A("cause", ne.Cause),

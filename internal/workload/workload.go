@@ -25,7 +25,10 @@
 //     (degraded admission) or a width-clamped view (resize, §5 pass). It
 //     keys on the job's retained identity (source, params, input
 //     metadata), which identify reads off the spec and the staged inputs
-//     without compiling; a program is compiled only for a miss.
+//     without compiling; a program is compiled only for a miss. A live
+//     frontend may run identify, the key, and on a miss the compile and a
+//     cold search ahead of time on its own goroutine (Prepare); plan then
+//     commits that answer if its miss is under the same key.
 //   - run: the simulated run of a planned job — taken off the plan-cache
 //     entry the plan came from when a sim-mode job planned from it was
 //     simulated before, else compiled, simulated and (sim mode) kept
@@ -88,6 +91,10 @@ type JobSpec struct {
 	// Elastic declares the job's malleability bounds. The zero value
 	// normalizes to a rigid single-container job, today's behavior.
 	Elastic ElasticSpec
+
+	// prep is what Service.Prepare worked out for the spec off the
+	// sequencer; the job's first placement takes it over.
+	prep *identity
 }
 
 // name returns the program name for reports.

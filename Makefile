@@ -39,11 +39,14 @@ race2:
 
 # Each native fuzz target, for a fixed short time. A finding lands in the
 # package's testdata/fuzz/ as a regression input for plain `go test`.
-# FuzzPrepare's inputs are whole scripts, which the fuzzer would otherwise
-# spend most of the 10 s minimizing, so its minimization is capped.
+# FuzzPrepare's and FuzzParse's inputs are whole scripts and FuzzRunSpec's
+# whole run descriptions, which the fuzzer would otherwise spend most of
+# the 10 s minimizing, so their minimization is capped.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server
 	$(GO) test -run xxx -fuzz FuzzPrepare -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
+	$(GO) test -run xxx -fuzz FuzzRunSpec -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 2s ./internal/dml
 
 check: fmt vet race race2 fuzz
 

@@ -3,6 +3,8 @@ package dml
 import (
 	"strings"
 	"testing"
+
+	"elasticml/internal/scripts"
 )
 
 func mustParse(t *testing.T, src string) *Program {
@@ -198,6 +200,40 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q): expected error", src)
 		}
 	}
+}
+
+// FuzzParse: a tenant's source reaches Parse on the daemon, so no source
+// may panic it, or the block builder over what it returns. A source is
+// refused with a "dml: " error and no program, or parses to a program
+// whose statements and functions are all there and whose line count is
+// the source's.
+func FuzzParse(f *testing.F) {
+	for _, sc := range append(scripts.All(), scripts.Minibatch()...) {
+		f.Add(sc.Source)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			if prog != nil || !strings.HasPrefix(err.Error(), "dml: ") {
+				t.Fatalf("Parse returned %v with error %v", prog != nil, err)
+			}
+			return
+		}
+		if prog == nil || prog.Lines != countLines(src) {
+			t.Fatalf("Parse returned no error and program %+v", prog)
+		}
+		for _, st := range prog.Stmts {
+			if st == nil {
+				t.Fatal("a nil statement")
+			}
+		}
+		for name, fn := range prog.Funcs {
+			if fn == nil || fn.Name != name {
+				t.Fatalf("function %q is %+v", name, fn)
+			}
+		}
+		CountBlocks(BuildBlocks(prog.Stmts))
+	})
 }
 
 func TestBuildBlocks(t *testing.T) {

@@ -28,20 +28,20 @@ func All() []Spec {
 	return []Spec{LinregDS(), LinregCG(), L2SVM(), MLogreg(), GLM()}
 }
 
-// ByName returns the program with the given name, or ok=false. It searches
-// the paper's five batch programs and the iterative mini-batch family.
+// ByName returns the program with the given name, or ok=false. It knows
+// the paper's five batch programs and the iterative mini-batch family, and
+// builds only the spec it returns: the daemon resolves one per submission.
 func ByName(name string) (Spec, bool) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	for _, s := range Minibatch() {
-		if s.Name == name {
-			return s, true
-		}
+	if build, ok := byName[name]; ok {
+		return build(), true
 	}
 	return Spec{}, false
+}
+
+// byName maps each program of All and Minibatch to its constructor.
+var byName = map[string]func() Spec{
+	"LinregDS": LinregDS, "LinregCG": LinregCG, "L2SVM": L2SVM, "MLogreg": MLogreg, "GLM": GLM,
+	"MinibatchLR": MinibatchLR, "MinibatchLinreg": MinibatchLinreg, "MLP2": MLP2,
 }
 
 func defaultParams() map[string]interface{} {

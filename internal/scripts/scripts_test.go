@@ -1,6 +1,7 @@
 package scripts
 
 import (
+	"reflect"
 	"testing"
 
 	"elasticml/internal/dml"
@@ -38,12 +39,26 @@ func TestProgramOrder(t *testing.T) {
 	}
 }
 
+// specSink keeps a built spec reachable, so an allocation count measures
+// the spec as a caller that keeps it would build it.
+var specSink Spec
+
+// TestByName: every program of All and Minibatch resolves to what its
+// constructor builds, an unknown name to nothing, and a lookup allocates
+// no more than the constructor alone.
 func TestByName(t *testing.T) {
-	if s, ok := ByName("L2SVM"); !ok || s.Name != "L2SVM" {
-		t.Error("ByName(L2SVM) failed")
+	for _, want := range append(All(), Minibatch()...) {
+		if got, ok := ByName(want.Name); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%s) = %v, %v; want its constructor's spec", want.Name, got.Name, ok)
+		}
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName(nope) should fail")
+	}
+	byName := testing.AllocsPerRun(100, func() { specSink, _ = ByName("LinregDS") })
+	ctor := testing.AllocsPerRun(100, func() { specSink = LinregDS() })
+	if byName > ctor {
+		t.Errorf("ByName(LinregDS) allocates %v times, LinregDS() %v", byName, ctor)
 	}
 }
 

@@ -196,7 +196,7 @@ func TestBlockedHeadCompilesOnce(t *testing.T) {
 		}
 		others := int64(0)
 		for _, j := range s.jobs {
-			if j != head && j.state != jsPending && j.state != jsQueued {
+			if j == nil || j != head && j.state != jsPending && j.state != jsQueued {
 				others++
 			}
 		}
@@ -319,7 +319,8 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 	if got, want := readCounters(o), (counters{compiles: n, simRuns: n}); got != want || setups != n {
 		t.Errorf("value mode: %+v and %d Setup calls for %d admissions, want %+v and %d", got, setups, n, want, n)
 	}
-	hash := s.jobs[0].result.OutputHash
+	first, _ := s.Result(0)
+	hash := first.OutputHash
 	for _, tn := range s.Finalize().Tenants {
 		if !tn.Served || len(tn.Outputs) == 0 || tn.OutputHash != hash {
 			t.Errorf("value mode: %s served=%v with %d outputs, hash %s", tn.Tenant, tn.Served, len(tn.Outputs), tn.OutputHash)
@@ -606,7 +607,7 @@ func TestSettleVisitsResidentJobsOnly(t *testing.T) {
 	const jobs, window = 300, 4
 	alive := func() (n int) {
 		for _, j := range s.jobs {
-			if !j.state.terminal() {
+			if j != nil {
 				n++
 			}
 		}

@@ -291,7 +291,7 @@ func (s *Service) reconcile() {
 	}
 	var wants []want
 	for _, j := range s.resident() {
-		if j.state != jsRunning || j.pendingW != 0 || j.espec.rigid() {
+		if j == nil || j.state != jsRunning || j.pendingW != 0 || j.espec.rigid() {
 			continue
 		}
 		w := len(j.conts)
@@ -393,7 +393,7 @@ func (s *Service) scheduleResize(j *job, target int) bool {
 // plan-invariant results every fixed-width run produces.
 func (s *Service) applyResize(ev event) {
 	j := s.jobs[ev.job]
-	if j.state != jsRunning || ev.gen != j.gen {
+	if j == nil || j.state != jsRunning || ev.gen != j.gen {
 		return
 	}
 	target, w, cs := j.pendingW, len(j.conts), j.conts[0].Mem

@@ -28,7 +28,19 @@ func checkInvariants(t *testing.T, s *Service) {
 		inQueue[q]++
 	}
 	var wasted float64
-	for _, j := range s.jobs {
+	if len(s.rows) != len(s.jobs) {
+		t.Errorf("t=%.3f: %d rows for %d submissions", s.now, len(s.rows), len(s.jobs))
+	}
+	for i, j := range s.jobs {
+		// A terminal job is folded: the service keeps its row and no job.
+		if j == nil {
+			r := &s.rows[i]
+			if !r.state.terminal() || inQueue[i] != 0 {
+				t.Errorf("t=%.3f %s: folded in state %v with %d queue entries", s.now, r.result.Tenant, r.state, inQueue[i])
+			}
+			wasted += r.result.WastedWork
+			continue
+		}
 		name := j.result.Tenant
 		for _, c := range j.conts {
 			held[c.Node] += c.Mem
@@ -61,13 +73,10 @@ func checkInvariants(t *testing.T, s *Service) {
 
 		// Shadow check: a retained identity — what plan keys a cache lookup
 		// on — is what the job's spec yields right now, and its memoized key
-		// is the key of the view it was derived under. Terminal jobs retain
-		// nothing.
+		// is the key of the view it was derived under.
 		switch {
 		case j.state.terminal():
-			if j.id != nil {
-				t.Errorf("t=%.3f %s: state %v still holds its identity", s.now, name, j.state)
-			}
+			t.Errorf("t=%.3f %s: state %v but the service still holds the job", s.now, name, j.state)
 		case j.id != nil:
 			fresh, err := identify(j.spec)
 			if err != nil {
@@ -182,7 +191,7 @@ func runChecked(t *testing.T, cc conf.Cluster, jobs []JobSpec, o Options) (*Repo
 	rep := s.Finalize()
 	checkInvariants(t, s)
 	for _, j := range s.jobs {
-		if !j.state.terminal() {
+		if j != nil {
 			t.Errorf("%s left in state %v after Finalize", j.result.Tenant, j.state)
 		}
 	}

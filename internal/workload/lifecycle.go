@@ -68,11 +68,11 @@ func (s *Service) stop(j *job) {
 
 // terminate moves a job into a terminal state — the only place one is
 // assigned — with the state's result flags, report counter, trace span
-// (tenant first, then the caller's args), and the DrainFinished entry.
+// (tenant first, then the caller's args), and the DrainFinished entry,
+// then folds it into its row: the service drops the job, and with it the
+// spec, identity, program and containers.
 func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
 	j.state = st
-	// s.jobs keeps finished jobs; their identity, prepared or taken, is garbage.
-	j.id, j.spec.prep = nil, nil
 	r := &j.result
 	if err != nil {
 		r.Err = err
@@ -114,6 +114,8 @@ func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
 	if counter != "" {
 		s.tr.Metrics().Add(counter, 1)
 	}
+	s.rows[j.idx] = row{result: *r, state: st}
+	s.jobs[j.idx] = nil
 }
 
 // progressAt maps simulated time onto the job's completed-work fraction:
@@ -494,7 +496,7 @@ func (s *Service) reoptimize(trig trigger) {
 	}
 	var reqs []*planReq
 	for _, j := range s.resident() {
-		if j.state != jsRunning {
+		if j == nil || j.state != jsRunning {
 			continue
 		}
 		s.rep.ReoptChecks++

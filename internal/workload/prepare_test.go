@@ -155,8 +155,8 @@ func TestPreparedRunMatchesUnprepared(t *testing.T) {
 		t.Errorf("%d memos: a committed answer searched again on the sequencer", s.memos.Len())
 	}
 	for _, j := range s.jobs {
-		if j.spec.prep != nil || j.id != nil {
-			t.Fatalf("%s: a finished job keeps its prepared state", j.result.Tenant)
+		if j != nil {
+			t.Fatalf("%s: the service keeps a finished job and its prepared state", j.result.Tenant)
 		}
 	}
 }
@@ -202,8 +202,8 @@ func TestStaleAnswerIsNotCommitted(t *testing.T) {
 
 // TestPreparedStateIsDropped: the prepared identity leaves the spec when the
 // job's first placement takes it over, its answer leaves the identity at
-// the job's first plan, and a job canceled before it was ever placed drops
-// both. A daemon keeps every spec, so anything left there is kept forever.
+// the job's first plan, and a job canceled before it was ever placed is
+// folded, so the service drops both with the job.
 func TestPreparedStateIsDropped(t *testing.T) {
 	s, err := New(conf.DefaultCluster(), DefaultOptions())
 	if err != nil {
@@ -217,8 +217,8 @@ func TestPreparedStateIsDropped(t *testing.T) {
 		t.Fatal("Prepare attached nothing")
 	}
 	s.Cancel(canceled.idx)
-	if canceled.spec.prep != nil || canceled.id != nil {
-		t.Error("a canceled job keeps its prepared identity")
+	if s.jobs[canceled.idx] != nil {
+		t.Error("the service keeps a canceled job and its prepared identity")
 	}
 	for placed.state != jsRunning {
 		stepChecked(t, s)

@@ -165,6 +165,13 @@ type job struct {
 	result TenantResult
 }
 
+// row is what the service keeps of a terminal job: its report row and the
+// state it ended in.
+type row struct {
+	result TenantResult
+	state  jobState
+}
+
 // identity is a job's optimization problem: everything the plan-cache key
 // and the memo key derive from besides the cluster view. identify reads it
 // off the job's spec and staged inputs — no compile — and, because a JobSpec
@@ -266,7 +273,13 @@ type Service struct {
 	tr    *obs.Tracer
 	brk   *breaker
 
+	// jobs holds each job, by submission index, until it is terminal;
+	// terminate then folds it into its row and clears the entry, so a
+	// finished job keeps its report row and nothing else.
 	jobs []*job
+	// rows holds, by submission index, each folded job's row (zero while
+	// the job is resident).
+	rows []row
 	// oldest indexes the oldest job not yet terminal; the passes over live
 	// jobs start there (resident), so an old service does not pay per
 	// settle for every job it ever finished.
@@ -369,6 +382,7 @@ func (s *Service) submit(spec JobSpec) int {
 		j.result.Scenario = fmt.Sprintf("%s/%s", spec.Scenario.Size, spec.Scenario.ShapeName())
 	}
 	s.jobs = append(s.jobs, j)
+	s.rows = append(s.rows, row{})
 	s.push(event{at: spec.Arrival, kind: evArrive, job: i})
 	return i
 }
@@ -476,7 +490,7 @@ func (s *Service) Step() bool {
 		case evResize:
 			s.applyResize(ev)
 		case evRetry:
-			if j := s.jobs[ev.job]; j.state == jsBackoff && ev.gen == j.gen {
+			if j := s.jobs[ev.job]; j != nil && j.state == jsBackoff && ev.gen == j.gen {
 				j.state = jsQueued
 				retryJoins = append(retryJoins, j.idx)
 			}
@@ -499,13 +513,22 @@ func (s *Service) Step() bool {
 }
 
 // resident returns, in submission order, every job that is not in a
-// terminal state (and the terminal ones submitted after the oldest of
-// them): terminal states are final, so the watermark only advances.
+// terminal state (and nil for the folded ones submitted after the oldest
+// of them): terminal states are final, so the watermark only advances.
 func (s *Service) resident() []*job {
-	for s.oldest < len(s.jobs) && s.jobs[s.oldest].state.terminal() {
+	for s.oldest < len(s.jobs) && s.jobs[s.oldest] == nil {
 		s.oldest++
 	}
 	return s.jobs[s.oldest:]
+}
+
+// status returns one job's result and state: the resident job's, or its
+// row's once the job is folded.
+func (s *Service) status(idx int) (*TenantResult, jobState) {
+	if j := s.jobs[idx]; j != nil {
+		return &j.result, j.state
+	}
+	return &s.rows[idx].result, s.rows[idx].state
 }
 
 // Finalize marks every job the drained event queue can no longer serve and
@@ -514,16 +537,17 @@ func (s *Service) Finalize() *Report {
 	// The event queue drained; whatever is still waiting can never be
 	// admitted (the shrunken cluster has no chunk for the FIFO head and no
 	// further departures, failures, or restores will change that).
-	for _, j := range s.jobs {
-		if !j.state.terminal() && j.state != jsRunning {
+	for _, j := range s.resident() {
+		if j != nil && j.state != jsRunning {
 			s.terminate(j, jsUnserved, nil)
 		}
 	}
 
 	rep := s.rep
-	rep.Tenants = make([]TenantResult, len(s.jobs))
-	for i, j := range s.jobs {
-		rep.Tenants[i] = j.result
+	rep.Tenants = make([]TenantResult, len(s.rows))
+	for i := range rep.Tenants {
+		r, _ := s.status(i)
+		rep.Tenants[i] = *r
 	}
 	rep.Cache = s.cache.Stats()
 	rep.BreakerTrips = s.brk.tripCount()
@@ -546,7 +570,8 @@ func (s *Service) Result(idx int) (TenantResult, bool) {
 	if idx < 0 || idx >= len(s.jobs) {
 		return TenantResult{}, false
 	}
-	return s.jobs[idx].result, true
+	r, _ := s.status(idx)
+	return *r, true
 }
 
 // State returns one job's lifecycle state name ("queued", "running",
@@ -555,7 +580,8 @@ func (s *Service) State(idx int) (string, bool) {
 	if idx < 0 || idx >= len(s.jobs) {
 		return "", false
 	}
-	return s.jobs[idx].state.String(), true
+	_, st := s.status(idx)
+	return st.String(), true
 }
 
 // DrainFinished returns the indices of jobs that reached a terminal state
@@ -573,7 +599,7 @@ func (s *Service) DrainFinished() []int {
 // departure, the freed capacity triggers a re-optimization pass). Returns
 // false if the job is unknown or already terminal.
 func (s *Service) Cancel(idx int) bool {
-	if idx < 0 || idx >= len(s.jobs) || s.jobs[idx].state.terminal() {
+	if idx < 0 || idx >= len(s.jobs) || s.jobs[idx] == nil {
 		return false
 	}
 	j := s.jobs[idx]
@@ -698,7 +724,7 @@ func (s *Service) applyNodesDown(ne fault.NodeEvent) bool {
 		lostIDs[c.ID] = true
 	}
 	for _, j := range s.resident() {
-		if j.state != jsRunning {
+		if j == nil || j.state != jsRunning {
 			continue
 		}
 		for _, c := range j.conts {
@@ -772,7 +798,7 @@ func (s *Service) applyNodeSpeed(node int, factor float64, cause string) {
 	for _, j := range s.resident() {
 		// The AM container's node sets the job's effective speed — the
 		// progress schedule follows the coordinating process.
-		if j.state != jsRunning || j.conts[0].Node != node || j.slow == eff {
+		if j == nil || j.state != jsRunning || j.conts[0].Node != node || j.slow == eff {
 			continue
 		}
 		rem := max(j.finish-s.now, 0)
@@ -789,7 +815,7 @@ func (s *Service) applyNodeSpeed(node int, factor float64, cause string) {
 // skipped via the generation check.
 func (s *Service) applyDepart(ev event) trigger {
 	j := s.jobs[ev.job]
-	if j.state != jsRunning || ev.gen != j.gen {
+	if j == nil || j.state != jsRunning || ev.gen != j.gen {
 		return trigNone
 	}
 	s.stop(j)
@@ -801,7 +827,7 @@ func (s *Service) applyDepart(ev event) trigger {
 // canceled before its arrival event fired stays terminal.
 func (s *Service) applyArrive(ev event) {
 	j := s.jobs[ev.job]
-	if j.state != jsPending {
+	if j == nil || j.state != jsPending {
 		return
 	}
 	j.state = jsQueued

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"io/fs"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"elasticml/internal/datagen"
 	"elasticml/internal/fault"
 	"elasticml/internal/scripts"
+	"elasticml/scenarios"
 )
 
 // demoCluster is a deliberately tight cluster (2 nodes x 2 GB) so a
@@ -293,6 +296,52 @@ func loadJobs(src string) ([]JobSpec, error) {
 		return nil, err
 	}
 	return spec.JobSpecs()
+}
+
+// FuzzRunSpec: a run description is a file from outside the program, so no
+// document may panic LoadRunSpec or the checks New and Run make of what it
+// decoded. A document is refused with an error and no spec, or decodes to
+// one that keeps LoadRunSpec's promises — no container above a node's
+// memory, no negative retry budget. The checks of the cluster, the
+// elastic tick, the chaos plan and the explicit jobs then answer an error
+// or nil. A generator is asked for as many jobs as generate.tenants says,
+// and New allocates per node, so neither runs here.
+func FuzzRunSpec(f *testing.F) {
+	err := fs.WalkDir(scenarios.FS, ".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		doc, err := scenarios.FS.ReadFile(path)
+		f.Add(doc)
+		return err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := LoadRunSpec(bytes.NewReader(doc))
+		if err != nil {
+			if s != nil {
+				t.Fatalf("LoadRunSpec returned a spec with error %v", err)
+			}
+			return
+		}
+		if s.Cluster.MaxAlloc > s.Cluster.MemPerNode || s.Recovery.MaxRetries < 0 {
+			t.Fatalf("decoded cluster %+v, retry budget %d", s.Cluster, s.Recovery.MaxRetries)
+		}
+		s.Options.normalized()
+		if s.Cluster.Validate() != nil || s.Elastic.validate() != nil || s.Generate != nil {
+			return
+		}
+		jobs, err := s.JobSpecs()
+		if err != nil {
+			return
+		}
+		if len(jobs) != len(s.Jobs) {
+			t.Fatalf("%d jobs resolve to %d", len(s.Jobs), len(jobs))
+		}
+		_ = validate(jobs, s.Cluster.Nodes, s.Chaos)
+	})
 }
 
 // TestRunSpecDefaultsAndOverrides: a run description is decoded over the

@@ -25,15 +25,14 @@ race:
 # The concurrent packages get a second, repeated race pass: -count=2 re-runs
 # every test against warm state (the plan cache and memo store start
 # empty), and scheduling-sensitive races get a second draw. These are the
-# packages whose state goroutines share: the parallel optimizer's worker
-# pool, whose workers fill the result slots of points the master prepared
-# and each select through a private lop.Table while the master selects
-# through its own, plus the sharded cache and shared memos (opt, whose
-# path-equivalence test runs the paper grid at 4 workers), the service's
-# fan-out/join, whose workers run CP interpreters over one shared program
-# (workload), the daemon's sessions, which prepare jobs while the
-# sequencer steps the service (server), and the ResourceManager every one
-# of them allocates from (yarn).
+# packages whose state goroutines share: opt, the Appendix C optimizer's
+# worker pool (its workers fill the result slots of points the master
+# prepared, each selecting through a private lop.Table; the
+# path-equivalence test runs the paper grid at 4 workers) and the shared
+# memos and sharded cache; workload, concurrent simulate calls over one
+# compiled program (program_test.go); server, the daemon's sessions, which
+# prepare jobs while the sequencer steps the service; and yarn, the
+# ResourceManager all of them allocate from.
 race2:
 	$(GO) test -race -count=2 ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 

@@ -10,14 +10,16 @@
 // recovery, breaker, elastic tick, ... — and either an explicit job list
 // or a seeded generator. The flags are deployment paths and addresses plus
 // the few values the gates and sweeps vary over one file. The simulation is
-// deterministic: the same file produces byte-identical reports and traces
-// at any -workers value, which this package's tests check for every file
-// committed under scenarios/.
+// deterministic: the same file produces byte-identical reports and traces,
+// which this package's tests check for every file committed under
+// scenarios/. A flag the selected mode would ignore is an error: -replay
+// takes only -json, -trace and -metrics need a batch run, and -http and
+// -record need -listen.
 //
 // Usage:
 //
 //	elastic-serve                                   # 16-tenant demo workload
-//	elastic-serve -tenants 24 -seed 7 -workers 4
+//	elastic-serve -tenants 24 -seed 7
 //	elastic-serve -scenario scenarios/demo_nodefail.json -json report.json -trace trace.json
 //	elastic-serve -scenario scenarios/burst.json -policy fair
 //	elastic-serve -scenario scenarios/chaos_mix.json
@@ -44,18 +46,17 @@ import (
 var (
 	scen    = flag.String("scenario", "", "run description JSON: cluster, options, jobs or generate, daemon (default: the 16-tenant demo)")
 	policy  = flag.String("policy", "", "override the run's scheduling policy: fifo, fair, or regret")
-	workers = flag.Int("workers", 0, "override the run's computation fan-out; any value yields byte-identical reports")
 	tenants = flag.Int("tenants", 0, "override the generator's tenant count")
 	seed    = flag.Int64("seed", 0, "override the generator's seed")
 
 	jsonOut  = flag.String("json", "", "write the JSON report to this file ('-' for stdout)")
-	traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file")
-	metrics  = flag.Bool("metrics", false, "print the workload metrics registry")
+	traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file (batch mode)")
+	metrics  = flag.Bool("metrics", false, "print the workload metrics registry (batch mode)")
 
 	listen   = flag.String("listen", "", "run as a network daemon on this TCP address (e.g. :7071)")
 	httpAddr = flag.String("http", "", "metrics/pprof HTTP sidecar address (daemon mode)")
 	record   = flag.String("record", "", "write the op log JSON here on shutdown (daemon mode)")
-	replay   = flag.String("replay", "", "replay a recorded op log and print its report (no network)")
+	replay   = flag.String("replay", "", "replay a recorded op log and print its report (no network; takes only -json)")
 )
 
 func main() {
@@ -67,6 +68,19 @@ func main() {
 }
 
 func serve() error {
+	// Only the flags actually given override the file, and each must be
+	// one the selected mode reads.
+	given := map[string]bool{}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		given[f.Name] = true
+		if err == nil {
+			err = checkMode(f.Name)
+		}
+	})
+	if err != nil {
+		return err
+	}
 	if *replay != "" {
 		return runReplay(*replay)
 	}
@@ -74,16 +88,10 @@ func serve() error {
 	if err != nil {
 		return err
 	}
-	// Only the flags actually given override the file.
-	given := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	if given["policy"] {
 		if spec.Policy, err = workload.ParsePolicy(*policy); err != nil {
 			return err
 		}
-	}
-	if given["workers"] {
-		spec.Workers = *workers
 	}
 	if given["tenants"] || given["seed"] {
 		if spec.Generate == nil {
@@ -100,6 +108,19 @@ func serve() error {
 		return runDaemon(spec)
 	}
 	return runBatch(spec)
+}
+
+// checkMode rejects a flag the selected mode would silently ignore.
+func checkMode(name string) error {
+	switch {
+	case *replay != "" && name != "replay" && name != "json":
+		return fmt.Errorf("-%s does not apply to -replay, which takes only -json", name)
+	case *listen != "" && (name == "trace" || name == "metrics"):
+		return fmt.Errorf("-%s needs a batch run; the daemon (-listen) does not write it", name)
+	case *listen == "" && (name == "http" || name == "record"):
+		return fmt.Errorf("-%s needs -listen", name)
+	}
+	return nil
 }
 
 // loadSpec reads the -scenario file, or returns the demo run without one.

@@ -139,7 +139,7 @@ func TestJSONReportShape(t *testing.T) {
 // TestDeterministicReports is the determinism gate: every run description
 // committed under scenarios/ decodes strictly (its daemon section too), and
 // every one that carries jobs writes a byte-identical report, Chrome trace
-// and -metrics stdout at -workers 1 and 4, under each scheduling policy.
+// and -metrics stdout on two runs under each scheduling policy.
 func TestDeterministicReports(t *testing.T) {
 	var runnable []string
 	err := fs.WalkDir(scenarios.FS, ".", func(name string, d fs.DirEntry, err error) error {
@@ -177,13 +177,13 @@ func TestDeterministicReports(t *testing.T) {
 		for _, pol := range []string{"fifo", "fair", "regret"} {
 			t.Run(name+"/"+pol, func(t *testing.T) {
 				// outputs runs the file and returns report, trace and stdout.
-				outputs := func(workers string) [3][]byte {
+				outputs := func() [3][]byte {
 					dir := t.TempDir()
 					js, tr := filepath.Join(dir, "report.json"), filepath.Join(dir, "trace.json")
-					out, errOut, code := run(t, "-scenario", scen, "-policy", pol, "-workers", workers,
+					out, errOut, code := run(t, "-scenario", scen, "-policy", pol,
 						"-json", js, "-trace", tr, "-metrics")
 					if code != 0 {
-						t.Fatalf("-workers %s: exit %d: %s", workers, code, errOut)
+						t.Fatalf("exit %d: %s", code, errOut)
 					}
 					report, err := os.ReadFile(js)
 					if err != nil {
@@ -195,13 +195,13 @@ func TestDeterministicReports(t *testing.T) {
 					}
 					return [3][]byte{report, trace, []byte(out)}
 				}
-				a, b := outputs("1"), outputs("4")
+				a, b := outputs(), outputs()
 				for i, what := range []string{"report", "trace", "-metrics stdout"} {
 					if len(a[i]) == 0 {
 						t.Errorf("empty %s", what)
 					}
 					if !bytes.Equal(a[i], b[i]) {
-						t.Errorf("%s differs between -workers 1 and -workers 4", what)
+						t.Errorf("%s differs between two runs", what)
 					}
 				}
 			})
@@ -386,17 +386,7 @@ func TestDaemonRecordReplay(t *testing.T) {
 	defer cmd.Process.Kill()
 
 	// Wait for the listener, then drive seeded load over 4 sessions.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if c, err := net.Dial("tcp", addr); err == nil {
-			c.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never listened; stderr: %s", serveErr.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitListening(t, addr, &serveErr)
 	st, err := server.RunLoad(server.LoadConfig{
 		Addr: addr, Sessions: 4, Requests: 600, Seed: 3,
 		SubmitEvery: 12, WaitResults: true,
@@ -428,6 +418,105 @@ func TestDaemonRecordReplay(t *testing.T) {
 	}
 	if len(live) == 0 || !bytes.Equal(live, replayed) {
 		t.Fatal("live and replayed daemon reports differ")
+	}
+}
+
+// waitListening polls until the daemon accepts connections on addr.
+func waitListening(t *testing.T, addr string, serveErr *strings.Builder) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if c, err := net.Dial("tcp", addr); err == nil {
+			c.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never listened; stderr: %s", serveErr.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestModeFlags: a flag the selected mode would ignore is refused with one
+// "elastic-serve:" line that names it, before anything runs or is written —
+// -replay takes only -json, -trace and -metrics need a batch run, -http and
+// -record need -listen. The forms CI and README use are accepted.
+func TestModeFlags(t *testing.T) {
+	ops := filepath.Join("..", "..", "internal", "server", "testdata", "legacy_workers_ops.json")
+	addr := "256.256.256.256:1" // unbindable: a daemon that got past the check fails, not hangs
+	refused := t.TempDir()
+	f := filepath.Join(refused, "f") // every file a refused run is handed
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-listen", addr, "-trace", f}, "-trace needs a batch run"},
+		{[]string{"-listen", addr, "-metrics"}, "-metrics needs a batch run"},
+		{[]string{"-replay", ops, "-policy", "regret"}, "-policy does not apply to -replay"},
+		{[]string{"-replay", ops, "-trace", f}, "-trace does not apply to -replay"},
+		{[]string{"-replay", ops, "-metrics"}, "-metrics does not apply to -replay"},
+		{[]string{"-replay", ops, "-scenario", f}, "-scenario does not apply to -replay"},
+		{[]string{"-replay", ops, "-tenants", "3"}, "-tenants does not apply to -replay"},
+		{[]string{"-replay", ops, "-seed", "3"}, "-seed does not apply to -replay"},
+		{[]string{"-replay", ops, "-listen", addr}, "-listen does not apply to -replay"},
+		{[]string{"-replay", ops, "-http", addr}, "-http does not apply to -replay"},
+		{[]string{"-replay", ops, "-record", f}, "-record does not apply to -replay"},
+		{[]string{"-record", f}, "-record needs -listen"},
+		{[]string{"-http", ":7556"}, "-http needs -listen"},
+		{[]string{"-tenants", "4", "-json", f, "-record", f, "-http", ":7556"}, "-http needs -listen"},
+	} {
+		out, errOut, code := run(t, c.args...)
+		if code == 0 || out != "" {
+			t.Errorf("%v: exit %d, stdout %q; want a refusal", c.args, code, out)
+		}
+		if lines := strings.Split(strings.TrimRight(errOut, "\n"), "\n"); len(lines) != 1 ||
+			!strings.HasPrefix(lines[0], "elastic-serve:") || !strings.Contains(lines[0], c.want) {
+			t.Errorf("%v: stderr %q, want one elastic-serve: line containing %q", c.args, errOut, c.want)
+		}
+	}
+	if written, _ := os.ReadDir(refused); len(written) != 0 {
+		t.Errorf("refused runs wrote %d files", len(written))
+	}
+
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	for _, args := range [][]string{
+		{"-scenario", committed(t, "demo_nodefail.json")},
+		{"-scenario", committed(t, "burst.json"), "-policy", "regret"},
+		{"-tenants", "4", "-seed", "7", "-json", path("batch.json"), "-trace", path("trace.json"), "-metrics"},
+		{"-replay", ops, "-json", path("replay.json")},
+	} {
+		if _, errOut, code := run(t, args...); code != 0 {
+			t.Errorf("%v: exit %d: %s", args, code, errOut)
+		}
+	}
+	for _, name := range []string{"batch.json", "trace.json", "replay.json"} {
+		if _, err := os.Stat(path(name)); err != nil {
+			t.Errorf("accepted run wrote no %s: %v", name, err)
+		}
+	}
+
+	// The daemon form: it listens, drains on SIGTERM and writes its files.
+	addr = freePort(t)
+	cmd := exec.Command(binPath, "-scenario", committed(t, "daemon.json"), "-listen", addr,
+		"-http", freePort(t), "-record", path("ops.json"), "-json", path("live.json"))
+	var serveErr strings.Builder
+	cmd.Stderr = &serveErr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	waitListening(t, addr, &serveErr)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("daemon exit: %v; stderr: %s", err, serveErr.String())
+	}
+	for _, name := range []string{"ops.json", "live.json"} {
+		if _, err := os.Stat(path(name)); err != nil {
+			t.Errorf("daemon wrote no %s: %v", name, err)
+		}
 	}
 }
 

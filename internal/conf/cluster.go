@@ -115,8 +115,5 @@ func (c Cluster) ScheduledTasksPerNode(taskHeap Bytes) int {
 	return slots
 }
 
-// TotalMem returns the aggregate worker memory of the cluster.
-func (c Cluster) TotalMem() Bytes { return Bytes(c.Nodes) * c.MemPerNode }
-
 // TotalCores returns the aggregate worker core count of the cluster.
 func (c Cluster) TotalCores() int { return c.Nodes * c.CoresPerNode }

@@ -168,16 +168,6 @@ func TestResourcesBasics(t *testing.T) {
 	}
 }
 
-func TestWeightedSumOrdersConfigs(t *testing.T) {
-	cc := DefaultCluster()
-	small := NewResources(2*GB, 2*GB, 2)
-	large := NewResources(53*GB, 4*GB, 2)
-	w := []float64{10, 10}
-	if small.WeightedSum(cc, 100, w) >= large.WeightedSum(cc, 100, w) {
-		t.Error("smaller configuration should have smaller weighted sum")
-	}
-}
-
 func TestTaskSlotsMonotone(t *testing.T) {
 	cc := DefaultCluster()
 	f := func(a, b uint16) bool {

@@ -101,21 +101,3 @@ func (r Resources) Detailed() string {
 	sb.WriteByte(']')
 	return sb.String()
 }
-
-// WeightedSum is the time-weighted sum of used resources used to compare
-// resource vectors of equal cost (paper §2.3): the configuration holding
-// fewer byte-seconds is "smaller", preventing over-provisioning. Weights are
-// the estimated occupancy seconds per component; the CP container is held
-// for the whole program, MR task containers only while their block's jobs
-// run.
-func (r Resources) WeightedSum(cc Cluster, cpSeconds float64, mrSeconds []float64) float64 {
-	sum := float64(cc.ContainerSize(r.CP)) * cpSeconds
-	for i, v := range r.MR {
-		w := 1.0
-		if i < len(mrSeconds) {
-			w = mrSeconds[i]
-		}
-		sum += float64(cc.ContainerSize(v)) * w
-	}
-	return sum
-}

@@ -11,6 +11,23 @@ import (
 	"elasticml/internal/scripts"
 )
 
+// TestSplitsOf: a file takes one map task per started DFS block, and at
+// least one.
+func TestSplitsOf(t *testing.T) {
+	for _, c := range []struct {
+		size, block conf.Bytes
+		want        int
+	}{
+		{8e9, 128 * conf.MB, 60}, // ceil(8e9 / 128MiB): the 8 GB dense scenario
+		{800, 128 * conf.MB, 1},  // a tiny file is one split
+		{800, 0, 1},              // no block size: one split
+	} {
+		if got := splitsOf(c.size, c.block); got != c.want {
+			t.Errorf("splitsOf(%v, %v) = %d, want %d", c.size, c.block, got, c.want)
+		}
+	}
+}
+
 func planFor(t *testing.T, spec scripts.Spec, n, m int64, sparsity float64, res conf.Resources) *lop.Plan {
 	t.Helper()
 	fs := hdfs.New()

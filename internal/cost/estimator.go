@@ -328,6 +328,8 @@ func trackedSize(h *hop.Hop) conf.Bytes {
 	return h.OutMem
 }
 
+// splitsOf returns the number of input splits of a file of the given size
+// on disk, which is the number of map tasks of a job reading it.
 func splitsOf(size, blockSize conf.Bytes) int {
 	if blockSize <= 0 {
 		return 1

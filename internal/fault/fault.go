@@ -173,14 +173,6 @@ func (in *Injector) NodeFailuresThrough(now float64) []NodeFailure {
 	return due
 }
 
-// PendingNodeFailures returns the count of not-yet-delivered node
-// failures.
-func (in *Injector) PendingNodeFailures() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.pending)
-}
-
 // TaskFails samples whether one task attempt fails.
 func (in *Injector) TaskFails() bool {
 	in.mu.Lock()

@@ -103,9 +103,6 @@ func TestNodeFailureDelivery(t *testing.T) {
 	if again := in.NodeFailuresThrough(10); len(again) != 0 {
 		t.Errorf("redelivered: %v", again)
 	}
-	if in.PendingNodeFailures() != 1 {
-		t.Errorf("pending = %d", in.PendingNodeFailures())
-	}
 	if got := in.NodeFailuresThrough(1e9); len(got) != 1 || got[0].Node != 2 {
 		t.Errorf("final delivery = %v", got)
 	}

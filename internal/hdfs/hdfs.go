@@ -69,19 +69,6 @@ func (f *File) SizeOnDisk() conf.Bytes {
 	return matrix.EstimateSize(f.Rows, f.Cols, f.Sparsity())
 }
 
-// Splits returns the number of input splits for the given DFS block size,
-// which determines the number of map tasks of jobs reading this file.
-func (f *File) Splits(blockSize conf.Bytes) int {
-	if blockSize <= 0 {
-		return 1
-	}
-	n := int((f.SizeOnDisk() + blockSize - 1) / blockSize)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // FS is an in-memory simulated DFS. It is safe for concurrent use.
 type FS struct {
 	mu    sync.RWMutex

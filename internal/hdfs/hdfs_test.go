@@ -39,7 +39,7 @@ func TestPutStatReadDelete(t *testing.T) {
 	}
 }
 
-func TestDescriptorSizeAndSplits(t *testing.T) {
+func TestDescriptorSize(t *testing.T) {
 	fs := New()
 	// 8GB dense scenario: 1e9 cells.
 	f := fs.PutDescriptor("/data/L", 1e7, 100, 1e9, BinaryBlock)
@@ -48,18 +48,6 @@ func TestDescriptorSizeAndSplits(t *testing.T) {
 	}
 	if f.SizeOnDisk() != conf.Bytes(8e9) {
 		t.Errorf("SizeOnDisk = %v, want 8e9 bytes", f.SizeOnDisk())
-	}
-	// ceil(8e9 / 128MiB) = 60 splits.
-	if n := f.Splits(128 * conf.MB); n != 60 {
-		t.Errorf("Splits = %d, want 60", n)
-	}
-	// Tiny files are one split.
-	small := fs.PutDescriptor("/data/S", 10, 10, 100, BinaryBlock)
-	if n := small.Splits(128 * conf.MB); n != 1 {
-		t.Errorf("small Splits = %d, want 1", n)
-	}
-	if small.Splits(0) != 1 {
-		t.Error("zero block size should yield 1 split")
 	}
 }
 

@@ -85,11 +85,6 @@ func (m Model) WriteTime(b conf.Bytes, dop int) float64 {
 	return float64(b) / (m.WriteBandwidth * float64(dop))
 }
 
-// MemTime returns the time for an in-memory transfer of the given bytes.
-func (m Model) MemTime(b conf.Bytes) float64 {
-	return float64(b) / m.MemBandwidth
-}
-
 // ComputeTime returns the time for the given floating point operations at
 // peak rate across dop parallel workers.
 func (m Model) ComputeTime(flops float64, dop int) float64 {

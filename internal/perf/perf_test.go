@@ -31,9 +31,6 @@ func TestPrimitives(t *testing.T) {
 	if got := m.ShuffleTime(conf.Bytes(60*1e6), 1); got != 1 {
 		t.Errorf("ShuffleTime = %v", got)
 	}
-	if got := m.MemTime(conf.Bytes(4000 * 1e6)); got != 1 {
-		t.Errorf("MemTime = %v", got)
-	}
 }
 
 func TestRelativeStructure(t *testing.T) {

@@ -97,7 +97,6 @@ func TestSequencerPreparedStaleView(t *testing.T) {
 // interleaving the run takes, the recorded ops replay to the same report.
 func TestSequencerColdSessionsUnderChaos(t *testing.T) {
 	o := workload.DefaultOptions()
-	o.Workers = 2
 	for k := 0; k < 60; k++ {
 		o.Chaos.Flaps = append(o.Chaos.Flaps, fault.Flap{Node: 1, At: float64(1 + 7*k), RestoreAfter: 3})
 	}

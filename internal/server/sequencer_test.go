@@ -3,7 +3,10 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,7 +47,6 @@ func TestSequencerReplayIdentical(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("%v-tick%g", c.policy, c.tick), func(t *testing.T) {
 			o := workload.DefaultOptions()
-			o.Workers = 2
 			o.Policy = c.policy
 			o.Elastic.Tick = c.tick
 			o.Trace = obs.New(false)
@@ -323,5 +325,44 @@ func TestRecordLogRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&log, back) {
 		t.Fatalf("record log changed in the round trip:\nwrote %+v\nread  %+v\njson:\n%s", log, *back, written)
+	}
+}
+
+// TestLegacyOpLogReplays: an op log recorded while the service options
+// still carried a "workers" key replays, and to the same report as the log
+// without it — ReadRecordLog skips keys the options no longer have, so
+// existing recordings stay usable.
+func TestLegacyOpLogReplays(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy_workers_ops.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := strings.Replace(string(legacy), `"workers": 4,`, "", 1)
+	if current == string(legacy) {
+		t.Fatal(`legacy log has no "workers" key`)
+	}
+	replay := func(doc string) *workload.Report {
+		t.Helper()
+		l, err := ReadRecordLog(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Replay(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	old := replay(string(legacy))
+	if a, b := reportJSON(t, old), reportJSON(t, replay(current)); !bytes.Equal(a, b) {
+		t.Fatalf("legacy and current logs replay differently:\n--- legacy ---\n%s\n--- current ---\n%s", a, b)
+	}
+	if len(old.Tenants) != 4 {
+		t.Fatalf("%d tenants, want 4", len(old.Tenants))
+	}
+	for _, tn := range old.Tenants {
+		if canceled := tn.Tenant == "b"; tn.Canceled != canceled || tn.Served == canceled {
+			t.Errorf("%s: canceled %v, served %v", tn.Tenant, tn.Canceled, tn.Served)
+		}
 	}
 }

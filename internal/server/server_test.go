@@ -20,7 +20,6 @@ import (
 func startServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	o := workload.DefaultOptions()
-	o.Workers = 2
 	seq, err := NewSequencer(testCluster(), o, 0)
 	if err != nil {
 		t.Fatal(err)

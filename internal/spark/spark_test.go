@@ -83,7 +83,7 @@ func TestSingleAppOccupiesCluster(t *testing.T) {
 	if perNodeFree >= cfg.ExecutorMem {
 		t.Errorf("a second app's executors would fit: %v free per node", perNodeFree)
 	}
-	if cfg.ClusterFootprint() <= cc.TotalMem()/2 {
-		t.Errorf("footprint %v should dominate cluster %v", cfg.ClusterFootprint(), cc.TotalMem())
+	if total := conf.Bytes(cc.Nodes) * cc.MemPerNode; cfg.ClusterFootprint() <= total/2 {
+		t.Errorf("footprint %v should dominate cluster %v", cfg.ClusterFootprint(), total)
 	}
 }

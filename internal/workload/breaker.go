@@ -7,7 +7,7 @@ package workload
 // deterministically (time-based, no randomness): admissions flow again and
 // count as probes; enough successes close the breaker, while any failure
 // during half-open re-opens it. All times are simulated seconds, so breaker
-// decisions are byte-identical across runs and worker counts.
+// decisions are byte-identical across runs.
 
 // BreakerPolicy configures the admission circuit breaker. The zero value
 // (Enabled == false) disables it.

@@ -367,11 +367,10 @@ func TestChaosCheckpointEquivalence(t *testing.T) {
 // chaosDemo is the kitchen-sink chaos workload pinned by the determinism
 // tests and the CI chaos gate: every regime at once (group loss, flaps,
 // a straggler node, a recovering storm), breaker on, over sixteen tenants.
-func chaosDemo(workers int) (conf.Cluster, []JobSpec, Options) {
+func chaosDemo() (conf.Cluster, []JobSpec, Options) {
 	cc := demoCluster()
 	cc.Nodes = 4
 	o := DefaultOptions()
-	o.Workers = workers
 	o.TaskPolicy = mr.DefaultTaskPolicy()
 	o.Breaker = BreakerPolicy{Enabled: true}
 	o.Chaos = fault.ChaosPlan{
@@ -387,13 +386,14 @@ func chaosDemo(workers int) (conf.Cluster, []JobSpec, Options) {
 }
 
 // runChaosDemo returns the marshalled report and Chrome trace of the
-// kitchen-sink chaos workload.
-func runChaosDemo(t *testing.T, workers int) (reportJSON, trace []byte) {
+// kitchen-sink chaos workload; mutate, when non-nil, adjusts the service
+// before it runs.
+func runChaosDemo(t *testing.T, mutate func(*Service)) (reportJSON, trace []byte) {
 	t.Helper()
 	tr := obs.New(true)
-	cc, jobs, o := chaosDemo(workers)
+	cc, jobs, o := chaosDemo()
 	o.Trace = tr
-	rep, err := runChecked(t, cc, jobs, o)
+	rep, err := runChecked(t, cc, jobs, o, mutate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +412,8 @@ func runChaosDemo(t *testing.T, workers int) (reportJSON, trace []byte) {
 // groups, flaps, stragglers, storms, breaker, recovery backoff — is a pure
 // function of its inputs: repeated runs are byte-identical.
 func TestChaosDeterminismByteIdentical(t *testing.T) {
-	r1, t1 := runChaosDemo(t, 1)
-	r2, t2 := runChaosDemo(t, 1)
+	r1, t1 := runChaosDemo(t, nil)
+	r2, t2 := runChaosDemo(t, nil)
 	if !bytes.Equal(r1, r2) {
 		t.Errorf("chaos report differs between identical runs:\n%s", diffLine(r1, r2))
 	}
@@ -422,24 +422,10 @@ func TestChaosDeterminismByteIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosWorkerInvariance: chaos handling lives entirely in the event
-// loop, so the worker pool cannot perturb it — Workers=4 reproduces the
-// Workers=1 bytes.
-func TestChaosWorkerInvariance(t *testing.T) {
-	r1, t1 := runChaosDemo(t, 1)
-	r4, t4 := runChaosDemo(t, 4)
-	if !bytes.Equal(r1, r4) {
-		t.Errorf("chaos report differs between Workers=1 and Workers=4:\n%s", diffLine(r1, r4))
-	}
-	if !bytes.Equal(t1, t4) {
-		t.Errorf("chaos trace differs between Workers=1 and Workers=4:\n%s", diffLine(t1, t4))
-	}
-}
-
 // TestChaosKitchenSinkActivity pins that the determinism workload actually
 // exercises every chaos path (otherwise the byte-identity above is vacuous).
 func TestChaosKitchenSinkActivity(t *testing.T) {
-	cc, jobs, o := chaosDemo(1)
+	cc, jobs, o := chaosDemo()
 	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)

@@ -251,10 +251,10 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 		}
 		return jobs
 	}
-	run := func(name string, jobs []JobSpec, o Options, want counters) []TenantResult {
+	run := func(name string, jobs []JobSpec, o Options, want counters, mutate ...func(*Service)) []TenantResult {
 		t.Helper()
 		o.Trace = obs.New(false)
-		rep, err := runChecked(t, conf.DefaultCluster(), jobs, o)
+		rep, err := runChecked(t, conf.DefaultCluster(), jobs, o, mutate...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,10 +285,10 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 	// check of A' when B departs misses too (its entry is still gone), but
 	// A' has its program by then: three compiles, one per job.
 	o = DefaultOptions()
-	o.CacheEntries, o.CacheShards = 1, 1
+	o.CacheEntries = 1
 	evicted := run("evicted", []JobSpec{
 		fixedWidthJob("A", "S", 0, 1), fixedWidthJob("A'", "S", 500, 1), fixedWidthJob("B", "XS", 500, 1),
-	}, o, counters{compiles: 3, simRuns: 3})
+	}, o, counters{compiles: 3, simRuns: 3}, func(s *Service) { s.cache = opt.NewCache(1) })
 	if a, a2 := evicted[0], evicted[1]; !sameRun(a, a2) || !sameRun(a2, cached[1]) || a.CacheHit || !a2.CacheHit {
 		t.Errorf("a job whose entry was evicted under it ran differently:\n%+v\n%+v", a, a2)
 	}

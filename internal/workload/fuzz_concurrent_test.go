@@ -104,7 +104,6 @@ func TestFuzzConcurrentMatchesIsolated(t *testing.T) {
 	cc := demoCluster()
 	jobs := fuzzJobs(k)
 	o := DefaultOptions()
-	o.Workers = 4
 	rep, err := Run(cc, jobs, o)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +162,6 @@ func TestFuzzElasticChaos(t *testing.T) {
 		}
 	}
 	o := DefaultOptions()
-	o.Workers = 4
 	o.Policy = PolicyRegret
 	o.Elastic.Tick = 1
 	o.Breaker = BreakerPolicy{Enabled: true}
@@ -210,8 +208,8 @@ func TestFuzzElasticChaos(t *testing.T) {
 	if math.Abs(rep.WastedWork-wastedSum) > 1e-9 {
 		t.Errorf("report WastedWork %.6f != per-tenant sum %.6f", rep.WastedWork, wastedSum)
 	}
-	// The worker pool must drain when Run returns; give exiting goroutines
-	// a moment to unwind before declaring a leak.
+	// Run must leave no goroutine behind; give any exiting one a moment to
+	// unwind before declaring a leak.
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before+1 {
 			break
@@ -231,7 +229,6 @@ func TestFuzzConcurrentWithFailures(t *testing.T) {
 	cc := demoCluster()
 	jobs := fuzzJobs(k)
 	o := DefaultOptions()
-	o.Workers = 4
 	o.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{0}, At: 2.5}}
 	rep, err := runChecked(t, cc, jobs, o)
 	if err != nil {

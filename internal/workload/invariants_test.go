@@ -173,11 +173,16 @@ func stepChecked(t *testing.T, s *Service) bool {
 
 // runChecked is Run with checkInvariants after every Step and after
 // Finalize.
-func runChecked(t *testing.T, cc conf.Cluster, jobs []JobSpec, o Options) (*Report, error) {
+func runChecked(t *testing.T, cc conf.Cluster, jobs []JobSpec, o Options, mutate ...func(*Service)) (*Report, error) {
 	t.Helper()
 	s, err := New(cc, o)
 	if err != nil {
 		return nil, err
+	}
+	for _, m := range mutate {
+		if m != nil {
+			m(s)
+		}
 	}
 	if err := validate(jobs, cc.Nodes, s.opts.Chaos); err != nil {
 		return nil, err

@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/datagen"
@@ -211,9 +210,7 @@ type planReq struct {
 	res  conf.Resources
 	cost float64
 	hit  bool
-	// prepared marks a miss answered by Prepare's search: nothing to run.
-	prepared bool
-	err      error // a miss whose program failed to compile: no answer
+	err  error // a miss whose program failed to compile: no answer
 }
 
 // plan resolves optimization problems through the shared plan cache and
@@ -221,19 +218,16 @@ type planReq struct {
 // needs only the job's identity; a miss under the key Prepare searched
 // takes Prepare's answer (the key fixes the program, the view and the
 // options, so it is what the search below would return); any other miss
-// needs the job's program for the optimizer and compiles it if the job has
-// none yet. The cache lookups (and, on a miss, the compile and the memo
-// fetch — the memo key excludes the cluster, so searches for one program
-// under shifting views share a cost table) run sequentially in request
-// order, only the searches fan out to
-// the worker pool, and the inserts run sequentially again, so cache
-// counters, LRU order, and memo-store order are identical at any worker
-// count. A source that does not compile gets no answer (r.err) and no memo:
-// fetching one inserts it and may evict a live program's.
+// needs the job's program for the optimizer, compiles it if the job has
+// none yet, and searches with the program's memo (the memo key excludes
+// the cluster, so searches for one program under shifting views share a
+// cost table). Requests resolve in order and the inserts follow the whole
+// batch, so two same-key requests of one batch both miss. A source that
+// does not compile gets no answer (r.err) and no memo: fetching one
+// inserts it and may evict a live program's.
 func (s *Service) plan(reqs ...*planReq) {
 	opts := s.optOpts()
-	memos := make([]*opt.Memo, len(reqs))
-	for i, r := range reqs {
+	for _, r := range reqs {
 		id := r.j.id
 		r.key = id.cacheKey(r.view, opts)
 		prep := id.prep
@@ -242,24 +236,21 @@ func (s *Service) plan(reqs ...*planReq) {
 			continue
 		}
 		if prep != nil && prep.key == r.key {
-			r.res, r.cost, r.prepared = prep.res, prep.cost, true
+			r.res, r.cost = prep.res, prep.cost
 			s.tr.Metrics().Add("workload.prep_used", 1)
 			continue
 		}
 		if prep != nil {
 			s.tr.Metrics().Add("workload.prep_stale", 1)
 		}
-		if r.err = s.program(r.j); r.err == nil {
-			memos[i] = s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
+		if r.err = s.program(r.j); r.err != nil {
+			continue
 		}
+		memo := s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
+		o := &opt.Optimizer{CC: r.view, Opts: opts}
+		out := o.OptimizeMemo(id.prog.hp, memo)
+		r.res, r.cost = out.Res, out.Cost
 	}
-	s.fanOut(len(reqs), func(i int) {
-		if r := reqs[i]; !r.hit && !r.prepared && r.err == nil {
-			o := &opt.Optimizer{CC: r.view, Opts: opts}
-			out := o.OptimizeMemo(r.j.id.prog.hp, memos[i])
-			r.res, r.cost = out.Res, out.Cost
-		}
-	})
 	for _, r := range reqs {
 		if !r.hit && r.err == nil {
 			s.cache.Insert(r.key, r.res, r.cost)
@@ -272,10 +263,8 @@ func (s *Service) plan(reqs ...*planReq) {
 // configuration, else from its plan-cache entry's; any other is simulated
 // on the job's program. Either way a sim-mode outcome is then attached to
 // the entry, if it is still there. Value-mode jobs run real matrices staged
-// by their own Setup, so they always execute. The reads (and the compiles)
-// run in request order before the simulations fan out and the attaches
-// after them, like plan's lookups and inserts: same-key requests of one
-// batch all simulate, and nothing depends on the worker count.
+// by their own Setup, so they always execute. The attaches follow the whole
+// batch, like plan's inserts: same-key requests of one batch all simulate.
 func (s *Service) run(reqs ...*planReq) []simResult {
 	sims := make([]simResult, len(reqs))
 	for i, p := range reqs {
@@ -289,13 +278,9 @@ func (s *Service) run(reqs ...*planReq) []simResult {
 			s.tr.Metrics().Add("workload.sim_reuses", 1)
 		} else if sims[i].err = s.program(p.j); sims[i].err == nil {
 			s.tr.Metrics().Add("workload.sim_runs", 1)
+			sims[i] = s.simulate(id, p.res)
 		}
 	}
-	s.fanOut(len(reqs), func(i int) {
-		if !sims[i].reused && sims[i].err == nil {
-			sims[i] = s.simulate(reqs[i].j.id, reqs[i].res)
-		}
-	})
 	for i, p := range reqs {
 		if sims[i].err == nil && p.j.id.mode == rt.ModeSim {
 			s.cache.Attach(p.key, sims[i].outcome)
@@ -317,9 +302,8 @@ const (
 // admit drains the admission queue as far as capacity allows. Under FIFO
 // and fair-share the head of the queue blocks the tail; a bypass policy
 // skips jobs it cannot place and re-queues them in order. The round's
-// admissions are run (simulated in parallel, or taken off their plan-cache
-// entries) and started in admission order, so the schedule is worker-count
-// independent.
+// admissions are run (simulated, or taken off their plan-cache entries)
+// and started in admission order.
 func (s *Service) admit() {
 	var adm []*planReq
 	var skipped []int
@@ -674,9 +658,10 @@ func (s *Service) compile(id *identity) (c *compiled, err error) {
 // simulate executes an identity's program under a configuration on the
 // runtime and folds the run into an outcome (plus, for value-mode jobs, the
 // written matrices). The run gets its own view of the staged file system
-// and a fork of the compiler, so the program stays as it was. It runs on
-// pool workers: it touches no service state besides read-only fields, and
-// emits no trace events.
+// and a fork of the compiler, so the program stays as it was. It touches
+// no service state besides read-only fields and emits no trace events, so
+// it stays safe to run off the event loop, beside Step, as Prepare's
+// search does (program_test runs it concurrently over one program).
 func (s *Service) simulate(id *identity, res conf.Resources) (r simResult) {
 	defer recovered(&r.err)
 	c, fs := id.prog, id.fs.Clone()
@@ -718,33 +703,4 @@ func (s *Service) simulate(id *identity, res conf.Resources) (r simResult) {
 	o.hash = outputHash(paths, r.outputs, dims, o.prints)
 	r.outcome = o
 	return r
-}
-
-// fanOut runs fn(0..n-1) on up to Options.Workers goroutines and joins.
-// Callers must apply results in index order afterwards; fn must not touch
-// shared mutable state. Workers <= 1 runs inline.
-func (s *Service) fanOut(n int, fn func(int)) {
-	w := min(s.opts.Workers, n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }

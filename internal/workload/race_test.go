@@ -4,26 +4,32 @@ import (
 	"testing"
 
 	"elasticml/internal/fault"
+	"elasticml/internal/opt"
 )
 
-// TestStressOverlapChurn is the `make race-workload` centerpiece: many
-// overlapping tenants on a tight cluster, two node failures, a tiny plan
-// cache forcing constant eviction churn, and a wide worker pool. Run under
-// -race -count=2 it exercises every fan-out/join path of the service while
-// the sequential event loop mutates cluster and cache state between waves.
+// TestStressOverlapChurn: many overlapping tenants on a tight cluster, two
+// node failures, and a tiny plan cache forcing constant eviction churn
+// while the event loop mutates cluster and cache state between waves.
 func TestStressOverlapChurn(t *testing.T) {
 	cc := demoCluster()
 	cc.Nodes = 4
 	jobs := Generate(1234, 24, 1.5)
 	o := DefaultOptions()
-	o.Workers = 4
 	o.CacheEntries = 3 // far below the distinct-key count: heavy eviction
-	o.CacheShards = 1  // single-lock cache: sharding would loosen the global bound
 	o.Chaos.Groups = []fault.GroupFailure{{Nodes: []int{3}, At: 10}, {Nodes: []int{0}, At: 40}}
-	rep, err := Run(cc, jobs, o)
-	if err != nil {
-		t.Fatal(err)
+	run := func() *Report {
+		s, err := New(cc, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.cache = opt.NewCache(o.CacheEntries) // single-lock cache: sharding would loosen the global bound
+		rep, err := s.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
+	rep := run()
 	if got := len(rep.Tenants); got != 24 {
 		t.Fatalf("want 24 tenant results, got %d", got)
 	}
@@ -50,10 +56,7 @@ func TestStressOverlapChurn(t *testing.T) {
 	}
 
 	// Determinism must survive the churn: a second identical run agrees.
-	rep2, err := Run(cc, jobs, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := run()
 	if rep2.Cache != rep.Cache {
 		t.Errorf("cache stats diverged across identical stress runs: %+v vs %+v", rep.Cache, rep2.Cache)
 	}

@@ -31,7 +31,7 @@ type RunSpec struct {
 	// its MaxAlloc is capped at MemPerNode afterwards.
 	Cluster conf.Cluster `json:"cluster"`
 	// Options' fields are top-level keys of the document ("policy",
-	// "workers", "chaos", "recovery", "breaker", "elastic", ...), read over
+	// "cache_entries", "chaos", "recovery", "breaker", "elastic", ...), read over
 	// DefaultOptions with straggler speculation on.
 	Options
 	// Jobs lists the submissions explicitly; Generate draws them from a

@@ -325,23 +325,18 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 		brk:  newBreaker(o.Breaker),
 	}
 	s.setLive(cc.Nodes)
-	switch {
-	case o.CacheEntries < 0:
+	if o.CacheEntries < 0 {
 		s.cache = (*opt.Cache)(nil) // caching disabled: typed-nil no-op sink
-	case o.CacheShards == 1:
-		s.cache = opt.NewCache(o.CacheEntries)
-	default:
-		s.cache = opt.NewSharded(o.CacheEntries, o.CacheShards)
+	} else {
+		s.cache = opt.NewSharded(o.CacheEntries, 0)
 	}
-	if !o.DisableReoptMemo {
-		s.memos = opt.NewMemoStore(0)
-	}
+	s.memos = opt.NewMemoStore(0)
 	return s, nil
 }
 
 // Run admits and executes the job list to completion and returns the
 // report. The simulation is deterministic: identical inputs yield
-// byte-identical reports at any Options.Workers value.
+// byte-identical reports.
 func Run(cc conf.Cluster, jobs []JobSpec, o Options) (*Report, error) {
 	s, err := New(cc, o)
 	if err != nil {

@@ -351,7 +351,7 @@ func FuzzRunSpec(f *testing.F) {
 func TestRunSpecDefaultsAndOverrides(t *testing.T) {
 	spec, err := LoadRunSpec(strings.NewReader(`{
 		"cluster": {"nodes": 4, "mem_per_node": "1GB"},
-		"policy": "regret", "workers": 3, "cache_entries": 32,
+		"policy": "regret", "cache_entries": 32,
 		"elastic": {"tick": 5},
 		"recovery": {"kind": "naive", "max_retries": 5},
 		"task_policy": {"speculative": false},
@@ -363,7 +363,7 @@ func TestRunSpecDefaultsAndOverrides(t *testing.T) {
 	}
 	want := DefaultRunSpec()
 	want.Cluster.Nodes, want.Cluster.MemPerNode, want.Cluster.MaxAlloc = 4, conf.GB, conf.GB
-	want.Policy, want.Workers, want.Elastic.Tick = PolicyRegret, 3, 5
+	want.Policy, want.Elastic.Tick = PolicyRegret, 5
 	want.CacheEntries = 32
 	want.Recovery.Kind, want.Recovery.MaxRetries = RecoveryNaive, 5
 	want.TaskPolicy.Speculative = false

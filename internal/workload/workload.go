@@ -8,9 +8,8 @@
 //
 // The service is a discrete-event simulation driven entirely by simulated
 // time, so a workload is a pure function of its inputs: the same job list,
-// cluster, and options produce byte-identical reports at any service
-// worker count (the worker pool only fans out computations whose results
-// are applied back in a fixed order).
+// cluster, and options produce byte-identical reports. The service steps
+// on one goroutine; only Prepare may run beside it.
 //
 // The event loop (service.go) delivers arrivals, departures, booked
 // resizes, retries, chaos, and ticks; these only mutate cluster and job
@@ -132,31 +131,11 @@ const (
 
 // Options configure the service.
 type Options struct {
-	// Workers bounds the service's computation fan-out: the grid
-	// searches and simulations of one batch of requests (a §5
-	// re-optimization check, for one) run on up to Workers goroutines,
-	// each search itself sequential. 1 (or 0) is sequential; any value
-	// yields byte-identical reports.
-	Workers int `json:"workers"`
 	// CacheEntries bounds the shared plan cache (negative disables
-	// caching). It is a per-shard capacity: the default sharded cache
-	// holds up to CacheEntries entries in each of its 16 stripes, so 0
+	// caching). It is a per-shard capacity: the sharded cache holds up
+	// to CacheEntries entries in each of its 16 stripes, so 0
 	// (64 per shard) allows up to 1,024 entries in all.
 	CacheEntries int `json:"cache_entries"`
-	// CacheShards selects the plan cache's lock striping: 0 uses the
-	// default sharded cache (16 stripes keyed by the digest's first byte),
-	// 1 the legacy single-lock cache, and any other positive value that
-	// many stripes. Reports are byte-identical across values whenever the
-	// live working set fits one shard's capacity (each shard holds up to
-	// CacheEntries entries).
-	CacheShards int `json:"-"`
-	// DisableReoptMemo turns off the per-program re-costing memo that makes
-	// repeated grid searches incremental: admission retries and §5
-	// re-optimization after departures, failures, and restores normally
-	// replay still-valid cost evaluations from earlier searches instead of
-	// re-enumerating every grid point. The memo never changes results —
-	// disabling it only costs time (ablation and benchmarking knob).
-	DisableReoptMemo bool `json:"-"`
 	// Chaos injects node failures and correlated failure regimes:
 	// rack-scoped group failures (a permanent single-node loss is a
 	// one-node group), transient flaps, straggler nodes, and seeded
@@ -183,21 +162,17 @@ type Options struct {
 	// Trace, when non-nil, receives workload-layer spans (tenant queue and
 	// run spans, re-optimization and failure events) stamped with the
 	// service's simulated clock, plus workload.* metrics. All events are
-	// emitted by the event loop, never by pool workers, so traces are
-	// deterministic at any worker count.
+	// emitted by the event loop, so traces are deterministic.
 	Trace *obs.Tracer `json:"-"`
 }
 
 // DefaultOptions returns the service defaults.
 func DefaultOptions() Options {
-	return Options{Workers: 1}
+	return Options{}
 }
 
 // normalized fills zero-valued fields with defaults.
 func (o Options) normalized() Options {
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
 	o.Recovery = o.Recovery.normalized()
 	o.TaskPolicy = o.TaskPolicy.Normalized()
 	return o

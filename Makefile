@@ -31,8 +31,9 @@ race:
 # path-equivalence test runs the paper grid at 4 workers) and the shared
 # memos and sharded cache; workload, concurrent simulate calls over one
 # compiled program (program_test.go); server, the daemon's sessions, which
-# prepare jobs while the sequencer steps the service; and yarn, the
-# ResourceManager all of them allocate from.
+# prepare jobs (compile, search and simulate) beside the sequencer as it
+# steps the service and simulates its own; and yarn, the ResourceManager
+# all of them allocate from.
 race2:
 	$(GO) test -race -count=2 ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 

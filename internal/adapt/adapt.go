@@ -9,8 +9,6 @@ package adapt
 
 import (
 	"bytes"
-	"reflect"
-	"slices"
 	"time"
 
 	"elasticml/internal/conf"
@@ -193,24 +191,24 @@ type search struct {
 	prog          []byte // hop.AppendKey of the rebuilt scope program
 	cp            conf.Bytes
 	cc            conf.Cluster
-	opts          opt.Options
+	opts          []byte // opt.AppendOptionsKey of the options
 	global, local *opt.Result
 }
 
 // reoptimize runs OptimizeWithCurrent, or answers from the last search when
 // that was asked exactly the same: the rebuilt scope program, the current
-// CP, the cluster view and the options determine the result. A
-// time-budgeted search depends on the wall clock and is never reused.
+// CP, the cluster view and the result-relevant options determine the
+// result. A time-budgeted search depends on the wall clock and is never
+// reused.
 func (a *Adapter) reoptimize(prog *hop.Program, cp conf.Bytes, cc conf.Cluster, opts opt.Options) (global, local *opt.Result, reused bool) {
-	key := hop.AppendKey(nil, prog)
+	key, optsKey := hop.AppendKey(nil, prog), opt.AppendOptionsKey(nil, opts)
 	l := &a.last
-	if opts.TimeBudget == 0 && cp == l.cp && cc == l.cc && bytes.Equal(key, l.prog) && reflect.DeepEqual(opts, l.opts) {
+	if opts.TimeBudget == 0 && cp == l.cp && cc == l.cc && bytes.Equal(key, l.prog) && bytes.Equal(optsKey, l.opts) {
 		return l.global, l.local, true
 	}
 	o := &opt.Optimizer{CC: cc, Opts: opts, Trace: a.Trace}
 	global, local = o.OptimizeWithCurrent(prog, cp)
-	opts.CPCoreCandidates = slices.Clone(opts.CPCoreCandidates) // the kept key must not alias a.Opt
-	*l = search{prog: key, cp: cp, cc: cc, opts: opts, global: global, local: local}
+	*l = search{prog: key, cp: cp, cc: cc, opts: optsKey, global: global, local: local}
 	return global, local, false
 }
 

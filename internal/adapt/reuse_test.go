@@ -238,8 +238,11 @@ func TestReusedConsultTrace(t *testing.T) {
 }
 
 // TestReoptReuseRefused replays a genuine MLogreg L dense100 consult twice.
-// Unchanged, the second consult reuses the first one's search; under each
-// change that can alter the search's answer, it must search afresh.
+// Unchanged, or with only an option the answer does not depend on changed,
+// the second consult reuses the first one's search; under each change that
+// can alter the search's answer, it must search afresh — an option changed
+// in place included, so the kept search must not alias the adapter's
+// options.
 func TestReoptReuseRefused(t *testing.T) {
 	p := paperProblem{scripts.MLogreg(), datagen.New("L", 100, 1.0)}
 	capt := &captureAdapter{}
@@ -249,25 +252,30 @@ func TestReoptReuseRefused(t *testing.T) {
 	})
 	first := capt.ctx
 	rows := []struct {
-		name   string
-		before func(*Adapter)         // applied before the first consult
-		change func(*rt.AdaptContext) // applied to the second consult
-		reused bool
+		name    string
+		before  func(*Adapter)         // applied before the first consult
+		change  func(*rt.AdaptContext) // applied to the second consult
+		between func(*Adapter)         // applied between the two consults
+		reused  bool
 	}{
-		{"unchanged", nil, nil, true},
+		{"unchanged", nil, nil, nil, true},
 		{"node failure (container-loss trigger, shrunken cluster)", nil, func(c *rt.AdaptContext) {
 			c.Trigger = rt.TriggerContainerLoss
 			c.CC.Nodes--
-		}, false},
+		}, nil, false},
 		{"load changes between consults", func(a *Adapter) {
 			load := 0.0
 			a.LoadProvider = func() float64 { load += 0.2; return load }
-		}, nil, false},
+		}, nil, nil, false},
 		{"after a migration (current CP changed)", nil, func(c *rt.AdaptContext) {
 			c.Res = c.Res.Clone()
 			c.Res.CP *= 2
-		}, false},
-		{"time budget", func(a *Adapter) { a.Opt.TimeBudget = time.Hour }, nil, false},
+		}, nil, false},
+		{"time budget", func(a *Adapter) { a.Opt.TimeBudget = time.Hour }, nil, nil, false},
+		{"optimizer workers change (the result does not)", nil, nil, func(a *Adapter) { a.Opt.Workers = 4 }, true},
+		{"grid points change", nil, nil, func(a *Adapter) { a.Opt.Points++ }, false},
+		{"core candidates change in place", func(a *Adapter) { a.Opt.CPCoreCandidates = []int{1, 2} }, nil,
+			func(a *Adapter) { a.Opt.CPCoreCandidates[1] = 4 }, false},
 	}
 	for _, row := range rows {
 		ad := New(conf.DefaultCluster())
@@ -279,7 +287,13 @@ func TestReoptReuseRefused(t *testing.T) {
 		if row.change != nil {
 			row.change(second)
 		}
-		if ad.Adapt(replay(first)) == nil || ad.Adapt(second) == nil {
+		if ad.Adapt(replay(first)) == nil {
+			t.Fatalf("%s: no decision", row.name)
+		}
+		if row.between != nil {
+			row.between(ad)
+		}
+		if ad.Adapt(second) == nil {
 			t.Fatalf("%s: no decision", row.name)
 		}
 		if got := ad.Stats.ReoptReuses == 1; got != row.reused || ad.Stats.Reoptimizations != 2 {

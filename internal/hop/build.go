@@ -2,6 +2,7 @@ package hop
 
 import (
 	"fmt"
+	"slices"
 
 	"elasticml/internal/dml"
 	"elasticml/internal/hdfs"
@@ -98,9 +99,10 @@ func (c *Compiler) Compile(prog *dml.Program, source string) (*Program, error) {
 // RecompileGeneric rebuilds a generic block's DAG against updated variable
 // metadata — the dynamic recompilation hook (paper §2.1/§4): at runtime,
 // exact sizes of intermediates are known and propagated through the DAG
-// before runtime plan regeneration. It takes ownership of meta: the build
-// updates the table in place, so a caller that reads meta afterwards, or
-// passes it again, hands over a Clone.
+// before runtime plan regeneration. The build looks up only the names in
+// b.Reads, so meta needs to hold no other variable. It takes ownership of
+// meta: the build updates the table in place, so a caller that reads meta
+// afterwards, or passes it again, hands over a Clone.
 func (c *Compiler) RecompileGeneric(b *Block, meta SymTab) (*Block, error) {
 	var sp *obs.Span
 	if c.Trace.SpansEnabled() {
@@ -112,7 +114,7 @@ func (c *Compiler) RecompileGeneric(b *Block, meta SymTab) (*Block, error) {
 		sp.End(obs.A("error", err.Error()))
 		return nil, err
 	}
-	nb.Index = b.Index
+	nb.Index, nb.Reads = b.Index, b.Reads
 	fuseDAG(nb.Roots)
 	nb.linearize()
 	sp.End()
@@ -197,7 +199,8 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 }
 
 // program finishes a block tree whose rewrites are done: it indexes the
-// leaf blocks for the resource vector and linearizes each one's DAG.
+// leaf blocks for the resource vector, linearizes each one's DAG and
+// records its read set, and linearizes each control block's header.
 func (c *Compiler) program(blocks []*Block, source string) *Program {
 	p := &Program{Blocks: blocks, Source: source, Params: c.Params}
 	WalkBlocks(blocks, func(b *Block) {
@@ -206,9 +209,63 @@ func (c *Compiler) program(blocks []*Block, source string) *Program {
 			b.Index = p.NumLeaf
 			p.NumLeaf++
 			b.linearize()
+			b.Reads = stmtReads(b.Stmts)
+		} else {
+			b.Header = walkOrder([]*Hop{b.Pred, b.From, b.To})
 		}
 	})
 	return p
+}
+
+// stmtReads returns the variables straight-line statements read, sorted
+// and once each: every identifier, and the target of a left-indexed
+// assignment (the update reads the matrix it writes into).
+func stmtReads(stmts []dml.Stmt) []string {
+	var names []string
+	var expr func(e dml.Expr)
+	index := func(e *dml.Index) {
+		expr(e.Target)
+		for _, r := range []*dml.IndexRange{e.Row, e.Col} {
+			if r != nil {
+				expr(r.Lo)
+				expr(r.Hi)
+			}
+		}
+	}
+	expr = func(e dml.Expr) {
+		switch e := e.(type) {
+		case *dml.Ident:
+			names = append(names, e.Name)
+		case *dml.BinOp:
+			expr(e.Left)
+			expr(e.Right)
+		case *dml.UnOp:
+			expr(e.X)
+		case *dml.Call:
+			for _, a := range e.Args {
+				expr(a)
+			}
+			for _, a := range e.Named {
+				expr(a)
+			}
+		case *dml.Index:
+			index(e)
+		}
+	}
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case *dml.Assign:
+			expr(st.Expr)
+			if st.LIndex != nil {
+				names = append(names, st.Target)
+				index(st.LIndex)
+			}
+		case *dml.ExprStmt:
+			expr(st.Call)
+		}
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {

@@ -117,17 +117,26 @@ func (c *Compiler) seal(ctx *dagCtx, h *Hop) *Hop {
 }
 
 // dedup returns the hop this DAG already built with h's CSE key, or
-// records h under it. The key is kind, operator, name, a literal's value,
-// and the inputs' IDs; looking it up allocates nothing, inserting it one
-// string.
+// records h under it.
 func (ctx *dagCtx) dedup(h *Hop) *Hop {
-	ctx.key = appendCSEKey(ctx.key[:0], h)
-	if prev, ok := ctx.cse[string(ctx.key)]; ok {
+	if prev, ok := ctx.lookup(h); ok {
 		return prev
 	}
-	ctx.cse[string(ctx.key)] = h
+	ctx.insert(h)
 	return h
 }
+
+// lookup returns the hop this DAG already built with h's CSE key, and
+// leaves the key in ctx.key for insert. The key is kind, operator, name, a
+// literal's value, and the inputs' IDs; looking it up allocates nothing.
+func (ctx *dagCtx) lookup(h *Hop) (*Hop, bool) {
+	ctx.key = appendCSEKey(ctx.key[:0], h)
+	prev, ok := ctx.cse[string(ctx.key)]
+	return prev, ok
+}
+
+// insert records h under the key the last lookup built, one string.
+func (ctx *dagCtx) insert(h *Hop) { ctx.cse[string(ctx.key)] = h }
 
 // appendCSEKey appends h's CSE key to dst: "kind|op|name", then
 // "|value|quoted string" for a literal, then "|inputID" or "|_" per input.
@@ -155,15 +164,26 @@ func appendCSEKey(dst []byte, h *Hop) []byte {
 }
 
 func (c *Compiler) lit(ctx *dagCtx, v float64) *Hop {
-	h := &Hop{ID: c.id(), Kind: KindLit, DataType: Scalar, Value: v}
-	finalize(h)
-	return ctx.dedup(h)
+	return ctx.literal(Hop{ID: c.id(), Kind: KindLit, DataType: Scalar, Value: v})
 }
 
 func (c *Compiler) strLit(ctx *dagCtx, s string) *Hop {
-	h := &Hop{ID: c.id(), Kind: KindLit, DataType: String, StrValue: s}
+	return ctx.literal(Hop{ID: c.id(), Kind: KindLit, DataType: String, StrValue: s})
+}
+
+// literal returns the literal this DAG already built with lit's CSE key,
+// or allocates, finalizes and records lit. Finalizing a literal changes no
+// key field, so the lookup needs no hop of its own; lit's ID is drawn
+// either way, which keeps the ID sequence that of building every literal.
+func (ctx *dagCtx) literal(lit Hop) *Hop {
+	if prev, ok := ctx.lookup(&lit); ok {
+		return prev
+	}
+	h := new(Hop)
+	*h = lit
 	finalize(h)
-	return ctx.dedup(h)
+	ctx.insert(h)
+	return h
 }
 
 // expr compiles an expression to a hop.
@@ -229,7 +249,14 @@ func (c *Compiler) variable(name string, ctx *dagCtx) (*Hop, error) {
 	if !ok {
 		return nil, fmt.Errorf("undefined variable %q", name)
 	}
-	h := &Hop{ID: c.id(), Kind: KindTRead, Name: name}
+	id := c.id()
+	// Fold known scalar variables into literals so predicates and sizes
+	// derived from them resolve statically. The transient read the literal
+	// replaces is never built, but its ID is drawn all the same.
+	if !m.IsMatrix && !m.IsStr && m.Known {
+		return c.lit(ctx, m.Val), nil
+	}
+	h := &Hop{ID: id, Kind: KindTRead, Name: name}
 	if m.IsMatrix {
 		h.DataType = Matrix
 		h.Rows, h.Cols, h.NNZ = m.Rows, m.Cols, m.NNZ
@@ -238,16 +265,8 @@ func (c *Compiler) variable(name string, ctx *dagCtx) (*Hop, error) {
 		h.StrValue = m.Str
 	} else {
 		h.DataType = Scalar
-		if m.Known {
-			h.KnownVal, h.Value = true, m.Val
-		}
 	}
 	estimateMem(h)
-	// Fold known scalar variables into literals so predicates and sizes
-	// derived from them resolve statically.
-	if h.DataType == Scalar && h.KnownVal {
-		return c.lit(ctx, h.Value), nil
-	}
 	ctx.treads[name] = h
 	return h, nil
 }

@@ -162,8 +162,9 @@ type Hop struct {
 	// OpMem is the operation memory estimate: inputs + output +
 	// intermediates, the quantity compared against the CP budget.
 	OpMem conf.Bytes
-	// Pos is the hop's index in its generic block's Order: the dense
-	// index of every per-hop table lop and cost keep.
+	// Pos is the hop's index in its generic block's Order, or in its
+	// control block's Header: the dense index of every per-hop table lop,
+	// cost and the runtime keep.
 	Pos int
 	// mark is the number of the last WalkDAG that visited the hop.
 	mark uint64
@@ -232,11 +233,22 @@ type Block struct {
 	// For header.
 	Var      string
 	From, To *Hop
+	// Header lists a control block's Pred, From and To hops in
+	// WalkDAG([Pred, From, To]) order, as Order does a generic block's,
+	// so the runtime evaluates a header into a table indexed by Pos.
+	// Derived from those roots when the block is built.
+	Header []*Hop
 	// Children.
 	Then, Else, Body []*Block
 	// Stmts retains the source statements of generic blocks for dynamic
 	// recompilation.
 	Stmts []dml.Stmt
+	// Reads lists, sorted and once each, the variables Stmts read: every
+	// identifier, and the target of a left-indexed assignment. Recompiling
+	// the block looks up no other name, so the runtime hands
+	// RecompileGeneric a table of these alone. Derived from Stmts when the
+	// block is built (see stmtReads).
+	Reads []string
 	// Src links back to the originating statement block, enabling whole
 	// subtrees to be recompiled against runtime metadata (re-optimization
 	// scope rebuilding, paper §4.2).
@@ -310,11 +322,7 @@ func visit(h *Hop, walk uint64, fn func(*Hop)) {
 // transpose-mm rewrites; later changes (UpdateFromRuntime) rewrite sizes
 // only, so the tables stay valid and are safe to share between goroutines.
 func (b *Block) linearize() {
-	b.Order = nil
-	WalkDAG(b.Roots, func(h *Hop) {
-		h.Pos = len(b.Order)
-		b.Order = append(b.Order, h)
-	})
+	b.Order = walkOrder(b.Roots)
 	// Users[i] is a window of one backing array, sized by a first count.
 	counts := make([]int, len(b.Order))
 	total := 0
@@ -338,6 +346,17 @@ func (b *Block) linearize() {
 			}
 		}
 	}
+}
+
+// walkOrder returns the hops reachable from roots in WalkDAG order and
+// sets each one's Pos to its index there.
+func walkOrder(roots []*Hop) []*Hop {
+	var order []*Hop
+	WalkDAG(roots, func(h *Hop) {
+		h.Pos = len(order)
+		order = append(order, h)
+	})
+	return order
 }
 
 // HasUnknownDims reports whether any matrix hop reachable from roots has

@@ -13,11 +13,13 @@ import (
 // leaving it out cannot change what lop, cost or opt compute.
 var keyExcluded = map[string]string{
 	"Hop.ID":         "identity only: names CSE entries, interpreter value caches and cost's job-output keys, and any unique numbering selects and costs alike",
-	"Hop.Pos":        "derived from Roots when the block is built: the hop's index in Block.Order",
+	"Hop.Pos":        "derived when the block is built: the hop's index in Block.Order or Block.Header",
 	"Hop.mark":       "walk bookkeeping: the number of the last WalkDAG that visited the hop",
 	"Block.Order":    "derived from Roots when the block is built: the hops in WalkDAG order",
 	"Block.Users":    "derived from Roots when the block is built: each hop's consumers",
 	"Block.Stmts":    "not read by non-test code in lop/cost/opt: recompilation input",
+	"Block.Header":   "derived from Pred, From and To when the block is built: the header hops in WalkDAG order",
+	"Block.Reads":    "derived from Stmts when the block is built: the variables recompilation looks up",
 	"Block.Src":      "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
 	"Program.Source": "not read by non-test code in lop/cost/opt: kept for migration recompiles",

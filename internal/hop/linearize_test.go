@@ -11,7 +11,8 @@ import (
 // TestLinearizedBlocks: on the paper grid, every generic block the compiler
 // builds — by Compile, by RebuildScope of each top-level suffix (the scopes
 // the §4 adapter rebuilds) and by RecompileGeneric — carries the Order, Pos
-// and Users a fresh walk of its roots computes.
+// and Users a fresh walk of its roots computes, and every control block the
+// Header and Pos a fresh walk of its Pred, From and To computes.
 func TestLinearizedBlocks(t *testing.T) {
 	forEachProblem(t, func(name string, c *Compiler, hp *Program) {
 		checkLinearized(t, name, hp.Blocks)
@@ -47,11 +48,22 @@ func writtenMeta(p *Program) SymTab {
 	return meta
 }
 
-// checkLinearized compares each generic block's tables with a fresh walk.
+// checkLinearized compares each block's tables with a fresh walk.
 func checkLinearized(t *testing.T, name string, blocks []*Block) {
 	t.Helper()
 	WalkBlocks(blocks, func(b *Block) {
 		if b.Kind != dml.GenericBlock {
+			var header []*Hop
+			WalkDAG([]*Hop{b.Pred, b.From, b.To}, func(h *Hop) { header = append(header, h) })
+			if !slices.Equal(b.Header, header) {
+				t.Errorf("%s lines %d-%d: Header has %d hops, a walk finds %d",
+					name, b.FirstLine, b.LastLine, len(b.Header), len(header))
+			}
+			for i, h := range b.Header {
+				if h.Pos != i {
+					t.Errorf("%s lines %d-%d: header %s at %d has Pos %d", name, b.FirstLine, b.LastLine, h, i, h.Pos)
+				}
+			}
 			return
 		}
 		var order []*Hop

@@ -72,18 +72,23 @@ func (k *keyHasher) str(s string) {
 	k.buf = append(k.buf, s...)
 }
 
-func (k *keyHasher) i64(v int64) { k.buf = binary.AppendVarint(k.buf, v) }
+func (k *keyHasher) i64(v int64) { k.buf = appendI64(k.buf, v) }
 
-func (k *keyHasher) f64(v float64) {
-	k.buf = binary.BigEndian.AppendUint64(k.buf, math.Float64bits(v))
+func (k *keyHasher) f64(v float64) { k.buf = appendF64(k.buf, v) }
+
+func (k *keyHasher) boolByte(v bool) { k.buf = appendBool(k.buf, v) }
+
+func appendI64(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
+
+func appendF64(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func (k *keyHasher) boolByte(v bool) {
+func appendBool(dst []byte, v bool) []byte {
 	if v {
-		k.buf = append(k.buf, 1)
-	} else {
-		k.buf = append(k.buf, 0)
+		return append(dst, 1)
 	}
+	return append(dst, 0)
 }
 
 // param encodes one parameter binding with a type tag, so a string "1"
@@ -116,21 +121,25 @@ func (k *keyHasher) param(name string, v interface{}) {
 	}
 }
 
-// options encodes the result-relevant optimizer options. Workers and
-// TimeBudget are deliberately excluded: the task-parallel optimizer returns
-// the same result as the sequential one, and the service never sets a time
-// budget (it would make outcomes wall-clock dependent).
-func (k *keyHasher) options(opts Options) {
-	k.tag('O')
-	k.i64(int64(opts.GridCP))
-	k.i64(int64(opts.GridMR))
-	k.i64(int64(opts.Points))
-	k.boolByte(opts.DisablePruning)
-	k.i64(int64(len(opts.CPCoreCandidates)))
+// AppendOptionsKey appends the encoding of the options a search's result
+// depends on, the one the plan-cache key covers: two options with equal
+// encodings make every search return the same result. Workers and
+// TimeBudget are deliberately excluded (TestCacheKeyCoversFields holds
+// the classification): the task-parallel optimizer returns the same
+// result as the sequential one, and a time budget makes the result
+// wall-clock dependent, so a caller that reuses results must not reuse a
+// budgeted one.
+func AppendOptionsKey(dst []byte, opts Options) []byte {
+	dst = append(dst, 'O')
+	dst = appendI64(dst, int64(opts.GridCP))
+	dst = appendI64(dst, int64(opts.GridMR))
+	dst = appendI64(dst, int64(opts.Points))
+	dst = appendBool(dst, opts.DisablePruning)
+	dst = appendI64(dst, int64(len(opts.CPCoreCandidates)))
 	for _, c := range opts.CPCoreCandidates {
-		k.i64(int64(c))
+		dst = appendI64(dst, int64(c))
 	}
-	k.f64(opts.ClusterLoad)
+	return appendF64(dst, opts.ClusterLoad)
 }
 
 // problem encodes the cluster-independent half of the key: source,
@@ -194,7 +203,7 @@ func CacheKey(source string, params map[string]interface{}, inputs []InputMeta, 
 	k.buf = k.buf[:0]
 	k.problem(source, params, inputs)
 	k.cluster(cc)
-	k.options(opts)
+	k.buf = AppendOptionsKey(k.buf, opts)
 	key := k.finish()
 	keyHasherPool.Put(k)
 	return key
@@ -208,7 +217,7 @@ func MemoKey(source string, params map[string]interface{}, inputs []InputMeta, o
 	k := keyHasherPool.Get().(*keyHasher)
 	k.buf = k.buf[:0]
 	k.problem(source, params, inputs)
-	k.options(opts)
+	k.buf = AppendOptionsKey(k.buf, opts)
 	key := k.finish()
 	keyHasherPool.Put(k)
 	return key

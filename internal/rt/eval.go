@@ -9,21 +9,51 @@ import (
 	"elasticml/internal/matrix"
 )
 
-// env evaluates one block DAG with memoization.
+// env evaluates one linearized DAG with memoization — a generic block's
+// Order or a control block's Header — in the order its consumers ask for
+// values (reads draw from the fault injector and prints stream to Out, so
+// the order is part of the result). Hops memoize by Pos in vals, and the
+// scalars and descriptors they produce live in slab, one allocation per
+// evaluation; the slab is never reused, since ip.Vars keeps pointers into
+// it. args stacks the operands of the hops being evaluated (see
+// evalInputs).
 type env struct {
-	ip    *Interp
-	cache map[int64]*Value
+	ip   *Interp
+	vals []*Value
+	slab []Value
+	args []*Value
 }
 
-func newEnv(ip *Interp) *env {
-	return &env{ip: ip, cache: map[int64]*Value{}}
+// newEnv returns an env for one evaluation of the DAG linearized as order.
+// vals and the args stack share one allocation; the stack starts with room
+// for one operand per hop and grows if a DAG needs more.
+func newEnv(ip *Interp, order []*hop.Hop) *env {
+	n := len(order)
+	ptrs := make([]*Value, 2*n)
+	return &env{ip: ip, vals: ptrs[:n:n], args: ptrs[n:n], slab: make([]Value, n)}
+}
+
+// scalar, unknown and desc build h's result like ScalarValue,
+// UnknownScalar and MetaValue, in h's slab slot.
+func (e *env) scalar(h *hop.Hop, x float64) *Value {
+	v := &e.slab[h.Pos]
+	v.Scalar, v.Known = x, true
+	return v
+}
+
+func (e *env) unknown(h *hop.Hop) *Value { return &e.slab[h.Pos] }
+
+func (e *env) desc(h *hop.Hop, rows, cols, nnz int64) *Value {
+	v := &e.slab[h.Pos]
+	v.Matrix, v.Rows, v.Cols, v.NNZ = true, rows, cols, nnz
+	return v
 }
 
 func (e *env) eval(h *hop.Hop) (v *Value, err error) {
 	if h == nil {
 		return nil, nil
 	}
-	if cached, ok := e.cache[h.ID]; ok {
+	if cached := e.vals[h.Pos]; cached != nil {
 		return cached, nil
 	}
 	// Matrix kernels panic on operand mismatches (bad plans whose
@@ -48,7 +78,7 @@ func (e *env) eval(h *hop.Hop) (v *Value, err error) {
 			v = MatValue(c)
 		}
 	}
-	e.cache[h.ID] = v
+	e.vals[h.Pos] = v
 	if e.ip.MemHook != nil && e.ip.Mode == ModeValue {
 		e.observeMem(h, v)
 	}
@@ -79,22 +109,28 @@ func (e *env) observeMem(h *hop.Hop, v *Value) {
 		if in == nil || in.DataType != hop.Matrix || slices.Contains(h.Inputs[:i], in) {
 			continue
 		}
-		if iv, ok := e.cache[in.ID]; ok && iv != nil && iv.Matrix && iv.Mat != nil {
+		if iv := e.vals[in.Pos]; iv != nil && iv.Matrix && iv.Mat != nil {
 			ins = append(ins, iv.Mat)
 		}
 	}
 	e.ip.MemHook(h, ins, out)
 }
 
+// evalInputs evaluates h's inputs in order. The values are a window of
+// the env's args stack, valid until the caller evaluates another hop: every
+// caller computes its result from them without evaluating further.
 func (e *env) evalInputs(h *hop.Hop) ([]*Value, error) {
-	vals := make([]*Value, len(h.Inputs))
-	for i, in := range h.Inputs {
+	base := len(e.args)
+	for _, in := range h.Inputs {
 		v, err := e.eval(in)
 		if err != nil {
+			e.args = e.args[:base]
 			return nil, err
 		}
-		vals[i] = v
+		e.args = append(e.args, v)
 	}
+	vals := e.args[base:]
+	e.args = e.args[:base]
 	return vals, nil
 }
 
@@ -105,7 +141,7 @@ func (e *env) compute(h *hop.Hop) (*Value, error) {
 		if h.DataType == hop.String {
 			return StrValue(h.StrValue), nil
 		}
-		return ScalarValue(h.Value), nil
+		return e.scalar(h, h.Value), nil
 
 	case hop.KindTRead:
 		v, ok := ip.Vars[h.Name]
@@ -133,7 +169,7 @@ func (e *env) compute(h *hop.Hop) (*Value, error) {
 			}
 			return MatValue(f.Data), nil
 		}
-		return MetaValue(f.Rows, f.Cols, f.NNZ), nil
+		return e.desc(h, f.Rows, f.Cols, f.NNZ), nil
 
 	case hop.KindTWrite:
 		v, err := e.eval(h.Inputs[0])
@@ -221,7 +257,7 @@ func (e *env) dataGen(h *hop.Hop) (*Value, error) {
 		if v.Known && v.Scalar == 0 {
 			nnz = 0
 		}
-		return MetaValue(rows, cols, nnz), nil
+		return e.desc(h, rows, cols, nnz), nil
 	}
 	return MatValue(matrix.Filled(int(rows), int(cols), v.Scalar)), nil
 }
@@ -240,7 +276,7 @@ func (e *env) seq(h *hop.Hop) (*Value, error) {
 		if n < 0 {
 			n = 0
 		}
-		return MetaValue(n, 1, n), nil
+		return e.desc(h, n, 1, n), nil
 	}
 	return MatValue(matrix.Seq(from.Scalar, to.Scalar, incr.Scalar)), nil
 }
@@ -257,9 +293,9 @@ func (e *env) unary(h *hop.Hop) (*Value, error) {
 	}
 	if !x.Matrix {
 		if !x.Known {
-			return UnknownScalar(), nil
+			return e.unknown(h), nil
 		}
-		return ScalarValue(op.Apply(x.Scalar)), nil
+		return e.scalar(h, op.Apply(x.Scalar)), nil
 	}
 	if e.ip.Mode == ModeSim || x.Mat == nil {
 		return e.metaFromHop(h, x), nil
@@ -287,9 +323,9 @@ func (e *env) binary(h *hop.Hop) (*Value, error) {
 	switch {
 	case !a.Matrix && !b.Matrix:
 		if !a.Known || !b.Known {
-			return UnknownScalar(), nil
+			return e.unknown(h), nil
 		}
-		return ScalarValue(op.Apply(a.Scalar, b.Scalar)), nil
+		return e.scalar(h, op.Apply(a.Scalar, b.Scalar)), nil
 	case e.ip.Mode == ModeSim || (a.Matrix && a.Mat == nil) || (b.Matrix && b.Mat == nil):
 		ref := a
 		if !ref.Matrix {
@@ -313,30 +349,30 @@ func (e *env) agg(h *hop.Hop) (*Value, error) {
 	x := vals[0]
 	switch h.Op {
 	case "nrow":
-		return ScalarValue(float64(x.Rows)), nil
+		return e.scalar(h, float64(x.Rows)), nil
 	case "ncol":
-		return ScalarValue(float64(x.Cols)), nil
+		return e.scalar(h, float64(x.Cols)), nil
 	}
 	if e.ip.Mode == ModeSim || x.Mat == nil {
 		if h.IsScalar() {
-			return UnknownScalar(), nil
+			return e.unknown(h), nil
 		}
 		return e.metaFromHop(h, x), nil
 	}
 	m := x.Mat
 	switch h.Op {
 	case "sum":
-		return ScalarValue(matrix.Sum(m)), nil
+		return e.scalar(h, matrix.Sum(m)), nil
 	case "mean":
-		return ScalarValue(matrix.Agg(matrix.MeanAgg, m)), nil
+		return e.scalar(h, matrix.Agg(matrix.MeanAgg, m)), nil
 	case "min":
-		return ScalarValue(matrix.Agg(matrix.MinAgg, m)), nil
+		return e.scalar(h, matrix.Agg(matrix.MinAgg, m)), nil
 	case "max":
-		return ScalarValue(matrix.Agg(matrix.MaxAgg, m)), nil
+		return e.scalar(h, matrix.Agg(matrix.MaxAgg, m)), nil
 	case "trace":
-		return ScalarValue(matrix.Agg(matrix.Trace, m)), nil
+		return e.scalar(h, matrix.Agg(matrix.Trace, m)), nil
 	case "sumsq":
-		return ScalarValue(matrix.SumSq(m)), nil
+		return e.scalar(h, matrix.SumSq(m)), nil
 	case "rowSums":
 		return MatValue(matrix.RowSums(m)), nil
 	case "colSums":
@@ -361,7 +397,7 @@ func (e *env) matmul(h *hop.Hop) (*Value, error) {
 		}
 		sp := matrix.MulSparsity(a.Sparsity(), b.Sparsity(), k)
 		nnz := int64(sp * float64(rows) * float64(b.Cols))
-		return MetaValue(rows, b.Cols, nnz), nil
+		return e.desc(h, rows, b.Cols, nnz), nil
 	}
 	if h.TransA {
 		if h.Inputs[0] == h.Inputs[1] {
@@ -379,7 +415,7 @@ func (e *env) reorg(h *hop.Hop) (*Value, error) {
 	}
 	x := vals[0]
 	if e.ip.Mode == ModeSim || x.Mat == nil {
-		return MetaValue(x.Cols, x.Rows, x.NNZ), nil
+		return e.desc(h, x.Cols, x.Rows, x.NNZ), nil
 	}
 	return MatValue(matrix.Transpose(x.Mat)), nil
 }
@@ -392,9 +428,9 @@ func (e *env) appendOp(h *hop.Hop) (*Value, error) {
 	a, b := vals[0], vals[1]
 	if e.ip.Mode == ModeSim || a.Mat == nil || b.Mat == nil {
 		if h.Op == "rbind" {
-			return MetaValue(a.Rows+b.Rows, a.Cols, a.NNZ+b.NNZ), nil
+			return e.desc(h, a.Rows+b.Rows, a.Cols, a.NNZ+b.NNZ), nil
 		}
-		return MetaValue(a.Rows, a.Cols+b.Cols, a.NNZ+b.NNZ), nil
+		return e.desc(h, a.Rows, a.Cols+b.Cols, a.NNZ+b.NNZ), nil
 	}
 	if h.Op == "rbind" {
 		return MatValue(matrix.RBind(a.Mat, b.Mat)), nil
@@ -458,7 +494,7 @@ func (e *env) index(h *hop.Hop) (*Value, error) {
 	if e.ip.Mode == ModeSim || x.Mat == nil {
 		rows, cols := r1-r0, c1-c0
 		nnz := int64(float64(rows*cols) * x.Sparsity())
-		return MetaValue(rows, cols, nnz), nil
+		return e.desc(h, rows, cols, nnz), nil
 	}
 	return MatValue(matrix.Slice(x.Mat, int(r0), int(r1), int(c0), int(c1))), nil
 }
@@ -477,7 +513,7 @@ func (e *env) leftIndex(h *hop.Hop) (*Value, error) {
 		return nil, err
 	}
 	if e.ip.Mode == ModeSim || x.Mat == nil {
-		return MetaValue(x.Rows, x.Cols, x.Rows*x.Cols), nil
+		return e.desc(h, x.Rows, x.Cols, x.Rows*x.Cols), nil
 	}
 	// ToDense already returns a fresh buffer for sparse sources; clone only
 	// when it aliases the (dense) source, so the update never mutates the
@@ -509,7 +545,7 @@ func (e *env) table(h *hop.Hop) (*Value, error) {
 	if e.ip.Mode == ModeSim || a.Mat == nil || b.Mat == nil {
 		// Data-dependent output size: in sim mode the class count comes
 		// from the workload specification.
-		return MetaValue(a.Rows, e.ip.SimTableCols, a.Rows), nil
+		return e.desc(h, a.Rows, e.ip.SimTableCols, a.Rows), nil
 	}
 	return MatValue(matrix.Table(a.Mat, b.Mat)), nil
 }
@@ -521,13 +557,13 @@ func (e *env) diag(h *hop.Hop) (*Value, error) {
 	}
 	if e.ip.Mode == ModeSim || x.Mat == nil {
 		if x.Cols == 1 {
-			return MetaValue(x.Rows, x.Rows, x.NNZ), nil
+			return e.desc(h, x.Rows, x.Rows, x.NNZ), nil
 		}
 		n := x.Rows
 		if x.Cols < n {
 			n = x.Cols
 		}
-		return MetaValue(n, 1, n), nil
+		return e.desc(h, n, 1, n), nil
 	}
 	return MatValue(matrix.Diag(x.Mat)), nil
 }
@@ -539,7 +575,7 @@ func (e *env) solve(h *hop.Hop) (*Value, error) {
 	}
 	a, b := vals[0], vals[1]
 	if e.ip.Mode == ModeSim || a.Mat == nil || b.Mat == nil {
-		return MetaValue(a.Cols, b.Cols, a.Cols*b.Cols), nil
+		return e.desc(h, a.Cols, b.Cols, a.Cols*b.Cols), nil
 	}
 	x, err := matrix.Solve(a.Mat, b.Mat)
 	if err != nil {
@@ -554,18 +590,18 @@ func (e *env) ternaryAgg(h *hop.Hop) (*Value, error) {
 		return nil, err
 	}
 	if e.ip.Mode == ModeSim {
-		return UnknownScalar(), nil
+		return e.unknown(h), nil
 	}
 	for _, v := range vals {
 		if v.Mat == nil {
-			return UnknownScalar(), nil
+			return e.unknown(h), nil
 		}
 	}
 	prod := vals[0].Mat
 	for _, v := range vals[1 : len(vals)-1] {
 		prod = matrix.EW(matrix.MulEW, prod, v.Mat)
 	}
-	return ScalarValue(matrix.DotProduct(prod, vals[len(vals)-1].Mat)), nil
+	return e.scalar(h, matrix.DotProduct(prod, vals[len(vals)-1].Mat)), nil
 }
 
 func (e *env) cast(h *hop.Hop) (*Value, error) {
@@ -577,12 +613,12 @@ func (e *env) cast(h *hop.Hop) (*Value, error) {
 		return x, nil
 	}
 	if x.Mat == nil {
-		return UnknownScalar(), nil
+		return e.unknown(h), nil
 	}
 	if x.Rows != 1 || x.Cols != 1 {
 		return nil, fmt.Errorf("as.scalar requires 1x1 matrix, got %dx%d", x.Rows, x.Cols)
 	}
-	return ScalarValue(x.Mat.At(0, 0)), nil
+	return e.scalar(h, x.Mat.At(0, 0)), nil
 }
 
 // metaFromHop builds a descriptor from the hop's inferred sizes, falling
@@ -598,5 +634,5 @@ func (e *env) metaFromHop(h *hop.Hop, ref *Value) *Value {
 	if nnz == hop.Unknown || nnz < 0 {
 		nnz = rows * cols
 	}
-	return MetaValue(rows, cols, nnz)
+	return e.desc(h, rows, cols, nnz)
 }

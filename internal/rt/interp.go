@@ -71,8 +71,9 @@ type AdaptContext struct {
 	// Res is the current resource configuration.
 	Res conf.Resources
 	// Meta is the runtime variable metadata (sizes now known), a fresh
-	// snapshot per consult: the adapter hands it to RebuildScope, which
-	// takes ownership of it.
+	// snapshot of every live variable per consult — not the block's read
+	// set, since the re-optimization scope reads past the block: the
+	// adapter hands it to RebuildScope, which takes ownership of it.
 	Meta hop.SymTab
 	// DirtyBytes is the size of dirty live variables (migration IO).
 	DirtyBytes conf.Bytes
@@ -263,7 +264,7 @@ func (ip *Interp) execBlock(b *lop.Block) error {
 	case dml.GenericBlock:
 		return ip.execGeneric(b)
 	case dml.IfBlockKind:
-		pv, err := ip.evalPredicate(b.Pred)
+		pv, err := ip.evalPredicate(b, b.Pred)
 		if err != nil {
 			return err
 		}
@@ -297,7 +298,7 @@ func (ip *Interp) execWhile(b *lop.Block) error {
 			// unknown-iteration loops.
 			return nil
 		}
-		pv, err := ip.evalPredicate(b.Pred)
+		pv, err := ip.evalPredicate(b, b.Pred)
 		if err != nil {
 			return err
 		}
@@ -318,11 +319,11 @@ func (ip *Interp) execWhile(b *lop.Block) error {
 }
 
 func (ip *Interp) execFor(b *lop.Block) error {
-	fromV, err := ip.evalPredicate(b.From)
+	fromV, err := ip.evalPredicate(b, b.From)
 	if err != nil {
 		return err
 	}
-	toV, err := ip.evalPredicate(b.To)
+	toV, err := ip.evalPredicate(b, b.To)
 	if err != nil {
 		return err
 	}
@@ -361,13 +362,13 @@ func (ip *Interp) execFor(b *lop.Block) error {
 	return nil
 }
 
-// evalPredicate evaluates a scalar header DAG against the live variables.
-func (ip *Interp) evalPredicate(pred *hop.Hop) (*Value, error) {
+// evalPredicate evaluates one of a control block's scalar header DAGs
+// against the live variables.
+func (ip *Interp) evalPredicate(b *lop.Block, pred *hop.Hop) (*Value, error) {
 	if pred == nil {
 		return ScalarValue(1), nil
 	}
-	env := newEnv(ip)
-	return env.eval(pred)
+	return newEnv(ip, b.HopBlock.Header).eval(pred)
 }
 
 // snapshotMeta converts the live-variable table into compiler metadata.
@@ -379,6 +380,26 @@ func (ip *Interp) snapshotMeta() hop.SymTab {
 	return meta
 }
 
+// readMeta is the compiler metadata of the live variables a generic block
+// reads, all that recompiling it looks up.
+func (ip *Interp) readMeta(b *hop.Block) hop.SymTab {
+	meta := make(hop.SymTab, len(b.Reads))
+	for _, name := range b.Reads {
+		if v, ok := ip.Vars[name]; ok {
+			meta[name] = v.meta()
+		}
+	}
+	return meta
+}
+
+// recompile is how execGeneric rebuilds a generic block: from the
+// metadata of the live variables it reads, not a snapshot of every one. A
+// variable so that TestRecompileReadSet can check each rebuild of a run
+// against one from the full snapshot.
+var recompile = func(ip *Interp, b *hop.Block) (*hop.Block, error) {
+	return ip.Compiler.RecompileGeneric(b, ip.readMeta(b))
+}
+
 // execGeneric runs one generic block: node-failure delivery, dynamic
 // recompilation if needed, adaptation hook, time charging, and
 // value/metadata evaluation.
@@ -388,7 +409,7 @@ func (ip *Interp) execGeneric(b *lop.Block) error {
 	}
 	exec := b
 	if b.Recompile || ip.resChanged {
-		hb, err := ip.Compiler.RecompileGeneric(b.HopBlock, ip.snapshotMeta())
+		hb, err := recompile(ip, b.HopBlock)
 		if err != nil {
 			return fmt.Errorf("rt: dynamic recompilation failed: %w", err)
 		}
@@ -501,7 +522,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 	}
 	// Evaluate roots first: transient writes bind variables, persistent
 	// writes hit the DFS, prints stream to Out, stop aborts.
-	env := newEnv(ip)
+	env := newEnv(ip, b.HopBlock.Order)
 	for _, root := range b.HopBlock.Roots {
 		if _, err := env.eval(root); err != nil {
 			return err
@@ -509,11 +530,11 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 	}
 	// Resolve remaining unknown dimensions from the computed values so the
 	// performance model charges actual sizes, not worst-case infinities.
-	for _, h := range b.HopBlock.Order {
+	for i, h := range b.HopBlock.Order {
 		if h.DataType != hop.Matrix || h.DimsKnown() {
 			continue
 		}
-		if v, ok := env.cache[h.ID]; ok && v != nil && v.Matrix {
+		if v := env.vals[i]; v != nil && v.Matrix {
 			hop.UpdateFromRuntime(h, v.Rows, v.Cols, v.NNZ)
 		}
 	}

@@ -22,11 +22,11 @@ func TestEvalRecoversKernelPanic(t *testing.T) {
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
 	ip.Vars["A"] = MatValue(matrix.Random(2, 3, 1.0, -1, 1, 1))
 	ip.Vars["B"] = MatValue(matrix.Random(2, 3, 1.0, -1, 1, 2)) // 2x3 x 2x3: mismatched
-	a := &hop.Hop{ID: 1, Kind: hop.KindTRead, Name: "A", DataType: hop.Matrix}
-	b := &hop.Hop{ID: 2, Kind: hop.KindTRead, Name: "B", DataType: hop.Matrix}
-	mm := &hop.Hop{ID: 3, Kind: hop.KindMatMul, Inputs: []*hop.Hop{a, b}, DataType: hop.Matrix}
+	a := &hop.Hop{ID: 1, Kind: hop.KindTRead, Name: "A", DataType: hop.Matrix, Pos: 0}
+	b := &hop.Hop{ID: 2, Kind: hop.KindTRead, Name: "B", DataType: hop.Matrix, Pos: 1}
+	mm := &hop.Hop{ID: 3, Kind: hop.KindMatMul, Inputs: []*hop.Hop{a, b}, DataType: hop.Matrix, Pos: 2}
 
-	v, err := newEnv(ip).eval(mm)
+	v, err := newEnv(ip, []*hop.Hop{a, b, mm}).eval(mm)
 	if err == nil {
 		t.Fatalf("eval of mismatched matmul succeeded: %v", v)
 	}

@@ -35,7 +35,7 @@ type LoadConfig struct {
 	// pings and status probes (default 10). 1 submits on every request.
 	SubmitEvery int
 	// CancelFraction cancels roughly one in N accepted jobs (default 16;
-	// 0 disables cancels).
+	// a negative value disables cancels).
 	CancelFraction int
 	// WaitResults blocks at the end until every accepted job's result
 	// frame has arrived.
@@ -178,6 +178,7 @@ func runSession(cfg LoadConfig, idx, budget int) (LoadStats, []time.Duration, er
 			<-tick
 		}
 		start := time.Now()
+		cancel := false
 		switch {
 		case i%cfg.SubmitEvery == 0:
 			st.Submits++
@@ -194,13 +195,7 @@ func runSession(cfg LoadConfig, idx, budget int) (LoadStats, []time.Duration, er
 				st.Accepted++
 				jobs = append(jobs, job)
 				pendingResults = append(pendingResults, resCh)
-				if cfg.CancelFraction > 0 && r.Intn(cfg.CancelFraction) == 0 {
-					st.Cancels++
-					st.Requests++
-					if _, err := cl.Cancel(job); err != nil {
-						st.Errors++
-					}
-				}
+				cancel = cfg.CancelFraction > 0 && r.Intn(cfg.CancelFraction) == 0
 			case errors.Is(err, ErrOverloaded):
 				st.Shed++
 			default:
@@ -225,6 +220,16 @@ func runSession(cfg LoadConfig, idx, budget int) (LoadStats, []time.Duration, er
 		}
 		st.Requests++
 		lats = append(lats, time.Since(start))
+		if cancel {
+			// The cancel is a request of its own, with its own sample.
+			start = time.Now()
+			st.Cancels++
+			if _, err := cl.Cancel(jobs[len(jobs)-1]); err != nil {
+				st.Errors++
+			}
+			st.Requests++
+			lats = append(lats, time.Since(start))
+		}
 	}
 
 	if cfg.WaitResults {

@@ -11,27 +11,30 @@ import (
 	"elasticml/internal/workload"
 )
 
-// Submit prepares a job (identify, key, and on a miss compile and a cold
-// search) on the caller's goroutine under the view the service last
-// published, and the sequencer commits it in order. These tests pin that a
+// Submit prepares a job (identify, key, and on a miss compile, a cold
+// search and, for a scenario job, a simulated run of its answer) on the
+// caller's goroutine under the view the service last published, and the
+// sequencer commits it in order. These tests pin that a
 // view that moved in between is noticed, and that live runs replay
 // byte-identically however the preparations interleave with chaos.
 
 // TestSequencerPreparedStaleView: a job is prepared under the full cluster,
 // then a node flaps down before the job is admitted. Its prepared answer
-// is for the old view's key, so the sequencer must not use it: it plans
-// again under the live view (without compiling again), and the report
-// equals the replay of the recorded ops. Without the flap the answer is
-// used. The sequencer's steps are driven by hand here, so the interleaving
-// is the one named, not a race.
+// is for the old view's key and its prepared run for the old view, so the
+// sequencer must use neither: it plans again under the live view (without
+// compiling again) and simulates the plan itself, and the report equals
+// the replay of the recorded ops. Without the flap the answer and the run
+// are used: the sequencer simulates nothing. The sequencer's steps are
+// driven by hand here, so the interleaving is the one named, not a race.
 func TestSequencerPreparedStaleView(t *testing.T) {
 	for _, c := range []struct {
-		name        string
-		flapFirst   bool
-		used, stale int64
+		name         string
+		flapFirst    bool
+		used, stale  int64
+		runs, reuses int64
 	}{
-		{"view-moved", true, 0, 1},
-		{"view-kept", false, 1, 0},
+		{"view-moved", true, 0, 1, 1, 0},
+		{"view-kept", false, 1, 0, 0, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o := workload.DefaultOptions()
@@ -73,6 +76,9 @@ func TestSequencerPreparedStaleView(t *testing.T) {
 			}
 			if n := m.Counter("workload.compiles"); n != 1 {
 				t.Errorf("%d compiles, want the prepared one only", n)
+			}
+			if runs, reuses := m.Counter("workload.sim_runs"), m.Counter("workload.sim_reuses"); runs != c.runs || reuses != c.reuses {
+				t.Errorf("sim_runs %d, sim_reuses %d; want %d and %d", runs, reuses, c.runs, c.reuses)
 			}
 
 			ro := o

@@ -106,10 +106,7 @@ func checkInvariants(t *testing.T, s *Service) {
 					break
 				}
 				fresh.prog = c
-				live := s.live
-				s.live = k.live
-				sr := s.simulate(fresh, k.res)
-				s.live = live
+				sr := simulate(fresh, k.live, k.res)
 				if sr.err != nil {
 					t.Errorf("t=%.3f %s: shadow simulate: %v", s.now, name, sr.err)
 				} else if *sr.outcome != *k.outcome || len(sr.outputs) != 0 {

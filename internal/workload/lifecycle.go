@@ -259,12 +259,13 @@ func (s *Service) plan(reqs ...*planReq) {
 }
 
 // run yields the simulated run of each planned request. A sim-mode request
-// starts from its job's current run if that ran under this live view and
-// configuration, else from its plan-cache entry's; any other is simulated
-// on the job's program. Either way a sim-mode outcome is then attached to
-// the entry, if it is still there. Value-mode jobs run real matrices staged
-// by their own Setup, so they always execute. The attaches follow the whole
-// batch, like plan's inserts: same-key requests of one batch all simulate.
+// starts from its job's current run (or the one Prepare simulated) if that
+// ran under this live view and configuration, else from its plan-cache
+// entry's; any other is simulated on the job's program. Either way a
+// sim-mode outcome is then attached to the entry, if it is still there.
+// Value-mode jobs run real matrices staged by their own Setup, so they
+// always execute. The attaches follow the whole batch, like plan's inserts:
+// same-key requests of one batch all simulate.
 func (s *Service) run(reqs ...*planReq) []simResult {
 	sims := make([]simResult, len(reqs))
 	for i, p := range reqs {
@@ -278,7 +279,7 @@ func (s *Service) run(reqs ...*planReq) []simResult {
 			s.tr.Metrics().Add("workload.sim_reuses", 1)
 		} else if sims[i].err = s.program(p.j); sims[i].err == nil {
 			s.tr.Metrics().Add("workload.sim_runs", 1)
-			sims[i] = s.simulate(id, p.res)
+			sims[i] = simulate(id, s.live, p.res)
 		}
 	}
 	for i, p := range reqs {
@@ -655,18 +656,18 @@ func (s *Service) compile(id *identity) (c *compiled, err error) {
 	return &compiled{comp: comp, hp: hp}, nil
 }
 
-// simulate executes an identity's program under a configuration on the
-// runtime and folds the run into an outcome (plus, for value-mode jobs, the
-// written matrices). The run gets its own view of the staged file system
-// and a fork of the compiler, so the program stays as it was. It touches
-// no service state besides read-only fields and emits no trace events, so
-// it stays safe to run off the event loop, beside Step, as Prepare's
-// search does (program_test runs it concurrently over one program).
-func (s *Service) simulate(id *identity, res conf.Resources) (r simResult) {
+// simulate executes an identity's program under a cluster view and a
+// configuration on the runtime and folds the run into an outcome (plus, for
+// value-mode jobs, the written matrices). The run gets its own view of the
+// staged file system and a fork of the compiler, so the program stays as it
+// was. It reads no service state and emits no trace events: it is a pure
+// function of its arguments, so Prepare runs it on a session goroutine
+// beside Step (program_test runs it concurrently over one program).
+func simulate(id *identity, view conf.Cluster, res conf.Resources) (r simResult) {
 	defer recovered(&r.err)
 	c, fs := id.prog, id.fs.Clone()
-	plan := lop.Select(c.hp, s.live, res)
-	ip := rt.New(id.mode, fs, s.live, res)
+	plan := lop.Select(c.hp, view, res)
+	ip := rt.New(id.mode, fs, view, res)
 	ip.Compiler = c.comp.Fork(fs)
 	ip.SimTableCols = simTableCols
 	var out bytes.Buffer

@@ -12,12 +12,14 @@ import (
 	"elasticml/internal/fault"
 	"elasticml/internal/obs"
 	"elasticml/internal/opt"
+	"elasticml/internal/rt"
 	"elasticml/internal/scripts"
 )
 
-// Prepare runs identify, the cache key, and on a miss compile and a cold
-// search off the sequencer; the sequencer commits the answer only when its
-// own miss is under the same key. These tests pin that the answer is the
+// Prepare runs identify, the cache key, and on a miss compile, a cold
+// search and a simulate of its answer off the sequencer; the sequencer
+// commits the answer only when its own miss is under the same key, and the
+// run only when it admits the job under the same view and configuration. These tests pin that the answer is the
 // one the sequencer's memo search would have found, that a spec's prepared
 // state never outlives its use, and that a prepared run reports exactly
 // what an unprepared one does.
@@ -100,8 +102,9 @@ func TestPrepareMatchesSequencerSearch(t *testing.T) {
 // carries an answer) and then submitted one at a time at the frontier, with
 // the event loop run dry in between. The report equals the one of the same
 // submissions unprepared; each distinct key's first job commits its
-// prepared answer, and a repeat, which hits, commits nothing of its own.
-// The search moved off the sequencer, so the memo store stays empty.
+// prepared answer and run, and a repeat, which hits, commits nothing of its
+// own. The search and the simulate moved off the sequencer, so the memo
+// store stays empty and the sequencer simulates nothing.
 func TestPreparedRunMatchesUnprepared(t *testing.T) {
 	var specs []JobSpec
 	for i, spec := range coldMix() {
@@ -148,6 +151,9 @@ func TestPreparedRunMatchesUnprepared(t *testing.T) {
 	if used, stale := m.Counter("workload.prep_used"), m.Counter("workload.prep_stale"); used != int64(distinct) || stale != 0 {
 		t.Errorf("prep_used %d, prep_stale %d; want %d and 0", used, stale, distinct)
 	}
+	if runs, reuses := m.Counter("workload.sim_runs"), m.Counter("workload.sim_reuses"); runs != 0 || reuses != int64(len(specs)) {
+		t.Errorf("sim_runs %d, sim_reuses %d; want 0 and %d: a prepared run was simulated again", runs, reuses, len(specs))
+	}
 	if n := m.Counter("workload.compiles"); n != int64(len(specs)) {
 		t.Errorf("%d compiles, want one per prepared miss (%d)", n, len(specs))
 	}
@@ -166,7 +172,8 @@ func TestPreparedRunMatchesUnprepared(t *testing.T) {
 // resources but costs the program on six nodes' MR parallelism, so a
 // commit that took it would carry the wrong cost into every later
 // re-optimization. The job must be admitted with the search of the view it
-// is admitted under, and on the program Prepare compiled.
+// is admitted under, and on the program Prepare compiled, which the
+// sequencer simulates again: Prepare's run was under six nodes too.
 func TestStaleAnswerIsNotCommitted(t *testing.T) {
 	o := DefaultOptions()
 	o.Trace = obs.New(false)
@@ -194,9 +201,10 @@ func TestStaleAnswerIsNotCommitted(t *testing.T) {
 		t.Fatalf("the prepared answer (%v) is not stale: the test shows nothing", stale.cost)
 	}
 	m := o.Trace.Metrics()
-	if m.Counter("workload.prep_used") != 0 || m.Counter("workload.prep_stale") != 1 || m.Counter("workload.compiles") != 1 {
-		t.Errorf("prep_used %d, prep_stale %d, compiles %d; want 0, 1, 1", m.Counter("workload.prep_used"),
-			m.Counter("workload.prep_stale"), m.Counter("workload.compiles"))
+	if m.Counter("workload.prep_used") != 0 || m.Counter("workload.prep_stale") != 1 || m.Counter("workload.compiles") != 1 ||
+		m.Counter("workload.sim_runs") != 1 {
+		t.Errorf("prep_used %d, prep_stale %d, compiles %d, sim_runs %d; want 0, 1, 1, 1", m.Counter("workload.prep_used"),
+			m.Counter("workload.prep_stale"), m.Counter("workload.compiles"), m.Counter("workload.sim_runs"))
 	}
 }
 
@@ -234,7 +242,8 @@ func TestPreparedStateIsDropped(t *testing.T) {
 // compiles reaches the optimizer) and, like the sequencer would, as a
 // value-mode job over no inputs. A panic that escapes fails the target; so
 // does one Prepare recovered, since the sequencer would hit the same panic.
-// A prepared answer must be a configuration the cluster can grant.
+// A prepared answer must be a configuration the cluster can grant, and a
+// value-mode job is never run off the sequencer.
 func FuzzPrepare(f *testing.F) {
 	for i, sc := range scripts.All() {
 		f.Add(sc.Source, uint8(i))
@@ -267,6 +276,9 @@ func FuzzPrepare(f *testing.F) {
 			}
 			if err == nil && id.prep != nil && cc.ContainerSize(id.prep.res.CP) > cc.MaxAlloc {
 				t.Fatalf("prepared CP %v exceeds the largest container", id.prep.res.CP)
+			}
+			if err == nil && id.mode == rt.ModeValue && id.run.outcome != nil {
+				t.Fatal("Prepare ran a value-mode job's program")
 			}
 		}
 	})

@@ -193,7 +193,7 @@ func TestSimulateLeavesProgramUntouched(t *testing.T) {
 		if deepHash(id.prog.hp) != hp {
 			t.Errorf("%s: lop.Select mutated the hop program", name)
 		}
-		sr := s.simulate(id, p.res)
+		sr := simulate(id, s.live, p.res)
 		if sr.err != nil {
 			t.Fatalf("%s: %v", name, sr.err)
 		}
@@ -230,14 +230,14 @@ func TestSharedProgramRunsConcurrently(t *testing.T) {
 	s, reqs := corpusJobs(t)
 	for _, p := range reqs {
 		s.plan(p)
-		alone := s.simulate(p.j.id, p.res)
+		alone := simulate(p.j.id, s.live, p.res)
 		var pair [2]simResult
 		var wg sync.WaitGroup
 		for k := range pair {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pair[k] = s.simulate(p.j.id, p.res)
+				pair[k] = simulate(p.j.id, s.live, p.res)
 			}()
 		}
 		wg.Wait()

@@ -196,7 +196,9 @@ type identity struct {
 	key  string
 
 	// run is the job's current run, with the live view and configuration
-	// start installed it under: a re-plan that keeps both starts from it.
+	// start installed it under (or, before the job's first start, the run
+	// Prepare simulated under its view and answer): a plan that keeps both
+	// starts from it.
 	run simResult
 
 	// prep is the search Prepare ran on a cache miss, until the job's
@@ -401,15 +403,22 @@ func (s *Service) Submit(spec JobSpec) (int, error) {
 
 // Prepare does the part of a submission that reads no job and no event:
 // it identifies the spec, keys it under the published live view and, if
-// the plan cache has no entry for that key, compiles the program and runs a
-// cold search. It returns the spec carrying the result, for Submit. Prepare
-// is safe to call from any goroutine while another steps the service —
-// it asks the cache only Has, which moves no counter and no recency, so the
-// service's own lookups, inserts and reports are what they would be
-// without it. A spec Prepare could not finish (a failed identify or
-// compile, a panic at any stage) comes back as it went in: the job is
-// identified and planned on the goroutine that steps the service, as an
-// unprepared one is, and fails there the same way.
+// the plan cache has no entry for that key, compiles the program, runs a
+// cold search and, for a sim-mode job, simulates the configuration found
+// under that view. It returns the spec carrying the result, for Submit.
+// The sequencer's run commits the simulated run only if the job is
+// admitted under the same live view and configuration (a flap in between,
+// or a clamped or breaker-degraded admission, simulates again there). A
+// value-mode job is never simulated here: its Setup's matrices run on the
+// goroutine that steps the service. Prepare is safe to call from any
+// goroutine while another steps the service — it asks the cache only Has,
+// which moves no counter and no recency, so the service's own lookups,
+// inserts and reports are what they would be without it. A spec Prepare
+// could not finish (a failed identify or compile, a panic at any stage)
+// comes back as it went in: the job is identified and planned on the
+// goroutine that steps the service, as an unprepared one is, and fails
+// there the same way. A simulate that fails without a panic leaves the
+// answer without a run, and the job's run fails on the sequencer.
 func (s *Service) Prepare(spec JobSpec) JobSpec {
 	if id, err := s.prepare(spec); err == nil {
 		spec.prep = id
@@ -433,6 +442,16 @@ func (s *Service) prepare(spec JobSpec) (id *identity, err error) {
 	}
 	out := (&opt.Optimizer{CC: id.view, Opts: opts}).Optimize(id.prog.hp)
 	id.prep = &answer{key: key, res: out.Res, cost: out.Cost}
+	if id.mode == rt.ModeSim {
+		sr := simulate(id, id.view, out.Res)
+		if errors.Is(sr.err, errPanic) {
+			return nil, sr.err
+		}
+		if sr.err == nil {
+			id.run = sr
+			id.run.live, id.run.res = id.view, out.Res
+		}
+	}
 	return id, nil
 }
 

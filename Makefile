@@ -30,12 +30,16 @@ race:
 # prepared, each selecting through a private lop.Table; the
 # path-equivalence test runs the paper grid at 4 workers) and the shared
 # memos and sharded cache; workload, concurrent simulate calls over one
-# compiled program (program_test.go); server, the daemon's sessions, which
-# prepare jobs (compile, search and simulate) beside the sequencer as it
-# steps the service and simulates its own; and yarn, the ResourceManager
-# all of them allocate from.
+# compiled program (program_test.go) and batch Run's prefetch workers,
+# which prepare its next jobs beside the event loop; server, the daemon's
+# sessions, which prepare jobs (compile, search and simulate) beside the
+# sequencer as it steps the service and simulates its own; and yarn, the
+# ResourceManager all of them allocate from. The prefetch tests then run
+# again at 1, 2 and 4 Ps: the pool has GOMAXPROCS workers, and Run must
+# write the same bytes at every count (prefetch_test.go).
 race2:
 	$(GO) test -race -count=2 ./internal/opt ./internal/workload ./internal/server ./internal/yarn
+	$(GO) test -race -cpu 1,2,4 -run 'Prefetch|RunStopsItsWorkers' ./internal/workload
 
 # Each native fuzz target, for a fixed short time. A finding lands in the
 # package's testdata/fuzz/ as a regression input for plain `go test`.

@@ -731,22 +731,12 @@ func BenchmarkRepeatJob(b *testing.B) {
 	b.ReportMetric(float64(got.simRuns-warm.simRuns)/float64(b.N), "sim_runs/op")
 }
 
-// BenchmarkChurnTrace times one whole malleable trace — 24 mini-batch jobs
-// from GenerateMinibatch on a contended 2-node × 1 GB cluster under the
-// regret policy, with a straggler episode and a node flap — where resizes,
-// requeues and §5 passes re-plan running jobs all the time. It fails
-// unless every job compiles at most once.
+// BenchmarkChurnTrace times one whole malleable trace (churnTrace) through
+// batch Run, whose window prepares the next jobs on GOMAXPROCS workers. It
+// fails unless every job compiles at most once, and reports how many
+// prepared answers the loop committed.
 func BenchmarkChurnTrace(b *testing.B) {
-	cc := conf.DefaultCluster()
-	cc.Nodes, cc.MemPerNode, cc.MaxAlloc = 2, conf.GB, conf.GB
-	jobs := GenerateMinibatch(1, 24)
-	o := DefaultOptions()
-	o.Policy = PolicyRegret
-	o.Elastic.Tick = 5
-	o.Chaos = fault.ChaosPlan{
-		SlowNodes: []fault.SlowNode{{Node: 0, At: 20, Factor: 3, Duration: 40}},
-		Flaps:     []fault.Flap{{Node: 1, At: 70, RestoreAfter: 20}},
-	}
+	cc, jobs, o := churnTrace()
 	o.Trace = obs.New(false)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -764,6 +754,7 @@ func BenchmarkChurnTrace(b *testing.B) {
 	perOp := float64(c.compiles) / float64(b.N)
 	b.ReportMetric(perOp, "compiles/op")
 	b.ReportMetric(float64(c.simRuns)/float64(b.N), "sim_runs/op")
+	b.ReportMetric(float64(o.Trace.Metrics().Counter("workload.prep_used"))/float64(b.N), "prep_used/op")
 	if perOp > float64(len(jobs)) {
 		b.Fatalf("%.1f compiles per trace of %d jobs", perOp, len(jobs))
 	}

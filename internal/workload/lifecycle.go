@@ -113,6 +113,7 @@ func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
 	if counter != "" {
 		s.tr.Metrics().Add(counter, 1)
 	}
+	s.dropClaim(j)
 	s.rows[j.idx] = row{result: *r, state: st}
 	s.jobs[j.idx] = nil
 }
@@ -215,16 +216,16 @@ type planReq struct {
 
 // plan resolves optimization problems through the shared plan cache and
 // the per-program re-costing memos — the only path to the optimizer. A hit
-// needs only the job's identity; a miss under the key Prepare searched
-// takes Prepare's answer (the key fixes the program, the view and the
-// options, so it is what the search below would return); any other miss
-// needs the job's program for the optimizer, compiles it if the job has
-// none yet, and searches with the program's memo (the memo key excludes
-// the cluster, so searches for one program under shifting views share a
-// cost table). Requests resolve in order and the inserts follow the whole
-// batch, so two same-key requests of one batch both miss. A source that
-// does not compile gets no answer (r.err) and no memo: fetching one
-// inserts it and may evict a live program's.
+// needs only the job's identity; a miss under the key solve searched (for
+// Prepare or batch Run's window) takes that answer (the key fixes the
+// program, the view and the options, so it is what the search below would
+// return); any other miss needs the job's program for the optimizer,
+// compiles it if the job has none yet, and searches with the program's memo
+// (the memo key excludes the cluster, so searches for one program under
+// shifting views share a cost table). Requests resolve in order and the
+// inserts follow the whole batch, so two same-key requests of one batch both
+// miss. A source that does not compile gets no answer (r.err) and no memo:
+// fetching one inserts it and may evict a live program's.
 func (s *Service) plan(reqs ...*planReq) {
 	opts := s.optOpts()
 	for _, r := range reqs {
@@ -259,7 +260,7 @@ func (s *Service) plan(reqs ...*planReq) {
 }
 
 // run yields the simulated run of each planned request. A sim-mode request
-// starts from its job's current run (or the one Prepare simulated) if that
+// starts from its job's current run (or the one solve simulated) if that
 // ran under this live view and configuration, else from its plan-cache
 // entry's; any other is simulated on the job's program. Either way a
 // sim-mode outcome is then attached to the entry, if it is still there.
@@ -384,9 +385,13 @@ func (s *Service) place(j *job) (*planReq, placement) {
 		return nil, clusterFull
 	}
 	a := &planReq{j: j, view: s.live}
+	if j.id == nil && s.pf != nil {
+		s.takeClaim(j)
+	}
 	if j.id == nil && j.spec.prep != nil {
-		// Prepare identified the job off the sequencer (and, on a miss,
-		// compiled and searched it): the first attempt takes that over.
+		// Prepare identified the job off the sequencer, or batch Run's
+		// window claimed it (and, on a miss, compiled and searched it off
+		// the loop): the first attempt takes that over.
 		j.id, j.spec.prep = j.spec.prep, nil
 	} else if j.id == nil {
 		// The first attempt stages the job's inputs to learn its identity;
@@ -612,8 +617,9 @@ func recovered(err *error) {
 // identity — the input metadata among it — that the cache key covers. It
 // reads nothing but the job's spec and compiles nothing: the compiler never
 // writes the file system, so the listing is what it would be after one.
-// It is the one place a value-mode job's Setup runs, once per job (in
-// Prepare or at the job's first placement).
+// It is the one place a value-mode job's Setup runs: once per job, in
+// Prepare, in batch Run's claim or at the job's first placement — and at
+// that placement again if Prepare or the claim's worker could not finish.
 func identify(spec JobSpec) (id *identity, err error) {
 	defer recovered(&err)
 	fs := hdfs.New()
@@ -661,8 +667,9 @@ func (s *Service) compile(id *identity) (c *compiled, err error) {
 // value-mode jobs, the written matrices). The run gets its own view of the
 // staged file system and a fork of the compiler, so the program stays as it
 // was. It reads no service state and emits no trace events: it is a pure
-// function of its arguments, so Prepare runs it on a session goroutine
-// beside Step (program_test runs it concurrently over one program).
+// function of its arguments, so solve runs it on a session goroutine or a
+// prefetch worker beside Step (program_test runs it concurrently over one
+// program).
 func simulate(id *identity, view conf.Cluster, res conf.Resources) (r simResult) {
 	defer recovered(&r.err)
 	c, fs := id.prog, id.fs.Clone()

@@ -161,6 +161,9 @@ type job struct {
 	// id is the job's problem identity, held from its first placement
 	// attempt until terminate; everything retained per job hangs off it.
 	id *identity
+	// claim is batch Run's claim on the job, from the window's top-up
+	// until its first placement attempt takes it (prefetch.go).
+	claim *claim
 
 	result TenantResult
 }
@@ -197,12 +200,12 @@ type identity struct {
 
 	// run is the job's current run, with the live view and configuration
 	// start installed it under (or, before the job's first start, the run
-	// Prepare simulated under its view and answer): a plan that keeps both
+	// solve simulated under its view and answer): a plan that keeps both
 	// starts from it.
 	run simResult
 
-	// prep is the search Prepare ran on a cache miss, until the job's
-	// first plan consumes it.
+	// prep is the search solve ran on a cache miss, until the job's first
+	// plan consumes it.
 	prep *answer
 }
 
@@ -304,6 +307,9 @@ type Service struct {
 	running      int
 
 	rep Report
+
+	// pf is batch Run's prefetch window, nil outside Run.
+	pf *prefetcher
 }
 
 // New builds a service over a fresh simulated cluster. The shared plan
@@ -347,15 +353,21 @@ func Run(cc conf.Cluster, jobs []JobSpec, o Options) (*Report, error) {
 	return s.Run(jobs)
 }
 
-// Run executes one workload batch.
+// Run executes one workload batch. Knowing the batch, it prepares the next
+// jobs ahead of the event loop on GOMAXPROCS goroutines (prefetch.go),
+// which it stops before it returns; the report is what stepping the same
+// submissions by hand gives.
 func (s *Service) Run(specs []JobSpec) (*Report, error) {
 	if err := validate(specs, s.cc.Nodes, s.opts.Chaos); err != nil {
 		return nil, err
 	}
+	first := len(s.jobs)
 	for _, spec := range specs {
 		s.submit(spec)
 	}
 	s.ScheduleChaos()
+	stop := s.startPrefetch(first)
+	defer stop()
 	for s.Step() {
 	}
 	return s.Finalize(), nil
@@ -392,8 +404,8 @@ func (s *Service) Submit(spec JobSpec) (int, error) {
 	if spec.Source == "" && spec.Script.Source == "" {
 		return 0, fmt.Errorf("workload: submit %q: neither a script nor a source", spec.Tenant)
 	}
-	if spec.Arrival < 0 {
-		return 0, fmt.Errorf("workload: submit %q: negative arrival %g", spec.Tenant, spec.Arrival)
+	if err := checkArrival(spec.Arrival); err != nil {
+		return 0, fmt.Errorf("workload: submit %q: %w", spec.Tenant, err)
 	}
 	if spec.Arrival < s.lastT {
 		return 0, fmt.Errorf("workload: submit %q: arrival %g before frontier %g", spec.Tenant, spec.Arrival, s.lastT)
@@ -432,27 +444,39 @@ func (s *Service) prepare(spec JobSpec) (id *identity, err error) {
 	if id, err = identify(spec); err != nil {
 		return nil, err
 	}
-	opts := s.optOpts()
-	key := id.cacheKey(*s.view.Load(), opts)
-	if s.cache.Has(key) {
+	if s.cache.Has(id.cacheKey(*s.view.Load(), s.optOpts())) {
 		return id, nil
 	}
-	if id.prog, err = s.compile(id); err != nil {
+	if err = s.solve(id); err != nil {
 		return nil, err
 	}
-	out := (&opt.Optimizer{CC: id.view, Opts: opts}).Optimize(id.prog.hp)
-	id.prep = &answer{key: key, res: out.Res, cost: out.Cost}
+	return id, nil
+}
+
+// solve is the work of a cache miss that reads no service state, for an
+// identity keyed under its view: it compiles the program, runs a cold
+// search under the view and, for a sim-mode job, simulates the answer
+// there, keeping all three on the identity for the job's first placement
+// to commit. Prepare and batch Run's prefetch workers run it beside the
+// loop; a panic at any stage comes back as the error.
+func (s *Service) solve(id *identity) (err error) {
+	defer recovered(&err)
+	if id.prog, err = s.compile(id); err != nil {
+		return err
+	}
+	out := (&opt.Optimizer{CC: id.view, Opts: s.optOpts()}).Optimize(id.prog.hp)
+	id.prep = &answer{key: id.key, res: out.Res, cost: out.Cost}
 	if id.mode == rt.ModeSim {
 		sr := simulate(id, id.view, out.Res)
 		if errors.Is(sr.err, errPanic) {
-			return nil, sr.err
+			return sr.err
 		}
 		if sr.err == nil {
 			id.run = sr
 			id.run.live, id.run.res = id.view, out.Res
 		}
 	}
-	return id, nil
+	return nil
 }
 
 // setLive sets the live node count and publishes the view for Prepare.

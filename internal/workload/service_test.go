@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"io/fs"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,6 +222,25 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New(conf.Cluster{}, DefaultOptions()); err == nil {
 		t.Error("invalid cluster: want error, got nil")
+	}
+}
+
+// TestNonFiniteArrivalRejected: an arrival the event loop cannot order is
+// an error naming the job, from Run and from Submit alike. NaN and +Inf
+// used to pass both and reach the report as times JSON cannot encode.
+func TestNonFiniteArrivalRejected(t *testing.T) {
+	for _, at := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		spec := fixedWidthJob("late", "XS", at, 1)
+		if _, err := Run(demoCluster(), []JobSpec{spec}, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "late") {
+			t.Errorf("Run with arrival %g: error %v, want one naming the job", at, err)
+		}
+		s, err := New(demoCluster(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Submit(spec); err == nil || !strings.Contains(err.Error(), "late") {
+			t.Errorf("Submit with arrival %g: error %v, want one naming the job", at, err)
+		}
 	}
 }
 

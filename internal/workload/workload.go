@@ -9,7 +9,8 @@
 // The service is a discrete-event simulation driven entirely by simulated
 // time, so a workload is a pure function of its inputs: the same job list,
 // cluster, and options produce byte-identical reports. The service steps
-// on one goroutine; only Prepare may run beside it.
+// on one goroutine; only Prepare, and batch Run's prefetch workers, run
+// beside it, and neither takes a decision.
 //
 // The event loop (service.go) delivers arrivals, departures, booked
 // resizes, retries, chaos, and ticks; these only mutate cluster and job
@@ -26,7 +27,8 @@
 //     metadata), which identify reads off the spec and the staged inputs
 //     without compiling; a program is compiled only for a miss. A live
 //     frontend may run identify, the key, and on a miss the compile and a
-//     cold search ahead of time on its own goroutine (Prepare); plan then
+//     cold search ahead of time on its own goroutine (Prepare), and batch
+//     Run does the same for its next jobs on a worker pool; plan then
 //     commits that answer if its miss is under the same key.
 //   - run: the simulated run of a planned job — taken off the plan-cache
 //     entry the plan came from when a sim-mode job planned from it was
@@ -57,6 +59,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"elasticml/internal/datagen"
 	"elasticml/internal/fault"
@@ -92,7 +95,8 @@ type JobSpec struct {
 	Elastic ElasticSpec
 
 	// prep is what Service.Prepare worked out for the spec off the
-	// sequencer; the job's first placement takes it over.
+	// sequencer, or batch Run's window for the job off the loop; the
+	// job's first placement takes it over.
 	prep *identity
 }
 
@@ -187,8 +191,8 @@ func validate(jobs []JobSpec, nodes int, chaos fault.ChaosPlan) error {
 		return fmt.Errorf("workload: empty job list")
 	}
 	for i, j := range jobs {
-		if j.Arrival < 0 {
-			return fmt.Errorf("workload: job %d (%s) has negative arrival %g", i, j.Tenant, j.Arrival)
+		if err := checkArrival(j.Arrival); err != nil {
+			return fmt.Errorf("workload: job %d (%s): %w", i, j.Tenant, err)
 		}
 		if j.Source == "" && j.Script.Source == "" {
 			return fmt.Errorf("workload: job %d (%s) has neither a script nor a source", i, j.Tenant)
@@ -196,6 +200,19 @@ func validate(jobs []JobSpec, nodes int, chaos fault.ChaosPlan) error {
 		if err := j.Elastic.validate(); err != nil {
 			return fmt.Errorf("workload: job %d (%s): %w", i, j.Tenant, err)
 		}
+	}
+	return nil
+}
+
+// checkArrival rejects an arrival time the event loop cannot order: a
+// negative one, and NaN or ±Inf, which would reach the report as NaN or +Inf
+// times that JSON cannot encode.
+func checkArrival(at float64) error {
+	switch {
+	case math.IsNaN(at) || math.IsInf(at, 0):
+		return fmt.Errorf("non-finite arrival %g", at)
+	case at < 0:
+		return fmt.Errorf("negative arrival %g", at)
 	}
 	return nil
 }

@@ -1,10 +1,11 @@
 # Developer entry points. `make check` is the full pre-merge gate: gofmt,
-# vet, the race detector over every package, a doubled race run of the packages that
-# share state between goroutines, and a short run of each native fuzz target.
+# vet, the race detector over every package (with a doubled run of the
+# packages that share state between goroutines), and a short run of each
+# native fuzz target.
 
 GO ?= go
 
-.PHONY: build test fmt vet race race2 fuzz check bench bench-compare figures verify-corpus cover
+.PHONY: build test fmt vet race fuzz check bench bench-compare figures verify-corpus cover
 
 build:
 	$(GO) build ./...
@@ -19,25 +20,24 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The race detector over every package. The concurrent packages then get
+# a second, repeated pass: -count=2 re-runs every test against warm state
+# (the plan cache and memo store start empty), and scheduling-sensitive
+# races get a second draw. These are the packages whose state goroutines
+# share: opt, the Appendix C optimizer's worker pool (its workers fill the
+# result slots of points the master prepared, each selecting through a
+# private lop.Table; the path-equivalence test runs the paper grid at 4
+# workers) and the shared memos and sharded cache; workload, concurrent
+# simulate calls over one compiled program (program_test.go) and batch
+# Run's prefetch workers, which prepare its next jobs beside the event
+# loop; server, the daemon's sessions, which prepare jobs (compile, search
+# and simulate) beside the sequencer as it steps the service and simulates
+# its own; and yarn, the ResourceManager all of them allocate from. The
+# prefetch tests then run again at 1, 2 and 4 Ps: the pool has GOMAXPROCS
+# workers, and Run must write the same bytes at every count
+# (prefetch_test.go).
 race:
 	$(GO) test -race ./...
-
-# The concurrent packages get a second, repeated race pass: -count=2 re-runs
-# every test against warm state (the plan cache and memo store start
-# empty), and scheduling-sensitive races get a second draw. These are the
-# packages whose state goroutines share: opt, the Appendix C optimizer's
-# worker pool (its workers fill the result slots of points the master
-# prepared, each selecting through a private lop.Table; the
-# path-equivalence test runs the paper grid at 4 workers) and the shared
-# memos and sharded cache; workload, concurrent simulate calls over one
-# compiled program (program_test.go) and batch Run's prefetch workers,
-# which prepare its next jobs beside the event loop; server, the daemon's
-# sessions, which prepare jobs (compile, search and simulate) beside the
-# sequencer as it steps the service and simulates its own; and yarn, the
-# ResourceManager all of them allocate from. The prefetch tests then run
-# again at 1, 2 and 4 Ps: the pool has GOMAXPROCS workers, and Run must
-# write the same bytes at every count (prefetch_test.go).
-race2:
 	$(GO) test -race -count=2 ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 	$(GO) test -race -cpu 1,2,4 -run 'Prefetch|RunStopsItsWorkers' ./internal/workload
 
@@ -52,7 +52,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRunSpec -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 2s ./internal/dml
 
-check: fmt vet race race2 fuzz
+check: fmt vet race fuzz
 
 # Differential plan verification: the paper corpus plus a fixed-seed fuzz
 # stream plus the loop corpus (forced for/parfor over batch slices), each

@@ -110,7 +110,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 			return nil, fmt.Errorf("%s expects 1 or 2 arguments", e.Name)
 		}
 
-	case "rowSums", "colSums", "rowMaxs", "rowMeans", "colMeans", "colMaxs":
+	case "rowSums", "colSums", "rowMaxs":
 		if err := need(1); err != nil {
 			return nil, err
 		}
@@ -154,9 +154,6 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		opArg := args[2]
 		if opArg.DataType != String {
 			return nil, fmt.Errorf("ppred operator must be a string literal")
-		}
-		if _, ok := SurfaceBinaryOp(opArg.StrValue); !ok {
-			return nil, fmt.Errorf("ppred: unknown operator %q", opArg.StrValue)
 		}
 		return c.binary(ctx, opArg.StrValue, args[0], args[1])
 

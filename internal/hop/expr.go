@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"elasticml/internal/dml"
+	"elasticml/internal/matrix"
 )
 
 // dagCtx is the per-DAG build context: the symbol table, variables assigned
@@ -312,6 +313,10 @@ func (c *Compiler) binOp(e *dml.BinOp, ctx *dagCtx) (*Hop, error) {
 }
 
 func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
+	// The parser also reads %% and %/%, which no kernel implements.
+	if _, ok := matrix.ParseBinary(op); !ok {
+		return nil, fmt.Errorf("unsupported operator %q", op)
+	}
 	// String concatenation via '+'.
 	if op == "+" && (l.DataType == String || r.DataType == String) {
 		h := c.newHop(ctx, KindBinary, "+", l, r)

@@ -1,7 +1,6 @@
 package hop
 
 import (
-	"math"
 	"slices"
 
 	"elasticml/internal/conf"
@@ -65,13 +64,10 @@ func inferSizes(h *Hop) {
 		x := in(h, 0)
 		h.Rows, h.Cols = x.Rows, x.Cols
 		// Sparse-safe unaries preserve nnz; others densify worst-case.
-		switch h.Op {
-		case "sqrt", "abs", "round", "floor", "ceil", "-", "sign", "sq":
+		if op, ok := matrix.ParseUnary(h.Op); ok && op.SparseSafe() {
 			h.NNZ = x.NNZ
-		default:
-			if h.Rows != Unknown && h.Cols != Unknown {
-				h.NNZ = h.Rows * h.Cols
-			}
+		} else if h.Rows != Unknown && h.Cols != Unknown {
+			h.NNZ = h.Rows * h.Cols
 		}
 	case KindBinary:
 		a, b := in(h, 0), in(h, 1)
@@ -91,12 +87,12 @@ func inferSizes(h *Hop) {
 	case KindAggUnary:
 		x := in(h, 0)
 		switch h.Op {
-		case "rowSums", "rowMaxs", "rowMeans":
+		case "rowSums", "rowMaxs":
 			h.Rows, h.Cols = x.Rows, 1
 			if h.Rows != Unknown {
 				h.NNZ = h.Rows
 			}
-		case "colSums", "colMaxs", "colMeans":
+		case "colSums":
 			h.Rows, h.Cols = 1, x.Cols
 			if h.Cols != Unknown {
 				h.NNZ = h.Cols
@@ -268,15 +264,18 @@ func binaryNNZ(h *Hop, a, b *Hop) int64 {
 		}
 		return n
 	}
-	switch h.Op {
-	case "*", "&":
-		// Zero-preserving in both operands.
+	op, ok := matrix.ParseBinary(h.Op)
+	switch {
+	case !ok:
+		return cells
+	case op.SparseSafe():
 		n := effNNZ(a)
 		if nb := effNNZ(b); nb < n {
 			n = nb
 		}
 		return n
-	case "+", "-":
+	case op == matrix.Add || op == matrix.Sub:
+		// Zero only where both operands are.
 		n := effNNZ(a) + effNNZ(b)
 		if n > cells {
 			n = cells
@@ -310,14 +309,16 @@ func inferScalar(h *Hop) {
 	case KindUnary:
 		x := in(h, 0)
 		if x != nil && x.KnownVal {
-			h.KnownVal = true
-			h.Value = applyScalarUnary(h.Op, x.Value)
+			if op, ok := matrix.ParseUnary(h.Op); ok {
+				h.KnownVal, h.Value = true, op.Apply(x.Value)
+			}
 		}
 	case KindBinary:
 		a, b := in(h, 0), in(h, 1)
 		if a != nil && b != nil && a.KnownVal && b.KnownVal {
-			h.KnownVal = true
-			h.Value = applyScalarBinary(h.Op, a.Value, b.Value)
+			if op, ok := matrix.ParseBinary(h.Op); ok {
+				h.KnownVal, h.Value = true, op.Apply(a.Value, b.Value)
+			}
 		}
 	case KindAggUnary:
 		// nrow/ncol pseudo-aggregates resolved by the builder directly.
@@ -333,91 +334,6 @@ func inferScalar(h *Hop) {
 		}
 	}
 }
-
-func applyScalarUnary(op string, v float64) float64 {
-	switch op {
-	case "-":
-		return -v
-	case "!":
-		if v == 0 {
-			return 1
-		}
-		return 0
-	case "sqrt":
-		return math.Sqrt(v)
-	case "abs":
-		return math.Abs(v)
-	case "exp":
-		return math.Exp(v)
-	case "log":
-		return math.Log(v)
-	case "round":
-		return math.Round(v)
-	case "floor":
-		return math.Floor(v)
-	case "ceil":
-		return math.Ceil(v)
-	case "sign":
-		switch {
-		case v > 0:
-			return 1
-		case v < 0:
-			return -1
-		}
-		return 0
-	case "sq":
-		return v * v
-	}
-	return math.NaN()
-}
-
-func applyScalarBinary(op string, a, b float64) float64 {
-	bo, ok := surfaceBinaryOp(op)
-	if !ok {
-		return math.NaN()
-	}
-	return bo.Apply(a, b)
-}
-
-// surfaceBinaryOp maps surface operators to matrix.BinaryOp.
-func surfaceBinaryOp(op string) (matrix.BinaryOp, bool) {
-	switch op {
-	case "+":
-		return matrix.Add, true
-	case "-":
-		return matrix.Sub, true
-	case "*":
-		return matrix.MulEW, true
-	case "/":
-		return matrix.Div, true
-	case "^":
-		return matrix.Pow, true
-	case "min":
-		return matrix.Min2, true
-	case "max":
-		return matrix.Max2, true
-	case "<":
-		return matrix.Less, true
-	case "<=":
-		return matrix.LessEq, true
-	case ">":
-		return matrix.Greater, true
-	case ">=":
-		return matrix.GreaterEq, true
-	case "==":
-		return matrix.EqualOp, true
-	case "!=":
-		return matrix.NotEqual, true
-	case "&":
-		return matrix.And, true
-	case "|":
-		return matrix.Or, true
-	}
-	return 0, false
-}
-
-// SurfaceBinaryOp exposes the operator mapping to the runtime.
-func SurfaceBinaryOp(op string) (matrix.BinaryOp, bool) { return surfaceBinaryOp(op) }
 
 // estimateMem computes the worst-case output and operation memory
 // estimates. Unknown dimensions yield "infinite" estimates so that

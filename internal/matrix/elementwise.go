@@ -27,41 +27,27 @@ const (
 	Or
 )
 
-func (op BinaryOp) String() string {
-	switch op {
-	case Add:
-		return "+"
-	case Sub:
-		return "-"
-	case MulEW:
-		return "*"
-	case Div:
-		return "/"
-	case Pow:
-		return "^"
-	case Min2:
-		return "min"
-	case Max2:
-		return "max"
-	case Less:
-		return "<"
-	case LessEq:
-		return "<="
-	case Greater:
-		return ">"
-	case GreaterEq:
-		return ">="
-	case EqualOp:
-		return "=="
-	case NotEqual:
-		return "!="
-	case And:
-		return "&"
-	case Or:
-		return "|"
-	}
-	return "?"
+// binaryNames holds each binary operation's DML surface name: its infix
+// operator, or the builtin (min, max) that applies it elementwise. ppred
+// takes the same names as its operator argument.
+var binaryNames = newOpNames([]string{
+	Add: "+", Sub: "-", MulEW: "*", Div: "/", Pow: "^", Min2: "min", Max2: "max",
+	Less: "<", LessEq: "<=", Greater: ">", GreaterEq: ">=", EqualOp: "==", NotEqual: "!=",
+	And: "&", Or: "|",
+})
+
+func (op BinaryOp) String() string { return binaryNames.name(int(op)) }
+
+// ParseBinary returns the binary operation whose surface name is s.
+func ParseBinary(s string) (BinaryOp, bool) {
+	i, ok := binaryNames.parse(s)
+	return BinaryOp(i), ok
 }
+
+// SparseSafe reports whether a zero in either operand yields a zero
+// (x op 0 == 0 op x == 0), so the output keeps at most the non-zeros of
+// its sparser operand.
+func (op BinaryOp) SparseSafe() bool { return op == MulEW || op == And }
 
 // Apply evaluates the operation on a pair of scalars.
 func (op BinaryOp) Apply(a, b float64) float64 {
@@ -213,32 +199,61 @@ const (
 	Sq // x^2, produced by the sum(x^2) rewrite
 )
 
-func (op UnaryOp) String() string {
-	switch op {
-	case Sqrt:
-		return "sqrt"
-	case Abs:
-		return "abs"
-	case Exp:
-		return "exp"
-	case Log:
-		return "log"
-	case Round:
-		return "round"
-	case Floor:
-		return "floor"
-	case Ceil:
-		return "ceil"
-	case Neg:
-		return "-"
-	case Not:
-		return "!"
-	case Sign:
-		return "sign"
-	case Sq:
-		return "sq"
+// unaryNames holds each unary operation's surface name: its builtin, or
+// the prefix operator (-, !); sq is produced only by rewrites.
+var unaryNames = newOpNames([]string{
+	Sqrt: "sqrt", Abs: "abs", Exp: "exp", Log: "log", Round: "round", Floor: "floor",
+	Ceil: "ceil", Neg: "-", Not: "!", Sign: "sign", Sq: "sq",
+})
+
+func (op UnaryOp) String() string { return unaryNames.name(int(op)) }
+
+// ParseUnary returns the unary operation whose surface name is s.
+func ParseUnary(s string) (UnaryOp, bool) {
+	i, ok := unaryNames.parse(s)
+	return UnaryOp(i), ok
+}
+
+// opNames is one operation type's name table, indexed by operation. The
+// compiler and the runtime parse an operator for each hop they build or
+// evaluate, so parse does not scan the table: it probes one slot of an
+// index keyed by a name's first and last byte, which no two names of a
+// table share (newOpNames panics if a new name breaks that).
+type opNames struct {
+	names []string
+	slots [128]uint8 // operation + 1, or 0 for an empty slot
+}
+
+func newOpNames(names []string) *opNames {
+	t := &opNames{names: names}
+	for i, n := range names {
+		k := nameSlot(n)
+		if t.slots[k] != 0 {
+			panic(fmt.Sprintf("matrix: operator names %q and %q share an index slot", names[t.slots[k]-1], n))
+		}
+		t.slots[k] = uint8(i + 1)
 	}
-	return "?"
+	return t
+}
+
+func nameSlot(s string) byte { return (2*s[0] + s[len(s)-1]) & 127 }
+
+func (t *opNames) name(i int) string {
+	if i < 0 || i >= len(t.names) {
+		return "?"
+	}
+	return t.names[i]
+}
+
+func (t *opNames) parse(s string) (int, bool) {
+	if s == "" {
+		return 0, false
+	}
+	i := int(t.slots[nameSlot(s)]) - 1
+	if i < 0 || t.names[i] != s {
+		return 0, false
+	}
+	return i, true
 }
 
 // Apply evaluates the unary operation on a scalar.
@@ -275,9 +290,9 @@ func (op UnaryOp) Apply(v float64) float64 {
 	panic(fmt.Sprintf("matrix: unknown unary op %d", op))
 }
 
-// sparseSafe reports whether op(0) == 0, allowing sparse outputs to skip
-// stored zeros.
-func (op UnaryOp) sparseSafe() bool {
+// SparseSafe reports whether op(0) == 0, so the output keeps the input's
+// zeros: a sparse input stays sparse, and its nnz bounds the output's.
+func (op UnaryOp) SparseSafe() bool {
 	switch op {
 	case Sqrt, Abs, Round, Floor, Ceil, Neg, Sign, Sq:
 		return true
@@ -287,7 +302,7 @@ func (op UnaryOp) sparseSafe() bool {
 
 // Unary computes the elementwise unary operation.
 func Unary(op UnaryOp, a *Matrix) *Matrix {
-	if a.sp != nil && op.sparseSafe() {
+	if a.sp != nil && op.SparseSafe() {
 		out := &Matrix{rows: a.rows, cols: a.cols, sp: a.sp.clone()}
 		for i, v := range out.sp.vals {
 			out.sp.vals[i] = op.Apply(v)

@@ -166,6 +166,43 @@ func TestUnaryOps(t *testing.T) {
 	}
 }
 
+// TestOperatorTable checks the one declaration of each elementwise
+// operation: its name parses back to it, SparseSafe agrees with its
+// scalar function at zero, and no other name parses.
+func TestOperatorTable(t *testing.T) {
+	for op := Sqrt; op <= Sq; op++ {
+		if got, ok := ParseUnary(op.String()); !ok || got != op {
+			t.Errorf("ParseUnary(%q) = %v, %v", op.String(), got, ok)
+		}
+		if op.SparseSafe() != (op.Apply(0) == 0) {
+			t.Errorf("%s: SparseSafe %v but op(0) = %v", op, op.SparseSafe(), op.Apply(0))
+		}
+	}
+	for op := Add; op <= Or; op++ {
+		if got, ok := ParseBinary(op.String()); !ok || got != op {
+			t.Errorf("ParseBinary(%q) = %v, %v", op.String(), got, ok)
+		}
+		keeps := true
+		for _, x := range []float64{-2, 0, 0.5, 3} {
+			keeps = keeps && op.Apply(x, 0) == 0 && op.Apply(0, x) == 0
+		}
+		if op.SparseSafe() != keeps {
+			t.Errorf("%s: SparseSafe %v, zero kept in either operand %v", op, op.SparseSafe(), keeps)
+		}
+	}
+	for _, name := range []string{"", "?", "%%", "%/%", "sqr", "-1", "rowMeans", "&&"} {
+		if op, ok := ParseUnary(name); ok {
+			t.Errorf("ParseUnary(%q) = %v", name, op)
+		}
+		if op, ok := ParseBinary(name); ok {
+			t.Errorf("ParseBinary(%q) = %v", name, op)
+		}
+	}
+	if got := (Or + 1).String(); got != "?" {
+		t.Errorf("unknown op String() = %q", got)
+	}
+}
+
 func TestAggregates(t *testing.T) {
 	a := denseOf(2, 3, 1, 2, 3, 4, 5, 6)
 	if Sum(a) != 21 {

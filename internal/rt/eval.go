@@ -33,8 +33,8 @@ func newEnv(ip *Interp, order []*hop.Hop) *env {
 	return &env{ip: ip, vals: ptrs[:n:n], args: ptrs[n:n], slab: make([]Value, n)}
 }
 
-// scalar, unknown and desc build h's result like ScalarValue,
-// UnknownScalar and MetaValue, in h's slab slot.
+// scalar, unknown and desc build h's result in h's slab slot: a known
+// scalar, a sim-mode scalar of unknown magnitude, and a matrix descriptor.
 func (e *env) scalar(h *hop.Hop, x float64) *Value {
 	v := &e.slab[h.Pos]
 	v.Scalar, v.Known = x, true
@@ -287,18 +287,18 @@ func (e *env) unary(h *hop.Hop) (*Value, error) {
 		return nil, err
 	}
 	x := vals[0]
-	op, ok := unaryOpOf(h.Op)
+	switch {
+	case !x.Matrix && !x.Known:
+		return e.unknown(h), nil
+	case x.Matrix && (e.ip.Mode == ModeSim || x.Mat == nil):
+		return e.metaFromHop(h, x), nil
+	}
+	op, ok := matrix.ParseUnary(h.Op)
 	if !ok {
 		return nil, fmt.Errorf("unknown unary %q", h.Op)
 	}
 	if !x.Matrix {
-		if !x.Known {
-			return e.unknown(h), nil
-		}
 		return e.scalar(h, op.Apply(x.Scalar)), nil
-	}
-	if e.ip.Mode == ModeSim || x.Mat == nil {
-		return e.metaFromHop(h, x), nil
 	}
 	return MatValue(matrix.Unary(op, x.Mat)), nil
 }
@@ -316,22 +316,23 @@ func (e *env) binary(h *hop.Hop) (*Value, error) {
 		}
 		return StrValue(a.Format() + b.Format()), nil
 	}
-	op, ok := hop.SurfaceBinaryOp(h.Op)
-	if !ok {
-		return nil, fmt.Errorf("unknown binary %q", h.Op)
-	}
 	switch {
-	case !a.Matrix && !b.Matrix:
-		if !a.Known || !b.Known {
-			return e.unknown(h), nil
-		}
-		return e.scalar(h, op.Apply(a.Scalar, b.Scalar)), nil
-	case e.ip.Mode == ModeSim || (a.Matrix && a.Mat == nil) || (b.Matrix && b.Mat == nil):
+	case !a.Matrix && !b.Matrix && (!a.Known || !b.Known):
+		return e.unknown(h), nil
+	case (a.Matrix || b.Matrix) && (e.ip.Mode == ModeSim || (a.Matrix && a.Mat == nil) || (b.Matrix && b.Mat == nil)):
 		ref := a
 		if !ref.Matrix {
 			ref = b
 		}
 		return e.metaFromHop(h, ref), nil
+	}
+	op, ok := matrix.ParseBinary(h.Op)
+	if !ok {
+		return nil, fmt.Errorf("unknown binary %q", h.Op)
+	}
+	switch {
+	case !a.Matrix && !b.Matrix:
+		return e.scalar(h, op.Apply(a.Scalar, b.Scalar)), nil
 	case a.Matrix && b.Matrix:
 		return MatValue(matrix.EW(op, a.Mat, b.Mat)), nil
 	case a.Matrix:

@@ -55,17 +55,9 @@ func ScalarValue(v float64) *Value { return &Value{Scalar: v, Known: true} }
 // StrValue builds a string value.
 func StrValue(s string) *Value { return &Value{Str: s, IsStr: true, Known: true} }
 
-// UnknownScalar builds a sim-mode scalar of unknown magnitude.
-func UnknownScalar() *Value { return &Value{} }
-
 // MatValue wraps a real matrix.
 func MatValue(m *matrix.Matrix) *Value {
 	return &Value{Matrix: true, Mat: m, Rows: int64(m.Rows()), Cols: int64(m.Cols()), NNZ: m.NNZ()}
-}
-
-// MetaValue builds a sim-mode matrix descriptor.
-func MetaValue(rows, cols, nnz int64) *Value {
-	return &Value{Matrix: true, Rows: rows, Cols: cols, NNZ: nnz}
 }
 
 // Sparsity returns nnz/(rows*cols) with a dense fallback.
@@ -103,33 +95,4 @@ func (v *Value) meta() hop.VarMeta {
 		return hop.VarMeta{IsStr: true, Str: v.Str}
 	}
 	return hop.VarMeta{Known: v.Known, Val: v.Scalar}
-}
-
-// unaryOpOf maps surface unary names to matrix kernels.
-func unaryOpOf(op string) (matrix.UnaryOp, bool) {
-	switch op {
-	case "sqrt":
-		return matrix.Sqrt, true
-	case "abs":
-		return matrix.Abs, true
-	case "exp":
-		return matrix.Exp, true
-	case "log":
-		return matrix.Log, true
-	case "round":
-		return matrix.Round, true
-	case "floor":
-		return matrix.Floor, true
-	case "ceil":
-		return matrix.Ceil, true
-	case "-":
-		return matrix.Neg, true
-	case "!":
-		return matrix.Not, true
-	case "sign":
-		return matrix.Sign, true
-	case "sq":
-		return matrix.Sq, true
-	}
-	return 0, false
 }

@@ -99,7 +99,7 @@ func TestSequencerPreparedStaleView(t *testing.T) {
 // TestSequencerColdSessionsUnderChaos: four sessions submit never-seen
 // cold jobs at once while node flaps move the live view under them, so
 // preparations race each other, the event loop, and the view the loop
-// publishes. Run under the race detector (make race2). Whatever
+// publishes. Run under the race detector (make race). Whatever
 // interleaving the run takes, the recorded ops replay to the same report.
 func TestSequencerColdSessionsUnderChaos(t *testing.T) {
 	o := workload.DefaultOptions()

@@ -61,31 +61,10 @@ func Generate(seed int64, n int, meanGap float64) []JobSpec {
 // grow in the gaps — the trace the elastic bench sweep compares policies
 // on.
 func GenerateSkewedBurst(seed int64, n int) []JobSpec {
-	r := rand.New(rand.NewSource(seed))
 	progs := genPrograms()
-	scens := genScenarios()
-	jobs := make([]JobSpec, 0, n)
-	arrival := 0.0
-	for len(jobs) < n {
-		burst := 2 + r.Intn(3)
-		for k := 0; k < burst && len(jobs) < n; k++ {
-			i := len(jobs)
-			jobs = append(jobs, JobSpec{
-				Tenant:   fmt.Sprintf("tenant-%02d", i),
-				Script:   progs[r.Intn(len(progs))],
-				Scenario: scens[r.Intn(len(scens))],
-				Arrival:  arrival + float64(k)*0.25,
-				Elastic: ElasticSpec{
-					MinContainers:     1,
-					DesiredContainers: 2 + r.Intn(2),
-					MaxContainers:     4,
-				},
-			})
-		}
-		gap := 25 + r.ExpFloat64()*50
-		arrival += math.Round(gap*1000) / 1000
-	}
-	return jobs
+	return generateBursts(seed, n, func(r *rand.Rand) scripts.Spec {
+		return progs[r.Intn(len(progs))]
+	})
 }
 
 // GenerateMinibatch builds a deterministic bursty workload over the
@@ -96,19 +75,28 @@ func GenerateSkewedBurst(seed int64, n int) []JobSpec {
 // straggler or correlated-failure chaos plan this is the trace the
 // minibatch bench sweep compares policies on.
 func GenerateMinibatch(seed int64, n int) []JobSpec {
-	r := rand.New(rand.NewSource(seed))
 	progs := scripts.Minibatch()
+	return generateBursts(seed, n, func(r *rand.Rand) scripts.Spec {
+		spec := progs[r.Intn(len(progs))]
+		return withEpochs(spec, 4+r.Intn(3), 3+r.Intn(3))
+	})
+}
+
+// generateBursts is the loop both burst generators share: bursts of 2-4
+// malleable jobs a quarter second apart, separated by idle gaps. script
+// draws each job's program before its scenario and desired width are
+// drawn, so each generator keeps its random-draw order.
+func generateBursts(seed int64, n int, script func(*rand.Rand) scripts.Spec) []JobSpec {
+	r := rand.New(rand.NewSource(seed))
 	scens := genScenarios()
 	jobs := make([]JobSpec, 0, n)
 	arrival := 0.0
 	for len(jobs) < n {
 		burst := 2 + r.Intn(3)
 		for k := 0; k < burst && len(jobs) < n; k++ {
-			i := len(jobs)
-			spec := progs[r.Intn(len(progs))]
 			jobs = append(jobs, JobSpec{
-				Tenant:   fmt.Sprintf("tenant-%02d", i),
-				Script:   withEpochs(spec, 4+r.Intn(3), 3+r.Intn(3)),
+				Tenant:   fmt.Sprintf("tenant-%02d", len(jobs)),
+				Script:   script(r),
 				Scenario: scens[r.Intn(len(scens))],
 				Arrival:  arrival + float64(k)*0.25,
 				Elastic: ElasticSpec{

@@ -224,7 +224,7 @@ func TestSimulateLeavesProgramUntouched(t *testing.T) {
 
 // TestSharedProgramRunsConcurrently: two runs of one compiled program on
 // two goroutines yield the outcome and the outputs of a run alone. The
-// race detector (make race2) watches the shared program, compiler and
+// race detector (make race) watches the shared program, compiler and
 // staged file system.
 func TestSharedProgramRunsConcurrently(t *testing.T) {
 	s, reqs := corpusJobs(t)

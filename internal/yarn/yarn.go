@@ -84,10 +84,6 @@ func NewResourceManager(cc conf.Cluster) *ResourceManager {
 	}
 }
 
-// Cluster returns the cluster configuration (what the resource optimizer
-// obtains from the RM in step 1, paper §2.4).
-func (rm *ResourceManager) Cluster() conf.Cluster { return rm.cc }
-
 // Allocate grants a container of the requested memory on the live node
 // with the most free memory (worst-fit keeps large allocations feasible).
 // Requests below the minimum allocation are rounded up, matching YARN's

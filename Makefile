@@ -27,7 +27,7 @@ vet:
 # share: opt, the Appendix C optimizer's worker pool (its workers fill the
 # result slots of points the master prepared, each selecting through a
 # private lop.Table; the path-equivalence test runs the paper grid at 4
-# workers) and the shared memos and sharded cache; workload, concurrent
+# workers) and the shared memos and plan cache; workload, concurrent
 # simulate calls over one compiled program (program_test.go) and batch
 # Run's prefetch workers, which prepare its next jobs beside the event
 # loop; server, the daemon's sessions, which prepare jobs (compile, search

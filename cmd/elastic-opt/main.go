@@ -111,7 +111,7 @@ func main() {
 	res := o.Optimize(hp)
 
 	if *traceOut != "" {
-		if err := writeTrace(tr, *traceOut); err != nil {
+		if err := obs.WriteFile(*traceOut, tr.WriteChromeTrace); err != nil {
 			fatal(err)
 		}
 	}
@@ -198,20 +198,6 @@ func writeJSONSummary(out *obs.ErrWriter, program, scenario string, res *opt.Res
 		return err
 	}
 	return out.Err()
-}
-
-// writeTrace writes the Chrome trace file, propagating create, write, and
-// close errors.
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func parseGrid(s string) (opt.GridType, error) {

@@ -225,7 +225,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTrace(tr, *traceOut); err != nil {
+		if err := obs.WriteFile(*traceOut, tr.WriteChromeTrace); err != nil {
 			fatal(err)
 		}
 	}
@@ -350,20 +350,6 @@ func writeJSONSummary(out *obs.ErrWriter, program, scenario string, start conf.R
 		return err
 	}
 	return out.Err()
-}
-
-// writeTrace writes the Chrome trace file, propagating create, write, and
-// close errors.
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

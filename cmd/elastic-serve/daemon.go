@@ -91,7 +91,7 @@ func runDaemon(spec *workload.RunSpec) error {
 		return err
 	}
 	if *record != "" {
-		return writeFile(*record, srv.Log().WriteJSON)
+		return obs.WriteFile(*record, srv.Log().WriteJSON)
 	}
 	return nil
 }

@@ -36,7 +36,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"elasticml/internal/obs"
@@ -157,7 +156,7 @@ func runBatch(spec *workload.RunSpec) error {
 		return err
 	}
 	if *traceOut != "" {
-		return writeFile(*traceOut, spec.Trace.WriteChromeTrace)
+		return obs.WriteFile(*traceOut, spec.Trace.WriteChromeTrace)
 	}
 	return nil
 }
@@ -180,22 +179,9 @@ func printReport(rep *workload.Report, met *obs.Metrics) error {
 			return err
 		}
 	default:
-		if err := writeFile(*jsonOut, rep.WriteJSON); err != nil {
+		if err := obs.WriteFile(*jsonOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
 	return out.Err()
-}
-
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

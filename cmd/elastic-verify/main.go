@@ -92,7 +92,7 @@ func main() {
 	report.Seed = *seed
 
 	if *traceOut != "" {
-		if err := writeTrace(tr, *traceOut); err != nil {
+		if err := obs.WriteFile(*traceOut, tr.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -116,16 +116,4 @@ func main() {
 	if len(fatals) > 0 {
 		os.Exit(1)
 	}
-}
-
-func writeTrace(tr *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

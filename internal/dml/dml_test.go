@@ -51,6 +51,15 @@ func TestLexErrors(t *testing.T) {
 			t.Errorf("Lex(%q): expected error", src)
 		}
 	}
+	// %*% is the one %-operator: no kernel runs %% or %/%, so neither lexes.
+	for src, want := range map[string]string{
+		"y = X %% 2":    "dml: line 1: unexpected '%'",
+		"\ny = X %/% 2": "dml: line 2: unexpected '%'",
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %s", src, err, want)
+		}
+	}
 }
 
 func TestLexArrowAssign(t *testing.T) {

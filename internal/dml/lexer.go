@@ -107,16 +107,10 @@ func Lex(src string) ([]Token, error) {
 			emit(TokSemicolon, ";")
 			i++
 		case c == '%':
-			// %*% matrix multiply; %/% integer division; %% modulus.
+			// %*% matrix multiply, the one %-operator a kernel runs.
 			if strings.HasPrefix(src[i:], "%*%") {
 				emit(TokOp, "%*%")
 				i += 3
-			} else if strings.HasPrefix(src[i:], "%/%") {
-				emit(TokOp, "%/%")
-				i += 3
-			} else if strings.HasPrefix(src[i:], "%%") {
-				emit(TokOp, "%%")
-				i += 2
 			} else {
 				return nil, fmt.Errorf("dml: line %d: unexpected '%%'", line)
 			}

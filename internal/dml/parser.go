@@ -416,7 +416,7 @@ func (p *parser) parseMulDiv() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.atOp("*") || p.atOp("/") || p.atOp("%%") || p.atOp("%/%") {
+	for p.atOp("*") || p.atOp("/") {
 		op := p.next().Text
 		right, err := p.parseMatMul()
 		if err != nil {

@@ -313,7 +313,6 @@ func (c *Compiler) binOp(e *dml.BinOp, ctx *dagCtx) (*Hop, error) {
 }
 
 func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
-	// The parser also reads %% and %/%, which no kernel implements.
 	if _, ok := matrix.ParseBinary(op); !ok {
 		return nil, fmt.Errorf("unsupported operator %q", op)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -151,3 +152,18 @@ func (e *ErrWriter) Write(p []byte) (int, error) {
 
 // Err returns the first write error, if any.
 func (e *ErrWriter) Err() error { return e.err }
+
+// WriteFile creates path and fills it with write (a trace's
+// WriteChromeTrace, a report's WriteJSON), returning the first create,
+// write or close error.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

@@ -240,29 +240,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// PlanCache is the behavioral contract shared by the single-lock Cache and
-// the lock-striped ShardedCache: outcome-only LRU memoization of grid
-// searches with hit/miss accounting. A typed-nil *Cache satisfies it as a
-// no-op (all Cache methods are nil-receiver safe), which is how the
-// workload service represents "caching disabled".
-type PlanCache interface {
-	Lookup(key string) (conf.Resources, float64, bool)
-	// Has reports whether the key has an entry. It is no lookup: counters
-	// and recency stay untouched, so a caller off the goroutine that owns
-	// the cache's order may ask it.
-	Has(key string) bool
-	Insert(key string, res conf.Resources, cost float64)
-	// Outcome and Attach read and set an opaque value derived from an
-	// existing entry's configuration (the workload service keeps the plan's
-	// simulated run there). They are no lookups — counters and recency stay
-	// untouched — and Insert on the key or eviction drops the value with
-	// the entry, so one LRU governs both.
-	Outcome(key string) (interface{}, bool)
-	Attach(key string, outcome interface{})
-	Len() int
-	Stats() CacheStats
-}
-
 // cacheItem is one LRU entry.
 type cacheItem struct {
 	key     string
@@ -273,7 +250,9 @@ type cacheItem struct {
 
 // Cache is a bounded LRU plan cache, safe for concurrent use. Entries are
 // isolated: lookups return deep copies, so callers can mutate the returned
-// resource vector without corrupting later hits.
+// resource vector without corrupting later hits. All methods are
+// nil-receiver safe: a nil *Cache is a no-op sink, which is how the
+// workload service represents "caching disabled".
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
@@ -283,7 +262,7 @@ type Cache struct {
 }
 
 // DefaultCacheEntries is the default cache capacity.
-const DefaultCacheEntries = 64
+const DefaultCacheEntries = 1024
 
 // NewCache returns a cache holding at most capacity entries (capacity <= 0
 // selects DefaultCacheEntries).
@@ -313,8 +292,9 @@ func (c *Cache) Lookup(key string) (conf.Resources, float64, bool) {
 	return it.res.Clone(), it.cost, true
 }
 
-// Has reports whether the key has an entry, touching no counter and no
-// recency.
+// Has reports whether the key has an entry. It is no lookup: counters and
+// recency stay untouched, so a caller off the goroutine that owns the
+// cache's order may ask it.
 func (c *Cache) Has(key string) bool {
 	if c == nil {
 		return false
@@ -351,7 +331,11 @@ func (c *Cache) Insert(key string, res conf.Resources, cost float64) {
 	}
 }
 
-// Outcome returns what Attach last set on the key's entry.
+// Outcome returns what Attach last set on the key's entry: an opaque value
+// derived from the entry's configuration (the workload service keeps the
+// plan's simulated run there). Outcome and Attach are no lookups —
+// counters and recency stay untouched — and Insert on the key or eviction
+// drops the value with the entry, so one LRU governs both.
 func (c *Cache) Outcome(key string) (interface{}, bool) {
 	if c == nil {
 		return nil, false

@@ -1,7 +1,11 @@
 package opt
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,40 +233,38 @@ func TestCacheLRU(t *testing.T) {
 // attach to; a nil cache keeps nothing.
 func TestCacheOutcomeLivesWithItsEntry(t *testing.T) {
 	r := conf.NewResources(conf.GB, 512*conf.MB, 2)
-	for name, c := range map[string]PlanCache{"single": NewCache(2), "sharded": NewSharded(2, 1)} {
-		c.Insert("a", r, 1)
-		c.Insert("b", r, 2)
-		before := c.Stats()
-		if _, ok := c.Outcome("a"); ok {
-			t.Errorf("%s: a fresh entry carries an outcome", name)
-		}
-		c.Attach("a", "run of a")
-		c.Attach("nowhere", "lost")
-		if o, ok := c.Outcome("a"); !ok || o != "run of a" {
-			t.Errorf("%s: outcome of a = %v, %v", name, o, ok)
-		}
-		if _, ok := c.Outcome("nowhere"); ok || c.Len() != 2 {
-			t.Errorf("%s: attaching created an entry", name)
-		}
-		if st := c.Stats(); st != before {
-			t.Errorf("%s: attach and read moved the counters %+v → %+v", name, before, st)
-		}
-		// a is still the least recently used entry: c evicts it, run and all.
-		c.Insert("c", r, 3)
-		if _, ok := c.Outcome("a"); ok {
-			t.Errorf("%s: an evicted entry kept its outcome", name)
-		}
-		c.Attach("b", "run of b")
-		c.Insert("b", r, 2) // a new plan for the key: the old plan's run goes
-		if _, ok := c.Outcome("b"); ok {
-			t.Errorf("%s: a re-inserted entry kept its outcome", name)
-		}
+	c := NewCache(2)
+	c.Insert("a", r, 1)
+	c.Insert("b", r, 2)
+	before := c.Stats()
+	if _, ok := c.Outcome("a"); ok {
+		t.Error("a fresh entry carries an outcome")
 	}
-	for name, c := range map[string]PlanCache{"nil single": (*Cache)(nil), "nil sharded": (*ShardedCache)(nil)} {
-		c.Attach("a", "run of a")
-		if _, ok := c.Outcome("a"); ok {
-			t.Errorf("%s cache kept an outcome", name)
-		}
+	c.Attach("a", "run of a")
+	c.Attach("nowhere", "lost")
+	if o, ok := c.Outcome("a"); !ok || o != "run of a" {
+		t.Errorf("outcome of a = %v, %v", o, ok)
+	}
+	if _, ok := c.Outcome("nowhere"); ok || c.Len() != 2 {
+		t.Error("attaching created an entry")
+	}
+	if st := c.Stats(); st != before {
+		t.Errorf("attach and read moved the counters %+v → %+v", before, st)
+	}
+	// a is still the least recently used entry: c evicts it, run and all.
+	c.Insert("c", r, 3)
+	if _, ok := c.Outcome("a"); ok {
+		t.Error("an evicted entry kept its outcome")
+	}
+	c.Attach("b", "run of b")
+	c.Insert("b", r, 2) // a new plan for the key: the old plan's run goes
+	if _, ok := c.Outcome("b"); ok {
+		t.Error("a re-inserted entry kept its outcome")
+	}
+	var nc *Cache
+	nc.Attach("a", "run of a")
+	if _, ok := nc.Outcome("a"); ok {
+		t.Error("nil cache kept an outcome")
 	}
 }
 
@@ -273,25 +275,24 @@ func TestCacheOutcomeLivesWithItsEntry(t *testing.T) {
 // has nothing.
 func TestCacheHasTouchesNothing(t *testing.T) {
 	r := conf.NewResources(conf.GB, 512*conf.MB, 2)
-	for name, c := range map[string]PlanCache{"single": NewCache(2), "sharded": NewSharded(2, 1)} {
-		c.Insert("a", r, 1)
-		c.Insert("b", r, 2)
-		before := c.Stats()
-		if !c.Has("b") || !c.Has("a") || c.Has("x") {
-			t.Errorf("%s: Has b/a/x = %v/%v/%v", name, c.Has("b"), c.Has("a"), c.Has("x"))
-		}
-		if st := c.Stats(); st != before {
-			t.Errorf("%s: Has moved the counters %+v → %+v", name, before, st)
-		}
-		// a is still the least recently used entry: a Has that refreshed it
-		// (it was asked last) would make c evict b instead.
-		c.Insert("c", r, 3)
-		if c.Has("a") || !c.Has("b") {
-			t.Errorf("%s: Has refreshed recency: a kept %v, b kept %v", name, c.Has("a"), c.Has("b"))
-		}
+	c := NewCache(2)
+	c.Insert("a", r, 1)
+	c.Insert("b", r, 2)
+	before := c.Stats()
+	if !c.Has("b") || !c.Has("a") || c.Has("x") {
+		t.Errorf("Has b/a/x = %v/%v/%v", c.Has("b"), c.Has("a"), c.Has("x"))
 	}
-	var c *Cache
-	if c.Has("a") || c.Stats() != (CacheStats{}) {
+	if st := c.Stats(); st != before {
+		t.Errorf("Has moved the counters %+v → %+v", before, st)
+	}
+	// a is still the least recently used entry: a Has that refreshed it
+	// (it was asked last) would make c evict b instead.
+	c.Insert("c", r, 3)
+	if c.Has("a") || !c.Has("b") {
+		t.Errorf("Has refreshed recency: a kept %v, b kept %v", c.Has("a"), c.Has("b"))
+	}
+	var nc *Cache
+	if nc.Has("a") || nc.Stats() != (CacheStats{}) {
 		t.Error("nil cache has an entry")
 	}
 }
@@ -331,6 +332,73 @@ func TestCacheNilAndDefaults(t *testing.T) {
 	}
 	if got := NewCache(0).capacity; got != DefaultCacheEntries {
 		t.Errorf("default capacity %d, want %d", got, DefaultCacheEntries)
+	}
+}
+
+// TestShardedNilAndDefaults: the benchmark-only NewSharded is one cache
+// holding capacity × shards entries, 16 stripes' worth when shards <= 0 and
+// DefaultCacheEntries when the product is not positive; a nil one is inert
+// behind the PlanCache name.
+func TestShardedNilAndDefaults(t *testing.T) {
+	var pc PlanCache
+	pc.Insert("x", conf.Resources{}, 1)
+	if _, _, ok := pc.Lookup("x"); ok || pc.Len() != 0 {
+		t.Error("nil plan cache not inert")
+	}
+	for _, c := range []struct{ capacity, shards, want int }{
+		{4, 2, 8}, {4, 0, 64}, {0, 0, DefaultCacheEntries}, {-1, 4, DefaultCacheEntries},
+	} {
+		if got := NewSharded(c.capacity, c.shards).capacity; got != c.want {
+			t.Errorf("NewSharded(%d, %d) holds %d, want %d", c.capacity, c.shards, got, c.want)
+		}
+	}
+}
+
+// TestCacheConcurrency: parallel lookups, inserts, evictions and Has calls
+// — the one access the daemon's sessions make beside the loop — must be
+// race-free (run under -race), keep the counters consistent and hold the
+// capacity as the bound on live entries.
+func TestCacheConcurrency(t *testing.T) {
+	const workers, opsPer, keys, capacity = 8, 500, 300, 4
+	c := NewCache(capacity) // tiny capacity forces concurrent eviction
+	r := conf.NewResources(conf.GB, 512*conf.MB, 1)
+	var has atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < opsPer; i++ {
+				k := fmt.Sprintf("key-%d", rng.Intn(keys))
+				switch rng.Intn(3) {
+				case 0:
+					c.Insert(k, r, float64(i))
+				case 1:
+					c.Lookup(k)
+				default:
+					c.Has(k)
+					has.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Hits+st.Misses+st.Insertions+has.Load() != workers*opsPer {
+		t.Errorf("ops unaccounted: hits %d + misses %d + inserts %d + has %d != %d",
+			st.Hits, st.Misses, st.Insertions, has.Load(), workers*opsPer)
+	}
+	if st.Entries != c.Len() {
+		t.Errorf("stats entries %d != Len %d", st.Entries, c.Len())
+	}
+	if st.Entries > capacity {
+		t.Errorf("entries %d exceed the bound %d", st.Entries, capacity)
+	}
+	// Re-inserting a live key refreshes in place, so insertions can exceed
+	// evictions+entries — but never the other way around.
+	if st.Insertions < st.Evictions+int64(st.Entries) {
+		t.Errorf("insertions %d < evictions %d + entries %d", st.Insertions, st.Evictions, st.Entries)
 	}
 }
 

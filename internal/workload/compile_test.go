@@ -251,10 +251,10 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 		}
 		return jobs
 	}
-	run := func(name string, jobs []JobSpec, o Options, want counters, mutate ...func(*Service)) []TenantResult {
+	run := func(name string, jobs []JobSpec, o Options, want counters) []TenantResult {
 		t.Helper()
 		o.Trace = obs.New(false)
-		rep, err := runChecked(t, conf.DefaultCluster(), jobs, o, mutate...)
+		rep, err := runChecked(t, conf.DefaultCluster(), jobs, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestRepeatJobCostsALookup(t *testing.T) {
 	o.CacheEntries = 1
 	evicted := run("evicted", []JobSpec{
 		fixedWidthJob("A", "S", 0, 1), fixedWidthJob("A'", "S", 500, 1), fixedWidthJob("B", "XS", 500, 1),
-	}, o, counters{compiles: 3, simRuns: 3}, func(s *Service) { s.cache = opt.NewCache(1) })
+	}, o, counters{compiles: 3, simRuns: 3})
 	if a, a2 := evicted[0], evicted[1]; !sameRun(a, a2) || !sameRun(a2, cached[1]) || a.CacheHit || !a2.CacheHit {
 		t.Errorf("a job whose entry was evicted under it ran differently:\n%+v\n%+v", a, a2)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"elasticml/internal/obs"
-	"elasticml/internal/opt"
 )
 
 // runDemo executes the 16-tenant demo workload (with a node failure) and
@@ -67,21 +66,6 @@ func TestSameSeedByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(t1, t2) {
 		t.Errorf("trace differs between identical runs:\n%s", diffLine(t1, t2))
-	}
-}
-
-// TestCacheShardingInvariance: the lock-striped plan cache is a concurrency
-// optimization, not a semantic change — with a working set that fits one
-// shard's capacity the sharded and single-lock caches must produce
-// byte-identical reports (including aggregated cache stats) and traces.
-func TestCacheShardingInvariance(t *testing.T) {
-	rs, ts := runDemo(t, nil)
-	r1, t1 := runDemo(t, func(s *Service) { s.cache = opt.NewCache(s.opts.CacheEntries) })
-	if !bytes.Equal(rs, r1) {
-		t.Errorf("report JSON differs between sharded and single-lock cache:\n%s", diffLine(rs, r1))
-	}
-	if !bytes.Equal(ts, t1) {
-		t.Errorf("trace differs between sharded and single-lock cache:\n%s", diffLine(ts, t1))
 	}
 }
 

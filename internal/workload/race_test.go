@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"elasticml/internal/fault"
-	"elasticml/internal/opt"
 )
 
 // TestStressOverlapChurn: many overlapping tenants on a tight cluster, two
@@ -22,7 +21,6 @@ func TestStressOverlapChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.cache = opt.NewCache(o.CacheEntries) // single-lock cache: sharding would loosen the global bound
 		rep, err := s.Run(jobs)
 		if err != nil {
 			t.Fatal(err)

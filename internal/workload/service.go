@@ -273,7 +273,7 @@ type Service struct {
 	// view publishes a copy of live to Prepare, which runs off the
 	// goroutine that steps the service; setLive stores it.
 	view  atomic.Pointer[conf.Cluster]
-	cache opt.PlanCache
+	cache *opt.Cache // nil when caching is off; every method is nil-safe
 	memos *opt.MemoStore
 	tr    *obs.Tracer
 	brk   *breaker
@@ -333,10 +333,8 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 		brk:  newBreaker(o.Breaker),
 	}
 	s.setLive(cc.Nodes)
-	if o.CacheEntries < 0 {
-		s.cache = (*opt.Cache)(nil) // caching disabled: typed-nil no-op sink
-	} else {
-		s.cache = opt.NewSharded(o.CacheEntries, 0)
+	if o.CacheEntries >= 0 {
+		s.cache = opt.NewCache(o.CacheEntries)
 	}
 	s.memos = opt.NewMemoStore(0)
 	return s, nil

@@ -47,7 +47,7 @@
 //     once in New) what width each running job should hold and book the
 //     difference at the job's next resize point.
 //
-// A shared plan cache (opt.PlanCache) memoizes grid searches — and, on the
+// A shared plan cache (opt.Cache) memoizes grid searches — and, on the
 // same entries, the simulated runs of the plans they chose — across
 // tenants: a repeated program over the same inputs under the same cluster
 // view skips the compile, the optimization and the simulation, with results
@@ -135,10 +135,9 @@ const (
 
 // Options configure the service.
 type Options struct {
-	// CacheEntries bounds the shared plan cache (negative disables
-	// caching). It is a per-shard capacity: the sharded cache holds up
-	// to CacheEntries entries in each of its 16 stripes, so 0
-	// (64 per shard) allows up to 1,024 entries in all.
+	// CacheEntries bounds the shared plan cache: it holds at most this
+	// many entries in all, evicting the least recently used. 0 selects
+	// 1,024 (opt.DefaultCacheEntries); negative disables caching.
 	CacheEntries int `json:"cache_entries"`
 	// Chaos injects node failures and correlated failure regimes:
 	// rack-scoped group failures (a permanent single-node loss is a

@@ -240,14 +240,13 @@ type Block struct {
 	Header []*Hop
 	// Children.
 	Then, Else, Body []*Block
-	// Stmts retains the source statements of generic blocks for dynamic
-	// recompilation.
+	// Stmts retains the source statements of generic blocks for the
+	// rebuild dynamic recompilation falls back to.
 	Stmts []dml.Stmt
 	// Reads lists, sorted and once each, the variables Stmts read: every
-	// identifier, and the target of a left-indexed assignment. Recompiling
-	// the block looks up no other name, so the runtime hands
-	// RecompileGeneric a table of these alone. Derived from Stmts when the
-	// block is built (see stmtReads).
+	// identifier, and the target of a left-indexed assignment. Rebuilding
+	// the block looks up no other name, so the rebuild's table holds these
+	// alone. Derived from Stmts when the block is built (see stmtReads).
 	Reads []string
 	// Src links back to the originating statement block, enabling whole
 	// subtrees to be recompiled against runtime metadata (re-optimization
@@ -317,12 +316,13 @@ func visit(h *Hop, walk uint64, fn func(*Hop)) {
 	fn(h)
 }
 
-// linearize records the block's Order, each hop's Pos and the Users table.
-// It runs once the block's topology is final, after the dead-write and
-// transpose-mm rewrites; later changes (UpdateFromRuntime) rewrite sizes
-// only, so the tables stay valid and are safe to share between goroutines.
-func (b *Block) linearize() {
-	b.Order = walkOrder(b.Roots)
+// linearize records the block's Order, each hop's Pos and the Users table;
+// hint is the expected hop count. It runs once the block's topology is
+// final, after the dead-write and transpose-mm rewrites; later changes
+// (UpdateFromRuntime) rewrite sizes only, so the tables stay valid and are
+// safe to share between goroutines.
+func (b *Block) linearize(hint int) {
+	b.Order = walkOrder(b.Roots, hint)
 	// Users[i] is a window of one backing array, sized by a first count.
 	counts := make([]int, len(b.Order))
 	total := 0
@@ -349,9 +349,9 @@ func (b *Block) linearize() {
 }
 
 // walkOrder returns the hops reachable from roots in WalkDAG order and
-// sets each one's Pos to its index there.
-func walkOrder(roots []*Hop) []*Hop {
-	var order []*Hop
+// sets each one's Pos to its index there; hint is their expected count.
+func walkOrder(roots []*Hop, hint int) []*Hop {
+	order := make([]*Hop, 0, hint)
 	WalkDAG(roots, func(h *Hop) {
 		h.Pos = len(order)
 		order = append(order, h)

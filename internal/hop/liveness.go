@@ -51,10 +51,12 @@ func (a *liveness) block(b *Block, live stringSet, mark bool) {
 			kept := b.Roots[:0]
 			for _, r := range b.Roots {
 				// Dead matrix stores are pruned (they inflate fan-out and
-				// inhibit fusion); scalar stores are kept regardless —
-				// they cost nothing and dynamic recompilation from source
-				// needs the full scalar variable table (constant folding
-				// removes their reads from the DAG).
+				// inhibit fusion), and a recompile keeps them pruned
+				// (keepWritesOf). Scalar stores are kept regardless: they
+				// cost nothing, and the rebuild a recompile falls back to
+				// looks up every scalar its statements read, also those
+				// constant folding removed from the DAG, where this
+				// analysis cannot see the reads.
 				if r.Kind == KindTWrite && r.DataType == Matrix && !live[r.Name] {
 					continue
 				}

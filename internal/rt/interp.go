@@ -380,24 +380,23 @@ func (ip *Interp) snapshotMeta() hop.SymTab {
 	return meta
 }
 
-// readMeta is the compiler metadata of the live variables a generic block
-// reads, all that recompiling it looks up.
-func (ip *Interp) readMeta(b *hop.Block) hop.SymTab {
-	meta := make(hop.SymTab, len(b.Reads))
-	for _, name := range b.Reads {
-		if v, ok := ip.Vars[name]; ok {
-			meta[name] = v.meta()
-		}
+// liveVars serves a recompile the compiler metadata of the interpreter's
+// live variables, looked up by name: no per-recompile table is built.
+type liveVars map[string]*Value
+
+func (vs liveVars) Meta(name string) (hop.VarMeta, bool) {
+	v, ok := vs[name]
+	if !ok {
+		return hop.VarMeta{}, false
 	}
-	return meta
+	return v.meta(), true
 }
 
-// recompile is how execGeneric rebuilds a generic block: from the
-// metadata of the live variables it reads, not a snapshot of every one. A
-// variable so that TestRecompileReadSet can check each rebuild of a run
-// against one from the full snapshot.
+// recompile is how execGeneric recompiles a generic block against the live
+// variables. A variable so that TestRecompileReadSet can check each
+// recompile of a run against one from the block's read set alone.
 var recompile = func(ip *Interp, b *hop.Block) (*hop.Block, error) {
-	return ip.Compiler.RecompileGeneric(b, ip.readMeta(b))
+	return ip.Compiler.RecompileGeneric(b, liveVars(ip.Vars))
 }
 
 // execGeneric runs one generic block: node-failure delivery, dynamic

@@ -241,11 +241,8 @@ func TestElasticPolicyDominance(t *testing.T) {
 // TestMinibatchPolicyDominance pins the mini-batch sweep's claim on the
 // straggler and the correlated-failure trace, at 12 and at 24 tenants:
 // growing between epochs and shrinking mid-epoch lets the flexible policies
-// ride out slow nodes instead of head-blocking each burst. One part does not
-// hold everywhere: at 24 tenants the straggler trace keeps the cluster so
-// full that fair-share never finds room to grow a job (it still shrinks
-// twice, and its p95 queue delay is 853 s against FIFO's 2,210 s).
+// ride out slow nodes instead of head-blocking each burst. Every flexible
+// policy grows a job in every cell.
 func TestMinibatchPolicyDominance(t *testing.T) {
-	policyDominance(t, minibatchSweep, fullRun(t).minibatch,
-		map[string]bool{"straggler/24/fair": true})
+	policyDominance(t, minibatchSweep, fullRun(t).minibatch, nil)
 }

@@ -13,7 +13,7 @@ func cseKeyFmt(h *Hop) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d|%s|%s", h.Kind, h.Op, h.Name)
 	if h.Kind == KindLit {
-		fmt.Fprintf(&sb, "|%v|%q", h.Value, h.StrValue)
+		fmt.Fprintf(&sb, "|%d|%v|%q", h.DataType, h.Value, h.StrValue)
 	}
 	for _, in := range h.Inputs {
 		if in == nil {
@@ -64,8 +64,41 @@ func TestCSEKeyMatchesFmt(t *testing.T) {
 		1e21, -1e21, 1e20, 1e-7, 1e-4, 5e-324, math.MaxFloat64, 0.1, -2.5, 123456789} {
 		for _, s := range []string{"", "plain", `say "hi"`, `back\slash`, "new\nline\ttab",
 			"non-ASCII é ü 世界 🙂", "\x00\x7f\xff", "a|b|_"} {
-			checkCSEKey(t, &Hop{Kind: KindLit, Value: v, StrValue: s})
+			checkCSEKey(t, &Hop{Kind: KindLit, DataType: Scalar, Value: v, StrValue: s})
+			checkCSEKey(t, &Hop{Kind: KindLit, DataType: String, Value: v, StrValue: s})
 			checkCSEKey(t, &Hop{Kind: KindBinary, Op: s, Name: s, Value: v, Inputs: []*Hop{in, nil, in}})
+		}
+	}
+}
+
+// TestLiteralKeyHasDataType: the string "" and the scalar 0 are distinct
+// literals. A block that builds "" first must still add a scalar 0 to an
+// unknown scalar, in the compiled block, its re-size and its rebuild.
+func TestLiteralKeyHasDataType(t *testing.T) {
+	c, b := lastLeaf(t, `X = read($X); print(""); a = sum(X); b = a + 0; print(b);`)
+	rb, err := c.Fork(c.FS).rebuild(b, SymTab{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, resized := c.Fork(c.FS).resize(b, SymTab{})
+	if !resized {
+		t.Fatal("the re-size fell back")
+	}
+	for _, blk := range []struct {
+		name string
+		b    *Block
+	}{{"compiled", b}, {"rebuilt", rb}, {"re-sized", rs}} {
+		found := false
+		for _, h := range blk.b.Roots {
+			if h.Kind == KindTWrite && h.Name == "b" {
+				found = true
+				if h.DataType != Scalar {
+					t.Errorf("%s: twrite b has data type %v, want Scalar", blk.name, h.DataType)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no twrite b", blk.name)
 		}
 	}
 }

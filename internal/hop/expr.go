@@ -129,7 +129,8 @@ func (ctx *dagCtx) dedup(h *Hop) *Hop {
 
 // lookup returns the hop this DAG already built with h's CSE key, and
 // leaves the key in ctx.key for insert. The key is kind, operator, name, a
-// literal's value, and the inputs' IDs; looking it up allocates nothing.
+// literal's data type and value, and the inputs' IDs; looking it up
+// allocates nothing.
 func (ctx *dagCtx) lookup(h *Hop) (*Hop, bool) {
 	ctx.key = appendCSEKey(ctx.key[:0], h)
 	prev, ok := ctx.cse[string(ctx.key)]
@@ -140,7 +141,8 @@ func (ctx *dagCtx) lookup(h *Hop) (*Hop, bool) {
 func (ctx *dagCtx) insert(h *Hop) { ctx.cse[string(ctx.key)] = h }
 
 // appendCSEKey appends h's CSE key to dst: "kind|op|name", then
-// "|value|quoted string" for a literal, then "|inputID" or "|_" per input.
+// "|dataType|value|quoted string" for a literal, then "|inputID" or "|_" per
+// input. The data type keeps the scalar 0 and the string "" apart.
 func appendCSEKey(dst []byte, h *Hop) []byte {
 	dst = strconv.AppendInt(dst, int64(h.Kind), 10)
 	dst = append(dst, '|')
@@ -148,6 +150,8 @@ func appendCSEKey(dst []byte, h *Hop) []byte {
 	dst = append(dst, '|')
 	dst = append(dst, h.Name...)
 	if h.Kind == KindLit {
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, int64(h.DataType), 10)
 		dst = append(dst, '|')
 		dst = strconv.AppendFloat(dst, h.Value, 'g', -1, 64)
 		dst = append(dst, '|')
@@ -322,23 +326,11 @@ func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
 		h.DataType = String
 		return c.seal(ctx, h), nil
 	}
-	// Algebraic rewrites.
-	switch {
-	case op == "*" && l == r && l.DataType == Matrix:
-		// x*x => sq(x): one fewer pass over x (paper Appendix B).
-		return c.unary(ctx, "sq", l), nil
-	case op == "^" && r.Kind == KindLit && r.Value == 2 && l.DataType == Matrix:
-		return c.unary(ctx, "sq", l), nil
-	case op == "^" && r.Kind == KindLit && r.Value == 1:
-		return l, nil
-	case op == "*" && r.Kind == KindLit && r.Value == 1:
-		return l, nil
-	case op == "*" && l.Kind == KindLit && l.Value == 1:
-		return r, nil
-	case op == "+" && r.Kind == KindLit && r.Value == 0 && l.DataType == Matrix:
-		return l, nil
-	case op == "+" && l.Kind == KindLit && l.Value == 0 && r.DataType == Matrix:
-		return r, nil
+	if x, sq, ok := binaryRewrite(op, l, r); ok {
+		if sq {
+			x = c.unary(ctx, "sq", x)
+		}
+		return x, nil
 	}
 	h := c.newHop(ctx, KindBinary, op, l, r)
 	if l.DataType == Matrix || r.DataType == Matrix {
@@ -347,6 +339,27 @@ func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
 		h.DataType = Scalar
 	}
 	return c.seal(ctx, h), nil
+}
+
+// binaryRewrite is the build's algebraic rewrite of l op r, the one rule
+// the re-size also reads: ok reports that one applies, and l op r then
+// reduces to x, or to sq(x) when sq is set (x*x and x^2 over a matrix make
+// one fewer pass over x, paper Appendix B). A string concatenation is never
+// rewritten.
+func binaryRewrite(op string, l, r *Hop) (x *Hop, sq, ok bool) {
+	if op == "+" && (l.DataType == String || r.DataType == String) {
+		return nil, false, false
+	}
+	isLit := func(h *Hop, v float64) bool { return h.Kind == KindLit && h.Value == v }
+	switch {
+	case op == "*" && l == r && l.DataType == Matrix, op == "^" && isLit(r, 2) && l.DataType == Matrix:
+		return l, true, true
+	case op == "^" && isLit(r, 1), op == "*" && isLit(r, 1), op == "+" && isLit(r, 0) && l.DataType == Matrix:
+		return l, false, true
+	case op == "*" && isLit(l, 1), op == "+" && isLit(l, 0) && r.DataType == Matrix:
+		return r, false, true
+	}
+	return nil, false, false
 }
 
 func (c *Compiler) rightIndex(e *dml.Index, ctx *dagCtx) (*Hop, error) {

@@ -62,7 +62,7 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 	}
 	literal := func(v float64) *Hop {
 		for _, l := range lits {
-			if l.StrValue == "" && sameValue(l.Value, v) {
+			if l.DataType == Scalar && sameValue(l.Value, v) {
 				return l
 			}
 		}
@@ -136,7 +136,7 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 		case KindBinary:
 			// Over two literals a rewrite yields the literal folding does.
 			l, r := h.Inputs[0], h.Inputs[1]
-			if binaryRewrites(h.Op, l, r) && (l.Kind != KindLit || r.Kind != KindLit) {
+			if _, _, ok := binaryRewrite(h.Op, l, r); ok && (l.Kind != KindLit || r.Kind != KindLit) {
 				return nil, false
 			}
 		case KindAggUnary:
@@ -197,24 +197,6 @@ func fusable(b *Block) bool {
 		if left {
 			return true
 		}
-	}
-	return false
-}
-
-// binaryRewrites reports whether Compiler.binary would rewrite op over l
-// and r instead of building a binary hop.
-func binaryRewrites(op string, l, r *Hop) bool {
-	if op == "+" && (l.DataType == String || r.DataType == String) {
-		return false
-	}
-	isLit := func(h *Hop, v float64) bool { return h.Kind == KindLit && h.Value == v }
-	switch op {
-	case "*":
-		return l == r && l.DataType == Matrix || isLit(r, 1) || isLit(l, 1)
-	case "^":
-		return isLit(r, 2) && l.DataType == Matrix || isLit(r, 1)
-	case "+":
-		return isLit(r, 0) && l.DataType == Matrix || isLit(l, 0) && r.DataType == Matrix
 	}
 	return false
 }

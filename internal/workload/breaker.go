@@ -102,12 +102,10 @@ func (b *breaker) advance(now float64) {
 	}
 }
 
-// trip opens the breaker if a window threshold is crossed.
-func (b *breaker) trip(now float64) {
-	if b.state == bkOpen {
-		return
-	}
-	if len(b.failures) >= failureThreshold || len(b.churn) >= churnThreshold {
+// trip opens the breaker if a window threshold is crossed, or at once if
+// probeFailed: a failure during half-open re-opens it.
+func (b *breaker) trip(now float64, probeFailed bool) {
+	if b.state != bkOpen && (probeFailed || len(b.failures) >= failureThreshold || len(b.churn) >= churnThreshold) {
 		b.state = bkOpen
 		b.openedAt = now
 		b.trips++
@@ -122,13 +120,7 @@ func (b *breaker) recordFailure(now float64) {
 	}
 	b.prune(now)
 	b.failures = append(b.failures, now)
-	if b.state == bkHalfOpen {
-		b.state = bkOpen
-		b.openedAt = now
-		b.trips++
-		return
-	}
-	b.trip(now)
+	b.trip(now, b.state == bkHalfOpen)
 }
 
 // recordChurn registers one re-optimization configuration change.
@@ -138,7 +130,7 @@ func (b *breaker) recordChurn(now float64) {
 	}
 	b.prune(now)
 	b.churn = append(b.churn, now)
-	b.trip(now)
+	b.trip(now, false)
 }
 
 // gate returns the verdict for an admission attempt at the simulated time.

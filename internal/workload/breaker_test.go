@@ -145,7 +145,8 @@ func TestSnap(t *testing.T) {
 
 	// A job 90% through its window on top of a 0.5 checkpoint is 0.95 done.
 	mid := func() (*Service, *job) {
-		return &Service{now: 0.9}, &job{ckpt: 0.5, blocks: 10, finish: 1, total: 200}
+		run := simResult{outcome: &outcome{simSeconds: 200, blocks: 10}}
+		return &Service{now: 0.9}, &job{ckpt: 0.5, finish: 1, id: &identity{run: run}}
 	}
 	s, j := mid()
 	ck, wasted := s.snap(j, true)

@@ -397,7 +397,7 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 	}
 
 	c := until("live running", func() bool { return live.state == jsRunning })
-	liveRun := kept(live, s.live)
+	liveRun := kept(live, s.live())
 	if c != (counters{compiles: 1, simRuns: 1}) || liveRun == nil {
 		t.Fatalf("live: %+v, run on its entry %v", c, liveRun)
 	}
@@ -406,7 +406,7 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 	// deg0's live optimum does not fit the 1.5 GB chunk: it is re-planned
 	// under the clamped view — a miss — and that plan is simulated. The live
 	// key's run is not its run.
-	clamped := s.live
+	clamped := s.live()
 	clamped.MaxAlloc = 1536 * conf.MB
 	before := until("xs running", func() bool { return s.jobs[1].state == jsRunning })
 	c = until("deg0 running", func() bool { return deg0.state == jsRunning })
@@ -423,7 +423,7 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 	// it starts from the clamped key's run.
 	before = c
 	c = until("deg1 running", func() bool { return deg1.state == jsRunning })
-	if !deg1.result.Degraded || deg1.id.run.reusedFrom() != degRun || deg1.total != deg0.total || deg1.res.String() != deg0.res.String() ||
+	if !deg1.result.Degraded || deg1.id.run.reusedFrom() != degRun || deg1.id.run.simSeconds != deg0.id.run.simSeconds || deg1.res.String() != deg0.res.String() ||
 		c != (counters{before.compiles, before.simRuns, before.simReuses + 1}) {
 		t.Fatalf("deg1: degraded=%v from the clamped key's run=%v, counters %+v → %+v",
 			deg1.result.Degraded, deg1.id.run.reusedFrom() == degRun, before, c)
@@ -439,9 +439,9 @@ func TestClampedPlansKeepTheirOwnRuns(t *testing.T) {
 	}
 	before = c
 	c = until("grow0 grown", func() bool { return grow0.result.Grows == 1 })
-	wide := opt.WidthClamped(s.live, grow0.conts[0].Mem)
+	wide := opt.WidthClamped(s.live(), grow0.conts[0].Mem)
 	wideRun := kept(grow0, wide)
-	if grow0.id.run.reusedFrom() != nil || wideRun == nil || wideRun == liveRun || wide == s.live ||
+	if grow0.id.run.reusedFrom() != nil || wideRun == nil || wideRun == liveRun || wide == s.live() ||
 		c != (counters{before.compiles + 1, before.simRuns + 1, before.simReuses}) {
 		t.Fatalf("grow0's grow: reused=%v, run on the width-clamped key %v, counters %+v → %+v",
 			grow0.id.run.reusedFrom() != nil, wideRun, before, c)
@@ -504,7 +504,7 @@ func TestResizeKeepsItsRun(t *testing.T) {
 		stepChecked(t, s)
 	}
 	c := readCounters(o)
-	admitted, res, full := j.id.run.outcome, j.res.String(), s.live
+	admitted, res, full := j.id.run.outcome, j.res.String(), s.live()
 	if c != (counters{compiles: 1, simRuns: 1}) {
 		t.Fatalf("admission: %+v", c)
 	}
@@ -519,14 +519,14 @@ func TestResizeKeepsItsRun(t *testing.T) {
 	}
 
 	before, c = c, grown(2)
-	if s.live.Nodes != 3 || c.compiles != before.compiles || c.simRuns != before.simRuns+1 || j.id.run.reused {
-		t.Fatalf("grow 2 under %d live nodes: counters %+v → %+v, reused %v", s.live.Nodes, before, c, j.id.run.reused)
+	if s.live().Nodes != 3 || c.compiles != before.compiles || c.simRuns != before.simRuns+1 || j.id.run.reused {
+		t.Fatalf("grow 2 under %d live nodes: counters %+v → %+v, reused %v", s.live().Nodes, before, c, j.id.run.reused)
 	}
 
 	before, c = c, grown(3)
-	if s.live != full || c != (counters{before.compiles, before.simRuns, before.simReuses + 1}) || j.id.run.reusedFrom() != admitted {
+	if s.live() != full || c != (counters{before.compiles, before.simRuns, before.simReuses + 1}) || j.id.run.reusedFrom() != admitted {
 		t.Fatalf("grow 3 under %d live nodes: counters %+v → %+v, from the entry's run %v",
-			s.live.Nodes, before, c, j.id.run.reusedFrom() == admitted)
+			s.live().Nodes, before, c, j.id.run.reusedFrom() == admitted)
 	}
 	for stepChecked(t, s) {
 	}
@@ -671,7 +671,7 @@ func BenchmarkSettleHot(b *testing.B) {
 					b.Fatalf("never reached %d running jobs", r+1)
 				}
 			}
-			compiles := o.Trace.Metrics().Counter
+			counter := o.Trace.Metrics().Counter
 			checks := s.rep.ReoptChecks
 			var timed int64
 			b.ReportAllocs()
@@ -679,19 +679,19 @@ func BenchmarkSettleHot(b *testing.B) {
 			b.StopTimer()
 			for i := 0; i < b.N; {
 				depart := s.evs[0].kind == evDepart
-				before := compiles("workload.compiles")
+				before := counter("workload.compiles")
 				if depart {
 					b.StartTimer()
 				}
 				s.Step()
 				if depart {
 					b.StopTimer()
-					timed += compiles("workload.compiles") - before
+					timed += counter("workload.compiles") - before
 					i++
 				}
 			}
-			if got := s.rep.ReoptChecks - checks; got != b.N*r || s.rep.ReoptChanges != 0 {
-				b.Fatalf("not a steady hot state: %d checks over %d departures, %d changes", got, b.N, s.rep.ReoptChanges)
+			if got, changes := s.rep.ReoptChecks-checks, counter("workload.reopt_changes"); got != b.N*r || changes != 0 {
+				b.Fatalf("not a steady hot state: %d checks over %d departures, %d changes", got, b.N, changes)
 			}
 			b.ReportMetric(float64(timed)/float64(b.N), "compiles/op")
 		})

@@ -250,7 +250,7 @@ func (s *Service) capacityWidth(cs conf.Bytes) int {
 	if cs <= 0 {
 		return 0
 	}
-	return int(s.cc.MemPerNode/max(cs, s.cc.MinAlloc)) * s.live.Nodes
+	return int(s.cc.MemPerNode/max(cs, s.cc.MinAlloc)) * s.live().Nodes
 }
 
 // admitWidth picks the admission width for a queued job whose per-container
@@ -259,8 +259,8 @@ func (s *Service) capacityWidth(cs conf.Bytes) int {
 // allocation fails and the job waits like any other — and to the policy's
 // admission cap.
 func (s *Service) admitWidth(j *job, cs conf.Bytes) int {
-	v := tenantView{spec: j.espec, capW: s.capacityWidth(cs), active: s.running + len(s.queue)}
-	w := max(min(j.espec.DesiredContainers, v.capW), j.espec.MinContainers)
+	v := tenantView{spec: j.spec.Elastic, capW: s.capacityWidth(cs), active: s.running + len(s.queue)}
+	w := max(min(j.spec.Elastic.DesiredContainers, v.capW), j.spec.Elastic.MinContainers)
 	if s.pol.admitCap != nil {
 		w = min(w, s.pol.admitCap(v))
 	}
@@ -291,14 +291,14 @@ func (s *Service) reconcile() {
 	}
 	var wants []want
 	for _, j := range s.resident() {
-		if j == nil || j.state != jsRunning || j.pendingW != 0 || j.espec.rigid() {
+		if j == nil || j.state != jsRunning || j.pendingW != 0 || j.spec.Elastic.rigid() {
 			continue
 		}
 		w := len(j.conts)
 		d, score := s.pol.desired(tenantView{
-			spec: j.espec, width: w, capW: s.capacityWidth(j.conts[0].Mem),
+			spec: j.spec.Elastic, width: w, capW: s.capacityWidth(j.conts[0].Mem),
 			active: s.running + len(s.queue), blocked: blocked,
-			rem: max((1-s.progressAt(j))*j.total, 0),
+			rem: max((1-s.progressAt(j))*j.id.run.simSeconds, 0),
 		})
 		if (d-w)*dir <= 0 {
 			continue
@@ -308,9 +308,9 @@ func (s *Service) reconcile() {
 		}
 		// A grow stops at the desired width; a shrink gives up a whole step
 		// even past it, down to the spec minimum.
-		target := min(w+j.espec.Step, d)
+		target := min(w+j.spec.Elastic.Step, d)
 		if blocked {
-			target = max(w-j.espec.Step, j.espec.MinContainers)
+			target = max(w-j.spec.Elastic.Step, j.spec.Elastic.MinContainers)
 		}
 		wants = append(wants, want{j, target, score})
 	}
@@ -337,9 +337,9 @@ func (s *Service) reconcile() {
 // still pinned to the last boundary, so the width can change as soon as
 // execution starts. ok is false when the next boundary is completion.
 func (s *Service) resizePoint(j *job, dir int) (float64, bool) {
-	per := float64(j.blocks) // boundaries per job; 0 = any instant
-	if j.epochs > 0 {
-		per = float64(j.epochs)
+	per := float64(j.id.run.blocks) // boundaries per job; 0 = any instant
+	if j.id.run.epochs > 0 {
+		per = float64(j.id.run.epochs)
 		if dir < 0 {
 			per = 0
 		}
@@ -415,7 +415,7 @@ func (s *Service) applyResize(ev event) {
 		j.conts = j.conts[:target]
 	}
 
-	r := &planReq{j: j, view: opt.WidthClamped(s.live, cs)}
+	r := &planReq{j: j, view: opt.WidthClamped(s.live(), cs)}
 	s.plan(r)
 	if sr := s.run(r)[0]; sr.err == nil {
 		var wasted float64
@@ -434,11 +434,9 @@ func (s *Service) applyResize(ev event) {
 	j.result.MinWidth = min(j.result.MinWidth, target)
 	if target > w {
 		j.result.Grows++
-		s.rep.Grows++
 		s.tr.Metrics().Add("workload.grows", 1)
 	} else {
 		j.result.Shrinks++
-		s.rep.Shrinks++
 		s.tr.Metrics().Add("workload.shrinks", 1)
 	}
 	s.brk.recordChurn(s.now)

@@ -141,7 +141,7 @@ func TestGrowShrinkEquivalence(t *testing.T) {
 			if j.result.Grows != 1 || len(j.conts) != 2 {
 				t.Fatalf("grow did not apply: grows %d width %d", j.result.Grows, len(j.conts))
 			}
-			if j.blocks >= 2 {
+			if j.id.run.blocks >= 2 {
 				// Stop the event loop mid-run with a one-shot tick, then book
 				// the shrink at the next interior block boundary — committed
 				// width-2 work survives, partial-block work is re-done.
@@ -154,7 +154,7 @@ func TestGrowShrinkEquivalence(t *testing.T) {
 			// window right after the grow is the only legal shrink point.
 			if j.state != jsRunning || !s.scheduleResize(j, 1) {
 				t.Fatalf("could not schedule the shrink at %.2f (state %v, finish %.2f, blocks %d)",
-					s.now, j.state, j.finish, j.blocks)
+					s.now, j.state, j.finish, j.id.run.blocks)
 			}
 			for stepChecked(t, s) {
 			}

@@ -87,9 +87,9 @@ func TestEpochShrinkEquivalence(t *testing.T) {
 			}
 			// The corpus MinibatchLR runs 3 epochs x 3 batches; admission must
 			// have detected that structure and set batch-granular checkpoints.
-			if j.epochs != 3 || j.batches != 3 || j.blocks != 9 {
-				t.Fatalf("epoch structure not detected at admission: epochs %d batches %d blocks %d",
-					j.epochs, j.batches, j.blocks)
+			if j.id.run.epochs != 3 || j.id.run.blocks != 9 {
+				t.Fatalf("epoch structure not detected at admission: epochs %d blocks %d",
+					j.id.run.epochs, j.id.run.blocks)
 			}
 			if !s.scheduleResize(j, 2) {
 				t.Fatal("could not schedule the grow")
@@ -115,9 +115,9 @@ func TestEpochShrinkEquivalence(t *testing.T) {
 					t.Errorf("mid-epoch grow point %.3f not in the future (now %.3f)", growAt, s.now)
 				}
 				p := j.ckpt + (growAt-j.execStart)/(j.finish-j.execStart)*(1-j.ckpt)
-				if frac := p * float64(j.epochs); math.Abs(frac-math.Round(frac)) > 1e-6 {
+				if frac := p * float64(j.id.run.epochs); math.Abs(frac-math.Round(frac)) > 1e-6 {
 					t.Errorf("grow point progress %.6f is not an epoch boundary (x%d = %.6f)",
-						p, j.epochs, frac)
+						p, j.id.run.epochs, frac)
 				}
 			}
 			if at, ok := s.resizePoint(j, -1); !ok || at != s.now {
@@ -178,8 +178,8 @@ func TestEpochShrinkWastedWork(t *testing.T) {
 	if len(j.conts) != 2 {
 		t.Fatalf("admitted at width %d, want desired width 2", len(j.conts))
 	}
-	if j.epochs != 3 || j.blocks != 9 {
-		t.Fatalf("epoch structure not detected: epochs %d blocks %d", j.epochs, j.blocks)
+	if j.id.run.epochs != 3 || j.id.run.blocks != 9 {
+		t.Fatalf("epoch structure not detected: epochs %d blocks %d", j.id.run.epochs, j.id.run.blocks)
 	}
 	// Run 0.4 into the execution span: progress 0.4 is strictly between
 	// batch boundaries 3/9 and 4/9.
@@ -188,8 +188,8 @@ func TestEpochShrinkWastedWork(t *testing.T) {
 	for s.now < mid && j.state == jsRunning && stepChecked(t, s) {
 	}
 	done := s.progressAt(j)
-	total := j.total
-	wantCk := math.Floor(done*float64(j.blocks)+1e-9) / float64(j.blocks)
+	total := j.id.run.simSeconds
+	wantCk := math.Floor(done*float64(j.id.run.blocks)+1e-9) / float64(j.id.run.blocks)
 	wantWaste := (done - wantCk) * total
 	if wantWaste <= 0 {
 		t.Fatalf("test landed on a batch boundary: progress %.6f", done)
@@ -222,7 +222,7 @@ func TestEpochShrinkWastedWork(t *testing.T) {
 
 // TestEpochDetectionScope: only programs with known for-loop trip counts
 // get epoch-boundary semantics; the paper's closed-form and while-loop
-// scripts keep the legacy block-boundary behavior (j.epochs == 0), which is
+// scripts keep the legacy block-boundary behavior (j.id.run.epochs == 0), which is
 // what keeps the pre-epoch golden policy reports byte-identical.
 func TestEpochDetectionScope(t *testing.T) {
 	for _, c := range []struct {
@@ -249,8 +249,8 @@ func TestEpochDetectionScope(t *testing.T) {
 		if j.state != jsRunning {
 			t.Fatalf("%s never started", c.name)
 		}
-		if j.epochs != c.wantEpochs {
-			t.Errorf("%s: epochs = %d, want %d", c.name, j.epochs, c.wantEpochs)
+		if j.id.run.epochs != c.wantEpochs {
+			t.Errorf("%s: epochs = %d, want %d", c.name, j.id.run.epochs, c.wantEpochs)
 		}
 		for stepChecked(t, s) {
 		}

@@ -95,15 +95,12 @@ func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
 		args = append(args, obs.A("err", r.Error))
 	case jsFailedPerm:
 		r.FailedPermanently = true
-		s.rep.FailedPermanently++
 		span, counter = "workload.failed-permanently", "workload.failed_permanently"
 	case jsShed:
 		r.Shed = true
-		s.rep.Shed++
 		span, counter = "workload.shed", "workload.shed"
 	case jsCanceled:
 		r.Canceled = true
-		s.rep.Canceled++
 		span, counter = "workload.cancel", "workload.canceled"
 	}
 	if span != "" {
@@ -124,7 +121,7 @@ func (s *Service) terminate(j *job, st jobState, err error, args ...obs.Arg) {
 // slow-node stretches move the finish time, so the mapping follows the
 // job's actual schedule.
 func (s *Service) progressAt(j *job) float64 {
-	if s.now <= j.execStart || j.finish <= j.execStart || j.total <= 0 {
+	if s.now <= j.execStart || j.finish <= j.execStart || j.id.run.simSeconds <= 0 {
 		return j.ckpt // inside a charge window: no new progress
 	}
 	frac := j.ckpt + (1-j.ckpt)*(s.now-j.execStart)/(j.finish-j.execStart)
@@ -151,10 +148,10 @@ func boundaryFloor(done, prev float64, blocks int) float64 {
 func (s *Service) snap(j *job, keep bool) (ckpt, wasted float64) {
 	done := s.progressAt(j)
 	if keep {
-		ckpt = boundaryFloor(done, j.ckpt, j.blocks)
+		ckpt = boundaryFloor(done, j.ckpt, j.id.run.blocks)
 	}
 	if done-ckpt > snapEps {
-		wasted = (done - ckpt) * j.total
+		wasted = (done - ckpt) * j.id.run.simSeconds
 		j.result.WastedWork += wasted
 		s.rep.WastedWork += wasted
 	}
@@ -175,10 +172,8 @@ func (s *Service) snap(j *job, keep bool) (ckpt, wasted float64) {
 func (s *Service) start(p *planReq, sr simResult, charge float64) {
 	j := p.j
 	j.res, j.cost = p.res, p.cost
-	j.epochs, j.batches, j.blocks = sr.epochs, sr.batches, sr.blocks
-	j.total = sr.simSeconds
 	j.id.run = sr
-	j.id.run.live, j.id.run.res = s.live, p.res
+	j.id.run.live, j.id.run.res = s.live(), p.res
 	exec := sr.simSeconds * (1 - j.ckpt) / speedup(len(j.conts)) * j.slow
 	s.reschedule(j, s.now+charge, s.now+charge+exec)
 	j.result.Outputs = sr.outputs
@@ -272,7 +267,7 @@ func (s *Service) run(reqs ...*planReq) []simResult {
 	for i, p := range reqs {
 		id := p.j.id
 		o, kept := s.cache.Outcome(p.key)
-		if k := id.run; k.outcome != nil && k.live == s.live && resEqual(k.res, p.res) {
+		if k := id.run; k.outcome != nil && k.live == s.live() && resEqual(k.res, p.res) {
 			o, kept = k.outcome, true
 		}
 		if kept && id.mode == rt.ModeSim {
@@ -280,7 +275,7 @@ func (s *Service) run(reqs ...*planReq) []simResult {
 			s.tr.Metrics().Add("workload.sim_reuses", 1)
 		} else if sims[i].err = s.program(p.j); sims[i].err == nil {
 			s.tr.Metrics().Add("workload.sim_runs", 1)
-			sims[i] = simulate(id, s.live, p.res)
+			sims[i] = simulate(id, s.live(), p.res)
 		}
 	}
 	for i, p := range reqs {
@@ -339,15 +334,15 @@ func (s *Service) admit() {
 		if j.result.CacheHit {
 			charge = hitCharge
 		}
-		if j.requeued {
-			// State restore: from the last checkpoint (cheap) or from
+		if j.result.Requeues > 0 {
+			// Every admission after the first follows a container loss:
+			// state restore from the last checkpoint (cheap) or from
 			// scratch (the naive full re-load, paper §4.1).
 			if s.opts.Recovery.Kind == RecoveryCheckpoint {
 				charge += checkpointCharge
 			} else {
 				charge += requeueCharge
 			}
-			j.requeued = false
 		}
 		s.start(a, sims[i], charge)
 		s.tr.Complete(obs.LayerWorkload, "tenant.queue", j.result.Arrival, j.result.QueueDelay,
@@ -384,7 +379,7 @@ func (s *Service) place(j *job) (*planReq, placement) {
 	if chunk < s.cc.MinAlloc {
 		return nil, clusterFull
 	}
-	a := &planReq{j: j, view: s.live}
+	a := &planReq{j: j, view: s.live()}
 	if j.id == nil && s.pf != nil {
 		s.takeClaim(j)
 	}
@@ -408,7 +403,7 @@ func (s *Service) place(j *job) (*planReq, placement) {
 	// clamp re-plans with the allocation ceiling lowered and adopts the
 	// result if its container fits the free chunk.
 	clamp := func(maxAlloc conf.Bytes) bool {
-		r := &planReq{j: j, view: s.live}
+		r := &planReq{j: j, view: s.live()}
 		r.view.MaxAlloc = maxAlloc
 		s.plan(r)
 		a.err = r.err
@@ -433,8 +428,8 @@ func (s *Service) place(j *job) (*planReq, placement) {
 	want := s.admitWidth(j, cs)
 	w := want
 	conts, err := s.rm.AllocateGroup(w, cs)
-	for errors.Is(err, yarn.ErrNoCapacity) && s.pol.stepDown && w > j.espec.MinContainers {
-		w = max(w-j.espec.Step, j.espec.MinContainers)
+	for errors.Is(err, yarn.ErrNoCapacity) && s.pol.stepDown && w > j.spec.Elastic.MinContainers {
+		w = max(w-j.spec.Elastic.Step, j.spec.Elastic.MinContainers)
 		conts, err = s.rm.AllocateGroup(w, cs)
 	}
 	if errors.Is(err, yarn.ErrOverMaxAllocation) {
@@ -481,7 +476,7 @@ func (s *Service) place(j *job) (*planReq, placement) {
 // reoptimize re-evaluates every running job against the current cluster
 // state (paper §5: re-optimization on cluster change) in one plan batch.
 func (s *Service) reoptimize(trig trigger) {
-	if s.running == 0 || s.live.Nodes == 0 {
+	if s.running == 0 || s.live().Nodes == 0 {
 		return
 	}
 	var reqs []*planReq
@@ -490,12 +485,12 @@ func (s *Service) reoptimize(trig trigger) {
 			continue
 		}
 		s.rep.ReoptChecks++
-		view := s.live
+		view := s.live()
 		if len(j.conts) > 1 {
 			// A multi-container job keeps its granted container size: the
 			// search runs under a width-clamped view, so the chosen plan
 			// always fits the containers it already holds.
-			view = opt.WidthClamped(s.live, j.conts[0].Mem)
+			view = opt.WidthClamped(s.live(), j.conts[0].Mem)
 		}
 		reqs = append(reqs, &planReq{j: j, view: view})
 	}
@@ -523,7 +518,6 @@ func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trig trig
 	j.res, j.cost = res, cost
 	s.reschedule(j, j.execStart, s.now+reoptCharge+rem)
 	j.result.Reopts++
-	s.rep.ReoptChanges++
 	s.brk.recordChurn(s.now)
 	switch trig {
 	case trigFailure:
@@ -685,7 +679,7 @@ func simulate(id *identity, view conf.Cluster, res conf.Resources) (r simResult)
 	}
 	o := &outcome{simSeconds: ip.SimTime, prints: out.String(), blocks: c.hp.NumLeaf}
 	if ep, ok := opt.DetectEpochs(c.hp); ok {
-		o.epochs, o.batches, o.blocks = ep.Epochs, ep.Batches, ep.Boundaries()
+		o.epochs, o.blocks = ep.Epochs, ep.Boundaries()
 	}
 	o.blocks = max(o.blocks, 1)
 	var paths []string

@@ -119,7 +119,7 @@ func (s *Service) claimAhead() {
 			continue
 		}
 		c := &claim{id: id}
-		if key := id.cacheKey(s.live, opts); !s.cache.Has(key) && !pf.claimed[key] {
+		if key := id.cacheKey(s.live(), opts); !s.cache.Has(key) && !pf.claimed[key] {
 			pf.claimed[key] = true
 			c.done = make(chan struct{})
 			pf.work <- c

@@ -59,7 +59,7 @@ func TestPrepareMatchesSequencerSearch(t *testing.T) {
 	reused := 0
 	for _, spec := range coldMix() {
 		id := s.Prepare(spec).prep
-		if id == nil || id.prep == nil || id.prog == nil || id.view != s.live || id.prep.key != id.key {
+		if id == nil || id.prep == nil || id.prog == nil || id.view != s.live() || id.prep.key != id.key {
 			t.Fatalf("%s: prepared nothing to commit: %+v", spec.Tenant, id)
 		}
 		fresh, err := identify(spec)
@@ -69,23 +69,23 @@ func TestPrepareMatchesSequencerSearch(t *testing.T) {
 		if fresh.prog, err = s.compile(fresh); err != nil {
 			t.Fatal(err)
 		}
-		if key := fresh.cacheKey(s.live, opts); key != id.prep.key {
+		if key := fresh.cacheKey(s.live(), opts); key != id.prep.key {
 			t.Fatalf("%s: prepared key %s, sequencer key %s", spec.Tenant, id.prep.key, key)
 		}
 		search := func(view conf.Cluster, m *opt.Memo) *opt.Result {
 			return (&opt.Optimizer{CC: view, Opts: opts}).OptimizeMemo(fresh.prog.hp, m)
 		}
-		if out := search(s.live, opt.NewMemo()); !sameAnswer(id.prep.res, id.prep.cost, out) {
+		if out := search(s.live(), opt.NewMemo()); !sameAnswer(id.prep.res, id.prep.cost, out) {
 			t.Errorf("%s: prepared %s at %v, fresh memo search %s at %v",
 				spec.Tenant, id.prep.res, id.prep.cost, out.Res, out.Cost)
 		}
 		m := opt.NewMemo()
-		down, clamped := s.live, s.live
+		down, clamped := s.live(), s.live()
 		down.Nodes--
 		clamped.MaxAlloc /= 2
 		search(down, m)
 		search(clamped, m)
-		out := search(s.live, m)
+		out := search(s.live(), m)
 		if !sameAnswer(id.prep.res, id.prep.cost, out) {
 			t.Errorf("%s: prepared %s at %v, warm memo search %s at %v",
 				spec.Tenant, id.prep.res, id.prep.cost, out.Res, out.Cost)
@@ -185,7 +185,7 @@ func TestStaleAnswerIsNotCommitted(t *testing.T) {
 	s.ScheduleChaos()
 	spec := s.Prepare(JobSpec{Tenant: "t", Script: scripts.LinregDS(), Scenario: datagen.New("M", 300, 1.0)})
 	stale := spec.prep.prep
-	for s.live.Nodes != 1 {
+	for s.live().Nodes != 1 {
 		stepChecked(t, s)
 	}
 	spec.Arrival = s.Frontier()
@@ -193,7 +193,7 @@ func TestStaleAnswerIsNotCommitted(t *testing.T) {
 	for j.state != jsRunning {
 		stepChecked(t, s)
 	}
-	out := (&opt.Optimizer{CC: s.live, Opts: s.optOpts()}).Optimize(j.id.prog.hp)
+	out := (&opt.Optimizer{CC: s.live(), Opts: s.optOpts()}).Optimize(j.id.prog.hp)
 	if !sameAnswer(j.res, j.cost, out) {
 		t.Errorf("admitted %s at %v, the live view's search gives %s at %v", j.res, j.cost, out.Res, out.Cost)
 	}

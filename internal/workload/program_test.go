@@ -155,7 +155,7 @@ func corpusJobs(t *testing.T) (*Service, []*planReq) {
 		if got := inputListing(j.id.fs); got != staged || len(j.id.fs.List()) != len(j.id.inputs) {
 			t.Errorf("%s: compile changed the file system:\n%swas\n%s", spec.Tenant, got, staged)
 		}
-		reqs = append(reqs, &planReq{j: j, view: s.live})
+		reqs = append(reqs, &planReq{j: j, view: s.live()})
 	}
 	return s, reqs
 }
@@ -189,11 +189,11 @@ func TestSimulateLeavesProgramUntouched(t *testing.T) {
 		if deepHash(id.prog.hp) != hp {
 			t.Errorf("%s: the optimizer mutated the hop program", name)
 		}
-		lop.Select(id.prog.hp, s.live, p.res)
+		lop.Select(id.prog.hp, s.live(), p.res)
 		if deepHash(id.prog.hp) != hp {
 			t.Errorf("%s: lop.Select mutated the hop program", name)
 		}
-		sr := simulate(id, s.live, p.res)
+		sr := simulate(id, s.live(), p.res)
 		if sr.err != nil {
 			t.Fatalf("%s: %v", name, sr.err)
 		}
@@ -230,14 +230,14 @@ func TestSharedProgramRunsConcurrently(t *testing.T) {
 	s, reqs := corpusJobs(t)
 	for _, p := range reqs {
 		s.plan(p)
-		alone := simulate(p.j.id, s.live, p.res)
+		alone := simulate(p.j.id, s.live(), p.res)
 		var pair [2]simResult
 		var wg sync.WaitGroup
 		for k := range pair {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pair[k] = simulate(p.j.id, s.live, p.res)
+				pair[k] = simulate(p.j.id, s.live(), p.res)
 			}()
 		}
 		wg.Wait()

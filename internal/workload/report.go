@@ -143,20 +143,31 @@ type Report struct {
 	VoluntaryShrinks int `json:"voluntary_shrinks,omitempty"`
 }
 
-// finalize computes the aggregate fields from per-tenant results.
+// finalize computes the aggregate fields from per-tenant results; the
+// event loop counts only what no row records.
 func (r *Report) finalize(usedIntegral, capIntegral float64) {
 	var latencies, delays []float64
 	var queueSum float64
 	served := 0
 	for _, t := range r.Tenants {
+		r.Requeues += t.Requeues
+		r.Grows += t.Grows
+		r.Shrinks += t.Shrinks
+		r.ReoptChanges += t.Reopts
+		// Terminal outcomes with their own counters (budget exhaustion,
+		// breaker shedding, cancellation) are not "unserved": the service
+		// made a decision, it did not run out of events.
+		switch {
+		case t.FailedPermanently:
+			r.FailedPermanently++
+		case t.Shed:
+			r.Shed++
+		case t.Canceled:
+			r.Canceled++
+		case !t.Served:
+			r.Unserved++
+		}
 		if !t.Served {
-			// Terminal outcomes with their own counters (budget
-			// exhaustion, breaker shedding, cancellation) are not
-			// "unserved": the service made a decision, it did not run
-			// out of events.
-			if !t.FailedPermanently && !t.Shed && !t.Canceled {
-				r.Unserved++
-			}
 			continue
 		}
 		served++

@@ -123,8 +123,6 @@ type job struct {
 	// conts are the job's granted containers (the AM first); len(conts) is
 	// the job's current width. Rigid jobs always hold exactly one.
 	conts []yarn.Container
-	// espec is the normalized elasticity spec from the submission.
-	espec ElasticSpec
 	// pendingW is a booked width change's target (0 = none): set when a
 	// resize event is pushed, cleared when it fires or the job is
 	// rescheduled out from under it.
@@ -137,29 +135,17 @@ type job struct {
 	// execStart is when execution (re)started after admission charges; the
 	// progress model interpolates between execStart and finish.
 	execStart float64
-	// total is the job's full uninterrupted simulated execution time.
-	total float64
 	// ckpt is the completed-work fraction snapshotted at the last boundary;
 	// a restart resumes from here (always 0 under naive restart).
 	ckpt float64
-	// blocks is the boundary granularity: the program's leaf-block count,
-	// or epochs*batches for epoch-structured iterative programs.
-	blocks int
-	// epochs/batches describe the program's epoch structure when the
-	// compiled hop program carries statically-known epoch/batch for-loops
-	// (opt.DetectEpochs); 0 for one-shot batch programs. Epoch jobs grow at
-	// epoch boundaries and shrink mid-epoch snapping to the last completed
-	// batch.
-	epochs, batches int
 	// retries counts container losses charged against the retry budget.
 	retries int
-	// requeued marks the next admission as a post-failure re-admission.
-	requeued bool
 	// slow is the effective slowdown of the AM container's node (1 = full
 	// speed), after the speculation cap.
 	slow float64
 	// id is the job's problem identity, held from its first placement
-	// attempt until terminate; everything retained per job hangs off it.
+	// attempt until terminate; everything retained per job hangs off it,
+	// the current run's duration and boundary structure among it.
 	id *identity
 	// claim is batch Run's claim on the job, from the window's top-up
 	// until its first placement attempt takes it (prefetch.go).
@@ -204,16 +190,9 @@ type identity struct {
 	// starts from it.
 	run simResult
 
-	// prep is the search solve ran on a cache miss, until the job's first
-	// plan consumes it.
-	prep *answer
-}
-
-// answer is one cold search's result for one plan-cache key.
-type answer struct {
-	key  string
-	res  conf.Resources
-	cost float64
+	// prep is the search solve ran on a cache miss (its key, res and cost),
+	// until the job's first plan consumes it.
+	prep *planReq
 }
 
 // cacheKey returns the identity's plan-cache key under a cluster view.
@@ -237,17 +216,21 @@ type compiled struct {
 
 // outcome is what the service keeps of one simulated run: the duration, the
 // print stream, the folded fingerprint of everything written, and the
-// program's boundary structure (opt.DetectEpochs, else its leaf blocks).
+// program's boundary structure. blocks is the boundary granularity: the
+// program's leaf-block count, or epochs*batches when the program carries
+// statically-known epoch/batch for-loops (opt.DetectEpochs), and epochs is
+// 0 for one-shot programs. Epoch jobs grow at epoch boundaries and shrink
+// mid-epoch, snapping to the last completed batch.
 // simulate is a pure function of (identity, live view, configuration),
 // all fixed by the key of the plan that chose the configuration (see
 // planReq.key), so a sim-mode outcome is kept on that plan-cache entry,
 // and on the job as its current run, and the next plan of the same inputs
 // starts from it without a program. Compact, map-free, immutable.
 type outcome struct {
-	simSeconds              float64
-	prints                  string
-	hash                    string // TenantResult.OutputHash
-	epochs, batches, blocks int
+	simSeconds     float64
+	prints         string
+	hash           string // TenantResult.OutputHash
+	epochs, blocks int
 }
 
 // simResult is one job's simulated execution: the outcome, plus, for
@@ -269,9 +252,9 @@ type Service struct {
 	opts Options
 	pol  policy
 	rm   *yarn.ResourceManager
-	live conf.Cluster // cc with Nodes shrunk to the live node count
-	// view publishes a copy of live to Prepare, which runs off the
-	// goroutine that steps the service; setLive stores it.
+	// view is cc with Nodes shrunk to the RM's live node count: setLive
+	// stores it, the loop reads it through live, and Prepare, which runs
+	// off the goroutine that steps the service, loads it too.
 	view  atomic.Pointer[conf.Cluster]
 	cache *opt.Cache // nil when caching is off; every method is nil-safe
 	memos *opt.MemoStore
@@ -300,8 +283,9 @@ type Service struct {
 	// the last DrainFinished call — the live frontend's result stream.
 	finished []int
 
+	// now is the simulated clock, the frontier of processed time: no event
+	// is ever scheduled before it.
 	now          float64
-	lastT        float64
 	usedIntegral float64 // ∫ allocated bytes dt
 	capIntegral  float64 // ∫ live capacity bytes dt
 	running      int
@@ -312,9 +296,8 @@ type Service struct {
 	pf *prefetcher
 }
 
-// New builds a service over a fresh simulated cluster. The shared plan
-// cache is created here so successive Run batches (or an external test)
-// could observe its stats; CacheEntries < 0 disables caching.
+// New builds a service over a fresh simulated cluster, with its plan cache
+// (CacheEntries < 0 disables caching).
 func New(cc conf.Cluster, o Options) (*Service, error) {
 	if err := cc.Validate(); err != nil {
 		return nil, err
@@ -328,7 +311,6 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 		opts: o,
 		pol:  newPolicy(o.Policy),
 		rm:   yarn.NewResourceManager(cc),
-		live: cc,
 		tr:   o.Trace,
 		brk:  newBreaker(o.Breaker),
 	}
@@ -375,7 +357,8 @@ func (s *Service) Run(specs []JobSpec) (*Report, error) {
 // job's index.
 func (s *Service) submit(spec JobSpec) int {
 	i := len(s.jobs)
-	j := &job{idx: i, spec: spec, slow: 1, espec: spec.Elastic.normalized()}
+	spec.Elastic = spec.Elastic.normalized()
+	j := &job{idx: i, spec: spec, slow: 1}
 	tenant := spec.Tenant
 	if tenant == "" {
 		tenant = fmt.Sprintf("tenant-%02d", i)
@@ -399,14 +382,11 @@ func (s *Service) submit(spec JobSpec) int {
 // network sequencer) must assign monotone arrival times at or after the
 // simulation frontier, so the discrete-event loop never travels backwards.
 func (s *Service) Submit(spec JobSpec) (int, error) {
-	if spec.Source == "" && spec.Script.Source == "" {
-		return 0, fmt.Errorf("workload: submit %q: neither a script nor a source", spec.Tenant)
-	}
-	if err := checkArrival(spec.Arrival); err != nil {
+	if err := spec.check(); err != nil {
 		return 0, fmt.Errorf("workload: submit %q: %w", spec.Tenant, err)
 	}
-	if spec.Arrival < s.lastT {
-		return 0, fmt.Errorf("workload: submit %q: arrival %g before frontier %g", spec.Tenant, spec.Arrival, s.lastT)
+	if spec.Arrival < s.now {
+		return 0, fmt.Errorf("workload: submit %q: arrival %g before frontier %g", spec.Tenant, spec.Arrival, s.now)
 	}
 	return s.submit(spec), nil
 }
@@ -463,7 +443,7 @@ func (s *Service) solve(id *identity) (err error) {
 		return err
 	}
 	out := (&opt.Optimizer{CC: id.view, Opts: s.optOpts()}).Optimize(id.prog.hp)
-	id.prep = &answer{key: id.key, res: out.Res, cost: out.Cost}
+	id.prep = &planReq{key: id.key, res: out.Res, cost: out.Cost}
 	if id.mode == rt.ModeSim {
 		sr := simulate(id, id.view, out.Res)
 		if errors.Is(sr.err, errPanic) {
@@ -477,12 +457,16 @@ func (s *Service) solve(id *identity) (err error) {
 	return nil
 }
 
-// setLive sets the live node count and publishes the view for Prepare.
+// setLive sets the live node count: it is the one writer of the view the
+// loop and Prepare read.
 func (s *Service) setLive(nodes int) {
-	s.live.Nodes = nodes
-	v := s.live
+	v := s.cc
+	v.Nodes = nodes
 	s.view.Store(&v)
 }
+
+// live returns the live cluster view.
+func (s *Service) live() conf.Cluster { return *s.view.Load() }
 
 // ScheduleChaos expands and enqueues the chaos schedule — a pure function
 // of the options — plus the first elasticity tick. Run calls it
@@ -598,7 +582,7 @@ func (s *Service) Finalize() *Report {
 
 // Frontier returns the high-water mark of processed simulated time. Live
 // submissions must arrive at or after it.
-func (s *Service) Frontier() float64 { return s.lastT }
+func (s *Service) Frontier() float64 { return s.now }
 
 // Result returns a copy of one job's current result; ok is false for an
 // out-of-range index.
@@ -688,13 +672,11 @@ func (s *Service) popBatch() []event {
 // advanceTo moves simulated time forward, accumulating the utilization
 // integrals over the elapsed interval.
 func (s *Service) advanceTo(t float64) {
-	if t > s.lastT {
-		dt := t - s.lastT
+	if dt := t - s.now; dt > 0 {
 		capacity := float64(s.rm.LiveNodes()) * float64(s.cc.MemPerNode)
 		used := capacity - float64(s.rm.AvailableMem())
 		s.usedIntegral += used * dt
 		s.capIntegral += capacity * dt
-		s.lastT = t
 	}
 	s.now = t
 }
@@ -789,10 +771,8 @@ func (s *Service) failRunning(j *job, cause string) {
 	}
 	j.ckpt = ck
 	s.stop(j) // survivors on live nodes go back to the pool
-	j.requeued = true
 	j.retries++
 	j.result.Requeues++
-	s.rep.Requeues++
 
 	if j.retries > s.opts.Recovery.MaxRetries {
 		s.terminate(j, jsFailedPerm, &RetryExhaustedError{

@@ -225,21 +225,39 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestNonFiniteArrivalRejected: an arrival the event loop cannot order is
-// an error naming the job, from Run and from Submit alike. NaN and +Inf
-// used to pass both and reach the report as times JSON cannot encode.
-func TestNonFiniteArrivalRejected(t *testing.T) {
-	for _, at := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		spec := fixedWidthJob("late", "XS", at, 1)
-		if _, err := Run(demoCluster(), []JobSpec{spec}, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "late") {
-			t.Errorf("Run with arrival %g: error %v, want one naming the job", at, err)
+// TestSubmitRejectsWhatRunRejects: one check guards both entry points, so
+// a spec Run refuses Submit refuses too, with an error naming the job. NaN
+// and +Inf arrivals once passed both and reached the report as times JSON
+// cannot encode; a contradictory elastic spec once passed Submit and was
+// silently normalized.
+func TestSubmitRejectsWhatRunRejects(t *testing.T) {
+	bad := func(edit func(*JobSpec)) JobSpec {
+		spec := fixedWidthJob("bad", "XS", 0, 1)
+		edit(&spec)
+		return spec
+	}
+	for _, c := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"negative arrival", bad(func(j *JobSpec) { j.Arrival = -1 })},
+		{"NaN arrival", bad(func(j *JobSpec) { j.Arrival = math.NaN() })},
+		{"+Inf arrival", bad(func(j *JobSpec) { j.Arrival = math.Inf(1) })},
+		{"-Inf arrival", bad(func(j *JobSpec) { j.Arrival = math.Inf(-1) })},
+		{"no program", bad(func(j *JobSpec) { j.Script = scripts.Spec{} })},
+		{"min above max", bad(func(j *JobSpec) { j.Elastic = ElasticSpec{MinContainers: 3, MaxContainers: 2} })},
+		{"negative step", bad(func(j *JobSpec) { j.Elastic.Step = -1 })},
+		{"negative width", bad(func(j *JobSpec) { j.Elastic.DesiredContainers = -2 })},
+	} {
+		if _, err := Run(demoCluster(), []JobSpec{c.spec}, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "bad") {
+			t.Errorf("%s: Run error %v, want one naming the job", c.name, err)
 		}
 		s, err := New(demoCluster(), DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Submit(spec); err == nil || !strings.Contains(err.Error(), "late") {
-			t.Errorf("Submit with arrival %g: error %v, want one naming the job", at, err)
+		if _, err := s.Submit(c.spec); err == nil || !strings.Contains(err.Error(), "bad") {
+			t.Errorf("%s: Submit error %v, want one naming the job", c.name, err)
 		}
 	}
 }

@@ -190,28 +190,25 @@ func validate(jobs []JobSpec, nodes int, chaos fault.ChaosPlan) error {
 		return fmt.Errorf("workload: empty job list")
 	}
 	for i, j := range jobs {
-		if err := checkArrival(j.Arrival); err != nil {
-			return fmt.Errorf("workload: job %d (%s): %w", i, j.Tenant, err)
-		}
-		if j.Source == "" && j.Script.Source == "" {
-			return fmt.Errorf("workload: job %d (%s) has neither a script nor a source", i, j.Tenant)
-		}
-		if err := j.Elastic.validate(); err != nil {
+		if err := j.check(); err != nil {
 			return fmt.Errorf("workload: job %d (%s): %w", i, j.Tenant, err)
 		}
 	}
 	return nil
 }
 
-// checkArrival rejects an arrival time the event loop cannot order: a
-// negative one, and NaN or ±Inf, which would reach the report as NaN or +Inf
-// times that JSON cannot encode.
-func checkArrival(at float64) error {
+// check rejects a submission the service cannot run: one with neither a
+// script nor a source, a contradictory elasticity spec, or an arrival time
+// the event loop cannot order — a negative one, and NaN or ±Inf, which would
+// reach the report as NaN or +Inf times that JSON cannot encode.
+func (j JobSpec) check() error {
 	switch {
-	case math.IsNaN(at) || math.IsInf(at, 0):
-		return fmt.Errorf("non-finite arrival %g", at)
-	case at < 0:
-		return fmt.Errorf("negative arrival %g", at)
+	case j.Source == "" && j.Script.Source == "":
+		return fmt.Errorf("neither a script nor a source")
+	case math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0):
+		return fmt.Errorf("non-finite arrival %g", j.Arrival)
+	case j.Arrival < 0:
+		return fmt.Errorf("negative arrival %g", j.Arrival)
 	}
-	return nil
+	return j.Elastic.validate()
 }

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt vet race fuzz check bench bench-compare figures verify-corpus cover
+.PHONY: build test fmt vet race fuzz check bench bench-compare figures verify-corpus cover loc
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,15 @@ check: fmt vet race fuzz
 # reference interpreter, with the memory-estimate auditor on.
 verify-corpus:
 	$(GO) run ./cmd/elastic-verify -corpus -fuzz 25 -fuzz-loops 10 -seed 1 -v
+
+# Non-test Go lines per package, counted as ROADMAP counts them: lines that
+# are neither blank nor start with // (after indentation).
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | { \
+	t=0; while read pkg dir files; do \
+		n=0; [ -z "$$files" ] || n=$$(cd "$$dir" && cat $$files | grep -cvE '^[[:space:]]*(//|$$)'); \
+		printf '%6d %s\n' "$$n" "$$pkg"; t=$$((t + n)); \
+	done; printf '%6d total\n' "$$t"; }
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

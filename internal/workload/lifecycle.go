@@ -505,7 +505,8 @@ func (s *Service) reoptimize(trig trigger) {
 
 // applyReopt installs a changed configuration on a running job: swap the
 // AM container if the size changed, charge the re-optimization overhead,
-// and rescale the remaining execution time by the cost ratio.
+// and rescale the remaining execution time by the cost ratio and by the
+// speed of the node the AM container now runs on.
 func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trig trigger) {
 	if resEqual(res, j.res) || !s.refit(j, s.cc.ContainerSize(res.CP)) {
 		return
@@ -514,6 +515,9 @@ func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trig trig
 	if j.cost > 0 && cost > 0 {
 		rem *= cost / j.cost
 	}
+	eff := s.slowdown(s.rm.NodeSpeed(j.conts[0].Node))
+	rem *= eff / j.slow
+	j.slow = eff
 	oldRes := j.res
 	j.res, j.cost = res, cost
 	s.reschedule(j, j.execStart, s.now+reoptCharge+rem)

@@ -52,7 +52,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown program %q\n", *program)
 		os.Exit(2)
 	}
-	gridType, err := parseGrid(*grid)
+	gridType, err := opt.ParseGrid(*grid)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -93,7 +93,7 @@ func main() {
 
 	o := opt.New(cc)
 	o.Trace = tr
-	o.Opts.GridCP, o.Opts.GridMR = gridType, gridType
+	o.Opts.Grid = gridType
 	o.Opts.Points = *points
 	o.Opts.Workers = *workers
 	o.Opts.DisablePruning = !*pruning
@@ -198,20 +198,6 @@ func writeJSONSummary(out *obs.ErrWriter, program, scenario string, res *opt.Res
 		return err
 	}
 	return out.Err()
-}
-
-func parseGrid(s string) (opt.GridType, error) {
-	switch strings.ToLower(s) {
-	case "equi":
-		return opt.GridEqui, nil
-	case "exp":
-		return opt.GridExp, nil
-	case "mem":
-		return opt.GridMem, nil
-	case "hybrid":
-		return opt.GridHybrid, nil
-	}
-	return 0, fmt.Errorf("unknown grid strategy %q", s)
 }
 
 func fatal(err error) {

@@ -18,8 +18,8 @@
 //	elastic-verify -corpus=false -fuzz 5 -json
 //	elastic-verify -trace verify-trace.json
 //
-// Exit status: 0 on success, 1 if any fatal finding was reported, 2 on
-// usage errors.
+// Exit status: 0 on success, 1 if any finding was reported, 2 on usage
+// errors.
 package main
 
 import (
@@ -38,8 +38,6 @@ func main() {
 		nFuzz    = flag.Int("fuzz", 25, "number of fuzz programs to generate and run")
 		nLoops   = flag.Int("fuzz-loops", 10, "number of loop-corpus fuzz programs (forced for/parfor over batch slices)")
 		corpus   = flag.Bool("corpus", true, "run the curated corpus of paper scripts")
-		ulpTol   = flag.Uint64("ulp", 0, "allowed cross-configuration ULP distance per cell (0 = bit identical)")
-		noRef    = flag.Bool("no-ref", false, "skip the naive reference interpreter comparison")
 		jsonOut  = flag.Bool("json", false, "print the report as JSON")
 		verbose  = flag.Bool("v", false, "print per-program progress")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file of all runs")
@@ -74,15 +72,15 @@ func main() {
 	if *traceOut != "" {
 		tr = obs.New(true)
 	}
-	opts := verify.Options{ULPTol: *ulpTol, SkipReference: *noRef, Trace: tr}
+	opts := verify.Options{Trace: tr}
 
 	progress := func(r verify.ProgramResult) {
 		if !*verbose {
 			return
 		}
 		status := "ok"
-		if len(r.Fatals()) > 0 {
-			status = fmt.Sprintf("FAIL (%d findings)", len(r.Fatals()))
+		if len(r.Findings) > 0 {
+			status = fmt.Sprintf("FAIL (%d findings)", len(r.Findings))
 		}
 		fmt.Fprintf(os.Stderr, "%-16s configs=%d outputs=%d ops=%d maxULP=%d %s\n",
 			r.Program, len(r.Configs), r.Outputs, r.Ops, r.MaxULP, status)
@@ -98,7 +96,10 @@ func main() {
 		}
 	}
 
-	fatals := report.Fatals()
+	var findings []verify.Finding
+	for _, r := range report.Programs {
+		findings = append(findings, r.Findings...)
+	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -107,13 +108,13 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		for _, f := range fatals {
+		for _, f := range findings {
 			fmt.Println(f)
 		}
 		fmt.Printf("verified %d programs x %d configs + reference: %d audited ops, %d fatal findings\n",
-			len(report.Programs), len(verify.DefaultConfigs()), report.Ops(), len(fatals))
+			len(report.Programs), len(verify.DefaultConfigs()), report.Ops(), len(findings))
 	}
-	if len(fatals) > 0 {
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }

@@ -46,20 +46,12 @@ type Stats struct {
 // Adapter implements rt.Adapter using the resource optimizer.
 type Adapter struct {
 	CC conf.Cluster
-	PM perf.Model
-	// Opt configures the re-optimization runs (grids, pruning, workers).
+	// Opt configures the re-optimization runs (grids, pruning, workers,
+	// and the cluster load of §6 "Cluster-Utilization-Based Adaptation").
 	Opt opt.Options
 	// RM, when set, backs migrations with real container allocations (AM
 	// process chaining).
 	RM *yarn.ResourceManager
-	// MinBenefit requires the cost improvement to exceed the migration
-	// cost by this factor before migrating (1.0 = plain amortization).
-	MinBenefit float64
-	// LoadProvider, when set, reports current cluster utilization in
-	// [0,1); re-optimization then evaluates MR plans against only the
-	// remaining capacity (§6 "Cluster-Utilization-Based Adaptation"),
-	// shifting decisions toward single-node execution on loaded clusters.
-	LoadProvider func() float64
 	// OptCharge is the simulated time charged per re-optimization. Negative
 	// (the default) charges the measured wall-clock time — realistic but
 	// non-deterministic; fault-injection experiments set a fixed charge ≥ 0
@@ -79,7 +71,7 @@ type Adapter struct {
 
 // New returns an adapter with the paper's defaults.
 func New(cc conf.Cluster) *Adapter {
-	return &Adapter{CC: cc, PM: perf.Default(), Opt: opt.DefaultOptions(), MinBenefit: 1.0, OptCharge: -1}
+	return &Adapter{CC: cc, Opt: opt.DefaultOptions(), OptCharge: -1}
 }
 
 var _ rt.Adapter = (*Adapter)(nil)
@@ -98,10 +90,6 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	if err != nil || scopeProg.NumLeaf == 0 {
 		return nil
 	}
-	opts := a.Opt
-	if a.LoadProvider != nil {
-		opts.ClusterLoad = a.LoadProvider()
-	}
 	// Re-optimize against the interpreter's cluster view: after node
 	// failures it is smaller than the configuration the adapter was built
 	// for, and the new R* must fit the surviving capacity.
@@ -109,7 +97,7 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	if ctx.CC.Nodes > 0 {
 		cc = ctx.CC
 	}
-	global, local, reused := a.reoptimize(scopeProg, ctx.Res.CP, cc, opts)
+	global, local, reused := a.reoptimize(scopeProg, ctx.Res.CP, cc, a.Opt)
 	a.Stats.Reoptimizations++
 	m := a.Trace.Metrics()
 	m.Add("adapt.reoptimizations", 1)
@@ -133,7 +121,8 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	dec := &rt.AdaptDecision{ExtraTime: extra}
 	// Migration costs: export of dirty live variables plus the latency of
 	// obtaining a new container (paper §4.2).
-	migCost := a.PM.WriteTime(ctx.DirtyBytes, 1) + a.PM.ContainerAllocLatency
+	pm := perf.Default()
+	migCost := pm.WriteTime(ctx.DirtyBytes, 1) + pm.ContainerAllocLatency
 	benefit := local.Cost - global.Cost // ΔC >= 0
 
 	// Growing the CP requires migration; shrinking or MR-only changes are
@@ -141,10 +130,11 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	// reducing the CP AM memory are trivial").
 	needsMigration := global.Res.CP > ctx.Res.CP
 	// Unless migrating or shrinking, continue in the current container with
-	// the locally optimal configuration (always update MR resources).
+	// the locally optimal configuration (always update MR resources). A
+	// migration must amortize: ΔC > C_M.
 	decision, res := "keep-local", local.Res
 	switch {
-	case needsMigration && benefit > migCost*a.MinBenefit:
+	case needsMigration && benefit > migCost:
 		decision, res = "migrate", global.Res
 		dec.Migrate = true
 		dec.ExtraTime += migCost
@@ -198,12 +188,11 @@ type search struct {
 // reoptimize runs OptimizeWithCurrent, or answers from the last search when
 // that was asked exactly the same: the rebuilt scope program, the current
 // CP, the cluster view and the result-relevant options determine the
-// result. A time-budgeted search depends on the wall clock and is never
-// reused.
+// result.
 func (a *Adapter) reoptimize(prog *hop.Program, cp conf.Bytes, cc conf.Cluster, opts opt.Options) (global, local *opt.Result, reused bool) {
 	key, optsKey := hop.AppendKey(nil, prog), opt.AppendOptionsKey(nil, opts)
 	l := &a.last
-	if opts.TimeBudget == 0 && cp == l.cp && cc == l.cc && bytes.Equal(key, l.prog) && bytes.Equal(optsKey, l.opts) {
+	if cp == l.cp && cc == l.cc && bytes.Equal(key, l.prog) && bytes.Equal(optsKey, l.opts) {
 		return l.global, l.local, true
 	}
 	o := &opt.Optimizer{CC: cc, Opts: opts, Trace: a.Trace}

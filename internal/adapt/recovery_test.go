@@ -7,6 +7,7 @@ import (
 	"elasticml/internal/dml"
 	"elasticml/internal/fault"
 	"elasticml/internal/lop"
+	"elasticml/internal/perf"
 	"elasticml/internal/rt"
 	"elasticml/internal/scripts"
 )
@@ -130,7 +131,7 @@ func TestZeroDirtyVariablesMigrationCost(t *testing.T) {
 	if !dec.Migrate {
 		t.Skip("scenario no longer migrates; cost assertion not applicable")
 	}
-	if got, want := dec.ExtraTime, ad.PM.ContainerAllocLatency; got != want {
+	if got, want := dec.ExtraTime, perf.Default().ContainerAllocLatency; got != want {
 		t.Errorf("zero-dirty migration cost = %.3fs, want bare alloc latency %.3fs", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/datagen"
@@ -263,15 +262,11 @@ func TestReoptReuseRefused(t *testing.T) {
 			c.Trigger = rt.TriggerContainerLoss
 			c.CC.Nodes--
 		}, nil, false},
-		{"load changes between consults", func(a *Adapter) {
-			load := 0.0
-			a.LoadProvider = func() float64 { load += 0.2; return load }
-		}, nil, nil, false},
+		{"cluster load changes between consults", nil, nil, func(a *Adapter) { a.Opt.ClusterLoad = 0.2 }, false},
 		{"after a migration (current CP changed)", nil, func(c *rt.AdaptContext) {
 			c.Res = c.Res.Clone()
 			c.Res.CP *= 2
 		}, nil, false},
-		{"time budget", func(a *Adapter) { a.Opt.TimeBudget = time.Hour }, nil, nil, false},
 		{"optimizer workers change (the result does not)", nil, nil, func(a *Adapter) { a.Opt.Workers = 4 }, true},
 		{"grid points change", nil, nil, func(a *Adapter) { a.Opt.Points++ }, false},
 		{"core candidates change in place", func(a *Adapter) { a.Opt.CPCoreCandidates = []int{1, 2} }, nil,

@@ -42,13 +42,13 @@ func (r *Runner) ablationGrids() error {
 	}
 	// Reference: fine equi grid.
 	ref := opt.New(r.CC)
-	ref.Opts.GridCP, ref.Opts.GridMR = opt.GridEqui, opt.GridEqui
+	ref.Opts.Grid = opt.GridEqui
 	ref.Opts.Points = 45
 	refRes := ref.Optimize(hp)
 
 	for _, g := range []opt.GridType{opt.GridEqui, opt.GridExp, opt.GridMem, opt.GridHybrid} {
 		o := opt.New(r.CC)
-		o.Opts.GridCP, o.Opts.GridMR = g, g
+		o.Opts.Grid = g
 		o.Opts.Points = 15
 		res := o.Optimize(hp)
 		regret := (res.Cost - refRes.Cost) / refRes.Cost * 100

@@ -98,7 +98,7 @@ type RunConfig struct {
 	// Faults injects failures into the run (zero value: no injection).
 	Faults fault.Plan
 	// Policy governs task-level retry under fault injection; the zero
-	// value normalizes to Hadoop-like defaults.
+	// value normalizes to 4 attempts with speculation off.
 	Policy mr.TaskPolicy
 	// OptCharge, when > 0, makes the adapter charge this fixed simulated
 	// time per re-optimization instead of measured wall time, so same-seed

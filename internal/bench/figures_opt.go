@@ -224,7 +224,7 @@ func (r *Runner) Figure18() error {
 	threads := []int{1, 2, 4, 8, 16}
 	for _, w := range threads {
 		o := opt.New(r.CC)
-		o.Opts.GridCP, o.Opts.GridMR = opt.GridEqui, opt.GridEqui
+		o.Opts.Grid = opt.GridEqui
 		o.Opts.Points = 45
 		o.Opts.Workers = w
 		res := o.Optimize(hp)

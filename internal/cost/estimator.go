@@ -13,10 +13,6 @@ import (
 type Estimator struct {
 	PM perf.Model
 	CC conf.Cluster
-	// DefaultIters is the constant trip count assumed for loops with
-	// unknown iteration counts ("a constant which at least reflects that
-	// the body is executed multiple times", paper §3.1).
-	DefaultIters int64
 	// EvictionWeight scales the IO charged for buffer-pool evictions. The
 	// execution simulator uses 1.0 (full cost); the optimizer's cost model
 	// uses a partial weight — the paper notes evictions are "only
@@ -62,12 +58,16 @@ func (e *Estimator) effectiveCluster() conf.Cluster {
 	return cc
 }
 
+// DefaultIters is the trip count assumed for a loop whose iteration count
+// is unknown, by the cost model and by the execution simulator alike: "a
+// constant which at least reflects that the body is executed multiple
+// times" (paper §3.1), matching the evaluation workloads' convergence caps
+// (maxi=5).
+const DefaultIters = 5
+
 // NewEstimator returns an estimator with the default performance model.
 func NewEstimator(cc conf.Cluster) *Estimator {
-	// DefaultIters matches the evaluation workloads' convergence caps
-	// (maxi=5); the paper uses "a constant which at least reflects that
-	// the body is executed multiple times".
-	return &Estimator{PM: perf.Default(), CC: cc, DefaultIters: 5, EvictionWeight: PartialEvictionWeight}
+	return &Estimator{PM: perf.Default(), CC: cc, EvictionWeight: PartialEvictionWeight}
 }
 
 // PartialEvictionWeight is the optimizer cost model's under-accounting of
@@ -125,7 +125,7 @@ func (e *Estimator) block(b *lop.Block, res conf.Resources, state *VarState, cpC
 	default: // while / for
 		iters := b.KnownIters
 		if iters == hop.Unknown || iters <= 0 {
-			iters = e.DefaultIters
+			iters = DefaultIters
 		}
 		bodyCores := cpCores
 		dop := 1
@@ -171,11 +171,17 @@ func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState, c
 		t += dt
 	}
 	if e.EvictionWeight > 0 {
-		// Evicted dirty pages are written out and re-read on next use; the
-		// re-read is already charged by EnsureInMemory, the write here.
-		t += e.PM.WriteTime(state.evictIO-evict0, 1) * e.PM.EvictionPenalty * e.EvictionWeight
+		t += e.EvictionTime(state.evictIO - evict0)
 	}
 	return t
+}
+
+// EvictionTime charges the buffer-pool evictions of one generic block, the
+// bytes evicted while it ran. Evicted dirty pages are written out and
+// re-read on next use; the re-read is already charged by EnsureInMemory,
+// the write here, scaled by EvictionWeight.
+func (e *Estimator) EvictionTime(evicted conf.Bytes) float64 {
+	return e.PM.WriteTime(evicted, 1) * e.EvictionWeight
 }
 
 // CPInstrTime charges one in-memory operation: read IO for inputs not yet

@@ -20,19 +20,20 @@ type TaskPolicy struct {
 	// MaxAttempts bounds the attempts per task; 1 disables retry (the
 	// first injected failure aborts the job), values < 1 select the
 	// default of 4.
-	MaxAttempts int `json:"max_attempts"`
+	MaxAttempts int
 	// Speculative launches backup attempts for stragglers, capping their
 	// effective slowdown at SpeculativeCap.
-	Speculative bool `json:"speculative"`
-	// SpeculativeCap is the residual slowdown of a speculated straggler
-	// (default 1.5: the backup still re-runs part of the work).
-	SpeculativeCap float64 `json:"speculative_cap"`
+	Speculative bool
 }
+
+// SpeculativeCap is the residual slowdown of a speculated straggler: the
+// backup still re-runs part of the work, so the cap stays > 1.
+const SpeculativeCap = 1.5
 
 // DefaultTaskPolicy matches Hadoop's defaults: 4 attempts per task,
 // speculative execution on.
 func DefaultTaskPolicy() TaskPolicy {
-	return TaskPolicy{MaxAttempts: 4, Speculative: true, SpeculativeCap: 1.5}
+	return TaskPolicy{MaxAttempts: 4, Speculative: true}
 }
 
 // Normalized fills zero values with defaults.
@@ -40,27 +41,22 @@ func (p TaskPolicy) Normalized() TaskPolicy {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 4
 	}
-	if p.SpeculativeCap < 1 {
-		p.SpeculativeCap = 1.5
-	}
 	return p
 }
 
 // EffectiveSlowdown returns the slowdown a straggling task (or every task
-// of a straggling node) actually experiences under the policy, and whether
-// speculative backups softened it. With speculation on, backups cap the
-// factor at SpeculativeCap — the backup still re-runs part of the work, so
-// the cap stays > 1. This is the single place the speculation arithmetic
+// of a straggling node) actually experiences, and whether speculative
+// backups softened it. With speculation on, backups cap the factor at
+// SpeculativeCap. This is the single place the speculation arithmetic
 // lives; the per-attempt model below and the workload service's slow-node
 // handling both consult it so node-level stragglers and task-level
 // stragglers degrade identically.
-func EffectiveSlowdown(factor float64, pol TaskPolicy) (float64, bool) {
+func EffectiveSlowdown(factor float64, speculative bool) (float64, bool) {
 	if factor < 1 {
 		return 1, false
 	}
-	pol = pol.Normalized()
-	if pol.Speculative && factor > pol.SpeculativeCap {
-		return pol.SpeculativeCap, true
+	if speculative && factor > SpeculativeCap {
+		return SpeculativeCap, true
 	}
 	return factor, false
 }
@@ -85,7 +81,7 @@ func (r TaskReport) Any() bool { return r.Retries > 0 || r.Stragglers > 0 }
 // attempt may fail (re-executed up to pol.MaxAttempts, each retry adding
 // its attempt work and a share of task-launch latency) or straggle
 // (extending its wave by the straggler factor, softened to
-// pol.SpeculativeCap when speculative backups run). The added wall-clock
+// SpeculativeCap when speculative backups run). The added wall-clock
 // time lands in the breakdown's Recovery component. A task exhausting its
 // attempts fails the job with an error wrapping ErrTaskFailed.
 //
@@ -166,7 +162,7 @@ func EstimateTimeUnderFaultsTraced(pm perf.Model, cc conf.Cluster, spec JobSpec,
 			}
 			if factor, ok := inj.Straggles(); ok {
 				rep.Stragglers++
-				factor, speculated := EffectiveSlowdown(factor, pol)
+				factor, speculated := EffectiveSlowdown(factor, pol.Speculative)
 				if speculated {
 					rep.Speculated++
 				}

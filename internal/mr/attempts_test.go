@@ -141,22 +141,20 @@ func TestFaultModelDeterministic(t *testing.T) {
 	}
 }
 
-// TestEffectiveSlowdown: speculation caps a straggler's slowdown at the
-// policy cap; without speculation the full factor applies; sub-1 factors
+// TestEffectiveSlowdown: speculation caps a straggler's slowdown at
+// SpeculativeCap; without speculation the full factor applies; sub-1 factors
 // normalize to no slowdown.
 func TestEffectiveSlowdown(t *testing.T) {
-	pol := DefaultTaskPolicy() // speculative, cap 1.5
-	if f, spec := EffectiveSlowdown(6, pol); f != pol.SpeculativeCap || !spec {
-		t.Errorf("speculated straggler: got (%g, %v), want (%g, true)", f, spec, pol.SpeculativeCap)
+	if f, spec := EffectiveSlowdown(6, true); f != SpeculativeCap || !spec {
+		t.Errorf("speculated straggler: got (%g, %v), want (%g, true)", f, spec, SpeculativeCap)
 	}
-	if f, spec := EffectiveSlowdown(1.2, pol); f != 1.2 || spec {
+	if f, spec := EffectiveSlowdown(1.2, true); f != 1.2 || spec {
 		t.Errorf("mild straggler below cap: got (%g, %v), want (1.2, false)", f, spec)
 	}
-	noSpec := TaskPolicy{MaxAttempts: 4, Speculative: false}
-	if f, spec := EffectiveSlowdown(6, noSpec); f != 6 || spec {
+	if f, spec := EffectiveSlowdown(6, false); f != 6 || spec {
 		t.Errorf("no speculation: got (%g, %v), want (6, false)", f, spec)
 	}
-	if f, spec := EffectiveSlowdown(0.5, pol); f != 1 || spec {
+	if f, spec := EffectiveSlowdown(0.5, true); f != 1 || spec {
 		t.Errorf("sub-1 factor: got (%g, %v), want (1, false)", f, spec)
 	}
 }

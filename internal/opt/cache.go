@@ -123,16 +123,13 @@ func (k *keyHasher) param(name string, v interface{}) {
 
 // AppendOptionsKey appends the encoding of the options a search's result
 // depends on, the one the plan-cache key covers: two options with equal
-// encodings make every search return the same result. Workers and
-// TimeBudget are deliberately excluded (TestCacheKeyCoversFields holds
-// the classification): the task-parallel optimizer returns the same
-// result as the sequential one, and a time budget makes the result
-// wall-clock dependent, so a caller that reuses results must not reuse a
-// budgeted one.
+// encodings make every search return the same result. Workers is
+// deliberately excluded (TestCacheKeyCoversFields holds the
+// classification): the task-parallel optimizer returns the same result as
+// the sequential one.
 func AppendOptionsKey(dst []byte, opts Options) []byte {
 	dst = append(dst, 'O')
-	dst = appendI64(dst, int64(opts.GridCP))
-	dst = appendI64(dst, int64(opts.GridMR))
+	dst = appendI64(dst, int64(opts.Grid))
 	dst = appendI64(dst, int64(opts.Points))
 	dst = appendBool(dst, opts.DisablePruning)
 	dst = appendI64(dst, int64(len(opts.CPCoreCandidates)))

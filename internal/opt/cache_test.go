@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/scripts"
@@ -25,7 +24,7 @@ func testKeyInputs() (string, map[string]interface{}, []InputMeta, conf.Cluster,
 
 // TestCacheKeySensitivity: the key must change with anything that can
 // change an optimization outcome, and must NOT change with knobs that are
-// guaranteed result-neutral (worker count, time budget).
+// guaranteed result-neutral (worker count).
 func TestCacheKeySensitivity(t *testing.T) {
 	src, params, inputs, cc, opts := testKeyInputs()
 	base := CacheKey(src, params, inputs, cc, opts)
@@ -51,21 +50,17 @@ func TestCacheKeySensitivity(t *testing.T) {
 	mut("cluster nodes", func() { cc.Nodes-- })
 	mut("cluster max alloc", func() { cc.MaxAlloc /= 2 })
 	mut("cluster mem", func() { cc.MemPerNode -= conf.GB })
+	mut("grid", func() { opts.Grid = GridEqui })
 	mut("grid points", func() { opts.Points = 3 })
 	mut("pruning", func() { opts.DisablePruning = true })
 	mut("core candidates", func() { opts.CPCoreCandidates = []int{1, 2} })
 	mut("cluster load", func() { opts.ClusterLoad = 0.5 })
 
-	// Result-neutral knobs: parallel enumeration returns the same result
-	// (TestSearchPathsMatchFresh) and the time budget only bounds effort.
+	// Result-neutral: parallel enumeration returns the same result
+	// (TestSearchPathsMatchFresh).
 	opts.Workers = 8
 	if CacheKey(src, params, inputs, cc, opts) != base {
 		t.Error("worker count changed the key")
-	}
-	opts = DefaultOptions()
-	opts.TimeBudget = time.Second
-	if CacheKey(src, params, inputs, cc, opts) != base {
-		t.Error("time budget changed the key")
 	}
 
 	// Param and input order must not matter (canonicalized by sorting).
@@ -78,8 +73,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 // cacheKeyExcluded lists the conf.Cluster and Options fields CacheKey
 // deliberately leaves out, each with its reason.
 var cacheKeyExcluded = map[string]string{
-	"Options.Workers":    "the task-parallel search is bit-identical to the sequential one (TestSearchPathsMatchFresh)",
-	"Options.TimeBudget": "the service never sets one; a budget would make outcomes wall-clock dependent",
+	"Options.Workers": "the task-parallel search is bit-identical to the sequential one (TestSearchPathsMatchFresh)",
 }
 
 // TestCacheKeyCoversFields perturbs every field of conf.Cluster and

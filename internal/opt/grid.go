@@ -9,7 +9,9 @@
 package opt
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/hop"
@@ -34,18 +36,25 @@ const (
 	GridHybrid
 )
 
+// gridNames holds each generator's name, the one String prints and
+// ParseGrid reads.
+var gridNames = [...]string{GridEqui: "Equi", GridExp: "Exp", GridMem: "Mem", GridHybrid: "Hybrid"}
+
 func (g GridType) String() string {
-	switch g {
-	case GridEqui:
-		return "Equi"
-	case GridExp:
-		return "Exp"
-	case GridMem:
-		return "Mem"
-	case GridHybrid:
-		return "Hybrid"
+	if g < 0 || int(g) >= len(gridNames) {
+		return "?"
 	}
-	return "?"
+	return gridNames[g]
+}
+
+// ParseGrid returns the generator whose name, in any case, is s.
+func ParseGrid(s string) (GridType, error) {
+	for g, name := range gridNames {
+		if strings.EqualFold(s, name) {
+			return GridType(g), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown grid strategy %q", s)
 }
 
 // EnumGridPoints materializes ascending max-heap grid points for one

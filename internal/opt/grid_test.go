@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"strings"
 	"testing"
 
 	"elasticml/internal/conf"
@@ -20,6 +21,21 @@ func TestGridDegenerateConstraints(t *testing.T) {
 		if len(pts) != 1 {
 			t.Errorf("%v on degenerate constraints: %d points (%v), want 1", g, len(pts), pts)
 		}
+	}
+}
+
+// TestParseGridRoundTrip: every generator's name parses back to it, in any
+// case, and an unknown name is an error.
+func TestParseGridRoundTrip(t *testing.T) {
+	for _, g := range []GridType{GridEqui, GridExp, GridMem, GridHybrid} {
+		for _, name := range []string{g.String(), strings.ToLower(g.String()), strings.ToUpper(g.String())} {
+			if got, err := ParseGrid(name); err != nil || got != g {
+				t.Errorf("ParseGrid(%q) = %v, %v; want %v", name, got, err, g)
+			}
+		}
+	}
+	if _, err := ParseGrid("?"); err == nil {
+		t.Error(`ParseGrid("?") accepted the unknown generator's name`)
 	}
 }
 

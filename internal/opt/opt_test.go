@@ -3,7 +3,6 @@ package opt
 import (
 	"math"
 	"testing"
-	"time"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/cost"
@@ -205,17 +204,6 @@ func TestOptimizeWithCurrent(t *testing.T) {
 	}
 	if global.Cost > local.Cost {
 		t.Errorf("global cost %.1f must be <= local %.1f", global.Cost, local.Cost)
-	}
-}
-
-func TestTimeBudget(t *testing.T) {
-	cc := conf.DefaultCluster()
-	hp := compileHP(t, scripts.GLM(), 1_000_000, 1000, 1.0)
-	o := New(cc)
-	o.Opts.TimeBudget = time.Nanosecond
-	res := o.Optimize(hp)
-	if res == nil {
-		t.Fatal("time budget must still yield a configuration")
 	}
 }
 

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,9 +15,9 @@ import (
 
 // Options configure the optimizer.
 type Options struct {
-	// GridCP / GridMR select the per-dimension grid generators (the
-	// default hybrid combines directed and systematic search).
-	GridCP, GridMR GridType
+	// Grid selects the grid generator of both the CP and the MR dimension
+	// (the default hybrid combines directed and systematic search).
+	Grid GridType
 	// Points is the base-grid point count m per dimension (default 15).
 	Points int
 	// DisablePruning turns off the block pruning of §3.4 (ablation).
@@ -29,9 +30,6 @@ type Options struct {
 	// estimates inflate (lop.MultiThreadMemFactor). Empty means the
 	// paper's single-threaded CP.
 	CPCoreCandidates []int
-	// TimeBudget bounds optimization time; zero means unbounded. When the
-	// budget is exceeded, the best configuration found so far is returned.
-	TimeBudget time.Duration
 	// ClusterLoad in [0,1) models current cluster utilization for
 	// utilization-based adaptation (§6): MR jobs see only the remaining
 	// fraction of worker nodes, which shifts optimal plans toward
@@ -51,7 +49,7 @@ func (o *Optimizer) newEstimator() *cost.Estimator {
 // DefaultOptions returns the paper's default configuration: hybrid grids
 // with m=15 and sequential enumeration.
 func DefaultOptions() Options {
-	return Options{GridCP: GridHybrid, GridMR: GridHybrid, Points: 15, Workers: 1}
+	return Options{Grid: GridHybrid, Points: 15, Workers: 1}
 }
 
 // Stats reports the optimization effort (Table 3 columns).
@@ -154,14 +152,15 @@ type memoEntry struct {
 
 func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView) (*Result, *Result) {
 	start := time.Now()
-	src := EnumGridPoints(hp, o.CC, o.Opts.GridCP, o.Opts.Points)
-	srm := EnumGridPoints(hp, o.CC, o.Opts.GridMR, o.Opts.Points)
+	srm := EnumGridPoints(hp, o.CC, o.Opts.Grid, o.Opts.Points)
+	src := srm
 	if currentCP > 0 {
-		src = dedupeSorted(append(src, currentCP))
+		// On a copy: the MR dimension keeps the grid as enumerated.
+		src = dedupeSorted(append(slices.Clone(srm), currentCP))
 	}
 	stats := Stats{CPPoints: len(src), MRPoints: len(srm), TotalBlocks: hp.NumLeaf}
 	osp := o.Trace.Begin(obs.LayerOptimize, "opt.grid-search",
-		obs.A("grid_cp", o.Opts.GridCP.String()), obs.A("grid_mr", o.Opts.GridMR.String()),
+		obs.A("grid", o.Opts.Grid.String()),
 		obs.A("cp_points", len(src)), obs.A("mr_points", len(srm)),
 		obs.A("blocks", hp.NumLeaf), obs.A("workers", o.Opts.Workers))
 
@@ -170,16 +169,11 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		coreCands = []int{1}
 	}
 
-	deadline := time.Time{}
-	if o.Opts.TimeBudget > 0 {
-		deadline = start.Add(o.Opts.TimeBudget)
-	}
-
 	// The task-parallel search (Appendix C) hands the block enumerations to
 	// a worker pool; the memo path is sequential.
 	var pool *enumPool
 	if o.Opts.Workers > 1 && mv == nil {
-		pool = o.startPool(o.Opts.Workers, srm, deadline)
+		pool = o.startPool(o.Opts.Workers, srm)
 	}
 	est := o.newEstimator()
 	// One selection table serves every plan the search asks for; each pool
@@ -203,11 +197,6 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		// thresholds).
 		prunedForever := make([]bool, hp.NumLeaf)
 		for _, rc := range src {
-			// At least one configuration is always evaluated, even when
-			// the time budget is already exhausted.
-			if (best != nil || len(pending) > 0) && !deadline.IsZero() && time.Now().After(deadline) {
-				break
-			}
 			if pool != nil {
 				p := o.begin(hp, rc, cores, est, tab, &stats, prunedForever, mv)
 				pool.submit(p)

@@ -1,9 +1,7 @@
 package opt
 
 import (
-	"math"
 	"sync"
-	"time"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/lop"
@@ -35,7 +33,7 @@ type enumTask struct {
 // the queue drains, and wait waits for them. A few queued tasks per worker
 // let the master run ahead into the next point instead of handing over
 // each task as a worker frees up.
-func (o *Optimizer) startPool(workers int, srm []conf.Bytes, deadline time.Time) *enumPool {
+func (o *Optimizer) startPool(workers int, srm []conf.Bytes) *enumPool {
 	pl := &enumPool{tasks: make(chan enumTask, 4*workers), effort: make([]Stats, workers)}
 	pl.wg.Add(workers)
 	for w := range pl.effort {
@@ -43,15 +41,7 @@ func (o *Optimizer) startPool(workers int, srm []conf.Bytes, deadline time.Time)
 			defer pl.wg.Done()
 			est, tab := o.newEstimator(), lop.NewTable(o.CC)
 			for tk := range pl.tasks {
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					// Budget exhausted mid-point: skip the enumeration
-					// (finish keeps the block's baseline entry) but keep
-					// draining the queue so every point's WaitGroup
-					// resolves and no goroutine leaks.
-					tk.p.outs[tk.k] = memoEntry{cost: math.Inf(1)}
-				} else {
-					tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, est, tab, local, nil)
-				}
+				tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, est, tab, local, nil)
 				tk.p.wg.Done()
 			}
 			local.Costings = est.Invocations

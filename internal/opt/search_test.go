@@ -3,10 +3,13 @@ package opt
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/cost"
@@ -195,6 +198,31 @@ func TestParallelLocalKeepsCheapestCore(t *testing.T) {
 	if locals[0].Res.CPCores == 1 {
 		t.Errorf("serial local keeps 1 core at %v; the case no longer tells first from cheapest", locals[0].Cost)
 	}
+}
+
+// TestParallelWorkersExit: the task-parallel search returns a finite
+// configuration, keeps its workers' effort, and leaves no worker goroutine
+// behind once Optimize returns.
+func TestParallelWorkersExit(t *testing.T) {
+	hp := compileHP(t, scripts.GLM(), 1_000_000, 1000, 1.0)
+	before := runtime.NumGoroutine()
+	o := New(conf.DefaultCluster())
+	o.Opts.Workers = 4
+	res := o.Optimize(hp)
+	if math.IsInf(res.Cost, 0) || math.IsNaN(res.Cost) || res.Res.CP <= 0 {
+		t.Errorf("parallel search returned %v at cost %v", res.Res, res.Cost)
+	}
+	if res.Stats.Costings == 0 || res.Stats.BlockCompilations == 0 {
+		t.Errorf("worker effort dropped: costings=%d compilations=%d",
+			res.Stats.Costings, res.Stats.BlockCompilations)
+	}
+	// Exited goroutines may take a moment to leave the count.
+	for settle := time.Now().Add(2 * time.Second); time.Now().Before(settle); time.Sleep(10 * time.Millisecond) {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+	}
+	t.Errorf("goroutine leak: %d before optimize, %d after", before, runtime.NumGoroutine())
 }
 
 // TestWhatIfAllocs gates the allocations of one what-if evaluation, a block

@@ -28,8 +28,8 @@ func TestSelectRangeExact(t *testing.T) {
 	top := cc.OpBudget(2 * cc.MaxHeap())
 	checked := 0
 	for _, p := range paperGrid(t) {
-		src := EnumGridPoints(p.hp, cc, opts.GridCP, opts.Points)
-		srm := EnumGridPoints(p.hp, cc, opts.GridMR, opts.Points)
+		src := EnumGridPoints(p.hp, cc, opts.Grid, opts.Points)
+		srm := src
 		for _, rc := range []conf.Bytes{src[0], src[len(src)/2]} {
 			res := func(ri conf.Bytes) conf.Resources { return conf.NewResources(rc, ri, 1) }
 			for _, hb := range p.hp.LeafBlocks() {
@@ -109,8 +109,8 @@ func TestSelectTableExact(t *testing.T) {
 	}
 	checked, endsChecked := 0, 0
 	for _, p := range paperGrid(t) {
-		src := EnumGridPoints(p.hp, cc, opts.GridCP, opts.Points)
-		srm := EnumGridPoints(p.hp, cc, opts.GridMR, opts.Points)
+		src := EnumGridPoints(p.hp, cc, opts.Grid, opts.Points)
+		srm := src
 		res := func(rc, ri conf.Bytes, cores int) conf.Resources {
 			return conf.NewResources(rc, ri, 1).WithCores(cores)
 		}

@@ -35,10 +35,6 @@ type Model struct {
 	// ContainerAllocLatency is the time to obtain a new YARN container,
 	// part of the migration cost C_M (paper §4.2).
 	ContainerAllocLatency float64 // s
-	// EvictionPenalty scales buffer pool eviction IO; the cost model only
-	// partially considers evictions (paper §5: source of suboptimality),
-	// while the execution simulator charges them fully.
-	EvictionPenalty float64
 	// CacheThrashThreshold is the per-node concurrent task count above
 	// which tasks suffer cache thrashing (paper §5.2: B-SS slower than
 	// B-SL because too many concurrent small tasks trash the cache).
@@ -62,7 +58,6 @@ func Default() Model {
 		TaskLatency:           2.0,        // s per task wave
 		ShuffleBandwidth:      60 * 1e6,   // 60 MB/s per task
 		ContainerAllocLatency: 2.0,        // s
-		EvictionPenalty:       1.0,
 		CacheThrashThreshold:  12,
 		CacheThrashFactor:     2.0,
 	}

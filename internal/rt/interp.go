@@ -123,13 +123,6 @@ type Interp struct {
 	// SimTableCols is the data-dependent column count produced by table()
 	// in sim mode (the class count of the simulated label vector).
 	SimTableCols int64
-	// UnknownLoopIters bounds loops whose predicates are unknown in sim
-	// mode.
-	UnknownLoopIters int
-	// SimLoopCap bounds every while loop in sim mode: data-dependent exit
-	// conditions are unknowable on descriptors, so loops controlled purely
-	// by convergence flags would otherwise never terminate.
-	SimLoopCap int
 	// Adapter, when set, is consulted for runtime resource adaptation.
 	Adapter Adapter
 	// Faults, when set, injects node failures (shrinking the cluster and
@@ -137,8 +130,8 @@ type Interp struct {
 	// and transient HDFS read errors.
 	Faults *fault.Injector
 	// Policy governs task-level failure handling of MR jobs under fault
-	// injection; the zero value selects Hadoop-like defaults (4 attempts,
-	// speculation on) via normalization.
+	// injection; the zero value normalizes to Hadoop's 4 attempts with
+	// speculation off (mr.DefaultTaskPolicy turns it on).
 	Policy mr.TaskPolicy
 	// Trace, when non-nil, receives runtime- and cluster-layer spans: one
 	// complete span per executed instruction (stamped with the simulated
@@ -163,19 +156,17 @@ type Interp struct {
 // initial resource configuration.
 func New(mode Mode, fs *hdfs.FS, cc conf.Cluster, res conf.Resources) *Interp {
 	est := cost.NewEstimator(cc)
-	est.EvictionWeight = 1.0
+	est.EvictionWeight = 1.0 // the simulator charges evictions in full
 	return &Interp{
-		Mode:             mode,
-		FS:               fs,
-		CC:               cc,
-		Res:              res.Clone(),
-		Est:              est,
-		State:            cost.NewVarState(cc.OpBudget(res.CP)),
-		Vars:             map[string]*Value{},
-		Out:              io.Discard,
-		SimTableCols:     2,
-		UnknownLoopIters: 5,
-		SimLoopCap:       10,
+		Mode:         mode,
+		FS:           fs,
+		CC:           cc,
+		Res:          res.Clone(),
+		Est:          est,
+		State:        cost.NewVarState(cc.OpBudget(res.CP)),
+		Vars:         map[string]*Value{},
+		Out:          io.Discard,
+		SimTableCols: 2,
 	}
 }
 
@@ -289,10 +280,15 @@ func (ip *Interp) withEnclosing(b *lop.Block, fn func() error) error {
 	return err
 }
 
+// simLoopCap bounds every while loop in sim mode: data-dependent exit
+// conditions are unknowable on descriptors, so loops controlled purely by
+// convergence flags would otherwise never terminate.
+const simLoopCap = 10
+
 func (ip *Interp) execWhile(b *lop.Block) error {
 	unknownIters := 0
 	for iter := 0; ; iter++ {
-		if ip.Mode == ModeSim && ip.SimLoopCap > 0 && iter >= ip.SimLoopCap {
+		if ip.Mode == ModeSim && iter >= simLoopCap {
 			// Convergence flags are data dependent and unknowable on
 			// descriptors; bound the loop as the cost model bounds
 			// unknown-iteration loops.
@@ -308,7 +304,7 @@ func (ip *Interp) execWhile(b *lop.Block) error {
 			}
 		} else {
 			unknownIters++
-			if unknownIters > ip.UnknownLoopIters {
+			if unknownIters > cost.DefaultIters {
 				return nil
 			}
 		}
@@ -327,7 +323,7 @@ func (ip *Interp) execFor(b *lop.Block) error {
 	if err != nil {
 		return err
 	}
-	from, to := int64(1), int64(ip.UnknownLoopIters)
+	from, to := int64(1), int64(cost.DefaultIters)
 	if fromV.Known && toV.Known {
 		from, to = int64(fromV.Scalar), int64(toV.Scalar)
 	}
@@ -588,7 +584,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 			}
 		}
 	}
-	ip.SimTime += ip.Est.PM.WriteTime(ip.State.EvictionIO()-evict0, 1) * ip.Est.PM.EvictionPenalty
+	ip.SimTime += ip.Est.EvictionTime(ip.State.EvictionIO() - evict0)
 	return nil
 }
 

@@ -94,7 +94,7 @@ func TestCompilerAcceptsOnlyWhatRuns(t *testing.T) {
 			t.Errorf("%s compiles, but no kernel runs it", pr.expr)
 		}
 		res := RunProgram(p, Options{})
-		for _, f := range res.Fatals() {
+		for _, f := range res.Findings {
 			t.Errorf("%s: %s", pr.expr, strings.ReplaceAll(f.String(), "\n", " "))
 		}
 	}

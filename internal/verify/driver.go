@@ -27,30 +27,18 @@ const refTol = 1e-6
 
 // Options tunes a harness run.
 type Options struct {
-	// Configs is the differential matrix (DefaultConfigs() if nil).
-	Configs []Config
-	// ULPTol is the allowed cross-configuration ULP distance per cell.
-	// The default 0 demands bit-identical outputs: all plans execute the
-	// same deterministic kernels over the same values, so any drift is a
-	// real plan-dependence bug.
-	ULPTol uint64
-	// SkipReference disables the reference-interpreter comparison.
-	SkipReference bool
 	// Trace, when non-nil, records compile and runtime spans of every
 	// configuration run for Chrome trace export.
 	Trace *obs.Tracer
 }
 
-// RunProgram executes one program under every configuration plus the
-// reference interpreter and returns the aggregated comparison result.
+// RunProgram executes one program under every configuration of
+// DefaultConfigs plus the reference interpreter and returns the aggregated
+// comparison result.
 func RunProgram(p Program, o Options) ProgramResult {
-	cfgs := o.Configs
-	if cfgs == nil {
-		cfgs = DefaultConfigs()
-	}
 	res := ProgramResult{Program: p.Name}
 	var runs []*runOutput
-	for _, cfg := range cfgs {
+	for _, cfg := range DefaultConfigs() {
 		res.Configs = append(res.Configs, cfg.Name)
 		r := runOne(p, cfg, o.Trace)
 		res.Ops += r.ops
@@ -74,12 +62,9 @@ func RunProgram(p Program, o Options) ProgramResult {
 	base := runs[0]
 	res.Outputs = len(base.paths)
 	for _, other := range runs[1:] {
-		compareRuns(&res, p.Name, base, other, o.ULPTol)
+		compareRuns(&res, p.Name, base, other)
 	}
-
-	if !o.SkipReference {
-		compareReference(&res, p, base)
-	}
+	compareReference(&res, p, base)
 	return res
 }
 
@@ -203,7 +188,10 @@ func runOne(p Program, cfg Config, tr *obs.Tracer) (r *runOutput) {
 	return r
 }
 
-func compareRuns(res *ProgramResult, prog string, base, other *runOutput, ulpTol uint64) {
+// compareRuns demands bit-identical outputs: all plans execute the same
+// deterministic kernels over the same values, so any drift is a real
+// plan-dependence bug.
+func compareRuns(res *ProgramResult, prog string, base, other *runOutput) {
 	if base.prints != other.prints {
 		res.Findings = append(res.Findings, Finding{
 			Kind:    CrossConfigMismatch,
@@ -244,12 +232,8 @@ func compareRuns(res *ProgramResult, prog string, base, other *runOutput, ulpTol
 				if d > res.MaxULP {
 					res.MaxULP = d
 				}
-				kind := CrossConfigMismatch
-				if d <= ulpTol {
-					kind = ToleratedULP
-				}
 				res.Findings = append(res.Findings, Finding{
-					Kind:    kind,
+					Kind:    CrossConfigMismatch,
 					Program: prog,
 					Config:  base.cfg + " vs " + other.cfg,
 					Where:   fmt.Sprintf("%s[%d,%d]", path, i+1, j+1),

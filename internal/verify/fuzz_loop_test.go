@@ -39,7 +39,7 @@ func TestFuzzLoopProgramsClean(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p := FuzzLoopProgram(1, i)
 		r := RunProgram(p, Options{})
-		if f := r.Fatals(); len(f) > 0 {
+		if f := r.Findings; len(f) > 0 {
 			t.Errorf("%s: %d fatal findings, first: %s\n%s", p.Name, len(f), f[0], p.Source)
 		}
 	}

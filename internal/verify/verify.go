@@ -77,9 +77,7 @@ func DefaultConfigs() []Config {
 // FindingKind classifies a harness finding.
 type FindingKind string
 
-// Finding kinds. RunError and the two mismatch kinds fail the harness;
-// ToleratedULP records documented reduction-order cases that stayed within
-// the ULP bound and is informational.
+// Finding kinds. Every finding fails the harness.
 const (
 	// CrossConfigMismatch: two resource configurations produced different
 	// results for the same program.
@@ -95,8 +93,6 @@ const (
 	PoolOverPeak FindingKind = "pool-over-peak"
 	// RunError: a configuration failed to compile or execute.
 	RunError FindingKind = "run-error"
-	// ToleratedULP: outputs differed within the documented ULP bound.
-	ToleratedULP FindingKind = "tolerated-ulp"
 )
 
 // Finding is one typed harness observation.
@@ -116,9 +112,6 @@ type Finding struct {
 	Actual   conf.Bytes `json:"actual,omitempty"`
 }
 
-// Fatal reports whether the finding fails the harness.
-func (f Finding) Fatal() bool { return f.Kind != ToleratedULP }
-
 func (f Finding) String() string {
 	return fmt.Sprintf("[%s] %s/%s %s: %s", f.Kind, f.Program, f.Config, f.Where, f.Detail)
 }
@@ -137,30 +130,10 @@ type ProgramResult struct {
 	Ops int `json:"ops"`
 }
 
-// Fatals returns the program's fatal findings.
-func (r *ProgramResult) Fatals() []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Fatal() {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // Report is the full harness outcome.
 type Report struct {
 	Seed     int64           `json:"seed"`
 	Programs []ProgramResult `json:"programs"`
-}
-
-// Fatals returns all fatal findings across programs.
-func (r *Report) Fatals() []Finding {
-	var out []Finding
-	for i := range r.Programs {
-		out = append(out, r.Programs[i].Fatals()...)
-	}
-	return out
 }
 
 // Ops returns the total audited kernel invocations.

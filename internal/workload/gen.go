@@ -26,6 +26,10 @@ func genScenarios() []datagen.Scenario {
 	}
 }
 
+// tenantName names the i-th job of a trace that leaves it unnamed: the
+// generators, a run description's job list and Submit all name it so.
+func tenantName(i int) string { return fmt.Sprintf("tenant-%02d", i) }
+
 // Generate builds a deterministic n-tenant workload from a seed: programs
 // and scenarios are drawn uniformly from small pools, and inter-arrival
 // gaps are exponential with the given mean (seconds), rounded to
@@ -43,7 +47,7 @@ func Generate(seed int64, n int, meanGap float64) []JobSpec {
 		gap := r.ExpFloat64() * meanGap
 		arrival += math.Round(gap*1000) / 1000
 		jobs[i] = JobSpec{
-			Tenant:   fmt.Sprintf("tenant-%02d", i),
+			Tenant:   tenantName(i),
 			Script:   progs[r.Intn(len(progs))],
 			Scenario: scens[r.Intn(len(scens))],
 			Arrival:  arrival,
@@ -95,7 +99,7 @@ func generateBursts(seed int64, n int, script func(*rand.Rand) scripts.Spec) []J
 		burst := 2 + r.Intn(3)
 		for k := 0; k < burst && len(jobs) < n; k++ {
 			jobs = append(jobs, JobSpec{
-				Tenant:   fmt.Sprintf("tenant-%02d", len(jobs)),
+				Tenant:   tenantName(len(jobs)),
 				Script:   script(r),
 				Scenario: scens[r.Intn(len(scens))],
 				Arrival:  arrival + float64(k)*0.25,

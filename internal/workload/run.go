@@ -7,7 +7,6 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/datagen"
-	"elasticml/internal/mr"
 	"elasticml/internal/scripts"
 )
 
@@ -85,7 +84,7 @@ func baseRunSpec() *RunSpec {
 	s := &RunSpec{Cluster: conf.DefaultCluster(), Options: DefaultOptions()}
 	s.Cluster.Nodes = 2
 	s.Cluster.MemPerNode = 2 * conf.GB
-	s.TaskPolicy = mr.DefaultTaskPolicy()
+	s.TaskPolicy.Speculative = true
 	return s
 }
 
@@ -148,7 +147,7 @@ func (s *RunSpec) JobSpecs() ([]JobSpec, error) {
 	jobs := make([]JobSpec, len(s.Jobs))
 	for i, sj := range s.Jobs {
 		if sj.Tenant == "" {
-			sj.Tenant = fmt.Sprintf("tenant-%02d", i)
+			sj.Tenant = tenantName(i)
 		}
 		var err error
 		if jobs[i], err = sj.Resolve(); err != nil {

@@ -361,7 +361,7 @@ func (s *Service) submit(spec JobSpec) int {
 	j := &job{idx: i, spec: spec, slow: 1}
 	tenant := spec.Tenant
 	if tenant == "" {
-		tenant = fmt.Sprintf("tenant-%02d", i)
+		tenant = tenantName(i)
 	}
 	j.result = TenantResult{
 		Tenant:  tenant,
@@ -794,7 +794,7 @@ func (s *Service) failRunning(j *job, cause string) {
 // job coordinated from it, which the MR speculation model caps — straggler
 // nodes and straggler tasks degrade through the same arithmetic.
 func (s *Service) slowdown(factor float64) float64 {
-	eff, _ := mr.EffectiveSlowdown(factor, s.opts.TaskPolicy)
+	eff, _ := mr.EffectiveSlowdown(factor, s.opts.TaskPolicy.Speculative)
 	return eff
 }
 

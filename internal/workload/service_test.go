@@ -430,3 +430,16 @@ func TestRunSpecDefaultsAndOverrides(t *testing.T) {
 		t.Error("generate without a kind does not select Generate")
 	}
 }
+
+// TestRunSpecRejectsRemovedKeys: keys the service does not read are
+// unknown fields, so a description that sets one fails to load.
+func TestRunSpecRejectsRemovedKeys(t *testing.T) {
+	for name, doc := range map[string]string{
+		"task_policy.max_attempts":    `{"task_policy": {"speculative": true, "max_attempts": 2}, "jobs": [{"script": "GLM"}]}`,
+		"task_policy.speculative_cap": `{"task_policy": {"speculative": true, "speculative_cap": 2}, "jobs": [{"script": "GLM"}]}`,
+	} {
+		if spec, err := LoadRunSpec(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: loaded as %+v, want an unknown-field error", name, spec.TaskPolicy)
+		}
+	}
+}

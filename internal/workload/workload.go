@@ -64,7 +64,6 @@ import (
 	"elasticml/internal/datagen"
 	"elasticml/internal/fault"
 	"elasticml/internal/hdfs"
-	"elasticml/internal/mr"
 	"elasticml/internal/obs"
 	"elasticml/internal/scripts"
 )
@@ -158,15 +157,22 @@ type Options struct {
 	Policy Policy `json:"policy"`
 	// Elastic tunes the malleability machinery: the periodic decision tick.
 	Elastic ElasticOptions `json:"elastic"`
-	// TaskPolicy governs straggler speculation: a slowed node's effective
-	// slowdown is capped by speculative backups exactly like a straggling
-	// task's. The zero value normalizes to Hadoop-like defaults.
-	TaskPolicy mr.TaskPolicy `json:"task_policy"`
+	// TaskPolicy governs straggler speculation. The zero value, and so
+	// DefaultOptions, has speculation off; a run description is decoded
+	// over speculation on (baseRunSpec).
+	TaskPolicy TaskPolicy `json:"task_policy"`
 	// Trace, when non-nil, receives workload-layer spans (tenant queue and
 	// run spans, re-optimization and failure events) stamped with the
 	// service's simulated clock, plus workload.* metrics. All events are
 	// emitted by the event loop, so traces are deterministic.
 	Trace *obs.Tracer `json:"-"`
+}
+
+// TaskPolicy is the service's straggler policy.
+type TaskPolicy struct {
+	// Speculative caps a slowed node's effective slowdown at
+	// mr.SpeculativeCap, as speculative backups cap a straggling task's.
+	Speculative bool `json:"speculative"`
 }
 
 // DefaultOptions returns the service defaults.
@@ -177,7 +183,6 @@ func DefaultOptions() Options {
 // normalized fills zero-valued fields with defaults.
 func (o Options) normalized() Options {
 	o.Recovery = o.Recovery.normalized()
-	o.TaskPolicy = o.TaskPolicy.Normalized()
 	return o
 }
 

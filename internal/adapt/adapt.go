@@ -9,6 +9,8 @@ package adapt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"time"
 
 	"elasticml/internal/conf"
@@ -28,6 +30,9 @@ type Stats struct {
 	// ReoptReuses counts the re-optimizations answered by the kept last
 	// search instead of a fresh one (included in Reoptimizations).
 	ReoptReuses int
+	// ScopeRebuilds counts the consults that rebuilt the scope program
+	// from source; the others reused the program of the last rebuild.
+	ScopeRebuilds int
 	// ContainerLossReopts counts re-optimizations triggered by node
 	// failures (graceful degradation to a smaller cluster).
 	ContainerLossReopts int
@@ -66,7 +71,11 @@ type Adapter struct {
 
 	Stats Stats
 	chain []yarn.Container
-	last  search // answers consults while its inputs repeat
+	// scopes holds, per scope start, what a rebuild of the scope reads.
+	scopes map[*hop.Block]scopeFacts
+	kept   rebuild // answers consults while what it read repeats
+	last   search  // answers consults while its inputs repeat
+	meta   []byte  // scratch: the consult's live-in metadata
 }
 
 // New returns an adapter with the paper's defaults.
@@ -86,7 +95,10 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	}
 	start := time.Now()
 	scopeBlocks := scope(ctx)
-	scopeProg, err := ctx.Compiler.RebuildScope(scopeBlocks, ctx.Meta)
+	if len(scopeBlocks) == 0 {
+		return nil
+	}
+	scopeProg, progKey, err := a.scopeProgram(ctx, scopeBlocks)
 	if err != nil || scopeProg.NumLeaf == 0 {
 		return nil
 	}
@@ -97,7 +109,7 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	if ctx.CC.Nodes > 0 {
 		cc = ctx.CC
 	}
-	global, local, reused := a.reoptimize(scopeProg, ctx.Res.CP, cc, a.Opt)
+	global, local, reused := a.reoptimize(scopeProg, progKey, ctx.Res.CP, cc, a.Opt)
 	a.Stats.Reoptimizations++
 	m := a.Trace.Metrics()
 	m.Add("adapt.reoptimizations", 1)
@@ -176,6 +188,85 @@ func (a *Adapter) traceDecision(ctx *rt.AdaptContext, dec *rt.AdaptDecision, sco
 		obs.A("new_cp", dec.NewRes.CP.String()))
 }
 
+// scopeFacts is what a rebuild of one scope reads besides the compiler:
+// the metadata of the variables live at the scope's start, and the file
+// system when a statement calls read(...).
+type scopeFacts struct {
+	liveIn     []string
+	readsFiles bool
+}
+
+// rebuild is one scope rebuild: what it read and what it built.
+type rebuild struct {
+	first *hop.Block // the scope's first block, which names the scope
+	comp  *hop.Compiler
+	meta  []byte // appendMeta of the scope's live-in variables
+	prog  *hop.Program
+	key   []byte // hop.AppendKey of prog
+}
+
+// scopeProgram returns the rebuilt scope program and its hop.AppendKey.
+// A rebuild is a function of the scope, the compiler and the metadata of
+// the variables live at the scope's start (hop.LiveIn), so while those
+// repeat the kept rebuild answers and nothing is rebuilt or encoded. A
+// scope that reads a file always rebuilds, since the compiler stats it.
+// The key is taken before RebuildScope takes ownership of ctx.Meta.
+func (a *Adapter) scopeProgram(ctx *rt.AdaptContext, blocks []*hop.Block) (*hop.Program, []byte, error) {
+	first := blocks[0]
+	facts, ok := a.scopes[first]
+	if !ok {
+		srcs, err := hop.Sources(blocks)
+		if err != nil {
+			return nil, nil, err
+		}
+		facts = scopeFacts{liveIn: hop.LiveIn(srcs), readsFiles: dml.Calls(srcs, "read")}
+		if a.scopes == nil {
+			a.scopes = make(map[*hop.Block]scopeFacts)
+		}
+		a.scopes[first] = facts
+	}
+	k := &a.kept
+	a.meta = appendMeta(a.meta[:0], ctx.Meta, facts.liveIn)
+	if !facts.readsFiles && k.prog != nil && k.first == first && k.comp == ctx.Compiler && bytes.Equal(a.meta, k.meta) {
+		return k.prog, k.key, nil
+	}
+	prog, err := ctx.Compiler.RebuildScope(blocks, ctx.Meta)
+	if err != nil {
+		*k = rebuild{}
+		return nil, nil, err
+	}
+	a.Stats.ScopeRebuilds++
+	k.meta, a.meta = a.meta, k.meta
+	k.first, k.comp, k.prog, k.key = first, ctx.Compiler, prog, hop.AppendKey(nil, prog)
+	return prog, k.key, nil
+}
+
+// appendMeta appends what meta holds for each of names: whether the name
+// is bound and, if so, every VarMeta field, floats by their bits.
+func appendMeta(dst []byte, meta hop.SymTab, names []string) []byte {
+	bit := func(b bool) byte {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for _, name := range names {
+		m, ok := meta[name]
+		if !ok {
+			dst = append(dst, 0)
+			continue
+		}
+		dst = append(dst, 1, bit(m.IsMatrix), bit(m.Known), bit(m.IsStr))
+		dst = binary.AppendVarint(dst, m.Rows)
+		dst = binary.AppendVarint(dst, m.Cols)
+		dst = binary.AppendVarint(dst, m.NNZ)
+		dst = binary.AppendUvarint(dst, math.Float64bits(m.Val))
+		dst = binary.AppendUvarint(dst, uint64(len(m.Str)))
+		dst = append(dst, m.Str...)
+	}
+	return dst
+}
+
 // search is one re-optimization: what it was asked and what it answered.
 type search struct {
 	prog          []byte // hop.AppendKey of the rebuilt scope program
@@ -186,11 +277,11 @@ type search struct {
 }
 
 // reoptimize runs OptimizeWithCurrent, or answers from the last search when
-// that was asked exactly the same: the rebuilt scope program, the current
-// CP, the cluster view and the result-relevant options determine the
-// result.
-func (a *Adapter) reoptimize(prog *hop.Program, cp conf.Bytes, cc conf.Cluster, opts opt.Options) (global, local *opt.Result, reused bool) {
-	key, optsKey := hop.AppendKey(nil, prog), opt.AppendOptionsKey(nil, opts)
+// that was asked exactly the same: the rebuilt scope program (key is its
+// hop.AppendKey), the current CP, the cluster view and the
+// result-relevant options determine the result.
+func (a *Adapter) reoptimize(prog *hop.Program, key []byte, cp conf.Bytes, cc conf.Cluster, opts opt.Options) (global, local *opt.Result, reused bool) {
+	optsKey := opt.AppendOptionsKey(nil, opts)
 	l := &a.last
 	if cp == l.cp && cc == l.cc && bytes.Equal(key, l.prog) && bytes.Equal(optsKey, l.opts) {
 		return l.global, l.local, true
@@ -259,8 +350,8 @@ func containsBlock(root, target *hop.Block) bool {
 
 // mapScopeResources lifts a scope-program resource vector back onto the
 // full program's block indexing: scope leaves are matched to original
-// leaves by source position; unmatched original blocks keep their current
-// assignment.
+// leaves by the statement block they were built from; unmatched original
+// blocks keep their current assignment.
 func mapScopeResources(ctx *rt.AdaptContext, scopeProg *hop.Program, res conf.Resources) conf.Resources {
 	out := ctx.Res.Clone()
 	out.CP = res.CP
@@ -269,13 +360,12 @@ func mapScopeResources(ctx *rt.AdaptContext, scopeProg *hop.Program, res conf.Re
 		copy(grown.MR, out.MR)
 		out = grown
 	}
-	// Index original leaves by first source line.
-	origByLine := map[int]int{}
+	origBySrc := map[*dml.StatementBlock]int{}
 	for _, lb := range ctx.Plan.HopProgram.LeafBlocks() {
-		origByLine[lb.FirstLine] = lb.Index
+		origBySrc[lb.Src] = lb.Index
 	}
 	for _, sb := range scopeProg.LeafBlocks() {
-		if oi, ok := origByLine[sb.FirstLine]; ok && oi < len(out.MR) {
+		if oi, ok := origBySrc[sb.Src]; ok && oi < len(out.MR) {
 			out.MR[oi] = res.MRFor(sb.Index)
 		}
 	}

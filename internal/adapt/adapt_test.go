@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"slices"
 	"testing"
 
 	"elasticml/internal/conf"
@@ -167,5 +168,36 @@ func TestScopeExpandsToOuterLoop(t *testing.T) {
 	// if the scope failed to stabilize the configuration.
 	if ad.Stats.Reoptimizations > 12 {
 		t.Errorf("re-optimized %d times; scope expansion ineffective", ad.Stats.Reoptimizations)
+	}
+}
+
+// TestMapScopeResourcesBySource: two leaf blocks that start on one source
+// line each take their own scope leaf's MR heap. Matched by first line,
+// the loop body kept its old heap and print's leaf took the last scope
+// leaf's.
+func TestMapScopeResourcesBySource(t *testing.T) {
+	src := "i = 0; s = 0;\nwhile (i < 3) { s = s + i; i = i + 1; } print(s);\n"
+	prog, err := dml.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := hop.NewCompiler(hdfs.New(), nil)
+	hp, err := comp.Compile(prog, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := conf.DefaultCluster()
+	res := conf.NewResources(cc.MinHeap(), cc.MinHeap(), hp.NumLeaf)
+	ctx := &rt.AdaptContext{Plan: lop.Select(hp, cc, res), Res: res}
+	scopeProg, err := comp.RebuildScope(hp.Blocks[1:], hop.SymTab{"i": {}, "s": {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hp.NumLeaf != 3 || scopeProg.NumLeaf != 2 {
+		t.Fatalf("%d program and %d scope leaves, want 3 and 2", hp.NumLeaf, scopeProg.NumLeaf)
+	}
+	got := mapScopeResources(ctx, scopeProg, conf.Resources{CP: res.CP, MR: []conf.Bytes{2 * conf.GB, 3 * conf.GB}})
+	if want := []conf.Bytes{cc.MinHeap(), 2 * conf.GB, 3 * conf.GB}; !slices.Equal(got.MR, want) {
+		t.Errorf("mapped MR %v, want %v", got.MR, want)
 	}
 }

@@ -12,17 +12,21 @@ import (
 	"elasticml/internal/scripts"
 )
 
-// captureAdapter records the first adaptation context while delegating to a
-// real adapter, so tests can replay the context with altered fields.
+// captureAdapter records one adaptation context, the first unless at
+// says which (counted from 0), while delegating to a real adapter, so
+// tests can replay the context with altered fields.
 type captureAdapter struct {
 	inner *Adapter
+	at    int
+	seen  int
 	ctx   *rt.AdaptContext
 }
 
 func (c *captureAdapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
-	if c.ctx == nil {
+	if c.seen == c.at {
 		c.ctx = replay(ctx)
 	}
+	c.seen++
 	return c.inner.Adapt(ctx)
 }
 

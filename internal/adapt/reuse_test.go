@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"elasticml/internal/conf"
@@ -136,23 +137,28 @@ func runProblem(t testing.TB, p paperProblem, res conf.Resources,
 }
 
 // TestReoptReuseMatchesFresh runs every problem of the paper's grid twice,
-// reusing the kept search and searching afresh on every consult, and
-// requires the same run and the same consults bit for bit.
+// reusing the kept rebuild and search, and rebuilding the scope and
+// searching afresh on every consult, and requires the same run and the
+// same consults bit for bit.
 func TestReoptReuseMatchesFresh(t *testing.T) {
-	consults, searches := 0, 0
+	consults, rebuilds, searches := 0, 0, 0
 	for _, p := range paperGrid() {
 		rec := reuseMatchesFresh(t, p, optimized(t, p), nil)
 		// MLogreg L dense100 searches at its first three consults (three
 		// scopes) and once more when B's nnz becomes known after the
-		// first outer iteration.
-		if p.String() == "MLogreg L dense100" && (len(rec.consults) != 32 || rec.searches() != 4) {
-			t.Errorf("%s: %d consults, %d fresh searches; want 32 and 4", p, len(rec.consults), rec.searches())
+		// first outer iteration. It rebuilds at the first consult of each
+		// scope and at the first of each later outer iteration, when
+		// outer_iter, which is live at the loop's start, has moved on.
+		n := [3]int{len(rec.consults), rec.ad.Stats.ScopeRebuilds, rec.searches()}
+		if p.String() == "MLogreg L dense100" && n != [3]int{32, 7, 4} {
+			t.Errorf("%s: %d consults, %d rebuilds, %d fresh searches; want 32, 7 and 4", p, n[0], n[1], n[2])
 		}
-		consults += len(rec.consults)
-		searches += rec.searches()
+		consults += n[0]
+		rebuilds += n[1]
+		searches += n[2]
 	}
-	if consults != 261 || searches != 37 {
-		t.Errorf("grid: %d consults, %d fresh searches; want 261 and 37", consults, searches)
+	if consults != 261 || rebuilds != 61 || searches != 37 {
+		t.Errorf("grid: %d consults, %d rebuilds, %d fresh searches; want 261, 61 and 37", consults, rebuilds, searches)
 	}
 }
 
@@ -241,81 +247,148 @@ func TestReusedConsultTrace(t *testing.T) {
 // the second consult reuses the first one's search; under each change that
 // can alter the search's answer, it must search afresh — an option changed
 // in place included, so the kept search must not alias the adapter's
-// options.
+// options. The second consult rebuilds the scope exactly when a variable
+// live at the scope's start changed or the scope reads a file, and it
+// answers what a fresh adapter answers.
 func TestReoptReuseRefused(t *testing.T) {
 	p := paperProblem{scripts.MLogreg(), datagen.New("L", 100, 1.0)}
-	capt := &captureAdapter{}
-	runProblem(t, p, optimized(t, p), nil, func(a *Adapter) rt.Adapter {
-		capt.inner = a
-		return capt
+	res := optimized(t, p)
+	capture := func(at int, tweak func(*Adapter, *rt.Interp)) *rt.AdaptContext {
+		capt := &captureAdapter{at: at}
+		runProblem(t, p, res, tweak, func(a *Adapter) rt.Adapter {
+			capt.inner = a
+			return capt
+		})
+		return capt.ctx
+	}
+	// The first consult; a repeat inside the main loop, whose scope starts
+	// at the outer loop; and a container-loss consult before the first
+	// block, whose scope is the whole script, read($X) included.
+	first, inLoop := capture(0, nil), capture(3, nil)
+	atStart := capture(0, func(_ *Adapter, ip *rt.Interp) {
+		ip.Faults = fault.MustInjector(fault.Plan{Seed: 1, NodeFailures: []fault.NodeFailure{{Node: 0, At: 0}}})
 	})
-	first := capt.ctx
+	live := hop.LiveIn(mustSources(t, scope(inLoop)))
+	for name, want := range map[string]bool{"outer_iter": true, "inner_iter": false, "V": false} {
+		_, bound := inLoop.Meta[name]
+		if got := slices.Contains(live, name); !bound || got != want {
+			t.Fatalf("%s: bound %v, live at the loop's start %v; want bound and %v", name, bound, got, want)
+		}
+	}
+	meta := func(name string, f func(*hop.VarMeta)) func(*rt.AdaptContext) {
+		return func(c *rt.AdaptContext) {
+			m := c.Meta[name]
+			f(&m)
+			c.Meta[name] = m
+		}
+	}
 	rows := []struct {
 		name    string
+		from    *rt.AdaptContext       // the consult replayed; first when nil
 		before  func(*Adapter)         // applied before the first consult
 		change  func(*rt.AdaptContext) // applied to the second consult
 		between func(*Adapter)         // applied between the two consults
-		reused  bool
+		reused  bool                   // the second consult reuses the search
+		rebuilt bool                   // the second consult rebuilds the scope
 	}{
-		{"unchanged", nil, nil, nil, true},
-		{"node failure (container-loss trigger, shrunken cluster)", nil, func(c *rt.AdaptContext) {
+		{"unchanged", nil, nil, nil, nil, true, false},
+		{"node failure (container-loss trigger, shrunken cluster)", nil, nil, func(c *rt.AdaptContext) {
 			c.Trigger = rt.TriggerContainerLoss
 			c.CC.Nodes--
-		}, nil, false},
-		{"cluster load changes between consults", nil, nil, func(a *Adapter) { a.Opt.ClusterLoad = 0.2 }, false},
-		{"after a migration (current CP changed)", nil, func(c *rt.AdaptContext) {
+		}, nil, false, false},
+		{"cluster load changes between consults", nil, nil, nil, func(a *Adapter) { a.Opt.ClusterLoad = 0.2 }, false, false},
+		{"after a migration (current CP changed)", nil, nil, func(c *rt.AdaptContext) {
 			c.Res = c.Res.Clone()
 			c.Res.CP *= 2
-		}, nil, false},
-		{"optimizer workers change (the result does not)", nil, nil, func(a *Adapter) { a.Opt.Workers = 4 }, true},
-		{"grid points change", nil, nil, func(a *Adapter) { a.Opt.Points++ }, false},
-		{"core candidates change in place", func(a *Adapter) { a.Opt.CPCoreCandidates = []int{1, 2} }, nil,
-			func(a *Adapter) { a.Opt.CPCoreCandidates[1] = 4 }, false},
+		}, nil, false, false},
+		{"optimizer workers change (the result does not)", nil, nil, nil, func(a *Adapter) { a.Opt.Workers = 4 }, true, false},
+		{"grid points change", nil, nil, nil, func(a *Adapter) { a.Opt.Points++ }, false, false},
+		{"core candidates change in place", nil, func(a *Adapter) { a.Opt.CPCoreCandidates = []int{1, 2} }, nil,
+			func(a *Adapter) { a.Opt.CPCoreCandidates[1] = 4 }, false, false},
+		{"a live-in variable changes (the rebuilt program does not)", inLoop, nil,
+			meta("outer_iter", func(m *hop.VarMeta) { m.Val++ }), nil, true, true},
+		{"only variables outside the live-in set change", inLoop, nil, func(c *rt.AdaptContext) {
+			meta("inner_iter", func(m *hop.VarMeta) { m.Val++ })(c)
+			meta("V", func(m *hop.VarMeta) { m.NNZ /= 2 })(c)
+			c.Meta["unbound"] = hop.VarMeta{Known: true, Val: 1}
+		}, nil, true, false},
+		{"the scope calls read(...)", atStart, nil, nil, nil, true, true},
 	}
 	for _, row := range rows {
-		ad := New(conf.DefaultCluster())
-		ad.OptCharge = gridCharge
-		if row.before != nil {
-			row.before(ad)
+		from := row.from
+		if from == nil {
+			from = first
 		}
-		second := replay(first)
+		adapter := func() *Adapter {
+			ad := New(conf.DefaultCluster())
+			ad.OptCharge = gridCharge
+			if row.before != nil {
+				row.before(ad)
+			}
+			return ad
+		}
+		ad := adapter()
+		second := replay(from)
 		if row.change != nil {
 			row.change(second)
 		}
-		if ad.Adapt(replay(first)) == nil {
+		if ad.Adapt(replay(from)) == nil {
 			t.Fatalf("%s: no decision", row.name)
 		}
 		if row.between != nil {
 			row.between(ad)
 		}
-		if ad.Adapt(second) == nil {
-			t.Fatalf("%s: no decision", row.name)
+		fresh := adapter()
+		if row.between != nil {
+			row.between(fresh)
 		}
-		if got := ad.Stats.ReoptReuses == 1; got != row.reused || ad.Stats.Reoptimizations != 2 {
+		got, want := ad.Adapt(replay(second)), fresh.Adapt(second)
+		if got == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: second consult decided %+v, a fresh adapter %+v", row.name, got, want)
+		}
+		if reused := ad.Stats.ReoptReuses == 1; reused != row.reused || ad.Stats.Reoptimizations != 2 {
 			t.Errorf("%s: %d consults, %d reused; want the second reused: %v",
 				row.name, ad.Stats.Reoptimizations, ad.Stats.ReoptReuses, row.reused)
+		}
+		if rebuilt := ad.Stats.ScopeRebuilds == 2; rebuilt != row.rebuilt || ad.Stats.ScopeRebuilds == 0 {
+			t.Errorf("%s: %d scope rebuilds; want the second rebuilt: %v", row.name, ad.Stats.ScopeRebuilds, row.rebuilt)
 		}
 	}
 }
 
+// mustSources returns the statement blocks of a scope.
+func mustSources(t *testing.T, blocks []*hop.Block) []*dml.StatementBlock {
+	t.Helper()
+	srcs, err := hop.Sources(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srcs
+}
+
 // BenchmarkAdaptRepeat is one MLogreg L dense100 run with the adapter: 32
-// consults, of which only the 4 whose scope program changed search.
+// consults, of which 7 rebuild the scope program (the first consult of
+// each of three scopes, then one per outer iteration, when outer_iter has
+// moved on) and only the 4 whose scope program changed search.
 func BenchmarkAdaptRepeat(b *testing.B) {
 	p := paperProblem{scripts.MLogreg(), datagen.New("L", 100, 1.0)}
 	res := optimized(b, p)
-	consults, fresh := 0, 0
+	consults, rebuilds, fresh := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, rec := runProblem(b, p, res, nil, nil)
 		consults += len(rec.consults)
+		rebuilds += rec.ad.Stats.ScopeRebuilds
 		fresh += rec.searches()
 	}
 	b.StopTimer()
 	perOp := func(n int) float64 { return float64(n) / float64(b.N) }
-	if perOp(fresh) > 4 || perOp(consults) < 30 {
-		b.Fatalf("%.1f consults/op and %.1f fresh/op; want ≥ 30 and ≤ 4", perOp(consults), perOp(fresh))
+	if perOp(fresh) > 4 || perOp(rebuilds) > 7 || perOp(consults) < 30 {
+		b.Fatalf("%.1f consults/op, %.1f rebuilds/op and %.1f fresh/op; want ≥ 30, ≤ 7 and ≤ 4",
+			perOp(consults), perOp(rebuilds), perOp(fresh))
 	}
 	b.ReportMetric(perOp(consults), "consults/op")
+	b.ReportMetric(perOp(rebuilds), "rebuilds/op")
 	b.ReportMetric(perOp(fresh), "fresh/op")
 }

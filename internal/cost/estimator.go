@@ -11,7 +11,6 @@ import (
 
 // Estimator computes time estimates C(P, R_P, cc) for runtime plans.
 type Estimator struct {
-	PM perf.Model
 	CC conf.Cluster
 	// EvictionWeight scales the IO charged for buffer-pool evictions. The
 	// execution simulator uses 1.0 (full cost); the optimizer's cost model
@@ -65,9 +64,10 @@ func (e *Estimator) effectiveCluster() conf.Cluster {
 // (maxi=5).
 const DefaultIters = 5
 
-// NewEstimator returns an estimator with the default performance model.
+// NewEstimator returns an estimator for cc. Every charge reads the one
+// performance model, perf.Default.
 func NewEstimator(cc conf.Cluster) *Estimator {
-	return &Estimator{PM: perf.Default(), CC: cc, EvictionWeight: PartialEvictionWeight}
+	return &Estimator{CC: cc, EvictionWeight: PartialEvictionWeight}
 }
 
 // PartialEvictionWeight is the optimizer cost model's under-accounting of
@@ -181,7 +181,7 @@ func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState, c
 // re-read on next use; the re-read is already charged by EnsureInMemory,
 // the write here, scaled by EvictionWeight.
 func (e *Estimator) EvictionTime(evicted conf.Bytes) float64 {
-	return e.PM.WriteTime(evicted, 1) * e.EvictionWeight
+	return perf.Default().WriteTime(evicted, 1) * e.EvictionWeight
 }
 
 // CPInstrTime charges one in-memory operation: read IO for inputs not yet
@@ -220,7 +220,7 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 			}
 		}
 		readBytes := state.EnsureInMemory(key, trackedSize(inp))
-		t += e.PM.ReadTime(readBytes, 1)
+		t += perf.Default().ReadTime(readBytes, 1)
 	}
 	// The CP container runs on one worker node: a degree of parallelism
 	// above the node's physical cores cannot speed up compute (it only
@@ -228,14 +228,14 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 	if e.CC.CoresPerNode > 0 && cores > e.CC.CoresPerNode {
 		cores = e.CC.CoresPerNode
 	}
-	t += e.PM.ComputeTime(Flops(h), cores)
+	t += perf.Default().ComputeTime(Flops(h), cores)
 	if h.Kind == hop.KindWrite {
 		src := h.Inputs[0]
 		if src.DataType == hop.Matrix && jobOf[src.Pos] == nil {
 			// Values already HDFS-resident are renamed, not rewritten.
 			key, tracked := keyOf(src)
 			if !tracked || state.InMemory(key) {
-				t += e.PM.WriteTime(trackedSize(src), 1)
+				t += perf.Default().WriteTime(trackedSize(src), 1)
 			}
 		}
 	}
@@ -245,7 +245,7 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 // MRJobTime assembles the job specification and charges the MR phase model.
 func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) float64 {
 	spec, taskHeap := e.jobSpec(job, b, res, state)
-	bd := mr.EstimateTime(e.PM, e.effectiveCluster(), spec, taskHeap, res.CP)
+	bd := mr.EstimateTime(perf.Default(), e.effectiveCluster(), spec, taskHeap, res.CP)
 	return bd.Total()
 }
 

@@ -98,6 +98,27 @@ func BuildBlocks(stmts []Stmt) []*StatementBlock {
 	return out
 }
 
+// Calls reports whether a statement or a header anywhere in the block
+// hierarchy calls the named builtin.
+func Calls(blocks []*StatementBlock, name string) bool {
+	found := false
+	Walk(blocks, func(b *StatementBlock) {
+		for _, e := range []Expr{b.Pred, b.From, b.To} {
+			found = found || exprContainsCall(e, name)
+		}
+		for _, st := range b.Stmts {
+			switch st := st.(type) {
+			case *Assign:
+				found = found || exprContainsCall(st.Expr, name) ||
+					st.LIndex != nil && exprContainsCall(st.LIndex, name)
+			case *ExprStmt:
+				found = found || exprContainsCall(st.Call, name)
+			}
+		}
+	})
+	return found
+}
+
 // exprContainsCall reports whether the expression tree contains a call to
 // the named builtin.
 func exprContainsCall(e Expr, name string) bool {

@@ -237,15 +237,9 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 		sp = c.Trace.Begin(obs.LayerCompile, "hop.rebuild-scope", obs.A("blocks", len(blocks)))
 		defer sp.End()
 	}
-	srcs := make([]*dml.StatementBlock, 0, len(blocks))
-	for _, b := range blocks {
-		if b.Src == nil {
-			return nil, fmt.Errorf("hop: block at line %d lacks source linkage", b.FirstLine)
-		}
-		// Branch removal may map several hop blocks to one source block.
-		if len(srcs) == 0 || srcs[len(srcs)-1] != b.Src {
-			srcs = append(srcs, b.Src)
-		}
+	srcs, err := Sources(blocks)
+	if err != nil {
+		return nil, err
 	}
 	rebuilt, err := c.buildBlocks(srcs, meta)
 	if err != nil {
@@ -254,6 +248,22 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 	pruneDeadWrites(rebuilt)
 	fuseTransposeMM(rebuilt)
 	return c.program(rebuilt, ""), nil
+}
+
+// Sources returns the statement blocks the given hop blocks were built
+// from, in order and once each: branch removal may map several hop blocks
+// to one source block. RebuildScope rebuilds exactly these.
+func Sources(blocks []*Block) ([]*dml.StatementBlock, error) {
+	srcs := make([]*dml.StatementBlock, 0, len(blocks))
+	for _, b := range blocks {
+		if b.Src == nil {
+			return nil, fmt.Errorf("hop: block at line %d lacks source linkage", b.FirstLine)
+		}
+		if len(srcs) == 0 || srcs[len(srcs)-1] != b.Src {
+			srcs = append(srcs, b.Src)
+		}
+	}
+	return srcs, nil
 }
 
 // program finishes a block tree whose rewrites are done: it indexes the
@@ -273,57 +283,6 @@ func (c *Compiler) program(blocks []*Block, source string) *Program {
 		}
 	})
 	return p
-}
-
-// stmtReads returns the variables straight-line statements read, sorted
-// and once each: every identifier, and the target of a left-indexed
-// assignment (the update reads the matrix it writes into).
-func stmtReads(stmts []dml.Stmt) []string {
-	var names []string
-	var expr func(e dml.Expr)
-	index := func(e *dml.Index) {
-		expr(e.Target)
-		for _, r := range []*dml.IndexRange{e.Row, e.Col} {
-			if r != nil {
-				expr(r.Lo)
-				expr(r.Hi)
-			}
-		}
-	}
-	expr = func(e dml.Expr) {
-		switch e := e.(type) {
-		case *dml.Ident:
-			names = append(names, e.Name)
-		case *dml.BinOp:
-			expr(e.Left)
-			expr(e.Right)
-		case *dml.UnOp:
-			expr(e.X)
-		case *dml.Call:
-			for _, a := range e.Args {
-				expr(a)
-			}
-			for _, a := range e.Named {
-				expr(a)
-			}
-		case *dml.Index:
-			index(e)
-		}
-	}
-	for _, st := range stmts {
-		switch st := st.(type) {
-		case *dml.Assign:
-			expr(st.Expr)
-			if st.LIndex != nil {
-				names = append(names, st.Target)
-				index(st.LIndex)
-			}
-		case *dml.ExprStmt:
-			expr(st.Call)
-		}
-	}
-	slices.Sort(names)
-	return slices.Compact(names)
 }
 
 func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {

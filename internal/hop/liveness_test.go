@@ -1,6 +1,7 @@
 package hop
 
 import (
+	"strings"
 	"testing"
 
 	"elasticml/internal/dml"
@@ -43,5 +44,30 @@ print(sum(X));
 	}
 	if body == nil || body.Recompile {
 		t.Error("the loop body's last block still needs recompilation")
+	}
+}
+
+// TestLiveIn pins the statement-level liveness a scope's consult key is
+// built from: a plain assignment kills, a left-indexed one reads its
+// target, either branch of an if may run, a loop may run zero or more
+// times, and a for header kills its variable after reading its bounds.
+func TestLiveIn(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"x = 1; y = x + z;", "z"},
+		{"W[1, 1] = v;", "W v"},
+		{"W = matrix(0, rows=2, cols=2); W[i, 1] = v;", "i v"},
+		{"if (p) { a = b; } else { c = 1; }\nprint(a);", "a b p"},
+		{"while (i < n) { s = s + i; i = i + 1; }", "i n s"},
+		{"while (go) { t = 1; go = t > u; }", "go u"},
+		{"for (k in a:k) { x = k + u; }\nprint(k);", "a k u"},
+		{"y = read($X); print(sum(y));", ""},
+	} {
+		prog, err := dml.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(LiveIn(dml.BuildBlocks(prog.Stmts)), " "); got != c.want {
+			t.Errorf("%q: live-in %q, want %q", c.src, got, c.want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
 	"elasticml/internal/matrix"
+	"elasticml/internal/perf"
 )
 
 // env evaluates one linearized DAG with memoization — a generic block's
@@ -159,7 +160,7 @@ func (e *env) compute(h *hop.Hop) (*Value, error) {
 			// Each transient failure re-reads one DFS block from another
 			// replica; charge the re-read into the recovery budget.
 			ip.Stats.HDFSRetries += retries
-			penalty := ip.Est.PM.ReadTime(ip.CC.HDFSBlockSize, 1) * float64(retries)
+			penalty := perf.Default().ReadTime(ip.CC.HDFSBlockSize, 1) * float64(retries)
 			ip.SimTime += penalty
 			ip.Stats.RecoverySeconds += penalty
 		}

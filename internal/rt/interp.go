@@ -15,6 +15,7 @@ import (
 	"elasticml/internal/matrix"
 	"elasticml/internal/mr"
 	"elasticml/internal/obs"
+	"elasticml/internal/perf"
 )
 
 // ErrClusterLost aborts execution when a node failure takes out the last
@@ -551,7 +552,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 			ip.Stats.MRJobs++
 			if ip.Faults != nil && ip.Faults.TaskFaultsEnabled() {
 				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State)
-				bd, rep, err := mr.EstimateTimeUnderFaultsTraced(ip.Est.PM, ip.Est.EffectiveCluster(),
+				bd, rep, err := mr.EstimateTimeUnderFaultsTraced(perf.Default(), ip.Est.EffectiveCluster(),
 					spec, taskHeap, ip.Res.CP, ip.Faults, ip.Policy, ip.Trace, start)
 				if err != nil {
 					return fmt.Errorf("rt: %w", err)
@@ -571,7 +572,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 				m.Observe("rt.mr_job_seconds", bd.Total())
 			} else if traced || m != nil {
 				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State)
-				bd := mr.EstimateTime(ip.Est.PM, ip.Est.EffectiveCluster(), spec, taskHeap, ip.Res.CP)
+				bd := mr.EstimateTime(perf.Default(), ip.Est.EffectiveCluster(), spec, taskHeap, ip.Res.CP)
 				ip.SimTime += bd.Total()
 				if traced {
 					ip.Trace.Complete(obs.LayerRuntime, in.Label(), start, bd.Total(),

@@ -1,7 +1,9 @@
 // Command benchcompare runs the repo's benchmark (BENCHMARK.json) on a
 // reference commit and on the working tree in alternating pairs and prints,
 // per workload and end-to-end metric, each side's median and quartiles, the
-// pairs the working tree won, and the ratio of the medians with its base.
+// pairs the working tree won, and the ratio of the medians with its base,
+// followed by each side's median proc.mallocs_per_op, the count that backs
+// a speed claim.
 //
 //	go run ./tools/benchcompare -ref HEAD~1 [-pairs 10] [-workload all] [-seed 2]
 //
@@ -62,6 +64,18 @@ type runLine struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
 }
+
+// runDoc is the JSON document a run prints before its last line; only the
+// per-layer metrics of its run are read.
+type runDoc struct {
+	Runs []struct {
+		Metrics map[string]float64 `json:"metrics"`
+	} `json:"runs"`
+}
+
+// countMetric is the per-layer count reported beside the end-to-end
+// metrics. It is not gated.
+const countMetric = "proc.mallocs_per_op"
 
 // side is one of the two programs compared.
 type side struct{ name, dir, bin string }
@@ -144,8 +158,10 @@ func compare(tmp, ref string, pairs int, workload string, seed int64) (bool, err
 
 	ok := true
 	for _, w := range workloads {
-		// vals[metric][side] holds one value per pair.
+		// vals[metric][side] holds one value per pair, counts[side] the
+		// count metric of the runs that report it.
 		vals := make([][2][]float64, len(sp.EndToEnd))
+		var counts [2][]float64
 		for p := 0; p < pairs; p++ {
 			for k := 0; k < 2; k++ {
 				i := (p + k) % 2 // even pairs run the reference first
@@ -167,6 +183,12 @@ func compare(tmp, ref string, pairs int, workload string, seed int64) (bool, err
 				for m, d := range sp.EndToEnd {
 					vals[m][i] = append(vals[m][i], rl.Metrics[d.Name].Value)
 				}
+				var doc runDoc
+				if json.Unmarshal([]byte(strings.Join(lines[:len(lines)-1], "\n")), &doc) == nil && len(doc.Runs) == 1 {
+					if v, ok := doc.Runs[0].Metrics[countMetric]; ok {
+						counts[i] = append(counts[i], v)
+					}
+				}
 			}
 			fmt.Fprintf(os.Stderr, "%s: pair %d/%d done\n", w, p+1, pairs)
 		}
@@ -177,6 +199,7 @@ func compare(tmp, ref string, pairs int, workload string, seed int64) (bool, err
 				ok = false
 			}
 		}
+		fmt.Printf("  %s median: ref %s | new %s\n", countMetric, median(counts[0]), median(counts[1]))
 		for m, d := range sp.EndToEnd {
 			fmt.Printf("  %s runs: ref %s | new %s\n", d.Name, list(vals[m][0]), list(vals[m][1]))
 		}
@@ -231,6 +254,15 @@ func quartiles(v []float64) (med, q1, q3 float64) {
 		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 	}
 	return at(0.5), at(0.25), at(0.75)
+}
+
+// median formats the median of v, or n/a for no values.
+func median(v []float64) string {
+	if len(v) == 0 {
+		return "n/a"
+	}
+	med, _, _ := quartiles(v)
+	return fmt.Sprintf("%.6g", med)
 }
 
 func list(v []float64) string {

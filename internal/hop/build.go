@@ -33,14 +33,15 @@ func (s SymTab) Clone() SymTab {
 }
 
 // Compiler builds HOP programs. It carries the simulated DFS (for input
-// metadata), the script's $ parameters, and user function definitions.
+// metadata), the script's $ parameters, and the script it compiled, whose
+// templates its scope rebuilds and recompiles re-size.
 type Compiler struct {
 	FS     *hdfs.FS
 	Params map[string]interface{}
 	// Trace, when non-nil, receives compile-layer spans (initial
 	// compilation phases, dynamic recompilations, scope rebuilds).
 	Trace  *obs.Tracer
-	funcs  map[string]*dml.Function
+	script *Script
 	nextID int64
 }
 
@@ -52,8 +53,8 @@ func NewCompiler(fs *hdfs.FS, params map[string]interface{}) *Compiler {
 
 // Fork returns a compiler for one run of a program c built, over the
 // run's own file system: it continues from c's ID counter without
-// advancing it and shares the function table, which no build writes. So a
-// run recompiles exactly as it would on c, and c stays as it was.
+// advancing it and shares c's script and its templates. So a run
+// recompiles exactly as it would on c, and c stays as it was.
 func (c *Compiler) Fork(fs *hdfs.FS) *Compiler {
 	f := *c
 	f.FS = fs
@@ -68,29 +69,39 @@ func (c *Compiler) id() int64 {
 // Compile builds the HOP program for a parsed script: user functions are
 // inlined, statement blocks constructed, DAGs built with size propagation,
 // constant folding, CSE, algebraic rewrites and branch removal applied, and
-// leaf blocks indexed for the resource vector and linearized.
+// leaf blocks indexed for the resource vector and linearized. The templates
+// of its generic blocks belong to this compile's script alone (see
+// CompileScript for a shared one).
 func (c *Compiler) Compile(prog *dml.Program, source string) (*Program, error) {
 	sp := c.Trace.Begin(obs.LayerCompile, "hop.compile")
-	c.funcs = prog.Funcs
 	inl := c.Trace.Begin(obs.LayerCompile, "hop.inline-functions", obs.A("funcs", len(prog.Funcs)))
-	stmts, err := dml.InlineFunctions(prog)
+	s := newScript(prog, source, c.Trace)
 	inl.End()
-	if err != nil {
-		return nil, err
+	return c.compile(s, sp)
+}
+
+// CompileScript builds the program of a script a Table parsed, as Compile
+// does, re-sizing the templates earlier compiles of the script built.
+func (c *Compiler) CompileScript(s *Script) (*Program, error) {
+	return c.compile(s, c.Trace.Begin(obs.LayerCompile, "hop.compile"))
+}
+
+func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
+	if s.err != nil {
+		return nil, s.err
 	}
-	sblocks := dml.BuildBlocks(stmts)
+	c.script = s
 	meta := SymTab{}
-	bld := c.Trace.Begin(obs.LayerCompile, "hop.build-dags", obs.A("stmt_blocks", len(sblocks)))
-	blocks, err := c.buildBlocks(sblocks, meta)
+	bld := c.Trace.Begin(obs.LayerCompile, "hop.build-dags", obs.A("stmt_blocks", len(s.blocks)))
+	blocks, err := c.buildBlocks(s.blocks, meta)
 	bld.End()
 	if err != nil {
 		return nil, err
 	}
 	rw := c.Trace.Begin(obs.LayerCompile, "hop.rewrite")
 	pruneDeadWrites(blocks)
-	fuseTransposeMM(blocks)
+	p := c.program(blocks, s.source)
 	rw.End()
-	p := c.program(blocks, source)
 	sp.End(obs.A("leaf_blocks", p.NumLeaf))
 	c.Trace.Metrics().Add("compile.programs", 1)
 	return p, nil
@@ -141,8 +152,9 @@ var (
 	recompiled  func(c *Compiler, b *Block, vars Vars, nb *Block, resized bool)
 )
 
-// rebuild builds b anew from its statements against the metadata vars
-// holds for b.Reads, keeping only the writes b keeps.
+// rebuild builds b anew against the metadata vars holds for b.Reads, from
+// its source block's template (from its statements if it has no source
+// block), keeping only the writes b keeps.
 func (c *Compiler) rebuild(b *Block, vars Vars) (*Block, error) {
 	meta := make(SymTab, len(b.Reads))
 	for _, name := range b.Reads {
@@ -150,14 +162,19 @@ func (c *Compiler) rebuild(b *Block, vars Vars) (*Block, error) {
 			meta[name] = m
 		}
 	}
-	nb, err := c.buildGeneric(b.Stmts, meta, b.FirstLine, b.LastLine)
+	var nb *Block
+	var err error
+	if b.Src != nil {
+		nb, err = c.generic(b.Src, meta)
+	} else {
+		nb, err = c.buildGeneric(b.Stmts, meta, b.FirstLine, b.LastLine)
+	}
 	if err != nil {
 		return nil, err
 	}
-	nb.Index, nb.Reads = b.Index, b.Reads
+	nb.Index, nb.Reads, nb.Src = b.Index, b.Reads, b.Src
 	nb.keepWritesOf(b)
-	fuseDAG(nb.Roots)
-	nb.linearize(0)
+	nb.finish()
 	return nb, nil
 }
 
@@ -173,9 +190,6 @@ func (nb *Block) keepWritesOf(b *Block) {
 		}) {
 			kept = append(kept, r)
 		}
-	}
-	if len(kept) < len(nb.Roots) {
-		nb.Recompile = HasUnknownDims(kept)
 	}
 	nb.Roots = kept
 }
@@ -201,7 +215,7 @@ func (c *Compiler) buildBlock(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 	switch sb.Kind {
 	case dml.GenericBlock:
 		var b *Block
-		b, err = c.buildGeneric(sb.Stmts, meta, sb.FirstLine, sb.LastLine)
+		b, err = c.generic(sb, meta)
 		if b != nil {
 			out = []*Block{b}
 		}
@@ -246,7 +260,6 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 		return nil, err
 	}
 	pruneDeadWrites(rebuilt)
-	fuseTransposeMM(rebuilt)
 	return c.program(rebuilt, ""), nil
 }
 
@@ -266,9 +279,10 @@ func Sources(blocks []*Block) ([]*dml.StatementBlock, error) {
 	return srcs, nil
 }
 
-// program finishes a block tree whose rewrites are done: it indexes the
-// leaf blocks for the resource vector, linearizes each one's DAG and
-// records its read set, and linearizes each control block's header.
+// program finishes a block tree whose dead writes are pruned: it indexes
+// the leaf blocks for the resource vector, applies the transpose-mm
+// rewrite to each one's DAG, linearizes it and records its read set, and
+// rewrites and linearizes each control block's header.
 func (c *Compiler) program(blocks []*Block, source string) *Program {
 	p := &Program{Blocks: blocks, Source: source, Params: c.Params}
 	WalkBlocks(blocks, func(b *Block) {
@@ -276,10 +290,13 @@ func (c *Compiler) program(blocks []*Block, source string) *Program {
 		if b.Kind == dml.GenericBlock {
 			b.Index = p.NumLeaf
 			p.NumLeaf++
-			b.linearize(0)
-			b.Reads = stmtReads(b.Stmts)
+			b.finish()
+			if b.Reads == nil {
+				b.Reads = stmtReads(b.Stmts)
+			}
 		} else {
-			b.Header = walkOrder([]*Hop{b.Pred, b.From, b.To}, 0)
+			fuseDAG(blockRoots(b), 0)
+			b.Header = walkOrder(blockRoots(b), 0)
 		}
 	})
 	return p

@@ -15,5 +15,17 @@ func OnRecompile(fn func(c *Compiler, b *Block, vars Vars, nb *Block, resized bo
 	return func() { recompiled = nil }
 }
 
-// Rebuild is the rebuild RecompileGeneric falls back to.
-func (c *Compiler) Rebuild(b *Block, vars Vars) (*Block, error) { return c.rebuild(b, vars) }
+// Rebuild is the rebuild RecompileGeneric falls back to, from b's
+// statements.
+func (c *Compiler) Rebuild(b *Block, vars Vars) (*Block, error) {
+	noSrc := *b
+	noSrc.Src = nil
+	return c.rebuild(&noSrc, vars)
+}
+
+// StatementsOnly makes every generic block build from its statements, as
+// it did before templates, until restore.
+func StatementsOnly() (restore func()) {
+	statementsOnly = true
+	return func() { statementsOnly = false }
+}

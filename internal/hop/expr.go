@@ -36,7 +36,7 @@ func (c *Compiler) newCtx(meta SymTab) *dagCtx {
 // buildGeneric compiles a run of straight-line statements into one generic
 // block with a single DAG.
 func (c *Compiler) buildGeneric(stmts []dml.Stmt, meta SymTab, first, last int) (*Block, error) {
-	ctx := c.newCtx(meta)
+	ctx, start := c.newCtx(meta), c.nextID
 	var roots []*Hop
 	for _, st := range stmts {
 		switch st := st.(type) {
@@ -78,8 +78,7 @@ func (c *Compiler) buildGeneric(stmts []dml.Stmt, meta SymTab, first, last int) 
 		meta[name] = metaOf(tw)
 	}
 	b := &Block{Kind: dml.GenericBlock, Stmts: stmts, Roots: roots,
-		FirstLine: first, LastLine: last}
-	b.Recompile = HasUnknownDims(roots)
+		FirstLine: first, LastLine: last, hint: int(c.nextID - start)}
 	return b, nil
 }
 
@@ -277,20 +276,13 @@ func (c *Compiler) variable(name string, ctx *dagCtx) (*Hop, error) {
 }
 
 func (c *Compiler) unary(ctx *dagCtx, op string, x *Hop) *Hop {
-	// !! elimination and -(-x).
-	if prev, ok := xAsUnary(x, op); ok && (op == "!" || op == "-") {
-		return prev
+	// -(-x) is x; !!x is not, it is x != 0.
+	if op == "-" && x.Kind == KindUnary && x.Op == "-" {
+		return x.Inputs[0]
 	}
 	h := c.newHop(ctx, KindUnary, op, x)
 	h.DataType = x.DataType
 	return c.seal(ctx, h)
-}
-
-func xAsUnary(x *Hop, op string) (*Hop, bool) {
-	if x.Kind == KindUnary && x.Op == op && len(x.Inputs) == 1 {
-		return x.Inputs[0], true
-	}
-	return nil, false
 }
 
 func (c *Compiler) binOp(e *dml.BinOp, ctx *dagCtx) (*Hop, error) {

@@ -106,27 +106,28 @@ func TestCompileGolden(t *testing.T) {
 }
 
 // TestConcurrentBuilds: compilers on separate goroutines draw their walk
-// numbers from one counter; each still builds exactly what a build alone
-// does.
+// numbers from one counter and share one table's scripts and templates;
+// each still builds exactly what a build alone does.
 func TestConcurrentBuilds(t *testing.T) {
 	specs := scripts.All()
 	want := make([]string, len(specs))
 	for i, spec := range specs {
 		want[i] = keyHash(compileSpec(t, spec, testFS(1_000_000, 100)))
 	}
+	tab := &Table{}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i, spec := range specs {
-				prog, err := dml.Parse(spec.Source)
+				s, err := tab.Parse(spec.Source)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				c := NewCompiler(testFS(1_000_000, 100), spec.Params)
-				hp, err := c.Compile(prog, spec.Source)
+				hp, err := c.CompileScript(s)
 				if err != nil {
 					t.Error(err)
 					return

@@ -12,6 +12,7 @@ package hop
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"elasticml/internal/conf"
@@ -22,7 +23,7 @@ import (
 const Unknown int64 = -1
 
 // Kind classifies HOP operators.
-type Kind int
+type Kind uint8
 
 // HOP operator kinds.
 const (
@@ -101,7 +102,7 @@ func (k Kind) String() string {
 }
 
 // DataType distinguishes matrix and scalar HOPs.
-type DataType int
+type DataType uint8
 
 // Data types.
 const (
@@ -130,42 +131,43 @@ func (e ExecType) String() string {
 	return "?"
 }
 
-// Hop is one node of a HOP DAG.
+// Hop is one node of a HOP DAG. Its one-byte fields come first, so that
+// they share a word.
 type Hop struct {
 	// ID is unique within one compiled program.
 	ID int64
 	// Kind and Op identify the operator; Op carries the surface operator
 	// for unary/binary/aggregate kinds (e.g. "+", "sum", "rowSums").
 	Kind Kind
-	Op   string
+	// DataType of the output.
+	DataType DataType
+	// Known scalar constant (propagated; enables folding and branch
+	// removal). Only meaningful for DataType Scalar.
+	KnownVal bool
+	// TransA marks a matrix multiplication whose left operand is consumed
+	// transposed without materializing the transpose (the transpose-mm
+	// rewrite of paper Table 4: t(X)%*%v avoids the large reorg).
+	TransA bool
+	// Pos is the hop's index in its generic block's Order, or in its
+	// control block's Header: the dense index of every per-hop table lop,
+	// cost and the runtime keep.
+	Pos int32
+	Op  string
 	// Inputs are the operand HOPs in positional order; entries may be nil
 	// for optional index bounds.
 	Inputs []*Hop
-	// DataType of the output.
-	DataType DataType
 	// Name for read/write/transient operators.
 	Name string
 	// Literal payloads.
 	Value    float64
 	StrValue string
-	// Known scalar constant (propagated; enables folding and branch
-	// removal). Only meaningful for DataType Scalar.
-	KnownVal bool
 	// Dimensions and non-zeros of the output (Unknown if not inferable).
 	Rows, Cols, NNZ int64
-	// TransA marks a matrix multiplication whose left operand is consumed
-	// transposed without materializing the transpose (the transpose-mm
-	// rewrite of paper Table 4: t(X)%*%v avoids the large reorg).
-	TransA bool
 	// OutMem is the worst-case in-memory size of the output.
 	OutMem conf.Bytes
 	// OpMem is the operation memory estimate: inputs + output +
 	// intermediates, the quantity compared against the CP budget.
 	OpMem conf.Bytes
-	// Pos is the hop's index in its generic block's Order, or in its
-	// control block's Header: the dense index of every per-hop table lop,
-	// cost and the runtime keep.
-	Pos int
 	// mark is the number of the last WalkDAG that visited the hop.
 	mark uint64
 }
@@ -265,6 +267,10 @@ type Block struct {
 	Parallel bool
 	// FirstLine/LastLine delimit the source range.
 	FirstLine, LastLine int
+	// hint is the hop count the build expects of a generic block: the IDs
+	// its build drew, or the hops of the block a re-size copied. It sizes
+	// the tables linearize and the transpose-mm rewrite fill.
+	hint int
 }
 
 // WalkBlocks visits all blocks in pre-order.
@@ -316,13 +322,15 @@ func visit(h *Hop, walk uint64, fn func(*Hop)) {
 	fn(h)
 }
 
-// linearize records the block's Order, each hop's Pos and the Users table;
-// hint is the expected hop count. It runs once the block's topology is
-// final, after the dead-write and transpose-mm rewrites; later changes
+// linearize records the block's Order, each hop's Pos and the Users table,
+// and marks the block for dynamic recompilation if a matrix hop's
+// dimensions are unknown. It runs once the block's topology is final,
+// after the dead-write and transpose-mm rewrites; later changes
 // (UpdateFromRuntime) rewrite sizes only, so the tables stay valid and are
 // safe to share between goroutines.
-func (b *Block) linearize(hint int) {
-	b.Order = walkOrder(b.Roots, hint)
+func (b *Block) linearize() {
+	b.Order = walkOrder(b.Roots, b.hint)
+	b.Recompile = slices.ContainsFunc(b.Order, func(h *Hop) bool { return h.DataType == Matrix && !h.DimsKnown() })
 	// Users[i] is a window of one backing array, sized by a first count.
 	counts := make([]int, len(b.Order))
 	total := 0
@@ -353,21 +361,8 @@ func (b *Block) linearize(hint int) {
 func walkOrder(roots []*Hop, hint int) []*Hop {
 	order := make([]*Hop, 0, hint)
 	WalkDAG(roots, func(h *Hop) {
-		h.Pos = len(order)
+		h.Pos = int32(len(order))
 		order = append(order, h)
 	})
 	return order
-}
-
-// HasUnknownDims reports whether any matrix hop reachable from roots has
-// unknown dimensions — the trigger for marking a block for dynamic
-// recompilation.
-func HasUnknownDims(roots []*Hop) bool {
-	found := false
-	WalkDAG(roots, func(h *Hop) {
-		if h.DataType == Matrix && !h.DimsKnown() {
-			found = true
-		}
-	})
-	return found
 }

@@ -21,6 +21,7 @@ var keyExcluded = map[string]string{
 	"Block.Header":   "derived from Pred, From and To when the block is built: the header hops in WalkDAG order",
 	"Block.Reads":    "derived from Stmts when the block is built: the variables recompilation looks up",
 	"Block.Src":      "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
+	"Block.hint":     "a capacity hint for the tables the build fills, never read once the block is linearized",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
 	"Program.Source": "not read by non-test code in lop/cost/opt: kept for migration recompiles",
 	"Program.Params": "not read by non-test code in lop/cost/opt: kept for migration recompiles",
@@ -52,9 +53,9 @@ func perturb(t *testing.T, name string, v reflect.Value) bool {
 		v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 	}
 	switch v.Kind() {
-	case reflect.Int, reflect.Int64:
+	case reflect.Int, reflect.Int32, reflect.Int64:
 		v.SetInt(v.Int() + 1)
-	case reflect.Uint64:
+	case reflect.Uint8, reflect.Uint64:
 		v.SetUint(v.Uint() + 1)
 	case reflect.Float64:
 		v.SetFloat(v.Float() + 1)

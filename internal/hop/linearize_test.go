@@ -60,7 +60,7 @@ func checkLinearized(t *testing.T, name string, blocks []*Block) {
 					name, b.FirstLine, b.LastLine, len(b.Header), len(header))
 			}
 			for i, h := range b.Header {
-				if h.Pos != i {
+				if int(h.Pos) != i {
 					t.Errorf("%s lines %d-%d: header %s at %d has Pos %d", name, b.FirstLine, b.LastLine, h, i, h.Pos)
 				}
 			}
@@ -82,7 +82,7 @@ func checkLinearized(t *testing.T, name string, blocks []*Block) {
 			return
 		}
 		for i, h := range b.Order {
-			if h.Pos != i {
+			if int(h.Pos) != i {
 				t.Errorf("%s lines %d-%d: %s at %d has Pos %d", name, b.FirstLine, b.LastLine, h, i, h.Pos)
 			}
 			if !slices.Equal(b.Users[i], users[h]) {

@@ -12,8 +12,19 @@ import (
 // inhibit fusion rewrites such as MapMMChain (a dead intermediate would
 // appear to require materialization).
 func pruneDeadWrites(blocks []*Block) {
-	a := liveness{reads: make(map[*Block][]string)}
-	a.blocks(blocks, stringSet{}, true)
+	a := liveness{ids: make(map[string]int), reads: make(map[*Block][]int)}
+	WalkBlocks(blocks, func(b *Block) {
+		a.collect(b)
+		for _, r := range b.Roots {
+			if r.Kind == KindTWrite {
+				a.id(r.Name)
+			}
+		}
+		if b.Var != "" {
+			a.id(b.Var)
+		}
+	})
+	a.blocks(blocks, make(varSet, (len(a.ids)+63)/64), true)
 }
 
 type stringSet map[string]bool
@@ -144,23 +155,47 @@ func liveIn(bs []*dml.StatementBlock, live stringSet) {
 	}
 }
 
-// liveness is one analysis. reads caches the variables each block's own
-// DAGs read — a generic block's roots, a control block's header — since
-// the loop fixpoint passes over every block several times.
+// liveness is one analysis. It numbers the variables the blocks read and
+// write, so a live set is a bit set, and reads caches the numbers of the
+// variables each block's own DAGs read — a generic block's roots, a
+// control block's header — since the loop fixpoint passes over every
+// block several times.
 type liveness struct {
-	reads map[*Block][]string
+	ids   map[string]int
+	reads map[*Block][]int
+}
+
+// id returns name's number, numbering it if it has none.
+func (a *liveness) id(name string) int {
+	i, ok := a.ids[name]
+	if !ok {
+		i = len(a.ids)
+		a.ids[name] = i
+	}
+	return i
+}
+
+// collect records the variables b's own DAGs read.
+func (a *liveness) collect(b *Block) {
+	reads := a.reads[b][:0]
+	WalkDAG(blockRoots(b), func(h *Hop) {
+		if h.Kind == KindTRead {
+			reads = append(reads, a.id(h.Name))
+		}
+	})
+	a.reads[b] = reads
 }
 
 // blocks processes bs backward, turning live from the live-out set into
 // the live-in set; when mark is true, dead transient writes are pruned
 // from generic blocks.
-func (a *liveness) blocks(bs []*Block, live stringSet, mark bool) {
+func (a *liveness) blocks(bs []*Block, live varSet, mark bool) {
 	for i := len(bs) - 1; i >= 0; i-- {
 		a.block(bs[i], live, mark)
 	}
 }
 
-func (a *liveness) block(b *Block, live stringSet, mark bool) {
+func (a *liveness) block(b *Block, live varSet, mark bool) {
 	switch b.Kind {
 	case dml.GenericBlock:
 		if mark {
@@ -173,66 +208,69 @@ func (a *liveness) block(b *Block, live stringSet, mark bool) {
 				// looks up every scalar its statements read, also those
 				// constant folding removed from the DAG, where this
 				// analysis cannot see the reads.
-				if r.Kind == KindTWrite && r.DataType == Matrix && !live[r.Name] {
+				if r.Kind == KindTWrite && r.DataType == Matrix && !live.has(a.ids[r.Name]) {
 					continue
 				}
 				kept = append(kept, r)
 			}
 			if len(kept) < len(b.Roots) {
+				b.Roots = kept
 				// Reads are collected from the surviving roots only.
-				delete(a.reads, b)
-				b.Recompile = HasUnknownDims(kept)
+				a.collect(b)
 			}
-			b.Roots = kept
 		}
 		for _, r := range b.Roots {
 			if r.Kind == KindTWrite {
-				delete(live, r.Name)
+				live.del(a.ids[r.Name])
 			}
 		}
-		a.addReads(live, b)
+		live.add(a.reads[b])
 
 	case dml.IfBlockKind:
-		elseLive := live.clone()
+		elseLive := slices.Clone(live)
 		a.blocks(b.Then, live, mark)
 		a.blocks(b.Else, elseLive, mark)
-		live.addAll(elseLive)
-		a.addReads(live, b)
+		live.or(elseLive)
+		live.add(a.reads[b])
 
 	default: // while / for
 		// Fixpoint: variables read by any later iteration are live at the
 		// loop back-edge. Iterate without marking until stable, then mark.
-		a.addReads(live, b)
+		live.add(a.reads[b])
 		for {
-			bodyLive := live.clone()
+			bodyLive := slices.Clone(live)
 			a.blocks(b.Body, bodyLive, false)
-			n := len(live)
-			live.addAll(bodyLive)
-			if len(live) == n {
+			if !live.or(bodyLive) {
 				break
 			}
 		}
 		if mark {
-			a.blocks(b.Body, live.clone(), true)
+			a.blocks(b.Body, slices.Clone(live), true)
 		}
 		if b.Var != "" {
-			delete(live, b.Var)
+			live.del(a.ids[b.Var])
 		}
 	}
 }
 
-// addReads adds to live the variables b's own DAGs read.
-func (a *liveness) addReads(live stringSet, b *Block) {
-	reads, ok := a.reads[b]
-	if !ok {
-		WalkDAG(blockRoots(b), func(h *Hop) {
-			if h.Kind == KindTRead {
-				reads = append(reads, h.Name)
-			}
-		})
-		a.reads[b] = reads
+// varSet is a set of variable numbers, one bit each.
+type varSet []uint64
+
+func (s varSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+func (s varSet) del(i int)      { s[i/64] &^= 1 << (i % 64) }
+
+func (s varSet) add(ids []int) {
+	for _, i := range ids {
+		s[i/64] |= 1 << (i % 64)
 	}
-	for _, name := range reads {
-		live[name] = true
+}
+
+// or adds o to s and reports whether s grew.
+func (s varSet) or(o varSet) bool {
+	grew := false
+	for k, w := range o {
+		grew = grew || w&^s[k] != 0
+		s[k] |= w
 	}
+	return grew
 }

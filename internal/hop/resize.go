@@ -15,7 +15,18 @@ func (s SymTab) Meta(name string) (VarMeta, bool) {
 	return m, ok
 }
 
-// resize is dynamic recompilation as paper §2.1 describes it: it keeps b's
+// resize re-sizes b under vars (see resized) into a linearized block,
+// fusing a transpose a fold left feeding left matmul operands only, as the
+// rebuild does.
+func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
+	nb, ok := c.resized(b, vars)
+	if ok {
+		nb.finish()
+	}
+	return nb, ok
+}
+
+// resized is dynamic recompilation as paper §2.1 describes it: it keeps b's
 // DAG and updates the sizes the live variables now give it. It copies b's
 // Order into one fresh slab of hops, each with a new ID, and walks the copy
 // once: a transient read takes its variable's metadata (a known scalar
@@ -31,10 +42,13 @@ func (s SymTab) Meta(name string) (VarMeta, bool) {
 // reports the error), a value-dependent rewrite of binary would now fire,
 // or two non-literal hops would now share a CSE key. Knowledge the compile
 // folded away (a known scalar, a dimension read by nrow or ncol) is sound,
-// so the live variables agree with it.
-func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
-	// The slab holds the copy and, past its first n hops, the literals
-	// folds create: at most one per scalar hop of b.
+// so the live variables agree with it. The copy is not linearized: a
+// build linearizes the blocks it keeps once its rewrites are done.
+func (c *Compiler) resized(b *Block, vars Vars) (*Block, bool) {
+	// The slab holds the copy and room for eight of the literals folds
+	// create; there is at most one per scalar hop of b, and the rest come
+	// from chunks of at most eight: few folds make a literal of a new
+	// value.
 	n, nin, folds := len(b.Order), 0, 0
 	for _, o := range b.Order {
 		nin += len(o.Inputs)
@@ -42,7 +56,8 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 			folds++
 		}
 	}
-	slab := make([]Hop, n, n+folds)
+	slab := make([]Hop, n, n+min(folds, 8))
+	folds -= cap(slab) - n
 	// rep[i] stands for b.Order[i] in the copy: slab[i], or the literal it
 	// folded into. One array backs rep, the copy's input slices and its
 	// roots.
@@ -51,7 +66,7 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 	// lits holds the copy's literals, kept ones first, so that a fold
 	// shares the literal of its value as the build's literal table does.
 	var litBuf [16]*Hop
-	lits := litBuf[:0]
+	lits, chunk := litBuf[:0], slab[n:]
 	for i, o := range b.Order {
 		if o.Kind == KindLit {
 			h := &slab[i]
@@ -66,8 +81,12 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 				return l
 			}
 		}
-		slab = append(slab, Hop{ID: c.id(), Kind: KindLit, DataType: Scalar, Value: v})
-		l := &slab[len(slab)-1]
+		if len(chunk) == cap(chunk) {
+			chunk = make([]Hop, 0, min(folds, 8))
+			folds -= cap(chunk)
+		}
+		chunk = append(chunk, Hop{ID: c.id(), Kind: KindLit, DataType: Scalar, Value: v})
+		l := &chunk[len(chunk)-1]
 		finalize(l)
 		lits = append(lits, l)
 		return l
@@ -165,20 +184,7 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 		roots[k] = rep[r.Pos]
 	}
 	nb := &Block{Kind: b.Kind, Index: b.Index, Stmts: b.Stmts, Reads: b.Reads, Roots: roots,
-		FirstLine: b.FirstLine, LastLine: b.LastLine}
-	nb.linearize(n)
-	// A fold that took a consumer away from a transpose can leave it
-	// feeding left matmul operands only, which the rebuild fuses.
-	if fusable(nb) {
-		fuseDAG(nb.Roots)
-		nb.linearize(n)
-	}
-	for _, h := range nb.Order {
-		if h.DataType == Matrix && !h.DimsKnown() {
-			nb.Recompile = true
-			break
-		}
-	}
+		Src: b.Src, FirstLine: b.FirstLine, LastLine: b.LastLine, hint: n}
 	return nb, true
 }
 
@@ -235,7 +241,7 @@ func collides(b *Block, slab []Hop, rep []*Hop, i int) bool {
 	for k, in := range b.Order[i].Inputs {
 		if in != nil && h.Inputs[k].Kind != KindLit {
 			for _, u := range b.Users[in.Pos] {
-				if same(u.Pos) {
+				if same(int(u.Pos)) {
 					return true
 				}
 			}

@@ -2,14 +2,21 @@ package hop
 
 import "elasticml/internal/dml"
 
-// fuseTransposeMM applies the transpose-mm rewrite to every block DAG:
-// a matrix multiplication whose left operand is a transpose consumed only
-// by this multiplication is rewired to read the untransposed input with
-// TransA set, avoiding materialization of the (potentially huge) transpose
-// (paper Table 4: "Avoid large transpose by transpose-mm rewrite").
-// It must run after dead-write pruning so that fan-out counts are accurate.
-func fuseTransposeMM(blocks []*Block) {
-	WalkBlocks(blocks, func(b *Block) { fuseDAG(blockRoots(b)) })
+// finish applies the transpose-mm rewrite to a generic block whose
+// topology is otherwise final and linearizes it: a matrix multiplication
+// whose left operand is a transpose consumed only by this multiplication
+// is rewired to read the untransposed input with TransA set, avoiding
+// materialization of the (potentially huge) transpose (paper Table 4:
+// "Avoid large transpose by transpose-mm rewrite"). It must run after
+// dead-write pruning so that fan-out counts are accurate. The linearized
+// Users tell whether any transpose qualifies, so most blocks are walked
+// once.
+func (b *Block) finish() {
+	b.linearize()
+	if fusable(b) {
+		fuseDAG(b.Roots, b.hint)
+		b.linearize()
+	}
 }
 
 // blockRoots returns the roots of b's own DAGs: a generic block's roots,
@@ -25,14 +32,14 @@ func blockRoots(b *Block) []*Hop {
 // fused away when every one of its uses is the left operand of a matrix
 // multiplication — then no consumer needs the materialized transpose and
 // the reorg node dies. Any other use (including the right matmul slot)
-// blocks fusion.
-func fuseDAG(roots []*Hop) {
+// blocks fusion. hint is the expected hop count.
+func fuseDAG(roots []*Hop, hint int) {
 	// uses counts each hop's input-slot uses and left those as a left
 	// matmul operand, by walk position (Pos; linearize renumbers the final
 	// DAG).
-	var uses, left []int32
+	uses, left := make([]int32, 0, hint), make([]int32, 0, hint)
 	WalkDAG(roots, func(h *Hop) {
-		h.Pos = len(uses)
+		h.Pos = int32(len(uses))
 		uses, left = append(uses, 0), append(left, 0)
 		for i, in := range h.Inputs {
 			if in != nil {

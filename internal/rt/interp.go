@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/cost"
@@ -147,7 +148,9 @@ type Interp struct {
 	// against the worst-case estimates.
 	MemHook func(h *hop.Hop, inputs []*matrix.Matrix, out *matrix.Matrix)
 
-	plan        *lop.Plan
+	plan *lop.Plan
+	// resChanged reports that Res or CC no longer is what plan was
+	// selected under, so every block is selected again before it runs.
 	resChanged  bool
 	encl        []*lop.Block
 	parforDepth int
@@ -403,21 +406,24 @@ func (ip *Interp) execGeneric(b *lop.Block) error {
 	if err := ip.processNodeFailures(b); err != nil {
 		return err
 	}
-	exec := b
-	if b.Recompile || ip.resChanged {
-		hb, err := recompile(ip, b.HopBlock)
-		if err != nil {
+	exec, hb := b, b.HopBlock
+	if b.Recompile {
+		var err error
+		if hb, err = recompile(ip, b.HopBlock); err != nil {
 			return fmt.Errorf("rt: dynamic recompilation failed: %w", err)
 		}
-		exec = lop.SelectBlock(hb, ip.CC, ip.Res)
 		ip.Stats.Recompiles++
-		// Runtime resource adaptation triggers only when the recompiled
-		// block still spawns MR jobs (paper §4.2).
-		if b.Recompile && ip.Adapter != nil && lop.NumMRJobs([]*lop.Block{exec}) > 0 {
-			ip.adapt(b, TriggerRecompile)
-			// Re-select under the (possibly) new resources.
-			exec = lop.SelectBlock(hb, ip.CC, ip.Res)
-		}
+	}
+	// A block the compile sized exactly keeps its DAG; after a resource
+	// or cluster change it is only selected again.
+	if b.Recompile || ip.resChanged {
+		exec = lop.SelectBlock(hb, ip.CC, ip.Res)
+	}
+	// Runtime resource adaptation triggers only when the recompiled block
+	// still spawns MR jobs (paper §4.2); the block is selected again if
+	// the adapter changed the resources.
+	if b.Recompile && ip.Adapter != nil && lop.NumMRJobs([]*lop.Block{exec}) > 0 && ip.adapt(b, TriggerRecompile) {
+		exec = lop.SelectBlock(hb, ip.CC, ip.Res)
 	}
 	return ip.runInstrs(exec)
 }
@@ -450,7 +456,9 @@ func (ip *Interp) processNodeFailures(b *lop.Block) error {
 	return nil
 }
 
-func (ip *Interp) adapt(b *lop.Block, trig Trigger) {
+// adapt consults the adapter and applies its decision; it reports whether
+// the resources changed.
+func (ip *Interp) adapt(b *lop.Block, trig Trigger) bool {
 	ctx := &AdaptContext{
 		Plan:       ip.plan,
 		Block:      b,
@@ -464,7 +472,7 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) {
 	}
 	dec := ip.Adapter.Adapt(ctx)
 	if dec == nil {
-		return
+		return false
 	}
 	ip.SimTime += dec.ExtraTime
 	if dec.Migrate {
@@ -476,8 +484,10 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) {
 		ip.State.FlushAll()
 		ip.State.SetBudget(ip.CC.OpBudget(dec.NewRes.CP))
 	}
+	changed := dec.NewRes.CP != ip.Res.CP || dec.NewRes.CPCores != ip.Res.CPCores || !slices.Equal(dec.NewRes.MR, ip.Res.MR)
 	ip.Res = dec.NewRes.Clone()
-	ip.resChanged = true
+	ip.resChanged = ip.resChanged || changed
+	return changed
 }
 
 // cpCores returns the CP core count an operation is costed at: inside

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"elasticml/internal/datagen"
 	"elasticml/internal/fault"
 	"elasticml/internal/hdfs"
+	"elasticml/internal/hop"
 	"elasticml/internal/obs"
 	"elasticml/internal/opt"
 	"elasticml/internal/scripts"
@@ -734,10 +737,14 @@ func BenchmarkRepeatJob(b *testing.B) {
 // BenchmarkChurnTrace times one whole malleable trace (churnTrace) through
 // batch Run, whose window prepares the next jobs on GOMAXPROCS workers. It
 // fails unless every job compiles at most once, and reports how many
-// prepared answers the loop committed.
+// prepared answers the loop committed, and how many parses and
+// from-statements block builds the compile table saw.
 func BenchmarkChurnTrace(b *testing.B) {
 	cc, jobs, o := churnTrace()
 	o.Trace = obs.New(false)
+	tab := obs.New(false)
+	compileTable.Trace = tab
+	defer func() { compileTable.Trace = nil }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -755,7 +762,50 @@ func BenchmarkChurnTrace(b *testing.B) {
 	b.ReportMetric(perOp, "compiles/op")
 	b.ReportMetric(float64(c.simRuns)/float64(b.N), "sim_runs/op")
 	b.ReportMetric(float64(o.Trace.Metrics().Counter("workload.prep_used"))/float64(b.N), "prep_used/op")
+	m := tab.Metrics()
+	b.ReportMetric(float64(m.Counter("compile.parses"))/float64(b.N), "parses/op")
+	b.ReportMetric(float64(m.Counter("compile.template_fallbacks"))/float64(b.N), "template_fallbacks/op")
 	if perOp > float64(len(jobs)) {
 		b.Fatalf("%.1f compiles per trace of %d jobs", perOp, len(jobs))
+	}
+}
+
+// TestColdTemplatesSameRun: a program is the same whichever compile built
+// its templates. The churn trace writes the same report, trace and metrics
+// when every compile parses its source and builds its templates afresh (a
+// nil compile table) as when every compile re-sizes templates a run before
+// left in the table.
+func TestColdTemplatesSameRun(t *testing.T) {
+	cc, jobs, o := churnTrace()
+	c := prefetchCase{"minibatch-chaos", cc, jobs, o}
+	defer func(tab *hop.Table) { compileTable = tab }(compileTable)
+	compileTable = nil
+	cold := runArtifacts(t, c, false)
+
+	compileTable = &hop.Table{Trace: obs.New(false)}
+	var held []*hop.Script // keeps the table warm between the runs
+	for _, j := range jobs {
+		s, err := compileTable.Parse(j.Script.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, s)
+	}
+	runArtifacts(t, c, false)
+	m := compileTable.Trace.Metrics()
+	built := m.Counter("compile.parses") + m.Counter("compile.template_builds")
+	resized := m.Counter("compile.template_resizes")
+	warm := runArtifacts(t, c, false)
+	if n := m.Counter("compile.parses") + m.Counter("compile.template_builds") - built; n != 0 || m.Counter("compile.template_resizes") == resized {
+		t.Fatalf("the second run parsed or built %d times, re-sized %d templates: not warm", n, m.Counter("compile.template_resizes")-resized)
+	}
+	runtime.KeepAlive(held)
+	for _, f := range []struct {
+		name       string
+		cold, warm []byte
+	}{{"report", cold.report, warm.report}, {"trace", cold.trace, warm.trace}, {"metrics", cold.metrics, warm.metrics}} {
+		if !bytes.Equal(f.cold, f.warm) {
+			t.Errorf("the %s off cold templates differs from the one off warm ones:\n%s", f.name, diffLine(f.cold, f.warm))
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/datagen"
-	"elasticml/internal/dml"
 	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
 	"elasticml/internal/lop"
@@ -643,17 +642,26 @@ func identify(spec JobSpec) (id *identity, err error) {
 	return id, nil
 }
 
-// compile builds an identity's program from source over its staged inputs;
-// a failed or panicking build yields no program.
+// compileTable keeps each source's parse and block templates while some job's
+// program holds them, for every compile of every service in the process:
+// prefetch workers and daemon sessions compile concurrently, and a
+// program is the same whichever compile built a template first. Its
+// Trace, nil but in benchmarks, gets the compile counters, which depend on
+// the garbage collector and so stay out of a service's deterministic ones.
+var compileTable = new(hop.Table)
+
+// compile builds an identity's program from source over its staged inputs,
+// off the parse and templates compileTable keeps for the source; a failed or
+// panicking build yields no program.
 func (s *Service) compile(id *identity) (c *compiled, err error) {
 	defer recovered(&err)
 	s.tr.Metrics().Add("workload.compiles", 1)
-	prog, err := dml.Parse(id.source)
+	src, err := compileTable.Parse(id.source)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
 	comp := hop.NewCompiler(id.fs, id.params)
-	hp, err := comp.Compile(prog, id.source)
+	hp, err := comp.CompileScript(src)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}

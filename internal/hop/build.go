@@ -114,7 +114,13 @@ func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
 // the block from its statements only when that would change more than
 // sizes; the rebuild looks up only the names in b.Reads. b is only read,
 // and so is vars.
-func (c *Compiler) RecompileGeneric(b *Block, vars Vars) (*Block, error) {
+//
+// prev is the block this call returned last time for the same b, or nil.
+// The re-size writes into prev's storage and may return prev itself, so a
+// recompiled block is valid only until the next recompile of b that is
+// handed it: a caller that passes it on keeps nothing of it past then.
+// Compile-time builds and one-off recompiles pass nil.
+func (c *Compiler) RecompileGeneric(b *Block, vars Vars, prev *Block) (*Block, error) {
 	var sp *obs.Span
 	if c.Trace.SpansEnabled() {
 		sp = c.Trace.Begin(obs.LayerCompile, "hop.recompile",
@@ -124,7 +130,7 @@ func (c *Compiler) RecompileGeneric(b *Block, vars Vars) (*Block, error) {
 	var nb *Block
 	resized := false
 	if !rebuildOnly {
-		nb, resized = c.resize(b, vars)
+		nb, resized = c.resize(b, vars, prev)
 	}
 	if resized {
 		m.Add("compile.resizes", 1)
@@ -296,7 +302,7 @@ func (c *Compiler) program(blocks []*Block, source string) *Program {
 			}
 		} else {
 			fuseDAG(blockRoots(b), 0)
-			b.Header = walkOrder(blockRoots(b), 0)
+			b.Header = walkOrder(nil, blockRoots(b))
 		}
 	})
 	return p

@@ -80,7 +80,7 @@ func TestLiteralKeyHasDataType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, resized := c.Fork(c.FS).resize(b, SymTab{})
+	rs, resized := c.Fork(c.FS).resize(b, SymTab{}, nil)
 	if !resized {
 		t.Fatal("the re-size fell back")
 	}

@@ -76,7 +76,7 @@ func TestCompileGolden(t *testing.T) {
 		}
 		var leaves []*Block
 		for _, lb := range hp.LeafBlocks() {
-			nb, err := c.RecompileGeneric(lb, meta.Clone())
+			nb, err := c.RecompileGeneric(lb, meta.Clone(), nil)
 			if err != nil {
 				t.Fatalf("%s recompile block %d: %v", name, lb.Index, err)
 			}

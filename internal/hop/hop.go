@@ -271,6 +271,10 @@ type Block struct {
 	// its build drew, or the hops of the block a re-size copied. It sizes
 	// the tables linearize and the transpose-mm rewrite fill.
 	hint int
+	// buf, on a block RecompileGeneric returned, holds the block and the
+	// storage of its hops and tables, which the next recompile of the same
+	// compiled block overwrites (see RecompileGeneric).
+	buf *blockBuf
 }
 
 // WalkBlocks visits all blocks in pre-order.
@@ -327,12 +331,21 @@ func visit(h *Hop, walk uint64, fn func(*Hop)) {
 // dimensions are unknown. It runs once the block's topology is final,
 // after the dead-write and transpose-mm rewrites; later changes
 // (UpdateFromRuntime) rewrite sizes only, so the tables stay valid and are
-// safe to share between goroutines.
+// safe to share between goroutines. It overwrites the Order and Users the
+// block holds, and a recompiled block's buffer, when they are large enough.
 func (b *Block) linearize() {
-	b.Order = walkOrder(b.Roots, b.hint)
+	b.Order = walkOrder(reuse(b.Order, 0, b.hint), b.Roots)
 	b.Recompile = slices.ContainsFunc(b.Order, func(h *Hop) bool { return h.DataType == Matrix && !h.DimsKnown() })
 	// Users[i] is a window of one backing array, sized by a first count.
-	counts := make([]int, len(b.Order))
+	// A recompiled block's tables have room for as many hops as its
+	// Order, so that a later recompile into them that folds less fits.
+	var counts []int
+	var users []*Hop
+	n, c := len(b.Order), len(b.Order)
+	if b.buf != nil {
+		counts, users, c = b.buf.counts, b.buf.users, cap(b.Order)
+	}
+	counts = reuse(counts, n, c)
 	total := 0
 	for _, h := range b.Order {
 		for _, in := range h.Inputs {
@@ -342,10 +355,13 @@ func (b *Block) linearize() {
 			}
 		}
 	}
-	users := make([]*Hop, total)
-	b.Users = make([][]*Hop, len(b.Order))
-	for i, n := range counts {
-		b.Users[i], users = users[:0:n], users[n:]
+	users = reuse(users, total, total)
+	if b.buf != nil {
+		b.buf.counts, b.buf.users = counts, users
+	}
+	b.Users = reuse(b.Users, n, c)
+	for i, k := range counts {
+		b.Users[i], users = users[:0:k], users[k:]
 	}
 	for _, h := range b.Order {
 		for _, in := range h.Inputs {
@@ -356,13 +372,23 @@ func (b *Block) linearize() {
 	}
 }
 
-// walkOrder returns the hops reachable from roots in WalkDAG order and
-// sets each one's Pos to its index there; hint is their expected count.
-func walkOrder(roots []*Hop, hint int) []*Hop {
-	order := make([]*Hop, 0, hint)
+// walkOrder appends the hops reachable from roots to order in WalkDAG
+// order and sets each one's Pos to its index there.
+func walkOrder(order, roots []*Hop) []*Hop {
 	WalkDAG(roots, func(h *Hop) {
 		h.Pos = int32(len(order))
 		order = append(order, h)
 	})
 	return order
+}
+
+// reuse returns n zero elements: s's first n when its capacity is at least
+// c, else a new slice of capacity c.
+func reuse[T any](s []T, n, c int) []T {
+	if cap(s) < c {
+		return make([]T, n, c)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

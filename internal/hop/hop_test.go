@@ -505,7 +505,7 @@ print(sum(G));
 		"X": {IsMatrix: true, Rows: 1000, Cols: 10, NNZ: 10000},
 		"y": {IsMatrix: true, Rows: 1000, Cols: 1, NNZ: 1000},
 	}
-	nb, err := comp.RecompileGeneric(target, meta.Clone())
+	nb, err := comp.RecompileGeneric(target, meta.Clone(), nil)
 	if err != nil {
 		t.Fatalf("RecompileGeneric: %v", err)
 	}
@@ -520,7 +520,7 @@ print(sum(G));
 	// the whole block; table() is rebuilt but B/G become known via ncol(Y)
 	// flowing from table... so instead verify recompile with the full
 	// metadata removes unknown flags from the derived ops.
-	nb2, err := comp.RecompileGeneric(target, meta)
+	nb2, err := comp.RecompileGeneric(target, meta, nil)
 	if err != nil {
 		t.Fatalf("RecompileGeneric (2): %v", err)
 	}

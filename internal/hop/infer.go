@@ -328,9 +328,13 @@ func inferScalar(h *Hop) {
 			h.KnownVal, h.Value = true, x.Value
 		}
 	case KindTWrite:
-		x := in(h, 0)
-		if x != nil && x.KnownVal {
-			h.KnownVal, h.Value = true, x.Value
+		// A string's value is its StrValue, which metaOf publishes to the
+		// blocks that read the variable.
+		if x := in(h, 0); x != nil {
+			h.StrValue = x.StrValue
+			if x.KnownVal {
+				h.KnownVal, h.Value = true, x.Value
+			}
 		}
 	}
 }

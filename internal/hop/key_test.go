@@ -22,6 +22,7 @@ var keyExcluded = map[string]string{
 	"Block.Reads":    "derived from Stmts when the block is built: the variables recompilation looks up",
 	"Block.Src":      "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
 	"Block.hint":     "a capacity hint for the tables the build fills, never read once the block is linearized",
+	"Block.buf":      "storage only: the block and arrays a recompile returned, which the next recompile of the same compiled block overwrites; never read",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
 	"Program.Source": "not read by non-test code in lop/cost/opt: kept for migration recompiles",
 	"Program.Params": "not read by non-test code in lop/cost/opt: kept for migration recompiles",

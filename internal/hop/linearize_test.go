@@ -25,7 +25,7 @@ func TestLinearizedBlocks(t *testing.T) {
 			checkLinearized(t, fmt.Sprintf("%s scope %d", name, i), scope.Blocks)
 		}
 		for _, b := range hp.LeafBlocks() {
-			nb, err := c.RecompileGeneric(b, meta.Clone())
+			nb, err := c.RecompileGeneric(b, meta.Clone(), nil)
 			if err != nil {
 				t.Fatalf("%s recompile block %d: %v", name, b.Index, err)
 			}

@@ -70,11 +70,11 @@ if (s > 0) { print("split"); }
 	}
 	for _, tc := range cases {
 		c, b := lastLeaf(t, head+tc.body)
-		_, resized := c.Fork(c.FS).resize(b, tc.meta)
+		_, resized := c.Fork(c.FS).resize(b, tc.meta, nil)
 		if resized != tc.resized {
 			t.Errorf("%s: re-sized %v, want %v", tc.name, resized, tc.resized)
 		}
-		nb, err := c.RecompileGeneric(b, tc.meta)
+		nb, err := c.RecompileGeneric(b, tc.meta, nil)
 		rb, rerr := c.Fork(c.FS).rebuild(b, tc.meta)
 		switch {
 		case fmt.Sprint(err) != fmt.Sprint(rerr):
@@ -122,16 +122,18 @@ func minibatchInner(tb testing.TB) (*Compiler, *Block, SymTab) {
 
 // TestRecompileAllocs gates the allocations of re-sizing one mini-batch
 // inner block, so that a per-hop allocation, a per-recompile map or a
-// rebuild from source cannot come back unnoticed. The re-size allocates 7
-// times, the rebuild it replaces 121 (BenchmarkRecompile); the limit leaves
-// room for 2 more.
+// rebuild from source cannot come back unnoticed. Into a new buffer the
+// re-size allocates 7 times, the rebuild it replaces 121
+// (BenchmarkRecompile); the limit leaves room for 2 more. Into the buffer
+// of the block the last recompile returned, as the runtime recompiles a
+// block on each execution, it allocates nothing.
 func TestRecompileAllocs(t *testing.T) {
 	c, b, meta := minibatchInner(t)
-	if _, resized := c.resize(b, meta); !resized {
+	if _, resized := c.resize(b, meta, nil); !resized {
 		t.Fatal("the inner block does not re-size")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := c.RecompileGeneric(b, meta); err != nil {
+		if _, err := c.RecompileGeneric(b, meta, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -139,17 +141,34 @@ func TestRecompileAllocs(t *testing.T) {
 	if allocs > limit {
 		t.Errorf("recompiling the mini-batch inner block allocates %v times, limit %d", allocs, limit)
 	}
+	var prev *Block
+	warm := testing.AllocsPerRun(20, func() {
+		var err error
+		if prev, err = c.RecompileGeneric(b, meta, prev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm > 0 {
+		t.Errorf("recompiling the mini-batch inner block into its last buffer allocates %v times, want 0", warm)
+	}
 }
 
 // BenchmarkRecompile recompiles MinibatchLR's inner block once per op, by
-// the re-size and by the rebuild from source it replaced.
+// the re-size into a new buffer, by the re-size into the last recompile's
+// buffer, and by the rebuild from source it replaced.
 func BenchmarkRecompile(b *testing.B) {
 	c, blk, meta := minibatchInner(b)
+	var prev *Block
 	for _, path := range []struct {
 		name string
 		fn   func() (*Block, error)
 	}{
-		{"resize", func() (*Block, error) { return c.RecompileGeneric(blk, meta) }},
+		{"resize", func() (*Block, error) { return c.RecompileGeneric(blk, meta, nil) }},
+		{"resize-warm", func() (nb *Block, err error) {
+			nb, err = c.RecompileGeneric(blk, meta, prev)
+			prev = nb
+			return nb, err
+		}},
 		{"rebuild", func() (*Block, error) { return c.rebuild(blk, meta) }},
 	} {
 		b.Run(path.name, func(b *testing.B) {

@@ -15,11 +15,30 @@ func (s SymTab) Meta(name string) (VarMeta, bool) {
 	return m, ok
 }
 
+// blockBuf is the storage of a block RecompileGeneric returned: the block
+// itself, its hop slab, the one pointer array behind its inputs and roots,
+// and the arrays linearize fills. The next re-size of the same compiled
+// block overwrites it, so one buffer serves every execution of the block.
+type blockBuf struct {
+	b      Block
+	hops   []Hop
+	ptrs   []*Hop
+	counts []int
+	users  []*Hop
+}
+
 // resize re-sizes b under vars (see resized) into a linearized block,
 // fusing a transpose a fold left feeding left matmul operands only, as the
-// rebuild does.
-func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
-	nb, ok := c.resized(b, vars)
+// rebuild does. It writes into prev's buffer when prev, a block an earlier
+// resize returned, has one, and into a new buffer otherwise.
+func (c *Compiler) resize(b *Block, vars Vars, prev *Block) (*Block, bool) {
+	var buf *blockBuf
+	if prev != nil && prev.buf != nil {
+		buf = prev.buf
+	} else {
+		buf = new(blockBuf)
+	}
+	nb, ok := c.resized(b, vars, buf)
 	if ok {
 		nb.finish()
 	}
@@ -28,13 +47,15 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 
 // resized is dynamic recompilation as paper §2.1 describes it: it keeps b's
 // DAG and updates the sizes the live variables now give it. It copies b's
-// Order into one fresh slab of hops, each with a new ID, and walks the copy
+// Order into one slab of hops, each with a new ID, and walks the copy
 // once: a transient read takes its variable's metadata (a known scalar
 // folds into a literal, as the build folds it), a persistent read its
 // file's, and every other hop re-runs the build's inference and memory
 // estimates, a scalar that becomes known folding into a literal the copy
 // shares with every equal one. b itself is only read, so a compiled
-// program stays safe to share between runs.
+// program stays safe to share between runs. With a buffer, the copy
+// overwrites the block and storage it holds where they are large enough;
+// without one, it is allocated afresh.
 //
 // It reports false when a rebuild from b's statements would do more than
 // re-size: a variable changed kind or is undefined, a file cannot be
@@ -44,7 +65,7 @@ func (c *Compiler) resize(b *Block, vars Vars) (*Block, bool) {
 // folded away (a known scalar, a dimension read by nrow or ncol) is sound,
 // so the live variables agree with it. The copy is not linearized: a
 // build linearizes the blocks it keeps once its rewrites are done.
-func (c *Compiler) resized(b *Block, vars Vars) (*Block, bool) {
+func (c *Compiler) resized(b *Block, vars Vars, buf *blockBuf) (*Block, bool) {
 	// The slab holds the copy and room for eight of the literals folds
 	// create; there is at most one per scalar hop of b, and the rest come
 	// from chunks of at most eight: few folds make a literal of a new
@@ -56,12 +77,21 @@ func (c *Compiler) resized(b *Block, vars Vars) (*Block, bool) {
 			folds++
 		}
 	}
-	slab := make([]Hop, n, n+min(folds, 8))
+	var hops []Hop
+	var ptrs []*Hop
+	if buf != nil {
+		hops, ptrs = buf.hops, buf.ptrs
+	}
+	// A reused slab is cleared: finalize sets only what it infers.
+	slab := reuse(hops, n, n+min(folds, 8))
 	folds -= cap(slab) - n
 	// rep[i] stands for b.Order[i] in the copy: slab[i], or the literal it
 	// folded into. One array backs rep, the copy's input slices and its
 	// roots.
-	ptrs := make([]*Hop, n+nin+len(b.Roots))
+	ptrs = reuse(ptrs, n+nin+len(b.Roots), n+nin+len(b.Roots))
+	if buf != nil {
+		buf.hops, buf.ptrs = slab, ptrs
+	}
 	rep, ins, roots := ptrs[:n], ptrs[n:n+nin], ptrs[n+nin:]
 	// lits holds the copy's literals, kept ones first, so that a fold
 	// shares the literal of its value as the build's literal table does.
@@ -183,8 +213,15 @@ func (c *Compiler) resized(b *Block, vars Vars) (*Block, bool) {
 	for k, r := range b.Roots {
 		roots[k] = rep[r.Pos]
 	}
-	nb := &Block{Kind: b.Kind, Index: b.Index, Stmts: b.Stmts, Reads: b.Reads, Roots: roots,
-		Src: b.Src, FirstLine: b.FirstLine, LastLine: b.LastLine, hint: n}
+	var nb *Block
+	if buf != nil {
+		nb = &buf.b
+		*nb = Block{Order: nb.Order[:0], Users: nb.Users[:0], buf: buf}
+	} else {
+		nb = new(Block)
+	}
+	nb.Kind, nb.Index, nb.Stmts, nb.Reads, nb.Roots = b.Kind, b.Index, b.Stmts, b.Reads, roots
+	nb.Src, nb.FirstLine, nb.LastLine, nb.hint = b.Src, b.FirstLine, b.LastLine, n
 	return nb, true
 }
 

@@ -191,7 +191,7 @@ func (c *Compiler) generic(sb *dml.StatementBlock, meta SymTab) (*Block, error) 
 		}
 		m := c.script.trace.Metrics()
 		if t := c.script.template(sb, meta); t != nil {
-			if b, ok := c.resized(t, meta); ok {
+			if b, ok := c.resized(t, meta, nil); ok {
 				m.Add("compile.template_resizes", 1)
 				for _, r := range b.Roots {
 					if r.Kind == KindTWrite {

@@ -43,7 +43,7 @@ func compileSteps(tab *Table, source string, params map[string]interface{}, fs *
 		names, keys = append(names, fmt.Sprintf("scope %d", i)), append(keys, AppendKey(nil, scope))
 	}
 	for _, lb := range hp.LeafBlocks() {
-		nb, err := c.RecompileGeneric(lb, meta.Clone())
+		nb, err := c.RecompileGeneric(lb, meta.Clone(), nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("recompile block %d: %w", lb.Index, err)
 		}

@@ -312,5 +312,5 @@ func TestUnlinearizedBlockPanics(t *testing.T) {
 			t.Errorf("recovered %q, want the unlinearized-block panic", r)
 		}
 	}()
-	SelectBlock(hb, conf.DefaultCluster(), conf.NewResources(512*conf.MB, 512*conf.MB, 1))
+	SelectBlock(hb, conf.DefaultCluster(), conf.NewResources(512*conf.MB, 512*conf.MB, 1), nil)
 }

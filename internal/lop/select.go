@@ -21,8 +21,11 @@ func Select(p *hop.Program, cc conf.Cluster, res conf.Resources) *Plan {
 }
 
 // SelectBlock recompiles a single generic block (dynamic recompilation).
-func SelectBlock(b *hop.Block, cc conf.Cluster, res conf.Resources) *Block {
-	lb, _ := newSelector(cc, res, nil).generic(b)
+// prev is a plan an earlier SelectBlock returned, or nil: the selection
+// overwrites it and its Instrs and JobOf storage and returns it, so the
+// caller must hold nothing of it past this call.
+func SelectBlock(b *hop.Block, cc conf.Cluster, res conf.Resources, prev *Block) *Block {
+	lb, _ := newSelector(cc, res, nil).generic(b, prev)
 	return lb
 }
 
@@ -105,7 +108,7 @@ func (s *selector) blocks(hbs []*hop.Block) []*Block {
 func (s *selector) block(hb *hop.Block) *Block {
 	switch hb.Kind {
 	case dml.GenericBlock:
-		b, _ := s.generic(hb)
+		b, _ := s.generic(hb, nil)
 		return b
 	default:
 		b := &Block{Kind: hb.Kind, Index: -1, Pred: hb.Pred, Var: hb.Var,
@@ -146,8 +149,9 @@ func (s *selector) parforDOP(hb *hop.Block) int {
 // generic runs operator selection and piggybacking over one block DAG,
 // scanning the order the compiler linearized, and returns the region of
 // budgets that select the same plan. With a table, a plan already selected
-// for a region holding the block's budgets is returned instead.
-func (s *selector) generic(hb *hop.Block) (*Block, Region) {
+// for a region holding the block's budgets is returned instead. A non-nil
+// into is overwritten with the plan, reusing its storage.
+func (s *selector) generic(hb *hop.Block, into *Block) (*Block, Region) {
 	if hb.Order == nil && len(hb.Roots) > 0 {
 		panic(fmt.Sprintf("lop: generic block at lines %d-%d has roots but no linearized order; "+
 			"blocks must come from hop.Compiler's Compile, RebuildScope or RecompileGeneric", hb.FirstLine, hb.LastLine))
@@ -157,8 +161,19 @@ func (s *selector) generic(hb *hop.Block) (*Block, Region) {
 		return b, reg
 	}
 	s.cp.span = everywhere
-	b := &Block{Kind: dml.GenericBlock, Index: hb.Index, HopBlock: hb,
-		Recompile: hb.Recompile, JobOf: make([]*MRJob, len(hb.Order))}
+	b := into
+	if b == nil {
+		b = new(Block)
+	}
+	jobOf := b.JobOf[:0]
+	if n := len(hb.Order); cap(jobOf) < n {
+		jobOf = make([]*MRJob, n)
+	} else {
+		jobOf = jobOf[:n]
+		clear(jobOf)
+	}
+	*b = Block{Kind: dml.GenericBlock, Index: hb.Index, HopBlock: hb,
+		Recompile: hb.Recompile, JobOf: jobOf, Instrs: b.Instrs[:0]}
 	chains := s.detectChains(hb, &mr)
 
 	var openJob *MRJob
@@ -170,7 +185,11 @@ func (s *selector) generic(hb *hop.Block) (*Block, Region) {
 	}
 
 	for _, h := range hb.Order {
-		if chains[h.Pos].inner {
+		var ci chainInfo
+		if chains != nil {
+			ci = chains[h.Pos]
+		}
+		if ci.inner {
 			continue // consumed by a MapMMChain
 		}
 		if !executes(h) {
@@ -186,7 +205,7 @@ func (s *selector) generic(hb *hop.Block) (*Block, Region) {
 			b.Instrs = append(b.Instrs, Instr{Kind: InstrCP, Hop: h})
 			continue
 		}
-		op := s.physical(h, &mr, chains[h.Pos])
+		op := s.physical(h, &mr, ci)
 		if openJob == nil || !s.canMerge(openJob, op, b.JobOf, &mr) {
 			closeJob()
 			openJob = &MRJob{}
@@ -255,9 +274,10 @@ type chainInfo struct {
 // detectChains marks the inner hops of t(X) %*% (X %*% v) and
 // t(X) %*% (w * (X %*% v)) patterns that will fuse into a single
 // MapMMChain operator (paper Table 4), and records per chain head the
-// fused operands. The result is indexed by Pos.
+// fused operands. The result is indexed by Pos, and nil when the block has
+// no chain.
 func (s *selector) detectChains(hb *hop.Block, mr *budget) []chainInfo {
-	chains := make([]chainInfo, len(hb.Order))
+	var chains []chainInfo
 	for _, h := range hb.Order {
 		if h.Kind != hop.KindMatMul || !h.TransA || s.runsInCP(h) {
 			continue
@@ -292,6 +312,9 @@ func (s *selector) detectChains(hb *hop.Block, mr *budget) []chainInfo {
 		}
 		if w != nil && len(hb.Users[right.Pos]) != 1 {
 			continue
+		}
+		if chains == nil {
+			chains = make([]chainInfo, len(hb.Order))
 		}
 		chains[inner.Pos].inner = true
 		if w != nil {

@@ -36,7 +36,7 @@ func (t *Table) Select(p *hop.Program, res conf.Resources) *Plan {
 // SelectBlock is lop.SelectBlock answered from the table, with the region
 // of budgets that select the returned plan.
 func (t *Table) SelectBlock(b *hop.Block, res conf.Resources) (*Block, Region) {
-	return newSelector(t.cc, res, t).generic(b)
+	return newSelector(t.cc, res, t).generic(b, nil)
 }
 
 // lookup returns the plan selected for the block, cores and budgets, if a

@@ -242,7 +242,7 @@ func TestWhatIfAllocs(t *testing.T) {
 	cc := conf.DefaultCluster()
 	res := conf.NewResources(cc.MinHeap(), cc.MinHeap(), 1)
 	est := cost.NewEstimator(cc)
-	allocs := testing.AllocsPerRun(10, func() { est.BlockCost(lop.SelectBlock(largest, cc, res), res) })
+	allocs := testing.AllocsPerRun(10, func() { est.BlockCost(lop.SelectBlock(largest, cc, res, nil), res) })
 	const limit = 17
 	if allocs > limit {
 		t.Errorf("one block compilation and costing of %d hops allocates %v times, limit %d", len(largest.Order), allocs, limit)

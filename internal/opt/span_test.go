@@ -63,7 +63,7 @@ func TestSelectRangeExact(t *testing.T) {
 					}
 					for _, h := range ends {
 						if span.Contains(cc.OpBudget(h)) {
-							same(h, render(lop.SelectBlock(hb, cc, res(h))))
+							same(h, render(lop.SelectBlock(hb, cc, res(h), nil)))
 						}
 					}
 				}
@@ -148,13 +148,13 @@ func TestSelectTableExact(t *testing.T) {
 					endsChecked++
 				}
 				for _, h := range ends(reg.CP) {
-					sameAt("cp", h, lop.SelectBlock(hb, cc, res(h, ri, cores)))
+					sameAt("cp", h, lop.SelectBlock(hb, cc, res(h, ri, cores), nil))
 				}
 				for _, h := range ends(reg.MR) {
-					sameAt("mr", h, lop.SelectBlock(hb, cc, res(rc, h, cores)))
+					sameAt("mr", h, lop.SelectBlock(hb, cc, res(rc, h, cores), nil))
 				}
 			}
-			if got := render(lop.SelectBlock(hb, cc, res(rc, ri, cores))); got != want {
+			if got := render(lop.SelectBlock(hb, cc, res(rc, ri, cores), nil)); got != want {
 				t.Fatalf("%s: the table serves\n%s\nfresh selection gives\n%s", at(), want, got)
 			}
 			checked++

@@ -14,10 +14,12 @@ import (
 // Order or a control block's Header — in the order its consumers ask for
 // values (reads draw from the fault injector and prints stream to Out, so
 // the order is part of the result). Hops memoize by Pos in vals, and the
-// scalars and descriptors they produce live in slab, one allocation per
-// evaluation; the slab is never reused, since ip.Vars keeps pointers into
-// it. args stacks the operands of the hops being evaluated (see
-// evalInputs).
+// scalars and descriptors they produce live in slab, each in the slot of
+// the hop that built it. args stacks the operands of the hops being
+// evaluated (see evalInputs). An interpreter owns one env and newEnv
+// resets it for each evaluation, so a value in slab is valid until the
+// next evaluation starts: a transient write binds a copy of it, and
+// evalPredicate returns one.
 type env struct {
 	ip   *Interp
 	vals []*Value
@@ -25,13 +27,23 @@ type env struct {
 	args []*Value
 }
 
-// newEnv returns an env for one evaluation of the DAG linearized as order.
-// vals and the args stack share one allocation; the stack starts with room
-// for one operand per hop and grows if a DAG needs more.
+// newEnv returns ip's env, reset for one evaluation of the DAG linearized
+// as order. Its arrays grow to the largest DAG the interpreter evaluates;
+// vals and the args stack share one allocation, the stack starting with
+// room for one operand per hop and growing if a DAG needs more.
 func newEnv(ip *Interp, order []*hop.Hop) *env {
-	n := len(order)
-	ptrs := make([]*Value, 2*n)
-	return &env{ip: ip, vals: ptrs[:n:n], args: ptrs[n:n], slab: make([]Value, n)}
+	e, n := &ip.ev, len(order)
+	if ip.fresh {
+		e = &env{}
+	}
+	if cap(e.vals) < n {
+		ptrs := make([]*Value, 2*n)
+		e.vals, e.args, e.slab = ptrs[:n:n], ptrs[n:n], make([]Value, n)
+	}
+	e.ip, e.vals, e.slab, e.args = ip, e.vals[:n], e.slab[:n], e.args[:0]
+	clear(e.vals)
+	clear(e.slab)
+	return e
 }
 
 // scalar, unknown and desc build h's result in h's slab slot: a known
@@ -173,9 +185,15 @@ func (e *env) compute(h *hop.Hop) (*Value, error) {
 		return e.desc(h, f.Rows, f.Cols, f.NNZ), nil
 
 	case hop.KindTWrite:
-		v, err := e.eval(h.Inputs[0])
+		in := h.Inputs[0]
+		v, err := e.eval(in)
 		if err != nil {
 			return nil, err
+		}
+		if v == &e.slab[in.Pos] {
+			// The variable outlives the slab.
+			c := *v
+			v = &c
 		}
 		ip.Vars[h.Name] = v
 		return v, nil
@@ -612,7 +630,11 @@ func (e *env) cast(h *hop.Hop) (*Value, error) {
 		return nil, err
 	}
 	if !x.Matrix {
-		return x, nil
+		// Into h's own slot, so that a transient write of the cast knows
+		// the value lives in the slab.
+		v := &e.slab[h.Pos]
+		*v = *x
+		return v, nil
 	}
 	if x.Mat == nil {
 		return e.unknown(h), nil

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,22 @@ print(m);
 	}
 	if !strings.Contains(out, "matrix(2x2)") {
 		t.Errorf("matrix formatting: %q", out)
+	}
+}
+
+// TestStringVariableCrossesBlocks: a string bound in one block keeps its
+// value in the blocks that read it later, directly or through a copy; the
+// transient write used to publish it as "", so the loop wrote to "".
+func TestStringVariableCrossesBlocks(t *testing.T) {
+	a := matrix.NewDenseData(2, 2, []float64{1, 2, 3, 4})
+	for _, src := range []string{
+		`A = read($A); p = "/out/res"; for (i in 1:2) { B = A * i; write(B, p); }`,
+		`A = read($A); q = "/out/res"; if (sum(A) > 0) { print("split"); } p = q; for (i in 1:2) { B = A * i; write(B, p); }`,
+	} {
+		fs, _ := runSrc(t, src, map[string]*matrix.Matrix{"A": a})
+		if got, want := fs.List(), []string{"/data/A", "/out/res"}; !slices.Equal(got, want) {
+			t.Errorf("%s\nwrites files %q, want %q", src, got, want)
+		}
 	}
 }
 

@@ -145,7 +145,7 @@ write(G, "/out/G");
 	if target == nil {
 		t.Fatal("no G block")
 	}
-	if _, err := comp.RecompileGeneric(target, meta); err == nil {
+	if _, err := comp.RecompileGeneric(target, meta, nil); err == nil {
 		t.Error("expected dimension-mismatch error from recompilation")
 	}
 }

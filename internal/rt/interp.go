@@ -154,6 +154,29 @@ type Interp struct {
 	resChanged  bool
 	encl        []*lop.Block
 	parforDepth int
+	// last maps each compiled block that execGeneric recompiled or
+	// selected again to what its last execution built, whose storage the
+	// next execution overwrites (see hop.Compiler.RecompileGeneric and
+	// lop.SelectBlock). ev is the one evaluation buffer every block and
+	// header evaluation resets. Both belong to the interpreter alone: a
+	// Compiler and a Program are shared by runs on other goroutines, an
+	// interpreter is not.
+	last map[*hop.Block]built
+	ev   env
+	// fresh, set only by tests, makes every evaluation, recompile and
+	// selection draw new storage: the reference the reuse is checked
+	// against.
+	fresh bool
+}
+
+// built is what one execution of a generic block built: the recompiled
+// block (nil if the compiled one ran) and the plan selected for it. Both
+// are valid until the next execution of the same compiled block, and
+// nothing keeps them longer: bound values are copies, trace labels are
+// strings, and the adapter is handed the compiled block.
+type built struct {
+	hb   *hop.Block
+	plan *lop.Block
 }
 
 // New returns an interpreter for the given mode, file system, cluster and
@@ -363,12 +386,18 @@ func (ip *Interp) execFor(b *lop.Block) error {
 }
 
 // evalPredicate evaluates one of a control block's scalar header DAGs
-// against the live variables.
-func (ip *Interp) evalPredicate(b *lop.Block, pred *hop.Hop) (*Value, error) {
+// against the live variables. It returns a copy: the next evaluation
+// overwrites the buffer the value was built in, and execFor holds its From
+// value while it evaluates To.
+func (ip *Interp) evalPredicate(b *lop.Block, pred *hop.Hop) (Value, error) {
 	if pred == nil {
-		return ScalarValue(1), nil
+		return Value{Scalar: 1, Known: true}, nil
 	}
-	return newEnv(ip, b.HopBlock.Header).eval(pred)
+	v, err := newEnv(ip, b.HopBlock.Header).eval(pred)
+	if err != nil {
+		return Value{}, err
+	}
+	return *v, nil
 }
 
 // snapshotMeta converts the live-variable table into compiler metadata.
@@ -393,10 +422,11 @@ func (vs liveVars) Meta(name string) (hop.VarMeta, bool) {
 }
 
 // recompile is how execGeneric recompiles a generic block against the live
-// variables. A variable so that TestRecompileReadSet can check each
-// recompile of a run against one from the block's read set alone.
-var recompile = func(ip *Interp, b *hop.Block) (*hop.Block, error) {
-	return ip.Compiler.RecompileGeneric(b, liveVars(ip.Vars))
+// variables, into prev, the block the last execution of b recompiled (nil
+// on the first). A variable so that tests can check each recompile of a run
+// against one from the block's read set alone, or into new storage.
+var recompile = func(ip *Interp, b, prev *hop.Block) (*hop.Block, error) {
+	return ip.Compiler.RecompileGeneric(b, liveVars(ip.Vars), prev)
 }
 
 // execGeneric runs one generic block: node-failure delivery, dynamic
@@ -407,9 +437,13 @@ func (ip *Interp) execGeneric(b *lop.Block) error {
 		return err
 	}
 	exec, hb := b, b.HopBlock
+	var last built
+	if !ip.fresh {
+		last = ip.last[b.HopBlock]
+	}
 	if b.Recompile {
 		var err error
-		if hb, err = recompile(ip, b.HopBlock); err != nil {
+		if hb, err = recompile(ip, b.HopBlock, last.hb); err != nil {
 			return fmt.Errorf("rt: dynamic recompilation failed: %w", err)
 		}
 		ip.Stats.Recompiles++
@@ -417,13 +451,23 @@ func (ip *Interp) execGeneric(b *lop.Block) error {
 	// A block the compile sized exactly keeps its DAG; after a resource
 	// or cluster change it is only selected again.
 	if b.Recompile || ip.resChanged {
-		exec = lop.SelectBlock(hb, ip.CC, ip.Res)
+		exec = lop.SelectBlock(hb, ip.CC, ip.Res, last.plan)
 	}
 	// Runtime resource adaptation triggers only when the recompiled block
 	// still spawns MR jobs (paper §4.2); the block is selected again if
 	// the adapter changed the resources.
 	if b.Recompile && ip.Adapter != nil && lop.NumMRJobs([]*lop.Block{exec}) > 0 && ip.adapt(b, TriggerRecompile) {
-		exec = lop.SelectBlock(hb, ip.CC, ip.Res)
+		exec = lop.SelectBlock(hb, ip.CC, ip.Res, exec)
+	}
+	if exec != b {
+		if b.Recompile {
+			last.hb = hb
+		}
+		last.plan = exec
+		if ip.last == nil {
+			ip.last = map[*hop.Block]built{}
+		}
+		ip.last[b.HopBlock] = last
 	}
 	return ip.runInstrs(exec)
 }

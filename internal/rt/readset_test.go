@@ -19,13 +19,13 @@ import (
 // block's read set alone. The two must encode alike, so a name a recompile
 // looks up but Block.Reads misses fails here.
 func TestRecompileReadSet(t *testing.T) {
-	defer func(f func(*Interp, *hop.Block) (*hop.Block, error)) { recompile = f }(recompile)
+	defer func(f func(*Interp, *hop.Block, *hop.Block) (*hop.Block, error)) { recompile = f }(recompile)
 	var name string
 	checked := map[string]int{}
-	recompile = func(ip *Interp, b *hop.Block) (*hop.Block, error) {
+	recompile = func(ip *Interp, b, prev *hop.Block) (*hop.Block, error) {
 		fork := ip.Compiler.Fork(ip.FS)
-		nb, err := ip.Compiler.RecompileGeneric(b, liveVars(ip.Vars))
-		reads, readsErr := fork.RecompileGeneric(b, readSetMeta(ip, b))
+		nb, err := ip.Compiler.RecompileGeneric(b, liveVars(ip.Vars), prev)
+		reads, readsErr := fork.RecompileGeneric(b, readSetMeta(ip, b), nil)
 		checked[name]++
 		if err == nil {
 			checkWrites(t, name, b, nb)

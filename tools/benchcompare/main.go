@@ -2,8 +2,9 @@
 // reference commit and on the working tree in alternating pairs and prints,
 // per workload and end-to-end metric, each side's median and quartiles, the
 // pairs the working tree won, and the ratio of the medians with its base,
-// followed by each side's median proc.mallocs_per_op, the count that backs
-// a speed claim.
+// followed by each side's median proc.mallocs_per_op,
+// proc.alloc_bytes_per_op and proc.gc_cpu_frac: bytes allocated, not
+// allocation counts, set how often the collector runs.
 //
 //	go run ./tools/benchcompare -ref HEAD~1 [-pairs 10] [-workload all] [-seed 2]
 //
@@ -73,9 +74,9 @@ type runDoc struct {
 	} `json:"runs"`
 }
 
-// countMetric is the per-layer count reported beside the end-to-end
-// metrics. It is not gated.
-const countMetric = "proc.mallocs_per_op"
+// procMetrics are the per-layer allocation and collector metrics reported
+// beside the end-to-end metrics. They are not gated.
+var procMetrics = []string{"proc.mallocs_per_op", "proc.alloc_bytes_per_op", "proc.gc_cpu_frac"}
 
 // side is one of the two programs compared.
 type side struct{ name, dir, bin string }
@@ -158,10 +159,10 @@ func compare(tmp, ref string, pairs int, workload string, seed int64) (bool, err
 
 	ok := true
 	for _, w := range workloads {
-		// vals[metric][side] holds one value per pair, counts[side] the
-		// count metric of the runs that report it.
+		// vals[metric][side] holds one value per pair, procs[metric][side]
+		// the procMetrics of the runs that report them.
 		vals := make([][2][]float64, len(sp.EndToEnd))
-		var counts [2][]float64
+		procs := make([][2][]float64, len(procMetrics))
 		for p := 0; p < pairs; p++ {
 			for k := 0; k < 2; k++ {
 				i := (p + k) % 2 // even pairs run the reference first
@@ -185,8 +186,10 @@ func compare(tmp, ref string, pairs int, workload string, seed int64) (bool, err
 				}
 				var doc runDoc
 				if json.Unmarshal([]byte(strings.Join(lines[:len(lines)-1], "\n")), &doc) == nil && len(doc.Runs) == 1 {
-					if v, ok := doc.Runs[0].Metrics[countMetric]; ok {
-						counts[i] = append(counts[i], v)
+					for m, name := range procMetrics {
+						if v, ok := doc.Runs[0].Metrics[name]; ok {
+							procs[m][i] = append(procs[m][i], v)
+						}
 					}
 				}
 			}
@@ -199,7 +202,9 @@ func compare(tmp, ref string, pairs int, workload string, seed int64) (bool, err
 				ok = false
 			}
 		}
-		fmt.Printf("  %s median: ref %s | new %s\n", countMetric, median(counts[0]), median(counts[1]))
+		for m, name := range procMetrics {
+			fmt.Printf("  %s median: ref %s | new %s\n", name, median(procs[m][0]), median(procs[m][1]))
+		}
 		for m, d := range sp.EndToEnd {
 			fmt.Printf("  %s runs: ref %s | new %s\n", d.Name, list(vals[m][0]), list(vals[m][1]))
 		}

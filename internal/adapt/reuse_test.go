@@ -137,9 +137,10 @@ func runProblem(t testing.TB, p paperProblem, res conf.Resources,
 }
 
 // TestReoptReuseMatchesFresh runs every problem of the paper's grid twice,
-// reusing the kept rebuild and search, and rebuilding the scope and
-// searching afresh on every consult, and requires the same run and the
-// same consults bit for bit.
+// reusing the kept rebuild and search and answering costings from cost
+// cells, and rebuilding the scope and searching afresh on every consult
+// with every costing walked, and requires the same run and the same
+// consults bit for bit.
 func TestReoptReuseMatchesFresh(t *testing.T) {
 	consults, rebuilds, searches := 0, 0, 0
 	for _, p := range paperGrid() {
@@ -162,13 +163,15 @@ func TestReoptReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// reuseMatchesFresh runs p from res with reuse and with a fresh search on
-// every consult, requires both to run and decide identically, and returns
-// the reuse run's consults.
+// reuseMatchesFresh runs p from res with reuse and with a fresh search
+// that walks every costing on every consult, requires both to run and
+// decide identically, and returns the reuse run's consults.
 func reuseMatchesFresh(t *testing.T, p paperProblem, res conf.Resources, tweak func(*Adapter, *rt.Interp)) *recorder {
 	t.Helper()
 	ip, rec := runProblem(t, p, res, tweak, nil)
+	restore := opt.WalkEveryCosting()
 	ref, refRec := runProblem(t, p, res, tweak, func(a *Adapter) rt.Adapter { return freshEveryConsult{a} })
+	restore()
 	if refRec.ad.Stats.ReoptReuses != 0 {
 		t.Fatalf("%s: the fresh reference reused %d searches", p, refRec.ad.Stats.ReoptReuses)
 	}

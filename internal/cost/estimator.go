@@ -23,8 +23,10 @@ type Estimator struct {
 	// to this application's MR jobs. 0 (zero value) and 1 both mean an
 	// idle cluster.
 	AvailableFraction float64
-	// Invocations counts cost-model calls for the optimization-overhead
-	// statistics (Table 3).
+	// Invocations counts costings asked of the model for the
+	// optimization-overhead statistics (Table 3): every ProgramCost and
+	// BlockCost call, and every ask a search answers from a Cell in
+	// their place, which the search counts here.
 	Invocations int
 	// Hook, when set, receives every per-instruction charge made through
 	// ProgramCost/BlockCost, keyed by the instruction label — the
@@ -36,6 +38,8 @@ type Estimator struct {
 	// reuse, so that a costing allocates no table of its own. Like
 	// Invocations, it confines an Estimator to one goroutine at a time.
 	state VarState
+	// cell is the cell the costing under way records, or nil.
+	cell *Cell
 }
 
 // EffectiveCluster returns the cluster configuration with the node count
@@ -91,12 +95,9 @@ func (e *Estimator) BlockCost(b *lop.Block, res conf.Resources) float64 {
 }
 
 func (e *Estimator) newState(res conf.Resources) *VarState {
-	var budget conf.Bytes
-	if e.EvictionWeight > 0 {
-		budget = e.CC.OpBudget(res.CP)
-	}
 	s := &e.state
-	*s = VarState{binds: s.binds[:0], entries: s.entries[:0], budget: budget}
+	*s = VarState{binds: s.binds[:0], entries: s.entries[:0], budget: e.budget(res)}
+	e.startCell(res, s)
 	return s
 }
 
@@ -245,8 +246,10 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 // MRJobTime assembles the job specification and charges the MR phase model.
 func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) float64 {
 	spec, taskHeap := e.jobSpec(job, b, res, state)
-	bd := mr.EstimateTime(perf.Default(), e.effectiveCluster(), spec, taskHeap, res.CP)
-	return bd.Total()
+	cc := e.effectiveCluster()
+	par := mr.ComputeParallelism(cc, taskHeap, res.CP, spec.NumMaps)
+	e.recordJob(b.Index, spec.NumMaps, par)
+	return mr.EstimateTimeAt(perf.Default(), cc, spec, par).Total()
 }
 
 // MRJobSpec assembles the analytic job specification for one MR-job

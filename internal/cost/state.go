@@ -3,6 +3,7 @@ package cost
 import (
 	"elasticml/internal/conf"
 	"elasticml/internal/hop"
+	"elasticml/internal/lop"
 )
 
 // Location is a live variable's physical placement.
@@ -60,7 +61,11 @@ type VarState struct {
 	// budget is the CP buffer-pool capacity; <= 0 disables capacity
 	// enforcement (the optimizer's cost model only partially considers
 	// evictions; the execution simulator enforces them).
-	budget  conf.Bytes
+	budget conf.Bytes
+	// span, when a costing records its cell, is narrowed by every test
+	// of the budget to the budgets that resolve the test the same way.
+	// Clones share it: both branches of an if block narrow the one cell.
+	span    *lop.Span
 	inMem   conf.Bytes
 	clock   int64
 	evictIO conf.Bytes // accumulated eviction write/re-read bytes
@@ -276,7 +281,7 @@ func (s *VarState) admit(i int32) {
 	if size > s.MaxVar {
 		s.MaxVar = size
 	}
-	for s.budget > 0 && s.inMem > s.budget {
+	for s.over() {
 		lru := -1
 		for j := range s.entries {
 			c := &s.entries[j]
@@ -303,6 +308,24 @@ func (s *VarState) admit(i int32) {
 	if s.inMem > s.Peak {
 		s.Peak = s.inMem
 	}
+}
+
+// over reports whether the pool holds more than its budget, the only test
+// of the budget, narrowing span, if set, to the budgets (never negative)
+// for which the test comes out the same, as lop's budget.fits does.
+func (s *VarState) over() bool {
+	over := s.budget > 0 && s.inMem > s.budget
+	if sp := s.span; sp != nil {
+		switch {
+		case s.budget <= 0:
+			sp.Hi = min(sp.Hi, 1)
+		case over:
+			sp.Lo, sp.Hi = max(sp.Lo, 1), min(sp.Hi, s.inMem)
+		default:
+			sp.Lo = max(sp.Lo, s.inMem)
+		}
+	}
+	return over
 }
 
 // EvictionIO returns the accumulated eviction write bytes.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/lop"
 )
 
 // mapState is the map-keyed buffer-pool model VarState replaced, kept as
@@ -292,5 +293,47 @@ func TestVarStateMatchesMapOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d entries for %d names", seed, step, len(g.entries), len(keys))
 			}
 		}
+	}
+}
+
+// TestOverSpanExact: a sequence of admissions narrows the budget span to
+// the budgets that resolve every capacity test the same way, and both of
+// its ends replay the sequence's evictions. Under budget 100 the fills
+// tested are 60, 110 (over: evict), 50, 80, 160 and 110 (over: evict
+// twice) and 80: the largest that fit is 80, the smallest that did not
+// 110.
+func TestOverSpanExact(t *testing.T) {
+	replay := func(budget conf.Bytes, sp *lop.Span) [2]int64 {
+		s := NewVarState(budget)
+		s.span = sp
+		for i, size := range []conf.Bytes{60, 50, 30, 80} {
+			s.PutInMemory(Key{Kind: KeyVar, Name: fmt.Sprint(i)}, size)
+		}
+		return [2]int64{int64(s.Evictions), int64(s.evictIO)}
+	}
+	sp := anyBudget
+	want := replay(100, &sp)
+	if sp != (lop.Span{Lo: 80, Hi: 110}) {
+		t.Fatalf("span %+v after admissions under budget 100, want [80, 110)", sp)
+	}
+	for _, b := range []conf.Bytes{sp.Lo, sp.Hi - 1} {
+		if got := replay(b, nil); got != want {
+			t.Errorf("budget %d in span %+v evicts %v, budget 100 %v", b, sp, got, want)
+		}
+	}
+}
+
+// TestCellNeverHoldsWithHook: an estimator with a Hook must see every
+// charge, so no cell answers for it.
+func TestCellNeverHoldsWithHook(t *testing.T) {
+	e := NewEstimator(conf.DefaultCluster())
+	res := conf.NewResources(e.CC.MinHeap(), e.CC.MinHeap(), 1)
+	c := &Cell{Budget: anyBudget, Cores: res.Cores()}
+	if !e.Holds(c, res) {
+		t.Fatal("a cell with every budget and no jobs does not hold")
+	}
+	e.Hook = func(string, float64) {}
+	if e.Holds(c, res) {
+		t.Error("a cell holds for an estimator with a Hook")
 	}
 }

@@ -120,7 +120,12 @@ func (t TimeBreakdown) Total() float64 {
 // scheduled tasks per node than the model's threshold) inflates map compute
 // and IO, reproducing the paper's B-SS < B-SL observation.
 func EstimateTime(pm perf.Model, cc conf.Cluster, spec JobSpec, taskHeap, cpHeap conf.Bytes) TimeBreakdown {
-	par := ComputeParallelism(cc, taskHeap, cpHeap, spec.NumMaps)
+	return EstimateTimeAt(pm, cc, spec, ComputeParallelism(cc, taskHeap, cpHeap, spec.NumMaps))
+}
+
+// EstimateTimeAt is EstimateTime at the map-phase parallelism par, which
+// is all the model reads of the two heaps.
+func EstimateTimeAt(pm perf.Model, cc conf.Cluster, spec JobSpec, par Parallelism) TimeBreakdown {
 	waves := 1
 	if par.Scheduled > 0 && spec.NumMaps > par.Scheduled {
 		waves = (spec.NumMaps + par.Scheduled - 1) / par.Scheduled

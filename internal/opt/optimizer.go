@@ -60,8 +60,9 @@ type Stats struct {
 	// reuse it). The search's selection table answers most of them without
 	// running selection.
 	BlockCompilations int
-	// Costings counts cost-model invocations (costing the entire program
-	// counts as one).
+	// Costings counts the costings Algorithm 1 asks for (costing the
+	// entire program counts as one). A cost cell of an earlier costing of
+	// the same plan answers most of them without walking the plan.
 	Costings int
 	// OptTime is the wall-clock optimization time.
 	OptTime time.Duration
@@ -173,16 +174,15 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 	// a worker pool; the memo path is sequential.
 	var pool *enumPool
 	if o.Opts.Workers > 1 && mv == nil {
-		pool = o.startPool(o.Opts.Workers, srm)
+		pool = o.startPool(o.Opts.Workers, srm, hp.NumLeaf)
 	}
-	est := o.newEstimator()
-	// One selection table serves every plan the search asks for; each pool
-	// worker has its own.
-	tab := lop.NewTable(o.CC)
+	// One selection table and one set of cost cells serve every plan the
+	// search asks for; each pool worker has its own.
+	ev := o.newEvaluator(srm, hp.NumLeaf)
 	var best, bestLocal *Result
 	var pending []*cpPoint
 	take := func(p *cpPoint) float64 {
-		res, c := o.finish(hp, p, est, tab, &stats, mv)
+		res, c := o.finish(hp, p, ev, &stats, mv)
 		best = better(best, &Result{Res: res, Cost: c})
 		if currentCP > 0 && p.rc == currentCP && (bestLocal == nil || c < bestLocal.Cost) {
 			bestLocal = &Result{Res: res, Cost: c}
@@ -198,7 +198,7 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		prunedForever := make([]bool, hp.NumLeaf)
 		for _, rc := range src {
 			if pool != nil {
-				p := o.begin(hp, rc, cores, est, tab, &stats, prunedForever, mv)
+				p := o.begin(hp, rc, cores, ev, &stats, prunedForever, mv)
 				pool.submit(p)
 				pending = append(pending, p)
 				continue
@@ -208,23 +208,23 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 				psp = o.Trace.Begin(obs.LayerOptimize, "opt.cp-point",
 					obs.A("cp", rc.String()), obs.A("cores", cores))
 			}
-			costed := est.Invocations
-			p := o.begin(hp, rc, cores, est, tab, &stats, prunedForever, mv)
+			costed := ev.est.Invocations
+			p := o.begin(hp, rc, cores, ev, &stats, prunedForever, mv)
 			for k, t := range p.tasks {
 				var bsp *obs.Span
 				if o.Trace.SpansEnabled() {
 					bsp = o.Trace.Begin(obs.LayerOptimize, "opt.enum-block",
 						obs.A("block", t.idx), obs.A("cp", rc.String()), obs.A("mr_points", len(srm)))
 				}
-				p.outs[k] = o.enumBlock(t, srm, est, tab, &stats, mv)
+				p.outs[k] = o.enumBlock(t, srm, ev, &stats, mv)
 				if bsp != nil {
 					bsp.End(obs.A("best_mr", p.outs[k].ri.String()), obs.A("cost", round6(p.outs[k].cost)))
 				}
 			}
 			c := take(p)
-			// Every compilation is costed, so a point that never invoked
-			// the cost model was replayed from the memo in full.
-			if est.Invocations == costed {
+			// Every compilation is costed, so a point that never asked
+			// for a costing was replayed from the memo in full.
+			if ev.est.Invocations == costed {
 				stats.ReplayedPoints++
 			}
 			if psp != nil {
@@ -240,7 +240,7 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		}
 		pool.wait(&stats)
 	}
-	stats.Costings += est.Invocations
+	stats.Costings += ev.est.Invocations
 	stats.OptTime = time.Since(start)
 	if best != nil {
 		osp.End(obs.A("best_cp", best.Res.CP.String()), obs.A("best_cost", round6(best.Cost)))
@@ -290,8 +290,8 @@ type blockTask struct {
 // block left. The baseline entries come from the memo when every block's
 // entry is valid there; otherwise one baseline compilation computes them
 // and they are recorded.
-func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.Estimator,
-	tab *lop.Table, stats *Stats, prunedForever []bool, mv *memoView) *cpPoint {
+func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, ev *evaluator,
+	stats *Stats, prunedForever []bool, mv *memoView) *cpPoint {
 
 	n := hp.NumLeaf
 	minH := o.CC.MinHeap()
@@ -307,10 +307,10 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.E
 	if replayed {
 		hbs = hp.LeafBlocks()
 	} else {
-		baseline := tab.Select(hp, conf.NewResources(rc, minH, n).WithCores(cores))
+		baseline := ev.tab.Select(hp, conf.NewResources(rc, minH, n).WithCores(cores))
 		stats.BlockCompilations += countBlocks(baseline)
 		for i, lb := range baseline.LeafBlocks() {
-			base[i] = memoBlockVal{cost: est.BlockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores)),
+			base[i] = memoBlockVal{cost: ev.blockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores)),
 				mr: lop.NumMRJobs([]*lop.Block{lb}) > 0, pruned: pruneBlock(lb)}
 			hbs = append(hbs, lb.HopBlock)
 		}
@@ -355,7 +355,7 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, est *cost.E
 // a broadcast or packing threshold is crossed. The table answers the ask
 // when an earlier CP point selected the block for the same region. Every
 // fresh point is costed.
-func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator, tab *lop.Table, stats *Stats, mv *memoView) memoEntry {
+func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, ev *evaluator, stats *Stats, mv *memoView) memoEntry {
 	best := memoEntry{cost: -1}
 	var lb *lop.Block
 	var reg lop.Region
@@ -368,11 +368,11 @@ func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator
 		} else {
 			res := conf.NewResources(t.rc, ri, 1).WithCores(t.cores)
 			if lb == nil || !reg.MR.Contains(o.CC.OpBudget(ri)) {
-				lb, reg = tab.SelectBlock(t.hb, res)
+				lb, reg = ev.tab.SelectBlock(t.hb, res)
 				mr = lop.NumMRJobs([]*lop.Block{lb}) > 0
 				stats.BlockCompilations++
 			}
-			e = memoBlockVal{cost: est.BlockCost(lb, res), mr: mr}
+			e = memoBlockVal{cost: ev.blockCost(lb, res), mr: mr}
 			mv.recordBlock(key, e)
 		}
 		if best.cost < 0 || e.cost < best.cost {
@@ -386,7 +386,7 @@ func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, est *cost.Estimator
 // baseline or enumerated, and the whole program is costed once under the
 // resulting vector, taking the control structure (loops, branches) into
 // account — from the memo when the costing is valid there.
-func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, est *cost.Estimator, tab *lop.Table, stats *Stats, mv *memoView) (conf.Resources, float64) {
+func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, ev *evaluator, stats *Stats, mv *memoView) (conf.Resources, float64) {
 	for k, t := range p.tasks {
 		if p.outs[k].cost < p.memo[t.idx].cost {
 			p.memo[t.idx] = p.outs[k]
@@ -402,9 +402,9 @@ func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, est *cost.Estimator, tab
 	}
 	e, ok := mv.prog(key)
 	if !ok {
-		full := tab.Select(hp, res)
+		full := ev.tab.Select(hp, res)
 		stats.BlockCompilations += countBlocks(full)
-		e = memoProgVal{cost: est.ProgramCost(full), mr: lop.NumMRJobs(full.Blocks) > 0}
+		e = memoProgVal{cost: ev.programCost(full), mr: lop.NumMRJobs(full.Blocks) > 0}
 		mv.recordProg(key, e)
 	}
 	return res, e.cost

@@ -4,15 +4,14 @@ import (
 	"sync"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/lop"
 )
 
 // The task-parallel optimizer of Appendix C differs from the sequential
 // search only in who runs enumBlock: the master prepares and finishes the
-// CP grid points, and a pool of workers, each with its own estimator and
-// selection table, enumerates the blocks. The master pipelines: it prepares the next point
-// while workers drain earlier ones, and finishes each point once its tasks
-// complete. The semi-independent-problems property (§3.2) makes the tasks
+// CP grid points, and a pool of workers, each with its own evaluator
+// (estimator, selection table and cost cells), enumerates the blocks. The
+// master pipelines: it prepares the next point while workers drain earlier
+// ones, and finishes each point once its tasks complete. The semi-independent-problems property (§3.2) makes the tasks
 // embarrassingly parallel with lock-free result slots.
 
 // enumPool is the worker pool. effort holds each worker's compilations and
@@ -33,18 +32,18 @@ type enumTask struct {
 // the queue drains, and wait waits for them. A few queued tasks per worker
 // let the master run ahead into the next point instead of handing over
 // each task as a worker frees up.
-func (o *Optimizer) startPool(workers int, srm []conf.Bytes) *enumPool {
+func (o *Optimizer) startPool(workers int, srm []conf.Bytes, numLeaf int) *enumPool {
 	pl := &enumPool{tasks: make(chan enumTask, 4*workers), effort: make([]Stats, workers)}
 	pl.wg.Add(workers)
 	for w := range pl.effort {
 		go func(local *Stats) {
 			defer pl.wg.Done()
-			est, tab := o.newEstimator(), lop.NewTable(o.CC)
+			ev := o.newEvaluator(srm, numLeaf)
 			for tk := range pl.tasks {
-				tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, est, tab, local, nil)
+				tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, ev, local, nil)
 				tk.p.wg.Done()
 			}
-			local.Costings = est.Invocations
+			local.Costings = ev.est.Invocations
 		}(&pl.effort[w])
 	}
 	return pl

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,57 +117,76 @@ func effort(r *Result) Stats {
 }
 
 // TestSearchPathsMatchFresh: every way of running the grid search — the
-// task-parallel search, the local optimum under a fixed current CP, and
-// the memo path cold, warm and under changed cluster views — returns
-// bit for bit what a fresh sequential search under the same view returns,
-// on all 100 problems of the paper grid.
+// sequential search, the task-parallel search, the local optimum under a
+// fixed current CP, and the memo path cold, warm and under changed cluster
+// views — returns bit for bit what a sequential search that walks every
+// costing (no cost cells) returns under the same view, with the same
+// effort counters, on all 100 problems of the paper grid.
 func TestSearchPathsMatchFresh(t *testing.T) {
 	grid := paperGrid(t)
 	cc := conf.DefaultCluster()
-	fresh := make([]*Result, len(grid))
-	for i, p := range grid {
-		fresh[i] = New(cc).Optimize(p.hp)
-	}
 	with := func(cc conf.Cluster, workers int, cores []int) *Optimizer {
 		o := New(cc)
 		o.Opts.Workers, o.Opts.CPCoreCandidates = workers, cores
 		return o
 	}
+	views := []struct {
+		name string
+		cc   conf.Cluster
+	}{
+		{"width-clamped 4GB", WidthClamped(cc, 4*conf.GB)},
+		{"one node fewer", func() conf.Cluster { c := cc; c.Nodes--; return c }()},
+		{"MaxAlloc halved", func() conf.Cluster { c := cc; c.MaxAlloc /= 2; return c }()},
+	}
+	currents := map[string][]int{"current": nil, "current-cores124": {1, 2, 4}}
+
+	// The references, before any subtest runs: the switch is global.
+	restore := WalkEveryCosting()
+	fresh := make([]*Result, len(grid))
+	viewFresh := make([][]*Result, len(grid))
+	local := map[string][][2]*Result{}
+	for i, p := range grid {
+		fresh[i] = New(cc).Optimize(p.hp)
+		for _, v := range views {
+			viewFresh[i] = append(viewFresh[i], New(v.cc).Optimize(p.hp))
+		}
+		for name, cores := range currents {
+			g, l := with(cc, 1, cores).OptimizeWithCurrent(p.hp, 2*conf.GB)
+			local[name] = append(local[name], [2]*Result{g, l})
+		}
+	}
+	restore()
 
 	// The rows share the compiled programs: searches only read them.
-	t.Run("workers4", func(t *testing.T) {
-		t.Parallel()
-		for i, p := range grid {
-			got := with(cc, 4, nil).Optimize(p.hp)
-			sameResult(t, p.name, got, fresh[i])
-			if effort(got) != effort(fresh[i]) {
-				t.Errorf("%s: effort %+v, want %+v", p.name, effort(got), effort(fresh[i]))
-			}
-		}
-	})
-
-	for name, cores := range map[string][]int{"current": nil, "current-cores124": {1, 2, 4}} {
+	for name, workers := range map[string]int{"cells": 1, "workers4": 4} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			for _, p := range grid {
-				wantG, wantL := with(cc, 1, cores).OptimizeWithCurrent(p.hp, 2*conf.GB)
-				gotG, gotL := with(cc, 4, cores).OptimizeWithCurrent(p.hp, 2*conf.GB)
-				sameResult(t, p.name+" global", gotG, wantG)
-				sameResult(t, p.name+" local", gotL, wantL)
+			for i, p := range grid {
+				got := with(cc, workers, nil).Optimize(p.hp)
+				sameResult(t, p.name, got, fresh[i])
+				if effort(got) != effort(fresh[i]) {
+					t.Errorf("%s: effort %+v, want %+v", p.name, effort(got), effort(fresh[i]))
+				}
+			}
+		})
+	}
+
+	for name, cores := range currents {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for i, p := range grid {
+				want := local[name][i]
+				for _, workers := range []int{1, 4} {
+					gotG, gotL := with(cc, workers, cores).OptimizeWithCurrent(p.hp, 2*conf.GB)
+					sameResult(t, fmt.Sprintf("%s global, %d workers", p.name, workers), gotG, want[0])
+					sameResult(t, fmt.Sprintf("%s local, %d workers", p.name, workers), gotL, want[1])
+				}
 			}
 		})
 	}
 
 	t.Run("memo", func(t *testing.T) {
 		t.Parallel()
-		views := []struct {
-			name string
-			cc   conf.Cluster
-		}{
-			{"width-clamped 4GB", WidthClamped(cc, 4*conf.GB)},
-			{"one node fewer", func() conf.Cluster { c := cc; c.Nodes--; return c }()},
-			{"MaxAlloc halved", func() conf.Cluster { c := cc; c.MaxAlloc /= 2; return c }()},
-		}
 		for i, p := range grid {
 			m := NewMemo()
 			sameResult(t, p.name+" cold", New(cc).OptimizeMemo(p.hp, m), fresh[i])
@@ -175,8 +195,8 @@ func TestSearchPathsMatchFresh(t *testing.T) {
 			if warm.Stats.ReplayedPoints != warm.Stats.CPPoints {
 				t.Errorf("%s warm: replayed %d of %d points", p.name, warm.Stats.ReplayedPoints, warm.Stats.CPPoints)
 			}
-			for _, v := range views {
-				sameResult(t, p.name+" "+v.name, New(v.cc).OptimizeMemo(p.hp, m), New(v.cc).Optimize(p.hp))
+			for k, v := range views {
+				sameResult(t, p.name+" "+v.name, New(v.cc).OptimizeMemo(p.hp, m), viewFresh[i][k])
 			}
 		}
 	})
@@ -267,17 +287,33 @@ func TestProgramCostAllocs(t *testing.T) {
 
 // TestGridSearchAllocs gates the allocations of one fresh grid search for
 // GLM L dense1000, the BenchmarkGridSearch problem, so that selecting each
-// block again at every CP grid point cannot come back unnoticed. The limit
-// is the 1,427 measured once begin, enumBlock and finish shared one
-// selection table per search, plus 10 %; selecting every baseline and
-// whole-program plan afresh took 4,590.
+// block again at every CP grid point cannot come back unnoticed, and its
+// bytes, which set how often the collector runs, so that a search that
+// walks every costing again cannot either. The limits are the 1,256
+// allocations and 139,800 bytes measured once costings were answered from cost
+// cells, plus 10 %; walking every costing took 1,378 and 207 KB, and
+// selecting every baseline and whole-program plan afresh 4,590.
 func TestGridSearchAllocs(t *testing.T) {
 	hp := compileScenario(t, scripts.GLM(), datagen.New("L", 1000, 1.0))
 	cc := conf.DefaultCluster()
-	allocs := testing.AllocsPerRun(5, func() { New(cc).Optimize(hp) })
-	const limit = 1570
+	search := func() { New(cc).Optimize(hp) }
+	allocs := testing.AllocsPerRun(5, search)
+	const limit = 1382
 	if allocs > limit {
 		t.Errorf("one grid search allocates %v times, limit %d", allocs, limit)
+	}
+	const runs = 5
+	search()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	const byteLimit = 153_780
+	if bytes > byteLimit {
+		t.Errorf("one grid search allocates %d bytes, limit %d", bytes, byteLimit)
 	}
 }
 
@@ -285,8 +321,14 @@ func TestGridSearchAllocs(t *testing.T) {
 // four workers, and through a memo warmed under the full cluster and the
 // width-clamped view it is searched under. It fails unless every search's
 // effort equals the fresh one's, or, through the warm memo, unless every
-// point replays.
+// point replays, and unless the fresh search walks fewer costings than it
+// asks for (walked/op against costings/op): the rest are answered from
+// cost cells.
 func BenchmarkGridSearch(b *testing.B) {
+	var answered atomic.Int64
+	defer OnCellAnswer(func(*cost.Estimator, *lop.Block, *lop.Plan, conf.Resources, *cost.Cell, float64) {
+		answered.Add(1)
+	})()
 	hp := compileScenario(b, scripts.GLM(), datagen.New("L", 1000, 1.0))
 	cc := conf.DefaultCluster()
 	fresh := effort(New(cc).Optimize(hp))
@@ -307,6 +349,7 @@ func BenchmarkGridSearch(b *testing.B) {
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			var costings, compilations, replayed int
+			answered.Store(0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := effort(row.search())
@@ -319,8 +362,13 @@ func BenchmarkGridSearch(b *testing.B) {
 				compilations += s.BlockCompilations
 				replayed += s.ReplayedPoints
 			}
+			walked := costings - int(answered.Load())
+			if row.name == "fresh" && walked >= costings {
+				b.Fatalf("walked %d of %d costings: no cost cell answered", walked, costings)
+			}
 			perOp := func(n int) float64 { return float64(n) / float64(b.N) }
 			b.ReportMetric(perOp(costings), "costings/op")
+			b.ReportMetric(perOp(walked), "walked/op")
 			b.ReportMetric(perOp(compilations), "block_compilations/op")
 			b.ReportMetric(perOp(replayed), "replayed_points/op")
 		})

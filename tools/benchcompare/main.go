@@ -8,8 +8,12 @@
 //
 //	go run ./tools/benchcompare -ref HEAD~1 [-pairs 10] [-workload all] [-seed 2]
 //
-// It exits 1 if a median is worse than the reference beyond the metric's
-// bound, or if any run reports correct=false or failed>0. The reference is
+// A metric whose reference runs spread wider than its bound (interquartile
+// range over the median) reads "unresolved" rather than "within bound"
+// unless every new run beats every reference run: such runs cannot tell a
+// change within the bound from noise. It exits 1 if a median is worse than
+// the reference beyond the metric's bound, or if any run reports
+// correct=false or failed>0. The reference is
 // unpacked with `git archive` into a temporary directory that is removed on
 // exit; nothing is written inside the repository.
 package main
@@ -215,7 +219,22 @@ func compare(tmp, ref string, pairs int, workload string, seed int64) (bool, err
 // report prints one metric's row and reports whether the working tree's
 // median is within the metric's bound of the reference's.
 func report(d metricDef, ref, cur []float64) bool {
-	won, lost := 0, 0
+	verdict, won := judge(d, ref, cur)
+	rm, rq1, rq3 := quartiles(ref)
+	cm, cq1, cq3 := quartiles(cur)
+	ratio := "n/a"
+	if rm != 0 {
+		ratio = fmt.Sprintf("%.3fx of %.4g %s", cm/rm, rm, d.Unit)
+	}
+	fmt.Printf("  %-13s %-5s %-30s %-30s %-6s %s — %s\n", d.Name, d.Unit,
+		fmt.Sprintf("%.4g [%.4g, %.4g]", rm, rq1, rq3), fmt.Sprintf("%.4g [%.4g, %.4g]", cm, cq1, cq3),
+		fmt.Sprintf("%d/%d", won, len(ref)), ratio, verdict)
+	return !strings.HasPrefix(verdict, "WORSE")
+}
+
+// judge returns one metric's verdict and the pairs the working tree won.
+func judge(d metricDef, ref, cur []float64) (verdict string, won int) {
+	lost := 0
 	for p := range ref {
 		switch w := d.worse(ref[p], cur[p]); {
 		case w < 0:
@@ -225,24 +244,32 @@ func report(d metricDef, ref, cur []float64) bool {
 		}
 	}
 	rm, rq1, rq3 := quartiles(ref)
-	cm, cq1, cq3 := quartiles(cur)
-	verdict := "within bound"
+	cm, _, _ := quartiles(cur)
 	switch w := d.worse(rm, cm); {
 	case w > d.Bound:
-		verdict = fmt.Sprintf("WORSE by %.0f%% (bound %.0f%%)", 100*w, 100*d.Bound)
+		return fmt.Sprintf("WORSE by %.0f%% (bound %.0f%%)", 100*w, 100*d.Bound), won
 	case w < 0 && 10*won >= 9*(won+lost) && math.Abs(cm-rm) > rq3-rq1:
 		// The gain rule: nine pairs in ten won, ties counting for neither,
 		// and the medians further apart than the reference's own quartiles.
-		verdict = "better"
+		return "better", won
+	case rm != 0 && (rq3-rq1)/math.Abs(rm) > d.Bound && !separated(d, ref, cur):
+		// The reference spreads wider than the bound, so only runs that
+		// all beat it would tell a change from its noise.
+		return "unresolved", won
 	}
-	ratio := "n/a"
-	if rm != 0 {
-		ratio = fmt.Sprintf("%.3fx of %.4g %s", cm/rm, rm, d.Unit)
+	return "within bound", won
+}
+
+// separated reports whether every run of cur beats every run of ref.
+func separated(d metricDef, ref, cur []float64) bool {
+	for _, r := range ref {
+		for _, c := range cur {
+			if d.worse(r, c) >= 0 {
+				return false
+			}
+		}
 	}
-	fmt.Printf("  %-13s %-5s %-30s %-30s %-6s %s — %s\n", d.Name, d.Unit,
-		fmt.Sprintf("%.4g [%.4g, %.4g]", rm, rq1, rq3), fmt.Sprintf("%.4g [%.4g, %.4g]", cm, cq1, cq3),
-		fmt.Sprintf("%d/%d", won, len(ref)), ratio, verdict)
-	return !strings.HasPrefix(verdict, "WORSE")
+	return true
 }
 
 // quartiles returns the median and the first and third quartiles, linearly

@@ -22,12 +22,12 @@ vet:
 
 # The race detector over every package. The concurrent packages then get
 # a second, repeated pass: -count=2 re-runs every test against warm state
-# (the plan cache and memo store start empty), and scheduling-sensitive
+# (the plan cache starts empty), and scheduling-sensitive
 # races get a second draw. These are the packages whose state goroutines
 # share: opt, the Appendix C optimizer's worker pool (its workers fill the
 # result slots of points the master prepared, each selecting through a
 # private lop.Table; the path-equivalence test runs the paper grid at 4
-# workers) and the shared memos and plan cache; workload, concurrent
+# workers) and the shared plan cache; workload, concurrent
 # simulate calls over one compiled program (program_test.go) and batch
 # Run's prefetch workers, which prepare its next jobs beside the event
 # loop; server, the daemon's sessions, which prepare jobs (compile, search

@@ -107,7 +107,7 @@ func TestInvocationCounting(t *testing.T) {
 	p := planFor(t, scripts.LinregDS(), 10_000, 100, 1.0, res)
 	e := NewEstimator(cc)
 	e.ProgramCost(p)
-	e.BlockCost(p.LeafBlocks()[0], res)
+	e.BlockCost(p.Blocks[0], res)
 	if e.Invocations != 2 {
 		t.Errorf("Invocations = %d, want 2", e.Invocations)
 	}

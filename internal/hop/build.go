@@ -43,6 +43,9 @@ type Compiler struct {
 	Trace  *obs.Tracer
 	script *Script
 	nextID int64
+	// statementsOnly, set only by tests, makes every generic block build
+	// from its statements, as it did before templates.
+	statementsOnly bool
 }
 
 // NewCompiler returns a HOP compiler reading input metadata from fs and
@@ -159,8 +162,9 @@ var (
 )
 
 // rebuild builds b anew against the metadata vars holds for b.Reads, from
-// its source block's template (from its statements if it has no source
-// block), keeping only the writes b keeps.
+// its source block b.Src through the template (from the statements under
+// statementsOnly), keeping only the writes b keeps. Every block Compile,
+// RebuildScope and RecompileGeneric return carries its Src.
 func (c *Compiler) rebuild(b *Block, vars Vars) (*Block, error) {
 	meta := make(SymTab, len(b.Reads))
 	for _, name := range b.Reads {
@@ -168,13 +172,7 @@ func (c *Compiler) rebuild(b *Block, vars Vars) (*Block, error) {
 			meta[name] = m
 		}
 	}
-	var nb *Block
-	var err error
-	if b.Src != nil {
-		nb, err = c.generic(b.Src, meta)
-	} else {
-		nb, err = c.buildGeneric(b.Stmts, meta, b.FirstLine, b.LastLine)
-	}
+	nb, err := c.generic(b.Src, meta)
 	if err != nil {
 		return nil, err
 	}

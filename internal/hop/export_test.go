@@ -16,16 +16,9 @@ func OnRecompile(fn func(c *Compiler, b *Block, vars Vars, nb *Block, resized bo
 }
 
 // Rebuild is the rebuild RecompileGeneric falls back to, from b's
-// statements.
+// statements. It leaves c as it was.
 func (c *Compiler) Rebuild(b *Block, vars Vars) (*Block, error) {
-	noSrc := *b
-	noSrc.Src = nil
-	return c.rebuild(&noSrc, vars)
-}
-
-// StatementsOnly makes every generic block build from its statements, as
-// it did before templates, until restore.
-func StatementsOnly() (restore func()) {
-	statementsOnly = true
-	return func() { statementsOnly = false }
+	f := *c
+	f.statementsOnly = true
+	return f.rebuild(b, vars)
 }

@@ -185,7 +185,7 @@ func appendKinds(dst []byte, reads []string, meta SymTab) []byte {
 // sb's template, and builds from the statements only where sb has no
 // template for the kinds of its reads or the re-size refuses.
 func (c *Compiler) generic(sb *dml.StatementBlock, meta SymTab) (*Block, error) {
-	if !statementsOnly {
+	if !c.statementsOnly {
 		if c.script == nil {
 			c.script = &Script{trace: c.Trace}
 		}
@@ -205,7 +205,3 @@ func (c *Compiler) generic(sb *dml.StatementBlock, meta SymTab) (*Block, error) 
 	}
 	return c.buildGeneric(sb.Stmts, meta, sb.FirstLine, sb.LastLine)
 }
-
-// statementsOnly, set only through export_test.go, makes every generic
-// block build from its statements, as it did before templates.
-var statementsOnly bool

@@ -24,6 +24,7 @@ func compileSteps(tab *Table, source string, params map[string]interface{}, fs *
 		return nil, nil, err
 	}
 	c := NewCompiler(fs, params)
+	c.statementsOnly = tab == nil
 	hp, err := c.CompileScript(s)
 	if err != nil {
 		return nil, nil, err
@@ -106,9 +107,7 @@ for (i in 1:2) { y = x * 2; print(sum(y)); }
 		}
 		held = append(held, s)
 		names, got, err := compileSteps(tab, p.source, p.params, p.fs)
-		restore := StatementsOnly()
 		_, want, wantErr := compileSteps(nil, p.source, p.params, p.fs)
-		restore()
 		if (wantErr != nil) != p.fails {
 			t.Fatalf("%s: the build from statements fails with %v", p.name, wantErr)
 		}

@@ -217,14 +217,3 @@ func NumMRJobs(blocks []*Block) int {
 	})
 	return n
 }
-
-// LeafBlocks returns generic blocks in execution order.
-func (p *Plan) LeafBlocks() []*Block {
-	var out []*Block
-	WalkBlocks(p.Blocks, func(b *Block) {
-		if b.Kind == dml.GenericBlock {
-			out = append(out, b)
-		}
-	})
-	return out
-}

@@ -206,20 +206,6 @@ func CacheKey(source string, params map[string]interface{}, inputs []InputMeta, 
 	return key
 }
 
-// MemoKey derives the re-costing memo key for one optimization problem:
-// CacheKey minus the cluster dimensions. A program keeps one memo across
-// cluster states — that is the point: entries record which cluster they
-// were computed under and are revalidated per lookup (see Memo).
-func MemoKey(source string, params map[string]interface{}, inputs []InputMeta, opts Options) string {
-	k := keyHasherPool.Get().(*keyHasher)
-	k.buf = k.buf[:0]
-	k.problem(source, params, inputs)
-	k.buf = AppendOptionsKey(k.buf, opts)
-	key := k.finish()
-	keyHasherPool.Put(k)
-	return key
-}
-
 // CacheStats reports cache effectiveness.
 type CacheStats struct {
 	Hits       int64 `json:"hits"`

@@ -24,8 +24,7 @@ type evaluator struct {
 	// mrs is the search's MR grid; at holds, by leaf index and MR grid
 	// point, 1 + the index in cells of the cell last recorded or used
 	// there (0 for none): the probe that serves the CP walk, whose
-	// blocks meet the plan again at the same MR heap. It is made at the
-	// first block ask: a search the memo replays asks for none.
+	// blocks meet the plan again at the same MR heap.
 	mrs     []conf.Bytes
 	numLeaf int
 	at      []int32
@@ -38,7 +37,7 @@ type evaluator struct {
 	free []cost.CellJob
 
 	// prog is the last whole-program costing, keyed by its leaf plans;
-	// leaves is scratch for the next ask's.
+	// leaves is scratch for the leaf plans of the next plan asked about.
 	prog   progCell
 	leaves []*lop.Block
 }
@@ -63,7 +62,8 @@ type progCell struct {
 const jobChunk = 64
 
 func (o *Optimizer) newEvaluator(srm []conf.Bytes, numLeaf int) *evaluator {
-	return &evaluator{est: o.newEstimator(), tab: lop.NewTable(o.CC), mrs: srm, numLeaf: numLeaf, last: -1}
+	return &evaluator{est: o.newEstimator(), tab: lop.NewTable(o.CC), mrs: srm, numLeaf: numLeaf,
+		at: make([]int32, numLeaf*len(srm)), last: -1}
 }
 
 // slot returns the index in at of the block's leaf at the MR heap, or -1
@@ -72,9 +72,6 @@ func (ev *evaluator) slot(b *lop.Block, ri conf.Bytes) int {
 	k, ok := slices.BinarySearch(ev.mrs, ri)
 	if !ok || b.Index < 0 || b.Index >= ev.numLeaf {
 		return -1
-	}
-	if ev.at == nil {
-		ev.at = make([]int32, ev.numLeaf*len(ev.mrs))
 	}
 	return b.Index*len(ev.mrs) + k
 }
@@ -123,12 +120,7 @@ func (ev *evaluator) blockCost(b *lop.Block, res conf.Resources) float64 {
 // it: consecutive CP points mostly cost the same plan alike.
 func (ev *evaluator) programCost(p *lop.Plan) float64 {
 	pc := &ev.prog
-	if ev.leaves == nil {
-		// A plan has one leaf plan per leaf block.
-		buf := make([]*lop.Block, 0, 2*ev.numLeaf)
-		ev.leaves, pc.leaves = buf[:0:ev.numLeaf], buf[ev.numLeaf:ev.numLeaf]
-	}
-	ev.leaves = appendLeaves(ev.leaves[:0], p.Blocks)
+	ev.leavesOf(p)
 	if !walkEveryCosting && pc.ok && slices.Equal(ev.leaves, pc.leaves) && ev.est.Holds(&pc.cell, p.Resources) {
 		ev.answered(nil, p, p.Resources, &pc.cell, pc.cost)
 		return pc.cost
@@ -136,6 +128,18 @@ func (ev *evaluator) programCost(p *lop.Plan) float64 {
 	pc.leaves, ev.leaves = ev.leaves, pc.leaves
 	pc.cost, pc.ok = ev.est.ProgramCostCell(p, &pc.cell), true
 	return pc.cost
+}
+
+// leavesOf returns p's leaf plans in program order, in the scratch
+// buffer the next call overwrites.
+func (ev *evaluator) leavesOf(p *lop.Plan) []*lop.Block {
+	if ev.leaves == nil {
+		// A plan has one leaf plan per leaf block.
+		buf := make([]*lop.Block, 0, 2*ev.numLeaf)
+		ev.leaves, ev.prog.leaves = buf[:0:ev.numLeaf], buf[ev.numLeaf:ev.numLeaf]
+	}
+	ev.leaves = appendLeaves(ev.leaves[:0], p.Blocks)
+	return ev.leaves
 }
 
 // answered counts an ask a cell answered as a costing, and hands it to

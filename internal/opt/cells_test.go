@@ -93,8 +93,8 @@ func (o *CellOracle) Report(t testing.TB) {
 
 // TestCellAnswersExact is the exactness oracle of cost cells: every ask a
 // cell answers in the sequential search of all 100 paper-grid problems, in
-// a task-parallel search and in a memo search under a changed cluster view
-// costs the same to the bit with a fresh estimator, and at both ends of
+// a task-parallel search and in a search under a width-clamped view costs
+// the same to the bit with a fresh estimator, and at both ends of
 // the cell's CP budget span.
 func TestCellAnswersExact(t *testing.T) {
 	o := &CellOracle{}
@@ -109,9 +109,7 @@ func TestCellAnswersExact(t *testing.T) {
 	par := New(cc)
 	par.Opts.Workers, par.Opts.CPCoreCandidates = 4, []int{1, 2, 4}
 	par.Optimize(hp)
-	o.Problem = "GLM L dense1000, memo under a width-clamped view"
-	m := NewMemo()
-	New(cc).OptimizeMemo(hp, m)
-	New(WidthClamped(cc, 4*conf.GB)).OptimizeMemo(hp, m)
+	o.Problem = "GLM L dense1000 under a width-clamped view"
+	New(WidthClamped(cc, 4*conf.GB)).Optimize(hp)
 	o.Report(t)
 }

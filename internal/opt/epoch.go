@@ -6,9 +6,8 @@
 // points: grows are deferred to the next epoch boundary, shrinks snap
 // mid-epoch to the last completed batch. DetectEpochs recovers that
 // structure from a compiled program; a §5 re-optimization at any such
-// boundary then goes through OptimizeMemo, which replays the recorded
-// cost evaluations instead of re-enumerating the grid per epoch (the
-// memo-reuse property is pinned by TestEpochWindowMemoReuse).
+// boundary is an ordinary search under the cluster of the moment, which
+// the plan cache answers when that cluster repeats.
 
 package opt
 

@@ -3,7 +3,6 @@ package opt
 import (
 	"testing"
 
-	"elasticml/internal/conf"
 	"elasticml/internal/scripts"
 )
 
@@ -34,62 +33,5 @@ func TestDetectEpochs(t *testing.T) {
 	}
 	if _, ok := DetectEpochs(nil); ok {
 		t.Error("nil program produced an epoch plan")
-	}
-}
-
-// TestEpochWindowMemoReuse: consecutive per-epoch §5 re-optimizations of
-// an iterative program under an unchanged cluster replay the memo in
-// full — zero fresh cost-model invocations and zero block compilations —
-// and a width clamp between windows invalidates exactly the entries the
-// clamp affects: the clamped search still equals a from-scratch search,
-// and once re-warmed, subsequent windows under the clamped cluster are
-// again full replays.
-func TestEpochWindowMemoReuse(t *testing.T) {
-	hp := compileTestProgram(t, scripts.MinibatchLR())
-	cc := conf.DefaultCluster()
-	o := New(cc)
-	o.Opts.Points = 5
-
-	m := NewMemo()
-	first := o.OptimizeMemo(hp, m) // epoch 1: cold, records everything
-	if first.Stats.Costings == 0 {
-		t.Fatal("cold epoch window did no cost evaluations")
-	}
-
-	// Epoch windows 2..4: unchanged cluster, the whole grid replays.
-	for epoch := 2; epoch <= 4; epoch++ {
-		r := o.OptimizeMemo(hp, m)
-		sameResult(t, "steady epoch window", r, first)
-		if r.Stats.Costings != 0 {
-			t.Errorf("epoch %d: %d fresh cost evaluations, want 0", epoch, r.Stats.Costings)
-		}
-		if r.Stats.BlockCompilations != 0 {
-			t.Errorf("epoch %d: %d block compilations, want 0", epoch, r.Stats.BlockCompilations)
-		}
-		if r.Stats.ReplayedPoints != r.Stats.CPPoints {
-			t.Errorf("epoch %d: replayed %d of %d points", epoch, r.Stats.ReplayedPoints, r.Stats.CPPoints)
-		}
-	}
-
-	// A shrink clamps the width view between epochs. The memo must not
-	// leak stale full-width entries into the clamped search: it has to
-	// equal a from-scratch search under the clamped cluster.
-	clamped := WidthClamped(cc, cc.MaxAlloc/4)
-	oc := New(clamped)
-	oc.Opts.Points = 5
-	fresh := oc.Optimize(hp)
-	got := oc.OptimizeMemo(hp, m)
-	sameResult(t, "post-clamp window", got, fresh)
-
-	// Once the clamped window has been recorded, the next epoch under the
-	// clamped cluster is a full replay again.
-	again := oc.OptimizeMemo(hp, m)
-	sameResult(t, "re-warmed clamped window", again, fresh)
-	if again.Stats.Costings != 0 {
-		t.Errorf("re-warmed clamped window: %d fresh cost evaluations, want 0", again.Stats.Costings)
-	}
-	if again.Stats.ReplayedPoints != again.Stats.CPPoints {
-		t.Errorf("re-warmed clamped window: replayed %d of %d points",
-			again.Stats.ReplayedPoints, again.Stats.CPPoints)
 	}
 }

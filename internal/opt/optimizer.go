@@ -79,12 +79,9 @@ type Stats struct {
 	// proven MR-independent at a smaller CP size (monotonic dependency
 	// elimination across grid points).
 	MemoHits int
-	// ReuseHits counts block enumeration evaluations answered by the
-	// re-costing memo (OptimizeMemo) instead of a fresh compile-and-cost.
+	// ReuseHits always reads 0: a search reuses work only within itself.
+	// It is kept only so that the benchmark compiles unchanged.
 	ReuseHits int
-	// ReplayedPoints counts CP grid points answered by the re-costing memo
-	// in full — not one compilation or costing.
-	ReplayedPoints int
 }
 
 // Result is an optimization outcome.
@@ -119,21 +116,7 @@ func New(cc conf.Cluster) *Optimizer {
 
 // Optimize solves the resource allocation problem for the program.
 func (o *Optimizer) Optimize(hp *hop.Program) *Result {
-	global, _ := o.optimize(hp, 0, nil)
-	return global
-}
-
-// OptimizeMemo solves the resource allocation problem through a re-costing
-// memo: cost evaluations recorded by earlier searches over the same program
-// (possibly under different cluster states) are reused whenever the changed
-// cluster dimensions provably cannot have altered them, and fresh
-// evaluations are recorded for later searches. The result is identical to
-// Optimize by construction — the memo only replaces compile-and-cost calls
-// with their memoized values. A nil memo degenerates to Optimize. The memo
-// path always uses the sequential enumeration (which the task-parallel
-// optimizer matches result-for-result), so Workers is ignored here.
-func (o *Optimizer) OptimizeMemo(hp *hop.Program, m *Memo) *Result {
-	global, _ := o.optimize(hp, 0, newMemoView(m, o.CC))
+	global, _ := o.optimize(hp, 0)
 	return global
 }
 
@@ -141,7 +124,7 @@ func (o *Optimizer) OptimizeMemo(hp *hop.Program, m *Memo) *Result {
 // fixed current CP heap (R*_P | r_c), used by runtime re-optimization to
 // compare against migration (§4.2).
 func (o *Optimizer) OptimizeWithCurrent(hp *hop.Program, currentCP conf.Bytes) (global, local *Result) {
-	return o.optimize(hp, currentCP, nil)
+	return o.optimize(hp, currentCP)
 }
 
 // memoEntry is one row of the memoization structure: the best MR heap found
@@ -151,7 +134,7 @@ type memoEntry struct {
 	cost float64
 }
 
-func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView) (*Result, *Result) {
+func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes) (*Result, *Result) {
 	start := time.Now()
 	srm := EnumGridPoints(hp, o.CC, o.Opts.Grid, o.Opts.Points)
 	src := srm
@@ -171,9 +154,9 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 	}
 
 	// The task-parallel search (Appendix C) hands the block enumerations to
-	// a worker pool; the memo path is sequential.
+	// a worker pool.
 	var pool *enumPool
-	if o.Opts.Workers > 1 && mv == nil {
+	if o.Opts.Workers > 1 {
 		pool = o.startPool(o.Opts.Workers, srm, hp.NumLeaf)
 	}
 	// One selection table and one set of cost cells serve every plan the
@@ -182,7 +165,7 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 	var best, bestLocal *Result
 	var pending []*cpPoint
 	take := func(p *cpPoint) float64 {
-		res, c := o.finish(hp, p, ev, &stats, mv)
+		res, c := o.finish(hp, p, ev, &stats)
 		best = better(best, &Result{Res: res, Cost: c})
 		if currentCP > 0 && p.rc == currentCP && (bestLocal == nil || c < bestLocal.Cost) {
 			bestLocal = &Result{Res: res, Cost: c}
@@ -198,7 +181,7 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 		prunedForever := make([]bool, hp.NumLeaf)
 		for _, rc := range src {
 			if pool != nil {
-				p := o.begin(hp, rc, cores, ev, &stats, prunedForever, mv)
+				p := o.begin(hp, rc, cores, ev, &stats, prunedForever)
 				pool.submit(p)
 				pending = append(pending, p)
 				continue
@@ -208,25 +191,19 @@ func (o *Optimizer) optimize(hp *hop.Program, currentCP conf.Bytes, mv *memoView
 				psp = o.Trace.Begin(obs.LayerOptimize, "opt.cp-point",
 					obs.A("cp", rc.String()), obs.A("cores", cores))
 			}
-			costed := ev.est.Invocations
-			p := o.begin(hp, rc, cores, ev, &stats, prunedForever, mv)
+			p := o.begin(hp, rc, cores, ev, &stats, prunedForever)
 			for k, t := range p.tasks {
 				var bsp *obs.Span
 				if o.Trace.SpansEnabled() {
 					bsp = o.Trace.Begin(obs.LayerOptimize, "opt.enum-block",
 						obs.A("block", t.idx), obs.A("cp", rc.String()), obs.A("mr_points", len(srm)))
 				}
-				p.outs[k] = o.enumBlock(t, srm, ev, &stats, mv)
+				p.outs[k] = o.enumBlock(t, srm, ev, &stats)
 				if bsp != nil {
 					bsp.End(obs.A("best_mr", p.outs[k].ri.String()), obs.A("cost", round6(p.outs[k].cost)))
 				}
 			}
 			c := take(p)
-			// Every compilation is costed, so a point that never asked
-			// for a costing was replayed from the memo in full.
-			if ev.est.Invocations == costed {
-				stats.ReplayedPoints++
-			}
 			if psp != nil {
 				psp.End(obs.A("cost", round6(c)))
 			}
@@ -285,59 +262,33 @@ type blockTask struct {
 	cores int
 }
 
-// begin prepares one CP grid point: every block's baseline entry at the
-// minimal MR heap, the pruning verdicts, and one enumeration task per
-// block left. The baseline entries come from the memo when every block's
-// entry is valid there; otherwise one baseline compilation computes them
-// and they are recorded.
+// begin prepares one CP grid point: every block's baseline entry from one
+// baseline compilation at the minimal MR heap, the pruning verdicts, and
+// one enumeration task per block left.
 func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, ev *evaluator,
-	stats *Stats, prunedForever []bool, mv *memoView) *cpPoint {
+	stats *Stats, prunedForever []bool) *cpPoint {
 
-	n := hp.NumLeaf
 	minH := o.CC.MinHeap()
-	key := func(i int) memoBlockKey {
-		return memoBlockKey{cores: cores, rc: rc, ri: minH, block: i, baseline: true}
-	}
-	base := make([]memoBlockVal, n)
-	replayed := mv != nil
-	for i := 0; replayed && i < n; i++ {
-		base[i], replayed = mv.block(key(i))
-	}
-	var hbs []*hop.Block
-	if replayed {
-		hbs = hp.LeafBlocks()
-	} else {
-		baseline := ev.tab.Select(hp, conf.NewResources(rc, minH, n).WithCores(cores))
-		stats.BlockCompilations += countBlocks(baseline)
-		for i, lb := range baseline.LeafBlocks() {
-			base[i] = memoBlockVal{cost: ev.blockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores)),
-				mr: lop.NumMRJobs([]*lop.Block{lb}) > 0, pruned: pruneBlock(lb)}
-			hbs = append(hbs, lb.HopBlock)
-		}
-	}
-
-	p := &cpPoint{rc: rc, cores: cores, memo: make([]memoEntry, n)}
-	for i, b := range base {
-		p.memo[i] = memoEntry{ri: minH, cost: b.cost}
-		// A recorded verdict is the skip decision, so it replays as one.
+	baseline := ev.tab.Select(hp, conf.NewResources(rc, minH, hp.NumLeaf).WithCores(cores))
+	stats.BlockCompilations += countBlocks(baseline)
+	p := &cpPoint{rc: rc, cores: cores, memo: make([]memoEntry, hp.NumLeaf)}
+	for i, lb := range ev.leavesOf(baseline) {
+		p.memo[i] = memoEntry{ri: minH, cost: ev.blockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores))}
 		skip := false
 		if !o.Opts.DisablePruning {
 			if prunedForever[i] {
 				stats.MemoHits++
 				skip = true
-			} else if b.pruned {
+			} else if pruneBlock(lb) {
 				stats.PrunedBlocks++
-				if !b.mr {
+				if lop.NumMRJobs([]*lop.Block{lb}) == 0 {
 					prunedForever[i] = true
 				}
 				skip = true
 			}
 		}
-		if !replayed {
-			mv.recordBlock(key(i), memoBlockVal{cost: b.cost, mr: b.mr, pruned: skip})
-		}
 		if !skip {
-			p.tasks = append(p.tasks, blockTask{idx: i, hb: hbs[i], rc: rc, cores: cores})
+			p.tasks = append(p.tasks, blockTask{idx: i, hb: lb.HopBlock, rc: rc, cores: cores})
 		}
 	}
 	if len(p.tasks) > stats.RemainingBlocks {
@@ -348,35 +299,23 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, ev *evaluat
 }
 
 // enumBlock evaluates the second dimension for one block under fixed rc.
-// Individual (rc, ri) evaluations answered by the re-costing memo skip the
-// per-point compile-and-cost; fresh evaluations are recorded. A plan is
-// asked for again only when ri's MR budget leaves the span of budgets that
-// select the last plan; srm ascends, so adjacent points share a plan until
-// a broadcast or packing threshold is crossed. The table answers the ask
-// when an earlier CP point selected the block for the same region. Every
-// fresh point is costed.
-func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, ev *evaluator, stats *Stats, mv *memoView) memoEntry {
+// A plan is asked for again only when ri's MR budget leaves the span of
+// budgets that select the last plan; srm ascends, so adjacent points
+// share a plan until a broadcast or packing threshold is crossed. The
+// table answers the ask when an earlier CP point selected the block for
+// the same region. Every point is costed.
+func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, ev *evaluator, stats *Stats) memoEntry {
 	best := memoEntry{cost: -1}
 	var lb *lop.Block
 	var reg lop.Region
-	var mr bool
 	for _, ri := range srm {
-		key := memoBlockKey{cores: t.cores, rc: t.rc, ri: ri, block: t.idx}
-		e, ok := mv.block(key)
-		if ok {
-			stats.ReuseHits++
-		} else {
-			res := conf.NewResources(t.rc, ri, 1).WithCores(t.cores)
-			if lb == nil || !reg.MR.Contains(o.CC.OpBudget(ri)) {
-				lb, reg = ev.tab.SelectBlock(t.hb, res)
-				mr = lop.NumMRJobs([]*lop.Block{lb}) > 0
-				stats.BlockCompilations++
-			}
-			e = memoBlockVal{cost: ev.blockCost(lb, res), mr: mr}
-			mv.recordBlock(key, e)
+		res := conf.NewResources(t.rc, ri, 1).WithCores(t.cores)
+		if lb == nil || !reg.MR.Contains(o.CC.OpBudget(ri)) {
+			lb, reg = ev.tab.SelectBlock(t.hb, res)
+			stats.BlockCompilations++
 		}
-		if best.cost < 0 || e.cost < best.cost {
-			best = memoEntry{ri: ri, cost: e.cost}
+		if c := ev.blockCost(lb, res); best.cost < 0 || c < best.cost {
+			best = memoEntry{ri: ri, cost: c}
 		}
 	}
 	return best
@@ -385,8 +324,8 @@ func (o *Optimizer) enumBlock(t blockTask, srm []conf.Bytes, ev *evaluator, stat
 // finish completes a CP grid point: each block keeps its cheaper entry,
 // baseline or enumerated, and the whole program is costed once under the
 // resulting vector, taking the control structure (loops, branches) into
-// account — from the memo when the costing is valid there.
-func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, ev *evaluator, stats *Stats, mv *memoView) (conf.Resources, float64) {
+// account.
+func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, ev *evaluator, stats *Stats) (conf.Resources, float64) {
 	for k, t := range p.tasks {
 		if p.outs[k].cost < p.memo[t.idx].cost {
 			p.memo[t.idx] = p.outs[k]
@@ -396,18 +335,9 @@ func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, ev *evaluator, stats *St
 	for i := range p.memo {
 		res.MR[i] = p.memo[i].ri
 	}
-	var key memoProgKey
-	if mv != nil {
-		key = memoProgKey{cores: p.cores, rc: p.rc, vec: vecString(res.MR)}
-	}
-	e, ok := mv.prog(key)
-	if !ok {
-		full := ev.tab.Select(hp, res)
-		stats.BlockCompilations += countBlocks(full)
-		e = memoProgVal{cost: ev.programCost(full), mr: lop.NumMRJobs(full.Blocks) > 0}
-		mv.recordProg(key, e)
-	}
-	return res, e.cost
+	full := ev.tab.Select(hp, res)
+	stats.BlockCompilations += countBlocks(full)
+	return res, ev.programCost(full)
 }
 
 // better keeps the candidate with strictly lower cost; ties keep the

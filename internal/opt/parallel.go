@@ -40,7 +40,7 @@ func (o *Optimizer) startPool(workers int, srm []conf.Bytes, numLeaf int) *enumP
 			defer pl.wg.Done()
 			ev := o.newEvaluator(srm, numLeaf)
 			for tk := range pl.tasks {
-				tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, ev, local, nil)
+				tk.p.outs[tk.k] = o.enumBlock(tk.p.tasks[tk.k], srm, ev, local)
 				tk.p.wg.Done()
 			}
 			local.Costings = ev.est.Invocations

@@ -117,11 +117,11 @@ func effort(r *Result) Stats {
 }
 
 // TestSearchPathsMatchFresh: every way of running the grid search — the
-// sequential search, the task-parallel search, the local optimum under a
-// fixed current CP, and the memo path cold, warm and under changed cluster
-// views — returns bit for bit what a sequential search that walks every
-// costing (no cost cells) returns under the same view, with the same
-// effort counters, on all 100 problems of the paper grid.
+// sequential search, also under changed cluster views, the task-parallel
+// search and the local optimum under a fixed current CP — returns bit for
+// bit what a sequential search that walks every costing (no cost cells)
+// returns under the same view, with the same effort counters, on all 100
+// problems of the paper grid.
 func TestSearchPathsMatchFresh(t *testing.T) {
 	grid := paperGrid(t)
 	cc := conf.DefaultCluster()
@@ -171,6 +171,19 @@ func TestSearchPathsMatchFresh(t *testing.T) {
 		})
 	}
 
+	t.Run("views", func(t *testing.T) {
+		t.Parallel()
+		for i, p := range grid {
+			for k, v := range views {
+				got := New(v.cc).Optimize(p.hp)
+				sameResult(t, p.name+" "+v.name, got, viewFresh[i][k])
+				if effort(got) != effort(viewFresh[i][k]) {
+					t.Errorf("%s %s: effort %+v, want %+v", p.name, v.name, effort(got), effort(viewFresh[i][k]))
+				}
+			}
+		}
+	})
+
 	for name, cores := range currents {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -184,22 +197,6 @@ func TestSearchPathsMatchFresh(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("memo", func(t *testing.T) {
-		t.Parallel()
-		for i, p := range grid {
-			m := NewMemo()
-			sameResult(t, p.name+" cold", New(cc).OptimizeMemo(p.hp, m), fresh[i])
-			warm := New(cc).OptimizeMemo(p.hp, m)
-			sameResult(t, p.name+" warm", warm, fresh[i])
-			if warm.Stats.ReplayedPoints != warm.Stats.CPPoints {
-				t.Errorf("%s warm: replayed %d of %d points", p.name, warm.Stats.ReplayedPoints, warm.Stats.CPPoints)
-			}
-			for k, v := range views {
-				sameResult(t, p.name+" "+v.name, New(v.cc).OptimizeMemo(p.hp, m), viewFresh[i][k])
-			}
-		}
-	})
 }
 
 // TestParallelLocalKeepsCheapestCore: with several CP core counts, the
@@ -289,16 +286,17 @@ func TestProgramCostAllocs(t *testing.T) {
 // GLM L dense1000, the BenchmarkGridSearch problem, so that selecting each
 // block again at every CP grid point cannot come back unnoticed, and its
 // bytes, which set how often the collector runs, so that a search that
-// walks every costing again cannot either. The limits are the 1,256
-// allocations and 139,800 bytes measured once costings were answered from cost
-// cells, plus 10 %; walking every costing took 1,378 and 207 KB, and
-// selecting every baseline and whole-program plan afresh 4,590.
+// walks every costing again cannot either. The limits are the 1,139
+// allocations and 127,150 bytes measured once a CP point's leaf plans
+// were collected into a reused buffer, plus 10 %; 1,256 and 139,800 while
+// each point allocated them, walking every costing took 1,378 and 207 KB,
+// and selecting every baseline and whole-program plan afresh 4,590.
 func TestGridSearchAllocs(t *testing.T) {
 	hp := compileScenario(t, scripts.GLM(), datagen.New("L", 1000, 1.0))
 	cc := conf.DefaultCluster()
 	search := func() { New(cc).Optimize(hp) }
 	allocs := testing.AllocsPerRun(5, search)
-	const limit = 1382
+	const limit = 1253
 	if allocs > limit {
 		t.Errorf("one grid search allocates %v times, limit %d", allocs, limit)
 	}
@@ -311,17 +309,15 @@ func TestGridSearchAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	const byteLimit = 153_780
+	const byteLimit = 139_870
 	if bytes > byteLimit {
 		t.Errorf("one grid search allocates %d bytes, limit %d", bytes, byteLimit)
 	}
 }
 
-// BenchmarkGridSearch is one grid search for GLM L dense1000: fresh, with
-// four workers, and through a memo warmed under the full cluster and the
-// width-clamped view it is searched under. It fails unless every search's
-// effort equals the fresh one's, or, through the warm memo, unless every
-// point replays, and unless the fresh search walks fewer costings than it
+// BenchmarkGridSearch is one grid search for GLM L dense1000: fresh and
+// with four workers. It fails unless both searches' effort equals the
+// fresh one's, and unless the fresh search walks fewer costings than it
 // asks for (walked/op against costings/op): the rest are answered from
 // cost cells.
 func BenchmarkGridSearch(b *testing.B) {
@@ -334,10 +330,6 @@ func BenchmarkGridSearch(b *testing.B) {
 	fresh := effort(New(cc).Optimize(hp))
 	par := New(cc)
 	par.Opts.Workers = 4
-	clamped := New(WidthClamped(cc, 4*conf.GB))
-	memo := NewMemo()
-	New(cc).OptimizeMemo(hp, memo)
-	clamped.OptimizeMemo(hp, memo)
 
 	for _, row := range []struct {
 		name   string
@@ -345,22 +337,18 @@ func BenchmarkGridSearch(b *testing.B) {
 	}{
 		{"fresh", func() *Result { return New(cc).Optimize(hp) }},
 		{"parallel4", func() *Result { return par.Optimize(hp) }},
-		{"memo-warm", func() *Result { return clamped.OptimizeMemo(hp, memo) }},
 	} {
 		b.Run(row.name, func(b *testing.B) {
-			var costings, compilations, replayed int
+			var costings, compilations int
 			answered.Store(0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := effort(row.search())
-				if row.name == "memo-warm" && s.ReplayedPoints != s.CPPoints {
-					b.Fatalf("warm memo search replayed %d of %d points", s.ReplayedPoints, s.CPPoints)
-				} else if row.name != "memo-warm" && s != fresh {
+				if s != fresh {
 					b.Fatalf("effort %+v, fresh %+v", s, fresh)
 				}
 				costings += s.Costings
 				compilations += s.BlockCompilations
-				replayed += s.ReplayedPoints
 			}
 			walked := costings - int(answered.Load())
 			if row.name == "fresh" && walked >= costings {
@@ -370,7 +358,6 @@ func BenchmarkGridSearch(b *testing.B) {
 			b.ReportMetric(perOp(costings), "costings/op")
 			b.ReportMetric(perOp(walked), "walked/op")
 			b.ReportMetric(perOp(compilations), "block_compilations/op")
-			b.ReportMetric(perOp(replayed), "replayed_points/op")
 		})
 	}
 }

@@ -6,10 +6,7 @@ import "elasticml/internal/conf"
 // containers are already granted at contMem each: the allocation ceiling
 // drops to the granted container size, so any configuration the optimizer
 // chooses fits the allocation the job holds. Width changes of malleable
-// jobs re-optimize under this view through the ordinary cache + memo path;
-// the memo key excludes the cluster, so searches under successive width
-// clamps replay each other's still-valid cost evaluations instead of
-// re-enumerating the grid.
+// jobs re-optimize under this view through the ordinary plan-cache path.
 func WidthClamped(cc conf.Cluster, contMem conf.Bytes) conf.Cluster {
 	if contMem < cc.MinAlloc {
 		contMem = cc.MinAlloc

@@ -43,38 +43,3 @@ func TestWidthClampedChoiceFits(t *testing.T) {
 		t.Errorf("clamped search chose CP %v needing %v, over the %v container", res.CP, need, cont)
 	}
 }
-
-// TestWidthClampedMemoReplay: the memo key excludes the cluster, so a
-// search under a width-clamped view replays the cost evaluations an
-// unclamped (or differently clamped) search already recorded — width
-// changes re-cost incrementally instead of re-enumerating the grid.
-func TestWidthClampedMemoReplay(t *testing.T) {
-	hp := compileTestProgram(t, scripts.LinregDS())
-	cc := conf.DefaultCluster()
-	m := NewMemo()
-
-	full := New(cc)
-	full.Opts.Points = 5
-	cold := full.OptimizeMemo(hp, m)
-	if cold.Stats.ReplayedPoints != 0 {
-		t.Fatalf("cold run replayed %d points from an empty memo", cold.Stats.ReplayedPoints)
-	}
-
-	clamped := New(WidthClamped(cc, 2*conf.GB))
-	clamped.Opts.Points = 5
-	warm := clamped.OptimizeMemo(hp, m)
-	if warm.Stats.ReplayedPoints == 0 {
-		t.Error("width-clamped search replayed nothing from the unclamped memo")
-	}
-	// The clamped grid spans a smaller range, but every point it shares
-	// with the recorded search must come from the memo, not a fresh
-	// compile+cost pass.
-	if warm.Stats.ReplayedPoints < warm.Stats.CPPoints {
-		t.Logf("clamped grid: %d of %d points replayed (the rest are new clamp-specific points)",
-			warm.Stats.ReplayedPoints, warm.Stats.CPPoints)
-	}
-	// Correctness: the clamped memoized result equals the clamped fresh
-	// search — replay must never change the chosen configuration.
-	fresh := clamped.Optimize(hp)
-	sameResult(t, "clamped memo vs fresh", warm, fresh)
-}

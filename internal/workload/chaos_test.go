@@ -431,14 +431,13 @@ func chaosDemo() (conf.Cluster, []JobSpec, Options) {
 }
 
 // runChaosDemo returns the marshalled report and Chrome trace of the
-// kitchen-sink chaos workload; mutate, when non-nil, adjusts the service
-// before it runs.
-func runChaosDemo(t *testing.T, mutate func(*Service)) (reportJSON, trace []byte) {
+// kitchen-sink chaos workload.
+func runChaosDemo(t *testing.T) (reportJSON, trace []byte) {
 	t.Helper()
 	tr := obs.New(true)
 	cc, jobs, o := chaosDemo()
 	o.Trace = tr
-	rep, err := runChecked(t, cc, jobs, o, mutate)
+	rep, err := runChecked(t, cc, jobs, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,8 +456,8 @@ func runChaosDemo(t *testing.T, mutate func(*Service)) (reportJSON, trace []byte
 // groups, flaps, stragglers, storms, breaker, recovery backoff — is a pure
 // function of its inputs: repeated runs are byte-identical.
 func TestChaosDeterminismByteIdentical(t *testing.T) {
-	r1, t1 := runChaosDemo(t, nil)
-	r2, t2 := runChaosDemo(t, nil)
+	r1, t1 := runChaosDemo(t)
+	r2, t2 := runChaosDemo(t)
 	if !bytes.Equal(r1, r2) {
 		t.Errorf("chaos report differs between identical runs:\n%s", diffLine(r1, r2))
 	}

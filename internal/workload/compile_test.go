@@ -541,10 +541,8 @@ func TestResizeKeepsItsRun(t *testing.T) {
 // TestGarbageSourcesLeaveNoTrace: identifying a job compiles nothing, so a
 // source that does not parse or compile reaches plan, misses, and fails
 // there with the compile's own error. It must leave nothing behind: no plan
-// entry, and above all no memo — fetching one inserts it, and a stream of
-// garbage would evict the live programs' cost tables. The one observable
-// difference to failing before the lookup: each such job counts one cache
-// miss.
+// entry and no insertion. The one observable difference to failing before
+// the lookup: each such job counts one cache miss.
 func TestGarbageSourcesLeaveNoTrace(t *testing.T) {
 	o := DefaultOptions()
 	o.Trace = obs.New(false)
@@ -556,14 +554,11 @@ func TestGarbageSourcesLeaveNoTrace(t *testing.T) {
 	for good.state != jsRunning {
 		stepChecked(t, s)
 	}
-	memos, entries, stats := s.memos.Len(), s.cache.Len(), s.cache.Stats()
-	if memos != 1 || entries != 1 {
-		t.Fatalf("one good job left %d memos and %d entries", memos, entries)
+	entries, stats := s.cache.Len(), s.cache.Stats()
+	if entries != 1 {
+		t.Fatalf("one good job left %d entries", entries)
 	}
-	const n = 200 // more than the memo store holds
-	if n <= opt.DefaultMemoPrograms {
-		t.Fatalf("%d garbage jobs cannot overflow a %d-memo store", n, opt.DefaultMemoPrograms)
-	}
+	const n = 200
 	var bad []*job
 	for i := 0; i < n; i++ {
 		src, want := fmt.Sprintf("x = %d +* ;", i), "parse: "
@@ -581,9 +576,9 @@ func TestGarbageSourcesLeaveNoTrace(t *testing.T) {
 		}
 	}
 	after := s.cache.Stats()
-	if s.memos.Len() != memos || s.cache.Len() != entries || after.Insertions != stats.Insertions {
-		t.Errorf("garbage left %d memos (was %d), %d entries (was %d), %d insertions (was %d)",
-			s.memos.Len(), memos, s.cache.Len(), entries, after.Insertions, stats.Insertions)
+	if s.cache.Len() != entries || after.Insertions != stats.Insertions {
+		t.Errorf("garbage left %d entries (was %d), %d insertions (was %d)",
+			s.cache.Len(), entries, after.Insertions, stats.Insertions)
 	}
 	if after.Misses != stats.Misses+n {
 		t.Errorf("%d garbage jobs counted %d misses, want one each", n, after.Misses-stats.Misses)

@@ -10,9 +10,8 @@ import (
 
 // runDemo executes the 16-tenant demo workload (with a node failure) and
 // returns the marshalled report plus the Chrome trace bytes — the two
-// artifacts the determinism gate pins. mutate, when non-nil, adjusts the
-// service before it runs (a single-lock cache, no re-costing memo).
-func runDemo(t *testing.T, mutate func(*Service)) (reportJSON, trace []byte) {
+// artifacts the determinism gate pins.
+func runDemo(t *testing.T) (reportJSON, trace []byte) {
 	t.Helper()
 	tr := obs.New(true)
 	o := demoOptions()
@@ -20,9 +19,6 @@ func runDemo(t *testing.T, mutate func(*Service)) (reportJSON, trace []byte) {
 	s, err := New(demoCluster(), o)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mutate != nil {
-		mutate(s)
 	}
 	rep, err := s.Run(demoJobs())
 	if err != nil {
@@ -59,38 +55,12 @@ func diffLine(a, b []byte) string {
 // byte-identical reports and traces — the workload determinism gate
 // (wired in CI next to the trace-determinism gate).
 func TestSameSeedByteIdentical(t *testing.T) {
-	r1, t1 := runDemo(t, nil)
-	r2, t2 := runDemo(t, nil)
+	r1, t1 := runDemo(t)
+	r2, t2 := runDemo(t)
 	if !bytes.Equal(r1, r2) {
 		t.Errorf("report JSON differs between identical runs:\n%s", diffLine(r1, r2))
 	}
 	if !bytes.Equal(t1, t2) {
 		t.Errorf("trace differs between identical runs:\n%s", diffLine(t1, t2))
-	}
-}
-
-// TestReoptMemoInvariance: the re-costing memo only replaces cost
-// evaluations with their recorded values, so enabling it must not move a
-// single byte of the report or trace relative to fresh searches.
-func TestReoptMemoInvariance(t *testing.T) {
-	rm, tm := runDemo(t, nil)
-	rf, tf := runDemo(t, func(s *Service) { s.memos = nil })
-	if !bytes.Equal(rm, rf) {
-		t.Errorf("report JSON differs with the re-costing memo enabled:\n%s", diffLine(rm, rf))
-	}
-	if !bytes.Equal(tm, tf) {
-		t.Errorf("trace differs with the re-costing memo enabled:\n%s", diffLine(tm, tf))
-	}
-}
-
-// TestReoptMemoInvarianceUnderChaos: the memo's cross-cluster validity
-// rules get their hardest workout when node failures and restores keep
-// changing the cluster mid-run (the kitchen-sink chaos workload); results
-// must still match fresh searches.
-func TestReoptMemoInvarianceUnderChaos(t *testing.T) {
-	r1, _ := runChaosDemo(t, nil)
-	r2, _ := runChaosDemo(t, func(s *Service) { s.memos = nil })
-	if !bytes.Equal(r1, r2) {
-		t.Errorf("memo changed a chaos run:\n%s", diffLine(r1, r2))
 	}
 }

@@ -383,7 +383,7 @@ func (s *Service) scheduleResize(j *job, target int) bool {
 }
 
 // applyResize delivers a booked width change: claim or release containers,
-// re-plan under the new allocation through the shared cache + memo path
+// re-plan under the new allocation through the shared plan-cache path
 // (§5 — the plan always matches the current allocation; the view is clamped
 // to the granted container size), run it, snap progress down to the last
 // completed boundary, and start the new plan. The job is re-simulated under

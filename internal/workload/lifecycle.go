@@ -1,7 +1,7 @@
 package workload
 
 // The job-lifecycle mechanisms. Each exists once: every path that changes
-// what a job runs, where, or until when goes through plan (cache + memo),
+// what a job runs, where, or until when goes through plan (cache, search),
 // start (install a simulated plan), reschedule (the departure event), snap
 // (boundary progress), stop / terminate (leaving the cluster, leaving the
 // service), and settle (the decisions taken after any cluster change).
@@ -208,18 +208,15 @@ type planReq struct {
 	err  error // a miss whose program failed to compile: no answer
 }
 
-// plan resolves optimization problems through the shared plan cache and
-// the per-program re-costing memos — the only path to the optimizer. A hit
-// needs only the job's identity; a miss under the key solve searched (for
-// Prepare or batch Run's window) takes that answer (the key fixes the
-// program, the view and the options, so it is what the search below would
-// return); any other miss needs the job's program for the optimizer,
-// compiles it if the job has none yet, and searches with the program's memo
-// (the memo key excludes the cluster, so searches for one program under
-// shifting views share a cost table). Requests resolve in order and the
-// inserts follow the whole batch, so two same-key requests of one batch both
-// miss. A source that does not compile gets no answer (r.err) and no memo:
-// fetching one inserts it and may evict a live program's.
+// plan resolves optimization problems through the shared plan cache — the
+// only path to the optimizer. A hit needs only the job's identity; a miss
+// under the key solve searched (for Prepare or batch Run's window) takes
+// that answer (the key fixes the program, the view and the options, so it
+// is what the search below would return); any other miss needs the job's
+// program for the optimizer, compiles it if the job has none yet, and
+// searches. Requests resolve in order and the inserts follow the whole
+// batch, so two same-key requests of one batch both miss. A source that
+// does not compile gets no answer (r.err).
 func (s *Service) plan(reqs ...*planReq) {
 	opts := s.optOpts()
 	for _, r := range reqs {
@@ -241,9 +238,7 @@ func (s *Service) plan(reqs ...*planReq) {
 		if r.err = s.program(r.j); r.err != nil {
 			continue
 		}
-		memo := s.memos.Get(opt.MemoKey(id.source, id.params, id.inputs, opts))
-		o := &opt.Optimizer{CC: r.view, Opts: opts}
-		out := o.OptimizeMemo(id.prog.hp, memo)
+		out := (&opt.Optimizer{CC: r.view, Opts: opts}).Optimize(id.prog.hp)
 		r.res, r.cost = out.Res, out.Cost
 	}
 	for _, r := range reqs {

@@ -20,7 +20,7 @@ import (
 // search and a simulate of its answer off the sequencer; the sequencer
 // commits the answer only when its own miss is under the same key, and the
 // run only when it admits the job under the same view and configuration. These tests pin that the answer is the
-// one the sequencer's memo search would have found, that a spec's prepared
+// one the sequencer's search would have found, that a spec's prepared
 // state never outlives its use, and that a prepared run reports exactly
 // what an unprepared one does.
 
@@ -45,18 +45,15 @@ func sameAnswer(res conf.Resources, cost float64, out *opt.Result) bool {
 	return resEqual(res, out.Res) && math.Float64bits(cost) == math.Float64bits(out.Cost)
 }
 
-// TestPrepareMatchesSequencerSearch: over the cold mix, Prepare's plain
-// cold search returns bit for bit what the sequencer's OptimizeMemo returns
-// for the same key — on a fresh memo, and on one warmed by searches of the
-// same program under a smaller and a clamped view first. The warm searches
-// must really reuse something, or the second half would test nothing.
+// TestPrepareMatchesSequencerSearch: over the cold mix, Prepare's cold
+// search returns bit for bit what the sequencer's search returns for the
+// same key.
 func TestPrepareMatchesSequencerSearch(t *testing.T) {
 	s, err := New(conf.DefaultCluster(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := s.optOpts()
-	reused := 0
 	for _, spec := range coldMix() {
 		id := s.Prepare(spec).prep
 		if id == nil || id.prep == nil || id.prog == nil || id.view != s.live() || id.prep.key != id.key {
@@ -72,28 +69,11 @@ func TestPrepareMatchesSequencerSearch(t *testing.T) {
 		if key := fresh.cacheKey(s.live(), opts); key != id.prep.key {
 			t.Fatalf("%s: prepared key %s, sequencer key %s", spec.Tenant, id.prep.key, key)
 		}
-		search := func(view conf.Cluster, m *opt.Memo) *opt.Result {
-			return (&opt.Optimizer{CC: view, Opts: opts}).OptimizeMemo(fresh.prog.hp, m)
-		}
-		if out := search(s.live(), opt.NewMemo()); !sameAnswer(id.prep.res, id.prep.cost, out) {
-			t.Errorf("%s: prepared %s at %v, fresh memo search %s at %v",
-				spec.Tenant, id.prep.res, id.prep.cost, out.Res, out.Cost)
-		}
-		m := opt.NewMemo()
-		down, clamped := s.live(), s.live()
-		down.Nodes--
-		clamped.MaxAlloc /= 2
-		search(down, m)
-		search(clamped, m)
-		out := search(s.live(), m)
+		out := (&opt.Optimizer{CC: s.live(), Opts: opts}).Optimize(fresh.prog.hp)
 		if !sameAnswer(id.prep.res, id.prep.cost, out) {
-			t.Errorf("%s: prepared %s at %v, warm memo search %s at %v",
+			t.Errorf("%s: prepared %s at %v, sequencer search %s at %v",
 				spec.Tenant, id.prep.res, id.prep.cost, out.Res, out.Cost)
 		}
-		reused += out.Stats.ReuseHits + out.Stats.ReplayedPoints
-	}
-	if reused == 0 {
-		t.Fatal("no warm search reused a memo entry")
 	}
 }
 
@@ -103,8 +83,8 @@ func TestPrepareMatchesSequencerSearch(t *testing.T) {
 // the event loop run dry in between. The report equals the one of the same
 // submissions unprepared; each distinct key's first job commits its
 // prepared answer and run, and a repeat, which hits, commits nothing of its
-// own. The search and the simulate moved off the sequencer, so the memo
-// store stays empty and the sequencer simulates nothing.
+// own. The search and the simulate moved off the sequencer, so every
+// cache miss takes a prepared answer and the sequencer simulates nothing.
 func TestPreparedRunMatchesUnprepared(t *testing.T) {
 	var specs []JobSpec
 	for i, spec := range coldMix() {
@@ -157,8 +137,8 @@ func TestPreparedRunMatchesUnprepared(t *testing.T) {
 	if n := m.Counter("workload.compiles"); n != int64(len(specs)) {
 		t.Errorf("%d compiles, want one per prepared miss (%d)", n, len(specs))
 	}
-	if s.memos.Len() != 0 {
-		t.Errorf("%d memos: a committed answer searched again on the sequencer", s.memos.Len())
+	if misses := s.cache.Stats().Misses; misses != m.Counter("workload.prep_used") {
+		t.Errorf("%d cache misses, %d prepared answers used: the sequencer searched", misses, m.Counter("workload.prep_used"))
 	}
 	for _, j := range s.jobs {
 		if j != nil {

@@ -152,8 +152,8 @@ func serveJobs(tb testing.TB, n int) *Service {
 
 // retainedPerServedJob is the live heap a service keeps per job it served:
 // the slope between a service that served 2,000 jobs and one that served
-// 6,000, so what every service holds regardless (the plan cache and memos
-// of its 300 keys) cancels.
+// 6,000, so what every service holds regardless (the plan cache of its
+// 300 keys) cancels.
 func retainedPerServedJob(tb testing.TB) float64 {
 	live := func(n int) float64 {
 		s := serveJobs(tb, n)

@@ -162,7 +162,7 @@ type row struct {
 }
 
 // identity is a job's optimization problem: everything the plan-cache key
-// and the memo key derive from besides the cluster view. identify reads it
+// derives from besides the cluster view. identify reads it
 // off the job's spec and staged inputs — no compile — and, because a JobSpec
 // is immutable, it holds until the job terminates. A §5 re-optimization
 // check, a blocked queue head and a job whose plan and simulated run are
@@ -257,7 +257,6 @@ type Service struct {
 	// off the goroutine that steps the service, loads it too.
 	view  atomic.Pointer[conf.Cluster]
 	cache *opt.Cache // nil when caching is off; every method is nil-safe
-	memos *opt.MemoStore
 	tr    *obs.Tracer
 	brk   *breaker
 
@@ -318,7 +317,6 @@ func New(cc conf.Cluster, o Options) (*Service, error) {
 	if o.CacheEntries >= 0 {
 		s.cache = opt.NewCache(o.CacheEntries)
 	}
-	s.memos = opt.NewMemoStore(0)
 	return s, nil
 }
 

@@ -20,7 +20,7 @@
 // allocated widths. The mechanisms those decisions use each exist once
 // (lifecycle.go, elastic.go):
 //
-//   - plan: plan cache lookup, re-costing memo, optimizer, cache insert —
+//   - plan: plan cache lookup, optimizer, cache insert —
 //     for one job under the live cluster view, a free-chunk-clamped view
 //     (degraded admission) or a width-clamped view (resize, §5 pass). It
 //     keys on the job's retained identity (source, params, input

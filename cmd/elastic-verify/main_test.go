@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,10 +11,13 @@ import (
 	"testing"
 )
 
-// Smoke tests for the verification entry point: the -json report and the
-// exit codes.
+// Smoke tests for the verification entry point: the -json report, the exit
+// codes, and the pinned output of the full differential run.
 
-var binPath string
+var (
+	binPath string
+	update  = flag.Bool("update", false, "rewrite testdata/corpus.golden")
+)
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "elastic-verify-test")
@@ -84,4 +89,53 @@ func TestBadFlagsExitCode(t *testing.T) {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
 	}
+}
+
+// TestCorpusGolden pins the output of `make verify-corpus`: every corpus and
+// fuzz program's configurations, outputs, audited ops and largest ULP
+// difference. A change to the compiler, the optimizer or the runtime that
+// moves any of them fails here; rewrite with -update only when it is meant
+// to, and read the diff.
+func TestCorpusGolden(t *testing.T) {
+	out, errOut, code := run(t, "-corpus", "-fuzz", "25", "-fuzz-loops", "10", "-seed", "1", "-v")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	got := []byte(out + errOut)
+	path := filepath.Join("testdata", "corpus.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from %s:\n%s", path, diffLines(string(want), string(got)))
+	}
+}
+
+// diffLines renders the differing lines of a golden mismatch.
+func diffLines(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var sb strings.Builder
+	for i := 0; i < len(w) || i < len(g); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			sb.WriteString("  want: " + wl + "\n  got:  " + gl + "\n")
+		}
+	}
+	return sb.String()
 }

@@ -319,12 +319,11 @@ func (a *Adapter) Release() {
 // covering iterative scripts prevents repeated migrations).
 func scope(ctx *rt.AdaptContext) []*hop.Block {
 	hopProg := ctx.Plan.HopProgram
-	// Anchor: the outermost enclosing loop's hop block, else the current
-	// block's hop block.
+	// Anchor: the outermost enclosing loop, else the current block.
 	anchor := ctx.Block.HopBlock
 	for _, enc := range ctx.Enclosing {
 		if enc.Kind == dml.WhileBlockKind || enc.Kind == dml.ForBlockKind {
-			anchor = enc.HopBlock
+			anchor = enc
 			break // outermost first
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"elasticml/internal/conf"
 	"elasticml/internal/dml"
 	"elasticml/internal/fault"
+	"elasticml/internal/hop"
 	"elasticml/internal/lop"
 	"elasticml/internal/perf"
 	"elasticml/internal/rt"
@@ -146,15 +147,15 @@ func TestScopeAnchorsAtOutermostLoop(t *testing.T) {
 	// Find a generic block nested inside two loops, tracking the loop stack
 	// (outermost first) like the interpreter does.
 	var genb *lop.Block
-	var encl []*lop.Block
-	var walk func(blocks []*lop.Block, stack []*lop.Block)
-	walk = func(blocks []*lop.Block, stack []*lop.Block) {
+	var encl []*hop.Block
+	var walk func(blocks []*hop.Block, stack []*hop.Block)
+	walk = func(blocks []*hop.Block, stack []*hop.Block) {
 		for _, b := range blocks {
 			switch b.Kind {
 			case dml.GenericBlock:
-				if genb == nil && len(stack) >= 2 && b.HopBlock != nil {
-					genb = b
-					encl = append([]*lop.Block{}, stack...)
+				if genb == nil && len(stack) >= 2 {
+					genb = plan.Blocks[b.Index]
+					encl = append([]*hop.Block{}, stack...)
 				}
 			case dml.IfBlockKind:
 				walk(b.Then, append(stack, b))
@@ -164,7 +165,7 @@ func TestScopeAnchorsAtOutermostLoop(t *testing.T) {
 			}
 		}
 	}
-	walk(plan.Blocks, nil)
+	walk(plan.HopProgram.Blocks, nil)
 	if genb == nil {
 		t.Fatal("MLogreg should contain a generic block inside nested loops")
 	}
@@ -175,7 +176,7 @@ func TestScopeAnchorsAtOutermostLoop(t *testing.T) {
 	}
 	// The scope must start at the top-level block containing the OUTERMOST
 	// enclosing loop and run through the end of the program.
-	var outerLoop *lop.Block
+	var outerLoop *hop.Block
 	for _, b := range encl {
 		if b.Kind == dml.WhileBlockKind || b.Kind == dml.ForBlockKind {
 			outerLoop = b
@@ -185,7 +186,7 @@ func TestScopeAnchorsAtOutermostLoop(t *testing.T) {
 	if outerLoop == nil {
 		t.Fatal("no enclosing loop found")
 	}
-	if !containsBlock(got[0], outerLoop.HopBlock) {
+	if !containsBlock(got[0], outerLoop) {
 		t.Error("scope does not start at the outermost enclosing loop")
 	}
 	prog := plan.HopProgram

@@ -29,7 +29,7 @@ type Cell struct {
 }
 
 // CellJob is one MR job a costing charged: the index its task heap is read
-// at (lop.Block.Index), its map-task count, and the parallelism it got.
+// at (hop.Block.Index), its map-task count, and the parallelism it got.
 type CellJob struct {
 	Block   int
 	NumMaps int

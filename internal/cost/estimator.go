@@ -82,7 +82,7 @@ const PartialEvictionWeight = 0.5
 func (e *Estimator) ProgramCost(p *lop.Plan) float64 {
 	e.Invocations++
 	state := e.newState(p.Resources)
-	return e.blocks(p.Blocks, p.Resources, state, p.Resources.Cores())
+	return e.blocks(p, p.HopProgram.Blocks, state, p.Resources.Cores())
 }
 
 // BlockCost estimates the cost of a single block under the given resource
@@ -91,7 +91,7 @@ func (e *Estimator) ProgramCost(p *lop.Plan) float64 {
 func (e *Estimator) BlockCost(b *lop.Block, res conf.Resources) float64 {
 	e.Invocations++
 	state := e.newState(res)
-	return e.block(b, res, state, res.Cores())
+	return e.generic(b, res, state, res.Cores())
 }
 
 func (e *Estimator) newState(res conf.Resources) *VarState {
@@ -101,36 +101,38 @@ func (e *Estimator) newState(res conf.Resources) *VarState {
 	return s
 }
 
-func (e *Estimator) blocks(blocks []*lop.Block, res conf.Resources, state *VarState, cpCores int) float64 {
+// blocks charges the blocks of p's program under hbs: a generic block's
+// plan is p.Blocks[hb.Index].
+func (e *Estimator) blocks(p *lop.Plan, hbs []*hop.Block, state *VarState, cpCores int) float64 {
 	var t float64
-	for _, b := range blocks {
-		t += e.block(b, res, state, cpCores)
+	for _, hb := range hbs {
+		t += e.block(p, hb, state, cpCores)
 	}
 	return t
 }
 
-func (e *Estimator) block(b *lop.Block, res conf.Resources, state *VarState, cpCores int) float64 {
-	switch b.Kind {
+func (e *Estimator) block(p *lop.Plan, hb *hop.Block, state *VarState, cpCores int) float64 {
+	switch hb.Kind {
 	case dml.GenericBlock:
-		return e.generic(b, res, state, cpCores)
+		return e.generic(p.Blocks[hb.Index], p.Resources, state, cpCores)
 	case dml.IfBlockKind:
 		// Weighted sum of branch aggregates.
 		thenState := state.Clone()
-		tThen := e.blocks(b.Then, res, thenState, cpCores)
+		tThen := e.blocks(p, hb.Then, thenState, cpCores)
 		// The else branch scans the original state in place: it is
 		// replaced by the then-branch state below.
-		tElse := e.blocks(b.Else, res, state, cpCores)
+		tElse := e.blocks(p, hb.Else, state, cpCores)
 		// Continue with the then-branch state (conservative single path).
 		*state = *thenState
 		return 0.5*tThen + 0.5*tElse
 	default: // while / for
-		iters := b.KnownIters
+		iters := hb.KnownIters
 		if iters == hop.Unknown || iters <= 0 {
 			iters = DefaultIters
 		}
 		bodyCores := cpCores
 		dop := 1
-		if b.Parallel {
+		if hb.Parallel {
 			// parfor: iterations run on concurrent single-threaded
 			// workers; wall time divides by the worker count (extended
 			// cost estimation for task-parallel programs, §8).
@@ -145,10 +147,10 @@ func (e *Estimator) block(b *lop.Block, res conf.Resources, state *VarState, cpC
 		}
 		// First iteration warms the buffer pool (inputs read once); the
 		// remaining iterations run against the steady state.
-		first := e.blocks(b.Body, res, state, bodyCores)
+		first := e.blocks(p, hb.Body, state, bodyCores)
 		total := first
 		if iters > 1 {
-			steady := e.blocks(b.Body, res, state, bodyCores)
+			steady := e.blocks(p, hb.Body, state, bodyCores)
 			total = first + float64(iters-1)*steady
 		}
 		return total / float64(dop)
@@ -248,7 +250,7 @@ func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, 
 	spec, taskHeap := e.jobSpec(job, b, res, state)
 	cc := e.effectiveCluster()
 	par := mr.ComputeParallelism(cc, taskHeap, res.CP, spec.NumMaps)
-	e.recordJob(b.Index, spec.NumMaps, par)
+	e.recordJob(b.HopBlock.Index, spec.NumMaps, par)
 	return mr.EstimateTimeAt(perf.Default(), cc, spec, par).Total()
 }
 
@@ -268,7 +270,7 @@ func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, 
 // reads.
 func (e *Estimator) jobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, conf.Bytes) {
 	var spec mr.JobSpec
-	taskHeap := res.MRFor(b.Index)
+	taskHeap := res.MRFor(b.HopBlock.Index)
 
 	// Scanned inputs: export dirty CP variables, then stream from HDFS.
 	maxSplits := 1

@@ -296,7 +296,7 @@ func (c *Compiler) program(blocks []*Block, source string) *Program {
 			p.NumLeaf++
 			b.finish()
 			if b.Reads == nil {
-				b.Reads = stmtReads(b.Stmts)
+				b.Reads = stmtReads(b.Src.Stmts)
 			}
 		} else {
 			fuseDAG(blockRoots(b), 0)

@@ -77,7 +77,7 @@ func (c *Compiler) buildGeneric(stmts []dml.Stmt, meta SymTab, first, last int) 
 		roots = append(roots, tw)
 		meta[name] = metaOf(tw)
 	}
-	b := &Block{Kind: dml.GenericBlock, Stmts: stmts, Roots: roots,
+	b := &Block{Kind: dml.GenericBlock, Roots: roots,
 		FirstLine: first, LastLine: last, hint: int(c.nextID - start)}
 	return b, nil
 }

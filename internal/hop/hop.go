@@ -242,13 +242,11 @@ type Block struct {
 	Header []*Hop
 	// Children.
 	Then, Else, Body []*Block
-	// Stmts retains the source statements of generic blocks for the
-	// rebuild dynamic recompilation falls back to.
-	Stmts []dml.Stmt
-	// Reads lists, sorted and once each, the variables Stmts read: every
-	// identifier, and the target of a left-indexed assignment. Rebuilding
-	// the block looks up no other name, so the rebuild's table holds these
-	// alone. Derived from Stmts when the block is built (see stmtReads).
+	// Reads lists, sorted and once each, the variables a generic block's
+	// statements (Src.Stmts) read: every identifier, and the target of a
+	// left-indexed assignment. Rebuilding the block looks up no other name,
+	// so the rebuild's table holds these alone. Derived from the statements
+	// when the block is built (see stmtReads).
 	Reads []string
 	// Src links back to the originating statement block, enabling whole
 	// subtrees to be recompiled against runtime metadata (re-optimization

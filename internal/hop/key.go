@@ -8,8 +8,8 @@ import (
 // AppendKey appends to dst a canonical encoding of everything in p that
 // operator selection, costing and the resource optimizer read: the block
 // tree with each block's header fields, and every hop's fields with its
-// operands named by walk position. Hop IDs and the source linkage (Stmts,
-// Src, the header expressions, Source, Params) are left out, so two
+// operands named by walk position. Hop IDs and the source linkage (Src,
+// the header expressions, Source, Params) are left out, so two
 // compilations of the same blocks against the same metadata encode to the
 // same bytes. The encoding is decodable, so equal bytes mean equal
 // optimizer inputs.

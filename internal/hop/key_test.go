@@ -17,9 +17,8 @@ var keyExcluded = map[string]string{
 	"Hop.mark":       "walk bookkeeping: the number of the last WalkDAG that visited the hop",
 	"Block.Order":    "derived from Roots when the block is built: the hops in WalkDAG order",
 	"Block.Users":    "derived from Roots when the block is built: each hop's consumers",
-	"Block.Stmts":    "not read by non-test code in lop/cost/opt: recompilation input",
 	"Block.Header":   "derived from Pred, From and To when the block is built: the header hops in WalkDAG order",
-	"Block.Reads":    "derived from Stmts when the block is built: the variables recompilation looks up",
+	"Block.Reads":    "derived from Src.Stmts when the block is built: the variables recompilation looks up",
 	"Block.Src":      "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
 	"Block.hint":     "a capacity hint for the tables the build fills, never read once the block is linearized",
 	"Block.buf":      "storage only: the block and arrays a recompile returned, which the next recompile of the same compiled block overwrites; never read",

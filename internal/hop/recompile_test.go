@@ -112,7 +112,7 @@ func minibatchInner(tb testing.TB) (*Compiler, *Block, SymTab) {
 	meta["start"], meta["end"] = VarMeta{Known: true, Val: 1}, VarMeta{Known: true, Val: float64(sc.Rows() / 4)}
 	meta["step"] = VarMeta{Known: true, Val: 0.1}
 	for _, b := range hp.LeafBlocks() {
-		if as, ok := b.Stmts[0].(*dml.Assign); ok && as.Target == "Xb" && b.Recompile {
+		if as, ok := b.Src.Stmts[0].(*dml.Assign); ok && as.Target == "Xb" && b.Recompile {
 			return c, b, meta
 		}
 	}

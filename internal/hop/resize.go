@@ -220,7 +220,7 @@ func (c *Compiler) resized(b *Block, vars Vars, buf *blockBuf) (*Block, bool) {
 	} else {
 		nb = new(Block)
 	}
-	nb.Kind, nb.Index, nb.Stmts, nb.Reads, nb.Roots = b.Kind, b.Index, b.Stmts, b.Reads, roots
+	nb.Kind, nb.Index, nb.Reads, nb.Roots = b.Kind, b.Index, b.Reads, roots
 	nb.Src, nb.FirstLine, nb.LastLine, nb.hint = b.Src, b.FirstLine, b.LastLine, n
 	return nb, true
 }

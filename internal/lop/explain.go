@@ -20,7 +20,7 @@ func Explain(p *Plan) string {
 		fmt.Fprintf(&sb, ", %d CP cores", c)
 	}
 	sb.WriteString(")\n")
-	explainBlocks(&sb, p.Blocks, 1)
+	explainBlocks(&sb, p, p.HopProgram.Blocks, 1)
 	return sb.String()
 }
 
@@ -30,48 +30,48 @@ func indent(sb *strings.Builder, depth int) {
 	}
 }
 
-func explainBlocks(sb *strings.Builder, blocks []*Block, depth int) {
-	for _, b := range blocks {
-		explainBlock(sb, b, depth)
+func explainBlocks(sb *strings.Builder, p *Plan, blocks []*hop.Block, depth int) {
+	for _, hb := range blocks {
+		explainBlock(sb, p, hb, depth)
 	}
 }
 
-func explainBlock(sb *strings.Builder, b *Block, depth int) {
+func explainBlock(sb *strings.Builder, p *Plan, hb *hop.Block, depth int) {
 	indent(sb, depth)
-	switch b.Kind {
+	switch hb.Kind {
 	case dml.GenericBlock:
-		fmt.Fprintf(sb, "GENERIC [block %d", b.Index)
-		if b.Recompile {
+		fmt.Fprintf(sb, "GENERIC [block %d", hb.Index)
+		if hb.Recompile {
 			sb.WriteString(", recompile")
 		}
 		sb.WriteString("]\n")
-		for _, in := range b.Instrs {
+		for _, in := range p.Blocks[hb.Index].Instrs {
 			explainInstr(sb, in, depth+1)
 		}
 	case dml.IfBlockKind:
-		fmt.Fprintf(sb, "IF (%s)\n", predString(b))
-		explainBlocks(sb, b.Then, depth+1)
-		if len(b.Else) > 0 {
+		fmt.Fprintf(sb, "IF (%s)\n", predString(hb))
+		explainBlocks(sb, p, hb.Then, depth+1)
+		if len(hb.Else) > 0 {
 			indent(sb, depth)
 			sb.WriteString("ELSE\n")
-			explainBlocks(sb, b.Else, depth+1)
+			explainBlocks(sb, p, hb.Else, depth+1)
 		}
 	case dml.WhileBlockKind:
-		fmt.Fprintf(sb, "WHILE (%s)\n", predString(b))
-		explainBlocks(sb, b.Body, depth+1)
+		fmt.Fprintf(sb, "WHILE (%s)\n", predString(hb))
+		explainBlocks(sb, p, hb.Body, depth+1)
 	case dml.ForBlockKind:
 		iters := "?"
-		if b.KnownIters != hop.Unknown {
-			iters = fmt.Sprintf("%d", b.KnownIters)
+		if hb.KnownIters != hop.Unknown {
+			iters = fmt.Sprintf("%d", hb.KnownIters)
 		}
-		fmt.Fprintf(sb, "FOR %s [%s iterations]\n", b.Var, iters)
-		explainBlocks(sb, b.Body, depth+1)
+		fmt.Fprintf(sb, "FOR %s [%s iterations]\n", hb.Var, iters)
+		explainBlocks(sb, p, hb.Body, depth+1)
 	}
 }
 
-func predString(b *Block) string {
-	if b.HopBlock != nil && b.HopBlock.PredExpr != nil {
-		return b.HopBlock.PredExpr.String()
+func predString(hb *hop.Block) string {
+	if hb.PredExpr != nil {
+		return hb.PredExpr.String()
 	}
 	return "?"
 }

@@ -31,7 +31,7 @@ func compile(t *testing.T, spec scripts.Spec, n, m int64, res conf.Resources) *P
 
 func physOps(p *Plan) map[PhysicalOp]int {
 	out := map[PhysicalOp]int{}
-	WalkBlocks(p.Blocks, func(b *Block) {
+	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
 			if in.Kind == InstrMR {
 				for _, op := range in.Job.Ops {
@@ -39,7 +39,7 @@ func physOps(p *Plan) map[PhysicalOp]int {
 				}
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -260,7 +260,7 @@ print(s);
 func TestSolveAlwaysCP(t *testing.T) {
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
 	p := compile(t, scripts.LinregDS(), 1_000_000, 1000, res)
-	WalkBlocks(p.Blocks, func(b *Block) {
+	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
 			if in.Kind == InstrMR {
 				for _, op := range in.Job.Ops {
@@ -270,18 +270,18 @@ func TestSolveAlwaysCP(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
 }
 
 func TestRecompileFlagPropagates(t *testing.T) {
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
 	p := compile(t, scripts.MLogreg(), 100_000, 100, res)
 	n := 0
-	WalkBlocks(p.Blocks, func(b *Block) {
-		if b.Recompile {
+	for _, b := range p.Blocks {
+		if b.HopBlock.Recompile {
 			n++
 		}
-	})
+	}
 	if n == 0 {
 		t.Error("MLogreg plan should carry recompile flags")
 	}
@@ -290,7 +290,7 @@ func TestRecompileFlagPropagates(t *testing.T) {
 func TestJobNamesReadable(t *testing.T) {
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
 	p := compile(t, scripts.LinregDS(), 1_000_000, 1000, res)
-	WalkBlocks(p.Blocks, func(b *Block) {
+	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
 			if in.Kind == InstrMR {
 				if in.Job.Name() == "GMR()" {
@@ -298,7 +298,7 @@ func TestJobNamesReadable(t *testing.T) {
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestUnlinearizedBlockPanics: a generic block built outside the compiler

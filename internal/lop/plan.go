@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/dml"
 	"elasticml/internal/hop"
 )
 
@@ -158,36 +157,25 @@ func (i Instr) Label() string {
 	return "CP " + label
 }
 
-// Block is one program block of the runtime plan.
+// Block is the runtime plan of one generic block. Its index, recompile
+// flag and place in the control structure are its HopBlock's.
 type Block struct {
-	Kind  dml.BlockKind
-	Index int
-	// Instrs is the execution sequence of a generic block.
+	// Instrs is the execution sequence.
 	Instrs []Instr
-	// JobOf maps a generic block's hops, by hop.Hop.Pos, to the MR job
-	// producing them; nil for hops computed in CP or not executed.
+	// JobOf maps the block's hops, by hop.Hop.Pos, to the MR job producing
+	// them; nil for hops computed in CP or not executed.
 	JobOf []*MRJob
-	// Pred holds the predicate evaluation instructions of if/while blocks
-	// (always CP: predicates are scalar DAGs).
-	Pred *hop.Hop
-	// For header.
-	Var      string
-	From, To *hop.Hop
-	// Children.
-	Then, Else, Body []*Block
-	// HopBlock links back for dynamic recompilation.
+	// HopBlock is the generic block the plan was selected for.
 	HopBlock *hop.Block
-	// KnownIters is the static trip count (hop.Unknown if dynamic).
-	KnownIters int64
-	// Parallel marks parfor blocks (concurrent iterations).
-	Parallel bool
-	// Recompile marks blocks subject to dynamic recompilation.
-	Recompile bool
 }
 
 // Plan is a compiled runtime plan for a full program under one resource
 // configuration.
 type Plan struct {
+	// Blocks holds the plan of each generic block, indexed by
+	// hop.Block.Index. The control structure around them (if/while/for,
+	// trip counts, parfor) is HopProgram's: a walk of the plan walks
+	// HopProgram.Blocks and takes each generic block's plan from here.
 	Blocks    []*Block
 	Resources conf.Resources
 	// HopProgram links back to the HOP program (for re-optimization and
@@ -195,25 +183,15 @@ type Plan struct {
 	HopProgram *hop.Program
 }
 
-// WalkBlocks visits all plan blocks in pre-order.
-func WalkBlocks(blocks []*Block, fn func(*Block)) {
-	for _, b := range blocks {
-		fn(b)
-		WalkBlocks(b.Then, fn)
-		WalkBlocks(b.Else, fn)
-		WalkBlocks(b.Body, fn)
-	}
-}
-
 // NumMRJobs counts the MR-job instructions in the given blocks.
 func NumMRJobs(blocks []*Block) int {
 	n := 0
-	WalkBlocks(blocks, func(b *Block) {
+	for _, b := range blocks {
 		for _, in := range b.Instrs {
 			if in.Kind == InstrMR {
 				n++
 			}
 		}
-	})
+	}
 	return n
 }

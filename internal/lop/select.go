@@ -76,7 +76,9 @@ type selector struct {
 }
 
 func (s *selector) program(p *hop.Program) *Plan {
-	return &Plan{Resources: s.res.Clone(), HopProgram: p, Blocks: s.blocks(p.Blocks)}
+	plan := &Plan{Resources: s.res.Clone(), HopProgram: p, Blocks: make([]*Block, p.NumLeaf)}
+	s.blocks(p.Blocks, plan.Blocks)
+	return plan
 }
 
 // MultiThreadMemFactor is the per-extra-core inflation of operation memory
@@ -97,26 +99,14 @@ func (s *selector) effectiveOpMem(m conf.Bytes) conf.Bytes {
 	return conf.Bytes(float64(m) * f)
 }
 
-func (s *selector) blocks(hbs []*hop.Block) []*Block {
-	out := make([]*Block, 0, len(hbs))
+// blocks selects the plan of every generic block under hbs into out, by
+// hop.Block.Index.
+func (s *selector) blocks(hbs []*hop.Block, out []*Block) {
 	for _, hb := range hbs {
-		out = append(out, s.block(hb))
-	}
-	return out
-}
-
-func (s *selector) block(hb *hop.Block) *Block {
-	switch hb.Kind {
-	case dml.GenericBlock:
-		b, _ := s.generic(hb, nil)
-		return b
-	default:
-		b := &Block{Kind: hb.Kind, Index: -1, Pred: hb.Pred, Var: hb.Var,
-			From: hb.From, To: hb.To, HopBlock: hb, KnownIters: hb.KnownIters,
-			Parallel: hb.Parallel}
-		b.Then = s.blocks(hb.Then)
-		b.Else = s.blocks(hb.Else)
-		if hb.Parallel {
+		switch {
+		case hb.Kind == dml.GenericBlock:
+			out[hb.Index], _ = s.generic(hb, nil)
+		case hb.Parallel:
 			// Concurrent parfor workers multiply the number of live
 			// intermediates: operator selection inside the body sees a
 			// proportionally smaller per-worker CP budget ([6]: "the
@@ -124,12 +114,13 @@ func (s *selector) block(hb *hop.Block) *Block {
 			k := s.parforDOP(hb)
 			saved := s.cp.b
 			s.cp.b = conf.Bytes(float64(saved) / float64(k))
-			b.Body = s.blocks(hb.Body)
+			s.blocks(hb.Body, out)
 			s.cp.b = saved
-		} else {
-			b.Body = s.blocks(hb.Body)
+		default:
+			s.blocks(hb.Then, out)
+			s.blocks(hb.Else, out)
+			s.blocks(hb.Body, out)
 		}
-		return b
 	}
 }
 
@@ -172,8 +163,7 @@ func (s *selector) generic(hb *hop.Block, into *Block) (*Block, Region) {
 		jobOf = jobOf[:n]
 		clear(jobOf)
 	}
-	*b = Block{Kind: dml.GenericBlock, Index: hb.Index, HopBlock: hb,
-		Recompile: hb.Recompile, JobOf: jobOf, Instrs: b.Instrs[:0]}
+	*b = Block{HopBlock: hb, JobOf: jobOf, Instrs: b.Instrs[:0]}
 	chains := s.detectChains(hb, &mr)
 
 	var openJob *MRJob

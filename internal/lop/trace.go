@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/dml"
 	"elasticml/internal/hop"
 	"elasticml/internal/obs"
 )
@@ -22,10 +21,7 @@ func SelectTraced(p *hop.Program, cc conf.Cluster, res conf.Resources, tr *obs.T
 		obs.A("cp", res.CP.String()), obs.A("leaf_blocks", p.NumLeaf))
 	plan := Select(p, cc, res)
 	jobs := 0
-	WalkBlocks(plan.Blocks, func(b *Block) {
-		if b.Kind != dml.GenericBlock {
-			return
-		}
+	for _, b := range plan.Blocks {
 		cp, mr, packed := 0, 0, 0
 		for _, in := range b.Instrs {
 			if in.Kind == InstrCP {
@@ -36,11 +32,11 @@ func SelectTraced(p *hop.Program, cc conf.Cluster, res conf.Resources, tr *obs.T
 			}
 		}
 		jobs += mr
-		bsp := tr.Begin(obs.LayerCompile, fmt.Sprintf("lop.block[%d]", b.Index),
+		bsp := tr.Begin(obs.LayerCompile, fmt.Sprintf("lop.block[%d]", b.HopBlock.Index),
 			obs.A("cp_instrs", cp), obs.A("mr_jobs", mr), obs.A("piggybacked_ops", packed),
-			obs.A("recompile", b.Recompile))
+			obs.A("recompile", b.HopBlock.Recompile))
 		bsp.End()
-	})
+	}
 	sp.End(obs.A("mr_jobs", jobs))
 	return plan
 }
@@ -51,7 +47,7 @@ func RecordJobMetrics(m *obs.Metrics, p *Plan) {
 	if m == nil {
 		return
 	}
-	WalkBlocks(p.Blocks, func(b *Block) {
+	for _, b := range p.Blocks {
 		for _, in := range b.Instrs {
 			if in.Kind == InstrMR {
 				m.Add("lop.mr_jobs", 1)
@@ -60,5 +56,5 @@ func RecordJobMetrics(m *obs.Metrics, p *Plan) {
 				m.Add("lop.cp_instrs", 1)
 			}
 		}
-	})
+	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/cost"
-	"elasticml/internal/dml"
 	"elasticml/internal/lop"
 )
 
@@ -36,10 +35,8 @@ type evaluator struct {
 	// free is the unused tail of the storage block cells' jobs share.
 	free []cost.CellJob
 
-	// prog is the last whole-program costing, keyed by its leaf plans;
-	// leaves is scratch for the leaf plans of the next plan asked about.
-	prog   progCell
-	leaves []*lop.Block
+	// prog is the last whole-program costing, keyed by its leaf plans.
+	prog progCell
 }
 
 // blockCell is one block costing: the table-owned plan, its cell and cost.
@@ -49,10 +46,10 @@ type blockCell struct {
 	cost float64
 }
 
-// progCell is one whole-program costing: the plan's leaf plans in program
-// order, which determine it within a search, its cell and cost.
+// progCell is one whole-program costing: the plan's leaf plans (its
+// Blocks), which determine it within a search, its cell and cost.
 type progCell struct {
-	leaves []*lop.Block
+	blocks []*lop.Block
 	cell   cost.Cell
 	cost   float64
 	ok     bool
@@ -70,10 +67,11 @@ func (o *Optimizer) newEvaluator(srm []conf.Bytes, numLeaf int) *evaluator {
 // off the grid.
 func (ev *evaluator) slot(b *lop.Block, ri conf.Bytes) int {
 	k, ok := slices.BinarySearch(ev.mrs, ri)
-	if !ok || b.Index < 0 || b.Index >= ev.numLeaf {
+	i := b.HopBlock.Index
+	if !ok || i < 0 || i >= ev.numLeaf {
 		return -1
 	}
-	return b.Index*len(ev.mrs) + k
+	return i*len(ev.mrs) + k
 }
 
 // blockCost is est.BlockCost(b, res), answered from a cell of b when res
@@ -120,26 +118,13 @@ func (ev *evaluator) blockCost(b *lop.Block, res conf.Resources) float64 {
 // it: consecutive CP points mostly cost the same plan alike.
 func (ev *evaluator) programCost(p *lop.Plan) float64 {
 	pc := &ev.prog
-	ev.leavesOf(p)
-	if !walkEveryCosting && pc.ok && slices.Equal(ev.leaves, pc.leaves) && ev.est.Holds(&pc.cell, p.Resources) {
+	if !walkEveryCosting && pc.ok && slices.Equal(p.Blocks, pc.blocks) && ev.est.Holds(&pc.cell, p.Resources) {
 		ev.answered(nil, p, p.Resources, &pc.cell, pc.cost)
 		return pc.cost
 	}
-	pc.leaves, ev.leaves = ev.leaves, pc.leaves
+	pc.blocks = p.Blocks
 	pc.cost, pc.ok = ev.est.ProgramCostCell(p, &pc.cell), true
 	return pc.cost
-}
-
-// leavesOf returns p's leaf plans in program order, in the scratch
-// buffer the next call overwrites.
-func (ev *evaluator) leavesOf(p *lop.Plan) []*lop.Block {
-	if ev.leaves == nil {
-		// A plan has one leaf plan per leaf block.
-		buf := make([]*lop.Block, 0, 2*ev.numLeaf)
-		ev.leaves, ev.prog.leaves = buf[:0:ev.numLeaf], buf[ev.numLeaf:ev.numLeaf]
-	}
-	ev.leaves = appendLeaves(ev.leaves[:0], p.Blocks)
-	return ev.leaves
 }
 
 // answered counts an ask a cell answered as a costing, and hands it to
@@ -149,20 +134,6 @@ func (ev *evaluator) answered(b *lop.Block, p *lop.Plan, res conf.Resources, c *
 	if onCellAnswer != nil {
 		onCellAnswer(ev.est, b, p, res, c, v)
 	}
-}
-
-// appendLeaves appends the generic blocks of blocks, in program order.
-func appendLeaves(dst, blocks []*lop.Block) []*lop.Block {
-	for _, b := range blocks {
-		if b.Kind == dml.GenericBlock {
-			dst = append(dst, b)
-			continue
-		}
-		dst = appendLeaves(dst, b.Then)
-		dst = appendLeaves(dst, b.Else)
-		dst = appendLeaves(dst, b.Body)
-	}
-	return dst
 }
 
 // Test hooks: walkEveryCosting makes every costing walk its plan, as

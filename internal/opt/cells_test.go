@@ -43,7 +43,7 @@ func (o *CellOracle) Check(est *cost.Estimator, b *lop.Block, p *lop.Plan, res c
 	fail := func(format string, args ...any) {
 		what := "program"
 		if b != nil {
-			what = fmt.Sprintf("block %d", b.Index)
+			what = fmt.Sprintf("block %d", b.HopBlock.Index)
 		}
 		o.Failures = append(o.Failures, fmt.Sprintf("%s, %s at %s: ", o.Problem, what, res.Detailed())+fmt.Sprintf(format, args...))
 	}

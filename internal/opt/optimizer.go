@@ -272,7 +272,7 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, ev *evaluat
 	baseline := ev.tab.Select(hp, conf.NewResources(rc, minH, hp.NumLeaf).WithCores(cores))
 	stats.BlockCompilations += countBlocks(baseline)
 	p := &cpPoint{rc: rc, cores: cores, memo: make([]memoEntry, hp.NumLeaf)}
-	for i, lb := range ev.leavesOf(baseline) {
+	for i, lb := range baseline.Blocks {
 		p.memo[i] = memoEntry{ri: minH, cost: ev.blockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores))}
 		skip := false
 		if !o.Opts.DisablePruning {
@@ -350,9 +350,11 @@ func better(best, cand *Result) *Result {
 	return best
 }
 
+// countBlocks counts the blocks of p's program, control blocks included:
+// the compilations Stats.BlockCompilations charges a whole-program Select.
 func countBlocks(p *lop.Plan) int {
 	n := 0
-	lop.WalkBlocks(p.Blocks, func(*lop.Block) { n++ })
+	hop.WalkBlocks(p.HopProgram.Blocks, func(*hop.Block) { n++ })
 	return n
 }
 

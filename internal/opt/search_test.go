@@ -286,17 +286,18 @@ func TestProgramCostAllocs(t *testing.T) {
 // GLM L dense1000, the BenchmarkGridSearch problem, so that selecting each
 // block again at every CP grid point cannot come back unnoticed, and its
 // bytes, which set how often the collector runs, so that a search that
-// walks every costing again cannot either. The limits are the 1,139
-// allocations and 127,150 bytes measured once a CP point's leaf plans
-// were collected into a reused buffer, plus 10 %; 1,256 and 139,800 while
-// each point allocated them, walking every costing took 1,378 and 207 KB,
+// walks every costing again cannot either. The limits are the 868
+// allocations and 95,768 bytes measured once a plan held only its leaf
+// plans, indexed by leaf block, plus 10 %; 1,139 and 127,150 while
+// selection also built the control blocks and a search collected the leaf
+// plans back out of them, walking every costing took 1,378 and 207 KB,
 // and selecting every baseline and whole-program plan afresh 4,590.
 func TestGridSearchAllocs(t *testing.T) {
 	hp := compileScenario(t, scripts.GLM(), datagen.New("L", 1000, 1.0))
 	cc := conf.DefaultCluster()
 	search := func() { New(cc).Optimize(hp) }
 	allocs := testing.AllocsPerRun(5, search)
-	const limit = 1253
+	const limit = 955
 	if allocs > limit {
 		t.Errorf("one grid search allocates %v times, limit %d", allocs, limit)
 	}
@@ -309,7 +310,7 @@ func TestGridSearchAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	const byteLimit = 139_870
+	const byteLimit = 105_345
 	if bytes > byteLimit {
 		t.Errorf("one grid search allocates %d bytes, limit %d", bytes, byteLimit)
 	}

@@ -10,6 +10,15 @@ import (
 	"elasticml/internal/lop"
 )
 
+// explainLeaf renders one leaf block's plan through lop.Explain, as the
+// plan of a program holding that block alone.
+func explainLeaf(lb *lop.Block) string {
+	hb := lb.HopBlock
+	blocks := make([]*lop.Block, hb.Index+1)
+	blocks[hb.Index] = lb
+	return lop.Explain(&lop.Plan{Blocks: blocks, HopProgram: &hop.Program{Blocks: []*hop.Block{hb}, NumLeaf: len(blocks)}})
+}
+
 // TestSelectRangeExact: the MR span of the region a fresh lop.Table's
 // SelectBlock returns holds the MR budget the block was selected under,
 // and every budget in it selects the same plan — checked at every other MR
@@ -20,7 +29,6 @@ import (
 func TestSelectRangeExact(t *testing.T) {
 	cc := conf.DefaultCluster()
 	opts := DefaultOptions()
-	render := func(lb *lop.Block) string { return lop.Explain(&lop.Plan{Blocks: []*lop.Block{lb}}) }
 	// heapFor is the smallest heap whose MR budget is at least b.
 	heapFor := func(b conf.Bytes) conf.Bytes {
 		return conf.Bytes(sort.Search(int(2*cc.MaxHeap()), func(h int) bool { return cc.OpBudget(conf.Bytes(h)) >= b }))
@@ -37,7 +45,7 @@ func TestSelectRangeExact(t *testing.T) {
 				spans := make([]lop.Span, len(srm))
 				for i, ri := range srm {
 					lb, reg := lop.NewTable(cc).SelectBlock(hb, res(ri))
-					plans[i], spans[i] = render(lb), reg.MR
+					plans[i], spans[i] = explainLeaf(lb), reg.MR
 				}
 				for i, ri := range srm {
 					span := spans[i]
@@ -63,7 +71,7 @@ func TestSelectRangeExact(t *testing.T) {
 					}
 					for _, h := range ends {
 						if span.Contains(cc.OpBudget(h)) {
-							same(h, render(lop.SelectBlock(hb, cc, res(h), nil)))
+							same(h, explainLeaf(lop.SelectBlock(hb, cc, res(h), nil)))
 						}
 					}
 				}
@@ -87,7 +95,6 @@ func TestSelectRangeExact(t *testing.T) {
 func TestSelectTableExact(t *testing.T) {
 	cc := conf.DefaultCluster()
 	opts := DefaultOptions()
-	render := func(lb *lop.Block) string { return lop.Explain(&lop.Plan{Blocks: []*lop.Block{lb}}) }
 	// heapFor is the smallest heap whose operation budget is at least b.
 	heapFor := func(b conf.Bytes) conf.Bytes {
 		return conf.Bytes(sort.Search(int(2*cc.MaxHeap()), func(h int) bool { return cc.OpBudget(conf.Bytes(h)) >= b }))
@@ -138,12 +145,12 @@ func TestSelectTableExact(t *testing.T) {
 			}
 			want, seen := served[lb]
 			if !seen {
-				want = render(lb)
+				want = explainLeaf(lb)
 				served[lb] = want
 				sameAt := func(axis string, h conf.Bytes, got *lop.Block) {
-					if render(got) != want {
+					if explainLeaf(got) != want {
 						t.Fatalf("%s: the plan differs at %s heap %v, an end of its recorded span:\n%s\nvs\n%s",
-							at(), axis, h, want, render(got))
+							at(), axis, h, want, explainLeaf(got))
 					}
 					endsChecked++
 				}
@@ -154,7 +161,7 @@ func TestSelectTableExact(t *testing.T) {
 					sameAt("mr", h, lop.SelectBlock(hb, cc, res(rc, h, cores), nil))
 				}
 			}
-			if got := render(lop.SelectBlock(hb, cc, res(rc, ri, cores), nil)); got != want {
+			if got := explainLeaf(lop.SelectBlock(hb, cc, res(rc, ri, cores), nil)); got != want {
 				t.Fatalf("%s: the table serves\n%s\nfresh selection gives\n%s", at(), want, got)
 			}
 			checked++

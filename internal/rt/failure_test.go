@@ -136,8 +136,8 @@ write(G, "/out/G");
 	}
 	var target *hop.Block
 	hop.WalkBlocks(hp.Blocks, func(b *hop.Block) {
-		if target == nil && b.Kind == dml.GenericBlock && len(b.Stmts) > 0 {
-			if as, ok := b.Stmts[0].(*dml.Assign); ok && as.Target == "G" {
+		if target == nil && b.Kind == dml.GenericBlock && len(b.Src.Stmts) > 0 {
+			if as, ok := b.Src.Stmts[0].(*dml.Assign); ok && as.Target == "G" {
 				target = b
 			}
 		}

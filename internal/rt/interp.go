@@ -65,11 +65,11 @@ func (t Trigger) String() string {
 type AdaptContext struct {
 	// Plan is the currently executing plan.
 	Plan *lop.Plan
-	// Block is the recompiled generic block (original plan block).
+	// Block is the recompiled generic block's plan in Plan.Blocks.
 	Block *lop.Block
 	// Enclosing is the stack of control blocks around Block, outermost
 	// first.
-	Enclosing []*lop.Block
+	Enclosing []*hop.Block
 	// Res is the current resource configuration.
 	Res conf.Resources
 	// Meta is the runtime variable metadata (sizes now known), a fresh
@@ -152,7 +152,7 @@ type Interp struct {
 	// resChanged reports that Res or CC no longer is what plan was
 	// selected under, so every block is selected again before it runs.
 	resChanged  bool
-	encl        []*lop.Block
+	encl        []*hop.Block
 	parforDepth int
 	// last maps each compiled block that execGeneric recompiled or
 	// selected again to what its last execution built, whose storage the
@@ -221,7 +221,7 @@ func (ip *Interp) Run(plan *lop.Plan) error {
 		defer ip.FS.SetReadFault(nil)
 	}
 	sp := ip.Trace.Begin(obs.LayerRuntime, "rt.run", obs.A("cp", ip.Res.CP.String()))
-	err := ip.execBlocks(plan.Blocks)
+	err := ip.execBlocks(plan.HopProgram.Blocks)
 	if err != nil {
 		sp.End(obs.A("error", err.Error()))
 		return err
@@ -268,7 +268,9 @@ func (ip *Interp) readAttempts() int {
 	return ip.Policy.Normalized().MaxAttempts
 }
 
-func (ip *Interp) execBlocks(blocks []*lop.Block) error {
+// execBlocks runs the blocks of the plan's program: a generic block runs
+// its plan, ip.plan.Blocks[b.Index].
+func (ip *Interp) execBlocks(blocks []*hop.Block) error {
 	for _, b := range blocks {
 		if err := ip.execBlock(b); err != nil {
 			return err
@@ -277,10 +279,10 @@ func (ip *Interp) execBlocks(blocks []*lop.Block) error {
 	return nil
 }
 
-func (ip *Interp) execBlock(b *lop.Block) error {
+func (ip *Interp) execBlock(b *hop.Block) error {
 	switch b.Kind {
 	case dml.GenericBlock:
-		return ip.execGeneric(b)
+		return ip.execGeneric(ip.plan.Blocks[b.Index])
 	case dml.IfBlockKind:
 		pv, err := ip.evalPredicate(b, b.Pred)
 		if err != nil {
@@ -300,7 +302,7 @@ func (ip *Interp) execBlock(b *lop.Block) error {
 	return fmt.Errorf("rt: unknown block kind %v", b.Kind)
 }
 
-func (ip *Interp) withEnclosing(b *lop.Block, fn func() error) error {
+func (ip *Interp) withEnclosing(b *hop.Block, fn func() error) error {
 	ip.encl = append(ip.encl, b)
 	err := fn()
 	ip.encl = ip.encl[:len(ip.encl)-1]
@@ -312,7 +314,7 @@ func (ip *Interp) withEnclosing(b *lop.Block, fn func() error) error {
 // convergence flags would otherwise never terminate.
 const simLoopCap = 10
 
-func (ip *Interp) execWhile(b *lop.Block) error {
+func (ip *Interp) execWhile(b *hop.Block) error {
 	unknownIters := 0
 	for iter := 0; ; iter++ {
 		if ip.Mode == ModeSim && iter >= simLoopCap {
@@ -341,7 +343,7 @@ func (ip *Interp) execWhile(b *lop.Block) error {
 	}
 }
 
-func (ip *Interp) execFor(b *lop.Block) error {
+func (ip *Interp) execFor(b *hop.Block) error {
 	fromV, err := ip.evalPredicate(b, b.From)
 	if err != nil {
 		return err
@@ -389,11 +391,11 @@ func (ip *Interp) execFor(b *lop.Block) error {
 // against the live variables. It returns a copy: the next evaluation
 // overwrites the buffer the value was built in, and execFor holds its From
 // value while it evaluates To.
-func (ip *Interp) evalPredicate(b *lop.Block, pred *hop.Hop) (Value, error) {
+func (ip *Interp) evalPredicate(b *hop.Block, pred *hop.Hop) (Value, error) {
 	if pred == nil {
 		return Value{Scalar: 1, Known: true}, nil
 	}
-	v, err := newEnv(ip, b.HopBlock.Header).eval(pred)
+	v, err := newEnv(ip, b.Header).eval(pred)
 	if err != nil {
 		return Value{}, err
 	}
@@ -436,38 +438,40 @@ func (ip *Interp) execGeneric(b *lop.Block) error {
 	if err := ip.processNodeFailures(b); err != nil {
 		return err
 	}
-	exec, hb := b, b.HopBlock
+	// cb is the compiled block: its flag, not a recompile's, decides.
+	cb := b.HopBlock
+	exec, hb := b, cb
 	var last built
 	if !ip.fresh {
-		last = ip.last[b.HopBlock]
+		last = ip.last[cb]
 	}
-	if b.Recompile {
+	if cb.Recompile {
 		var err error
-		if hb, err = recompile(ip, b.HopBlock, last.hb); err != nil {
+		if hb, err = recompile(ip, cb, last.hb); err != nil {
 			return fmt.Errorf("rt: dynamic recompilation failed: %w", err)
 		}
 		ip.Stats.Recompiles++
 	}
 	// A block the compile sized exactly keeps its DAG; after a resource
 	// or cluster change it is only selected again.
-	if b.Recompile || ip.resChanged {
+	if cb.Recompile || ip.resChanged {
 		exec = lop.SelectBlock(hb, ip.CC, ip.Res, last.plan)
 	}
 	// Runtime resource adaptation triggers only when the recompiled block
 	// still spawns MR jobs (paper §4.2); the block is selected again if
 	// the adapter changed the resources.
-	if b.Recompile && ip.Adapter != nil && lop.NumMRJobs([]*lop.Block{exec}) > 0 && ip.adapt(b, TriggerRecompile) {
+	if cb.Recompile && ip.Adapter != nil && lop.NumMRJobs([]*lop.Block{exec}) > 0 && ip.adapt(b, TriggerRecompile) {
 		exec = lop.SelectBlock(hb, ip.CC, ip.Res, exec)
 	}
 	if exec != b {
-		if b.Recompile {
+		if cb.Recompile {
 			last.hb = hb
 		}
 		last.plan = exec
 		if ip.last == nil {
 			ip.last = map[*hop.Block]built{}
 		}
-		ip.last[b.HopBlock] = last
+		ip.last[cb] = last
 	}
 	return ip.runInstrs(exec)
 }
@@ -506,7 +510,7 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) bool {
 	ctx := &AdaptContext{
 		Plan:       ip.plan,
 		Block:      b,
-		Enclosing:  append([]*lop.Block{}, ip.encl...),
+		Enclosing:  append([]*hop.Block{}, ip.encl...),
 		Res:        ip.Res.Clone(),
 		Meta:       ip.snapshotMeta(),
 		DirtyBytes: ip.State.DirtyBytes(),

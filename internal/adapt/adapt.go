@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"time"
 
 	"elasticml/internal/conf"
@@ -316,35 +317,19 @@ func (a *Adapter) Release() {
 // scope determines the re-optimization scope: from the current position
 // expanded to the outermost enclosing loop of the current call context,
 // through the end of the top-level block list (paper §4.2's heuristic —
-// covering iterative scripts prevents repeated migrations).
+// covering iterative scripts prevents repeated migrations). The outermost
+// enclosing loop, or the block itself outside loops, lies in the block's
+// top-level ancestor, so the scope starts there.
 func scope(ctx *rt.AdaptContext) []*hop.Block {
-	hopProg := ctx.Plan.HopProgram
-	// Anchor: the outermost enclosing loop, else the current block.
-	anchor := ctx.Block.HopBlock
-	for _, enc := range ctx.Enclosing {
-		if enc.Kind == dml.WhileBlockKind || enc.Kind == dml.ForBlockKind {
-			anchor = enc
-			break // outermost first
-		}
+	top := ctx.Block.HopBlock
+	for top.Parent != nil {
+		top = top.Parent
 	}
-	// Find the top-level block containing the anchor and take everything
-	// from there to the end.
-	for i, top := range hopProg.Blocks {
-		if containsBlock(top, anchor) {
-			return hopProg.Blocks[i:]
-		}
+	blocks := ctx.Plan.HopProgram.Blocks
+	if i := slices.Index(blocks, top); i >= 0 {
+		return blocks[i:]
 	}
-	return hopProg.Blocks
-}
-
-func containsBlock(root, target *hop.Block) bool {
-	found := false
-	hop.WalkBlocks([]*hop.Block{root}, func(b *hop.Block) {
-		if b == target {
-			found = true
-		}
-	})
-	return found
+	return blocks
 }
 
 // mapScopeResources lifts a scope-program resource vector back onto the

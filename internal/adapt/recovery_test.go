@@ -6,6 +6,7 @@ import (
 	"elasticml/internal/conf"
 	"elasticml/internal/dml"
 	"elasticml/internal/fault"
+	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
 	"elasticml/internal/lop"
 	"elasticml/internal/perf"
@@ -141,56 +142,108 @@ func TestZeroDirtyVariablesMigrationCost(t *testing.T) {
 	}
 }
 
-func TestScopeAnchorsAtOutermostLoop(t *testing.T) {
-	ip, _, plan := setup(t, scripts.MLogreg(), 1_000_000, 100, 200)
-	_ = ip
-	// Find a generic block nested inside two loops, tracking the loop stack
-	// (outermost first) like the interpreter does.
-	var genb *lop.Block
-	var encl []*hop.Block
-	var walk func(blocks []*hop.Block, stack []*hop.Block)
-	walk = func(blocks []*hop.Block, stack []*hop.Block) {
-		for _, b := range blocks {
-			switch b.Kind {
-			case dml.GenericBlock:
-				if genb == nil && len(stack) >= 2 {
-					genb = plan.Blocks[b.Index]
-					encl = append([]*hop.Block{}, stack...)
-				}
-			case dml.IfBlockKind:
+// nestedSrc holds a generic block nested if -> while -> if, whose
+// predicates the compiler cannot fold.
+const nestedSrc = `X = read($X);
+s = 0;
+i = 0;
+if (sum(X) > 0) {
+  while (i < 3) {
+    if (s < 10) {
+      Y = X * 2;
+      s = s + sum(Y);
+    }
+    i = i + 1;
+  }
+}
+print(s);
+`
+
+// outermostLoopScope is the scope paper §4.2 gives every generic block of
+// the program, found by walking the block tree with a stack of enclosing
+// blocks: the blocks from the top-level block holding the outermost loop
+// around the block (the block itself outside loops) to the end.
+func outermostLoopScope(blocks []*hop.Block) map[*hop.Block][]*hop.Block {
+	out := map[*hop.Block][]*hop.Block{}
+	var walk func(bs, stack []*hop.Block)
+	walk = func(bs, stack []*hop.Block) {
+		for _, b := range bs {
+			if b.Kind != dml.GenericBlock {
 				walk(b.Then, append(stack, b))
 				walk(b.Else, append(stack, b))
-			default:
 				walk(b.Body, append(stack, b))
+				continue
+			}
+			anchor := b
+			for _, enc := range stack {
+				if enc.Kind == dml.WhileBlockKind || enc.Kind == dml.ForBlockKind {
+					anchor = enc
+					break
+				}
+			}
+			for i, top := range blocks {
+				hop.WalkBlocks([]*hop.Block{top}, func(x *hop.Block) {
+					if x == anchor && out[b] == nil {
+						out[b] = blocks[i:]
+					}
+				})
 			}
 		}
 	}
-	walk(plan.HopProgram.Blocks, nil)
-	if genb == nil {
-		t.Fatal("MLogreg should contain a generic block inside nested loops")
+	walk(blocks, nil)
+	return out
+}
+
+// TestScopeAnchorsAtOutermostLoop: the scope of every generic block of
+// MLogreg (which nests blocks in two loops) and of a block nested
+// if -> while -> if starts at the top-level block holding the outermost
+// enclosing loop and runs through the end of the program.
+func TestScopeAnchorsAtOutermostLoop(t *testing.T) {
+	_, _, mlogreg := setup(t, scripts.MLogreg(), 1_000_000, 100, 200)
+	fs := hdfs.New()
+	fs.PutDescriptor("/data/X", 1000, 10, 10_000, hdfs.BinaryBlock)
+	prog, err := dml.Parse(nestedSrc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx := &rt.AdaptContext{Plan: plan, Block: genb, Enclosing: encl}
-	got := scope(ctx)
-	if len(got) == 0 {
-		t.Fatal("empty scope")
+	hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, nestedSrc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The scope must start at the top-level block containing the OUTERMOST
-	// enclosing loop and run through the end of the program.
-	var outerLoop *hop.Block
-	for _, b := range encl {
-		if b.Kind == dml.WhileBlockKind || b.Kind == dml.ForBlockKind {
-			outerLoop = b
-			break
+	nested := lop.Select(hp, conf.DefaultCluster(), conf.NewResources(512*conf.MB, 2*conf.GB, hp.NumLeaf))
+	deep := 0
+	for _, plan := range []*lop.Plan{mlogreg, nested} {
+		want := outermostLoopScope(plan.HopProgram.Blocks)
+		for _, lb := range plan.Blocks {
+			ctx := &rt.AdaptContext{Plan: plan, Block: lb}
+			got, w := scope(ctx), want[lb.HopBlock]
+			if len(w) == 0 || len(got) != len(w) || &got[0] != &w[0] {
+				t.Fatalf("block %d: scope of %d blocks, want the last %d", lb.HopBlock.Index, len(got), len(w))
+			}
+			if lb.HopBlock.Parent != nil && lb.HopBlock.Parent.Parent != nil {
+				deep++
+			}
 		}
 	}
-	if outerLoop == nil {
-		t.Fatal("no enclosing loop found")
+	if deep == 0 {
+		t.Fatal("no generic block is nested two control blocks deep")
 	}
-	if !containsBlock(got[0], outerLoop) {
-		t.Error("scope does not start at the outermost enclosing loop")
+	// The block nested if -> while -> if: its outermost loop is the while
+	// inside the top-level if, so the scope starts at that if.
+	for _, lb := range nested.Blocks {
+		hb := lb.HopBlock
+		if hb.Parent == nil || hb.Parent.Kind != dml.IfBlockKind {
+			continue
+		}
+		loop := hb.Parent.Parent
+		if loop == nil || loop.Kind != dml.WhileBlockKind || loop.Parent == nil || loop.Parent.Kind != dml.IfBlockKind {
+			t.Fatalf("block %d is not nested if -> while -> if", hb.Index)
+		}
+		got := scope(&rt.AdaptContext{Plan: nested, Block: lb})
+		if got[0] != loop.Parent || got[0] != hp.Blocks[1] || len(got) != len(hp.Blocks)-1 {
+			t.Fatalf("block %d: the scope starts at block %v, want the top-level if", hb.Index, got[0].Kind)
+		}
+		return
 	}
-	prog := plan.HopProgram
-	if got[len(got)-1] != prog.Blocks[len(prog.Blocks)-1] {
-		t.Error("scope does not extend to the end of the program")
-	}
+	t.Fatal("no generic block under an if inside the while")
 }

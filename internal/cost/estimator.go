@@ -82,7 +82,7 @@ const PartialEvictionWeight = 0.5
 func (e *Estimator) ProgramCost(p *lop.Plan) float64 {
 	e.Invocations++
 	state := e.newState(p.Resources)
-	return e.blocks(p, p.HopProgram.Blocks, state, p.Resources.Cores())
+	return e.blocks(p, p.HopProgram.Blocks, state)
 }
 
 // BlockCost estimates the cost of a single block under the given resource
@@ -91,7 +91,7 @@ func (e *Estimator) ProgramCost(p *lop.Plan) float64 {
 func (e *Estimator) BlockCost(b *lop.Block, res conf.Resources) float64 {
 	e.Invocations++
 	state := e.newState(res)
-	return e.generic(b, res, state, res.Cores())
+	return e.generic(b, res, state)
 }
 
 func (e *Estimator) newState(res conf.Resources) *VarState {
@@ -103,25 +103,25 @@ func (e *Estimator) newState(res conf.Resources) *VarState {
 
 // blocks charges the blocks of p's program under hbs: a generic block's
 // plan is p.Blocks[hb.Index].
-func (e *Estimator) blocks(p *lop.Plan, hbs []*hop.Block, state *VarState, cpCores int) float64 {
+func (e *Estimator) blocks(p *lop.Plan, hbs []*hop.Block, state *VarState) float64 {
 	var t float64
 	for _, hb := range hbs {
-		t += e.block(p, hb, state, cpCores)
+		t += e.block(p, hb, state)
 	}
 	return t
 }
 
-func (e *Estimator) block(p *lop.Plan, hb *hop.Block, state *VarState, cpCores int) float64 {
+func (e *Estimator) block(p *lop.Plan, hb *hop.Block, state *VarState) float64 {
 	switch hb.Kind {
 	case dml.GenericBlock:
-		return e.generic(p.Blocks[hb.Index], p.Resources, state, cpCores)
+		return e.generic(p.Blocks[hb.Index], p.Resources, state)
 	case dml.IfBlockKind:
 		// Weighted sum of branch aggregates.
 		thenState := state.Clone()
-		tThen := e.blocks(p, hb.Then, thenState, cpCores)
+		tThen := e.blocks(p, hb.Then, thenState)
 		// The else branch scans the original state in place: it is
 		// replaced by the then-branch state below.
-		tElse := e.blocks(p, hb.Else, state, cpCores)
+		tElse := e.blocks(p, hb.Else, state)
 		// Continue with the then-branch state (conservative single path).
 		*state = *thenState
 		return 0.5*tThen + 0.5*tElse
@@ -130,41 +130,34 @@ func (e *Estimator) block(p *lop.Plan, hb *hop.Block, state *VarState, cpCores i
 		if iters == hop.Unknown || iters <= 0 {
 			iters = DefaultIters
 		}
-		bodyCores := cpCores
-		dop := 1
+		// First iteration warms the buffer pool (inputs read once); the
+		// remaining iterations run against the steady state.
+		first := e.blocks(p, hb.Body, state)
+		total := first
+		if iters > 1 {
+			steady := e.blocks(p, hb.Body, state)
+			total = first + float64(iters-1)*steady
+		}
 		if hb.Parallel {
 			// parfor: iterations run on concurrent single-threaded
 			// workers; wall time divides by the worker count (extended
 			// cost estimation for task-parallel programs, §8).
-			dop = cpCores
-			if int64(dop) > iters {
-				dop = int(iters)
-			}
-			if dop < 1 {
-				dop = 1
-			}
-			bodyCores = 1
+			total /= float64(hop.ParforWorkers(hb.OpCores(p.Resources.Cores()), iters))
 		}
-		// First iteration warms the buffer pool (inputs read once); the
-		// remaining iterations run against the steady state.
-		first := e.blocks(p, hb.Body, state, bodyCores)
-		total := first
-		if iters > 1 {
-			steady := e.blocks(p, hb.Body, state, bodyCores)
-			total = first + float64(iters-1)*steady
-		}
-		return total / float64(dop)
+		return total
 	}
 }
 
-// generic charges the instruction sequence of a generic block.
-func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState, cpCores int) float64 {
+// generic charges the instruction sequence of a generic block. Inside a
+// parfor body each operation runs on one core.
+func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState) float64 {
 	evict0 := state.evictIO
+	cores := b.HopBlock.OpCores(res.Cores())
 	var t float64
 	for _, in := range b.Instrs {
 		var dt float64
 		if in.Kind == lop.InstrCP {
-			dt = e.CPInstrTime(in.Hop, state, b.JobOf, cpCores)
+			dt = e.CPInstrTime(in.Hop, state, b.JobOf, cores)
 		} else {
 			dt = e.MRJobTime(in.Job, b, res, state)
 		}
@@ -258,7 +251,7 @@ func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, 
 // instruction, applying the variable-state transitions (dirty-variable
 // exports, HDFS materialization of consumed outputs) as a side effect. It
 // is exported so the execution simulator can route the same specification
-// through the fault-aware task-attempt model (mr.EstimateTimeUnderFaults)
+// through the fault-aware task-attempt model (mr.EstimateTimeUnderFaultsTraced)
 // instead of the plain phase model.
 func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, conf.Bytes) {
 	spec, taskHeap := e.jobSpec(job, b, res, state)

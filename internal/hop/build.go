@@ -103,7 +103,7 @@ func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
 	}
 	rw := c.Trace.Begin(obs.LayerCompile, "hop.rewrite")
 	pruneDeadWrites(blocks)
-	p := c.program(blocks, s.source)
+	p := c.program(blocks)
 	rw.End()
 	sp.End(obs.A("leaf_blocks", p.NumLeaf))
 	c.Trace.Metrics().Add("compile.programs", 1)
@@ -176,7 +176,7 @@ func (c *Compiler) rebuild(b *Block, vars Vars) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	nb.Index, nb.Reads, nb.Src = b.Index, b.Reads, b.Src
+	nb.Index, nb.Reads, nb.Src, nb.Parent = b.Index, b.Reads, b.Src, b.Parent
 	nb.keepWritesOf(b)
 	nb.finish()
 	return nb, nil
@@ -264,7 +264,7 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 		return nil, err
 	}
 	pruneDeadWrites(rebuilt)
-	return c.program(rebuilt, ""), nil
+	return c.program(rebuilt), nil
 }
 
 // Sources returns the statement blocks the given hop blocks were built
@@ -284,13 +284,20 @@ func Sources(blocks []*Block) ([]*dml.StatementBlock, error) {
 }
 
 // program finishes a block tree whose dead writes are pruned: it indexes
-// the leaf blocks for the resource vector, applies the transpose-mm
-// rewrite to each one's DAG, linearizes it and records its read set, and
-// rewrites and linearizes each control block's header.
-func (c *Compiler) program(blocks []*Block, source string) *Program {
-	p := &Program{Blocks: blocks, Source: source, Params: c.Params}
-	WalkBlocks(blocks, func(b *Block) {
-		b.Index = -1
+// the leaf blocks for the resource vector and links every block to its
+// parent, applies the transpose-mm rewrite to each leaf's DAG, linearizes
+// it and records its read set, and rewrites and linearizes each control
+// block's header.
+func (c *Compiler) program(blocks []*Block) *Program {
+	p := &Program{Blocks: blocks, Params: c.Params}
+	p.index(blocks, nil)
+	return p
+}
+
+// index finishes blocks, the children of parent, in pre-order.
+func (p *Program) index(blocks []*Block, parent *Block) {
+	for _, b := range blocks {
+		b.Index, b.Parent = -1, parent
 		if b.Kind == dml.GenericBlock {
 			b.Index = p.NumLeaf
 			p.NumLeaf++
@@ -298,12 +305,14 @@ func (c *Compiler) program(blocks []*Block, source string) *Program {
 			if b.Reads == nil {
 				b.Reads = stmtReads(b.Src.Stmts)
 			}
-		} else {
-			fuseDAG(blockRoots(b), 0)
-			b.Header = walkOrder(nil, blockRoots(b))
+			continue
 		}
-	})
-	return p
+		fuseDAG(blockRoots(b), 0)
+		b.Header = walkOrder(nil, blockRoots(b))
+		p.index(b.Then, b)
+		p.index(b.Else, b)
+		p.index(b.Body, b)
+	}
 }
 
 func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {

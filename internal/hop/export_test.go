@@ -22,3 +22,22 @@ func (c *Compiler) Rebuild(b *Block, vars Vars) (*Block, error) {
 	f.statementsOnly = true
 	return f.rebuild(b, vars)
 }
+
+// Templates returns every template the script c compiled holds.
+func Templates(c *Compiler) []*Block {
+	s := c.script
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*Block
+	for _, bt := range s.tmpls {
+		for _, k := range bt.kinds {
+			if k.b != nil {
+				out = append(out, k.b)
+			}
+		}
+	}
+	return out
+}
+
+// WrittenMeta is the metadata of every variable p's generic blocks write.
+var WrittenMeta = writtenMeta

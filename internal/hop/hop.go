@@ -208,10 +208,8 @@ type Program struct {
 	// NumLeaf is the number of leaf generic blocks, i.e. the length of the
 	// MR part of the resource vector R_P.
 	NumLeaf int
-	// Source retains the original script and parameters so that runtime
-	// migration can recompile from scratch (paper §4.1: "we do not need to
-	// serialize execution plans but can pass the original script").
-	Source string
+	// Params are the $ parameters the program was compiled with, which a
+	// run's compiler substitutes when it recompiles.
 	Params map[string]interface{}
 }
 
@@ -242,6 +240,10 @@ type Block struct {
 	Header []*Hop
 	// Children.
 	Then, Else, Body []*Block
+	// Parent is the control block whose Then, Else or Body holds the
+	// block, nil at the top level and on a template. Set when the program
+	// is indexed; a recompiled block keeps its compiled block's.
+	Parent *Block
 	// Reads lists, sorted and once each, the variables a generic block's
 	// statements (Src.Stmts) read: every identifier, and the target of a
 	// left-indexed assignment. Rebuilding the block looks up no other name,
@@ -273,6 +275,27 @@ type Block struct {
 	// storage of its hops and tables, which the next recompile of the same
 	// compiled block overwrites (see RecompileGeneric).
 	buf *blockBuf
+}
+
+// ParforWorkers is the worker count of a parfor loop of iters iterations
+// on cores CP cores: one worker per core, at most one per iteration, and
+// at least one. Each worker is single threaded.
+func ParforWorkers(cores int, iters int64) int {
+	return int(max(1, min(int64(cores), iters)))
+}
+
+// OpCores is the CP core count an operation of b runs at, given the
+// program's cores: 1 inside a parfor body, whose workers are single
+// threaded, and cores elsewhere.
+func (b *Block) OpCores(cores int) int {
+	if cores > 1 {
+		for p := b.Parent; p != nil; p = p.Parent {
+			if p.Parallel {
+				return 1
+			}
+		}
+	}
+	return cores
 }
 
 // WalkBlocks visits all blocks in pre-order.

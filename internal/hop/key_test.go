@@ -23,8 +23,8 @@ var keyExcluded = map[string]string{
 	"Block.hint":     "a capacity hint for the tables the build fills, never read once the block is linearized",
 	"Block.buf":      "storage only: the block and arrays a recompile returned, which the next recompile of the same compiled block overwrites; never read",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
-	"Program.Source": "not read by non-test code in lop/cost/opt: kept for migration recompiles",
-	"Program.Params": "not read by non-test code in lop/cost/opt: kept for migration recompiles",
+	"Block.Parent":   "derived when the program is indexed: the block's position in the tree, which the encoding of the tree carries",
+	"Program.Params": "not read by non-test code in lop/cost/opt: the parameters a run's compiler substitutes when it recompiles",
 }
 
 // keyTargets returns every struct of type typ in p, addressable: the

@@ -221,7 +221,7 @@ func (c *Compiler) resized(b *Block, vars Vars, buf *blockBuf) (*Block, bool) {
 		nb = new(Block)
 	}
 	nb.Kind, nb.Index, nb.Reads, nb.Roots = b.Kind, b.Index, b.Reads, roots
-	nb.Src, nb.FirstLine, nb.LastLine, nb.hint = b.Src, b.FirstLine, b.LastLine, n
+	nb.Src, nb.Parent, nb.FirstLine, nb.LastLine, nb.hint = b.Src, b.Parent, b.FirstLine, b.LastLine, n
 	return nb, true
 }
 

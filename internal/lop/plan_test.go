@@ -85,9 +85,10 @@ func instrs(b *Block) string {
 
 // TestPlanParforBody: the plans of a parfor body's blocks sit in the plan
 // like any other, and were selected under the CP budget divided by the
-// worker count (the core count, at most the trip count of 8), under Select
-// and Table.Select alike. Some heap must select a body block differently
-// under the whole budget, or the division is not observed.
+// worker count (the core count, at most the trip count of 8), under
+// Select, Table.Select and SelectBlock alike. Some heap must select a body
+// block differently under the whole budget, or the division is not
+// observed. Both references select a copy of the block outside the loop.
 func TestPlanParforBody(t *testing.T) {
 	fs := hdfs.New()
 	fs.PutDescriptor("/data/X", 1_000_000, 8, 8_000_000, hdfs.BinaryBlock)
@@ -123,16 +124,19 @@ func TestPlanParforBody(t *testing.T) {
 				if hb.Kind != dml.GenericBlock {
 					continue
 				}
+				outside := *hb
+				outside.Parent = nil
 				s := newSelector(cc, res, nil)
-				s.cp.b = conf.Bytes(float64(s.cp.b) / float64(min(cores, 8)))
-				lb, _ := s.generic(hb, nil)
+				s.whole = conf.Bytes(float64(s.whole) / float64(min(cores, 8)))
+				lb, _ := s.generic(&outside, nil)
 				want := instrs(lb)
-				for _, plan := range plans {
-					if got := instrs(plan.Blocks[hb.Index]); got != want {
-						t.Fatalf("%s: body block %d is\n%s\nselected under the divided budget it is\n%s", name, hb.Index, got, want)
+				lb, _ = tab.SelectBlock(hb, res)
+				for _, got := range []*Block{plans[0].Blocks[hb.Index], plans[1].Blocks[hb.Index], lb, SelectBlock(hb, cc, res, nil)} {
+					if instrs(got) != want {
+						t.Fatalf("%s: body block %d is\n%s\nselected under the divided budget it is\n%s", name, hb.Index, instrs(got), want)
 					}
 				}
-				if instrs(SelectBlock(hb, cc, res, nil)) != want {
+				if instrs(SelectBlock(&outside, cc, res, nil)) != want {
 					moved++
 				}
 			}

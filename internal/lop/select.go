@@ -20,10 +20,11 @@ func Select(p *hop.Program, cc conf.Cluster, res conf.Resources) *Plan {
 	return newSelector(cc, res, nil).program(p)
 }
 
-// SelectBlock recompiles a single generic block (dynamic recompilation).
-// prev is a plan an earlier SelectBlock returned, or nil: the selection
-// overwrites it and its Instrs and JobOf storage and returns it, so the
-// caller must hold nothing of it past this call.
+// SelectBlock recompiles a single generic block (dynamic recompilation)
+// into the plan Select gives it: in a parfor body, under the per-worker CP
+// budget. prev is a plan an earlier SelectBlock returned, or nil: the
+// selection overwrites it and its Instrs and JobOf storage and returns it,
+// so the caller must hold nothing of it past this call.
 func SelectBlock(b *hop.Block, cc conf.Cluster, res conf.Resources, prev *Block) *Block {
 	lb, _ := newSelector(cc, res, nil).generic(b, prev)
 	return lb
@@ -36,9 +37,10 @@ type Span struct{ Lo, Hi conf.Bytes }
 func (sp Span) Contains(budget conf.Bytes) bool { return sp.Lo <= budget && budget < sp.Hi }
 
 // Region is the set of budgets under which selection produces the same
-// plan for a block: its CP operation budget in CP and its MR task budget
-// in MR. Every comparison selection makes is against one of the two, so
-// any pair of budgets in the two spans selects the same plan.
+// plan for a block: its CP operation budget in CP (in a parfor body, the
+// per-worker budget) and its MR task budget in MR. Every comparison
+// selection makes is against one of the two, so any pair of budgets in the
+// two spans selects the same plan.
 type Region struct{ CP, MR Span }
 
 // budget is one budget selection compares against. fits is selection's
@@ -62,14 +64,15 @@ func (bu *budget) fits(x conf.Bytes) bool {
 var everywhere = Span{Lo: 0, Hi: math.MaxInt64}
 
 func newSelector(cc conf.Cluster, res conf.Resources, tab *Table) *selector {
-	return &selector{cc: cc, res: res, cp: budget{b: cc.OpBudget(res.CP)}, cores: res.Cores(), tab: tab}
+	return &selector{cc: cc, res: res, whole: cc.OpBudget(res.CP), cores: res.Cores(), tab: tab}
 }
 
 type selector struct {
 	cc  conf.Cluster
 	res conf.Resources
-	// cp is the CP operation budget of the block being selected; a parfor
-	// body sees it divided by the worker count.
+	// whole is the CP operation budget of res; cp is the one the block
+	// being selected sees, which a parfor body divides (see workerBudget).
+	whole conf.Bytes
 	cp    budget
 	cores int
 	tab   *Table
@@ -103,38 +106,35 @@ func (s *selector) effectiveOpMem(m conf.Bytes) conf.Bytes {
 // hop.Block.Index.
 func (s *selector) blocks(hbs []*hop.Block, out []*Block) {
 	for _, hb := range hbs {
-		switch {
-		case hb.Kind == dml.GenericBlock:
+		if hb.Kind == dml.GenericBlock {
 			out[hb.Index], _ = s.generic(hb, nil)
-		case hb.Parallel:
-			// Concurrent parfor workers multiply the number of live
-			// intermediates: operator selection inside the body sees a
-			// proportionally smaller per-worker CP budget ([6]: "the
-			// degree of parallelism affects the number of intermediates").
-			k := s.parforDOP(hb)
-			saved := s.cp.b
-			s.cp.b = conf.Bytes(float64(saved) / float64(k))
-			s.blocks(hb.Body, out)
-			s.cp.b = saved
-		default:
-			s.blocks(hb.Then, out)
-			s.blocks(hb.Else, out)
-			s.blocks(hb.Body, out)
+			continue
 		}
+		s.blocks(hb.Then, out)
+		s.blocks(hb.Else, out)
+		s.blocks(hb.Body, out)
 	}
 }
 
-// parforDOP is the parfor worker count: the CP core count bounded by the
-// trip count.
-func (s *selector) parforDOP(hb *hop.Block) int {
-	k := s.cores
-	if hb.KnownIters != hop.Unknown && hb.KnownIters > 0 && int64(k) > hb.KnownIters {
-		k = int(hb.KnownIters)
+// workerBudget divides the budget b for every parfor loop among p and its
+// ancestors, outermost first, by the loop's worker count: concurrent
+// workers multiply the number of live intermediates, so each sees a
+// proportionally smaller budget ([6]: "the degree of parallelism affects
+// the number of intermediates"). A loop of unknown trip count is taken to
+// have a worker per core.
+func workerBudget(b conf.Bytes, p *hop.Block, cores int) conf.Bytes {
+	if p == nil {
+		return b
 	}
-	if k < 1 {
-		k = 1
+	b = workerBudget(b, p.Parent, cores)
+	if !p.Parallel {
+		return b
 	}
-	return k
+	iters := p.KnownIters
+	if iters <= 0 {
+		iters = int64(cores)
+	}
+	return conf.Bytes(float64(b) / float64(hop.ParforWorkers(cores, iters)))
 }
 
 // generic runs operator selection and piggybacking over one block DAG,
@@ -148,10 +148,13 @@ func (s *selector) generic(hb *hop.Block, into *Block) (*Block, Region) {
 			"blocks must come from hop.Compiler's Compile, RebuildScope or RecompileGeneric", hb.FirstLine, hb.LastLine))
 	}
 	mr := budget{b: s.cc.OpBudget(s.res.MRFor(hb.Index)), span: everywhere}
+	s.cp = budget{b: s.whole, span: everywhere}
+	if s.cores > 1 {
+		s.cp.b = workerBudget(s.whole, hb.Parent, s.cores)
+	}
 	if b, reg, ok := s.tab.lookup(hb, s.cores, s.cp.b, mr.b); ok {
 		return b, reg
 	}
-	s.cp.span = everywhere
 	b := into
 	if b == nil {
 		b = new(Block)

@@ -76,8 +76,8 @@ type TaskReport struct {
 // Any reports whether the job saw any injected fault.
 func (r TaskReport) Any() bool { return r.Retries > 0 || r.Stragglers > 0 }
 
-// EstimateTimeUnderFaults evaluates the analytic job time model and then
-// samples a per-task attempt model against the injector: every task
+// EstimateTimeUnderFaultsTraced evaluates the analytic job time model and
+// then samples a per-task attempt model against the injector: every task
 // attempt may fail (re-executed up to pol.MaxAttempts, each retry adding
 // its attempt work and a share of task-launch latency) or straggle
 // (extending its wave by the straggler factor, softened to
@@ -89,16 +89,11 @@ func (r TaskReport) Any() bool { return r.Retries > 0 || r.Stragglers > 0 }
 // parallelism (retries fill free slots of later waves) but straggler
 // tails serially (a straggler gates its wave's completion) — the same
 // first-order approximation Hadoop's own speculation heuristics assume.
-func EstimateTimeUnderFaults(pm perf.Model, cc conf.Cluster, spec JobSpec,
-	taskHeap, cpHeap conf.Bytes, inj *fault.Injector, pol TaskPolicy) (TimeBreakdown, TaskReport, error) {
-	return EstimateTimeUnderFaultsTraced(pm, cc, spec, taskHeap, cpHeap, inj, pol, nil, 0)
-}
-
-// EstimateTimeUnderFaultsTraced additionally records per-task-attempt
-// trace events on the cluster layer: one instant event per injected task
-// failure or straggler, stamped at the job's simulated start time `at` and
-// flagged with the attempt count, the slowdown factor, and whether a
-// speculative backup rescued the straggler.
+//
+// With a tracer, it records per-task-attempt events on the cluster layer:
+// one instant event per injected task failure or straggler, stamped at the
+// job's simulated start time `at` and flagged with the attempt count, the
+// slowdown factor, and whether a speculative backup rescued the straggler.
 func EstimateTimeUnderFaultsTraced(pm perf.Model, cc conf.Cluster, spec JobSpec,
 	taskHeap, cpHeap conf.Bytes, inj *fault.Injector, pol TaskPolicy,
 	tr *obs.Tracer, at float64) (TimeBreakdown, TaskReport, error) {

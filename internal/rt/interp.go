@@ -65,11 +65,9 @@ func (t Trigger) String() string {
 type AdaptContext struct {
 	// Plan is the currently executing plan.
 	Plan *lop.Plan
-	// Block is the recompiled generic block's plan in Plan.Blocks.
+	// Block is the recompiled generic block's plan in Plan.Blocks; its
+	// HopBlock's parents are the control blocks around it.
 	Block *lop.Block
-	// Enclosing is the stack of control blocks around Block, outermost
-	// first.
-	Enclosing []*hop.Block
 	// Res is the current resource configuration.
 	Res conf.Resources
 	// Meta is the runtime variable metadata (sizes now known), a fresh
@@ -151,9 +149,7 @@ type Interp struct {
 	plan *lop.Plan
 	// resChanged reports that Res or CC no longer is what plan was
 	// selected under, so every block is selected again before it runs.
-	resChanged  bool
-	encl        []*hop.Block
-	parforDepth int
+	resChanged bool
 	// last maps each compiled block that execGeneric recompiled or
 	// selected again to what its last execution built, whose storage the
 	// next execution overwrites (see hop.Compiler.RecompileGeneric and
@@ -291,22 +287,15 @@ func (ip *Interp) execBlock(b *hop.Block) error {
 		// Unknown predicates (sim mode) skip the conditional body, which
 		// keeps convergence-exit branches from firing early.
 		if pv.Known && pv.Bool() {
-			return ip.withEnclosing(b, func() error { return ip.execBlocks(b.Then) })
+			return ip.execBlocks(b.Then)
 		}
-		return ip.withEnclosing(b, func() error { return ip.execBlocks(b.Else) })
+		return ip.execBlocks(b.Else)
 	case dml.WhileBlockKind:
-		return ip.withEnclosing(b, func() error { return ip.execWhile(b) })
+		return ip.execWhile(b)
 	case dml.ForBlockKind:
-		return ip.withEnclosing(b, func() error { return ip.execFor(b) })
+		return ip.execFor(b)
 	}
 	return fmt.Errorf("rt: unknown block kind %v", b.Kind)
-}
-
-func (ip *Interp) withEnclosing(b *hop.Block, fn func() error) error {
-	ip.encl = append(ip.encl, b)
-	err := fn()
-	ip.encl = ip.encl[:len(ip.encl)-1]
-	return err
 }
 
 // simLoopCap bounds every while loop in sim mode: data-dependent exit
@@ -357,32 +346,21 @@ func (ip *Interp) execFor(b *hop.Block) error {
 		from, to = int64(fromV.Scalar), int64(toV.Scalar)
 	}
 	start := ip.SimTime
-	if b.Parallel {
-		ip.parforDepth++
-	}
 	for i := from; i <= to; i++ {
 		ip.Vars[b.Var] = ScalarValue(float64(i))
 		if err := ip.execBlocks(b.Body); err != nil {
-			if b.Parallel {
-				ip.parforDepth--
-			}
 			return err
 		}
 	}
-	if b.Parallel {
-		ip.parforDepth--
-		// parfor iterations execute on concurrent workers: values are
-		// computed sequentially (independence is the script's contract),
-		// but wall-clock time divides by the worker count.
-		iters := to - from + 1
-		dop := int64(ip.Res.Cores())
-		if dop > iters {
-			dop = iters
-		}
-		if dop > 1 {
-			elapsed := ip.SimTime - start
-			ip.SimTime = start + elapsed/float64(dop)
-		}
+	if !b.Parallel {
+		return nil
+	}
+	// parfor iterations execute on concurrent workers: values are computed
+	// sequentially (independence is the script's contract), but wall-clock
+	// time divides by the worker count. A parfor inside another runs on
+	// one of its single-threaded workers.
+	if k := hop.ParforWorkers(b.OpCores(ip.Res.Cores()), to-from+1); k > 1 {
+		ip.SimTime = start + (ip.SimTime-start)/float64(k)
 	}
 	return nil
 }
@@ -510,7 +488,6 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) bool {
 	ctx := &AdaptContext{
 		Plan:       ip.plan,
 		Block:      b,
-		Enclosing:  append([]*hop.Block{}, ip.encl...),
 		Res:        ip.Res.Clone(),
 		Meta:       ip.snapshotMeta(),
 		DirtyBytes: ip.State.DirtyBytes(),
@@ -536,15 +513,6 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) bool {
 	ip.Res = dec.NewRes.Clone()
 	ip.resChanged = ip.resChanged || changed
 	return changed
-}
-
-// cpCores returns the CP core count an operation is costed at: inside
-// parfor bodies each worker is single threaded.
-func (ip *Interp) cpCores() int {
-	if ip.parforDepth > 0 {
-		return 1
-	}
-	return ip.Res.Cores()
 }
 
 // StatePrefix is the DFS directory receiving migrated AM state.
@@ -594,13 +562,14 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 	}
 
 	evict0 := ip.State.EvictionIO()
+	cores := b.HopBlock.OpCores(ip.Res.Cores())
 	traced := ip.Trace.SpansEnabled()
 	m := ip.Trace.Metrics()
 	for _, in := range b.Instrs {
 		ip.Stats.Instructions++
 		start := ip.SimTime
 		if in.Kind == lop.InstrCP {
-			dt := ip.Est.CPInstrTime(in.Hop, ip.State, b.JobOf, ip.cpCores())
+			dt := ip.Est.CPInstrTime(in.Hop, ip.State, b.JobOf, cores)
 			ip.SimTime += dt
 			if traced {
 				ip.Trace.Complete(obs.LayerRuntime, in.Label(), start, dt)

@@ -155,3 +155,47 @@ func TestParforExplain(t *testing.T) {
 		t.Errorf("explain missing parfor loop:\n%s", out)
 	}
 }
+
+// TestNestedParforRunsOnOneWorker: a parfor loop inside another runs on
+// one of the outer loop's single-threaded workers, so at 4 cores it takes
+// the simulated time of a plain for loop, as the cost model charges it.
+// X is small enough that every operation runs in CP either way.
+func TestNestedParforRunsOnOneWorker(t *testing.T) {
+	const nested = `X = read($X);
+acc = matrix(0, rows=4, cols=4);
+parfor (i in 1:4) {
+  INNER (j in 1:4) {
+    acc[i, j] = sum(X ^ 2) + i + j;
+  }
+}
+write(acc, "/out/acc");
+`
+	run := func(inner string) (sim, model float64) {
+		src := strings.Replace(nested, "INNER", inner, 1)
+		fs := hdfs.New()
+		fs.PutDescriptor("/data/X", 10_000, 100, 1_000_000, hdfs.BinaryBlock)
+		prog, err := dml.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
+		hp, err := comp.Compile(prog, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := conf.DefaultCluster()
+		res := conf.NewResources(2*conf.GB, 512*conf.MB, hp.NumLeaf).WithCores(4)
+		plan := lop.Select(hp, cc, res)
+		ip := New(ModeSim, fs, cc, res)
+		ip.Compiler = comp
+		if err := ip.Run(plan); err != nil {
+			t.Fatal(err)
+		}
+		return ip.SimTime, cost.NewEstimator(cc).ProgramCost(plan)
+	}
+	simPar, modelPar := run("parfor")
+	simFor, modelFor := run("for")
+	if simPar != simFor || modelPar != modelFor {
+		t.Errorf("inner parfor: simulated %v s and modeled %v s; inner for: %v s and %v s", simPar, modelPar, simFor, modelFor)
+	}
+}

@@ -45,12 +45,15 @@ race:
 # package's testdata/fuzz/ as a regression input for plain `go test`.
 # FuzzPrepare's and FuzzParse's inputs are whole scripts and FuzzRunSpec's
 # whole run descriptions, which the fuzzer would otherwise spend most of
-# the 10 s minimizing, so their minimization is capped.
+# the 10 s minimizing, so their minimization is capped; so is
+# FuzzDifferential's, whose every input runs a generated program under all
+# six verify configurations and the reference interpreter.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server
 	$(GO) test -run xxx -fuzz FuzzPrepare -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzRunSpec -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 2s ./internal/dml
+	$(GO) test -run xxx -fuzz FuzzDifferential -fuzztime 10s -fuzzminimizetime 2s ./internal/verify
 
 check: fmt vet race fuzz
 

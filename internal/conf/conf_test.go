@@ -155,9 +155,25 @@ func TestResourcesBasics(t *testing.T) {
 		t.Errorf("MRFor out-of-range fallback broken")
 	}
 	r2 := r.Clone()
+	if !r2.Equal(r) {
+		t.Error("a clone differs from its original")
+	}
 	r2.MR[0] = 4 * GB
 	if r.MR[0] != 2*GB {
 		t.Error("Clone is shallow")
+	}
+	for name, o := range map[string]Resources{
+		"an MR entry": r2,
+		"CP":          NewResources(4*GB, 2*GB, 3),
+		"CPCores":     r.WithCores(4),
+		"MR length":   NewResources(8*GB, 2*GB, 2),
+	} {
+		if r.Equal(o) || o.Equal(r) {
+			t.Errorf("resources differing in %s compare equal", name)
+		}
+	}
+	if !(Resources{CP: GB}).Equal(Resources{CP: GB, MR: []Bytes{}}) {
+		t.Error("a nil and an empty MR vector compare unequal")
 	}
 	if r2.MaxMR() != 4*GB {
 		t.Errorf("MaxMR = %v", r2.MaxMR())

@@ -2,6 +2,7 @@ package conf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -38,6 +39,12 @@ func (r Resources) Clone() Resources {
 	c := Resources{CP: r.CP, MR: make([]Bytes, len(r.MR)), CPCores: r.CPCores}
 	copy(c.MR, r.MR)
 	return c
+}
+
+// Equal reports whether two resource vectors agree in CP, CPCores and
+// every MR entry.
+func (r Resources) Equal(o Resources) bool {
+	return r.CP == o.CP && r.CPCores == o.CPCores && slices.Equal(r.MR, o.MR)
 }
 
 // Cores returns the effective CP core count (at least 1).

@@ -74,11 +74,12 @@ func (c *Compiler) id() int64 {
 // constant folding, CSE, algebraic rewrites and branch removal applied, and
 // leaf blocks indexed for the resource vector and linearized. The templates
 // of its generic blocks belong to this compile's script alone (see
-// CompileScript for a shared one).
-func (c *Compiler) Compile(prog *dml.Program, source string) (*Program, error) {
+// CompileScript for a shared one). The second argument, the script's
+// source text, is unused.
+func (c *Compiler) Compile(prog *dml.Program, _ string) (*Program, error) {
 	sp := c.Trace.Begin(obs.LayerCompile, "hop.compile")
 	inl := c.Trace.Begin(obs.LayerCompile, "hop.inline-functions", obs.A("funcs", len(prog.Funcs)))
-	s := newScript(prog, source, c.Trace)
+	s := newScript(prog, c.Trace)
 	inl.End()
 	return c.compile(s, sp)
 }

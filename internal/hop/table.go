@@ -44,10 +44,10 @@ func (t *Table) Parse(source string) (*Script, error) {
 		return nil, err
 	}
 	if t == nil {
-		return newScript(prog, source, nil), nil
+		return newScript(prog, nil), nil
 	}
 	t.Trace.Metrics().Add("compile.parses", 1)
-	s := newScript(prog, source, t.Trace)
+	s := newScript(prog, t.Trace)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if old := t.scripts[source].Value(); old != nil {
@@ -81,7 +81,6 @@ func (t *Table) forget(source string) {
 // script's own counter, so a program's IDs, like its DAGs, do not depend
 // on which templates were built before it. Safe for concurrent use.
 type Script struct {
-	source string
 	blocks []*dml.StatementBlock
 	err    error       // inlining's, which every compile of the script reports
 	trace  *obs.Tracer // counts the template work (see Table.Trace)
@@ -105,9 +104,9 @@ type kindsTemplate struct {
 	b     *Block
 }
 
-func newScript(prog *dml.Program, source string, trace *obs.Tracer) *Script {
+func newScript(prog *dml.Program, trace *obs.Tracer) *Script {
 	stmts, err := dml.InlineFunctions(prog)
-	s := &Script{source: source, err: err, trace: trace}
+	s := &Script{err: err, trace: trace}
 	if err == nil {
 		s.blocks = dml.BuildBlocks(stmts)
 	}

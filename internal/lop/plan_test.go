@@ -146,3 +146,61 @@ func TestPlanParforBody(t *testing.T) {
 		t.Fatal("no heap selects a body block differently under the whole CP budget")
 	}
 }
+
+// TestNestedParforDividesOnce: a parfor nested in another runs on one of
+// the outer loop's single-threaded workers, so its body is selected under
+// the outer loop's per-worker budget, as under an inner for loop. At 4
+// cores, a 100,000 x 100 X puts sum(X ^ 2) in MR if the inner loop divides
+// that budget by 4 again; Select, Table.SelectBlock and SelectBlock must
+// give the inner body the plan an inner for loop gets.
+func TestNestedParforDividesOnce(t *testing.T) {
+	const nested = `X = read($X);
+acc = matrix(0, rows=4, cols=4);
+parfor (i in 1:4) {
+  INNER (j in 1:4) {
+    acc[i, j] = sum(X ^ 2) + i + j;
+  }
+}
+write(acc, "/out/acc");
+`
+	cc := conf.DefaultCluster()
+	body := func(inner string) (*hop.Program, *hop.Block) {
+		src := strings.Replace(nested, "INNER", inner, 1)
+		fs := hdfs.New()
+		fs.PutDescriptor("/data/X", 100_000, 100, 10_000_000, hdfs.BinaryBlock)
+		prog, err := dml.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hb *hop.Block
+		hop.WalkBlocks(hp.Blocks, func(b *hop.Block) {
+			if b.Kind == dml.GenericBlock && b.Parent != nil && b.Parent.Parent != nil {
+				hb = b
+			}
+		})
+		if hb == nil {
+			t.Fatalf("inner %s: no generic block two loops deep", inner)
+		}
+		return hp, hb
+	}
+	parHP, parBody := body("parfor")
+	forHP, forBody := body("for")
+	for _, cp := range []conf.Bytes{256 * conf.MB, 512 * conf.MB, conf.GB, 2 * conf.GB, 4 * conf.GB} {
+		res := conf.NewResources(cp, 512*conf.MB, parHP.NumLeaf).WithCores(4)
+		want := instrs(Select(forHP, cc, res).Blocks[forBody.Index])
+		tb, _ := NewTable(cc).SelectBlock(parBody, res)
+		for name, got := range map[string]*Block{
+			"Select":            Select(parHP, cc, res).Blocks[parBody.Index],
+			"Table.SelectBlock": tb,
+			"SelectBlock":       SelectBlock(parBody, cc, res, nil),
+		} {
+			if instrs(got) != want {
+				t.Errorf("cp %v: %s selects the inner parfor body as\n%sthe inner for body as\n%s", cp, name, instrs(got), want)
+			}
+		}
+	}
+}

@@ -121,7 +121,8 @@ func (s *selector) blocks(hbs []*hop.Block, out []*Block) {
 // workers multiply the number of live intermediates, so each sees a
 // proportionally smaller budget ([6]: "the degree of parallelism affects
 // the number of intermediates"). A loop of unknown trip count is taken to
-// have a worker per core.
+// have a worker per core; a parfor nested in another runs on one of its
+// single-threaded workers (hop.Block.OpCores) and divides by nothing.
 func workerBudget(b conf.Bytes, p *hop.Block, cores int) conf.Bytes {
 	if p == nil {
 		return b
@@ -134,7 +135,7 @@ func workerBudget(b conf.Bytes, p *hop.Block, cores int) conf.Bytes {
 	if iters <= 0 {
 		iters = int64(cores)
 	}
-	return conf.Bytes(float64(b) / float64(hop.ParforWorkers(cores, iters)))
+	return conf.Bytes(float64(b) / float64(hop.ParforWorkers(p.OpCores(cores), iters)))
 }
 
 // generic runs operator selection and piggybacking over one block DAG,

@@ -115,19 +115,20 @@ func RowSums(a *Matrix) *Matrix {
 	return out
 }
 
-// ColSums returns the 1 x cols vector of per-column sums.
+// ColSums returns the 1 x cols vector of per-column sums, compacted: a
+// row vector of mostly zeros is smaller in CSR, as the estimator costs it.
 func ColSums(a *Matrix) *Matrix {
 	out := NewDense(1, a.cols)
 	if a.sp != nil {
 		a.sp.each(func(_, j int, v float64) { out.dense[j] += v })
-		return out
+		return out.Compact()
 	}
 	for i := 0; i < a.rows; i++ {
 		for j, v := range a.dense[i*a.cols : (i+1)*a.cols] {
 			out.dense[j] += v
 		}
 	}
-	return out
+	return out.Compact()
 }
 
 // RowMaxs returns the rows x 1 vector of per-row maxima.

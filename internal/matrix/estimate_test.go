@@ -96,3 +96,30 @@ func TestPreferSparseRequiresSmaller(t *testing.T) {
 		t.Error("PreferSparse above threshold must prefer dense")
 	}
 }
+
+// TestReshapingKernelsCompact: t() and colSums turn columns into a row, so
+// their result can prefer the other representation than their input. Each
+// must return what the estimator costs for it, in both input formats: a
+// mostly-zero column vector's transpose and colSums are CSR row vectors,
+// and a one-entry CSR row vector's transpose is a dense column.
+func TestReshapingKernelsCompact(t *testing.T) {
+	col := NewDense(40, 1)
+	col.Set(3, 0, 2)
+	row := NewDense(1, 40)
+	row.Set(0, 3, 2)
+	sq := NewDense(40, 40)
+	sq.Set(3, 5, 2)
+	for name, m := range map[string]*Matrix{
+		"t(col)":        Transpose(col),
+		"t(csr row)":    Transpose(row.ToSparse()),
+		"t(csr square)": Transpose(sq.ToSparse()),
+		"colSums(col)":  ColSums(col),
+		"colSums(sq)":   ColSums(sq),
+		"colSums(csr)":  ColSums(sq.ToSparse()),
+	} {
+		est := EstimateSize(int64(m.Rows()), int64(m.Cols()), m.Sparsity())
+		if got := m.InMemorySize(); got != est {
+			t.Errorf("%s: %dx%d %v takes %v, the estimator costs %v", name, m.Rows(), m.Cols(), m.Format(), got, est)
+		}
+	}
+}

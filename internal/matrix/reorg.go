@@ -2,7 +2,9 @@ package matrix
 
 import "fmt"
 
-// Transpose returns t(a).
+// Transpose returns t(a), compacted: transposing turns a matrix's rows
+// into columns, which can flip the representation the estimator costs
+// (a mostly-zero column vector is a row vector CSR stores smaller).
 func Transpose(a *Matrix) *Matrix {
 	if a.sp != nil {
 		out := newCSR(a.cols, a.rows)
@@ -25,7 +27,7 @@ func Transpose(a *Matrix) *Matrix {
 			out.vals[p] = v
 			next[j]++
 		})
-		return &Matrix{rows: a.cols, cols: a.rows, sp: out}
+		return (&Matrix{rows: a.cols, cols: a.rows, sp: out}).Compact()
 	}
 	out := NewDense(a.cols, a.rows)
 	for i := 0; i < a.rows; i++ {
@@ -33,7 +35,7 @@ func Transpose(a *Matrix) *Matrix {
 			out.dense[j*a.rows+i] = a.dense[i*a.cols+j]
 		}
 	}
-	return out
+	return out.Compact()
 }
 
 // CBind concatenates matrices column-wise (DML's append).

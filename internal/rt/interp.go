@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/cost"
@@ -509,7 +508,7 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) bool {
 		ip.State.FlushAll()
 		ip.State.SetBudget(ip.CC.OpBudget(dec.NewRes.CP))
 	}
-	changed := dec.NewRes.CP != ip.Res.CP || dec.NewRes.CPCores != ip.Res.CPCores || !slices.Equal(dec.NewRes.MR, ip.Res.MR)
+	changed := !dec.NewRes.Equal(ip.Res)
 	ip.Res = dec.NewRes.Clone()
 	ip.resChanged = ip.resChanged || changed
 	return changed

@@ -22,17 +22,18 @@ type LimiterPolicy struct {
 	// sustained rate is shed. 0 disables byte-rate limiting.
 	BytesPerSec float64 `json:"bytes_per_sec,omitempty"`
 	// Burst is the bucket capacity in bytes. Defaults to one second's
-	// refill, and is always raised to at least MaxFrame so a single
+	// refill, and is always raised to at least maxFrame so a single
 	// max-size frame fits: a smaller bucket would shed such a frame
 	// forever, since no amount of idle refill can exceed the capacity.
 	Burst float64 `json:"burst,omitempty"`
-	// MaxFrame is the largest frame the bucket must be able to admit (the
-	// wire frame bound of the server the limiter fronts). Defaults to
-	// DefaultMaxFrame.
-	MaxFrame float64 `json:"max_frame,omitempty"`
 	// MaxInflight bounds concurrently live (submitted, not yet terminal)
 	// jobs across all sessions. 0 disables the cap.
 	MaxInflight int `json:"max_inflight,omitempty"`
+
+	// maxFrame is the largest frame the bucket must be able to admit:
+	// NewServer sets the wire frame bound of the server the limiter
+	// fronts (ServerConfig.MaxFrame). Defaults to DefaultMaxFrame.
+	maxFrame float64
 }
 
 // Limiter composes the token bucket and the inflight cap. All methods are
@@ -53,8 +54,8 @@ func NewLimiter(p LimiterPolicy, now func() time.Time) *Limiter {
 	if now == nil {
 		now = time.Now
 	}
-	if p.MaxFrame <= 0 {
-		p.MaxFrame = DefaultMaxFrame
+	if p.maxFrame <= 0 {
+		p.maxFrame = DefaultMaxFrame
 	}
 	if p.BytesPerSec > 0 {
 		if p.Burst <= 0 {
@@ -64,8 +65,8 @@ func NewLimiter(p LimiterPolicy, now func() time.Time) *Limiter {
 		// frame would make that frame permanently inadmissible — AllowBytes
 		// could never accumulate enough tokens no matter how long the
 		// session idles.
-		if p.Burst < p.MaxFrame {
-			p.Burst = p.MaxFrame
+		if p.Burst < p.maxFrame {
+			p.Burst = p.maxFrame
 		}
 	}
 	return &Limiter{policy: p, tokens: p.Burst, last: now(), now: now}

@@ -84,11 +84,9 @@ type Server struct {
 // NewServer wraps a sequencer in a daemon. met may be nil.
 func NewServer(seq *Sequencer, cfg ServerConfig, met *obs.Metrics) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Limiter.MaxFrame <= 0 {
-		// The limiter must always be able to admit the largest frame this
-		// server will actually accept on the wire.
-		cfg.Limiter.MaxFrame = float64(cfg.MaxFrame)
-	}
+	// The limiter must always be able to admit the largest frame this
+	// server will actually accept on the wire.
+	cfg.Limiter.maxFrame = float64(cfg.MaxFrame)
 	return &Server{
 		cfg:      cfg,
 		seq:      seq,

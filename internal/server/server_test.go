@@ -199,11 +199,9 @@ func TestServerInflightShed(t *testing.T) {
 // TestServerByteRateShed: draining the token bucket sheds frames with
 // typed errors and keeps the session open.
 func TestServerByteRateShed(t *testing.T) {
-	srv, addr := startServer(t, ServerConfig{
-		// MaxFrame keeps the admissibility clamp at the test's tiny scale:
-		// the bucket only has to fit a ping, not a full default frame.
-		Limiter: LimiterPolicy{BytesPerSec: 1, Burst: 15, MaxFrame: 15},
-	})
+	// The bucket holds one frame of the server's own bound: at 64 bytes,
+	// room for the handshake and an error frame, but only four pings.
+	srv, addr := startServer(t, ServerConfig{MaxFrame: 64, Limiter: LimiterPolicy{BytesPerSec: 1}})
 	defer srv.Shutdown(5 * time.Second)
 	cl, err := Dial(addr)
 	if err != nil {
@@ -211,15 +209,17 @@ func TestServerByteRateShed(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// The first ping (13 wire bytes) fits the 15-byte bucket; at 1 B/s
+	// Four pings (13 wire bytes each) fit the 64-byte bucket; at 1 B/s
 	// refill the rest must shed — as ErrOverloaded, never a dead
 	// connection.
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("first ping: %v", err)
+	for i := 0; i < 4; i++ {
+		if err := cl.Ping(); err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
 	}
 	for i := 0; i < 5; i++ {
 		if err := cl.Ping(); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("ping %d: want ErrOverloaded, got %v", i, err)
+			t.Fatalf("ping %d past the bucket: want ErrOverloaded, got %v", i, err)
 		}
 	}
 }

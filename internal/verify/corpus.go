@@ -10,8 +10,8 @@ import (
 
 // Program is one differential-test subject: a DML source with parameters
 // and a Setup that stages its input matrices onto a fresh file system.
-// Setup must be deterministic — the harness calls it once per
-// configuration and relies on every run seeing identical payloads.
+// The harness calls Setup once per program, and every run reads clones of
+// the file system it staged.
 type Program struct {
 	Name   string
 	Source string

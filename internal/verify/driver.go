@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"elasticml/internal/conf"
@@ -34,37 +37,67 @@ type Options struct {
 
 // RunProgram executes one program under every configuration of
 // DefaultConfigs plus the reference interpreter and returns the aggregated
-// comparison result.
+// comparison result. It builds the program once, as the service builds a
+// job: Setup into one file system, one parse, one compile. Every run then
+// shares the compiled program, on a clone of the file system and a fork of
+// the compiler, so no run may change it: its key before the first run must
+// equal its key after the reference run.
 func RunProgram(p Program, o Options) ProgramResult {
 	res := ProgramResult{Program: p.Name}
-	var runs []*runOutput
-	for _, cfg := range DefaultConfigs() {
+	cfgs := DefaultConfigs()
+	for _, cfg := range cfgs {
 		res.Configs = append(res.Configs, cfg.Name)
-		r := runOne(p, cfg, o.Trace)
+	}
+	c, err := compile(p)
+	if err != nil {
+		for _, cfg := range cfgs {
+			res.Findings = append(res.Findings, runError(p.Name, cfg.Name, err))
+		}
+		return res
+	}
+	key := hop.AppendKey(nil, c.hp)
+
+	var runs []*runOutput
+	for _, cfg := range cfgs {
+		r := c.run(p.Name, cfg, o.Trace)
 		res.Ops += r.ops
 		res.Findings = append(res.Findings, r.findings...)
 		if r.err != nil {
-			res.Findings = append(res.Findings, Finding{
-				Kind:    RunError,
-				Program: p.Name,
-				Config:  cfg.Name,
-				Where:   "run",
-				Detail:  r.err.Error(),
-			})
+			res.Findings = append(res.Findings, runError(p.Name, cfg.Name, r.err))
 			continue
 		}
 		runs = append(runs, r)
 	}
-	if len(runs) == 0 {
-		return res
+	if len(runs) > 0 {
+		// Plans execute the same deterministic kernels over the same
+		// values, so any drift between two of them is a real
+		// plan-dependence bug; the reference only has to agree within
+		// refTol.
+		base := runs[0]
+		res.Outputs = len(base.paths)
+		exact := func(a, b float64) bool {
+			d := ulpDist(a, b)
+			res.MaxULP = max(res.MaxULP, d)
+			return d == 0
+		}
+		for _, other := range runs[1:] {
+			compare(&res, CrossConfigMismatch, base, other, exact)
+		}
+		if ref := c.reference(); ref.err != nil {
+			res.Findings = append(res.Findings, runError(p.Name, ref.cfg, ref.err))
+		} else {
+			compare(&res, ReferenceMismatch, base, ref, closeRel)
+		}
 	}
-
-	base := runs[0]
-	res.Outputs = len(base.paths)
-	for _, other := range runs[1:] {
-		compareRuns(&res, p.Name, base, other)
+	if !bytes.Equal(key, hop.AppendKey(nil, c.hp)) {
+		res.Findings = append(res.Findings, Finding{
+			Kind:    SharedProgramChanged,
+			Program: p.Name,
+			Config:  "all runs",
+			Where:   "compiled program",
+			Detail:  "its key after the reference run differs from its key before the first run",
+		})
 	}
-	compareReference(&res, p, base)
 	return res
 }
 
@@ -81,7 +114,42 @@ func Run(programs []Program, o Options, progress func(ProgramResult)) *Report {
 	return rep
 }
 
-// runOutput is one configuration's observable result.
+// compiled is one program as every run of it shares it: the staged file
+// system, the compiler and the compiled program. A run writes to a clone
+// of fs and recompiles on a fork of comp, and changes none of the three.
+type compiled struct {
+	fs   *hdfs.FS
+	comp *hop.Compiler
+	hp   *hop.Program
+}
+
+func compile(p Program) (c *compiled, err error) {
+	defer recovered(&err)
+	fs := hdfs.New()
+	if p.Setup != nil {
+		p.Setup(fs)
+	}
+	prog, err := dml.Parse(p.Source)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	comp := hop.NewCompiler(fs, p.Params)
+	hp, err := comp.Compile(prog, p.Source)
+	if err != nil {
+		return nil, fmt.Errorf("compile: %w", err)
+	}
+	return &compiled{fs: fs, comp: comp, hp: hp}, nil
+}
+
+// recovered turns a panic in the compiler, a kernel or the reference into
+// the error of the run it ended: a harness finding, not a harness crash.
+func recovered(err *error) {
+	if rec := recover(); rec != nil {
+		*err = fmt.Errorf("panic: %v", rec)
+	}
+}
+
+// runOutput is one run's observable result.
 type runOutput struct {
 	cfg      string
 	paths    []string // sorted persistent-output paths under /out
@@ -92,31 +160,9 @@ type runOutput struct {
 	err      error
 }
 
-func runOne(p Program, cfg Config, tr *obs.Tracer) (r *runOutput) {
+func (c *compiled) run(prog string, cfg Config, tr *obs.Tracer) (r *runOutput) {
 	r = &runOutput{cfg: cfg.Name, outputs: map[string]*matrix.Matrix{}}
-	defer func() {
-		// A panic in the compiler or a kernel is a harness finding, not a
-		// harness crash: record it and let the other configurations run.
-		if rec := recover(); rec != nil {
-			r.err = fmt.Errorf("panic: %v", rec)
-		}
-	}()
-
-	fs := hdfs.New()
-	if p.Setup != nil {
-		p.Setup(fs)
-	}
-	prog, err := dml.Parse(p.Source)
-	if err != nil {
-		r.err = fmt.Errorf("parse: %w", err)
-		return r
-	}
-	comp := hop.NewCompiler(fs, p.Params)
-	hp, err := comp.Compile(prog, p.Source)
-	if err != nil {
-		r.err = fmt.Errorf("compile: %w", err)
-		return r
-	}
+	defer recovered(&r.err)
 
 	cc := conf.DefaultCluster()
 	if cfg.HDFSBlock > 0 {
@@ -124,20 +170,21 @@ func runOne(p Program, cfg Config, tr *obs.Tracer) (r *runOutput) {
 	}
 	var resources conf.Resources
 	if cfg.Optimize {
-		resources = opt.New(cc).Optimize(hp).Res
+		resources = opt.New(cc).Optimize(c.hp).Res
 	} else {
-		resources = conf.NewResources(cfg.CP, cfg.MR, hp.NumLeaf).WithCores(cfg.Cores)
+		resources = conf.NewResources(cfg.CP, cfg.MR, c.hp.NumLeaf).WithCores(cfg.Cores)
 	}
 
-	plan := lop.Select(hp, cc, resources)
+	fs := c.fs.Clone()
+	plan := lop.Select(c.hp, cc, resources)
 	ip := rt.New(rt.ModeValue, fs, cc, resources)
-	ip.Compiler = comp
+	ip.Compiler = c.comp.Fork(fs)
 	if tr.Enabled() {
 		ip.Trace = tr
 	}
 	var out bytes.Buffer
 	ip.Out = &out
-	aud := &auditor{program: p.Name, config: cfg.Name}
+	aud := &auditor{program: prog, config: cfg.Name}
 	ip.MemHook = aud.hook
 	if cfg.Faults.Enabled() {
 		inj, err := fault.NewInjector(cfg.Faults)
@@ -164,7 +211,7 @@ func runOne(p Program, cfg Config, tr *obs.Tracer) (r *runOutput) {
 	if budget > 0 && ip.State.Peak > budget && ip.State.Peak > ip.State.MaxVar {
 		r.findings = append(r.findings, Finding{
 			Kind:     PoolOverPeak,
-			Program:  p.Name,
+			Program:  prog,
 			Config:   cfg.Name,
 			Where:    "buffer pool",
 			Detail:   fmt.Sprintf("resident peak %d B exceeds budget %d B beyond the pinned-variable waiver", ip.State.Peak, budget),
@@ -188,148 +235,98 @@ func runOne(p Program, cfg Config, tr *obs.Tracer) (r *runOutput) {
 	return r
 }
 
-// compareRuns demands bit-identical outputs: all plans execute the same
-// deterministic kernels over the same values, so any drift is a real
-// plan-dependence bug.
-func compareRuns(res *ProgramResult, prog string, base, other *runOutput) {
-	if base.prints != other.prints {
+// reference evaluates the compiled program with the naive reference
+// interpreter on a clone of the staged file system.
+func (c *compiled) reference() (r *runOutput) {
+	r = &runOutput{cfg: "reference", outputs: map[string]*matrix.Matrix{}}
+	defer recovered(&r.err)
+	ref, err := RunReference(c.hp, c.fs.Clone())
+	if err != nil {
+		r.err = err
+		return r
+	}
+	for path, m := range ref.Writes {
+		r.paths = append(r.paths, path)
+		r.outputs[path] = matrix.NewDenseData(m.rows, m.cols, m.a)
+	}
+	sort.Strings(r.paths)
+	for _, line := range ref.Prints {
+		r.prints += line + "\n"
+	}
+	return r
+}
+
+// compare appends a finding of the given kind for every way run b's
+// observable result differs from run a's: the print stream line by line,
+// the set of written paths, and each output's dimensions and cells. same
+// decides whether two numbers agree, cells and numeric print lines alike.
+func compare(res *ProgramResult, kind FindingKind, a, b *runOutput, same func(x, y float64) bool) {
+	add := func(where, detail string) {
 		res.Findings = append(res.Findings, Finding{
-			Kind:    CrossConfigMismatch,
-			Program: prog,
-			Config:  base.cfg + " vs " + other.cfg,
-			Where:   "print stream",
-			Detail:  fmt.Sprintf("print output differs:\n--- %s ---\n%s--- %s ---\n%s", base.cfg, base.prints, other.cfg, other.prints),
+			Kind:    kind,
+			Program: res.Program,
+			Config:  a.cfg + " vs " + b.cfg,
+			Where:   where,
+			Detail:  detail,
 		})
 	}
-	if !sameStrings(base.paths, other.paths) {
-		res.Findings = append(res.Findings, Finding{
-			Kind:    CrossConfigMismatch,
-			Program: prog,
-			Config:  base.cfg + " vs " + other.cfg,
-			Where:   "output set",
-			Detail:  fmt.Sprintf("written paths differ: %v vs %v", base.paths, other.paths),
-		})
+	la, lb := strings.Split(a.prints, "\n"), strings.Split(b.prints, "\n")
+	if len(la) != len(lb) {
+		add("print stream", fmt.Sprintf("print output differs:\n--- %s ---\n%s--- %s ---\n%s", a.cfg, a.prints, b.cfg, b.prints))
+	} else {
+		for i := range la {
+			if !sameLine(la[i], lb[i], same) {
+				add(fmt.Sprintf("print line %d", i+1), fmt.Sprintf("%q vs %q", la[i], lb[i]))
+			}
+		}
+	}
+	if !slices.Equal(a.paths, b.paths) {
+		add("output set", fmt.Sprintf("written paths differ: %v vs %v", a.paths, b.paths))
 		return
 	}
-	for _, path := range base.paths {
-		a, b := base.outputs[path], other.outputs[path]
-		if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-			res.Findings = append(res.Findings, Finding{
-				Kind:    CrossConfigMismatch,
-				Program: prog,
-				Config:  base.cfg + " vs " + other.cfg,
-				Where:   path,
-				Detail:  fmt.Sprintf("dimensions differ: %dx%d vs %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols()),
-			})
+	for _, path := range a.paths {
+		x, y := a.outputs[path], b.outputs[path]
+		if x.Rows() != y.Rows() || x.Cols() != y.Cols() {
+			add(path, fmt.Sprintf("dimensions differ: %dx%d vs %dx%d", x.Rows(), x.Cols(), y.Rows(), y.Cols()))
 			continue
 		}
-		for i := 0; i < a.Rows(); i++ {
-			for j := 0; j < a.Cols(); j++ {
-				d := ulpDist(a.At(i, j), b.At(i, j))
-				if d == 0 {
-					continue
+		for i := 0; i < x.Rows(); i++ {
+			for j := 0; j < x.Cols(); j++ {
+				if u, v := x.At(i, j), y.At(i, j); !same(u, v) {
+					add(fmt.Sprintf("%s[%d,%d]", path, i+1, j+1), fmt.Sprintf("%v vs %v (%d ULP)", u, v, ulpDist(u, v)))
 				}
-				if d > res.MaxULP {
-					res.MaxULP = d
-				}
-				res.Findings = append(res.Findings, Finding{
-					Kind:    CrossConfigMismatch,
-					Program: prog,
-					Config:  base.cfg + " vs " + other.cfg,
-					Where:   fmt.Sprintf("%s[%d,%d]", path, i+1, j+1),
-					Detail:  fmt.Sprintf("%v vs %v (%d ULP)", a.At(i, j), b.At(i, j), d),
-				})
 			}
 		}
 	}
 }
 
-func compareReference(res *ProgramResult, p Program, base *runOutput) {
-	fs := hdfs.New()
-	if p.Setup != nil {
-		p.Setup(fs)
-	}
-	prog, err := dml.Parse(p.Source)
-	if err != nil {
-		res.Findings = append(res.Findings, refError(p.Name, err))
-		return
-	}
-	hp, err := hop.NewCompiler(fs, p.Params).Compile(prog, p.Source)
-	if err != nil {
-		res.Findings = append(res.Findings, refError(p.Name, err))
-		return
-	}
-	ref, err := RunReference(hp, fs)
-	if err != nil {
-		res.Findings = append(res.Findings, refError(p.Name, err))
-		return
-	}
+// number matches a number as strconv.FormatFloat prints it.
+var number = regexp.MustCompile(`[-+]?(?:\d+(?:\.\d*)?(?:e[-+]?\d+)?|Inf|NaN)`)
 
-	var refPaths []string
-	for path := range ref.Writes {
-		refPaths = append(refPaths, path)
+// sameLine reports whether two print lines agree: the same text around
+// their numbers, and numbers that same accepts.
+func sameLine(a, b string, same func(x, y float64) bool) bool {
+	if a == b {
+		return true
 	}
-	sort.Strings(refPaths)
-	if !sameStrings(base.paths, refPaths) {
-		res.Findings = append(res.Findings, Finding{
-			Kind:    ReferenceMismatch,
-			Program: p.Name,
-			Config:  base.cfg + " vs reference",
-			Where:   "output set",
-			Detail:  fmt.Sprintf("written paths differ: %v vs %v", base.paths, refPaths),
-		})
-		return
+	if !slices.Equal(number.Split(a, -1), number.Split(b, -1)) {
+		return false
 	}
-	for _, path := range refPaths {
-		got, want := base.outputs[path], ref.Writes[path]
-		if got.Rows() != want.rows || got.Cols() != want.cols {
-			res.Findings = append(res.Findings, Finding{
-				Kind:    ReferenceMismatch,
-				Program: p.Name,
-				Config:  base.cfg + " vs reference",
-				Where:   path,
-				Detail:  fmt.Sprintf("dimensions differ: %dx%d vs %dx%d", got.Rows(), got.Cols(), want.rows, want.cols),
-			})
-			continue
-		}
-		for i := 0; i < want.rows; i++ {
-			for j := 0; j < want.cols; j++ {
-				g, w := got.At(i, j), want.at(i, j)
-				if closeRel(g, w) {
-					continue
-				}
-				res.Findings = append(res.Findings, Finding{
-					Kind:    ReferenceMismatch,
-					Program: p.Name,
-					Config:  base.cfg + " vs reference",
-					Where:   fmt.Sprintf("%s[%d,%d]", path, i+1, j+1),
-					Detail:  fmt.Sprintf("runtime %v vs reference %v", g, w),
-				})
-			}
-		}
-	}
+	return slices.EqualFunc(number.FindAllString(a, -1), number.FindAllString(b, -1), func(u, v string) bool {
+		x, _ := strconv.ParseFloat(u, 64)
+		y, _ := strconv.ParseFloat(v, 64)
+		return same(x, y)
+	})
 }
 
-func refError(prog string, err error) Finding {
+func runError(prog, cfg string, err error) Finding {
 	return Finding{
 		Kind:    RunError,
 		Program: prog,
-		Config:  "reference",
+		Config:  cfg,
 		Where:   "run",
 		Detail:  err.Error(),
 	}
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // closeRel reports whether two cells agree within the reference tolerance.

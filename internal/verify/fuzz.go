@@ -48,7 +48,7 @@ const magCap = 1e12
 // FuzzProgram generates the i-th program of a seeded stream. The same
 // (seed, i) always yields the identical program and input data.
 func FuzzProgram(seed int64, i int) Program {
-	return fuzzProgram(seed, i, 0, fmt.Sprintf("fuzz-%d", i))
+	return seeded(seed, i, 0, fmt.Sprintf("fuzz-%d", i))
 }
 
 // FuzzLoopProgram generates the i-th program of the loop-corpus stream:
@@ -58,11 +58,19 @@ func FuzzProgram(seed int64, i int) Program {
 // the same epoch/batch program shapes the mini-batch workload family
 // relies on.
 func FuzzLoopProgram(seed int64, i int) Program {
-	return fuzzProgram(seed, i, 2, fmt.Sprintf("fuzz-loop-%d", i))
+	return seeded(seed, i, 2, fmt.Sprintf("fuzz-loop-%d", i))
 }
 
-func fuzzProgram(seed int64, i, forcedLoops int, name string) Program {
+// seeded generates the i-th program of a seeded stream.
+func seeded(seed int64, i, forcedLoops int, name string) Program {
 	r := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
+	return fuzzProgram(r, seed+int64(i)*7919+1, forcedLoops, name)
+}
+
+// fuzzProgram generates one program: r makes every grammar choice, so any
+// rand.Source drives it (a seeded stream, or a fuzzer's bytes). xSeed
+// seeds the staged X, and y and L take the next two seeds.
+func fuzzProgram(r *rand.Rand, xSeed int64, forcedLoops int, name string) Program {
 	f := &fuzzer{r: r}
 
 	rows := 15 + r.Intn(26) // 15..40
@@ -71,7 +79,6 @@ func fuzzProgram(seed int64, i, forcedLoops int, name string) Program {
 	if r.Float64() < 0.3 {
 		xSparsity = 0.15 + 0.15*r.Float64()
 	}
-	xSeed := seed + int64(i)*7919 + 1
 	ySeed := xSeed + 1
 	lSeed := xSeed + 2
 

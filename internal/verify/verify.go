@@ -13,7 +13,8 @@
 //     injection, optimizer-picked configurations) and requires the written
 //     outputs and print streams to be byte-identical across all of them,
 //     and to agree with an independent naive reference interpreter that
-//     evaluates the HOP DAG directly on dense matrices.
+//     evaluates the HOP DAG directly on dense matrices. All of them run
+//     one compiled program, which none of them may change.
 //  2. The compiler's worst-case memory estimates are sound upper bounds
 //     the resource optimizer can trust. The auditor hooks every value-mode
 //     kernel invocation, measures the actual operand footprint, and
@@ -93,6 +94,9 @@ const (
 	PoolOverPeak FindingKind = "pool-over-peak"
 	// RunError: a configuration failed to compile or execute.
 	RunError FindingKind = "run-error"
+	// SharedProgramChanged: a run changed the compiled program that every
+	// configuration and the reference share (its hop.AppendKey moved).
+	SharedProgramChanged FindingKind = "shared-program-changed"
 )
 
 // Finding is one typed harness observation.

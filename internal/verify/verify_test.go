@@ -3,6 +3,7 @@ package verify
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"elasticml/internal/conf"
@@ -197,26 +198,99 @@ func TestAuditorFlagsViolations(t *testing.T) {
 }
 
 func TestCompareRunsDetectsMismatch(t *testing.T) {
-	mk := func(cfg string, v float64) *runOutput {
+	mk := func(cfg string, v float64, prints string) *runOutput {
 		m := matrix.Filled(2, 2, 1)
 		m.Set(1, 1, v)
 		return &runOutput{
 			cfg:     cfg,
 			paths:   []string{"/out/Z"},
 			outputs: map[string]*matrix.Matrix{"/out/Z": m},
+			prints:  prints,
 		}
 	}
-	var res ProgramResult
-	compareRuns(&res, "p", mk("a", 1), mk("b", 1))
+	res := ProgramResult{Program: "p"}
+	exact := func(a, b float64) bool {
+		d := ulpDist(a, b)
+		res.MaxULP = max(res.MaxULP, d)
+		return d == 0
+	}
+	compare(&res, CrossConfigMismatch, mk("a", 1, "x\n1\n"), mk("b", 1, "x\n1\n"), exact)
 	if len(res.Findings) != 0 {
 		t.Fatalf("identical runs flagged: %v", res.Findings)
 	}
-	compareRuns(&res, "p", mk("a", 1), mk("b", math.Nextafter(1, 2)))
-	if len(res.Findings) != 1 || res.Findings[0].Kind != CrossConfigMismatch {
+	compare(&res, CrossConfigMismatch, mk("a", 1, ""), mk("b", math.Nextafter(1, 2), ""), exact)
+	if len(res.Findings) != 1 || res.Findings[0].Kind != CrossConfigMismatch || res.Findings[0].Where != "/out/Z[2,2]" {
 		t.Fatalf("1-ULP drift: findings %v", res.Findings)
 	}
 	if res.MaxULP != 1 {
 		t.Errorf("max ULP %d, want 1", res.MaxULP)
+	}
+
+	// Against the reference, cells and numeric print lines agree within
+	// refTol; text lines and the line count must match exactly.
+	res = ProgramResult{Program: "p"}
+	compare(&res, ReferenceMismatch, mk("a", 1, "s\ns=0.1 x=0\n"), mk("reference", 1+1e-9, "s\ns=0.1000000001 x=-0\n"), closeRel)
+	if len(res.Findings) != 0 {
+		t.Fatalf("values within refTol flagged: %v", res.Findings)
+	}
+	compare(&res, ReferenceMismatch, mk("a", 1, "s\n0.1\n"), mk("reference", 1, "t\n0.2\n"), closeRel)
+	var where []string
+	for _, f := range res.Findings {
+		if f.Kind != ReferenceMismatch || f.Config != "a vs reference" {
+			t.Errorf("finding %s, want a reference mismatch of a vs reference", f)
+		}
+		where = append(where, f.Where)
+	}
+	if want := []string{"print line 1", "print line 2"}; !reflect.DeepEqual(where, want) {
+		t.Errorf("print mismatches at %v, want %v", where, want)
+	}
+	res.Findings = nil
+	compare(&res, ReferenceMismatch, mk("a", 1, "1\n"), mk("reference", 1, "1\n1\n"), closeRel)
+	if len(res.Findings) != 1 || res.Findings[0].Where != "print stream" {
+		t.Errorf("a missing print line: findings %v", res.Findings)
+	}
+}
+
+// TestRunProgramBuildsOnce: the harness stages, parses and compiles a
+// program once and runs every configuration and the reference off that
+// one build, which none of them changes.
+func TestRunProgramBuildsOnce(t *testing.T) {
+	for _, p := range []Program{Corpus()[0], FuzzLoopProgram(1, 0)} {
+		calls, setup := 0, p.Setup
+		p.Setup = func(fs *hdfs.FS) {
+			calls++
+			setup(fs)
+		}
+		r := RunProgram(p, Options{})
+		if calls != 1 {
+			t.Errorf("%s: Setup ran %d times, want 1", p.Name, calls)
+		}
+		if len(r.Configs) != len(DefaultConfigs()) || len(r.Findings) > 0 || r.Outputs == 0 {
+			t.Errorf("%s: configs %v, %d outputs, findings %v", p.Name, r.Configs, r.Outputs, r.Findings)
+		}
+	}
+}
+
+// TestRunProgramBuildErrors: a program that fails to stage, parse or
+// compile is one run error per configuration, and nothing else.
+func TestRunProgramBuildErrors(t *testing.T) {
+	for _, c := range []struct {
+		p      Program
+		detail string // the error's prefix
+	}{
+		{Program{Name: "parse", Source: "x = ;"}, "parse: "},
+		{Program{Name: "compile", Source: "x = nosuchfn(1);\nprint(x);"}, "compile: "},
+		{Program{Name: "setup", Source: "print(1);", Setup: func(*hdfs.FS) { panic("staging failed") }}, "panic: "},
+	} {
+		r := RunProgram(c.p, Options{})
+		if len(r.Findings) != len(DefaultConfigs()) {
+			t.Fatalf("%s: %d findings, want one per configuration: %v", c.p.Name, len(r.Findings), r.Findings)
+		}
+		for i, f := range r.Findings {
+			if f.Kind != RunError || f.Config != r.Configs[i] || !strings.HasPrefix(f.Detail, c.detail) {
+				t.Errorf("%s: finding %s, want a run error of %s starting %q", c.p.Name, f, r.Configs[i], c.detail)
+			}
+		}
 	}
 }
 

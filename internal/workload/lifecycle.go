@@ -261,7 +261,7 @@ func (s *Service) run(reqs ...*planReq) []simResult {
 	for i, p := range reqs {
 		id := p.j.id
 		o, kept := s.cache.Outcome(p.key)
-		if k := id.run; k.outcome != nil && k.live == s.live() && resEqual(k.res, p.res) {
+		if k := id.run; k.outcome != nil && k.live == s.live() && k.res.Equal(p.res) {
 			o, kept = k.outcome, true
 		}
 		if kept && id.mode == rt.ModeSim {
@@ -502,7 +502,7 @@ func (s *Service) reoptimize(trig trigger) {
 // and rescale the remaining execution time by the cost ratio and by the
 // speed of the node the AM container now runs on.
 func (s *Service) applyReopt(j *job, res conf.Resources, cost float64, trig trigger) {
-	if resEqual(res, j.res) || !s.refit(j, s.cc.ContainerSize(res.CP)) {
+	if res.Equal(j.res) || !s.refit(j, s.cc.ContainerSize(res.CP)) {
 		return
 	}
 	rem := max(j.finish-s.now, 0)
@@ -570,19 +570,6 @@ func (s *Service) refit(j *job, need conf.Bytes) bool {
 		s.queue = append([]int{j.idx}, s.queue...)
 	}
 	return false
-}
-
-// resEqual compares two resource configurations field-wise.
-func resEqual(a, b conf.Resources) bool {
-	if a.CP != b.CP || a.CPCores != b.CPCores || len(a.MR) != len(b.MR) {
-		return false
-	}
-	for i := range a.MR {
-		if a.MR[i] != b.MR[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // program makes sure the job has its compiled program, compiling it over

@@ -42,7 +42,7 @@ func coldMix() []JobSpec {
 }
 
 func sameAnswer(res conf.Resources, cost float64, out *opt.Result) bool {
-	return resEqual(res, out.Res) && math.Float64bits(cost) == math.Float64bits(out.Cost)
+	return res.Equal(out.Res) && math.Float64bits(cost) == math.Float64bits(out.Cost)
 }
 
 // TestPrepareMatchesSequencerSearch: over the cold mix, Prepare's cold

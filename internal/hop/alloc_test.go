@@ -1,6 +1,7 @@
 package hop
 
 import (
+	"runtime"
 	"testing"
 
 	"elasticml/internal/datagen"
@@ -47,50 +48,98 @@ func (cc *coldCompile) run(tb testing.TB) {
 	}
 }
 
+// measure returns the allocations and bytes of one call of fn, each
+// averaged over runs calls after a first that warms fn up.
+func measure(runs int, fn func()) (allocs float64, bytes uint64) {
+	allocs = testing.AllocsPerRun(runs, fn)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestCompileAllocs gates the allocations of compiling MLogreg and
 // rebuilding its whole scope, so that a per-hop key string, a per-walk
 // hash set, a per-pass read set or a per-branch table copy cannot come
-// back unnoticed. The limit is the 3,320 measured once generic blocks
-// were re-sized templates (each Compile of a parsed program builds its
-// own), plus 10 %; 4,799 while every block built from its statements,
-// 4,869 before the compiler stopped building the transient reads and
-// literals that folding and CSE throw away and linearized control-block
-// headers, and fmt-built CSE keys, map-backed walks and per-hop consumer
-// lists took 10,089.
+// back unnoticed, and their bytes, which set how often the collector
+// runs, so that a trial build that keeps its DAGs cannot either. The
+// limits are the 3,016 allocations and 388,576 bytes measured once trial
+// builds kept nothing, plus 10 % (656,103 bytes before); 3,320
+// allocations once generic blocks were re-sized templates (each Compile
+// of a parsed program builds its own), 4,799 while every block built from
+// its statements, 4,869 before the compiler stopped building the
+// transient reads and literals that folding and CSE throw away and
+// linearized control-block headers, and fmt-built CSE keys, map-backed
+// walks and per-hop consumer lists took 10,089.
 func TestCompileAllocs(t *testing.T) {
 	cc := sizeM(t, scripts.MLogreg())
-	allocs := testing.AllocsPerRun(10, func() { cc.run(t) })
-	const limit = 3652
+	allocs, bytes := measure(10, func() { cc.run(t) })
+	const limit, byteLimit = 3318, 427_434
 	if allocs > limit {
 		t.Errorf("compiling and rebuilding MLogreg allocates %v times, limit %d", allocs, limit)
 	}
+	if bytes > byteLimit {
+		t.Errorf("compiling and rebuilding MLogreg allocates %d bytes, limit %d", bytes, byteLimit)
+	}
 }
 
-// TestTemplateCompileAllocs gates the allocations of compiling MLogreg
-// from a warm table: every template it re-sizes is built already, so a
-// compile that builds a templated block from its statements again, or
-// copies a template beyond the re-size, fails it. The limit is the 742
-// measured when templates came in, plus 10 %; the same compile from the
-// statements allocated 2,459.
-func TestTemplateCompileAllocs(t *testing.T) {
-	spec := scripts.MLogreg()
+// warmCompile returns a compile of spec over the size-M dense1000
+// scenario from a table that has built every template the compile
+// re-sizes.
+func warmCompile(tb testing.TB, spec scripts.Spec) func() {
+	tb.Helper()
 	fs := hdfs.New()
 	datagen.Describe(fs, datagen.New("M", 1000, 1.0))
-	tab := &Table{}
-	s, err := tab.Parse(spec.Source)
+	s, err := (&Table{}).Parse(spec.Source)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	compile := func() {
 		if _, err := NewCompiler(fs, spec.Params).CompileScript(s); err != nil {
-			t.Fatal(err)
+			tb.Fatalf("%s: %v", spec.Name, err)
 		}
 	}
 	compile()
-	allocs := testing.AllocsPerRun(10, compile)
-	const limit = 816
-	if allocs > limit {
-		t.Errorf("compiling MLogreg from a warm table allocates %v times, limit %d", allocs, limit)
+	return compile
+}
+
+// TestTemplateCompileAllocs gates the allocations and bytes of compiling
+// MLogreg, and the mini-batch family, from a warm table: every template
+// a compile re-sizes is built already, so a compile that builds a block
+// from its statements, copies a template beyond the re-size, or keeps a
+// loop's trial DAGs fails it. The limits are the values measured once
+// read() and $ blocks had templates and trial builds kept nothing, plus
+// 10 %: MLogreg 505 allocations and 78,553 bytes (742 allocations when
+// templates came in, 736 and 231,736 bytes before this gate; 2,459
+// allocations from the statements), the mini-batch family 633 and
+// 117,816 (1,524 and 406,595 before).
+func TestTemplateCompileAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		specs            []scripts.Spec
+		limit, byteLimit float64
+	}{
+		{"MLogreg", []scripts.Spec{scripts.MLogreg()}, 556, 86_409},
+		{"the mini-batch family", scripts.Minibatch(), 697, 129_598},
+	} {
+		var compiles []func()
+		for _, spec := range c.specs {
+			compiles = append(compiles, warmCompile(t, spec))
+		}
+		allocs, bytes := measure(10, func() {
+			for _, compile := range compiles {
+				compile()
+			}
+		})
+		if allocs > c.limit {
+			t.Errorf("compiling %s from a warm table allocates %v times, limit %v", c.name, allocs, c.limit)
+		}
+		if float64(bytes) > c.byteLimit {
+			t.Errorf("compiling %s from a warm table allocates %d bytes, limit %v", c.name, bytes, c.byteLimit)
+		}
 	}
 }
 
@@ -106,6 +155,23 @@ func BenchmarkCompile(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		for _, cc := range ccs {
 			cc.run(b)
+		}
+	}
+}
+
+// BenchmarkTemplateCompile compiles the mini-batch family at size M from
+// a warm table, as the workload service compiles a job whose source it
+// holds.
+func BenchmarkTemplateCompile(b *testing.B) {
+	var compiles []func()
+	for _, spec := range scripts.Minibatch() {
+		compiles = append(compiles, warmCompile(b, spec))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, compile := range compiles {
+			compile()
 		}
 	}
 }

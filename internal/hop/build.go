@@ -3,6 +3,8 @@ package hop
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"weak"
 
 	"elasticml/internal/dml"
 	"elasticml/internal/hdfs"
@@ -43,9 +45,94 @@ type Compiler struct {
 	Trace  *obs.Tracer
 	script *Script
 	nextID int64
+	// scratch is the storage of the build in progress (see startBuild).
+	// It is nil between builds, so a compiler that a program's owner
+	// keeps retains none of it, and Fork does not share it.
+	scratch *scratch
+	// template marks the compiler that builds a template: it reads a
+	// numeric $ parameter as an unknown scalar under its reserved name
+	// (see paramName) and builds a read() of unknown size (see
+	// Script.template).
+	template bool
 	// statementsOnly, set only by tests, makes every generic block build
 	// from its statements, as it did before templates.
 	statementsOnly bool
+}
+
+// scratch is the storage a build reuses and keeps nothing of: the depth
+// of the loop trial builds in progress, the block every generic block
+// re-sizes into (overwritten on every use: a trial keeps only the
+// metadata a block publishes, and a kept block is compacted out of it),
+// the symbol tables that trials and then-branches are done with, and the
+// one DAG build context a build uses at a time (see newCtx).
+type scratch struct {
+	trials int
+	buf    blockBuf
+	tabs   []SymTab
+	ctx    dagCtx
+}
+
+// scratches holds the scratch of finished builds for the next ones, so
+// that a warm compile allocates only the program it returns. It holds
+// them weakly: a collection frees every idle scratch, so none outlives
+// the builds that use it.
+var scratches struct {
+	sync.Mutex
+	idle []weak.Pointer[scratch]
+}
+
+// startBuild hands the build about to run an idle scratch, or a new one,
+// which endBuild takes back.
+func (c *Compiler) startBuild() {
+	scratches.Lock()
+	for c.scratch == nil && len(scratches.idle) > 0 {
+		n := len(scratches.idle) - 1
+		c.scratch = scratches.idle[n].Value()
+		scratches.idle = scratches.idle[:n]
+	}
+	scratches.Unlock()
+	if c.scratch == nil {
+		c.scratch = new(scratch)
+	}
+}
+
+func (c *Compiler) endBuild() {
+	scratches.Lock()
+	scratches.idle = append(scratches.idle, weak.Make(c.scratch))
+	scratches.Unlock()
+	c.scratch = nil
+}
+
+// cloneTab returns a copy of meta in a table a trial or then-branch is
+// done with, or in a new one.
+func (c *Compiler) cloneTab(meta SymTab) SymTab {
+	tabs := c.scratch.tabs
+	if len(tabs) == 0 {
+		return meta.Clone()
+	}
+	t := tabs[len(tabs)-1]
+	c.scratch.tabs = tabs[:len(tabs)-1]
+	for k, v := range meta {
+		t[k] = v
+	}
+	return t
+}
+
+// freeTab hands back a table cloneTab returned, once nothing reads it.
+func (c *Compiler) freeTab(t SymTab) {
+	clear(t)
+	c.scratch.tabs = append(c.scratch.tabs, t)
+}
+
+// trial builds sblocks against meta only for the metadata they publish
+// there: every generic block inside re-sizes into the scratch block, which
+// the next one overwrites. It draws the hop IDs a kept build draws, so the
+// program's IDs do not depend on what a trial keeps.
+func (c *Compiler) trial(sblocks []*dml.StatementBlock, meta SymTab) error {
+	c.scratch.trials++
+	_, err := c.buildBlocks(sblocks, meta)
+	c.scratch.trials--
+	return err
 }
 
 // NewCompiler returns a HOP compiler reading input metadata from fs and
@@ -60,7 +147,7 @@ func NewCompiler(fs *hdfs.FS, params map[string]interface{}) *Compiler {
 // recompiles exactly as it would on c, and c stays as it was.
 func (c *Compiler) Fork(fs *hdfs.FS) *Compiler {
 	f := *c
-	f.FS = fs
+	f.FS, f.scratch = fs, nil
 	return &f
 }
 
@@ -95,9 +182,12 @@ func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
 		return nil, s.err
 	}
 	c.script = s
-	meta := SymTab{}
+	c.startBuild()
+	meta := c.cloneTab(nil)
 	bld := c.Trace.Begin(obs.LayerCompile, "hop.build-dags", obs.A("stmt_blocks", len(s.blocks)))
 	blocks, err := c.buildBlocks(s.blocks, meta)
+	c.freeTab(meta)
+	c.endBuild()
 	bld.End()
 	if err != nil {
 		return nil, err
@@ -173,7 +263,9 @@ func (c *Compiler) rebuild(b *Block, vars Vars) (*Block, error) {
 			meta[name] = m
 		}
 	}
+	c.startBuild()
 	nb, err := c.generic(b.Src, meta)
+	c.endBuild()
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +352,9 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 	if err != nil {
 		return nil, err
 	}
+	c.startBuild()
 	rebuilt, err := c.buildBlocks(srcs, meta)
+	c.endBuild()
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +431,7 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 	// error meta is half-built, but no caller reads it then: Compile starts
 	// from an empty table, RebuildScope from a copy, and a recompile's
 	// rebuild from a table of its own.
-	thenMeta := meta.Clone()
+	thenMeta := c.cloneTab(meta)
 	thenB, err := c.buildBlocks(sb.Then, thenMeta)
 	if err != nil {
 		return nil, err
@@ -347,6 +441,7 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 		return nil, err
 	}
 	mergeMeta(meta, thenMeta)
+	c.freeTab(thenMeta)
 	b := &Block{Kind: dml.IfBlockKind, Index: -1, Pred: pred, PredExpr: sb.Pred,
 		Then: thenB, Else: elseB, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil
@@ -356,11 +451,12 @@ func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 	// Pass 1: trial compilation on a copy to discover which variables
 	// change inside the loop; those are weakened to unknown (fixpoint
 	// approximation, as in SystemML's size propagation).
-	trial := meta.Clone()
-	if _, err := c.buildBlocks(sb.Body, trial); err != nil {
+	trial := c.cloneTab(meta)
+	if err := c.trial(sb.Body, trial); err != nil {
 		return nil, err
 	}
 	weaken(meta, trial)
+	c.freeTab(trial)
 	predCtx := c.newCtx(meta)
 	pred, err := c.expr(sb.Pred, predCtx)
 	if err != nil {
@@ -392,12 +488,13 @@ func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, erro
 			iters = 0
 		}
 	}
-	trial := meta.Clone()
+	trial := c.cloneTab(meta)
 	trial[sb.Var] = VarMeta{} // loop variable: scalar, unknown value
-	if _, err := c.buildBlocks(sb.Body, trial); err != nil {
+	if err := c.trial(sb.Body, trial); err != nil {
 		return nil, err
 	}
 	weaken(meta, trial)
+	c.freeTab(trial)
 	meta[sb.Var] = VarMeta{}
 	body, err := c.buildBlocks(sb.Body, meta)
 	if err != nil {

@@ -205,17 +205,21 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 }
 
 // readHop stats the input file on the simulated DFS and constructs a
-// persistent-read hop with its metadata.
+// persistent-read hop with its metadata. A template's read has unknown
+// size: a re-size stats the file.
 func (c *Compiler) readHop(ctx *dagCtx, path string) (*Hop, error) {
-	if c.FS == nil {
-		return nil, fmt.Errorf("read(%q): no file system attached to compiler", path)
+	h := &Hop{Kind: KindRead, Name: path, DataType: Matrix, Rows: Unknown, Cols: Unknown, NNZ: Unknown}
+	if !c.template {
+		if c.FS == nil {
+			return nil, fmt.Errorf("read(%q): no file system attached to compiler", path)
+		}
+		f, err := c.FS.Stat(path)
+		if err != nil {
+			return nil, err
+		}
+		h.Rows, h.Cols, h.NNZ = f.Rows, f.Cols, f.NNZ
 	}
-	f, err := c.FS.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	h := &Hop{ID: c.id(), Kind: KindRead, Name: path, DataType: Matrix,
-		Rows: f.Rows, Cols: f.Cols, NNZ: f.NNZ}
+	h.ID = c.id()
 	estimateMem(h)
 	return ctx.dedup(h), nil
 }

@@ -22,14 +22,22 @@ type dagCtx struct {
 	keyBuf [64]byte
 }
 
+// newCtx returns an empty context over meta: during a build, the
+// scratch's, since a build is done with one DAG's context before it
+// starts the next.
 func (c *Compiler) newCtx(meta SymTab) *dagCtx {
-	ctx := &dagCtx{
-		meta:   meta,
-		locals: make(map[string]*Hop),
-		treads: make(map[string]*Hop),
-		cse:    make(map[string]*Hop),
+	ctx := new(dagCtx)
+	if c.scratch != nil {
+		ctx = &c.scratch.ctx
 	}
-	ctx.key = ctx.keyBuf[:0]
+	if ctx.cse == nil {
+		ctx.locals, ctx.treads, ctx.cse = make(map[string]*Hop), make(map[string]*Hop), make(map[string]*Hop)
+	} else {
+		clear(ctx.locals)
+		clear(ctx.treads)
+		clear(ctx.cse)
+	}
+	ctx.meta, ctx.order, ctx.key = meta, ctx.order[:0], ctx.keyBuf[:0]
 	return ctx
 }
 
@@ -203,25 +211,7 @@ func (c *Compiler) expr(e dml.Expr, ctx *dagCtx) (*Hop, error) {
 		}
 		return c.lit(ctx, 0), nil
 	case *dml.Param:
-		v, ok := c.Params[e.Name]
-		if !ok {
-			return nil, fmt.Errorf("undefined parameter $%s", e.Name)
-		}
-		switch v := v.(type) {
-		case float64:
-			return c.lit(ctx, v), nil
-		case int:
-			return c.lit(ctx, float64(v)), nil
-		case string:
-			return c.strLit(ctx, v), nil
-		case bool:
-			if v {
-				return c.lit(ctx, 1), nil
-			}
-			return c.lit(ctx, 0), nil
-		default:
-			return nil, fmt.Errorf("parameter $%s has unsupported type %T", e.Name, v)
-		}
+		return c.param(e.Name, ctx)
 	case *dml.Ident:
 		return c.variable(e.Name, ctx)
 	case *dml.UnOp:
@@ -238,6 +228,60 @@ func (c *Compiler) expr(e dml.Expr, ctx *dagCtx) (*Hop, error) {
 		return c.rightIndex(e, ctx)
 	}
 	return nil, fmt.Errorf("unsupported expression %T", e)
+}
+
+// param compiles the $ parameter name to a literal of its value. A
+// template's compiler reads a numeric parameter as an unknown scalar
+// under its reserved name, which a re-size folds into the literal, and
+// takes a string's value from its table, as the template's kinds key
+// holds it.
+func (c *Compiler) param(name string, ctx *dagCtx) (*Hop, error) {
+	var m VarMeta
+	var err error
+	if c.template {
+		var ok bool
+		if m, ok = ctx.meta[paramName(name)]; !ok {
+			err = fmt.Errorf("undefined parameter $%s", name)
+		}
+	} else {
+		m, err = paramMeta(c.Params, name)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case m.IsStr:
+		return c.strLit(ctx, m.Str), nil
+	case m.Known:
+		return c.lit(ctx, m.Val), nil
+	}
+	return c.variable(paramName(name), ctx)
+}
+
+// paramName is the reserved name under which a template reads the $
+// parameter name: no variable's name starts with "$".
+func paramName(name string) string { return "$" + name }
+
+// paramMeta returns the metadata of the $ parameter name in params: a
+// known scalar (a bool is 1 or 0) or a string.
+func paramMeta(params map[string]interface{}, name string) (VarMeta, error) {
+	v, ok := params[name]
+	if !ok {
+		return VarMeta{}, fmt.Errorf("undefined parameter $%s", name)
+	}
+	switch v := v.(type) {
+	case float64:
+		return VarMeta{Known: true, Val: v}, nil
+	case int:
+		return VarMeta{Known: true, Val: float64(v)}, nil
+	case string:
+		return VarMeta{IsStr: true, Str: v}, nil
+	case bool:
+		if v {
+			return VarMeta{Known: true, Val: 1}, nil
+		}
+		return VarMeta{Known: true}, nil
+	}
+	return VarMeta{}, fmt.Errorf("parameter $%s has unsupported type %T", name, v)
 }
 
 // variable resolves an identifier to the local assignment or a transient

@@ -339,6 +339,57 @@ print(sum(acc) + sum(grow) + i);
 	}
 }
 
+// TestForLoopWeakening: a for body's trial build weakens what the body
+// changes, as a while body's does, also for a loop nested in another,
+// whose trials run inside the outer loop's.
+func TestForLoopWeakening(t *testing.T) {
+	src := `
+grow = matrix(0, rows=1, cols=1);
+k = 1;
+for (e in 1:3) {
+  for (b in 1:2) {
+    grow = append(grow, grow);
+    k = k + 1;
+  }
+}
+print(sum(grow) + k);
+`
+	prog, err := dml.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp, err := NewCompiler(testFS(10, 10), nil).Compile(prog, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inner *Block
+	WalkBlocks(hp.Blocks, func(b *Block) {
+		if b.Kind == dml.ForBlockKind && b.Var == "b" {
+			inner = b
+		}
+	})
+	if inner == nil {
+		t.Fatal("no inner for block")
+	}
+	var grow, k *Hop
+	WalkBlocks(inner.Body, func(b *Block) {
+		WalkDAG(b.Roots, func(h *Hop) {
+			if h.Kind == KindTRead && h.Name == "grow" {
+				grow = h
+			}
+			if h.Kind == KindTRead && h.Name == "k" {
+				k = h
+			}
+		})
+	})
+	if grow == nil || k == nil {
+		t.Fatal("grow or k is no transient read in the inner body: not weakened")
+	}
+	if grow.Cols != Unknown {
+		t.Errorf("grow cols in loop = %d, want unknown", grow.Cols)
+	}
+}
+
 func TestIfMergeWeakening(t *testing.T) {
 	fs := testFS(100, 10)
 	src := `

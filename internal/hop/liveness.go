@@ -52,17 +52,25 @@ func (s stringSet) addAll(o stringSet) {
 // stmtReads returns the variables straight-line statements read, sorted
 // and once each: every identifier, and the target of a left-indexed
 // assignment (the update reads the matrix it writes into).
-func stmtReads(stmts []dml.Stmt) []string {
+func stmtReads(stmts []dml.Stmt) []string { return stmtNames(stmts, false) }
+
+// stmtParams returns the $ parameters straight-line statements read, by
+// their reserved names (see paramName), sorted and once each.
+func stmtParams(stmts []dml.Stmt) []string { return stmtNames(stmts, true) }
+
+// stmtNames returns the names stmtReads, or with params set stmtParams,
+// returns.
+func stmtNames(stmts []dml.Stmt, params bool) []string {
 	var names []string
 	for _, st := range stmts {
 		switch st := st.(type) {
 		case *dml.Assign:
-			names = appendReads(names, st.Expr)
+			names = appendNames(names, st.Expr, params)
 			if st.LIndex != nil {
-				names = appendReads(names, st.LIndex) // its Target names the matrix
+				names = appendNames(names, st.LIndex, params) // its Target names the matrix
 			}
 		case *dml.ExprStmt:
-			names = appendReads(names, st.Call)
+			names = appendNames(names, st.Call, params)
 		}
 	}
 	slices.Sort(names)
@@ -71,26 +79,36 @@ func stmtReads(stmts []dml.Stmt) []string {
 
 // appendReads appends every identifier e holds to names; a nil e holds
 // none.
-func appendReads(names []string, e dml.Expr) []string {
+func appendReads(names []string, e dml.Expr) []string { return appendNames(names, e, false) }
+
+// appendNames appends every identifier e holds to names, or with params
+// set the reserved name of every $ parameter.
+func appendNames(names []string, e dml.Expr, params bool) []string {
 	switch e := e.(type) {
 	case *dml.Ident:
-		names = append(names, e.Name)
+		if !params {
+			names = append(names, e.Name)
+		}
+	case *dml.Param:
+		if params {
+			names = append(names, paramName(e.Name))
+		}
 	case *dml.BinOp:
-		names = appendReads(appendReads(names, e.Left), e.Right)
+		names = appendNames(appendNames(names, e.Left, params), e.Right, params)
 	case *dml.UnOp:
-		names = appendReads(names, e.X)
+		names = appendNames(names, e.X, params)
 	case *dml.Call:
 		for _, a := range e.Args {
-			names = appendReads(names, a)
+			names = appendNames(names, a, params)
 		}
 		for _, a := range e.Named {
-			names = appendReads(names, a)
+			names = appendNames(names, a, params)
 		}
 	case *dml.Index:
-		names = appendReads(names, e.Target)
+		names = appendNames(names, e.Target, params)
 		for _, r := range []*dml.IndexRange{e.Row, e.Col} {
 			if r != nil {
-				names = appendReads(appendReads(names, r.Lo), r.Hi)
+				names = appendNames(appendNames(names, r.Lo, params), r.Hi, params)
 			}
 		}
 	}

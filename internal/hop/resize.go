@@ -15,10 +15,11 @@ func (s SymTab) Meta(name string) (VarMeta, bool) {
 	return m, ok
 }
 
-// blockBuf is the storage of a block RecompileGeneric returned: the block
-// itself, its hop slab, the one pointer array behind its inputs and roots,
-// and the arrays linearize fills. The next re-size of the same compiled
-// block overwrites it, so one buffer serves every execution of the block.
+// blockBuf is the storage of a block RecompileGeneric returned, or of a
+// build's scratch block: the block itself, its hop slab, the one pointer
+// array behind its inputs and roots, and the arrays linearize fills. The
+// next re-size of the same compiled block, or the build's next generic
+// block, overwrites it, so one buffer serves every execution of the block.
 type blockBuf struct {
 	b      Block
 	hops   []Hop
@@ -53,9 +54,8 @@ func (c *Compiler) resize(b *Block, vars Vars, prev *Block) (*Block, bool) {
 // file's, and every other hop re-runs the build's inference and memory
 // estimates, a scalar that becomes known folding into a literal the copy
 // shares with every equal one. b itself is only read, so a compiled
-// program stays safe to share between runs. With a buffer, the copy
-// overwrites the block and storage it holds where they are large enough;
-// without one, it is allocated afresh.
+// program stays safe to share between runs. The copy overwrites the block
+// and storage buf holds where they are large enough.
 //
 // It reports false when a rebuild from b's statements would do more than
 // re-size: a variable changed kind or is undefined, a file cannot be
@@ -77,21 +77,14 @@ func (c *Compiler) resized(b *Block, vars Vars, buf *blockBuf) (*Block, bool) {
 			folds++
 		}
 	}
-	var hops []Hop
-	var ptrs []*Hop
-	if buf != nil {
-		hops, ptrs = buf.hops, buf.ptrs
-	}
 	// A reused slab is cleared: finalize sets only what it infers.
-	slab := reuse(hops, n, n+min(folds, 8))
+	slab := reuse(buf.hops, n, n+min(folds, 8))
 	folds -= cap(slab) - n
 	// rep[i] stands for b.Order[i] in the copy: slab[i], or the literal it
 	// folded into. One array backs rep, the copy's input slices and its
 	// roots.
-	ptrs = reuse(ptrs, n+nin+len(b.Roots), n+nin+len(b.Roots))
-	if buf != nil {
-		buf.hops, buf.ptrs = slab, ptrs
-	}
+	ptrs := reuse(buf.ptrs, n+nin+len(b.Roots), n+nin+len(b.Roots))
+	buf.hops, buf.ptrs = slab, ptrs
 	rep, ins, roots := ptrs[:n], ptrs[n:n+nin], ptrs[n+nin:]
 	// lits holds the copy's literals, kept ones first, so that a fold
 	// shares the literal of its value as the build's literal table does.
@@ -147,7 +140,7 @@ func (c *Compiler) resized(b *Block, vars Vars, buf *blockBuf) (*Block, bool) {
 		}
 		switch o.Kind {
 		case KindTRead:
-			m, ok := vars.Meta(o.Name)
+			m, ok := c.readMeta(vars, o.Name)
 			if !ok || m.IsMatrix != (o.DataType == Matrix) || m.IsStr != (o.DataType == String) {
 				return nil, false
 			}
@@ -213,16 +206,53 @@ func (c *Compiler) resized(b *Block, vars Vars, buf *blockBuf) (*Block, bool) {
 	for k, r := range b.Roots {
 		roots[k] = rep[r.Pos]
 	}
-	var nb *Block
-	if buf != nil {
-		nb = &buf.b
-		*nb = Block{Order: nb.Order[:0], Users: nb.Users[:0], buf: buf}
-	} else {
-		nb = new(Block)
-	}
+	nb := &buf.b
+	*nb = Block{Order: nb.Order[:0], Users: nb.Users[:0], buf: buf}
 	nb.Kind, nb.Index, nb.Reads, nb.Roots = b.Kind, b.Index, b.Reads, roots
 	nb.Src, nb.Parent, nb.FirstLine, nb.LastLine, nb.hint = b.Src, b.Parent, b.FirstLine, b.LastLine, n
 	return nb, true
+}
+
+// readMeta returns the metadata of the variable a transient read reads
+// from vars, and that of a template's $ parameter, read under its
+// reserved name, from the compiler's parameters.
+func (c *Compiler) readMeta(vars Vars, name string) (VarMeta, bool) {
+	if name[0] == '$' {
+		m, err := paramMeta(c.Params, name[1:])
+		return m, err == nil
+	}
+	return vars.Meta(name)
+}
+
+// compact returns a copy of b, a re-size into a scratch buffer, that keeps
+// only the hops its roots reach: one slab of exactly their number, and one
+// pointer array behind their inputs and its roots. The re-size's slab has
+// room for the literals its folds might create and keeps the hops that
+// folded away.
+func (b *Block) compact() *Block {
+	b.Order = walkOrder(b.Order[:0], b.Roots)
+	nin := 0
+	for _, h := range b.Order {
+		nin += len(h.Inputs)
+	}
+	hops, ptrs := make([]Hop, len(b.Order)), make([]*Hop, nin+len(b.Roots))
+	for i, h := range b.Order {
+		c := &hops[i]
+		*c = *h
+		if k := len(h.Inputs); k > 0 {
+			c.Inputs, ptrs = ptrs[:k:k], ptrs[k:]
+			for j, in := range h.Inputs {
+				if in != nil {
+					c.Inputs[j] = &hops[in.Pos]
+				}
+			}
+		}
+	}
+	for k, r := range b.Roots {
+		ptrs[k] = &hops[r.Pos]
+	}
+	return &Block{Kind: b.Kind, Index: b.Index, Reads: b.Reads, Roots: ptrs, Src: b.Src, Parent: b.Parent,
+		FirstLine: b.FirstLine, LastLine: b.LastLine, hint: len(hops)}
 }
 
 // fusable reports whether the transpose-mm rewrite would rewire a matrix

@@ -73,9 +73,11 @@ func (t *Table) forget(source string) {
 
 // Script is one parsed source: its statement blocks after function
 // inlining, and a template for each generic block under each combination
-// of kinds its reads arrive with — the block's DAG built once with every
-// variable it reads unknown, kind kept (a string keeps its value, which a
-// write path or a ppred operator bakes in). A build of the block re-sizes
+// of kinds its reads and $ parameters arrive with — the block's DAG built
+// once with every variable it reads unknown, kind kept (a string keeps its
+// value, which a read() or write path or a ppred operator bakes in). A
+// numeric parameter is an unknown scalar read under its reserved name, and
+// a read() a persistent read of unknown size. A build of the block re-sizes
 // the template under the metadata at hand instead of building from the
 // statements (see generic). Templates take their hop IDs from the
 // script's own counter, so a program's IDs, like its DAGs, do not depend
@@ -90,15 +92,17 @@ type Script struct {
 	tmpls  map[*dml.StatementBlock]*blockTemplates
 }
 
-// blockTemplates are one generic block's read set and its templates.
+// blockTemplates are one generic block's read set, the reserved names of
+// the $ parameters it reads (see paramName), and its templates.
 type blockTemplates struct {
-	reads []string
-	kinds []kindsTemplate
+	reads, params []string
+	kinds         []kindsTemplate
 }
 
-// kindsTemplate is a block's DAG under one combination of read kinds (see
-// appendKinds), or nil where the block does not build without its
-// statements' $ parameters or files, or does not build at all.
+// kindsTemplate is a block's DAG under one combination of the kinds of its
+// reads and parameters (see appendKind), or nil where the block does not
+// build with every variable it reads unknown: a parameter is undefined, or
+// the block does not build at all.
 type kindsTemplate struct {
 	kinds string
 	b     *Block
@@ -113,9 +117,9 @@ func newScript(prog *dml.Program, trace *obs.Tracer) *Script {
 	return s
 }
 
-// template returns sb's template for the kinds meta gives sb's reads,
-// building it on first use.
-func (s *Script) template(sb *dml.StatementBlock, meta SymTab) *Block {
+// template returns sb's template for the kinds meta gives sb's reads and
+// params gives its $ parameters, building it on first use.
+func (s *Script) template(sb *dml.StatementBlock, meta SymTab, params map[string]interface{}) *Block {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	bt := s.tmpls[sb]
@@ -123,29 +127,43 @@ func (s *Script) template(sb *dml.StatementBlock, meta SymTab) *Block {
 		if s.tmpls == nil {
 			s.tmpls = make(map[*dml.StatementBlock]*blockTemplates)
 		}
-		bt = &blockTemplates{reads: stmtReads(sb.Stmts)}
+		bt = &blockTemplates{reads: stmtReads(sb.Stmts), params: stmtParams(sb.Stmts)}
 		s.tmpls[sb] = bt
 	}
 	var buf [64]byte
-	kinds := appendKinds(buf[:0], bt.reads, meta)
+	kinds := buf[:0]
+	for _, name := range bt.reads {
+		v, ok := meta[name]
+		kinds = appendKind(kinds, v, ok)
+	}
+	for _, name := range bt.params {
+		v, err := paramMeta(params, name[1:])
+		kinds = appendKind(kinds, v, err == nil)
+	}
 	for _, t := range bt.kinds {
 		if t.kinds == string(kinds) {
 			return t.b
 		}
 	}
 	s.trace.Metrics().Add("compile.template_builds", 1)
-	unknown := make(SymTab, len(bt.reads))
+	unknown := make(SymTab, len(bt.reads)+len(bt.params))
+	keep := func(name string, v VarMeta) {
+		if !v.IsStr {
+			v = v.unknownLike()
+		}
+		unknown[name] = v
+	}
 	for _, name := range bt.reads {
 		if v, ok := meta[name]; ok {
-			if !v.IsStr {
-				v = v.unknownLike()
-			}
-			unknown[name] = v
+			keep(name, v)
 		}
 	}
-	// A compiler with no file system and no parameters fails on a read()
-	// or a $ parameter, whose values a template must not bake in.
-	tc := &Compiler{nextID: s.nextID}
+	for _, name := range bt.params {
+		if v, err := paramMeta(params, name[1:]); err == nil {
+			keep(name, v)
+		}
+	}
+	tc := &Compiler{nextID: s.nextID, template: true}
 	b, err := tc.buildGeneric(sb.Stmts, unknown, sb.FirstLine, sb.LastLine)
 	s.nextID = tc.nextID
 	if err == nil {
@@ -158,39 +176,41 @@ func (s *Script) template(sb *dml.StatementBlock, meta SymTab) *Block {
 	return b
 }
 
-// appendKinds appends to dst what a template keeps of each of reads in
-// meta: absent, matrix, scalar, or a string and its value.
-func appendKinds(dst []byte, reads []string, meta SymTab) []byte {
-	for _, name := range reads {
-		v, ok := meta[name]
-		switch {
-		case !ok:
-			dst = append(dst, 0)
-		case v.IsMatrix:
-			dst = append(dst, 1)
-		case v.IsStr:
-			dst = append(dst, 2)
-			dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
-			dst = append(dst, v.Str...)
-		default:
-			dst = append(dst, 3)
-		}
+// appendKind appends to dst what a template keeps of a read or parameter
+// v, which ok reports defined: absent, matrix, scalar, or a string and its
+// value.
+func appendKind(dst []byte, v VarMeta, ok bool) []byte {
+	switch {
+	case !ok:
+		return append(dst, 0)
+	case v.IsMatrix:
+		return append(dst, 1)
+	case v.IsStr:
+		dst = append(dst, 2)
+		dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
+		return append(dst, v.Str...)
 	}
-	return dst
+	return append(dst, 3)
 }
 
 // generic builds the generic block sb against meta and publishes its
 // transient writes' metadata there, as buildGeneric does: it re-sizes
-// sb's template, and builds from the statements only where sb has no
-// template for the kinds of its reads or the re-size refuses.
+// sb's template into the scratch block, and builds from the statements
+// only where sb has no template for the kinds of its reads and parameters
+// or the re-size refuses. Outside a loop's trial it returns a compact copy
+// of the scratch block; inside one, the scratch block itself, which the
+// next generic block overwrites.
 func (c *Compiler) generic(sb *dml.StatementBlock, meta SymTab) (*Block, error) {
 	if !c.statementsOnly {
 		if c.script == nil {
 			c.script = &Script{trace: c.Trace}
 		}
 		m := c.script.trace.Metrics()
-		if t := c.script.template(sb, meta); t != nil {
-			if b, ok := c.resized(t, meta, nil); ok {
+		if t := c.script.template(sb, meta, c.Params); t != nil {
+			if b, ok := c.resized(t, meta, &c.scratch.buf); ok {
+				if c.scratch.trials == 0 {
+					b = b.compact()
+				}
 				m.Add("compile.template_resizes", 1)
 				for _, r := range b.Roots {
 					if r.Kind == KindTWrite {

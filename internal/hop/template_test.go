@@ -9,6 +9,7 @@ import (
 
 	"elasticml/internal/datagen"
 	"elasticml/internal/hdfs"
+	"elasticml/internal/obs"
 	"elasticml/internal/scripts"
 )
 
@@ -57,16 +58,21 @@ func compileSteps(tab *Table, source string, params map[string]interface{}, fs *
 // TestTemplateMatchesBuild: on every problem TestCompileGolden visits and
 // the mini-batch family on every scenario, the compiled program, each
 // scope rebuild and each leaf recompile encode the same whether generic
-// blocks re-size their templates or build from their statements. One table
-// serves every scenario of a script, so a template built for one input
-// size is re-sized to all the others; and programs that do not compile
-// fail with the same error either way.
+// blocks re-size their templates or build from their statements, and no
+// block falls back to its statements: a block that calls read() or reads
+// a $ parameter has a template too. One table serves every scenario of a
+// script, so a template built for one input size is re-sized to all the
+// others. Programs that do not compile fail with the same error either
+// way, and where the re-size must refuse, the block falls back.
 func TestTemplateMatchesBuild(t *testing.T) {
 	type problem struct {
 		name, source string
 		params       map[string]interface{}
 		fs           *hdfs.FS
 		fails        bool
+		// refuses: some re-size of a template refuses, and its block
+		// builds from its statements.
+		refuses bool
 	}
 	var probs []problem
 	for _, spec := range append(scripts.All(), scripts.Minibatch()...) {
@@ -75,7 +81,7 @@ func TestTemplateMatchesBuild(t *testing.T) {
 				scen := datagen.New(size, sh.Cols, sh.Sparsity)
 				fs := hdfs.New()
 				datagen.Describe(fs, scen)
-				probs = append(probs, problem{fmt.Sprintf("%s %s %s", spec.Name, size, scen.ShapeName()), spec.Source, spec.Params, fs, false})
+				probs = append(probs, problem{fmt.Sprintf("%s %s %s", spec.Name, size, scen.ShapeName()), spec.Source, spec.Params, fs, false, false})
 			}
 		}
 	}
@@ -85,20 +91,32 @@ func TestTemplateMatchesBuild(t *testing.T) {
 for (i in 1:2) { Z = Y %*% X; write(Z, "/o"); }
 `
 	for _, n := range []int64{10, 1000} {
-		probs = append(probs, problem{fmt.Sprintf("mismatch n=%d", n), mismatch, map[string]interface{}{"X": "/data/X"}, testFS(n, 10), n != 10})
+		probs = append(probs, problem{fmt.Sprintf("mismatch n=%d", n), mismatch, map[string]interface{}{"X": "/data/X"}, testFS(n, 10), n != 10, n != 10})
 	}
 	// A template does not know x, so it must not take !!x for x: with x
 	// known to be 5, the statements fold it to 1.
 	const notNot = "x = 5;\nfor (i in 1:2) { y = !!x; z = -(-x); print(y + z); }\n"
-	probs = append(probs, problem{"not not", notNot, nil, testFS(10, 10), false})
+	probs = append(probs, problem{"not not", notNot, nil, testFS(10, 10), false, false})
 	// The loop body reads x as a scalar or as a matrix, from one table.
 	const kinds = `if ($a > 0) { x = 1; } else { x = matrix(0, rows=2, cols=2); }
 for (i in 1:2) { y = x * 2; print(sum(y)); }
 `
 	for _, a := range []float64{1, 0} {
-		probs = append(probs, problem{fmt.Sprintf("kinds a=%g", a), kinds, map[string]interface{}{"a": a}, testFS(10, 10), false})
+		probs = append(probs, problem{fmt.Sprintf("kinds a=%g", a), kinds, map[string]interface{}{"a": a}, testFS(10, 10), false, false})
 	}
-	tab := &Table{}
+	// An undefined parameter and a missing file fail as the statements
+	// fail.
+	const undefined = "X = read($X); y = $nope; print(sum(X) + y);\n"
+	probs = append(probs, problem{"undefined parameter", undefined, map[string]interface{}{"X": "/data/X"}, testFS(10, 10), true, true})
+	const missing = "X = read($X); print(sum(X));\n"
+	probs = append(probs, problem{"missing file", missing, map[string]interface{}{"X": "/data/missing"}, testFS(10, 10), true, true})
+	// A template reads $p unknown; with p = 2 the statements rewrite
+	// X ^ 2 to sq(X) and the sum to sumsq(X), so the re-size refuses.
+	const pow = "X = read($X); Y = X ^ $p; print(sum(Y));\n"
+	for _, p := range []float64{2, 3} {
+		probs = append(probs, problem{fmt.Sprintf("pow p=%g", p), pow, map[string]interface{}{"X": "/data/X", "p": p}, testFS(10, 10), false, p == 2})
+	}
+	tab := &Table{Trace: obs.New(false)}
 	var held []*Script // keeps every script warm for the problems after
 	for _, p := range probs {
 		s, err := tab.Parse(p.source)
@@ -106,7 +124,9 @@ for (i in 1:2) { y = x * 2; print(sum(y)); }
 			t.Fatalf("%s: %v", p.name, err)
 		}
 		held = append(held, s)
+		before := tab.Trace.Metrics().Counter("compile.template_fallbacks")
 		names, got, err := compileSteps(tab, p.source, p.params, p.fs)
+		fallbacks := tab.Trace.Metrics().Counter("compile.template_fallbacks") - before
 		_, want, wantErr := compileSteps(nil, p.source, p.params, p.fs)
 		if (wantErr != nil) != p.fails {
 			t.Fatalf("%s: the build from statements fails with %v", p.name, wantErr)
@@ -114,6 +134,9 @@ for (i in 1:2) { y = x * 2; print(sum(y)); }
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Errorf("%s: from templates %v, from statements %v", p.name, err, wantErr)
 			continue
+		}
+		if (fallbacks > 0) != p.refuses {
+			t.Errorf("%s: %d blocks built from their statements", p.name, fallbacks)
 		}
 		for i := range got {
 			if !bytes.Equal(got[i], want[i]) {

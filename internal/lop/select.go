@@ -167,7 +167,19 @@ func (s *selector) generic(hb *hop.Block, into *Block) (*Block, Region) {
 		jobOf = jobOf[:n]
 		clear(jobOf)
 	}
-	*b = Block{HopBlock: hb, JobOf: jobOf, Instrs: b.Instrs[:0]}
+	// A hop that executes emits at most one instruction. Counting them,
+	// not the block's hops, keeps a reused block's instructions where
+	// they fit: literals and reads emit none.
+	instrs, n := b.Instrs[:0], 0
+	for _, h := range hb.Order {
+		if executes(h) {
+			n++
+		}
+	}
+	if cap(instrs) < n {
+		instrs = make([]Instr, 0, n)
+	}
+	*b = Block{HopBlock: hb, JobOf: jobOf, Instrs: instrs}
 	chains := s.detectChains(hb, &mr)
 
 	var openJob *MRJob

@@ -55,10 +55,11 @@ func DefaultOptions() Options {
 // Stats reports the optimization effort (Table 3 columns).
 type Stats struct {
 	// BlockCompilations counts the block plans Algorithm 1 asks for: every
-	// block of each baseline and whole-program plan, and each MR span a
-	// block enumeration enters (MR grid points inside the last plan's span
-	// reuse it). The search's selection table answers most of them without
-	// running selection.
+	// leaf block of each baseline and whole-program plan (no plan is
+	// selected for a control block), and each MR span a block enumeration
+	// enters (MR grid points inside the last plan's span reuse it). The
+	// search's selection table answers most of them without running
+	// selection.
 	BlockCompilations int
 	// Costings counts the costings Algorithm 1 asks for (costing the
 	// entire program counts as one). A cost cell of an earlier costing of
@@ -270,7 +271,7 @@ func (o *Optimizer) begin(hp *hop.Program, rc conf.Bytes, cores int, ev *evaluat
 
 	minH := o.CC.MinHeap()
 	baseline := ev.tab.Select(hp, conf.NewResources(rc, minH, hp.NumLeaf).WithCores(cores))
-	stats.BlockCompilations += countBlocks(baseline)
+	stats.BlockCompilations += hp.NumLeaf
 	p := &cpPoint{rc: rc, cores: cores, memo: make([]memoEntry, hp.NumLeaf)}
 	for i, lb := range baseline.Blocks {
 		p.memo[i] = memoEntry{ri: minH, cost: ev.blockCost(lb, conf.NewResources(rc, minH, 1).WithCores(cores))}
@@ -336,7 +337,7 @@ func (o *Optimizer) finish(hp *hop.Program, p *cpPoint, ev *evaluator, stats *St
 		res.MR[i] = p.memo[i].ri
 	}
 	full := ev.tab.Select(hp, res)
-	stats.BlockCompilations += countBlocks(full)
+	stats.BlockCompilations += hp.NumLeaf
 	return res, ev.programCost(full)
 }
 
@@ -348,14 +349,6 @@ func better(best, cand *Result) *Result {
 		return cand
 	}
 	return best
-}
-
-// countBlocks counts the blocks of p's program, control blocks included:
-// the compilations Stats.BlockCompilations charges a whole-program Select.
-func countBlocks(p *lop.Plan) int {
-	n := 0
-	hop.WalkBlocks(p.HopProgram.Blocks, func(*hop.Block) { n++ })
-	return n
 }
 
 // round6 trims costs to microsecond precision for trace args: full float64

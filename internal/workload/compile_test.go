@@ -731,9 +731,10 @@ func BenchmarkRepeatJob(b *testing.B) {
 
 // BenchmarkChurnTrace times one whole malleable trace (churnTrace) through
 // batch Run, whose window prepares the next jobs on GOMAXPROCS workers. It
-// fails unless every job compiles at most once, and reports how many
-// prepared answers the loop committed, and how many parses and
-// from-statements block builds the compile table saw.
+// fails unless every job compiles at most once and every generic block a
+// compile builds re-sizes its template, and reports how many prepared
+// answers the loop committed, and how many parses and from-statements
+// block builds the compile table saw.
 func BenchmarkChurnTrace(b *testing.B) {
 	cc, jobs, o := churnTrace()
 	o.Trace = obs.New(false)
@@ -762,6 +763,9 @@ func BenchmarkChurnTrace(b *testing.B) {
 	b.ReportMetric(float64(m.Counter("compile.template_fallbacks"))/float64(b.N), "template_fallbacks/op")
 	if perOp > float64(len(jobs)) {
 		b.Fatalf("%.1f compiles per trace of %d jobs", perOp, len(jobs))
+	}
+	if n := m.Counter("compile.template_fallbacks"); n != 0 {
+		b.Fatalf("%d generic blocks built from their statements instead of re-sizing a template", n)
 	}
 }
 

@@ -24,10 +24,12 @@ vet:
 # a second, repeated pass: -count=2 re-runs every test against warm state
 # (the plan cache starts empty), and scheduling-sensitive
 # races get a second draw. These are the packages whose state goroutines
-# share: opt, the Appendix C optimizer's worker pool (its workers fill the
-# result slots of points the master prepared, each selecting through a
-# private lop.Table; the path-equivalence test runs the paper grid at 4
-# workers) and the shared plan cache; workload, concurrent
+# share: hop, the weakly held list of idle build scratches and the Table
+# of scripts and templates that concurrent compiles draw from
+# (TestConcurrentBuilds); opt, the Appendix C optimizer's worker pool (its
+# workers fill the result slots of points the master prepared, each
+# selecting through a private lop.Table; the path-equivalence test runs
+# the paper grid at 4 workers) and the shared plan cache; workload, concurrent
 # simulate calls over one compiled program (program_test.go) and batch
 # Run's prefetch workers, which prepare its next jobs beside the event
 # loop; server, the daemon's sessions, which prepare jobs (compile, search
@@ -38,7 +40,7 @@ vet:
 # (prefetch_test.go).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 ./internal/opt ./internal/workload ./internal/server ./internal/yarn
+	$(GO) test -race -count=2 ./internal/hop ./internal/opt ./internal/workload ./internal/server ./internal/yarn
 	$(GO) test -race -cpu 1,2,4 -run 'Prefetch|RunStopsItsWorkers' ./internal/workload
 
 # Each native fuzz target, for a fixed short time. A finding lands in the

@@ -127,7 +127,10 @@ func (e *Estimator) block(p *lop.Plan, hb *hop.Block, state *VarState) float64 {
 		return 0.5*tThen + 0.5*tElse
 	default: // while / for
 		iters := hb.KnownIters
-		if iters == hop.Unknown || iters <= 0 {
+		if iters == 0 {
+			return 0 // a loop of known zero trips runs nothing
+		}
+		if iters == hop.Unknown {
 			iters = DefaultIters
 		}
 		// First iteration warms the buffer pool (inputs read once); the

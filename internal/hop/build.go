@@ -124,15 +124,27 @@ func (c *Compiler) freeTab(t SymTab) {
 	c.scratch.tabs = append(c.scratch.tabs, t)
 }
 
-// trial builds sblocks against meta only for the metadata they publish
-// there: every generic block inside re-sizes into the scratch block, which
-// the next one overwrites. It draws the hop IDs a kept build draws, so the
+// trial builds the body of the loop sb once on a copy of meta, only for
+// the metadata its blocks publish there, and merges that copy back into
+// meta as an if's branches merge (mergeMeta): a loop is an if whose other
+// arm runs zero iterations, so whatever the body changes is weakened. Every
+// generic block inside re-sizes into the scratch block, which the next one
+// overwrites. The trial draws the hop IDs a kept build draws, so the
 // program's IDs do not depend on what a trial keeps.
-func (c *Compiler) trial(sblocks []*dml.StatementBlock, meta SymTab) error {
+func (c *Compiler) trial(sb *dml.StatementBlock, meta SymTab) error {
+	t := c.cloneTab(meta)
+	if sb.Kind == dml.ForBlockKind {
+		t[sb.Var] = VarMeta{} // loop variable: scalar, unknown value
+	}
 	c.scratch.trials++
-	_, err := c.buildBlocks(sblocks, meta)
+	_, err := c.buildBlocks(sb.Body, t)
 	c.scratch.trials--
-	return err
+	if err != nil {
+		return err
+	}
+	mergeMeta(meta, t)
+	c.freeTab(t)
+	return nil
 }
 
 // NewCompiler returns a HOP compiler reading input metadata from fs and
@@ -194,7 +206,7 @@ func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
 	}
 	rw := c.Trace.Begin(obs.LayerCompile, "hop.rewrite")
 	pruneDeadWrites(blocks)
-	p := c.program(blocks)
+	p := program(blocks)
 	rw.End()
 	sp.End(obs.A("leaf_blocks", p.NumLeaf))
 	c.Trace.Metrics().Add("compile.programs", 1)
@@ -359,7 +371,7 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 		return nil, err
 	}
 	pruneDeadWrites(rebuilt)
-	return c.program(rebuilt), nil
+	return program(rebuilt), nil
 }
 
 // Sources returns the statement blocks the given hop blocks were built
@@ -383,8 +395,8 @@ func Sources(blocks []*Block) ([]*dml.StatementBlock, error) {
 // parent, applies the transpose-mm rewrite to each leaf's DAG, linearizes
 // it and records its read set, and rewrites and linearizes each control
 // block's header.
-func (c *Compiler) program(blocks []*Block) *Program {
-	p := &Program{Blocks: blocks, Params: c.Params}
+func program(blocks []*Block) *Program {
+	p := &Program{Blocks: blocks}
 	p.index(blocks, nil)
 	return p
 }
@@ -448,15 +460,11 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 }
 
 func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
-	// Pass 1: trial compilation on a copy to discover which variables
-	// change inside the loop; those are weakened to unknown (fixpoint
-	// approximation, as in SystemML's size propagation).
-	trial := c.cloneTab(meta)
-	if err := c.trial(sb.Body, trial); err != nil {
+	// The trial weakens what the body changes (a fixpoint approximation,
+	// as in SystemML's size propagation) before the predicate reads it.
+	if err := c.trial(sb, meta); err != nil {
 		return nil, err
 	}
-	weaken(meta, trial)
-	c.freeTab(trial)
 	predCtx := c.newCtx(meta)
 	pred, err := c.expr(sb.Pred, predCtx)
 	if err != nil {
@@ -488,13 +496,9 @@ func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, erro
 			iters = 0
 		}
 	}
-	trial := c.cloneTab(meta)
-	trial[sb.Var] = VarMeta{} // loop variable: scalar, unknown value
-	if err := c.trial(sb.Body, trial); err != nil {
+	if err := c.trial(sb, meta); err != nil {
 		return nil, err
 	}
-	weaken(meta, trial)
-	c.freeTab(trial)
 	meta[sb.Var] = VarMeta{}
 	body, err := c.buildBlocks(sb.Body, meta)
 	if err != nil {
@@ -510,7 +514,8 @@ func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, erro
 // mergeMeta merges the then-branch's symbol table into the else-branch's
 // table els: agreeing facts survive, disagreeing facts are weakened to
 // unknown, and a variable only one branch defines is kept fully weakened
-// (its existence is conditional).
+// (its existence is conditional). A loop merges its trial table the same
+// way, as the then-branch of an if whose else-branch runs no iteration.
 func mergeMeta(els, then SymTab) {
 	for k, vb := range els {
 		if _, ok := then[k]; !ok {
@@ -563,21 +568,4 @@ func weakened(a, b VarMeta) VarMeta {
 		out.IsStr, out.Str = true, a.Str
 	}
 	return out
-}
-
-// weaken folds the differences between meta and the trial table back into
-// meta: any variable whose metadata changed during the trial loop pass is
-// weakened in meta.
-func weaken(meta SymTab, trial SymTab) {
-	for k, tv := range trial {
-		mv, ok := meta[k]
-		if !ok {
-			// First defined inside the loop: conditional existence.
-			meta[k] = weakened(tv, tv.unknownLike())
-			continue
-		}
-		if mv != tv {
-			meta[k] = weakened(mv, tv)
-		}
-	}
 }

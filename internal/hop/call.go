@@ -48,7 +48,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if v == nil || rows == nil || cols == nil {
 			return nil, fmt.Errorf("matrix requires value, rows=, cols=")
 		}
-		h := c.newHop(ctx, KindDataGen, "matrix", v, rows, cols)
+		h := c.newHop(KindDataGen, "matrix", v, rows, cols)
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -59,7 +59,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(3); err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindSeq, "seq", args...)
+		h := c.newHop(KindSeq, "seq", args...)
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -78,7 +78,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if dim != Unknown {
 			return c.lit(ctx, float64(dim)), nil
 		}
-		h := c.newHop(ctx, KindAggUnary, e.Name, x)
+		h := c.newHop(KindAggUnary, e.Name, x)
 		h.DataType = Scalar
 		return c.seal(ctx, h), nil
 
@@ -114,7 +114,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindAggUnary, e.Name, args[0])
+		h := c.newHop(KindAggUnary, e.Name, args[0])
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -127,7 +127,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if x.Kind == KindReorg && x.Op == "t" {
 			return x.Inputs[0], nil
 		}
-		h := c.newHop(ctx, KindReorg, "t", x)
+		h := c.newHop(KindReorg, "t", x)
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -135,7 +135,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(2); err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindAppend, "cbind", args[0], args[1])
+		h := c.newHop(KindAppend, "cbind", args[0], args[1])
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -143,7 +143,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(2); err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindAppend, "rbind", args[0], args[1])
+		h := c.newHop(KindAppend, "rbind", args[0], args[1])
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -161,7 +161,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(2); err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindTable, "table", args[0], args[1])
+		h := c.newHop(KindTable, "table", args[0], args[1])
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -169,7 +169,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindDiag, "diag", args[0])
+		h := c.newHop(KindDiag, "diag", args[0])
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -177,7 +177,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(2); err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindSolve, "solve", args[0], args[1])
+		h := c.newHop(KindSolve, "solve", args[0], args[1])
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 
@@ -195,7 +195,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if x.DataType != Matrix {
 			return x, nil
 		}
-		h := c.newHop(ctx, KindCast, "as.scalar", x)
+		h := c.newHop(KindCast, "as.scalar", x)
 		h.DataType = Scalar
 		return c.seal(ctx, h), nil
 
@@ -230,7 +230,7 @@ func (c *Compiler) agg(ctx *dagCtx, op string, x *Hop) (*Hop, error) {
 		// Aggregate of a scalar is the scalar itself.
 		return x, nil
 	}
-	h := c.newHop(ctx, KindAggUnary, op, x)
+	h := c.newHop(KindAggUnary, op, x)
 	h.DataType = Scalar
 	return c.seal(ctx, h), nil
 }
@@ -244,7 +244,7 @@ func (c *Compiler) sumOf(ctx *dagCtx, x *Hop) (*Hop, error) {
 	}
 	// sum(sq(x)) => sumsq(x).
 	if x.Kind == KindUnary && x.Op == "sq" {
-		h := c.newHop(ctx, KindAggUnary, "sumsq", x.Inputs[0])
+		h := c.newHop(KindAggUnary, "sumsq", x.Inputs[0])
 		h.DataType = Scalar
 		return c.seal(ctx, h), nil
 	}
@@ -254,11 +254,11 @@ func (c *Compiler) sumOf(ctx *dagCtx, x *Hop) (*Hop, error) {
 		a, b := x.Inputs[0], x.Inputs[1]
 		if a.Kind == KindBinary && a.Op == "*" && len(a.Inputs) == 2 &&
 			a.Inputs[0].DataType == Matrix && a.Inputs[1].DataType == Matrix {
-			h := c.newHop(ctx, KindTernaryAgg, "tak+*", a.Inputs[0], a.Inputs[1], b)
+			h := c.newHop(KindTernaryAgg, "tak+*", a.Inputs[0], a.Inputs[1], b)
 			h.DataType = Scalar
 			return c.seal(ctx, h), nil
 		}
-		h := c.newHop(ctx, KindTernaryAgg, "tak+*", a, b)
+		h := c.newHop(KindTernaryAgg, "tak+*", a, b)
 		h.DataType = Scalar
 		return c.seal(ctx, h), nil
 	}

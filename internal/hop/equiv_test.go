@@ -1,0 +1,166 @@
+package hop_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"elasticml/internal/conf"
+	"elasticml/internal/dml"
+	"elasticml/internal/hdfs"
+	"elasticml/internal/hop"
+	"elasticml/internal/lop"
+	"elasticml/internal/rt"
+	"elasticml/internal/verify"
+)
+
+// generated is one generated program as the equivalence oracles check it:
+// its staged file system, the compiler that compiled it, and the program.
+type generated struct {
+	name string
+	fs   *hdfs.FS
+	c    *hop.Compiler
+	hp   *hop.Program
+}
+
+// generatedPrograms stages and compiles the streams `make verify-corpus`
+// runs: 25 programs of the fuzz stream and 10 of the loop stream, seed 1.
+func generatedPrograms(t *testing.T) []generated {
+	t.Helper()
+	var ps []verify.Program
+	for i := 0; i < 25; i++ {
+		ps = append(ps, verify.FuzzProgram(1, i))
+	}
+	for i := 0; i < 10; i++ {
+		ps = append(ps, verify.FuzzLoopProgram(1, i))
+	}
+	out := make([]generated, 0, len(ps))
+	for _, p := range ps {
+		fs := hdfs.New()
+		p.Setup(fs)
+		prog, err := dml.Parse(p.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		c := hop.NewCompiler(fs, p.Params)
+		hp, err := c.Compile(prog, p.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		out = append(out, generated{p.Name, fs, c, hp})
+	}
+	return out
+}
+
+// runMeta is the metadata of every variable p writes, plus each for
+// loop's variable as an unknown scalar, as a run binds it.
+func runMeta(p *hop.Program) hop.SymTab {
+	meta := hop.WrittenMeta(p)
+	hop.WalkBlocks(p.Blocks, func(b *hop.Block) {
+		if b.Var != "" {
+			meta[b.Var] = hop.VarMeta{}
+		}
+	})
+	return meta
+}
+
+// sameBuild reports where two builds of the same thing differ: in whether
+// they fail, or in their encoding. Both failing is agreement.
+func sameBuild(a *hop.Program, aerr error, b *hop.Program, berr error) error {
+	switch {
+	case (aerr == nil) != (berr == nil):
+		return fmt.Errorf("one build fails: %v / %v", aerr, berr)
+	case aerr == nil && !bytes.Equal(hop.AppendKey(nil, a), hop.AppendKey(nil, b)):
+		return errors.New("the builds encode differently")
+	}
+	return nil
+}
+
+// leaf is a one-block program of b, for sameBuild.
+func leaf(b *hop.Block) *hop.Program { return &hop.Program{Blocks: []*hop.Block{b}, NumLeaf: 1} }
+
+// TestResizeMatchesRebuildGenerated is the re-size oracle on generated
+// programs: every leaf block recompiled against the metadata of the
+// variables a run binds (runMeta), and every recompile of a value-mode run, encodes as the rebuild
+// from the block's statements does, or both fail.
+func TestResizeMatchesRebuildGenerated(t *testing.T) {
+	leaves, recompiles := 0, 0
+	for _, g := range generatedPrograms(t) {
+		meta := runMeta(g.hp)
+		for _, b := range g.hp.LeafBlocks() {
+			nb, err := g.c.RecompileGeneric(b, meta, nil)
+			rb, rerr := g.c.Fork(g.fs).Rebuild(b, meta)
+			if d := sameBuild(leaf(nb), err, leaf(rb), rerr); d != nil {
+				t.Errorf("%s block %d (lines %d-%d): recompile and rebuild disagree: %v", g.name, b.Index, b.FirstLine, b.LastLine, d)
+			}
+			leaves++
+		}
+
+		restore := hop.OnRecompile(func(c *hop.Compiler, b *hop.Block, vars hop.Vars, nb *hop.Block, _ bool) {
+			recompiles++
+			rb, err := c.Fork(c.FS).Rebuild(b, vars)
+			if d := sameBuild(leaf(nb), nil, leaf(rb), err); d != nil {
+				t.Errorf("%s run, block %d (lines %d-%d): recompile and rebuild disagree: %v", g.name, b.Index, b.FirstLine, b.LastLine, d)
+			}
+		})
+		cc := conf.DefaultCluster()
+		res := conf.NewResources(cc.MinHeap(), cc.MinHeap(), g.hp.NumLeaf)
+		fs := g.fs.Clone()
+		ip := rt.New(rt.ModeValue, fs, cc, res)
+		ip.Compiler = g.c.Fork(fs)
+		err := ip.Run(lop.Select(g.hp, cc, res))
+		restore()
+		if err != nil {
+			t.Errorf("%s: %v", g.name, err)
+		}
+	}
+	if leaves == 0 || recompiles == 0 {
+		t.Fatalf("checked %d leaf blocks and %d run recompiles; the oracle needs both", leaves, recompiles)
+	}
+	t.Logf("%d leaf blocks, %d run recompiles", leaves, recompiles)
+}
+
+// TestScopeLiveInSufficesGenerated is the live-in oracle on generated
+// programs: a scope rebuilds from the metadata of its live-in variables
+// alone (hop.LiveIn) as it does from the metadata of every variable a run
+// binds (runMeta), or both fail. A scope is every suffix of the top-level
+// block list, as the adapter rebuilds them, and of every branch and loop
+// body, which as a program of its own reads what the blocks around it
+// define.
+func TestScopeLiveInSufficesGenerated(t *testing.T) {
+	scopes := 0
+	for _, g := range generatedPrograms(t) {
+		full := runMeta(g.hp)
+		lists := [][]*hop.Block{g.hp.Blocks}
+		hop.WalkBlocks(g.hp.Blocks, func(b *hop.Block) {
+			for _, l := range [][]*hop.Block{b.Then, b.Else, b.Body} {
+				if len(l) > 0 {
+					lists = append(lists, l)
+				}
+			}
+		})
+		for _, l := range lists {
+			for i := range l {
+				scope := l[i:]
+				srcs, err := hop.Sources(scope)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live := hop.SymTab{}
+				for _, name := range hop.LiveIn(srcs) {
+					if m, ok := full[name]; ok {
+						live[name] = m
+					}
+				}
+				a, aerr := g.c.RebuildScope(scope, full.Clone())
+				b, berr := g.c.RebuildScope(scope, live)
+				if d := sameBuild(a, aerr, b, berr); d != nil {
+					t.Errorf("%s scope from line %d: full and live-in metadata disagree: %v", g.name, l[i].FirstLine, d)
+				}
+				scopes++
+			}
+		}
+	}
+	t.Logf("%d scopes", scopes)
+}

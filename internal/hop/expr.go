@@ -78,7 +78,7 @@ func (c *Compiler) buildGeneric(stmts []dml.Stmt, meta SymTab, first, last int) 
 	// Emit transient writes in assignment order and publish metadata.
 	for _, name := range ctx.order {
 		v := ctx.locals[name]
-		tw := c.newHop(ctx, KindTWrite, "", v)
+		tw := c.newHop(KindTWrite, "", v)
 		tw.Name = name
 		tw.DataType = v.DataType
 		finalize(tw)
@@ -105,12 +105,11 @@ func metaOf(h *Hop) VarMeta {
 	return m
 }
 
-// newHop allocates a hop, runs inference, folds known scalars to literals,
-// and deduplicates via CSE. Root kinds (twrite/write/print/stop) bypass
-// CSE and folding.
-func (c *Compiler) newHop(ctx *dagCtx, kind Kind, op string, inputs ...*Hop) *Hop {
-	h := &Hop{ID: c.id(), Kind: kind, Op: op, Inputs: inputs}
-	return h
+// newHop only allocates a hop and draws its ID. Its caller sets the data
+// type, and seal infers sizes, folds and deduplicates; a root
+// (twrite/write/print/stop) is finalized without folding or CSE.
+func (c *Compiler) newHop(kind Kind, op string, inputs ...*Hop) *Hop {
+	return &Hop{ID: c.id(), Kind: kind, Op: op, Inputs: inputs}
 }
 
 // seal finalizes inference and applies folding + CSE. All non-root
@@ -324,7 +323,7 @@ func (c *Compiler) unary(ctx *dagCtx, op string, x *Hop) *Hop {
 	if op == "-" && x.Kind == KindUnary && x.Op == "-" {
 		return x.Inputs[0]
 	}
-	h := c.newHop(ctx, KindUnary, op, x)
+	h := c.newHop(KindUnary, op, x)
 	h.DataType = x.DataType
 	return c.seal(ctx, h)
 }
@@ -345,7 +344,7 @@ func (c *Compiler) binOp(e *dml.BinOp, ctx *dagCtx) (*Hop, error) {
 		if l.Cols != Unknown && r.Rows != Unknown && l.Cols != r.Rows {
 			return nil, fmt.Errorf("matrix multiply dimension mismatch %dx%d %%*%% %dx%d", l.Rows, l.Cols, r.Rows, r.Cols)
 		}
-		h := c.newHop(ctx, KindMatMul, "%*%", l, r)
+		h := c.newHop(KindMatMul, "%*%", l, r)
 		h.DataType = Matrix
 		return c.seal(ctx, h), nil
 	}
@@ -358,7 +357,7 @@ func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
 	}
 	// String concatenation via '+'.
 	if op == "+" && (l.DataType == String || r.DataType == String) {
-		h := c.newHop(ctx, KindBinary, "+", l, r)
+		h := c.newHop(KindBinary, "+", l, r)
 		h.DataType = String
 		return c.seal(ctx, h), nil
 	}
@@ -368,7 +367,7 @@ func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
 		}
 		return x, nil
 	}
-	h := c.newHop(ctx, KindBinary, op, l, r)
+	h := c.newHop(KindBinary, op, l, r)
 	if l.DataType == Matrix || r.DataType == Matrix {
 		h.DataType = Matrix
 	} else {
@@ -410,7 +409,7 @@ func (c *Compiler) rightIndex(e *dml.Index, ctx *dagCtx) (*Hop, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := c.newHop(ctx, KindIndex, "", append([]*Hop{x}, bounds...)...)
+	h := c.newHop(KindIndex, "", append([]*Hop{x}, bounds...)...)
 	h.DataType = Matrix
 	// Single-cell selection yields a scalar-like 1x1 matrix; DML requires
 	// as.scalar for scalar use, which we honor via KindCast.
@@ -458,7 +457,7 @@ func (c *Compiler) leftIndex(st *dml.Assign, value *Hop, ctx *dagCtx) (*Hop, err
 	if err != nil {
 		return nil, err
 	}
-	h := c.newHop(ctx, KindLeftIndex, "", append([]*Hop{target, value}, bounds...)...)
+	h := c.newHop(KindLeftIndex, "", append([]*Hop{target, value}, bounds...)...)
 	h.DataType = Matrix
 	return c.seal(ctx, h), nil
 }
@@ -474,7 +473,7 @@ func (c *Compiler) callStmt(call *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindPrint, "", arg)
+		h := c.newHop(KindPrint, "", arg)
 		h.DataType = Scalar
 		finalize(h)
 		return h, nil
@@ -486,7 +485,7 @@ func (c *Compiler) callStmt(call *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err != nil {
 			return nil, err
 		}
-		h := c.newHop(ctx, KindStop, "", arg)
+		h := c.newHop(KindStop, "", arg)
 		h.DataType = Scalar
 		finalize(h)
 		return h, nil
@@ -505,7 +504,7 @@ func (c *Compiler) callStmt(call *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if path.DataType != String {
 			return nil, fmt.Errorf("write path must be a string")
 		}
-		h := c.newHop(ctx, KindWrite, "", v)
+		h := c.newHop(KindWrite, "", v)
 		h.Name = path.StrValue
 		h.DataType = v.DataType
 		finalize(h)

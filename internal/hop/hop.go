@@ -208,9 +208,6 @@ type Program struct {
 	// NumLeaf is the number of leaf generic blocks, i.e. the length of the
 	// MR part of the resource vector R_P.
 	NumLeaf int
-	// Params are the $ parameters the program was compiled with, which a
-	// run's compiler substitutes when it recompiles.
-	Params map[string]interface{}
 }
 
 // Block is one program block in the HOP-level hierarchy.

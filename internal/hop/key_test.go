@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"elasticml/internal/dml"
 	"elasticml/internal/scripts"
 )
 
@@ -24,7 +25,6 @@ var keyExcluded = map[string]string{
 	"Block.buf":      "storage only: the block and arrays a recompile returned, which the next recompile of the same compiled block overwrites; never read",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
 	"Block.Parent":   "derived when the program is indexed: the block's position in the tree, which the encoding of the tree carries",
-	"Program.Params": "not read by non-test code in lop/cost/opt: the parameters a run's compiler substitutes when it recompiles",
 }
 
 // keyTargets returns every struct of type typ in p, addressable: the
@@ -142,8 +142,15 @@ func TestKeyCoversOptimizerFields(t *testing.T) {
 func TestKeyIgnoresHopIDs(t *testing.T) {
 	fs := testFS(1_000_000, 100)
 	spec := scripts.MLogreg()
+	prog, err := dml.Parse(spec.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewCompiler(fs, spec.Params)
-	hp := compileSpec(t, spec, fs)
+	hp, err := c.Compile(prog, spec.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
 	meta := SymTab{"X": {IsMatrix: true, Rows: 1_000_000, Cols: 100, NNZ: 100_000_000}}
 	a, err := c.RebuildScope(hp.Blocks, meta.Clone())
 	if err != nil {
@@ -159,5 +166,17 @@ func TestKeyIgnoresHopIDs(t *testing.T) {
 	}
 	if !bytes.Equal(AppendKey(nil, a), AppendKey(nil, b)) {
 		t.Error("two rebuilds of the same blocks and metadata encode differently")
+	}
+}
+
+// TestRebuildNeedsTheProgramsCompiler: a compiler that compiled no
+// program has no script to hold templates, so a scope rebuild on it fails
+// instead of building templates outside the program's script.
+func TestRebuildNeedsTheProgramsCompiler(t *testing.T) {
+	fs := testFS(1000, 10)
+	spec := scripts.LinregDS()
+	hp := compileSpec(t, spec, fs)
+	if _, err := NewCompiler(fs, spec.Params).RebuildScope(hp.Blocks, SymTab{}); err == nil {
+		t.Error("a compiler that compiled no program rebuilt a scope")
 	}
 }

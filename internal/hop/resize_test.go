@@ -56,9 +56,7 @@ func (rc *resizeCheck) counts() (recompiles, fallbacks int) {
 	return rc.recompiles, rc.fallbacks
 }
 
-func blockKey(b *hop.Block) []byte {
-	return hop.AppendKey(nil, &hop.Program{Blocks: []*hop.Block{b}, NumLeaf: 1})
-}
+func blockKey(b *hop.Block) []byte { return hop.AppendKey(nil, leaf(b)) }
 
 // listing renders a block's DAG in order, one hop a line.
 func listing(b *hop.Block) string {

@@ -2,6 +2,7 @@ package hop
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
 	"weak"
@@ -203,7 +204,7 @@ func appendKind(dst []byte, v VarMeta, ok bool) []byte {
 func (c *Compiler) generic(sb *dml.StatementBlock, meta SymTab) (*Block, error) {
 	if !c.statementsOnly {
 		if c.script == nil {
-			c.script = &Script{trace: c.Trace}
+			return nil, fmt.Errorf("hop: line %d: the compiler compiled no program; only a program's compiler or a Fork of it rebuilds the program", sb.FirstLine)
 		}
 		m := c.script.trace.Metrics()
 		if t := c.script.template(sb, meta, c.Params); t != nil {

@@ -104,10 +104,13 @@ type Adapter interface {
 
 // Interp executes runtime plans.
 type Interp struct {
-	Mode     Mode
-	FS       *hdfs.FS
-	CC       conf.Cluster
-	Res      conf.Resources
+	Mode Mode
+	FS   *hdfs.FS
+	CC   conf.Cluster
+	Res  conf.Resources
+	// Compiler is the compiler that built the program Run executes, or a
+	// Fork of it: only it recompiles the program's blocks. Run fails
+	// without one.
 	Compiler *hop.Compiler
 	// Est charges per-instruction simulated time (evictions enabled).
 	Est   *cost.Estimator
@@ -194,10 +197,10 @@ func New(mode Mode, fs *hdfs.FS, cc conf.Cluster, res conf.Resources) *Interp {
 
 // Run executes the plan to completion, accumulating simulated time.
 func (ip *Interp) Run(plan *lop.Plan) error {
-	ip.plan = plan
 	if ip.Compiler == nil {
-		ip.Compiler = hop.NewCompiler(ip.FS, plan.HopProgram.Params)
+		return errors.New("rt: no compiler: set Interp.Compiler to the compiler that built the program, or a Fork of it")
 	}
+	ip.plan = plan
 	if ip.Trace.Enabled() {
 		if ip.Compiler.Trace == nil {
 			ip.Compiler.Trace = ip.Trace
@@ -207,7 +210,7 @@ func (ip *Interp) Run(plan *lop.Plan) error {
 		// before it.
 		ip.Trace.SetClock(func() float64 { return ip.SimTime })
 		defer ip.Trace.SetClock(nil)
-		defer ip.flushMetrics(ip.Stats, stateCounters(ip.State))
+		defer ip.flushMetrics(ip.Stats, [2]int{ip.State.Evictions, ip.State.Restores})
 	}
 	if ip.Faults != nil && ip.Faults.Plan().HDFSReadErrorProb > 0 {
 		// Compilation is done (the compiler reads metadata via Stat); from
@@ -225,14 +228,10 @@ func (ip *Interp) Run(plan *lop.Plan) error {
 	return nil
 }
 
-// stateCounters snapshots the buffer-pool counters for delta accounting.
-func stateCounters(s *cost.VarState) [2]int {
-	return [2]int{s.Evictions, s.Restores}
-}
-
 // flushMetrics adds this run's execution counters to the metrics registry,
-// as deltas against the given start-of-run snapshots so repeated Runs on
-// one interpreter do not double-count.
+// as deltas against the given start-of-run snapshots (of the buffer pool's
+// evictions and restores in state0) so repeated Runs on one interpreter do
+// not double-count.
 func (ip *Interp) flushMetrics(start Stats, state0 [2]int) {
 	m := ip.Trace.Metrics()
 	if m == nil {
@@ -297,18 +296,20 @@ func (ip *Interp) execBlock(b *hop.Block) error {
 	return fmt.Errorf("rt: unknown block kind %v", b.Kind)
 }
 
-// simLoopCap bounds every while loop in sim mode: data-dependent exit
-// conditions are unknowable on descriptors, so loops controlled purely by
-// convergence flags would otherwise never terminate.
+// simLoopCap bounds a while loop in sim mode whose predicate stays known.
+// A predicate that is unknown on descriptors stops the loop after
+// cost.DefaultIters (5) trips first, as the cost model assumes. A known one
+// (a counter against a known bound, say) runs its real trip count, up to
+// this cap. The model charges every while loop DefaultIters trips, so such
+// a loop simulates up to twice the trips the model charged.
 const simLoopCap = 10
 
 func (ip *Interp) execWhile(b *hop.Block) error {
 	unknownIters := 0
 	for iter := 0; ; iter++ {
 		if ip.Mode == ModeSim && iter >= simLoopCap {
-			// Convergence flags are data dependent and unknowable on
-			// descriptors; bound the loop as the cost model bounds
-			// unknown-iteration loops.
+			// A predicate unknown on more than DefaultIters trips
+			// stopped the loop below; this stops one that stays known.
 			return nil
 		}
 		pv, err := ip.evalPredicate(b, b.Pred)

@@ -53,6 +53,19 @@ func regressionFS(t *testing.T, n, m int, beta []float64) (*hdfs.FS, *matrix.Mat
 	return fs, bm
 }
 
+// TestRunNeedsACompiler: only the compiler that built a program, or a Fork
+// of it, recompiles the program's blocks, so Run refuses to start without
+// one instead of making a stand-in.
+func TestRunNeedsACompiler(t *testing.T) {
+	fs, _ := regressionFS(t, 100, 5, []float64{1, -2, 3, 0.5, -1})
+	res := conf.NewResources(2*conf.GB, 512*conf.MB, 64)
+	plan, _ := compilePlan(t, scripts.LinregDS(), fs, res)
+	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
+	if err := ip.Run(plan); err == nil || ip.Stats.Instructions != 0 {
+		t.Fatalf("Run without a compiler: error %v after %d instructions", err, ip.Stats.Instructions)
+	}
+}
+
 func TestLinregDSRecoversBeta(t *testing.T) {
 	beta := []float64{1, -2, 3, 0.5, -1, 2, 0, 1.5, -0.5, 1}
 	fs, want := regressionFS(t, 300, 10, beta)

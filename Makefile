@@ -49,13 +49,16 @@ race:
 # whole run descriptions, which the fuzzer would otherwise spend most of
 # the 10 s minimizing, so their minimization is capped; so is
 # FuzzDifferential's, whose every input runs a generated program under all
-# six verify configurations and the reference interpreter.
+# six verify configurations and the reference interpreter, and
+# FuzzDecision's, whose every input runs three resource searches and
+# re-costs every cost-cell answer of a generated program at three sizes.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 10s ./internal/server
 	$(GO) test -run xxx -fuzz FuzzPrepare -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzRunSpec -fuzztime 10s -fuzzminimizetime 2s ./internal/workload
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 2s ./internal/dml
 	$(GO) test -run xxx -fuzz FuzzDifferential -fuzztime 10s -fuzzminimizetime 2s ./internal/verify
+	$(GO) test -run xxx -fuzz FuzzDecision -fuzztime 10s -fuzzminimizetime 2s ./internal/opt
 
 check: fmt vet race fuzz
 

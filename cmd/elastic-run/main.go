@@ -181,7 +181,6 @@ func main() {
 	}
 
 	ip := rt.New(rt.ModeSim, fs, cc, res)
-	ip.Compiler = comp
 	ip.SimTableCols = *classes
 	ip.Trace = tr
 	if *verbose {

@@ -35,8 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	compiler := hop.NewCompiler(fs, spec.Params)
-	hp, err := compiler.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +49,6 @@ func main() {
 	run := func(withAdaptation bool) (float64, *adapt.Adapter) {
 		plan := lop.Select(hp, cc, initial.Res)
 		ip := rt.New(rt.ModeSim, fs, cc, initial.Res)
-		ip.Compiler = compiler
 		ip.SimTableCols = 20 // the simulated label vector has 20 classes
 		var ad *adapt.Adapter
 		if withAdaptation {

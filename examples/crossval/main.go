@@ -68,8 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	compiler := hop.NewCompiler(fs, params)
-	hp, err := compiler.Compile(prog, script)
+	hp, err := hop.NewCompiler(fs, params).Compile(prog, script)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +78,6 @@ func main() {
 		res.CPCores = cores
 		plan := lop.Select(hp, cc, res)
 		ip := rt.New(rt.ModeValue, fs, cc, res)
-		ip.Compiler = compiler
 		if cores == 1 {
 			ip.Out = os.Stdout
 		}

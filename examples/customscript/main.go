@@ -67,8 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	compiler := hop.NewCompiler(fs, params)
-	hp, err := compiler.Compile(prog, script)
+	hp, err := hop.NewCompiler(fs, params).Compile(prog, script)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +87,6 @@ func main() {
 	fmt.Println(lop.Explain(plan))
 
 	ip := rt.New(rt.ModeValue, fs, cc, res.Res)
-	ip.Compiler = compiler
 	ip.Out = os.Stdout
 	if err := ip.Run(plan); err != nil {
 		log.Fatal(err)

@@ -44,8 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		compiler := hop.NewCompiler(fs, spec.Params)
-		hp, err := compiler.Compile(prog, spec.Source)
+		hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +53,6 @@ func main() {
 		res := optimizer.Optimize(hp).Res
 
 		ip := rt.New(rt.ModeSim, fs, cc, res)
-		ip.Compiler = compiler
 		ip.SimTableCols = 20
 		ad := adapt.New(cc)
 		ad.Opt.Points = 7

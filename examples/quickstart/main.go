@@ -37,8 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	compiler := hop.NewCompiler(fs, spec.Params)
-	hp, err := compiler.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +54,6 @@ func main() {
 	// 4. Generate the runtime plan under R* and execute it for real.
 	plan := lop.Select(hp, cc, result.Res)
 	ip := rt.New(rt.ModeValue, fs, cc, result.Res)
-	ip.Compiler = compiler
 	ip.Out = os.Stdout
 	if err := ip.Run(plan); err != nil {
 		log.Fatal(err)

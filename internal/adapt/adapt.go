@@ -91,9 +91,6 @@ var _ rt.Adapter = (*Adapter)(nil)
 // migrate. The returned decision carries the new configuration and the
 // charged overheads; the interpreter performs the state flush.
 func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
-	if ctx.Compiler == nil {
-		return nil
-	}
 	start := time.Now()
 	scopeBlocks := scope(ctx)
 	if len(scopeBlocks) == 0 {
@@ -200,8 +197,7 @@ type scopeFacts struct {
 // rebuild is one scope rebuild: what it read and what it built.
 type rebuild struct {
 	first *hop.Block // the scope's first block, which names the scope
-	comp  *hop.Compiler
-	meta  []byte // appendMeta of the scope's live-in variables
+	meta  []byte     // appendMeta of the scope's live-in variables
 	prog  *hop.Program
 	key   []byte // hop.AppendKey of prog
 }
@@ -228,7 +224,7 @@ func (a *Adapter) scopeProgram(ctx *rt.AdaptContext, blocks []*hop.Block) (*hop.
 	}
 	k := &a.kept
 	a.meta = appendMeta(a.meta[:0], ctx.Meta, facts.liveIn)
-	if !facts.readsFiles && k.prog != nil && k.first == first && k.comp == ctx.Compiler && bytes.Equal(a.meta, k.meta) {
+	if !facts.readsFiles && k.prog != nil && k.first == first && k.prog.Compiler() == ctx.Compiler && bytes.Equal(a.meta, k.meta) {
 		return k.prog, k.key, nil
 	}
 	prog, err := ctx.Compiler.RebuildScope(blocks, ctx.Meta)
@@ -238,7 +234,7 @@ func (a *Adapter) scopeProgram(ctx *rt.AdaptContext, blocks []*hop.Block) (*hop.
 	}
 	a.Stats.ScopeRebuilds++
 	k.meta, a.meta = a.meta, k.meta
-	k.first, k.comp, k.prog, k.key = first, ctx.Compiler, prog, hop.AppendKey(nil, prog)
+	k.first, k.prog, k.key = first, prog, hop.AppendKey(nil, prog)
 	return prog, k.key, nil
 }
 

@@ -26,8 +26,7 @@ func setup(t *testing.T, spec scripts.Spec, n, m int64, tableCols int64) (*rt.In
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	comp := hop.NewCompiler(fs, spec.Params)
-	hp, err := comp.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -35,7 +34,6 @@ func setup(t *testing.T, spec scripts.Spec, n, m int64, tableCols int64) (*rt.In
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, hp.NumLeaf)
 	plan := lop.Select(hp, cc, res)
 	ip := rt.New(rt.ModeSim, fs, cc, res)
-	ip.Compiler = comp
 	ip.SimTableCols = tableCols
 	ad := New(cc)
 	ad.Opt.Points = 7
@@ -93,8 +91,7 @@ func TestNoMigrationWhenConfigAlreadyGood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, spec.Params)
-	hp, err := comp.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +99,6 @@ func TestNoMigrationWhenConfigAlreadyGood(t *testing.T) {
 	res := conf.NewResources(8*conf.GB, 2*conf.GB, hp.NumLeaf)
 	plan := lop.Select(hp, cc, res)
 	ip := rt.New(rt.ModeSim, fs, cc, res)
-	ip.Compiler = comp
 	ip.SimTableCols = 2
 	ad := New(cc)
 	ad.Opt.Points = 7

@@ -88,7 +88,7 @@ const (
 	gridCharge  = 0.1
 )
 
-func compileProblem(t testing.TB, p paperProblem) (*hdfs.FS, *hop.Compiler, *hop.Program) {
+func compileProblem(t testing.TB, p paperProblem) (*hdfs.FS, *hop.Program) {
 	t.Helper()
 	fs := hdfs.New()
 	datagen.Describe(fs, p.scen)
@@ -96,17 +96,16 @@ func compileProblem(t testing.TB, p paperProblem) (*hdfs.FS, *hop.Compiler, *hop
 	if err != nil {
 		t.Fatalf("%s: %v", p, err)
 	}
-	comp := hop.NewCompiler(fs, p.spec.Params)
-	hp, err := comp.Compile(prog, p.spec.Source)
+	hp, err := hop.NewCompiler(fs, p.spec.Params).Compile(prog, p.spec.Source)
 	if err != nil {
 		t.Fatalf("%s: %v", p, err)
 	}
-	return fs, comp, hp
+	return fs, hp
 }
 
 // optimized returns p's initial R* on the default cluster.
 func optimized(t testing.TB, p paperProblem) conf.Resources {
-	_, _, hp := compileProblem(t, p)
+	_, hp := compileProblem(t, p)
 	return opt.New(conf.DefaultCluster()).Optimize(hp).Res
 }
 
@@ -115,10 +114,9 @@ func optimized(t testing.TB, p paperProblem) conf.Resources {
 func runProblem(t testing.TB, p paperProblem, res conf.Resources,
 	tweak func(*Adapter, *rt.Interp), wrap func(*Adapter) rt.Adapter) (*rt.Interp, *recorder) {
 	t.Helper()
-	fs, comp, hp := compileProblem(t, p)
+	fs, hp := compileProblem(t, p)
 	cc := conf.DefaultCluster()
 	ip := rt.New(rt.ModeSim, fs, cc, res.Clone())
-	ip.Compiler = comp
 	ip.SimTableCols = gridClasses
 	ad := New(cc)
 	ad.OptCharge = gridCharge

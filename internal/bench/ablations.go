@@ -36,7 +36,7 @@ func (r *Runner) ablationGrids() error {
 	r.printf("Ablation A: grid strategy quality (LinregCG dense1000 M)\n")
 	r.printf("  %-8s %8s %10s %12s %9s\n", "Grid", "points", "est. cost", "regret", "compiles")
 	s := datagen.New("M", 1000, 1.0)
-	hp, _, _, err := r.compileScenario(scripts.LinregCG(), s)
+	hp, _, err := r.compileScenario(scripts.LinregCG(), s)
 	if err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func (r *Runner) ablationPruning() error {
 	r.printf("  %-10s %12s %12s %9s %12s\n", "Program", "compiles", "no-pruning", "savings", "cost delta")
 	s := datagen.New("M", 1000, 1.0)
 	for _, spec := range scripts.All() {
-		hp, _, _, err := r.compileScenario(spec, s)
+		hp, _, err := r.compileScenario(spec, s)
 		if err != nil {
 			return err
 		}
@@ -91,7 +91,7 @@ func (r *Runner) ablationCores() error {
 	r.printf("  %-10s %14s %14s %7s\n", "Program", "1-core cost", "multi cost", "cores")
 	s := datagen.New("M", 1000, 1.0)
 	for _, spec := range []scripts.Spec{scripts.LinregDS(), scripts.LinregCG(), scripts.L2SVM()} {
-		hp, _, _, err := r.compileScenario(spec, s)
+		hp, _, err := r.compileScenario(spec, s)
 		if err != nil {
 			return err
 		}
@@ -139,7 +139,7 @@ func (r *Runner) ablationLoad() error {
 	r.printf("Ablation D: cluster-utilization-aware optimization (LinregDS dense1000 M)\n")
 	r.printf("  %-8s %16s %12s %12s\n", "load", "config", "est. cost", "opt time")
 	s := datagen.New("M", 1000, 1.0)
-	hp, _, _, err := r.compileScenario(scripts.LinregDS(), s)
+	hp, _, err := r.compileScenario(scripts.LinregDS(), s)
 	if err != nil {
 		return err
 	}

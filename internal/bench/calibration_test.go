@@ -31,7 +31,7 @@ func TestModelSimCalibration(t *testing.T) {
 	for _, spec := range specs {
 		for _, size := range sizes {
 			s := datagen.New(size, 1000, 1.0)
-			hp, comp, fs, err := r.compileScenario(spec, s)
+			hp, fs, err := r.compileScenario(spec, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +41,6 @@ func TestModelSimCalibration(t *testing.T) {
 				est := cost.NewEstimator(cc)
 				modeled := est.ProgramCost(plan)
 				ip := rt.New(rt.ModeSim, fs, cc, res)
-				ip.Compiler = comp
 				if err := ip.Run(plan); err != nil {
 					t.Fatalf("%s %s %v: %v", spec.Name, size, res, err)
 				}

@@ -69,19 +69,18 @@ func Baselines(cc conf.Cluster) []Baseline {
 
 // compileScenario parses and compiles a program against a scenario's
 // descriptor file system.
-func (r *Runner) compileScenario(spec scripts.Spec, s datagen.Scenario) (*hop.Program, *hop.Compiler, *hdfs.FS, error) {
+func (r *Runner) compileScenario(spec scripts.Spec, s datagen.Scenario) (*hop.Program, *hdfs.FS, error) {
 	fs := hdfs.New()
 	datagen.Describe(fs, s)
 	prog, err := dml.Parse(spec.Source)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench: parse %s: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("bench: parse %s: %w", spec.Name, err)
 	}
-	comp := hop.NewCompiler(fs, spec.Params)
-	hp, err := comp.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("bench: compile %s: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("bench: compile %s: %w", spec.Name, err)
 	}
-	return hp, comp, fs, nil
+	return hp, fs, nil
 }
 
 // RunConfig controls one end-to-end measurement.
@@ -139,7 +138,7 @@ type RunResult struct {
 // EndToEnd measures one program/scenario/configuration combination via the
 // execution simulator.
 func (r *Runner) EndToEnd(spec scripts.Spec, s datagen.Scenario, cfg RunConfig) (RunResult, error) {
-	hp, comp, fs, err := r.compileScenario(spec, s)
+	hp, fs, err := r.compileScenario(spec, s)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -162,7 +161,6 @@ func (r *Runner) EndToEnd(spec scripts.Spec, s datagen.Scenario, cfg RunConfig) 
 	out.Res = res.Clone()
 	plan := lop.Select(hp, r.CC, res)
 	ip := rt.New(rt.ModeSim, fs, r.CC, res)
-	ip.Compiler = comp
 	if cfg.Classes > 0 {
 		ip.SimTableCols = cfg.Classes
 	}

@@ -25,7 +25,7 @@ func (r *Runner) Figure1() error {
 		points = append(points, conf.Bytes(g)*conf.GB)
 	}
 	for _, spec := range []scripts.Spec{scripts.LinregDS(), scripts.LinregCG()} {
-		hp, _, _, err := r.compileScenario(spec, s)
+		hp, _, err := r.compileScenario(spec, s)
 		if err != nil {
 			return err
 		}

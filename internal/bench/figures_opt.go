@@ -69,7 +69,7 @@ func (r *Runner) Figure13() error {
 		r.printf("  %-9s %6s %6s %6s %8s\n", "Scenario", "Equi", "Exp", "Mem", "Hybrid")
 		for _, size := range datagen.Sizes {
 			s := datagen.New(size, 1000, 1.0)
-			hp, _, _, err := r.compileScenario(scripts.LinregDS(), s)
+			hp, _, err := r.compileScenario(scripts.LinregDS(), s)
 			if err != nil {
 				return err
 			}
@@ -103,7 +103,7 @@ func (r *Runner) Figure14() error {
 		r.printf("  %-10s", size)
 		for _, spec := range scripts.All() {
 			s := datagen.New(size, 1000, 1.0)
-			hp, _, _, err := r.compileScenario(spec, s)
+			hp, _, err := r.compileScenario(spec, s)
 			if err != nil {
 				return err
 			}
@@ -215,7 +215,7 @@ func (r *Runner) Figure18() error {
 		size = "M"
 	}
 	s := datagen.New(size, 1000, 1.0)
-	hp, _, _, err := r.compileScenario(scripts.GLM(), s)
+	hp, _, err := r.compileScenario(scripts.GLM(), s)
 	if err != nil {
 		return err
 	}
@@ -239,7 +239,7 @@ func (r *Runner) Figure18() error {
 	}
 	for _, size := range sizesUpTo(maxSize) {
 		sc := datagen.New(size, 1000, 1.0)
-		hp2, _, _, err := r.compileScenario(scripts.GLM(), sc)
+		hp2, _, err := r.compileScenario(scripts.GLM(), sc)
 		if err != nil {
 			return err
 		}

@@ -45,12 +45,11 @@ const regretHeader = `# Simulated seconds of every paper problem (20 classes): t
 # again as a finding at the end.
 `
 
-// regretProblem is one problem compiled once; every simulation runs on a
-// fork of its compiler over a copy of its file system.
+// regretProblem is one problem compiled once; every simulation runs it
+// over a copy of its file system.
 type regretProblem struct {
 	name string
 	hp   *hop.Program
-	comp *hop.Compiler
 	fs   *hdfs.FS
 }
 
@@ -59,7 +58,6 @@ type regretProblem struct {
 func (p *regretProblem) simulate(t *testing.T, cc conf.Cluster, res conf.Resources, reopt bool) float64 {
 	fs := p.fs.Clone()
 	ip := rt.New(rt.ModeSim, fs, cc, res)
-	ip.Compiler = p.comp.Fork(fs)
 	ip.SimTableCols = regretClasses
 	if reopt {
 		ad := adapt.New(cc)
@@ -80,8 +78,7 @@ func regretLine(t *testing.T, cc conf.Cluster, spec scripts.Spec, scen datagen.S
 	datagen.Describe(p.fs, scen)
 	prog, err := dml.Parse(spec.Source)
 	if err == nil {
-		p.comp = hop.NewCompiler(p.fs, spec.Params)
-		p.hp, err = p.comp.Compile(prog, spec.Source)
+		p.hp, err = hop.NewCompiler(p.fs, spec.Params).Compile(prog, spec.Source)
 	}
 	if err != nil {
 		t.Errorf("%s: %v", p.name, err)

@@ -206,7 +206,7 @@ func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
 	}
 	rw := c.Trace.Begin(obs.LayerCompile, "hop.rewrite")
 	pruneDeadWrites(blocks)
-	p := program(blocks)
+	p := program(c, blocks)
 	rw.End()
 	sp.End(obs.A("leaf_blocks", p.NumLeaf))
 	c.Trace.Metrics().Add("compile.programs", 1)
@@ -371,7 +371,7 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 		return nil, err
 	}
 	pruneDeadWrites(rebuilt)
-	return program(rebuilt), nil
+	return program(c, rebuilt), nil
 }
 
 // Sources returns the statement blocks the given hop blocks were built
@@ -394,9 +394,9 @@ func Sources(blocks []*Block) ([]*dml.StatementBlock, error) {
 // the leaf blocks for the resource vector and links every block to its
 // parent, applies the transpose-mm rewrite to each leaf's DAG, linearizes
 // it and records its read set, and rewrites and linearizes each control
-// block's header.
-func program(blocks []*Block) *Program {
-	p := &Program{Blocks: blocks}
+// block's header. The program keeps c, the compiler that built it.
+func program(c *Compiler, blocks []*Block) *Program {
+	p := &Program{Blocks: blocks, comp: c}
 	p.index(blocks, nil)
 	return p
 }
@@ -474,8 +474,14 @@ func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 	if err != nil {
 		return nil, err
 	}
+	// The predicate reads the facts entry and the body agree on, so one
+	// that folds to false was false at entry: the loop runs no iteration.
+	iters := Unknown
+	if pred.KnownVal && pred.Value == 0 {
+		iters = 0
+	}
 	b := &Block{Kind: dml.WhileBlockKind, Index: -1, Pred: pred, PredExpr: sb.Pred,
-		Body: body, KnownIters: Unknown, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
+		Body: body, KnownIters: iters, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil
 }
 

@@ -16,11 +16,10 @@ import (
 )
 
 // generated is one generated program as the equivalence oracles check it:
-// its staged file system, the compiler that compiled it, and the program.
+// its staged file system and the program.
 type generated struct {
 	name string
 	fs   *hdfs.FS
-	c    *hop.Compiler
 	hp   *hop.Program
 }
 
@@ -43,12 +42,11 @@ func generatedPrograms(t *testing.T) []generated {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		c := hop.NewCompiler(fs, p.Params)
-		hp, err := c.Compile(prog, p.Source)
+		hp, err := hop.NewCompiler(fs, p.Params).Compile(prog, p.Source)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		out = append(out, generated{p.Name, fs, c, hp})
+		out = append(out, generated{p.Name, fs, hp})
 	}
 	return out
 }
@@ -89,8 +87,8 @@ func TestResizeMatchesRebuildGenerated(t *testing.T) {
 	for _, g := range generatedPrograms(t) {
 		meta := runMeta(g.hp)
 		for _, b := range g.hp.LeafBlocks() {
-			nb, err := g.c.RecompileGeneric(b, meta, nil)
-			rb, rerr := g.c.Fork(g.fs).Rebuild(b, meta)
+			nb, err := g.hp.Compiler().RecompileGeneric(b, meta, nil)
+			rb, rerr := g.hp.Compiler().Fork(g.fs).Rebuild(b, meta)
 			if d := sameBuild(leaf(nb), err, leaf(rb), rerr); d != nil {
 				t.Errorf("%s block %d (lines %d-%d): recompile and rebuild disagree: %v", g.name, b.Index, b.FirstLine, b.LastLine, d)
 			}
@@ -108,7 +106,6 @@ func TestResizeMatchesRebuildGenerated(t *testing.T) {
 		res := conf.NewResources(cc.MinHeap(), cc.MinHeap(), g.hp.NumLeaf)
 		fs := g.fs.Clone()
 		ip := rt.New(rt.ModeValue, fs, cc, res)
-		ip.Compiler = g.c.Fork(fs)
 		err := ip.Run(lop.Select(g.hp, cc, res))
 		restore()
 		if err != nil {
@@ -153,8 +150,8 @@ func TestScopeLiveInSufficesGenerated(t *testing.T) {
 						live[name] = m
 					}
 				}
-				a, aerr := g.c.RebuildScope(scope, full.Clone())
-				b, berr := g.c.RebuildScope(scope, live)
+				a, aerr := g.hp.Compiler().RebuildScope(scope, full.Clone())
+				b, berr := g.hp.Compiler().RebuildScope(scope, live)
 				if d := sameBuild(a, aerr, b, berr); d != nil {
 					t.Errorf("%s scope from line %d: full and live-in metadata disagree: %v", g.name, l[i].FirstLine, d)
 				}

@@ -202,13 +202,20 @@ func (h *Hop) String() string {
 }
 
 // Program is a compiled HOP-level program: the hierarchy of blocks plus
-// bookkeeping for the resource optimizer.
+// bookkeeping for the resource optimizer, and the compiler that built it.
 type Program struct {
 	Blocks []*Block
 	// NumLeaf is the number of leaf generic blocks, i.e. the length of the
 	// MR part of the resource vector R_P.
 	NumLeaf int
+	// comp built the program, and only it or a Fork of it recompiles the
+	// program's blocks; nil on a program assembled by hand.
+	comp *Compiler
 }
+
+// Compiler returns the compiler that built p, nil if none did. A run
+// recompiles on a Fork of it (see rt.Interp.Run).
+func (p *Program) Compiler() *Compiler { return p.comp }
 
 // Block is one program block in the HOP-level hierarchy.
 type Block struct {

@@ -25,6 +25,7 @@ var keyExcluded = map[string]string{
 	"Block.buf":      "storage only: the block and arrays a recompile returned, which the next recompile of the same compiled block overwrites; never read",
 	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
 	"Block.Parent":   "derived when the program is indexed: the block's position in the tree, which the encoding of the tree carries",
+	"Program.comp":   "the compiler that built the program, read only to recompile it: a program and its recompiles select and cost alike whichever compiler built them",
 }
 
 // keyTargets returns every struct of type typ in p, addressable: the

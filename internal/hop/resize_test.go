@@ -85,14 +85,12 @@ func simRun(t *testing.T, spec scripts.Spec, sc datagen.Scenario) *rt.Interp {
 	}
 	fs := hdfs.New()
 	datagen.Describe(fs, sc)
-	c := hop.NewCompiler(fs, spec.Params)
-	hp, err := c.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		t.Fatalf("%s %s: %v", spec.Name, sc, err)
 	}
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
 	ip := rt.New(rt.ModeSim, fs, conf.DefaultCluster(), res)
-	ip.Compiler = c
 	if err := ip.Run(lop.Select(hp, conf.DefaultCluster(), res)); err != nil {
 		t.Fatalf("%s %s: %v", spec.Name, sc, err)
 	}

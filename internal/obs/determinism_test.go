@@ -55,7 +55,6 @@ func tracedScenario(t *testing.T) []byte {
 
 	plan := lop.SelectTraced(hp, cc, res, tr)
 	ip := rt.New(rt.ModeSim, fs, cc, res)
-	ip.Compiler = comp
 	ip.SimTableCols = 200
 	ip.Trace = tr
 	ad := adapt.New(cc)

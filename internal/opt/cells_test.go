@@ -64,6 +64,10 @@ func (o *CellOracle) Check(est *cost.Estimator, b *lop.Block, p *lop.Plan, res c
 		}
 		cc := est.CC
 		cc.CPBudgetRatio = (float64(end) + 0.5) / float64(res.CP)
+		// Near 2^52 the product rounds past end; step the ratio by ulps.
+		for k := 0; k < 64 && cc.OpBudget(res.CP) != end; k++ {
+			cc.CPBudgetRatio = math.Nextafter(cc.CPBudgetRatio, float64(end-cc.OpBudget(res.CP)))
+		}
 		if cc.OpBudget(res.CP) != end {
 			fail("no budget ratio gives budget %d at CP %d", end, res.CP)
 			continue

@@ -35,14 +35,12 @@ func TestCellAnswersExactInConsults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				comp := hop.NewCompiler(fs, spec.Params)
-				hp, err := comp.Compile(prog, spec.Source)
+				hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 				if err != nil {
 					t.Fatalf("%s: %v", o.Problem, err)
 				}
 				res := opt.New(cc).Optimize(hp).Res
 				ip := rt.New(rt.ModeSim, fs, cc, res.Clone())
-				ip.Compiler = comp
 				ip.SimTableCols = 20
 				ad := adapt.New(cc)
 				ad.OptCharge = 0.1

@@ -59,9 +59,8 @@ func TestCGMatchesDSAcrossConfigurations(t *testing.T) {
 		spec := scripts.LinregCG()
 		spec.Params["maxi"] = float64(25)
 		spec.Params["reg"] = 1e-12
-		plan, comp := compilePlan(t, spec, fs, res)
+		plan := compilePlan(t, spec, fs, res)
 		ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-		ip.Compiler = comp
 		if err := ip.Run(plan); err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}

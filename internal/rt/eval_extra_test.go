@@ -28,14 +28,12 @@ func runSrc(t *testing.T, src string, files map[string]*matrix.Matrix) (*hdfs.FS
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, params)
-	hp, err := comp.Compile(prog, src)
+	hp, err := hop.NewCompiler(fs, params).Compile(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, hp.NumLeaf)
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	var buf bytes.Buffer
 	ip.Out = &buf
 	if err := ip.Run(lop.Select(hp, conf.DefaultCluster(), res)); err != nil {
@@ -145,14 +143,12 @@ print("S " + s);
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
-	hp, err := comp.Compile(prog, src)
+	hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, hp.NumLeaf)
 	ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	var buf bytes.Buffer
 	ip.Out = &buf
 	if err := ip.Run(lop.Select(hp, conf.DefaultCluster(), res)); err != nil {

@@ -24,8 +24,7 @@ func TestInputDeletedBetweenCompileAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, spec.Params)
-	hp, err := comp.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,6 @@ func TestInputDeletedBetweenCompileAndRun(t *testing.T) {
 	}
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, hp.NumLeaf)
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	err = ip.Run(lop.Select(hp, conf.DefaultCluster(), res))
 	if err == nil || !strings.Contains(err.Error(), "does not exist") {
 		t.Errorf("expected missing-file error, got %v", err)
@@ -59,14 +57,12 @@ func TestSingularSystemSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, spec.Params)
-	hp, err := comp.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, hp.NumLeaf)
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	err = ip.Run(lop.Select(hp, conf.DefaultCluster(), res))
 	if err == nil || !strings.Contains(err.Error(), "singular") {
 		t.Errorf("expected singular-system error, got %v", err)
@@ -86,14 +82,12 @@ func TestAdapterFailureIsNonFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, spec.Params)
-	hp, err := comp.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, hp.NumLeaf)
 	ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	ip.SimTableCols = 200
 	ip.Adapter = adapterFunc(func(*AdaptContext) *AdaptDecision { return nil })
 	if err := ip.Run(lop.Select(hp, conf.DefaultCluster(), res)); err != nil {

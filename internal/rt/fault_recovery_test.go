@@ -21,9 +21,8 @@ func simInterp(t *testing.T) *Interp {
 	fs.PutDescriptor("/data/X", n, m, n*m, hdfs.BinaryBlock)
 	fs.PutDescriptor("/data/y_labels", n, 1, n, hdfs.BinaryBlock)
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
-	plan, comp := compilePlan(t, scripts.MLogreg(), fs, res)
+	plan := compilePlan(t, scripts.MLogreg(), fs, res)
 	ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	ip.SimTableCols = 200
 	ip.plan = plan
 	return ip
@@ -120,9 +119,8 @@ func TestHDFSReadRetriesRecover(t *testing.T) {
 	fs.PutMatrix("/data/X", x)
 	fs.PutMatrix("/data/y", matrix.Mul(x, beta))
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, 64)
-	plan, comp := compilePlan(t, scripts.LinregDS(), fs, res)
+	plan := compilePlan(t, scripts.LinregDS(), fs, res)
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	ip.Faults = fault.MustInjector(fault.Plan{Seed: 4, HDFSReadErrorProb: 0.5})
 	if err := ip.Run(plan); err != nil {
 		t.Fatalf("reads should recover via retry: %v", err)

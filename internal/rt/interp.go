@@ -108,9 +108,9 @@ type Interp struct {
 	FS   *hdfs.FS
 	CC   conf.Cluster
 	Res  conf.Resources
-	// Compiler is the compiler that built the program Run executes, or a
-	// Fork of it: only it recompiles the program's blocks. Run fails
-	// without one.
+	// Compiler recompiles the program's blocks: Run sets it to a Fork of
+	// the compiler that built the program, over FS, so a run never changes
+	// the compiler other runs share.
 	Compiler *hop.Compiler
 	// Est charges per-instruction simulated time (evictions enabled).
 	Est   *cost.Estimator
@@ -195,11 +195,14 @@ func New(mode Mode, fs *hdfs.FS, cc conf.Cluster, res conf.Resources) *Interp {
 	}
 }
 
-// Run executes the plan to completion, accumulating simulated time.
+// Run executes the plan to completion, accumulating simulated time. It
+// refuses a program no compiler built, since nothing could recompile it.
 func (ip *Interp) Run(plan *lop.Plan) error {
-	if ip.Compiler == nil {
-		return errors.New("rt: no compiler: set Interp.Compiler to the compiler that built the program, or a Fork of it")
+	comp := plan.HopProgram.Compiler()
+	if comp == nil {
+		return errors.New("rt: the program has no compiler: Run takes a program Compile, CompileScript or RebuildScope built")
 	}
+	ip.Compiler = comp.Fork(ip.FS)
 	ip.plan = plan
 	if ip.Trace.Enabled() {
 		if ip.Compiler.Trace == nil {

@@ -50,9 +50,8 @@ func TestValueRunDeterministicAcrossCores(t *testing.T) {
 		beta := []float64{1, -2, 3, 0.5, -1, 2, 0, 1.5, -0.5, 1}
 		fs, _ := regressionFS(t, 300, 10, beta)
 		res := conf.NewResources(2*conf.GB, 512*conf.MB, 64).WithCores(cores)
-		plan, comp := compilePlan(t, scripts.LinregDS(), fs, res)
+		plan := compilePlan(t, scripts.LinregDS(), fs, res)
 		ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-		ip.Compiler = comp
 		if err := ip.Run(plan); err != nil {
 			t.Fatalf("run with %d cores: %v", cores, err)
 		}

@@ -71,8 +71,7 @@ func TestParforBodyPlansAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp := hop.NewCompiler(fs, p.Params)
-		hp, err := comp.Compile(prog, p.Source)
+		hp, err := hop.NewCompiler(fs, p.Params).Compile(prog, p.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +104,6 @@ func TestParforBodyPlansAgree(t *testing.T) {
 						costed++
 					}
 					ip := rt.New(rt.ModeSim, fs, cc, res)
-					ip.Compiler = comp
 					ip.Faults = fault.MustInjector(fault.Plan{Seed: 1, NodeFailures: []fault.NodeFailure{{Node: 0, At: 0}}})
 					if err := ip.Run(plan); err != nil {
 						t.Fatalf("%s: %v", at, err)

@@ -37,8 +37,7 @@ func parforSetup(t *testing.T, mode Mode, cores int) (*Interp, *lop.Plan, *hdfs.
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
-	hp, err := comp.Compile(prog, parforSrc)
+	hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, parforSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,6 @@ func parforSetup(t *testing.T, mode Mode, cores int) (*Interp, *lop.Plan, *hdfs.
 	res.CPCores = cores
 	plan := lop.Select(hp, conf.DefaultCluster(), res)
 	ip := New(mode, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	return ip, plan, fs
 }
 
@@ -131,8 +129,7 @@ write(acc, "/out/acc");
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
-	hp, err := comp.Compile(prog, src)
+	hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +175,7 @@ write(acc, "/out/acc");
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
-		hp, err := comp.Compile(prog, src)
+		hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +183,6 @@ write(acc, "/out/acc");
 		res := conf.NewResources(2*conf.GB, 512*conf.MB, hp.NumLeaf).WithCores(4)
 		plan := lop.Select(hp, cc, res)
 		ip := New(ModeSim, fs, cc, res)
-		ip.Compiler = comp
 		if err := ip.Run(plan); err != nil {
 			t.Fatal(err)
 		}

@@ -47,9 +47,8 @@ func TestRecompileReadSet(t *testing.T) {
 				name = spec.Name + " " + sc.String()
 				fs := hdfs.New()
 				datagen.Describe(fs, sc)
-				plan, comp := compilePlan(t, spec, fs, res)
+				plan := compilePlan(t, spec, fs, res)
 				ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-				ip.Compiler = comp
 				if err := ip.Run(plan); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -111,9 +110,8 @@ func TestRecompileKeepsPrunedWrites(t *testing.T) {
 		fs := hdfs.New()
 		datagen.Describe(fs, sc)
 		res := conf.NewResources(cp, 2*conf.GB, 64)
-		plan, comp := compilePlan(t, scripts.MLogreg(), fs, res)
+		plan := compilePlan(t, scripts.MLogreg(), fs, res)
 		ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-		ip.Compiler = comp
 		ip.SimTableCols = 20
 		if err := ip.Run(plan); err != nil {
 			t.Fatalf("%v: %v", cp, err)

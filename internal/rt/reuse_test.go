@@ -111,9 +111,8 @@ func simulateReuse(t *testing.T, name string, spec scripts.Spec, sc datagen.Scen
 	fs := hdfs.New()
 	datagen.Describe(fs, sc)
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
-	plan, comp := compilePlan(t, spec, fs, res)
+	plan := compilePlan(t, spec, fs, res)
 	ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	ip.fresh = fresh
 	if err := ip.Run(plan); err != nil {
 		t.Fatalf("%s: %v", name, err)

@@ -7,35 +7,35 @@ import (
 	"testing"
 
 	"elasticml/internal/conf"
+	"elasticml/internal/datagen"
 	"elasticml/internal/dml"
 	"elasticml/internal/hdfs"
 	"elasticml/internal/hop"
 	"elasticml/internal/lop"
 	"elasticml/internal/matrix"
+	"elasticml/internal/obs"
 	"elasticml/internal/scripts"
 )
 
 // compilePlan parses and compiles a spec against the given FS.
-func compilePlan(t *testing.T, spec scripts.Spec, fs *hdfs.FS, res conf.Resources) (*lop.Plan, *hop.Compiler) {
+func compilePlan(t *testing.T, spec scripts.Spec, fs *hdfs.FS, res conf.Resources) *lop.Plan {
 	t.Helper()
 	prog, err := dml.Parse(spec.Source)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	c := hop.NewCompiler(fs, spec.Params)
-	hp, err := c.Compile(prog, spec.Source)
+	hp, err := hop.NewCompiler(fs, spec.Params).Compile(prog, spec.Source)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return lop.Select(hp, conf.DefaultCluster(), res), c
+	return lop.Select(hp, conf.DefaultCluster(), res)
 }
 
 func runValue(t *testing.T, spec scripts.Spec, fs *hdfs.FS) *Interp {
 	t.Helper()
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, 64)
-	plan, comp := compilePlan(t, spec, fs, res)
+	plan := compilePlan(t, spec, fs, res)
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	if err := ip.Run(plan); err != nil {
 		t.Fatalf("%s run: %v", spec.Name, err)
 	}
@@ -53,16 +53,38 @@ func regressionFS(t *testing.T, n, m int, beta []float64) (*hdfs.FS, *matrix.Mat
 	return fs, bm
 }
 
-// TestRunNeedsACompiler: only the compiler that built a program, or a Fork
-// of it, recompiles the program's blocks, so Run refuses to start without
-// one instead of making a stand-in.
+// TestRunNeedsACompiler: a run recompiles on a Fork of the compiler that
+// built its program, over the run's own file system, whatever
+// Interp.Compiler held before, so Run refuses a hand-assembled program,
+// which no compiler built, before it executes anything.
 func TestRunNeedsACompiler(t *testing.T) {
-	fs, _ := regressionFS(t, 100, 5, []float64{1, -2, 3, 0.5, -1})
-	res := conf.NewResources(2*conf.GB, 512*conf.MB, 64)
-	plan, _ := compilePlan(t, scripts.LinregDS(), fs, res)
-	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	if err := ip.Run(plan); err == nil || ip.Stats.Instructions != 0 {
-		t.Fatalf("Run without a compiler: error %v after %d instructions", err, ip.Stats.Instructions)
+	fs := hdfs.New()
+	datagen.Describe(fs, datagen.New("S", 100, 0.01))
+	res := conf.NewResources(715_862_835, 2*conf.GB, 64) // recompiles CP-only
+	cc := conf.DefaultCluster()
+	plan := compilePlan(t, scripts.MLogreg(), fs, res)
+	hand := &hop.Program{Blocks: plan.HopProgram.Blocks, NumLeaf: plan.HopProgram.NumLeaf}
+	ip := New(ModeSim, fs, cc, res)
+	if err := ip.Run(lop.Select(hand, cc, res)); err == nil || ip.Stats.Instructions != 0 {
+		t.Fatalf("Run of a hand-assembled program: error %v after %d instructions", err, ip.Stats.Instructions)
+	}
+
+	ip = New(ModeSim, fs, cc, res)
+	ip.SimTableCols = 20
+	preset := hop.NewCompiler(fs, nil)
+	preset.Trace = obs.New(false) // counts the preset compiler's recompiles
+	ip.Compiler = preset
+	if err := ip.Run(plan); err != nil {
+		t.Fatalf("Run with a preset compiler that compiled nothing: %v", err)
+	}
+	if ip.Stats.Recompiles == 0 {
+		t.Fatal("the run recompiled no block; the preset compiler went untested")
+	}
+	if n := preset.Trace.Metrics().Counter("compile.recompiles"); n != 0 {
+		t.Errorf("%d recompiles ran on the preset compiler", n)
+	}
+	if ip.Compiler == preset || ip.Compiler == plan.HopProgram.Compiler() || ip.Compiler.FS != fs {
+		t.Error("the run did not recompile on a fork of the program's compiler over its file system")
 	}
 }
 
@@ -123,9 +145,8 @@ func TestL2SVMSeparatesData(t *testing.T) {
 	spec.Params["maxi"] = float64(20)
 	var buf bytes.Buffer
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, 64)
-	plan, comp := compilePlan(t, spec, fs, res)
+	plan := compilePlan(t, spec, fs, res)
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	ip.Out = &buf
 	if err := ip.Run(plan); err != nil {
 		t.Fatalf("run: %v", err)
@@ -200,9 +221,8 @@ func TestSimModeAllScripts(t *testing.T) {
 		fs.PutDescriptor("/data/y", n, 1, n, hdfs.BinaryBlock)
 		fs.PutDescriptor("/data/y_labels", n, 1, n, hdfs.BinaryBlock)
 		res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
-		plan, comp := compilePlan(t, spec, fs, res)
+		plan := compilePlan(t, spec, fs, res)
 		ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-		ip.Compiler = comp
 		ip.SimTableCols = 5
 		if err := ip.Run(plan); err != nil {
 			t.Errorf("%s sim run: %v", spec.Name, err)
@@ -226,9 +246,8 @@ func TestSimModeLargeCPFasterForCG(t *testing.T) {
 		fs.PutDescriptor("/data/X", n, m, n*m, hdfs.BinaryBlock)
 		fs.PutDescriptor("/data/y", n, 1, n, hdfs.BinaryBlock)
 		res := conf.NewResources(cp, 2*conf.GB, 64)
-		plan, comp := compilePlan(t, scripts.LinregCG(), fs, res)
+		plan := compilePlan(t, scripts.LinregCG(), fs, res)
 		ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-		ip.Compiler = comp
 		if err := ip.Run(plan); err != nil {
 			t.Fatalf("sim run: %v", err)
 		}
@@ -249,9 +268,8 @@ func TestAdapterInvoked(t *testing.T) {
 	fs.PutDescriptor("/data/X", n, m, n*m, hdfs.BinaryBlock)
 	fs.PutDescriptor("/data/y_labels", n, 1, n, hdfs.BinaryBlock)
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
-	plan, comp := compilePlan(t, scripts.MLogreg(), fs, res)
+	plan := compilePlan(t, scripts.MLogreg(), fs, res)
 	ip := New(ModeSim, fs, conf.DefaultCluster(), res)
-	ip.Compiler = comp
 	ip.SimTableCols = 200
 	calls := 0
 	ip.Adapter = adapterFunc(func(ctx *AdaptContext) *AdaptDecision {
@@ -296,15 +314,13 @@ print(s);
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
-	hp, err := c.Compile(prog, src)
+	hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := conf.NewResources(2*conf.GB, 512*conf.MB, hp.NumLeaf)
 	plan := lop.Select(hp, conf.DefaultCluster(), res)
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = c
 	err = ip.Run(plan)
 	if err == nil || !strings.Contains(err.Error(), "aborted on purpose") {
 		t.Errorf("expected stop error, got %v", err)
@@ -335,8 +351,7 @@ print("RESULT " + result);
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
-	hp, err := c.Compile(prog, src)
+	hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +359,6 @@ print("RESULT " + result);
 	plan := lop.Select(hp, conf.DefaultCluster(), res)
 	var buf bytes.Buffer
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = c
 	ip.Out = &buf
 	if err := ip.Run(plan); err != nil {
 		t.Fatal(err)
@@ -372,8 +386,7 @@ print("S " + s + " T " + as.scalar(t));
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"})
-	hp, err := c.Compile(prog, src)
+	hp, err := hop.NewCompiler(fs, map[string]interface{}{"X": "/data/X"}).Compile(prog, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +394,6 @@ print("S " + s + " T " + as.scalar(t));
 	plan := lop.Select(hp, conf.DefaultCluster(), res)
 	var buf bytes.Buffer
 	ip := New(ModeValue, fs, conf.DefaultCluster(), res)
-	ip.Compiler = c
 	ip.Out = &buf
 	if err := ip.Run(plan); err != nil {
 		t.Fatal(err)

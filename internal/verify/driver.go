@@ -39,27 +39,27 @@ type Options struct {
 // DefaultConfigs plus the reference interpreter and returns the aggregated
 // comparison result. It builds the program once, as the service builds a
 // job: Setup into one file system, one parse, one compile. Every run then
-// shares the compiled program, on a clone of the file system and a fork of
-// the compiler, so no run may change it: its key before the first run must
-// equal its key after the reference run.
+// shares the compiled program, on a clone of the file system the program's
+// compiler read and a fork of that compiler, so no run may change it: its
+// key before the first run must equal its key after the reference run.
 func RunProgram(p Program, o Options) ProgramResult {
 	res := ProgramResult{Program: p.Name}
 	cfgs := DefaultConfigs()
 	for _, cfg := range cfgs {
 		res.Configs = append(res.Configs, cfg.Name)
 	}
-	c, err := compile(p)
+	hp, err := compile(p)
 	if err != nil {
 		for _, cfg := range cfgs {
 			res.Findings = append(res.Findings, runError(p.Name, cfg.Name, err))
 		}
 		return res
 	}
-	key := hop.AppendKey(nil, c.hp)
+	key := hop.AppendKey(nil, hp)
 
 	var runs []*runOutput
 	for _, cfg := range cfgs {
-		r := c.run(p.Name, cfg, o.Trace)
+		r := run(hp, p.Name, cfg, o.Trace)
 		res.Ops += r.ops
 		res.Findings = append(res.Findings, r.findings...)
 		if r.err != nil {
@@ -83,13 +83,13 @@ func RunProgram(p Program, o Options) ProgramResult {
 		for _, other := range runs[1:] {
 			compare(&res, CrossConfigMismatch, base, other, exact)
 		}
-		if ref := c.reference(); ref.err != nil {
+		if ref := reference(hp); ref.err != nil {
 			res.Findings = append(res.Findings, runError(p.Name, ref.cfg, ref.err))
 		} else {
 			compare(&res, ReferenceMismatch, base, ref, closeRel)
 		}
 	}
-	if !bytes.Equal(key, hop.AppendKey(nil, c.hp)) {
+	if !bytes.Equal(key, hop.AppendKey(nil, hp)) {
 		res.Findings = append(res.Findings, Finding{
 			Kind:    SharedProgramChanged,
 			Program: p.Name,
@@ -114,16 +114,11 @@ func Run(programs []Program, o Options, progress func(ProgramResult)) *Report {
 	return rep
 }
 
-// compiled is one program as every run of it shares it: the staged file
-// system, the compiler and the compiled program. A run writes to a clone
-// of fs and recompiles on a fork of comp, and changes none of the three.
-type compiled struct {
-	fs   *hdfs.FS
-	comp *hop.Compiler
-	hp   *hop.Program
-}
-
-func compile(p Program) (c *compiled, err error) {
+// compile stages p's inputs into a new file system and builds the program
+// every run of p shares. The program's compiler keeps that file system
+// (Compiler.FS); a run writes to a clone of it, over which Run forks the
+// compiler, and changes neither the program nor the staged files.
+func compile(p Program) (hp *hop.Program, err error) {
 	defer recovered(&err)
 	fs := hdfs.New()
 	if p.Setup != nil {
@@ -133,12 +128,10 @@ func compile(p Program) (c *compiled, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	comp := hop.NewCompiler(fs, p.Params)
-	hp, err := comp.Compile(prog, p.Source)
-	if err != nil {
+	if hp, err = hop.NewCompiler(fs, p.Params).Compile(prog, p.Source); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	return &compiled{fs: fs, comp: comp, hp: hp}, nil
+	return hp, nil
 }
 
 // recovered turns a panic in the compiler, a kernel or the reference into
@@ -160,7 +153,7 @@ type runOutput struct {
 	err      error
 }
 
-func (c *compiled) run(prog string, cfg Config, tr *obs.Tracer) (r *runOutput) {
+func run(hp *hop.Program, prog string, cfg Config, tr *obs.Tracer) (r *runOutput) {
 	r = &runOutput{cfg: cfg.Name, outputs: map[string]*matrix.Matrix{}}
 	defer recovered(&r.err)
 
@@ -170,15 +163,14 @@ func (c *compiled) run(prog string, cfg Config, tr *obs.Tracer) (r *runOutput) {
 	}
 	var resources conf.Resources
 	if cfg.Optimize {
-		resources = opt.New(cc).Optimize(c.hp).Res
+		resources = opt.New(cc).Optimize(hp).Res
 	} else {
-		resources = conf.NewResources(cfg.CP, cfg.MR, c.hp.NumLeaf).WithCores(cfg.Cores)
+		resources = conf.NewResources(cfg.CP, cfg.MR, hp.NumLeaf).WithCores(cfg.Cores)
 	}
 
-	fs := c.fs.Clone()
-	plan := lop.Select(c.hp, cc, resources)
+	fs := hp.Compiler().FS.Clone()
+	plan := lop.Select(hp, cc, resources)
 	ip := rt.New(rt.ModeValue, fs, cc, resources)
-	ip.Compiler = c.comp.Fork(fs)
 	if tr.Enabled() {
 		ip.Trace = tr
 	}
@@ -237,10 +229,10 @@ func (c *compiled) run(prog string, cfg Config, tr *obs.Tracer) (r *runOutput) {
 
 // reference evaluates the compiled program with the naive reference
 // interpreter on a clone of the staged file system.
-func (c *compiled) reference() (r *runOutput) {
+func reference(hp *hop.Program) (r *runOutput) {
 	r = &runOutput{cfg: "reference", outputs: map[string]*matrix.Matrix{}}
 	defer recovered(&r.err)
-	ref, err := RunReference(c.hp, c.fs.Clone())
+	ref, err := RunReference(hp, hp.Compiler().FS.Clone())
 	if err != nil {
 		r.err = err
 		return r

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -59,6 +61,33 @@ func FuzzProgram(seed int64, i int) Program {
 // relies on.
 func FuzzLoopProgram(seed int64, i int) Program {
 	return seeded(seed, i, 2, fmt.Sprintf("fuzz-loop-%d", i))
+}
+
+// BytesProgram generates the program of a fuzzer's input: every grammar
+// choice draws from b, eight bytes at a time, and once they run out from a
+// source seeded by b, so every input, the empty one too, yields a program
+// in a bounded number of draws.
+func BytesProgram(b []byte) Program {
+	h := fnv.New64a()
+	h.Write(b)
+	src := &byteSource{b: b, Source: rand.NewSource(int64(h.Sum64()))}
+	r := rand.New(src)
+	return fuzzProgram(r, src.Source.Int63(), r.Intn(3), "fuzz-bytes")
+}
+
+// byteSource is the rand.Source of BytesProgram: b, then Source.
+type byteSource struct {
+	rand.Source
+	b []byte
+}
+
+func (s *byteSource) Int63() int64 {
+	if len(s.b) < 8 {
+		return s.Source.Int63()
+	}
+	v := binary.LittleEndian.Uint64(s.b)
+	s.b = s.b[8:]
+	return int64(v >> 1)
 }
 
 // seeded generates the i-th program of a seeded stream.

@@ -53,15 +53,13 @@ func isolatedRun(t *testing.T, p verify.Program, cc conf.Cluster) (map[string]*m
 	if err != nil {
 		t.Fatalf("%s: parse: %v", p.Name, err)
 	}
-	comp := hop.NewCompiler(fs, p.Params)
-	hp, err := comp.Compile(prog, p.Source)
+	hp, err := hop.NewCompiler(fs, p.Params).Compile(prog, p.Source)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", p.Name, err)
 	}
 	res := opt.New(cc).Optimize(hp).Res
 	plan := lop.Select(hp, cc, res)
 	ip := rt.New(rt.ModeValue, fs, cc, res)
-	ip.Compiler = comp
 	var out bytes.Buffer
 	ip.Out = &out
 	if err := ip.Run(plan); err != nil {

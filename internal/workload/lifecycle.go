@@ -238,7 +238,7 @@ func (s *Service) plan(reqs ...*planReq) {
 		if r.err = s.program(r.j); r.err != nil {
 			continue
 		}
-		out := (&opt.Optimizer{CC: r.view, Opts: opts}).Optimize(id.prog.hp)
+		out := (&opt.Optimizer{CC: r.view, Opts: opts}).Optimize(id.prog)
 		r.res, r.cost = out.Res, out.Cost
 	}
 	for _, r := range reqs {
@@ -635,35 +635,32 @@ var compileTable = new(hop.Table)
 // compile builds an identity's program from source over its staged inputs,
 // off the parse and templates compileTable keeps for the source; a failed or
 // panicking build yields no program.
-func (s *Service) compile(id *identity) (c *compiled, err error) {
+func (s *Service) compile(id *identity) (hp *hop.Program, err error) {
 	defer recovered(&err)
 	s.tr.Metrics().Add("workload.compiles", 1)
 	src, err := compileTable.Parse(id.source)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	comp := hop.NewCompiler(id.fs, id.params)
-	hp, err := comp.CompileScript(src)
-	if err != nil {
+	if hp, err = hop.NewCompiler(id.fs, id.params).CompileScript(src); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	return &compiled{comp: comp, hp: hp}, nil
+	return hp, nil
 }
 
 // simulate executes an identity's program under a cluster view and a
 // configuration on the runtime and folds the run into an outcome (plus, for
 // value-mode jobs, the written matrices). The run gets its own view of the
-// staged file system and a fork of the compiler, so the program stays as it
-// was. It reads no service state and emits no trace events: it is a pure
-// function of its arguments, so solve runs it on a session goroutine or a
-// prefetch worker beside Step (program_test runs it concurrently over one
-// program).
+// staged file system, over which Run forks the program's compiler, so the
+// program stays as it was. It reads no service state and emits no trace
+// events: it is a pure function of its arguments, so solve runs it on a
+// session goroutine or a prefetch worker beside Step (program_test runs it
+// concurrently over one program).
 func simulate(id *identity, view conf.Cluster, res conf.Resources) (r simResult) {
 	defer recovered(&r.err)
-	c, fs := id.prog, id.fs.Clone()
-	plan := lop.Select(c.hp, view, res)
+	hp, fs := id.prog, id.fs.Clone()
+	plan := lop.Select(hp, view, res)
 	ip := rt.New(id.mode, fs, view, res)
-	ip.Compiler = c.comp.Fork(fs)
 	ip.SimTableCols = simTableCols
 	var out bytes.Buffer
 	ip.Out = &out
@@ -671,8 +668,8 @@ func simulate(id *identity, view conf.Cluster, res conf.Resources) (r simResult)
 		r.err = err
 		return r
 	}
-	o := &outcome{simSeconds: ip.SimTime, prints: out.String(), blocks: c.hp.NumLeaf}
-	if ep, ok := opt.DetectEpochs(c.hp); ok {
+	o := &outcome{simSeconds: ip.SimTime, prints: out.String(), blocks: hp.NumLeaf}
+	if ep, ok := opt.DetectEpochs(hp); ok {
 		o.epochs, o.blocks = ep.Epochs, ep.Boundaries()
 	}
 	o.blocks = max(o.blocks, 1)

@@ -69,7 +69,7 @@ func TestPrepareMatchesSequencerSearch(t *testing.T) {
 		if key := fresh.cacheKey(s.live(), opts); key != id.prep.key {
 			t.Fatalf("%s: prepared key %s, sequencer key %s", spec.Tenant, id.prep.key, key)
 		}
-		out := (&opt.Optimizer{CC: s.live(), Opts: opts}).Optimize(fresh.prog.hp)
+		out := (&opt.Optimizer{CC: s.live(), Opts: opts}).Optimize(fresh.prog)
 		if !sameAnswer(id.prep.res, id.prep.cost, out) {
 			t.Errorf("%s: prepared %s at %v, sequencer search %s at %v",
 				spec.Tenant, id.prep.res, id.prep.cost, out.Res, out.Cost)
@@ -173,7 +173,7 @@ func TestStaleAnswerIsNotCommitted(t *testing.T) {
 	for j.state != jsRunning {
 		stepChecked(t, s)
 	}
-	out := (&opt.Optimizer{CC: s.live(), Opts: s.optOpts()}).Optimize(j.id.prog.hp)
+	out := (&opt.Optimizer{CC: s.live(), Opts: s.optOpts()}).Optimize(j.id.prog)
 	if !sameAnswer(j.res, j.cost, out) {
 		t.Errorf("admitted %s at %v, the live view's search gives %s at %v", j.res, j.cost, out.Res, out.Cost)
 	}

@@ -182,25 +182,25 @@ func TestSimulateLeavesProgramUntouched(t *testing.T) {
 	for _, p := range reqs {
 		id, name := p.j.id, p.j.result.Tenant
 		tr := obs.New(false)
-		id.prog.comp.Trace = tr // counts the fork's recompiles
-		id.fs.SetTracer(tr)     // counts the run's writes
-		hp, comp, staged := deepHash(id.prog.hp), deepHash(id.prog.comp), inputListing(id.fs)
+		id.prog.Compiler().Trace = tr // counts the fork's recompiles
+		id.fs.SetTracer(tr)           // counts the run's writes
+		hp, comp, staged := deepHash(id.prog), deepHash(id.prog.Compiler()), inputListing(id.fs)
 		s.plan(p)
-		if deepHash(id.prog.hp) != hp {
+		if deepHash(id.prog) != hp {
 			t.Errorf("%s: the optimizer mutated the hop program", name)
 		}
-		lop.Select(id.prog.hp, s.live(), p.res)
-		if deepHash(id.prog.hp) != hp {
+		lop.Select(id.prog, s.live(), p.res)
+		if deepHash(id.prog) != hp {
 			t.Errorf("%s: lop.Select mutated the hop program", name)
 		}
 		sr := simulate(id, s.live(), p.res)
 		if sr.err != nil {
 			t.Fatalf("%s: %v", name, sr.err)
 		}
-		if deepHash(id.prog.hp) != hp {
+		if deepHash(id.prog) != hp {
 			t.Errorf("%s: the run mutated the hop program", name)
 		}
-		if deepHash(id.prog.comp) != comp {
+		if deepHash(id.prog.Compiler()) != comp {
 			t.Errorf("%s: the run mutated the compiler", name)
 		}
 		if got := inputListing(id.fs); got != staged {

@@ -174,9 +174,15 @@ type identity struct {
 	inputs []opt.InputMeta
 
 	// fs holds the inputs identify staged, and prog the program the job's
-	// first consumer of one compiled over them (see program).
+	// first consumer of one compiled over them (see program). prog is
+	// never changed by a run (TestSimulateLeavesProgramUntouched): it
+	// stays bit-identical through lop.Select and Interp.Run, because
+	// dynamic recompilation builds new blocks on the run's fork of the
+	// program's compiler, which keeps its own ID counter, and the run
+	// writes its /out files to its own view of the file system. So any
+	// number of runs, on any goroutines, may share it.
 	fs   *hdfs.FS
-	prog *compiled
+	prog *hop.Program
 
 	// key is the cache key under view, the one view the job was last keyed
 	// under: a running job is re-checked under the same view until the
@@ -201,17 +207,6 @@ func (id *identity) cacheKey(view conf.Cluster, opts opt.Options) string {
 		id.view, id.key = view, opt.CacheKey(id.source, id.params, id.inputs, view, opts)
 	}
 	return id.key
-}
-
-// compiled is one job's program over its staged inputs, built once and
-// never changed by a run (TestSimulateLeavesProgramUntouched): hp stays
-// bit-identical through lop.Select and Interp.Run, because dynamic
-// recompilation builds new blocks on a fork of comp that keeps its own ID
-// counter, and the run writes its /out files to its own view of the file
-// system. So any number of runs, on any goroutines, may share one.
-type compiled struct {
-	comp *hop.Compiler
-	hp   *hop.Program
 }
 
 // outcome is what the service keeps of one simulated run: the duration, the
@@ -440,7 +435,7 @@ func (s *Service) solve(id *identity) (err error) {
 	if id.prog, err = s.compile(id); err != nil {
 		return err
 	}
-	out := (&opt.Optimizer{CC: id.view, Opts: s.optOpts()}).Optimize(id.prog.hp)
+	out := (&opt.Optimizer{CC: id.view, Opts: s.optOpts()}).Optimize(id.prog)
 	id.prep = &planReq{key: id.key, res: out.Res, cost: out.Cost}
 	if id.mode == rt.ModeSim {
 		sr := simulate(id, id.view, out.Res)

@@ -44,7 +44,7 @@ func simCases(tb testing.TB) []simCase {
 			tb.Fatal(err)
 		}
 		cs[i].id = id
-		cs[i].res = conf.NewResources(2*conf.GB, 2*conf.GB, id.prog.hp.NumLeaf)
+		cs[i].res = conf.NewResources(2*conf.GB, 2*conf.GB, id.prog.NumLeaf)
 	}
 	return cs
 }

@@ -36,11 +36,6 @@ import (
 	"elasticml/internal/yarn"
 )
 
-// tracedOptCharge is the fixed simulated time charged per runtime
-// re-optimization when observability is on: charging measured wall-clock
-// time (the adapter's default) would make traces differ across runs.
-const tracedOptCharge = 0.1
-
 func main() {
 	var (
 		program  = flag.String("program", "LinregCG", "ML program: LinregDS, LinregCG, L2SVM, MLogreg, GLM")
@@ -202,9 +197,6 @@ func main() {
 		ad = adapt.New(cc)
 		ad.Trace = tr
 		ad.RM = rm
-		if tr.Enabled() {
-			ad.OptCharge = tracedOptCharge
-		}
 		ip.Adapter = ad
 	}
 	if inj != nil {

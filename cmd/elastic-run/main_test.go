@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -144,5 +145,39 @@ func TestJSONSummaryDeterministic(t *testing.T) {
 		if in.traced && (len(ta) == 0 || !bytes.Equal(ta, tb)) {
 			t.Errorf("%v: traces empty or different across identical runs", in.args)
 		}
+	}
+}
+
+// TestTextAndJSONSameSimTime: -json only changes how a run is reported, not
+// what it charges, so an adaptive run with node losses prints the same
+// simulated seconds in both forms (compared at the text's one decimal).
+func TestTextAndJSONSameSimTime(t *testing.T) {
+	args := []string{"-program", "MLogreg", "-size", "M", "-cols", "100", "-sparsity", "0.01",
+		"-optimize", "-adapt", "-node-fail", "1@20,2@60"}
+	text, errOut, code := run(t, args...)
+	if code != 0 {
+		t.Fatalf("text run: exit %d, stderr: %s", code, errOut)
+	}
+	var textSecs string
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, "elapsed:"); ok {
+			textSecs = strings.Fields(rest)[0]
+		}
+	}
+	if textSecs == "" {
+		t.Fatalf("no elapsed line in:\n%s", text)
+	}
+	js, errOut, code := run(t, append(args, "-json")...)
+	if code != 0 {
+		t.Fatalf("-json run: exit %d, stderr: %s", code, errOut)
+	}
+	var sum struct {
+		SimSeconds float64 `json:"sim_seconds"`
+	}
+	if err := json.Unmarshal([]byte(js), &sum); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	if jsonSecs := fmt.Sprintf("%.1f", sum.SimSeconds); jsonSecs != textSecs {
+		t.Errorf("simulated seconds: text %s, -json %s", textSecs, jsonSecs)
 	}
 }

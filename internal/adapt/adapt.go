@@ -58,16 +58,14 @@ type Adapter struct {
 	// RM, when set, backs migrations with real container allocations (AM
 	// process chaining).
 	RM *yarn.ResourceManager
-	// OptCharge is the simulated time charged per re-optimization. Negative
-	// (the default) charges the measured wall-clock time — realistic but
-	// non-deterministic; fault-injection experiments set a fixed charge ≥ 0
-	// so same-seed runs report byte-identical simulated times.
+	// OptCharge is the simulated time, in seconds, charged per
+	// re-optimization (New sets DefaultOptCharge). It is a fixed figure,
+	// not the measured search time, so a run's simulated time depends on
+	// its inputs alone.
 	OptCharge float64
 	// Trace, when non-nil, receives one adapt-layer span per re-optimization
 	// carrying the cost/benefit breakdown and the decision, and is propagated
-	// to the re-optimization runs. Deterministic traces additionally require
-	// a fixed OptCharge (span durations include the charged optimization
-	// time).
+	// to the re-optimization runs.
 	Trace *obs.Tracer
 
 	Stats Stats
@@ -79,9 +77,13 @@ type Adapter struct {
 	meta   []byte  // scratch: the consult's live-in metadata
 }
 
+// DefaultOptCharge is the simulated seconds New charges per
+// re-optimization.
+const DefaultOptCharge = 0.1
+
 // New returns an adapter with the paper's defaults.
 func New(cc conf.Cluster) *Adapter {
-	return &Adapter{CC: cc, Opt: opt.DefaultOptions(), OptCharge: -1}
+	return &Adapter{CC: cc, Opt: opt.DefaultOptions(), OptCharge: DefaultOptCharge}
 }
 
 var _ rt.Adapter = (*Adapter)(nil)
@@ -124,11 +126,7 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 		return nil
 	}
 
-	extra := time.Since(start).Seconds()
-	if a.OptCharge >= 0 {
-		extra = a.OptCharge
-	}
-	dec := &rt.AdaptDecision{ExtraTime: extra}
+	dec := &rt.AdaptDecision{ExtraTime: a.OptCharge}
 	// Migration costs: export of dirty live variables plus the latency of
 	// obtaining a new container (paper §4.2).
 	pm := perf.Default()

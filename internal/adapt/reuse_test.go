@@ -81,11 +81,11 @@ func paperGrid() []paperProblem {
 	return out
 }
 
-// What `elastic-run -optimize -adapt` uses, with a fixed charge per
-// re-optimization so that simulated times do not depend on wall time.
+// What `elastic-run -optimize -adapt` uses: 20 classes and the adapter's
+// default charge per re-optimization.
 const (
 	gridClasses = 20
-	gridCharge  = 0.1
+	gridCharge  = DefaultOptCharge
 )
 
 func compileProblem(t testing.TB, p paperProblem) (*hdfs.FS, *hop.Program) {

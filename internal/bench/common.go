@@ -99,9 +99,8 @@ type RunConfig struct {
 	// Policy governs task-level retry under fault injection; the zero
 	// value normalizes to 4 attempts with speculation off.
 	Policy mr.TaskPolicy
-	// OptCharge, when > 0, makes the adapter charge this fixed simulated
-	// time per re-optimization instead of measured wall time, so same-seed
-	// runs report identical simulated seconds.
+	// OptCharge, when > 0, replaces the adapter's default simulated charge
+	// per re-optimization (adapt.DefaultOptCharge).
 	OptCharge float64
 }
 

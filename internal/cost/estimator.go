@@ -162,7 +162,8 @@ func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState) f
 		if in.Kind == lop.InstrCP {
 			dt = e.CPInstrTime(in.Hop, state, b.JobOf, cores)
 		} else {
-			dt = e.MRJobTime(in.Job, b, res, state)
+			_, _, bd := e.MRJobTime(in.Job, b, res, state)
+			dt = bd.Total()
 		}
 		if e.Hook != nil {
 			e.Hook(in.Label(), dt)
@@ -241,30 +242,14 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 	return t
 }
 
-// MRJobTime assembles the job specification and charges the MR phase model.
-func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) float64 {
-	spec, taskHeap := e.jobSpec(job, b, res, state)
-	cc := e.effectiveCluster()
-	par := mr.ComputeParallelism(cc, taskHeap, res.CP, spec.NumMaps)
-	e.recordJob(b.HopBlock.Index, spec.NumMaps, par)
-	return mr.EstimateTimeAt(perf.Default(), cc, spec, par).Total()
-}
-
-// MRJobSpec assembles the analytic job specification for one MR-job
-// instruction, applying the variable-state transitions (dirty-variable
-// exports, HDFS materialization of consumed outputs) as a side effect. It
-// is exported so the execution simulator can route the same specification
-// through the fault-aware task-attempt model (mr.EstimateTimeUnderFaultsTraced)
-// instead of the plain phase model.
-func (e *Estimator) MRJobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, conf.Bytes) {
-	spec, taskHeap := e.jobSpec(job, b, res, state)
-	spec.Name = job.Name()
-	return spec, taskHeap
-}
-
-// jobSpec is MRJobSpec without the job name, which only the fault model
-// reads.
-func (e *Estimator) jobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, conf.Bytes) {
+// MRJobTime assembles the job specification, applying the variable-state
+// transitions (dirty-variable exports, HDFS materialization of consumed
+// outputs) as a side effect, and charges the MR phase model. It returns the
+// specification, the map-phase parallelism and the phase breakdown, so the
+// execution simulator can layer the fault-aware task-attempt model
+// (mr.EstimateTimeUnderFaultsTraced) on the same charge. The spec's Name is
+// left empty: only the fault model reads it.
+func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, state *VarState) (mr.JobSpec, mr.Parallelism, mr.TimeBreakdown) {
 	var spec mr.JobSpec
 	taskHeap := res.MRFor(b.HopBlock.Index)
 
@@ -319,7 +304,10 @@ func (e *Estimator) jobSpec(job *lop.MRJob, b *lop.Block, res conf.Resources, st
 	if shuffles {
 		spec.NumReducers = e.CC.Reducers
 	}
-	return spec, taskHeap
+	cc := e.effectiveCluster()
+	par := mr.ComputeParallelism(cc, taskHeap, res.CP, spec.NumMaps)
+	e.recordJob(b.HopBlock.Index, spec.NumMaps, par)
+	return spec, par, mr.EstimateTimeAt(perf.Default(), cc, spec, par)
 }
 
 func jobOutKey(h *hop.Hop) Key { return Key{Kind: KeyJob, ID: h.ID} }

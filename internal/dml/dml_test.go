@@ -73,25 +73,32 @@ func TestLexArrowAssign(t *testing.T) {
 }
 
 func TestParseExpressionPrecedence(t *testing.T) {
-	p := mustParse(t, "z = a + b * c;")
-	as := p.Stmts[0].(*Assign)
-	if as.Expr.String() != "(a + (b * c))" {
-		t.Errorf("precedence: %s", as.Expr)
-	}
-	p = mustParse(t, "z = t(X) %*% y + 1;")
-	as = p.Stmts[0].(*Assign)
-	if as.Expr.String() != "((t(X) %*% y) + 1)" {
-		t.Errorf("matmul precedence: %s", as.Expr)
-	}
-	p = mustParse(t, "z = -a^2;")
-	as = p.Stmts[0].(*Assign)
-	if as.Expr.String() != "-(a ^ 2)" {
-		t.Errorf("power/unary: %s", as.Expr)
-	}
-	p = mustParse(t, "z = a < b & c >= d | !e;")
-	as = p.Stmts[0].(*Assign)
-	if as.Expr.String() != "(((a < b) & (c >= d)) | (!e))" {
-		t.Errorf("logic precedence: %s", as.Expr)
+	for _, c := range []struct{ src, want string }{
+		{"a + b * c", "(a + (b * c))"},
+		{"t(X) %*% y + 1", "((t(X) %*% y) + 1)"},
+		{"-a^2", "-(a ^ 2)"},
+		{"a < b & c >= d | !e", "(((a < b) & (c >= d)) | (!e))"},
+		// One case per pair of adjacent levels, loosest first.
+		{"a || b && c", "(a | (b & c))"},
+		{"a & b | c", "((a & b) | c)"},
+		{"a && !b", "(a & (!b))"},
+		{"!a == b", "(!(a == b))"},
+		{"!!a", "(!(!a))"},
+		{"a == b + c", "(a == (b + c))"},
+		{"a - b < c", "((a - b) < c)"},
+		{"a - b / c", "(a - (b / c))"},
+		{"a * b %*% c", "(a * (b %*% c))"},
+		{"a %*% b * c", "((a %*% b) * c)"},
+		{"a %*% -b", "(a %*% -b)"},
+		{"-x ^ 2", "-(x ^ 2)"},
+		{"1 + !x", "(1 + (!x))"},
+		{"a ^ -b ^ c", "(a ^ -(b ^ c))"},
+		{"X[i+1:n-1, ]", "X[(i + 1):(n - 1),]"},
+	} {
+		as := mustParse(t, "z = "+c.src+";").Stmts[0].(*Assign)
+		if got := as.Expr.String(); got != c.want {
+			t.Errorf("%s: parsed as %s, want %s", c.src, got, c.want)
+		}
 	}
 }
 

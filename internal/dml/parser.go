@@ -333,133 +333,81 @@ func (p *parser) parseAssignOrCall() (Stmt, error) {
 
 // Expression parsing with R-like precedence.
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("|") || p.atOp("||") {
-		p.next()
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinOp{Op: "|", Left: left, Right: right}
-	}
-	return left, nil
+// binaryLevels lists the spellings of the binary operators, level by level
+// from the loosest to the tightest; past the last level come the unary
+// operators. The nil level is prefix '!', which binds looser than a
+// comparison ("!a == b" negates the comparison); in operand position
+// ("1 + !x") parseUnary binds it as tightly as unary minus.
+var binaryLevels = [...][]string{
+	{"|", "||"},
+	{"&", "&&"},
+	nil,
+	{"==", "!=", "<", "<=", ">", ">="},
+	{"+", "-"},
+	{"*", "/"},
+	{"%*%"},
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("&") || p.atOp("&&") {
-		p.next()
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinOp{Op: "&", Left: left, Right: right}
-	}
-	return left, nil
-}
+// addSubLevel is the level of '+' and '-', at which index bounds parse.
+const addSubLevel = 4
 
-func (p *parser) parseNot() (Expr, error) {
-	if p.atOp("!") {
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
+
+// parseBinary parses a left-associative chain of the operators at level,
+// whose operands are the tighter levels. "||" builds "|" and "&&" builds
+// "&". Spellings compare as strings, with no map lookup: parsing is on the
+// compile path of every submission.
+func (p *parser) parseBinary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
+	}
+	ops := binaryLevels[level]
+	if ops == nil {
+		if !p.atOp("!") {
+			return p.parseBinary(level + 1)
+		}
 		p.next()
-		x, err := p.parseNot()
+		x, err := p.parseBinary(level)
 		if err != nil {
 			return nil, err
 		}
 		return &UnOp{Op: "!", X: x}, nil
 	}
-	return p.parseComparison()
-}
-
-func (p *parser) parseComparison() (Expr, error) {
-	left, err := p.parseAddSub()
+	left, err := p.parseBinary(level + 1)
 	if err != nil {
 		return nil, err
 	}
-	for p.atOp("==") || p.atOp("!=") || p.atOp("<") || p.atOp("<=") || p.atOp(">") || p.atOp(">=") {
-		op := p.next().Text
-		right, err := p.parseAddSub()
-		if err != nil {
-			return nil, err
+	for {
+		op := ""
+		for _, o := range ops {
+			if p.atOp(o) {
+				op = o
+			}
 		}
-		left = &BinOp{Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAddSub() (Expr, error) {
-	left, err := p.parseMulDiv()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("+") || p.atOp("-") {
-		op := p.next().Text
-		right, err := p.parseMulDiv()
-		if err != nil {
-			return nil, err
+		if op == "" {
+			return left, nil
 		}
-		left = &BinOp{Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseMulDiv() (Expr, error) {
-	left, err := p.parseMatMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("*") || p.atOp("/") {
-		op := p.next().Text
-		right, err := p.parseMatMul()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinOp{Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseMatMul() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("%*%") {
 		p.next()
-		right, err := p.parseUnary()
+		if op == "||" || op == "&&" {
+			op = op[:1]
+		}
+		right, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
-		left = &BinOp{Op: "%*%", Left: left, Right: right}
+		left = &BinOp{Op: op, Left: left, Right: right}
 	}
-	return left, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.atOp("-") {
-		p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: "-", X: x}, nil
-	}
 	// '!' in operand position (e.g. "1 + !x") binds tightly, as in R.
-	if p.atOp("!") {
-		p.next()
+	if p.atOp("-") || p.atOp("!") {
+		op := p.next().Text
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnOp{Op: "!", X: x}, nil
+		return &UnOp{Op: op, X: x}, nil
 	}
 	if p.atOp("+") {
 		p.next()
@@ -507,14 +455,14 @@ func (p *parser) parseIndexSuffix(target Expr) (*Index, error) {
 		if p.at(TokComma) || p.at(TokRBracket) {
 			return nil, nil // empty => all
 		}
-		lo, err := p.parseAddSub()
+		lo, err := p.parseBinary(addSubLevel)
 		if err != nil {
 			return nil, err
 		}
 		r := &IndexRange{Lo: lo}
 		if p.atOp(":") {
 			p.next()
-			hi, err := p.parseAddSub()
+			hi, err := p.parseBinary(addSubLevel)
 			if err != nil {
 				return nil, err
 			}

@@ -454,7 +454,7 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 	}
 	mergeMeta(meta, thenMeta)
 	c.freeTab(thenMeta)
-	b := &Block{Kind: dml.IfBlockKind, Index: -1, Pred: pred, PredExpr: sb.Pred,
+	b := &Block{Kind: dml.IfBlockKind, Index: -1, Pred: pred,
 		Then: thenB, Else: elseB, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil
 }
@@ -480,7 +480,7 @@ func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 	if pred.KnownVal && pred.Value == 0 {
 		iters = 0
 	}
-	b := &Block{Kind: dml.WhileBlockKind, Index: -1, Pred: pred, PredExpr: sb.Pred,
+	b := &Block{Kind: dml.WhileBlockKind, Index: -1, Pred: pred,
 		Body: body, KnownIters: iters, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil
 }

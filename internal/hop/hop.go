@@ -258,9 +258,6 @@ type Block struct {
 	// subtrees to be recompiled against runtime metadata (re-optimization
 	// scope rebuilding, paper §4.2).
 	Src *dml.StatementBlock
-	// PredExpr is the if/while predicate's source expression, rendered by
-	// EXPLAIN.
-	PredExpr dml.Expr
 	// Recompile marks blocks whose DAG contains unknown dimensions and is
 	// therefore subject to dynamic recompilation.
 	Recompile bool

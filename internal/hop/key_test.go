@@ -13,19 +13,18 @@ import (
 // keyExcluded are the fields AppendKey leaves out, each with the reason
 // leaving it out cannot change what lop, cost or opt compute.
 var keyExcluded = map[string]string{
-	"Hop.ID":         "identity only: names CSE entries, interpreter value caches and cost's job-output keys, and any unique numbering selects and costs alike",
-	"Hop.Pos":        "derived when the block is built: the hop's index in Block.Order or Block.Header",
-	"Hop.mark":       "walk bookkeeping: the number of the last WalkDAG that visited the hop",
-	"Block.Order":    "derived from Roots when the block is built: the hops in WalkDAG order",
-	"Block.Users":    "derived from Roots when the block is built: each hop's consumers",
-	"Block.Header":   "derived from Pred, From and To when the block is built: the header hops in WalkDAG order",
-	"Block.Reads":    "derived from Src.Stmts when the block is built: the variables recompilation looks up",
-	"Block.Src":      "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
-	"Block.hint":     "a capacity hint for the tables the build fills, never read once the block is linearized",
-	"Block.buf":      "storage only: the block and arrays a recompile returned, which the next recompile of the same compiled block overwrites; never read",
-	"Block.PredExpr": "read only by lop's EXPLAIN rendering, never by selection or costing",
-	"Block.Parent":   "derived when the program is indexed: the block's position in the tree, which the encoding of the tree carries",
-	"Program.comp":   "the compiler that built the program, read only to recompile it: a program and its recompiles select and cost alike whichever compiler built them",
+	"Hop.ID":       "identity only: names CSE entries, interpreter value caches and cost's job-output keys, and any unique numbering selects and costs alike",
+	"Hop.Pos":      "derived when the block is built: the hop's index in Block.Order or Block.Header",
+	"Hop.mark":     "walk bookkeeping: the number of the last WalkDAG that visited the hop",
+	"Block.Order":  "derived from Roots when the block is built: the hops in WalkDAG order",
+	"Block.Users":  "derived from Roots when the block is built: each hop's consumers",
+	"Block.Header": "derived from Pred, From and To when the block is built: the header hops in WalkDAG order",
+	"Block.Reads":  "derived from Src.Stmts when the block is built: the variables recompilation looks up",
+	"Block.Src":    "not read by non-test code in lop/cost/opt: source linkage for RebuildScope",
+	"Block.hint":   "a capacity hint for the tables the build fills, never read once the block is linearized",
+	"Block.buf":    "storage only: the block and arrays a recompile returned, which the next recompile of the same compiled block overwrites; never read",
+	"Block.Parent": "derived when the program is indexed: the block's position in the tree, which the encoding of the tree carries",
+	"Program.comp": "the compiler that built the program, read only to recompile it: a program and its recompiles select and cost alike whichever compiler built them",
 }
 
 // keyTargets returns every struct of type typ in p, addressable: the

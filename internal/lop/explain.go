@@ -70,8 +70,8 @@ func explainBlock(sb *strings.Builder, p *Plan, hb *hop.Block, depth int) {
 }
 
 func predString(hb *hop.Block) string {
-	if hb.PredExpr != nil {
-		return hb.PredExpr.String()
+	if hb.Src != nil {
+		return hb.Src.Pred.String()
 	}
 	return "?"
 }

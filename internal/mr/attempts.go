@@ -76,8 +76,9 @@ type TaskReport struct {
 // Any reports whether the job saw any injected fault.
 func (r TaskReport) Any() bool { return r.Retries > 0 || r.Stragglers > 0 }
 
-// EstimateTimeUnderFaultsTraced evaluates the analytic job time model and
-// then samples a per-task attempt model against the injector: every task
+// EstimateTimeUnderFaultsTraced layers a per-task attempt model on the
+// job's phase breakdown t, charged at map-phase parallelism par (what
+// EstimateTimeAt returned), and samples it against the injector: every task
 // attempt may fail (re-executed up to pol.MaxAttempts, each retry adding
 // its attempt work and a share of task-launch latency) or straggle
 // (extending its wave by the straggler factor, softened to
@@ -95,16 +96,14 @@ func (r TaskReport) Any() bool { return r.Retries > 0 || r.Stragglers > 0 }
 // job's simulated start time `at` and flagged with the attempt count, the
 // slowdown factor, and whether a speculative backup rescued the straggler.
 func EstimateTimeUnderFaultsTraced(pm perf.Model, cc conf.Cluster, spec JobSpec,
-	taskHeap, cpHeap conf.Bytes, inj *fault.Injector, pol TaskPolicy,
+	par Parallelism, t TimeBreakdown, inj *fault.Injector, pol TaskPolicy,
 	tr *obs.Tracer, at float64) (TimeBreakdown, TaskReport, error) {
 
-	t := EstimateTime(pm, cc, spec, taskHeap, cpHeap)
 	rep := TaskReport{}
 	if inj == nil || !inj.TaskFaultsEnabled() {
 		return t, rep, nil
 	}
 	pol = pol.Normalized()
-	par := ComputeParallelism(cc, taskHeap, cpHeap, spec.NumMaps)
 
 	// Single-attempt latency of one map / one reduce task: phase times are
 	// wall-clock across the whole phase, so one task's work is the phase

@@ -19,11 +19,18 @@ func faultJobSpec() JobSpec {
 	}
 }
 
+// underFaults layers the fault model on spec's fault-free charge with
+// 2 GB task and CP heaps.
+func underFaults(pm perf.Model, cc conf.Cluster, spec JobSpec, inj *fault.Injector, pol TaskPolicy) (TimeBreakdown, TaskReport, error) {
+	par := ComputeParallelism(cc, 2*conf.GB, 2*conf.GB, spec.NumMaps)
+	return EstimateTimeUnderFaultsTraced(pm, cc, spec, par, EstimateTimeAt(pm, cc, spec, par), inj, pol, nil, 0)
+}
+
 func TestNoFaultsMatchesBaseline(t *testing.T) {
 	pm, cc := perf.Default(), conf.DefaultCluster()
 	spec := faultJobSpec()
-	base := EstimateTime(pm, cc, spec, 2*conf.GB, 2*conf.GB)
-	got, rep, err := EstimateTimeUnderFaultsTraced(pm, cc, spec, 2*conf.GB, 2*conf.GB, nil, DefaultTaskPolicy(), nil, 0)
+	base := estimate(pm, cc, spec, 2*conf.GB, 2*conf.GB)
+	got, rep, err := underFaults(pm, cc, spec, nil, DefaultTaskPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +38,7 @@ func TestNoFaultsMatchesBaseline(t *testing.T) {
 		t.Errorf("nil injector must be a no-op: %v vs %v, rep %+v", got.Total(), base.Total(), rep)
 	}
 	idle := fault.MustInjector(fault.Plan{Seed: 1})
-	got, _, err = EstimateTimeUnderFaultsTraced(pm, cc, spec, 2*conf.GB, 2*conf.GB, idle, DefaultTaskPolicy(), nil, 0)
+	got, _, err = underFaults(pm, cc, spec, idle, DefaultTaskPolicy())
 	if err != nil || got.Total() != base.Total() {
 		t.Errorf("empty plan must be a no-op: %v vs %v (%v)", got.Total(), base.Total(), err)
 	}
@@ -40,9 +47,9 @@ func TestNoFaultsMatchesBaseline(t *testing.T) {
 func TestRetriesAddRecoveryCost(t *testing.T) {
 	pm, cc := perf.Default(), conf.DefaultCluster()
 	spec := faultJobSpec()
-	base := EstimateTime(pm, cc, spec, 2*conf.GB, 2*conf.GB)
+	base := estimate(pm, cc, spec, 2*conf.GB, 2*conf.GB)
 	inj := fault.MustInjector(fault.Plan{Seed: 2, TaskFailureProb: 0.3})
-	bd, rep, err := EstimateTimeUnderFaultsTraced(pm, cc, spec, 2*conf.GB, 2*conf.GB, inj, DefaultTaskPolicy(), nil, 0)
+	bd, rep, err := underFaults(pm, cc, spec, inj, DefaultTaskPolicy())
 	if err != nil {
 		t.Fatalf("p=0.3 with 4 attempts should recover: %v", err)
 	}
@@ -64,8 +71,8 @@ func TestRetriesAddRecoveryCost(t *testing.T) {
 func TestNoRetryPolicyAborts(t *testing.T) {
 	pm, cc := perf.Default(), conf.DefaultCluster()
 	inj := fault.MustInjector(fault.Plan{Seed: 3, TaskFailureProb: 0.5})
-	_, _, err := EstimateTimeUnderFaultsTraced(pm, cc, faultJobSpec(), 2*conf.GB, 2*conf.GB, inj,
-		TaskPolicy{MaxAttempts: 1}, nil, 0)
+	_, _, err := underFaults(pm, cc, faultJobSpec(), inj,
+		TaskPolicy{MaxAttempts: 1})
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Errorf("MaxAttempts=1 under p=0.5 should abort, got %v", err)
 	}
@@ -74,7 +81,7 @@ func TestNoRetryPolicyAborts(t *testing.T) {
 func TestExhaustedAttemptsAbort(t *testing.T) {
 	pm, cc := perf.Default(), conf.DefaultCluster()
 	inj := fault.MustInjector(fault.Plan{Seed: 4, TaskFailureProb: 1.0})
-	_, _, err := EstimateTimeUnderFaultsTraced(pm, cc, faultJobSpec(), 2*conf.GB, 2*conf.GB, inj, DefaultTaskPolicy(), nil, 0)
+	_, _, err := underFaults(pm, cc, faultJobSpec(), inj, DefaultTaskPolicy())
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Errorf("p=1 must exhaust every retry, got %v", err)
 	}
@@ -85,13 +92,13 @@ func TestSpeculationSoftensStragglers(t *testing.T) {
 	spec := faultJobSpec()
 	plan := fault.Plan{Seed: 5, StragglerProb: 0.2, StragglerFactor: 8}
 
-	slow, repNoSpec, err := EstimateTimeUnderFaultsTraced(pm, cc, spec, 2*conf.GB, 2*conf.GB,
-		fault.MustInjector(plan), TaskPolicy{MaxAttempts: 4, Speculative: false}, nil, 0)
+	slow, repNoSpec, err := underFaults(pm, cc, spec,
+		fault.MustInjector(plan), TaskPolicy{MaxAttempts: 4, Speculative: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, repSpec, err := EstimateTimeUnderFaultsTraced(pm, cc, spec, 2*conf.GB, 2*conf.GB,
-		fault.MustInjector(plan), DefaultTaskPolicy(), nil, 0)
+	fast, repSpec, err := underFaults(pm, cc, spec,
+		fault.MustInjector(plan), DefaultTaskPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +121,7 @@ func TestShuffledJobSamplesReducers(t *testing.T) {
 	spec.ReduceFlops = 1e9
 	spec.ReduceOutput = 256 * conf.MB
 	inj := fault.MustInjector(fault.Plan{Seed: 6, TaskFailureProb: 0.2})
-	_, rep, err := EstimateTimeUnderFaultsTraced(pm, cc, spec, 2*conf.GB, 2*conf.GB, inj, DefaultTaskPolicy(), nil, 0)
+	_, rep, err := underFaults(pm, cc, spec, inj, DefaultTaskPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +134,8 @@ func TestFaultModelDeterministic(t *testing.T) {
 	pm, cc := perf.Default(), conf.DefaultCluster()
 	plan := fault.Plan{Seed: 7, TaskFailureProb: 0.1, StragglerProb: 0.1, StragglerFactor: 4}
 	run := func() (TimeBreakdown, TaskReport) {
-		bd, rep, err := EstimateTimeUnderFaultsTraced(pm, cc, faultJobSpec(), 2*conf.GB, 2*conf.GB,
-			fault.MustInjector(plan), DefaultTaskPolicy(), nil, 0)
+		bd, rep, err := underFaults(pm, cc, faultJobSpec(),
+			fault.MustInjector(plan), DefaultTaskPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}

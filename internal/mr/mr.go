@@ -115,16 +115,12 @@ func (t TimeBreakdown) Total() float64 {
 		t.Recovery
 }
 
-// EstimateTime evaluates the analytic job time model for the given spec,
-// performance model, cluster, and CP/MR heap sizes. Cache thrashing (more
-// scheduled tasks per node than the model's threshold) inflates map compute
-// and IO, reproducing the paper's B-SS < B-SL observation.
-func EstimateTime(pm perf.Model, cc conf.Cluster, spec JobSpec, taskHeap, cpHeap conf.Bytes) TimeBreakdown {
-	return EstimateTimeAt(pm, cc, spec, ComputeParallelism(cc, taskHeap, cpHeap, spec.NumMaps))
-}
-
-// EstimateTimeAt is EstimateTime at the map-phase parallelism par, which
-// is all the model reads of the two heaps.
+// EstimateTimeAt evaluates the analytic job time model for the given spec,
+// performance model and cluster at the map-phase parallelism par
+// (ComputeParallelism of the task and CP heaps, which is all the model
+// reads of them). Cache thrashing (more scheduled tasks per node than the
+// model's threshold) inflates map compute and IO, reproducing the paper's
+// B-SS < B-SL observation.
 func EstimateTimeAt(pm perf.Model, cc conf.Cluster, spec JobSpec, par Parallelism) TimeBreakdown {
 	waves := 1
 	if par.Scheduled > 0 && spec.NumMaps > par.Scheduled {

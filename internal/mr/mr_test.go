@@ -7,6 +7,11 @@ import (
 	"elasticml/internal/perf"
 )
 
+// estimate charges spec at the parallelism of the given task and CP heaps.
+func estimate(pm perf.Model, cc conf.Cluster, spec JobSpec, taskHeap, cpHeap conf.Bytes) TimeBreakdown {
+	return EstimateTimeAt(pm, cc, spec, ComputeParallelism(cc, taskHeap, cpHeap, spec.NumMaps))
+}
+
 func TestParallelismArithmetic(t *testing.T) {
 	cc := conf.DefaultCluster()
 	// 4.4GB tasks: 12 scheduled per node, 72 cluster-wide minus CP share.
@@ -56,7 +61,7 @@ func TestJobTimeLatencyDominatesSmallJobs(t *testing.T) {
 	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	spec := JobSpec{Name: "tiny", NumMaps: 1, MapInput: 10 * conf.MB, MapFlops: 1e6}
-	bd := EstimateTime(pm, cc, spec, 2*conf.GB, 512*conf.MB)
+	bd := estimate(pm, cc, spec, 2*conf.GB, 512*conf.MB)
 	if bd.JobLatency != pm.JobLatency {
 		t.Errorf("JobLatency = %v", bd.JobLatency)
 	}
@@ -70,7 +75,7 @@ func TestJobTimeScalesWithWaves(t *testing.T) {
 	cc := conf.DefaultCluster()
 	// 640 maps at ~71 slots => 9 waves.
 	spec := JobSpec{Name: "big", NumMaps: 640, MapInput: 80 * conf.GB, MapFlops: 1e12}
-	bd := EstimateTime(pm, cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
+	bd := estimate(pm, cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
 	if bd.TaskLatency < 8*pm.TaskLatency {
 		t.Errorf("TaskLatency = %v, want >= %v", bd.TaskLatency, 8*pm.TaskLatency)
 	}
@@ -81,8 +86,8 @@ func TestThrashingPenalty(t *testing.T) {
 	cc := conf.DefaultCluster()
 	spec := JobSpec{Name: "j", NumMaps: 640, MapInput: 80 * conf.GB, MapFlops: 1e12}
 	// Small tasks oversubscribe and thrash; 4.4GB tasks do not.
-	smallTasks := EstimateTime(pm, cc, spec, 512*conf.MB, 512*conf.MB)
-	bigTasks := EstimateTime(pm, cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
+	smallTasks := estimate(pm, cc, spec, 512*conf.MB, 512*conf.MB)
+	bigTasks := estimate(pm, cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
 	if smallTasks.MapCompute <= bigTasks.MapCompute {
 		t.Errorf("thrashing should inflate small-task compute: %v <= %v",
 			smallTasks.MapCompute, bigTasks.MapCompute)
@@ -95,8 +100,8 @@ func TestBroadcastCost(t *testing.T) {
 	base := JobSpec{Name: "mapmm", NumMaps: 64, MapInput: 8 * conf.GB, MapFlops: 1e10}
 	withB := base
 	withB.BroadcastInput = 100 * conf.MB
-	t0 := EstimateTime(pm, cc, base, 2*conf.GB, 512*conf.MB)
-	t1 := EstimateTime(pm, cc, withB, 2*conf.GB, 512*conf.MB)
+	t0 := estimate(pm, cc, base, 2*conf.GB, 512*conf.MB)
+	t1 := estimate(pm, cc, withB, 2*conf.GB, 512*conf.MB)
 	if t1.Total() <= t0.Total() {
 		t.Error("broadcast input should add cost")
 	}
@@ -113,8 +118,8 @@ func TestShuffleJobVsMapOnly(t *testing.T) {
 	shuffled.ShuffleBytes = 8 * conf.GB
 	shuffled.NumReducers = cc.Reducers
 	shuffled.ReduceOutput = 8 * conf.GB
-	a := EstimateTime(pm, cc, mapOnly, 2*conf.GB, 512*conf.MB)
-	b := EstimateTime(pm, cc, shuffled, 2*conf.GB, 512*conf.MB)
+	a := estimate(pm, cc, mapOnly, 2*conf.GB, 512*conf.MB)
+	b := estimate(pm, cc, shuffled, 2*conf.GB, 512*conf.MB)
 	if !mapOnly.MapOnly() || shuffled.MapOnly() {
 		t.Fatal("MapOnly misclassification")
 	}
@@ -130,7 +135,7 @@ func TestExportCharged(t *testing.T) {
 	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	spec := JobSpec{Name: "e", NumMaps: 4, MapInput: 512 * conf.MB, ExportInput: conf.GB}
-	bd := EstimateTime(pm, cc, spec, 2*conf.GB, 512*conf.MB)
+	bd := estimate(pm, cc, spec, 2*conf.GB, 512*conf.MB)
 	if bd.Export <= 0 {
 		t.Error("export should be charged")
 	}

@@ -59,7 +59,6 @@ func tracedScenario(t *testing.T) []byte {
 	ip.Trace = tr
 	ad := adapt.New(cc)
 	ad.Opt.Points = 7
-	ad.OptCharge = 0.1 // fixed charge: wall-clock would break determinism
 	ad.Trace = tr
 	ip.Adapter = ad
 	ip.Faults = fault.MustInjector(fault.Plan{

@@ -580,39 +580,34 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 			m.Observe("rt.cp_instr_seconds", dt)
 		} else {
 			ip.Stats.MRJobs++
-			if ip.Faults != nil && ip.Faults.TaskFaultsEnabled() {
-				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State)
-				bd, rep, err := mr.EstimateTimeUnderFaultsTraced(perf.Default(), ip.Est.EffectiveCluster(),
-					spec, taskHeap, ip.Res.CP, ip.Faults, ip.Policy, ip.Trace, start)
+			spec, par, bd := ip.Est.MRJobTime(in.Job, b, ip.Res, ip.State)
+			faults := ip.Faults != nil && ip.Faults.TaskFaultsEnabled()
+			var rep mr.TaskReport
+			if faults {
+				spec.Name = in.Job.Name()
+				var err error
+				bd, rep, err = mr.EstimateTimeUnderFaultsTraced(perf.Default(), ip.Est.EffectiveCluster(),
+					spec, par, bd, ip.Faults, ip.Policy, ip.Trace, start)
 				if err != nil {
 					return fmt.Errorf("rt: %w", err)
 				}
-				ip.SimTime += bd.Total()
 				ip.Stats.TaskRetries += rep.Retries
 				ip.Stats.Stragglers += rep.Stragglers
 				ip.Stats.Speculated += rep.Speculated
 				ip.Stats.RecoverySeconds += bd.Recovery
-				if traced {
-					ip.Trace.Complete(obs.LayerRuntime, in.Label(), start, bd.Total(),
-						obs.A("maps", spec.NumMaps), obs.A("reducers", spec.NumReducers),
-						obs.A("retries", rep.Retries), obs.A("stragglers", rep.Stragglers),
-						obs.A("speculated", rep.Speculated))
-					ip.traceJobPhases(start, bd)
-				}
-				m.Observe("rt.mr_job_seconds", bd.Total())
-			} else if traced || m != nil {
-				spec, taskHeap := ip.Est.MRJobSpec(in.Job, b, ip.Res, ip.State)
-				bd := mr.EstimateTime(perf.Default(), ip.Est.EffectiveCluster(), spec, taskHeap, ip.Res.CP)
-				ip.SimTime += bd.Total()
-				if traced {
-					ip.Trace.Complete(obs.LayerRuntime, in.Label(), start, bd.Total(),
-						obs.A("maps", spec.NumMaps), obs.A("reducers", spec.NumReducers))
-					ip.traceJobPhases(start, bd)
-				}
-				m.Observe("rt.mr_job_seconds", bd.Total())
-			} else {
-				ip.SimTime += ip.Est.MRJobTime(in.Job, b, ip.Res, ip.State)
 			}
+			dt := bd.Total()
+			ip.SimTime += dt
+			if traced {
+				args := []obs.Arg{obs.A("maps", spec.NumMaps), obs.A("reducers", spec.NumReducers),
+					obs.A("retries", rep.Retries), obs.A("stragglers", rep.Stragglers), obs.A("speculated", rep.Speculated)}
+				if !faults {
+					args = args[:2]
+				}
+				ip.Trace.Complete(obs.LayerRuntime, in.Label(), start, dt, args...)
+				ip.traceJobPhases(start, bd)
+			}
+			m.Observe("rt.mr_job_seconds", dt)
 		}
 	}
 	ip.SimTime += ip.Est.EvictionTime(ip.State.EvictionIO() - evict0)

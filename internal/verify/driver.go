@@ -171,9 +171,7 @@ func run(hp *hop.Program, prog string, cfg Config, tr *obs.Tracer) (r *runOutput
 	fs := hp.Compiler().FS.Clone()
 	plan := lop.Select(hp, cc, resources)
 	ip := rt.New(rt.ModeValue, fs, cc, resources)
-	if tr.Enabled() {
-		ip.Trace = tr
-	}
+	ip.Trace = tr
 	var out bytes.Buffer
 	ip.Out = &out
 	aud := &auditor{program: prog, config: cfg.Name}

@@ -63,13 +63,22 @@ type Compiler struct {
 // of the loop trial builds in progress, the block every generic block
 // re-sizes into (overwritten on every use: a trial keeps only the
 // metadata a block publishes, and a kept block is compacted out of it),
-// the symbol tables that trials and then-branches are done with, and the
-// one DAG build context a build uses at a time (see newCtx).
+// the symbol table a compile builds on, the stack of values the merges in
+// progress saved (see join), the one DAG build context a build uses at a
+// time (see newCtx), and the dead-write analysis (see liveness).
 type scratch struct {
 	trials int
 	buf    blockBuf
-	tabs   []SymTab
+	meta   SymTab
+	saved  []savedMeta
 	ctx    dagCtx
+	live   liveness
+}
+
+// savedMeta is a name's value in a symbol table, ok if it is defined.
+type savedMeta struct {
+	v  VarMeta
+	ok bool
 }
 
 // scratches holds the scratch of finished builds for the next ones, so
@@ -92,59 +101,101 @@ func (c *Compiler) startBuild() {
 	}
 	scratches.Unlock()
 	if c.scratch == nil {
-		c.scratch = new(scratch)
+		c.scratch = &scratch{meta: SymTab{}}
 	}
 }
 
 func (c *Compiler) endBuild() {
+	clear(c.scratch.meta)
+	c.scratch.saved = c.scratch.saved[:0] // a failed build leaves its merges' values
 	scratches.Lock()
 	scratches.idle = append(scratches.idle, weak.Make(c.scratch))
 	scratches.Unlock()
 	c.scratch = nil
 }
 
-// cloneTab returns a copy of meta in a table a trial or then-branch is
-// done with, or in a new one.
-func (c *Compiler) cloneTab(meta SymTab) SymTab {
-	tabs := c.scratch.tabs
-	if len(tabs) == 0 {
-		return meta.Clone()
+// join builds the blocks first and then second on meta, each from meta's
+// entry values (first with a for loop's variable bound as an unknown
+// scalar), and merges what the two leave: agreeing facts survive,
+// disagreeing facts are weakened to unknown, and a variable only one of
+// them defines is kept fully weakened (its existence is conditional).
+// Only the names of sb's write set can differ between the two, so it
+// saves, restores and merges those alone. An if joins its branches, and a
+// loop's trial its body with the empty arm of zero iterations. After an
+// error meta is half-built, but no caller reads it then: Compile starts
+// from an empty table, RebuildScope from a copy, and a recompile's rebuild
+// from a table of its own.
+func (c *Compiler) join(sb *dml.StatementBlock, meta SymTab, first, second []*dml.StatementBlock) (a, b []*Block, err error) {
+	var entry SymTab
+	if joined != nil {
+		entry = meta.Clone()
 	}
-	t := tabs[len(tabs)-1]
-	c.scratch.tabs = tabs[:len(tabs)-1]
-	for k, v := range meta {
-		t[k] = v
+	ws, base := c.writes(sb), len(c.scratch.saved)
+	for _, name := range ws {
+		v, ok := meta[name]
+		c.scratch.saved = append(c.scratch.saved, savedMeta{v, ok})
 	}
-	return t
+	if sb.Var != "" {
+		meta[sb.Var] = VarMeta{} // loop variable: scalar, unknown value
+	}
+	if a, err = c.buildBlocks(first, meta); err != nil {
+		return nil, nil, err
+	}
+	// The builds nested in an arm push and pop above base, and may move
+	// the stack, so each pass re-slices it.
+	saved := c.scratch.saved[base : base+len(ws)]
+	for i, name := range ws { // swap the first arm's values for the entry values
+		v, ok := meta[name]
+		if saved[i].ok {
+			meta[name] = saved[i].v
+		} else {
+			delete(meta, name)
+		}
+		saved[i] = savedMeta{v, ok}
+	}
+	if b, err = c.buildBlocks(second, meta); err != nil {
+		return nil, nil, err
+	}
+	saved = c.scratch.saved[base : base+len(ws)]
+	for i, name := range ws {
+		v, ok := meta[name]
+		if v, ok = merged(v, ok, saved[i].v, saved[i].ok); ok {
+			meta[name] = v
+		}
+	}
+	c.scratch.saved = c.scratch.saved[:base]
+	if joined != nil {
+		joined(c, sb, entry, meta)
+	}
+	return a, b, nil
 }
 
-// freeTab hands back a table cloneTab returned, once nothing reads it.
-func (c *Compiler) freeTab(t SymTab) {
-	clear(t)
-	c.scratch.tabs = append(c.scratch.tabs, t)
+// Test hook, set only through export_test.go: joined sees the table each
+// join started from and the one it left.
+var joined func(c *Compiler, sb *dml.StatementBlock, entry, out SymTab)
+
+// writes returns sb's write set: the one its parse holds, or, for a block
+// of another parse, one computed afresh.
+func (c *Compiler) writes(sb *dml.StatementBlock) []string {
+	if c.script != nil {
+		if ws, ok := c.script.writes[sb]; ok {
+			return ws
+		}
+	}
+	return writeSet(sb, nil)
 }
 
-// trial builds the body of the loop sb once on a copy of meta, only for
-// the metadata its blocks publish there, and merges that copy back into
-// meta as an if's branches merge (mergeMeta): a loop is an if whose other
-// arm runs zero iterations, so whatever the body changes is weakened. Every
-// generic block inside re-sizes into the scratch block, which the next one
-// overwrites. The trial draws the hop IDs a kept build draws, so the
-// program's IDs do not depend on what a trial keeps.
+// trial builds the body of the loop sb once, only for the metadata its
+// blocks publish, and joins it with the loop's zero iterations: whatever
+// the body changes is weakened. Every generic block inside re-sizes into
+// the scratch block, which the next one overwrites. The trial draws the
+// hop IDs a kept build draws, so the program's IDs do not depend on what a
+// trial keeps.
 func (c *Compiler) trial(sb *dml.StatementBlock, meta SymTab) error {
-	t := c.cloneTab(meta)
-	if sb.Kind == dml.ForBlockKind {
-		t[sb.Var] = VarMeta{} // loop variable: scalar, unknown value
-	}
 	c.scratch.trials++
-	_, err := c.buildBlocks(sb.Body, t)
+	_, _, err := c.join(sb, meta, sb.Body, nil)
 	c.scratch.trials--
-	if err != nil {
-		return err
-	}
-	mergeMeta(meta, t)
-	c.freeTab(t)
-	return nil
+	return err
 }
 
 // NewCompiler returns a HOP compiler reading input metadata from fs and
@@ -178,8 +229,10 @@ func (c *Compiler) id() int64 {
 func (c *Compiler) Compile(prog *dml.Program, _ string) (*Program, error) {
 	sp := c.Trace.Begin(obs.LayerCompile, "hop.compile")
 	inl := c.Trace.Begin(obs.LayerCompile, "hop.inline-functions", obs.A("funcs", len(prog.Funcs)))
-	s := newScript(prog, c.Trace)
+	p := new(Parsed)
+	p.build(prog)
 	inl.End()
+	s := p.script(c.Trace)
 	return c.compile(s, sp)
 }
 
@@ -195,17 +248,15 @@ func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
 	}
 	c.script = s
 	c.startBuild()
-	meta := c.cloneTab(nil)
+	defer c.endBuild()
 	bld := c.Trace.Begin(obs.LayerCompile, "hop.build-dags", obs.A("stmt_blocks", len(s.blocks)))
-	blocks, err := c.buildBlocks(s.blocks, meta)
-	c.freeTab(meta)
-	c.endBuild()
+	blocks, err := c.buildBlocks(s.blocks, c.scratch.meta)
 	bld.End()
 	if err != nil {
 		return nil, err
 	}
 	rw := c.Trace.Begin(obs.LayerCompile, "hop.rewrite")
-	pruneDeadWrites(blocks)
+	c.scratch.live.pruneDeadWrites(blocks)
 	p := program(c, blocks)
 	rw.End()
 	sp.End(obs.A("leaf_blocks", p.NumLeaf))
@@ -365,12 +416,12 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 		return nil, err
 	}
 	c.startBuild()
+	defer c.endBuild()
 	rebuilt, err := c.buildBlocks(srcs, meta)
-	c.endBuild()
 	if err != nil {
 		return nil, err
 	}
-	pruneDeadWrites(rebuilt)
+	c.scratch.live.pruneDeadWrites(rebuilt)
 	return program(c, rebuilt), nil
 }
 
@@ -439,21 +490,10 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 		}
 		return c.buildBlocks(sb.Else, meta)
 	}
-	// The then-branch builds on a copy, the else-branch in place. After an
-	// error meta is half-built, but no caller reads it then: Compile starts
-	// from an empty table, RebuildScope from a copy, and a recompile's
-	// rebuild from a table of its own.
-	thenMeta := c.cloneTab(meta)
-	thenB, err := c.buildBlocks(sb.Then, thenMeta)
+	thenB, elseB, err := c.join(sb, meta, sb.Then, sb.Else)
 	if err != nil {
 		return nil, err
 	}
-	elseB, err := c.buildBlocks(sb.Else, meta)
-	if err != nil {
-		return nil, err
-	}
-	mergeMeta(meta, thenMeta)
-	c.freeTab(thenMeta)
 	b := &Block{Kind: dml.IfBlockKind, Index: -1, Pred: pred,
 		Then: thenB, Else: elseB, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
 	return []*Block{b}, nil
@@ -517,27 +557,20 @@ func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, erro
 	return []*Block{b}, nil
 }
 
-// mergeMeta merges the then-branch's symbol table into the else-branch's
-// table els: agreeing facts survive, disagreeing facts are weakened to
-// unknown, and a variable only one branch defines is kept fully weakened
-// (its existence is conditional). A loop merges its trial table the same
-// way, as the then-branch of an if whose else-branch runs no iteration.
-func mergeMeta(els, then SymTab) {
-	for k, vb := range els {
-		if _, ok := then[k]; !ok {
-			els[k] = weakened(vb, vb.unknownLike())
-		}
+// merged is what a variable's facts become where one path leaves a (aok if
+// it defines the variable) and the other b: agreement survives,
+// disagreement is weakened, and a variable only one path defines is kept
+// fully weakened.
+func merged(a VarMeta, aok bool, b VarMeta, bok bool) (VarMeta, bool) {
+	switch {
+	case aok && bok && a != b:
+		return weakened(a, b), true
+	case aok && !bok:
+		return a.unknownLike(), true
+	case bok && !aok:
+		return b.unknownLike(), true
 	}
-	for k, va := range then {
-		vb, ok := els[k]
-		switch {
-		case ok && va == vb:
-		case ok:
-			els[k] = weakened(va, vb)
-		default:
-			els[k] = weakened(va, va.unknownLike())
-		}
-	}
+	return a, aok
 }
 
 func (v VarMeta) unknownLike() VarMeta {

@@ -48,9 +48,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if v == nil || rows == nil || cols == nil {
 			return nil, fmt.Errorf("matrix requires value, rows=, cols=")
 		}
-		h := c.newHop(KindDataGen, "matrix", v, rows, cols)
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindDataGen, "matrix", Matrix, v, rows, cols), nil
 
 	case "seq":
 		if len(args) == 2 {
@@ -59,9 +57,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if err := need(3); err != nil {
 			return nil, err
 		}
-		h := c.newHop(KindSeq, "seq", args...)
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindSeq, "seq", Matrix, args...), nil
 
 	case "nrow", "ncol":
 		if err := need(1); err != nil {
@@ -78,9 +74,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if dim != Unknown {
 			return c.lit(ctx, float64(dim)), nil
 		}
-		h := c.newHop(KindAggUnary, e.Name, x)
-		h.DataType = Scalar
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindAggUnary, e.Name, Scalar, x), nil
 
 	case "sum":
 		if err := need(1); err != nil {
@@ -88,17 +82,11 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		}
 		return c.sumOf(ctx, args[0])
 
-	case "mean":
+	case "mean", "trace":
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		return c.agg(ctx, "mean", args[0])
-
-	case "trace":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return c.agg(ctx, "trace", args[0])
+		return c.agg(ctx, e.Name, args[0])
 
 	case "min", "max":
 		switch len(args) {
@@ -110,14 +98,6 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 			return nil, fmt.Errorf("%s expects 1 or 2 arguments", e.Name)
 		}
 
-	case "rowSums", "colSums", "rowMaxs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		h := c.newHop(KindAggUnary, e.Name, args[0])
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
-
 	case "t":
 		if err := need(1); err != nil {
 			return nil, err
@@ -127,25 +107,7 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if x.Kind == KindReorg && x.Op == "t" {
 			return x.Inputs[0], nil
 		}
-		h := c.newHop(KindReorg, "t", x)
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
-
-	case "append", "cbind":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		h := c.newHop(KindAppend, "cbind", args[0], args[1])
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
-
-	case "rbind":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		h := c.newHop(KindAppend, "rbind", args[0], args[1])
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindReorg, "t", Matrix, x), nil
 
 	case "ppred":
 		if err := need(3); err != nil {
@@ -156,30 +118,6 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 			return nil, fmt.Errorf("ppred operator must be a string literal")
 		}
 		return c.binary(ctx, opArg.StrValue, args[0], args[1])
-
-	case "table":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		h := c.newHop(KindTable, "table", args[0], args[1])
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
-
-	case "diag":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		h := c.newHop(KindDiag, "diag", args[0])
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
-
-	case "solve":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		h := c.newHop(KindSolve, "solve", args[0], args[1])
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
 
 	case "sqrt", "abs", "exp", "log", "round", "floor", "ceil", "sign":
 		if err := need(1); err != nil {
@@ -195,13 +133,34 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		if x.DataType != Matrix {
 			return x, nil
 		}
-		h := c.newHop(KindCast, "as.scalar", x)
-		h.DataType = Scalar
-		return c.seal(ctx, h), nil
-
-	default:
+		return c.sealed(ctx, KindCast, "as.scalar", Scalar, x), nil
+	}
+	m, ok := matrixBuiltins[e.Name]
+	if !ok {
 		return nil, fmt.Errorf("unsupported builtin %q", e.Name)
 	}
+	if err := need(m.arity); err != nil {
+		return nil, err
+	}
+	return c.sealed(ctx, m.kind, m.op, Matrix, args...), nil
+}
+
+// matrixBuiltins are the builtins that build one matrix hop over their
+// arguments: its kind and operator, and how many arguments they take.
+var matrixBuiltins = map[string]struct {
+	kind  Kind
+	op    string
+	arity int
+}{
+	"rowSums": {KindAggUnary, "rowSums", 1},
+	"colSums": {KindAggUnary, "colSums", 1},
+	"rowMaxs": {KindAggUnary, "rowMaxs", 1},
+	"append":  {KindAppend, "cbind", 2},
+	"cbind":   {KindAppend, "cbind", 2},
+	"rbind":   {KindAppend, "rbind", 2},
+	"table":   {KindTable, "table", 2},
+	"diag":    {KindDiag, "diag", 1},
+	"solve":   {KindSolve, "solve", 2},
 }
 
 // readHop stats the input file on the simulated DFS and constructs a
@@ -230,9 +189,7 @@ func (c *Compiler) agg(ctx *dagCtx, op string, x *Hop) (*Hop, error) {
 		// Aggregate of a scalar is the scalar itself.
 		return x, nil
 	}
-	h := c.newHop(KindAggUnary, op, x)
-	h.DataType = Scalar
-	return c.seal(ctx, h), nil
+	return c.sealed(ctx, KindAggUnary, op, Scalar, x), nil
 }
 
 // sumOf applies the tertiary-aggregate and sum-of-squares rewrites before
@@ -244,9 +201,7 @@ func (c *Compiler) sumOf(ctx *dagCtx, x *Hop) (*Hop, error) {
 	}
 	// sum(sq(x)) => sumsq(x).
 	if x.Kind == KindUnary && x.Op == "sq" {
-		h := c.newHop(KindAggUnary, "sumsq", x.Inputs[0])
-		h.DataType = Scalar
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindAggUnary, "sumsq", Scalar, x.Inputs[0]), nil
 	}
 	// sum(a*b) and sum(a*b*c) => fused ternary aggregates.
 	if x.Kind == KindBinary && x.Op == "*" && len(x.Inputs) == 2 &&
@@ -254,13 +209,9 @@ func (c *Compiler) sumOf(ctx *dagCtx, x *Hop) (*Hop, error) {
 		a, b := x.Inputs[0], x.Inputs[1]
 		if a.Kind == KindBinary && a.Op == "*" && len(a.Inputs) == 2 &&
 			a.Inputs[0].DataType == Matrix && a.Inputs[1].DataType == Matrix {
-			h := c.newHop(KindTernaryAgg, "tak+*", a.Inputs[0], a.Inputs[1], b)
-			h.DataType = Scalar
-			return c.seal(ctx, h), nil
+			return c.sealed(ctx, KindTernaryAgg, "tak+*", Scalar, a.Inputs[0], a.Inputs[1], b), nil
 		}
-		h := c.newHop(KindTernaryAgg, "tak+*", a, b)
-		h.DataType = Scalar
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindTernaryAgg, "tak+*", Scalar, a, b), nil
 	}
 	return c.agg(ctx, "sum", x)
 }

@@ -161,3 +161,84 @@ func TestScopeLiveInSufficesGenerated(t *testing.T) {
 	}
 	t.Logf("%d scopes", scopes)
 }
+
+// joinCases are hand-written programs whose joins differ from the
+// whole-table merge when a write set misses a name: a nested for loop's
+// variable, which the else-branch reads at its entry value, and names
+// only one branch assigns, each with a known value.
+var joinCases = []verify.Program{
+	{Name: "nested for variable", Source: `i = 5;
+for (k in 1:2) {
+  if (k > 1) {
+    for (i in 1:3) { z = 1; }
+    j = 6;
+  } else {
+    j = i + 1;
+  }
+  print(j);
+}
+`},
+	{Name: "one-branch names", Source: `y = 1;
+for (k in 1:2) {
+  if (k > 1) { y = 3; v = 2; } else { w = 4; }
+  while (k < 0) { u = 7; k = k + 1; }
+  print(y + v + w + u);
+}
+`},
+}
+
+// TestJoinMatchesWholeTableMerge is the merge oracle: every if and loop
+// trial that compiling, and rebuilding the whole scope of, the corpus, the
+// generated streams of generatedPrograms and joinCases runs leaves the
+// table that building each arm on its own copy of the entry table and
+// merging the copies whole (hop.JoinReference) leaves.
+func TestJoinMatchesWholeTableMerge(t *testing.T) {
+	ps := append(verify.Corpus(), joinCases...)
+	for i := 0; i < 25; i++ {
+		ps = append(ps, verify.FuzzProgram(1, i))
+	}
+	for i := 0; i < 10; i++ {
+		ps = append(ps, verify.FuzzLoopProgram(1, i))
+	}
+	var name string
+	joins, inReference := 0, false
+	restore := hop.OnJoin(func(c *hop.Compiler, sb *dml.StatementBlock, entry, out hop.SymTab) {
+		if inReference {
+			return // a join of the reference's own build
+		}
+		inReference = true
+		defer func() { inReference = false }()
+		joins++
+		want, err := hop.JoinReference(c, sb, entry)
+		if err != nil {
+			t.Errorf("%s lines %d-%d: the reference fails: %v", name, sb.FirstLine, sb.LastLine, err)
+			return
+		}
+		if got, want := fmt.Sprint(out), fmt.Sprint(want); got != want {
+			t.Errorf("%s lines %d-%d: the join leaves\n%s\nthe whole-table merge\n%s", name, sb.FirstLine, sb.LastLine, got, want)
+		}
+	})
+	defer restore()
+	for _, p := range ps {
+		name = p.Name
+		fs := hdfs.New()
+		if p.Setup != nil {
+			p.Setup(fs)
+		}
+		prog, err := dml.Parse(p.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		hp, err := hop.NewCompiler(fs, p.Params).Compile(prog, p.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if _, err := hp.Compiler().RebuildScope(hp.Blocks, runMeta(hp)); err != nil {
+			t.Fatalf("%s scope: %v", p.Name, err)
+		}
+	}
+	if joins == 0 {
+		t.Fatal("no join ran")
+	}
+	t.Logf("%d joins", joins)
+}

@@ -26,9 +26,11 @@ type dagCtx struct {
 // scratch's, since a build is done with one DAG's context before it
 // starts the next.
 func (c *Compiler) newCtx(meta SymTab) *dagCtx {
-	ctx := new(dagCtx)
+	var ctx *dagCtx
 	if c.scratch != nil {
 		ctx = &c.scratch.ctx
+	} else {
+		ctx = new(dagCtx)
 	}
 	if ctx.cse == nil {
 		ctx.locals, ctx.treads, ctx.cse = make(map[string]*Hop), make(map[string]*Hop), make(map[string]*Hop)
@@ -110,6 +112,13 @@ func metaOf(h *Hop) VarMeta {
 // (twrite/write/print/stop) is finalized without folding or CSE.
 func (c *Compiler) newHop(kind Kind, op string, inputs ...*Hop) *Hop {
 	return &Hop{ID: c.id(), Kind: kind, Op: op, Inputs: inputs}
+}
+
+// sealed returns the sealed hop of kind, op and data type dt over inputs.
+func (c *Compiler) sealed(ctx *dagCtx, kind Kind, op string, dt DataType, inputs ...*Hop) *Hop {
+	h := c.newHop(kind, op, inputs...)
+	h.DataType = dt
+	return c.seal(ctx, h)
 }
 
 // seal finalizes inference and applies folding + CSE. All non-root
@@ -323,9 +332,7 @@ func (c *Compiler) unary(ctx *dagCtx, op string, x *Hop) *Hop {
 	if op == "-" && x.Kind == KindUnary && x.Op == "-" {
 		return x.Inputs[0]
 	}
-	h := c.newHop(KindUnary, op, x)
-	h.DataType = x.DataType
-	return c.seal(ctx, h)
+	return c.sealed(ctx, KindUnary, op, x.DataType, x)
 }
 
 func (c *Compiler) binOp(e *dml.BinOp, ctx *dagCtx) (*Hop, error) {
@@ -344,9 +351,7 @@ func (c *Compiler) binOp(e *dml.BinOp, ctx *dagCtx) (*Hop, error) {
 		if l.Cols != Unknown && r.Rows != Unknown && l.Cols != r.Rows {
 			return nil, fmt.Errorf("matrix multiply dimension mismatch %dx%d %%*%% %dx%d", l.Rows, l.Cols, r.Rows, r.Cols)
 		}
-		h := c.newHop(KindMatMul, "%*%", l, r)
-		h.DataType = Matrix
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindMatMul, "%*%", Matrix, l, r), nil
 	}
 	return c.binary(ctx, e.Op, l, r)
 }
@@ -357,9 +362,7 @@ func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
 	}
 	// String concatenation via '+'.
 	if op == "+" && (l.DataType == String || r.DataType == String) {
-		h := c.newHop(KindBinary, "+", l, r)
-		h.DataType = String
-		return c.seal(ctx, h), nil
+		return c.sealed(ctx, KindBinary, "+", String, l, r), nil
 	}
 	if x, sq, ok := binaryRewrite(op, l, r); ok {
 		if sq {
@@ -367,13 +370,11 @@ func (c *Compiler) binary(ctx *dagCtx, op string, l, r *Hop) (*Hop, error) {
 		}
 		return x, nil
 	}
-	h := c.newHop(KindBinary, op, l, r)
+	dt := Scalar
 	if l.DataType == Matrix || r.DataType == Matrix {
-		h.DataType = Matrix
-	} else {
-		h.DataType = Scalar
+		dt = Matrix
 	}
-	return c.seal(ctx, h), nil
+	return c.sealed(ctx, KindBinary, op, dt, l, r), nil
 }
 
 // binaryRewrite is the build's algebraic rewrite of l op r, the one rule
@@ -409,40 +410,29 @@ func (c *Compiler) rightIndex(e *dml.Index, ctx *dagCtx) (*Hop, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := c.newHop(KindIndex, "", append([]*Hop{x}, bounds...)...)
-	h.DataType = Matrix
 	// Single-cell selection yields a scalar-like 1x1 matrix; DML requires
 	// as.scalar for scalar use, which we honor via KindCast.
-	return c.seal(ctx, h), nil
+	return c.sealed(ctx, KindIndex, "", Matrix, append([]*Hop{x}, bounds...)...), nil
 }
 
 func (c *Compiler) indexBounds(e *dml.Index, ctx *dagCtx) ([]*Hop, error) {
-	build := func(r *dml.IndexRange) (*Hop, *Hop, error) {
+	bounds := make([]*Hop, 4) // row lo, row hi, column lo, column hi
+	for i, r := range [2]*dml.IndexRange{e.Row, e.Col} {
 		if r == nil {
-			return nil, nil, nil
+			continue
 		}
-		lo, err := c.expr(r.Lo, ctx)
-		if err != nil {
-			return nil, nil, err
+		for j, x := range [2]dml.Expr{r.Lo, r.Hi} {
+			if x == nil {
+				continue
+			}
+			h, err := c.expr(x, ctx)
+			if err != nil {
+				return nil, err
+			}
+			bounds[2*i+j] = h
 		}
-		if r.Hi == nil {
-			return lo, nil, nil
-		}
-		hi, err := c.expr(r.Hi, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lo, hi, nil
 	}
-	rl, ru, err := build(e.Row)
-	if err != nil {
-		return nil, err
-	}
-	cl, cu, err := build(e.Col)
-	if err != nil {
-		return nil, err
-	}
-	return []*Hop{rl, ru, cl, cu}, nil
+	return bounds, nil
 }
 
 func (c *Compiler) leftIndex(st *dml.Assign, value *Hop, ctx *dagCtx) (*Hop, error) {
@@ -457,35 +447,25 @@ func (c *Compiler) leftIndex(st *dml.Assign, value *Hop, ctx *dagCtx) (*Hop, err
 	if err != nil {
 		return nil, err
 	}
-	h := c.newHop(KindLeftIndex, "", append([]*Hop{target, value}, bounds...)...)
-	h.DataType = Matrix
-	return c.seal(ctx, h), nil
+	return c.sealed(ctx, KindLeftIndex, "", Matrix, append([]*Hop{target, value}, bounds...)...), nil
 }
 
 // callStmt compiles a statement-level call (print, write, stop).
 func (c *Compiler) callStmt(call *dml.Call, ctx *dagCtx) (*Hop, error) {
 	switch call.Name {
-	case "print":
+	case "print", "stop":
 		if len(call.Args) != 1 {
-			return nil, fmt.Errorf("print takes one argument")
+			return nil, fmt.Errorf("%s takes one argument", call.Name)
 		}
 		arg, err := c.expr(call.Args[0], ctx)
 		if err != nil {
 			return nil, err
 		}
-		h := c.newHop(KindPrint, "", arg)
-		h.DataType = Scalar
-		finalize(h)
-		return h, nil
-	case "stop":
-		if len(call.Args) != 1 {
-			return nil, fmt.Errorf("stop takes one argument")
+		kind := KindPrint
+		if call.Name == "stop" {
+			kind = KindStop
 		}
-		arg, err := c.expr(call.Args[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		h := c.newHop(KindStop, "", arg)
+		h := c.newHop(kind, "", arg)
 		h.DataType = Scalar
 		finalize(h)
 		return h, nil

@@ -52,53 +52,35 @@ const (
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KindRead:
-		return "read"
-	case KindWrite:
-		return "write"
-	case KindTRead:
-		return "tread"
-	case KindTWrite:
-		return "twrite"
-	case KindLit:
-		return "lit"
-	case KindDataGen:
-		return "datagen"
-	case KindSeq:
-		return "seq"
-	case KindUnary:
-		return "unary"
-	case KindBinary:
-		return "binary"
-	case KindAggUnary:
-		return "agg"
-	case KindMatMul:
-		return "ba(+*)"
-	case KindReorg:
-		return "reorg"
-	case KindAppend:
-		return "append"
-	case KindIndex:
-		return "rix"
-	case KindLeftIndex:
-		return "lix"
-	case KindTable:
-		return "table"
-	case KindDiag:
-		return "diag"
-	case KindSolve:
-		return "solve"
-	case KindTernaryAgg:
-		return "tagg"
-	case KindCast:
-		return "cast"
-	case KindPrint:
-		return "print"
-	case KindStop:
-		return "stop"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "?"
+}
+
+var kindNames = [...]string{
+	KindRead:       "read",
+	KindWrite:      "write",
+	KindTRead:      "tread",
+	KindTWrite:     "twrite",
+	KindLit:        "lit",
+	KindDataGen:    "datagen",
+	KindSeq:        "seq",
+	KindUnary:      "unary",
+	KindBinary:     "binary",
+	KindAggUnary:   "agg",
+	KindMatMul:     "ba(+*)",
+	KindReorg:      "reorg",
+	KindAppend:     "append",
+	KindIndex:      "rix",
+	KindLeftIndex:  "lix",
+	KindTable:      "table",
+	KindDiag:       "diag",
+	KindSolve:      "solve",
+	KindTernaryAgg: "tagg",
+	KindCast:       "cast",
+	KindPrint:      "print",
+	KindStop:       "stop",
 }
 
 // DataType distinguishes matrix and scalar HOPs.

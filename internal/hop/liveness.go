@@ -1,6 +1,7 @@
 package hop
 
 import (
+	"maps"
 	"slices"
 
 	"elasticml/internal/dml"
@@ -10,9 +11,15 @@ import (
 // hierarchy and removes transient writes of variables that are never read
 // afterwards. Dead transient writes otherwise inflate operator fan-out and
 // inhibit fusion rewrites such as MapMMChain (a dead intermediate would
-// appear to require materialization).
-func pruneDeadWrites(blocks []*Block) {
-	a := liveness{ids: make(map[string]int), reads: make(map[*Block][]int)}
+// appear to require materialization). It reuses a's storage from the last
+// analysis.
+func (a *liveness) pruneDeadWrites(blocks []*Block) {
+	if a.ids == nil {
+		a.ids, a.reads = make(map[string]int), make(map[*Block][]int)
+	}
+	clear(a.ids)
+	clear(a.reads)
+	a.slab = a.slab[:0]
 	WalkBlocks(blocks, func(b *Block) {
 		a.collect(b)
 		for _, r := range b.Roots {
@@ -24,27 +31,15 @@ func pruneDeadWrites(blocks []*Block) {
 			a.id(b.Var)
 		}
 	})
-	a.blocks(blocks, make(varSet, (len(a.ids)+63)/64), true)
+	w := (len(a.ids) + 63) / 64
+	a.sets = append(a.sets[:0], make(varSet, w)...)
+	a.blocks(blocks, a.sets[:w:w], true)
 }
 
 type stringSet map[string]bool
 
-func (s stringSet) clone() stringSet {
-	c := make(stringSet, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
 func (s stringSet) add(names []string) {
 	for _, k := range names {
-		s[k] = true
-	}
-}
-
-func (s stringSet) addAll(o stringSet) {
-	for k := range o {
 		s[k] = true
 	}
 }
@@ -149,18 +144,18 @@ func liveIn(bs []*dml.StatementBlock, live stringSet) {
 				live.add(stmtReads(b.Stmts[j : j+1]))
 			}
 		case dml.IfBlockKind:
-			elseLive := live.clone()
+			elseLive := maps.Clone(live)
 			liveIn(b.Then, live)
 			liveIn(b.Else, elseLive)
-			live.addAll(elseLive)
+			maps.Copy(live, elseLive)
 			live.add(appendReads(nil, b.Pred))
 		default: // while / for
 			live.add(appendReads(nil, b.Pred))
 			for {
-				bodyLive := live.clone()
+				bodyLive := maps.Clone(live)
 				liveIn(b.Body, bodyLive)
 				n := len(live)
-				live.addAll(bodyLive)
+				maps.Copy(live, bodyLive)
 				if len(live) == n {
 					break
 				}
@@ -177,10 +172,13 @@ func liveIn(bs []*dml.StatementBlock, live stringSet) {
 // write, so a live set is a bit set, and reads caches the numbers of the
 // variables each block's own DAGs read — a generic block's roots, a
 // control block's header — since the loop fixpoint passes over every
-// block several times.
+// block several times. The read lists are windows of slab, and the live
+// sets of the branches and loops in progress windows of sets, a stack.
 type liveness struct {
 	ids   map[string]int
 	reads map[*Block][]int
+	slab  []int
+	sets  varSet
 }
 
 // id returns name's number, numbering it if it has none.
@@ -195,13 +193,21 @@ func (a *liveness) id(name string) int {
 
 // collect records the variables b's own DAGs read.
 func (a *liveness) collect(b *Block) {
-	reads := a.reads[b][:0]
+	start := len(a.slab)
 	WalkDAG(blockRoots(b), func(h *Hop) {
 		if h.Kind == KindTRead {
-			reads = append(reads, a.id(h.Name))
+			a.slab = append(a.slab, a.id(h.Name))
 		}
 	})
-	a.reads[b] = reads
+	a.reads[b] = a.slab[start:len(a.slab):len(a.slab)]
+}
+
+// set pushes a copy of s onto the stack of live sets; its caller pops it
+// by truncating a.sets to the length it had before.
+func (a *liveness) set(s varSet) varSet {
+	n := len(a.sets)
+	a.sets = append(a.sets, s...)
+	return a.sets[n:len(a.sets):len(a.sets)]
 }
 
 // blocks processes bs backward, turning live from the live-out set into
@@ -214,6 +220,7 @@ func (a *liveness) blocks(bs []*Block, live varSet, mark bool) {
 }
 
 func (a *liveness) block(b *Block, live varSet, mark bool) {
+	n := len(a.sets)
 	switch b.Kind {
 	case dml.GenericBlock:
 		if mark {
@@ -245,25 +252,29 @@ func (a *liveness) block(b *Block, live varSet, mark bool) {
 		live.add(a.reads[b])
 
 	case dml.IfBlockKind:
-		elseLive := slices.Clone(live)
+		elseLive := a.set(live)
 		a.blocks(b.Then, live, mark)
 		a.blocks(b.Else, elseLive, mark)
 		live.or(elseLive)
 		live.add(a.reads[b])
+		a.sets = a.sets[:n]
 
 	default: // while / for
 		// Fixpoint: variables read by any later iteration are live at the
 		// loop back-edge. Iterate without marking until stable, then mark.
 		live.add(a.reads[b])
 		for {
-			bodyLive := slices.Clone(live)
+			bodyLive := a.set(live)
 			a.blocks(b.Body, bodyLive, false)
-			if !live.or(bodyLive) {
+			grew := live.or(bodyLive)
+			a.sets = a.sets[:n]
+			if !grew {
 				break
 			}
 		}
 		if mark {
-			a.blocks(b.Body, slices.Clone(live), true)
+			a.blocks(b.Body, a.set(live), true)
+			a.sets = a.sets[:n]
 		}
 		if b.Var != "" {
 			live.del(a.ids[b.Var])

@@ -2,8 +2,10 @@ package hop
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"weak"
 
@@ -11,82 +13,156 @@ import (
 	"elasticml/internal/obs"
 )
 
-// Table holds, per source, the parsed program with its functions inlined
-// and the templates of its generic blocks (a Script), so that the compiles
-// of a source parse it once and build each block's DAG once. It holds a script
-// weakly: once no compiler of it is reachable (a compiler keeps the script
-// it compiled, and a program's owner keeps the compiler), the collector
-// frees the script and its templates, and the table forgets the source.
-// A nil Table keeps nothing: every Parse parses afresh. Safe for
-// concurrent use.
+// Table holds, per source, its parse (a Parsed) and the script over it,
+// so that the compiles of a source parse it once and build each block's
+// DAG once. It holds both weakly: once no compiler of the script is
+// reachable (a compiler keeps the script it compiled, and a program's owner
+// keeps the compiler), the collector frees the script and its templates,
+// and once nothing keeps the parse either (a script keeps its parse, and
+// a caller may keep Script.Parsed), the table forgets the source. A nil
+// Table keeps nothing: every Parse parses afresh. Safe for concurrent use.
 type Table struct {
 	// Trace, when non-nil, counts compile.parses, and the template
 	// builds, re-sizes and fallbacks of every compile of the table's
 	// scripts (see generic).
 	Trace *obs.Tracer
 
-	mu      sync.Mutex
-	scripts map[string]weak.Pointer[Script]
+	mu     sync.Mutex
+	parses map[string]weak.Pointer[Parsed]
 }
 
-// Parse returns the script of source, parsing it unless a live script of
-// it is in the table.
+// Parse returns the script of source: the live script over the table's
+// parse of source, or else a new one with no templates. It parses source
+// unless the table holds a live parse of it, once for concurrent calls.
 func (t *Table) Parse(source string) (*Script, error) {
+	p, trace := (*Parsed)(nil), (*obs.Tracer)(nil)
 	if t != nil {
 		t.mu.Lock()
-		s := t.scripts[source].Value()
-		t.mu.Unlock()
-		if s != nil {
-			return s, nil
+		if p, trace = t.parses[source].Value(), t.Trace; p == nil {
+			p = new(Parsed)
+			if t.parses == nil {
+				t.parses = make(map[string]weak.Pointer[Parsed])
+			}
+			t.parses[source] = weak.Make(p)
+			runtime.AddCleanup(p, t.forget, source)
 		}
+		t.mu.Unlock()
+	} else {
+		p = new(Parsed)
 	}
-	prog, err := dml.Parse(source)
-	if err != nil {
-		return nil, err
+	p.once.Do(func() {
+		p.perr = errors.New("hop: the parse of the source panicked")
+		prog, err := dml.Parse(source)
+		if p.perr = err; err == nil {
+			trace.Metrics().Add("compile.parses", 1)
+			p.build(prog)
+		}
+	})
+	if p.perr != nil {
+		return nil, p.perr
 	}
-	if t == nil {
-		return newScript(prog, nil), nil
-	}
-	t.Trace.Metrics().Add("compile.parses", 1)
-	s := newScript(prog, t.Trace)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old := t.scripts[source].Value(); old != nil {
-		return old, nil // parsed on another goroutine meanwhile
-	}
-	if t.scripts == nil {
-		t.scripts = make(map[string]weak.Pointer[Script])
-	}
-	t.scripts[source] = weak.Make(s)
-	runtime.AddCleanup(s, t.forget, source)
-	return s, nil
+	return p.script(trace), nil
 }
 
-// forget drops source once its script is freed, unless a new one took
-// its place.
+// forget drops source once its parse is freed, unless a new one took its
+// place.
 func (t *Table) forget(source string) {
 	t.mu.Lock()
-	if t.scripts[source].Value() == nil {
-		delete(t.scripts, source)
+	if t.parses[source].Value() == nil {
+		delete(t.parses, source)
 	}
 	t.mu.Unlock()
 }
 
-// Script is one parsed source: its statement blocks after function
-// inlining, and a template for each generic block under each combination
-// of kinds its reads and $ parameters arrive with — the block's DAG built
-// once with every variable it reads unknown, kind kept (a string keeps its
-// value, which a read() or write path or a ppred operator bakes in). A
-// numeric parameter is an unknown scalar read under its reserved name, and
-// a read() a persistent read of unknown size. A build of the block re-sizes
-// the template under the metadata at hand instead of building from the
-// statements (see generic). Templates take their hop IDs from the
-// script's own counter, so a program's IDs, like its DAGs, do not depend
-// on which templates were built before it. Safe for concurrent use.
-type Script struct {
+// Parsed is one source's parse: its statement blocks after function
+// inlining, and the write set of each control block (see writeSet), which
+// an if's or a loop's merge saves, restores and merges. Safe for
+// concurrent use.
+type Parsed struct {
+	once   sync.Once // Table.Parse's parse of the source
+	perr   error     // the source's syntax error
 	blocks []*dml.StatementBlock
-	err    error       // inlining's, which every compile of the script reports
-	trace  *obs.Tracer // counts the template work (see Table.Trace)
+	err    error // inlining's, which every compile of the script reports
+	writes map[*dml.StatementBlock][]string
+
+	curMu sync.Mutex
+	cur   weak.Pointer[Script] // the script over the parse, while one lives
+}
+
+// build fills p from the program prog parses to.
+func (p *Parsed) build(prog *dml.Program) {
+	stmts, err := dml.InlineFunctions(prog)
+	p.err, p.writes = err, make(map[*dml.StatementBlock][]string)
+	if err == nil {
+		p.blocks = dml.BuildBlocks(stmts)
+		appendWrites(nil, p.blocks, p.writes)
+	}
+}
+
+// script returns the live script over p, or a new one with no templates.
+func (p *Parsed) script(trace *obs.Tracer) *Script {
+	p.curMu.Lock()
+	defer p.curMu.Unlock()
+	s := p.cur.Value()
+	if s == nil {
+		s = &Script{Parsed: p, trace: trace}
+		p.cur = weak.Make(s)
+	}
+	return s
+}
+
+// appendWrites appends to names every name building bs may assign in a
+// symbol table: each assignment's target, a left-indexed one included,
+// and each nested for loop's variable. It records each control block's
+// write set in sets, unless sets is nil.
+func appendWrites(names []string, bs []*dml.StatementBlock, sets map[*dml.StatementBlock][]string) []string {
+	for _, sb := range bs {
+		if sb.Kind != dml.GenericBlock {
+			names = append(names, writeSet(sb, sets)...)
+			continue
+		}
+		for _, st := range sb.Stmts {
+			if a, ok := st.(*dml.Assign); ok {
+				names = append(names, a.Target)
+			}
+		}
+	}
+	return names
+}
+
+// writeSet returns, sorted and once each, the names building the control
+// block sb may assign (see appendWrites), a for loop's own variable
+// included.
+func writeSet(sb *dml.StatementBlock, sets map[*dml.StatementBlock][]string) []string {
+	var ws []string
+	if sb.Var != "" {
+		ws = append(ws, sb.Var)
+	}
+	for _, l := range [][]*dml.StatementBlock{sb.Then, sb.Else, sb.Body} {
+		ws = appendWrites(ws, l, sets)
+	}
+	slices.Sort(ws)
+	ws = slices.Compact(ws)
+	if sets != nil {
+		sets[sb] = ws
+	}
+	return ws
+}
+
+// Script is one parse and a template for each generic block under each
+// combination of kinds its reads and $ parameters arrive with — the
+// block's DAG built once with every variable it reads unknown, kind kept
+// (a string keeps its value, which a read() or write path or a ppred
+// operator bakes in). A numeric parameter is an unknown scalar read under
+// its reserved name, and a read() a persistent read of unknown size. A
+// build of the block re-sizes the template under the metadata at hand
+// instead of building from the statements (see generic). Templates take
+// their hop IDs from the script's own counter, so a program's IDs, like
+// its DAGs, do not depend on which templates were built before it. Safe
+// for concurrent use.
+type Script struct {
+	*Parsed
+	trace *obs.Tracer // counts the template work (see Table.Trace)
 
 	mu     sync.Mutex
 	nextID int64
@@ -107,15 +183,6 @@ type blockTemplates struct {
 type kindsTemplate struct {
 	kinds string
 	b     *Block
-}
-
-func newScript(prog *dml.Program, trace *obs.Tracer) *Script {
-	stmts, err := dml.InlineFunctions(prog)
-	s := &Script{err: err, trace: trace}
-	if err == nil {
-		s.blocks = dml.BuildBlocks(stmts)
-	}
-	return s
 }
 
 // template returns sb's template for the kinds meta gives sb's reads and

@@ -169,7 +169,7 @@ func TestTableForgetsFreedScripts(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		runtime.GC()
 		tab.mu.Lock()
-		_, kept := tab.scripts[src]
+		_, kept := tab.parses[src]
 		tab.mu.Unlock()
 		if !kept {
 			return

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+	"weak"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/datagen"
@@ -731,10 +733,11 @@ func BenchmarkRepeatJob(b *testing.B) {
 
 // BenchmarkChurnTrace times one whole malleable trace (churnTrace) through
 // batch Run, whose window prepares the next jobs on GOMAXPROCS workers. It
-// fails unless every job compiles at most once and every generic block a
-// compile builds re-sizes its template, and reports how many prepared
-// answers the loop committed, and how many parses and from-statements
-// block builds the compile table saw.
+// fails unless every job compiles at most once, every generic block a
+// compile builds re-sizes its template, and each run parses each of the
+// trace's sources at most once (the run's service holds their parses),
+// and reports how many prepared answers the loop committed, and how many
+// parses and from-statements block builds the compile table saw.
 func BenchmarkChurnTrace(b *testing.B) {
 	cc, jobs, o := churnTrace()
 	o.Trace = obs.New(false)
@@ -766,6 +769,71 @@ func BenchmarkChurnTrace(b *testing.B) {
 	}
 	if n := m.Counter("compile.template_fallbacks"); n != 0 {
 		b.Fatalf("%d generic blocks built from their statements instead of re-sizing a template", n)
+	}
+	sources := map[string]bool{}
+	for _, j := range jobs {
+		sources[j.Script.Source] = true
+	}
+	if n := float64(m.Counter("compile.parses")) / float64(b.N); n > float64(len(sources)) {
+		b.Fatalf("%.2f parses per trace of %d sources: a source was parsed again within a run", n, len(sources))
+	}
+}
+
+// TestServiceKeepsParses: a service holds the parse of every built-in
+// script it compiles, so a collection between two of its compiles does not
+// make the table parse the source again; once the service is gone and a
+// collection has run, the parse is freed and the table parses the source
+// anew. A value-mode source is not held.
+func TestServiceKeepsParses(t *testing.T) {
+	defer func(tab *hop.Table) { compileTable = tab }(compileTable)
+	compileTable = &hop.Table{Trace: obs.New(false)}
+	parses := func() int64 { return compileTable.Trace.Metrics().Counter("compile.parses") }
+	s, err := New(conf.DefaultCluster(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func(spec JobSpec) {
+		t.Helper()
+		id, err := identify(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.compile(id); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+	}
+	job := fixedWidthJob("t", "S", 0, 1)
+	for i := 0; i < 3; i++ {
+		compile(job)
+	}
+	if n := parses(); n != 1 {
+		t.Errorf("three compiles of one built-in script, a collection after each, parsed it %d times", n)
+	}
+	value := JobSpec{Source: "x = 1;\nprint(x);\n"}
+	compile(value)
+	if _, held := s.parses.Load(value.Source); held {
+		t.Error("the service holds a value-mode source's parse")
+	}
+	held, ok := s.parses.Load(job.Script.Source)
+	if !ok {
+		t.Fatal("the service does not hold the parse of the built-in script it compiled")
+	}
+	parse := weak.Make(held.(*hop.Parsed))
+	held, s = nil, nil
+	for i := 0; i < 100 && parse.Value() != nil; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if parse.Value() != nil {
+		t.Fatal("the parse outlived the service that held it")
+	}
+	before := parses()
+	if _, err := compileTable.Parse(job.Script.Source); err != nil {
+		t.Fatal(err)
+	}
+	if parses() != before+1 {
+		t.Error("the table kept a source after its parse was freed")
 	}
 }
 

@@ -168,7 +168,7 @@ type optSummary struct {
 		MemoHits          int     `json:"memo_hits"`
 	} `json:"effort"`
 
-	Metrics map[string]interface{} `json:"metrics,omitempty"`
+	Metrics obs.MetricsSnapshot `json:"metrics"`
 }
 
 func writeJSONSummary(out *obs.ErrWriter, program, scenario string, res *opt.Result, tr *obs.Tracer) error {
@@ -189,7 +189,7 @@ func writeJSONSummary(out *obs.ErrWriter, program, scenario string, res *opt.Res
 	sum.Effort.TotalBlocks = st.TotalBlocks
 	sum.Effort.PrunedBlocks = st.PrunedBlocks
 	sum.Effort.MemoHits = st.MemoHits
-	sum.Metrics = tr.Metrics().Export()
+	sum.Metrics = tr.Metrics().Snapshot()
 	b, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		return err

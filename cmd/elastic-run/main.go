@@ -140,13 +140,12 @@ func main() {
 		fatal(err)
 	}
 	res := conf.NewResources(cp, mrH, hp.NumLeaf).WithCores(*dop)
-	var optSecs float64
+	var optTime time.Duration
 	if *optimize {
 		o := opt.New(cc)
 		o.Trace = tr
-		start := time.Now()
 		result := o.Optimize(hp)
-		optSecs = time.Since(start).Seconds()
+		optTime = result.Stats.OptTime
 		res = result.Res
 		if res.CPCores < 1 {
 			// The optimizer enumerated memory only; keep the requested CP
@@ -155,7 +154,7 @@ func main() {
 		}
 		if !*jsonOut {
 			fmt.Fprintf(out, "optimizer: R* = %s (estimated %.1fs, found in %v)\n",
-				res.String(), result.Cost, result.Stats.OptTime)
+				res.String(), result.Cost, optTime)
 		}
 	}
 
@@ -222,13 +221,13 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := writeJSONSummary(out, spec.Name, s.String(), res, ip, ad, inj, optSecs, tr); err != nil {
+		if err := writeJSONSummary(out, spec.Name, s.String(), res, ip, ad, inj, optTime, tr); err != nil {
 			fatal(err)
 		}
 	} else {
 		fmt.Fprintf(out, "program:    %s on %s\n", spec.Name, s)
 		fmt.Fprintf(out, "config:     start %s, final %s\n", res.String(), ip.Res.String())
-		fmt.Fprintf(out, "elapsed:    %.1f s simulated (+%.2f s optimization)\n", ip.SimTime, optSecs)
+		fmt.Fprintf(out, "elapsed:    %.1f s simulated (+%.2f s optimization)\n", ip.SimTime, optTime.Seconds())
 		fmt.Fprintf(out, "execution:  %d instructions, %d MR jobs, %d recompilations, %d migrations\n",
 			ip.Stats.Instructions, ip.Stats.MRJobs, ip.Stats.Recompiles, ip.Stats.Migrations)
 		if ad != nil && ad.Stats.Reoptimizations > 0 {
@@ -291,7 +290,7 @@ type runSummary struct {
 		RecoverySeconds float64 `json:"recovery_seconds"`
 	} `json:"recovery,omitempty"`
 
-	Metrics map[string]interface{} `json:"metrics,omitempty"`
+	Metrics obs.MetricsSnapshot `json:"metrics"`
 }
 
 type adaptationSummary struct {
@@ -303,14 +302,14 @@ type adaptationSummary struct {
 }
 
 func writeJSONSummary(out *obs.ErrWriter, program, scenario string, start conf.Resources,
-	ip *rt.Interp, ad *adapt.Adapter, inj *fault.Injector, optSecs float64, tr *obs.Tracer) error {
+	ip *rt.Interp, ad *adapt.Adapter, inj *fault.Injector, optTime time.Duration, tr *obs.Tracer) error {
 	sum := runSummary{
 		Program:     program,
 		Scenario:    scenario,
 		StartConfig: start.String(),
 		FinalConfig: ip.Res.String(),
 		SimSeconds:  ip.SimTime,
-		OptSeconds:  optSecs,
+		OptSeconds:  optTime.Seconds(),
 	}
 	sum.Execution.Instructions = ip.Stats.Instructions
 	sum.Execution.MRJobs = ip.Stats.MRJobs
@@ -332,7 +331,7 @@ func writeJSONSummary(out *obs.ErrWriter, program, scenario string, start conf.R
 			ip.Stats.Speculated, ip.Stats.HDFSRetries, ip.Stats.RecoverySeconds}
 		sum.Recovery = r
 	}
-	sum.Metrics = tr.Metrics().Export()
+	sum.Metrics = tr.Metrics().Snapshot()
 	b, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		return err

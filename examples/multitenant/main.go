@@ -34,16 +34,16 @@ func main() {
 	}
 
 	fmt.Printf("per-application runtimes: Opt %s -> %.0fs, B-LL %v -> %.0fs\n",
-		optRun.Res.String(), optRun.Seconds, bll.CP, bllRun.Seconds)
+		optRun.Res.String(), optRun.SimSeconds, bll.CP, bllRun.SimSeconds)
 	fmt.Printf("application parallelism:  Opt %d, B-LL %d\n\n",
 		yarn.MaxConcurrentApps(cc, optRun.Res.CP), yarn.MaxConcurrentApps(cc, bll.CP))
 
 	fmt.Printf("%-7s %12s %12s %9s\n", "#users", "Opt [a/min]", "B-LL [a/min]", "speedup")
 	for _, users := range []int{1, 4, 8, 16, 32, 64, 128} {
 		opt := yarn.SimulateThroughput(cc, yarn.ThroughputSpec{
-			Users: users, AppsPerUser: 8, AMHeap: optRun.Res.CP, Duration: optRun.Seconds})
+			Users: users, AppsPerUser: 8, AMHeap: optRun.Res.CP, Duration: optRun.SimSeconds})
 		base := yarn.SimulateThroughput(cc, yarn.ThroughputSpec{
-			Users: users, AppsPerUser: 8, AMHeap: bll.CP, Duration: bllRun.Seconds})
+			Users: users, AppsPerUser: 8, AMHeap: bll.CP, Duration: bllRun.SimSeconds})
 		fmt.Printf("%-7d %12.1f %12.1f %8.1fx\n",
 			users, opt.AppsPerMinute, base.AppsPerMinute,
 			opt.AppsPerMinute/base.AppsPerMinute)

@@ -85,13 +85,13 @@ func TestOptimizerChoiceValidatedBySimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if best < 0 || run.Seconds < best {
-					best = run.Seconds
+				if best < 0 || run.SimSeconds < best {
+					best = run.SimSeconds
 				}
 			}
-			if optRun.Seconds > best*1.3+1 {
+			if optRun.SimSeconds > best*1.3+1 {
 				t.Errorf("%s %s: Opt %.1fs vs best baseline %.1fs",
-					spec.Name, size, optRun.Seconds, best)
+					spec.Name, size, optRun.SimSeconds, best)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"elasticml/internal/adapt"
 	"elasticml/internal/conf"
@@ -87,8 +86,8 @@ func (r *Runner) compileScenario(spec scripts.Spec, s datagen.Scenario) (*hop.Pr
 type RunConfig struct {
 	// Res is the static configuration; ignored when Optimize is set.
 	Res conf.Resources
-	// Optimize runs initial resource optimization and charges its
-	// overhead into the elapsed time.
+	// Optimize runs initial resource optimization; its wall time is
+	// reported in RunResult.OptStats.OptTime, not charged to the run.
 	Optimize bool
 	// Adapt enables runtime resource adaptation.
 	Adapt bool
@@ -106,24 +105,18 @@ type RunConfig struct {
 
 // RunResult is one end-to-end measurement.
 type RunResult struct {
-	// Seconds is the end-to-end elapsed time (simulated execution plus
-	// real optimization overhead).
-	Seconds float64
 	// Res is the configuration the program started with.
 	Res conf.Resources
 	// FinalRes is the configuration after adaptation.
 	FinalRes conf.Resources
-	// OptSeconds is the initial-optimization overhead included in Seconds.
-	OptSeconds float64
 	// Migrations counts runtime migrations.
 	Migrations int
 	// MRJobs counts executed MR jobs.
 	MRJobs int
 	// OptStats carries the optimizer statistics when Optimize was set.
 	OptStats opt.Stats
-	// SimSeconds is the simulated execution time alone — deterministic
-	// under a fixed fault seed, unlike Seconds which includes real
-	// optimization wall time.
+	// SimSeconds is the simulated end-to-end time, a function of the
+	// run's inputs and fault seed alone.
 	SimSeconds float64
 	// Fault-recovery activity (zero without injection).
 	NodeFailures, TaskRetries, Stragglers, HDFSRetries int
@@ -148,9 +141,7 @@ func (r *Runner) EndToEnd(spec scripts.Spec, s datagen.Scenario, cfg RunConfig) 
 		if r.Quick {
 			o.Opts.Points = 7
 		}
-		start := time.Now()
 		result := o.Optimize(hp)
-		out.OptSeconds = time.Since(start).Seconds()
 		out.OptStats = result.Stats
 		res = result.Res
 	}
@@ -185,7 +176,6 @@ func (r *Runner) EndToEnd(spec scripts.Spec, s datagen.Scenario, cfg RunConfig) 
 	if err := ip.Run(plan); err != nil {
 		return RunResult{}, fmt.Errorf("bench: %s on %s: %w", spec.Name, s, err)
 	}
-	out.Seconds = ip.SimTime + out.OptSeconds
 	out.SimSeconds = ip.SimTime
 	out.FinalRes = ip.Res.Clone()
 	out.Migrations = ip.Stats.Migrations

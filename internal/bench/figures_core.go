@@ -142,13 +142,13 @@ func (r *Runner) endToEndFigure(title string, spec scripts.Spec, maxSize string,
 				if err != nil {
 					return err
 				}
-				r.printf(" %s", fmtSecs(res.Seconds))
+				r.printf(" %s", fmtSecs(res.SimSeconds))
 			}
 			optRes, err := r.EndToEnd(spec, s, RunConfig{Optimize: true, Classes: classes})
 			if err != nil {
 				return err
 			}
-			r.printf(" %s %14s\n", fmtSecs(optRes.Seconds), optRes.Res.String())
+			r.printf(" %s %14s\n", fmtSecs(optRes.SimSeconds), optRes.Res.String())
 		}
 	}
 	r.printf("\n")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,12 +10,12 @@ import (
 	"testing"
 )
 
-// sharedRuns are the three executions this package's sweep tests read. They
-// are made once and side by side — they share no state — so the package's
+// sharedRuns are the four executions this package's golden and sweep tests
+// read. They are made once and side by side — they share no state — so the package's
 // test time is the longest of them and not their sum.
 type sharedRuns struct {
-	quickAll, quickFailures, full          string
-	quickAllErr, quickFailuresErr, fullErr error
+	quickAll, quickFailures, figures, full             string
+	quickAllErr, quickFailuresErr, figuresErr, fullErr error
 	// What the full-mode service sweeps wrote and returned.
 	artifacts map[string][]byte
 	workload  []WorkloadRow
@@ -31,6 +32,9 @@ var shared = sync.OnceValue(func() *sharedRuns {
 		func() { s.quickAll, s.quickAllErr = capture(true, func(r *Runner) error { return r.Run("all") }) },
 		// A second quick failure sweep, to hold the first against.
 		func() { s.quickFailures, s.quickFailuresErr = capture(true, (*Runner).FailureSweep) },
+		// The head of `elastic-bench -exp all`: every paper figure and
+		// table and the ablations, in full mode.
+		func() { s.figures, s.figuresErr = capture(false, paperFigures) },
 		// The tail of `elastic-bench -exp all` that testdata/ pins: the
 		// failure sweep and the four service sweeps in full mode.
 		func() { s.full, s.fullErr = capture(false, s.fullSweeps) },
@@ -41,6 +45,20 @@ var shared = sync.OnceValue(func() *sharedRuns {
 	wg.Wait()
 	return s
 })
+
+// paperFigures runs the experiments `-exp all` runs before the failure
+// sweep.
+func paperFigures(r *Runner) error {
+	for _, e := range r.Experiments() {
+		if e.ID == "failures" {
+			return nil
+		}
+		if err := e.Run(); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	return nil
+}
 
 func (s *sharedRuns) fullSweeps(r *Runner) (err error) {
 	if err = r.FailureSweep(); err != nil {

@@ -31,7 +31,7 @@ func (r *Runner) Table5() error {
 			OuterIters: 5, InnerIters: 5}
 		hybrid := spark.Estimate(cfg, pm, w, spark.PlanHybrid)
 		full := spark.Estimate(cfg, pm, w, spark.PlanFull)
-		r.printf("  %-10s %11.0fs %13.0fs %13.0fs\n", size, mlRun.Seconds, hybrid, full)
+		r.printf("  %-10s %11.0fs %13.0fs %13.0fs\n", size, mlRun.SimSeconds, hybrid, full)
 	}
 	r.printf("\n")
 	return nil
@@ -55,11 +55,11 @@ func (r *Runner) Table6() error {
 
 	r.printf("Table 6: Spark Throughput Comparison, L2SVM scenario S [apps/min]\n")
 	r.printf("  SystemML w/ Opt: %s per app %.1fs; Spark Plan 2: whole-cluster app %.1fs\n",
-		mlRun.Res.String(), mlRun.Seconds, sparkSecs)
+		mlRun.Res.String(), mlRun.SimSeconds, sparkSecs)
 	r.printf("  %-7s %14s %14s\n", "#Users", "SystemML", "Spark Full")
 	for _, u := range []int{1, 8, 32} {
 		ml := yarn.SimulateThroughput(r.CC, yarn.ThroughputSpec{
-			Users: u, AppsPerUser: 8, AMHeap: mlRun.Res.CP, Duration: mlRun.Seconds})
+			Users: u, AppsPerUser: 8, AMHeap: mlRun.Res.CP, Duration: mlRun.SimSeconds})
 		// A Spark app occupies the full cluster: capacity 1, apps run
 		// back-to-back regardless of user count.
 		sparkApps := float64(u*8) / (float64(u*8) * sparkSecs / 60)

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/sweeps.golden and testdata/BENCH_*.json")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // TestSweepsGolden pins everything `elastic-bench -exp all` prints from
 // "Failure sweep:" on — simulated time only, so it repeats byte for byte —
@@ -28,20 +28,7 @@ func TestSweepsGolden(t *testing.T) {
 		files[name] = data
 	}
 	for name, got := range files {
-		path := filepath.Join("testdata", name)
-		if *update {
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden file (run with -update to create): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs (re-run with -update if intended):\n%s", path, diffLines(string(want), string(got)))
-		}
+		checkGolden(t, name, got)
 	}
 
 	// The artifacts decode to exactly the rows the tests below assert on.
@@ -76,6 +63,26 @@ func decodesTo[R any](t *testing.T, artifact []byte, rows []R) {
 	}
 	if !reflect.DeepEqual(doc.Rows, rows) {
 		t.Errorf("artifact rows differ from the sweep's:\n%+v\nvs\n%+v", doc.Rows, rows)
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites that file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs (re-run with -update if intended):\n%s", path, diffLines(string(want), string(got)))
 	}
 }
 

@@ -185,3 +185,53 @@ p = $param;
 		}
 	}
 }
+
+// TestInlineRenamesIndexBounds: an inlined body's index bounds read the
+// renamed parameters, not the caller's variables of the same name.
+func TestInlineRenamesIndexBounds(t *testing.T) {
+	src := `
+head = function(X, k) return (Y) {
+  Y = X[1:k, ];
+}
+k = 7;
+A = read($A);
+B = head(A, 3);
+write(B, "/out/B");
+`
+	stmts, err := InlineFunctions(mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parameter k binds to the call's argument 3 under its renamed name.
+	var idx *Index
+	var k string
+	for _, s := range stmts {
+		as, ok := s.(*Assign)
+		if !ok {
+			continue
+		}
+		switch e := as.Expr.(type) {
+		case *Index:
+			idx = e
+		case *Num:
+			if e.Value == 3 {
+				k = as.Target
+			}
+		}
+	}
+	if idx == nil || k == "" || k == "k" {
+		t.Fatalf("inlined to %v: want the parameter k bound under a new name and the body's indexing", stmts)
+	}
+	if x, ok := idx.Target.(*Ident); !ok || !strings.HasPrefix(x.Name, "_head") {
+		t.Errorf("indexed matrix %v, want the renamed parameter X", idx.Target)
+	}
+	if idx.Row == nil || idx.Col != nil {
+		t.Fatalf("index ranges [%v, %v], want a row range and all columns", idx.Row, idx.Col)
+	}
+	if lo, ok := idx.Row.Lo.(*Num); !ok || lo.Value != 1 {
+		t.Errorf("row lower bound %v, want 1", idx.Row.Lo)
+	}
+	if hi, ok := idx.Row.Hi.(*Ident); !ok || hi.Name != k {
+		t.Errorf("row upper bound %v, want the renamed parameter %s", idx.Row.Hi, k)
+	}
+}

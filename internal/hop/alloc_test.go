@@ -66,9 +66,11 @@ func measure(runs int, fn func()) (allocs float64, bytes uint64) {
 // hash set, a per-pass read set or a per-branch table copy cannot come
 // back unnoticed, and their bytes, which set how often the collector
 // runs, so that a trial build that keeps its DAGs cannot either. The
-// limits are the 2,880 allocations and 376,144 bytes measured once the
-// dead-write analysis reused the build's storage, plus 10 % (3,016 and
-// 386,524 before, limits 3,318 and 427,434); 3,016 allocations and
+// limits are the 2,766 allocations and 371,742 bytes measured once a
+// build appended its blocks into one list and a loop's trial appended
+// none, plus 10 % (2,880 and 376,144 before, limits 3,168 and 413,758;
+// 3,016 and 386,524 before the dead-write analysis reused the build's
+// storage, limits 3,318 and 427,434); 3,016 allocations and
 // 388,576 bytes once trial builds kept nothing (656,103 bytes before); 3,320
 // allocations once generic blocks were re-sized templates (each Compile
 // of a parsed program builds its own), 4,799 while every block built from
@@ -79,7 +81,7 @@ func measure(runs int, fn func()) (allocs float64, bytes uint64) {
 func TestCompileAllocs(t *testing.T) {
 	cc := sizeM(t, scripts.MLogreg())
 	allocs, bytes := measure(10, func() { cc.run(t) })
-	const limit, byteLimit = 3168, 413_758
+	const limit, byteLimit = 3043, 408_916
 	t.Logf("%v allocations, %d bytes", allocs, bytes)
 	if allocs > limit {
 		t.Errorf("compiling and rebuilding MLogreg allocates %v times, limit %d", allocs, limit)
@@ -115,21 +117,24 @@ func warmCompile(tb testing.TB, spec scripts.Spec) func() {
 // from its statements, copies a template beyond the re-size, or keeps a
 // loop's trial DAGs fails it, and so does a merge that copies the symbol
 // table or a dead-write analysis that allocates its own storage. The
-// limits are the values measured once the dead-write analysis reused the
-// build's storage, plus 10 %: MLogreg 430 allocations and 70,529 bytes
-// (506 and 77,913 before, limits 556 and 86,409; 742 allocations when
-// templates came in, 736 and 231,736 bytes before this gate; 2,459
-// allocations from the statements), the mini-batch family 496 and
-// 104,617 (636 and 116,664 before, limits 697 and 129,598; 1,524 and
-// 406,595 before trial builds kept nothing).
+// limits are the values measured once a build appended its blocks into
+// one list and a loop's trial appended none, plus 10 %: MLogreg 373
+// allocations and 68,328 bytes (430 and 70,529 before, limits 473 and
+// 77,582; 506 and 77,913 before the dead-write analysis reused the
+// build's storage; 742 allocations when templates came in, 736 and
+// 231,736 bytes before this gate; 2,459 allocations from the
+// statements), the mini-batch family 364 and 99,433 (496 and 104,617
+// before, limits 546 and 115,079; 636 and 116,664 before the dead-write
+// analysis reused the build's storage; 1,524 and 406,595 before trial
+// builds kept nothing).
 func TestTemplateCompileAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name             string
 		specs            []scripts.Spec
 		limit, byteLimit float64
 	}{
-		{"MLogreg", []scripts.Spec{scripts.MLogreg()}, 473, 77_582},
-		{"the mini-batch family", scripts.Minibatch(), 546, 115_079},
+		{"MLogreg", []scripts.Spec{scripts.MLogreg()}, 410, 75_161},
+		{"the mini-batch family", scripts.Minibatch(), 400, 109_376},
 	} {
 		var compiles []func()
 		for _, spec := range c.specs {

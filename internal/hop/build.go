@@ -1,6 +1,7 @@
 package hop
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -91,8 +92,13 @@ var scratches struct {
 }
 
 // startBuild hands the build about to run an idle scratch, or a new one,
-// which endBuild takes back.
-func (c *Compiler) startBuild() {
+// which endBuild takes back. It refuses a compiler that compiled no
+// program: the templates and write sets a build reads belong to the
+// program's script.
+func (c *Compiler) startBuild() error {
+	if c.script == nil {
+		return errors.New("hop: the compiler compiled no program; only a program's compiler or a Fork of it rebuilds the program")
+	}
 	scratches.Lock()
 	for c.scratch == nil && len(scratches.idle) > 0 {
 		n := len(scratches.idle) - 1
@@ -103,6 +109,7 @@ func (c *Compiler) startBuild() {
 	if c.scratch == nil {
 		c.scratch = &scratch{meta: SymTab{}}
 	}
+	return nil
 }
 
 func (c *Compiler) endBuild() {
@@ -138,7 +145,7 @@ func (c *Compiler) join(sb *dml.StatementBlock, meta SymTab, first, second []*dm
 	if sb.Var != "" {
 		meta[sb.Var] = VarMeta{} // loop variable: scalar, unknown value
 	}
-	if a, err = c.buildBlocks(first, meta); err != nil {
+	if a, err = c.buildBlocks(nil, first, meta); err != nil {
 		return nil, nil, err
 	}
 	// The builds nested in an arm push and pop above base, and may move
@@ -153,7 +160,7 @@ func (c *Compiler) join(sb *dml.StatementBlock, meta SymTab, first, second []*dm
 		}
 		saved[i] = savedMeta{v, ok}
 	}
-	if b, err = c.buildBlocks(second, meta); err != nil {
+	if b, err = c.buildBlocks(nil, second, meta); err != nil {
 		return nil, nil, err
 	}
 	saved = c.scratch.saved[base : base+len(ws)]
@@ -174,15 +181,9 @@ func (c *Compiler) join(sb *dml.StatementBlock, meta SymTab, first, second []*dm
 // join started from and the one it left.
 var joined func(c *Compiler, sb *dml.StatementBlock, entry, out SymTab)
 
-// writes returns sb's write set: the one its parse holds, or, for a block
-// of another parse, one computed afresh.
+// writes returns sb's write set, which the program's parse holds.
 func (c *Compiler) writes(sb *dml.StatementBlock) []string {
-	if c.script != nil {
-		if ws, ok := c.script.writes[sb]; ok {
-			return ws
-		}
-	}
-	return writeSet(sb, nil)
+	return c.script.writes[sb]
 }
 
 // trial builds the body of the loop sb once, only for the metadata its
@@ -247,10 +248,12 @@ func (c *Compiler) compile(s *Script, sp *obs.Span) (*Program, error) {
 		return nil, s.err
 	}
 	c.script = s
-	c.startBuild()
+	if err := c.startBuild(); err != nil {
+		return nil, err
+	}
 	defer c.endBuild()
 	bld := c.Trace.Begin(obs.LayerCompile, "hop.build-dags", obs.A("stmt_blocks", len(s.blocks)))
-	blocks, err := c.buildBlocks(s.blocks, c.scratch.meta)
+	blocks, err := c.buildBlocks(nil, s.blocks, c.scratch.meta)
 	bld.End()
 	if err != nil {
 		return nil, err
@@ -326,7 +329,9 @@ func (c *Compiler) rebuild(b *Block, vars Vars) (*Block, error) {
 			meta[name] = m
 		}
 	}
-	c.startBuild()
+	if err := c.startBuild(); err != nil {
+		return nil, err
+	}
 	nb, err := c.generic(b.Src, meta)
 	c.endBuild()
 	if err != nil {
@@ -354,46 +359,36 @@ func (nb *Block) keepWritesOf(b *Block) {
 	nb.Roots = kept
 }
 
-func (c *Compiler) buildBlocks(sblocks []*dml.StatementBlock, meta SymTab) ([]*Block, error) {
-	var out []*Block
+// buildBlocks builds sblocks on meta and appends the blocks to out. Branch
+// removal splices a conditional's branch blocks directly into out, and a
+// loop's trial, which keeps only the metadata its blocks publish, appends
+// nothing.
+func (c *Compiler) buildBlocks(out []*Block, sblocks []*dml.StatementBlock, meta SymTab) ([]*Block, error) {
 	for _, sb := range sblocks {
-		built, err := c.buildBlock(sb, meta)
+		start := len(out)
+		var err error
+		switch sb.Kind {
+		case dml.GenericBlock:
+			var b *Block
+			if b, err = c.generic(sb, meta); err == nil && c.scratch.trials == 0 {
+				out = append(out, b)
+			}
+		case dml.IfBlockKind:
+			out, err = c.buildIf(out, sb, meta)
+		case dml.WhileBlockKind:
+			out, err = c.buildWhile(out, sb, meta)
+		case dml.ForBlockKind:
+			out, err = c.buildFor(out, sb, meta)
+		default:
+			err = fmt.Errorf("hop: unsupported block kind %v", sb.Kind)
+		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, built...)
-	}
-	return out, nil
-}
-
-// buildBlock compiles one statement block; branch removal may splice a
-// conditional's branch blocks directly into the parent, hence the slice
-// return.
-func (c *Compiler) buildBlock(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
-	var out []*Block
-	var err error
-	switch sb.Kind {
-	case dml.GenericBlock:
-		var b *Block
-		b, err = c.generic(sb, meta)
-		if b != nil {
-			out = []*Block{b}
-		}
-	case dml.IfBlockKind:
-		out, err = c.buildIf(sb, meta)
-	case dml.WhileBlockKind:
-		out, err = c.buildWhile(sb, meta)
-	case dml.ForBlockKind:
-		out, err = c.buildFor(sb, meta)
-	default:
-		err = fmt.Errorf("hop: unsupported block kind %v", sb.Kind)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range out {
-		if b.Src == nil {
-			b.Src = sb
+		for _, b := range out[start:] {
+			if b.Src == nil {
+				b.Src = sb
+			}
 		}
 	}
 	return out, nil
@@ -415,9 +410,11 @@ func (c *Compiler) RebuildScope(blocks []*Block, meta SymTab) (*Program, error) 
 	if err != nil {
 		return nil, err
 	}
-	c.startBuild()
+	if err := c.startBuild(); err != nil {
+		return nil, err
+	}
 	defer c.endBuild()
-	rebuilt, err := c.buildBlocks(srcs, meta)
+	rebuilt, err := c.buildBlocks(nil, srcs, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +470,7 @@ func (p *Program) index(blocks []*Block, parent *Block) {
 	}
 }
 
-func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
+func (c *Compiler) buildIf(out []*Block, sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
 	predCtx := c.newCtx(meta)
 	pred, err := c.expr(sb.Pred, predCtx)
 	if err != nil {
@@ -486,20 +483,19 @@ func (c *Compiler) buildIf(sb *dml.StatementBlock, meta SymTab) ([]*Block, error
 	// selects one branch, enabling unconditional size propagation.
 	if pred.KnownVal {
 		if pred.Value != 0 {
-			return c.buildBlocks(sb.Then, meta)
+			return c.buildBlocks(out, sb.Then, meta)
 		}
-		return c.buildBlocks(sb.Else, meta)
+		return c.buildBlocks(out, sb.Else, meta)
 	}
 	thenB, elseB, err := c.join(sb, meta, sb.Then, sb.Else)
-	if err != nil {
-		return nil, err
+	if err != nil || c.scratch.trials > 0 {
+		return out, err
 	}
-	b := &Block{Kind: dml.IfBlockKind, Index: -1, Pred: pred,
-		Then: thenB, Else: elseB, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
-	return []*Block{b}, nil
+	return append(out, &Block{Kind: dml.IfBlockKind, Index: -1, Pred: pred,
+		Then: thenB, Else: elseB, FirstLine: sb.FirstLine, LastLine: sb.LastLine}), nil
 }
 
-func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
+func (c *Compiler) buildWhile(out []*Block, sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
 	// The trial weakens what the body changes (a fixpoint approximation,
 	// as in SystemML's size propagation) before the predicate reads it.
 	if err := c.trial(sb, meta); err != nil {
@@ -510,9 +506,9 @@ func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 	if err != nil {
 		return nil, fmt.Errorf("line %d: while predicate: %w", sb.FirstLine, err)
 	}
-	body, err := c.buildBlocks(sb.Body, meta)
-	if err != nil {
-		return nil, err
+	body, err := c.buildBlocks(nil, sb.Body, meta)
+	if err != nil || c.scratch.trials > 0 {
+		return out, err
 	}
 	// The predicate reads the facts entry and the body agree on, so one
 	// that folds to false was false at entry: the loop runs no iteration.
@@ -520,12 +516,11 @@ func (c *Compiler) buildWhile(sb *dml.StatementBlock, meta SymTab) ([]*Block, er
 	if pred.KnownVal && pred.Value == 0 {
 		iters = 0
 	}
-	b := &Block{Kind: dml.WhileBlockKind, Index: -1, Pred: pred,
-		Body: body, KnownIters: iters, FirstLine: sb.FirstLine, LastLine: sb.LastLine}
-	return []*Block{b}, nil
+	return append(out, &Block{Kind: dml.WhileBlockKind, Index: -1, Pred: pred,
+		Body: body, KnownIters: iters, FirstLine: sb.FirstLine, LastLine: sb.LastLine}), nil
 }
 
-func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
+func (c *Compiler) buildFor(out []*Block, sb *dml.StatementBlock, meta SymTab) ([]*Block, error) {
 	fromCtx := c.newCtx(meta)
 	from, err := c.expr(sb.From, fromCtx)
 	if err != nil {
@@ -546,15 +541,14 @@ func (c *Compiler) buildFor(sb *dml.StatementBlock, meta SymTab) ([]*Block, erro
 		return nil, err
 	}
 	meta[sb.Var] = VarMeta{}
-	body, err := c.buildBlocks(sb.Body, meta)
-	if err != nil {
-		return nil, err
+	body, err := c.buildBlocks(nil, sb.Body, meta)
+	if err != nil || c.scratch.trials > 0 {
+		return out, err
 	}
-	b := &Block{Kind: dml.ForBlockKind, Index: -1, Var: sb.Var,
+	return append(out, &Block{Kind: dml.ForBlockKind, Index: -1, Var: sb.Var,
 		From: from, To: to,
 		Body: body, KnownIters: iters, Parallel: sb.Parallel,
-		FirstLine: sb.FirstLine, LastLine: sb.LastLine}
-	return []*Block{b}, nil
+		FirstLine: sb.FirstLine, LastLine: sb.LastLine}), nil
 }
 
 // merged is what a variable's facts become where one path leaves a (aok if

@@ -67,12 +67,14 @@ func JoinReference(c *Compiler, sb *dml.StatementBlock, entry SymTab) (SymTab, e
 		a[sb.Var] = VarMeta{}
 	}
 	f := c.Fork(c.FS)
-	f.startBuild()
-	defer f.endBuild()
-	if _, err := f.buildBlocks(first, a); err != nil {
+	if err := f.startBuild(); err != nil {
 		return nil, err
 	}
-	if _, err := f.buildBlocks(second, b); err != nil {
+	defer f.endBuild()
+	if _, err := f.buildBlocks(nil, first, a); err != nil {
+		return nil, err
+	}
+	if _, err := f.buildBlocks(nil, second, b); err != nil {
 		return nil, err
 	}
 	mergeMeta(b, a)

@@ -3,6 +3,7 @@ package hop
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -170,13 +171,21 @@ func TestKeyIgnoresHopIDs(t *testing.T) {
 }
 
 // TestRebuildNeedsTheProgramsCompiler: a compiler that compiled no
-// program has no script to hold templates, so a scope rebuild on it fails
-// instead of building templates outside the program's script.
+// program has no script to hold templates and write sets, so a scope
+// rebuild on it fails, whether the scope starts at a generic block or at
+// a loop whose merge reads the write sets, instead of building outside
+// the program's script.
 func TestRebuildNeedsTheProgramsCompiler(t *testing.T) {
 	fs := testFS(1000, 10)
-	spec := scripts.LinregDS()
+	spec := scripts.LinregCG()
 	hp := compileSpec(t, spec, fs)
-	if _, err := NewCompiler(fs, spec.Params).RebuildScope(hp.Blocks, SymTab{}); err == nil {
-		t.Error("a compiler that compiled no program rebuilt a scope")
+	loop := slices.IndexFunc(hp.Blocks, func(b *Block) bool { return b.Kind == dml.WhileBlockKind })
+	if loop < 0 {
+		t.Fatalf("%s has no top-level while loop; the test needs one", spec.Name)
+	}
+	for name, scope := range map[string][]*Block{"the whole program": hp.Blocks, "a scope from the loop": hp.Blocks[loop:]} {
+		if _, err := NewCompiler(fs, spec.Params).RebuildScope(scope, SymTab{}); err == nil {
+			t.Errorf("a compiler that compiled no program rebuilt %s", name)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package hop
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -114,7 +113,7 @@ func (p *Parsed) script(trace *obs.Tracer) *Script {
 // appendWrites appends to names every name building bs may assign in a
 // symbol table: each assignment's target, a left-indexed one included,
 // and each nested for loop's variable. It records each control block's
-// write set in sets, unless sets is nil.
+// write set in sets.
 func appendWrites(names []string, bs []*dml.StatementBlock, sets map[*dml.StatementBlock][]string) []string {
 	for _, sb := range bs {
 		if sb.Kind != dml.GenericBlock {
@@ -143,9 +142,7 @@ func writeSet(sb *dml.StatementBlock, sets map[*dml.StatementBlock][]string) []s
 	}
 	slices.Sort(ws)
 	ws = slices.Compact(ws)
-	if sets != nil {
-		sets[sb] = ws
-	}
+	sets[sb] = ws
 	return ws
 }
 
@@ -270,9 +267,6 @@ func appendKind(dst []byte, v VarMeta, ok bool) []byte {
 // next generic block overwrites.
 func (c *Compiler) generic(sb *dml.StatementBlock, meta SymTab) (*Block, error) {
 	if !c.statementsOnly {
-		if c.script == nil {
-			return nil, fmt.Errorf("hop: line %d: the compiler compiled no program; only a program's compiler or a Fork of it rebuilds the program", sb.FirstLine)
-		}
 		m := c.script.trace.Metrics()
 		if t := c.script.template(sb, meta, c.Params); t != nil {
 			if b, ok := c.resized(t, meta, &c.scratch.buf); ok {

@@ -282,38 +282,3 @@ func promName(name string) string {
 	}
 	return string(b)
 }
-
-// Export returns a JSON-marshalable snapshot of the registry. Maps encode
-// with sorted keys under encoding/json, so the export is deterministic.
-func (m *Metrics) Export() map[string]interface{} {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	counters := make(map[string]int64, len(m.counters))
-	for k, v := range m.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]float64, len(m.gauges))
-	for k, v := range m.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]map[string]float64, len(m.hists))
-	for k, h := range m.hists {
-		hists[k] = map[string]float64{
-			"count": float64(h.Count), "sum": h.Sum, "min": h.Min, "max": h.Max,
-		}
-	}
-	out := map[string]interface{}{}
-	if len(counters) > 0 {
-		out["counters"] = counters
-	}
-	if len(gauges) > 0 {
-		out["gauges"] = gauges
-	}
-	if len(hists) > 0 {
-		out["histograms"] = hists
-	}
-	return out
-}

@@ -38,8 +38,8 @@ func TestNilSafety(t *testing.T) {
 	if err := m.WriteText(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil metrics write: %v", err)
 	}
-	if m.Export() != nil {
-		t.Error("nil metrics export non-nil")
+	if s := m.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Hists != nil {
+		t.Error("nil metrics snapshot non-empty")
 	}
 	if tr.Metrics() != nil {
 		t.Error("nil tracer returned a registry")

@@ -70,13 +70,20 @@ verify-corpus:
 	$(GO) run ./cmd/elastic-verify -corpus -fuzz 25 -fuzz-loops 10 -seed 1 -v
 
 # Non-test Go lines per package, counted as ROADMAP counts them: lines that
-# are neither blank nor start with // (after indentation).
+# are neither blank nor start with // (after indentation). Fails when a
+# package exceeds its cap in LOC_CAPS (ROADMAP's housekeeping caps).
+LOC_CAPS = elasticml/internal/hop=2462 elasticml/internal/workload=2181
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | { \
-	t=0; while read pkg dir files; do \
+	t=0; over=0; while read pkg dir files; do \
 		n=0; [ -z "$$files" ] || n=$$(cd "$$dir" && cat $$files | grep -cvE '^[[:space:]]*(//|$$)'); \
 		printf '%6d %s\n' "$$n" "$$pkg"; t=$$((t + n)); \
-	done; printf '%6d total\n' "$$t"; }
+		for c in $(LOC_CAPS); do \
+			if [ "$${c%=*}" = "$$pkg" ] && [ "$$n" -gt "$${c#*=}" ]; then \
+				echo "$$pkg: $$n non-test lines, over its cap of $${c#*=}" >&2; over=1; \
+			fi; \
+		done; \
+	done; printf '%6d total\n' "$$t"; exit $$over; }
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

@@ -73,8 +73,8 @@ func main() {
 
 	fmt.Println("running with runtime resource adaptation:")
 	withAdapt, ad := run(true)
-	fmt.Printf("  %.0f s simulated (%d re-optimizations, %v optimizer time)\n",
-		withAdapt, ad.Stats.Reoptimizations, ad.Stats.OptTime)
+	fmt.Printf("  %.0f s simulated (%d re-optimizations, %d answered without a search)\n",
+		withAdapt, ad.Stats.Reoptimizations, ad.Stats.ReoptReuses)
 
 	fmt.Printf("\nadaptation speedup: %.1fx\n", noAdapt/withAdapt)
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"time"
 
 	"elasticml/internal/conf"
 	"elasticml/internal/dml"
@@ -39,8 +38,6 @@ type Stats struct {
 	ContainerLossReopts int
 	// Migrations counts AM runtime migrations.
 	Migrations int
-	// OptTime is the cumulative re-optimization wall time.
-	OptTime time.Duration
 	// MigrationTime is the cumulative charged migration cost (seconds of
 	// simulated time).
 	MigrationTime float64
@@ -83,7 +80,7 @@ const DefaultOptCharge = 0.1
 
 // New returns an adapter with the paper's defaults.
 func New(cc conf.Cluster) *Adapter {
-	return &Adapter{CC: cc, Opt: opt.DefaultOptions(), OptCharge: DefaultOptCharge}
+	return &Adapter{CC: cc, Opt: opt.DefaultOptions(), OptCharge: DefaultOptCharge, scopes: map[*hop.Block]scopeFacts{}}
 }
 
 var _ rt.Adapter = (*Adapter)(nil)
@@ -93,7 +90,6 @@ var _ rt.Adapter = (*Adapter)(nil)
 // migrate. The returned decision carries the new configuration and the
 // charged overheads; the interpreter performs the state flush.
 func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
-	start := time.Now()
 	scopeBlocks := scope(ctx)
 	if len(scopeBlocks) == 0 {
 		return nil
@@ -121,7 +117,6 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 		a.Stats.ContainerLossReopts++
 		m.Add("adapt.container_loss_reopts", 1)
 	}
-	a.Stats.OptTime += time.Since(start)
 	if global == nil || local == nil {
 		return nil
 	}
@@ -203,9 +198,9 @@ type rebuild struct {
 // scopeProgram returns the rebuilt scope program and its hop.AppendKey.
 // A rebuild is a function of the scope, the compiler and the metadata of
 // the variables live at the scope's start (hop.LiveIn), so while those
-// repeat the kept rebuild answers and nothing is rebuilt or encoded. A
-// scope that reads a file always rebuilds, since the compiler stats it.
-// The key is taken before RebuildScope takes ownership of ctx.Meta.
+// repeat the kept rebuild answers and nothing is rebuilt or encoded, and
+// a rebuild reads those variables alone. A scope that reads a file always
+// rebuilds, since the compiler stats it.
 func (a *Adapter) scopeProgram(ctx *rt.AdaptContext, blocks []*hop.Block) (*hop.Program, []byte, error) {
 	first := blocks[0]
 	facts, ok := a.scopes[first]
@@ -215,17 +210,20 @@ func (a *Adapter) scopeProgram(ctx *rt.AdaptContext, blocks []*hop.Block) (*hop.
 			return nil, nil, err
 		}
 		facts = scopeFacts{liveIn: hop.LiveIn(srcs), readsFiles: dml.Calls(srcs, "read")}
-		if a.scopes == nil {
-			a.scopes = make(map[*hop.Block]scopeFacts)
-		}
 		a.scopes[first] = facts
 	}
 	k := &a.kept
-	a.meta = appendMeta(a.meta[:0], ctx.Meta, facts.liveIn)
+	a.meta = appendMeta(a.meta[:0], ctx.Vars, facts.liveIn)
 	if !facts.readsFiles && k.prog != nil && k.first == first && k.prog.Compiler() == ctx.Compiler && bytes.Equal(a.meta, k.meta) {
 		return k.prog, k.key, nil
 	}
-	prog, err := ctx.Compiler.RebuildScope(blocks, ctx.Meta)
+	meta := make(hop.SymTab, len(facts.liveIn))
+	for _, name := range facts.liveIn {
+		if m, ok := ctx.Vars.Meta(name); ok {
+			meta[name] = m
+		}
+	}
+	prog, err := ctx.Compiler.RebuildScope(blocks, meta)
 	if err != nil {
 		*k = rebuild{}
 		return nil, nil, err
@@ -236,9 +234,9 @@ func (a *Adapter) scopeProgram(ctx *rt.AdaptContext, blocks []*hop.Block) (*hop.
 	return prog, k.key, nil
 }
 
-// appendMeta appends what meta holds for each of names: whether the name
+// appendMeta appends what vars holds for each of names: whether the name
 // is bound and, if so, every VarMeta field, floats by their bits.
-func appendMeta(dst []byte, meta hop.SymTab, names []string) []byte {
+func appendMeta(dst []byte, vars hop.Vars, names []string) []byte {
 	bit := func(b bool) byte {
 		if b {
 			return 1
@@ -246,7 +244,7 @@ func appendMeta(dst []byte, meta hop.SymTab, names []string) []byte {
 		return 0
 	}
 	for _, name := range names {
-		m, ok := meta[name]
+		m, ok := vars.Meta(name)
 		if !ok {
 			dst = append(dst, 0)
 			continue

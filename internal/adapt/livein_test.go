@@ -14,22 +14,24 @@ import (
 )
 
 // liveInCheck rebuilds the scope of every consult twice before handing
-// the consult on: from the full metadata snapshot and from the snapshot
-// restricted to the variables live at the scope's start (hop.LiveIn). The
-// consult key holds only the latter, so both must build the same program,
-// or fail alike.
+// the consult on: from the metadata of every variable of the interpreter
+// and from that of the variables live at the scope's start (hop.LiveIn).
+// The adapter keys and rebuilds from the latter alone, so both must build
+// the same program, or fail alike.
 type liveInCheck struct {
 	t        *testing.T
 	problem  string
+	ip       *rt.Interp
 	inner    rt.Adapter
 	consults int
 }
 
 func (c *liveInCheck) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	blocks := scope(ctx)
+	full := snapshot(c.ip, ctx.Vars)
 	part := hop.SymTab{}
 	for _, name := range hop.LiveIn(mustSources(c.t, blocks)) {
-		if m, ok := ctx.Meta[name]; ok {
+		if m, ok := full[name]; ok {
 			part[name] = m
 		}
 	}
@@ -41,7 +43,7 @@ func (c *liveInCheck) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 		}
 		return hop.AppendKey(nil, prog), nil
 	}
-	want, wantErr := build(ctx.Meta.Clone())
+	want, wantErr := build(full)
 	got, err := build(part)
 	if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
 		c.t.Errorf("%s consult %d (scope from line %d): the live-in snapshot built a different program (error %v; the full one's %v)",
@@ -55,8 +57,8 @@ func (c *liveInCheck) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 // and returns the number of consults.
 func checkLiveIn(t *testing.T, p paperProblem, tweak func(*Adapter, *rt.Interp)) int {
 	c := &liveInCheck{t: t, problem: p.String()}
-	runProblem(t, p, optimized(t, p), tweak, func(a *Adapter) rt.Adapter {
-		c.inner = a
+	runProblem(t, p, optimized(t, p), tweak, func(a *Adapter, ip *rt.Interp) rt.Adapter {
+		c.inner, c.ip = a, ip
 		return c
 	})
 	return c.consults
@@ -75,7 +77,7 @@ func loseNodeMidRun(t *testing.T, p paperProblem) func(*Adapter, *rt.Interp) {
 // every consult of the paper grid, of the node-loss run and of a loop
 // whose only read of W is the left-indexed update W[, 1] = …, a scope
 // rebuilt from the live-in variables' metadata alone equals one rebuilt
-// from the full snapshot.
+// from every variable's.
 func TestScopeLiveInSuffices(t *testing.T) {
 	consults := 0
 	for _, p := range paperGrid() {

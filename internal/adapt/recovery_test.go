@@ -14,11 +14,14 @@ import (
 	"elasticml/internal/scripts"
 )
 
-// captureAdapter records one adaptation context, the first unless at
-// says which (counted from 0), while delegating to a real adapter, so
-// tests can replay the context with altered fields.
+// captureAdapter records one adaptation context of ip's run, the first
+// unless at says which (counted from 0), while delegating to a real
+// adapter, so tests can replay the context with altered fields. The
+// recorded context's Vars is a hop.SymTab of every variable of ip at the
+// consult.
 type captureAdapter struct {
 	inner *Adapter
+	ip    *rt.Interp
 	at    int
 	seen  int
 	ctx   *rt.AdaptContext
@@ -26,18 +29,22 @@ type captureAdapter struct {
 
 func (c *captureAdapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	if c.seen == c.at {
-		c.ctx = replay(ctx)
+		rec := *ctx
+		rec.Vars = snapshot(c.ip, ctx.Vars)
+		c.ctx = &rec
 	}
 	c.seen++
 	return c.inner.Adapt(ctx)
 }
 
-// replay copies a context for one more consult. Adapt hands ctx.Meta to
-// RebuildScope, which owns it, so every consult gets its own table.
-func replay(ctx *rt.AdaptContext) *rt.AdaptContext {
-	c := *ctx
-	c.Meta = ctx.Meta.Clone()
-	return &c
+// snapshot copies what vars, a consult's view of ip's variables, serves
+// for each of them into a table the run does not go on to change.
+func snapshot(ip *rt.Interp, vars hop.Vars) hop.SymTab {
+	tab := make(hop.SymTab, len(ip.Vars))
+	for name := range ip.Vars {
+		tab[name], _ = vars.Meta(name)
+	}
+	return tab
 }
 
 func TestContainerLossReoptimizesAndCompletes(t *testing.T) {
@@ -89,7 +96,7 @@ func TestGracefulDegradationUnderNodeLoss(t *testing.T) {
 func adaptedContext(t *testing.T) (*rt.AdaptContext, conf.Cluster) {
 	t.Helper()
 	ip, ad, plan := setup(t, scripts.MLogreg(), 1_000_000, 100, 200)
-	cap := &captureAdapter{inner: ad}
+	cap := &captureAdapter{inner: ad, ip: ip}
 	ip.Adapter = cap
 	if err := ip.Run(plan); err != nil {
 		t.Fatal(err)
@@ -104,12 +111,12 @@ func TestMigrationDeclinedWhenCostExceedsBenefit(t *testing.T) {
 	ctx, cc := adaptedContext(t)
 	// A petabyte of dirty state makes C_M astronomically larger than any
 	// achievable ΔC: the adapter must keep the current container.
-	declined := replay(ctx)
+	declined := *ctx
 	declined.DirtyBytes = conf.Bytes(1) << 50
 	ad := New(cc)
 	ad.Opt.Points = 7
 	ad.OptCharge = 0
-	dec := ad.Adapt(declined)
+	dec := ad.Adapt(&declined)
 	if dec == nil {
 		t.Fatal("re-optimization itself should still succeed")
 	}
@@ -125,12 +132,12 @@ func TestZeroDirtyVariablesMigrationCost(t *testing.T) {
 	ctx, cc := adaptedContext(t)
 	// With no dirty variables the only migration cost is the container
 	// allocation latency (the checkpoint export is empty).
-	clean := replay(ctx)
+	clean := *ctx
 	clean.DirtyBytes = 0
 	ad := New(cc)
 	ad.Opt.Points = 7
 	ad.OptCharge = 0
-	dec := ad.Adapt(clean)
+	dec := ad.Adapt(&clean)
 	if dec == nil {
 		t.Fatal("no decision")
 	}

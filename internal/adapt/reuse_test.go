@@ -20,12 +20,15 @@ import (
 	"elasticml/internal/scripts"
 )
 
-// consult is what one Adapt call decided.
+// consult is what one Adapt call decided, and from what search answer.
 type consult struct {
 	Trigger  rt.Trigger
 	Decision string // migrate, adopt-global or keep-local; empty without a decision
 	NewRes   conf.Resources
 	Extra    float64
+	// Global and Local are the costs of the search answer a decision used:
+	// the global optimum and the optimum at the current CP.
+	Global, Local float64
 }
 
 // recorder logs every consult of the adapter it wraps, and whether the
@@ -43,6 +46,7 @@ func (r *recorder) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	c := consult{Trigger: ctx.Trigger}
 	if dec != nil {
 		c.Decision, c.NewRes, c.Extra = "keep-local", dec.NewRes.Clone(), dec.ExtraTime
+		c.Global, c.Local = r.ad.last.global.Cost, r.ad.last.local.Cost
 		if dec.Migrate {
 			c.Decision = "migrate"
 		} else if dec.NewRes.CP != cp {
@@ -57,6 +61,13 @@ func (r *recorder) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 
 // searches counts the consults that ran OptimizeWithCurrent.
 func (r *recorder) searches() int { return r.ad.Stats.Reoptimizations - r.ad.Stats.ReoptReuses }
+
+// problem is what the adapter tests run: a named program that stages its
+// inputs and compiles afresh for each run.
+type problem interface {
+	String() string
+	compile(t testing.TB) (*hdfs.FS, *hop.Program)
+}
 
 // paperProblem is one problem of the paper's evaluation grid.
 type paperProblem struct {
@@ -88,7 +99,7 @@ const (
 	gridCharge  = DefaultOptCharge
 )
 
-func compileProblem(t testing.TB, p paperProblem) (*hdfs.FS, *hop.Program) {
+func (p paperProblem) compile(t testing.TB) (*hdfs.FS, *hop.Program) {
 	t.Helper()
 	fs := hdfs.New()
 	datagen.Describe(fs, p.scen)
@@ -104,17 +115,18 @@ func compileProblem(t testing.TB, p paperProblem) (*hdfs.FS, *hop.Program) {
 }
 
 // optimized returns p's initial R* on the default cluster.
-func optimized(t testing.TB, p paperProblem) conf.Resources {
-	_, hp := compileProblem(t, p)
+func optimized(t testing.TB, p problem) conf.Resources {
+	_, hp := p.compile(t)
 	return opt.New(conf.DefaultCluster()).Optimize(hp).Res
 }
 
 // runProblem simulates p from res with a new adapter, which tweak (if set)
-// configures and wrap (if set) wraps, and records its consults.
-func runProblem(t testing.TB, p paperProblem, res conf.Resources,
-	tweak func(*Adapter, *rt.Interp), wrap func(*Adapter) rt.Adapter) (*rt.Interp, *recorder) {
+// configures and wrap (if set) wraps with the run's interpreter at hand,
+// and records its consults.
+func runProblem(t testing.TB, p problem, res conf.Resources,
+	tweak func(*Adapter, *rt.Interp), wrap func(*Adapter, *rt.Interp) rt.Adapter) (*rt.Interp, *recorder) {
 	t.Helper()
-	fs, hp := compileProblem(t, p)
+	fs, hp := p.compile(t)
 	cc := conf.DefaultCluster()
 	ip := rt.New(rt.ModeSim, fs, cc, res.Clone())
 	ip.SimTableCols = gridClasses
@@ -125,7 +137,7 @@ func runProblem(t testing.TB, p paperProblem, res conf.Resources,
 		tweak(ad, ip)
 	}
 	if wrap != nil {
-		rec.inner = wrap(ad)
+		rec.inner = wrap(ad, ip)
 	}
 	ip.Adapter = rec
 	if err := ip.Run(lop.Select(hp, cc, res)); err != nil {
@@ -164,11 +176,11 @@ func TestReoptReuseMatchesFresh(t *testing.T) {
 // reuseMatchesFresh runs p from res with reuse and with a fresh search
 // that walks every costing on every consult, requires both to run and
 // decide identically, and returns the reuse run's consults.
-func reuseMatchesFresh(t *testing.T, p paperProblem, res conf.Resources, tweak func(*Adapter, *rt.Interp)) *recorder {
+func reuseMatchesFresh(t *testing.T, p problem, res conf.Resources, tweak func(*Adapter, *rt.Interp)) *recorder {
 	t.Helper()
 	ip, rec := runProblem(t, p, res, tweak, nil)
 	restore := opt.WalkEveryCosting()
-	ref, refRec := runProblem(t, p, res, tweak, func(a *Adapter) rt.Adapter { return freshEveryConsult{a} })
+	ref, refRec := runProblem(t, p, res, tweak, func(a *Adapter, _ *rt.Interp) rt.Adapter { return freshEveryConsult{a} })
 	restore()
 	if refRec.ad.Stats.ReoptReuses != 0 {
 		t.Fatalf("%s: the fresh reference reused %d searches", p, refRec.ad.Stats.ReoptReuses)
@@ -219,8 +231,8 @@ func TestReusedConsultTrace(t *testing.T) {
 	ad.Opt.Points = 7
 	ad.OptCharge = 0
 	ad.Trace = tr
-	ad.Adapt(replay(ctx))
-	ad.Adapt(replay(ctx))
+	ad.Adapt(ctx)
+	ad.Adapt(ctx)
 	m := tr.Metrics()
 	if got := tr.SpanTotals(obs.LayerAdapt)["adapt.reoptimize"].Count; got != 2 {
 		t.Errorf("%d adapt.reoptimize spans, want 2", got)
@@ -256,8 +268,8 @@ func TestReoptReuseRefused(t *testing.T) {
 	res := optimized(t, p)
 	capture := func(at int, tweak func(*Adapter, *rt.Interp)) *rt.AdaptContext {
 		capt := &captureAdapter{at: at}
-		runProblem(t, p, res, tweak, func(a *Adapter) rt.Adapter {
-			capt.inner = a
+		runProblem(t, p, res, tweak, func(a *Adapter, ip *rt.Interp) rt.Adapter {
+			capt.inner, capt.ip = a, ip
 			return capt
 		})
 		return capt.ctx
@@ -271,16 +283,23 @@ func TestReoptReuseRefused(t *testing.T) {
 	})
 	live := hop.LiveIn(mustSources(t, scope(inLoop)))
 	for name, want := range map[string]bool{"outer_iter": true, "inner_iter": false, "V": false} {
-		_, bound := inLoop.Meta[name]
+		_, bound := inLoop.Vars.Meta(name)
 		if got := slices.Contains(live, name); !bound || got != want {
 			t.Fatalf("%s: bound %v, live at the loop's start %v; want bound and %v", name, bound, got, want)
 		}
 	}
+	// set replaces a replayed consult's variables with a copy holding m
+	// for name; the captured consult's table stays as it was.
+	set := func(c *rt.AdaptContext, name string, m hop.VarMeta) {
+		vars := c.Vars.(hop.SymTab).Clone()
+		vars[name] = m
+		c.Vars = vars
+	}
 	meta := func(name string, f func(*hop.VarMeta)) func(*rt.AdaptContext) {
 		return func(c *rt.AdaptContext) {
-			m := c.Meta[name]
+			m, _ := c.Vars.Meta(name)
 			f(&m)
-			c.Meta[name] = m
+			set(c, name, m)
 		}
 	}
 	rows := []struct {
@@ -311,7 +330,7 @@ func TestReoptReuseRefused(t *testing.T) {
 		{"only variables outside the live-in set change", inLoop, nil, func(c *rt.AdaptContext) {
 			meta("inner_iter", func(m *hop.VarMeta) { m.Val++ })(c)
 			meta("V", func(m *hop.VarMeta) { m.NNZ /= 2 })(c)
-			c.Meta["unbound"] = hop.VarMeta{Known: true, Val: 1}
+			set(c, "unbound", hop.VarMeta{Known: true, Val: 1})
 		}, nil, true, false},
 		{"the scope calls read(...)", atStart, nil, nil, nil, true, true},
 	}
@@ -329,11 +348,11 @@ func TestReoptReuseRefused(t *testing.T) {
 			return ad
 		}
 		ad := adapter()
-		second := replay(from)
+		second := *from
 		if row.change != nil {
-			row.change(second)
+			row.change(&second)
 		}
-		if ad.Adapt(replay(from)) == nil {
+		if ad.Adapt(from) == nil {
 			t.Fatalf("%s: no decision", row.name)
 		}
 		if row.between != nil {
@@ -343,7 +362,7 @@ func TestReoptReuseRefused(t *testing.T) {
 		if row.between != nil {
 			row.between(fresh)
 		}
-		got, want := ad.Adapt(replay(second)), fresh.Adapt(second)
+		got, want := ad.Adapt(&second), fresh.Adapt(&second)
 		if got == nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: second consult decided %+v, a fresh adapter %+v", row.name, got, want)
 		}

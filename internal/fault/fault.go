@@ -1,13 +1,12 @@
 // Package fault provides seeded, deterministic fault injection for the
 // simulated cluster stack. An injection Plan declares what goes wrong —
 // node failures at fixed simulated times, per-attempt task failure and
-// straggler probabilities, transient HDFS read errors, and container kills
-// — and an Injector samples it with per-category random streams so that
+// straggler probabilities, and transient HDFS read errors — and an Injector samples it with per-category random streams so that
 // two runs with the same seed inject the identical fault sequence, and
 // enabling one fault class never perturbs the sampling of another.
 //
-// The injector is consumed by the YARN simulator (node loss, container
-// kills), the MR task-attempt model (task failures, stragglers), the
+// The injector is consumed by the YARN simulator (node loss), the MR
+// task-attempt model (task failures, stragglers), the
 // simulated DFS (transient read errors), and the interpreter (delivery of
 // node failures at simulated-time boundaries).
 package fault
@@ -46,15 +45,12 @@ type Plan struct {
 	// HDFSReadErrorProb is the probability that one DFS read attempt
 	// fails transiently (retryable).
 	HDFSReadErrorProb float64
-	// ContainerKillProb is the probability that a running application
-	// container is killed before completing (preemption, OOM kill).
-	ContainerKillProb float64
 }
 
 // Enabled reports whether the plan injects any fault at all.
 func (p Plan) Enabled() bool {
 	return len(p.NodeFailures) > 0 || p.TaskFailureProb > 0 || p.StragglerProb > 0 ||
-		p.HDFSReadErrorProb > 0 || p.ContainerKillProb > 0
+		p.HDFSReadErrorProb > 0
 }
 
 // Validate reports plans that cannot be injected sensibly.
@@ -63,7 +59,6 @@ func (p Plan) Validate() error {
 		"task failure":    p.TaskFailureProb,
 		"straggler":       p.StragglerProb,
 		"hdfs read error": p.HDFSReadErrorProb,
-		"container kill":  p.ContainerKillProb,
 	} {
 		if prob < 0 || prob > 1 {
 			return fmt.Errorf("fault: %s probability %g outside [0,1]", name, prob)
@@ -83,15 +78,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// Stats counts the faults an injector has actually delivered.
-type Stats struct {
-	NodeFailures   int
-	TaskFailures   int
-	Stragglers     int
-	HDFSErrors     int
-	ContainerKills int
-}
-
 // Injector samples a Plan deterministically. It is safe for concurrent
 // use; under concurrency the per-call results stay race-free but the
 // interleaving (and thus which caller sees which draw) is scheduling
@@ -100,10 +86,9 @@ type Injector struct {
 	mu      sync.Mutex
 	plan    Plan
 	pending []NodeFailure // sorted by At, not yet delivered
-	stats   Stats
 	// Independent streams per fault category keep the sampled sequence of
 	// one category invariant under changes to another.
-	taskRNG, stragRNG, hdfsRNG, killRNG *rand.Rand
+	taskRNG, stragRNG, hdfsRNG *rand.Rand
 }
 
 // NewInjector validates the plan and returns a fresh injector for it.
@@ -119,7 +104,6 @@ func NewInjector(p Plan) (*Injector, error) {
 		taskRNG:  rand.New(rand.NewSource(p.Seed ^ 0x7461736b)), // "task"
 		stragRNG: rand.New(rand.NewSource(p.Seed ^ 0x73747261)), // "stra"
 		hdfsRNG:  rand.New(rand.NewSource(p.Seed ^ 0x68646673)), // "hdfs"
-		killRNG:  rand.New(rand.NewSource(p.Seed ^ 0x6b696c6c)), // "kill"
 	}, nil
 }
 
@@ -138,13 +122,6 @@ func (in *Injector) Plan() Plan {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.plan
-}
-
-// Stats returns the faults delivered so far.
-func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
 }
 
 // TaskFaultsEnabled reports whether task-level faults (failures or
@@ -169,7 +146,6 @@ func (in *Injector) NodeFailuresThrough(now float64) []NodeFailure {
 	}
 	due := in.pending[:n:n]
 	in.pending = in.pending[n:]
-	in.stats.NodeFailures += n
 	return due
 }
 
@@ -180,11 +156,7 @@ func (in *Injector) TaskFails() bool {
 	if in.plan.TaskFailureProb <= 0 {
 		return false
 	}
-	if in.taskRNG.Float64() >= in.plan.TaskFailureProb {
-		return false
-	}
-	in.stats.TaskFailures++
-	return true
+	return in.taskRNG.Float64() < in.plan.TaskFailureProb
 }
 
 // Straggles samples whether one task straggles, returning the slowdown
@@ -198,7 +170,6 @@ func (in *Injector) Straggles() (float64, bool) {
 	if in.stragRNG.Float64() >= in.plan.StragglerProb {
 		return 1, false
 	}
-	in.stats.Stragglers++
 	return in.plan.StragglerFactor, true
 }
 
@@ -210,23 +181,5 @@ func (in *Injector) HDFSReadFails() bool {
 	if in.plan.HDFSReadErrorProb <= 0 {
 		return false
 	}
-	if in.hdfsRNG.Float64() >= in.plan.HDFSReadErrorProb {
-		return false
-	}
-	in.stats.HDFSErrors++
-	return true
-}
-
-// ContainerKilled samples whether a running container is killed.
-func (in *Injector) ContainerKilled() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.plan.ContainerKillProb <= 0 {
-		return false
-	}
-	if in.killRNG.Float64() >= in.plan.ContainerKillProb {
-		return false
-	}
-	in.stats.ContainerKills++
-	return true
+	return in.hdfsRNG.Float64() < in.plan.HDFSReadErrorProb
 }

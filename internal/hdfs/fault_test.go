@@ -40,14 +40,3 @@ func TestReadFaultInjection(t *testing.T) {
 		t.Errorf("missing file: err=%v retries=%d", err, retries)
 	}
 }
-
-func TestReadFaultSkipsByteAccounting(t *testing.T) {
-	fs := New()
-	fs.PutMatrix("/x", matrix.Random(4, 4, 1, 0, 1, 1))
-	before := fs.BytesRead()
-	fs.SetReadFault(func() bool { return true })
-	_, _ = fs.Read("/x")
-	if fs.BytesRead() != before {
-		t.Error("failed read must not account bytes")
-	}
-}

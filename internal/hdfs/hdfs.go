@@ -74,9 +74,6 @@ type FS struct {
 	mu    sync.RWMutex
 	files map[string]*File
 
-	// IO accounting for tests and experiment reports.
-	bytesRead conf.Bytes
-
 	// readFault, when set, is sampled before each Read; a true draw fails
 	// the read with ErrTransientRead (fault injection hook).
 	readFault func() bool
@@ -95,25 +92,19 @@ func (fs *FS) SetTracer(tr *obs.Tracer) {
 	fs.trace = tr
 }
 
-func (fs *FS) tracer() *obs.Tracer {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.trace
-}
-
 // New returns an empty file system.
 func New() *FS {
 	return &FS{files: make(map[string]*File)}
 }
 
 // Clone returns a copy-on-write view of the file system: the same files,
-// read-fault hook, tracer and read count under a name table of its own, so
+// read-fault hook and tracer under a name table of its own, so
 // what one side writes or deletes the other never sees. Sharing the files
 // is safe because a write replaces a *File and never edits one in place.
 func (fs *FS) Clone() *FS {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return &FS{files: maps.Clone(fs.files), bytesRead: fs.bytesRead, readFault: fs.readFault, trace: fs.trace}
+	return &FS{files: maps.Clone(fs.files), readFault: fs.readFault, trace: fs.trace}
 }
 
 // PutMatrix stores a real matrix under the given name in binary format.
@@ -183,9 +174,6 @@ func (fs *FS) Read(name string) (*File, error) {
 		tr.Metrics().Add("hdfs.transient_errors", 1)
 		return nil, fmt.Errorf("hdfs: read %q: %w", name, ErrTransientRead)
 	}
-	fs.mu.Lock()
-	fs.bytesRead += f.SizeOnDisk()
-	fs.mu.Unlock()
 	m := tr.Metrics()
 	m.Add("hdfs.reads", 1)
 	m.Add("hdfs.bytes_read", int64(f.SizeOnDisk()))
@@ -243,11 +231,4 @@ func (fs *FS) List() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// BytesRead returns the cumulative bytes read through Read.
-func (fs *FS) BytesRead() conf.Bytes {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.bytesRead
 }

@@ -25,9 +25,6 @@ func TestPutStatReadDelete(t *testing.T) {
 	if err != nil || r.Data == nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if fs.BytesRead() != f.SizeOnDisk() {
-		t.Errorf("BytesRead = %v, want %v", fs.BytesRead(), f.SizeOnDisk())
-	}
 	if err := fs.Delete("/data/X"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}

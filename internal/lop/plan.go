@@ -94,9 +94,6 @@ type MRJob struct {
 	Ops []*MROp
 	// ScanInputs are the HDFS-resident matrix inputs streamed by mappers.
 	ScanInputs []*hop.Hop
-	// Exports are CP-resident variables that must be written to HDFS
-	// before the job starts.
-	Exports []*hop.Hop
 }
 
 // Name renders the job label, e.g. "GMR(mapmm,uak+)".

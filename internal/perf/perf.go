@@ -17,8 +17,6 @@ type Model struct {
 	ReadBandwidth float64 // bytes/s
 	// WriteBandwidth is the per-process HDFS write bandwidth (binary format).
 	WriteBandwidth float64 // bytes/s
-	// TextFactor scales IO cost for text formats (slower parse).
-	TextFactor float64
 	// MemBandwidth is the in-memory copy/deserialize bandwidth used for
 	// buffer-pool restores and exports.
 	MemBandwidth float64 // bytes/s
@@ -51,7 +49,6 @@ func Default() Model {
 	return Model{
 		ReadBandwidth:         150 * 1e6,  // 150 MB/s per process
 		WriteBandwidth:        100 * 1e6,  // 100 MB/s per process
-		TextFactor:            3.0,        //
 		MemBandwidth:          4000 * 1e6, // 4 GB/s
 		PeakFlops:             2.0e9,      // 2 GFLOP/s effective
 		JobLatency:            15.0,       // s per MR job

@@ -69,11 +69,11 @@ type AdaptContext struct {
 	Block *lop.Block
 	// Res is the current resource configuration.
 	Res conf.Resources
-	// Meta is the runtime variable metadata (sizes now known), a fresh
-	// snapshot of every live variable per consult — not the block's read
-	// set, since the re-optimization scope reads past the block: the
-	// adapter hands it to RebuildScope, which takes ownership of it.
-	Meta hop.SymTab
+	// Vars serves the runtime metadata (sizes now known) of every live
+	// variable — not only the block's read set, since the
+	// re-optimization scope reads past the block. It is a view of the
+	// interpreter's variables, valid for the consult only.
+	Vars hop.Vars
 	// DirtyBytes is the size of dirty live variables (migration IO).
 	DirtyBytes conf.Bytes
 	// Compiler recompiles re-optimization scopes from source.
@@ -383,17 +383,9 @@ func (ip *Interp) evalPredicate(b *hop.Block, pred *hop.Hop) (Value, error) {
 	return *v, nil
 }
 
-// snapshotMeta converts the live-variable table into compiler metadata.
-func (ip *Interp) snapshotMeta() hop.SymTab {
-	meta := hop.SymTab{}
-	for name, v := range ip.Vars {
-		meta[name] = v.meta()
-	}
-	return meta
-}
-
-// liveVars serves a recompile the compiler metadata of the interpreter's
-// live variables, looked up by name: no per-recompile table is built.
+// liveVars serves a recompile or an adapter consult the compiler metadata
+// of the interpreter's live variables, looked up by name: no table is
+// built.
 type liveVars map[string]*Value
 
 func (vs liveVars) Meta(name string) (hop.VarMeta, bool) {
@@ -492,7 +484,7 @@ func (ip *Interp) adapt(b *lop.Block, trig Trigger) bool {
 		Plan:       ip.plan,
 		Block:      b,
 		Res:        ip.Res.Clone(),
-		Meta:       ip.snapshotMeta(),
+		Vars:       liveVars(ip.Vars),
 		DirtyBytes: ip.State.DirtyBytes(),
 		Compiler:   ip.Compiler,
 		Trigger:    trig,

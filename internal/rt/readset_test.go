@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"elasticml/internal/conf"
@@ -19,25 +17,17 @@ import (
 // block's read set alone. The two must encode alike, so a name a recompile
 // looks up but Block.Reads misses fails here.
 func TestRecompileReadSet(t *testing.T) {
-	defer func(f func(*Interp, *hop.Block, *hop.Block) (*hop.Block, error)) { recompile = f }(recompile)
 	var name string
 	checked := map[string]int{}
-	recompile = func(ip *Interp, b, prev *hop.Block) (*hop.Block, error) {
-		fork := ip.Compiler.Fork(ip.FS)
-		nb, err := ip.Compiler.RecompileGeneric(b, liveVars(ip.Vars), prev)
-		reads, readsErr := fork.RecompileGeneric(b, readSetMeta(ip, b), nil)
+	defer CheckReadSets(func(b, nb *hop.Block, diff error) {
 		checked[name]++
-		if err == nil {
+		if nb != nil {
 			checkWrites(t, name, b, nb)
 		}
-		if fmt.Sprint(err) != fmt.Sprint(readsErr) {
-			t.Errorf("%s block %d: all live variables give %v, the read set %v", name, b.Index, err, readsErr)
-		} else if err == nil && !bytes.Equal(blockKey(nb), blockKey(reads)) {
-			t.Errorf("%s block %d (lines %d-%d): the recompile from the read set differs from the run's",
-				name, b.Index, b.FirstLine, b.LastLine)
+		if diff != nil {
+			t.Errorf("%s block %d (lines %d-%d): %v", name, b.Index, b.FirstLine, b.LastLine, diff)
 		}
-		return nb, err
-	}
+	})()
 	res := conf.NewResources(512*conf.MB, 2*conf.GB, 64)
 	runs := 0
 	for _, spec := range append(scripts.All(), scripts.Minibatch()...) {
@@ -67,17 +57,6 @@ func TestRecompileReadSet(t *testing.T) {
 		t.Fatal("no run recompiled a block: the test shows nothing")
 	}
 	t.Logf("%d recompiled blocks checked over %d runs, %d of which recompiled", total, runs, len(checked))
-}
-
-// readSetMeta is the metadata of the live variables b reads.
-func readSetMeta(ip *Interp, b *hop.Block) hop.SymTab {
-	meta := make(hop.SymTab, len(b.Reads))
-	for _, name := range b.Reads {
-		if v, ok := ip.Vars[name]; ok {
-			meta[name] = v.meta()
-		}
-	}
-	return meta
 }
 
 // checkWrites fails unless every variable the recompiled block nb writes
@@ -125,9 +104,4 @@ func TestRecompileKeepsPrunedWrites(t *testing.T) {
 	if small.SimTime > large.SimTime*1.01 {
 		t.Errorf("682.7 MB simulates %.2f s, 1.3 GB %.2f s", small.SimTime, large.SimTime)
 	}
-}
-
-// blockKey encodes one block as the optimizer sees it.
-func blockKey(b *hop.Block) []byte {
-	return hop.AppendKey(nil, &hop.Program{Blocks: []*hop.Block{b}, NumLeaf: 1})
 }

@@ -274,8 +274,8 @@ func TestAdapterInvoked(t *testing.T) {
 	calls := 0
 	ip.Adapter = adapterFunc(func(ctx *AdaptContext) *AdaptDecision {
 		calls++
-		if len(ctx.Meta) == 0 {
-			t.Error("adapter got empty metadata")
+		if m, ok := ctx.Vars.Meta("X"); !ok || m.Rows != n {
+			t.Errorf("adapter sees X as %+v (bound %v), want %d rows", m, ok, n)
 		}
 		// Migrate to a larger CP.
 		return &AdaptDecision{NewRes: conf.NewResources(24*conf.GB, 2*conf.GB, 64),

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/fault"
 	"elasticml/internal/obs"
 )
 
@@ -128,43 +127,5 @@ func TestConcurrentFailureAndAllocation(t *testing.T) {
 	wg.Wait()
 	if rm.LiveNodes() != cc.Nodes {
 		t.Errorf("live nodes = %d after restore-all", rm.LiveNodes())
-	}
-}
-
-func TestThroughputWithContainerKills(t *testing.T) {
-	cc := conf.DefaultCluster()
-	spec := ThroughputSpec{Users: 8, AppsPerUser: 4, AMHeap: 8 * conf.GB, Duration: 30}
-	clean := SimulateThroughput(cc, spec)
-
-	spec.Faults = fault.MustInjector(fault.Plan{Seed: 11, ContainerKillProb: 0.2})
-	faulty := SimulateThroughput(cc, spec)
-	if faulty.Retries == 0 {
-		t.Fatal("expected injected kills to cause retries")
-	}
-	if faulty.Makespan <= clean.Makespan {
-		t.Errorf("kills should extend makespan: %.1f vs %.1f", faulty.Makespan, clean.Makespan)
-	}
-
-	// Same seed, same plan: byte-identical outcome (determinism audit).
-	spec.Faults = fault.MustInjector(fault.Plan{Seed: 11, ContainerKillProb: 0.2})
-	again := SimulateThroughput(cc, spec)
-	if again != faulty {
-		t.Errorf("same-seed reruns diverged: %+v vs %+v", again, faulty)
-	}
-}
-
-func TestThroughputKillsExhaustAttempts(t *testing.T) {
-	cc := conf.DefaultCluster()
-	spec := ThroughputSpec{
-		Users: 4, AppsPerUser: 3, AMHeap: 8 * conf.GB, Duration: 10,
-		Faults:      fault.MustInjector(fault.Plan{Seed: 5, ContainerKillProb: 1.0}),
-		MaxAttempts: 2,
-	}
-	res := SimulateThroughput(cc, spec)
-	if res.Failed != spec.Users*spec.AppsPerUser {
-		t.Errorf("every app should fail under p=1 kills: failed=%d", res.Failed)
-	}
-	if res.Retries != res.Failed {
-		t.Errorf("each app retries once before failing: retries=%d failed=%d", res.Retries, res.Failed)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/fault"
 	"elasticml/internal/obs"
 )
 
@@ -360,17 +359,6 @@ type ThroughputSpec struct {
 	AppsPerUser int
 	AMHeap      conf.Bytes
 	Duration    float64
-	// Faults, when set, samples container kills: a killed application is
-	// resubmitted (another full Duration) up to MaxAttempts times before
-	// counting as failed.
-	Faults *fault.Injector
-	// MaxAttempts bounds per-application attempts under faults
-	// (default 3).
-	MaxAttempts int
-	// Trace, when non-nil, records one cluster-layer span per application
-	// run (stamped with the discrete-event clock) and instant events for
-	// injected kills.
-	Trace *obs.Tracer
 }
 
 // ThroughputResult reports the simulated outcome.
@@ -381,10 +369,6 @@ type ThroughputResult struct {
 	AppsPerMinute float64
 	// MaxParallel is the peak number of concurrently running apps.
 	MaxParallel int
-	// Retries counts resubmissions of killed applications.
-	Retries int
-	// Failed counts applications abandoned after MaxAttempts kills.
-	Failed int
 }
 
 // event is a discrete-event entry: at Time, the app of user U finishes.
@@ -409,51 +393,29 @@ func (h *eventHeap) Pop() interface{} {
 
 // SimulateThroughput runs the discrete-event FIFO scheduling of the
 // throughput experiment and returns the achieved throughput. Applications
-// that cannot obtain a container queue in submission order; injected
-// container kills resubmit the victim, extending the makespan.
+// that cannot obtain a container queue in submission order.
 func SimulateThroughput(cc conf.Cluster, spec ThroughputSpec) ThroughputResult {
 	if spec.Users <= 0 || spec.AppsPerUser <= 0 || spec.Duration <= 0 {
 		return ThroughputResult{}
 	}
 	capacity := MaxConcurrentApps(cc, spec.AMHeap)
-	maxAttempts := spec.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 3
-	}
 
 	remaining := make([]int, spec.Users) // apps left per user
-	attempts := make([]int, spec.Users)  // attempts of the user's current app
-	retrying := make([]bool, spec.Users) // queued entry is a resubmission
 	for i := range remaining {
 		remaining[i] = spec.AppsPerUser
 	}
 	var (
-		clock    float64
-		running  int
-		maxPar   int
-		finished int
-		queue    []int // user indices waiting for a container
-		events   eventHeap
-		res      ThroughputResult
+		running, finished int
+		queue             []int // user indices waiting for a container
+		events            eventHeap
+		res               ThroughputResult
 	)
 	total := spec.Users * spec.AppsPerUser
 
-	traced := spec.Trace.SpansEnabled()
 	start := func(user int, now float64) {
-		if retrying[user] {
-			retrying[user] = false
-		} else {
-			remaining[user]--
-			attempts[user] = 0
-		}
+		remaining[user]--
 		running++
-		if running > maxPar {
-			maxPar = running
-		}
-		if traced {
-			spec.Trace.Complete(obs.LayerCluster, "yarn.app", now, spec.Duration,
-				obs.A("user", user), obs.A("attempt", attempts[user]+1))
-		}
+		res.MaxParallel = max(res.MaxParallel, running)
 		heap.Push(&events, event{time: now + spec.Duration, user: user})
 	}
 
@@ -467,46 +429,22 @@ func SimulateThroughput(cc conf.Cluster, spec ThroughputSpec) ThroughputResult {
 	}
 	for finished < total {
 		ev := heap.Pop(&events).(event)
-		clock = ev.time
+		res.Makespan = ev.time
 		running--
-		killed := spec.Faults != nil && spec.Faults.ContainerKilled()
-		if killed {
-			if traced {
-				spec.Trace.Complete(obs.LayerCluster, "yarn.app-killed", clock, 0,
-					obs.A("user", ev.user), obs.A("attempt", attempts[ev.user]+1))
-			}
-			attempts[ev.user]++
-			if attempts[ev.user] < maxAttempts {
-				// Resubmit the same application (queued like any other).
-				res.Retries++
-				retrying[ev.user] = true
-				queue = append(queue, ev.user)
-			} else {
-				// Abandoned: counts toward termination, not throughput.
-				res.Failed++
-				finished++
-				if remaining[ev.user] > 0 {
-					queue = append(queue, ev.user)
-				}
-			}
-		} else {
-			finished++
-			// The finishing user immediately submits its next app (queued).
-			if remaining[ev.user] > 0 {
-				queue = append(queue, ev.user)
-			}
+		finished++
+		// The finishing user immediately submits its next app (queued).
+		if remaining[ev.user] > 0 {
+			queue = append(queue, ev.user)
 		}
 		// Admit queued apps while capacity allows.
 		for len(queue) > 0 && running < capacity {
 			u := queue[0]
 			queue = queue[1:]
-			start(u, clock)
+			start(u, res.Makespan)
 		}
 	}
-	res.Makespan = clock
-	res.MaxParallel = maxPar
-	if clock > 0 {
-		res.AppsPerMinute = float64(total) / (clock / 60)
+	if res.Makespan > 0 {
+		res.AppsPerMinute = float64(total) / (res.Makespan / 60)
 	}
 	return res
 }

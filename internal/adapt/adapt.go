@@ -124,8 +124,7 @@ func (a *Adapter) Adapt(ctx *rt.AdaptContext) *rt.AdaptDecision {
 	dec := &rt.AdaptDecision{ExtraTime: a.OptCharge}
 	// Migration costs: export of dirty live variables plus the latency of
 	// obtaining a new container (paper §4.2).
-	pm := perf.Default()
-	migCost := pm.WriteTime(ctx.DirtyBytes, 1) + pm.ContainerAllocLatency
+	migCost := perf.WriteTime(ctx.DirtyBytes, 1) + perf.ContainerAllocLatency
 	benefit := local.Cost - global.Cost // ΔC >= 0
 
 	// Growing the CP requires migration; shrinking or MR-only changes are

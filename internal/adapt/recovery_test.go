@@ -144,7 +144,7 @@ func TestZeroDirtyVariablesMigrationCost(t *testing.T) {
 	if !dec.Migrate {
 		t.Skip("scenario no longer migrates; cost assertion not applicable")
 	}
-	if got, want := dec.ExtraTime, perf.Default().ContainerAllocLatency; got != want {
+	if got, want := dec.ExtraTime, perf.ContainerAllocLatency; got != want {
 		t.Errorf("zero-dirty migration cost = %.3fs, want bare alloc latency %.3fs", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"elasticml/internal/datagen"
 	"elasticml/internal/opt"
-	"elasticml/internal/perf"
 	"elasticml/internal/scripts"
 	"elasticml/internal/spark"
 )
@@ -115,14 +114,13 @@ func (r *Runner) ablationSparkSizing() error {
 	r.printf("Ablation E: Spark executor right-sizing (L2SVM hybrid plan)\n")
 	r.printf("  %-9s %10s %9s %12s %6s %14s\n",
 		"Scenario", "static", "sized", "config", "apps", "agg. thpt gain")
-	pm := perf.Default()
 	static := spark.DefaultConfig()
 	for _, size := range []string{"S", "M", "L"} {
 		s := datagen.New(size, 1000, 1.0)
 		w := spark.L2SVMWorkload{Rows: s.Rows(), Cols: s.Cols, Sparsity: s.Sparsity,
 			OuterIters: 5, InnerIters: 5}
-		staticCost := spark.Estimate(static, pm, w, spark.PlanHybrid)
-		sized := spark.OptimizeExecutors(r.CC, pm, w, spark.PlanHybrid, 1.2)
+		staticCost := spark.Estimate(static, w, spark.PlanHybrid)
+		sized := spark.OptimizeExecutors(r.CC, w, spark.PlanHybrid, 1.2)
 		gain := (float64(sized.MaxParallelApps) / sized.Cost) / (1.0 / staticCost)
 		r.printf("  %-9s %9.1fs %8.1fs %5dx%7v %6d %13.1fx\n",
 			size, staticCost, sized.Cost,

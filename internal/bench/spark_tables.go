@@ -2,7 +2,6 @@ package bench
 
 import (
 	"elasticml/internal/datagen"
-	"elasticml/internal/perf"
 	"elasticml/internal/scripts"
 	"elasticml/internal/spark"
 	"elasticml/internal/yarn"
@@ -14,7 +13,6 @@ import (
 // (Appendix D).
 func (r *Runner) Table5() error {
 	cfg := spark.DefaultConfig()
-	pm := perf.Default()
 	r.printf("Table 5: Spark Comparison, L2SVM dense1000 — time [s]\n")
 	r.printf("  %-10s %12s %14s %14s\n", "Scenario", "MR w/ Opt", "Spark Plan 1", "Spark Plan 2")
 	maxSize := "XL"
@@ -29,8 +27,8 @@ func (r *Runner) Table5() error {
 		}
 		w := spark.L2SVMWorkload{Rows: s.Rows(), Cols: s.Cols, Sparsity: s.Sparsity,
 			OuterIters: 5, InnerIters: 5}
-		hybrid := spark.Estimate(cfg, pm, w, spark.PlanHybrid)
-		full := spark.Estimate(cfg, pm, w, spark.PlanFull)
+		hybrid := spark.Estimate(cfg, w, spark.PlanHybrid)
+		full := spark.Estimate(cfg, w, spark.PlanFull)
 		r.printf("  %-10s %11.0fs %13.0fs %13.0fs\n", size, mlRun.SimSeconds, hybrid, full)
 	}
 	r.printf("\n")
@@ -43,7 +41,6 @@ func (r *Runner) Table5() error {
 // (Appendix D).
 func (r *Runner) Table6() error {
 	cfg := spark.DefaultConfig()
-	pm := perf.Default()
 	s := datagen.New("S", 1000, 1.0)
 	mlRun, err := r.EndToEnd(scripts.L2SVM(), s, RunConfig{Optimize: true})
 	if err != nil {
@@ -51,7 +48,7 @@ func (r *Runner) Table6() error {
 	}
 	w := spark.L2SVMWorkload{Rows: s.Rows(), Cols: s.Cols, Sparsity: s.Sparsity,
 		OuterIters: 5, InnerIters: 5}
-	sparkSecs := spark.Estimate(cfg, pm, w, spark.PlanFull)
+	sparkSecs := spark.Estimate(cfg, w, spark.PlanFull)
 
 	r.printf("Table 6: Spark Throughput Comparison, L2SVM scenario S [apps/min]\n")
 	r.printf("  SystemML w/ Opt: %s per app %.1fs; Spark Plan 2: whole-cluster app %.1fs\n",

@@ -55,9 +55,6 @@ func (b Bytes) GBytes() float64 { return float64(b) / float64(GB) }
 // BytesOfGB builds a Bytes value from a fractional number of gigabytes.
 func BytesOfGB(gb float64) Bytes { return Bytes(gb * float64(GB)) }
 
-// BytesOfMB builds a Bytes value from a fractional number of megabytes.
-func BytesOfMB(mb float64) Bytes { return Bytes(mb * float64(MB)) }
-
 // ParseBytes parses a positive size such as "512MB", "4.4GB" or "1024B";
 // a bare number is a byte count. Units are binary and case-insensitive.
 func ParseBytes(s string) (Bytes, error) {

@@ -61,9 +61,6 @@ func TestBytesConversions(t *testing.T) {
 	if got := BytesOfGB(1.5); got != 1536*MB {
 		t.Errorf("BytesOfGB(1.5) = %v, want 1.5GB", got)
 	}
-	if got := BytesOfMB(512); got != 512*MB {
-		t.Errorf("BytesOfMB(512) = %v", got)
-	}
 	if g := (3 * GB).GBytes(); g != 3 {
 		t.Errorf("GBytes = %v", g)
 	}

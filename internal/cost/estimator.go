@@ -69,7 +69,7 @@ func (e *Estimator) effectiveCluster() conf.Cluster {
 const DefaultIters = 5
 
 // NewEstimator returns an estimator for cc. Every charge reads the one
-// performance model, perf.Default.
+// performance model, package perf.
 func NewEstimator(cc conf.Cluster) *Estimator {
 	return &Estimator{CC: cc, EvictionWeight: PartialEvictionWeight}
 }
@@ -181,7 +181,7 @@ func (e *Estimator) generic(b *lop.Block, res conf.Resources, state *VarState) f
 // re-read on next use; the re-read is already charged by EnsureInMemory,
 // the write here, scaled by EvictionWeight.
 func (e *Estimator) EvictionTime(evicted conf.Bytes) float64 {
-	return perf.Default().WriteTime(evicted, 1) * e.EvictionWeight
+	return perf.WriteTime(evicted, 1) * e.EvictionWeight
 }
 
 // CPInstrTime charges one in-memory operation: read IO for inputs not yet
@@ -220,7 +220,7 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 			}
 		}
 		readBytes := state.EnsureInMemory(key, trackedSize(inp))
-		t += perf.Default().ReadTime(readBytes, 1)
+		t += perf.ReadTime(readBytes, 1)
 	}
 	// The CP container runs on one worker node: a degree of parallelism
 	// above the node's physical cores cannot speed up compute (it only
@@ -228,14 +228,14 @@ func (e *Estimator) CPInstrTime(h *hop.Hop, state *VarState, jobOf []*lop.MRJob,
 	if e.CC.CoresPerNode > 0 && cores > e.CC.CoresPerNode {
 		cores = e.CC.CoresPerNode
 	}
-	t += perf.Default().ComputeTime(Flops(h), cores)
+	t += perf.ComputeTime(Flops(h), cores)
 	if h.Kind == hop.KindWrite {
 		src := h.Inputs[0]
 		if src.DataType == hop.Matrix && jobOf[src.Pos] == nil {
 			// Values already HDFS-resident are renamed, not rewritten.
 			key, tracked := keyOf(src)
 			if !tracked || state.InMemory(key) {
-				t += perf.Default().WriteTime(trackedSize(src), 1)
+				t += perf.WriteTime(trackedSize(src), 1)
 			}
 		}
 	}
@@ -307,7 +307,7 @@ func (e *Estimator) MRJobTime(job *lop.MRJob, b *lop.Block, res conf.Resources, 
 	cc := e.effectiveCluster()
 	par := mr.ComputeParallelism(cc, taskHeap, res.CP, spec.NumMaps)
 	e.recordJob(b.HopBlock.Index, spec.NumMaps, par)
-	return spec, par, mr.EstimateTimeAt(perf.Default(), cc, spec, par)
+	return spec, par, mr.EstimateTimeAt(cc, spec, par)
 }
 
 func jobOutKey(h *hop.Hop) Key { return Key{Kind: KeyJob, ID: h.ID} }

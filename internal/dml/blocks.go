@@ -182,15 +182,3 @@ func Walk(blocks []*StatementBlock, fn func(*StatementBlock)) {
 		Walk(b.Body, fn)
 	}
 }
-
-// LastLevel returns the leaf generic blocks of the hierarchy in execution
-// order — the granularity of dynamic recompilation (paper §4.1).
-func LastLevel(blocks []*StatementBlock) []*StatementBlock {
-	var out []*StatementBlock
-	Walk(blocks, func(b *StatementBlock) {
-		if b.Kind == GenericBlock {
-			out = append(out, b)
-		}
-	})
-	return out
-}

@@ -200,22 +200,56 @@ y = f(M, v);
 	}
 }
 
+// TestParseErrors pins the message of each error site of the parser and
+// the inliner; a source that parses is inlined.
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"x = ;",
-		"if (x { }",
-		"while x { }",
-		"for (i in 1) { }",
-		"x = foo(a b);",
-		"3 = x;",
-		"x = (a",
-		"f = function(x) { }", // missing return clause
-	}
-	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q): expected error", src)
+	for _, c := range []struct{ src, want string }{
+		{"x = ;", `dml: line 1: unexpected ';' ";" (line 1) in expression`},
+		{"if (x { }", `dml: line 1: expected ')', got '{' "{" (line 1)`},
+		{"while x { }", `dml: line 1: expected '(', got identifier "x" (line 1)`},
+		{"for (i in 1) { }", `dml: line 1: expected ":", got ')' ")" (line 1)`},
+		{"for (i 1:2) {}", `dml: line 1: expected 'in' in for header`},
+		{"x = foo(a b);", `dml: line 1: expected ',' or ')' in call to foo`},
+		{"3 = x;", `dml: line 1: unexpected number "3" (line 1) at statement start`},
+		{"x = (a", `dml: line 1: expected ')', got EOF "" (line 1)`},
+		{"f = function(x) { }", `dml: line 1: function "f" missing return clause`},
+		{"x = 1e+;", `dml: line 1: bad number "1e+"`},
+		{"x = if;", `dml: line 1: unexpected keyword "if" in expression`},
+		{"f(1)[2];", `dml: line 1: expression statement must be a call`},
+		{"while (a) {", `dml: unexpected EOF in block`},
+		{"f = function() return () {}\nf = function() return () {}", `dml: line 2: duplicate function "f"`},
+		{"x = " + strings.Repeat("(", maxNesting) + "1", `dml: line 1: nesting deeper than 10000`},
+		{"x = x" + strings.Repeat("+x", maxNesting), `dml: line 1: nesting deeper than 10000`},
+		{"f = function(a) return (a) {" + strings.Repeat("if (a) ", 6000) + "a = 1; }\n" +
+			strings.Repeat("if (a) ", 6000) + "x = f(1);", `dml: line 2: nesting deeper than 10000 once f is inlined`},
+		{"f = function(a, b) return (c) { c = a + b; }\nx = f(1);", `dml: line 2: f expects 2 arguments, got 1`},
+		{"f = function(a) return () { b = a; }\nx = f(1);", `dml: line 2: f returns 0 values, 1 requested`},
+		{"f = function(a) return (c) { c = f(a); }\nx = f(1);", `dml: function inlining exceeded depth 16 (recursion?)`},
+	} {
+		prog, err := Parse(c.src)
+		if err == nil {
+			_, err = InlineFunctions(prog)
+		}
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%.40q: error %v, want %s", c.src, err, c.want)
 		}
 	}
+}
+
+// TestCatchReraises: catch turns only a dmlError into an error; any other
+// panic, a bug, goes on up.
+func TestCatchReraises(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "bug" {
+			t.Errorf("recovered %v, want the re-raised panic", r)
+		}
+	}()
+	var err error
+	func() {
+		defer catch(&err)
+		panic("bug")
+	}()
+	t.Errorf("catch swallowed a panic, err %v", err)
 }
 
 // FuzzParse: a tenant's source reaches Parse on the daemon, so no source
@@ -285,9 +319,14 @@ d = b;
 	if n := CountBlocks(blocks); n != 7 {
 		t.Errorf("CountBlocks = %d, want 7", n)
 	}
-	leaves := LastLevel(blocks)
-	if len(leaves) != 5 {
-		t.Errorf("LastLevel = %d generic blocks, want 5", len(leaves))
+	leaves := 0
+	Walk(blocks, func(b *StatementBlock) {
+		if b.Kind == GenericBlock {
+			leaves++
+		}
+	})
+	if leaves != 5 {
+		t.Errorf("%d generic blocks, want 5", leaves)
 	}
 }
 

@@ -7,21 +7,29 @@ import "fmt"
 // result assignment are spliced at the call site. DML functions see only
 // their parameters, so renaming every identifier in the body with a unique
 // prefix preserves semantics. A function call must be the entire right-hand
-// side of an assignment (the form used in practice).
-func InlineFunctions(prog *Program) ([]Stmt, error) {
-	in := &inliner{funcs: prog.Funcs, maxDepth: 16}
-	return in.stmts(prog.Stmts, 0)
+// side of an assignment (the form used in practice). A body spliced in
+// nests as deep as its call site does, so the result is held to Parse's
+// maxNesting again.
+func InlineFunctions(prog *Program) (_ []Stmt, err error) {
+	defer catch(&err)
+	in := &inliner{funcs: prog.Funcs}
+	return in.stmts(prog.Stmts, 0, 0), nil
 }
+
+// maxInlineDepth bounds how deeply calls nest while they expand, which
+// stops a recursive function.
+const maxInlineDepth = 16
 
 type inliner struct {
-	funcs    map[string]*Function
-	counter  int
-	maxDepth int
+	funcs   map[string]*Function
+	counter int
 }
 
-func (in *inliner) stmts(list []Stmt, depth int) ([]Stmt, error) {
-	if depth > in.maxDepth {
-		return nil, fmt.Errorf("dml: function inlining exceeded depth %d (recursion?)", in.maxDepth)
+// stmts inlines the calls in list. Its statements sit inside nest
+// statements of the result and inside calls expansions.
+func (in *inliner) stmts(list []Stmt, calls, nest int) []Stmt {
+	if calls > maxInlineDepth {
+		errorf("function inlining exceeded depth %d (recursion?)", maxInlineDepth)
 	}
 	var out []Stmt
 	for _, s := range list {
@@ -29,62 +37,39 @@ func (in *inliner) stmts(list []Stmt, depth int) ([]Stmt, error) {
 		case *Assign:
 			if call, ok := st.Expr.(*Call); ok {
 				if fn, isUser := in.funcs[call.Name]; isUser {
-					expanded, err := in.expand(fn, call, []string{st.Target}, st.SrcLine, depth)
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, expanded...)
+					out = append(out, in.expand(fn, call, []string{st.Target}, st.SrcLine, calls, nest)...)
 					continue
 				}
 			}
 			out = append(out, st)
 		case *ExprStmt:
 			if fn, isUser := in.funcs[st.Call.Name]; isUser {
-				expanded, err := in.expand(fn, st.Call, nil, st.SrcLine, depth)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, expanded...)
+				out = append(out, in.expand(fn, st.Call, nil, st.SrcLine, calls, nest)...)
 				continue
 			}
 			out = append(out, st)
 		case *If:
-			thenB, err := in.stmts(st.Then, depth)
-			if err != nil {
-				return nil, err
-			}
-			elseB, err := in.stmts(st.Else, depth)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, &If{Cond: st.Cond, Then: thenB, Else: elseB, SrcLine: st.SrcLine})
+			out = append(out, &If{Cond: st.Cond, Then: in.stmts(st.Then, calls, nest+1),
+				Else: in.stmts(st.Else, calls, nest+1), SrcLine: st.SrcLine})
 		case *While:
-			body, err := in.stmts(st.Body, depth)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, &While{Cond: st.Cond, Body: body, SrcLine: st.SrcLine})
+			out = append(out, &While{Cond: st.Cond, Body: in.stmts(st.Body, calls, nest+1), SrcLine: st.SrcLine})
 		case *For:
-			body, err := in.stmts(st.Body, depth)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, &For{Var: st.Var, From: st.From, To: st.To, Body: body,
+			out = append(out, &For{Var: st.Var, From: st.From, To: st.To, Body: in.stmts(st.Body, calls, nest+1),
 				Parallel: st.Parallel, SrcLine: st.SrcLine})
 		default:
 			out = append(out, s)
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (in *inliner) expand(fn *Function, call *Call, targets []string, line int, depth int) ([]Stmt, error) {
+func (in *inliner) expand(fn *Function, call *Call, targets []string, line, calls, nest int) []Stmt {
 	if len(call.Args) != len(fn.Params) {
-		return nil, fmt.Errorf("dml: line %d: %s expects %d arguments, got %d",
+		errorf("line %d: %s expects %d arguments, got %d",
 			line, fn.Name, len(fn.Params), len(call.Args))
 	}
 	if len(targets) > len(fn.Returns) {
-		return nil, fmt.Errorf("dml: line %d: %s returns %d values, %d requested",
+		errorf("line %d: %s returns %d values, %d requested",
 			line, fn.Name, len(fn.Returns), len(targets))
 	}
 	in.counter++
@@ -95,84 +80,103 @@ func (in *inliner) expand(fn *Function, call *Call, targets []string, line int, 
 	for i, pname := range fn.Params {
 		out = append(out, &Assign{Target: rename(pname), Expr: call.Args[i], SrcLine: line})
 	}
-	body := renameStmts(fn.Body, rename)
-	body, err := in.stmts(body, depth+1) // inline nested calls
-	if err != nil {
-		return nil, err
+	body, h := renameStmts(fn.Body, rename)
+	if nest+h > maxNesting {
+		errorf("line %d: nesting deeper than %d once %s is inlined", line, maxNesting, fn.Name)
 	}
-	out = append(out, body...)
+	out = append(out, in.stmts(body, calls+1, nest)...) // inline nested calls
 	for i, tgt := range targets {
 		out = append(out, &Assign{Target: tgt, Expr: &Ident{Name: rename(fn.Returns[i])}, SrcLine: line})
-	}
-	return out, nil
-}
-
-func renameStmts(list []Stmt, rn func(string) string) []Stmt {
-	out := make([]Stmt, 0, len(list))
-	for _, s := range list {
-		switch st := s.(type) {
-		case *Assign:
-			a := &Assign{Target: rn(st.Target), Expr: renameExpr(st.Expr, rn), SrcLine: st.SrcLine}
-			if st.LIndex != nil {
-				a.LIndex = renameExpr(st.LIndex, rn).(*Index)
-			}
-			out = append(out, a)
-		case *ExprStmt:
-			out = append(out, &ExprStmt{Call: renameExpr(st.Call, rn).(*Call), SrcLine: st.SrcLine})
-		case *If:
-			out = append(out, &If{Cond: renameExpr(st.Cond, rn),
-				Then: renameStmts(st.Then, rn), Else: renameStmts(st.Else, rn), SrcLine: st.SrcLine})
-		case *While:
-			out = append(out, &While{Cond: renameExpr(st.Cond, rn),
-				Body: renameStmts(st.Body, rn), SrcLine: st.SrcLine})
-		case *For:
-			out = append(out, &For{Var: rn(st.Var), From: renameExpr(st.From, rn),
-				To: renameExpr(st.To, rn), Body: renameStmts(st.Body, rn),
-				Parallel: st.Parallel, SrcLine: st.SrcLine})
-		}
 	}
 	return out
 }
 
-func renameExpr(e Expr, rn func(string) string) Expr {
+// renameStmts copies list with every name renamed by rn, and returns the
+// height of its tallest statement: a node is one level above its tallest
+// child, as Parse counts it.
+func renameStmts(list []Stmt, rn func(string) string) ([]Stmt, int) {
+	out := make([]Stmt, 0, len(list))
+	h := 0
+	for _, s := range list {
+		switch st := s.(type) {
+		case *Assign:
+			x, xh := renameExpr(st.Expr, rn)
+			a := &Assign{Target: rn(st.Target), Expr: x, SrcLine: st.SrcLine}
+			if st.LIndex != nil {
+				var ih int
+				x, ih = renameExpr(st.LIndex, rn)
+				a.LIndex, xh = x.(*Index), max(xh, ih)
+			}
+			out, h = append(out, a), max(h, 1+xh)
+		case *ExprStmt:
+			x, xh := renameExpr(st.Call, rn)
+			out, h = append(out, &ExprStmt{Call: x.(*Call), SrcLine: st.SrcLine}), max(h, 1+xh)
+		case *If:
+			cond, ch := renameExpr(st.Cond, rn)
+			then, th := renameStmts(st.Then, rn)
+			els, eh := renameStmts(st.Else, rn)
+			out = append(out, &If{Cond: cond, Then: then, Else: els, SrcLine: st.SrcLine})
+			h = max(h, 1+max(ch, th, eh))
+		case *While:
+			cond, ch := renameExpr(st.Cond, rn)
+			body, bh := renameStmts(st.Body, rn)
+			out, h = append(out, &While{Cond: cond, Body: body, SrcLine: st.SrcLine}), max(h, 1+max(ch, bh))
+		case *For:
+			from, fh := renameExpr(st.From, rn)
+			to, th := renameExpr(st.To, rn)
+			body, bh := renameStmts(st.Body, rn)
+			out = append(out, &For{Var: rn(st.Var), From: from, To: to, Body: body,
+				Parallel: st.Parallel, SrcLine: st.SrcLine})
+			h = max(h, 1+max(fh, th, bh))
+		}
+	}
+	return out, h
+}
+
+// renameExpr copies e with every identifier renamed by rn, and returns the
+// copy's height.
+func renameExpr(e Expr, rn func(string) string) (Expr, int) {
 	switch e := e.(type) {
 	case nil:
-		return nil
+		return nil, 0
 	case *Ident:
-		return &Ident{Name: rn(e.Name)}
+		return &Ident{Name: rn(e.Name)}, 1
 	case *BinOp:
-		return &BinOp{Op: e.Op, Left: renameExpr(e.Left, rn), Right: renameExpr(e.Right, rn)}
+		l, lh := renameExpr(e.Left, rn)
+		r, rh := renameExpr(e.Right, rn)
+		return &BinOp{Op: e.Op, Left: l, Right: r}, 1 + max(lh, rh)
 	case *UnOp:
-		return &UnOp{Op: e.Op, X: renameExpr(e.X, rn)}
+		x, xh := renameExpr(e.X, rn)
+		return &UnOp{Op: e.Op, X: x}, 1 + xh
 	case *Call:
-		c := &Call{Name: e.Name}
+		c, h := &Call{Name: e.Name}, 0
 		for _, a := range e.Args {
-			c.Args = append(c.Args, renameExpr(a, rn))
+			x, xh := renameExpr(a, rn)
+			c.Args, h = append(c.Args, x), max(h, xh)
 		}
 		if e.Named != nil {
 			c.Named = make(map[string]Expr, len(e.Named))
 			for k, v := range e.Named {
-				c.Named[k] = renameExpr(v, rn)
+				x, xh := renameExpr(v, rn)
+				c.Named[k], h = x, max(h, xh)
 			}
 		}
-		return c
+		return c, 1 + h
 	case *Index:
-		idx := &Index{Target: renameExpr(e.Target, rn)}
-		idx.Row = renameRange(e.Row, rn)
-		idx.Col = renameRange(e.Col, rn)
-		return idx
+		t, th := renameExpr(e.Target, rn)
+		row, rh := renameRange(e.Row, rn)
+		col, ch := renameRange(e.Col, rn)
+		return &Index{Target: t, Row: row, Col: col}, 1 + max(th, rh, ch)
 	default:
-		return e // literals and params are immutable
+		return e, 1 // literals and params are immutable
 	}
 }
 
-func renameRange(r *IndexRange, rn func(string) string) *IndexRange {
+func renameRange(r *IndexRange, rn func(string) string) (*IndexRange, int) {
 	if r == nil {
-		return nil
+		return nil, 0
 	}
-	nr := &IndexRange{Lo: renameExpr(r.Lo, rn)}
-	if r.Hi != nil {
-		nr.Hi = renameExpr(r.Hi, rn)
-	}
-	return nr
+	lo, lh := renameExpr(r.Lo, rn)
+	hi, hh := renameExpr(r.Hi, rn)
+	return &IndexRange{Lo: lo, Hi: hi}, 1 + max(lh, hh)
 }

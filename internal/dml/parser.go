@@ -6,29 +6,57 @@ import (
 	"strings"
 )
 
+// maxNesting bounds how deeply a source may nest: the parser's own
+// recursion, and the height of the tree it returns, where a left-deep
+// operator chain or a run of indexes grows one level per operator. Later
+// stages (the block builder, the HOP build, the printers) recurse over the
+// tree, so a source holding a frame's worth of "(" or "+x" would cost
+// hundreds of megabytes of stack on the goroutine that compiles it; Parse
+// refuses it instead.
+const maxNesting = 10000
+
 // Parse lexes and parses a DML script into a Program.
-func Parse(src string) (*Program, error) {
+func Parse(src string) (_ *Program, err error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
+	defer catch(&err)
 	p := &parser{toks: toks}
 	prog := &Program{Funcs: make(map[string]*Function), Lines: countLines(src)}
-	for !p.at(TokEOF) {
-		st, fn, err := p.parseTopLevel()
-		if err != nil {
-			return nil, err
+	for p.skipSemis(); !p.at(TokEOF); p.skipSemis() {
+		if !p.atFunction() {
+			prog.Stmts = append(prog.Stmts, p.parseStmt())
+			continue
 		}
-		if fn != nil {
-			if _, dup := prog.Funcs[fn.Name]; dup {
-				return nil, fmt.Errorf("dml: line %d: duplicate function %q", fn.SrcLine, fn.Name)
-			}
-			prog.Funcs[fn.Name] = fn
-		} else if st != nil {
-			prog.Stmts = append(prog.Stmts, st)
+		fn := p.parseFunction()
+		if _, dup := prog.Funcs[fn.Name]; dup {
+			errorf("line %d: duplicate function %q", fn.SrcLine, fn.Name)
 		}
+		prog.Funcs[fn.Name] = fn
 	}
 	return prog, nil
+}
+
+// dmlError carries the error a parse or an inlining stops at: errorf
+// panics with one where the error is found, and catch turns it back into
+// the error Parse or InlineFunctions returns.
+type dmlError struct{ err error }
+
+func errorf(format string, args ...any) {
+	panic(dmlError{fmt.Errorf("dml: "+format, args...)})
+}
+
+// catch recovers a dmlError into *errp and re-raises any other panic, so a
+// bug still surfaces as one.
+func catch(errp *error) {
+	if r := recover(); r != nil {
+		e, ok := r.(dmlError)
+		if !ok {
+			panic(r)
+		}
+		*errp = e.err
+	}
 }
 
 func countLines(src string) int {
@@ -43,8 +71,9 @@ func countLines(src string) int {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // recursion into statements and operands, bounded by maxNesting
 }
 
 func (p *parser) cur() Token { return p.toks[p.pos] }
@@ -65,19 +94,18 @@ func (p *parser) next() Token {
 	return t
 }
 
-func (p *parser) expect(k TokenKind) (Token, error) {
+func (p *parser) expect(k TokenKind) Token {
 	if !p.at(k) {
-		return Token{}, fmt.Errorf("dml: line %d: expected %s, got %s", p.cur().Line, k, p.cur())
+		errorf("line %d: expected %s, got %s", p.cur().Line, k, p.cur())
 	}
-	return p.next(), nil
+	return p.next()
 }
 
-func (p *parser) expectOp(op string) error {
+func (p *parser) expectOp(op string) {
 	if !p.atOp(op) {
-		return fmt.Errorf("dml: line %d: expected %q, got %s", p.cur().Line, op, p.cur())
+		errorf("line %d: expected %q, got %s", p.cur().Line, op, p.cur())
 	}
 	p.next()
-	return nil
 }
 
 func (p *parser) skipSemis() {
@@ -86,42 +114,47 @@ func (p *parser) skipSemis() {
 	}
 }
 
-// parseTopLevel parses either a function definition or a statement.
-func (p *parser) parseTopLevel() (Stmt, *Function, error) {
-	p.skipSemis()
-	if p.at(TokEOF) {
-		return nil, nil, nil
+// nest enters one more level of recursion; the caller leaves it by
+// decrementing p.depth.
+func (p *parser) nest() {
+	if p.depth++; p.depth > maxNesting {
+		errorf("line %d: nesting deeper than %d", p.cur().Line, maxNesting)
 	}
-	// Function definition: IDENT = function (...)
-	if p.at(TokIdent) && p.peek().Kind == TokOp && p.peek().Text == "=" {
-		if p.pos+2 < len(p.toks) && p.toks[p.pos+2].Kind == TokKeyword && p.toks[p.pos+2].Text == "function" {
-			return p.parseFunction()
-		}
-	}
-	st, err := p.parseStmt()
-	return st, nil, err
 }
 
-func (p *parser) parseFunction() (Stmt, *Function, error) {
+// grow returns the height of an expression node over children of heights
+// hs, and refuses it if, below the statements and operands it is parsed
+// in, it would reach deeper than maxNesting. A leaf's height is 1.
+func (p *parser) grow(hs ...int) int {
+	h := 0
+	for _, c := range hs {
+		h = max(h, c)
+	}
+	if h++; p.depth+h > maxNesting {
+		errorf("line %d: nesting deeper than %d", p.cur().Line, maxNesting)
+	}
+	return h
+}
+
+// atFunction reports whether a function definition starts here:
+// IDENT = function (...).
+func (p *parser) atFunction() bool {
+	return p.at(TokIdent) && p.peek().Kind == TokOp && p.peek().Text == "=" &&
+		p.pos+2 < len(p.toks) && p.toks[p.pos+2].Kind == TokKeyword && p.toks[p.pos+2].Text == "function"
+}
+
+func (p *parser) parseFunction() *Function {
 	nameTok := p.next() // ident
 	p.next()            // '='
 	fnTok := p.next()   // 'function'
 	fn := &Function{Name: nameTok.Text, SrcLine: fnTok.Line}
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, nil, err
-	}
+	p.expect(TokLParen)
 	for !p.at(TokRParen) {
-		t, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, nil, err
-		}
-		fn.Params = append(fn.Params, t.Text)
+		fn.Params = append(fn.Params, p.expect(TokIdent).Text)
 		// Optional default value "param = expr" — recorded but ignored.
 		if p.atOp("=") {
 			p.next()
-			if _, err := p.parseExpr(); err != nil {
-				return nil, nil, err
-			}
+			p.parseExpr()
 		}
 		if p.at(TokComma) {
 			p.next()
@@ -129,206 +162,130 @@ func (p *parser) parseFunction() (Stmt, *Function, error) {
 	}
 	p.next() // ')'
 	if !p.atKw("return") {
-		return nil, nil, fmt.Errorf("dml: line %d: function %q missing return clause", fn.SrcLine, fn.Name)
+		errorf("line %d: function %q missing return clause", fn.SrcLine, fn.Name)
 	}
 	p.next()
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, nil, err
-	}
+	p.expect(TokLParen)
 	for !p.at(TokRParen) {
-		t, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, nil, err
-		}
-		fn.Returns = append(fn.Returns, t.Text)
+		fn.Returns = append(fn.Returns, p.expect(TokIdent).Text)
 		if p.at(TokComma) {
 			p.next()
 		}
 	}
 	p.next() // ')'
-	body, err := p.parseBlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	fn.Body = body
-	return nil, fn, nil
+	fn.Body = p.parseBlock()
+	return fn
 }
 
-func (p *parser) parseBlock() ([]Stmt, error) {
-	if _, err := p.expect(TokLBrace); err != nil {
-		return nil, err
-	}
+func (p *parser) parseBlock() []Stmt {
+	p.expect(TokLBrace)
 	var stmts []Stmt
 	for {
 		p.skipSemis()
 		if p.at(TokRBrace) {
 			p.next()
-			return stmts, nil
+			return stmts
 		}
 		if p.at(TokEOF) {
-			return nil, fmt.Errorf("dml: unexpected EOF in block")
+			errorf("unexpected EOF in block")
 		}
-		st, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		stmts = append(stmts, st)
+		stmts = append(stmts, p.parseStmt())
 	}
 }
 
-func (p *parser) parseStmt() (Stmt, error) {
+func (p *parser) parseStmt() Stmt {
+	p.nest()
+	var st Stmt
 	switch {
 	case p.atKw("if"):
-		return p.parseIf()
+		st = p.parseIf()
 	case p.atKw("while"):
-		return p.parseWhile()
+		st = p.parseWhile()
 	case p.atKw("for") || p.atKw("parfor"):
-		return p.parseFor()
+		st = p.parseFor()
 	case p.at(TokIdent):
-		return p.parseAssignOrCall()
+		st = p.parseAssignOrCall()
 	default:
-		return nil, fmt.Errorf("dml: line %d: unexpected %s at statement start", p.cur().Line, p.cur())
+		errorf("line %d: unexpected %s at statement start", p.cur().Line, p.cur())
 	}
+	p.depth--
+	return st
 }
 
-func (p *parser) parseIf() (Stmt, error) {
+// parseParen parses "( expr )".
+func (p *parser) parseParen() (Expr, int) {
+	p.expect(TokLParen)
+	e, h := p.parseExpr()
+	p.expect(TokRParen)
+	return e, h
+}
+
+func (p *parser) parseIf() Stmt {
 	line := p.next().Line // 'if'
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokRParen); err != nil {
-		return nil, err
-	}
-	thenB, err := p.parseStmtOrBlock()
-	if err != nil {
-		return nil, err
-	}
+	cond, _ := p.parseParen()
+	thenB := p.parseStmtOrBlock()
 	var elseB []Stmt
 	if p.atKw("else") {
 		p.next()
-		if p.atKw("if") {
-			nested, err := p.parseIf()
-			if err != nil {
-				return nil, err
-			}
-			elseB = []Stmt{nested}
-		} else {
-			elseB, err = p.parseStmtOrBlock()
-			if err != nil {
-				return nil, err
-			}
-		}
+		elseB = p.parseStmtOrBlock() // "else if" nests an If
 	}
-	return &If{Cond: cond, Then: thenB, Else: elseB, SrcLine: line}, nil
+	return &If{Cond: cond, Then: thenB, Else: elseB, SrcLine: line}
 }
 
-func (p *parser) parseStmtOrBlock() ([]Stmt, error) {
+func (p *parser) parseStmtOrBlock() []Stmt {
 	if p.at(TokLBrace) {
 		return p.parseBlock()
 	}
-	st, err := p.parseStmt()
-	if err != nil {
-		return nil, err
-	}
-	return []Stmt{st}, nil
+	return []Stmt{p.parseStmt()}
 }
 
-func (p *parser) parseWhile() (Stmt, error) {
+func (p *parser) parseWhile() Stmt {
 	line := p.next().Line
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokRParen); err != nil {
-		return nil, err
-	}
-	body, err := p.parseStmtOrBlock()
-	if err != nil {
-		return nil, err
-	}
-	return &While{Cond: cond, Body: body, SrcLine: line}, nil
+	cond, _ := p.parseParen()
+	return &While{Cond: cond, Body: p.parseStmtOrBlock(), SrcLine: line}
 }
 
-func (p *parser) parseFor() (Stmt, error) {
+func (p *parser) parseFor() Stmt {
 	tok := p.next() // for/parfor
-	line := tok.Line
-	parallel := tok.Text == "parfor"
-	if _, err := p.expect(TokLParen); err != nil {
-		return nil, err
-	}
-	v, err := p.expect(TokIdent)
-	if err != nil {
-		return nil, err
-	}
+	p.expect(TokLParen)
+	v := p.expect(TokIdent)
 	if !p.atKw("in") {
-		return nil, fmt.Errorf("dml: line %d: expected 'in' in for header", p.cur().Line)
+		errorf("line %d: expected 'in' in for header", p.cur().Line)
 	}
 	p.next()
-	from, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(":"); err != nil {
-		return nil, err
-	}
-	to, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokRParen); err != nil {
-		return nil, err
-	}
-	body, err := p.parseStmtOrBlock()
-	if err != nil {
-		return nil, err
-	}
-	return &For{Var: v.Text, From: from, To: to, Body: body, Parallel: parallel, SrcLine: line}, nil
+	from, _ := p.parseExpr()
+	p.expectOp(":")
+	to, _ := p.parseExpr()
+	p.expect(TokRParen)
+	return &For{Var: v.Text, From: from, To: to, Body: p.parseStmtOrBlock(),
+		Parallel: tok.Text == "parfor", SrcLine: tok.Line}
 }
 
-func (p *parser) parseAssignOrCall() (Stmt, error) {
+func (p *parser) parseAssignOrCall() Stmt {
 	start := p.pos
 	id := p.next() // ident
 	// Bare call statement: print(...), write(...), user functions.
 	if p.at(TokLParen) {
 		p.pos = start
-		expr, err := p.parsePostfix()
-		if err != nil {
-			return nil, err
-		}
-		call, ok := expr.(*Call)
+		e, _ := p.parsePostfix()
+		call, ok := e.(*Call)
 		if !ok {
-			return nil, fmt.Errorf("dml: line %d: expression statement must be a call", id.Line)
+			errorf("line %d: expression statement must be a call", id.Line)
 		}
 		p.skipSemis()
-		return &ExprStmt{Call: call, SrcLine: id.Line}, nil
+		return &ExprStmt{Call: call, SrcLine: id.Line}
 	}
 	// Left indexing: X[r, c] = expr.
 	var lidx *Index
 	if p.at(TokLBracket) {
-		idx, err := p.parseIndexSuffix(&Ident{Name: id.Text})
-		if err != nil {
-			return nil, err
-		}
-		lidx = idx
+		lidx, _ = p.parseIndexSuffix(&Ident{Name: id.Text}, 1)
 	}
 	// Multi-assign from function call: [a, b] = f(...) is not in our DML
 	// subset; the scripts use single returns.
-	if err := p.expectOp("="); err != nil {
-		return nil, err
-	}
-	expr, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
+	p.expectOp("=")
+	expr, _ := p.parseExpr()
 	p.skipSemis()
-	return &Assign{Target: id.Text, LIndex: lidx, Expr: expr, SrcLine: id.Line}, nil
+	return &Assign{Target: id.Text, LIndex: lidx, Expr: expr, SrcLine: id.Line}
 }
 
 // Expression parsing with R-like precedence.
@@ -351,13 +308,16 @@ var binaryLevels = [...][]string{
 // addSubLevel is the level of '+' and '-', at which index bounds parse.
 const addSubLevel = 4
 
-func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
+// Each expression parser returns its node and the node's height. grow
+// checks the height as each node is built, so a statement parser drops it.
+
+func (p *parser) parseExpr() (Expr, int) { return p.parseBinary(0) }
 
 // parseBinary parses a left-associative chain of the operators at level,
 // whose operands are the tighter levels. "||" builds "|" and "&&" builds
 // "&". Spellings compare as strings, with no map lookup: parsing is on the
 // compile path of every submission.
-func (p *parser) parseBinary(level int) (Expr, error) {
+func (p *parser) parseBinary(level int) (Expr, int) {
 	if level == len(binaryLevels) {
 		return p.parseUnary()
 	}
@@ -367,16 +327,13 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 			return p.parseBinary(level + 1)
 		}
 		p.next()
-		x, err := p.parseBinary(level)
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: "!", X: x}, nil
+		p.nest()
+		x, h := p.parseBinary(level)
+		h = p.grow(h)
+		p.depth--
+		return &UnOp{Op: "!", X: x}, h
 	}
-	left, err := p.parseBinary(level + 1)
-	if err != nil {
-		return nil, err
-	}
+	left, lh := p.parseBinary(level + 1)
 	for {
 		op := ""
 		for _, o := range ops {
@@ -385,181 +342,146 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 			}
 		}
 		if op == "" {
-			return left, nil
+			return left, lh
 		}
 		p.next()
 		if op == "||" || op == "&&" {
 			op = op[:1]
 		}
-		right, err := p.parseBinary(level + 1)
-		if err != nil {
-			return nil, err
-		}
-		left = &BinOp{Op: op, Left: left, Right: right}
+		right, rh := p.parseBinary(level + 1)
+		left, lh = &BinOp{Op: op, Left: left, Right: right}, p.grow(lh, rh)
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() (Expr, int) {
+	p.nest()
+	var e Expr
+	var h int
+	switch {
 	// '!' in operand position (e.g. "1 + !x") binds tightly, as in R.
-	if p.atOp("-") || p.atOp("!") {
+	case p.atOp("-") || p.atOp("!"):
 		op := p.next().Text
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnOp{Op: op, X: x}, nil
-	}
-	if p.atOp("+") {
+		var x Expr
+		x, h = p.parseUnary()
+		e, h = &UnOp{Op: op, X: x}, p.grow(h)
+	case p.atOp("+"):
 		p.next()
-		return p.parseUnary()
+		e, h = p.parseUnary()
+	default:
+		e, h = p.parsePower()
 	}
-	return p.parsePower()
+	p.depth--
+	return e, h
 }
 
-func (p *parser) parsePower() (Expr, error) {
-	base, err := p.parsePostfix()
-	if err != nil {
-		return nil, err
+func (p *parser) parsePower() (Expr, int) {
+	base, bh := p.parsePostfix()
+	if !p.atOp("^") {
+		return base, bh
 	}
-	if p.atOp("^") {
-		p.next()
-		exp, err := p.parseUnary() // right associative
-		if err != nil {
-			return nil, err
-		}
-		return &BinOp{Op: "^", Left: base, Right: exp}, nil
-	}
-	return base, nil
+	p.next()
+	exp, eh := p.parseUnary() // right associative
+	return &BinOp{Op: "^", Left: base, Right: exp}, p.grow(bh, eh)
 }
 
-func (p *parser) parsePostfix() (Expr, error) {
-	e, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parsePostfix() (Expr, int) {
+	e, h := p.parsePrimary()
 	for p.at(TokLBracket) {
-		idx, err := p.parseIndexSuffix(e)
-		if err != nil {
-			return nil, err
-		}
-		e = idx
+		e, h = p.parseIndexSuffix(e, h)
 	}
-	return e, nil
+	return e, h
 }
 
-// parseIndexSuffix parses "[rows, cols]" after target.
-func (p *parser) parseIndexSuffix(target Expr) (*Index, error) {
+// parseIndexSuffix parses "[rows, cols]" after target, of height th.
+func (p *parser) parseIndexSuffix(target Expr, th int) (*Index, int) {
 	p.next() // '['
-	idx := &Index{Target: target}
-	parseRange := func() (*IndexRange, error) {
-		if p.at(TokComma) || p.at(TokRBracket) {
-			return nil, nil // empty => all
-		}
-		lo, err := p.parseBinary(addSubLevel)
-		if err != nil {
-			return nil, err
-		}
-		r := &IndexRange{Lo: lo}
-		if p.atOp(":") {
-			p.next()
-			hi, err := p.parseBinary(addSubLevel)
-			if err != nil {
-				return nil, err
-			}
-			r.Hi = hi
-		}
-		return r, nil
-	}
-	var err error
-	idx.Row, err = parseRange()
-	if err != nil {
-		return nil, err
-	}
+	row, rh := p.parseRange()
+	idx := &Index{Target: target, Row: row}
+	ch := 0
 	if p.at(TokComma) {
 		p.next()
-		idx.Col, err = parseRange()
-		if err != nil {
-			return nil, err
-		}
+		idx.Col, ch = p.parseRange()
 	}
-	if _, err := p.expect(TokRBracket); err != nil {
-		return nil, err
-	}
-	return idx, nil
+	p.expect(TokRBracket)
+	return idx, p.grow(th, rh, ch)
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+// parseRange parses one dimension of an index; an empty one selects all.
+func (p *parser) parseRange() (*IndexRange, int) {
+	if p.at(TokComma) || p.at(TokRBracket) {
+		return nil, 0
+	}
+	lo, lh := p.parseBinary(addSubLevel)
+	r, hh := &IndexRange{Lo: lo}, 0
+	if p.atOp(":") {
+		p.next()
+		r.Hi, hh = p.parseBinary(addSubLevel)
+	}
+	return r, p.grow(lh, hh)
+}
+
+func (p *parser) parsePrimary() (Expr, int) {
 	t := p.cur()
 	switch t.Kind {
 	case TokNumber:
 		p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, fmt.Errorf("dml: line %d: bad number %q", t.Line, t.Text)
+			errorf("line %d: bad number %q", t.Line, t.Text)
 		}
-		return &Num{Value: v}, nil
+		return &Num{Value: v}, 1
 	case TokString:
 		p.next()
-		return &Str{Value: t.Text}, nil
+		return &Str{Value: t.Text}, 1
 	case TokParam:
 		p.next()
-		return &Param{Name: t.Text}, nil
+		return &Param{Name: t.Text}, 1
 	case TokKeyword:
-		if t.Text == "TRUE" || t.Text == "FALSE" {
-			p.next()
-			return &Bool{Value: t.Text == "TRUE"}, nil
+		if t.Text != "TRUE" && t.Text != "FALSE" {
+			errorf("line %d: unexpected keyword %q in expression", t.Line, t.Text)
 		}
-		return nil, fmt.Errorf("dml: line %d: unexpected keyword %q in expression", t.Line, t.Text)
+		p.next()
+		return &Bool{Value: t.Text == "TRUE"}, 1
 	case TokIdent:
 		p.next()
 		if p.at(TokLParen) {
 			return p.parseCall(t)
 		}
-		return &Ident{Name: t.Text}, nil
+		return &Ident{Name: t.Text}, 1
 	case TokLParen:
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
-	default:
-		return nil, fmt.Errorf("dml: line %d: unexpected %s in expression", t.Line, t)
+		return p.parseParen()
 	}
+	errorf("line %d: unexpected %s in expression", t.Line, t)
+	return nil, 0
 }
 
-func (p *parser) parseCall(name Token) (Expr, error) {
+func (p *parser) parseCall(name Token) (Expr, int) {
 	p.next() // '('
 	call := &Call{Name: name.Text}
+	h := 0
 	for !p.at(TokRParen) {
 		// Named argument: ident '=' expr (but not ident '==').
+		key := ""
 		if p.at(TokIdent) && p.peek().Kind == TokOp && p.peek().Text == "=" {
-			key := p.next().Text
+			key = p.next().Text
 			p.next() // '='
-			v, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
+		}
+		arg, ah := p.parseExpr()
+		h = max(h, ah)
+		if key == "" {
+			call.Args = append(call.Args, arg)
+		} else {
 			if call.Named == nil {
 				call.Named = make(map[string]Expr)
 			}
-			call.Named[key] = v
-		} else {
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			call.Args = append(call.Args, a)
+			call.Named[key] = arg
 		}
 		if p.at(TokComma) {
 			p.next()
 		} else if !p.at(TokRParen) {
-			return nil, fmt.Errorf("dml: line %d: expected ',' or ')' in call to %s", p.cur().Line, name.Text)
+			errorf("line %d: expected ',' or ')' in call to %s", p.cur().Line, name.Text)
 		}
 	}
 	p.next() // ')'
-	return call, nil
+	return call, p.grow(h)
 }

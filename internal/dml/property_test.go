@@ -2,6 +2,7 @@ package dml
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,39 @@ func TestDeeplyNestedParse(t *testing.T) {
 	}
 	if n := CountBlocks(BuildBlocks(prog.Stmts)); n != 101 {
 		t.Errorf("deep-if blocks = %d, want 101", n)
+	}
+}
+
+// TestNestingBound: a frame's worth of nesting is refused with an error.
+// Without the bound, the sources Parse recurses over overflow a 64 MiB
+// stack, and the chains it parses in a loop reach the later stages as a
+// tree of half a million levels, also when each chain is short and only
+// their parenthesised sum is deep.
+func TestNestingBound(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	const size = 1 << 20
+	fill := func(head, unit, tail string) string {
+		return head + strings.Repeat(unit, (size-len(head)-len(tail))/len(unit)) + tail
+	}
+	nested := func(leaf, unit string) string { // 100 parentheses, each closing a run of unit
+		n := size / 100 / len(unit)
+		return "x = " + strings.Repeat("(", 100) + leaf + strings.Repeat(strings.Repeat(unit, n)+")", 100)
+	}
+	for _, c := range []struct{ name, src string }{
+		{"parentheses", fill("x = ", "(", "1")},
+		{"chain", fill("x = x", "+x", "")},
+		{"unary minus", fill("x = ", "-", "1")},
+		{"calls", fill("x = ", "f(", "1")},
+		{"index bounds", fill("x = ", "X[", "1")},
+		{"indexes", fill("x = X", "[1]", "")},
+		{"ifs", fill("", "if (a) ", "b = 1")},
+		{"parenthesised chains", nested("a", "+a")},
+		{"parenthesised indexes", nested("X", "[1]")},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || !strings.HasSuffix(err.Error(), "nesting deeper than 10000") {
+			t.Errorf("%s: error %v, want the nesting bound's", c.name, err)
+		}
 	}
 }
 

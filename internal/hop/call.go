@@ -24,18 +24,16 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		}
 		named[k] = h
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s expects %d arguments, got %d", e.Name, n, len(args))
-		}
-		return nil
+	if e.Name == "seq" && len(args) == 2 {
+		args = append(args, c.lit(ctx, 1)) // the default step
+	}
+	b, ok := builtins[e.Name]
+	if ok && len(args) != b.arity {
+		return nil, fmt.Errorf("%s expects %d arguments, got %d", e.Name, b.arity, len(args))
 	}
 
 	switch e.Name {
 	case "read":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		if args[0].DataType != String {
 			return nil, fmt.Errorf("read path must be a string")
 		}
@@ -51,18 +49,9 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		return c.sealed(ctx, KindDataGen, "matrix", Matrix, v, rows, cols), nil
 
 	case "seq":
-		if len(args) == 2 {
-			args = append(args, c.lit(ctx, 1))
-		}
-		if err := need(3); err != nil {
-			return nil, err
-		}
 		return c.sealed(ctx, KindSeq, "seq", Matrix, args...), nil
 
 	case "nrow", "ncol":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		x := args[0]
 		if x.DataType != Matrix {
 			return nil, fmt.Errorf("%s requires a matrix", e.Name)
@@ -77,15 +66,9 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		return c.sealed(ctx, KindAggUnary, e.Name, Scalar, x), nil
 
 	case "sum":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return c.sumOf(ctx, args[0])
 
 	case "mean", "trace":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return c.agg(ctx, e.Name, args[0])
 
 	case "min", "max":
@@ -99,9 +82,6 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		}
 
 	case "t":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		x := args[0]
 		// t(t(X)) => X.
 		if x.Kind == KindReorg && x.Op == "t" {
@@ -110,9 +90,6 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		return c.sealed(ctx, KindReorg, "t", Matrix, x), nil
 
 	case "ppred":
-		if err := need(3); err != nil {
-			return nil, err
-		}
 		opArg := args[2]
 		if opArg.DataType != String {
 			return nil, fmt.Errorf("ppred operator must be a string literal")
@@ -120,38 +97,36 @@ func (c *Compiler) call(e *dml.Call, ctx *dagCtx) (*Hop, error) {
 		return c.binary(ctx, opArg.StrValue, args[0], args[1])
 
 	case "sqrt", "abs", "exp", "log", "round", "floor", "ceil", "sign":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return c.unary(ctx, e.Name, args[0]), nil
 
 	case "as.scalar", "castAsScalar":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		x := args[0]
 		if x.DataType != Matrix {
 			return x, nil
 		}
 		return c.sealed(ctx, KindCast, "as.scalar", Scalar, x), nil
 	}
-	m, ok := matrixBuiltins[e.Name]
 	if !ok {
 		return nil, fmt.Errorf("unsupported builtin %q", e.Name)
 	}
-	if err := need(m.arity); err != nil {
-		return nil, err
-	}
-	return c.sealed(ctx, m.kind, m.op, Matrix, args...), nil
+	return c.sealed(ctx, b.kind, b.op, Matrix, args...), nil
 }
 
-// matrixBuiltins are the builtins that build one matrix hop over their
-// arguments: its kind and operator, and how many arguments they take.
-var matrixBuiltins = map[string]struct {
+// builtins holds how many arguments each builtin takes, but matrix (whose
+// arguments may be named) and min and max (one or two). A builtin with an
+// operator builds one matrix hop of its kind over its arguments; the
+// others are compiled by call's switch.
+var builtins = map[string]struct {
 	kind  Kind
 	op    string
 	arity int
 }{
+	"read": {arity: 1}, "seq": {arity: 3}, "ppred": {arity: 3},
+	"nrow": {arity: 1}, "ncol": {arity: 1}, "sum": {arity: 1}, "mean": {arity: 1}, "trace": {arity: 1},
+	"t": {arity: 1}, "as.scalar": {arity: 1}, "castAsScalar": {arity: 1},
+	"sqrt": {arity: 1}, "abs": {arity: 1}, "exp": {arity: 1}, "log": {arity: 1},
+	"round": {arity: 1}, "floor": {arity: 1}, "ceil": {arity: 1}, "sign": {arity: 1},
+
 	"rowSums": {KindAggUnary, "rowSums", 1},
 	"colSums": {KindAggUnary, "colSums", 1},
 	"rowMaxs": {KindAggUnary, "rowMaxs", 1},

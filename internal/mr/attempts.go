@@ -95,7 +95,7 @@ func (r TaskReport) Any() bool { return r.Retries > 0 || r.Stragglers > 0 }
 // one instant event per injected task failure or straggler, stamped at the
 // job's simulated start time `at` and flagged with the attempt count, the
 // slowdown factor, and whether a speculative backup rescued the straggler.
-func EstimateTimeUnderFaultsTraced(pm perf.Model, cc conf.Cluster, spec JobSpec,
+func EstimateTimeUnderFaultsTraced(cc conf.Cluster, spec JobSpec,
 	par Parallelism, t TimeBreakdown, inj *fault.Injector, pol TaskPolicy,
 	tr *obs.Tracer, at float64) (TimeBreakdown, TaskReport, error) {
 
@@ -185,11 +185,11 @@ func EstimateTimeUnderFaultsTraced(pm perf.Model, cc conf.Cluster, spec JobSpec,
 		t.Recovery = retriedWork/float64(dop) + stragglerTail
 		if rep.Retries > 0 {
 			waves := (rep.Retries + par.Scheduled - 1) / par.Scheduled
-			t.Recovery += pm.TaskLatency * float64(waves)
+			t.Recovery += perf.TaskLatency * float64(waves)
 		}
 		if rep.Speculated > 0 {
 			// One extra launch wave for the speculative backups.
-			t.Recovery += pm.TaskLatency
+			t.Recovery += perf.TaskLatency
 		}
 	}
 	return t, rep, nil

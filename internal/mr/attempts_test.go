@@ -6,7 +6,6 @@ import (
 
 	"elasticml/internal/conf"
 	"elasticml/internal/fault"
-	"elasticml/internal/perf"
 )
 
 func faultJobSpec() JobSpec {
@@ -21,16 +20,16 @@ func faultJobSpec() JobSpec {
 
 // underFaults layers the fault model on spec's fault-free charge with
 // 2 GB task and CP heaps.
-func underFaults(pm perf.Model, cc conf.Cluster, spec JobSpec, inj *fault.Injector, pol TaskPolicy) (TimeBreakdown, TaskReport, error) {
+func underFaults(cc conf.Cluster, spec JobSpec, inj *fault.Injector, pol TaskPolicy) (TimeBreakdown, TaskReport, error) {
 	par := ComputeParallelism(cc, 2*conf.GB, 2*conf.GB, spec.NumMaps)
-	return EstimateTimeUnderFaultsTraced(pm, cc, spec, par, EstimateTimeAt(pm, cc, spec, par), inj, pol, nil, 0)
+	return EstimateTimeUnderFaultsTraced(cc, spec, par, EstimateTimeAt(cc, spec, par), inj, pol, nil, 0)
 }
 
 func TestNoFaultsMatchesBaseline(t *testing.T) {
-	pm, cc := perf.Default(), conf.DefaultCluster()
+	cc := conf.DefaultCluster()
 	spec := faultJobSpec()
-	base := estimate(pm, cc, spec, 2*conf.GB, 2*conf.GB)
-	got, rep, err := underFaults(pm, cc, spec, nil, DefaultTaskPolicy())
+	base := estimate(cc, spec, 2*conf.GB, 2*conf.GB)
+	got, rep, err := underFaults(cc, spec, nil, DefaultTaskPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,18 +37,18 @@ func TestNoFaultsMatchesBaseline(t *testing.T) {
 		t.Errorf("nil injector must be a no-op: %v vs %v, rep %+v", got.Total(), base.Total(), rep)
 	}
 	idle := fault.MustInjector(fault.Plan{Seed: 1})
-	got, _, err = underFaults(pm, cc, spec, idle, DefaultTaskPolicy())
+	got, _, err = underFaults(cc, spec, idle, DefaultTaskPolicy())
 	if err != nil || got.Total() != base.Total() {
 		t.Errorf("empty plan must be a no-op: %v vs %v (%v)", got.Total(), base.Total(), err)
 	}
 }
 
 func TestRetriesAddRecoveryCost(t *testing.T) {
-	pm, cc := perf.Default(), conf.DefaultCluster()
+	cc := conf.DefaultCluster()
 	spec := faultJobSpec()
-	base := estimate(pm, cc, spec, 2*conf.GB, 2*conf.GB)
+	base := estimate(cc, spec, 2*conf.GB, 2*conf.GB)
 	inj := fault.MustInjector(fault.Plan{Seed: 2, TaskFailureProb: 0.3})
-	bd, rep, err := underFaults(pm, cc, spec, inj, DefaultTaskPolicy())
+	bd, rep, err := underFaults(cc, spec, inj, DefaultTaskPolicy())
 	if err != nil {
 		t.Fatalf("p=0.3 with 4 attempts should recover: %v", err)
 	}
@@ -69,9 +68,9 @@ func TestRetriesAddRecoveryCost(t *testing.T) {
 }
 
 func TestNoRetryPolicyAborts(t *testing.T) {
-	pm, cc := perf.Default(), conf.DefaultCluster()
+	cc := conf.DefaultCluster()
 	inj := fault.MustInjector(fault.Plan{Seed: 3, TaskFailureProb: 0.5})
-	_, _, err := underFaults(pm, cc, faultJobSpec(), inj,
+	_, _, err := underFaults(cc, faultJobSpec(), inj,
 		TaskPolicy{MaxAttempts: 1})
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Errorf("MaxAttempts=1 under p=0.5 should abort, got %v", err)
@@ -79,25 +78,25 @@ func TestNoRetryPolicyAborts(t *testing.T) {
 }
 
 func TestExhaustedAttemptsAbort(t *testing.T) {
-	pm, cc := perf.Default(), conf.DefaultCluster()
+	cc := conf.DefaultCluster()
 	inj := fault.MustInjector(fault.Plan{Seed: 4, TaskFailureProb: 1.0})
-	_, _, err := underFaults(pm, cc, faultJobSpec(), inj, DefaultTaskPolicy())
+	_, _, err := underFaults(cc, faultJobSpec(), inj, DefaultTaskPolicy())
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Errorf("p=1 must exhaust every retry, got %v", err)
 	}
 }
 
 func TestSpeculationSoftensStragglers(t *testing.T) {
-	pm, cc := perf.Default(), conf.DefaultCluster()
+	cc := conf.DefaultCluster()
 	spec := faultJobSpec()
 	plan := fault.Plan{Seed: 5, StragglerProb: 0.2, StragglerFactor: 8}
 
-	slow, repNoSpec, err := underFaults(pm, cc, spec,
+	slow, repNoSpec, err := underFaults(cc, spec,
 		fault.MustInjector(plan), TaskPolicy{MaxAttempts: 4, Speculative: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, repSpec, err := underFaults(pm, cc, spec,
+	fast, repSpec, err := underFaults(cc, spec,
 		fault.MustInjector(plan), DefaultTaskPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +113,14 @@ func TestSpeculationSoftensStragglers(t *testing.T) {
 }
 
 func TestShuffledJobSamplesReducers(t *testing.T) {
-	pm, cc := perf.Default(), conf.DefaultCluster()
+	cc := conf.DefaultCluster()
 	spec := faultJobSpec()
 	spec.ShuffleBytes = 2 * conf.GB
 	spec.NumReducers = 12
 	spec.ReduceFlops = 1e9
 	spec.ReduceOutput = 256 * conf.MB
 	inj := fault.MustInjector(fault.Plan{Seed: 6, TaskFailureProb: 0.2})
-	_, rep, err := underFaults(pm, cc, spec, inj, DefaultTaskPolicy())
+	_, rep, err := underFaults(cc, spec, inj, DefaultTaskPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +130,10 @@ func TestShuffledJobSamplesReducers(t *testing.T) {
 }
 
 func TestFaultModelDeterministic(t *testing.T) {
-	pm, cc := perf.Default(), conf.DefaultCluster()
+	cc := conf.DefaultCluster()
 	plan := fault.Plan{Seed: 7, TaskFailureProb: 0.1, StragglerProb: 0.1, StragglerFactor: 4}
 	run := func() (TimeBreakdown, TaskReport) {
-		bd, rep, err := underFaults(pm, cc, faultJobSpec(),
+		bd, rep, err := underFaults(cc, faultJobSpec(),
 			fault.MustInjector(plan), DefaultTaskPolicy())
 		if err != nil {
 			t.Fatal(err)

@@ -115,39 +115,39 @@ func (t TimeBreakdown) Total() float64 {
 		t.Recovery
 }
 
-// EstimateTimeAt evaluates the analytic job time model for the given spec,
-// performance model and cluster at the map-phase parallelism par
+// EstimateTimeAt evaluates the analytic job time model for the given spec
+// and cluster at the map-phase parallelism par
 // (ComputeParallelism of the task and CP heaps, which is all the model
 // reads of them). Cache thrashing (more scheduled tasks per node than the
 // model's threshold) inflates map compute and IO, reproducing the paper's
 // B-SS < B-SL observation.
-func EstimateTimeAt(pm perf.Model, cc conf.Cluster, spec JobSpec, par Parallelism) TimeBreakdown {
+func EstimateTimeAt(cc conf.Cluster, spec JobSpec, par Parallelism) TimeBreakdown {
 	waves := 1
 	if par.Scheduled > 0 && spec.NumMaps > par.Scheduled {
 		waves = (spec.NumMaps + par.Scheduled - 1) / par.Scheduled
 	}
 	thrash := 1.0
-	if pm.CacheThrashThreshold > 0 && par.PerNodeScheduled > pm.CacheThrashThreshold {
-		over := float64(par.PerNodeScheduled) / float64(pm.CacheThrashThreshold)
-		thrash = 1 + (pm.CacheThrashFactor-1)*(over-1)
-		if thrash > pm.CacheThrashFactor {
-			thrash = pm.CacheThrashFactor
+	if par.PerNodeScheduled > perf.CacheThrashThreshold {
+		over := float64(par.PerNodeScheduled) / perf.CacheThrashThreshold
+		thrash = 1 + (perf.CacheThrashFactor-1)*(over-1)
+		if thrash > perf.CacheThrashFactor {
+			thrash = perf.CacheThrashFactor
 		}
 	}
 
 	var t TimeBreakdown
-	t.JobLatency = pm.JobLatency
-	t.TaskLatency = pm.TaskLatency * float64(waves)
-	t.Export = pm.WriteTime(spec.ExportInput, 1)
-	t.MapRead = pm.ReadTime(spec.MapInput, par.Effective) * thrash
+	t.JobLatency = perf.JobLatency
+	t.TaskLatency = perf.TaskLatency * float64(waves)
+	t.Export = perf.WriteTime(spec.ExportInput, 1)
+	t.MapRead = perf.ReadTime(spec.MapInput, par.Effective) * thrash
 	// Every map task loads the broadcast inputs; amortized across waves the
 	// per-effective-slot cost is tasks/effective * read(broadcast at 1).
 	if spec.BroadcastInput > 0 && spec.NumMaps > 0 {
-		perTask := pm.ReadTime(spec.BroadcastInput, 1)
+		perTask := perf.ReadTime(spec.BroadcastInput, 1)
 		t.Broadcast = perTask * float64(waves)
 	}
-	t.MapCompute = pm.ComputeTime(spec.MapFlops, par.Effective) * thrash
-	t.MapWrite = pm.WriteTime(spec.MapOutput, par.Effective) * thrash
+	t.MapCompute = perf.ComputeTime(spec.MapFlops, par.Effective) * thrash
+	t.MapWrite = perf.WriteTime(spec.MapOutput, par.Effective) * thrash
 	if !spec.MapOnly() {
 		redDop := spec.NumReducers
 		if redDop < 1 {
@@ -156,9 +156,9 @@ func EstimateTimeAt(pm perf.Model, cc conf.Cluster, spec JobSpec, par Parallelis
 		if max := cc.TotalCores(); redDop > max {
 			redDop = max
 		}
-		t.Shuffle = pm.ShuffleTime(spec.ShuffleBytes, redDop)
-		t.ReduceCompute = pm.ComputeTime(spec.ReduceFlops, redDop)
-		t.ReduceWrite = pm.WriteTime(spec.ReduceOutput, redDop)
+		t.Shuffle = perf.ShuffleTime(spec.ShuffleBytes, redDop)
+		t.ReduceCompute = perf.ComputeTime(spec.ReduceFlops, redDop)
+		t.ReduceWrite = perf.WriteTime(spec.ReduceOutput, redDop)
 	}
 	return t
 }

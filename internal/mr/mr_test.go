@@ -8,8 +8,8 @@ import (
 )
 
 // estimate charges spec at the parallelism of the given task and CP heaps.
-func estimate(pm perf.Model, cc conf.Cluster, spec JobSpec, taskHeap, cpHeap conf.Bytes) TimeBreakdown {
-	return EstimateTimeAt(pm, cc, spec, ComputeParallelism(cc, taskHeap, cpHeap, spec.NumMaps))
+func estimate(cc conf.Cluster, spec JobSpec, taskHeap, cpHeap conf.Bytes) TimeBreakdown {
+	return EstimateTimeAt(cc, spec, ComputeParallelism(cc, taskHeap, cpHeap, spec.NumMaps))
 }
 
 func TestParallelismArithmetic(t *testing.T) {
@@ -58,36 +58,33 @@ func TestLargeCPReducesTaskSlots(t *testing.T) {
 }
 
 func TestJobTimeLatencyDominatesSmallJobs(t *testing.T) {
-	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	spec := JobSpec{Name: "tiny", NumMaps: 1, MapInput: 10 * conf.MB, MapFlops: 1e6}
-	bd := estimate(pm, cc, spec, 2*conf.GB, 512*conf.MB)
-	if bd.JobLatency != pm.JobLatency {
+	bd := estimate(cc, spec, 2*conf.GB, 512*conf.MB)
+	if bd.JobLatency != perf.JobLatency {
 		t.Errorf("JobLatency = %v", bd.JobLatency)
 	}
-	if bd.Total() < pm.JobLatency || bd.Total() > pm.JobLatency+pm.TaskLatency+1 {
+	if bd.Total() < perf.JobLatency || bd.Total() > perf.JobLatency+perf.TaskLatency+1 {
 		t.Errorf("tiny job total %v should be dominated by latency", bd.Total())
 	}
 }
 
 func TestJobTimeScalesWithWaves(t *testing.T) {
-	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	// 640 maps at ~71 slots => 9 waves.
 	spec := JobSpec{Name: "big", NumMaps: 640, MapInput: 80 * conf.GB, MapFlops: 1e12}
-	bd := estimate(pm, cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
-	if bd.TaskLatency < 8*pm.TaskLatency {
-		t.Errorf("TaskLatency = %v, want >= %v", bd.TaskLatency, 8*pm.TaskLatency)
+	bd := estimate(cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
+	if bd.TaskLatency < 8*perf.TaskLatency {
+		t.Errorf("TaskLatency = %v, want >= %v", bd.TaskLatency, 8*perf.TaskLatency)
 	}
 }
 
 func TestThrashingPenalty(t *testing.T) {
-	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	spec := JobSpec{Name: "j", NumMaps: 640, MapInput: 80 * conf.GB, MapFlops: 1e12}
 	// Small tasks oversubscribe and thrash; 4.4GB tasks do not.
-	smallTasks := estimate(pm, cc, spec, 512*conf.MB, 512*conf.MB)
-	bigTasks := estimate(pm, cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
+	smallTasks := estimate(cc, spec, 512*conf.MB, 512*conf.MB)
+	bigTasks := estimate(cc, spec, conf.BytesOfGB(4.4), 512*conf.MB)
 	if smallTasks.MapCompute <= bigTasks.MapCompute {
 		t.Errorf("thrashing should inflate small-task compute: %v <= %v",
 			smallTasks.MapCompute, bigTasks.MapCompute)
@@ -95,13 +92,12 @@ func TestThrashingPenalty(t *testing.T) {
 }
 
 func TestBroadcastCost(t *testing.T) {
-	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	base := JobSpec{Name: "mapmm", NumMaps: 64, MapInput: 8 * conf.GB, MapFlops: 1e10}
 	withB := base
 	withB.BroadcastInput = 100 * conf.MB
-	t0 := estimate(pm, cc, base, 2*conf.GB, 512*conf.MB)
-	t1 := estimate(pm, cc, withB, 2*conf.GB, 512*conf.MB)
+	t0 := estimate(cc, base, 2*conf.GB, 512*conf.MB)
+	t1 := estimate(cc, withB, 2*conf.GB, 512*conf.MB)
 	if t1.Total() <= t0.Total() {
 		t.Error("broadcast input should add cost")
 	}
@@ -111,15 +107,14 @@ func TestBroadcastCost(t *testing.T) {
 }
 
 func TestShuffleJobVsMapOnly(t *testing.T) {
-	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	mapOnly := JobSpec{Name: "m", NumMaps: 64, MapInput: 8 * conf.GB, MapFlops: 1e10, MapOutput: 100 * conf.MB}
 	shuffled := mapOnly
 	shuffled.ShuffleBytes = 8 * conf.GB
 	shuffled.NumReducers = cc.Reducers
 	shuffled.ReduceOutput = 8 * conf.GB
-	a := estimate(pm, cc, mapOnly, 2*conf.GB, 512*conf.MB)
-	b := estimate(pm, cc, shuffled, 2*conf.GB, 512*conf.MB)
+	a := estimate(cc, mapOnly, 2*conf.GB, 512*conf.MB)
+	b := estimate(cc, shuffled, 2*conf.GB, 512*conf.MB)
 	if !mapOnly.MapOnly() || shuffled.MapOnly() {
 		t.Fatal("MapOnly misclassification")
 	}
@@ -132,10 +127,9 @@ func TestShuffleJobVsMapOnly(t *testing.T) {
 }
 
 func TestExportCharged(t *testing.T) {
-	pm := perf.Default()
 	cc := conf.DefaultCluster()
 	spec := JobSpec{Name: "e", NumMaps: 4, MapInput: 512 * conf.MB, ExportInput: conf.GB}
-	bd := estimate(pm, cc, spec, 2*conf.GB, 512*conf.MB)
+	bd := estimate(cc, spec, 2*conf.GB, 512*conf.MB)
 	if bd.Export <= 0 {
 		t.Error("export should be charged")
 	}

@@ -234,16 +234,6 @@ func (t *Tracer) Instant(layer Layer, name string, args ...Arg) {
 	t.mu.Unlock()
 }
 
-// EventCount returns the number of recorded events.
-func (t *Tracer) EventCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // snapshot copies the event list for export.
 func (t *Tracer) snapshot() []event {
 	if t == nil {

@@ -11,89 +11,73 @@ package perf
 
 import "elasticml/internal/conf"
 
-// Model captures the tunable performance parameters of a simulated cluster.
-type Model struct {
-	// ReadBandwidth is the per-process HDFS read bandwidth (binary format).
-	ReadBandwidth float64 // bytes/s
-	// WriteBandwidth is the per-process HDFS write bandwidth (binary format).
-	WriteBandwidth float64 // bytes/s
-	// MemBandwidth is the in-memory copy/deserialize bandwidth used for
-	// buffer-pool restores and exports.
-	MemBandwidth float64 // bytes/s
-	// PeakFlops is the single-threaded peak floating point rate of one
-	// core; CP operations are single-threaded as in the paper (§6).
-	PeakFlops float64 // flop/s
-	// JobLatency is the fixed startup latency of one MR job (scheduling,
-	// AM spawn, JVM startup across waves).
-	JobLatency float64 // s
-	// TaskLatency is the per-task-wave startup latency.
-	TaskLatency float64 // s
-	// ShuffleBandwidth is the effective per-task shuffle bandwidth.
-	ShuffleBandwidth float64 // bytes/s
-	// ContainerAllocLatency is the time to obtain a new YARN container,
-	// part of the migration cost C_M (paper §4.2).
-	ContainerAllocLatency float64 // s
-	// CacheThrashThreshold is the per-node concurrent task count above
-	// which tasks suffer cache thrashing (paper §5.2: B-SS slower than
-	// B-SL because too many concurrent small tasks trash the cache).
-	CacheThrashThreshold int
-	// CacheThrashFactor is the slowdown applied beyond the threshold.
-	CacheThrashFactor float64
-}
-
-// Default returns the model used throughout the reproduction. The absolute
+// The performance model used throughout the reproduction. The absolute
 // values approximate commodity 2014 hardware (disk-array ~1 GB/s scan per
 // node, ~2 GFLOP/s effective single-thread dense kernels, ~15s MR job
 // latency on YARN).
-func Default() Model {
-	return Model{
-		ReadBandwidth:         150 * 1e6,  // 150 MB/s per process
-		WriteBandwidth:        100 * 1e6,  // 100 MB/s per process
-		MemBandwidth:          4000 * 1e6, // 4 GB/s
-		PeakFlops:             2.0e9,      // 2 GFLOP/s effective
-		JobLatency:            15.0,       // s per MR job
-		TaskLatency:           2.0,        // s per task wave
-		ShuffleBandwidth:      60 * 1e6,   // 60 MB/s per task
-		ContainerAllocLatency: 2.0,        // s
-		CacheThrashThreshold:  12,
-		CacheThrashFactor:     2.0,
-	}
-}
+const (
+	// ReadBandwidth is the per-process HDFS read bandwidth (binary format).
+	ReadBandwidth = 150 * 1e6 // bytes/s
+	// WriteBandwidth is the per-process HDFS write bandwidth (binary format).
+	WriteBandwidth = 100 * 1e6 // bytes/s
+	// MemBandwidth is the in-memory copy/deserialize bandwidth used for
+	// buffer-pool restores and exports.
+	MemBandwidth = 4000 * 1e6 // bytes/s
+	// PeakFlops is the single-threaded peak floating point rate of one
+	// core; CP operations are single-threaded as in the paper (§6).
+	PeakFlops = 2.0e9 // flop/s
+	// JobLatency is the fixed startup latency of one MR job (scheduling,
+	// AM spawn, JVM startup across waves).
+	JobLatency = 15.0 // s
+	// TaskLatency is the per-task-wave startup latency.
+	TaskLatency = 2.0 // s
+	// ShuffleBandwidth is the effective per-task shuffle bandwidth.
+	ShuffleBandwidth = 60 * 1e6 // bytes/s
+	// ContainerAllocLatency is the time to obtain a new YARN container,
+	// part of the migration cost C_M (paper §4.2).
+	ContainerAllocLatency = 2.0 // s
+	// CacheThrashThreshold is the per-node concurrent task count above
+	// which tasks suffer cache thrashing (paper §5.2: B-SS slower than
+	// B-SL because too many concurrent small tasks trash the cache).
+	CacheThrashThreshold = 12
+	// CacheThrashFactor is the slowdown applied beyond the threshold.
+	CacheThrashFactor = 2.0
+)
 
 // ReadTime returns the time to scan the given bytes from HDFS at
 // per-process bandwidth times the degree of parallelism dop (>=1).
-func (m Model) ReadTime(b conf.Bytes, dop int) float64 {
+func ReadTime(b conf.Bytes, dop int) float64 {
 	if dop < 1 {
 		dop = 1
 	}
-	return float64(b) / (m.ReadBandwidth * float64(dop))
+	return float64(b) / (ReadBandwidth * float64(dop))
 }
 
 // WriteTime returns the time to write the given bytes to HDFS.
-func (m Model) WriteTime(b conf.Bytes, dop int) float64 {
+func WriteTime(b conf.Bytes, dop int) float64 {
 	if dop < 1 {
 		dop = 1
 	}
-	return float64(b) / (m.WriteBandwidth * float64(dop))
+	return float64(b) / (WriteBandwidth * float64(dop))
 }
 
 // ComputeTime returns the time for the given floating point operations at
 // peak rate across dop parallel workers.
-func (m Model) ComputeTime(flops float64, dop int) float64 {
+func ComputeTime(flops float64, dop int) float64 {
 	if dop < 1 {
 		dop = 1
 	}
 	if flops < 0 {
 		flops = 0
 	}
-	return flops / (m.PeakFlops * float64(dop))
+	return flops / (PeakFlops * float64(dop))
 }
 
 // ShuffleTime returns the time to shuffle the given bytes with the given
 // aggregate task parallelism.
-func (m Model) ShuffleTime(b conf.Bytes, dop int) float64 {
+func ShuffleTime(b conf.Bytes, dop int) float64 {
 	if dop < 1 {
 		dop = 1
 	}
-	return float64(b) / (m.ShuffleBandwidth * float64(dop))
+	return float64(b) / (ShuffleBandwidth * float64(dop))
 }

@@ -172,7 +172,7 @@ func (e *env) compute(h *hop.Hop) (*Value, error) {
 			// Each transient failure re-reads one DFS block from another
 			// replica; charge the re-read into the recovery budget.
 			ip.Stats.HDFSRetries += retries
-			penalty := perf.Default().ReadTime(ip.CC.HDFSBlockSize, 1) * float64(retries)
+			penalty := perf.ReadTime(ip.CC.HDFSBlockSize, 1) * float64(retries)
 			ip.SimTime += penalty
 			ip.Stats.RecoverySeconds += penalty
 		}

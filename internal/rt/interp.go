@@ -15,7 +15,6 @@ import (
 	"elasticml/internal/matrix"
 	"elasticml/internal/mr"
 	"elasticml/internal/obs"
-	"elasticml/internal/perf"
 )
 
 // ErrClusterLost aborts execution when a node failure takes out the last
@@ -578,7 +577,7 @@ func (ip *Interp) runInstrs(b *lop.Block) error {
 			if faults {
 				spec.Name = in.Job.Name()
 				var err error
-				bd, rep, err = mr.EstimateTimeUnderFaultsTraced(perf.Default(), ip.Est.EffectiveCluster(),
+				bd, rep, err = mr.EstimateTimeUnderFaultsTraced(ip.Est.EffectiveCluster(),
 					spec, par, bd, ip.Faults, ip.Policy, ip.Trace, start)
 				if err != nil {
 					return fmt.Errorf("rt: %w", err)

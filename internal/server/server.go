@@ -45,8 +45,6 @@ type ServerConfig struct {
 	MaxFrame uint32 `json:"max_frame"`
 	// Limiter configures the byte-rate and inflight-jobs guards.
 	Limiter LimiterPolicy `json:"limiter"`
-	// Name is the server identity advertised in HelloAck.
-	Name string `json:"name"`
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -58,9 +56,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.Name == "" {
-		c.Name = "elasticml"
 	}
 	return c
 }
@@ -226,7 +221,7 @@ func (ss *session) run() {
 			Msg: fmt.Sprintf("server speaks version %d, client sent %d", ProtoVersion, hello.Version)})
 		return
 	}
-	if err := ss.write(&HelloAck{Version: ProtoVersion, Server: s.cfg.Name, MaxFrame: s.cfg.MaxFrame}); err != nil {
+	if err := ss.write(&HelloAck{Version: ProtoVersion, Server: "elasticml", MaxFrame: s.cfg.MaxFrame}); err != nil {
 		return
 	}
 	s.met.Add("server.handshake.ok", 1)

@@ -1,9 +1,6 @@
 package spark
 
-import (
-	"elasticml/internal/conf"
-	"elasticml/internal/perf"
-)
+import "elasticml/internal/conf"
 
 // The paper (§6, Appendix D) argues that resource optimization transfers
 // to stateful frameworks: "resource optimization could help to reduce
@@ -28,7 +25,7 @@ type SizingResult struct {
 // workload, returning the cheapest configuration; among configurations
 // within the slack factor of the optimum it returns the smallest footprint
 // (the paper's secondary objective: prevent over-provisioning).
-func OptimizeExecutors(cc conf.Cluster, pm perf.Model, w L2SVMWorkload, plan PlanKind, slack float64) SizingResult {
+func OptimizeExecutors(cc conf.Cluster, w L2SVMWorkload, plan PlanKind, slack float64) SizingResult {
 	base := DefaultConfig()
 	if slack < 1 {
 		slack = 1
@@ -50,7 +47,7 @@ func OptimizeExecutors(cc conf.Cluster, pm perf.Model, w L2SVMWorkload, plan Pla
 			// Right-size the driver as well (the paper reduced Spark's
 			// driver memory for its throughput experiment).
 			cfg.DriverMem = 2 * conf.GB
-			c := Estimate(cfg, pm, w, plan)
+			c := Estimate(cfg, w, plan)
 			candidates = append(candidates, SizingResult{Config: cfg, Cost: c,
 				Footprint: cfg.ClusterFootprint(), MaxParallelApps: maxApps(cc, cfg)})
 			if cheapest < 0 || c < cheapest {

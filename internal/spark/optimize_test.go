@@ -4,15 +4,13 @@ import (
 	"testing"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/perf"
 )
 
 func TestOptimizeExecutorsReducesFootprint(t *testing.T) {
 	cc := conf.DefaultCluster()
-	pm := perf.Default()
 	// Scenario S (800MB): tiny data cannot use 330GB of executors.
 	w := workload(100_000, 1000, 1.0)
-	res := OptimizeExecutors(cc, pm, w, PlanHybrid, 1.2)
+	res := OptimizeExecutors(cc, w, PlanHybrid, 1.2)
 	static := DefaultConfig()
 	if res.Footprint >= static.ClusterFootprint() {
 		t.Errorf("right-sized footprint %v not below static %v",
@@ -22,7 +20,7 @@ func TestOptimizeExecutorsReducesFootprint(t *testing.T) {
 		t.Errorf("right-sizing should admit multiple apps, got %d", res.MaxParallelApps)
 	}
 	// Near-optimal cost retained.
-	staticCost := Estimate(static, pm, w, PlanHybrid)
+	staticCost := Estimate(static, w, PlanHybrid)
 	if res.Cost > staticCost*1.5 {
 		t.Errorf("right-sized cost %.1f too far above static %.1f", res.Cost, staticCost)
 	}
@@ -30,17 +28,16 @@ func TestOptimizeExecutorsReducesFootprint(t *testing.T) {
 
 func TestOptimizeExecutorsKeepsCacheForLargeData(t *testing.T) {
 	cc := conf.DefaultCluster()
-	pm := perf.Default()
 	// Scenario L (80GB): the RDD cache sweet spot needs aggregate memory;
 	// the optimizer must not shrink below it.
 	w := workload(10_000_000, 1000, 1.0)
-	res := OptimizeExecutors(cc, pm, w, PlanHybrid, 1.1)
+	res := OptimizeExecutors(cc, w, PlanHybrid, 1.1)
 	if res.Config.AggregateCache() < conf.Bytes(8e10) {
 		t.Errorf("L-scenario sizing lost the cache sweet spot: %v aggregate cache",
 			res.Config.AggregateCache())
 	}
 	// And the cost stays within slack of the fully provisioned config.
-	full := Estimate(DefaultConfig(), pm, w, PlanHybrid)
+	full := Estimate(DefaultConfig(), w, PlanHybrid)
 	if res.Cost > full*1.15 {
 		t.Errorf("cost %.1f vs full %.1f exceeds slack", res.Cost, full)
 	}
@@ -48,15 +45,14 @@ func TestOptimizeExecutorsKeepsCacheForLargeData(t *testing.T) {
 
 func TestOptimizeExecutorsThroughputGain(t *testing.T) {
 	cc := conf.DefaultCluster()
-	pm := perf.Default()
 	w := workload(100_000, 1000, 1.0) // S
-	sized := OptimizeExecutors(cc, pm, w, PlanFull, 1.3)
+	sized := OptimizeExecutors(cc, w, PlanFull, 1.3)
 	staticApps := maxApps(cc, DefaultConfig())
 	if staticApps > 1 {
 		t.Fatalf("static config should admit <=1 app, got %d", staticApps)
 	}
 	// Aggregate throughput = apps * (1/cost); right-sizing must win.
-	staticCost := Estimate(DefaultConfig(), pm, w, PlanFull)
+	staticCost := Estimate(DefaultConfig(), w, PlanFull)
 	staticThroughput := 1.0 / staticCost
 	sizedThroughput := float64(sized.MaxParallelApps) / sized.Cost
 	if sizedThroughput <= staticThroughput {

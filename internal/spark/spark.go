@@ -101,8 +101,8 @@ type L2SVMWorkload struct {
 }
 
 // Estimate returns the end-to-end execution time of the hand-coded L2SVM
-// plan under the given configuration, performance model and plan kind.
-func Estimate(cfg Config, pm perf.Model, w L2SVMWorkload, plan PlanKind) float64 {
+// plan under the given configuration and plan kind.
+func Estimate(cfg Config, w L2SVMWorkload, plan PlanKind) float64 {
 	dataSize := matrix.EstimateSize(w.Rows, w.Cols, w.Sparsity)
 	cached := dataSize <= cfg.AggregateCache()
 
@@ -111,8 +111,8 @@ func Estimate(cfg Config, pm perf.Model, w L2SVMWorkload, plan PlanKind) float64
 	if deser < 1 {
 		deser = 1
 	}
-	coldPass := pm.ReadTime(dataSize, scanPar) * deser
-	warmPass := float64(dataSize) / (pm.MemBandwidth * float64(cfg.Executors))
+	coldPass := perf.ReadTime(dataSize, scanPar) * deser
+	warmPass := float64(dataSize) / (perf.MemBandwidth * float64(cfg.Executors))
 	pass := func(first bool) float64 {
 		if first || !cached {
 			return coldPass
@@ -123,8 +123,8 @@ func Estimate(cfg Config, pm perf.Model, w L2SVMWorkload, plan PlanKind) float64
 	n, m := float64(w.Rows), float64(w.Cols)
 	mvFlops := 2 * n * m * w.Sparsity // X %*% s or t(X) %*% v
 	vecFlops := n                     // one elementwise pass over a vector
-	dist := func(f float64) float64 { return pm.ComputeTime(f, cfg.TotalCores()) }
-	driver := func(f float64) float64 { return pm.ComputeTime(f, 1) }
+	dist := func(f float64) float64 { return perf.ComputeTime(f, cfg.TotalCores()) }
+	driver := func(f float64) float64 { return perf.ComputeTime(f, 1) }
 
 	// Vector operations run in the driver under the hybrid plan and as one
 	// distributed stage each under the full plan (latency dominated).

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"elasticml/internal/conf"
-	"elasticml/internal/perf"
 )
 
 func workload(n, m int64, sp float64) L2SVMWorkload {
@@ -26,11 +25,10 @@ func TestConfigArithmetic(t *testing.T) {
 
 func TestFullPlanSlowerThanHybridOnSmallData(t *testing.T) {
 	cfg := DefaultConfig()
-	pm := perf.Default()
 	// Scenario XS (80MB): Table 5 shows Plan 1 (25s) << Plan 2 (59s).
 	w := workload(10_000, 1000, 1.0)
-	hybrid := Estimate(cfg, pm, w, PlanHybrid)
-	full := Estimate(cfg, pm, w, PlanFull)
+	hybrid := Estimate(cfg, w, PlanHybrid)
+	full := Estimate(cfg, w, PlanFull)
 	if hybrid >= full {
 		t.Errorf("XS: hybrid %.1fs should beat full %.1fs", hybrid, full)
 	}
@@ -42,18 +40,17 @@ func TestFullPlanSlowerThanHybridOnSmallData(t *testing.T) {
 
 func TestRDDCacheSweetSpot(t *testing.T) {
 	cfg := DefaultConfig()
-	pm := perf.Default()
 	// L (80GB) fits aggregate memory: iteration passes are memory-speed.
-	l := Estimate(cfg, pm, workload(10_000_000, 1000, 1.0), PlanHybrid)
+	l := Estimate(cfg, workload(10_000_000, 1000, 1.0), PlanHybrid)
 	// XL (800GB) exceeds aggregate memory: every pass scans disk.
-	xl := Estimate(cfg, pm, workload(100_000_000, 1000, 1.0), PlanHybrid)
+	xl := Estimate(cfg, workload(100_000_000, 1000, 1.0), PlanHybrid)
 	if xl < 8*l {
 		t.Errorf("XL (%.0fs) should be far more than 10x data of L (%.0fs) due to cache miss", xl, l)
 	}
 	// Verify caching is the cause: L with zero cache behaves like scaled XL.
 	noCache := cfg
 	noCache.CacheFraction = 0
-	lCold := Estimate(noCache, pm, workload(10_000_000, 1000, 1.0), PlanHybrid)
+	lCold := Estimate(noCache, workload(10_000_000, 1000, 1.0), PlanHybrid)
 	if lCold <= l {
 		t.Errorf("disabling cache should slow L: %.1fs <= %.1fs", lCold, l)
 	}
@@ -61,11 +58,10 @@ func TestRDDCacheSweetSpot(t *testing.T) {
 
 func TestScaleMonotonicity(t *testing.T) {
 	cfg := DefaultConfig()
-	pm := perf.Default()
 	sizes := []int64{10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}
 	prev := 0.0
 	for _, n := range sizes {
-		got := Estimate(cfg, pm, workload(n, 1000, 1.0), PlanFull)
+		got := Estimate(cfg, workload(n, 1000, 1.0), PlanFull)
 		if got < prev {
 			t.Errorf("time not monotone in data size at n=%d: %.1f < %.1f", n, got, prev)
 		}

@@ -35,7 +35,7 @@ func checkInvariants(t *testing.T, s *Service) {
 		// A terminal job is folded: the service keeps its row and no job.
 		if j == nil {
 			r := &s.rows[i]
-			if !r.state.terminal() || inQueue[i] != 0 {
+			if r.state < jsDone || inQueue[i] != 0 {
 				t.Errorf("t=%.3f %s: folded in state %v with %d queue entries", s.now, r.result.Tenant, r.state, inQueue[i])
 			}
 			wasted += r.result.WastedWork
@@ -75,7 +75,7 @@ func checkInvariants(t *testing.T, s *Service) {
 		// on — is what the job's spec yields right now, and its memoized key
 		// is the key of the view it was derived under.
 		switch {
-		case j.state.terminal():
+		case j.state >= jsDone:
 			t.Errorf("t=%.3f %s: state %v but the service still holds the job", s.now, name, j.state)
 		case j.id != nil:
 			fresh, err := identify(j.spec)

@@ -69,7 +69,7 @@ func (h *eventHeap) Pop() interface{} {
 }
 
 // jobState is a tenant job's lifecycle position. The live states come
-// first, so terminal() is one comparison.
+// first, so a state is final when it is at least jsDone.
 type jobState int
 
 const (
@@ -94,9 +94,6 @@ func (st jobState) String() string {
 	}
 	return jobStateNames[st]
 }
-
-// terminal reports whether the state is final.
-func (st jobState) terminal() bool { return st >= jsDone }
 
 // trigger names what changed the cluster in an event batch; the strongest
 // one labels the §5 re-optimization pass that follows.

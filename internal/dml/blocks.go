@@ -54,9 +54,8 @@ func BuildBlocks(stmts []Stmt) []*StatementBlock {
 		if len(run) == 0 {
 			return
 		}
-		b := &StatementBlock{Kind: GenericBlock, Stmts: run,
-			FirstLine: run[0].Line(), LastLine: run[len(run)-1].Line()}
-		out = append(out, b)
+		out = append(out, &StatementBlock{Kind: GenericBlock, Stmts: run,
+			FirstLine: run[0].Line(), LastLine: run[len(run)-1].Line()})
 		run = nil
 	}
 	for _, s := range stmts {
@@ -75,23 +74,18 @@ func BuildBlocks(stmts []Stmt) []*StatementBlock {
 			run = append(run, s)
 		case *If:
 			flush()
-			b := &StatementBlock{Kind: IfBlockKind, Pred: st.Cond,
+			out = append(out, &StatementBlock{Kind: IfBlockKind, Pred: st.Cond,
 				Then: BuildBlocks(st.Then), Else: BuildBlocks(st.Else),
-				FirstLine: st.SrcLine, LastLine: st.SrcLine}
-			out = append(out, b)
+				FirstLine: st.SrcLine, LastLine: st.SrcLine})
 		case *While:
 			flush()
-			b := &StatementBlock{Kind: WhileBlockKind, Pred: st.Cond,
-				Body:      BuildBlocks(st.Body),
-				FirstLine: st.SrcLine, LastLine: st.SrcLine}
-			out = append(out, b)
+			out = append(out, &StatementBlock{Kind: WhileBlockKind, Pred: st.Cond,
+				Body: BuildBlocks(st.Body), FirstLine: st.SrcLine, LastLine: st.SrcLine})
 		case *For:
 			flush()
-			b := &StatementBlock{Kind: ForBlockKind, Var: st.Var,
-				From: st.From, To: st.To, Body: BuildBlocks(st.Body),
-				Parallel:  st.Parallel,
-				FirstLine: st.SrcLine, LastLine: st.SrcLine}
-			out = append(out, b)
+			out = append(out, &StatementBlock{Kind: ForBlockKind, Var: st.Var,
+				From: st.From, To: st.To, Body: BuildBlocks(st.Body), Parallel: st.Parallel,
+				FirstLine: st.SrcLine, LastLine: st.SrcLine})
 		}
 	}
 	flush()
@@ -146,13 +140,8 @@ func exprContainsCall(e Expr, name string) bool {
 			return true
 		}
 		for _, r := range []*IndexRange{e.Row, e.Col} {
-			if r != nil {
-				if exprContainsCall(r.Lo, name) {
-					return true
-				}
-				if r.Hi != nil && exprContainsCall(r.Hi, name) {
-					return true
-				}
+			if r != nil && (exprContainsCall(r.Lo, name) || exprContainsCall(r.Hi, name)) {
+				return true
 			}
 		}
 	}

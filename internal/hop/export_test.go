@@ -44,9 +44,9 @@ func Templates(c *Compiler) []*Block {
 // WrittenMeta is the metadata of every variable p's generic blocks write.
 var WrittenMeta = writtenMeta
 
-// OnJoin hands fn each join's (an if's, or a loop's trial) compiler and
-// statement block, the table it started from and the table it left, until
-// restore.
+// OnJoin hands fn each join's (an if's, or a loop's trial or kept body)
+// compiler and statement block, the table it started from and the table
+// it left, until restore.
 func OnJoin(fn func(c *Compiler, sb *dml.StatementBlock, entry, out SymTab)) (restore func()) {
 	joined = fn
 	return func() { joined = nil }

@@ -31,39 +31,17 @@ const (
 )
 
 func (k TokenKind) String() string {
-	switch k {
-	case TokEOF:
-		return "EOF"
-	case TokNumber:
-		return "number"
-	case TokString:
-		return "string"
-	case TokIdent:
-		return "identifier"
-	case TokParam:
-		return "parameter"
-	case TokKeyword:
-		return "keyword"
-	case TokOp:
-		return "operator"
-	case TokLParen:
-		return "'('"
-	case TokRParen:
-		return "')'"
-	case TokLBrace:
-		return "'{'"
-	case TokRBrace:
-		return "'}'"
-	case TokLBracket:
-		return "'['"
-	case TokRBracket:
-		return "']'"
-	case TokComma:
-		return "','"
-	case TokSemicolon:
-		return "';'"
+	if uint(k) < uint(len(tokenNames)) {
+		return tokenNames[k]
 	}
 	return "?"
+}
+
+var tokenNames = [...]string{
+	TokEOF: "EOF", TokNumber: "number", TokString: "string", TokIdent: "identifier",
+	TokParam: "parameter", TokKeyword: "keyword", TokOp: "operator",
+	TokLParen: "'('", TokRParen: "')'", TokLBrace: "'{'", TokRBrace: "'}'",
+	TokLBracket: "'['", TokRBracket: "']'", TokComma: "','", TokSemicolon: "';'",
 }
 
 // Token is one lexical token with its source line (1-based).

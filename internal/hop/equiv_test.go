@@ -165,7 +165,11 @@ func TestScopeLiveInSufficesGenerated(t *testing.T) {
 // joinCases are hand-written programs whose joins differ from the
 // whole-table merge when a write set misses a name: a nested for loop's
 // variable, which the else-branch reads at its entry value, and names
-// only one branch assigns, each with a known value.
+// only one branch assigns, each with a known value. The last two need
+// more than one trip to settle a loop's facts: a loop nested in a trial
+// that stopped after its first join would keep a = 2x8 there, which the
+// inner loop's second trip breaks, and a chain of three names settles
+// only on the third join.
 var joinCases = []verify.Program{
 	{Name: "nested for variable", Source: `i = 5;
 for (k in 1:2) {
@@ -185,13 +189,37 @@ for (k in 1:2) {
   print(y + v + w + u);
 }
 `},
+	{Name: "loop nested in a trial", Source: `X = matrix(1, rows=80, cols=8);
+a = X[1:2,];
+b = a;
+for (i in 1:2) {
+  c = t(a) %*% a;
+  for (j in 1:2) { a = b; b = X; }
+}
+print(sum(c));
+`},
+	{Name: "chain of three", Source: `X = matrix(1, rows=80, cols=8);
+a = X[1:2,];
+b = a;
+c = a;
+while (sum(a) > 0) {
+  d = t(a) %*% a;
+  a = b;
+  b = c;
+  c = X;
+}
+print(sum(d));
+`},
 }
 
-// TestJoinMatchesWholeTableMerge is the merge oracle: every if and loop
-// trial that compiling, and rebuilding the whole scope of, the corpus, the
-// generated streams of generatedPrograms and joinCases runs leaves the
-// table that building each arm on its own copy of the entry table and
-// merging the copies whole (hop.JoinReference) leaves.
+// TestJoinMatchesWholeTableMerge is the merge oracle: every join (an if's,
+// or a loop's trial or kept body) that compiling, and rebuilding the whole
+// scope of, the corpus, the generated streams of generatedPrograms and
+// joinCases runs leaves the table that building each arm on its own copy
+// of the entry table and merging the copies whole (hop.JoinReference)
+// leaves. The reference builds in a fresh build, which keeps no loop's
+// settled facts, so a nested loop that takes them must leave what
+// settling afresh would.
 func TestJoinMatchesWholeTableMerge(t *testing.T) {
 	ps := append(verify.Corpus(), joinCases...)
 	for i := 0; i < 25; i++ {

@@ -81,8 +81,7 @@ func (c *Compiler) buildGeneric(stmts []dml.Stmt, meta SymTab, first, last int) 
 	for _, name := range ctx.order {
 		v := ctx.locals[name]
 		tw := c.newHop(KindTWrite, "", v)
-		tw.Name = name
-		tw.DataType = v.DataType
+		tw.Name, tw.DataType = name, v.DataType
 		finalize(tw)
 		roots = append(roots, tw)
 		meta[name] = metaOf(tw)
@@ -312,15 +311,11 @@ func (c *Compiler) variable(name string, ctx *dagCtx) (*Hop, error) {
 	if !m.IsMatrix && !m.IsStr && m.Known {
 		return c.lit(ctx, m.Val), nil
 	}
-	h := &Hop{ID: id, Kind: KindTRead, Name: name}
+	h := &Hop{ID: id, Kind: KindTRead, Name: name, DataType: Scalar}
 	if m.IsMatrix {
-		h.DataType = Matrix
-		h.Rows, h.Cols, h.NNZ = m.Rows, m.Cols, m.NNZ
+		h.DataType, h.Rows, h.Cols, h.NNZ = Matrix, m.Rows, m.Cols, m.NNZ
 	} else if m.IsStr {
-		h.DataType = String
-		h.StrValue = m.Str
-	} else {
-		h.DataType = Scalar
+		h.DataType, h.StrValue = String, m.Str
 	}
 	estimateMem(h)
 	ctx.treads[name] = h
@@ -485,8 +480,7 @@ func (c *Compiler) callStmt(call *dml.Call, ctx *dagCtx) (*Hop, error) {
 			return nil, fmt.Errorf("write path must be a string")
 		}
 		h := c.newHop(KindWrite, "", v)
-		h.Name = path.StrValue
-		h.DataType = v.DataType
+		h.Name, h.DataType = path.StrValue, v.DataType
 		finalize(h)
 		return h, nil
 	default:

@@ -123,11 +123,6 @@ func TestStringersAndHelpers(t *testing.T) {
 			t.Errorf("Kind %d unnamed", k)
 		}
 	}
-	for _, e := range []ExecType{ExecCP, ExecMR} {
-		if e.String() == "?" {
-			t.Errorf("ExecType %d unnamed", e)
-		}
-	}
 	h := &Hop{Kind: KindMatMul, Op: "%*%", DataType: Matrix, Rows: 3, Cols: 4,
 		NNZ: 12, OutMem: 96, OpMem: 200}
 	if !strings.Contains(h.String(), "3x4") {

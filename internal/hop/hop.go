@@ -93,26 +93,6 @@ const (
 	String
 )
 
-// ExecType is the execution location decided during operator selection.
-type ExecType int
-
-// Execution types.
-const (
-	ExecUndecided ExecType = iota
-	ExecCP
-	ExecMR
-)
-
-func (e ExecType) String() string {
-	switch e {
-	case ExecCP:
-		return "CP"
-	case ExecMR:
-		return "MR"
-	}
-	return "?"
-}
-
 // Hop is one node of a HOP DAG. Its one-byte fields come first, so that
 // they share a word.
 type Hop struct {

@@ -390,6 +390,32 @@ print(sum(grow) + k);
 	}
 }
 
+// TestLoopPredicateReadsSettledFacts: a flag the body clears only from
+// the second trip on survives the first join, where it > 0 folds to
+// false. A predicate built on the facts of that one join folds cont to
+// TRUE and runs the loop to its bound whatever the body decides (GLM's
+// outer loop ran all its iterations so, ignoring convergence). Joined
+// until its facts settle, the loop reads cont as an unknown scalar.
+func TestLoopPredicateReadsSettledFacts(t *testing.T) {
+	hp := compileSrc(t, hdfs.New(), `it = 0;
+cont = TRUE;
+while (cont & it < 10) {
+  if (it > 0) { cont = FALSE; }
+  it = it + 1;
+}
+print(it);
+`, nil)
+	var reads bool
+	WalkBlocks(hp.Blocks, func(b *Block) {
+		if b.Kind == dml.WhileBlockKind {
+			WalkDAG([]*Hop{b.Pred}, func(h *Hop) { reads = reads || h.Kind == KindTRead && h.Name == "cont" })
+		}
+	})
+	if !reads {
+		t.Error("the while predicate does not read cont: it assumes the flag the body clears")
+	}
+}
+
 func TestIfMergeWeakening(t *testing.T) {
 	fs := testFS(100, 10)
 	src := `

@@ -202,20 +202,14 @@ func maxDim(a, b int64) int64 {
 		}
 		return Unknown
 	}
-	if a > b {
-		return a
-	}
-	return b
+	return max(a, b)
 }
 
 func minDim(a, b int64) int64 {
 	if a == Unknown || b == Unknown {
 		return Unknown
 	}
-	if a < b {
-		return a
-	}
-	return b
+	return min(a, b)
 }
 
 // rangeExtent computes the extent of an index range [lo, hi] (1-based,
@@ -228,11 +222,7 @@ func rangeExtent(lo, hi *Hop, full int64) int64 {
 		return 1
 	}
 	if lo.KnownVal && hi.KnownVal {
-		n := int64(hi.Value) - int64(lo.Value) + 1
-		if n < 0 {
-			n = 0
-		}
-		return n
+		return max(int64(hi.Value)-int64(lo.Value)+1, 0)
 	}
 	return Unknown
 }
@@ -259,28 +249,16 @@ func binaryNNZ(h *Hop, a, b *Hop) int64 {
 		if x.Cols == 1 && h.Cols > 1 {
 			n = satMul(n, h.Cols, cells)
 		}
-		if n > cells {
-			n = cells
-		}
-		return n
+		return min(n, cells)
 	}
 	op, ok := matrix.ParseBinary(h.Op)
 	switch {
 	case !ok:
 		return cells
 	case op.SparseSafe():
-		n := effNNZ(a)
-		if nb := effNNZ(b); nb < n {
-			n = nb
-		}
-		return n
+		return min(effNNZ(a), effNNZ(b))
 	case op == matrix.Add || op == matrix.Sub:
-		// Zero only where both operands are.
-		n := effNNZ(a) + effNNZ(b)
-		if n > cells {
-			n = cells
-		}
-		return n
+		return min(effNNZ(a)+effNNZ(b), cells) // zero only where both operands are
 	default:
 		return cells
 	}

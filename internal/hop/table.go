@@ -83,6 +83,9 @@ type Parsed struct {
 	blocks []*dml.StatementBlock
 	err    error // inlining's, which every compile of the script reports
 	writes map[*dml.StatementBlock][]string
+	// facts holds for each loop the names whose facts decide how it
+	// builds: its write set, then the names it reads.
+	facts map[*dml.StatementBlock][]string
 
 	curMu sync.Mutex
 	cur   weak.Pointer[Script] // the script over the parse, while one lives
@@ -91,10 +94,20 @@ type Parsed struct {
 // build fills p from the program prog parses to.
 func (p *Parsed) build(prog *dml.Program) {
 	stmts, err := dml.InlineFunctions(prog)
-	p.err, p.writes = err, make(map[*dml.StatementBlock][]string)
+	p.err, p.writes, p.facts = err, make(map[*dml.StatementBlock][]string), make(map[*dml.StatementBlock][]string)
 	if err == nil {
 		p.blocks = dml.BuildBlocks(stmts)
 		appendWrites(nil, p.blocks, p.writes)
+	}
+	for sb, ws := range p.writes {
+		if sb.Kind != dml.IfBlockKind {
+			var reads []string
+			dml.Walk([]*dml.StatementBlock{sb}, func(b *dml.StatementBlock) {
+				reads = appendReads(appendReads(appendReads(append(reads, stmtReads(b.Stmts)...), b.Pred), b.From), b.To)
+			})
+			slices.Sort(reads)
+			p.facts[sb] = append(ws[:len(ws):len(ws)], slices.Compact(reads)...)
+		}
 	}
 }
 

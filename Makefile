@@ -32,12 +32,13 @@ vet:
 # the paper grid at 4 workers) and the shared plan cache; workload, concurrent
 # simulate calls over one compiled program (program_test.go) and batch
 # Run's prefetch workers, which prepare its next jobs beside the event
-# loop; server, the daemon's sessions, which prepare jobs (compile, search
-# and simulate) beside the sequencer as it steps the service and simulates
-# its own; and yarn, the ResourceManager all of them allocate from. The
-# prefetch tests then run again at 1, 2 and 4 Ps: the pool has GOMAXPROCS
-# workers, and Run must write the same bytes at every count
-# (prefetch_test.go).
+# loop and store the scripts they compile in the service's map of held
+# scripts (Service.scripts); server, the daemon's sessions, which prepare
+# jobs (compile, search and simulate) beside the sequencer as it steps the
+# service and simulates its own, and hand it each op by pointer; and yarn,
+# the ResourceManager all of them allocate from. The prefetch tests then
+# run again at 1, 2 and 4 Ps: the pool has GOMAXPROCS workers, and Run
+# must write the same bytes at every count (prefetch_test.go).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/hop ./internal/opt ./internal/workload ./internal/server ./internal/yarn

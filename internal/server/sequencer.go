@@ -164,7 +164,7 @@ type Sequencer struct {
 	svc *workload.Service
 	gap float64
 
-	ops  chan seqOp
+	ops  chan *seqOp // by pointer: 256 slots of a seqOp by value are 88 KB
 	done chan struct{}
 
 	mu     sync.Mutex
@@ -196,7 +196,7 @@ func NewSequencer(cc conf.Cluster, o workload.Options, gap float64) (*Sequencer,
 	s := &Sequencer{
 		svc:         svc,
 		gap:         gap,
-		ops:         make(chan seqOp, 256),
+		ops:         make(chan *seqOp, 256),
 		done:        make(chan struct{}),
 		lastArrival: -gap,
 		subs:        map[int]func(int, workload.TenantResult){},
@@ -242,7 +242,7 @@ func (s *Sequencer) run() {
 
 // apply executes one op against the service; a submit only stamps the
 // arrival on the spec Submit prepared.
-func (s *Sequencer) apply(op seqOp) {
+func (s *Sequencer) apply(op *seqOp) {
 	switch op.kind {
 	case "submit":
 		at := s.svc.Frontier()
@@ -303,7 +303,7 @@ func (s *Sequencer) drain() {
 }
 
 // send enqueues one op, failing fast once the sequencer is draining.
-func (s *Sequencer) send(op seqOp) (seqReply, error) {
+func (s *Sequencer) send(op *seqOp) (seqReply, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -327,7 +327,7 @@ func (s *Sequencer) Submit(spec JobSpecWire, onResult func(int, workload.TenantR
 	if err != nil {
 		return 0, 0, err
 	}
-	rep, err := s.send(seqOp{kind: "submit", spec: spec, prepared: s.svc.Prepare(job),
+	rep, err := s.send(&seqOp{kind: "submit", spec: spec, prepared: s.svc.Prepare(job),
 		onResult: onResult, reply: make(chan seqReply, 1)})
 	if err != nil {
 		return 0, 0, err
@@ -341,7 +341,7 @@ func (s *Sequencer) Submit(spec JobSpecWire, onResult func(int, workload.TenantR
 // Cancel sequences a cancellation; ok is false if the job was unknown or
 // already terminal.
 func (s *Sequencer) Cancel(job int) (bool, error) {
-	rep, err := s.send(seqOp{kind: "cancel", job: job, reply: make(chan seqReply, 1)})
+	rep, err := s.send(&seqOp{kind: "cancel", job: job, reply: make(chan seqReply, 1)})
 	if err != nil {
 		return false, err
 	}
@@ -350,7 +350,7 @@ func (s *Sequencer) Cancel(job int) (bool, error) {
 
 // Status returns a job's current state name and result copy.
 func (s *Sequencer) Status(job int) (string, workload.TenantResult, bool, error) {
-	rep, err := s.send(seqOp{kind: "status", job: job, reply: make(chan seqReply, 1)})
+	rep, err := s.send(&seqOp{kind: "status", job: job, reply: make(chan seqReply, 1)})
 	if err != nil {
 		return "", workload.TenantResult{}, false, err
 	}

@@ -735,7 +735,7 @@ func BenchmarkRepeatJob(b *testing.B) {
 // batch Run, whose window prepares the next jobs on GOMAXPROCS workers. It
 // fails unless every job compiles at most once, every generic block a
 // compile builds re-sizes its template, and each run parses each of the
-// trace's sources at most once (the run's service holds their parses),
+// trace's sources at most once (the run's service holds their scripts),
 // and reports how many prepared answers the loop committed, and how many
 // parses and from-statements block builds the compile table saw.
 func BenchmarkChurnTrace(b *testing.B) {
@@ -779,15 +779,62 @@ func BenchmarkChurnTrace(b *testing.B) {
 	}
 }
 
-// TestServiceKeepsParses: a service holds the parse of every built-in
-// script it compiles, so a collection between two of its compiles does not
-// make the table parse the source again; once the service is gone and a
-// collection has run, the parse is freed and the table parses the source
-// anew. A value-mode source is not held.
-func TestServiceKeepsParses(t *testing.T) {
+// BenchmarkPrepareCold times Prepare of a never-seen plan-cache key on one
+// service, as the daemon's sessions prepare serve_cold's submissions:
+// decks of the five paper scripts at XS, S and M (coldDeck), each deck
+// over a column count no deck before it had, a collection before every
+// fifth job. It reports the templates the compile table built per job
+// after the first deck, and fails unless that is 0: the service holds the
+// scripts it compiled, so no collection frees a template it builds again.
+func BenchmarkPrepareCold(b *testing.B) {
 	defer func(tab *hop.Table) { compileTable = tab }(compileTable)
 	compileTable = &hop.Table{Trace: obs.New(false)}
-	parses := func() int64 { return compileTable.Trace.Metrics().Counter("compile.parses") }
+	m := compileTable.Trace.Metrics()
+	s, err := New(conf.DefaultCluster(), DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := int64(200)
+	for _, spec := range coldDeck(cols) {
+		s.Prepare(spec)
+	}
+	built := m.Counter("compile.template_builds")
+	var deck []JobSpec
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(deck) == 0 {
+			cols++
+			deck = coldDeck(cols)
+		}
+		if i%5 == 0 {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+		}
+		if s.Prepare(deck[0]).prep == nil {
+			b.Fatalf("Prepare could not finish %s", deck[0].Tenant)
+		}
+		deck = deck[1:]
+	}
+	b.StopTimer()
+	perOp := float64(m.Counter("compile.template_builds")-built) / float64(b.N)
+	b.ReportMetric(perOp, "template_builds/op")
+	if perOp != 0 {
+		b.Fatalf("%.2f template builds per cold job after the first deck: a collection freed templates the service compiles again", perOp)
+	}
+}
+
+// TestServiceKeepsScripts: a service holds the script — the parse and the
+// block templates — of every built-in script it compiles, so a collection
+// between two of its compiles makes the table neither parse the source
+// again nor build its templates again; once the service is gone and
+// collections have run, the script is freed and the table parses the
+// source anew. A value-mode source is not held.
+func TestServiceKeepsScripts(t *testing.T) {
+	defer func(tab *hop.Table) { compileTable = tab }(compileTable)
+	compileTable = &hop.Table{Trace: obs.New(false)}
+	m := compileTable.Trace.Metrics()
 	s, err := New(conf.DefaultCluster(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -804,36 +851,45 @@ func TestServiceKeepsParses(t *testing.T) {
 		runtime.GC()
 	}
 	job := fixedWidthJob("t", "S", 0, 1)
-	for i := 0; i < 3; i++ {
+	var builds [3]int64
+	for i := range builds {
 		compile(job)
+		builds[i] = m.Counter("compile.template_builds")
 	}
-	if n := parses(); n != 1 {
+	if n := m.Counter("compile.parses"); n != 1 {
 		t.Errorf("three compiles of one built-in script, a collection after each, parsed it %d times", n)
+	}
+	if builds[0] == 0 || builds[2] != builds[0] {
+		t.Errorf("three compiles of one built-in script, a collection after each, built %v templates so far: want all on the first", builds)
 	}
 	value := JobSpec{Source: "x = 1;\nprint(x);\n"}
 	compile(value)
-	if _, held := s.parses.Load(value.Source); held {
-		t.Error("the service holds a value-mode source's parse")
+	if _, held := s.scripts.Load(value.Source); held {
+		t.Error("the service holds a value-mode source's script")
 	}
-	held, ok := s.parses.Load(job.Script.Source)
+	held, ok := s.scripts.Load(job.Script.Source)
 	if !ok {
-		t.Fatal("the service does not hold the parse of the built-in script it compiled")
+		t.Fatal("the service does not hold the script of the built-in script it compiled")
 	}
-	parse := weak.Make(held.(*hop.Parsed))
-	held, s = nil, nil
-	for i := 0; i < 100 && parse.Value() != nil; i++ {
+	sc, ok := held.(*hop.Script)
+	if !ok {
+		t.Fatalf("the service holds a %T of the built-in script, not its *hop.Script", held)
+	}
+	script := weak.Make(sc)
+	held, sc, s = nil, nil, nil
+	for i := 0; i < 100 && script.Value() != nil; i++ {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
-	if parse.Value() != nil {
-		t.Fatal("the parse outlived the service that held it")
+	if script.Value() != nil {
+		t.Fatal("the script outlived the service that held it")
 	}
-	before := parses()
+	before := m.Counter("compile.parses")
 	if _, err := compileTable.Parse(job.Script.Source); err != nil {
 		t.Fatal(err)
 	}
-	if parses() != before+1 {
-		t.Error("the table kept a source after its parse was freed")
+	if m.Counter("compile.parses") != before+1 {
+		t.Error("the table kept a source after its script was freed")
 	}
 }
 

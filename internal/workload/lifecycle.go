@@ -624,14 +624,13 @@ func identify(spec JobSpec) (id *identity, err error) {
 	return id, nil
 }
 
-// compileTable keeps each source's parse while some service holds it (see
-// Service.parses) or some job's program holds its script, and the block
-// templates while some job's program holds them, for every compile of
-// every service in the process: prefetch workers and daemon sessions
-// compile concurrently, and a program is the same whichever compile built
-// a template first. Its
-// Trace, nil but in benchmarks, gets the compile counters, which depend on
-// the garbage collector and so stay out of a service's deterministic ones.
+// compileTable keeps each source's script, its parse and block templates,
+// while some service holds it (see Service.scripts) or some job's program
+// holds it, for every compile of every service in the process: prefetch
+// workers and daemon sessions compile concurrently, and a program is the
+// same whichever compile built a template first. Its Trace, nil but in
+// benchmarks, gets the compile counters, which depend on the garbage
+// collector and so stay out of a service's deterministic ones.
 var compileTable = new(hop.Table)
 
 // compile builds an identity's program from source over its staged inputs,
@@ -645,7 +644,7 @@ func (s *Service) compile(id *identity) (hp *hop.Program, err error) {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
 	if id.mode == rt.ModeSim {
-		s.parses.LoadOrStore(id.source, src.Parsed)
+		s.scripts.LoadOrStore(id.source, src)
 	}
 	if hp, err = hop.NewCompiler(id.fs, id.params).CompileScript(src); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)

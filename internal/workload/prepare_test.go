@@ -26,11 +26,15 @@ import (
 
 // coldMix is the daemon's cold benchmark deck: the five paper scripts at
 // XS/S/M, each over three column counts.
-func coldMix() []JobSpec {
+func coldMix() []JobSpec { return coldDeck(200, 1000, 8391) }
+
+// coldDeck is the five paper scripts at XS/S/M, each over every column
+// count of cols.
+func coldDeck(cols ...int64) []JobSpec {
 	var specs []JobSpec
 	for _, sc := range scripts.All() {
 		for _, size := range []string{"XS", "S", "M"} {
-			for _, cols := range []int64{200, 1000, 8391} {
+			for _, cols := range cols {
 				specs = append(specs, JobSpec{
 					Tenant: fmt.Sprintf("%s-%s-%d", sc.Name, size, cols), Script: sc,
 					Scenario: datagen.New(size, cols, 1.0),

@@ -252,12 +252,13 @@ type Service struct {
 	cache *opt.Cache // nil when caching is off; every method is nil-safe
 	tr    *obs.Tracer
 	brk   *breaker
-	// parses holds, by source, the parse (*hop.Parsed) of every sim-mode
-	// job the service compiled, so that compileTable parses each of them
-	// once while the service lives: only a template no program holds any
-	// more is built again. Sim-mode jobs name a built-in script, so this
-	// holds at most scripts.All's parses; value-mode sources are not held.
-	parses sync.Map
+	// scripts holds, by source, the script (*hop.Script: the parse and
+	// its block templates) of every sim-mode job the service compiled, so
+	// that compileTable parses each of them once, and builds each
+	// template once, while the service lives, whatever the collector
+	// frees meanwhile. Sim-mode jobs name a built-in script, so this holds
+	// at most scripts.All's scripts; value-mode sources are not held.
+	scripts sync.Map
 
 	// jobs holds each job, by submission index, until it is terminal;
 	// terminate then folds it into its row and clears the entry, so a

@@ -73,7 +73,7 @@ verify-corpus:
 # Non-test Go lines per package, counted as ROADMAP counts them: lines that
 # are neither blank nor start with // (after indentation). Fails when a
 # package exceeds its cap in LOC_CAPS (ROADMAP's housekeeping caps).
-LOC_CAPS = elasticml/internal/dml=1033 elasticml/internal/hop=2411 elasticml/internal/workload=2181
+LOC_CAPS = elasticml/internal/dml=1033 elasticml/internal/hop=2396 elasticml/internal/workload=2181
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | { \
 	t=0; over=0; while read pkg dir files; do \

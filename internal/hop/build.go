@@ -154,7 +154,7 @@ func (c *Compiler) join(sb *dml.StatementBlock, meta SymTab, first, second []*dm
 	if joined != nil {
 		entry = meta.Clone()
 	}
-	ws, base := c.script.writes[sb], len(c.scratch.saved) // sb's write set, which the parse holds
+	ws, base := c.script.writes[sb], len(c.scratch.saved) // sb's write set, which the script holds
 	for _, name := range ws {
 		v, ok := meta[name]
 		c.scratch.saved = append(c.scratch.saved, savedMeta{v, ok})
@@ -227,10 +227,10 @@ func (c *Compiler) id() int64 {
 func (c *Compiler) Compile(prog *dml.Program, _ string) (*Program, error) {
 	sp := c.Trace.Begin(obs.LayerCompile, "hop.compile")
 	inl := c.Trace.Begin(obs.LayerCompile, "hop.inline-functions", obs.A("funcs", len(prog.Funcs)))
-	p := new(Parsed)
-	p.build(prog)
+	s := &Script{trace: c.Trace}
+	s.build(prog)
 	inl.End()
-	return c.compile(p.script(c.Trace), sp)
+	return c.compile(s, sp)
 }
 
 // CompileScript builds the program of a script a Table parsed, as Compile

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"elasticml/internal/datagen"
 	"elasticml/internal/dml"
 	"elasticml/internal/hdfs"
+	"elasticml/internal/obs"
 	"elasticml/internal/scripts"
 )
 
@@ -107,16 +109,20 @@ func TestCompileGolden(t *testing.T) {
 
 // TestConcurrentBuilds: compilers on separate goroutines draw their walk
 // numbers from one counter and share one table's scripts and templates;
-// each still builds exactly what a build alone does.
+// each still builds exactly what a build alone does, and the table parses
+// each source once, however many goroutines ask for it at once.
 func TestConcurrentBuilds(t *testing.T) {
 	specs := scripts.All()
 	want := make([]string, len(specs))
+	sources := make(map[string]bool)
 	for i, spec := range specs {
 		want[i] = keyHash(compileSpec(t, spec, testFS(1_000_000, 100)))
+		sources[spec.Source] = true
 	}
-	tab := &Table{}
+	tab := &Table{Trace: obs.New(false)}
+	held := make([][]*Script, 4) // every script parsed, kept until the count
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := range held {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -126,6 +132,7 @@ func TestConcurrentBuilds(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				held[g] = append(held[g], s)
 				c := NewCompiler(testFS(1_000_000, 100), spec.Params)
 				hp, err := c.CompileScript(s)
 				if err != nil {
@@ -143,4 +150,8 @@ func TestConcurrentBuilds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if n := tab.Trace.Metrics().Counter("compile.parses"); n != int64(len(sources)) {
+		t.Errorf("the table parsed %d times for %d sources", n, len(sources))
+	}
+	runtime.KeepAlive(held)
 }

@@ -12,72 +12,82 @@ import (
 	"elasticml/internal/obs"
 )
 
-// Table holds, per source, its parse (a Parsed) and the script over it,
-// so that the compiles of a source parse it once and build each block's
-// DAG once. It holds both weakly: once no compiler of the script is
-// reachable (a compiler keeps the script it compiled, and a program's owner
-// keeps the compiler), the collector frees the script and its templates,
-// and once nothing keeps the parse either (a script keeps its parse, and
-// a caller may keep Script.Parsed), the table forgets the source. A nil
-// Table keeps nothing: every Parse parses afresh. Safe for concurrent use.
+// Table holds, per source, its script, so that the compiles of a source
+// parse it once and build each block's DAG once. It holds the script
+// weakly: once nothing keeps it (a compiler keeps the script it compiled,
+// a program's owner keeps the compiler, and a caller may keep the script),
+// the collector frees the script and its templates and the table forgets
+// the source. A nil Table keeps nothing: every Parse parses afresh. Safe
+// for concurrent use.
 type Table struct {
 	// Trace, when non-nil, counts compile.parses, and the template
 	// builds, re-sizes and fallbacks of every compile of the table's
 	// scripts (see generic).
 	Trace *obs.Tracer
 
-	mu     sync.Mutex
-	parses map[string]weak.Pointer[Parsed]
+	mu      sync.Mutex
+	scripts map[string]weak.Pointer[Script]
 }
 
-// Parse returns the script of source: the live script over the table's
-// parse of source, or else a new one with no templates. It parses source
-// unless the table holds a live parse of it, once for concurrent calls.
+// Parse returns the script of source: the live one the table holds, or
+// else a new one with no templates. It parses source unless the table
+// holds a live script of it, once for concurrent calls.
 func (t *Table) Parse(source string) (*Script, error) {
-	p, trace := (*Parsed)(nil), (*obs.Tracer)(nil)
+	var s *Script
 	if t != nil {
 		t.mu.Lock()
-		if p, trace = t.parses[source].Value(), t.Trace; p == nil {
-			p = new(Parsed)
-			if t.parses == nil {
-				t.parses = make(map[string]weak.Pointer[Parsed])
+		if s = t.scripts[source].Value(); s == nil {
+			s = &Script{trace: t.Trace}
+			if t.scripts == nil {
+				t.scripts = make(map[string]weak.Pointer[Script])
 			}
-			t.parses[source] = weak.Make(p)
-			runtime.AddCleanup(p, t.forget, source)
+			t.scripts[source] = weak.Make(s)
+			runtime.AddCleanup(s, t.forget, source)
 		}
 		t.mu.Unlock()
 	} else {
-		p = new(Parsed)
+		s = new(Script)
 	}
-	p.once.Do(func() {
-		p.perr = errors.New("hop: the parse of the source panicked")
+	s.once.Do(func() {
+		s.perr = errors.New("hop: the parse of the source panicked")
 		prog, err := dml.Parse(source)
-		if p.perr = err; err == nil {
-			trace.Metrics().Add("compile.parses", 1)
-			p.build(prog)
+		if s.perr = err; err == nil {
+			s.trace.Metrics().Add("compile.parses", 1)
+			s.build(prog)
 		}
 	})
-	if p.perr != nil {
-		return nil, p.perr
+	if s.perr != nil {
+		return nil, s.perr
 	}
-	return p.script(trace), nil
+	return s, nil
 }
 
-// forget drops source once its parse is freed, unless a new one took its
+// forget drops source once its script is freed, unless a new one took its
 // place.
 func (t *Table) forget(source string) {
 	t.mu.Lock()
-	if t.parses[source].Value() == nil {
-		delete(t.parses, source)
+	if t.scripts[source].Value() == nil {
+		delete(t.scripts, source)
 	}
 	t.mu.Unlock()
 }
 
-// Parsed is one source's parse: its statement blocks after function
-// inlining, and the write set of each control block (see writeSet), which
-// an if's or a loop's merge saves, restores and merges. Safe for
-// concurrent use.
-type Parsed struct {
+// Script is one source's parse and the templates built over it. The
+// parse is the source's statement blocks after function inlining, and the
+// write set of each control block (see writeSet), which an if's or a
+// loop's merge saves, restores and merges.
+//
+// A template is a generic block's DAG under one combination of kinds its
+// reads and $ parameters arrive with — built once with every variable it
+// reads unknown, kind kept (a string keeps its value, which a read() or
+// write path or a ppred operator bakes in). A numeric parameter is an
+// unknown scalar read under its reserved name, and a read() a persistent
+// read of unknown size. A build of the block re-sizes the template under
+// the metadata at hand instead of building from the statements (see
+// generic). Templates take their hop IDs from the script's own counter,
+// so a program's IDs, like its DAGs, do not depend on which templates were
+// built before it. Safe for concurrent use.
+type Script struct {
 	once   sync.Once // Table.Parse's parse of the source
 	perr   error     // the source's syntax error
 	blocks []*dml.StatementBlock
@@ -86,41 +96,31 @@ type Parsed struct {
 	// facts holds for each loop the names whose facts decide how it
 	// builds: its write set, then the names it reads.
 	facts map[*dml.StatementBlock][]string
+	trace *obs.Tracer // counts the template work (see Table.Trace)
 
-	curMu sync.Mutex
-	cur   weak.Pointer[Script] // the script over the parse, while one lives
+	mu     sync.Mutex
+	nextID int64
+	tmpls  map[*dml.StatementBlock]*blockTemplates
 }
 
-// build fills p from the program prog parses to.
-func (p *Parsed) build(prog *dml.Program) {
+// build fills s's parse from the program prog parses to.
+func (s *Script) build(prog *dml.Program) {
 	stmts, err := dml.InlineFunctions(prog)
-	p.err, p.writes, p.facts = err, make(map[*dml.StatementBlock][]string), make(map[*dml.StatementBlock][]string)
+	s.err, s.writes, s.facts = err, make(map[*dml.StatementBlock][]string), make(map[*dml.StatementBlock][]string)
 	if err == nil {
-		p.blocks = dml.BuildBlocks(stmts)
-		appendWrites(nil, p.blocks, p.writes)
+		s.blocks = dml.BuildBlocks(stmts)
+		appendWrites(nil, s.blocks, s.writes)
 	}
-	for sb, ws := range p.writes {
+	for sb, ws := range s.writes {
 		if sb.Kind != dml.IfBlockKind {
 			var reads []string
 			dml.Walk([]*dml.StatementBlock{sb}, func(b *dml.StatementBlock) {
 				reads = appendReads(appendReads(appendReads(append(reads, stmtReads(b.Stmts)...), b.Pred), b.From), b.To)
 			})
 			slices.Sort(reads)
-			p.facts[sb] = append(ws[:len(ws):len(ws)], slices.Compact(reads)...)
+			s.facts[sb] = append(ws[:len(ws):len(ws)], slices.Compact(reads)...)
 		}
 	}
-}
-
-// script returns the live script over p, or a new one with no templates.
-func (p *Parsed) script(trace *obs.Tracer) *Script {
-	p.curMu.Lock()
-	defer p.curMu.Unlock()
-	s := p.cur.Value()
-	if s == nil {
-		s = &Script{Parsed: p, trace: trace}
-		p.cur = weak.Make(s)
-	}
-	return s
 }
 
 // appendWrites appends to names every name building bs may assign in a
@@ -157,26 +157,6 @@ func writeSet(sb *dml.StatementBlock, sets map[*dml.StatementBlock][]string) []s
 	ws = slices.Compact(ws)
 	sets[sb] = ws
 	return ws
-}
-
-// Script is one parse and a template for each generic block under each
-// combination of kinds its reads and $ parameters arrive with — the
-// block's DAG built once with every variable it reads unknown, kind kept
-// (a string keeps its value, which a read() or write path or a ppred
-// operator bakes in). A numeric parameter is an unknown scalar read under
-// its reserved name, and a read() a persistent read of unknown size. A
-// build of the block re-sizes the template under the metadata at hand
-// instead of building from the statements (see generic). Templates take
-// their hop IDs from the script's own counter, so a program's IDs, like
-// its DAGs, do not depend on which templates were built before it. Safe
-// for concurrent use.
-type Script struct {
-	*Parsed
-	trace *obs.Tracer // counts the template work (see Table.Trace)
-
-	mu     sync.Mutex
-	nextID int64
-	tmpls  map[*dml.StatementBlock]*blockTemplates
 }
 
 // blockTemplates are one generic block's read set, the reserved names of

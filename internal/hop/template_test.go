@@ -208,7 +208,7 @@ func TestTableForgetsFreedScripts(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		runtime.GC()
 		tab.mu.Lock()
-		_, kept := tab.parses[src]
+		_, kept := tab.scripts[src]
 		tab.mu.Unlock()
 		if !kept {
 			return
